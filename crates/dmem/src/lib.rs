@@ -89,6 +89,7 @@ pub use collectives::{FlatReceived, FlatRoundedExchange, RankCtx, RoundedExchang
 pub use error::DmemError;
 pub use fault::{FaultKind, FaultPlan, FaultSite};
 pub use nonblocking::RoundExchange;
+pub use process::ran_in_own_process;
 pub use stats::{CommStats, StageTraffic};
 pub use transport::Backend;
 pub use wire::{Pod, Wire};

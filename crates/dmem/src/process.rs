@@ -43,6 +43,17 @@
 //! their firing state home over the control socket and the parent folds it back
 //! with [`FaultPlan::absorb_state`], so recovery generations do not re-fire
 //! one-shot faults.
+//!
+//! # Fork only from a process with no other running thread
+//!
+//! `fork()` clones the calling thread alone, but every lock in memory as it is: a
+//! std-internal lock held by *another* thread at that instant (the backtrace lock of
+//! a panicking thread, the thread-info lock inside `thread::spawn`) stays locked in
+//! the child forever, the child parks on it in `futex_wait`, and the parent blocks in
+//! `read_ctl_to_eof`, which has no deadline. The CLI forks from a single-threaded
+//! parent; a libtest binary running tests on parallel threads does not, and was seen
+//! to wedge this way. Every test that uses the process backend therefore runs its
+//! starts with the [`ran_in_own_process`] guard.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -831,6 +842,33 @@ where
     }
 }
 
+/// Guard for a libtest test that forks (see the module docs): `if
+/// ran_in_own_process("path::of::this_test") { return; }` as its first statement.
+/// Re-executes the current test binary for exactly that test on one test thread, with
+/// a marker variable set, asserts that it passed there, and returns `true`; under the
+/// marker it returns `false` and the test body runs, in a process with no sibling test.
+pub fn ran_in_own_process(test: &str) -> bool {
+    const MARKER: &str = "HYSORTK_FORKING_TEST";
+    if std::env::var_os(MARKER).is_some() {
+        return false;
+    }
+    let exe = std::env::current_exe().expect("path of the running test binary");
+    let run = std::process::Command::new(exe)
+        .args(["--exact", test, "--test-threads=1", "--nocapture"])
+        .env(MARKER, "1")
+        .output()
+        .expect("re-executing the test binary");
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    // "1 passed" guards against a misspelt `test` selecting no test at all.
+    assert!(
+        run.status.success() && stdout.contains("test result: ok. 1 passed"),
+        "`{test}` failed in its own process ({}):\n{stdout}{}",
+        run.status,
+        String::from_utf8_lossy(&run.stderr)
+    );
+    true
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -838,6 +876,11 @@ mod tests {
 
     #[test]
     fn process_backend_collectives_agree_with_the_thread_backend() {
+        if ran_in_own_process(
+            "process::tests::process_backend_collectives_agree_with_the_thread_backend",
+        ) {
+            return;
+        }
         let payload = |ctx: &mut RankCtx| -> Result<(Vec<u64>, Vec<u32>, u64), DmemError> {
             let sum = ctx.allreduce_sum_u64(&[ctx.rank() as u64, 7], "sizes")?;
             let all = ctx.allgather(ctx.rank() as u32, "gather")?;
@@ -866,6 +909,9 @@ mod tests {
 
     #[test]
     fn process_backend_flat_exchange_moves_real_bytes() {
+        if ran_in_own_process("process::tests::process_backend_flat_exchange_moves_real_bytes") {
+            return;
+        }
         let p = 4;
         let run = Cluster::new(p).with_backend(Backend::Process).run_wire(
             |ctx| -> Result<Vec<Vec<u8>>, DmemError> {
@@ -887,6 +933,10 @@ mod tests {
 
     #[test]
     fn process_backend_round_engine_overlaps_and_completes() {
+        if ran_in_own_process("process::tests::process_backend_round_engine_overlaps_and_completes")
+        {
+            return;
+        }
         let p = 3;
         let rounds = 4;
         let run = Cluster::new(p).with_backend(Backend::Process).run_wire(
@@ -937,6 +987,9 @@ mod tests {
     /// in `nonblocking.rs`, which pins the same contract on the thread backend.
     #[test]
     fn peer_killed_mid_round_surfaces_peer_failed() {
+        if ran_in_own_process("process::tests::peer_killed_mid_round_surfaces_peer_failed") {
+            return;
+        }
         let outcome = run_process_generation::<u32, DmemError, _>(3, None, 0, &|ctx| {
             let mut engine = ctx.round_exchange(2, "engine");
             let mut recv = FlatReceived::empty();
@@ -964,6 +1017,11 @@ mod tests {
 
     #[test]
     fn child_panic_reraises_in_the_parent_and_unblocks_peers() {
+        if ran_in_own_process(
+            "process::tests::child_panic_reraises_in_the_parent_and_unblocks_peers",
+        ) {
+            return;
+        }
         let outcome = catch_unwind(|| {
             Cluster::new(2).with_backend(Backend::Process).run_wire(
                 |ctx| -> Result<u32, DmemError> {
@@ -985,6 +1043,10 @@ mod tests {
 
     #[test]
     fn injected_fail_rank_behaves_like_the_thread_backend() {
+        if ran_in_own_process("process::tests::injected_fail_rank_behaves_like_the_thread_backend")
+        {
+            return;
+        }
         let plan =
             Arc::new(FaultPlan::new().with_fault(2, "exchange", 0, crate::FaultKind::FailRank));
         let run = Cluster::new(4)
@@ -1017,6 +1079,9 @@ mod tests {
 
     #[test]
     fn run_recovering_wire_respawns_process_generations() {
+        if ran_in_own_process("process::tests::run_recovering_wire_respawns_process_generations") {
+            return;
+        }
         use crate::RecoveryPolicy;
         let policy = RecoveryPolicy {
             max_attempts: 2,

@@ -7,7 +7,7 @@ use crate::machine::{ExecutionConfig, MachineConfig};
 /// is how the paper explains the superlinear strong-scaling step in Figure 4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SortAlgorithm {
-    /// Out-of-place LSD radix sort.
+    /// Out-of-place radix sort.
     Raduls,
     /// In-place MSD radix sort, ~0.55× the throughput of RADULS.
     Paradis,

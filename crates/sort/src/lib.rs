@@ -8,9 +8,14 @@
 //!   (Cho et al., VLDB 2015): speculative parallel permutation into bucket stripes, a
 //!   repair pass, then parallel recursion into buckets. Requires no auxiliary array, so
 //!   it is the sorter HySortK falls back to when memory is tight.
-//! * [`raduls::raduls_sort_by`] — an **out-of-place LSD** radix sort modelled on RADULS
-//!   (Kokot et al., BDAS 2017): per-chunk histograms, stable parallel scatter between
-//!   ping-pong buffers. Faster, but needs a second buffer of the same size.
+//! * [`raduls`] — **out-of-place, stable** radix sorts modelled on RADULS (Kokot et al.,
+//!   BDAS 2017): faster, but they need a second buffer of the same size. The
+//!   [`RadixKey`] kernel [`raduls::raduls_sort`] is MSD-first — one out-of-cache
+//!   partition pass on the top varying bits, then each cache-resident bucket is
+//!   finished in L2 by one wide-digit pass and insertion sort: 2 scatters per key for
+//!   a 4 Mi-key k = 31 task (byte-wise LSD: 8, all out of cache) and 2 for a 2 Mi-key
+//!   k = 55 task (LSD: 14). [`raduls::raduls_sort_by`] is the byte-wise LSD closure
+//!   path the KMC3 baseline uses, and the kernel's test oracle.
 //! * [`samplesort::sample_sort_by_key`] — a comparison-based parallel sample sort, the
 //!   strategy the paper attributes to the sorting variant of kmerind.
 //!
@@ -22,10 +27,9 @@
 //!   value) and is what the baselines use.
 //! * **Monomorphized kernels** ([`raduls::raduls_sort`], [`paradis::paradis_sort`]):
 //!   for types implementing [`RadixKey`] — keys exposed as raw big-endian `u64` words —
-//!   the digit loop compiles down to a shift/mask word access with no per-item-per-level
-//!   indirection, and the RADULS kernel additionally uses compact per-chunk `u32`
-//!   histograms and a precomputed-offset pointer scatter. These are the pipeline's hot
-//!   paths.
+//!   digit extraction compiles down to a shift/mask word access with no
+//!   per-item-per-level indirection, and the RADULS kernel plans its digits from the
+//!   bits that actually vary in the data. These are the pipeline's hot paths.
 //!
 //! [`select_sorter`] reproduces HySortK's memory-aware choice between the two radix
 //! sorts, and [`runs::count_sorted_runs`] is the linear counting scan applied after
@@ -47,9 +51,8 @@ pub use samplesort::sample_sort_by_key;
 /// The logical key is the concatenation `key_word(0) ‖ key_word(1) ‖ …` compared as a
 /// big integer; radix level `l` is byte `l` of that concatenation, most significant
 /// first. Types whose meaningful bits occupy only the low end (e.g. a `2k`-bit k-mer in
-/// `⌈k/32⌉` words) simply expose leading zero bytes — both kernels skip levels whose
-/// digit is constant across the input, so the padding costs one histogram check, not a
-/// scatter pass.
+/// `⌈k/32⌉` words) simply expose leading zero bytes — both kernels skip key bits that
+/// are constant across the input, so the padding costs one check, not a scatter pass.
 pub trait RadixKey: Copy + Send + Sync {
     /// Number of 64-bit key words, most significant first.
     const KEY_WORDS: usize;
@@ -171,7 +174,7 @@ pub fn radix_sort<T: RadixDigits>(data: &mut [T]) {
 /// Which sorting algorithm HySortK selects for the local counting stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SorterKind {
-    /// Out-of-place LSD radix sort (RADULS-like) — faster, needs an auxiliary buffer.
+    /// Out-of-place stable radix sort (RADULS-like) — faster, needs an auxiliary buffer.
     Raduls,
     /// In-place MSD radix sort (PARADIS-like) — slower, near-zero extra memory.
     Paradis,

@@ -1,32 +1,55 @@
-//! Out-of-place LSD parallel radix sort (RADULS-like).
+//! Out-of-place stable radix sorts (RADULS-like): an auxiliary buffer the size of the
+//! input buys stable counting passes that need no in-place permutation.
 //!
-//! RADULS (Kokot et al., BDAS 2017) trades memory for speed: it keeps an auxiliary
-//! buffer the size of the input and performs stable least-significant-digit passes with
-//! per-chunk histograms so that every thread scatters into its own pre-computed,
-//! disjoint destination ranges. This implementation follows that structure:
+//! # The `RadixKey` kernel: [`raduls_sort`] / [`raduls_sort_with_aux`]
 //!
-//! 1. one parallel pass computes the digit histograms of **all** levels at once,
-//! 2. levels whose histogram is concentrated in a single bucket are skipped entirely
-//!    (for k-mers the leading bytes beyond `2k` bits are always zero),
-//! 3. each remaining level performs a stable parallel scatter between the ping-pong
-//!    buffers, with the (chunk × bucket) destination ranges carved into disjoint
-//!    sub-slices so the scatter needs no synchronisation and no `unsafe`.
+//! RADULS (Kokot, Deorowicz, Długosz, BDAS 2017 — the sorter of KMC3) is MSD-first:
+//! partition once out of cache, then finish buckets that fit in cache. The kernel
+//! here is that recursion, with one rule per range of keys:
+//!
+//! 1. **Plan from the data.** One streaming read ORs `key ^ first key` into a per-word
+//!    mask of the bits that vary. The digit is the top bits of the most significant
+//!    varying word's span (never straddling two words), so zero padding above `2k`
+//!    bits, a shared prefix, or a bucket holding one distinct key (satellite repeats,
+//!    poly-A: mask zero, done after that one read) never cost a pass.
+//! 2. **Out of cache** (more than `IN_CACHE_BYTES` of keys): one stable counting pass
+//!    on an 8-bit digit from the range into the other buffer — per-chunk histograms,
+//!    destination carved into one slice per (chunk, bucket), parallel under the
+//!    caller's rayon budget — then every bucket is sorted with the buffer roles
+//!    swapped, buckets being the parallel unit.
+//! 3. **In cache**: the same pass, serial, with `u32` cursors and a digit of
+//!    `log2 n − 3` bits (4 to 11), i.e. buckets of about eight keys.
+//! 4. **At most 32 keys**: stable insertion sort; one copy if the parity of the
+//!    recursion left the range in the wrong buffer.
+//!
+//! Every step is stable, so the sort is. The pass count follows `log2 n`, not the key
+//! width. A 4 Mi-key task of k = 31 (62 varying bits, 32 MiB): two streaming reads
+//! (mask, histogram), one out-of-cache scatter into 256 buckets of ~16 Ki keys
+//! (128 KiB), then per bucket, in L2: mask, count, one 11-bit scatter into ~8-key
+//! buckets, insertion sort — **2 scatters per key, 1 of them out of cache**, where a
+//! byte-wise LSD sort does 8 out-of-cache scatters. A 2 Mi-key task of k = 55
+//! (46 + 64 varying bits, 16-byte keys, 32 MiB): 256 buckets of ~8 Ki keys
+//! (128 KiB), one 10-bit in-cache scatter, insertion sort — again **2 scatters per
+//! key** against LSD's 14. Wider in-cache LSD digits over the remaining bits were
+//! measured too (5 passes at k = 31, 10 at k = 55) and lose to this on every
+//! workload of the benchmark; see CHANGES.md, PR 13.
+//!
+//! # The closure path: [`raduls_sort_by`]
+//!
+//! A plain byte-wise LSD sort over a `digit(item, level)` closure — the KMC3
+//! baseline's sorter, and the oracle the kernel is differentially tested against:
+//! one pass computes the histograms of all levels, levels with a single occupied
+//! bucket are skipped, and each remaining level is a stable parallel scatter between
+//! the ping-pong buffers with (chunk × bucket) destinations carved into disjoint
+//! sub-slices (no `unsafe`).
 
 use rayon::prelude::*;
 
-use crate::{radix_digit, RadixKey};
+use crate::RadixKey;
 
 const RADIX: usize = 256;
 const PARALLEL_THRESHOLD: usize = 8 * 1024;
 const CHUNK: usize = 64 * 1024;
-/// `CHUNK` as a shift, used to map a destination offset to its chunk index. The fused
-/// next-pass histogram binning computes `off >> CHUNK_SHIFT` where `src.chunks(CHUNK)`
-/// defines the chunk boundaries — equivalent only while `CHUNK` is a power of two.
-const CHUNK_SHIFT: usize = CHUNK.trailing_zeros() as usize;
-const _: () = assert!(
-    CHUNK.is_power_of_two(),
-    "CHUNK_SHIFT mapping requires a power of two"
-);
 
 /// Sort `data` by the radix digits supplied by `digit`, using an auxiliary buffer of the
 /// same length. `digit(item, 0)` is the most significant digit; the sort is stable.
@@ -219,25 +242,24 @@ where
 // Monomorphized RadixKey kernel
 // =======================================================================================
 
-/// Stable out-of-place LSD radix sort for [`RadixKey`] types — the pipeline's hot path.
-///
-/// Same ping-pong structure as [`raduls_sort_by`], but engineered for throughput:
-///
-/// * digit extraction is a compile-time shift/mask on the raw key words
-///   ([`radix_digit`]) instead of a per-item-per-level callback;
-/// * per-chunk histograms are `[u32; 256]` (a quarter of the cache footprint of the
-///   `usize` histograms, exact because chunks hold ≤ 64 Ki items), and the histograms of
-///   pass `i + 1` are counted *during* the scatter of pass `i`, so after the first
-///   level every pass reads the data exactly once instead of twice;
-/// * the scatter writes through precomputed per-(chunk, bucket) destination cursors via
-///   raw pointers, removing the bounds checks and per-item `Option` lookups of the safe
-///   sub-slice carving;
-/// * below the parallel threshold the global per-level histograms from the fused
-///   sizing pass drive the scatter cursors directly — small sorts do one counting pass
-///   total, not one per level.
-///
-/// Trivial levels (constant digit across the input — e.g. the zero padding above a
-/// `2k`-bit k-mer) are detected in one fused histogram pass and skipped.
+/// A range of at most this many bytes of keys is partitioned "in cache": its two
+/// buffers together fit a 1 MiB L2. Measured at 128 KiB to 4 MiB on the benchmark host
+/// (4 MiB L2): 512 KiB and up tie, smaller loses on two-word keys. Not configurable.
+const IN_CACHE_BYTES: usize = 512 * 1024;
+/// Ranges of at most this many keys are insertion-sorted.
+const INSERTION_MAX: usize = 32;
+/// Digit width of an out-of-cache partition: 256 write streams stay within the TLB
+/// and L1.
+const MSD_BITS: u32 = 8;
+/// In-cache digits aim at buckets of about eight keys (`log2 n - 3` bits) within these
+/// widths: below 16 buckets a pass costs more than it splits, and 2048 `u32` cursors
+/// still sit in L1.
+const IN_CACHE_MIN_BITS: u32 = 4;
+const IN_CACHE_MAX_BITS: u32 = 11;
+
+/// Stable MSD radix sort for [`RadixKey`] types — the pipeline's hot path. See the
+/// module docs for the design. Allocates the auxiliary buffer per call;
+/// [`raduls_sort_with_aux`] reuses one.
 pub fn raduls_sort<T: RadixKey + Default>(data: &mut [T]) {
     let mut aux = Vec::new();
     raduls_sort_with_aux(data, &mut aux);
@@ -245,211 +267,269 @@ pub fn raduls_sort<T: RadixKey + Default>(data: &mut [T]) {
 
 /// [`raduls_sort`] with a caller-owned auxiliary buffer, so a worker sorting many
 /// arrays (one per task) reuses one ping-pong allocation instead of mapping fresh
-/// pages per sort. `aux` is grown to `data.len()` on first use and its contents are
-/// unspecified afterwards.
+/// pages per sort. `aux` is grown to `data.len()` when shorter (never for inputs small
+/// enough to insertion-sort) and its contents are unspecified afterwards.
 pub fn raduls_sort_with_aux<T: RadixKey + Default>(data: &mut [T], aux: &mut Vec<T>) {
     let n = data.len();
-    let levels = T::KEY_LEVELS;
-    if n <= 1 || levels == 0 {
-        return;
+    if n <= INSERTION_MAX {
+        return insertion_sort(data);
     }
-
     if aux.len() < n {
         aux.resize(n, T::default());
     }
-    let aux = &mut aux[..n];
-    let mut src_is_data = true;
+    sort_range(data, &mut aux[..n], true, &mut Scratch::default());
+}
 
-    if n < PARALLEL_THRESHOLD {
-        // One fused counting pass; the digit multiset is invariant under permutation,
-        // so the same histograms give every level's cursors without recounting.
-        let mut histograms = vec![[0u32; RADIX]; levels];
-        bin_all_levels(data, &mut histograms);
-        let order: Vec<usize> = (0..levels)
-            .rev()
-            .filter(|&l| !histograms[l].iter().any(|&c| c as usize == n))
-            .collect();
-        for &level in &order {
-            let (src, dst): (&[T], &mut [T]) = if src_is_data {
-                (&*data, &mut aux[..])
-            } else {
-                (&aux[..], &mut *data)
-            };
-            let mut cursors = [0usize; RADIX];
-            let mut acc = 0usize;
-            for (cursor, &count) in cursors.iter_mut().zip(&histograms[level]) {
-                *cursor = acc;
-                acc += count as usize;
-            }
-            let dst_ptr = dst.as_mut_ptr();
-            for item in src {
-                let b = radix_digit(item, level) as usize;
-                // SAFETY: `cursors` holds the exclusive prefix sums of the digit
-                // histogram of `src`, so over the loop each index in `0..n` is written
-                // exactly once and `cursors[b] < n` at every write.
-                unsafe { dst_ptr.add(cursors[b]).write(*item) };
-                cursors[b] += 1;
-            }
-            src_is_data = !src_is_data;
-        }
-    } else {
-        // One fused parallel pass produces the per-chunk histograms of *every* level;
-        // the global sums select the active levels, `per_chunk[·][first]` seeds the
-        // first scatter, and each scatter counts the next level's chunk histograms on
-        // the fly — so no pass over the data is ever a histogram-only pass.
-        let per_chunk: Vec<Vec<[u32; RADIX]>> = data
-            .par_chunks(CHUNK)
-            .map(|chunk| {
-                let mut hists = vec![[0u32; RADIX]; levels];
-                bin_all_levels(chunk, &mut hists);
-                hists
-            })
-            .collect();
-        let order: Vec<usize> = (0..levels)
-            .rev()
-            .filter(|&l| {
-                let mut totals = [0usize; RADIX];
-                for chunk_hists in &per_chunk {
-                    for (t, &c) in totals.iter_mut().zip(&chunk_hists[l]) {
-                        *t += c as usize;
-                    }
-                }
-                !totals.contains(&n)
-            })
-            .collect();
-        if !order.is_empty() {
-            let mut chunk_hists: Vec<[u32; RADIX]> =
-                per_chunk.iter().map(|hists| hists[order[0]]).collect();
-            drop(per_chunk);
-            for (i, &level) in order.iter().enumerate() {
-                let (src, dst): (&[T], &mut [T]) = if src_is_data {
-                    (&*data, &mut aux[..])
-                } else {
-                    (&aux[..], &mut *data)
-                };
-                chunk_hists =
-                    scatter_pass(src, dst, level, &chunk_hists, order.get(i + 1).copied());
-                src_is_data = !src_is_data;
-            }
-        }
+/// `bits` key bits starting `shift` bits above the bottom of key word `word`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Digit {
+    word: usize,
+    shift: u32,
+    bits: u32,
+}
+
+impl Digit {
+    fn buckets(self) -> usize {
+        1 << self.bits
     }
 
-    if !src_is_data {
-        data.copy_from_slice(aux);
+    #[inline(always)]
+    fn of<T: RadixKey>(self, item: &T) -> usize {
+        (item.key_word(self.word) >> self.shift) as usize & (self.buckets() - 1)
     }
 }
 
-/// Bin every level of every item into `hists` in one sweep: the key words of each item
-/// are loaded once and all their bytes are binned, so the pass is bound by one read of
-/// the input rather than one read per level.
-#[inline]
-fn bin_all_levels<T: RadixKey>(chunk: &[T], hists: &mut [[u32; RADIX]]) {
-    for item in chunk {
-        for w in 0..T::KEY_WORDS {
-            let word = item.key_word(w);
-            // Fixed-bound inner loop over the 8 bytes of one register; the compiler
-            // unrolls it into straight-line shift/mask increments.
-            for b in 0..8 {
-                hists[8 * w + b][((word >> ((7 - b) * 8)) & 0xFF) as usize] += 1;
-            }
-        }
-    }
+/// Per-thread working memory of the kernel, reused from range to range.
+#[derive(Default)]
+struct Scratch {
+    /// Per key word, the bits in which the keys of the range being planned differ.
+    varying: Vec<u64>,
+    /// A stack of cursor arrays, one per in-cache partition level in progress.
+    cursors: Vec<u32>,
 }
 
-/// Shareable raw destination pointer for the parallel scatter. Safety rests on the
-/// offset discipline in [`scatter_pass`]: every (chunk, bucket) writes into its own
-/// disjoint index range of the destination.
-struct DstPtr<T>(*mut T);
-
-unsafe impl<T: Send> Send for DstPtr<T> {}
-unsafe impl<T: Send> Sync for DstPtr<T> {}
-
-/// One stable counting-sort pass from `src` to `dst` on `level`, monomorphized.
+/// Sort the keys in `cur`, with `other` (same length) as the second buffer, and leave
+/// the result in `cur` if `result_in_cur`, else in `other`.
 ///
-/// `cur_hists` are the per-chunk histograms of `level` over `src` (sliced out of the
-/// fused sizing pass for the first level, produced by the previous `scatter_pass`
-/// otherwise). While scattering, the pass counts the per-*destination*-chunk histograms
-/// of `next_level`, so the following pass needs no histogram sweep of its own.
-fn scatter_pass<T: RadixKey>(
-    src: &[T],
-    dst: &mut [T],
-    level: usize,
-    cur_hists: &[[u32; RADIX]],
-    next_level: Option<usize>,
-) -> Vec<[u32; RADIX]> {
-    let n = src.len();
-    debug_assert_eq!(n, dst.len());
-    let chunks: Vec<&[T]> = src.chunks(CHUNK).collect();
-    let num_chunks = chunks.len();
-    debug_assert_eq!(num_chunks, cur_hists.len());
-
-    // ---- per-(chunk, bucket) destination cursors -------------------------------------
-    // Stable order: bucket-major, then chunk index, then original order inside a chunk.
-    let mut starts: Vec<[usize; RADIX]> = vec![[0usize; RADIX]; num_chunks];
-    let mut acc = 0usize;
-    for b in 0..RADIX {
-        for (chunk_starts, hist) in starts.iter_mut().zip(cur_hists) {
-            chunk_starts[b] = acc;
-            acc += hist[b] as usize;
+/// One partition pass moves the range into `other` split by its top varying bits;
+/// each bucket is then sorted with the buffer roles swapped, which lands it where the
+/// caller wants the whole range. Ranges that are small or hold one distinct key end
+/// the recursion, with one copy if they sit in the wrong buffer.
+fn sort_range<T: RadixKey>(
+    cur: &mut [T],
+    other: &mut [T],
+    result_in_cur: bool,
+    scratch: &mut Scratch,
+) {
+    debug_assert_eq!(cur.len(), other.len());
+    let n = cur.len();
+    if n <= INSERTION_MAX {
+        insertion_sort(cur);
+    } else {
+        varying_bits(cur, &mut scratch.varying);
+        let in_cache = std::mem::size_of_val(cur) <= IN_CACHE_BYTES;
+        let width = if in_cache {
+            (n.ilog2() - 3).clamp(IN_CACHE_MIN_BITS, IN_CACHE_MAX_BITS)
+        } else {
+            MSD_BITS
+        };
+        match top_digit(&scratch.varying, width) {
+            // Every key of the range is the same: one read, nothing to sort.
+            None => {}
+            Some(digit) if in_cache => {
+                // This level's cursors go on top of the callers'; the levels below push
+                // and pop theirs above them while this one walks its buckets.
+                let base = scratch.cursors.len();
+                scratch.cursors.resize(base + digit.buckets(), 0);
+                partition_in_cache(cur, other, digit, &mut scratch.cursors[base..]);
+                let mut start = 0;
+                for bucket in 0..digit.buckets() {
+                    let end = scratch.cursors[base + bucket] as usize;
+                    if start < end {
+                        let (bucket, spare) = (&mut other[start..end], &mut cur[start..end]);
+                        sort_range(bucket, spare, !result_in_cur, scratch);
+                    }
+                    start = end;
+                }
+                scratch.cursors.truncate(base);
+                return;
+            }
+            Some(digit) => {
+                let sizes = partition_out_of_cache(cur, other, digit);
+                // Buckets are the parallel unit: consecutive buckets are grouped into
+                // runs of about equal key count (k-mer buckets are skewed), a few per
+                // thread. At a thread budget of one this is a plain loop.
+                let run_keys = n.div_ceil(4 * rayon::current_num_threads());
+                let mut runs: Vec<Vec<(&mut [T], &mut [T])>> = Vec::new();
+                let mut filled = run_keys;
+                for (bucket, spare) in split_by_sizes(other, &sizes)
+                    .into_iter()
+                    .zip(split_by_sizes(cur, &sizes))
+                {
+                    if filled >= run_keys {
+                        runs.push(Vec::new());
+                        filled = 0;
+                    }
+                    filled += bucket.len();
+                    runs.last_mut().expect("pushed above").push((bucket, spare));
+                }
+                runs.into_par_iter().for_each(|run| {
+                    let mut scratch = Scratch::default();
+                    for (bucket, spare) in run {
+                        sort_range(bucket, spare, !result_in_cur, &mut scratch);
+                    }
+                });
+                return;
+            }
         }
     }
-    debug_assert_eq!(acc, n);
+    if !result_in_cur {
+        other.copy_from_slice(cur);
+    }
+}
 
-    // ---- parallel scatter through raw cursors, fused with next-level counting --------
-    let dst_ptr = DstPtr(dst.as_mut_ptr());
-    let zero_hists = || {
-        if next_level.is_some() {
-            vec![[0u32; RADIX]; num_chunks]
-        } else {
-            Vec::new()
+/// Stable insertion sort by key, for ranges too small to pay for a counting pass.
+fn insertion_sort<T: RadixKey>(data: &mut [T]) {
+    let less = |a: &T, b: &T| {
+        for w in 0..T::KEY_WORDS {
+            if a.key_word(w) != b.key_word(w) {
+                return a.key_word(w) < b.key_word(w);
+            }
         }
+        false
     };
+    for i in 1..data.len() {
+        let item = data[i];
+        let mut j = i;
+        while j > 0 && less(&item, &data[j - 1]) {
+            data[j] = data[j - 1];
+            j -= 1;
+        }
+        data[j] = item;
+    }
+}
+
+/// One streaming read: per key word, OR together `key ^ first key`. A zero word is
+/// constant over `data`; all words zero means every key is the same.
+fn varying_bits<T: RadixKey>(data: &[T], varying: &mut Vec<u64>) {
+    varying.clear();
+    varying.resize(T::KEY_WORDS, 0);
+    let first = data[0];
+    // Word-outer over L1-sized blocks, so each inner loop is a plain OR reduction.
+    for block in data.chunks(1024) {
+        for (w, bits) in varying.iter_mut().enumerate() {
+            let reference = first.key_word(w);
+            *bits |= block
+                .iter()
+                .fold(0, |acc, item| acc | (item.key_word(w) ^ reference));
+        }
+    }
+}
+
+/// The top `max_bits` of the varying span of the most significant varying word (the
+/// whole span when it is narrower: a digit never straddles two words).
+fn top_digit(varying: &[u64], max_bits: u32) -> Option<Digit> {
+    let (word, &bits) = varying.iter().enumerate().find(|(_, &bits)| bits != 0)?;
+    let top = 64 - bits.leading_zeros();
+    let width = (top - bits.trailing_zeros()).min(max_bits);
+    Some(Digit {
+        word,
+        shift: top - width,
+        bits: width,
+    })
+}
+
+/// One stable counting pass of `src` into `dst` on `digit`, serial, with `u32` cursors
+/// (zero on entry); on return `cursors[b]` is the end offset of bucket `b` in `dst`.
+fn partition_in_cache<T: RadixKey>(src: &[T], dst: &mut [T], digit: Digit, cursors: &mut [u32]) {
+    debug_assert!(cursors.len() == digit.buckets() && dst.len() == src.len());
+    for item in src {
+        cursors[digit.of(item)] += 1;
+    }
+    let mut next = 0u32;
+    for cursor in cursors.iter_mut() {
+        next += std::mem::replace(cursor, next);
+    }
+    for item in src {
+        let cursor = &mut cursors[digit.of(item)];
+        dst[*cursor as usize] = *item;
+        *cursor += 1;
+    }
+}
+
+/// One stable counting pass of `src` into `dst` on `digit`; returns the bucket sizes.
+/// Parallel over equal chunks of `src` under the caller's rayon budget (one chunk, no
+/// thread, at a budget of one): per-chunk histograms, then `dst` is carved bucket-major,
+/// chunk-minor into one slice per (chunk, bucket), so every chunk scatters, in order,
+/// into slices it alone owns.
+fn partition_out_of_cache<T: RadixKey>(src: &[T], dst: &mut [T], digit: Digit) -> Vec<usize> {
+    let chunk_len = src.len().div_ceil(rayon::current_num_threads());
+    let chunks: Vec<&[T]> = src.chunks(chunk_len).collect();
+    let histograms: Vec<Vec<usize>> = chunks
+        .par_iter()
+        .map(|chunk| {
+            let mut histogram = vec![0usize; digit.buckets()];
+            for item in chunk.iter() {
+                histogram[digit.of(item)] += 1;
+            }
+            histogram
+        })
+        .collect();
+
+    let mut sizes = vec![0usize; digit.buckets()];
+    let mut dests: Vec<Vec<&mut [T]>> = chunks
+        .iter()
+        .map(|_| Vec::with_capacity(digit.buckets()))
+        .collect();
+    let mut rest = dst;
+    for (bucket, size) in sizes.iter_mut().enumerate() {
+        for (histogram, dests) in histograms.iter().zip(&mut dests) {
+            let (dest, tail) = rest.split_at_mut(histogram[bucket]);
+            dests.push(dest);
+            rest = tail;
+            *size += histogram[bucket];
+        }
+    }
+
     chunks
         .into_par_iter()
-        .zip(starts.into_par_iter())
-        .fold(zero_hists, |mut next_hists, (chunk, mut cursors)| {
-            let dst_ptr = &dst_ptr;
-            // SAFETY (both arms): `cursors[b]` starts at this (chunk, bucket)'s
-            // exclusive bucket-major prefix offset and is bumped once per matching
-            // item, so each chunk writes into `[starts[c][b], starts[c][b] +
-            // cur_hists[c][b])` — ranges that are pairwise disjoint across all
-            // (chunk, bucket) pairs and together partition `0..n`.
-            match next_level {
-                Some(next) => {
-                    for item in chunk {
-                        let b = radix_digit(item, level) as usize;
-                        let off = cursors[b];
-                        cursors[b] = off + 1;
-                        unsafe { dst_ptr.0.add(off).write(*item) };
-                        // The destination offset tells us which chunk of the *next*
-                        // pass the item lands in; bin its next digit now.
-                        // SAFETY: `off < n`, so `off >> CHUNK_SHIFT < num_chunks ==
-                        // next_hists.len()`; the digit index is a `u8`.
-                        unsafe {
-                            next_hists.get_unchecked_mut(off >> CHUNK_SHIFT)
-                                [radix_digit(item, next) as usize] += 1;
-                        }
-                    }
-                }
-                None => {
-                    for item in chunk {
-                        let b = radix_digit(item, level) as usize;
-                        let off = cursors[b];
-                        cursors[b] = off + 1;
-                        unsafe { dst_ptr.0.add(off).write(*item) };
-                    }
+        .zip(dests)
+        .for_each(|(chunk, mut dests)| {
+            // Both pointers of a slice come from one borrow of it, and `dests` is not
+            // touched again while they are in use.
+            let (mut cursors, ends): (Vec<*mut T>, Vec<*mut T>) = dests
+                .iter_mut()
+                .map(|dest| {
+                    let range = dest.as_mut_ptr_range();
+                    (range.start, range.end)
+                })
+                .unzip();
+            for item in chunk {
+                let bucket = digit.of(item);
+                let cursor = &mut cursors[bucket];
+                assert!(*cursor < ends[bucket], "key digit changed between passes");
+                // SAFETY: `*cursor` starts at the head of `dests[bucket]`, a slice this
+                // closure owns exclusively, only ever advances by one element, and was
+                // just checked to be below that slice's end.
+                unsafe {
+                    cursor.write(*item);
+                    *cursor = cursor.add(1);
                 }
             }
-            next_hists
+        });
+    sizes
+}
+
+/// Cut `data` into consecutive slices of the given sizes.
+fn split_by_sizes<'a, T>(mut data: &'a mut [T], sizes: &[usize]) -> Vec<&'a mut [T]> {
+    sizes
+        .iter()
+        .map(|&size| {
+            let (head, tail) = std::mem::take(&mut data).split_at_mut(size);
+            data = tail;
+            head
         })
-        .reduce(zero_hists, |mut a, b| {
-            for (ha, hb) in a.iter_mut().zip(b) {
-                for (x, y) in ha.iter_mut().zip(hb) {
-                    *x += y;
-                }
-            }
-            a
-        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -521,49 +601,200 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    #[test]
-    fn keyed_kernel_matches_closure_path_on_u64() {
-        let mut rng = StdRng::seed_from_u64(16);
-        for n in [0usize, 1, 100, 5_000, 150_000] {
-            let original: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
-            let mut a = original.clone();
-            let mut b = original;
-            raduls_sort(&mut a);
-            raduls_sort_by(&mut b, 8, |x, l| (x >> (8 * (7 - l))) as u8);
-            assert_eq!(a, b, "n = {n}");
+    // ---- the RadixKey kernel ----------------------------------------------------------
+
+    use crate::radix_digit;
+    use std::fmt::Debug;
+
+    /// The kernel against its two oracles: std's stable sort by key and the closure LSD
+    /// path. Whole records are compared, so payload order inside equal keys (stability)
+    /// is pinned too.
+    fn check_kernel<T>(input: &[T], aux: &mut Vec<T>, context: &str)
+    where
+        T: RadixKey + Default + PartialEq + Debug,
+    {
+        let key = |x: &T| (0..T::KEY_WORDS).map(|w| x.key_word(w)).collect::<Vec<_>>();
+        let mut expected = input.to_vec();
+        expected.sort_by(|a, b| {
+            (0..T::KEY_WORDS)
+                .map(|w| a.key_word(w))
+                .cmp((0..T::KEY_WORDS).map(|w| b.key_word(w)))
+        });
+        let mut by_closure = input.to_vec();
+        raduls_sort_by(&mut by_closure, T::KEY_LEVELS, |x, l| radix_digit(x, l));
+        assert!(by_closure == expected, "{context}: closure oracle vs std");
+        let mut by_kernel = input.to_vec();
+        raduls_sort_with_aux(&mut by_kernel, aux);
+        if let Some(i) = (0..input.len()).find(|&i| by_kernel[i] != expected[i]) {
+            panic!(
+                "{context}: kernel differs from the oracles at {i}: key {:x?}, expected {:x?}",
+                key(&by_kernel[i]),
+                key(&expected[i])
+            );
+        }
+    }
+
+    /// Key shapes over `bits`-wide keys (64 or 128), as `u128`s.
+    fn shapes(rng: &mut StdRng, n: usize, bits: u32) -> Vec<(&'static str, Vec<u128>)> {
+        let top = bits - 1;
+        let wide = |rng: &mut StdRng| rng.gen::<u128>() >> (128 - bits);
+        let random: Vec<u128> = (0..n).map(|_| wide(rng)).collect();
+        let pool: Vec<u128> = (0..n / 20 + 1).map(|_| wide(rng) >> 2).collect();
+        let mut sorted = random.clone();
+        sorted.sort_unstable();
+        let hot = wide(rng);
+        vec![
+            ("all equal", vec![hot; n]),
+            (
+                "one hot key among random keys",
+                (0..n)
+                    .map(|i| if i % 4 == 3 { wide(rng) } else { hot })
+                    .collect(),
+            ),
+            (
+                "20 copies per key",
+                (0..n).map(|_| pool[rng.gen_range(0..pool.len())]).collect(),
+            ),
+            ("lowest bit only", random.iter().map(|x| x & 1).collect()),
+            (
+                "highest bit only",
+                random.iter().map(|x| (x & 1) << top).collect(),
+            ),
+            (
+                "one bit per word",
+                random
+                    .iter()
+                    .map(|x| (x & 1) | ((x >> 1) & 1) << (top - 1))
+                    .collect(),
+            ),
+            (
+                // Outliers pin the top digit, so nearly everything lands in bucket 0
+                // and large inputs take a second out-of-cache level.
+                "narrow keys with a few wide outliers",
+                (0..n)
+                    .map(|i| (wide(rng) & 0xFF_FFFF_FFFF) | u128::from(i % 1000 == 7) << top)
+                    .collect(),
+            ),
+            ("reversed", sorted.iter().rev().copied().collect()),
+            ("sorted", sorted),
+            ("random", random),
+        ]
+    }
+
+    /// Sizes around every threshold of the kernel for a `key_bytes`-wide key, in an
+    /// order that makes a reused `aux` both grow and be larger than needed.
+    fn sizes(key_bytes: usize) -> Vec<usize> {
+        let in_cache = IN_CACHE_BYTES / key_bytes;
+        vec![
+            0,
+            in_cache + 1,
+            1,
+            INSERTION_MAX + 1,
+            2 * in_cache + 1000,
+            INSERTION_MAX,
+            in_cache,
+            INSERTION_MAX + 2,
+            2,
+            1000,
+            in_cache - 1,
+            10_000,
+        ]
+    }
+
+    /// Every shape at every size, one `aux` reused throughout. Ranges that go out of
+    /// cache run under thread budgets of 1 (plain loops) and 3 (chunked partition,
+    /// bucket runs); the in-cache code never looks at the budget.
+    fn check_all<T: RadixKey + Default + PartialEq + Debug>(
+        seed: u64,
+        bits: u32,
+        make: impl Fn(u128, usize) -> T,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut aux = Vec::new();
+        for n in sizes(std::mem::size_of::<T>()) {
+            for (shape, keys) in shapes(&mut rng, n, bits) {
+                let input: Vec<T> = keys
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, key)| make(key, i))
+                    .collect();
+                let out_of_cache = std::mem::size_of_val(&input[..]) > IN_CACHE_BYTES;
+                for threads in if out_of_cache { vec![1, 3] } else { vec![1] } {
+                    let pool = rayon::ThreadPoolBuilder::new()
+                        .num_threads(threads)
+                        .build()
+                        .unwrap();
+                    let context = format!("shape `{shape}`, n = {n}, {threads} threads");
+                    pool.install(|| check_kernel(&input, &mut aux, &context));
+                    assert!(n <= INSERTION_MAX || aux.len() >= n);
+                }
+            }
         }
     }
 
     #[test]
-    fn keyed_kernel_sorts_u128_across_the_word_boundary() {
-        let mut rng = StdRng::seed_from_u64(17);
-        let mut v: Vec<u128> = (0..120_000).map(|_| rng.gen()).collect();
-        let mut expected = v.clone();
-        expected.sort_unstable();
-        raduls_sort(&mut v);
-        assert_eq!(v, expected);
+    fn kernel_matches_both_oracles_on_u64() {
+        check_all(16, 64, |key, _| key as u64);
     }
 
     #[test]
-    fn keyed_kernel_is_stable_on_tagged_records() {
-        let mut rng = StdRng::seed_from_u64(18);
-        let mut v: Vec<(u64, u32)> = (0..90_000u32)
-            .map(|i| (rng.gen_range(0..64u64), i))
-            .collect();
-        raduls_sort(&mut v);
-        for w in v.windows(2) {
-            assert!(w[0].0 < w[1].0 || (w[0].0 == w[1].0 && w[0].1 < w[1].1));
-        }
+    fn kernel_matches_both_oracles_on_u128() {
+        check_all(17, 128, |key, _| key);
     }
 
     #[test]
-    fn keyed_kernel_skips_trivial_levels_and_copies_back() {
-        // Keys confined to 3 low bytes: 13 trivial levels for u128, odd active count.
-        let mut rng = StdRng::seed_from_u64(19);
-        let mut v: Vec<u128> = (0..60_000).map(|_| rng.gen::<u128>() & 0xFF_FFFF).collect();
-        let mut expected = v.clone();
-        expected.sort_unstable();
-        raduls_sort(&mut v);
-        assert_eq!(v, expected);
+    fn kernel_is_stable_on_tagged_records() {
+        // The payload is the input position: equal keys must keep it ascending, which
+        // the whole-record comparison against the stable oracles checks.
+        check_all(18, 64, |key, i| (key as u64, i as u32));
+        check_all(19, 128, |key, i| (key, i as u32));
+    }
+
+    #[test]
+    fn kernel_sorts_narrow_key_types() {
+        // Key words are zero above the type's width; the varying mask never looks there.
+        check_all(20, 64, |key, i| (key as u32, i as u32));
+        let mut rng = StdRng::seed_from_u64(21);
+        let input: Vec<u16> = (0..IN_CACHE_BYTES).map(|_| rng.gen()).collect();
+        check_kernel(&input, &mut Vec::new(), "random u16");
+    }
+
+    #[test]
+    fn digits_come_from_the_varying_bits_only() {
+        // k = 31 in one word: 62 varying bits, the top 8 of them.
+        assert_eq!(
+            top_digit(&[(1 << 62) - 1], MSD_BITS),
+            Some(Digit {
+                word: 0,
+                shift: 54,
+                bits: 8
+            })
+        );
+        // k = 33: the first word varies in 2 bits only, and the digit stops there.
+        assert_eq!(
+            top_digit(&[0b11, u64::MAX], MSD_BITS),
+            Some(Digit {
+                word: 0,
+                shift: 0,
+                bits: 2
+            })
+        );
+        // A constant first word is skipped; the span is cut at its lowest varying bit.
+        assert_eq!(
+            top_digit(&[0, 0b1011_0000], 11),
+            Some(Digit {
+                word: 1,
+                shift: 4,
+                bits: 4
+            })
+        );
+        assert_eq!(top_digit(&[0, 0], MSD_BITS), None);
+
+        let mut varying = Vec::new();
+        varying_bits(
+            &[0xF0u128 << 64 | 5, 0xF1u128 << 64 | 4, 0xF0u128 << 64 | 7],
+            &mut varying,
+        );
+        assert_eq!(varying, [0x01, 0b11]);
     }
 }

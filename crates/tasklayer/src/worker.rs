@@ -4,10 +4,10 @@
 //! beyond 16 threads), HySortK splits them into *workers* of a fixed small width
 //! (default 4 threads) and gives each worker a queue of tasks. [`WorkerPool`] executes
 //! tasks on a rayon pool sized `workers × threads_per_worker` that is built **once**
-//! and cached process-wide by thread count — constructing a thread pool per `execute`
-//! call was a large constant cost when every rank runs the sort stage once per
-//! pipeline invocation. [`schedule_lpt`] computes the static longest-processing-time
-//! assignment whose makespan the performance model uses.
+//! and cached process-wide by thread count ([`PoolCache`]) — constructing a thread
+//! pool per `execute` call was a large constant cost when every rank runs the sort
+//! stage once per pipeline invocation. [`schedule_lpt`] computes the static
+//! longest-processing-time assignment whose makespan the performance model uses.
 
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -19,28 +19,43 @@ use rayon::prelude::*;
 
 use crate::TaskId;
 
-/// Process-wide cache of rayon pools, keyed by total thread count. Ranks of a simulated
-/// cluster share a pool of a given width instead of each building (and tearing down)
-/// their own, which also stops the simulator from oversubscribing the host with
-/// `ranks × threads` OS threads.
-static POOL_CACHE: OnceLock<Mutex<HashMap<usize, Arc<rayon::ThreadPool>>>> = OnceLock::new();
+/// A cache of rayon pools keyed by total thread count, with a count of how many it had
+/// to build. [`WorkerPool::new`] resolves pools from [`PoolCache::process`], so ranks of
+/// a simulated cluster share a pool of a given width instead of each building (and
+/// tearing down) their own, which also stops the simulator from oversubscribing the
+/// host with `ranks × threads` OS threads. A test that asserts on the build count
+/// makes its own cache and uses [`WorkerPool::new_in`].
+#[derive(Default)]
+pub struct PoolCache {
+    pools: Mutex<HashMap<usize, Arc<rayon::ThreadPool>>>,
+    builds: AtomicUsize,
+}
 
-/// Number of rayon pools ever constructed — observable from tests so a regression back
-/// to pool-per-call construction fails loudly.
-static POOL_BUILDS: AtomicUsize = AtomicUsize::new(0);
+impl PoolCache {
+    /// The cache every [`WorkerPool::new`] in this process shares.
+    pub fn process() -> &'static PoolCache {
+        static PROCESS: OnceLock<PoolCache> = OnceLock::new();
+        PROCESS.get_or_init(PoolCache::default)
+    }
 
-fn cached_pool(total_threads: usize) -> Arc<rayon::ThreadPool> {
-    let cache = POOL_CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut cache = cache.lock().expect("worker pool cache poisoned");
-    Arc::clone(cache.entry(total_threads).or_insert_with(|| {
-        POOL_BUILDS.fetch_add(1, Ordering::Relaxed);
-        Arc::new(
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(total_threads)
-                .build()
-                .expect("failed to build worker thread pool"),
-        )
-    }))
+    /// Rayon pools this cache has constructed so far (monotone; a hit adds nothing) —
+    /// observable so a regression back to pool-per-call construction fails loudly.
+    pub fn builds(&self) -> usize {
+        self.builds.load(Ordering::Relaxed)
+    }
+
+    fn pool(&self, total_threads: usize) -> Arc<rayon::ThreadPool> {
+        let mut pools = self.pools.lock().expect("worker pool cache poisoned");
+        Arc::clone(pools.entry(total_threads).or_insert_with(|| {
+            self.builds.fetch_add(1, Ordering::Relaxed);
+            Arc::new(
+                rayon::ThreadPoolBuilder::new()
+                    .num_threads(total_threads)
+                    .build()
+                    .expect("failed to build worker thread pool"),
+            )
+        }))
+    }
 }
 
 /// A pool of workers inside one simulated rank.
@@ -70,13 +85,17 @@ impl WorkerPool {
     /// rayon pool is resolved from the process-wide cache; only the first pool of a
     /// given total width ever constructs one.
     pub fn new(workers: usize, threads_per_worker: usize) -> Self {
+        Self::new_in(PoolCache::process(), workers, threads_per_worker)
+    }
+
+    /// [`WorkerPool::new`] resolving the backing rayon pool from `cache`.
+    pub fn new_in(cache: &PoolCache, workers: usize, threads_per_worker: usize) -> Self {
         let workers = workers.max(1);
         let threads_per_worker = threads_per_worker.max(1);
-        let pool = cached_pool(workers * threads_per_worker);
         WorkerPool {
             workers,
             threads_per_worker,
-            pool,
+            pool: cache.pool(workers * threads_per_worker),
             rank: 0,
         }
     }
@@ -106,12 +125,6 @@ impl WorkerPool {
     /// Total threads the pool may use.
     pub fn total_threads(&self) -> usize {
         self.workers * self.threads_per_worker
-    }
-
-    /// Total rayon pools constructed so far in this process (monotone; a cache hit does
-    /// not increment it). Exposed so tests can assert `execute` never builds pools.
-    pub fn pool_builds() -> usize {
-        POOL_BUILDS.load(Ordering::Relaxed)
     }
 
     /// Execute `f` over every task, with the pool's total thread budget. Tasks are
@@ -479,21 +492,18 @@ mod tests {
 
     #[test]
     fn repeated_pools_and_executes_do_not_rebuild_thread_pools() {
-        // POOL_BUILDS is process-global, so first pre-warm every total width any test
-        // in this binary uses (1, 4, 7, 12): after this line every cached_pool call in
-        // the process is a cache hit, and the counter can no longer move — regardless
-        // of how concurrent tests interleave.
-        for (workers, tpw) in [(0, 0), (2, 2), (7, 1), (3, 4)] {
-            let _ = WorkerPool::new(workers, tpw);
-        }
-        let builds_after_warmup = WorkerPool::pool_builds();
+        // A private cache: sibling tests building pools of other widths cannot move
+        // its counter.
+        let cache = PoolCache::default();
         for _ in 0..20 {
-            let pool = WorkerPool::new(7, 1);
+            let pool = WorkerPool::new_in(&cache, 7, 1);
             let results = pool.execute((0..50u64).collect(), |x| x + 1);
             assert_eq!(results.len(), 50);
         }
-        // Every width is cached: constructing and executing never builds another pool.
-        assert_eq!(WorkerPool::pool_builds(), builds_after_warmup);
+        assert_eq!(cache.builds(), 1);
+        let _ = WorkerPool::new_in(&cache, 3, 4);
+        let _ = WorkerPool::new_in(&cache, 1, 7);
+        assert_eq!(cache.builds(), 2, "one build per distinct total width");
     }
 
     #[test]

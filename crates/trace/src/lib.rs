@@ -760,11 +760,18 @@ mod tests {
     use super::*;
 
     // The recorder is process-global and tests in this binary run in
-    // parallel, so assertions are presence-based (our own labels, uniquely
-    // prefixed) rather than exact-count-based.
+    // parallel: every test that enables, disables or collects it holds this
+    // lock, or one test's `collect()` drains another's events.
+    static RECORDER: Mutex<()> = Mutex::new(());
+
+    /// Poison-tolerant: a failed recorder test must not fail the others.
+    fn recorder() -> std::sync::MutexGuard<'static, ()> {
+        RECORDER.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn disabled_recording_is_inert() {
+        let _recorder = recorder();
         disable();
         let _s = span!("t0-disabled", Detail::Stage, 0);
         instant("t0-disabled-i", Detail::Stage, 0, &[]);
@@ -776,6 +783,7 @@ mod tests {
 
     #[test]
     fn spans_pair_and_nest() {
+        let _recorder = recorder();
         enable(Detail::Task);
         {
             let _outer = span!("t1-outer", Detail::Stage, 3, bytes = 17u64);
@@ -805,6 +813,7 @@ mod tests {
 
     #[test]
     fn detail_level_filters_fine_events() {
+        let _recorder = recorder();
         enable(Detail::Stage);
         {
             let _coarse = span!("t2-coarse", Detail::Stage, 0);
@@ -820,6 +829,7 @@ mod tests {
 
     #[test]
     fn chrome_export_is_balanced_and_escaped() {
+        let _recorder = recorder();
         enable(Detail::Round);
         {
             let _s = span!("t3-span", Detail::Stage, 1, round = 4u64);
@@ -874,6 +884,7 @@ mod tests {
 
     #[test]
     fn collect_drains_across_threads() {
+        let _recorder = recorder();
         enable(Detail::Stage);
         let handles: Vec<_> = (0..3)
             .map(|r| {

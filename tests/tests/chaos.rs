@@ -353,6 +353,11 @@ fn truncation_to_a_clean_block_boundary_is_caught_by_reconciliation() {
 /// another test's children.)
 #[test]
 fn process_backend_absorbs_kills_and_transient_io_without_orphans() {
+    if hysortk_dmem::ran_in_own_process(
+        "process_backend_absorbs_kills_and_transient_io_without_orphans",
+    ) {
+        return;
+    }
     mod ffi {
         extern "C" {
             pub fn waitpid(pid: i32, status: *mut i32, options: i32) -> i32;

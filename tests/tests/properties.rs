@@ -176,6 +176,67 @@ fn monomorphized_kernels_match_closure_paths_on_u128_records() {
     }
 }
 
+/// The RADULS kernel on real k-mer keys, bare and as `(K, Extension)` records, against
+/// `sort_unstable` (k-mers order as their packed words) and the stable closure LSD path.
+fn raduls_kernel_matches_oracles_on_kmers<K: hysortk_dna::KmerCode>(seed: u64, k: usize) {
+    use hysortk_sort::radix_digit;
+    let mut rng = StdRng::seed_from_u64(seed);
+    // 48x coverage of a genome with a satellite repeat: ~20 copies per k-mer, one hot
+    // run of identical k-mers, and 150 Ki keys — out of cache for one- and two-word keys.
+    let mut genome = dna_exact(&mut rng, 3_000);
+    genome.extend(std::iter::repeat_n(b'A', 400));
+    let kmers: Vec<K> = (0..48)
+        .flat_map(|_| {
+            let seq = DnaSeq::from_ascii(&genome);
+            seq.canonical_kmers::<K>(k).collect::<Vec<_>>()
+        })
+        .collect();
+    let mut aux = Vec::new();
+    for n in [0, 1, 33, 2_000, kmers.len()] {
+        let mut keys = kmers[..n].to_vec();
+        // Deterministic shuffle: the input order of equal keys is what stability keeps.
+        for i in (1..n).rev() {
+            keys.swap(i, rng.gen_range(0..=i));
+        }
+        let mut expected = keys.clone();
+        expected.sort_unstable();
+        let mut by_closure = keys.clone();
+        raduls_sort_by(&mut by_closure, K::KEY_LEVELS, |x, l| radix_digit(x, l));
+        assert_eq!(by_closure, expected, "closure oracle: k = {k}, n = {n}");
+        let mut by_kernel = keys.clone();
+        hysortk_sort::raduls_sort_with_aux(&mut by_kernel, &mut aux);
+        assert_eq!(by_kernel, expected, "kernel: k = {k}, n = {n}");
+
+        let records: Vec<(K, Extension)> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, &km)| (km, Extension::new(7, i as u32)))
+            .collect();
+        let mut by_closure = records.clone();
+        raduls_sort_by(&mut by_closure, K::KEY_LEVELS, |x, l| radix_digit(&x.0, l));
+        let mut by_kernel = records;
+        raduls_sort(&mut by_kernel);
+        assert_eq!(
+            by_kernel, by_closure,
+            "records (stability): k = {k}, n = {n}"
+        );
+    }
+}
+
+#[test]
+fn raduls_kernel_matches_oracles_on_one_word_kmers() {
+    for (i, k) in [1usize, 15, 21, 31, 32].into_iter().enumerate() {
+        raduls_kernel_matches_oracles_on_kmers::<Kmer1>(120 + i as u64, k);
+    }
+}
+
+#[test]
+fn raduls_kernel_matches_oracles_on_two_word_kmers() {
+    for (i, k) in [33usize, 55, 64].into_iter().enumerate() {
+        raduls_kernel_matches_oracles_on_kmers::<Kmer2>(130 + i as u64, k);
+    }
+}
+
 #[test]
 fn sample_sort_agrees_with_std_sort() {
     let mut rng = StdRng::seed_from_u64(109);
@@ -489,6 +550,11 @@ fn overlapped_records_ablation_matches_bulk_with_and_without_compression() {
 
 #[test]
 fn process_backend_is_byte_identical_to_thread_backend_across_the_grid() {
+    if hysortk_dmem::ran_in_own_process(
+        "process_backend_is_byte_identical_to_thread_backend_across_the_grid",
+    ) {
+        return;
+    }
     // Forked rank processes moving every byte over UNIX domain sockets must reproduce
     // the in-process channel backend exactly — counts, extensions, histogram and
     // exchanged payload bytes — across rank counts, both exchange modes and both
