@@ -38,6 +38,9 @@ options:
   -k <n>             k-mer length, 1..=64 (default 31)
   -m <n>             minimizer length (default: the paper's rule, k/2 capped at 23)
   --ranks <n>        simulated ranks sharding the input (default 4)
+  --threads <n>      threads per rank (default 2): the width of the rank's worker
+                     pool, which parses in parallel and runs each exchange round's
+                     serialize and count jobs side by side
   --min-count <n>    lowest multiplicity kept in the output (default 2)
   --max-count <n>    highest multiplicity kept in the output (default 50)
   --batch-size <n>   records per destination per exchange round (default 80000)
@@ -82,7 +85,9 @@ environment:
                      `delay:R:STAGE:ROUND:MS`, `truncate:R:STAGE:ROUND:DEST:KEEP`,
                      `corrupt:R:STAGE:ROUND:DEST:BIT`, `fail:R:STAGE:ROUND`,
                      `io:R:FAILURES` — e.g. `delay:0:exchange:1:5;fail:2:exchange:0`
-                     (see FaultPlan::from_spec)
+                     (see FaultPlan::from_spec). STAGE names a collective
+                     (`task-sizes`, `exchange`) or a pipeline site: `serialize` (inside
+                     a serialize job of that round) or `checkpoint` (mid-commit)
 
 exit codes:
   0 success — including runs that hit injected/real rank failures but completed
@@ -97,6 +102,7 @@ struct CliArgs {
     k: usize,
     m: Option<usize>,
     ranks: usize,
+    threads: usize,
     min_count: u64,
     max_count: u64,
     batch_size: usize,
@@ -132,6 +138,7 @@ fn parse_args(mut args: std::env::Args) -> Result<Option<CliArgs>, String> {
         k: 31,
         m: None,
         ranks: 4,
+        threads: 2,
         min_count: 2,
         max_count: 50,
         batch_size: 80_000,
@@ -161,6 +168,7 @@ fn parse_args(mut args: std::env::Args) -> Result<Option<CliArgs>, String> {
             "-k" => cli.k = parse_num(&value("-k")?, "-k")?,
             "-m" => cli.m = Some(parse_num(&value("-m")?, "-m")?),
             "--ranks" => cli.ranks = parse_num(&value("--ranks")?, "--ranks")?,
+            "--threads" => cli.threads = parse_num(&value("--threads")?, "--threads")?,
             "--min-count" => cli.min_count = parse_num(&value("--min-count")?, "--min-count")?,
             "--max-count" => cli.max_count = parse_num(&value("--max-count")?, "--max-count")?,
             "--batch-size" => cli.batch_size = parse_num(&value("--batch-size")?, "--batch-size")?,
@@ -230,7 +238,7 @@ fn parse_num<T: std::str::FromStr>(s: &str, name: &str) -> Result<T, String> {
 
 fn config_for(cli: &CliArgs) -> HySortKConfig {
     let m = cli.m.unwrap_or_else(|| HySortKConfig::recommended_m(cli.k));
-    let mut cfg = HySortKConfig::small(cli.k, m, cli.ranks);
+    let mut cfg = HySortKConfig::small_with_threads(cli.k, m, cli.ranks, cli.threads);
     cfg.min_count = cli.min_count;
     cfg.max_count = cli.max_count;
     cfg.batch_size = cli.batch_size;
@@ -306,11 +314,12 @@ fn run<K: KmerCode>(cli: &CliArgs, cfg: &HySortKConfig) -> Result<(), HysortkErr
         return Ok(());
     }
     eprintln!(
-        "[hysortk] {} file(s), k={} m={} ranks={} overlap={} backend={}",
+        "[hysortk] {} file(s), k={} m={} ranks × threads = {} × {} overlap={} backend={}",
         cli.files.len(),
         cfg.k,
         cfg.m,
         cfg.total_ranks(),
+        cfg.threads_per_process,
         cfg.overlap,
         cfg.backend,
     );

@@ -684,7 +684,8 @@ impl<K: KmerCode> RoundCheckpointer<K> {
 
     /// Commit epoch `round` from the overlapped driver's accumulators: snapshot the
     /// cumulative scratch state out of the (idle) bank, write the delta since the
-    /// previous epoch, and advance the marks.
+    /// previous epoch, and advance the marks. Must run between job lists: a scratch a
+    /// count job still holds would be missing from the snapshot.
     pub(crate) fn commit(
         &mut self,
         round: usize,
@@ -696,6 +697,10 @@ impl<K: KmerCode> RoundCheckpointer<K> {
         let mut histogram = self.base_histogram.clone();
         let mut received = self.base_received;
         let mut precounted = self.base_precounted;
+        debug_assert!(
+            bank.all_checked_in(),
+            "epoch {round} committed while a count job still holds its scratch"
+        );
         bank.for_each(|scratch| {
             histogram.merge(&scratch.histogram);
             received += scratch.received_records;

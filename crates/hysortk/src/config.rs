@@ -22,13 +22,26 @@ pub struct HySortKConfig {
     pub nodes: usize,
     /// MPI ranks per node.
     pub processes_per_node: usize,
-    /// Threads per rank (defaults to filling the node: `cores_per_node / ppn`).
+    /// Threads per rank (defaults to filling the node: `cores_per_node / ppn`;
+    /// `hysortk count --threads`). Together with `threads_per_worker` this is the
+    /// width of the rank's worker pool — `(threads_per_process / threads_per_worker)`
+    /// workers × `threads_per_worker` threads — which parses the rank's reads in
+    /// parallel and runs each exchange round's job list (serialize jobs of the round
+    /// being filled beside count jobs of the round being drained). It also sets the
+    /// task count: `ranks × workers × tasks_per_worker`.
     pub threads_per_process: usize,
-    /// Threads per worker in the task abstraction layer (paper default 4).
+    /// Threads per worker in the task abstraction layer (paper default 4). Tasks are
+    /// placed one per pool *thread*; when a job list is shorter than the pool is wide,
+    /// the spare threads go to the sorts nested inside its jobs, in equal shares.
     pub threads_per_worker: usize,
     /// Average tasks per worker (the `tpw` parameter of §4.1.1; paper default 3).
     pub tasks_per_worker: usize,
-    /// Records per destination per communication round (paper default 80 000).
+    /// Records per rank per destination per communication round (paper default
+    /// 80 000). Rounds are task-granular: each destination's tasks are packed, in
+    /// assignment order, into rounds of at most `batch_size × ranks` *global* records
+    /// (× `data_scale`), and a task bigger than that travels as a round of its own —
+    /// so a round holds between one task per destination and all of them, and an
+    /// exchange has as many rounds as its busiest destination needs.
     pub batch_size: usize,
     /// Lowest k-mer frequency kept in the output (2 filters singletons).
     pub min_count: u64,
@@ -141,19 +154,26 @@ impl Default for HySortKConfig {
 }
 
 impl HySortKConfig {
-    /// A configuration for quick local experiments: a handful of ranks, small batches,
-    /// workstation machine model, no scaling projection. The workstation is sized to
-    /// hold the requested layout (`ranks × 2` threads, at least 8 cores) so the
-    /// configuration always passes the oversubscription check in
-    /// [`HySortKConfig::validate`].
+    /// A configuration for quick local experiments: a handful of ranks of 2 threads
+    /// each, small batches, workstation machine model, no scaling projection. See
+    /// [`HySortKConfig::small_with_threads`].
     pub fn small(k: usize, m: usize, ranks: usize) -> Self {
-        let machine = MachineConfig::workstation((ranks * 2).max(8), 32);
+        Self::small_with_threads(k, m, ranks, 2)
+    }
+
+    /// [`HySortKConfig::small`] with `threads` threads per rank (what `hysortk count
+    /// --threads` builds). The workstation is sized to hold the requested layout
+    /// (`ranks × threads` cores, at least 8) so the configuration always passes the
+    /// oversubscription check in [`HySortKConfig::validate`]; zero threads is left for
+    /// `validate` to reject.
+    pub fn small_with_threads(k: usize, m: usize, ranks: usize, threads: usize) -> Self {
+        let machine = MachineConfig::workstation((ranks * threads).max(8), 32);
         HySortKConfig {
             k,
             m,
             nodes: 1,
             processes_per_node: ranks,
-            threads_per_process: 2,
+            threads_per_process: threads,
             threads_per_worker: 1,
             tasks_per_worker: 3,
             batch_size: 4_096,
@@ -366,6 +386,15 @@ mod tests {
         // Larger simulated clusters must size the workstation model up instead of
         // oversubscribing it.
         HySortKConfig::small(21, 9, 8).validate().unwrap();
+        let wide = HySortKConfig::small_with_threads(21, 9, 3, 5);
+        wide.validate().unwrap();
+        assert_eq!(wide.threads_per_process, 5);
+        assert_eq!(wide.machine.cores_per_node, 15);
+        assert_eq!(wide.num_tasks(), 3 * 5 * 3);
+        let err = HySortKConfig::small_with_threads(21, 9, 3, 0)
+            .validate()
+            .unwrap_err();
+        assert!(err.contains("threads_per_process"), "{err}");
     }
 
     #[test]

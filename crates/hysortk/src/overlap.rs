@@ -1,39 +1,57 @@
 //! The overlapped exchange driver: batched rounds over the non-blocking round engine.
 //!
-//! This module is the execution of the paper's flexible hybrid communication (§3.3):
-//! instead of serialising everything, running one bulk-synchronous all-to-all and then
-//! counting (each stage a barrier), the exchange is split into **batched rounds** and
-//! driven through [`hysortk_dmem::RoundExchange`] so that at any moment three rounds
-//! are active per rank:
+//! This module is the execution of the paper's flexible hybrid communication (§3.3)
+//! and hybrid parallelism (ranks × threads): instead of serialising everything, running
+//! one bulk-synchronous all-to-all and then counting (each stage a barrier), the
+//! exchange is split into **batched rounds** and driven through
+//! [`hysortk_dmem::RoundExchange`] in steps. Step `s` of a rank touches three rounds:
 //!
 //! ```text
-//!   serialize round r+1 ──► back send buffer (recycled)
-//!   round r ───────────────► posted, in flight on the round board
-//!   count round r−1 ───────► BlockIndexBuilder + count_task on the worker pool
+//!                 ┌───────────── one job list on the worker pool ─────────────┐
+//!   thread 0      │ serialize task a of round s │ count task x of round s−2 │ │
+//!   thread 1      │ count task y of round s−2   │ serialize task b of round s │ … then, on the
+//!   …             └───────────────────────────────────────────────────────────┘  rank's thread:
+//!   round engine    round s−1 posted, in flight while the list runs              post s · commit s−2 · wait s−1
 //! ```
+//!
+//! The step's **job list** holds the serialize jobs of round `s` — its tasks in wire
+//! order (all destinations), cut into at most as many contiguous runs of near-equal
+//! record counts as the pool has threads — and one count job per task slot of round
+//! `s−2`; it is handed to the rank's [`WorkerPool`] as a single
+//! [`WorkerPool::execute_balanced`] call, which places the jobs onto the pool's threads
+//! by their record counts. A rank with more than one thread therefore serializes and
+//! counts side by side while round `s−1` moves; a rank with one thread runs the same
+//! list front to back — serialize, then count — and the driver has no other schedule.
+//! The first step's list has only serialize jobs (fill), the last one's only count
+//! jobs (drain). The first serialize job writes into the recycled engine buffer itself
+//! and the others into buffers that are appended to it, destination-major — the bytes
+//! one sequential serialization of the round would produce, and on a pool of one
+//! thread exactly that serialization, with nothing copied.
 //!
 //! Rounds are **task-granular**: [`plan_rounds`] packs whole tasks into rounds from
 //! the globally-reduced task sizes, so every rank derives the identical task → round
 //! mapping without further communication, and a task's blocks are complete the moment
 //! its round is. That is what lets counting start after every completed round instead
-//! of after the whole exchange — the worker pool is never idle while bytes move.
+//! of after the whole exchange.
 //!
-//! The driver measures how much serialize/count work actually proceeded while a round
-//! was in flight (*hidden* bytes) versus the work at the pipeline's ends that nothing
-//! could hide — round 0's serialization and the last round's count (*exposed* bytes).
-//! The pipeline feeds that measured overlap fraction into the performance model,
-//! replacing the old projected on/off overlap term; being a byte counter rather than a
-//! wall-clock sample, it is deterministic and projects to full scale like the other
-//! traffic counters.
+//! The driver measures how much serialize/count work proceeded while a round was in
+//! flight (*hidden* bytes: every list that runs between the post of round `s−1` and
+//! its completion) versus the work at the pipeline's ends that nothing could hide —
+//! the first round's serialization and the last round's count (*exposed* bytes). The
+//! pipeline feeds that measured overlap fraction into the performance model; being a
+//! byte counter rather than a wall-clock sample, it is deterministic — independent of
+//! the pool width — and projects to full scale like the other traffic counters.
 //!
 //! Because tasks are serialised by the same [`SendSerializer`](crate::pipeline) in
 //! both modes and the per-task record multisets are order-insensitive under stage 3's
-//! sort, the overlapped pipeline is **byte-identical** to the bulk-synchronous path —
-//! pinned by the property suite in `tests/`.
+//! sort, the overlapped pipeline is **byte-identical** to the bulk-synchronous path at
+//! every pool width — pinned by the property suite in `tests/`.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
+use std::time::Instant;
 
-use hysortk_dmem::{FlatReceived, RankCtx};
+use hysortk_dmem::{DmemError, FaultPlan, FlatReceived, RankCtx};
 use hysortk_dna::kmer::KmerCode;
 use hysortk_task::{ScratchBank, WorkerPool};
 use hysortk_trace as trace;
@@ -41,7 +59,9 @@ use hysortk_trace as trace;
 use crate::checkpoint::RoundCheckpointer;
 use crate::error::HysortkError;
 use crate::pipeline::{timed, SendSerializer, WallBuckets};
-use crate::stage3::{self, BlockIndexBuilder, CountParams, CountScratch, Stage3Output, TaskCounts};
+use crate::stage3::{
+    self, BlockIndexBuilder, CountParams, CountScratch, Stage3Output, TaskCounts, TaskSlot,
+};
 
 /// The task → round packing of one exchange, identical on every rank.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,31 +119,241 @@ pub(crate) struct OverlapRun<K: KmerCode> {
     pub rounds: usize,
     /// Bytes serialized or counted while a round was in flight (hidden work).
     pub hidden_bytes: u64,
-    /// Bytes serialized or counted with nothing in flight: round 0's serialization
-    /// and the last round's count (the pipeline's unavoidable fill and drain).
+    /// Bytes serialized or counted with nothing in flight: the first round's
+    /// serialization and the last round's count (the pipeline's unavoidable fill and
+    /// drain).
     pub exposed_bytes: u64,
+    /// K-mers the heavy-hitter serialize jobs pre-counted locally.
+    pub heavy_local_sorted: u64,
+}
+
+/// One job of a step's job list.
+enum Job<'s, K: KmerCode> {
+    /// Serialize a run of the filled round's tasks — `(task, destination)` in wire
+    /// order — one after the other into `out`.
+    Serialize {
+        tasks: Vec<(usize, usize)>,
+        out: Vec<u8>,
+    },
+    /// Decode, sort and count one task slot of a completed round.
+    Count(&'s TaskSlot<'s, K>),
+}
+
+/// What a [`Job`] hands back.
+enum Done<K: KmerCode> {
+    Serialized {
+        /// The run's bytes, and how many of them go to each `(destination, bytes)`.
+        out: Vec<u8>,
+        sent: Vec<(usize, usize)>,
+        heavy_local_sorted: u64,
+    },
+    Counted(TaskCounts<K>),
+}
+
+/// What one step's job list produced.
+struct ListOutput<K: KmerCode> {
+    /// The filled round, laid out destination-major (`None` when the step fills none).
+    send: Option<Vec<u8>>,
+    /// The drained round's counted tasks, in slot order.
+    counted: Vec<TaskCounts<K>>,
+    /// K-mers the list's heavy-hitter serialize jobs pre-counted locally.
+    heavy_local_sorted: u64,
+}
+
+/// Everything a rank's job lists share: what the jobs read, the bank count jobs check
+/// their scratch out of (so decode/sort buffers and histograms persist across rounds),
+/// and the buffers serialize jobs past a list's first write, recycled from list to list.
+struct JobLists<'a, K: KmerCode> {
+    rank: usize,
+    k: usize,
+    params: &'a CountParams,
+    pool: &'a WorkerPool,
+    ser: &'a SendSerializer<'a, K>,
+    plan: &'a RoundPlan,
+    fault: Option<Arc<FaultPlan>>,
+    bank: ScratchBank<CountScratch<K>>,
+    spare: Vec<Vec<u8>>,
+}
+
+impl<K: KmerCode> JobLists<'_, K> {
+    fn run_job(&self, job: Job<'_, K>, step: usize) -> Result<Done<K>, DmemError> {
+        let rank = self.rank;
+        match job {
+            Job::Serialize { tasks, mut out } => {
+                if let Some(plan) = &self.fault {
+                    plan.fire_control(rank, "serialize", step)?;
+                }
+                let mut heavy_local_sorted = 0;
+                let mut sent = Vec::with_capacity(tasks.len());
+                for (task, dest) in tasks {
+                    let _span = trace::span!(
+                        "overlap-serialize",
+                        trace::Detail::Task,
+                        rank,
+                        task = task,
+                        round = step,
+                    );
+                    let before = out.len();
+                    heavy_local_sorted += self.ser.serialize_task(task, &mut out);
+                    sent.push((dest, out.len() - before));
+                }
+                Ok(Done::Serialized {
+                    out,
+                    sent,
+                    heavy_local_sorted,
+                })
+            }
+            Job::Count(slot) => {
+                let _span = trace::span!(
+                    "count-task",
+                    trace::Detail::Task,
+                    rank,
+                    task = slot.task,
+                    round = step - 2,
+                );
+                let mut scratch = self
+                    .bank
+                    .checkout(|| CountScratch::new(self.params.max_count));
+                Ok(Done::Counted(stage3::count_task(
+                    slot,
+                    self.k,
+                    self.params,
+                    &mut scratch,
+                )))
+            }
+        }
+    }
+
+    /// Run step `step`'s job list on the pool. When `send` brings the buffer to fill,
+    /// round `step`'s tasks — destination-major, the wire order — are cut into at most
+    /// as many contiguous runs of near-equal record counts as the pool has threads,
+    /// one serialize job each; then comes one count job per slot of `slots`, the index
+    /// of the drained round `step − 2` (empty when the step drains none). The first run
+    /// is written straight into `send` and the others into recycled buffers that are
+    /// appended to it afterwards, which lays the round out exactly as one sequential
+    /// serialization would — and *is* that serialization, uncopied, on a pool of one
+    /// thread. `counts` receives the bytes per destination.
+    ///
+    /// The list's wall time is booked to `wall` (see [`WallBuckets::add_job_list`]). A
+    /// failed job surfaces once every job of the list has returned.
+    fn run(
+        &mut self,
+        step: usize,
+        mut send: Option<Vec<u8>>,
+        slots: &[TaskSlot<'_, K>],
+        counts: &mut Vec<usize>,
+        wall: &mut WallBuckets,
+    ) -> Result<ListOutput<K>, DmemError> {
+        let mut jobs: Vec<Job<'_, K>> = Vec::new();
+        let mut sizes: Vec<u64> = Vec::new();
+        if send.is_some() {
+            let tasks: Vec<(usize, usize)> = (self.plan.per_dest.iter().enumerate())
+                .flat_map(|(dest, rounds)| {
+                    let tasks = rounds.get(step).into_iter().flatten();
+                    tasks.map(move |&task| (task, dest))
+                })
+                .collect();
+            let max_runs = self.pool.total_threads().min(tasks.len()) as u64;
+            let total: u64 = tasks.iter().map(|&(t, _)| self.ser.local_size(t)).sum();
+            let mut runs: Vec<(Vec<(usize, usize)>, u64)> = vec![(Vec::new(), 0)];
+            let mut cut = 0;
+            for (task, dest) in tasks {
+                let size = self.ser.local_size(task);
+                let run = runs.last_mut().expect("starts with one run");
+                run.0.push((task, dest));
+                run.1 += size;
+                cut += size;
+                // Close the run once the round's records up to here fill the runs so
+                // far; the last run takes whatever is left.
+                let closed = runs.len() as u64;
+                if closed < max_runs && cut * max_runs >= total * closed {
+                    runs.push((Vec::new(), 0));
+                }
+            }
+            for (tasks, size) in runs.into_iter().filter(|(tasks, _)| !tasks.is_empty()) {
+                let out = send.take().or_else(|| self.spare.pop()).unwrap_or_default();
+                jobs.push(Job::Serialize { tasks, out });
+                sizes.push(size);
+            }
+        }
+        for slot in slots {
+            jobs.push(Job::Count(slot));
+            sizes.push((slot.records + slot.precounted) as u64);
+        }
+        let list_start = Instant::now();
+        let done = self.pool.execute_balanced(jobs, &sizes, |job| {
+            let job_start = Instant::now();
+            let result = self.run_job(job, step);
+            (result, job_start.elapsed().as_secs_f64())
+        });
+        wall.add_job_list(
+            list_start.elapsed().as_secs_f64(),
+            done.iter().map(|(result, job_s)| match result {
+                Ok(Done::Counted(_)) => (0.0, *job_s),
+                _ => (*job_s, 0.0),
+            }),
+        );
+
+        let mut out = ListOutput {
+            send,
+            counted: Vec::with_capacity(slots.len()),
+            heavy_local_sorted: 0,
+        };
+        counts.clear();
+        counts.resize(self.plan.per_dest.len(), 0);
+        for (result, _) in done {
+            match result? {
+                Done::Serialized {
+                    out: mut bytes,
+                    sent,
+                    heavy_local_sorted,
+                } => {
+                    out.heavy_local_sorted += heavy_local_sorted;
+                    for (dest, len) in sent {
+                        counts[dest] += len;
+                    }
+                    match &mut out.send {
+                        None => out.send = Some(bytes),
+                        Some(send) => timed(&mut wall.serialize, || {
+                            send.extend_from_slice(&bytes);
+                            bytes.clear();
+                            self.spare.push(bytes);
+                        }),
+                    }
+                }
+                Done::Counted(task) => out.counted.push(task),
+            }
+        }
+        Ok(out)
+    }
 }
 
 /// Run stages 2 and 3 overlapped: plan task-granular rounds (the plan — and hence the
 /// round count — is identical on every rank by construction), then pipeline
 /// serialize → post → count over the non-blocking round engine, double-buffering both
 /// the send side (recycled engine buffers) and the receive side (two alternating
-/// [`FlatReceived`]s).
+/// [`FlatReceived`]s). Every step hands the serialize jobs of the round it fills and
+/// the count jobs of the round it drains to the worker pool as **one job list** (see
+/// the module docs); the first step has only serialize jobs, the last only count jobs,
+/// and a pool of one thread runs each list front to back.
 ///
 /// On any failure — a peer abort surfacing through the engine, a received segment
-/// failing its wire checks, or a checkpoint commit failing — the error is published as
-/// a cluster-wide abort (so no peer stays blocked) and returned; the unfinished engine
-/// is simply dropped. Peer-failure echoes are *not* re-published: the failing rank's
-/// own root cause is already on the abort board, and keeping it intact is what lets
-/// the recovery layer decide whether the failure class is recoverable.
+/// failing its wire checks, a fault injected into a serialize job, or a checkpoint
+/// commit failing — the error is published as a cluster-wide abort (so no peer stays
+/// blocked) and returned; the unfinished engine is simply dropped. A failing job
+/// surfaces only after the whole list returned, so no sibling job outlives the call.
+/// Peer-failure echoes are *not* re-published: the failing rank's own root cause is
+/// already on the abort board, and keeping it intact is what lets the recovery layer
+/// decide whether the failure class is recoverable.
 ///
 /// With a checkpointer attached, the driver resumes from its restored round cursor
 /// (skipping committed rounds entirely — the round engine is sized to the remaining
-/// window) and commits an epoch manifest after each boundary round completes counting.
+/// window) and commits an epoch manifest after each boundary round completes counting
+/// — after the job list returned, when every [`CountScratch`] is back in the bank.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn exchange_and_count<K: KmerCode>(
     ctx: &mut RankCtx,
-    ser: &mut SendSerializer<'_, K>,
+    ser: &SendSerializer<'_, K>,
     tasks_of: &[Vec<usize>],
     global_sizes: &[u64],
     round_budget: u64,
@@ -159,83 +389,24 @@ pub(crate) fn exchange_and_count<K: KmerCode>(
         None => (Vec::new(), Vec::new(), BTreeMap::new(), 0),
     };
 
-    // Count one completed round: index its segments (cheap header walk), then fuse
-    // decode→sort→count per task on the pool, with scratches persisting across rounds
-    // through the bank.
-    let bank: ScratchBank<CountScratch<K>> = ScratchBank::new();
-    let count_round = |recv: &FlatReceived<u8>,
-                       round: usize,
-                       all_tasks: &mut Vec<TaskCounts<K>>,
-                       task_sizes: &mut Vec<u64>,
-                       decoded: &mut BTreeMap<u32, u64>|
-     -> Result<(), HysortkError> {
-        let _span = trace::span!(
-            "overlap-count",
-            trace::Detail::Round,
-            rank,
-            round = round,
-            bytes = recv.data.len(),
-        );
-        let mut builder = BlockIndexBuilder::<K>::new();
-        for src in 0..p {
-            builder
-                .add_segment(recv.from_rank(src), k)
-                .map_err(|source| HysortkError::Wire {
-                    rank,
-                    round,
-                    source,
-                })?;
-        }
-        let index = builder.finish();
-        task_sizes.extend(index.task_sizes());
-        index.accumulate_instances(decoded);
-        let counted = pool.execute_with_bank(
-            index.slots.iter().collect(),
-            &bank,
-            || CountScratch::new(params.max_count),
-            |scratch, slot| {
-                let _span = trace::span!(
-                    "count-task",
-                    trace::Detail::Task,
-                    rank,
-                    task = slot.task,
-                    records = slot.records,
-                );
-                stage3::count_task(slot, k, params, scratch)
-            },
-        );
-        all_tasks.extend(counted);
-        Ok(())
+    let mut lists = JobLists {
+        rank,
+        k,
+        params,
+        pool,
+        ser,
+        plan: &plan,
+        fault: ctx.fault_plan_arc(),
+        bank: ScratchBank::new(),
+        spare: Vec::new(),
     };
-
     let mut hidden_bytes = 0u64;
     let mut exposed_bytes = 0u64;
+    let mut heavy_local_sorted = 0u64;
     if start < rounds {
         // The engine spans only the remaining window; engine index 0 is absolute
         // round `start`.
         let mut engine = ctx.round_exchange(rounds - start, "exchange");
-
-        // Serialize one round destination-major into a (recycled) flat buffer;
-        // `counts` is the caller's reused per-destination scratch.
-        let serialize_round = |ser: &mut SendSerializer<'_, K>,
-                               engine: &hysortk_dmem::RoundExchange,
-                               r: usize,
-                               counts: &mut Vec<usize>|
-         -> Vec<u8> {
-            let mut buf = engine.take_send_buffer();
-            counts.clear();
-            counts.resize(p, 0);
-            for (dest, count) in counts.iter_mut().enumerate() {
-                let seg_start = buf.len();
-                if let Some(tasks) = plan.per_dest[dest].get(r) {
-                    for &t in tasks {
-                        ser.serialize_task(t, &mut buf);
-                    }
-                }
-                *count = buf.len() - seg_start;
-            }
-            buf
-        };
 
         // `current` receives the round being completed; `previous` holds the last
         // completed round while its tasks are counted. Two byte buffers circulate on
@@ -245,103 +416,92 @@ pub(crate) fn exchange_and_count<K: KmerCode>(
         let mut previous = FlatReceived::empty();
         let mut counts: Vec<usize> = Vec::with_capacity(p);
 
-        // The first resumed round is serialised with nothing in flight: unavoidably
-        // exposed pipeline fill.
-        let buf = timed(&mut wall.serialize, || {
-            let _span = trace::span!(
-                "overlap-serialize",
-                trace::Detail::Round,
-                rank,
-                round = start
-            );
-            serialize_round(ser, &engine, start, &mut counts)
-        });
-        exposed_bytes += buf.len() as u64;
         let driven = (|| -> Result<(), HysortkError> {
-            engine.post_round(0, buf, &counts)?;
-            for r in start..rounds {
-                // Serialize round r+1 into a recycled back buffer while round r is
-                // in flight.
-                if r + 1 < rounds {
-                    let buf = timed(&mut wall.serialize, || {
-                        let _span = trace::span!(
-                            "overlap-serialize",
-                            trace::Detail::Round,
-                            rank,
-                            round = r + 1,
-                        );
-                        serialize_round(ser, &engine, r + 1, &mut counts)
-                    });
-                    hidden_bytes += buf.len() as u64;
-                    engine.post_round(r + 1 - start, buf, &counts)?;
-                }
-                // Count round r−1's tasks on the pool while round r is in flight,
-                // then persist the epoch if r−1 is a commit boundary (every scratch
-                // is checked back into the bank between pool calls, so the snapshot
-                // sees the complete cumulative state).
-                if r > start {
-                    hidden_bytes += previous.data.len() as u64;
-                    timed(&mut wall.count, || {
-                        count_round(
-                            &previous,
-                            r - 1,
-                            &mut all_tasks,
-                            &mut task_sizes,
-                            &mut decoded,
-                        )
-                    })?;
-                    if let Some(c) = ckpt.as_deref_mut() {
-                        if c.should_commit(r - 1) {
-                            timed(&mut wall.checkpoint, || {
-                                let _span = trace::span!(
-                                    "checkpoint-commit",
-                                    trace::Detail::Round,
+            // Step `s` fills (serializes and posts) round `s`, drains (counts and
+            // commits) round `s − 2`, and then completes round `s − 1` — the round in
+            // flight while the step's job list runs. The first step only fills and
+            // the last only drains: nothing is in flight then, so their bytes are the
+            // exposed ones and every other step's are hidden.
+            for step in start..rounds + 2 {
+                let fill = step < rounds;
+                let in_flight = (step > start && step <= rounds).then(|| step - 1);
+                let drain = (step >= start + 2).then(|| step - 2);
+                let drained_bytes = drain.map_or(0, |_| previous.data.len());
+                let _span = trace::span!(
+                    "overlap-step",
+                    trace::Detail::Round,
+                    rank,
+                    step = step,
+                    bytes = drained_bytes,
+                );
+
+                // Index the drained round's segments: header walk and checksums.
+                let index = match drain {
+                    Some(round) => timed(&mut wall.count, || {
+                        let mut builder = BlockIndexBuilder::<K>::new();
+                        for src in 0..p {
+                            builder
+                                .add_segment(previous.from_rank(src), k)
+                                .map_err(|source| HysortkError::Wire {
                                     rank,
-                                    round = r - 1,
-                                );
-                                c.commit(r - 1, &all_tasks, &task_sizes, &decoded, &bank)
-                            })?;
+                                    round,
+                                    source,
+                                })?;
                         }
+                        Ok::<_, HysortkError>(builder.finish())
+                    })?,
+                    None => BlockIndexBuilder::new().finish(),
+                };
+                task_sizes.extend(index.task_sizes());
+                index.accumulate_instances(&mut decoded);
+
+                let send = fill.then(|| engine.take_send_buffer());
+                let list = lists.run(step, send, &index.slots, &mut counts, wall)?;
+                drop(index);
+                all_tasks.extend(list.counted);
+                heavy_local_sorted += list.heavy_local_sorted;
+                let moved = (list.send.as_ref().map_or(0, Vec::len) + drained_bytes) as u64;
+                if in_flight.is_some() {
+                    hidden_bytes += moved;
+                } else {
+                    exposed_bytes += moved;
+                }
+
+                if let Some(send) = list.send {
+                    engine.post_round(step - start, send, &counts)?;
+                }
+                // Persist the epoch if the drained round is a commit boundary: the
+                // job list has returned, so every scratch is checked back into the
+                // bank and the snapshot sees the complete cumulative state.
+                if let (Some(round), Some(c)) = (drain, ckpt.as_deref_mut()) {
+                    if c.should_commit(round) {
+                        timed(&mut wall.checkpoint, || {
+                            let _span = trace::span!(
+                                "checkpoint-commit",
+                                trace::Detail::Round,
+                                rank,
+                                round = round,
+                            );
+                            c.commit(round, &all_tasks, &task_sizes, &decoded, &lists.bank)
+                        })?;
                     }
                 }
-                // Complete round r (blocks only if some rank has not posted it yet).
-                timed(&mut wall.exchange_wait, || {
-                    engine.wait_round(r - start, &mut current)
-                })?;
-                std::mem::swap(&mut current, &mut previous);
-            }
-            // The last round completes with nothing left in flight: exposed pipeline
-            // drain.
-            exposed_bytes += previous.data.len() as u64;
-            timed(&mut wall.count, || {
-                count_round(
-                    &previous,
-                    rounds - 1,
-                    &mut all_tasks,
-                    &mut task_sizes,
-                    &mut decoded,
-                )
-            })?;
-            if let Some(c) = ckpt.as_deref_mut() {
-                if c.should_commit(rounds - 1) {
-                    timed(&mut wall.checkpoint, || {
-                        let _span = trace::span!(
-                            "checkpoint-commit",
-                            trace::Detail::Round,
-                            rank,
-                            round = rounds - 1,
-                        );
-                        c.commit(rounds - 1, &all_tasks, &task_sizes, &decoded, &bank)
+                // Complete the round in flight (blocks only if some rank has not
+                // posted it yet).
+                if let Some(round) = in_flight {
+                    timed(&mut wall.exchange_wait, || {
+                        engine.wait_round(round - start, &mut current)
                     })?;
+                    std::mem::swap(&mut current, &mut previous);
                 }
             }
             Ok(())
         })();
         if let Err(e) = driven {
             // A peer-failure echo was already published cluster-wide by the failing
-            // rank; everything local — a wire rejection, a checkpoint I/O failure, an
-            // injected mid-commit crash — has to be published here so no peer stays
-            // blocked on later rounds.
+            // rank; everything local — a wire rejection, a fault injected into a
+            // serialize job, a checkpoint I/O failure, an injected mid-commit crash —
+            // has to be published here so no peer stays blocked on later rounds.
             if !e.is_peer_echo() {
                 ctx.abort(&e.to_string());
             }
@@ -365,7 +525,7 @@ pub(crate) fn exchange_and_count<K: KmerCode>(
     }
 
     let mut out = timed(&mut wall.count, || {
-        Stage3Output::assemble(all_tasks, bank.into_scratches(), params.max_count)
+        Stage3Output::assemble(all_tasks, lists.bank.into_scratches(), params.max_count)
     });
     if let Some(c) = ckpt {
         // The scratches only saw the rounds this generation recounted; fold the
@@ -381,12 +541,313 @@ pub(crate) fn exchange_and_count<K: KmerCode>(
         rounds,
         hidden_bytes,
         exposed_bytes,
+        heavy_local_sorted,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use hysortk_dmem::FaultKind;
+    use hysortk_dna::kmer::Kmer1;
+    use hysortk_dna::readset::{Read, ReadSet};
+    use hysortk_perfmodel::SortAlgorithm;
+    use hysortk_supermer::mmer::{MmerScorer, ScoreFunction};
+    use hysortk_task::{detect_heavy_tasks, HeavyHitterPolicy};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    use crate::config::HySortKConfig;
+    use crate::pipeline::{parse_supermers_parallel, stage1_record_read, Stage1};
+
+    const K: usize = 17;
+    const TASKS: usize = 12;
+    const DESTS: usize = 3;
+
+    /// Random reads over a small genome (so multiplicities exceed 1), optionally with a
+    /// satellite repeat that makes one task a heavy hitter.
+    fn reads(satellite: bool) -> ReadSet {
+        let mut rng = StdRng::seed_from_u64(5);
+        let genome: Vec<u8> = (0..1_500).map(|_| b"ACGT"[rng.gen_range(0..4)]).collect();
+        let mut seqs: Vec<Vec<u8>> = (0..50)
+            .map(|_| {
+                let start = rng.gen_range(0..genome.len() - 200);
+                genome[start..start + 200].to_vec()
+            })
+            .collect();
+        if satellite {
+            seqs.extend((0..30).map(|_| b"AATGG".repeat(50)));
+        }
+        ReadSet::from_ascii_reads(&seqs)
+    }
+
+    fn stage1(my_reads: &[&Read], cfg: &HySortKConfig) -> Stage1<Kmer1> {
+        if cfg.use_supermers {
+            let scorer = MmerScorer::new(cfg.m, ScoreFunction::Hash { seed: cfg.seed });
+            Stage1::Supermers(parse_supermers_parallel(
+                my_reads,
+                0,
+                K,
+                &scorer,
+                TASKS,
+                &WorkerPool::new(1, 1),
+                &ScratchBank::new(),
+            ))
+        } else {
+            let mut tasks = (0..TASKS)
+                .map(|_| (Vec::new(), Vec::new()))
+                .collect::<Vec<_>>();
+            for read in my_reads {
+                stage1_record_read(read, K, cfg.seed, TASKS, &mut tasks);
+            }
+            Stage1::Records(tasks)
+        }
+    }
+
+    /// Index a sent round as its receiver would: one segment per destination.
+    fn index_of<'a>(bytes: &'a [u8], per_dest: &[usize]) -> stage3::BlockIndex<'a, Kmer1> {
+        let mut at = 0;
+        let segments = per_dest.iter().map(|&n| {
+            at += n;
+            &bytes[at - n..at]
+        });
+        stage3::build_block_index(segments, K).expect("the serializer wrote it")
+    }
+
+    /// The four send-side shapes: plain supermers, a heavy-hitter kmerlist among them,
+    /// supermers with extensions, and the records ablation (raw and compressed
+    /// extensions).
+    fn shapes() -> Vec<(&'static str, bool, HySortKConfig)> {
+        let base = HySortKConfig::small(K, 8, 1);
+        let mut with_ext = base.clone();
+        with_ext.with_extension = true;
+        let mut records = with_ext.clone();
+        records.use_supermers = false;
+        let mut records_raw = records.clone();
+        records_raw.compress_extension = false;
+        vec![
+            ("supermers", false, base.clone()),
+            ("heavy", true, base),
+            ("extensions", false, with_ext),
+            ("records", false, records),
+            ("records-raw", false, records_raw),
+        ]
+    }
+
+    /// Every round of every plan, at every pool width, is laid out byte for byte as one
+    /// sequential destination-major serialization — each task's wire bytes, their
+    /// order and the per-destination counts — and the count jobs sharing the list
+    /// produce what a sequential count of the same blocks does.
+    #[test]
+    fn job_lists_lay_rounds_out_and_count_them_exactly_as_the_sequential_path() {
+        for (shape, satellite, cfg) in shapes() {
+            let reads = reads(satellite);
+            let my_reads: Vec<&Read> = reads.reads().iter().collect();
+            let sizes = stage1(&my_reads, &cfg).local_sizes(TASKS, K);
+            let heavy = if cfg.use_supermers && !cfg.with_extension {
+                detect_heavy_tasks(
+                    &sizes,
+                    &HeavyHitterPolicy {
+                        factor: 2.0,
+                        enabled: true,
+                    },
+                )
+            } else {
+                Vec::new()
+            };
+            assert_eq!(!heavy.is_empty(), satellite, "{shape}");
+            let tasks_of: Vec<Vec<usize>> = (0..DESTS)
+                .map(|d| (0..TASKS).filter(|t| t % DESTS == d).collect())
+                .collect();
+            let params = CountParams::for_kmer::<Kmer1>(
+                K,
+                SortAlgorithm::Raduls,
+                1,
+                1_000_000,
+                cfg.with_extension,
+            );
+            let mid = sizes.iter().sum::<u64>() / 4;
+            for budget in [1, mid, u64::MAX] {
+                let plan = plan_rounds(&tasks_of, &sizes, budget);
+                for width in [1usize, 2, 3, 5] {
+                    let what = format!("{shape}, budget {budget}, width {width}");
+                    // Record tasks are taken when serialized, so the reference path
+                    // gets a serializer of its own.
+                    let reference = SendSerializer::new(
+                        stage1(&my_reads, &cfg),
+                        &my_reads,
+                        &sizes,
+                        &heavy,
+                        &cfg,
+                    );
+                    let ser = SendSerializer::new(
+                        stage1(&my_reads, &cfg),
+                        &my_reads,
+                        &sizes,
+                        &heavy,
+                        &cfg,
+                    );
+                    let pool = WorkerPool::new(width, 1);
+                    let mut lists = JobLists {
+                        rank: 0,
+                        k: K,
+                        params: &params,
+                        pool: &pool,
+                        ser: &ser,
+                        plan: &plan,
+                        fault: None,
+                        bank: ScratchBank::new(),
+                        spare: Vec::new(),
+                    };
+                    let mut wall = WallBuckets::default();
+                    let mut counts = Vec::new();
+                    let mut sent: Vec<(Vec<u8>, Vec<usize>)> = Vec::new();
+                    let mut heavy_sorted = (0u64, 0u64);
+                    // Steps past the last round only drain, as in the driver.
+                    for step in 0..plan.local_rounds + 2 {
+                        let fill = step < plan.local_rounds;
+                        let mut expected = Vec::new();
+                        let mut expected_counts = vec![0usize; DESTS];
+                        if fill {
+                            for (dest, rounds) in plan.per_dest.iter().enumerate() {
+                                for &t in rounds.get(step).into_iter().flatten() {
+                                    let before = expected.len();
+                                    heavy_sorted.0 += reference.serialize_task(t, &mut expected);
+                                    expected_counts[dest] += expected.len() - before;
+                                }
+                            }
+                        }
+                        // The round filled two steps ago comes back as this step's
+                        // drained round, one segment per destination.
+                        let drained = step.checked_sub(2).map(|round| &sent[round]);
+                        let index = match drained {
+                            Some((bytes, per_dest)) => index_of(bytes, per_dest),
+                            None => BlockIndexBuilder::new().finish(),
+                        };
+                        let list = lists
+                            .run(
+                                step,
+                                fill.then(Vec::new),
+                                &index.slots,
+                                &mut counts,
+                                &mut wall,
+                            )
+                            .expect(&what);
+                        heavy_sorted.1 += list.heavy_local_sorted;
+                        assert!(lists.bank.all_checked_in(), "{what}");
+
+                        let sequential = stage3::count_blocks_sequential(&index, K, &params);
+                        assert_eq!(list.counted.len(), sequential.tasks.len(), "{what}");
+                        for (got, want) in list.counted.iter().zip(&sequential.tasks) {
+                            assert_eq!(got.counts, want.counts, "{what}, step {step}");
+                            let ext = |t: &TaskCounts<Kmer1>| {
+                                t.ext
+                                    .as_ref()
+                                    .map(|e| (e.records.clone(), e.ranges.clone()))
+                            };
+                            assert_eq!(ext(got), ext(want), "{what}, step {step}");
+                        }
+                        if fill {
+                            assert_eq!(
+                                list.send.as_deref(),
+                                Some(&expected[..]),
+                                "{what}, step {step}"
+                            );
+                            assert_eq!(counts, expected_counts, "{what}, step {step}");
+                            sent.push((expected, expected_counts));
+                        } else {
+                            assert!(list.send.is_none(), "{what}");
+                        }
+                    }
+                    assert_eq!(heavy_sorted.0, heavy_sorted.1, "{what}");
+                    // Every wall second of the lists landed in the two job buckets.
+                    assert!(wall.serialize > 0.0 && wall.count > 0.0, "{what}");
+                }
+            }
+        }
+    }
+
+    /// A fault injected into a serialize job surfaces as the typed error once the
+    /// whole list — the sibling serialize and count jobs included — has returned.
+    #[test]
+    fn a_fault_in_a_serialize_job_surfaces_after_its_siblings_finished() {
+        let cfg = HySortKConfig::small(K, 8, 1);
+        let reads = reads(false);
+        let my_reads: Vec<&Read> = reads.reads().iter().collect();
+        let sizes = stage1(&my_reads, &cfg).local_sizes(TASKS, K);
+        let tasks_of: Vec<Vec<usize>> = (0..DESTS)
+            .map(|d| (0..TASKS).filter(|t| t % DESTS == d).collect())
+            .collect();
+        // One task per destination per round: step 2 serializes three tasks, in as many
+        // jobs as the pool is wide.
+        let plan = plan_rounds(&tasks_of, &sizes, 1);
+        assert_eq!(plan.local_rounds, TASKS / DESTS);
+        let params = CountParams::for_kmer::<Kmer1>(K, SortAlgorithm::Raduls, 1, 50, false);
+        for width in [1usize, 2, 3] {
+            let ser = SendSerializer::new(stage1(&my_reads, &cfg), &my_reads, &sizes, &[], &cfg);
+            let pool = WorkerPool::new(width, 1);
+            let fault =
+                Arc::new(FaultPlan::new().with_fault(0, "serialize", 2, FaultKind::FailRank));
+            let mut lists = JobLists {
+                rank: 0,
+                k: K,
+                params: &params,
+                pool: &pool,
+                ser: &ser,
+                plan: &plan,
+                fault: Some(Arc::clone(&fault)),
+                bank: ScratchBank::new(),
+                spare: Vec::new(),
+            };
+            let mut wall = WallBuckets::default();
+            let mut counts = Vec::new();
+            let round0 = lists
+                .run(0, Some(Vec::new()), &[], &mut counts, &mut wall)
+                .expect("the fault targets step 2");
+            let bytes = round0.send.expect("step 0 fills round 0");
+            let index = index_of(&bytes, &counts);
+            let mut later_counts = Vec::new();
+            lists
+                .run(1, Some(Vec::new()), &[], &mut later_counts, &mut wall)
+                .expect("the fault targets step 2");
+
+            // Step 2 fills round 2 and drains round 0: the failing job has siblings of
+            // both kinds.
+            let err = lists
+                .run(
+                    2,
+                    Some(Vec::new()),
+                    &index.slots,
+                    &mut later_counts,
+                    &mut wall,
+                )
+                .err()
+                .expect("the injected fault must fail the list");
+            assert!(
+                matches!(
+                    err,
+                    DmemError::InjectedFault {
+                        rank: 0,
+                        round: 2,
+                        ..
+                    }
+                ),
+                "width {width}: {err}"
+            );
+            assert_eq!(fault.fired_count(), 1);
+            // Nothing is left running: every count job returned its scratch, and the
+            // sibling count jobs did run (their records are in the scratches).
+            assert!(lists.bank.all_checked_in(), "width {width}");
+            let mut counted = 0u64;
+            lists
+                .bank
+                .for_each(|scratch| counted += scratch.received_records);
+            let expected: u64 = index.slots.iter().map(|s| s.records as u64).sum();
+            assert!(expected > 0);
+            assert_eq!(counted, expected, "width {width}");
+        }
+    }
 
     #[test]
     fn plan_covers_every_task_exactly_once_and_respects_the_budget() {

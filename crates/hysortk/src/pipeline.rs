@@ -21,6 +21,7 @@
 //! counters in the returned [`RunReport`] are measurements, not estimates; only the
 //! conversion to seconds goes through the performance model.
 
+use std::sync::Mutex;
 use std::time::Instant;
 
 use hysortk_dmem::{Cluster, CommStats, RankCtx, Wire};
@@ -97,6 +98,26 @@ impl WallBuckets {
             self.merge,
             (self.total - named).max(0.0),
         ]
+    }
+
+    /// Book the wall time of one job list of the overlapped round loop, in which
+    /// serialize and count jobs ran side by side on the worker pool. `job_seconds`
+    /// yields each job's own `(serialize, count)` seconds; `wall` is split between the
+    /// `serialize` and `count` buckets in proportion to their sums, so the buckets keep
+    /// partitioning the rank's wall time.
+    pub(crate) fn add_job_list(
+        &mut self,
+        wall: f64,
+        job_seconds: impl Iterator<Item = (f64, f64)>,
+    ) {
+        let (serialize_s, count_s) =
+            job_seconds.fold((0.0, 0.0), |(s, c), (js, jc)| (s + js, c + jc));
+        let busy = serialize_s + count_s;
+        if busy > 0.0 {
+            let serialize = wall * (serialize_s / busy);
+            self.serialize += serialize;
+            self.count += wall - serialize;
+        }
     }
 }
 
@@ -315,15 +336,35 @@ pub(crate) enum Stage1<K: KmerCode> {
     Records(Vec<(Vec<K>, Vec<Extension>)>),
 }
 
+impl<K: KmerCode> Stage1<K> {
+    /// K-mers this rank staged for each task.
+    pub(crate) fn local_sizes(&self, num_tasks: usize, k: usize) -> Vec<u64> {
+        match self {
+            Stage1::Supermers(chunks) => (0..num_tasks)
+                .map(|t| {
+                    chunks
+                        .iter()
+                        .flat_map(|c| &c.per_task[t])
+                        .map(|r| r.num_kmers(k))
+                        .sum()
+                })
+                .collect(),
+            Stage1::Records(tasks) => tasks.iter().map(|(kmers, _)| kmers.len() as u64).collect(),
+        }
+    }
+}
+
 /// The send-side serializer both execution modes share: it owns the stage-1 staging and
-/// writes **one task's** wire blocks into a flat buffer on demand, so the per-task
-/// bytes of the bulk-synchronous path and the non-blocking round engine are identical
-/// by construction (which is what makes their outputs byte-identical). Supermer tasks
+/// writes **one task's** wire blocks into a buffer on demand, so the per-task bytes of
+/// the bulk-synchronous path and the non-blocking round engine are identical by
+/// construction (which is what makes their outputs byte-identical). Supermer tasks
 /// stream word-level packed ranges straight out of the source reads; heavy-hitter
 /// tasks pre-count into a kmerlist at serialisation time (§3.5); record tasks take
-/// their staged vectors. Each task must be serialised at most once.
+/// their staged vectors. Serialising takes `&self`, so the round loop's serialize
+/// jobs of one round run side by side on the worker pool; each task must be
+/// serialised at most once.
 pub(crate) struct SendSerializer<'a, K: KmerCode> {
-    stage1: Stage1<K>,
+    staged: Staged<K>,
     my_reads: &'a [&'a Read],
     local_sizes: &'a [u64],
     heavy: &'a [usize],
@@ -331,39 +372,66 @@ pub(crate) struct SendSerializer<'a, K: KmerCode> {
     compress_extension: bool,
     k: usize,
     first_radix_level: usize,
-    /// K-mers pre-counted locally for heavy tasks (accumulated across tasks).
-    pub(crate) heavy_local_sorted: u64,
 }
 
-impl<K: KmerCode> SendSerializer<'_, K> {
-    /// Append task `t`'s wire blocks to `out` (nothing is written for an empty task).
-    pub(crate) fn serialize_task(&mut self, t: usize, out: &mut Vec<u8>) {
-        let k = self.k;
-        let first_radix_level = self.first_radix_level;
-        let with_extension = self.with_extension;
-        let compress_extension = self.compress_extension;
-        let SendSerializer {
-            stage1,
+/// [`Stage1`] as the serializer holds it: record tasks sit in one cell each, so a
+/// serialize job can take its task's vectors through a shared reference.
+enum Staged<K: KmerCode> {
+    Supermers(Vec<ParsedChunk>),
+    Records(Vec<Mutex<(Vec<K>, Vec<Extension>)>>),
+}
+
+impl<'a, K: KmerCode> SendSerializer<'a, K> {
+    pub(crate) fn new(
+        stage1: Stage1<K>,
+        my_reads: &'a [&'a Read],
+        local_sizes: &'a [u64],
+        heavy: &'a [usize],
+        cfg: &HySortKConfig,
+    ) -> Self {
+        SendSerializer {
+            staged: match stage1 {
+                Stage1::Supermers(chunks) => Staged::Supermers(chunks),
+                Stage1::Records(tasks) => {
+                    Staged::Records(tasks.into_iter().map(Mutex::new).collect())
+                }
+            },
             my_reads,
             local_sizes,
             heavy,
-            heavy_local_sorted,
-            ..
-        } = self;
-        match stage1 {
-            Stage1::Supermers(chunks) => {
+            with_extension: cfg.with_extension,
+            compress_extension: cfg.compress_extension,
+            k: cfg.k,
+            // Leading key bytes above the meaningful 2k bits are constant zero; tell
+            // the MSD sorter to skip straight past them.
+            first_radix_level: K::WORDS * 8 - K::num_bytes(cfg.k),
+        }
+    }
+
+    /// K-mers this rank staged for task `t` — the serialize job's size.
+    pub(crate) fn local_size(&self, t: usize) -> u64 {
+        self.local_sizes[t]
+    }
+
+    /// Append task `t`'s wire blocks to `out` (nothing is written for an empty task).
+    /// Returns the k-mers pre-counted locally when `t` is a heavy-hitter task, zero
+    /// otherwise.
+    pub(crate) fn serialize_task(&self, t: usize, out: &mut Vec<u8>) -> u64 {
+        let k = self.k;
+        match &self.staged {
+            Staged::Supermers(chunks) => {
                 let count: usize = chunks.iter().map(|c| c.per_task[t].len()).sum();
                 if count == 0 {
-                    return;
+                    return 0;
                 }
-                if heavy.binary_search(&t).is_ok() {
+                if self.heavy.binary_search(&t).is_ok() {
                     // Heavy-hitter path: pre-count locally, ship a kmerlist (§3.5).
                     // Canonical k-mers decode straight from the packed source reads,
                     // rolling both strands (O(1) canonical per position).
-                    let mut kmers: Vec<K> = Vec::with_capacity(local_sizes[t] as usize);
+                    let mut kmers: Vec<K> = Vec::with_capacity(self.local_sizes[t] as usize);
                     for chunk in chunks.iter() {
                         for r in &chunk.per_task[t] {
-                            let seq = &my_reads[r.read as usize].seq;
+                            let seq = &self.my_reads[r.read as usize].seq;
                             let mut fwd = K::zero();
                             let mut rc = K::zero();
                             for i in 0..r.len as usize {
@@ -377,33 +445,33 @@ impl<K: KmerCode> SendSerializer<'_, K> {
                             }
                         }
                     }
-                    *heavy_local_sorted += kmers.len() as u64;
-                    paradis_sort_from(&mut kmers, first_radix_level);
+                    paradis_sort_from(&mut kmers, self.first_radix_level);
                     let list = count_sorted_runs(&kmers, |km| *km);
                     write_block(out, t as u32, &TaskPayload::<K>::KmerList(list));
-                } else {
-                    let mut writer = SupermerBlockWriter::new(out, t as u32, count as u32);
-                    for chunk in chunks.iter() {
-                        for r in &chunk.per_task[t] {
-                            let read = my_reads[r.read as usize];
-                            writer.push(
-                                read.id,
-                                r.start,
-                                &read.seq,
-                                r.start as usize,
-                                r.len as usize,
-                            );
-                        }
+                    return kmers.len() as u64;
+                }
+                let mut writer = SupermerBlockWriter::new(out, t as u32, count as u32);
+                for chunk in chunks.iter() {
+                    for r in &chunk.per_task[t] {
+                        let read = self.my_reads[r.read as usize];
+                        writer.push(
+                            read.id,
+                            r.start,
+                            &read.seq,
+                            r.start as usize,
+                            r.len as usize,
+                        );
                     }
                 }
             }
-            Stage1::Records(tasks) => {
-                let (kmers, exts) = std::mem::take(&mut tasks[t]);
+            Staged::Records(tasks) => {
+                let (kmers, exts) =
+                    std::mem::take(&mut *tasks[t].lock().expect("record cell poisoned"));
                 if kmers.is_empty() {
-                    return;
+                    return 0;
                 }
-                if with_extension {
-                    if compress_extension {
+                if self.with_extension {
+                    if self.compress_extension {
                         write_block(out, t as u32, &TaskPayload::Records(kmers, Some(exts)));
                     } else {
                         write_records_uncompressed(out, t as u32, &kmers, &exts);
@@ -413,6 +481,7 @@ impl<K: KmerCode> SendSerializer<'_, K> {
                 }
             }
         }
+        0
     }
 }
 
@@ -640,18 +709,7 @@ pub(crate) fn stages_2_and_3<K: KmerCode>(
     let workers = cfg.workers_per_process();
 
     // ---------------- task sizing, assignment, heavy hitters -------------------------
-    let local_sizes: Vec<u64> = match &stage1 {
-        Stage1::Supermers(chunks) => (0..num_tasks)
-            .map(|t| {
-                chunks
-                    .iter()
-                    .flat_map(|c| &c.per_task[t])
-                    .map(|r| r.num_kmers(k))
-                    .sum()
-            })
-            .collect(),
-        Stage1::Records(tasks) => tasks.iter().map(|(kmers, _)| kmers.len() as u64).collect(),
-    };
+    let local_sizes = stage1.local_sizes(num_tasks, k);
     // The "root retrieves data about the size of each task" step, realised as a
     // butterfly sum all-reduce so every rank computes the same assignment
     // deterministically at O(log p) vector transfers per rank.
@@ -721,28 +779,14 @@ pub(crate) fn stages_2_and_3<K: KmerCode>(
     //   [`crate::overlap`]).
     // * `cfg.overlap == false` is the bulk-synchronous ablation: serialise everything,
     //   run one blocking padded exchange, then count — each stage a barrier.
-    let levels = K::num_bytes(k);
-    // Leading key bytes above the meaningful 2k bits are constant zero; tell the MSD
-    // sorter to skip straight past them.
-    let first_radix_level = K::WORDS * 8 - levels;
-    let mut ser = SendSerializer {
-        stage1,
-        my_reads,
-        local_sizes: &local_sizes,
-        heavy: &heavy,
-        with_extension: cfg.with_extension,
-        compress_extension: cfg.compress_extension,
-        k,
-        first_radix_level,
-        heavy_local_sorted: 0,
-    };
+    let ser = SendSerializer::new(stage1, my_reads, &local_sizes, &heavy, cfg);
     let params =
         CountParams::for_kmer::<K>(k, sorter, cfg.min_count, cfg.max_count, cfg.with_extension);
 
     let (stage3_out, task_sizes, exchange_rounds) = if cfg.overlap {
         let run = crate::overlap::exchange_and_count::<K>(
             ctx,
-            &mut ser,
+            &ser,
             &assignment.tasks_of,
             &global_sizes,
             // The round budget is `batch_size` records per rank per destination
@@ -760,6 +804,7 @@ pub(crate) fn stages_2_and_3<K: KmerCode>(
         )?;
         counters.overlap_hidden_bytes = run.hidden_bytes;
         counters.overlap_exposed_bytes = run.exposed_bytes;
+        counters.heavy_local_sorted = run.heavy_local_sorted;
         (run.out, run.task_sizes, run.rounds)
     } else if let Some(restored) = ckpt.as_mut().and_then(|c| c.take_complete_run()) {
         // The bulk path commits exactly one epoch covering its whole exchange, so a
@@ -804,7 +849,7 @@ pub(crate) fn stages_2_and_3<K: KmerCode>(
         for (dest, tasks) in assignment.tasks_of.iter().enumerate() {
             let dest_start = send.len();
             for &t in tasks {
-                ser.serialize_task(t, &mut send);
+                counters.heavy_local_sorted += ser.serialize_task(t, &mut send);
             }
             send_counts[dest] = send.len() - dest_start;
         }
@@ -890,7 +935,6 @@ pub(crate) fn stages_2_and_3<K: KmerCode>(
         }
         (out, task_sizes, exchange.rounds)
     };
-    counters.heavy_local_sorted = ser.heavy_local_sorted;
     counters.exchange_rounds = exchange_rounds;
     counters.epochs_committed = ckpt.as_ref().map_or(0, |c| c.epochs_committed as u64);
     counters.worker_makespan = schedule_lpt(&task_sizes, workers).makespan();
@@ -898,8 +942,8 @@ pub(crate) fn stages_2_and_3<K: KmerCode>(
     counters.precounted_elements = stage3_out.precounted_records;
 
     // ---------------- merge the task outputs of this rank ----------------------------
-    // Tasks hold disjoint k-mer sets, so the merge is an in-place sort of the
-    // concatenated `(k-mer, count)` pairs; extension ranges move, nothing is cloned.
+    // Every task's output is sorted and tasks hold disjoint k-mer sets, so the merge is
+    // a k-way heap merge that moves the `(k-mer, count)` pairs; nothing is cloned.
     let merged = timed(&mut counters.wall.merge, || {
         let _span = trace::span!("merge-tasks", trace::Detail::Stage, ctx.rank());
         stage3::merge_task_counts(stage3_out, &params)
@@ -1386,6 +1430,57 @@ mod tests {
         );
         assert_eq!(bulk.report.overlap_fraction, 0.0);
         assert!((0.0..=1.0).contains(&overlapped.report.overlap_fraction));
+    }
+
+    #[test]
+    fn a_job_list_wall_is_split_by_job_seconds_and_nothing_else_is_booked() {
+        let mut wall = WallBuckets::default();
+        // 3 s of serialize jobs beside 1 s of count jobs in a list that took 2 s.
+        wall.add_job_list(2.0, [(1.0, 0.0), (0.0, 1.0), (2.0, 0.0)].into_iter());
+        assert!((wall.serialize - 1.5).abs() < 1e-12, "{wall:?}");
+        assert!((wall.count - 0.5).abs() < 1e-12, "{wall:?}");
+        // One kind only: the whole wall goes to it. An empty list books nothing.
+        wall.add_job_list(0.25, [(0.0, 4.0)].into_iter());
+        wall.add_job_list(7.0, std::iter::empty());
+        assert!((wall.serialize - 1.5).abs() < 1e-12, "{wall:?}");
+        assert!((wall.count - 0.75).abs() < 1e-12, "{wall:?}");
+    }
+
+    #[test]
+    fn stage_buckets_partition_every_ranks_wall_at_one_and_two_threads() {
+        let reads = overlapping_reads(12);
+        for threads in [1usize, 2] {
+            for ranks in [1usize, 3] {
+                let mut cfg = small_cfg(21, 9, ranks);
+                cfg.threads_per_process = threads;
+                cfg.batch_size = 64;
+                let ranges = reads.partition_by_bases(ranks);
+                let run = Cluster::new(ranks).run_wire(|ctx| {
+                    rank_pipeline::<Kmer1>(
+                        ctx,
+                        &reads,
+                        &ranges,
+                        &cfg,
+                        cfg.num_tasks(),
+                        SortAlgorithm::Raduls,
+                    )
+                });
+                for out in run.results {
+                    let wall = out.expect("healthy run").counters.wall;
+                    let stages = wall.to_stage_vec();
+                    let other = *stages.last().unwrap();
+                    let sum: f64 = stages.iter().sum();
+                    // `other` is a clamped residue: the sum can only miss `total` when
+                    // the named buckets overshoot it, i.e. when some wall was booked
+                    // twice.
+                    assert!(
+                        (sum - wall.total).abs() <= 1e-9,
+                        "threads {threads} ranks {ranks}: {wall:?}"
+                    );
+                    assert!(other >= 0.0 && wall.serialize > 0.0 && wall.count > 0.0);
+                }
+            }
+        }
     }
 
     #[test]

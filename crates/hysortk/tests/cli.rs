@@ -52,6 +52,73 @@ fn usage_errors_exit_2_with_the_usage_text() {
 }
 
 #[test]
+fn the_threads_flag_sets_the_pool_width_and_never_changes_the_histogram() {
+    let fa = tmp_fasta("threads");
+    let run = |threads: &str| {
+        hysortk()
+            .args([
+                "count",
+                "--ranks",
+                "3",
+                "--min-count",
+                "1",
+                "--batch-size",
+                "8",
+            ])
+            .args(["--threads", threads])
+            .arg(&fa)
+            .output()
+            .unwrap()
+    };
+    let default = hysortk()
+        .args([
+            "count",
+            "--ranks",
+            "3",
+            "--min-count",
+            "1",
+            "--batch-size",
+            "8",
+        ])
+        .arg(&fa)
+        .output()
+        .unwrap();
+    assert_eq!(default.status.code(), Some(0), "{}", stderr_of(&default));
+    assert!(
+        stderr_of(&default).contains("ranks × threads = 3 × 2"),
+        "{}",
+        stderr_of(&default)
+    );
+    for threads in ["1", "2", "5"] {
+        let out = run(threads);
+        assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+        assert_eq!(out.stdout, default.stdout, "--threads {threads}");
+        assert!(
+            stderr_of(&out).contains(&format!("ranks × threads = 3 × {threads}")),
+            "{}",
+            stderr_of(&out)
+        );
+    }
+
+    // Zero threads is the existing configuration error, not a new one.
+    let out = run("0");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        stderr_of(&out).contains("threads_per_process must be positive"),
+        "{}",
+        stderr_of(&out)
+    );
+    let out = run("many");
+    std::fs::remove_file(&fa).ok();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        stderr_of(&out).contains("invalid value `many` for --threads"),
+        "{}",
+        stderr_of(&out)
+    );
+}
+
+#[test]
 fn missing_inputs_exit_3_and_name_the_file() {
     let out = hysortk()
         .args(["count", "/nonexistent/definitely_missing.fa"])

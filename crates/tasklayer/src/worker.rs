@@ -7,7 +7,9 @@
 //! and cached process-wide by thread count ([`PoolCache`]) — constructing a thread
 //! pool per `execute` call was a large constant cost when every rank runs the sort
 //! stage once per pipeline invocation. [`schedule_lpt`] computes the static
-//! longest-processing-time assignment whose makespan the performance model uses.
+//! longest-processing-time assignment whose makespan the performance model uses, and
+//! which [`WorkerPool::execute_balanced`] uses to place a list of unequal jobs — the
+//! overlapped exchange's serialize and count jobs — onto the pool's threads.
 
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -221,12 +223,11 @@ impl WorkerPool {
         (results, scratches)
     }
 
-    /// Like [`execute_with_scratch`](WorkerPool::execute_with_scratch), but scratches
-    /// are checked out of (and returned to) `bank` instead of being created and
-    /// consumed per call — the handoff that lets the overlapped pipeline alternate
-    /// serialize and count work on the pool round by round while every worker keeps
-    /// its decode/sort buffers and histogram across the whole stage. `init` only runs
-    /// when the bank has no free scratch for a worker.
+    /// Like [`execute_with`](WorkerPool::execute_with), but each worker thread's
+    /// scratch is checked out of `bank` for the call and returned when it ends, so the
+    /// expensive state (ring buffers, staging) persists across calls — the streaming
+    /// parse stage hands the pool one ingested batch at a time. `init` only runs when
+    /// the bank has no free scratch for a worker.
     ///
     /// Results are returned in task order.
     pub fn execute_with_bank<T, S, R, I, F>(
@@ -243,28 +244,87 @@ impl WorkerPool {
         I: Fn() -> S + Sync + Send,
         F: Fn(&mut S, T) -> R + Sync + Send,
     {
-        let (results, scratches) =
-            self.execute_with_scratch(tasks, || bank.take().unwrap_or_else(&init), f);
-        bank.put_all(scratches);
+        // The checkouts returned beside the results go back to the bank as they drop.
+        self.execute_with_scratch(
+            tasks,
+            || bank.checkout(&init),
+            |scratch, task| f(scratch, task),
+        )
+        .0
+    }
+
+    /// Run a list of **heterogeneous jobs** as one call: `sizes[i]` estimates job
+    /// `i`'s work, the jobs are placed onto the pool's threads with [`schedule_lpt`],
+    /// and every thread runs its jobs in list order. The overlapped pipeline hands the
+    /// pool the serialize jobs of round *r+1* and the count jobs of round *r−1* this
+    /// way, so a rank with more than one thread works on both while round *r* is in
+    /// flight. The placement is static — a thread's whole share is known before it
+    /// starts — which is what balances a short list of unequal jobs regardless of how
+    /// the backing pool splits work; a pool of one thread runs the list front to back.
+    ///
+    /// Jobs that need per-worker state check it out of a [`ScratchBank`] themselves
+    /// ([`ScratchBank::checkout`]), so a list of jobs of which only some need a
+    /// scratch never holds more scratches than such jobs run at once.
+    ///
+    /// Results are returned in job order.
+    pub fn execute_balanced<T, R, F>(&self, jobs: Vec<T>, sizes: &[u64], f: F) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(T) -> R + Sync + Send,
+    {
+        assert_eq!(jobs.len(), sizes.len(), "one size per job required");
+        let _span = trace::span!(
+            "pool-execute",
+            trace::Detail::Task,
+            self.rank,
+            tasks = jobs.len(),
+        );
+        let n = jobs.len();
+        let mut jobs: Vec<Option<T>> = jobs.into_iter().map(Some).collect();
+        let shares: Vec<Vec<(TaskId, T)>> = schedule_lpt(sizes, self.total_threads())
+            .tasks_of
+            .into_iter()
+            .filter(|share| !share.is_empty())
+            .map(|mut share| {
+                share.sort_unstable();
+                share
+                    .into_iter()
+                    .map(|i| (i, jobs[i].take().expect("LPT places every job once")))
+                    .collect()
+            })
+            .collect();
+        let done: Vec<Vec<(TaskId, R)>> = self.pool.install(|| {
+            shares
+                .into_par_iter()
+                .map(|share| share.into_iter().map(|(i, job)| (i, f(job))).collect())
+                .collect()
+        });
+        let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
+        for (i, result) in done.into_iter().flatten() {
+            results[i] = Some(result);
+        }
         results
+            .into_iter()
+            .map(|r| r.expect("every job ran exactly once"))
+            .collect()
     }
 }
 
-/// A pool of reusable per-worker scratch values that survives *across*
-/// [`WorkerPool::execute_with_bank`] calls.
+/// A pool of reusable per-worker scratch values that survives *across* pool calls.
 ///
 /// [`WorkerPool::execute_with_scratch`] builds fresh scratches per call and hands them
 /// back when the call returns — the right shape when a stage runs once. The overlapped
-/// pipeline instead hands the pool alternating slices of work round by round
-/// (serialize round *r+1*, count round *r−1*, …), and the expensive scratch state
-/// (decode buffers, sort ping-pong buffers, histograms) must persist across all of
-/// them. A `ScratchBank` is that persistence: workers check scratches out at the start
-/// of a call and return them at the end, so a bank never holds more scratches than the
-/// maximum parallelism ever used, and [`ScratchBank::into_scratches`] drains them for
-/// the final merge.
+/// pipeline instead hands the pool one job list per exchange round, and the expensive
+/// scratch state (decode buffers, sort ping-pong buffers, histograms) must persist
+/// across all of them. A `ScratchBank` is that persistence: a job (or a worker, under
+/// [`WorkerPool::execute_with_bank`]) takes a [`Checkout`] and the scratch returns when
+/// the checkout drops, so a bank never holds more scratches than were ever in use at
+/// once, and [`ScratchBank::into_scratches`] drains them for the final merge.
 #[derive(Debug)]
 pub struct ScratchBank<S> {
-    free: Mutex<Vec<S>>,
+    /// The checked-in scratches, and how many are checked out.
+    state: Mutex<(Vec<S>, usize)>,
 }
 
 impl<S> Default for ScratchBank<S> {
@@ -273,31 +333,69 @@ impl<S> Default for ScratchBank<S> {
     }
 }
 
+/// A scratch checked out of a [`ScratchBank`]; dereferences to the scratch and returns
+/// it to the bank when dropped.
+#[derive(Debug)]
+pub struct Checkout<'b, S> {
+    bank: &'b ScratchBank<S>,
+    scratch: Option<S>,
+}
+
+impl<S> std::ops::Deref for Checkout<'_, S> {
+    type Target = S;
+    fn deref(&self) -> &S {
+        self.scratch.as_ref().expect("held until drop")
+    }
+}
+
+impl<S> std::ops::DerefMut for Checkout<'_, S> {
+    fn deref_mut(&mut self) -> &mut S {
+        self.scratch.as_mut().expect("held until drop")
+    }
+}
+
+impl<S> Drop for Checkout<'_, S> {
+    fn drop(&mut self) {
+        // A poisoned bank means a job already panicked; the scratch is dropped and the
+        // panic propagates through the pool call.
+        if let (Some(scratch), Ok(mut state)) = (self.scratch.take(), self.bank.state.lock()) {
+            state.0.push(scratch);
+            state.1 -= 1;
+        }
+    }
+}
+
 impl<S> ScratchBank<S> {
-    /// An empty bank; scratches are created lazily by the `init` closure of
-    /// [`WorkerPool::execute_with_bank`].
+    /// An empty bank; scratches are created lazily by the `init` of a checkout.
     pub fn new() -> Self {
         ScratchBank {
-            free: Mutex::new(Vec::new()),
+            state: Mutex::new((Vec::new(), 0)),
         }
     }
 
-    /// Check one scratch out, if any is free.
-    fn take(&self) -> Option<S> {
-        self.free.lock().expect("scratch bank poisoned").pop()
+    /// Check a scratch out — a free one, or a fresh `init()` when none is — until the
+    /// returned guard drops.
+    pub fn checkout(&self, init: impl FnOnce() -> S) -> Checkout<'_, S> {
+        let free = {
+            let mut state = self.state.lock().expect("scratch bank poisoned");
+            state.1 += 1;
+            state.0.pop()
+        };
+        Checkout {
+            bank: self,
+            scratch: Some(free.unwrap_or_else(init)),
+        }
     }
 
-    /// Return scratches to the bank.
-    fn put_all(&self, scratches: Vec<S>) {
-        self.free
-            .lock()
-            .expect("scratch bank poisoned")
-            .extend(scratches);
+    /// True when every scratch this bank ever handed out is checked back in — the
+    /// condition under which [`ScratchBank::for_each`] sees the complete state.
+    pub fn all_checked_in(&self) -> bool {
+        self.state.lock().expect("scratch bank poisoned").1 == 0
     }
 
     /// Number of scratches currently checked in.
     pub fn len(&self) -> usize {
-        self.free.lock().expect("scratch bank poisoned").len()
+        self.state.lock().expect("scratch bank poisoned").0.len()
     }
 
     /// True when the bank holds no scratches.
@@ -308,18 +406,18 @@ impl<S> ScratchBank<S> {
     /// Drain every scratch for the caller's final merge (commutative, as with
     /// [`WorkerPool::execute_with_scratch`]).
     pub fn into_scratches(self) -> Vec<S> {
-        self.free.into_inner().expect("scratch bank poisoned")
+        self.state.into_inner().expect("scratch bank poisoned").0
     }
 
     /// Visit every checked-in scratch without consuming the bank.
     ///
     /// The overlapped pipeline snapshots worker-local state (histograms, receive
-    /// counters) at checkpoint epoch boundaries *between* `execute_with_bank` calls,
-    /// when every scratch is checked back in; the final merge still goes through
-    /// [`ScratchBank::into_scratches`]. Must not be called while a pool call has
-    /// scratches checked out — those are invisible to the visitor.
+    /// counters) at checkpoint epoch boundaries *between* pool calls, when every
+    /// scratch is checked back in ([`ScratchBank::all_checked_in`]); the final merge
+    /// still goes through [`ScratchBank::into_scratches`]. Must not be called while a
+    /// checkout is outstanding — that scratch is invisible to the visitor.
     pub fn for_each(&self, mut f: impl FnMut(&S)) {
-        for scratch in self.free.lock().expect("scratch bank poisoned").iter() {
+        for scratch in self.state.lock().expect("scratch bank poisoned").0.iter() {
             f(scratch);
         }
     }
@@ -440,8 +538,6 @@ mod tests {
             inits.fetch_add(1, Ordering::Relaxed);
             Vec::new()
         };
-        // Alternate two kinds of work on the same bank, as the overlapped pipeline
-        // does with serialize and count rounds.
         for round in 0..6u64 {
             let results = pool.execute_with_bank(
                 (0..40u64).collect(),
@@ -453,12 +549,13 @@ mod tests {
                 },
             );
             assert_eq!(results.len(), 40);
+            assert!(bank.all_checked_in(), "round {round}");
         }
         // Scratches were reused: the bank never grew beyond the pool parallelism, and
         // the union of everything the scratches saw covers every task of every round.
         let created = inits.load(Ordering::Relaxed);
         assert!(
-            created <= pool.total_threads() * 6,
+            created <= pool.total_threads(),
             "created {created} scratches"
         );
         let scratches = bank.into_scratches();
@@ -473,11 +570,166 @@ mod tests {
     }
 
     #[test]
+    fn checkouts_are_lent_until_dropped_and_reuse_free_scratches() {
+        let bank: ScratchBank<Vec<u8>> = ScratchBank::new();
+        assert!(bank.all_checked_in());
+        let mut a = bank.checkout(|| vec![1]);
+        let b = bank.checkout(|| vec![2]);
+        a.push(10);
+        assert!(!bank.all_checked_in());
+        assert_eq!(bank.len(), 0, "lent scratches are invisible to the bank");
+        drop(a);
+        assert!(!bank.all_checked_in(), "b is still out");
+        drop(b);
+        assert!(bank.all_checked_in());
+        assert_eq!(bank.len(), 2);
+        // A free scratch is reused, state intact; `init` does not run.
+        let again = bank.checkout(|| unreachable!("a free scratch exists"));
+        assert_eq!(*again, vec![2]);
+        drop(again);
+        let mut seen = Vec::new();
+        bank.for_each(|s| seen.push(s.clone()));
+        seen.sort();
+        assert_eq!(seen, vec![vec![1, 10], vec![2]]);
+    }
+
+    #[test]
     fn empty_scratch_bank_reports_empty() {
         let bank: ScratchBank<u8> = ScratchBank::default();
         assert!(bank.is_empty());
         assert_eq!(bank.len(), 0);
         assert!(bank.into_scratches().is_empty());
+    }
+
+    /// Two kinds of jobs in one list, as the overlapped round loop hands them over.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Kind {
+        Serialize(u64),
+        Count(u64),
+    }
+
+    #[test]
+    fn balanced_job_lists_return_results_in_job_order_at_every_width() {
+        let mut rng = StdRng::seed_from_u64(11);
+        for width in [1usize, 2, 3, 5] {
+            let pool = WorkerPool::new(width, 1);
+            for jobs in [0usize, 1, 2, 3, 7, 40] {
+                let list: Vec<Kind> = (0..jobs as u64)
+                    .map(|i| {
+                        if i % 3 == 0 {
+                            Kind::Count(i)
+                        } else {
+                            Kind::Serialize(i)
+                        }
+                    })
+                    .collect();
+                let sizes: Vec<u64> = (0..jobs).map(|_| rng.gen_range(0..1_000)).collect();
+                let results = pool.execute_balanced(list.clone(), &sizes, |job| match job {
+                    Kind::Serialize(i) => (i, "serialize"),
+                    Kind::Count(i) => (i, "count"),
+                });
+                let expected: Vec<(u64, &str)> = list
+                    .iter()
+                    .map(|job| match *job {
+                        Kind::Serialize(i) => (i, "serialize"),
+                        Kind::Count(i) => (i, "count"),
+                    })
+                    .collect();
+                assert_eq!(results, expected, "width {width}, {jobs} jobs");
+            }
+        }
+    }
+
+    #[test]
+    fn a_thread_runs_its_share_of_a_balanced_list_in_list_order() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        // Width 1: the whole list is one share and runs front to back, whatever the
+        // sizes say.
+        let clock = AtomicUsize::new(0);
+        let pool = WorkerPool::new(1, 1);
+        let sizes = [5u64, 900, 1, 900, 30, 2];
+        let ticks = pool.execute_balanced((0..6usize).collect(), &sizes, |_| {
+            clock.fetch_add(1, Ordering::SeqCst)
+        });
+        assert_eq!(ticks, vec![0, 1, 2, 3, 4, 5]);
+
+        // Width 2: LPT puts the two big jobs on different threads, and each thread
+        // still visits its own jobs in ascending list position.
+        let pool = WorkerPool::new(2, 1);
+        let placed = pool.execute_balanced((0..6usize).collect(), &sizes, |i| {
+            (
+                std::thread::current().id(),
+                clock.fetch_add(1, Ordering::SeqCst),
+                i,
+            )
+        });
+        assert_ne!(placed[1].0, placed[3].0, "the two 900s share a thread");
+        for a in &placed {
+            for b in &placed {
+                if a.0 == b.0 && a.2 < b.2 {
+                    assert!(a.1 < b.1, "{a:?} ran after {b:?}");
+                }
+            }
+        }
+    }
+
+    /// Both parties arrive before either leaves, or the test fails after `patience`.
+    struct Rendezvous {
+        arrived: Mutex<usize>,
+        both: std::sync::Condvar,
+    }
+
+    impl Rendezvous {
+        fn meet(&self, patience: std::time::Duration) -> bool {
+            let mut arrived = self.arrived.lock().unwrap();
+            *arrived += 1;
+            self.both.notify_all();
+            let (arrived, timeout) = self
+                .both
+                .wait_timeout_while(arrived, patience, |n| *n < 2)
+                .unwrap();
+            drop(arrived);
+            !timeout.timed_out()
+        }
+    }
+
+    #[test]
+    fn a_serialize_and_a_count_job_of_one_list_run_side_by_side_at_width_two() {
+        // No wall-clock threshold: each job blocks until the other has started, which
+        // can only happen when the list's two jobs run on two threads at once.
+        let meeting = Rendezvous {
+            arrived: Mutex::new(0),
+            both: std::sync::Condvar::new(),
+        };
+        let pool = WorkerPool::new(2, 1);
+        let met =
+            pool.execute_balanced(vec![Kind::Serialize(0), Kind::Count(1)], &[10, 10], |_| {
+                (
+                    std::thread::current().id(),
+                    meeting.meet(std::time::Duration::from_secs(60)),
+                )
+            });
+        assert!(met[0].1 && met[1].1, "the jobs never overlapped");
+        assert_ne!(met[0].0, met[1].0);
+    }
+
+    #[test]
+    fn the_same_list_runs_sequentially_on_one_thread_at_width_one() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        let clock = AtomicUsize::new(0);
+        let pool = WorkerPool::new(1, 1);
+        let ran =
+            pool.execute_balanced(vec![Kind::Serialize(0), Kind::Count(1)], &[10, 10], |job| {
+                let begin = clock.fetch_add(1, Ordering::SeqCst);
+                let end = clock.fetch_add(1, Ordering::SeqCst);
+                (job, std::thread::current().id(), begin, end)
+            });
+        // Serialize first, count second, nothing interleaved, one thread.
+        assert_eq!((ran[0].0, ran[0].2, ran[0].3), (Kind::Serialize(0), 0, 1));
+        assert_eq!((ran[1].0, ran[1].2, ran[1].3), (Kind::Count(1), 2, 3));
+        assert_eq!(ran[0].1, ran[1].1);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Every schedule drives the full pipeline — streaming ingestion, task-size
 //! allreduce, (non-)blocking exchange, sort & count — with one deterministic fault
-//! from [`FaultPlan::seeded`], across rank counts {1, 2, 7} and both execution modes.
+//! from [`FaultPlan::seeded`], across rank counts {1, 2, 7} and both execution modes,
+//! the overlapped one at one and at two threads per rank.
 //! Each run must satisfy the trichotomy:
 //!
 //! 1. **byte-identical counts** to the healthy baseline (the fault was absorbed:
@@ -46,7 +47,13 @@ fn overlapping_reads(seed: u64) -> ReadSet {
 }
 
 fn chaos_cfg(ranks: usize, overlap: bool) -> HySortKConfig {
-    let mut cfg = HySortKConfig::small(21, 9, ranks);
+    chaos_cfg_with_threads(ranks, overlap, 2)
+}
+
+/// [`chaos_cfg`] with `threads` threads per rank: the overlapped round loop runs each
+/// step's serialize and count jobs side by side at 2, front to back at 1.
+fn chaos_cfg_with_threads(ranks: usize, overlap: bool, threads: usize) -> HySortKConfig {
+    let mut cfg = HySortKConfig::small_with_threads(21, 9, ranks, threads);
     cfg.min_count = 1;
     cfg.max_count = 1_000_000;
     // A small round budget forces several exchange rounds, so round-targeted faults
@@ -88,8 +95,9 @@ type ChaosOutcome = Result<CountResult<Kmer1>, HysortkError>;
 
 fn run_faulted(path: &Path, cfg: &HySortKConfig, plan: &Arc<FaultPlan>) -> ChaosOutcome {
     let label = format!(
-        "ranks={} overlap={} plan[{}]",
+        "ranks={} threads={} overlap={} plan[{}]",
         cfg.total_ranks(),
+        cfg.threads_per_process,
         cfg.overlap,
         plan.describe()
     );
@@ -114,8 +122,8 @@ fn seeded_fault_schedules_never_hang_and_never_corrupt_counts() {
     let mut absorbed = 0usize;
     let mut errored = 0usize;
     for ranks in [1usize, 2, 7] {
-        for overlap in [false, true] {
-            let cfg = chaos_cfg(ranks, overlap);
+        for (overlap, threads) in [(false, 2), (true, 1), (true, 2)] {
+            let cfg = chaos_cfg_with_threads(ranks, overlap, threads);
             let baseline =
                 count_kmers_from_files_with::<Kmer1, _>(&[&path], &cfg, IngestOptions::default())
                     .expect("healthy run");
@@ -127,7 +135,8 @@ fn seeded_fault_schedules_never_hang_and_never_corrupt_counts() {
                 let outcome = run_faulted(&path, &cfg, &plan);
                 let fired = plan.fired_count() > 0;
                 let ctx = format!(
-                    "seed={seed} ranks={ranks} overlap={overlap} fault={} fired={fired}",
+                    "seed={seed} ranks={ranks} overlap={overlap} threads={threads} fault={} \
+                     fired={fired}",
                     plan.describe()
                 );
                 match outcome {
@@ -203,6 +212,42 @@ fn rank_failure_mid_exchange_unblocks_all_peers_when_recovery_is_off() {
         assert!(
             msg.contains("injected fault") && msg.contains("rank 1"),
             "overlap={overlap}: {msg}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// A rank dying *inside a serialize job* of the round loop's job list — the site no
+/// exchange-stage fault reaches — is the same typed, attributed abort with recovery
+/// off and the same byte-identical recovery with it on, whether the list's jobs run
+/// side by side (2 threads) or front to back (1 thread).
+#[test]
+fn a_rank_dying_inside_a_serialize_job_aborts_cleanly_or_recovers() {
+    let reads = overlapping_reads(85);
+    let path = tmp_path("serializejob.fa");
+    fasta::write_fasta_file(&path, &reads, 70).unwrap();
+    for threads in [1usize, 2] {
+        let mut cfg = chaos_cfg_with_threads(4, true, threads);
+        let baseline =
+            count_kmers_from_files_with::<Kmer1, _>(&[&path], &cfg, IngestOptions::default())
+                .expect("healthy run");
+        let kill = || Arc::new(FaultPlan::new().with_fault(1, "serialize", 1, FaultKind::FailRank));
+
+        let plan = kill();
+        let result =
+            run_faulted(&path, &cfg, &plan).unwrap_or_else(|e| panic!("threads={threads}: {e}"));
+        assert_eq!(plan.fired_count(), 1, "threads={threads}");
+        assert_eq!(result.counts, baseline.counts, "threads={threads}");
+        assert_eq!(result.histogram, baseline.histogram, "threads={threads}");
+        assert!(result.report.recoveries >= 1, "threads={threads}");
+
+        cfg.recovery_attempts = 0;
+        let err = run_faulted(&path, &cfg, &kill()).expect_err("rank 1 was killed");
+        assert_eq!(err.exit_code(), 4, "threads={threads}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("injected fault") && msg.contains("rank 1") && msg.contains("serialize"),
+            "threads={threads}: {msg}"
         );
     }
     std::fs::remove_file(&path).ok();

@@ -37,7 +37,11 @@ fn overlapping_reads(seed: u64) -> ReadSet {
 }
 
 fn resume_cfg(ranks: usize, overlap: bool) -> HySortKConfig {
-    let mut cfg = HySortKConfig::small(21, 9, ranks);
+    resume_cfg_with_threads(ranks, overlap, 2)
+}
+
+fn resume_cfg_with_threads(ranks: usize, overlap: bool, threads: usize) -> HySortKConfig {
+    let mut cfg = HySortKConfig::small_with_threads(21, 9, ranks, threads);
     cfg.min_count = 1;
     cfg.max_count = 1_000_000;
     // Many exchange rounds, so mid-run kills leave a partial epoch chain behind:
@@ -66,10 +70,22 @@ fn kill_round(overlap: bool) -> usize {
 
 /// Kill the run mid-exchange with recovery disabled, leaving its epochs in `dir`.
 fn kill_checkpointed_run(path: &Path, cfg: &HySortKConfig, dir: &Path, round: usize) {
+    kill_checkpointed_run_at(path, cfg, dir, "exchange", round)
+}
+
+/// Kill rank 1 at fault site `stage:round` with recovery disabled, leaving the epochs
+/// committed so far in `dir`.
+fn kill_checkpointed_run_at(
+    path: &Path,
+    cfg: &HySortKConfig,
+    dir: &Path,
+    stage: &str,
+    round: usize,
+) {
     let mut cfg = cfg.clone();
     cfg.checkpoint_dir = Some(dir.to_path_buf());
     cfg.recovery_attempts = 0;
-    let plan = Arc::new(FaultPlan::new().with_fault(1, "exchange", round, FaultKind::FailRank));
+    let plan = Arc::new(FaultPlan::new().with_fault(1, stage, round, FaultKind::FailRank));
     let err = count_kmers_from_files_faulted::<Kmer1, _>(
         &[&path],
         &cfg,
@@ -134,6 +150,40 @@ fn a_killed_run_resumes_to_the_identical_result_in_both_modes() {
         assert_eq!(resumed.counts, baseline.counts, "overlap={overlap}");
         assert_eq!(resumed.histogram, baseline.histogram, "overlap={overlap}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// The round loop hands each step's serialize and count jobs to the rank's worker pool
+/// as one list and commits the drained round's epoch only after the list returned.
+/// Whatever the pool width, a rank dying in each window around that list — inside a
+/// serialize job, between the list and the post of the filled round, and in the middle
+/// of the epoch commit that follows — leaves a consistent epoch chain behind, and the
+/// resumed run lands on the golden result.
+#[test]
+fn kills_around_the_job_list_resume_to_the_golden_result_at_every_pool_width() {
+    let reads = overlapping_reads(96);
+    let path = tmp_path("joblist.fa");
+    fasta::write_fasta_file(&path, &reads, 70).unwrap();
+    let golden = healthy(&path, &resume_cfg(3, true));
+    for threads in [1usize, 2, 3] {
+        let mut cfg = resume_cfg_with_threads(3, true, threads);
+        // The same 18 tasks at every width, so one golden result serves them all.
+        cfg.tasks_per_worker = 6 / threads;
+        for (stage, round) in [("serialize", 4), ("exchange", 5), ("checkpoint", 2)] {
+            let what = format!("threads={threads} kill at {stage}:{round}");
+            let dir = tmp_path(&format!("joblist.dir.{threads}.{stage}"));
+            std::fs::remove_dir_all(&dir).ok();
+            kill_checkpointed_run_at(&path, &cfg, &dir, stage, round);
+            assert!(
+                !manifests_of(&dir, 0).is_empty(),
+                "{what}: the killed run committed no epochs"
+            );
+            let resumed = resume(&path, &cfg, &dir).unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!(resumed.counts, golden.counts, "{what}");
+            assert_eq!(resumed.histogram, golden.histogram, "{what}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
     std::fs::remove_file(&path).ok();
 }

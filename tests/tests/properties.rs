@@ -546,6 +546,122 @@ fn overlapped_records_ablation_matches_bulk_with_and_without_compression() {
     }
 }
 
+// ---------------- pool width: the round loop's job lists -----------------------------
+
+/// The four send-side shapes the job lists serialize: plain supermers, a heavy-hitter
+/// kmerlist among them (satellite input), supermers with extensions, and the records
+/// ablation.
+fn job_list_shapes() -> Vec<(&'static str, ReadSet, hysortk_core::HySortKConfig)> {
+    let mut rng = StdRng::seed_from_u64(220);
+    let genome: Vec<u8> = (0..1_200).map(|_| b"ACGT"[rng.gen_range(0..4)]).collect();
+    let plain: Vec<Vec<u8>> = (0..40)
+        .map(|_| {
+            let start = rng.gen_range(0..genome.len() - 180);
+            genome[start..start + 180].to_vec()
+        })
+        .collect();
+    let mut satellite = plain.clone();
+    satellite.extend((0..30).map(|_| b"AATGG".repeat(50)));
+
+    let mut base = hysortk_core::HySortKConfig::small(17, 8, 1);
+    base.min_count = 1;
+    base.max_count = 1_000_000;
+    base.machine = machine_for_sorter(true);
+    base.heavy_hitter = hysortk_task::HeavyHitterPolicy::disabled();
+    let mut heavy = base.clone();
+    heavy.heavy_hitter = hysortk_task::HeavyHitterPolicy {
+        factor: 2.0,
+        enabled: true,
+    };
+    let mut extensions = base.clone();
+    extensions.with_extension = true;
+    let mut records = extensions.clone();
+    records.use_supermers = false;
+    vec![
+        ("supermers", ReadSet::from_ascii_reads(&plain), base),
+        ("heavy", ReadSet::from_ascii_reads(&satellite), heavy),
+        ("extensions", ReadSet::from_ascii_reads(&plain), extensions),
+        ("records", ReadSet::from_ascii_reads(&plain), records),
+    ]
+}
+
+/// Threads per rank {1, 2, 3, 5} × ranks {1, 2, 3} × batch sizes {1 record, the
+/// small-config default, larger than the input} × the four shapes: every overlapped
+/// run is byte-identical — counts, extensions, histogram — to the bulk-synchronous run
+/// and to the overlapped run at one thread, and moves exactly the same exchange
+/// traffic as the latter (same rounds, same bytes to every destination). The task
+/// count is held at `ranks × 30` across widths, so the runs serialize the same tasks.
+fn assert_pool_width_never_changes_the_output(backend: hysortk_dmem::Backend) {
+    for (shape, reads, shape_cfg) in job_list_shapes() {
+        for ranks in [1usize, 2, 3] {
+            for batch_size in [1usize, 4_096, 1_000_000_000] {
+                let cfg_at = |threads: usize, overlap: bool| {
+                    let mut cfg = shape_cfg.clone();
+                    cfg.processes_per_node = ranks;
+                    cfg.threads_per_process = threads;
+                    cfg.tasks_per_worker = 30 / threads;
+                    cfg.batch_size = batch_size;
+                    cfg.overlap = overlap;
+                    cfg.backend = backend;
+                    cfg
+                };
+                let bulk = hysortk_core::count_kmers::<Kmer1>(&reads, &cfg_at(1, false));
+                let one = hysortk_core::count_kmers::<Kmer1>(&reads, &cfg_at(1, true));
+                assert_eq!(
+                    one.report.heavy_tasks > 0,
+                    shape == "heavy",
+                    "{shape} ranks={ranks}"
+                );
+                for threads in [1usize, 2, 3, 5] {
+                    let context =
+                        format!("{shape} ranks={ranks} batch={batch_size} threads={threads}");
+                    let run = hysortk_core::count_kmers::<Kmer1>(&reads, &cfg_at(threads, true));
+                    for (name, other) in [("bulk", &bulk), ("one thread", &one)] {
+                        assert_eq!(run.counts, other.counts, "counts vs {name}: {context}");
+                        assert_eq!(
+                            run.extensions, other.extensions,
+                            "extensions vs {name}: {context}"
+                        );
+                        assert_eq!(
+                            run.histogram, other.histogram,
+                            "histogram vs {name}: {context}"
+                        );
+                    }
+                    assert_eq!(
+                        run.report.comm.stage("exchange"),
+                        one.report.comm.stage("exchange"),
+                        "exchange traffic: {context}"
+                    );
+                    assert_eq!(
+                        run.report.comm.sent_to, one.report.comm.sent_to,
+                        "bytes per destination: {context}"
+                    );
+                    assert_eq!(
+                        run.report.comm.stage("exchange").unwrap().payload_bytes,
+                        bulk.report.comm.stage("exchange").unwrap().payload_bytes,
+                        "round payloads must conserve the bulk payload: {context}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn pool_width_never_changes_the_output_on_the_thread_backend() {
+    assert_pool_width_never_changes_the_output(hysortk_dmem::Backend::Thread);
+}
+
+#[test]
+fn pool_width_never_changes_the_output_on_the_process_backend() {
+    if hysortk_dmem::ran_in_own_process(
+        "pool_width_never_changes_the_output_on_the_process_backend",
+    ) {
+        return;
+    }
+    assert_pool_width_never_changes_the_output(hysortk_dmem::Backend::Process);
+}
+
 // ---------------- process backend vs thread backend ----------------------------------
 
 #[test]
