@@ -98,12 +98,13 @@ pub fn kmc3_count<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) -> Baseline
         compute.scan_time((total_instances as f64 * scale) as u64),
     );
 
-    let peak = model.memory().sort_counter_peak(
-        (total_instances as f64 * scale) as u64,
-        K::WORDS * 8,
-        true,
-        1.0, // no task layer: the whole payload may need its auxiliary copy
-    );
+    // No task layer and no bucket-wise sorting: on top of what a sorting counter needs,
+    // the whole-payload out-of-place sort above holds an auxiliary copy of the payload.
+    let payload = (total_instances as f64 * scale) as u64;
+    let peak = model
+        .memory()
+        .sort_counter_peak(payload, K::WORDS * 8, true, 1.0)
+        + payload * (K::WORDS * 8) as u64;
 
     let report = RunReport {
         stage_times: stages,

@@ -148,7 +148,8 @@ fn count_kmers_from_files_inner<K: KmerCode, P: AsRef<Path>>(
 
     // Sorter selection mirrors `count_kmers`, projecting from the on-disk payload
     // (ASCII bytes ≈ bases for FASTA; a mild overestimate for FASTQ, which only makes
-    // the memory-aware choice more conservative). Deterministic, computed once.
+    // the memory-aware choice more conservative). Deterministic, computed once. As
+    // there, the choice only picks the kernel that sorts each cache-sized bucket.
     let projected_kmers = (total_bytes as f64 / cfg.data_scale) as u64;
     let bytes_per_record = record_bytes::<K>(cfg);
     let projected_input_per_node =

@@ -218,6 +218,7 @@ impl<K: KmerCode> JobLists<'_, K> {
                     slot,
                     self.k,
                     self.params,
+                    rank as u32,
                     &mut scratch,
                 )))
             }
@@ -737,9 +738,13 @@ mod tests {
                         heavy_sorted.1 += list.heavy_local_sorted;
                         assert!(lists.bank.all_checked_in(), "{what}");
 
-                        let sequential = stage3::count_blocks_sequential(&index, K, &params);
-                        assert_eq!(list.counted.len(), sequential.tasks.len(), "{what}");
-                        for (got, want) in list.counted.iter().zip(&sequential.tasks) {
+                        // The same slots counted one after another through one scratch.
+                        let mut scratch = CountScratch::new(params.max_count);
+                        let sequential: Vec<TaskCounts<Kmer1>> = (index.slots.iter())
+                            .map(|slot| stage3::count_task(slot, K, &params, 0, &mut scratch))
+                            .collect();
+                        assert_eq!(list.counted.len(), sequential.len(), "{what}");
+                        for (got, want) in list.counted.iter().zip(&sequential) {
                             assert_eq!(got.counts, want.counts, "{what}, step {step}");
                             let ext = |t: &TaskCounts<Kmer1>| {
                                 t.ext

@@ -561,7 +561,9 @@ pub fn count_kmers<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) -> CountRe
     let model = PerfModel::new(cfg.machine.clone(), cfg.execution());
 
     // Decide the local sorter the way HySortK does: look at the (projected) payload and
-    // the node memory. The decision is deterministic and identical on every rank.
+    // the node memory. The decision is deterministic and identical on every rank. Since
+    // stage 3 sorts bucket by bucket it only picks the in-bucket kernel — RADULS costs
+    // one more cache-sized buffer per thread than PARADIS, not a copy of the data.
     let projected_kmers = (reads.total_kmers(cfg.k) as f64 / cfg.data_scale) as u64;
     let bytes_per_record = record_bytes::<K>(cfg);
     let projected_input_per_node =
@@ -1161,7 +1163,7 @@ pub(crate) fn merge_outputs<K: KmerCode>(
 
     // ---- memory ------------------------------------------------------------------------
     let elements_per_node = (max_received as u64) * cfg.processes_per_node as u64;
-    let aux_fraction = 1.0 / cfg.tasks_per_worker.max(1) as f64;
+    let concurrent_fraction = 1.0 / cfg.tasks_per_worker.max(1) as f64;
     // Every base is parsed by exactly one rank, so the counter sum is the input size
     // (the file feed has no `ReadSet` to ask).
     let total_bases: u64 = counters.iter().map(|c| c.bases_parsed).sum();
@@ -1170,7 +1172,7 @@ pub(crate) fn merge_outputs<K: KmerCode>(
         elements_per_node,
         bytes_per_record,
         sorter == SortAlgorithm::Raduls,
-        aux_fraction,
+        concurrent_fraction,
     ) + input_per_node;
 
     // ---- measured wall-clock rollup ----------------------------------------------------

@@ -54,6 +54,11 @@ impl KmerHistogram {
         }
     }
 
+    /// Forget everything recorded; the bucket layout stays.
+    pub fn clear(&mut self) {
+        self.buckets.fill(0);
+    }
+
     /// Total distinct k-mers recorded.
     pub fn distinct(&self) -> u64 {
         self.buckets.iter().sum()

@@ -1,5 +1,4 @@
-//! Stage 3: sort & count, parallel and allocation-free, straight from the receive
-//! buffer.
+//! Stage 3: sort & count, one pass per task, straight from the receive buffer.
 //!
 //! The receive side of the exchange hands this module one borrowed byte segment per
 //! source rank. Counting proceeds in three steps:
@@ -8,25 +7,46 @@
 //!    block structure groups every payload view by task and sums the *exact* record
 //!    totals from the block headers alone (supermer headers are walked, their packed
 //!    bases are not decoded). No payload byte is touched.
-//! 2. **Fused decode → sort → count** ([`count_task`], driven in parallel by
-//!    [`count_blocks_parallel`]) — each task decodes its blocks into one exactly
-//!    preallocated flat `Vec<(K, Extension)>` (no `BTreeMap`, no growth
-//!    reallocation), radix-sorts it with the monomorphized kernels and folds the
-//!    heavy-hitter kmerlist contributions in with a streaming two-pointer run merge
-//!    ([`hysortk_sort::merge_runs_with_counts`]) that emits straight into the output
-//!    and the per-worker histogram. Extensions are *ranges into the sorted array*,
-//!    not per-k-mer vectors: with extensions disabled the counting loop performs zero
-//!    heap allocations per distinct k-mer. Because every task runs as one work item
-//!    on the worker pool, decode of one task overlaps sort+count of another.
+//! 2. **Decode → partition → sort → count, per task** ([`count_task`], driven in
+//!    parallel by [`count_blocks_parallel`]). A task never exists as one sorted array:
+//!    * *decode-scatter* — the word-level wire decode
+//!      ([`crate::wire::SupermerView::for_each_canonical_kmer`]) pushes every record
+//!      into the worker's [`hysortk_sort::BucketStore`]: 256 chunked buckets on the top
+//!      eight bits of the `2k`-bit key, fed through an L1 staging buffer, carved from
+//!      one pool of `records + records / 16` entries that the worker reuses for all its
+//!      tasks. The digit is known from `k`, so there is no varying-bits read and no
+//!      histogram read. Heavy-hitter kmerlist entries go to a small side list, sorted
+//!      once. One stream per task — tasks are the parallel unit of this phase.
+//!    * *bucket-sort-count* — buckets ascend with the key, so in bucket order each one
+//!      is gathered into a reused buffer of about [`IN_CACHE_BYTES`], sorted there by
+//!      the kernel `params.sorter` names (RADULS with an equally small auxiliary
+//!      buffer, or PARADIS in place — the only place the choice is consulted; a skewed
+//!      bucket larger than the cache goes through the kernel's own out-of-cache
+//!      recursion), and scanned while still in L2 by the streaming run merge
+//!      ([`hysortk_sort::merge_runs_with_counts`]) against the bucket's slice of the
+//!      kmerlist entries, which emits straight into the task's output and the
+//!      histogram. With extensions on, the sorted bucket is appended to the task's
+//!      record array and each retained k-mer keeps a *range* into it. Under a thread
+//!      budget above one (`threads_per_worker`), consecutive buckets are cut into one
+//!      run of about equal record count per thread, each with its own buffers, and the
+//!      runs' outputs are concatenated in bucket order.
+//!
+//!    Every task takes this one path, whatever its size (chunks shrink with the task,
+//!    down to 16 records). A record is written once and read once, and nothing of a
+//!    task's size exists beside the pool. The totals the block index read from the
+//!    headers size the pool, so they are hard-checked: every pool write is
+//!    bounds-checked, and the decoded total, the total the chunk lists hold and the
+//!    kmerlist total are compared with the slot's — a mismatch panics with the task id
+//!    instead of counting short.
 //! 3. **Merge** ([`merge_task_counts`]) — every task's output is already sorted and
-//!    tasks hold disjoint k-mers, so the rank output is a k-way heap merge that moves
-//!    the pairs; the old index-permutation + per-entry clone (and any re-sort) is
-//!    gone. Histograms and work counters merge once per worker scratch, not once per
+//!    tasks hold disjoint k-mers, so the rank output is a k-way merge that moves the
+//!    pairs. Histograms and work counters merge once per worker scratch, not once per
 //!    task.
 //!
 //! [`count_blocks_reference`] keeps the original sequential implementation
-//! (`BTreeMap` decode, per-k-mer extension vectors) as the property-test and
-//! benchmark reference: both paths must produce byte-identical results.
+//! (`BTreeMap` decode, whole-task sort, per-k-mer extension vectors) as the
+//! property-test and benchmark reference: both paths must produce byte-identical
+//! results.
 
 use std::collections::BTreeMap;
 
@@ -34,7 +54,8 @@ use hysortk_dna::extension::Extension;
 use hysortk_dna::kmer::KmerCode;
 use hysortk_perfmodel::SortAlgorithm;
 use hysortk_sort::{
-    kway_merge_by_key, merge_runs_with_counts, paradis_sort_from, raduls_sort, raduls_sort_with_aux,
+    kway_merge_by_key, map_balanced_runs, merge_runs_with_counts, paradis_sort_from, raduls_sort,
+    raduls_sort_with_aux, BucketDigit, BucketStore, RadixKey, IN_CACHE_BYTES,
 };
 use hysortk_task::WorkerPool;
 use hysortk_trace as trace;
@@ -218,17 +239,18 @@ where
     Ok(builder.finish())
 }
 
-/// Per-worker reusable state: the record and sort buffers, the kmerlist staging
-/// buffer, the histogram and the work counters. One scratch lives per worker thread
-/// for the whole stage, so on the hot (no-extension) path a worker maps its buffers
-/// once and then decodes, sorts and counts every one of its tasks with **zero**
-/// allocations — and histograms merge once per worker, not once per task.
+/// Per-worker reusable state: the bucket pool and the per-thread bucket buffers (one
+/// set per record type — only the one the run uses ever allocates), the kmerlist
+/// staging buffer, the histogram and the work counters. One scratch lives per worker
+/// thread for the whole stage, so a worker maps its buffers once and then counts every
+/// one of its tasks without allocating beyond the retained output — and histograms
+/// merge once per worker, not once per task.
 #[derive(Debug)]
 pub struct CountScratch<K: KmerCode> {
-    /// Reusable decode target of the no-extension path (bare keys).
-    records: Vec<K>,
-    /// Reusable ping-pong buffer for the out-of-place RADULS sort.
-    aux: Vec<K>,
+    /// Buffers of the no-extension path (bare keys).
+    keys: TaskBuffers<K>,
+    /// Buffers of the provenance path.
+    tagged: TaskBuffers<(K, Extension)>,
     /// Reusable staging for the task's pre-counted kmerlist entries.
     pre: Vec<(K, u64)>,
     /// Multiplicity histogram over every distinct k-mer this worker counted.
@@ -244,13 +266,108 @@ impl<K: KmerCode> CountScratch<K> {
     /// sequential reference uses).
     pub fn new(max_count: u64) -> Self {
         CountScratch {
-            records: Vec::new(),
-            aux: Vec::new(),
+            keys: TaskBuffers::default(),
+            tagged: TaskBuffers::default(),
             pre: Vec::new(),
             histogram: KmerHistogram::new(max_count as usize + 2),
             received_records: 0,
             precounted_records: 0,
         }
+    }
+}
+
+/// What counting tasks of record type `T` reuses: the task-sized pool, and one
+/// [`Lane`] per thread of the bucket phase.
+#[derive(Debug)]
+struct TaskBuffers<T> {
+    store: BucketStore<T>,
+    lanes: Vec<Lane<T>>,
+}
+
+impl<T: RadixKey + Default> Default for TaskBuffers<T> {
+    fn default() -> Self {
+        TaskBuffers {
+            store: BucketStore::new(),
+            lanes: Vec::new(),
+        }
+    }
+}
+
+/// One thread's cache-resident working set: the bucket being sorted and counted, the
+/// RADULS ping-pong buffer of the same size, and the histogram of what it emitted
+/// (folded into the scratch's when the task ends).
+#[derive(Debug)]
+struct Lane<T> {
+    bucket: Vec<T>,
+    aux: Vec<T>,
+    histogram: KmerHistogram,
+}
+
+impl<T> Lane<T> {
+    /// An empty lane whose histogram has the bucket layout of `like`.
+    fn new(like: &KmerHistogram) -> Self {
+        Lane {
+            bucket: Vec::new(),
+            aux: Vec::new(),
+            histogram: KmerHistogram::new(like.buckets().len()),
+        }
+    }
+}
+
+/// A record of the task being counted: a bare k-mer, or a k-mer with its provenance.
+/// [`count_records`] is the one driver; this is everything it needs to know about the
+/// difference.
+trait Record<K: KmerCode>: RadixKey + Default {
+    /// Whether the sorted records are part of the output (extension ranges).
+    const TAGGED: bool;
+    fn new(kmer: K, ext: Extension) -> Self;
+    fn kmer(&self) -> K;
+    /// Order one run of equal k-mers by extension (no-op without extensions).
+    fn sort_run(run: &mut [Self]);
+    /// This record type's buffers in the scratch.
+    fn buffers<'s>(
+        keys: &'s mut TaskBuffers<K>,
+        tagged: &'s mut TaskBuffers<(K, Extension)>,
+    ) -> &'s mut TaskBuffers<Self>;
+}
+
+impl<K: KmerCode> Record<K> for K {
+    const TAGGED: bool = false;
+    #[inline(always)]
+    fn new(kmer: K, _: Extension) -> Self {
+        kmer
+    }
+    #[inline(always)]
+    fn kmer(&self) -> K {
+        *self
+    }
+    fn sort_run(_: &mut [Self]) {}
+    fn buffers<'s>(
+        keys: &'s mut TaskBuffers<K>,
+        _: &'s mut TaskBuffers<(K, Extension)>,
+    ) -> &'s mut TaskBuffers<Self> {
+        keys
+    }
+}
+
+impl<K: KmerCode> Record<K> for (K, Extension) {
+    const TAGGED: bool = true;
+    #[inline(always)]
+    fn new(kmer: K, ext: Extension) -> Self {
+        (kmer, ext)
+    }
+    #[inline(always)]
+    fn kmer(&self) -> K {
+        self.0
+    }
+    fn sort_run(run: &mut [Self]) {
+        run.sort_unstable_by_key(|&(_, ext)| ext);
+    }
+    fn buffers<'s>(
+        _: &'s mut TaskBuffers<K>,
+        tagged: &'s mut TaskBuffers<(K, Extension)>,
+    ) -> &'s mut TaskBuffers<Self> {
+        tagged
     }
 }
 
@@ -273,113 +390,81 @@ pub struct TaskCounts<K: KmerCode> {
     pub ext: Option<TaskExtensions<K>>,
 }
 
-/// Decode, sort and count one task: the fused inner loop of stage 3.
+/// Decode, partition, sort and count one task — see the module docs. `rank` labels the
+/// `decode-scatter` and `bucket-sort-count` spans (children of the caller's
+/// `count-task` span). With `with_extension` off the records are bare k-mer keys —
+/// half the bytes through the scatter and every sort pass.
 ///
-/// The record array is preallocated to exactly `slot.records` entries (the block index
-/// read the totals from the headers), decoded straight from the borrowed payload
-/// views, sorted with the selected radix kernel, and counted by the streaming run
-/// merge. With `with_extension` off the records are bare k-mer keys — half the bytes
-/// through every radix scatter pass — and no heap allocation happens per distinct
-/// k-mer.
+/// Panics, naming the task, when the slot's header-derived totals are not what its
+/// blocks decode to.
 pub fn count_task<K: KmerCode>(
     slot: &TaskSlot<'_, K>,
     k: usize,
     params: &CountParams,
+    rank: u32,
     scratch: &mut CountScratch<K>,
 ) -> TaskCounts<K> {
     if params.with_extension {
-        count_task_with_extensions(slot, k, params, scratch)
+        let out = count_records::<K, (K, Extension)>(slot, k, params, rank, scratch);
+        TaskCounts {
+            counts: out.counts,
+            ext: Some(TaskExtensions {
+                records: out.records,
+                ranges: out.ranges,
+            }),
+        }
     } else {
-        count_task_plain(slot, k, params, scratch)
-    }
-}
-
-/// The hot no-extension path: records are bare `K` keys, decoded into the worker's
-/// reusable buffer and sorted through its reusable RADULS ping-pong buffer — no
-/// allocation per task (beyond the retained output itself).
-fn count_task_plain<K: KmerCode>(
-    slot: &TaskSlot<'_, K>,
-    k: usize,
-    params: &CountParams,
-    scratch: &mut CountScratch<K>,
-) -> TaskCounts<K> {
-    let CountScratch {
-        records,
-        aux,
-        pre,
-        histogram,
-        received_records,
-        precounted_records,
-    } = scratch;
-
-    records.clear();
-    records.reserve(slot.records);
-    pre.clear();
-    pre.reserve(slot.precounted);
-    for block in &slot.blocks {
-        match block {
-            PayloadView::Supermers(view) => {
-                for sm in view.iter() {
-                    sm.for_each_canonical_kmer::<K>(k, |km, _| records.push(km));
-                }
-            }
-            PayloadView::KmerList(view) => pre.extend(view.iter()),
-            PayloadView::Records(view) => records.extend(view.kmers()),
+        let out = count_records::<K, K>(slot, k, params, rank, scratch);
+        TaskCounts {
+            counts: out.counts,
+            ext: None,
         }
     }
-    debug_assert_eq!(records.len(), slot.records, "block index total mismatch");
-    debug_assert_eq!(pre.len(), slot.precounted, "block index total mismatch");
-    *received_records += records.len() as u64;
-    *precounted_records += pre.len() as u64;
-
-    match params.sorter {
-        SortAlgorithm::Raduls => raduls_sort_with_aux(records, aux),
-        _ => paradis_sort_from(records, params.first_radix_level),
-    }
-    // Kmerlists arrive per source; sort so the run merge can sum duplicates streamed.
-    pre.sort_unstable();
-
-    let mut counts: Vec<(K, u64)> = Vec::new();
-    merge_runs_with_counts(
-        records,
-        |km: &K| *km,
-        pre,
-        |km, total, _| {
-            histogram.record(total);
-            if total >= params.min_count && total <= params.max_count {
-                counts.push((km, total));
-            }
-        },
-    );
-    TaskCounts { counts, ext: None }
 }
 
-/// The provenance path: `(K, Extension)` records, extension lists as ranges into the
-/// sorted array.
-fn count_task_with_extensions<K: KmerCode>(
+/// What one run of buckets emitted; runs concatenate in bucket order.
+#[derive(Default)]
+struct RunOutput<K, T> {
+    counts: Vec<(K, u64)>,
+    /// The sorted records ([`Record::TAGGED`] only) and, parallel to `counts`, each
+    /// retained k-mer's `(start, len)` in them.
+    records: Vec<T>,
+    ranges: Vec<(u32, u32)>,
+}
+
+/// One bucket's worth of work for the bucket phase.
+struct BucketJob {
+    /// The store's bucket to gather.
+    bucket: usize,
+    records: usize,
+    /// The bucket's slice of the sorted kmerlist entries.
+    pre: std::ops::Range<usize>,
+}
+
+/// Feed the task's records to `push` and its kmerlist entries to `pre`; returns how many
+/// records the blocks decode to. No more than `limit` of them are pushed — the caller
+/// sized its buffer from that total — and a longer decode is counted to its end.
+fn decode_blocks<K: KmerCode, T: Record<K>>(
     slot: &TaskSlot<'_, K>,
     k: usize,
-    params: &CountParams,
-    scratch: &mut CountScratch<K>,
-) -> TaskCounts<K> {
-    let CountScratch {
-        pre,
-        histogram,
-        received_records,
-        precounted_records,
-        ..
-    } = scratch;
-
-    let mut records: Vec<(K, Extension)> = Vec::with_capacity(slot.records);
-    pre.clear();
-    pre.reserve(slot.precounted);
+    pre: &mut Vec<(K, u64)>,
+    limit: usize,
+    mut push: impl FnMut(T),
+) -> usize {
+    let mut decoded = 0usize;
+    let mut sink = |record: T| {
+        if decoded < limit {
+            push(record);
+        }
+        decoded += 1;
+    };
     for block in &slot.blocks {
         match block {
             PayloadView::Supermers(view) => {
                 for sm in view.iter() {
                     let read_id = sm.read_id;
                     sm.for_each_canonical_kmer::<K>(k, |km, pos| {
-                        records.push((km, Extension::new(read_id, pos)));
+                        sink(T::new(km, Extension::new(read_id, pos)));
                     });
                 }
             }
@@ -387,57 +472,216 @@ fn count_task_with_extensions<K: KmerCode>(
             PayloadView::Records(view) => {
                 // Malformed streams cannot reach here: structure and checksum were
                 // verified when `read_blocks` built the index.
-                match view
-                    .decode_extensions()
-                    .expect("validated by read_blocks checksum")
-                {
-                    Some(exts) => records.extend(view.kmers().zip(exts)),
-                    None => records.extend(view.kmers().map(|km| (km, Extension::default()))),
+                let exts = if T::TAGGED {
+                    view.decode_extensions()
+                        .expect("validated by read_blocks checksum")
+                } else {
+                    None
+                };
+                match exts {
+                    Some(exts) => view
+                        .kmers()
+                        .zip(exts)
+                        .for_each(|(km, ext)| sink(T::new(km, ext))),
+                    None => view
+                        .kmers()
+                        .for_each(|km| sink(T::new(km, Extension::default()))),
                 }
             }
         }
     }
-    debug_assert_eq!(records.len(), slot.records, "block index total mismatch");
-    debug_assert_eq!(pre.len(), slot.precounted, "block index total mismatch");
-    *received_records += records.len() as u64;
-    *precounted_records += pre.len() as u64;
+    decoded
+}
 
-    match params.sorter {
-        SortAlgorithm::Raduls => raduls_sort(&mut records),
-        _ => paradis_sort_from(&mut records, params.first_radix_level),
-    }
-    pre.sort_unstable();
-
-    // Extension ranges are stored as u32 offsets into the task's record array; make
-    // the limit explicit rather than silently wrapping on absurdly large tasks.
-    assert!(
-        records.len() <= u32::MAX as usize,
-        "task with {} records exceeds the u32 extension-range limit",
-        records.len()
-    );
-    let mut counts: Vec<(K, u64)> = Vec::new();
-    let mut ranges: Vec<(u32, u32)> = Vec::new();
-    merge_runs_with_counts(
-        &records,
-        |(km, _): &(K, Extension)| *km,
+/// The driver behind [`count_task`], generic over the record type.
+fn count_records<K: KmerCode, T: Record<K>>(
+    slot: &TaskSlot<'_, K>,
+    k: usize,
+    params: &CountParams,
+    rank: u32,
+    scratch: &mut CountScratch<K>,
+) -> RunOutput<K, T> {
+    let CountScratch {
+        keys,
+        tagged,
         pre,
-        |km, total, range| {
-            histogram.record(total);
-            if total >= params.min_count && total <= params.max_count {
-                counts.push((km, total));
-                ranges.push((range.start as u32, range.len() as u32));
+        histogram,
+        received_records,
+        precounted_records,
+    } = scratch;
+    let TaskBuffers { store, lanes } = T::buffers(keys, tagged);
+    let task = slot.task;
+    let records = slot.records;
+    // Extension ranges are u32 offsets into the task's record array; make the limit
+    // explicit rather than silently wrapping on absurdly large tasks.
+    assert!(
+        !T::TAGGED || u32::try_from(records).is_ok(),
+        "task {task} with {records} records exceeds the u32 extension-range limit"
+    );
+    let digit = BucketDigit::top_bits::<T>(2 * k as u32);
+
+    // ---- decode-scatter ---------------------------------------------------------------
+    pre.clear();
+    pre.reserve(slot.precounted);
+    let decoded = {
+        let _span = trace::span!(
+            "decode-scatter",
+            trace::Detail::Task,
+            rank,
+            task = task,
+            records = records,
+        );
+        store.begin(records, 2 * k as u32);
+        let decoded = decode_blocks(slot, k, pre, records, |record| store.push(record));
+        store.finish();
+        decoded
+    };
+    assert_eq!(
+        decoded, records,
+        "task {task}: the block headers announce {records} records, the blocks decode to {decoded}"
+    );
+    assert_eq!(
+        (store.pushed(), store.len()),
+        (records, records),
+        "task {task}: records pushed to the bucket store, and held by its chunk lists"
+    );
+    assert_eq!(
+        pre.len(),
+        slot.precounted,
+        "task {task}: kmerlist entries decoded vs announced by the block headers"
+    );
+    *received_records += records as u64;
+    *precounted_records += pre.len() as u64;
+    // Kmerlists arrive per source; sort so the run merge can sum duplicates streamed.
+    pre.sort_unstable();
+    assert!(
+        pre.last().is_none_or(|(km, _)| digit.holds(km)),
+        "task {task}: a kmerlist k-mer is wider than 2k bits"
+    );
+
+    // ---- plan: the non-empty buckets ---------------------------------------------------
+    let mut pre_end = 0;
+    let jobs: Vec<BucketJob> = (0..digit.buckets())
+        .filter_map(|bucket| {
+            let pre_start = pre_end;
+            pre_end += pre[pre_start..]
+                .iter()
+                .take_while(|(km, _)| usize::from(digit.of(km)) == bucket)
+                .count();
+            let records = store.bucket_len(bucket);
+            (records + pre_end - pre_start > 0).then_some(BucketJob {
+                bucket,
+                records,
+                pre: pre_start..pre_end,
+            })
+        })
+        .collect();
+    // `pre` is sorted and buckets ascend with the key, so the walk consumed all of it.
+    assert_eq!(
+        jobs.iter().map(|job| job.pre.len()).sum::<usize>(),
+        pre.len(),
+        "task {task}: kmerlist entries left over after the last bucket"
+    );
+    let _span = trace::span!(
+        "bucket-sort-count",
+        trace::Detail::Task,
+        rank,
+        task = task,
+        records = records,
+        buckets = jobs.len(),
+        max_bucket = jobs.iter().map(|job| job.records).max().unwrap_or(0),
+    );
+
+    // ---- bucket-sort-count: one run of buckets per thread; at a budget of one, a loop ---
+    let (store, pre, like) = (&*store, &pre[..], &*histogram);
+    let outputs: Vec<RunOutput<K, T>> = map_balanced_runs(
+        jobs,
+        |job| job.records + job.pre.len(),
+        lanes,
+        || Lane::new(like),
+        |run, lane| {
+            let mut out = RunOutput::default();
+            if T::TAGGED {
+                out.records
+                    .reserve_exact(run.iter().map(|job| job.records).sum());
             }
+            for job in run {
+                store.gather(job.bucket, &mut lane.bucket);
+                assert_eq!(
+                    lane.bucket.len(),
+                    job.records,
+                    "task {task}: records gathered for a bucket vs held by its chunk list"
+                );
+                match params.sorter {
+                    SortAlgorithm::Raduls => raduls_sort_with_aux(&mut lane.bucket, &mut lane.aux),
+                    _ => paradis_sort_from(&mut lane.bucket, params.first_radix_level),
+                }
+                assert!(
+                    lane.bucket.last().is_none_or(|record| digit.holds(record)),
+                    "task {task}: a decoded k-mer is wider than 2k bits"
+                );
+                count_sorted_bucket(
+                    &mut lane.bucket,
+                    &pre[job.pre],
+                    params,
+                    &mut lane.histogram,
+                    &mut out,
+                );
+            }
+            out
         },
     );
-
-    // Sort each retained run by extension in place. Keys are equal within a run, so
-    // the record array stays sorted by k-mer.
-    for &(start, len) in &ranges {
-        records[start as usize..(start + len) as usize].sort_unstable_by_key(|&(_, e)| e);
+    for lane in lanes.iter_mut() {
+        histogram.merge(&lane.histogram);
+        lane.histogram.clear();
+        // A skewed bucket grew the buffers past the cache; do not keep that.
+        let cache_len = IN_CACHE_BYTES / std::mem::size_of::<T>();
+        lane.bucket.clear();
+        lane.bucket.shrink_to(cache_len);
+        lane.aux.truncate(cache_len);
+        lane.aux.shrink_to(cache_len);
     }
-    TaskCounts {
-        counts,
-        ext: Some(TaskExtensions { records, ranges }),
+
+    let mut outputs = outputs.into_iter();
+    let mut out = outputs.next().unwrap_or_default();
+    for next in outputs {
+        let base = out.records.len() as u32;
+        out.counts.extend(next.counts);
+        out.ranges
+            .extend(next.ranges.iter().map(|&(start, len)| (base + start, len)));
+        out.records.extend(next.records);
+    }
+    out
+}
+
+/// Scan one sorted bucket against its slice of the kmerlist entries: every distinct
+/// k-mer goes to the histogram, the retained ones to `out`. With extensions, each
+/// retained run is ordered by extension (keys are equal within a run, so the bucket
+/// stays sorted by k-mer) and the bucket is appended to the output records.
+fn count_sorted_bucket<K: KmerCode, T: Record<K>>(
+    bucket: &mut [T],
+    pre: &[(K, u64)],
+    params: &CountParams,
+    histogram: &mut KmerHistogram,
+    out: &mut RunOutput<K, T>,
+) {
+    let base = out.records.len();
+    let first_range = out.ranges.len();
+    merge_runs_with_counts(bucket, T::kmer, pre, |km, total, range| {
+        histogram.record(total);
+        if total >= params.min_count && total <= params.max_count {
+            out.counts.push((km, total));
+            if T::TAGGED {
+                out.ranges
+                    .push(((base + range.start) as u32, range.len() as u32));
+            }
+        }
+    });
+    if T::TAGGED {
+        for &(start, len) in &out.ranges[first_range..] {
+            T::sort_run(&mut bucket[start as usize - base..][..len as usize]);
+        }
+        out.records.extend_from_slice(bucket);
     }
 }
 
@@ -484,7 +728,8 @@ impl<K: KmerCode> Stage3Output<K> {
 
 /// Count every task of the block index on the worker pool: tasks are independent work
 /// items, so decode of one task overlaps sort+count of another, and each worker thread
-/// reuses one [`CountScratch`] (kmerlist staging + histogram) across all its tasks.
+/// reuses one [`CountScratch`] (bucket pool, bucket buffers, kmerlist staging,
+/// histogram) across all its tasks.
 pub fn count_blocks_parallel<K: KmerCode>(
     index: &BlockIndex<'_, K>,
     k: usize,
@@ -504,31 +749,10 @@ pub fn count_blocks_parallel<K: KmerCode>(
                 task = slot.task,
                 records = slot.records,
             );
-            count_task(slot, k, params, scratch)
+            count_task(slot, k, params, rank, scratch)
         },
     );
     Stage3Output::assemble(tasks, scratches, params.max_count)
-}
-
-/// Sequential twin of [`count_blocks_parallel`]: same fused per-task path, one thread,
-/// one scratch. Used by tests to pin the parallel path against a single-threaded run.
-pub fn count_blocks_sequential<K: KmerCode>(
-    index: &BlockIndex<'_, K>,
-    k: usize,
-    params: &CountParams,
-) -> Stage3Output<K> {
-    let mut scratch = CountScratch::new(params.max_count);
-    let tasks = index
-        .slots
-        .iter()
-        .map(|slot| count_task(slot, k, params, &mut scratch))
-        .collect();
-    Stage3Output {
-        tasks,
-        histogram: scratch.histogram,
-        received_records: scratch.received_records,
-        precounted_records: scratch.precounted_records,
-    }
 }
 
 /// One rank's merged stage-3 result.
@@ -830,14 +1054,30 @@ fn reference_count_one_task<K: KmerCode>(
 mod tests {
     use super::*;
     use crate::wire::{write_block, SupermerBlockWriter, TaskPayload};
-    use hysortk_dna::kmer::Kmer1;
+    use hysortk_dna::kmer::{Kmer1, Kmer2};
     use hysortk_dna::readset::Read;
+    use hysortk_dna::sequence::DnaSeq;
     use hysortk_sort::count_sorted_runs;
     use hysortk_supermer::mmer::{MmerScorer, ScoreFunction};
     use hysortk_supermer::supermer::build_supermers;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn params(with_extension: bool) -> CountParams {
         CountParams::for_kmer::<Kmer1>(15, SortAlgorithm::Raduls, 1, 1_000_000, with_extension)
+    }
+
+    /// Every slot of the index through one scratch, one after another, on this thread.
+    fn count_blocks_sequential<K: KmerCode>(
+        index: &BlockIndex<'_, K>,
+        k: usize,
+        params: &CountParams,
+    ) -> Stage3Output<K> {
+        let mut scratch = CountScratch::new(params.max_count);
+        let tasks = (index.slots.iter())
+            .map(|slot| count_task(slot, k, params, 0, &mut scratch))
+            .collect();
+        Stage3Output::assemble(tasks, vec![scratch], params.max_count)
     }
 
     /// Two source segments with supermer blocks partitioned by minimizer target, one
@@ -897,7 +1137,7 @@ mod tests {
         for slot in &index.slots {
             let mut scratch = CountScratch::new(p.max_count);
             let before = (scratch.received_records, scratch.precounted_records);
-            count_task(slot, 15, &p, &mut scratch);
+            count_task(slot, 15, &p, 0, &mut scratch);
             assert_eq!(
                 scratch.received_records - before.0,
                 slot.records as u64,
@@ -1021,5 +1261,277 @@ mod tests {
         assert_eq!(merged.histogram.distinct(), 2);
         assert_eq!(merged.histogram.get(1), 1);
         assert_eq!(merged.histogram.get(3), 1);
+    }
+
+    // ---- the one-pass driver against the reference ------------------------------------
+
+    /// Appends blocks of one task to a segment. Keys come out of real supermers (so
+    /// they are canonical k-mers of width `k`), out of records blocks and out of
+    /// kmerlists; `hot` steers records into one bucket or one key.
+    struct TaskBuilder<'a> {
+        rng: &'a mut StdRng,
+        k: usize,
+    }
+
+    impl TaskBuilder<'_> {
+        fn random_seq(&mut self, len: usize) -> DnaSeq {
+            let ascii: Vec<u8> = (0..len)
+                .map(|_| b"ACGT"[self.rng.gen_range(0..4)])
+                .collect();
+            DnaSeq::from_ascii(&ascii)
+        }
+
+        /// A supermer block holding about `kmers` k-mers in supermers of mixed length,
+        /// one of them shorter than `k` (it decodes to nothing).
+        fn supermers(&mut self, out: &mut Vec<u8>, task: u32, kmers: usize) {
+            let mut seqs = vec![self.random_seq(self.k - 1)];
+            let mut have = 0;
+            while have < kmers {
+                let len = self.k + self.rng.gen_range(0..400).min(kmers - have - 1);
+                have += len + 1 - self.k;
+                seqs.push(self.random_seq(len));
+            }
+            let mut writer = SupermerBlockWriter::new(out, task, seqs.len() as u32);
+            for (i, seq) in seqs.iter().enumerate() {
+                writer.push(i as u32, 5 * i as u32, seq, 0, seq.len());
+            }
+        }
+
+        /// `n` canonical k-mers drawn from a pool of `distinct`, all sharing the top
+        /// `fixed_bases` bases (16 → one bucket of the top eight bits; `k` → one key).
+        fn kmers<K: KmerCode>(&mut self, n: usize, distinct: usize, fixed_bases: usize) -> Vec<K> {
+            let k = self.k;
+            let pool: Vec<K> = (0..distinct)
+                .map(|_| {
+                    // A leading A-run keeps the forward strand the canonical one.
+                    let codes: Vec<u8> = (0..k)
+                        .map(|i| {
+                            if i < fixed_bases {
+                                0
+                            } else {
+                                self.rng.gen_range(0..4)
+                            }
+                        })
+                        .collect();
+                    K::from_codes(&codes).canonical(k)
+                })
+                .collect();
+            (0..n)
+                .map(|_| pool[self.rng.gen_range(0..pool.len())])
+                .collect()
+        }
+
+        fn records<K: KmerCode>(&mut self, out: &mut Vec<u8>, task: u32, kmers: Vec<K>) {
+            let exts = (0..kmers.len() as u32)
+                .map(|i| Extension::new(self.rng.gen_range(0..50), i / 3))
+                .collect();
+            // Every other block ships without extensions (they default).
+            let exts = self.rng.gen_bool(0.5).then_some(exts);
+            write_block(out, task, &TaskPayload::Records(kmers, exts));
+        }
+
+        fn kmerlist<K: KmerCode>(&mut self, out: &mut Vec<u8>, task: u32, kmers: Vec<K>) {
+            let list = (kmers.into_iter())
+                .map(|km| (km, self.rng.gen_range(1..9u64)))
+                .collect();
+            write_block(out, task, &TaskPayload::KmerList(list));
+        }
+    }
+
+    /// Tasks of every shape the driver distinguishes, in an order that makes one
+    /// scratch's pool and buffers grow and shrink. `unit` is a record count just above
+    /// what fits `IN_CACHE_BYTES` for bare keys of width `K`.
+    fn shaped_segments<K: KmerCode>(seed: u64, k: usize) -> Vec<Vec<u8>> {
+        let unit = IN_CACHE_BYTES / std::mem::size_of::<K>() + 1000;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = TaskBuilder { rng: &mut rng, k };
+        let mut segments = vec![Vec::new(), Vec::new()];
+        let [s0, s1] = &mut segments[..] else {
+            unreachable!()
+        };
+        // 0: small, every block kind, from both sources — shortest chunks.
+        b.supermers(s0, 0, 700);
+        let small = b.kmers::<K>(300, 40, 0);
+        b.records(s1, 0, small.clone());
+        b.kmerlist(s1, 0, small[..50].to_vec());
+        // 1: out of cache, every block kind; kmerlist keys both among and beside the
+        //    decoded ones, duplicated across sources.
+        b.supermers(s0, 1, unit);
+        let shared = b.kmers::<K>(unit / 4, 2_000, 0);
+        b.records(s1, 1, shared.clone());
+        b.kmerlist(s0, 1, shared[..500].to_vec());
+        b.kmerlist(s1, 1, shared[..500].to_vec());
+        let beside = b.kmers::<K>(300, 300, 0);
+        b.kmerlist(s1, 1, beside);
+        // 2: poly-A and nothing else, out of cache — one key.
+        let poly_a = b.kmers::<K>(unit, 1, k);
+        b.records(s0, 2, poly_a);
+        // 3: structurally empty.
+        let _ = SupermerBlockWriter::new(s1, 3, 0);
+        // 4: twice the size: one bucket alone is out of cache, the rest is spread.
+        let one_bucket = b.kmers::<K>(unit, unit / 20, 16.min(k));
+        b.records(s0, 4, one_bucket);
+        b.supermers(s1, 4, unit);
+        // 5: kmerlist only.
+        let only = b.kmers::<K>(2_000, 500, 0);
+        b.kmerlist(s0, 5, only);
+        // 6: out of cache, records confined to the lowest buckets, kmerlist keys spread
+        //    over all of them — most fall into buckets that hold no record.
+        let low = b.kmers::<K>(unit, 5_000, 3.min(k));
+        b.records(s1, 6, low);
+        let spread = b.kmers::<K>(1_000, 1_000, 0);
+        b.kmerlist(s0, 6, spread);
+        // 7: small again, after the large ones.
+        b.supermers(s1, 7, 2_000);
+        segments
+    }
+
+    fn one_pass_matches_the_reference<K: KmerCode>(seed: u64, k: usize) {
+        let segments = shaped_segments::<K>(seed, k);
+        let segments = || segments.iter().map(Vec::as_slice);
+        let index = build_block_index::<K, _>(segments(), k).unwrap();
+        assert_eq!(index.slots.len(), 8);
+        // A band that drops the singletons and (k-mers long enough to be rare) the poly-A
+        // run, so retained ranges are a strict subset of the runs.
+        let max_count = if k > 10 { 5_000 } else { 1 << 40 };
+        for with_ext in [false, true] {
+            let reference = {
+                let p =
+                    CountParams::for_kmer::<K>(k, SortAlgorithm::Raduls, 2, max_count, with_ext);
+                count_blocks_reference::<K, _>(segments(), k, &p).unwrap()
+            };
+            let (retained, distinct) = (reference.counts.len(), reference.histogram.distinct());
+            assert!(k < 10 || (1_000..distinct as usize).contains(&retained));
+            for sorter in [SortAlgorithm::Raduls, SortAlgorithm::Paradis] {
+                let p = CountParams::for_kmer::<K>(k, sorter, 2, max_count, with_ext);
+                // One slot list, run on one thread under budgets of 1 and 3 threads:
+                // the bucket phase is a plain loop, or three runs of buckets.
+                for budget in [1usize, 3] {
+                    let pool = WorkerPool::new(1, budget);
+                    let counted = (pool.execute(vec![()], |()| {
+                        merge_task_counts(count_blocks_sequential(&index, k, &p), &p)
+                    }))
+                    .pop()
+                    .unwrap();
+                    assert!(
+                        counted == reference,
+                        "k = {k}, extensions {with_ext}, {sorter:?}, budget {budget}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_pass_counting_matches_the_reference_on_one_word_kmers() {
+        one_pass_matches_the_reference::<Kmer1>(41, 31);
+        one_pass_matches_the_reference::<Kmer1>(42, 3);
+    }
+
+    #[test]
+    fn one_pass_counting_matches_the_reference_on_two_word_kmers() {
+        one_pass_matches_the_reference::<Kmer2>(43, 55);
+        // 2k = 68: the bucket digit straddles the two key words.
+        one_pass_matches_the_reference::<Kmer2>(44, 34);
+    }
+
+    #[test]
+    fn scratch_holds_one_pool_and_cache_sized_buffers_only() {
+        let k = 31;
+        let mut rng = StdRng::seed_from_u64(45);
+        let mut b = TaskBuilder { rng: &mut rng, k };
+        let n = 300_000;
+        let mut segment = Vec::new();
+        b.supermers(&mut segment, 0, n);
+        // A second task that is one key: its single bucket outgrows the cache.
+        let poly_a = b.kmers::<Kmer1>(n, 1, k);
+        b.records(&mut segment, 1, poly_a);
+        b.supermers(&mut segment, 2, 1_000);
+        let index = build_block_index::<Kmer1, _>([&segment[..]], k).unwrap();
+        let p = CountParams::for_kmer::<Kmer1>(k, SortAlgorithm::Raduls, 1, 50, false);
+        let mut scratch = CountScratch::new(p.max_count);
+        let cache_len = IN_CACHE_BYTES / std::mem::size_of::<Kmer1>();
+        for slot in &index.slots {
+            count_task(slot, k, &p, 0, &mut scratch);
+            // No second task-sized array, whatever the task looked like: the pool is the
+            // records plus a sixteenth, the per-thread buffers are cache-sized, and the
+            // record type the run does not use allocated nothing.
+            let pool = scratch.keys.store.pool_capacity();
+            assert!(
+                (n..=n + n / 16 + 16 * 257).contains(&pool),
+                "pool of {pool}"
+            );
+            assert!(!scratch.keys.lanes.is_empty());
+            for lane in &scratch.keys.lanes {
+                assert!(lane.bucket.capacity() <= cache_len, "task {}", slot.task);
+                assert!(lane.aux.capacity() <= cache_len, "task {}", slot.task);
+            }
+            assert_eq!(scratch.tagged.store.pool_capacity(), 0);
+            assert!(scratch.tagged.lanes.is_empty());
+        }
+        assert_eq!(scratch.received_records, 2 * n as u64 + 1_000);
+    }
+
+    /// A slot whose header-derived totals are not what its blocks hold must not count
+    /// short or write past the pool: it panics, naming the task.
+    fn count_with_totals(records: usize, precounted: usize, actual: usize) {
+        let k = 21;
+        let mut rng = StdRng::seed_from_u64(46);
+        let mut b = TaskBuilder { rng: &mut rng, k };
+        let mut segment = Vec::new();
+        let kmers = b.kmers::<Kmer1>(actual, actual / 10, 0);
+        write_block(&mut segment, 7, &TaskPayload::Records(kmers.clone(), None));
+        b.kmerlist(&mut segment, 7, kmers[..10].to_vec());
+        let mut index = build_block_index::<Kmer1, _>([&segment[..]], k).unwrap();
+        assert_eq!(
+            (index.slots[0].records, index.slots[0].precounted),
+            (actual, 10)
+        );
+        index.slots[0].records = records;
+        index.slots[0].precounted = precounted;
+        let p = CountParams::for_kmer::<Kmer1>(k, SortAlgorithm::Raduls, 1, 50, false);
+        count_task(
+            &index.slots[0],
+            k,
+            &p,
+            0,
+            &mut CountScratch::new(p.max_count),
+        );
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "task 7: the block headers announce 70000 records, the blocks decode to 100000"
+    )]
+    fn a_pool_sized_too_small_panics_with_the_task_id() {
+        count_with_totals(70_000, 10, 100_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "task 7: the block headers announce 100001 records")]
+    fn a_short_decode_panics_with_the_task_id() {
+        count_with_totals(100_001, 10, 100_000);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "task 7: the block headers announce 999 records, the blocks decode to 1000"
+    )]
+    fn a_long_decode_of_a_small_task_panics_with_the_task_id() {
+        count_with_totals(999, 10, 1_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "task 7: kmerlist entries decoded vs announced")]
+    fn a_kmerlist_total_mismatch_panics_with_the_task_id() {
+        count_with_totals(1_000, 11, 1_000);
+    }
+
+    #[test]
+    fn the_model_charges_the_cache_buffers_stage_three_uses() {
+        assert_eq!(
+            hysortk_perfmodel::memory::STAGE3_CACHE_BUFFER_BYTES,
+            IN_CACHE_BYTES as u64
+        );
     }
 }

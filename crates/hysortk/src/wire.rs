@@ -25,6 +25,7 @@ use hysortk_dna::extension::Extension;
 use hysortk_dna::kmer::KmerCode;
 use hysortk_dna::sequence::DnaSeq;
 use hysortk_supermer::codec::{decode_extensions_slice, encode_extensions};
+use hysortk_supermer::simd::pair_reverse;
 use hysortk_supermer::supermer::Supermer;
 
 use std::fmt;
@@ -546,21 +547,104 @@ impl SupermerView<'_> {
         }
     }
 
-    /// Visit every canonical k-mer with its absolute position in the read, decoding the
-    /// rolling window straight from the packed bytes — no intermediate `DnaSeq` or
-    /// supermer materialisation. Both strands roll ([`KmerCode::push_base`] /
-    /// [`KmerCode::push_base_rc`]), so the canonical form is an O(1) `min(fwd, rc)`
-    /// per position instead of an O(k) reverse-complement rebuild.
+    /// Visit every canonical k-mer with its absolute position in the read, decoding
+    /// straight from the packed bytes — no intermediate `DnaSeq` or supermer
+    /// materialisation, and no per-base roll: the wire packs base `i` at bits `2i` of a
+    /// little-endian stream, so the k-mer starting at base `s` is the `2k`-bit window
+    /// `w` at bit `2s`, and (the identities of `hysortk_supermer::simd`)
+    ///
+    /// * `rc = !w & mask` — complementing is `3 − code = !code`, and the window already
+    ///   holds its last base in the highest group, where the reverse strand's first
+    ///   base belongs;
+    /// * `fwd = pair_reverse(w) >> (bits − 2k)` — the forward k-mer holds its first
+    ///   base in the highest group.
+    ///
+    /// Both streams (the words, and the words with their 2-bit groups reversed) sit in
+    /// shift registers refilled once per 32 bases; a position costs two double-word
+    /// shifts, a mask, a compare and the call to `f`.
     pub fn for_each_canonical_kmer<K: KmerCode>(&self, k: usize, mut f: impl FnMut(K, u32)) {
-        let mut fwd = K::zero();
-        let mut rc = K::zero();
-        for i in 0..self.len {
-            let code = self.code_at(i);
-            fwd = fwd.push_base(k, code);
-            rc = rc.push_base_rc(k, code);
-            if i + 1 >= k {
-                let canon = if rc < fwd { rc } else { fwd };
-                f(canon, self.start + (i + 1 - k) as u32);
+        assert!(
+            (1..=K::max_k()).contains(&k),
+            "k = {k} outside 1..={}",
+            K::max_k()
+        );
+        if self.len < k {
+            return;
+        }
+        match K::WORDS {
+            1 => self.canonical_windows_u64(k, |w, pos| f(K::from_word_slice(&[w]), pos)),
+            2 => self.canonical_windows_u128(k, |w, pos| {
+                f(K::from_word_slice(&[(w >> 64) as u64, w as u64]), pos)
+            }),
+            words => unreachable!("the wire format carries k-mers of 1 or 2 words, not {words}"),
+        }
+    }
+
+    /// Little-endian word `j` of the packed bases (32 bases), zero beyond the last byte.
+    #[inline(always)]
+    fn word(&self, j: usize) -> u64 {
+        let bytes = self.packed.get(8 * j..).unwrap_or(&[]);
+        match bytes.first_chunk::<8>() {
+            Some(word) => u64::from_le_bytes(*word),
+            None => {
+                let mut word = [0u8; 8];
+                word[..bytes.len()].copy_from_slice(bytes);
+                u64::from_le_bytes(word)
+            }
+        }
+    }
+
+    /// `k ≤ 32`, `len ≥ k`: canonical k-mers as right-aligned `u64` values.
+    #[inline(always)]
+    fn canonical_windows_u64(&self, k: usize, mut f: impl FnMut(u64, u32)) {
+        let windows = self.len - k + 1;
+        let mask = u64::MAX >> (64 - 2 * k);
+        let fwd_shift = 64 - 2 * k;
+        let mut pos = self.start;
+        let mut next = self.word(0);
+        for j in 0..windows.div_ceil(32) {
+            let word = next;
+            next = self.word(j + 1);
+            // `lo` shifts right through the words, `hi` left through their reversals.
+            let mut lo = u128::from(next) << 64 | u128::from(word);
+            let mut hi = u128::from(pair_reverse(word)) << 64 | u128::from(pair_reverse(next));
+            for _ in 0..(windows - 32 * j).min(32) {
+                let rc = !(lo as u64) & mask;
+                let fwd = (hi >> 64) as u64 >> fwd_shift;
+                f(fwd.min(rc), pos);
+                lo >>= 2;
+                hi <<= 2;
+                pos += 1;
+            }
+        }
+    }
+
+    /// `k ≤ 64`, `len ≥ k`: canonical k-mers as right-aligned `u128` values (the
+    /// two-word k-mer's words, most significant first, compare as that integer).
+    #[inline(always)]
+    fn canonical_windows_u128(&self, k: usize, mut f: impl FnMut(u128, u32)) {
+        let windows = self.len - k + 1;
+        let mask = u128::MAX >> (128 - 2 * k);
+        let fwd_shift = 128 - 2 * k;
+        let mut pos = self.start;
+        let (mut w1, mut w2) = (self.word(0), self.word(1));
+        for j in 0..windows.div_ceil(32) {
+            let w0 = w1;
+            w1 = w2;
+            w2 = self.word(j + 2);
+            // 192-bit shift registers: 128 bits of window plus the word that feeds it.
+            let (mut lo, mut lo_in) = (u128::from(w1) << 64 | u128::from(w0), w2);
+            let mut hi = u128::from(pair_reverse(w0)) << 64 | u128::from(pair_reverse(w1));
+            let mut hi_in = pair_reverse(w2);
+            for _ in 0..(windows - 32 * j).min(32) {
+                let rc = !lo & mask;
+                let fwd = hi >> fwd_shift;
+                f(fwd.min(rc), pos);
+                lo = lo >> 2 | u128::from(lo_in & 3) << 126;
+                lo_in >>= 2;
+                hi = hi << 2 | u128::from(hi_in >> 62);
+                hi_in <<= 2;
+                pos += 1;
             }
         }
     }
@@ -899,6 +983,86 @@ mod tests {
             .flat_map(|s| s.canonical_kmers_with_pos::<Kmer1>(k))
             .collect();
         assert_eq!(streamed, direct);
+    }
+
+    /// The decode this module used before the word-level one — both strands rolled one
+    /// base per step with [`KmerCode::push_base`] / [`KmerCode::push_base_rc`] — kept as
+    /// the oracle.
+    fn rolling_canonical_kmers<K: KmerCode>(sm: &SupermerView<'_>, k: usize) -> Vec<(K, u32)> {
+        let mut out = Vec::new();
+        let mut fwd = K::zero();
+        let mut rc = K::zero();
+        for i in 0..sm.len {
+            let code = sm.code_at(i);
+            fwd = fwd.push_base(k, code);
+            rc = rc.push_base_rc(k, code);
+            if i + 1 >= k {
+                let canon = if rc < fwd { rc } else { fwd };
+                out.push((canon, sm.start + (i + 1 - k) as u32));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn word_level_decode_matches_the_rolling_oracle_at_every_length() {
+        fn check<K: KmerCode>(sm: &SupermerView<'_>, k: usize) {
+            let mut decoded: Vec<(K, u32)> = Vec::new();
+            sm.for_each_canonical_kmer::<K>(k, |km, pos| decoded.push((km, pos)));
+            assert_eq!(
+                decoded,
+                rolling_canonical_kmers::<K>(sm, k),
+                "len = {}, k = {k}, {} words",
+                sm.len,
+                K::WORDS
+            );
+            assert_eq!(decoded.len(), sm.num_kmers(k));
+        }
+        // Every length from empty through six 32-base words and a tail: shorter than k,
+        // exactly k, and every position of k against the 32- and 64-base boundaries.
+        let mut rng = 0x1234_5678_9abc_def1_u64;
+        for len in 0..=200usize {
+            let mut packed = vec![0u8; len.div_ceil(4)];
+            for i in 0..len {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                // Long homopolymer stretches too: they make fwd == rc ties likelier.
+                let code = if (rng >> 8).is_multiple_of(5) {
+                    0
+                } else {
+                    rng & 3
+                } as u8;
+                packed[i / 4] |= code << (2 * (i % 4));
+            }
+            for start in [0u32, 7, 1 << 20] {
+                let sm = SupermerView {
+                    read_id: 3,
+                    start,
+                    len,
+                    packed: &packed,
+                };
+                for k in [1usize, 15, 21, 31, 32] {
+                    check::<Kmer1>(&sm, k);
+                    check::<Kmer2>(&sm, k);
+                }
+                for k in [33usize, 55, 63, 64] {
+                    check::<Kmer2>(&sm, k);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside 1..=32")]
+    fn decoding_with_k_beyond_the_kmer_width_panics() {
+        let sm = SupermerView {
+            read_id: 0,
+            start: 0,
+            len: 40,
+            packed: &[0u8; 10],
+        };
+        sm.for_each_canonical_kmer::<Kmer1>(33, |_, _| {});
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! HySortK replaces the distributed hash table with "sort the receive buffer, then scan
 //! it linearly" (paper §3.1). Two radix sorts are provided, mirroring the two the paper
-//! uses, plus the comparison-based sample sort used by the kmerind sorting variant:
+//! uses, plus the bucket store that feeds them one cache-resident bucket at a time:
 //!
 //! * [`paradis::paradis_sort_by`] — an **in-place MSD** radix sort modelled on PARADIS
 //!   (Cho et al., VLDB 2015): speculative parallel permutation into bucket stripes, a
@@ -16,8 +16,16 @@
 //!   a 4 Mi-key k = 31 task (byte-wise LSD: 8, all out of cache) and 2 for a 2 Mi-key
 //!   k = 55 task (LSD: 14). [`raduls::raduls_sort_by`] is the byte-wise LSD closure
 //!   path the KMC3 baseline uses, and the kernel's test oracle.
-//! * [`samplesort::sample_sort_by_key`] — a comparison-based parallel sample sort, the
-//!   strategy the paper attributes to the sorting variant of kmerind.
+//! * [`buckets::BucketStore`] — the kernel's out-of-cache partition pass, run while the
+//!   keys are produced: a producer that knows the key width (`2k` bits) scatters each
+//!   record, through an L1 staging buffer, into one of 256 chunked buckets on the top
+//!   eight key bits — no varying-bits read, no histogram read, no finished array. The
+//!   consumer then gathers bucket after bucket into one reused buffer of at most about
+//!   [`IN_CACHE_BYTES`], sorts it there with either kernel and scans it while it is
+//!   still in L2, so a record is written once and read once. This is how HySortK's
+//!   stage 3 counts a task (`hysortk_core::stage3`); the pool holds the task's records
+//!   plus at most a sixteenth of chunk slack, and the sorter choice only picks the
+//!   in-bucket kernel.
 //!
 //! Two kinds of entry points are provided:
 //!
@@ -31,19 +39,21 @@
 //!   per-item-per-level indirection, and the RADULS kernel plans its digits from the
 //!   bits that actually vary in the data. These are the pipeline's hot paths.
 //!
-//! [`select_sorter`] reproduces HySortK's memory-aware choice between the two radix
-//! sorts, and [`runs::count_sorted_runs`] is the linear counting scan applied after
-//! sorting.
+//! [`runs::count_sorted_runs`] is the linear counting scan applied after sorting, and
+//! [`runs::merge_runs_with_counts`] the same scan with pre-counted entries merged in.
+//! [`select_sorter`] is the paper's memory-aware choice between the two radix sorts for
+//! a caller that sorts a whole payload out of place; the pipeline, which sorts bucket by
+//! bucket, decides with `hysortk_perfmodel::MemoryModel::raduls_fits`.
 
+pub mod buckets;
 pub mod paradis;
 pub mod raduls;
 pub mod runs;
-pub mod samplesort;
 
+pub use buckets::{map_balanced_runs, BucketDigit, BucketStore};
 pub use paradis::{paradis_sort, paradis_sort_by, paradis_sort_from};
-pub use raduls::{raduls_sort, raduls_sort_by, raduls_sort_with_aux};
+pub use raduls::{raduls_sort, raduls_sort_by, raduls_sort_with_aux, IN_CACHE_BYTES};
 pub use runs::{count_sorted_runs, for_each_sorted_run, kway_merge_by_key, merge_runs_with_counts};
-pub use samplesort::sample_sort_by_key;
 
 /// Keys that can expose themselves as raw big-endian `u64` words, enabling the
 /// monomorphized radix kernels.

@@ -34,6 +34,12 @@
 //! measured too (5 passes at k = 31, 10 at k = 55) and lose to this on every
 //! workload of the benchmark; see CHANGES.md, PR 13.
 //!
+//! A caller that produces its keys one by one and knows their width can take step 2 out
+//! of the kernel's hands — partition while producing ([`crate::buckets`]) and hand the
+//! kernel one cache-sized bucket at a time; HySortK's stage 3 does. The out-of-cache
+//! path here then only runs for a bucket that skew made larger than the cache, and for
+//! callers with a finished array.
+//!
 //! # The closure path: [`raduls_sort_by`]
 //!
 //! A plain byte-wise LSD sort over a `digit(item, level)` closure — the KMC3
@@ -45,6 +51,7 @@
 
 use rayon::prelude::*;
 
+use crate::buckets::cut_into_runs;
 use crate::RadixKey;
 
 const RADIX: usize = 256;
@@ -245,7 +252,8 @@ where
 /// A range of at most this many bytes of keys is partitioned "in cache": its two
 /// buffers together fit a 1 MiB L2. Measured at 128 KiB to 4 MiB on the benchmark host
 /// (4 MiB L2): 512 KiB and up tie, smaller loses on two-word keys. Not configurable.
-const IN_CACHE_BYTES: usize = 512 * 1024;
+/// Public because stage 3 shrinks its per-bucket buffers back to it after a skewed task.
+pub const IN_CACHE_BYTES: usize = 512 * 1024;
 /// Ranges of at most this many keys are insertion-sorted.
 const INSERTION_MAX: usize = 32;
 /// Digit width of an out-of-cache partition: 256 write streams stay within the TLB
@@ -359,20 +367,11 @@ fn sort_range<T: RadixKey>(
                 // Buckets are the parallel unit: consecutive buckets are grouped into
                 // runs of about equal key count (k-mer buckets are skewed), a few per
                 // thread. At a thread budget of one this is a plain loop.
-                let run_keys = n.div_ceil(4 * rayon::current_num_threads());
-                let mut runs: Vec<Vec<(&mut [T], &mut [T])>> = Vec::new();
-                let mut filled = run_keys;
-                for (bucket, spare) in split_by_sizes(other, &sizes)
+                let buckets = split_by_sizes(other, &sizes)
                     .into_iter()
-                    .zip(split_by_sizes(cur, &sizes))
-                {
-                    if filled >= run_keys {
-                        runs.push(Vec::new());
-                        filled = 0;
-                    }
-                    filled += bucket.len();
-                    runs.last_mut().expect("pushed above").push((bucket, spare));
-                }
+                    .zip(split_by_sizes(cur, &sizes));
+                let run_keys = n.div_ceil(4 * rayon::current_num_threads());
+                let runs = cut_into_runs(buckets, run_keys, |(bucket, _)| bucket.len());
                 runs.into_par_iter().for_each(|run| {
                     let mut scratch = Scratch::default();
                     for (bucket, spare) in run {

@@ -8,9 +8,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use hysortk_dna::{DnaSeq, Extension, Kmer1, Kmer2, ReadSet};
-use hysortk_sort::{
-    paradis_sort, paradis_sort_by, raduls_sort, raduls_sort_by, sample_sort_by_key,
-};
+use hysortk_sort::{paradis_sort, paradis_sort_by, raduls_sort, raduls_sort_by};
 use hysortk_supermer::codec::{decode_extensions, encode_extensions};
 use hysortk_supermer::minimizer::{minimizers_deque, minimizers_naive};
 use hysortk_supermer::mmer::{MmerScorer, ScoreFunction};
@@ -234,19 +232,6 @@ fn raduls_kernel_matches_oracles_on_one_word_kmers() {
 fn raduls_kernel_matches_oracles_on_two_word_kmers() {
     for (i, k) in [33usize, 55, 64].into_iter().enumerate() {
         raduls_kernel_matches_oracles_on_kmers::<Kmer2>(130 + i as u64, k);
-    }
-}
-
-#[test]
-fn sample_sort_agrees_with_std_sort() {
-    let mut rng = StdRng::seed_from_u64(109);
-    for _ in 0..32 {
-        let n = rng.gen_range(0..3000usize);
-        let mut v: Vec<u32> = (0..n).map(|_| rng.gen()).collect();
-        let mut expected = v.clone();
-        expected.sort_unstable();
-        sample_sort_by_key(&mut v, 4, |x| *x);
-        assert_eq!(v, expected);
     }
 }
 
