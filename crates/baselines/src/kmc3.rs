@@ -126,6 +126,7 @@ pub fn kmc3_count<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) -> Baseline
         recoveries: 0,
         epochs_committed: 0,
         simd: hysortk_dna::simd::path_name(),
+        gather_s: 0.0,
     };
 
     BaselineResult {

@@ -241,6 +241,7 @@ pub fn kmerind_count<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) -> Kmeri
         recoveries: 0,
         epochs_committed: 0,
         simd: hysortk_dna::simd::path_name(),
+        gather_s: 0.0,
     };
 
     KmerindOutcome::Completed(Box::new(BaselineResult {

@@ -202,6 +202,7 @@ pub fn mhm2_count<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) -> Baseline
         recoveries: 0,
         epochs_committed: 0,
         simd: hysortk_dna::simd::path_name(),
+        gather_s: 0.0,
     };
 
     BaselineResult {

@@ -362,9 +362,11 @@ fn run<K: KmerCode>(cli: &CliArgs, cfg: &HySortKConfig) -> Result<(), HysortkErr
         wall,
     );
     eprintln!(
-        "[hysortk] measured rank wall mean {:.3}s (straggler bound {:.3}s): {}",
+        "[hysortk] measured rank wall mean {:.3}s (straggler bound {:.3}s), \
+         result gather {:.3}s: {}",
         report.stage_wall.total_mean(),
         report.stage_wall.total_max(),
+        report.gather_s,
         report.stage_wall.summary(),
     );
     if let Some(path) = &cli.out {

@@ -186,6 +186,7 @@ fn count_kmers_from_files_inner<K: KmerCode, P: AsRef<Path>>(
     let run = cluster.run_recovering_wire(&policy, recoverable, |ctx| {
         rank_pipeline_from_files::<K>(ctx, &files, cfg, num_tasks, sorter, &opts)
     });
+    let joined = Instant::now();
     let mut outputs = Vec::with_capacity(run.results.len());
     let mut first_error: Option<HysortkError> = None;
     for result in run.results {
@@ -214,6 +215,7 @@ fn count_kmers_from_files_inner<K: KmerCode, P: AsRef<Path>>(
         &model,
         sorter,
         run.recoveries,
+        joined,
     ))
 }
 

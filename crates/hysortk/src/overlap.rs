@@ -51,7 +51,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use hysortk_dmem::{DmemError, FaultPlan, FlatReceived, RankCtx};
+use hysortk_dmem::{FaultPlan, FlatReceived, RankCtx};
 use hysortk_dna::kmer::KmerCode;
 use hysortk_task::{ScratchBank, WorkerPool};
 use hysortk_trace as trace;
@@ -176,7 +176,7 @@ struct JobLists<'a, K: KmerCode> {
 }
 
 impl<K: KmerCode> JobLists<'_, K> {
-    fn run_job(&self, job: Job<'_, K>, step: usize) -> Result<Done<K>, DmemError> {
+    fn run_job(&self, job: Job<'_, K>, step: usize) -> Result<Done<K>, HysortkError> {
         let rank = self.rank;
         match job {
             Job::Serialize { tasks, mut out } => {
@@ -214,13 +214,13 @@ impl<K: KmerCode> JobLists<'_, K> {
                 let mut scratch = self
                     .bank
                     .checkout(|| CountScratch::new(self.params.max_count));
-                Ok(Done::Counted(stage3::count_task(
-                    slot,
-                    self.k,
-                    self.params,
-                    rank as u32,
-                    &mut scratch,
-                )))
+                stage3::count_task(slot, self.k, self.params, rank as u32, &mut scratch)
+                    .map(Done::Counted)
+                    .map_err(|source| HysortkError::Wire {
+                        rank,
+                        round: step - 2,
+                        source,
+                    })
             }
         }
     }
@@ -244,7 +244,7 @@ impl<K: KmerCode> JobLists<'_, K> {
         slots: &[TaskSlot<'_, K>],
         counts: &mut Vec<usize>,
         wall: &mut WallBuckets,
-    ) -> Result<ListOutput<K>, DmemError> {
+    ) -> Result<ListOutput<K>, HysortkError> {
         let mut jobs: Vec<Job<'_, K>> = Vec::new();
         let mut sizes: Vec<u64> = Vec::new();
         if send.is_some() {
@@ -277,6 +277,7 @@ impl<K: KmerCode> JobLists<'_, K> {
                 sizes.push(size);
             }
         }
+        let serialize_jobs = jobs.len();
         for slot in slots {
             jobs.push(Job::Count(slot));
             sizes.push((slot.records + slot.precounted) as u64);
@@ -289,9 +290,12 @@ impl<K: KmerCode> JobLists<'_, K> {
         });
         wall.add_job_list(
             list_start.elapsed().as_secs_f64(),
-            done.iter().map(|(result, job_s)| match result {
-                Ok(Done::Counted(_)) => (0.0, *job_s),
-                _ => (*job_s, 0.0),
+            (done.iter().enumerate()).map(|(job, (_, job_s))| {
+                if job < serialize_jobs {
+                    (*job_s, 0.0)
+                } else {
+                    (0.0, *job_s)
+                }
             }),
         );
 
@@ -339,8 +343,9 @@ impl<K: KmerCode> JobLists<'_, K> {
 /// and a pool of one thread runs each list front to back.
 ///
 /// On any failure — a peer abort surfacing through the engine, a received segment
-/// failing its wire checks, a fault injected into a serialize job, or a checkpoint
-/// commit failing — the error is published as a cluster-wide abort (so no peer stays
+/// failing its wire checks (in the index pass, or a count job finding a slot's header
+/// totals at odds with its decode), a fault injected into a serialize job, or a
+/// checkpoint commit failing — the error is published as a cluster-wide abort (so no peer stays
 /// blocked) and returned; the unfinished engine is simply dropped. A failing job
 /// surfaces only after the whole list returned, so no sibling job outlives the call.
 /// Peer-failure echoes are *not* re-published: the failing rank's own root cause is
@@ -550,7 +555,7 @@ pub(crate) fn exchange_and_count<K: KmerCode>(
 mod tests {
     use super::*;
 
-    use hysortk_dmem::FaultKind;
+    use hysortk_dmem::{DmemError, FaultKind};
     use hysortk_dna::kmer::Kmer1;
     use hysortk_dna::readset::{Read, ReadSet};
     use hysortk_perfmodel::SortAlgorithm;
@@ -561,6 +566,7 @@ mod tests {
 
     use crate::config::HySortKConfig;
     use crate::pipeline::{parse_supermers_parallel, stage1_record_read, Stage1};
+    use crate::wire::WireError;
 
     const K: usize = 17;
     const TASKS: usize = 12;
@@ -742,7 +748,8 @@ mod tests {
                         let mut scratch = CountScratch::new(params.max_count);
                         let sequential: Vec<TaskCounts<Kmer1>> = (index.slots.iter())
                             .map(|slot| stage3::count_task(slot, K, &params, 0, &mut scratch))
-                            .collect();
+                            .collect::<Result<_, _>>()
+                            .expect(&what);
                         assert_eq!(list.counted.len(), sequential.len(), "{what}");
                         for (got, want) in list.counted.iter().zip(&sequential) {
                             assert_eq!(got.counts, want.counts, "{what}, step {step}");
@@ -773,10 +780,13 @@ mod tests {
         }
     }
 
-    /// A fault injected into a serialize job surfaces as the typed error once the
-    /// whole list — the sibling serialize and count jobs included — has returned.
-    #[test]
-    fn a_fault_in_a_serialize_job_surfaces_after_its_siblings_finished() {
+    /// Run `f` on one rank's job lists over `reads(false)`, planned at one task per
+    /// destination per round, on a pool `width` threads wide.
+    fn with_job_lists(
+        width: usize,
+        fault: Option<Arc<FaultPlan>>,
+        f: impl FnOnce(&mut JobLists<'_, Kmer1>),
+    ) {
         let cfg = HySortKConfig::small(K, 8, 1);
         let reads = reads(false);
         let my_reads: Vec<&Read> = reads.reads().iter().collect();
@@ -784,73 +794,126 @@ mod tests {
         let tasks_of: Vec<Vec<usize>> = (0..DESTS)
             .map(|d| (0..TASKS).filter(|t| t % DESTS == d).collect())
             .collect();
-        // One task per destination per round: step 2 serializes three tasks, in as many
-        // jobs as the pool is wide.
         let plan = plan_rounds(&tasks_of, &sizes, 1);
         assert_eq!(plan.local_rounds, TASKS / DESTS);
         let params = CountParams::for_kmer::<Kmer1>(K, SortAlgorithm::Raduls, 1, 50, false);
+        let ser = SendSerializer::new(stage1(&my_reads, &cfg), &my_reads, &sizes, &[], &cfg);
+        f(&mut JobLists {
+            rank: 0,
+            k: K,
+            params: &params,
+            pool: &WorkerPool::new(width, 1),
+            ser: &ser,
+            plan: &plan,
+            fault,
+            bank: ScratchBank::new(),
+            spare: Vec::new(),
+        });
+    }
+
+    /// Records the count jobs of `lists` decoded so far; every scratch must be back in
+    /// the bank, i.e. no job is left running.
+    fn records_counted(lists: &JobLists<'_, Kmer1>) -> u64 {
+        assert!(lists.bank.all_checked_in());
+        let mut counted = 0;
+        lists
+            .bank
+            .for_each(|scratch| counted += scratch.received_records);
+        counted
+    }
+
+    /// A fault injected into a serialize job surfaces as the typed error once the
+    /// whole list — the sibling serialize and count jobs included — has returned.
+    #[test]
+    fn a_fault_in_a_serialize_job_surfaces_after_its_siblings_finished() {
         for width in [1usize, 2, 3] {
-            let ser = SendSerializer::new(stage1(&my_reads, &cfg), &my_reads, &sizes, &[], &cfg);
-            let pool = WorkerPool::new(width, 1);
             let fault =
                 Arc::new(FaultPlan::new().with_fault(0, "serialize", 2, FaultKind::FailRank));
-            let mut lists = JobLists {
-                rank: 0,
-                k: K,
-                params: &params,
-                pool: &pool,
-                ser: &ser,
-                plan: &plan,
-                fault: Some(Arc::clone(&fault)),
-                bank: ScratchBank::new(),
-                spare: Vec::new(),
-            };
-            let mut wall = WallBuckets::default();
-            let mut counts = Vec::new();
-            let round0 = lists
-                .run(0, Some(Vec::new()), &[], &mut counts, &mut wall)
-                .expect("the fault targets step 2");
-            let bytes = round0.send.expect("step 0 fills round 0");
-            let index = index_of(&bytes, &counts);
-            let mut later_counts = Vec::new();
-            lists
-                .run(1, Some(Vec::new()), &[], &mut later_counts, &mut wall)
-                .expect("the fault targets step 2");
+            with_job_lists(width, Some(Arc::clone(&fault)), |lists| {
+                let mut wall = WallBuckets::default();
+                let mut counts = Vec::new();
+                let round0 = lists
+                    .run(0, Some(Vec::new()), &[], &mut counts, &mut wall)
+                    .expect("the fault targets step 2");
+                let bytes = round0.send.expect("step 0 fills round 0");
+                let index = index_of(&bytes, &counts);
+                let mut later_counts = Vec::new();
+                lists
+                    .run(1, Some(Vec::new()), &[], &mut later_counts, &mut wall)
+                    .expect("the fault targets step 2");
 
-            // Step 2 fills round 2 and drains round 0: the failing job has siblings of
-            // both kinds.
-            let err = lists
-                .run(
-                    2,
-                    Some(Vec::new()),
-                    &index.slots,
-                    &mut later_counts,
-                    &mut wall,
-                )
-                .err()
-                .expect("the injected fault must fail the list");
-            assert!(
-                matches!(
-                    err,
-                    DmemError::InjectedFault {
+                // Step 2 fills round 2 (three tasks, in as many serialize jobs as the
+                // pool is wide) and drains round 0: the failing job has siblings of both
+                // kinds.
+                let err = lists
+                    .run(
+                        2,
+                        Some(Vec::new()),
+                        &index.slots,
+                        &mut later_counts,
+                        &mut wall,
+                    )
+                    .err()
+                    .expect("the injected fault must fail the list");
+                assert!(
+                    matches!(
+                        err,
+                        HysortkError::Comm(DmemError::InjectedFault {
+                            rank: 0,
+                            round: 2,
+                            ..
+                        })
+                    ),
+                    "width {width}: {err}"
+                );
+                assert_eq!(fault.fired_count(), 1);
+                // The sibling count jobs did run: their records are in the scratches.
+                let expected: u64 = index.slots.iter().map(|s| s.records as u64).sum();
+                assert!(expected > 0);
+                assert_eq!(records_counted(lists), expected, "width {width}");
+            });
+        }
+    }
+
+    /// A slot whose header totals disagree with its decode fails its count job with the
+    /// typed wire error — rank, the drained round, the task and both totals — once the
+    /// sibling count jobs have finished; nothing panics inside the pool.
+    #[test]
+    fn a_count_mismatch_in_a_count_job_surfaces_after_its_siblings_finished() {
+        for width in [1usize, 2, 3] {
+            with_job_lists(width, None, |lists| {
+                let mut wall = WallBuckets::default();
+                let mut counts = Vec::new();
+                let round0 = lists
+                    .run(0, Some(Vec::new()), &[], &mut counts, &mut wall)
+                    .expect("no fault planned");
+                let bytes = round0.send.expect("step 0 fills round 0");
+                let mut index = index_of(&bytes, &counts);
+                assert_eq!(index.slots.len(), DESTS);
+                let (task, records) = (index.slots[1].task, index.slots[1].records as u64);
+                index.slots[1].records += 1;
+
+                let err = lists
+                    .run(2, None, &index.slots, &mut counts, &mut wall)
+                    .err()
+                    .expect("the tampered slot must fail the list");
+                match err {
+                    HysortkError::Wire {
                         rank: 0,
-                        round: 2,
-                        ..
-                    }
-                ),
-                "width {width}: {err}"
-            );
-            assert_eq!(fault.fired_count(), 1);
-            // Nothing is left running: every count job returned its scratch, and the
-            // sibling count jobs did run (their records are in the scratches).
-            assert!(lists.bank.all_checked_in(), "width {width}");
-            let mut counted = 0u64;
-            lists
-                .bank
-                .for_each(|scratch| counted += scratch.received_records);
-            let expected: u64 = index.slots.iter().map(|s| s.records as u64).sum();
-            assert!(expected > 0);
-            assert_eq!(counted, expected, "width {width}");
+                        round: 0,
+                        source:
+                            WireError::CountMismatch {
+                                task: t,
+                                expected,
+                                got,
+                            },
+                    } => assert_eq!((t, expected, got), (task, records + 1, records)),
+                    other => panic!("width {width}: {other}"),
+                }
+                let honest: u64 = [0, 2].iter().map(|&s| index.slots[s].records as u64).sum();
+                assert!(honest > 0 && records > 0);
+                assert_eq!(records_counted(lists), honest, "width {width}");
+            });
         }
     }
 

@@ -17,6 +17,11 @@
 //!    with a streaming run merge, filtered to the `[min_count, max_count]` band (see
 //!    [`crate::stage3`]).
 //!
+//! A rank returns its tasks' sorted runs as the count jobs emitted them; once every rank
+//! has joined, the root assembles the result in **one** parallel pass over all of them
+//! ([`merge_outputs`], [`stage3::assemble_tasks`]) on a pool as wide as the whole run's
+//! thread budget.
+//!
 //! All data movement happens through the simulated cluster, so the traffic and work
 //! counters in the returned [`RunReport`] are measurements, not estimates; only the
 //! conversion to seconds goes through the performance model.
@@ -43,7 +48,7 @@ use crate::checkpoint::{run_fingerprint, sizes_hash, RoundCheckpointer};
 use crate::config::HySortKConfig;
 use crate::error::HysortkError;
 use crate::result::{CountResult, KmerHistogram, RunReport, StageWallTimes};
-use crate::stage3::{self, CountParams};
+use crate::stage3::{self, CountParams, TaskCounts, TaskExtensions};
 use crate::wire::{write_block, write_records_uncompressed, SupermerBlockWriter, TaskPayload};
 
 /// Measured wall-clock seconds of one rank, bucketed by pipeline stage. The
@@ -61,12 +66,14 @@ pub(crate) struct WallBuckets {
     pub(crate) exchange_wait: f64,
     pub(crate) count: f64,
     pub(crate) checkpoint: f64,
-    pub(crate) merge: f64,
     pub(crate) total: f64,
 }
 
 impl WallBuckets {
     /// Stage names, in pipeline order, parallel to [`WallBuckets::to_stage_vec`].
+    /// `merge` is always zero — ranks ship their task runs unmerged and the root
+    /// assembles them ([`RunReport::gather_s`]) — and stays so that readers of
+    /// `stage_wall` keep finding the name.
     pub(crate) const NAMES: [&'static str; 8] = [
         "ingest",
         "parse",
@@ -86,8 +93,7 @@ impl WallBuckets {
             + self.serialize
             + self.exchange_wait
             + self.count
-            + self.checkpoint
-            + self.merge;
+            + self.checkpoint;
         vec![
             self.ingest,
             self.parse,
@@ -95,7 +101,7 @@ impl WallBuckets {
             self.exchange_wait,
             self.count,
             self.checkpoint,
-            self.merge,
+            0.0,
             (self.total - named).max(0.0),
         ]
     }
@@ -156,10 +162,10 @@ pub(crate) struct RankCounters {
     pub(crate) wall: WallBuckets,
 }
 
-/// Per-rank result of the pipeline.
+/// Per-rank result of the pipeline: the rank's counted tasks — each a sorted run of
+/// retained k-mers, as its count job emitted it — for the root to assemble.
 pub(crate) struct RankOutput<K: KmerCode> {
-    counts: Vec<(K, u64)>,
-    extensions: Option<Vec<Vec<Extension>>>,
+    tasks: Vec<TaskCounts<K>>,
     histogram: KmerHistogram,
     pub(crate) counters: RankCounters,
 }
@@ -177,7 +183,7 @@ impl Wire for WallBuckets {
         for slot in &mut stages {
             *slot = f64::decode(input)?;
         }
-        let [ingest, parse, serialize, exchange_wait, count, checkpoint, merge, _other] = stages;
+        let [ingest, parse, serialize, exchange_wait, count, checkpoint, _merge, _other] = stages;
         Some(WallBuckets {
             ingest,
             parse,
@@ -185,7 +191,6 @@ impl Wire for WallBuckets {
             exchange_wait,
             count,
             checkpoint,
-            merge,
             total: f64::decode(input)?,
         })
     }
@@ -231,28 +236,36 @@ impl Wire for RankCounters {
     }
 }
 
-/// Codec carrying a rank's entire output home from a forked rank process.
-/// K-mer codes travel as their packed words (`K::WORDS` per code), extensions
-/// as their fixed 8-byte encoding — the same representations the exchange wire
-/// format uses, so the process backend adds no new byte-level invariants.
+/// Codec carrying a rank's entire output home from a forked rank process: run by run,
+/// a length and the `(k-mer, count)` entries, then — when the run carries extensions —
+/// every retained k-mer's extension list (of a task's sorted record array only those
+/// travel). K-mer codes go as their packed words (`K::WORDS` per code), extensions as
+/// their fixed 8-byte encoding — the same representations the exchange wire format
+/// uses, so the process backend adds no new byte-level invariants.
+///
+/// `decode` trusts no length it reads: every allocation is bounded by the bytes still
+/// in the input, and a run's extension ranges are rebuilt from the list lengths, so
+/// they always lie within its records.
 impl<K: KmerCode> Wire for RankOutput<K> {
     fn encode(&self, out: &mut Vec<u8>) {
-        (self.counts.len() as u64).encode(out);
-        for (code, count) in &self.counts {
-            for &w in code.word_slice() {
-                w.encode(out);
+        self.tasks.len().encode(out);
+        for task in &self.tasks {
+            task.counts.len().encode(out);
+            for (code, count) in &task.counts {
+                for &w in code.word_slice() {
+                    w.encode(out);
+                }
+                count.encode(out);
             }
-            count.encode(out);
-        }
-        match &self.extensions {
-            None => false.encode(out),
-            Some(per_kmer) => {
-                true.encode(out);
-                (per_kmer.len() as u64).encode(out);
-                for exts in per_kmer {
-                    (exts.len() as u64).encode(out);
-                    for ext in exts {
-                        out.extend_from_slice(&ext.to_bytes());
+            match &task.ext {
+                None => false.encode(out),
+                Some(ext) => {
+                    true.encode(out);
+                    for (i, (_, len)) in ext.ranges.iter().enumerate() {
+                        len.encode(out);
+                        for (_, e) in ext.records_of(i) {
+                            out.extend_from_slice(&e.to_bytes());
+                        }
                     }
                 }
             }
@@ -262,35 +275,44 @@ impl<K: KmerCode> Wire for RankOutput<K> {
     }
 
     fn decode(input: &mut &[u8]) -> Option<Self> {
-        let n = u64::decode(input)? as usize;
-        let mut counts = Vec::with_capacity(n.min(input.len() / 8));
+        let entry_bytes = (K::WORDS + 1) * 8;
+        // A run is at least its length and its extension flag.
+        let runs = usize::decode(input)?;
+        let mut tasks = Vec::with_capacity(runs.min(input.len() / 9));
         let mut words = vec![0u64; K::WORDS];
-        for _ in 0..n {
-            for w in &mut words {
-                *w = u64::decode(input)?;
-            }
-            counts.push((K::from_word_slice(&words), u64::decode(input)?));
-        }
-        let extensions = if bool::decode(input)? {
-            let kmers = u64::decode(input)? as usize;
-            let mut per_kmer = Vec::with_capacity(kmers.min(input.len()));
-            for _ in 0..kmers {
-                let m = u64::decode(input)? as usize;
-                let mut exts = Vec::with_capacity(m.min(input.len() / Extension::WIRE_BYTES));
-                for _ in 0..m {
-                    let bytes: &[u8; 8] = input.get(..8)?.try_into().ok()?;
-                    exts.push(Extension::from_bytes(bytes));
-                    *input = &input[8..];
+        for _ in 0..runs {
+            let entries = usize::decode(input)?;
+            let mut counts = Vec::with_capacity(entries.min(input.len() / entry_bytes));
+            for _ in 0..entries {
+                for w in &mut words {
+                    *w = u64::decode(input)?;
                 }
-                per_kmer.push(exts);
+                counts.push((K::from_word_slice(&words), u64::decode(input)?));
             }
-            Some(per_kmer)
-        } else {
-            None
-        };
+            let ext = if bool::decode(input)? {
+                let mut records = Vec::new();
+                let mut ranges = Vec::with_capacity(counts.len());
+                for &(km, _) in &counts {
+                    let len = u32::decode(input)?;
+                    let start = u32::try_from(records.len()).ok()?;
+                    start.checked_add(len)?;
+                    let bytes = (len as usize).checked_mul(Extension::WIRE_BYTES)?;
+                    let (list, rest) = input.split_at_checked(bytes)?;
+                    *input = rest;
+                    records.extend(list.chunks_exact(Extension::WIRE_BYTES).map(|e| {
+                        let e = e.try_into().expect("chunks of the wire size");
+                        (km, Extension::from_bytes(e))
+                    }));
+                    ranges.push((start, len));
+                }
+                Some(TaskExtensions { records, ranges })
+            } else {
+                None
+            };
+            tasks.push(TaskCounts { counts, ext });
+        }
         Some(RankOutput {
-            counts,
-            extensions,
+            tasks,
             histogram: KmerHistogram::decode(input)?,
             counters: RankCounters::decode(input)?,
         })
@@ -582,6 +604,7 @@ pub fn count_kmers<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) -> CountRe
     let cluster = Cluster::new(p).with_backend(cfg.backend);
     let run =
         cluster.run_wire(|ctx| rank_pipeline::<K>(ctx, reads, &ranges, cfg, num_tasks, sorter));
+    let joined = Instant::now();
 
     // The in-memory path attaches no fault plan and writes its own wire bytes, so
     // injected faults, checksum-corrupted segments and peer aborts cannot arise;
@@ -594,7 +617,7 @@ pub fn count_kmers<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) -> CountRe
             r.expect("in-memory pipeline cannot fail unless its checkpoint directory is unwritable")
         })
         .collect();
-    merge_outputs(outputs, run.comm, cfg, &model, sorter, 0)
+    merge_outputs(outputs, run.comm, cfg, &model, sorter, 0, joined)
 }
 
 /// Wire size of one k-mer record in the receive buffer (used for the memory projection
@@ -687,7 +710,7 @@ pub(crate) fn stage1_record_read<K: KmerCode>(
 }
 
 /// Stages 2 and 3 of the rank pipeline — task sizing, assignment, heavy-hitter
-/// conversion, serialisation, exchange, sort & count, and the per-rank merge. Shared
+/// conversion, serialisation, exchange, sort & count. Shared
 /// verbatim by the in-memory entry point ([`count_kmers`]) and the streaming file
 /// feed ([`crate::ingest::count_kmers_from_files`]), which is what makes their
 /// outputs identical by construction once stage 1 has staged the same reads.
@@ -943,18 +966,11 @@ pub(crate) fn stages_2_and_3<K: KmerCode>(
     counters.received_elements = stage3_out.received_records;
     counters.precounted_elements = stage3_out.precounted_records;
 
-    // ---------------- merge the task outputs of this rank ----------------------------
-    // Every task's output is sorted and tasks hold disjoint k-mer sets, so the merge is
-    // a k-way heap merge that moves the `(k-mer, count)` pairs; nothing is cloned.
-    let merged = timed(&mut counters.wall.merge, || {
-        let _span = trace::span!("merge-tasks", trace::Detail::Stage, ctx.rank());
-        stage3::merge_task_counts(stage3_out, &params)
-    });
-
+    // The tasks' sorted runs go home as they are: the root merges the runs of every
+    // rank in one pass (`merge_outputs`), so a rank has nothing to merge.
     Ok(RankOutput {
-        counts: merged.counts,
-        extensions: merged.extensions,
-        histogram: merged.histogram,
+        tasks: stage3_out.tasks,
+        histogram: stage3_out.histogram,
         counters,
     })
 }
@@ -975,7 +991,8 @@ fn identity_assignment(sizes: &[u64], ranks: usize) -> Assignment {
 
 /// Combine the per-rank outputs into the public result and build the report.
 /// `recoveries` is how many times the cluster respawned failed ranks on the way to
-/// these outputs (zero for a healthy or non-recovering run).
+/// these outputs (zero for a healthy or non-recovering run); `joined` is when the last
+/// rank joined, from which [`RunReport::gather_s`] is measured.
 pub(crate) fn merge_outputs<K: KmerCode>(
     outputs: Vec<RankOutput<K>>,
     comm: Vec<CommStats>,
@@ -983,47 +1000,39 @@ pub(crate) fn merge_outputs<K: KmerCode>(
     model: &PerfModel,
     sorter: SortAlgorithm,
     recoveries: usize,
+    joined: Instant,
 ) -> CountResult<K> {
     let scale = 1.0 / cfg.data_scale;
 
-    // ---- merge counts (ranks hold disjoint canonical k-mers) ------------------------
-    // Each rank's output is already sorted, so the global result is a k-way heap merge
-    // that *moves* the pairs (and the per-k-mer extension lists) — no index
-    // permutation, no per-entry clone, no re-sort.
+    // ---- assemble the result -----------------------------------------------------------
+    // Every task of every rank is a sorted run and a k-mer belongs to exactly one of
+    // them, so the result is one multiway merge over all the runs — cut at the top-bits
+    // digit, merged piece by piece in cache, straight into the result table — on a pool
+    // as wide as the thread budget the ranks (all joined by now) had between them.
     let mut histogram = KmerHistogram::new(cfg.max_count as usize + 2);
     let mut counters: Vec<RankCounters> = Vec::with_capacity(outputs.len());
-    let (counts, extensions) = if cfg.with_extension {
-        let mut rank_items: Vec<Vec<(K, u64, Vec<Extension>)>> = Vec::with_capacity(outputs.len());
-        for out in outputs {
-            let exts = out.extensions.unwrap_or_default();
-            rank_items.push(
-                out.counts
-                    .into_iter()
-                    .zip(exts)
-                    .map(|((km, c), e)| (km, c, e))
-                    .collect(),
-            );
-            histogram.merge(&out.histogram);
-            counters.push(out.counters);
-        }
-        let items = hysortk_sort::kway_merge_by_key(rank_items, |&(km, ..)| km);
-        let mut counts = Vec::with_capacity(items.len());
-        let mut extensions = Vec::with_capacity(items.len());
-        for (km, c, e) in items {
-            counts.push((km, c));
-            extensions.push(e);
-        }
-        (counts, Some(extensions))
-    } else {
-        let mut rank_counts: Vec<Vec<(K, u64)>> = Vec::with_capacity(outputs.len());
-        for out in outputs {
-            rank_counts.push(out.counts);
-            histogram.merge(&out.histogram);
-            counters.push(out.counters);
-        }
-        let counts = hysortk_sort::kway_merge_by_key(rank_counts, |&(km, _)| km);
-        (counts, None)
+    let mut tasks: Vec<TaskCounts<K>> = Vec::new();
+    for out in outputs {
+        histogram.merge(&out.histogram);
+        counters.push(out.counters);
+        tasks.extend(out.tasks);
+    }
+    let (counts, extensions) = {
+        let _span = trace::span!(
+            "assemble-result",
+            trace::Detail::Stage,
+            0,
+            runs = tasks.len(),
+            entries = tasks.iter().map(|t| t.counts.len()).sum::<usize>(),
+        );
+        WorkerPool::new(cfg.total_ranks() * cfg.threads_per_process, 1)
+            .execute(vec![()], |()| {
+                stage3::assemble_tasks(&tasks, cfg.with_extension)
+            })
+            .pop()
+            .expect("one job, one result")
     };
+    drop(tasks);
 
     // ---- projected work counters -----------------------------------------------------
     let max_bases = counters.iter().map(|c| c.bases_parsed).max().unwrap_or(0) as f64 * scale;
@@ -1201,6 +1210,7 @@ pub(crate) fn merge_outputs<K: KmerCode>(
         recoveries,
         epochs_committed,
         simd: hysortk_dna::simd::path_name(),
+        gather_s: joined.elapsed().as_secs_f64(),
     };
 
     CountResult {
@@ -1483,6 +1493,160 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn rank_walls_and_the_gather_fit_inside_the_wall_the_caller_measures() {
+        let reads = overlapping_reads(13);
+        for threads in [1usize, 2] {
+            for ranks in [1usize, 3] {
+                let mut cfg = small_cfg(21, 9, ranks);
+                cfg.threads_per_process = threads;
+                let start = Instant::now();
+                let result = count_kmers::<Kmer1>(&reads, &cfg);
+                let wall = start.elapsed().as_secs_f64();
+                let report = &result.report;
+                assert!(!result.counts.is_empty() && report.gather_s > 0.0);
+                assert_eq!(report.stage_wall.get("merge").map(|s| s.max), Some(0.0));
+                // The gather starts when the slowest rank has joined. One rank is its
+                // own straggler; over several, the per-stage maxima may come from
+                // different ranks and add up to more than any of them took, so only
+                // the mean rank wall is a bound.
+                let rank_wall = match ranks {
+                    1 => report.stage_wall.total_max(),
+                    _ => report.stage_wall.total_mean(),
+                };
+                assert!(
+                    rank_wall + report.gather_s <= wall,
+                    "threads {threads} ranks {ranks}: {rank_wall} + {} > {wall}",
+                    report.gather_s
+                );
+            }
+        }
+    }
+
+    /// A rank output of random sorted runs; with `with_ext`, most runs carry a record
+    /// array in which retained k-mers' extension lists (some empty) sit between records
+    /// of k-mers that were not retained.
+    fn random_rank_output<K: KmerCode>(rng: &mut StdRng, with_ext: bool) -> RankOutput<K> {
+        let tasks = (0..rng.gen_range(0..5))
+            .map(|_| {
+                let mut kmers: Vec<K> = (0..rng.gen_range(0..40))
+                    .map(|_| {
+                        let words: Vec<u64> = (0..K::WORDS).map(|_| rng.gen()).collect();
+                        K::from_word_slice(&words)
+                    })
+                    .collect();
+                kmers.sort_unstable();
+                let mut ext = (with_ext && rng.gen_bool(0.8)).then(|| TaskExtensions {
+                    records: Vec::new(),
+                    ranges: Vec::new(),
+                });
+                let counts = (kmers.into_iter())
+                    .map(|km| {
+                        if let Some(ext) = &mut ext {
+                            let mut list = |km: K, len: u32, rng: &mut StdRng| {
+                                let start = ext.records.len() as u32;
+                                ext.records.extend(
+                                    (0..len).map(|_| (km, Extension::new(rng.gen(), rng.gen()))),
+                                );
+                                (start, len)
+                            };
+                            list(K::zero(), rng.gen_range(0..3), rng);
+                            let range = list(km, rng.gen_range(0..4), rng);
+                            ext.ranges.push(range);
+                        }
+                        (km, rng.gen_range(1..1_000u64))
+                    })
+                    .collect();
+                TaskCounts { counts, ext }
+            })
+            .collect();
+        let mut histogram = KmerHistogram::new(rng.gen_range(2..40));
+        histogram.record(rng.gen_range(1..60));
+        let mut counters = RankCounters::default();
+        counters.kmers_parsed = rng.gen();
+        counters.wall.count = 0.25;
+        counters.wall.total = 1.5;
+        RankOutput {
+            tasks,
+            histogram,
+            counters,
+        }
+    }
+
+    /// What the root reads of a rank output: every run's entries and, per retained
+    /// k-mer, its extension list.
+    #[allow(clippy::type_complexity)]
+    fn runs_of<K: KmerCode>(
+        out: &RankOutput<K>,
+    ) -> Vec<(Vec<(K, u64)>, Option<Vec<Vec<Extension>>>)> {
+        (out.tasks.iter())
+            .map(|task| {
+                let lists = task.ext.as_ref().map(|ext| {
+                    (0..ext.ranges.len())
+                        .map(|i| ext.records_of(i).iter().map(|&(_, e)| e).collect())
+                        .collect()
+                });
+                (task.counts.clone(), lists)
+            })
+            .collect()
+    }
+
+    fn rank_output_codec_round_trips_and_rejects_damage<K: KmerCode>(seed: u64) {
+        use hysortk_dmem::wire::{from_bytes, to_bytes};
+        let mut rng = StdRng::seed_from_u64(seed);
+        for case in 0..40 {
+            let out = random_rank_output::<K>(&mut rng, case % 2 == 1);
+            let bytes = to_bytes(&out);
+            let back = from_bytes::<RankOutput<K>>(&bytes).expect("round trip");
+            assert_eq!(runs_of(&back), runs_of(&out), "case {case}");
+            assert_eq!(back.histogram, out.histogram);
+            assert_eq!(back.counters.kmers_parsed, out.counters.kmers_parsed);
+            assert_eq!(to_bytes(&back), bytes, "case {case}: re-encoding");
+
+            // Every truncation is rejected, and so is trailing garbage.
+            for cut in 0..bytes.len() {
+                assert!(
+                    from_bytes::<RankOutput<K>>(&bytes[..cut]).is_none(),
+                    "case {case}: cut at {cut}"
+                );
+            }
+            let mut longer = bytes.clone();
+            longer.push(0);
+            assert!(from_bytes::<RankOutput<K>>(&longer).is_none());
+
+            // Bit flips and hostile 64-bit values anywhere decode to a value or to
+            // `None`: no panic, and no allocation sized by a number the input claims.
+            let hostile = [u64::MAX, 1 << 62, 1 << 40, 1 << 32, bytes.len() as u64 + 1];
+            for _ in 0..300 {
+                let mut damaged = bytes.clone();
+                if rng.gen_bool(0.5) {
+                    let bit = rng.gen_range(0..damaged.len() * 8);
+                    damaged[bit / 8] ^= 1 << (bit % 8);
+                } else {
+                    let at = rng.gen_range(0..=damaged.len() - 8);
+                    let value = hostile[rng.gen_range(0..hostile.len())];
+                    damaged[at..at + 8].copy_from_slice(&value.to_le_bytes());
+                }
+                let _ = from_bytes::<RankOutput<K>>(&damaged);
+            }
+            // The run count, and the first run's length, are the first two fields.
+            for at in [0, 8] {
+                for value in hostile {
+                    let mut damaged = bytes.clone();
+                    damaged[at..at + 8].copy_from_slice(&value.to_le_bytes());
+                    let decoded = from_bytes::<RankOutput<K>>(&damaged);
+                    assert!(decoded.is_none(), "case {case}: {value} at {at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rank_output_codec_survives_a_seeded_fuzz_loop_on_both_kmer_widths() {
+        rank_output_codec_round_trips_and_rejects_damage::<Kmer1>(31);
+        rank_output_codec_round_trips_and_rejects_damage::<Kmer2>(32);
     }
 
     #[test]

@@ -231,6 +231,12 @@ pub struct RunReport {
     /// Which SIMD hot-path variant the run used (`"avx2"`, `"sse2"`, or `"scalar"`),
     /// as chosen by runtime CPU detection (overridable with `HYSORTK_NO_SIMD=1`).
     pub simd: &'static str,
+    /// Measured root-side seconds from the last rank joining to the result being
+    /// returned: assembling every rank's sorted task runs into `counts` (and
+    /// `extensions`), in parallel over the run's whole thread budget, and building
+    /// this report. Together with the straggler's rank wall it accounts for the wall
+    /// time of the run the caller measures. Zero for the baselines.
+    pub gather_s: f64,
 }
 
 impl RunReport {

@@ -35,13 +35,20 @@
 //!    down to 16 records). A record is written once and read once, and nothing of a
 //!    task's size exists beside the pool. The totals the block index read from the
 //!    headers size the pool, so they are hard-checked: every pool write is
-//!    bounds-checked, and the decoded total, the total the chunk lists hold and the
-//!    kmerlist total are compared with the slot's — a mismatch panics with the task id
-//!    instead of counting short.
-//! 3. **Merge** ([`merge_task_counts`]) — every task's output is already sorted and
-//!    tasks hold disjoint k-mers, so the rank output is a k-way merge that moves the
-//!    pairs. Histograms and work counters merge once per worker scratch, not once per
-//!    task.
+//!    bounds-checked, and the decoded total and the kmerlist total are compared with
+//!    the slot's — a mismatch is a [`WireError::CountMismatch`] naming the task instead
+//!    of a short count — as is, by `assert!`, the total the chunk lists hold.
+//! 3. **Assemble** ([`assemble_tasks`]) — every task's output is a sorted run, and tasks
+//!    hold disjoint k-mer *sets* (a task is a hash of the minimizer), not key ranges, so
+//!    the runs are merged: [`hysortk_sort::multiway_merge`] cuts every run at the
+//!    boundaries of the top-bits digit — the range-disjoint cut — and merges each piece
+//!    in cache, straight into its slice of the result, in parallel under the caller's
+//!    thread budget. The pipeline does this **once, at the root, over the task runs of
+//!    every rank** (ranks ship their runs unmerged); [`merge_task_counts`] is the same
+//!    call over one rank's tasks. With extensions on, `(k-mer, count, task, index)`
+//!    items go through the same merge and the extension lists are materialised from
+//!    the tasks' sorted record arrays in one pass. Histograms and work counters merge
+//!    once per worker scratch, not once per task.
 //!
 //! [`count_blocks_reference`] keeps the original sequential implementation
 //! (`BTreeMap` decode, whole-task sort, per-k-mer extension vectors) as the
@@ -54,7 +61,7 @@ use hysortk_dna::extension::Extension;
 use hysortk_dna::kmer::KmerCode;
 use hysortk_perfmodel::SortAlgorithm;
 use hysortk_sort::{
-    kway_merge_by_key, map_balanced_runs, merge_runs_with_counts, paradis_sort_from, raduls_sort,
+    map_balanced_runs, merge_runs_with_counts, multiway_merge, paradis_sort_from, raduls_sort,
     raduls_sort_with_aux, BucketDigit, BucketStore, RadixKey, IN_CACHE_BYTES,
 };
 use hysortk_task::WorkerPool;
@@ -381,6 +388,14 @@ pub struct TaskExtensions<K: KmerCode> {
     pub ranges: Vec<(u32, u32)>,
 }
 
+impl<K: KmerCode> TaskExtensions<K> {
+    /// The records of the `i`-th retained k-mer.
+    pub fn records_of(&self, i: usize) -> &[(K, Extension)] {
+        let (start, len) = self.ranges[i];
+        &self.records[start as usize..][..len as usize]
+    }
+}
+
 /// Output of counting one task.
 #[derive(Debug, Clone)]
 pub struct TaskCounts<K: KmerCode> {
@@ -395,17 +410,17 @@ pub struct TaskCounts<K: KmerCode> {
 /// `count-task` span). With `with_extension` off the records are bare k-mer keys —
 /// half the bytes through the scatter and every sort pass.
 ///
-/// Panics, naming the task, when the slot's header-derived totals are not what its
-/// blocks decode to.
+/// Fails with [`WireError::CountMismatch`], naming the task, when the slot's
+/// header-derived totals are not what its blocks decode to; the scratch stays usable.
 pub fn count_task<K: KmerCode>(
     slot: &TaskSlot<'_, K>,
     k: usize,
     params: &CountParams,
     rank: u32,
     scratch: &mut CountScratch<K>,
-) -> TaskCounts<K> {
-    if params.with_extension {
-        let out = count_records::<K, (K, Extension)>(slot, k, params, rank, scratch);
+) -> Result<TaskCounts<K>, WireError> {
+    Ok(if params.with_extension {
+        let out = count_records::<K, (K, Extension)>(slot, k, params, rank, scratch)?;
         TaskCounts {
             counts: out.counts,
             ext: Some(TaskExtensions {
@@ -414,12 +429,12 @@ pub fn count_task<K: KmerCode>(
             }),
         }
     } else {
-        let out = count_records::<K, K>(slot, k, params, rank, scratch);
+        let out = count_records::<K, K>(slot, k, params, rank, scratch)?;
         TaskCounts {
             counts: out.counts,
             ext: None,
         }
-    }
+    })
 }
 
 /// What one run of buckets emitted; runs concatenate in bucket order.
@@ -500,7 +515,7 @@ fn count_records<K: KmerCode, T: Record<K>>(
     params: &CountParams,
     rank: u32,
     scratch: &mut CountScratch<K>,
-) -> RunOutput<K, T> {
+) -> Result<RunOutput<K, T>, WireError> {
     let CountScratch {
         keys,
         tagged,
@@ -536,19 +551,21 @@ fn count_records<K: KmerCode, T: Record<K>>(
         store.finish();
         decoded
     };
-    assert_eq!(
-        decoded, records,
-        "task {task}: the block headers announce {records} records, the blocks decode to {decoded}"
-    );
+    // What the block headers announce against what the blocks decode to: records, then
+    // kmerlist entries.
+    for (expected, got) in [(records, decoded), (slot.precounted, pre.len())] {
+        if expected != got {
+            return Err(WireError::CountMismatch {
+                task,
+                expected: expected as u64,
+                got: got as u64,
+            });
+        }
+    }
     assert_eq!(
         (store.pushed(), store.len()),
         (records, records),
         "task {task}: records pushed to the bucket store, and held by its chunk lists"
-    );
-    assert_eq!(
-        pre.len(),
-        slot.precounted,
-        "task {task}: kmerlist entries decoded vs announced by the block headers"
     );
     *received_records += records as u64;
     *precounted_records += pre.len() as u64;
@@ -597,6 +614,7 @@ fn count_records<K: KmerCode, T: Record<K>>(
     let outputs: Vec<RunOutput<K, T>> = map_balanced_runs(
         jobs,
         |job| job.records + job.pre.len(),
+        0,
         lanes,
         || Lane::new(like),
         |run, lane| {
@@ -651,7 +669,7 @@ fn count_records<K: KmerCode, T: Record<K>>(
             .extend(next.ranges.iter().map(|&(start, len)| (base + start, len)));
         out.records.extend(next.records);
     }
-    out
+    Ok(out)
 }
 
 /// Scan one sorted bucket against its slice of the kmerlist entries: every distinct
@@ -730,6 +748,10 @@ impl<K: KmerCode> Stage3Output<K> {
 /// items, so decode of one task overlaps sort+count of another, and each worker thread
 /// reuses one [`CountScratch`] (bucket pool, bucket buffers, kmerlist staging,
 /// histogram) across all its tasks.
+///
+/// Panics, naming the task, when a slot's header-derived totals are not what its
+/// blocks decode to (the round loop, which calls [`count_task`] itself, returns that as
+/// an error instead).
 pub fn count_blocks_parallel<K: KmerCode>(
     index: &BlockIndex<'_, K>,
     k: usize,
@@ -749,7 +771,7 @@ pub fn count_blocks_parallel<K: KmerCode>(
                 task = slot.task,
                 records = slot.records,
             );
-            count_task(slot, k, params, rank, scratch)
+            count_task(slot, k, params, rank, scratch).unwrap_or_else(|e| panic!("{e}"))
         },
     );
     Stage3Output::assemble(tasks, scratches, params.max_count)
@@ -770,65 +792,55 @@ pub struct RankCounts<K: KmerCode> {
     pub precounted_records: u64,
 }
 
-/// Merge the per-task outputs of one rank. Every task's counts are already sorted and
-/// tasks hold disjoint k-mer sets, so the merge is a k-way heap merge that *moves* the
-/// `(k-mer, count)` pairs — no index permutation, no per-entry clone, no re-sort. With
-/// extensions on, the `(k-mer, count, range)` triples merge the same way and the
-/// ranges are materialised from the tasks' sorted record arrays in one final pass.
-pub fn merge_task_counts<K: KmerCode>(out: Stage3Output<K>, params: &CountParams) -> RankCounts<K> {
-    if !params.with_extension {
-        let counts = kway_merge_by_key(
-            out.tasks.into_iter().map(|t| t.counts).collect(),
-            |&(km, _)| km,
-        );
-        return RankCounts {
-            counts,
-            extensions: None,
-            histogram: out.histogram,
-            received_records: out.received_records,
-            precounted_records: out.precounted_records,
-        };
+/// Assemble sorted task runs into the one ascending table of retained k-mers and, with
+/// `with_extension`, the extension lists parallel to it. `tasks` may come from any
+/// number of ranks: a k-mer is counted by exactly one task of the run. The merge is
+/// [`hysortk_sort::multiway_merge`], parallel under the caller's rayon budget; with
+/// extensions it moves `(k-mer, (count, task, index))` items, and one pass then copies
+/// each k-mer's extensions out of its task's sorted record array (a task that carries
+/// none contributes empty lists).
+#[allow(clippy::type_complexity)]
+pub fn assemble_tasks<K: KmerCode>(
+    tasks: &[TaskCounts<K>],
+    with_extension: bool,
+) -> (Vec<(K, u64)>, Option<Vec<Vec<Extension>>>) {
+    if !with_extension {
+        let runs: Vec<&[(K, u64)]> = tasks.iter().map(|t| &t.counts[..]).collect();
+        return (multiway_merge(&runs), None);
     }
-
-    // (k-mer, count, task index, range start, range len) — Copy, already sorted per
-    // task, merged by the same k-way heap.
-    type ExtItem<K> = (K, u64, u32, u32, u32);
-    let item_lists: Vec<Vec<ExtItem<K>>> = out
-        .tasks
-        .iter()
-        .enumerate()
+    let items: Vec<Vec<(K, (u64, u32, u32))>> = (tasks.iter().enumerate())
         .map(|(ti, t)| {
-            t.counts
-                .iter()
-                .enumerate()
-                .map(|(ci, &(km, c))| {
-                    let (start, len) = match &t.ext {
-                        Some(ext) => ext.ranges[ci],
-                        None => (0, 0),
-                    };
-                    (km, c, ti as u32, start, len)
-                })
+            assert!(
+                u32::try_from(t.counts.len().max(tasks.len())).is_ok(),
+                "more tasks, or k-mers in a task, than the u32 merge items can index"
+            );
+            (t.counts.iter().enumerate())
+                .map(|(ci, &(km, c))| (km, (c, ti as u32, ci as u32)))
                 .collect()
         })
         .collect();
-    let items = kway_merge_by_key(item_lists, |&(km, ..)| km);
-
-    let mut counts: Vec<(K, u64)> = Vec::with_capacity(items.len());
-    let mut extensions: Vec<Vec<Extension>> = Vec::with_capacity(items.len());
-    for (km, c, ti, start, len) in items {
+    let runs: Vec<&[(K, (u64, u32, u32))]> = items.iter().map(Vec::as_slice).collect();
+    let merged = multiway_merge(&runs);
+    let mut counts = Vec::with_capacity(merged.len());
+    let mut extensions = Vec::with_capacity(merged.len());
+    for (km, (c, ti, ci)) in merged {
         counts.push((km, c));
-        let exts = match &out.tasks[ti as usize].ext {
-            Some(ext) => ext.records[start as usize..(start + len) as usize]
-                .iter()
+        extensions.push(match &tasks[ti as usize].ext {
+            Some(ext) => (ext.records_of(ci as usize).iter())
                 .map(|&(_, e)| e)
                 .collect(),
             None => Vec::new(),
-        };
-        extensions.push(exts);
+        });
     }
+    (counts, Some(extensions))
+}
+
+/// Merge the per-task outputs of one rank: [`assemble_tasks`] over its tasks.
+pub fn merge_task_counts<K: KmerCode>(out: Stage3Output<K>, params: &CountParams) -> RankCounts<K> {
+    let (counts, extensions) = assemble_tasks(&out.tasks, params.with_extension);
     RankCounts {
         counts,
-        extensions: Some(extensions),
+        extensions,
         histogram: out.histogram,
         received_records: out.received_records,
         precounted_records: out.precounted_records,
@@ -836,7 +848,7 @@ pub fn merge_task_counts<K: KmerCode>(out: Stage3Output<K>, params: &CountParams
 }
 
 /// Run the full parallel stage 3 on one rank's receive segments: index, fused
-/// parallel decode+sort+count, in-place merge.
+/// parallel decode+sort+count, merge.
 pub fn count_received_parallel<'a, K, I>(
     segments: I,
     k: usize,
@@ -1075,7 +1087,7 @@ mod tests {
     ) -> Stage3Output<K> {
         let mut scratch = CountScratch::new(params.max_count);
         let tasks = (index.slots.iter())
-            .map(|slot| count_task(slot, k, params, 0, &mut scratch))
+            .map(|slot| count_task(slot, k, params, 0, &mut scratch).expect("consistent slot"))
             .collect();
         Stage3Output::assemble(tasks, vec![scratch], params.max_count)
     }
@@ -1137,7 +1149,7 @@ mod tests {
         for slot in &index.slots {
             let mut scratch = CountScratch::new(p.max_count);
             let before = (scratch.received_records, scratch.precounted_records);
-            count_task(slot, 15, &p, 0, &mut scratch);
+            count_task(slot, 15, &p, 0, &mut scratch).unwrap();
             assert_eq!(
                 scratch.received_records - before.0,
                 slot.records as u64,
@@ -1452,7 +1464,7 @@ mod tests {
         let mut scratch = CountScratch::new(p.max_count);
         let cache_len = IN_CACHE_BYTES / std::mem::size_of::<Kmer1>();
         for slot in &index.slots {
-            count_task(slot, k, &p, 0, &mut scratch);
+            count_task(slot, k, &p, 0, &mut scratch).unwrap();
             // No second task-sized array, whatever the task looked like: the pool is the
             // records plus a sixteenth, the per-thread buffers are cache-sized, and the
             // record type the run does not use allocated nothing.
@@ -1472,59 +1484,104 @@ mod tests {
         assert_eq!(scratch.received_records, 2 * n as u64 + 1_000);
     }
 
-    /// A slot whose header-derived totals are not what its blocks hold must not count
-    /// short or write past the pool: it panics, naming the task.
-    fn count_with_totals(records: usize, precounted: usize, actual: usize) {
-        let k = 21;
+    const MISMATCH_K: usize = 21;
+
+    /// One segment holding task 7: a records block of `actual` k-mers and a kmerlist of
+    /// ten entries.
+    fn task_seven(actual: usize) -> Vec<u8> {
         let mut rng = StdRng::seed_from_u64(46);
-        let mut b = TaskBuilder { rng: &mut rng, k };
+        let mut b = TaskBuilder {
+            rng: &mut rng,
+            k: MISMATCH_K,
+        };
         let mut segment = Vec::new();
         let kmers = b.kmers::<Kmer1>(actual, actual / 10, 0);
         write_block(&mut segment, 7, &TaskPayload::Records(kmers.clone(), None));
         b.kmerlist(&mut segment, 7, kmers[..10].to_vec());
+        segment
+    }
+
+    /// The four ways a slot's header-derived totals can be at odds with its blocks:
+    /// (records announced, kmerlist entries announced, records held).
+    const MISMATCHES: [(usize, usize, usize); 4] = [
+        (70_000, 10, 100_000),  // the pool is sized too small
+        (100_001, 10, 100_000), // the decode comes up short
+        (999, 10, 1_000),       // a small task decodes long
+        (1_000, 11, 1_000),     // the kmerlist total
+    ];
+
+    /// A slot whose header-derived totals are not what its blocks hold must not count
+    /// short or write past the pool: counting it is a `CountMismatch` naming the task and
+    /// both totals, and the scratch it was counted in still counts the honest slot.
+    #[test]
+    fn header_totals_that_disagree_with_the_decode_are_a_count_mismatch() {
+        let k = MISMATCH_K;
+        let p = CountParams::for_kmer::<Kmer1>(k, SortAlgorithm::Raduls, 1, 50, false);
+        let mut scratch = CountScratch::new(p.max_count);
+        let expected_and_got = [
+            (70_000, 100_000),
+            (100_001, 100_000),
+            (999, 1_000),
+            (11, 10),
+        ];
+        for ((records, precounted, actual), (expected, got)) in
+            MISMATCHES.into_iter().zip(expected_and_got)
+        {
+            let segment = task_seven(actual);
+            let mut index = build_block_index::<Kmer1, _>([&segment[..]], k).unwrap();
+            let honest = index.slots[0].clone();
+            assert_eq!((honest.records, honest.precounted), (actual, 10));
+            index.slots[0].records = records;
+            index.slots[0].precounted = precounted;
+            let counted = count_task(&index.slots[0], k, &p, 0, &mut scratch);
+            assert_eq!(
+                counted.err(),
+                Some(WireError::CountMismatch {
+                    task: 7,
+                    expected,
+                    got,
+                })
+            );
+            let counted = count_task(&honest, k, &p, 0, &mut scratch).unwrap();
+            let fresh = count_task(&honest, k, &p, 0, &mut CountScratch::new(p.max_count));
+            assert_eq!(counted.counts, fresh.unwrap().counts);
+        }
+    }
+
+    /// The bulk driver's signature has no error path: there the same mismatches panic,
+    /// naming the task.
+    fn count_in_bulk_with_totals((records, precounted, actual): (usize, usize, usize)) {
+        let k = MISMATCH_K;
+        let segment = task_seven(actual);
         let mut index = build_block_index::<Kmer1, _>([&segment[..]], k).unwrap();
-        assert_eq!(
-            (index.slots[0].records, index.slots[0].precounted),
-            (actual, 10)
-        );
         index.slots[0].records = records;
         index.slots[0].precounted = precounted;
         let p = CountParams::for_kmer::<Kmer1>(k, SortAlgorithm::Raduls, 1, 50, false);
-        count_task(
-            &index.slots[0],
-            k,
-            &p,
-            0,
-            &mut CountScratch::new(p.max_count),
-        );
+        count_blocks_parallel(&index, k, &p, &WorkerPool::new(1, 1));
     }
 
     #[test]
-    #[should_panic(
-        expected = "task 7: the block headers announce 70000 records, the blocks decode to 100000"
-    )]
+    #[should_panic(expected = "task 7 decoded to 100000 where 70000 were announced")]
     fn a_pool_sized_too_small_panics_with_the_task_id() {
-        count_with_totals(70_000, 10, 100_000);
+        count_in_bulk_with_totals(MISMATCHES[0]);
     }
 
     #[test]
-    #[should_panic(expected = "task 7: the block headers announce 100001 records")]
+    #[should_panic(expected = "task 7 decoded to 100000 where 100001 were announced")]
     fn a_short_decode_panics_with_the_task_id() {
-        count_with_totals(100_001, 10, 100_000);
+        count_in_bulk_with_totals(MISMATCHES[1]);
     }
 
     #[test]
-    #[should_panic(
-        expected = "task 7: the block headers announce 999 records, the blocks decode to 1000"
-    )]
+    #[should_panic(expected = "task 7 decoded to 1000 where 999 were announced")]
     fn a_long_decode_of_a_small_task_panics_with_the_task_id() {
-        count_with_totals(999, 10, 1_000);
+        count_in_bulk_with_totals(MISMATCHES[2]);
     }
 
     #[test]
-    #[should_panic(expected = "task 7: kmerlist entries decoded vs announced")]
+    #[should_panic(expected = "task 7 decoded to 10 where 11 were announced")]
     fn a_kmerlist_total_mismatch_panics_with_the_task_id() {
-        count_with_totals(1_000, 11, 1_000);
+        count_in_bulk_with_totals(MISMATCHES[3]);
     }
 
     #[test]

@@ -319,16 +319,19 @@ pub(crate) fn cut_into_runs<J>(
     runs
 }
 
-/// The parallel unit of the bucket phase: `jobs` (buckets, in order) are cut into at
-/// most one run of about equal total `weight` per thread of the caller's rayon budget,
-/// and every run is mapped together with its own element of `lanes` — the thread's
-/// reusable buffers, created by `new_lane` when there are fewer lanes than runs.
-/// Results come back in run order, so concatenating them keeps bucket order. At a
-/// budget of one this is a plain call of `f` on all the jobs. (It lives here, not with
-/// its one caller in stage 3, because this crate is the one that runs on rayon.)
+/// The parallel unit of the bucket phase and of the multiway merge: `jobs` (buckets, in
+/// order) are cut into at most one run of about equal total `weight` per thread of the
+/// caller's rayon budget — fewer when a share would weigh less than `min_run_weight`,
+/// so a small input does not fan out over a wide budget — and every run is mapped
+/// together with its own element of `lanes` — the thread's reusable buffers, created by
+/// `new_lane` when there are fewer lanes than runs. Results come back in run order, so
+/// concatenating them keeps bucket order. With one run this is a plain call of `f` on
+/// all the jobs. (It lives here, not with its caller in stage 3, because this crate is
+/// the one that runs on rayon.)
 pub fn map_balanced_runs<J, L, R>(
     jobs: Vec<J>,
     weight: impl Fn(&J) -> usize,
+    min_run_weight: usize,
     lanes: &mut Vec<L>,
     new_lane: impl FnMut() -> L,
     f: impl Fn(Vec<J>, &mut L) -> R + Sync,
@@ -339,7 +342,8 @@ where
     R: Send,
 {
     let total: usize = jobs.iter().map(&weight).sum();
-    let runs = cut_into_runs(jobs, total.div_ceil(rayon::current_num_threads()), weight);
+    let run_weight = total.div_ceil(rayon::current_num_threads());
+    let runs = cut_into_runs(jobs, run_weight.max(min_run_weight), weight);
     if lanes.len() < runs.len() {
         lanes.resize_with(runs.len(), new_lane);
     }
@@ -482,6 +486,7 @@ mod tests {
                     map_balanced_runs(
                         jobs,
                         |job| job.1,
+                        0,
                         &mut lanes,
                         Vec::new,
                         |run, lane| {
@@ -495,6 +500,13 @@ mod tests {
                 assert_eq!(runs.concat(), (0..weights.len()).collect::<Vec<_>>());
                 assert_eq!(&lanes[..runs.len()], &runs[..], "one lane per run");
             }
+            // A floor on a run's weight caps the fan-out: 200 over runs of at least 90.
+            let jobs: Vec<usize> = vec![5; 40];
+            let runs = pool.install(|| {
+                map_balanced_runs(jobs, |job| *job, 90, &mut Vec::new(), || (), |run, _| run)
+            });
+            assert_eq!(runs.len(), threads.min(3), "{threads} threads");
+            assert_eq!(runs.concat().len(), 40);
         }
     }
 

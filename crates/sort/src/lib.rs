@@ -2,7 +2,8 @@
 //!
 //! HySortK replaces the distributed hash table with "sort the receive buffer, then scan
 //! it linearly" (paper §3.1). Two radix sorts are provided, mirroring the two the paper
-//! uses, plus the bucket store that feeds them one cache-resident bucket at a time:
+//! uses, plus the bucket store that feeds them one cache-resident bucket at a time and
+//! the multiway merge that assembles the sorted outputs into one table:
 //!
 //! * [`paradis::paradis_sort_by`] — an **in-place MSD** radix sort modelled on PARADIS
 //!   (Cho et al., VLDB 2015): speculative parallel permutation into bucket stripes, a
@@ -26,6 +27,14 @@
 //!   stage 3 counts a task (`hysortk_core::stage3`); the pool holds the task's records
 //!   plus at most a sixteenth of chunk slack, and the sorter choice only picks the
 //!   in-bucket kernel.
+//! * [`multiway::multiway_merge`] — the other end of the same idea: the sorted runs
+//!   the tasks emit hold disjoint key *sets*, not ranges, so the result table is a
+//!   merge of all of them; the runs are cut at the boundaries of the same top-bits
+//!   digit (the one thing that is range-disjoint across every run), each piece gets
+//!   its slice of the destination, and threads merge pieces in cache — a pairwise
+//!   cascade of two-ended two-way merges — straight into those slices. One parallel
+//!   pass from the task runs of every rank to the final `Vec`, first-touched by the
+//!   threads that fill it.
 //!
 //! Two kinds of entry points are provided:
 //!
@@ -41,19 +50,21 @@
 //!
 //! [`runs::count_sorted_runs`] is the linear counting scan applied after sorting, and
 //! [`runs::merge_runs_with_counts`] the same scan with pre-counted entries merged in.
-//! [`select_sorter`] is the paper's memory-aware choice between the two radix sorts for
-//! a caller that sorts a whole payload out of place; the pipeline, which sorts bucket by
-//! bucket, decides with `hysortk_perfmodel::MemoryModel::raduls_fits`.
+//! The paper's memory-aware choice between the two radix sorts is made by the pipeline
+//! (`hysortk_perfmodel::MemoryModel::raduls_fits`); since stage 3 sorts bucket by
+//! bucket it only picks the in-bucket kernel.
 
 pub mod buckets;
+pub mod multiway;
 pub mod paradis;
 pub mod raduls;
 pub mod runs;
 
 pub use buckets::{map_balanced_runs, BucketDigit, BucketStore};
+pub use multiway::multiway_merge;
 pub use paradis::{paradis_sort, paradis_sort_by, paradis_sort_from};
 pub use raduls::{raduls_sort, raduls_sort_by, raduls_sort_with_aux, IN_CACHE_BYTES};
-pub use runs::{count_sorted_runs, for_each_sorted_run, kway_merge_by_key, merge_runs_with_counts};
+pub use runs::{count_sorted_runs, for_each_sorted_run, merge_runs_with_counts};
 
 /// Keys that can expose themselves as raw big-endian `u64` words, enabling the
 /// monomorphized radix kernels.
@@ -181,42 +192,6 @@ pub fn radix_sort<T: RadixDigits>(data: &mut [T]) {
     paradis_sort_by(data, T::LEVELS, |x, l| x.digit(l));
 }
 
-/// Which sorting algorithm HySortK selects for the local counting stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SorterKind {
-    /// Out-of-place stable radix sort (RADULS-like) — faster, needs an auxiliary buffer.
-    Raduls,
-    /// In-place MSD radix sort (PARADIS-like) — slower, near-zero extra memory.
-    Paradis,
-}
-
-/// Memory-aware sorter selection (paper §3.1): after the exchange phase each process
-/// inspects the available memory; if an auxiliary buffer of `payload_bytes` (plus some
-/// headroom) fits, the faster out-of-place sorter is used, otherwise the in-place one.
-pub fn select_sorter(payload_bytes: usize, available_bytes: usize) -> SorterKind {
-    // RADULS needs the auxiliary array plus per-thread histograms; 1.1× headroom keeps
-    // the decision conservative, matching the paper's description of reading the system
-    // state and switching only when clearly safe.
-    let needed = payload_bytes + payload_bytes / 10;
-    if available_bytes >= needed {
-        SorterKind::Raduls
-    } else {
-        SorterKind::Paradis
-    }
-}
-
-/// Sort with whichever algorithm [`select_sorter`] picked.
-pub fn sort_with<T, F>(kind: SorterKind, data: &mut [T], levels: usize, digit: F)
-where
-    T: Copy + Send + Sync + Default,
-    F: Fn(&T, usize) -> u8 + Sync,
-{
-    match kind {
-        SorterKind::Raduls => raduls_sort_by(data, levels, digit),
-        SorterKind::Paradis => paradis_sort_by(data, levels, digit),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,13 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn selection_prefers_raduls_when_memory_allows() {
-        assert_eq!(select_sorter(1_000_000, 10_000_000), SorterKind::Raduls);
-        assert_eq!(select_sorter(1_000_000, 1_000_000), SorterKind::Paradis);
-        assert_eq!(select_sorter(1_000_000, 0), SorterKind::Paradis);
-    }
-
-    #[test]
     fn radix_sort_convenience_sorts() {
         let mut v: Vec<u64> = (0..2000u64)
             .rev()
@@ -245,18 +213,5 @@ mod tests {
         expected.sort_unstable();
         radix_sort(&mut v);
         assert_eq!(v, expected);
-    }
-
-    #[test]
-    fn sort_with_dispatches_both_kinds() {
-        for kind in [SorterKind::Raduls, SorterKind::Paradis] {
-            let mut v: Vec<u64> = (0..500u64)
-                .map(|x| x.wrapping_mul(2654435761).rotate_left(7))
-                .collect();
-            let mut expected = v.clone();
-            expected.sort_unstable();
-            sort_with(kind, &mut v, 8, RadixDigits::digit);
-            assert_eq!(v, expected, "kind {kind:?}");
-        }
     }
 }

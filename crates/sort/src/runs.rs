@@ -87,79 +87,6 @@ where
     }
 }
 
-/// Merge already-sorted lists into one sorted vector by *moving* the elements —
-/// `O(n log k)` with a tournament tree over the list heads (exactly one comparison
-/// per tree level per emitted element, cheaper than a binary heap's sift), no
-/// comparison re-sort and no clones. Ties between lists break toward the lower list
-/// index, matching a stable concatenate-then-sort of the lists in order.
-///
-/// The count-stage merges use this: per-task (and per-rank) outputs are each sorted
-/// and hold disjoint key sets, so merging them is tree traversal, not another sort.
-pub fn kway_merge_by_key<T, K, F>(lists: Vec<Vec<T>>, key: F) -> Vec<T>
-where
-    K: Ord + Copy,
-    F: Fn(&T) -> K,
-{
-    let total: usize = lists.iter().map(Vec::len).sum();
-    let k = lists.len();
-    if k == 0 {
-        return Vec::new();
-    }
-    if k == 1 {
-        return lists.into_iter().next().expect("one list");
-    }
-
-    let mut iters: Vec<std::vec::IntoIter<T>> = lists.into_iter().map(Vec::into_iter).collect();
-    let m = k.next_power_of_two();
-    // Current head of every (conceptual) leaf; `None` = exhausted (+infinity). The
-    // keys are cached so a comparison never touches the items themselves.
-    let mut heads: Vec<Option<T>> = iters.iter_mut().map(Iterator::next).collect();
-    heads.resize_with(m, || None);
-    let mut keys: Vec<Option<K>> = heads.iter().map(|h| h.as_ref().map(&key)).collect();
-
-    // Winner tree over leaf indices: node `i` holds the winning leaf of its subtree,
-    // leaves live at `m..2m`. Lower leaf index wins ties (left child is checked first),
-    // which reproduces the stable order.
-    let better = |a: u32, b: u32, keys: &[Option<K>]| -> u32 {
-        match (&keys[a as usize], &keys[b as usize]) {
-            (Some(ka), Some(kb)) => {
-                if kb < ka {
-                    b
-                } else {
-                    a
-                }
-            }
-            (None, Some(_)) => b,
-            _ => a,
-        }
-    };
-    let mut win: Vec<u32> = vec![0; 2 * m];
-    for (j, w) in win.iter_mut().enumerate().skip(m) {
-        *w = (j - m) as u32;
-    }
-    for i in (1..m).rev() {
-        win[i] = better(win[2 * i], win[2 * i + 1], &keys);
-    }
-
-    let mut out = Vec::with_capacity(total);
-    loop {
-        let w = win[1] as usize;
-        let Some(item) = heads[w].take() else {
-            break; // overall winner exhausted -> every list is drained
-        };
-        out.push(item);
-        heads[w] = iters[w].next();
-        keys[w] = heads[w].as_ref().map(&key);
-        // Replay only the path from this leaf to the root.
-        let mut i = (m + w) >> 1;
-        while i >= 1 {
-            win[i] = better(win[2 * i], win[2 * i + 1], &keys);
-            i >>= 1;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,33 +173,6 @@ mod tests {
         let mut merged = Vec::new();
         merge_runs_with_counts(&data, |x| *x, &pre, |k, c, r| merged.push((k, c, r)));
         assert_eq!(merged, vec![(3, 3, 0..0), (7, 5, 0..0)]);
-    }
-
-    #[test]
-    fn kway_merge_matches_stable_concat_sort() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(91);
-        for _ in 0..30 {
-            let lists: Vec<Vec<(u32, char)>> = (0..rng.gen_range(0..6usize))
-                .map(|l| {
-                    let mut v: Vec<(u32, char)> = (0..rng.gen_range(0..30usize))
-                        .map(|_| (rng.gen_range(0..40u32), (b'a' + l as u8) as char))
-                        .collect();
-                    v.sort_by_key(|x| x.0);
-                    v
-                })
-                .collect();
-            let mut expected: Vec<(u32, char)> = lists.iter().flatten().copied().collect();
-            expected.sort_by_key(|x| x.0); // stable: ties keep list order
-            assert_eq!(kway_merge_by_key(lists, |x| x.0), expected);
-        }
-    }
-
-    #[test]
-    fn kway_merge_of_nothing_is_empty() {
-        assert!(kway_merge_by_key(Vec::<Vec<u32>>::new(), |x| *x).is_empty());
-        assert!(kway_merge_by_key(vec![Vec::<u32>::new(); 3], |x| *x).is_empty());
     }
 
     #[test]

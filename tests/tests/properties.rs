@@ -703,6 +703,44 @@ fn process_backend_is_byte_identical_to_thread_backend_across_the_grid() {
     }
 }
 
+/// Nearly every k-mer of random reads is distinct, so with `min_count = 1` the retained
+/// table is as large as the input: about 190 k two-word entries in `ranks × 3` sorted
+/// task runs cross the root's assembly — out of forked ranks, through the result codec —
+/// and must come out as the ascending reference table on both backends, the root
+/// merging on two threads (2 × 1 and 1 × 2 ranks × threads) and on six (3 × 2).
+#[test]
+fn a_large_retained_table_of_two_word_kmers_assembles_identically_on_both_backends() {
+    if hysortk_dmem::ran_in_own_process(
+        "a_large_retained_table_of_two_word_kmers_assembles_identically_on_both_backends",
+    ) {
+        return;
+    }
+    let mut rng = StdRng::seed_from_u64(230);
+    let seqs: Vec<Vec<u8>> = (0..400).map(|_| dna_exact(&mut rng, 520)).collect();
+    let reads = ReadSet::from_ascii_reads(&seqs);
+    let k = 41;
+    let expected = hysortk_core::reference_counts_bounded::<Kmer2>(&reads, k, 1, 1_000_000);
+    assert!(expected.len() > 180_000 && expected.is_sorted_by_key(|entry| entry.0));
+    for (ranks, threads) in [(2usize, 1usize), (1, 2), (3, 2)] {
+        for backend in [
+            hysortk_dmem::Backend::Thread,
+            hysortk_dmem::Backend::Process,
+        ] {
+            let mut cfg = hysortk_core::HySortKConfig::small(k, 17, ranks);
+            cfg.min_count = 1;
+            cfg.max_count = 1_000_000;
+            cfg.threads_per_process = threads;
+            cfg.backend = backend;
+            let result = hysortk_core::count_kmers::<Kmer2>(&reads, &cfg);
+            assert!(
+                result.counts == expected,
+                "ranks={ranks} threads={threads} {backend:?}"
+            );
+            assert_eq!(result.histogram.distinct(), expected.len() as u64);
+        }
+    }
+}
+
 // ---------------- stage 3: parallel decode + count vs sequential reference -----------
 
 /// Build one rank's receive segments from random reads: supermer blocks partitioned by
