@@ -87,15 +87,6 @@ impl<T> FlatReceived<T> {
     }
 }
 
-/// Result of a round-limited padded flat exchange ([`RankCtx::alltoall_rounds_flat`]).
-#[derive(Debug, Clone)]
-pub struct FlatRoundedExchange<T> {
-    /// The flat receive buffer.
-    pub received: FlatReceived<T>,
-    /// Number of communication rounds the exchange needed.
-    pub rounds: usize,
-}
-
 impl RankCtx {
     pub(crate) fn new(
         rank: usize,
@@ -341,10 +332,9 @@ impl RankCtx {
         Ok(received)
     }
 
-    /// Shared sizing/accounting of a round-limited padded exchange: the global-max
-    /// allreduce, the round count, the padding volume and the per-round pair maximum.
-    /// Both [`RankCtx::alltoall_rounds`] and [`RankCtx::alltoall_rounds_flat`] go
-    /// through here so the nested and flat paths can never drift apart.
+    /// Sizing/accounting of the round-limited padded exchange
+    /// ([`RankCtx::alltoall_rounds`]): the global-max allreduce, the round count, the
+    /// padding volume and the per-round pair maximum.
     ///
     /// Returns `(per_dest_bytes, rounds, padding, max_pair)`.
     fn rounds_accounting(
@@ -427,25 +417,6 @@ impl RankCtx {
         self.stats
             .record(label, &per_dest, 0, 1, self.rank, max_pair);
         Ok(received)
-    }
-
-    /// Flat-buffer variant of [`RankCtx::alltoall_rounds`]: the same round-limited
-    /// padded exchange pattern (§3.3.1) and identical traffic accounting, but the
-    /// payload moves as one flat buffer plus counts instead of nested per-destination
-    /// vectors.
-    pub fn alltoall_rounds_flat<T: Pod>(
-        &mut self,
-        send: Vec<T>,
-        counts: &[usize],
-        batch: usize,
-        label: &str,
-    ) -> Result<FlatRoundedExchange<T>, DmemError> {
-        let elem = std::mem::size_of::<T>() as u64;
-        let (per_dest, rounds, padding, max_pair) = self.rounds_accounting(counts, elem, batch)?;
-        let received = self.exchange_flat(send, counts, label, 0)?;
-        self.stats
-            .record(label, &per_dest, padding, rounds, self.rank, max_pair);
-        Ok(FlatRoundedExchange { received, rounds })
     }
 
     /// Open a non-blocking round exchange of `rounds` rounds (see
@@ -642,118 +613,6 @@ impl RankCtx {
             .record(label, &per_dest, 0, phases.max(1), rank, max_pair);
         Ok(acc)
     }
-
-    /// Gather one value per rank at `root`; other ranks receive `None`.
-    pub fn gather<T: Wire + Clone + Send + 'static>(
-        &mut self,
-        value: T,
-        root: usize,
-        label: &str,
-    ) -> Result<Option<Vec<T>>, DmemError> {
-        let elem = std::mem::size_of::<T>() as u64;
-        let send: Vec<Vec<T>> = (0..self.size())
-            .map(|dst| {
-                if dst == root {
-                    vec![value.clone()]
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect();
-        let mut per_dest = vec![0u64; self.size()];
-        per_dest[root] = elem;
-        let received = self.exchange_matrix(send, label, 0)?;
-        self.stats.record(
-            label,
-            &per_dest,
-            0,
-            1,
-            self.rank,
-            if root == self.rank { 0 } else { elem },
-        );
-        if self.rank == root {
-            received
-                .into_iter()
-                .enumerate()
-                .map(|(src, mut v)| {
-                    v.pop().ok_or_else(|| {
-                        DmemError::Protocol(format!(
-                            "collective mismatch in '{label}': rank {src} sent no value"
-                        ))
-                    })
-                })
-                .collect::<Result<Vec<T>, DmemError>>()
-                .map(Some)
-        } else {
-            Ok(None)
-        }
-    }
-
-    /// Broadcast `value` from `root` to every rank (non-root ranks pass their own value,
-    /// which is ignored, mirroring `MPI_Bcast`'s in-place buffer semantics).
-    pub fn broadcast<T: Wire + Clone + Send + 'static>(
-        &mut self,
-        value: T,
-        root: usize,
-        label: &str,
-    ) -> Result<T, DmemError> {
-        let elem = std::mem::size_of::<T>() as u64;
-        let send: Vec<Vec<T>> = if self.rank == root {
-            (0..self.size()).map(|_| vec![value.clone()]).collect()
-        } else {
-            (0..self.size()).map(|_| Vec::new()).collect()
-        };
-        let per_dest: Vec<u64> = if self.rank == root {
-            vec![elem; self.size()]
-        } else {
-            vec![0; self.size()]
-        };
-        let received = self.exchange_matrix(send, label, 0)?;
-        self.stats.record(
-            label,
-            &per_dest,
-            0,
-            1,
-            self.rank,
-            if self.rank == root { elem } else { 0 },
-        );
-        received
-            .into_iter()
-            .nth(root)
-            .and_then(|mut v| v.pop())
-            .ok_or_else(|| {
-                DmemError::Protocol(format!(
-                    "collective mismatch in '{label}': root {root} broadcast no value"
-                ))
-            })
-    }
-
-    /// Scatter task assignments from `root`: `parts[dst]` (only meaningful at the root)
-    /// is delivered to rank `dst`.
-    pub fn scatter<T: Wire + Clone + Send + 'static>(
-        &mut self,
-        parts: Vec<Vec<T>>,
-        root: usize,
-        label: &str,
-    ) -> Result<Vec<T>, DmemError> {
-        let elem = std::mem::size_of::<T>() as u64;
-        let send: Vec<Vec<T>> = if self.rank == root {
-            assert_eq!(parts.len(), self.size());
-            parts
-        } else {
-            (0..self.size()).map(|_| Vec::new()).collect()
-        };
-        let per_dest: Vec<u64> = send.iter().map(|v| v.len() as u64 * elem).collect();
-        let max_pair = per_dest.iter().copied().max().unwrap_or(0);
-        let received = self.exchange_matrix(send, label, 0)?;
-        self.stats
-            .record(label, &per_dest, 0, 1, self.rank, max_pair);
-        received.into_iter().nth(root).ok_or_else(|| {
-            DmemError::Protocol(format!(
-                "collective mismatch in '{label}': root {root} row missing"
-            ))
-        })
-    }
 }
 
 #[cfg(test)]
@@ -851,43 +710,6 @@ mod tests {
     }
 
     #[test]
-    fn flat_rounds_match_nested_rounds_and_padding() {
-        let p = 4;
-        let run = Cluster::new(p).run(|ctx| {
-            let n = if ctx.rank() == 0 { 10 } else { 1 };
-            let nested: Vec<Vec<u64>> = (0..ctx.size()).map(|_| vec![7u64; n]).collect();
-            let counts = vec![n; ctx.size()];
-            let flat: Vec<u64> = vec![7u64; n * ctx.size()];
-
-            let nested_ex = ctx.alltoall_rounds(nested, 4, "nested-rounds").unwrap();
-            let nested_padding = ctx
-                .comm_stats()
-                .stage("nested-rounds")
-                .unwrap()
-                .padding_bytes;
-            let flat_ex = ctx
-                .alltoall_rounds_flat(flat, &counts, 4, "flat-rounds")
-                .unwrap();
-            let flat_padding = ctx.comm_stats().stage("flat-rounds").unwrap().padding_bytes;
-
-            let data_equal = (0..ctx.size())
-                .all(|src| nested_ex.received[src].as_slice() == flat_ex.received.from_rank(src));
-            (
-                nested_ex.rounds,
-                flat_ex.rounds,
-                nested_padding,
-                flat_padding,
-                data_equal,
-            )
-        });
-        for (nested_rounds, flat_rounds, nested_padding, flat_padding, data_equal) in run.results {
-            assert_eq!(nested_rounds, flat_rounds);
-            assert_eq!(nested_padding, flat_padding);
-            assert!(data_equal);
-        }
-    }
-
-    #[test]
     fn flat_exchange_handles_empty_segments() {
         let run = Cluster::new(3).run(|ctx| {
             // Only rank 1 sends anything, and only to rank 2.
@@ -979,37 +801,6 @@ mod tests {
             assert_eq!(sum, 28);
             assert_eq!(max, 6);
             assert_eq!(all, (0..7u32).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn gather_delivers_only_to_root() {
-        let run = Cluster::new(5).run(|ctx| ctx.gather(ctx.rank() as u64 * 2, 3, "g").unwrap());
-        for (rank, res) in run.results.iter().enumerate() {
-            if rank == 3 {
-                assert_eq!(res.as_ref().unwrap(), &vec![0, 2, 4, 6, 8]);
-            } else {
-                assert!(res.is_none());
-            }
-        }
-    }
-
-    #[test]
-    fn broadcast_and_scatter_from_root() {
-        let run = Cluster::new(4).run(|ctx| {
-            let value = if ctx.rank() == 2 { 99u32 } else { 0 };
-            let b = ctx.broadcast(value, 2, "bcast").unwrap();
-            let parts: Vec<Vec<u32>> = if ctx.rank() == 2 {
-                (0..4).map(|d| vec![d as u32 * 10]).collect()
-            } else {
-                vec![Vec::new(); 4]
-            };
-            let s = ctx.scatter(parts, 2, "scatter").unwrap();
-            (b, s)
-        });
-        for (rank, (b, s)) in run.results.iter().enumerate() {
-            assert_eq!(*b, 99);
-            assert_eq!(s, &vec![rank as u32 * 10]);
         }
     }
 

@@ -3,8 +3,8 @@
 //! The paper runs HySortK with MPI across up to 64 Perlmutter nodes. This crate
 //! substitutes a self-contained distributed-memory runtime: every rank has its own
 //! private data, and the MPI collectives the pipelines need (`Alltoallv`, padded
-//! `Alltoall` in rounds, `Allreduce`, `Gather`, `Allgather`, `Broadcast`, `Barrier`)
-//! move real bytes between rank-private buffers through a [`transport::Transport`].
+//! `Alltoall` in rounds, `Allreduce`, `Allgather`, `Barrier`) move real bytes between
+//! rank-private buffers through a [`transport::Transport`].
 //! No data is shared behind the ranks' backs — a rank can only obtain another rank's
 //! data through a collective, exactly as in MPI — so algorithmic behaviour (who sends
 //! what to whom, how many rounds, how much padding) is preserved. Two backends exist
@@ -85,7 +85,7 @@ pub mod stats;
 pub mod transport;
 pub mod wire;
 
-pub use collectives::{FlatReceived, FlatRoundedExchange, RankCtx, RoundedExchange};
+pub use collectives::{FlatReceived, RankCtx, RoundedExchange};
 pub use error::DmemError;
 pub use fault::{FaultKind, FaultPlan, FaultSite};
 pub use nonblocking::RoundExchange;

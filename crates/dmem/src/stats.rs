@@ -22,9 +22,9 @@ pub struct CommStats {
     pub sent_to: Vec<u64>,
     /// Largest (payload + padding) sent to a single destination in any single round.
     pub max_round_pair_bytes: u64,
-    /// Largest volume this rank ever had posted-but-not-completed at once (non-blocking
-    /// round engine only; the bulk-synchronous collectives complete before returning and
-    /// record zero here).
+    /// Largest volume this rank ever had posted-but-not-completed at once in a round
+    /// exchange — for an exchange of a single round, the rank's whole send side. The
+    /// blocking collectives complete before returning and record zero here.
     pub max_inflight_bytes: u64,
     /// Per-stage traffic, keyed by the label passed to the collective.
     pub stages: Vec<StageTraffic>,

@@ -45,7 +45,8 @@ options:
   --max-count <n>    highest multiplicity kept in the output (default 50)
   --batch-size <n>   records per destination per exchange round (default 80000)
   --block-bytes <n>  ingestion block size in bytes (default 1 MiB)
-  --no-overlap       bulk-synchronous exchange instead of the round engine
+  --no-overlap       bulk-synchronous ablation: the same round loop on one
+                     unbounded round (serialize all, exchange, then count)
   --backend <b>      how ranks run: `thread` (in-process simulation, default) or
                      `process` (one forked OS process per rank, exchanges over
                      UNIX sockets — identical output, real transfer cost)

@@ -1,14 +1,14 @@
 //! Round-granular checkpointing: epoch manifests, torn-write-safe commits, and
 //! chain-validated restore.
 //!
-//! The overlapped pipeline's `wait_round` boundary is a natural epoch: the round plan
+//! The round loop's `wait_round` boundary is a natural epoch: the round plan
 //! ([`crate::overlap::plan_rounds`]) derives from globally identical inputs, so every
 //! rank agrees — without communication — on which tasks round *r* completed. After a
 //! committed round, each rank persists an **epoch manifest** holding the counted task
 //! partials of the rounds since the previous manifest (a delta, linked by
 //! `prev_epoch`) plus a cumulative snapshot of its worker-scratch state (histogram,
-//! decode counters, per-task decoded totals). The bulk-synchronous path writes a
-//! single manifest covering its one exchange.
+//! decode counters, per-task decoded totals). A run without overlap has one round and
+//! therefore writes one manifest, epoch 0, covering its whole exchange.
 //!
 //! # Durability
 //!
@@ -647,22 +647,6 @@ impl<K: KmerCode> RoundCheckpointer<K> {
         }
     }
 
-    /// The bulk-synchronous path commits exactly one epoch covering its whole
-    /// exchange, so a restored state is always complete: take it (with its recorded
-    /// round count) and skip the exchange entirely. `None` on a fresh start.
-    pub(crate) fn take_complete_run(&mut self) -> Option<SeedParts<K>> {
-        let seed = self.seed.take()?;
-        let rounds = self
-            .restored_rounds_total
-            .expect("a restored seed always records its round count");
-        assert_eq!(
-            seed.next_round, rounds,
-            "bulk manifests cover the whole exchange"
-        );
-        self.rounds_total = Some(rounds);
-        (seed.next_round == rounds).then_some((seed.tasks, seed.task_sizes, seed.decoded, rounds))
-    }
-
     /// Whether round `round` is a commit boundary: every `checkpoint_every`-th round,
     /// and always the last round (so a completed run is completely durable).
     pub(crate) fn should_commit(&self, round: usize) -> bool {
@@ -682,7 +666,7 @@ impl<K: KmerCode> RoundCheckpointer<K> {
         )
     }
 
-    /// Commit epoch `round` from the overlapped driver's accumulators: snapshot the
+    /// Commit epoch `round` from the round loop's accumulators: snapshot the
     /// cumulative scratch state out of the (idle) bank, write the delta since the
     /// previous epoch, and advance the marks. Must run between job lists: a scratch a
     /// count job still holds would be missing from the snapshot.
@@ -706,24 +690,6 @@ impl<K: KmerCode> RoundCheckpointer<K> {
             received += scratch.received_records;
             precounted += scratch.precounted_records;
         });
-        self.commit_cumulative(
-            round, tasks, task_sizes, decoded, &histogram, received, precounted,
-        )
-    }
-
-    /// Commit epoch `round` with explicitly provided cumulative scratch state (the
-    /// bulk path's single end-of-exchange epoch).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn commit_cumulative(
-        &mut self,
-        round: usize,
-        tasks: &[TaskCounts<K>],
-        task_sizes: &[u64],
-        decoded: &BTreeMap<u32, u64>,
-        histogram: &KmerHistogram,
-        received_records: u64,
-        precounted_records: u64,
-    ) -> Result<(), HysortkError> {
         let rounds = self
             .rounds_total
             .expect("set_rounds_total precedes commits");
@@ -735,8 +701,8 @@ impl<K: KmerCode> RoundCheckpointer<K> {
             self.prev_epoch,
             rounds,
             self.sizes_hash,
-            received_records,
-            precounted_records,
+            received,
+            precounted,
             histogram.buckets(),
             decoded,
             &task_sizes[self.sizes_mark..],

@@ -41,7 +41,9 @@ pub struct HySortKConfig {
     /// assignment order, into rounds of at most `batch_size × ranks` *global* records
     /// (× `data_scale`), and a task bigger than that travels as a round of its own —
     /// so a round holds between one task per destination and all of them, and an
-    /// exchange has as many rounds as its busiest destination needs.
+    /// exchange has as many rounds as its busiest destination needs. With `overlap`
+    /// off the round loop runs on no budget (one round), and `batch_size` only sizes
+    /// the *modeled* padded exchange of the report.
     pub batch_size: usize,
     /// Lowest k-mer frequency kept in the output (2 filters singletons).
     pub min_count: u64,
@@ -67,14 +69,14 @@ pub struct HySortKConfig {
     pub heavy_hitter: HeavyHitterPolicy,
     /// Overlap communication with encode/decode computation (§3.3.1).
     ///
-    /// This flag selects the **execution mode**, not just a modeling term: `true` runs
-    /// the exchange through the non-blocking round engine (task-granular batched
-    /// rounds; serialization of round *r+1* and counting of round *r−1* proceed while
-    /// round *r* is in flight — see `hysortk_core::overlap`), `false` runs the
-    /// bulk-synchronous path (serialise everything, one blocking padded all-to-all,
-    /// then count). The two modes are byte-identical in output; the performance model
-    /// receives the overlap fraction the round loop *measured* rather than a
-    /// projection from this flag.
+    /// Stages 2 and 3 have one schedule — the round loop of `hysortk_core::overlap`,
+    /// over the non-blocking round engine — and this flag picks its **round budget**:
+    /// `true` packs tasks into rounds of `batch_size` records per rank per destination,
+    /// so serialization of round *r+1* and counting of round *r−1* proceed while round
+    /// *r* is in flight; `false` is the bulk-synchronous ablation, the same loop on one
+    /// unbounded round — serialise and post everything, wait, count, each step a
+    /// barrier. Output is byte-identical for both values; the performance model
+    /// receives the overlap fraction the loop *measured* (zero without overlap).
     pub overlap: bool,
     /// Machine model used for the time/memory projection.
     pub machine: MachineConfig,
@@ -252,13 +254,6 @@ impl HySortKConfig {
                 self.processes_per_node, self.threads_per_process, cores
             ));
         }
-        if self.overlap && self.batch_size == 0 {
-            return Err(
-                "overlap requires a positive batch_size: the round engine packs tasks into \
-                 batched rounds and a zero batch degenerates to one task per round forever"
-                    .to_string(),
-            );
-        }
         if self.batch_size == 0 {
             return Err("batch_size must be positive".to_string());
         }
@@ -328,17 +323,16 @@ mod tests {
 
     #[test]
     fn overlap_config_contract_rejects_degenerate_combos() {
-        // The overlap flag changes execution, so its degenerate combinations must be
-        // rejected with a message naming the overlap contract, while the same combo
-        // without overlap falls back to the general batch-size error.
+        // A zero batch is no round budget with overlap and no modeled exchange
+        // without it: one message for both values of the flag.
         let mut cfg = HySortKConfig::default();
         assert!(cfg.overlap, "paper default runs overlapped");
         cfg.batch_size = 0;
-        let err = cfg.validate().unwrap_err();
-        assert!(err.contains("overlap"), "unexpected error: {err}");
-        cfg.overlap = false;
-        let err = cfg.validate().unwrap_err();
-        assert!(err.contains("batch_size must be positive"));
+        for overlap in [true, false] {
+            cfg.overlap = overlap;
+            let err = cfg.validate().unwrap_err();
+            assert!(err.contains("batch_size must be positive"), "{err}");
+        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! The overlapped exchange driver: batched rounds over the non-blocking round engine.
+//! The stage-2+3 schedule: batched rounds over the non-blocking round engine.
 //!
 //! This module is the execution of the paper's flexible hybrid communication (§3.3)
-//! and hybrid parallelism (ranks × threads): instead of serialising everything, running
-//! one bulk-synchronous all-to-all and then counting (each stage a barrier), the
-//! exchange is split into **batched rounds** and driven through
-//! [`hysortk_dmem::RoundExchange`] in steps. Step `s` of a rank touches three rounds:
+//! and hybrid parallelism (ranks × threads), and the only place that decides how a
+//! rank schedules stages 2 and 3: the exchange is split into **batched rounds** and
+//! driven through [`hysortk_dmem::RoundExchange`] in steps. Step `s` of a rank touches
+//! three rounds:
 //!
 //! ```text
 //!                 ┌───────────── one job list on the worker pool ─────────────┐
@@ -42,10 +42,19 @@
 //! byte counter rather than a wall-clock sample, it is deterministic — independent of
 //! the pool width — and projects to full scale like the other traffic counters.
 //!
-//! Because tasks are serialised by the same [`SendSerializer`](crate::pipeline) in
-//! both modes and the per-task record multisets are order-insensitive under stage 3's
-//! sort, the overlapped pipeline is **byte-identical** to the bulk-synchronous path at
-//! every pool width — pinned by the property suite in `tests/`.
+//! `overlap = false` — serialise everything, exchange, then count, each stage a
+//! barrier — is this loop with **one unbounded round**: without a budget
+//! [`plan_rounds`] packs every task into round 0, so step 0 serializes and posts
+//! everything, step 1 waits and step 2 counts, nothing is in flight while a list runs
+//! and every byte is exposed. A task's wire bytes do not depend on the round it
+//! travels in ([`SendSerializer`](crate::pipeline)) and the per-task record multisets
+//! are order-insensitive under stage 3's sort, so the output is **byte-identical**
+//! across round budgets and pool widths — pinned by the property suite in `tests/`.
+//!
+//! A buffer lives until the last step that can use it: the engine — its recycled send
+//! buffers (with one round, the rank's whole send side) and the transport's
+//! per-exchange state — is closed as soon as its last round has completed, inside the
+//! loop, not after the final drain step that only counts.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -109,7 +118,7 @@ pub fn plan_rounds(tasks_of: &[Vec<usize>], global_sizes: &[u64], round_budget: 
     }
 }
 
-/// What the overlapped exchange hands back to the pipeline.
+/// What the round loop hands back to the pipeline.
 pub(crate) struct OverlapRun<K: KmerCode> {
     /// The counted tasks of this rank, accumulated round by round.
     pub out: Stage3Output<K>,
@@ -333,8 +342,9 @@ impl<K: KmerCode> JobLists<'_, K> {
     }
 }
 
-/// Run stages 2 and 3 overlapped: plan task-granular rounds (the plan — and hence the
-/// round count — is identical on every rank by construction), then pipeline
+/// Run stages 2 and 3: plan task-granular rounds of at most `round_budget` global
+/// records (the plan — and hence the round count — is identical on every rank by
+/// construction; `u64::MAX` plans the one round of a bulk-synchronous run), then pipeline
 /// serialize → post → count over the non-blocking round engine, double-buffering both
 /// the send side (recycled engine buffers) and the receive side (two alternating
 /// [`FlatReceived`]s). Every step hands the serialize jobs of the round it fills and
@@ -411,8 +421,9 @@ pub(crate) fn exchange_and_count<K: KmerCode>(
     let mut heavy_local_sorted = 0u64;
     if start < rounds {
         // The engine spans only the remaining window; engine index 0 is absolute
-        // round `start`.
-        let mut engine = ctx.round_exchange(rounds - start, "exchange");
+        // round `start`. It is open until its last round has completed.
+        const OPEN: &str = "the engine is open until its last round has completed";
+        let mut engine = Some(ctx.round_exchange(rounds - start, "exchange"));
 
         // `current` receives the round being completed; `previous` holds the last
         // completed round while its tasks are counted. Two byte buffers circulate on
@@ -461,7 +472,7 @@ pub(crate) fn exchange_and_count<K: KmerCode>(
                 task_sizes.extend(index.task_sizes());
                 index.accumulate_instances(&mut decoded);
 
-                let send = fill.then(|| engine.take_send_buffer());
+                let send = fill.then(|| engine.as_ref().expect(OPEN).take_send_buffer());
                 let list = lists.run(step, send, &index.slots, &mut counts, wall)?;
                 drop(index);
                 all_tasks.extend(list.counted);
@@ -474,7 +485,8 @@ pub(crate) fn exchange_and_count<K: KmerCode>(
                 }
 
                 if let Some(send) = list.send {
-                    engine.post_round(step - start, send, &counts)?;
+                    let open = engine.as_mut().expect(OPEN);
+                    open.post_round(step - start, send, &counts)?;
                 }
                 // Persist the epoch if the drained round is a commit boundary: the
                 // job list has returned, so every scratch is checked back into the
@@ -495,10 +507,17 @@ pub(crate) fn exchange_and_count<K: KmerCode>(
                 // Complete the round in flight (blocks only if some rank has not
                 // posted it yet).
                 if let Some(round) = in_flight {
+                    let open = engine.as_mut().expect(OPEN);
                     timed(&mut wall.exchange_wait, || {
-                        engine.wait_round(round - start, &mut current)
+                        open.wait_round(round - start, &mut current)
                     })?;
                     std::mem::swap(&mut current, &mut previous);
+                    // Every round is posted and completed now: record the traffic and
+                    // release the send buffers and the transport's exchange state
+                    // before the last step, which only counts.
+                    if round + 1 == rounds {
+                        engine.take().expect(OPEN).finish(ctx);
+                    }
                 }
             }
             Ok(())
@@ -513,7 +532,6 @@ pub(crate) fn exchange_and_count<K: KmerCode>(
             }
             return Err(e);
         }
-        engine.finish(ctx);
     }
 
     // Per-block checksums cannot see a segment cut at an exact block boundary; the

@@ -8,10 +8,10 @@
 //!    addressed to one of `s` tasks (`s ≫ p` when the task layer is on).
 //! 2. **Exchange** — task sizes are reduced across ranks, tasks are assigned to ranks
 //!    with the greedy Partition heuristic, heavy-hitter tasks are converted to
-//!    pre-counted kmerlists, and the per-destination byte streams are exchanged with the
-//!    round-limited padded all-to-all.
-//! 3. **Sort & count** — one cheap header pass builds a per-task block index over the
-//!    receive buffer, then the worker pool decodes each task straight from the borrowed
+//!    pre-counted kmerlists, and the per-destination byte streams are exchanged in
+//!    task-batched rounds over the non-blocking round engine ([`crate::overlap`]).
+//! 3. **Sort & count** — one cheap header pass builds a per-task block index over each
+//!    completed round, then the worker pool decodes each task straight from the borrowed
 //!    wire bytes into an exactly preallocated record array, radix-sorts it (choosing
 //!    the in-place or out-of-place sorter by modeled memory pressure) and counts it
 //!    with a streaming run merge, filtered to the `[min_count, max_count]` band (see
@@ -148,11 +148,10 @@ pub(crate) struct RankCounters {
     exchange_rounds: usize,
     assignment_imbalance: f64,
     heavy_tasks: usize,
-    /// Bytes this rank serialized/counted while a round was in flight (overlapped
-    /// mode only).
+    /// Bytes this rank serialized/counted while a round was in flight.
     overlap_hidden_bytes: u64,
     /// Bytes of the pipeline's fill and drain (round 0 serialize, last round count)
-    /// that nothing could hide (overlapped mode only).
+    /// that nothing could hide — with one unbounded round, all of them.
     overlap_exposed_bytes: u64,
     /// Transient input-read failures this rank retried through (file feed only).
     pub(crate) io_retries: u64,
@@ -376,13 +375,12 @@ impl<K: KmerCode> Stage1<K> {
     }
 }
 
-/// The send-side serializer both execution modes share: it owns the stage-1 staging and
-/// writes **one task's** wire blocks into a buffer on demand, so the per-task bytes of
-/// the bulk-synchronous path and the non-blocking round engine are identical by
-/// construction (which is what makes their outputs byte-identical). Supermer tasks
-/// stream word-level packed ranges straight out of the source reads; heavy-hitter
-/// tasks pre-count into a kmerlist at serialisation time (§3.5); record tasks take
-/// their staged vectors. Serialising takes `&self`, so the round loop's serialize
+/// The send-side serializer: it owns the stage-1 staging and writes **one task's** wire
+/// blocks into a buffer on demand, so a task's bytes do not depend on the round it is
+/// packed into (which is what makes outputs byte-identical across round plans).
+/// Supermer tasks stream word-level packed ranges straight out of the source reads;
+/// heavy-hitter tasks pre-count into a kmerlist at serialisation time (§3.5); record
+/// tasks take their staged vectors. Serialising takes `&self`, so the round loop's serialize
 /// jobs of one round run side by side on the worker pool; each task must be
 /// serialised at most once.
 pub(crate) struct SendSerializer<'a, K: KmerCode> {
@@ -792,185 +790,49 @@ pub(crate) fn stages_2_and_3<K: KmerCode>(
     }
 
     // ---------------- stages 2 + 3: serialise, exchange, sort & count ----------------
-    // Both execution modes serialise every task through the same [`SendSerializer`]
-    // (destination-major wire blocks, no send-side supermer materialisation), so their
-    // per-task bytes — and therefore their outputs — are identical by construction.
-    // What differs is the schedule:
-    //
-    // * `cfg.overlap == true` (the paper's §3.3.1 mode) runs the **non-blocking round
-    //   engine**: tasks are packed into batched rounds honouring `cfg.batch_size`, and
-    //   while round *r* is in flight the rank serialises round *r+1* into a recycled
-    //   back buffer and counts round *r−1*'s tasks on the worker pool (see
-    //   [`crate::overlap`]).
-    // * `cfg.overlap == false` is the bulk-synchronous ablation: serialise everything,
-    //   run one blocking padded exchange, then count — each stage a barrier.
+    // One schedule — the round loop of [`crate::overlap`] — and `cfg.overlap` picks its
+    // round budget. `true` (the paper's §3.3.1 mode) packs tasks into batched rounds of
+    // `batch_size` records per rank per destination (global task sizes sum over ranks,
+    // hence × p), scaled by `data_scale`: a scaled-down run is a miniature of the
+    // full-size one, so its round *structure* must be the miniature of the full-size
+    // structure too — otherwise the miniature collapses to one round and the measured
+    // overlap fraction would be pure projection instead of measurement. `false` is the
+    // bulk-synchronous ablation: no budget, so the plan is one round and the loop's
+    // three steps — serialise and post everything, wait, count — are each a barrier.
     let ser = SendSerializer::new(stage1, my_reads, &local_sizes, &heavy, cfg);
     let params =
         CountParams::for_kmer::<K>(k, sorter, cfg.min_count, cfg.max_count, cfg.with_extension);
-
-    let (stage3_out, task_sizes, exchange_rounds) = if cfg.overlap {
-        let run = crate::overlap::exchange_and_count::<K>(
-            ctx,
-            &ser,
-            &assignment.tasks_of,
-            &global_sizes,
-            // The round budget is `batch_size` records per rank per destination
-            // (global task sizes sum over ranks, hence × p), scaled by `data_scale`:
-            // a scaled-down run is a miniature of the full-size one, so its round
-            // *structure* must be the miniature of the full-size structure too —
-            // otherwise the miniature collapses to one round and the measured overlap
-            // fraction would be pure projection instead of measurement.
-            ((cfg.batch_size as f64 * p as f64 * cfg.data_scale).ceil() as u64).max(1),
-            k,
-            &params,
-            pool,
-            ckpt.as_mut(),
-            &mut counters.wall,
-        )?;
-        counters.overlap_hidden_bytes = run.hidden_bytes;
-        counters.overlap_exposed_bytes = run.exposed_bytes;
-        counters.heavy_local_sorted = run.heavy_local_sorted;
-        (run.out, run.task_sizes, run.rounds)
-    } else if let Some(restored) = ckpt.as_mut().and_then(|c| c.take_complete_run()) {
-        // The bulk path commits exactly one epoch covering its whole exchange, so a
-        // restored state is complete: skip serialisation and the exchange entirely.
-        // Restore is deterministic over the shared directory and the fingerprint pins
-        // the execution mode, so every rank takes this branch together — the run
-        // stays SPMD-uniform with no rank waiting in a collective.
-        let restore_start = Instant::now();
-        let _span = trace::span!("checkpoint-restore", trace::Detail::Stage, ctx.rank());
-        let (tasks, task_sizes, decoded, rounds_total) = restored;
-        if let Err(source) =
-            stage3::verify_decoded_totals(&decoded, &assignment.tasks_of[ctx.rank()], &global_sizes)
-        {
-            let e = HysortkError::Wire {
-                rank: ctx.rank(),
-                round: 0,
-                source,
-            };
-            ctx.abort(&e.to_string());
-            return Err(e);
-        }
-        let (histogram, received_records, precounted_records) = ckpt
-            .as_ref()
-            .expect("restored from this checkpointer")
-            .restored_base();
-        let out = stage3::Stage3Output {
-            tasks,
-            histogram: histogram.clone(),
-            received_records,
-            precounted_records,
-        };
-        counters.wall.checkpoint += restore_start.elapsed().as_secs_f64();
-        (out, task_sizes, rounds_total)
+    let round_budget = if cfg.overlap {
+        ((cfg.batch_size as f64 * p as f64 * cfg.data_scale).ceil() as u64).max(1)
     } else {
-        // One contiguous send buffer with per-destination counts (MPI `Alltoallv`
-        // style): the assignment's task lists group each destination's blocks
-        // contiguously.
-        let serialize_start = Instant::now();
-        let ser_span = trace::span!("stage2-serialize", trace::Detail::Stage, ctx.rank());
-        let mut send: Vec<u8> = Vec::new();
-        let mut send_counts = vec![0usize; p];
-        for (dest, tasks) in assignment.tasks_of.iter().enumerate() {
-            let dest_start = send.len();
-            for &t in tasks {
-                counters.heavy_local_sorted += ser.serialize_task(t, &mut send);
-            }
-            send_counts[dest] = send.len() - dest_start;
-        }
-        drop(ser_span);
-        counters.wall.serialize += serialize_start.elapsed().as_secs_f64();
-        let batch_bytes = cfg.batch_size * K::num_bytes(k);
-        let exchange = timed(&mut counters.wall.exchange_wait, || {
-            let _span = trace::span_with(
-                "stage2-exchange",
-                trace::Detail::Stage,
-                ctx.rank() as u32,
-                &[("send_bytes", send.len() as u64)],
-            );
-            ctx.alltoall_rounds_flat(send, &send_counts, batch_bytes.max(1), "exchange")
-        })?;
-
-        // One cheap header pass over the flat receive buffer builds the per-task block
-        // index with exact record totals; the worker pool then runs the fused
-        // decode→sort→count per task straight from the borrowed wire bytes (see
-        // `crate::stage3`).
-        let count_start = Instant::now();
-        let count_span = trace::span!("stage3-count", trace::Detail::Stage, ctx.rank());
-        let index = match stage3::build_block_index::<K, _>(
-            (0..p).map(|src| exchange.received.from_rank(src)),
-            k,
-        ) {
-            Ok(index) => index,
-            Err(source) => {
-                let e = HysortkError::Wire {
-                    rank: ctx.rank(),
-                    round: 0,
-                    source,
-                };
-                // Publish before returning so no peer stays blocked in a later
-                // collective waiting for this rank.
-                ctx.abort(&e.to_string());
-                return Err(e);
-            }
-        };
-        let task_sizes = index.task_sizes();
-        // Per-block checksums cannot see a segment cut at an exact block boundary;
-        // reconciling decoded totals against the allreduced sizes can.
-        let mut decoded = std::collections::BTreeMap::new();
-        index.accumulate_instances(&mut decoded);
-        if let Err(source) =
-            stage3::verify_decoded_totals(&decoded, &assignment.tasks_of[ctx.rank()], &global_sizes)
-        {
-            let e = HysortkError::Wire {
-                rank: ctx.rank(),
-                round: 0,
-                source,
-            };
-            ctx.abort(&e.to_string());
-            return Err(e);
-        }
-        let out = stage3::count_blocks_parallel(&index, k, &params, pool);
-        drop(count_span);
-        counters.wall.count += count_start.elapsed().as_secs_f64();
-        // The bulk path has no intermediate round boundaries to persist at; it commits
-        // one all-or-nothing epoch once everything is counted, so `--resume` (and an
-        // in-run respawn) skips the exchange entirely instead of replaying part of it.
-        if let Some(c) = ckpt.as_mut() {
-            let commit_start = Instant::now();
-            let _span = trace::span!("checkpoint-commit", trace::Detail::Stage, ctx.rank());
-            let committed = c.set_rounds_total(exchange.rounds).and_then(|()| {
-                c.commit_cumulative(
-                    exchange.rounds - 1,
-                    &out.tasks,
-                    &task_sizes,
-                    &decoded,
-                    &out.histogram,
-                    out.received_records,
-                    out.precounted_records,
-                )
-            });
-            if let Err(e) = committed {
-                if !e.is_peer_echo() {
-                    ctx.abort(&e.to_string());
-                }
-                return Err(e);
-            }
-            counters.wall.checkpoint += commit_start.elapsed().as_secs_f64();
-        }
-        (out, task_sizes, exchange.rounds)
+        u64::MAX
     };
-    counters.exchange_rounds = exchange_rounds;
+    let run = crate::overlap::exchange_and_count::<K>(
+        ctx,
+        &ser,
+        &assignment.tasks_of,
+        &global_sizes,
+        round_budget,
+        k,
+        &params,
+        pool,
+        ckpt.as_mut(),
+        &mut counters.wall,
+    )?;
+    counters.overlap_hidden_bytes = run.hidden_bytes;
+    counters.overlap_exposed_bytes = run.exposed_bytes;
+    counters.heavy_local_sorted = run.heavy_local_sorted;
+    counters.exchange_rounds = run.rounds;
     counters.epochs_committed = ckpt.as_ref().map_or(0, |c| c.epochs_committed as u64);
-    counters.worker_makespan = schedule_lpt(&task_sizes, workers).makespan();
-    counters.received_elements = stage3_out.received_records;
-    counters.precounted_elements = stage3_out.precounted_records;
+    counters.worker_makespan = schedule_lpt(&run.task_sizes, workers).makespan();
+    counters.received_elements = run.out.received_records;
+    counters.precounted_elements = run.out.precounted_records;
 
     // The tasks' sorted runs go home as they are: the root merges the runs of every
     // rank in one pass (`merge_outputs`), so a rank has nothing to merge.
     Ok(RankOutput {
-        tasks: stage3_out.tasks,
-        histogram: stage3_out.histogram,
+        tasks: run.out.tasks,
+        histogram: run.out.histogram,
         counters,
     })
 }
@@ -1127,13 +989,13 @@ pub(crate) fn merge_outputs<K: KmerCode>(
         );
     }
     // Encode/decode work that the non-blocking exchange can hide (§3.3.1): moving the
-    // wire bytes once more through memory on each side. The hidden share is no longer
-    // a projection from the `overlap` flag — the round engine *measures* it: bytes
-    // serialized/counted while a round was in flight vs the exposed fill-and-drain
-    // bytes at the pipeline's ends. The bulk path hides nothing by construction. Like
-    // padding, the exposed share measured on scaled-down data is an artefact of the
-    // fixed batch size (it shrinks as 1/rounds), so it is re-projected through the
-    // full-scale round count computed above.
+    // wire bytes once more through memory on each side. The hidden share is measured
+    // by the round loop: bytes serialized/counted while a round was in flight vs the
+    // exposed fill-and-drain bytes at the pipeline's ends. Like padding, the exposed
+    // share measured on scaled-down data is an artefact of the fixed batch size (it
+    // shrinks as 1/rounds), so it is re-projected through the full-scale round count
+    // computed above — except without overlap: that run's one unbounded round is all
+    // exposed bytes at any scale, and projecting it would read as almost fully hidden.
     let codec_rate = model.machine.mem_bandwidth_per_node / cfg.processes_per_node as f64 / 4.0;
     let overlappable = max_rank_wire as f64 / codec_rate;
     let hidden: u64 = counters.iter().map(|c| c.overlap_hidden_bytes).sum();
@@ -1436,11 +1298,11 @@ mod tests {
             engine.payload_bytes, bulk_stage.payload_bytes,
             "round payloads must conserve the bulk payload"
         );
-        assert_eq!(
-            bulk_stage.max_inflight_bytes, 0,
-            "bulk path never posts ahead"
-        );
+        // Without overlap the same loop runs one unbounded round, hides nothing, and
+        // needs no sizing collective of its own.
+        assert_eq!(bulk_stage.rounds, 1);
         assert_eq!(bulk.report.overlap_fraction, 0.0);
+        assert!(bulk.report.comm.stage("exchange-sizing").is_none());
         assert!((0.0..=1.0).contains(&overlapped.report.overlap_fraction));
     }
 
@@ -1461,11 +1323,12 @@ mod tests {
     #[test]
     fn stage_buckets_partition_every_ranks_wall_at_one_and_two_threads() {
         let reads = overlapping_reads(12);
-        for threads in [1usize, 2] {
+        for (threads, overlap) in [(1usize, true), (2, true), (1, false), (2, false)] {
             for ranks in [1usize, 3] {
                 let mut cfg = small_cfg(21, 9, ranks);
                 cfg.threads_per_process = threads;
                 cfg.batch_size = 64;
+                cfg.overlap = overlap;
                 let ranges = reads.partition_by_bases(ranks);
                 let run = Cluster::new(ranks).run_wire(|ctx| {
                     rank_pipeline::<Kmer1>(
@@ -1487,7 +1350,7 @@ mod tests {
                     // twice.
                     assert!(
                         (sum - wall.total).abs() <= 1e-9,
-                        "threads {threads} ranks {ranks}: {wall:?}"
+                        "threads {threads} overlap {overlap} ranks {ranks}: {wall:?}"
                     );
                     assert!(other >= 0.0 && wall.serialize > 0.0 && wall.count > 0.0);
                 }

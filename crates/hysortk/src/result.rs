@@ -217,7 +217,9 @@ pub struct RunReport {
     /// Measured fraction (0..=1) of the overlappable encode/decode work the run hid
     /// behind the exchange: bytes serialized/counted while a round was in flight over
     /// all bytes through the round loop, with the exposed fill-and-drain share
-    /// projected to the full-scale round count. Zero for the bulk-synchronous path.
+    /// projected to the full-scale round count. Zero without overlap: the loop then
+    /// runs one unbounded round, nothing is in flight while it serializes or counts,
+    /// and every byte is exposed.
     pub overlap_fraction: f64,
     /// Transient input-read failures that were retried successfully, summed over all
     /// ranks. Zero for in-memory runs and healthy file feeds.

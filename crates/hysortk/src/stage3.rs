@@ -138,7 +138,7 @@ impl<K: KmerCode> BlockIndex<'_, K> {
 
     /// Exact k-mer *instances* each slot's blocks represent: decoded records plus the
     /// pre-counted multiplicities of kmerlist entries. Accumulate these into `totals`
-    /// (round by round in the overlapped pipeline) and hand the map to
+    /// (round by round in the pipeline's round loop) and hand the map to
     /// [`verify_decoded_totals`] once the exchange is over.
     pub fn accumulate_instances(&self, totals: &mut BTreeMap<u32, u64>) {
         for slot in &self.slots {
@@ -179,9 +179,10 @@ pub fn verify_decoded_totals(
 
 /// Incremental builder of a [`BlockIndex`]: segments are added one at a time (e.g.
 /// round by round as the non-blocking exchange completes them), each extending the
-/// per-task slots, and [`BlockIndexBuilder::finish`] closes the index. The overlapped
-/// pipeline uses this to index batch *r−1*'s received segments while round *r* is in
-/// flight; [`build_block_index`] is the one-shot wrapper over it.
+/// per-task slots, and [`BlockIndexBuilder::finish`] closes the index. The pipeline's
+/// round loop uses this to index batch *r−1*'s received segments while round *r* is in
+/// flight; [`build_block_index`] is the one-shot wrapper over it, for whole receive
+/// buffers (the benchmark replay, [`count_received_parallel`], tests).
 #[derive(Debug)]
 pub struct BlockIndexBuilder<'a, K: KmerCode> {
     by_task: BTreeMap<u32, TaskSlot<'a, K>>,
@@ -719,9 +720,9 @@ pub struct Stage3Output<K: KmerCode> {
 impl<K: KmerCode> Stage3Output<K> {
     /// Assemble the stage output from per-task results and the worker scratches that
     /// produced them: histograms and work counters merge once per scratch, not once
-    /// per task. The bulk path assembles from one [`count_blocks_parallel`] call; the
-    /// overlapped pipeline accumulates `tasks` round by round and drains its
-    /// [`hysortk_task::ScratchBank`] once at the end.
+    /// per task. The pipeline's round loop accumulates `tasks` round by round and
+    /// drains its [`hysortk_task::ScratchBank`] once at the end;
+    /// [`count_blocks_parallel`] assembles from its one pool call.
     pub fn assemble(
         tasks: Vec<TaskCounts<K>>,
         scratches: Vec<CountScratch<K>>,
@@ -749,9 +750,12 @@ impl<K: KmerCode> Stage3Output<K> {
 /// reuses one [`CountScratch`] (bucket pool, bucket buffers, kmerlist staging,
 /// histogram) across all its tasks.
 ///
-/// Panics, naming the task, when a slot's header-derived totals are not what its
-/// blocks decode to (the round loop, which calls [`count_task`] itself, returns that as
-/// an error instead).
+/// Not a product path: the pipeline's round loop (`crate::overlap`) runs [`count_task`]
+/// in its own job lists and returns a slot whose header-derived totals are not what
+/// its blocks decode to as [`WireError::CountMismatch`]. This wrapper serves the frozen
+/// benchmark harness's layer replay (which pins its signature),
+/// [`count_received_parallel`] and the tests, and **panics**, naming the task, on such
+/// a slot.
 pub fn count_blocks_parallel<K: KmerCode>(
     index: &BlockIndex<'_, K>,
     k: usize,
@@ -1548,8 +1552,9 @@ mod tests {
         }
     }
 
-    /// The bulk driver's signature has no error path: there the same mismatches panic,
-    /// naming the task.
+    /// [`count_blocks_parallel`] — the wrapper the benchmark replay and the tests use,
+    /// not the product — has no error path in its signature: there the same mismatches
+    /// panic, naming the task.
     fn count_in_bulk_with_totals((records, precounted, actual): (usize, usize, usize)) {
         let k = MISMATCH_K;
         let segment = task_seven(actual);

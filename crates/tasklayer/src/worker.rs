@@ -145,27 +145,11 @@ impl WorkerPool {
     }
 
     /// Like [`execute`](WorkerPool::execute), but each worker thread gets a reusable
-    /// scratch value built once by `init` and threaded through every task it runs —
-    /// the streaming parse stage uses this to reuse its ring buffer and staging
-    /// across a whole chunk stream instead of re-allocating per task.
-    ///
-    /// Results are returned in task order.
-    pub fn execute_with<T, S, R, I, F>(&self, tasks: Vec<T>, init: I, f: F) -> Vec<R>
-    where
-        T: Send,
-        S: Send,
-        R: Send,
-        I: Fn() -> S + Sync + Send,
-        F: Fn(&mut S, T) -> R + Sync + Send,
-    {
-        self.execute_with_scratch(tasks, init, f).0
-    }
-
-    /// Like [`execute_with`](WorkerPool::execute_with), but also hands the per-thread
-    /// scratch values back to the caller after the run. The sort & count stage uses
-    /// this to accumulate per-worker histograms and work counters inside the scratch
-    /// and merge the handful of scratches once at the end, instead of allocating and
-    /// merging one histogram per task.
+    /// scratch value built once by `init` and threaded through every task it runs, and
+    /// the per-thread scratch values are handed back to the caller after the run. The
+    /// sort & count stage uses this to accumulate per-worker histograms and work
+    /// counters inside the scratch and merge the handful of scratches once at the end,
+    /// instead of allocating and merging one histogram per task.
     ///
     /// Results are returned in task order; the scratch order is unspecified (one entry
     /// per rayon fold segment), so merging scratches must be commutative.
@@ -223,11 +207,11 @@ impl WorkerPool {
         (results, scratches)
     }
 
-    /// Like [`execute_with`](WorkerPool::execute_with), but each worker thread's
-    /// scratch is checked out of `bank` for the call and returned when it ends, so the
-    /// expensive state (ring buffers, staging) persists across calls — the streaming
-    /// parse stage hands the pool one ingested batch at a time. `init` only runs when
-    /// the bank has no free scratch for a worker.
+    /// Like [`execute_with_scratch`](WorkerPool::execute_with_scratch), but each worker
+    /// thread's scratch is checked out of `bank` for the call and returned when it ends,
+    /// so the expensive state (ring buffers, staging) persists across calls — the
+    /// streaming parse stage hands the pool one ingested batch at a time. `init` only
+    /// runs when the bank has no free scratch for a worker.
     ///
     /// Results are returned in task order.
     pub fn execute_with_bank<T, S, R, I, F>(
@@ -489,7 +473,7 @@ mod tests {
         let pool = WorkerPool::new(2, 2);
         // Scratch is a per-thread counter; results must still come back in task order
         // and every task must see a scratch that was initialised by `init`.
-        let results = pool.execute_with(
+        let (results, _) = pool.execute_with_scratch(
             (0..100u64).collect(),
             || 1_000u64,
             |scratch, x| {
@@ -507,7 +491,7 @@ mod tests {
     #[test]
     fn execute_with_on_empty_input_returns_nothing() {
         let pool = WorkerPool::new(2, 2);
-        let results: Vec<u32> = pool.execute_with(Vec::<u32>::new(), || 0u8, |_, x| x);
+        let (results, _) = pool.execute_with_scratch(Vec::<u32>::new(), || 0u8, |_, x| x);
         assert!(results.is_empty());
     }
 

@@ -312,8 +312,8 @@ fn recovery_resumes_from_committed_epochs() {
             count_kmers_from_files_with::<Kmer1, _>(&[&path], &cfg, IngestOptions::default())
                 .expect("healthy run");
         cfg.checkpoint_dir = Some(dir.clone());
-        // The bulk path moves all its rounds as one flat exchange that fires faults
-        // at round 0; the overlap engine is killed at round 5, past epochs 0..=2.
+        // Without overlap the round loop has one unbounded round, so round 0 is its only
+        // exchange site; on a batch budget it is killed at round 5, past epochs 0..=2.
         let round = if overlap { 5 } else { 0 };
         let plan = Arc::new(FaultPlan::new().with_fault(1, "exchange", round, FaultKind::FailRank));
         let result =

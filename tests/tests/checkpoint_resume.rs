@@ -57,9 +57,9 @@ fn healthy(path: &Path, cfg: &HySortKConfig) -> CountResult<Kmer1> {
         .expect("healthy run")
 }
 
-/// The exchange round to kill at: the bulk path moves all its rounds as one flat
-/// exchange that fires faults at round 0, while the overlap engine reaches round 5
-/// with epochs 0..=2 already committed.
+/// The exchange round to kill at: without overlap the round loop runs one unbounded
+/// round, so round 0 is the only exchange site there is, while on a `batch_size`
+/// budget it reaches round 5 with epochs 0..=2 already committed.
 fn kill_round(overlap: bool) -> usize {
     if overlap {
         5
@@ -125,30 +125,41 @@ fn manifests_of(dir: &Path, rank: usize) -> Vec<(u32, PathBuf)> {
 }
 
 /// The core contract, in both execution modes: kill → resume reproduces the healthy
-/// histogram exactly. In overlap mode the resume restores committed epochs and skips
-/// their rounds; in bulk mode the kill predates the single all-or-nothing epoch, so
-/// the resume recounts from scratch — both must land on identical bytes.
+/// histogram exactly. With overlap the resume restores committed epochs and skips their
+/// rounds; without it the one round's only epoch is either not reached (a kill in the
+/// exchange) or torn on the dying rank (a kill mid-commit, which the other ranks
+/// survive with epoch 0 on disk — not globally consistent, so not restored), and the
+/// resume recounts from scratch — all must land on identical bytes.
 #[test]
 fn a_killed_run_resumes_to_the_identical_result_in_both_modes() {
     let reads = overlapping_reads(90);
     let path = tmp_path("kill.fa");
     fasta::write_fasta_file(&path, &reads, 70).unwrap();
-    for overlap in [false, true] {
-        let dir = tmp_path(&format!("kill.dir.{overlap}"));
+    for (overlap, stage) in [
+        (false, "exchange"),
+        (false, "checkpoint"),
+        (true, "exchange"),
+    ] {
+        let what = format!("overlap={overlap} kill at {stage}");
+        let dir = tmp_path(&format!("kill.dir.{overlap}.{stage}"));
         std::fs::remove_dir_all(&dir).ok();
         let cfg = resume_cfg(3, overlap);
         let baseline = healthy(&path, &cfg);
-        kill_checkpointed_run(&path, &cfg, &dir, kill_round(overlap));
+        kill_checkpointed_run_at(&path, &cfg, &dir, stage, kill_round(overlap));
         if overlap {
             assert!(
                 !manifests_of(&dir, 0).is_empty(),
                 "the killed overlap run committed no epochs"
             );
+        } else {
+            assert!(
+                manifests_of(&dir, 1).is_empty(),
+                "{what}: rank 1 died first"
+            );
         }
-        let resumed =
-            resume(&path, &cfg, &dir).unwrap_or_else(|e| panic!("overlap={overlap}: {e}"));
-        assert_eq!(resumed.counts, baseline.counts, "overlap={overlap}");
-        assert_eq!(resumed.histogram, baseline.histogram, "overlap={overlap}");
+        let resumed = resume(&path, &cfg, &dir).unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(resumed.counts, baseline.counts, "{what}");
+        assert_eq!(resumed.histogram, baseline.histogram, "{what}");
         std::fs::remove_dir_all(&dir).ok();
     }
     std::fs::remove_file(&path).ok();
@@ -189,26 +200,44 @@ fn kills_around_the_job_list_resume_to_the_golden_result_at_every_pool_width() {
 }
 
 /// Resuming a run that already finished restores the final epoch and skips the
-/// exchange entirely — in bulk mode via the single complete epoch, in overlap mode by
-/// restoring past the last round.
+/// exchange entirely: the restored cursor is past the last round, so the round engine
+/// is never opened. Without overlap the one round commits exactly one epoch per rank,
+/// whatever the commit cadence.
 #[test]
 fn resuming_a_completed_run_skips_straight_to_the_answer() {
     let reads = overlapping_reads(91);
     let path = tmp_path("complete.fa");
     fasta::write_fasta_file(&path, &reads, 70).unwrap();
-    for overlap in [false, true] {
-        let dir = tmp_path(&format!("complete.dir.{overlap}"));
+    for (overlap, every) in [(false, 1), (false, 3), (true, 1)] {
+        let what = format!("overlap={overlap} every={every}");
+        let dir = tmp_path(&format!("complete.dir.{overlap}.{every}"));
         std::fs::remove_dir_all(&dir).ok();
         let mut cfg = resume_cfg(3, overlap);
         cfg.checkpoint_dir = Some(dir.clone());
+        cfg.checkpoint_every = every;
         let first =
             count_kmers_from_files_with::<Kmer1, _>(&[&path], &cfg, IngestOptions::default())
                 .expect("checkpointed run");
-        assert!(first.report.epochs_committed >= 1, "overlap={overlap}");
-        let resumed =
-            resume(&path, &cfg, &dir).unwrap_or_else(|e| panic!("overlap={overlap}: {e}"));
-        assert_eq!(resumed.counts, first.counts, "overlap={overlap}");
-        assert_eq!(resumed.histogram, first.histogram, "overlap={overlap}");
+        assert!(first.report.epochs_committed >= 1, "{what}");
+        let exchanged = |r: &CountResult<Kmer1>| {
+            let stage = r.report.comm.stage("exchange");
+            stage.map_or(0, |s| s.payload_bytes)
+        };
+        assert!(exchanged(&first) > 0, "{what}");
+        if !overlap {
+            assert_eq!(first.report.epochs_committed, 1, "{what}");
+            for rank in 0..3 {
+                let epochs: Vec<u32> = (manifests_of(&dir, rank).iter())
+                    .map(|&(epoch, _)| epoch)
+                    .collect();
+                assert_eq!(epochs, [0], "{what} rank {rank}");
+            }
+        }
+        let resumed = resume(&path, &cfg, &dir).unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(resumed.counts, first.counts, "{what}");
+        assert_eq!(resumed.histogram, first.histogram, "{what}");
+        assert_eq!(exchanged(&resumed), 0, "{what}: the resume re-exchanged");
+        assert_eq!(resumed.report.epochs_committed, 0, "{what}");
         std::fs::remove_dir_all(&dir).ok();
     }
     std::fs::remove_file(&path).ok();
