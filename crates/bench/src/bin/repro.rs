@@ -1,326 +1,14 @@
-//! Regenerate the paper's tables and figures, and the sort-kernel benchmark point.
+//! Regenerate the paper's tables and figures. Every number is modeled (see the
+//! library docs), so the output is deterministic; `tests/data/repro_all.golden.txt`
+//! is `repro all`.
 //!
 //! ```text
 //! cargo run -p hysortk-bench --release --bin repro -- list
 //! cargo run -p hysortk-bench --release --bin repro -- table2
 //! cargo run -p hysortk-bench --release --bin repro -- all
-//! cargo run -p hysortk-bench --release --bin repro -- bench-sort   # writes BENCH_sort.json
-//! cargo run -p hysortk-bench --release --bin repro -- bench-parse  # writes BENCH_parse.json
-//! cargo run -p hysortk-bench --release --bin repro -- bench-count  # writes BENCH_count.json
-//! cargo run -p hysortk-bench --release --bin repro -- bench-exchange  # writes BENCH_exchange.json
-//! cargo run -p hysortk-bench --release --bin repro -- bench-exchange --backend process
-//!                                                     # forked ranks only; writes BENCH_exchange.process.json
-//! cargo run -p hysortk-bench --release --bin repro -- bench-ingest  # writes BENCH_ingest.json
-//! cargo run -p hysortk-bench --release --bin repro -- bench-e2e    # writes BENCH_e2e.json
-//! cargo run -p hysortk-bench --release --bin repro -- bench-check  # perf ratchet vs baselines
 //! ```
 
-use hysortk_bench as bench;
-
-type Experiment = (&'static str, &'static str, fn() -> Vec<bench::Row>);
-
-const EXPERIMENTS: &[Experiment] = &[
-    (
-        "ablation",
-        "§4.1.1 optimisation-strategy ablation (task layer, heavy hitters)",
-        bench::ablation_task_layer,
-    ),
-    (
-        "tpw",
-        "§4.1.1 tasks-per-worker sweep",
-        bench::ablation_tasks_per_worker,
-    ),
-    (
-        "table2",
-        "Table 2: runtime vs processes per node",
-        bench::table2_processes_per_node,
-    ),
-    (
-        "table3",
-        "Table 3: communication time vs batch size",
-        bench::table3_batch_size,
-    ),
-    (
-        "table4",
-        "Table 4: runtime vs minimizer length m",
-        bench::table4_m_length,
-    ),
-    (
-        "fig4",
-        "Figure 4: strong scaling on H. sapiens 10x",
-        bench::figure4_strong_scaling,
-    ),
-    (
-        "fig5",
-        "Figure 5: weak scaling (2 GB/node) with stage breakdown",
-        bench::figure5_weak_scaling,
-    ),
-    (
-        "fig6",
-        "Figure 6: HySortK vs KMC3 (shared memory)",
-        bench::figure6_vs_kmc3,
-    ),
-    (
-        "fig7",
-        "Figure 7: HySortK vs kmerind on H. sapiens 10x",
-        bench::figure7_vs_kmerind_hs10x,
-    ),
-    (
-        "fig8",
-        "Figure 8: HySortK vs kmerind on H. sapiens 52x",
-        bench::figure8_vs_kmerind_hs52x,
-    ),
-    (
-        "fig9",
-        "Figure 9: HySortK vs MetaHipMer2 (GPU) on C. elegans",
-        bench::figure9_vs_mhm2,
-    ),
-    ("fig10", "Figure 10: ELBA integration", bench::figure10_elba),
-    (
-        "supermer_stats",
-        "§3.2 supermer communication and balance claims",
-        bench::supermer_statistics,
-    ),
-    (
-        "comm_opt",
-        "§3.3 overlap and compression claims",
-        bench::communication_optimisations,
-    ),
-];
-
-/// Time the sort kernels and the end-to-end pipeline, then write `BENCH_sort.json` —
-/// the first point on the repo's performance trajectory.
-fn bench_sort() {
-    eprintln!("[repro] timing sort kernels on 1M random 8-byte keys …");
-    let report = bench::bench_sort_kernels(1_000_000);
-    let json = report.to_json();
-    print!("{json}");
-    println!(
-        "raduls kernel speedup: {:.2}x, paradis kernel speedup: {:.2}x, \
-         end-to-end: {:.2} Mkmers/s",
-        report.raduls_speedup(),
-        report.paradis_speedup(),
-        report.counts_per_sec() / 1e6
-    );
-    let path = "BENCH_sort.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("[repro] wrote {path}"),
-        Err(e) => eprintln!("[repro] could not write {path}: {e}"),
-    }
-}
-
-/// Time the vec-based vs streaming stage 1 on a fixed seeded dataset, then write
-/// `BENCH_parse.json` — the parse-stage point on the repo's performance trajectory.
-fn bench_parse() {
-    eprintln!("[repro] timing stage-1 parse paths on 2000 seeded 5kb reads …");
-    let report = bench::bench_parse(2_000, 5_000);
-    let json = report.to_json();
-    print!("{json}");
-    println!(
-        "streaming stage 1: {:.1} Mbases/s ({:.2}x over the vec path), \
-         {:.1} Msupermers/s",
-        report.streaming_bases_per_sec() / 1e6,
-        report.streaming_speedup(),
-        report.supermers_per_sec() / 1e6
-    );
-    let path = "BENCH_parse.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("[repro] wrote {path}"),
-        Err(e) => eprintln!("[repro] could not write {path}: {e}"),
-    }
-}
-
-/// Time the sequential vs parallel stage 3 (sort & count) on a fixed seeded receive
-/// workload, then write `BENCH_count.json` — the count-stage point on the repo's
-/// performance trajectory.
-fn bench_count() {
-    eprintln!("[repro] timing stage-3 count paths on a seeded receive workload …");
-    // workers = 0: size the pool to the machine (single-core runners isolate the
-    // allocation-free algorithmic wins; multicore runners add task parallelism).
-    let report = bench::bench_count(1_200, 2_000, 0);
-    let json = report.to_json();
-    print!("{json}");
-    println!(
-        "parallel stage 3: {:.2} Mrecords/s ({:.2}x over the sequential reference)",
-        report.parallel_records_per_sec() / 1e6,
-        report.parallel_speedup()
-    );
-    let path = "BENCH_count.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("[repro] wrote {path}"),
-        Err(e) => eprintln!("[repro] could not write {path}: {e}"),
-    }
-}
-
-/// Time the end-to-end pipeline with the non-blocking round engine against the
-/// bulk-synchronous exchange, then write `BENCH_exchange.json` — the exchange-stage
-/// point on the repo's performance trajectory. `--backend thread` keeps the 128-rank
-/// in-process simulation only; `--backend process` measures the forked-rank backend
-/// (every byte over UNIX sockets) only; the default `both` runs the two and folds the
-/// process row into `BENCH_exchange.json`'s `backends` array. The process measurement
-/// is additionally written standalone as `BENCH_exchange.process.json`.
-fn bench_exchange(args: &[String]) {
-    let mut backend = "both".to_string();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--backend" => match it.next() {
-                Some(b) if matches!(b.as_str(), "thread" | "process" | "both") => {
-                    backend = b.clone();
-                }
-                other => {
-                    eprintln!(
-                        "--backend wants thread, process or both (got {})",
-                        other.map_or("nothing", |s| s.as_str())
-                    );
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("unknown bench-exchange flag `{other}`");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    let mut report = None;
-    if backend != "process" {
-        eprintln!("[repro] timing overlapped vs bulk exchange, 8 nodes x 16 ppn (thread) …");
-        report = Some(bench::bench_exchange());
-    }
-    if backend != "thread" {
-        eprintln!("[repro] timing overlapped vs bulk exchange, forked ranks (process) …");
-        let row = bench::bench_exchange_process(3);
-        println!(
-            "process backend on {} forked ranks ({} rounds): {:.2}x measured wall \
-             speedup of the overlapped exchange over bulk-synchronous",
-            row.ranks,
-            row.rounds,
-            row.wall_speedup()
-        );
-        let path = "BENCH_exchange.process.json";
-        match std::fs::write(path, row.to_json()) {
-            Ok(()) => eprintln!("[repro] wrote {path}"),
-            Err(e) => eprintln!("[repro] could not write {path}: {e}"),
-        }
-        if let Some(report) = report.as_mut() {
-            report.backends.push(row);
-        }
-    }
-
-    let Some(report) = report else { return };
-    let json = report.to_json();
-    print!("{json}");
-    println!(
-        "overlapped pipeline on {} ranks ({} projected rounds): {:.2}x modeled \
-         end-to-end speedup over the bulk-synchronous exchange \
-         (overlap fraction {:.2}, wall {:.2}x)",
-        report.ranks,
-        report.rounds_projected,
-        report.modeled_speedup(),
-        report.overlap_fraction,
-        report.wall_speedup()
-    );
-    let path = "BENCH_exchange.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("[repro] wrote {path}"),
-        Err(e) => eprintln!("[repro] could not write {path}: {e}"),
-    }
-}
-
-/// Time the file-fed pipeline (chunked, rank-sharded FASTA ingestion) against the
-/// in-memory entry point on the same generated dataset, then write
-/// `BENCH_ingest.json` — the input-path point on the repo's performance trajectory.
-fn bench_ingest() {
-    eprintln!("[repro] timing file-fed vs in-memory pipeline on a C. elegans stand-in …");
-    let report = bench::bench_ingest();
-    let json = report.to_json();
-    print!("{json}");
-    println!(
-        "file-fed pipeline: {:.1} MB/s of FASTA end to end \
-         ({:.2}x the in-memory pipeline's wall time)",
-        report.file_bytes_per_sec() / 1e6,
-        report.ingest_overhead()
-    );
-    let path = "BENCH_ingest.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("[repro] wrote {path}"),
-        Err(e) => eprintln!("[repro] could not write {path}: {e}"),
-    }
-}
-
-/// Run the whole file-to-histogram pipeline on a fixed-seed generated FASTA file, then
-/// write `BENCH_e2e.json` — the end-to-end wall-time point on the repo's performance
-/// trajectory, and the artifact the CI perf ratchet gates on.
-fn bench_e2e() {
-    eprintln!("[repro] timing file-to-histogram end to end on a C. elegans stand-in …");
-    let report = bench::bench_e2e();
-    let json = report.to_json();
-    print!("{json}");
-    println!(
-        "end-to-end pipeline ({} path): {:.1} Mbases/s, {:.1} MB/s of FASTA, \
-         histogram fingerprint {:#018x}",
-        report.simd_path,
-        report.bases_per_sec() / 1e6,
-        report.file_bytes_per_sec() / 1e6,
-        report.histogram_fingerprint
-    );
-    let path = "BENCH_e2e.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("[repro] wrote {path}"),
-        Err(e) => eprintln!("[repro] could not write {path}: {e}"),
-    }
-}
-
-/// Compare fresh `BENCH_*.json` artifacts against the committed baselines and exit
-/// non-zero on any regression beyond tolerance (the CI perf ratchet).
-fn bench_check(args: &[String]) {
-    let mut fresh = std::path::PathBuf::from(".");
-    let mut baseline = std::path::PathBuf::from("bench/baselines");
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--fresh" => match it.next() {
-                Some(dir) => fresh = dir.into(),
-                None => {
-                    eprintln!("bench-check: --fresh needs a directory");
-                    std::process::exit(2);
-                }
-            },
-            "--baseline" => match it.next() {
-                Some(dir) => baseline = dir.into(),
-                None => {
-                    eprintln!("bench-check: --baseline needs a directory");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("bench-check: unknown flag `{other}`");
-                std::process::exit(2);
-            }
-        }
-    }
-    eprintln!(
-        "[repro] perf ratchet: fresh {} vs baseline {}",
-        fresh.display(),
-        baseline.display()
-    );
-    let outcomes = bench::ratchet::check_ratchet(&fresh, &baseline);
-    for outcome in &outcomes {
-        println!("{outcome}");
-    }
-    if bench::ratchet::ratchet_passes(&outcomes) {
-        eprintln!("[repro] perf ratchet: OK");
-    } else {
-        eprintln!(
-            "[repro] perf ratchet: FAILED — a headline metric regressed beyond tolerance \
-             (add a line to {}/{} to override deliberately)",
-            baseline.display(),
-            bench::ratchet::OVERRIDE_FILE
-        );
-        std::process::exit(1);
-    }
-}
+use hysortk_bench::{render, EXPERIMENTS};
 
 fn main() {
     let arg = std::env::args()
@@ -332,31 +20,16 @@ fn main() {
             for (name, description, _) in EXPERIMENTS {
                 println!("  {name:<16} {description}");
             }
-            println!("\nrun one with `repro <name>`, `repro bench-sort` for the sort-kernel");
-            println!("microbenchmark (writes BENCH_sort.json), `repro bench-parse` for the");
-            println!("parse-stage microbenchmark (writes BENCH_parse.json), `repro bench-count`");
-            println!("for the count-stage microbenchmark (writes BENCH_count.json),");
-            println!("`repro bench-exchange` for the overlapped-vs-bulk exchange benchmark");
-            println!("(writes BENCH_exchange.json), `repro bench-ingest` for the file-ingestion");
-            println!("benchmark (writes BENCH_ingest.json), `repro bench-e2e` for the");
-            println!("file-to-histogram benchmark (writes BENCH_e2e.json), `repro bench-check`");
-            println!("for the perf ratchet against bench/baselines/, or `repro all`");
+            println!("\nrun one with `repro <name>`, or `repro all`");
         }
-        "bench-sort" => bench_sort(),
-        "bench-parse" => bench_parse(),
-        "bench-count" => bench_count(),
-        "bench-exchange" => bench_exchange(&std::env::args().skip(2).collect::<Vec<_>>()),
-        "bench-ingest" => bench_ingest(),
-        "bench-e2e" => bench_e2e(),
-        "bench-check" => bench_check(&std::env::args().skip(2).collect::<Vec<_>>()),
         "all" => {
             for (name, description, f) in EXPERIMENTS {
                 eprintln!("[repro] running {name} …");
-                println!("{}", bench::render(description, &f()));
+                println!("{}", render(description, &f()));
             }
         }
         name => match EXPERIMENTS.iter().find(|(n, _, _)| *n == name) {
-            Some((_, description, f)) => println!("{}", bench::render(description, &f())),
+            Some((_, description, f)) => println!("{}", render(description, &f())),
             None => {
                 eprintln!("unknown experiment `{name}`; try `repro list`");
                 std::process::exit(1);

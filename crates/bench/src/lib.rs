@@ -3,25 +3,25 @@
 //! Each `table_*` / `figure_*` / `ablation_*` function runs the relevant pipelines on a
 //! scaled-down synthetic stand-in of the paper's dataset, projects the result to full
 //! scale through the performance model, and returns printable rows shaped like the
-//! paper's tables/figure series. The `repro` binary prints them; `EXPERIMENTS.md`
-//! records the comparison against the published numbers.
+//! paper's tables/figure series. The `repro` binary prints them (`repro list` names
+//! them, [`EXPERIMENTS`] is the table); `tests/data/repro_all.golden.txt` is the
+//! committed output of `repro all`, which CI diffs exactly.
 //!
-//! Absolute seconds are **not** expected to match the paper (the substrate is a
-//! simulator plus an analytic machine model, not Perlmutter); the quantities that are
+//! Every figure is **modeled**: nothing here reads a clock, so the output is
+//! deterministic. Wall time, CPU and peak RSS are measured by the frozen `benchmark/`
+//! package. Absolute seconds are **not** expected to match the paper (the substrate is
+//! a simulator plus an analytic machine model, not Perlmutter); the quantities that are
 //! expected to hold are the *shapes*: who wins, by roughly what factor, where the
 //! crossovers and knees fall.
 
 use hysortk_baselines::{kmc3_count, kmerind_count, mhm2_count, KmerindOutcome};
 use hysortk_core::{count_kmers, CountResult, HySortKConfig};
 use hysortk_datasets::{DatasetPreset, GeneratedDataset};
-use hysortk_dmem::Backend;
 use hysortk_dna::{Kmer1, Kmer2, ReadSet};
 use hysortk_elba::{run_elba, CounterChoice, ElbaConfig};
 use hysortk_supermer::mmer::{MmerScorer, ScoreFunction};
 use hysortk_supermer::supermer::{build_supermers, partition_stats};
 use hysortk_task::HeavyHitterPolicy;
-
-pub mod ratchet;
 
 /// One printable row of an experiment.
 #[derive(Debug, Clone)]
@@ -529,1524 +529,138 @@ pub fn communication_optimisations() -> Vec<Row> {
         Row::new("derived")
             .push("overlap_speedup", overlap_speedup)
             .push("compression_volume_reduction", volume_reduction),
+        overlap_end_to_end_128_ranks(),
     ]
 }
 
-// ---------------------------------------------------------------------------------------
-// Sort-kernel microbenchmark → BENCH_sort.json
-// ---------------------------------------------------------------------------------------
-
-/// Result of the sort-kernel microbenchmark and the end-to-end throughput probe.
-#[derive(Debug, Clone)]
-pub struct SortBenchReport {
-    /// Number of random 8-byte keys the kernels were timed on.
-    pub keys: usize,
-    /// ns/element of the closure-dispatched RADULS path.
-    pub raduls_closure_ns: f64,
-    /// ns/element of the monomorphized RADULS kernel.
-    pub raduls_kernel_ns: f64,
-    /// ns/element of the closure-dispatched PARADIS path.
-    pub paradis_closure_ns: f64,
-    /// ns/element of the monomorphized PARADIS kernel.
-    pub paradis_kernel_ns: f64,
-    /// Total k-mers counted by the end-to-end probe.
-    pub end_to_end_kmers: u64,
-    /// Wall-clock seconds of the end-to-end probe.
-    pub end_to_end_seconds: f64,
-}
-
-impl SortBenchReport {
-    /// Closure-path time over kernel time for RADULS (> 1 means the kernel is faster).
-    pub fn raduls_speedup(&self) -> f64 {
-        self.raduls_closure_ns / self.raduls_kernel_ns.max(1e-12)
-    }
-
-    /// Closure-path time over kernel time for PARADIS.
-    pub fn paradis_speedup(&self) -> f64 {
-        self.paradis_closure_ns / self.paradis_kernel_ns.max(1e-12)
-    }
-
-    /// Counted k-mers per wall-clock second of the end-to-end probe.
-    pub fn counts_per_sec(&self) -> f64 {
-        self.end_to_end_kmers as f64 / self.end_to_end_seconds.max(1e-12)
-    }
-
-    /// Render as the `BENCH_sort.json` document (hand-rolled; the workspace is
-    /// dependency-free beyond the vendored shims).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\n",
-                "  \"benchmark\": \"sort-kernels\",\n",
-                "  \"host\": {},\n",
-                "  \"keys\": {},\n",
-                "  \"ns_per_elem\": {{\n",
-                "    \"raduls_closure\": {:.3},\n",
-                "    \"raduls_kernel\": {:.3},\n",
-                "    \"paradis_closure\": {:.3},\n",
-                "    \"paradis_kernel\": {:.3}\n",
-                "  }},\n",
-                "  \"kernel_speedup\": {{ \"raduls\": {:.3}, \"paradis\": {:.3} }},\n",
-                "  \"end_to_end\": {{ \"kmers\": {}, \"seconds\": {:.4}, ",
-                "\"counts_per_sec\": {:.1} }}\n",
-                "}}\n"
-            ),
-            host_json(),
-            self.keys,
-            self.raduls_closure_ns,
-            self.raduls_kernel_ns,
-            self.paradis_closure_ns,
-            self.paradis_kernel_ns,
-            self.raduls_speedup(),
-            self.paradis_speedup(),
-            self.end_to_end_kmers,
-            self.end_to_end_seconds,
-            self.counts_per_sec(),
-        )
-    }
-}
-
-/// The `"host"` block embedded in every `BENCH_*.json` artifact: logical core count,
-/// the SIMD path the dispatcher chose, the rank backend that produced the headline
-/// numbers, and any `HYSORTK_*` environment overrides in effect. The ratchet skips
-/// unknown keys, so this is purely provenance for humans comparing artifacts
-/// produced on different machines.
-pub fn host_json() -> String {
-    host_json_for(hysortk_dmem::Backend::Thread.name())
-}
-
-/// [`host_json`] with the rank backend named explicitly (the process-backend
-/// exchange artifact records `"process"` here).
-pub fn host_json_for(backend: &str) -> String {
-    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
-    let mut env: Vec<String> = std::env::vars()
-        .filter(|(k, _)| k.starts_with("HYSORTK_"))
-        .map(|(k, v)| format!("{k}={v}"))
-        .collect();
-    env.sort();
-    let env = env.join(" ").replace('\\', "\\\\").replace('"', "\\\"");
-    format!(
-        "{{ \"logical_cores\": {cores}, \"simd\": \"{}\", \"backend\": \"{backend}\", \
-         \"env\": \"{env}\" }}",
-        hysortk_dna::simd::path_name()
-    )
-}
-
-/// Median-of-samples wall time of `f` in seconds.
-fn median_secs(samples: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warm-up
-    let mut times: Vec<f64> = (0..samples.max(1))
-        .map(|_| {
-            let start = std::time::Instant::now();
-            f();
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
-}
-
-/// Time the closure-dispatched radix paths against the monomorphized kernels on
-/// `keys` random 8-byte keys, then run one end-to-end count for a counts/sec figure.
-pub fn bench_sort_kernels(keys: usize) -> SortBenchReport {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    let mut rng = StdRng::seed_from_u64(0xBE9C);
-    let input: Vec<u64> = (0..keys).map(|_| rng.gen()).collect();
-    let samples = 5;
-
-    let raduls_closure = median_secs(samples, || {
-        let mut v = input.clone();
-        hysortk_sort::raduls_sort_by(&mut v, 8, |x, l| (x >> (8 * (7 - l))) as u8);
-        std::hint::black_box(&v);
-    });
-    let raduls_kernel = median_secs(samples, || {
-        let mut v = input.clone();
-        hysortk_sort::raduls_sort(&mut v);
-        std::hint::black_box(&v);
-    });
-    let paradis_closure = median_secs(samples, || {
-        let mut v = input.clone();
-        hysortk_sort::paradis_sort_by(&mut v, 8, |x, l| (x >> (8 * (7 - l))) as u8);
-        std::hint::black_box(&v);
-    });
-    let paradis_kernel = median_secs(samples, || {
-        let mut v = input.clone();
-        hysortk_sort::paradis_sort(&mut v);
-        std::hint::black_box(&v);
-    });
-
-    // End-to-end probe: real wall-clock of the full pipeline on a small dataset.
-    let data = dataset(DatasetPreset::ABaumannii, 99);
-    let mut cfg = HySortKConfig::small(31, 15, 4);
-    cfg.min_count = 1;
-    cfg.max_count = 1_000_000;
-    cfg.data_scale = data.data_scale;
-    let start = std::time::Instant::now();
-    let result = count_kmers::<Kmer1>(&data.reads, &cfg);
-    let end_to_end_seconds = start.elapsed().as_secs_f64();
-    let end_to_end_kmers = data.reads.total_kmers(31) as u64;
-    std::hint::black_box(&result.counts);
-
-    let per_elem = |secs: f64| secs * 1e9 / keys.max(1) as f64;
-    SortBenchReport {
-        keys,
-        raduls_closure_ns: per_elem(raduls_closure),
-        raduls_kernel_ns: per_elem(raduls_kernel),
-        paradis_closure_ns: per_elem(paradis_closure),
-        paradis_kernel_ns: per_elem(paradis_kernel),
-        end_to_end_kmers,
-        end_to_end_seconds,
-    }
-}
-
-// ---------------------------------------------------------------------------------------
-// Parse-stage microbenchmark → BENCH_parse.json
-// ---------------------------------------------------------------------------------------
-
-/// Result of the stage-1 (parse) microbenchmark: the fused streaming supermer extractor
-/// against the vec-based three-pass path, on a fixed seeded dataset.
-#[derive(Debug, Clone)]
-pub struct ParseBenchReport {
-    /// Number of reads in the seeded dataset.
-    pub reads: usize,
-    /// Total bases parsed per pass.
-    pub bases: u64,
-    /// Supermers extracted per pass (identical for both paths by construction).
-    pub supermers: u64,
-    /// k-mer length.
-    pub k: usize,
-    /// Minimizer length.
-    pub m: usize,
-    /// Destination targets.
-    pub targets: u32,
-    /// Median wall seconds of the vec-based `build_supermers` pass.
-    pub vec_secs: f64,
-    /// Median wall seconds of the streaming `for_each_supermer` pass (SIMD dispatch).
-    pub streaming_secs: f64,
-    /// Median wall seconds of the streaming pass pinned to the scalar scoring kernel.
-    pub streaming_scalar_secs: f64,
-    /// Which SIMD path the dispatcher chose ("avx2", "sse2" or "scalar").
-    pub simd_path: &'static str,
-}
-
-impl ParseBenchReport {
-    /// Vec-path time over streaming time (> 1 means streaming is faster).
-    pub fn streaming_speedup(&self) -> f64 {
-        self.vec_secs / self.streaming_secs.max(1e-12)
-    }
-
-    /// Scalar-kernel streaming time over SIMD streaming time (> 1 means the SIMD
-    /// scoring kernel pays off end to end, serial deque included).
-    pub fn simd_speedup(&self) -> f64 {
-        self.streaming_scalar_secs / self.streaming_secs.max(1e-12)
-    }
-
-    /// Bases parsed per second by the streaming path.
-    pub fn streaming_bases_per_sec(&self) -> f64 {
-        self.bases as f64 / self.streaming_secs.max(1e-12)
-    }
-
-    /// Bases parsed per second by the vec-based path.
-    pub fn vec_bases_per_sec(&self) -> f64 {
-        self.bases as f64 / self.vec_secs.max(1e-12)
-    }
-
-    /// Supermers emitted per second by the streaming path.
-    pub fn supermers_per_sec(&self) -> f64 {
-        self.supermers as f64 / self.streaming_secs.max(1e-12)
-    }
-
-    /// Render as the `BENCH_parse.json` document (hand-rolled, like `BENCH_sort.json`).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\n",
-                "  \"benchmark\": \"parse-stage\",\n",
-                "  \"host\": {},\n",
-                "  \"reads\": {},\n",
-                "  \"bases\": {},\n",
-                "  \"supermers\": {},\n",
-                "  \"params\": {{ \"k\": {}, \"m\": {}, \"targets\": {} }},\n",
-                "  \"seconds\": {{ \"vec\": {:.4}, \"streaming\": {:.4}, ",
-                "\"streaming_scalar\": {:.4} }},\n",
-                "  \"bases_per_sec\": {{ \"vec\": {:.1}, \"streaming\": {:.1}, ",
-                "\"streaming_scalar\": {:.1} }},\n",
-                "  \"supermers_per_sec\": {:.1},\n",
-                "  \"streaming_speedup\": {:.3},\n",
-                "  \"simd\": {{ \"path\": \"{}\", \"speedup_vs_scalar\": {:.3} }}\n",
-                "}}\n"
-            ),
-            host_json(),
-            self.reads,
-            self.bases,
-            self.supermers,
-            self.k,
-            self.m,
-            self.targets,
-            self.vec_secs,
-            self.streaming_secs,
-            self.streaming_scalar_secs,
-            self.vec_bases_per_sec(),
-            self.streaming_bases_per_sec(),
-            self.bases as f64 / self.streaming_scalar_secs.max(1e-12),
-            self.supermers_per_sec(),
-            self.streaming_speedup(),
-            self.simd_path,
-            self.simd_speedup(),
-        )
-    }
-}
-
-/// Time stage 1 both ways on a fixed seeded dataset of `reads` random reads of
-/// `read_len` bases each: the vec-based reference (`build_supermers`, which
-/// materialises scored m-mers, minimizer runs and supermer sequences) against the
-/// fused streaming extractor (`for_each_supermer`, zero allocations). Both paths see
-/// identical reads and must extract the same number of supermers.
-pub fn bench_parse(reads: usize, read_len: usize) -> ParseBenchReport {
-    use hysortk_dna::Read;
-    use hysortk_supermer::streaming::{
-        for_each_supermer, for_each_supermer_scalar, SupermerScratch,
-    };
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    let k = 31;
-    let m = 13;
-    let targets = 256u32;
-    let mut rng = StdRng::seed_from_u64(0x9A125E);
-    let dataset: Vec<Read> = (0..reads)
-        .map(|i| {
-            let bases: Vec<u8> = (0..read_len)
-                .map(|_| b"ACGT"[rng.gen_range(0..4)])
-                .collect();
-            Read::from_ascii(i as u32, format!("r{i}"), &bases)
-        })
-        .collect();
-    let scorer = MmerScorer::new(m, ScoreFunction::Hash { seed: 31 });
-    let samples = 5;
-
-    let mut vec_supermers = 0u64;
-    let vec_secs = median_secs(samples, || {
-        let mut n = 0u64;
-        for read in &dataset {
-            n += build_supermers(read, k, &scorer, targets).len() as u64;
-        }
-        vec_supermers = std::hint::black_box(n);
-    });
-
-    let mut scratch = SupermerScratch::new();
-    let mut streaming_supermers = 0u64;
-    let streaming_secs = median_secs(samples, || {
-        let mut n = 0u64;
-        for read in &dataset {
-            for_each_supermer(&read.seq, k, &scorer, targets, &mut scratch, |span| {
-                n += 1;
-                std::hint::black_box(span.target);
-            });
-        }
-        streaming_supermers = std::hint::black_box(n);
-    });
-    assert_eq!(
-        vec_supermers, streaming_supermers,
-        "paths disagree on supermer count"
-    );
-
-    let mut scalar_supermers = 0u64;
-    let streaming_scalar_secs = median_secs(samples, || {
-        let mut n = 0u64;
-        for read in &dataset {
-            for_each_supermer_scalar(&read.seq, k, &scorer, targets, &mut scratch, |span| {
-                n += 1;
-                std::hint::black_box(span.target);
-            });
-        }
-        scalar_supermers = std::hint::black_box(n);
-    });
-    assert_eq!(
-        streaming_supermers, scalar_supermers,
-        "SIMD and scalar scoring kernels disagree on supermer count"
-    );
-
-    ParseBenchReport {
-        reads,
-        bases: (reads * read_len) as u64,
-        supermers: streaming_supermers,
-        k,
-        m,
-        targets,
-        vec_secs,
-        streaming_secs,
-        streaming_scalar_secs,
-        simd_path: hysortk_dna::simd::path_name(),
-    }
-}
-
-// ---------------------------------------------------------------------------------------
-// Count-stage (stage 3) microbenchmark → BENCH_count.json
-// ---------------------------------------------------------------------------------------
-
-/// A synthetic stage-3 receive workload: one wire segment per source rank, holding
-/// supermer blocks partitioned by minimizer target plus kmerlist blocks for the
-/// heaviest targets (the heavy-hitter wire form).
-#[derive(Debug, Clone)]
-pub struct CountWorkload {
-    /// One receive segment per simulated source rank.
-    pub segments: Vec<Vec<u8>>,
-    /// k-mer length.
-    pub k: usize,
-    /// Records the supermer blocks decode to.
-    pub records: u64,
-    /// Pre-counted kmerlist entries.
-    pub precounted: u64,
-    /// Number of distinct tasks.
-    pub tasks: usize,
-}
-
-/// Build a deterministic stage-3 workload from `reads` seeded overlapping reads of
-/// `read_len` bases sampled from one synthetic genome (so real multiplicities occur,
-/// as in genomic data): supermers are cut at k = 31 toward `tasks` targets, every
-/// read is attributed round-robin to one of `sources` senders, and the two heaviest
-/// targets ship as pre-counted kmerlists.
-pub fn build_count_workload(
-    reads: usize,
-    read_len: usize,
-    sources: usize,
-    tasks: u32,
-) -> CountWorkload {
-    use hysortk_core::wire::{write_block, TaskPayload};
-    use hysortk_dna::Read;
-    use hysortk_sort::count_sorted_runs;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    let k = 31;
-    let scorer = MmerScorer::new(13, ScoreFunction::Hash { seed: 31 });
-    let mut rng = StdRng::seed_from_u64(0xC0117);
-
-    // Reads overlap on a genome at roughly 2.5x coverage, so a realistic share of
-    // k-mers reaches the [min_count, max_count] band.
-    let genome_len = (reads * read_len * 2 / 5).max(read_len + 1);
-    let genome: Vec<u8> = (0..genome_len)
-        .map(|_| b"ACGT"[rng.gen_range(0..4)])
-        .collect();
-
-    // Cut supermers per (source, target).
-    let mut per_source_target: Vec<Vec<Vec<hysortk_supermer::supermer::Supermer>>> =
-        vec![vec![Vec::new(); tasks as usize]; sources];
-    let mut kmers_per_target = vec![0u64; tasks as usize];
-    for i in 0..reads {
-        let start = rng.gen_range(0..genome_len - read_len);
-        let read = Read::from_ascii(i as u32, format!("r{i}"), &genome[start..start + read_len]);
-        for sm in build_supermers(&read, k, &scorer, tasks) {
-            kmers_per_target[sm.target as usize] += sm.num_kmers(k) as u64;
-            per_source_target[i % sources][sm.target as usize].push(sm);
-        }
-    }
-    // The two heaviest targets go on the wire as kmerlists (heavy-hitter form).
-    let mut order: Vec<usize> = (0..tasks as usize).collect();
-    order.sort_by_key(|&t| std::cmp::Reverse(kmers_per_target[t]));
-    let heavy: Vec<usize> = order.into_iter().take(2).collect();
-
-    let mut records = 0u64;
-    let mut precounted = 0u64;
-    let mut segments = vec![Vec::new(); sources];
-    for (src, targets) in per_source_target.into_iter().enumerate() {
-        for (t, sms) in targets.into_iter().enumerate() {
-            if sms.is_empty() {
-                continue;
-            }
-            if heavy.contains(&t) {
-                let mut kmers: Vec<Kmer1> = Vec::new();
-                for sm in &sms {
-                    for (km, _) in sm.canonical_kmers_with_pos::<Kmer1>(k) {
-                        kmers.push(km);
-                    }
-                }
-                kmers.sort_unstable();
-                let list = count_sorted_runs(&kmers, |km| *km);
-                precounted += list.len() as u64;
-                write_block(&mut segments[src], t as u32, &TaskPayload::KmerList(list));
-            } else {
-                records += sms.iter().map(|sm| sm.num_kmers(k) as u64).sum::<u64>();
-                write_block::<Kmer1>(&mut segments[src], t as u32, &TaskPayload::Supermers(sms));
-            }
-        }
-    }
-    CountWorkload {
-        segments,
-        k,
-        records,
-        precounted,
-        tasks: tasks as usize,
-    }
-}
-
-/// Result of the stage-3 microbenchmark: the parallel allocation-free
-/// decode→sort→count path against the sequential `BTreeMap` reference, on an
-/// identical receive workload.
-#[derive(Debug, Clone)]
-pub struct CountBenchReport {
-    /// Records decoded from supermer blocks per pass.
-    pub records: u64,
-    /// Pre-counted kmerlist entries per pass.
-    pub precounted: u64,
-    /// Distinct tasks in the workload.
-    pub tasks: usize,
-    /// Source segments.
-    pub sources: usize,
-    /// k-mer length.
-    pub k: usize,
-    /// Worker threads of the parallel path.
-    pub workers: usize,
-    /// Median wall seconds of the sequential reference.
-    pub sequential_secs: f64,
-    /// Median wall seconds of the parallel path (block index included).
-    pub parallel_secs: f64,
-}
-
-impl CountBenchReport {
-    /// Sequential time over parallel time (> 1 means the parallel path is faster).
-    pub fn parallel_speedup(&self) -> f64 {
-        self.sequential_secs / self.parallel_secs.max(1e-12)
-    }
-
-    /// Records counted per second by the parallel path.
-    pub fn parallel_records_per_sec(&self) -> f64 {
-        (self.records + self.precounted) as f64 / self.parallel_secs.max(1e-12)
-    }
-
-    /// Records counted per second by the sequential reference.
-    pub fn sequential_records_per_sec(&self) -> f64 {
-        (self.records + self.precounted) as f64 / self.sequential_secs.max(1e-12)
-    }
-
-    /// Render as the `BENCH_count.json` document (hand-rolled, like the others).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\n",
-                "  \"benchmark\": \"count-stage\",\n",
-                "  \"host\": {},\n",
-                "  \"records\": {},\n",
-                "  \"precounted\": {},\n",
-                "  \"params\": {{ \"k\": {}, \"tasks\": {}, \"sources\": {}, \"workers\": {} }},\n",
-                "  \"seconds\": {{ \"sequential\": {:.4}, \"parallel\": {:.4} }},\n",
-                "  \"records_per_sec\": {{ \"sequential\": {:.1}, \"parallel\": {:.1} }},\n",
-                "  \"parallel_speedup\": {:.3}\n",
-                "}}\n"
-            ),
-            host_json(),
-            self.records,
-            self.precounted,
-            self.k,
-            self.tasks,
-            self.sources,
-            self.workers,
-            self.sequential_secs,
-            self.parallel_secs,
-            self.sequential_records_per_sec(),
-            self.parallel_records_per_sec(),
-            self.parallel_speedup(),
-        )
-    }
-}
-
-/// Time stage 3 both ways on a fixed seeded receive workload: the sequential
-/// `BTreeMap` reference (`count_blocks_reference`) against the parallel
-/// allocation-free path (block index + fused decode→sort→count + k-way merge).
-/// Both paths must produce identical results, which is asserted before timing.
-///
-/// `workers = 0` sizes the pool to the machine (`available_parallelism`), so on a
-/// single-core runner the comparison isolates the algorithmic wins (exact
-/// preallocation, key-only records, scratch reuse, streaming merges) while multicore
-/// runners add the task parallelism on top. Samples of the two paths are interleaved
-/// so ambient load drifts hit both medians equally.
-pub fn bench_count(reads: usize, read_len: usize, workers: usize) -> CountBenchReport {
-    use hysortk_core::stage3::{count_blocks_reference, count_received_parallel, CountParams};
-    use hysortk_task::WorkerPool;
-
-    // 16 tasks ≈ what one rank owns under the paper's defaults (4 workers × 3 tasks
-    // per worker, rounded up); counting uses the paper's default [2, 50] band.
-    let sources = 4;
-    let workers = if workers == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        workers
-    };
-    let workload = build_count_workload(reads, read_len, sources, 16);
-    let params = CountParams::for_kmer::<Kmer1>(
-        workload.k,
-        hysortk_perfmodel::SortAlgorithm::Raduls,
-        2,
-        50,
-        false,
-    );
-    let pool = WorkerPool::new(workers, 1);
-    let segments = || workload.segments.iter().map(Vec::as_slice);
-
-    let reference = count_blocks_reference::<Kmer1, _>(segments(), workload.k, &params)
-        .expect("well-formed workload");
-    let (parallel, _) = count_received_parallel::<Kmer1, _>(segments(), workload.k, &params, &pool)
-        .expect("well-formed workload");
-    assert_eq!(parallel, reference, "stage-3 paths disagree");
-
-    let samples = 7;
-    let mut seq_times = Vec::with_capacity(samples);
-    let mut par_times = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let start = std::time::Instant::now();
-        let out = count_blocks_reference::<Kmer1, _>(segments(), workload.k, &params);
-        seq_times.push(start.elapsed().as_secs_f64());
-        std::hint::black_box(&out);
-
-        let start = std::time::Instant::now();
-        let out = count_received_parallel::<Kmer1, _>(segments(), workload.k, &params, &pool);
-        par_times.push(start.elapsed().as_secs_f64());
-        std::hint::black_box(&out);
-    }
-    seq_times.sort_by(f64::total_cmp);
-    par_times.sort_by(f64::total_cmp);
-
-    CountBenchReport {
-        records: workload.records,
-        precounted: workload.precounted,
-        tasks: workload.tasks,
-        sources,
-        k: workload.k,
-        workers,
-        sequential_secs: seq_times[samples / 2],
-        parallel_secs: par_times[samples / 2],
-    }
-}
-
-// ---------------------------------------------------------------------------------------
-// Exchange-stage (round engine) benchmark → BENCH_exchange.json
-// ---------------------------------------------------------------------------------------
-
-/// Result of the exchange benchmark: the full pipeline end to end with the
-/// non-blocking round engine (`overlap = true`) against the bulk-synchronous
-/// exchange (`overlap = false`), on identical reads and configuration.
-///
-/// The headline figure is the **modeled** end-to-end speedup — the repo's metric for
-/// every communication claim (the substrate is a zero-latency simulator, so the
-/// transfer time that overlap hides exists only in the performance model; see the
-/// crate docs). The wall-clock seconds of the simulation itself are reported next to
-/// it: both modes execute byte-identical work, so their wall times differ only by the
-/// round engine's real buffer-recycling and cache effects.
-#[derive(Debug, Clone)]
-pub struct ExchangeBenchReport {
-    /// Simulated ranks (nodes × processes per node).
-    pub ranks: usize,
-    /// Records per destination per round (`batch_size`).
-    pub batch_size: usize,
-    /// Total k-mer instances counted per pass (unprojected).
-    pub kmers: u64,
-    /// Exchange payload bytes per pass (identical in both modes by construction).
-    pub payload_bytes: u64,
-    /// Rounds the round engine split the *simulated* (scaled-down) exchange into —
-    /// miniature payloads at the paper's batch size often collapse to one round.
-    pub rounds: usize,
-    /// Rounds of the projected full-scale exchange (what the performance model sees).
-    pub rounds_projected: usize,
-    /// Measured overlap fraction of the round-engine run (see
-    /// [`hysortk_core::RunReport::overlap_fraction`]).
-    pub overlap_fraction: f64,
-    /// Modeled end-to-end seconds of the bulk-synchronous pipeline.
-    pub modeled_bulk_s: f64,
-    /// Modeled end-to-end seconds of the overlapped pipeline.
-    pub modeled_overlapped_s: f64,
-    /// Median wall seconds of the bulk-synchronous simulation.
-    pub wall_bulk_secs: f64,
-    /// Median wall seconds of the overlapped simulation.
-    pub wall_overlapped_secs: f64,
-    /// Per-backend wall measurements of the same bulk-vs-overlapped comparison.
-    /// The thread row duplicates the top-level `wall_*` figures (kept for ratchet
-    /// compatibility); the process row, when present, is measured on forked rank
-    /// processes moving real bytes over UNIX sockets — its `wall_speedup` is
-    /// genuinely hidden communication, not a model.
-    pub backends: Vec<BackendWall>,
-}
-
-/// One backend's wall-clock measurement of overlapped vs bulk-synchronous exchange.
-#[derive(Debug, Clone)]
-pub struct BackendWall {
-    /// `"thread"` or `"process"` (see [`hysortk_dmem::Backend`]).
-    pub backend: &'static str,
-    /// Real ranks the measurement ran with (forked processes on the process backend).
-    pub ranks: usize,
-    /// Rounds the round engine split the exchange into.
-    pub rounds: usize,
-    /// Median wall seconds of the bulk-synchronous run.
-    pub wall_bulk_secs: f64,
-    /// Median wall seconds of the overlapped run.
-    pub wall_overlapped_secs: f64,
-}
-
-impl BackendWall {
-    /// Measured bulk time over overlapped time (> 1: overlap wins on the wall clock).
-    pub fn wall_speedup(&self) -> f64 {
-        self.wall_bulk_secs / self.wall_overlapped_secs.max(1e-12)
-    }
-
-    /// Render as one row of the report's `"backends"` array.
-    fn row_json(&self) -> String {
-        format!(
-            "{{ \"backend\": \"{}\", \"ranks\": {}, \"rounds\": {}, \
-             \"wall_seconds\": {{ \"bulk\": {:.4}, \"overlapped\": {:.4} }}, \
-             \"wall_speedup\": {:.3} }}",
-            self.backend,
-            self.ranks,
-            self.rounds,
-            self.wall_bulk_secs,
-            self.wall_overlapped_secs,
-            self.wall_speedup(),
-        )
-    }
-
-    /// Render as the standalone `BENCH_exchange.process.json` document (the CI
-    /// artifact pinning the measured process-backend overlap win).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\n",
-                "  \"benchmark\": \"exchange-stage-{}\",\n",
-                "  \"host\": {},\n",
-                "  \"params\": {{ \"ranks\": {}, \"rounds\": {} }},\n",
-                "  \"wall_seconds\": {{ \"bulk\": {:.4}, \"overlapped\": {:.4} }},\n",
-                "  \"wall_speedup\": {:.3}\n",
-                "}}\n"
-            ),
-            self.backend,
-            host_json_for(self.backend),
-            self.ranks,
-            self.rounds,
-            self.wall_bulk_secs,
-            self.wall_overlapped_secs,
-            self.wall_speedup(),
-        )
-    }
-}
-
-impl ExchangeBenchReport {
-    /// Modeled bulk time over modeled overlapped time (> 1 means the round engine is
-    /// faster end to end) — a **performance-model** figure, not a wall-clock one.
-    pub fn modeled_speedup(&self) -> f64 {
-        self.modeled_bulk_s / self.modeled_overlapped_s.max(1e-12)
-    }
-
-    /// Wall-clock bulk time over overlapped time of the simulation itself.
-    pub fn wall_speedup(&self) -> f64 {
-        self.wall_bulk_secs / self.wall_overlapped_secs.max(1e-12)
-    }
-
-    /// K-mers counted per wall second by the overlapped simulation.
-    pub fn overlapped_kmers_per_sec(&self) -> f64 {
-        self.kmers as f64 / self.wall_overlapped_secs.max(1e-12)
-    }
-
-    /// Render as the `BENCH_exchange.json` document (hand-rolled, like the others).
-    pub fn to_json(&self) -> String {
-        let backend_rows = self
-            .backends
-            .iter()
-            .map(|b| format!("    {}", b.row_json()))
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!(
-            concat!(
-                "{{\n",
-                "  \"benchmark\": \"exchange-stage\",\n",
-                "  \"host\": {},\n",
-                "  \"kmers\": {},\n",
-                "  \"payload_bytes\": {},\n",
-                "  \"params\": {{ \"ranks\": {}, \"batch_size\": {}, \"rounds\": {}, ",
-                "\"rounds_projected\": {} }},\n",
-                "  \"overlap_fraction\": {:.3},\n",
-                "  \"modeled_seconds\": {{ \"bulk\": {:.4}, \"overlapped\": {:.4} }},\n",
-                "  \"wall_seconds\": {{ \"bulk\": {:.4}, \"overlapped\": {:.4} }},\n",
-                "  \"modeled_speedup\": {:.3},\n",
-                "  \"wall_speedup\": {:.3},\n",
-                "  \"backends\": [\n{}\n  ],\n",
-                "  \"note\": \"modeled_speedup comes from the performance model; the ",
-                "thread backend's in-process simulator has no transfer cost, so its ",
-                "wall_speedup reflects only buffer-recycling and cache effects — the ",
-                "process row in backends forks one OS process per rank and moves every ",
-                "byte over UNIX sockets, so its wall_speedup is measured hidden ",
-                "communication\"\n",
-                "}}\n"
-            ),
-            host_json(),
-            self.kmers,
-            self.payload_bytes,
-            self.ranks,
-            self.batch_size,
-            self.rounds,
-            self.rounds_projected,
-            self.overlap_fraction,
-            self.modeled_bulk_s,
-            self.modeled_overlapped_s,
-            self.wall_bulk_secs,
-            self.wall_overlapped_secs,
-            self.modeled_speedup(),
-            self.wall_speedup(),
-            backend_rows,
-        )
-    }
-}
-
-/// The default exchange benchmark: H. sapiens 10x stand-in on 8 nodes at the paper's
-/// 16-processes-per-node layout (128 simulated ranks), on the naive-exchange ablation
-/// (`use_supermers = false`, uncompressed extensions) — the communication-bound
-/// workload §3.3 targets, where hiding the codec work behind the transfer moves the
-/// end-to-end time. Target: ≥ 1.2× modeled end-to-end speedup of `overlap = true`
-/// over `overlap = false`.
-pub fn bench_exchange() -> ExchangeBenchReport {
-    bench_exchange_on(DatasetPreset::HSapiens10x, 8, 3)
-}
-
-/// [`bench_exchange`] with the dataset, node count and wall-clock sample count
-/// exposed. Both modes are asserted byte-identical before timing; wall samples of the
-/// two modes are interleaved so ambient load drifts hit both medians equally.
-pub fn bench_exchange_on(
-    preset: DatasetPreset,
-    nodes: usize,
-    samples: usize,
-) -> ExchangeBenchReport {
-    let k = 31;
-    let data = dataset(preset, 15);
-    let mut cfg = paper_config(k, nodes, data.data_scale);
-    // Simulate the paper's full 16-ppn layout instead of the few-rank shortcut the
-    // table experiments use: the codec share the overlap hides scales with ppn.
-    cfg.processes_per_node = 16;
-    cfg.threads_per_process = (cfg.machine.cores_per_node / 16).max(1);
-    // The naive-exchange ablation (§3.3): individual k-mer records with uncompressed
-    // extensions, ~16 wire bytes per k-mer instead of ~1.6 — communication-bound.
-    cfg.use_supermers = false;
-    cfg.with_extension = true;
-    cfg.compress_extension = false;
-
-    let mut bulk_cfg = cfg.clone();
+/// §3.3 end to end at the paper's layout: the H. sapiens 10x stand-in on 8 nodes × 16
+/// processes per node (all 128 ranks simulated, not the few-rank shortcut of
+/// [`paper_config`] — the codec share the overlap hides scales with ppn), on the
+/// naive-exchange ablation (individual k-mer records with uncompressed extensions,
+/// ~16 wire bytes per k-mer instead of ~1.6), where hiding the codec work behind the
+/// transfer moves the end-to-end time. One unbounded round (`overlap = false`) against
+/// batched rounds, which must count identically.
+fn overlap_end_to_end_128_ranks() -> Row {
+    let data = dataset(DatasetPreset::HSapiens10x, 15);
+    let mut overlapped_cfg = paper_config(31, 8, data.data_scale);
+    overlapped_cfg.processes_per_node = 16;
+    overlapped_cfg.threads_per_process = (overlapped_cfg.machine.cores_per_node / 16).max(1);
+    overlapped_cfg.use_supermers = false;
+    overlapped_cfg.with_extension = true;
+    overlapped_cfg.compress_extension = false;
+    overlapped_cfg.overlap = true;
+    let mut bulk_cfg = overlapped_cfg.clone();
     bulk_cfg.overlap = false;
-    let mut overlap_cfg = cfg.clone();
-    overlap_cfg.overlap = true;
 
-    // Correctness first (also yields the modeled reports): bit-for-bit agreement.
-    let bulk = count_kmers::<Kmer1>(&data.reads, &bulk_cfg);
-    let overlapped = count_kmers::<Kmer1>(&data.reads, &overlap_cfg);
+    let bulk = run_hysortk_counts(&data.reads, &bulk_cfg);
+    let overlapped = run_hysortk_counts(&data.reads, &overlapped_cfg);
     assert_eq!(bulk.counts, overlapped.counts, "exchange modes disagree");
     assert_eq!(
         bulk.extensions, overlapped.extensions,
         "exchange modes disagree on extensions"
     );
-    let payload_bytes = overlapped
-        .report
-        .comm
-        .stage("exchange")
-        .map(|s| s.payload_bytes)
-        .unwrap_or(0);
-    let rounds = overlapped
-        .report
-        .comm
-        .stage("exchange")
-        .map(|s| s.rounds)
-        .unwrap_or(1);
-
-    let samples = samples.max(1);
-    let mut bulk_times = Vec::with_capacity(samples);
-    let mut overlap_times = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let start = std::time::Instant::now();
-        let out = count_kmers::<Kmer1>(&data.reads, &bulk_cfg);
-        bulk_times.push(start.elapsed().as_secs_f64());
-        std::hint::black_box(&out.counts);
-
-        let start = std::time::Instant::now();
-        let out = count_kmers::<Kmer1>(&data.reads, &overlap_cfg);
-        overlap_times.push(start.elapsed().as_secs_f64());
-        std::hint::black_box(&out.counts);
-    }
-    bulk_times.sort_by(f64::total_cmp);
-    overlap_times.sort_by(f64::total_cmp);
-
-    let wall_bulk_secs = bulk_times[samples / 2];
-    let wall_overlapped_secs = overlap_times[samples / 2];
-    ExchangeBenchReport {
-        ranks: cfg.total_ranks(),
-        batch_size: cfg.batch_size,
-        kmers: data.reads.total_kmers(k) as u64,
-        payload_bytes,
-        rounds,
-        rounds_projected: overlapped.report.exchange_rounds,
-        overlap_fraction: overlapped.report.overlap_fraction,
-        modeled_bulk_s: bulk.report.total_time(),
-        modeled_overlapped_s: overlapped.report.total_time(),
-        wall_bulk_secs,
-        wall_overlapped_secs,
-        backends: vec![BackendWall {
-            backend: Backend::Thread.name(),
-            ranks: cfg.total_ranks(),
-            rounds,
-            wall_bulk_secs,
-            wall_overlapped_secs,
-        }],
-    }
+    let (bulk_s, overlapped_s) = (bulk.report.total_time(), overlapped.report.total_time());
+    Row::new("128 ranks, end to end")
+        .push("modeled_bulk_s", bulk_s)
+        .push("modeled_overlapped_s", overlapped_s)
+        .push("modeled_speedup", bulk_s / overlapped_s)
+        .push("rounds_projected", overlapped.report.exchange_rounds as f64)
+        .push("overlap_fraction", overlapped.report.overlap_fraction)
 }
 
-/// Measure overlapped vs bulk-synchronous exchange on the **process backend**: four
-/// forked rank processes on one node, the naive-exchange ablation (§3.3's
-/// communication-bound shape), a batch size small enough that the exchange splits
-/// into several rounds. Unlike the thread rows, both the transfer cost the overlap
-/// hides and the `wall_speedup` it yields are *measured* — every exchanged byte
-/// crosses a UNIX domain socket between address spaces.
-pub fn bench_exchange_process(samples: usize) -> BackendWall {
-    let k = 31;
-    // A larger slice of the A. baumannii stand-in than the thread benchmarks use:
-    // the payload must be big enough that per-round transfers dwarf fork/setup.
-    let data = DatasetPreset::ABaumannii.generate(1.5e-3, 15);
-    let mut cfg = paper_config(k, 1, data.data_scale);
-    cfg.use_supermers = false;
-    cfg.with_extension = true;
-    cfg.compress_extension = false;
-    // ~16 wire bytes per k-mer record; a 4k batch splits this payload into a
-    // pipeline deep enough for rounds to actually overlap (one-round exchanges
-    // have nothing to hide behind).
-    cfg.batch_size = 4_096;
-    cfg.backend = Backend::Process;
+/// One experiment: its `repro` name, its title, and the function producing its rows.
+type Experiment = (&'static str, &'static str, fn() -> Vec<Row>);
 
-    let mut bulk_cfg = cfg.clone();
-    bulk_cfg.overlap = false;
-    let mut overlap_cfg = cfg.clone();
-    overlap_cfg.overlap = true;
-
-    let bulk = count_kmers::<Kmer1>(&data.reads, &bulk_cfg);
-    let overlapped = count_kmers::<Kmer1>(&data.reads, &overlap_cfg);
-    assert_eq!(
-        bulk.counts, overlapped.counts,
-        "process-backend exchange modes disagree"
-    );
-    let rounds = overlapped
-        .report
-        .comm
-        .stage("exchange")
-        .map(|s| s.rounds)
-        .unwrap_or(1);
-
-    let samples = samples.max(1);
-    let mut bulk_times = Vec::with_capacity(samples);
-    let mut overlap_times = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let start = std::time::Instant::now();
-        let out = count_kmers::<Kmer1>(&data.reads, &bulk_cfg);
-        bulk_times.push(start.elapsed().as_secs_f64());
-        std::hint::black_box(&out.counts);
-
-        let start = std::time::Instant::now();
-        let out = count_kmers::<Kmer1>(&data.reads, &overlap_cfg);
-        overlap_times.push(start.elapsed().as_secs_f64());
-        std::hint::black_box(&out.counts);
-    }
-    bulk_times.sort_by(f64::total_cmp);
-    overlap_times.sort_by(f64::total_cmp);
-
-    BackendWall {
-        backend: Backend::Process.name(),
-        ranks: cfg.total_ranks(),
-        rounds,
-        wall_bulk_secs: bulk_times[samples / 2],
-        wall_overlapped_secs: overlap_times[samples / 2],
-    }
-}
-
-// ---------------------------------------------------------------------------------------
-// Ingestion benchmark → BENCH_ingest.json
-// ---------------------------------------------------------------------------------------
-
-/// Result of the file-ingestion benchmark: the chunked, rank-sharded streaming
-/// readers feeding the full pipeline from a real FASTA file on disk, against the
-/// in-memory `ReadSet` entry point on the identical reads.
-#[derive(Debug, Clone)]
-pub struct IngestBenchReport {
-    /// Size of the FASTA file on disk, bytes.
-    pub file_bytes: u64,
-    /// Total bases in the dataset.
-    pub bases: u64,
-    /// Number of reads.
-    pub reads: usize,
-    /// Simulated ranks sharding the file.
-    pub ranks: usize,
-    /// Ingestion block size, bytes.
-    pub block_bytes: usize,
-    /// Median wall seconds of the file-fed pipeline (open → counts).
-    pub file_secs: f64,
-    /// Median wall seconds of the in-memory pipeline on the same reads.
-    pub in_memory_secs: f64,
-}
-
-impl IngestBenchReport {
-    /// File bytes ingested per second by the file-fed pipeline (end to end).
-    pub fn file_bytes_per_sec(&self) -> f64 {
-        self.file_bytes as f64 / self.file_secs.max(1e-12)
-    }
-
-    /// File-fed time over in-memory time (1.0 means streaming ingestion is free).
-    pub fn ingest_overhead(&self) -> f64 {
-        self.file_secs / self.in_memory_secs.max(1e-12)
-    }
-
-    /// Render as the `BENCH_ingest.json` document (hand-rolled, like the others).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\n",
-                "  \"benchmark\": \"ingest\",\n",
-                "  \"host\": {},\n",
-                "  \"file_bytes\": {},\n",
-                "  \"bases\": {},\n",
-                "  \"reads\": {},\n",
-                "  \"params\": {{ \"ranks\": {}, \"block_bytes\": {} }},\n",
-                "  \"seconds\": {{ \"file_fed\": {:.4}, \"in_memory\": {:.4} }},\n",
-                "  \"file_bytes_per_sec\": {:.1},\n",
-                "  \"ingest_overhead\": {:.3}\n",
-                "}}\n"
-            ),
-            host_json(),
-            self.file_bytes,
-            self.bases,
-            self.reads,
-            self.ranks,
-            self.block_bytes,
-            self.file_secs,
-            self.in_memory_secs,
-            self.file_bytes_per_sec(),
-            self.ingest_overhead(),
-        )
-    }
-}
-
-/// Time the file-fed pipeline against the in-memory entry point on a generated
-/// C. elegans stand-in written to a temporary FASTA file. Counts are asserted
-/// identical before timing (the ingestion property the cross-crate suite pins,
-/// probed here on the benchmark workload too).
-pub fn bench_ingest() -> IngestBenchReport {
-    bench_ingest_on(DatasetPreset::CElegans, 4, 3)
-}
-
-/// [`bench_ingest`] with the dataset, rank count and sample count exposed.
-pub fn bench_ingest_on(preset: DatasetPreset, ranks: usize, samples: usize) -> IngestBenchReport {
-    use hysortk_core::count_kmers_from_files_with;
-    use hysortk_dna::io::IngestOptions;
-
-    let k = 31;
-    let data = dataset(preset, 21);
-    let mut cfg = HySortKConfig::small(k, HySortKConfig::recommended_m(k), ranks);
-    cfg.min_count = 1;
-    cfg.max_count = 1_000_000;
-    cfg.data_scale = data.data_scale;
-
-    let path = std::env::temp_dir().join(format!(
-        "hysortk_bench_ingest_{}_{}.fa",
-        std::process::id(),
-        preset.name().replace([' ', '.'], "_")
-    ));
-    data.write_fasta(&path, 80).expect("write benchmark FASTA");
-    let file_bytes = std::fs::metadata(&path)
-        .expect("stat benchmark FASTA")
-        .len();
-    let opts = IngestOptions::default();
-
-    // Correctness first: the file-fed counts must equal the in-memory counts.
-    let in_memory = count_kmers::<Kmer1>(&data.reads, &cfg);
-    let file_fed = count_kmers_from_files_with::<Kmer1, _>(&[&path], &cfg, opts.clone())
-        .expect("file-fed pipeline");
-    assert_eq!(
-        in_memory.counts, file_fed.counts,
-        "file-fed counts diverge from the in-memory pipeline"
-    );
-
-    let samples = samples.max(1);
-    let mut file_times = Vec::with_capacity(samples);
-    let mut memory_times = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let start = std::time::Instant::now();
-        let out = count_kmers_from_files_with::<Kmer1, _>(&[&path], &cfg, opts.clone())
-            .expect("file-fed pipeline");
-        file_times.push(start.elapsed().as_secs_f64());
-        std::hint::black_box(&out.counts);
-
-        let start = std::time::Instant::now();
-        let out = count_kmers::<Kmer1>(&data.reads, &cfg);
-        memory_times.push(start.elapsed().as_secs_f64());
-        std::hint::black_box(&out.counts);
-    }
-    file_times.sort_by(f64::total_cmp);
-    memory_times.sort_by(f64::total_cmp);
-    std::fs::remove_file(&path).ok();
-
-    IngestBenchReport {
-        file_bytes,
-        bases: data.reads.total_bases() as u64,
-        reads: data.reads.len(),
-        ranks: cfg.total_ranks(),
-        block_bytes: opts.block_bytes,
-        file_secs: file_times[samples / 2],
-        in_memory_secs: memory_times[samples / 2],
-    }
-}
-
-// ---------------------------------------------------------------------------------------
-// End-to-end benchmark → BENCH_e2e.json
-// ---------------------------------------------------------------------------------------
-
-/// Result of the end-to-end benchmark: a fixed-seed FASTA file on disk driven through
-/// the complete pipeline (streaming ingestion → supermer extraction → exchange → sort →
-/// histogram), timed as one wall-clock figure. This is the regression gate's headline
-/// artifact: any slowdown in any stage shows up here, and the histogram fingerprint
-/// pins the answer so a "fast but wrong" regression cannot slip through.
-#[derive(Debug, Clone)]
-pub struct E2eBenchReport {
-    /// Size of the FASTA file on disk, bytes.
-    pub file_bytes: u64,
-    /// Total bases in the dataset.
-    pub bases: u64,
-    /// Number of reads.
-    pub reads: usize,
-    /// Simulated ranks.
-    pub ranks: usize,
-    /// k-mer length.
-    pub k: usize,
-    /// Total k-mer instances counted.
-    pub total_kmers: u64,
-    /// Distinct canonical k-mers.
-    pub distinct_kmers: u64,
-    /// FNV-1a fingerprint of the multiplicity histogram's TSV rendering — identical
-    /// runs (any SIMD path) must produce the identical fingerprint.
-    pub histogram_fingerprint: u64,
-    /// Median wall seconds, file open through merged histogram.
-    pub secs: f64,
-    /// Which SIMD path the dispatcher chose ("avx2", "sse2" or "scalar").
-    pub simd_path: &'static str,
-    /// Whether the flight recorder was on during the timed samples. Benchmarks run
-    /// with it off; the field pins that in the artifact so a trace-enabled run can
-    /// never be mistaken for a regression (or an improvement).
-    pub trace_enabled: bool,
-    /// Measured per-rank wall-clock seconds per pipeline stage (min/mean/max across
-    /// ranks), from the first timed sample. Unlike `secs` this attributes the wall
-    /// time, so the ratchet can localise an e2e slowdown to a stage.
-    pub stage_wall: hysortk_core::StageWallTimes,
-}
-
-/// FNV-1a 64-bit, used to fingerprint benchmark outputs in the JSON artifacts.
-pub fn fingerprint_bytes(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-impl E2eBenchReport {
-    /// Bases counted per wall second, file to histogram — the headline e2e metric.
-    pub fn bases_per_sec(&self) -> f64 {
-        self.bases as f64 / self.secs.max(1e-12)
-    }
-
-    /// File bytes consumed per wall second.
-    pub fn file_bytes_per_sec(&self) -> f64 {
-        self.file_bytes as f64 / self.secs.max(1e-12)
-    }
-
-    /// The `"stage_wall"` object: mean measured seconds per stage keyed by stage
-    /// name, plus the mean total rank wall. Stage names come from the pipeline's
-    /// wall buckets (`ingest`, `parse`, `serialize`, `exchange-wait`, `count`,
-    /// `checkpoint`, `merge`, `other`); the named stages partition the rank wall.
-    fn stage_wall_json(&self) -> String {
-        let mut parts: Vec<String> = self
-            .stage_wall
-            .stages
-            .iter()
-            .map(|s| format!("\"{}\": {:.4}", s.name, s.mean))
-            .collect();
-        parts.push(format!(
-            "\"total_mean\": {:.4}",
-            self.stage_wall.total_mean()
-        ));
-        parts.join(", ")
-    }
-
-    /// Render as the `BENCH_e2e.json` document (hand-rolled, like the others).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\n",
-                "  \"benchmark\": \"e2e\",\n",
-                "  \"host\": {},\n",
-                "  \"file_bytes\": {},\n",
-                "  \"bases\": {},\n",
-                "  \"reads\": {},\n",
-                "  \"params\": {{ \"ranks\": {}, \"k\": {} }},\n",
-                "  \"kmers\": {{ \"total\": {}, \"distinct\": {} }},\n",
-                "  \"histogram_fingerprint\": \"{:#018x}\",\n",
-                "  \"seconds\": {:.4},\n",
-                "  \"bases_per_sec\": {:.1},\n",
-                "  \"file_bytes_per_sec\": {:.1},\n",
-                "  \"simd\": {{ \"path\": \"{}\" }},\n",
-                "  \"trace_enabled\": {},\n",
-                "  \"stage_wall\": {{ {} }}\n",
-                "}}\n"
-            ),
-            host_json(),
-            self.file_bytes,
-            self.bases,
-            self.reads,
-            self.ranks,
-            self.k,
-            self.total_kmers,
-            self.distinct_kmers,
-            self.histogram_fingerprint,
-            self.secs,
-            self.bases_per_sec(),
-            self.file_bytes_per_sec(),
-            self.simd_path,
-            self.trace_enabled,
-            self.stage_wall_json(),
-        )
-    }
-}
-
-/// Time the complete file-to-histogram pipeline on the standard benchmark dataset.
-pub fn bench_e2e() -> E2eBenchReport {
-    bench_e2e_on(DatasetPreset::CElegans, 4, 3)
-}
-
-/// [`bench_e2e`] with the dataset, rank count and sample count exposed.
-pub fn bench_e2e_on(preset: DatasetPreset, ranks: usize, samples: usize) -> E2eBenchReport {
-    use hysortk_core::count_kmers_from_files_with;
-    use hysortk_dna::io::IngestOptions;
-
-    let k = 31;
-    let data = dataset(preset, 17);
-    let mut cfg = HySortKConfig::small(k, HySortKConfig::recommended_m(k), ranks);
-    cfg.min_count = 1;
-    cfg.max_count = 1_000_000;
-    cfg.data_scale = data.data_scale;
-
-    let path = std::env::temp_dir().join(format!(
-        "hysortk_bench_e2e_{}_{}.fa",
-        std::process::id(),
-        preset.name().replace([' ', '.'], "_")
-    ));
-    data.write_fasta(&path, 80).expect("write benchmark FASTA");
-    let file_bytes = std::fs::metadata(&path)
-        .expect("stat benchmark FASTA")
-        .len();
-    let opts = IngestOptions::default();
-
-    // The headline artifact gates the ratchet on wall time, so the flight recorder
-    // must be off while sampling — and the artifact records that it was.
-    let trace_enabled = hysortk_trace::enabled(hysortk_trace::Detail::Stage);
-    assert!(
-        !trace_enabled,
-        "bench_e2e must run with tracing disabled; enable() leaked from a caller"
-    );
-
-    let samples = samples.max(1);
-    let mut times = Vec::with_capacity(samples);
-    let mut fingerprint = 0u64;
-    let mut total_kmers = 0u64;
-    let mut distinct_kmers = 0u64;
-    let mut stage_wall = hysortk_core::StageWallTimes::default();
-    for i in 0..samples {
-        let start = std::time::Instant::now();
-        let out = count_kmers_from_files_with::<Kmer1, _>(&[&path], &cfg, opts.clone())
-            .expect("e2e pipeline");
-        times.push(start.elapsed().as_secs_f64());
-        let fp = fingerprint_bytes(out.histogram.to_tsv().as_bytes());
-        if i == 0 {
-            fingerprint = fp;
-            total_kmers = out.report.total_kmers;
-            distinct_kmers = out.report.distinct_kmers;
-            stage_wall = out.report.stage_wall.clone();
-        } else {
-            assert_eq!(
-                fp, fingerprint,
-                "histogram fingerprint drifted across samples"
-            );
-        }
-        std::hint::black_box(&out.counts);
-    }
-    times.sort_by(f64::total_cmp);
-    std::fs::remove_file(&path).ok();
-
-    E2eBenchReport {
-        file_bytes,
-        bases: data.reads.total_bases() as u64,
-        reads: data.reads.len(),
-        ranks: cfg.total_ranks(),
-        k,
-        total_kmers,
-        distinct_kmers,
-        histogram_fingerprint: fingerprint,
-        secs: times[samples / 2],
-        simd_path: hysortk_dna::simd::path_name(),
-        trace_enabled,
-        stage_wall,
-    }
-}
+/// Every experiment, in the order `repro list` and `repro all` print them.
+pub const EXPERIMENTS: &[Experiment] = &[
+    (
+        "ablation",
+        "§4.1.1 optimisation-strategy ablation (task layer, heavy hitters)",
+        ablation_task_layer,
+    ),
+    (
+        "tpw",
+        "§4.1.1 tasks-per-worker sweep",
+        ablation_tasks_per_worker,
+    ),
+    (
+        "table2",
+        "Table 2: runtime vs processes per node",
+        table2_processes_per_node,
+    ),
+    (
+        "table3",
+        "Table 3: communication time vs batch size",
+        table3_batch_size,
+    ),
+    (
+        "table4",
+        "Table 4: runtime vs minimizer length m",
+        table4_m_length,
+    ),
+    (
+        "fig4",
+        "Figure 4: strong scaling on H. sapiens 10x",
+        figure4_strong_scaling,
+    ),
+    (
+        "fig5",
+        "Figure 5: weak scaling (2 GB/node) with stage breakdown",
+        figure5_weak_scaling,
+    ),
+    (
+        "fig6",
+        "Figure 6: HySortK vs KMC3 (shared memory)",
+        figure6_vs_kmc3,
+    ),
+    (
+        "fig7",
+        "Figure 7: HySortK vs kmerind on H. sapiens 10x",
+        figure7_vs_kmerind_hs10x,
+    ),
+    (
+        "fig8",
+        "Figure 8: HySortK vs kmerind on H. sapiens 52x",
+        figure8_vs_kmerind_hs52x,
+    ),
+    (
+        "fig9",
+        "Figure 9: HySortK vs MetaHipMer2 (GPU) on C. elegans",
+        figure9_vs_mhm2,
+    ),
+    ("fig10", "Figure 10: ELBA integration", figure10_elba),
+    (
+        "supermer_stats",
+        "§3.2 supermer communication and balance claims",
+        supermer_statistics,
+    ),
+    (
+        "comm_opt",
+        "§3.3 overlap and compression claims",
+        communication_optimisations,
+    ),
+];
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn e2e_bench_report_renders_valid_json_shape() {
-        let report = E2eBenchReport {
-            file_bytes: 2_000_000,
-            bases: 1_900_000,
-            reads: 500,
-            ranks: 4,
-            k: 31,
-            total_kmers: 1_800_000,
-            distinct_kmers: 1_500_000,
-            histogram_fingerprint: 0xDEADBEEF,
-            secs: 0.5,
-            simd_path: "avx2",
-            trace_enabled: false,
-            stage_wall: hysortk_core::StageWallTimes::from_rank_buckets(
-                &["parse", "count"],
-                &[vec![0.1, 0.2], vec![0.3, 0.4]],
-            ),
-        };
-        let json = report.to_json();
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert!(json.contains("\"bases_per_sec\": 3800000.0"));
-        assert!(json.contains("\"histogram_fingerprint\": \"0x00000000deadbeef\""));
-        assert!(json.contains("\"simd\": { \"path\": \"avx2\" }"));
-        assert!(json.contains("\"trace_enabled\": false"));
-        // Stage means across the two ranks: parse (0.1+0.3)/2, count (0.2+0.4)/2.
-        assert!(json.contains(
-            "\"stage_wall\": { \"parse\": 0.2000, \"count\": 0.3000, \"total_mean\": 0.5000 }"
-        ));
-        assert!(json.contains("\"host\": { \"logical_cores\": "));
-    }
-
-    #[test]
-    fn e2e_bench_runs_on_a_tiny_dataset() {
-        let report = bench_e2e_on(DatasetPreset::ABaumannii, 2, 1);
-        assert!(report.total_kmers > 0);
-        assert!(report.distinct_kmers > 0);
-        assert!(report.secs > 0.0);
-        assert_ne!(report.histogram_fingerprint, 0);
-        assert!(
-            !report.trace_enabled,
-            "benchmarks must sample with tracing off"
-        );
-        // The measured stage walls must attribute (nearly) all of the rank wall: the
-        // named buckets plus the `other` residue partition it by construction, so the
-        // sum of stage means equals the mean rank wall.
-        let stage_sum: f64 = report.stage_wall.stages.iter().map(|s| s.mean).sum();
-        let total = report.stage_wall.total_mean();
-        assert!(total > 0.0, "stage_wall captured no wall time");
-        assert!(
-            (stage_sum - total).abs() <= 0.10 * total,
-            "stage walls ({stage_sum:.4}s) do not sum to the rank wall ({total:.4}s)"
-        );
-    }
-
-    #[test]
-    fn disabled_tracing_is_cheap_enough_to_leave_in_hot_loops() {
-        // The recorder off-path is one relaxed atomic load; 10M disabled span!
-        // invocations must stay far below any measurable share of a benchmark run
-        // (generous bound: unoptimised test builds on loaded CI machines).
-        assert!(!hysortk_trace::enabled(hysortk_trace::Detail::Task));
-        let start = std::time::Instant::now();
-        for i in 0..10_000_000u64 {
-            let _s = hysortk_trace::span!("bench-disabled", hysortk_trace::Detail::Task, 0, i = i,);
+    fn cheapest_experiments_render_as_verbatim_blocks_of_the_golden() {
+        // CI diffs all of `repro all` against the golden; this keeps a stale golden
+        // from passing `cargo test`. A block is what `repro all` prints per experiment.
+        let golden = include_str!("../../../tests/data/repro_all.golden.txt");
+        let titles: Vec<String> = EXPERIMENTS
+            .iter()
+            .map(|(_, title, _)| format!("== {title} =="))
+            .collect();
+        let golden_titles: Vec<&str> = golden.lines().filter(|l| l.starts_with("== ")).collect();
+        assert_eq!(golden_titles, titles, "golden lists other experiments");
+        for name in ["fig4", "supermer_stats"] {
+            let (_, title, run) = EXPERIMENTS.iter().find(|(n, _, _)| *n == name).unwrap();
+            let block = format!("{}\n", render(title, &run()));
+            assert!(golden.contains(&block), "{name} left the golden:\n{block}");
         }
-        let secs = start.elapsed().as_secs_f64();
-        assert!(secs < 10.0, "10M disabled spans took {secs:.2}s");
-    }
-
-    #[test]
-    fn fingerprint_is_stable_and_input_sensitive() {
-        assert_eq!(fingerprint_bytes(b""), 0xcbf29ce484222325);
-        assert_ne!(fingerprint_bytes(b"a"), fingerprint_bytes(b"b"));
-        assert_eq!(fingerprint_bytes(b"hysortk"), fingerprint_bytes(b"hysortk"));
-    }
-
-    #[test]
-    fn exchange_bench_report_renders_valid_json_shape() {
-        let report = ExchangeBenchReport {
-            ranks: 128,
-            batch_size: 8_192,
-            kmers: 1_000_000,
-            payload_bytes: 5_000_000,
-            rounds: 12,
-            rounds_projected: 4_000,
-            overlap_fraction: 0.9,
-            modeled_bulk_s: 0.6,
-            modeled_overlapped_s: 0.4,
-            wall_bulk_secs: 0.5,
-            wall_overlapped_secs: 0.5,
-            backends: vec![
-                BackendWall {
-                    backend: "thread",
-                    ranks: 128,
-                    rounds: 12,
-                    wall_bulk_secs: 0.5,
-                    wall_overlapped_secs: 0.5,
-                },
-                BackendWall {
-                    backend: "process",
-                    ranks: 4,
-                    rounds: 6,
-                    wall_bulk_secs: 0.9,
-                    wall_overlapped_secs: 0.6,
-                },
-            ],
-        };
-        let json = report.to_json();
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert!(json.contains("\"modeled_speedup\": 1.500"));
-        assert!(json.contains("\"wall_speedup\": 1.000"));
-        assert!(
-            json.contains("\"note\": \"") && json.contains("no transfer cost"),
-            "the JSON must explain what separates the two speedups"
-        );
-        assert!(
-            json.contains("\"backends\": [") && json.contains("\"backend\": \"process\""),
-            "per-backend wall rows must be rendered"
-        );
-        assert!((report.overlapped_kmers_per_sec() - 2_000_000.0).abs() < 1e-6);
-
-        let process = &report.backends[1];
-        assert!((process.wall_speedup() - 1.5).abs() < 1e-9);
-        let standalone = process.to_json();
-        assert!(standalone.contains("\"benchmark\": \"exchange-stage-process\""));
-        assert!(standalone.contains("\"backend\": \"process\""));
-        assert!(standalone.contains("\"wall_speedup\": 1.500"));
-    }
-
-    #[test]
-    fn exchange_bench_modes_agree_on_a_tiny_workload() {
-        // Smoke-run the real harness on the smallest preset (the internal equality
-        // assertion is the point; timings are not checked, speedups are probed by
-        // `repro bench-exchange`).
-        let report = bench_exchange_on(DatasetPreset::ABaumannii, 1, 1);
-        assert!(report.kmers > 0);
-        assert!(report.payload_bytes > 0);
-        assert!(report.ranks >= 16);
-        assert!(report.wall_bulk_secs > 0.0 && report.wall_overlapped_secs > 0.0);
-        assert!(report.modeled_bulk_s > 0.0 && report.modeled_overlapped_s > 0.0);
-    }
-
-    #[test]
-    fn ingest_bench_report_renders_valid_json_shape() {
-        let report = IngestBenchReport {
-            file_bytes: 1_000_000,
-            bases: 950_000,
-            reads: 200,
-            ranks: 4,
-            block_bytes: 1 << 20,
-            file_secs: 0.5,
-            in_memory_secs: 0.4,
-        };
-        let json = report.to_json();
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert!(json.contains("\"ingest_overhead\": 1.250"));
-        assert!((report.file_bytes_per_sec() - 2_000_000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn ingest_bench_paths_agree_on_a_tiny_dataset() {
-        // Smoke-run the real harness on the smallest preset (the internal equality
-        // assertion is the point; timings are probed by `repro bench-ingest`).
-        let report = bench_ingest_on(DatasetPreset::ABaumannii, 3, 1);
-        assert!(report.file_bytes > 0);
-        assert!(report.reads > 0);
-        assert!(report.file_secs > 0.0 && report.in_memory_secs > 0.0);
-    }
-
-    #[test]
-    fn parse_bench_report_renders_valid_json_shape() {
-        let report = ParseBenchReport {
-            reads: 10,
-            bases: 50_000,
-            supermers: 4_000,
-            k: 31,
-            m: 13,
-            targets: 256,
-            vec_secs: 0.4,
-            streaming_secs: 0.2,
-            streaming_scalar_secs: 0.3,
-            simd_path: "avx2",
-        };
-        let json = report.to_json();
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert!(json.contains("\"streaming_speedup\": 2.000"));
-        assert!(json.contains("\"supermers_per_sec\": 20000.0"));
-        assert!(json.contains("\"simd\": { \"path\": \"avx2\", \"speedup_vs_scalar\": 1.500 }"));
-        assert!((report.streaming_bases_per_sec() - 250_000.0).abs() < 1e-6);
-        assert!((report.simd_speedup() - 1.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn parse_bench_paths_agree_on_a_tiny_dataset() {
-        // Smoke-run the real harness (tiny sizes — the timing itself is not asserted).
-        let report = bench_parse(4, 400);
-        assert_eq!(report.bases, 1_600);
-        assert!(report.supermers > 0);
-        assert!(report.vec_secs > 0.0 && report.streaming_secs > 0.0);
-    }
-
-    #[test]
-    fn sort_bench_report_renders_valid_json_shape() {
-        let report = SortBenchReport {
-            keys: 1000,
-            raduls_closure_ns: 30.0,
-            raduls_kernel_ns: 20.0,
-            paradis_closure_ns: 25.0,
-            paradis_kernel_ns: 25.0,
-            end_to_end_kmers: 5000,
-            end_to_end_seconds: 0.5,
-        };
-        let json = report.to_json();
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert!(json.contains("\"raduls_kernel\": 20.000"));
-        assert!((report.raduls_speedup() - 1.5).abs() < 1e-9);
-        assert!((report.counts_per_sec() - 10_000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn count_bench_report_renders_valid_json_shape() {
-        let report = CountBenchReport {
-            records: 1_000,
-            precounted: 200,
-            tasks: 64,
-            sources: 4,
-            k: 31,
-            workers: 4,
-            sequential_secs: 0.6,
-            parallel_secs: 0.3,
-        };
-        let json = report.to_json();
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert!(json.contains("\"parallel_speedup\": 2.000"));
-        assert!((report.parallel_records_per_sec() - 4_000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn count_bench_paths_agree_on_a_tiny_workload() {
-        // Smoke-run the real harness (tiny sizes — the internal equality assertion is
-        // the point; timings are not checked).
-        let report = bench_count(16, 600, 2);
-        assert!(report.records > 0);
-        assert!(report.precounted > 0);
-        assert!(report.sequential_secs > 0.0 && report.parallel_secs > 0.0);
     }
 
     #[test]

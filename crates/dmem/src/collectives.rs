@@ -76,11 +76,6 @@ impl<T> FlatReceived<T> {
         &self.data[self.displs[src]..self.displs[src + 1]]
     }
 
-    /// Number of source ranks.
-    pub fn num_sources(&self) -> usize {
-        self.displs.len() - 1
-    }
-
     /// Elements received from `src`.
     pub fn count_from(&self, src: usize) -> usize {
         self.displs[src + 1] - self.displs[src]

@@ -33,17 +33,18 @@ impl DnaSeq {
     }
 
     /// Parse from ASCII (unknown characters become `A`). Packs 32 bases per iteration
-    /// through the dispatched SIMD kernel (see [`crate::simd`]); byte-identical to
-    /// [`DnaSeq::from_ascii_scalar`].
+    /// through the dispatched SIMD kernel (see [`crate::simd`]); byte-identical to one
+    /// `encode_base` per character.
     pub fn from_ascii(seq: &[u8]) -> Self {
         let mut s = Self::with_capacity(seq.len());
         s.extend_from_ascii(seq);
         s
     }
 
-    /// The scalar reference parser the property tests (and the `pack_ascii` criterion
-    /// bench) pin [`DnaSeq::from_ascii`] against: one `encode_base` per character.
-    pub fn from_ascii_scalar(seq: &[u8]) -> Self {
+    /// The scalar reference parser the unit tests pin [`DnaSeq::from_ascii`] against:
+    /// one `encode_base` per character.
+    #[cfg(test)]
+    fn from_ascii_scalar(seq: &[u8]) -> Self {
         let mut s = Self::with_capacity(seq.len());
         for &c in seq {
             s.push_code(encode_base(c));

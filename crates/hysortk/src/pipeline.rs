@@ -508,7 +508,7 @@ impl<'a, K: KmerCode> SendSerializer<'a, K> {
 /// Stage 1 in supermer mode: stream a slice of the rank's reads through the fused
 /// extractor ([`for_each_supermer`]) in parallel on the cached worker pool. Reads are
 /// split into contiguous chunks (a few per thread, for balance against uneven read
-/// lengths); worker threads check one [`SupermerScratch`] ring each out of `bank`, so
+/// lengths); worker threads check one [`SupermerScratch`] each out of `bank`, so
 /// repeated calls (the streaming feed path parses one ingested batch at a time)
 /// reuse the scratches instead of re-allocating them per batch. Staged [`SmRef`]s
 /// index reads as `base_index + position within the slice` — the in-memory path

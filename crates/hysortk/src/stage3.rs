@@ -52,8 +52,7 @@
 //!
 //! [`count_blocks_reference`] keeps the original sequential implementation
 //! (`BTreeMap` decode, whole-task sort, per-k-mer extension vectors) as the
-//! property-test and benchmark reference: both paths must produce byte-identical
-//! results.
+//! property-test reference: both paths must produce byte-identical results.
 
 use std::collections::BTreeMap;
 
@@ -874,8 +873,7 @@ where
 /// old O(k)-per-k-mer canonical rebuild), sort and scan each task into a
 /// `(k-mer, count, Vec<Extension>)` vector, merge the kmerlist contributions through
 /// intermediate vectors, and merge the rank output through an index permutation. Slow
-/// by design — the property tests and `repro bench-count` assert the parallel path is
-/// byte-identical to (and faster than) this.
+/// by design — the property tests assert the parallel path is byte-identical to this.
 pub fn count_blocks_reference<'a, K, I>(
     segments: I,
     k: usize,

@@ -21,8 +21,9 @@
 //!   reports.
 //!
 //! The model is deliberately simple — its purpose is to reproduce *shapes* (who wins,
-//! where the crossover happens, how efficiency decays), not absolute seconds; see
-//! `EXPERIMENTS.md` for the comparison against the paper's numbers.
+//! where the crossover happens, how efficiency decays), not absolute seconds; `repro
+//! list` names the experiments built on it and `tests/data/repro_all.golden.txt` is
+//! their committed output.
 
 pub mod compute;
 pub mod machine;

@@ -161,57 +161,3 @@ impl<T: RadixKey> DigitSource<T> for KeyDigits {
         radix_digit(item, level)
     }
 }
-
-/// Items with a fixed-width radix representation (convenience for tests and simple
-/// payloads; the pipelines use the closure-based entry points directly).
-pub trait RadixDigits: Copy + Send + Sync {
-    /// Number of radix levels (bytes) in the key.
-    const LEVELS: usize;
-    /// The `level`-th byte of the key, level 0 = most significant.
-    fn digit(&self, level: usize) -> u8;
-}
-
-impl RadixDigits for u64 {
-    const LEVELS: usize = 8;
-    #[inline]
-    fn digit(&self, level: usize) -> u8 {
-        (self >> (8 * (7 - level))) as u8
-    }
-}
-
-impl RadixDigits for u32 {
-    const LEVELS: usize = 4;
-    #[inline]
-    fn digit(&self, level: usize) -> u8 {
-        (self >> (8 * (3 - level))) as u8
-    }
-}
-
-/// Sort a slice of [`RadixDigits`] items in place with the PARADIS-like sorter.
-pub fn radix_sort<T: RadixDigits>(data: &mut [T]) {
-    paradis_sort_by(data, T::LEVELS, |x, l| x.digit(l));
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn u64_digits_are_msb_first() {
-        let x: u64 = 0x0102030405060708;
-        assert_eq!(x.digit(0), 0x01);
-        assert_eq!(x.digit(7), 0x08);
-    }
-
-    #[test]
-    fn radix_sort_convenience_sorts() {
-        let mut v: Vec<u64> = (0..2000u64)
-            .rev()
-            .map(|x| x.wrapping_mul(0x9E3779B97F4A7C15))
-            .collect();
-        let mut expected = v.clone();
-        expected.sort_unstable();
-        radix_sort(&mut v);
-        assert_eq!(v, expected);
-    }
-}

@@ -11,12 +11,12 @@
 //!   supermers, the measurement of the communication saving, and the re-extraction of
 //!   k-mers on the receiving side.
 //! * [`streaming`] — the fused, allocation-free form of all of the above:
-//!   [`streaming::for_each_supermer`] rolls scoring, window minimisation (a ring-buffer
-//!   monotone deque of 16-byte entries) and run grouping in one pass and emits supermer
-//!   spans through a callback. This is the pipeline's hot parse path; the vec-based
-//!   modules above are the property-test reference.
+//!   [`streaming::for_each_supermer`] rolls scoring, window minimisation (a branchless
+//!   blockwise two-scan) and run grouping in one pass and emits supermer spans through
+//!   a callback. This is the pipeline's hot parse path; the vec-based modules above are
+//!   the property-test reference.
 //! * [`simd`] — block-wise canonical m-mer scoring (AVX2 with a scalar reference),
-//!   which feeds the streaming extractor's monotone deque with precomputed scores.
+//!   which feeds the streaming extractor's two-scan with precomputed scores.
 //! * [`codec`] — the domain-specific delta compression of `(read_id, pos_in_read)`
 //!   extension records.
 
@@ -30,8 +30,5 @@ pub mod supermer;
 pub use codec::{decode_extensions, encode_extensions, EncodedExtensions};
 pub use minimizer::{minimizers_deque, minimizers_naive, MinimizerRun};
 pub use mmer::{canonical_mmers, MmerScorer, ScoreFunction};
-pub use streaming::{
-    for_each_supermer, for_each_supermer_scalar, MonotoneRing, RingEntry, SupermerScratch,
-    SupermerSpan,
-};
+pub use streaming::{for_each_supermer, SupermerScratch, SupermerSpan};
 pub use supermer::{build_supermers, partition_stats, PartitionStats, Supermer};

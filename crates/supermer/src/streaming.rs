@@ -14,99 +14,10 @@
 //! parsing millions of reads allocates them once.
 //!
 //! The vec-based pipeline is kept as the reference implementation; the property tests
-//! assert both produce byte-identical supermers. [`MonotoneRing`] — the previous
-//! consumer — is kept public as the deque reference the two-scan scheme is tested
-//! against.
+//! assert both produce byte-identical supermers.
 
 use crate::mmer::MmerScorer;
 use hysortk_dna::sequence::DnaSeq;
-
-/// One candidate minimizer in the ring deque: the m-mer's read-relative index and its
-/// score. `build_supermers` only ever consumes the winning candidate's index and score
-/// (the canonical m-mer value itself is not needed for destination assignment), so the
-/// entry is 16 bytes — a third of the 24-byte
-/// [`ScoredMmer`](crate::mmer::ScoredMmer) the vec path queues.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RingEntry {
-    /// Read-relative index of the m-mer (reads are far below `u32::MAX` bases).
-    pub index: u32,
-    /// Score of the m-mer under the configured score function (lower is better).
-    pub score: u64,
-}
-
-/// A monotone deque in a fixed-size ring buffer — the sliding-window minimum structure
-/// of [`minimizers_deque`](crate::minimizer::minimizers_deque) without the `VecDeque`
-/// heap allocation and pointer chasing.
-///
-/// Entries are kept in strictly increasing `index` order with non-decreasing `score`
-/// from front to back; `head`/`tail` are monotonically increasing cursors masked into
-/// the power-of-two ring, so push/pop are a wrapping index increment each.
-#[derive(Debug, Clone, Default)]
-pub struct MonotoneRing {
-    entries: Vec<RingEntry>,
-    mask: usize,
-    head: usize,
-    tail: usize,
-}
-
-impl MonotoneRing {
-    /// An empty ring (no capacity until [`reset`](MonotoneRing::reset)).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Clear the deque and ensure capacity for a window of `window` m-mers. The ring
-    /// must hold one extra slot: during one step the newest m-mer is pushed *before*
-    /// the front expires, so `window + 1` entries coexist momentarily.
-    pub fn reset(&mut self, window: usize) {
-        let cap = (window + 1).next_power_of_two();
-        if self.entries.len() < cap {
-            self.entries.resize(cap, RingEntry::default());
-        }
-        self.mask = cap - 1;
-        self.head = 0;
-        self.tail = 0;
-    }
-
-    /// Number of live candidates.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.tail - self.head
-    }
-
-    /// True when no candidate is queued.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.head == self.tail
-    }
-
-    /// Insert a new m-mer, dropping queued candidates that are no better. Strict `>`
-    /// keeps the earlier candidate on score ties (leftmost tie-break, matching the
-    /// `VecDeque` reference).
-    #[inline]
-    pub fn push(&mut self, index: u32, score: u64) {
-        while self.tail > self.head && self.entries[(self.tail - 1) & self.mask].score > score {
-            self.tail -= 1;
-        }
-        self.entries[self.tail & self.mask] = RingEntry { index, score };
-        self.tail += 1;
-    }
-
-    /// Expire candidates that fell out of the window (index below `min_index`).
-    #[inline]
-    pub fn expire(&mut self, min_index: u32) {
-        while self.tail > self.head && self.entries[self.head & self.mask].index < min_index {
-            self.head += 1;
-        }
-    }
-
-    /// The current window minimum. Call only when non-empty.
-    #[inline]
-    pub fn front(&self) -> RingEntry {
-        debug_assert!(!self.is_empty());
-        self.entries[self.head & self.mask]
-    }
-}
 
 /// Reusable per-thread scratch of the streaming extractor: the segment score buffer
 /// and its blockwise suffix minima (both a few KiB, cache-resident). Construct once,
@@ -156,6 +67,12 @@ impl SupermerSpan {
     }
 }
 
+/// Number of k-mers (windows) processed per segment. Each segment scores
+/// `SEGMENT_KMERS + window - 1` m-mers into the scratch buffer (re-scoring the
+/// `window - 1` overlap with the next segment, a sub-percent overhead), so the working
+/// set stays a few tens of KiB regardless of read length.
+const SEGMENT_KMERS: usize = 4096;
+
 /// Stream the supermers of `seq` for `targets` destinations in one fused pass.
 ///
 /// Equivalent to [`build_supermers`](crate::supermer::build_supermers) — same spans,
@@ -171,39 +88,7 @@ pub fn for_each_supermer(
     scorer: &MmerScorer,
     targets: u32,
     scratch: &mut SupermerScratch,
-    emit: impl FnMut(SupermerSpan),
-) {
-    for_each_supermer_impl(seq, k, scorer, targets, scratch, emit, false)
-}
-
-/// [`for_each_supermer`] pinned to the scalar scoring kernel, regardless of what the
-/// CPU supports. This is the reference the SIMD path is property-tested against, and
-/// the denominator of the `simd.speedup_vs_scalar` benchmark metric.
-pub fn for_each_supermer_scalar(
-    seq: &DnaSeq,
-    k: usize,
-    scorer: &MmerScorer,
-    targets: u32,
-    scratch: &mut SupermerScratch,
-    emit: impl FnMut(SupermerSpan),
-) {
-    for_each_supermer_impl(seq, k, scorer, targets, scratch, emit, true)
-}
-
-/// Number of k-mers (windows) processed per segment. Each segment scores
-/// `SEGMENT_KMERS + window - 1` m-mers into the scratch buffer (re-scoring the
-/// `window - 1` overlap with the next segment, a sub-percent overhead), so the working
-/// set stays a few tens of KiB regardless of read length.
-const SEGMENT_KMERS: usize = 4096;
-
-fn for_each_supermer_impl(
-    seq: &DnaSeq,
-    k: usize,
-    scorer: &MmerScorer,
-    targets: u32,
-    scratch: &mut SupermerScratch,
     mut emit: impl FnMut(SupermerSpan),
-    force_scalar: bool,
 ) {
     let m = scorer.m();
     assert!(m <= k, "m must not exceed k");
@@ -249,11 +134,7 @@ fn for_each_supermer_impl(
         let seg_kmers = (num_kmers - g).min(SEGMENT_KMERS);
         let seg_len = seg_kmers + window - 1; // m-mer scores the segment needs
         let scores = &mut scratch.scores[..seg_len];
-        if force_scalar {
-            crate::simd::fill_scores_scalar(words, g, seg_len, m, score_fn, scores);
-        } else {
-            crate::simd::fill_scores(words, g, seg_len, m, score_fn, scores);
-        }
+        crate::simd::fill_scores(words, g, seg_len, m, score_fn, scores);
         let scores = &scratch.scores[..seg_len];
         let suffix = &mut scratch.suffix[..seg_len];
         let mut block_start = 0usize;
@@ -327,7 +208,6 @@ mod tests {
     use hysortk_dna::readset::Read;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use std::collections::VecDeque;
 
     fn random_read(id: u32, len: usize, seed: u64) -> Read {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -353,11 +233,6 @@ mod tests {
             });
         });
         out
-    }
-
-    #[test]
-    fn ring_entries_are_16_bytes() {
-        assert_eq!(std::mem::size_of::<RingEntry>(), 16);
     }
 
     #[test]
@@ -449,82 +324,6 @@ mod tests {
             next_kmer = span.end - (k as u32 - 1);
         });
         assert_eq!(total_kmers, read.seq.num_kmers(k));
-    }
-
-    /// Reference deque mirroring the `VecDeque` logic of `minimizers_deque`, driven by
-    /// the same (index, score) stream as the ring.
-    #[derive(Default)]
-    struct VecDequeRef {
-        inner: VecDeque<RingEntry>,
-    }
-
-    impl VecDequeRef {
-        fn push(&mut self, index: u32, score: u64) {
-            while let Some(back) = self.inner.back() {
-                if back.score > score {
-                    self.inner.pop_back();
-                } else {
-                    break;
-                }
-            }
-            self.inner.push_back(RingEntry { index, score });
-        }
-
-        fn expire(&mut self, min_index: u32) {
-            while let Some(front) = self.inner.front() {
-                if front.index < min_index {
-                    self.inner.pop_front();
-                } else {
-                    break;
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn ring_matches_vecdeque_on_adversarial_monotone_runs() {
-        // Strictly increasing scores (nothing ever popped from the back — maximum
-        // occupancy), strictly decreasing (every push empties the deque), all-equal
-        // (pure tie-breaking), sawtooth, and random — across several window widths.
-        let mut rng = StdRng::seed_from_u64(2024);
-        let patterns: Vec<(&str, Vec<u64>)> = vec![
-            ("increasing", (0..200u64).collect()),
-            ("decreasing", (0..200u64).rev().collect()),
-            ("constant", vec![7u64; 200]),
-            ("sawtooth", (0..200u64).map(|i| i % 5).collect()),
-            ("two-level", (0..200u64).map(|i| (i / 13) % 2).collect()),
-            (
-                "random",
-                (0..200).map(|_| rng.gen_range(0..10u64)).collect(),
-            ),
-        ];
-        for (name, scores) in &patterns {
-            for window in [1usize, 2, 5, 19, 64] {
-                let mut ring = MonotoneRing::new();
-                ring.reset(window);
-                let mut reference = VecDequeRef::default();
-                for (j, &score) in scores.iter().enumerate() {
-                    let j = j as u32;
-                    ring.push(j, score);
-                    reference.push(j, score);
-                    if (j as usize) + 1 >= window {
-                        let min_index = j + 1 - window as u32;
-                        ring.expire(min_index);
-                        reference.expire(min_index);
-                        assert_eq!(
-                            ring.front(),
-                            *reference.inner.front().unwrap(),
-                            "{name} window={window} step={j}"
-                        );
-                        assert_eq!(
-                            ring.len(),
-                            reference.inner.len(),
-                            "{name} window={window} step={j}"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -209,7 +209,7 @@ impl WorkerPool {
 
     /// Like [`execute_with_scratch`](WorkerPool::execute_with_scratch), but each worker
     /// thread's scratch is checked out of `bank` for the call and returned when it ends,
-    /// so the expensive state (ring buffers, staging) persists across calls — the
+    /// so the expensive state (segment buffers, staging) persists across calls — the
     /// streaming parse stage hands the pool one ingested batch at a time. `init` only
     /// runs when the bank has no free scratch for a worker.
     ///

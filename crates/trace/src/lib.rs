@@ -782,6 +782,22 @@ mod tests {
     }
 
     #[test]
+    fn disabled_tracing_is_cheap_enough_to_leave_in_hot_loops() {
+        // The recorder off-path is one relaxed atomic load; 10M disabled span!
+        // invocations must stay far below any measurable share of a benchmark run
+        // (generous bound: unoptimised test builds on loaded CI machines).
+        let _recorder = recorder();
+        disable();
+        assert!(!enabled(Detail::Task));
+        let start = std::time::Instant::now();
+        for i in 0..10_000_000u64 {
+            let _s = span!("bench-disabled", Detail::Task, 0, i = i,);
+        }
+        let secs = start.elapsed().as_secs_f64();
+        assert!(secs < 10.0, "10M disabled spans took {secs:.2}s");
+    }
+
+    #[test]
     fn spans_pair_and_nest() {
         let _recorder = recorder();
         enable(Detail::Task);

@@ -320,7 +320,7 @@ fn supermers_partition_the_kmers_of_a_read() {
 
 #[test]
 fn streaming_extractor_is_byte_identical_to_build_supermers() {
-    // The fused streaming pass (ring-buffer deque, span callbacks, word-level
+    // The fused streaming pass (two-scan window minimum, span callbacks, word-level
     // subrange copies) must reproduce the vec-based reference exactly: same read ids,
     // same offsets, same packed bases, same targets — over random k/m/targets,
     // including reads shorter than k and m == k windows.
