@@ -460,12 +460,14 @@ pub fn supermer_statistics() -> Vec<Row> {
     let stats_for = |score| {
         let scorer = MmerScorer::new(m, score);
         let mut per_target = vec![0u64; batches as usize];
-        let mut supermer_bytes = 0u64;
+        // Wire bytes in both supermer formats: [plain, with provenance].
+        let mut supermer_bytes = [0u64; 2];
         let mut kmer_bytes = 0u64;
         for read in data.reads.iter() {
             for sm in build_supermers(read, k, &scorer, batches) {
                 per_target[sm.target as usize] += sm.num_kmers(k) as u64;
-                supermer_bytes += sm.wire_bytes() as u64;
+                supermer_bytes[0] += sm.wire_bytes(false) as u64;
+                supermer_bytes[1] += sm.wire_bytes(true) as u64;
                 kmer_bytes += sm.num_kmers(k) as u64 * 8;
             }
         }
@@ -474,12 +476,12 @@ pub fn supermer_statistics() -> Vec<Row> {
 
     let (hash_stats, supermer_bytes, kmer_bytes) = stats_for(ScoreFunction::Hash { seed: 31 });
     let (lex_stats, _, _) = stats_for(ScoreFunction::Lexicographic);
+    let reduction = |bytes: u64| 1.0 - bytes as f64 / kmer_bytes as f64;
 
     vec![
-        Row::new("supermer vs raw k-mer exchange").push(
-            "comm_reduction",
-            1.0 - supermer_bytes as f64 / kmer_bytes as f64,
-        ),
+        Row::new("supermer vs raw k-mer exchange")
+            .push("comm_reduction", reduction(supermer_bytes[0]))
+            .push("with_provenance", reduction(supermer_bytes[1])),
         Row::new("murmur hash score (256 batches)")
             .push("std_dev", hash_stats.std_dev)
             .push("max_min_ratio", hash_stats.max_min_ratio),

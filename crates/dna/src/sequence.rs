@@ -118,19 +118,6 @@ impl DnaSeq {
         ((self.words[word] >> shift) & 0b11) as u8
     }
 
-    /// The 2-bit code of base `i` without the bounds check — the primitive of the
-    /// streaming parse loops, whose index is provably in range.
-    ///
-    /// # Safety
-    ///
-    /// `i` must be less than [`DnaSeq::len`].
-    #[inline]
-    pub unsafe fn get_code_unchecked(&self, i: usize) -> u8 {
-        debug_assert!(i < self.len);
-        let word = self.words.get_unchecked(i / 32);
-        ((word >> (2 * (i % 32))) & 0b11) as u8
-    }
-
     /// The backing packed words (base `i` lives in bits `2*(i % 32)` of word `i / 32`).
     #[inline]
     pub fn words(&self) -> &[u64] {
@@ -444,14 +431,6 @@ mod tests {
                 }
                 assert_eq!(fast, slow, "prefix={prefix} tail={tail_len}");
             }
-        }
-    }
-
-    #[test]
-    fn unchecked_codes_agree_with_checked_codes() {
-        let seq = patterned(100);
-        for i in 0..seq.len() {
-            assert_eq!(unsafe { seq.get_code_unchecked(i) }, seq.get_code(i));
         }
     }
 }

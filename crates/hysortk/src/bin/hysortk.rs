@@ -333,8 +333,13 @@ fn run<K: KmerCode>(cli: &CliArgs, cfg: &HySortKConfig) -> Result<(), HysortkErr
         cfg.max_count,
     );
     eprintln!(
-        "[hysortk] exchange: {} wire bytes over {} round(s), sorter {:?}, {} heavy task(s)",
-        report.total_wire_bytes, report.exchange_rounds, report.sorter, report.heavy_tasks,
+        "[hysortk] exchange: {} wire bytes over {} round(s) ({} bytes staged on the fullest \
+         rank), sorter {:?}, {} heavy task(s)",
+        report.total_wire_bytes,
+        report.exchange_rounds,
+        report.staged_bytes,
+        report.sorter,
+        report.heavy_tasks,
     );
     eprintln!("[hysortk] simd hot paths: {}", report.simd);
     if report.io_retries > 0 {

@@ -5,10 +5,12 @@
 //! [`ReadSet`](hysortk_dna::ReadSet) up front, every simulated rank opens its own
 //! byte shard of the input (see [`hysortk_dna::io::ShardReader`]) and streams it in
 //! fixed-size blocks, running stage 1 **per ingested batch** on the rank's worker
-//! pool — the supermer scratches persist across batches through a
-//! [`ScratchBank`]. Only the 2-bit packed reads are retained (the serializer copies
-//! supermer bases out of them at exchange time); the ASCII text is never held beyond
-//! one block per rank.
+//! pool — the parse scratches persist across batches
+//! ([`Stage1Parser`](crate::pipeline)). Nothing of a batch outlives its parse: every
+//! supermer is written in wire form into its task's body while its read is hot, the
+//! batch's packed reads are dropped when the parse returns, and the ASCII text is never
+//! held beyond one block per rank. What a rank holds when stage 1 ends is its tasks'
+//! bodies ([`RunReport::staged_bytes`](crate::RunReport::staged_bytes)).
 //!
 //! The two entry points produce **identical counts and histograms** on clean
 //! (`ACGT`-only) inputs — stage 2 and stage 3 are literally the same code — which the
@@ -53,20 +55,17 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hysortk_dmem::{Cluster, FaultPlan, RankCtx, RecoveryPolicy};
-use hysortk_dna::extension::Extension;
 use hysortk_dna::io::{is_transient_io_error, list_inputs, IngestOptions, InputFile, ShardReader};
 use hysortk_dna::kmer::KmerCode;
 use hysortk_dna::readset::Read;
 use hysortk_perfmodel::{PerfModel, SortAlgorithm};
-use hysortk_supermer::mmer::{MmerScorer, ScoreFunction};
-use hysortk_task::{ScratchBank, WorkerPool};
+use hysortk_task::WorkerPool;
 use hysortk_trace as trace;
 
 use crate::config::HySortKConfig;
 use crate::error::HysortkError;
 use crate::pipeline::{
-    merge_outputs, parse_supermers_parallel, record_bytes, stage1_record_read, stages_2_and_3,
-    ParsedChunk, RankCounters, RankOutput, Stage1,
+    merge_outputs, select_sorter, stages_2_and_3, RankCounters, RankOutput, Stage1Parser,
 };
 use crate::result::CountResult;
 
@@ -86,8 +85,8 @@ pub fn count_kmers_from_files<K: KmerCode, P: AsRef<Path>>(
 /// [`count_kmers_from_files`] with explicit [`IngestOptions`].
 ///
 /// `opts.min_fragment` is raised to `cfg.k`: a fragment shorter than k contains no
-/// k-mer, so dropping it cannot change the counts and keeps the retained read set
-/// lean on `N`-rich inputs.
+/// k-mer, so dropping it cannot change the counts and keeps the batches lean on
+/// `N`-rich inputs.
 pub fn count_kmers_from_files_with<K: KmerCode, P: AsRef<Path>>(
     paths: &[P],
     cfg: &HySortKConfig,
@@ -146,24 +145,10 @@ fn count_kmers_from_files_inner<K: KmerCode, P: AsRef<Path>>(
     let num_tasks = cfg.num_tasks();
     let model = PerfModel::new(cfg.machine.clone(), cfg.execution());
 
-    // Sorter selection mirrors `count_kmers`, projecting from the on-disk payload
-    // (ASCII bytes ≈ bases for FASTA; a mild overestimate for FASTQ, which only makes
-    // the memory-aware choice more conservative). Deterministic, computed once. As
-    // there, the choice only picks the kernel that sorts each cache-sized bucket.
-    let projected_kmers = (total_bytes as f64 / cfg.data_scale) as u64;
-    let bytes_per_record = record_bytes::<K>(cfg);
-    let projected_input_per_node =
-        (total_bytes as f64 / 4.0 / cfg.data_scale) as u64 / cfg.nodes.max(1) as u64;
-    let raduls_ok = model.memory().raduls_fits(
-        projected_kmers / cfg.nodes.max(1) as u64,
-        bytes_per_record,
-        projected_input_per_node,
-    );
-    let sorter = if raduls_ok {
-        SortAlgorithm::Raduls
-    } else {
-        SortAlgorithm::Paradis
-    };
+    // The sorter is selected as in `count_kmers`, from the on-disk payload: ASCII
+    // bytes ≈ bases ≈ k-mers for FASTA; a mild overestimate for FASTQ, which only
+    // makes the memory-aware choice more conservative.
+    let sorter = select_sorter::<K>(cfg, &model, total_bytes, total_bytes);
 
     let mut cluster = Cluster::new(p).with_backend(cfg.backend);
     if let Some(plan) = plan {
@@ -288,8 +273,72 @@ fn next_batch_with_retry(
     }
 }
 
-/// One rank of the file-fed pipeline: stream the shard batch by batch through stage 1,
-/// then hand the staged supermers/records to the shared stages 2 + 3.
+/// Stage 1 of one file-fed rank: stream its shard batch by batch — read ids assigned,
+/// parsed into `parser`'s staging, dropped. Returns the error that stopped the ingest,
+/// if one did; what was parsed until then is staged.
+fn ingest_shard<K: KmerCode>(
+    ctx: &RankCtx,
+    files: &[InputFile],
+    cfg: &HySortKConfig,
+    opts: &IngestOptions,
+    parser: &mut Stage1Parser<'_, K>,
+    counters: &mut RankCounters,
+) -> Result<(), HysortkError> {
+    let (rank, p) = (ctx.rank(), ctx.size());
+    let io_error = |source: io::Error| HysortkError::Io {
+        path: input_label(files),
+        rank,
+        source,
+    };
+    let mut shard = ShardReader::open(files, rank, p, opts.clone()).map_err(io_error)?;
+    // Reads ingested so far: the next batch's first local index.
+    let mut base = 0u64;
+    loop {
+        let read_start = Instant::now();
+        let next = {
+            let _span = trace::span!("shard-read", trace::Detail::Round, rank);
+            next_batch_with_retry(ctx, &mut shard, rank, cfg, counters)
+        };
+        counters.wall.ingest += read_start.elapsed().as_secs_f64();
+        let Some(mut batch) = next.map_err(io_error)? else {
+            return Ok(());
+        };
+        if batch.is_empty() {
+            continue;
+        }
+        // Striping multiplies by the rank count, so the u32 id space exhausts at
+        // `u32::MAX / p` reads per shard — fail loudly instead of silently
+        // wrapping into colliding provenance ids.
+        let max_id = (base + batch.len() as u64 - 1) * p as u64 + rank as u64;
+        if max_id > u64::from(u32::MAX) {
+            return Err(io_error(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "shard exceeds {} reads, the striped u32 read-id space",
+                    u32::MAX / p as u32
+                ),
+            )));
+        }
+        let parse_start = Instant::now();
+        let _parse_span = trace::span!(
+            "parse-batch",
+            trace::Detail::Round,
+            rank,
+            reads = batch.len(),
+        );
+        for (i, read) in batch.iter_mut().enumerate() {
+            read.id = ((base + i as u64) * p as u64 + rank as u64) as u32;
+        }
+        base += batch.len() as u64;
+        parser.parse(&batch, counters);
+        // Nothing of a batch outlives its parse; freeing it is part of the parse bucket.
+        drop(batch);
+        counters.wall.parse += parse_start.elapsed().as_secs_f64();
+    }
+}
+
+/// One rank of the file-fed pipeline: stage 1 over its shard ([`ingest_shard`]), then
+/// the staged supermers/records go to the shared stages 2 + 3.
 ///
 /// An I/O error (unreadable file, malformed FASTQ record, …) must **not** make the
 /// rank bail out early: the pipeline is SPMD, so a rank that skips the collectives
@@ -307,117 +356,21 @@ fn rank_pipeline_from_files<K: KmerCode>(
 ) -> Result<RankOutput<K>, HysortkError> {
     let rank_start = Instant::now();
     let rank = ctx.rank();
-    let p = ctx.size();
-    let k = cfg.k;
     let mut counters = RankCounters::default();
-    let scorer = MmerScorer::new(cfg.m, ScoreFunction::Hash { seed: cfg.seed });
     let pool = WorkerPool::new(cfg.workers_per_process(), cfg.threads_per_worker).for_rank(rank);
-    let bank = ScratchBank::new();
-
-    // The rank's packed reads, accumulated batch by batch. These must outlive stage 1:
-    // the serializer copies supermer bases straight out of them during the exchange.
-    let mut owned: Vec<Read> = Vec::new();
-    let mut chunks: Vec<ParsedChunk> = Vec::new();
-    let mut record_tasks: Vec<(Vec<K>, Vec<Extension>)> =
-        (0..num_tasks).map(|_| (Vec::new(), Vec::new())).collect();
-    let mut ingest_error: Option<HysortkError> = None;
-    let io_error = |source: io::Error| HysortkError::Io {
-        path: input_label(files),
-        rank,
-        source,
-    };
 
     let ingest_span = trace::span!("stage1-ingest", trace::Detail::Stage, rank);
-    match ShardReader::open(files, rank, p, opts.clone()) {
-        Err(e) => ingest_error = Some(io_error(e)),
-        Ok(mut shard) => loop {
-            let read_start = Instant::now();
-            let next = {
-                let _span = trace::span!("shard-read", trace::Detail::Round, rank);
-                next_batch_with_retry(ctx, &mut shard, rank, cfg, &mut counters)
-            };
-            counters.wall.ingest += read_start.elapsed().as_secs_f64();
-            let mut batch = match next {
-                Ok(Some(batch)) => batch,
-                Ok(None) => break,
-                Err(e) => {
-                    ingest_error = Some(io_error(e));
-                    break;
-                }
-            };
-            if batch.is_empty() {
-                continue;
-            }
-            let base = owned.len() as u64;
-            // Striping multiplies by the rank count, so the u32 id space exhausts at
-            // `u32::MAX / p` reads per shard — fail loudly instead of silently
-            // wrapping into colliding provenance ids.
-            let max_id = (base + batch.len() as u64 - 1) * p as u64 + rank as u64;
-            if max_id > u64::from(u32::MAX) {
-                ingest_error = Some(io_error(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "shard exceeds {} reads, the striped u32 read-id space",
-                        u32::MAX / p as u32
-                    ),
-                )));
-                break;
-            }
-            let parse_start = Instant::now();
-            let _parse_span = trace::span!(
-                "parse-batch",
-                trace::Detail::Round,
-                rank,
-                reads = batch.len(),
-            );
-            for (i, read) in batch.iter_mut().enumerate() {
-                read.id = ((base + i as u64) * p as u64 + rank as u64) as u32;
-                counters.bases_parsed += read.len() as u64;
-                counters.kmers_parsed += read.seq.num_kmers(k) as u64;
-            }
-            if cfg.use_supermers {
-                let refs: Vec<&Read> = batch.iter().collect();
-                let batch_chunks = parse_supermers_parallel(
-                    &refs,
-                    base as u32,
-                    k,
-                    &scorer,
-                    num_tasks,
-                    &pool,
-                    &bank,
-                );
-                for chunk in &batch_chunks {
-                    counters.supermers_built += chunk.supermers;
-                }
-                chunks.extend(batch_chunks);
-            } else {
-                for read in &batch {
-                    stage1_record_read(read, k, cfg.seed, num_tasks, &mut record_tasks);
-                }
-            }
-            owned.extend(batch);
-            counters.wall.parse += parse_start.elapsed().as_secs_f64();
-        },
-    }
-    drop(ingest_span);
+    let mut parser = Stage1Parser::<K>::new(cfg, num_tasks, &pool);
+    let ingested = ingest_shard(ctx, files, cfg, opts, &mut parser, &mut counters);
+    let stage1 = parser.finish();
+    ingest_span.end_with(&[("staged_bytes", stage1.staged_bytes())]);
 
-    let my_reads: Vec<&Read> = owned.iter().collect();
-    let stage1: Stage1<K> = if cfg.use_supermers {
-        Stage1::Supermers(chunks)
-    } else {
-        Stage1::Records(record_tasks)
-    };
-    let output = stages_2_and_3(
-        ctx, &my_reads, stage1, counters, cfg, num_tasks, sorter, &pool,
-    )
-    .map(|mut out| {
-        out.counters.wall.total = rank_start.elapsed().as_secs_f64();
-        out
-    });
-    match ingest_error {
-        Some(e) => Err(e),
-        None => output,
-    }
+    let output =
+        stages_2_and_3(ctx, stage1, counters, cfg, num_tasks, sorter, &pool).map(|mut out| {
+            out.counters.wall.total = rank_start.elapsed().as_secs_f64();
+            out
+        });
+    ingested.and(output)
 }
 
 #[cfg(test)]
@@ -482,6 +435,118 @@ mod tests {
         let got = count_kmers_from_files_with::<Kmer1, _>(&[&path], &cfg, opts).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(got.counts, expected.counts);
+    }
+
+    /// What stage 1 stages is a function of the reads alone: byte for byte the same at
+    /// every pool width, however the feed batches the reads, from a file or from
+    /// memory — and, block by block, what a sequential parse hands
+    /// [`SupermerBlockWriter`] (with extensions; without, the same bases behind
+    /// one-byte headers).
+    #[test]
+    fn staged_bodies_do_not_depend_on_pool_width_batching_or_feed() {
+        use crate::pipeline::{SendSerializer, Stage1};
+        use crate::wire::{read_blocks, PayloadView, SupermerBlockWriter};
+        use hysortk_supermer::mmer::{MmerScorer, ScoreFunction};
+        use hysortk_supermer::streaming::{for_each_supermer, SupermerScratch};
+
+        const TASKS: usize = 12;
+        let reads = overlapping_reads(36);
+        let path = tmp_path("staged.fa");
+        fasta::write_fasta_file(&path, &reads, 70).unwrap();
+        let files = list_inputs(&[&path]).unwrap();
+
+        // Every task's block as the serializer writes it, and the bytes staged.
+        let blocks_of = |stage1: Stage1<Kmer1>, cfg: &HySortKConfig| {
+            let (sizes, staged) = (stage1.local_sizes(), stage1.staged_bytes());
+            let ser = SendSerializer::new(stage1, &sizes, &[], cfg);
+            let blocks: Vec<Vec<u8>> = (0..TASKS)
+                .map(|t| {
+                    let mut block = Vec::new();
+                    ser.serialize_task(t, &mut block);
+                    block
+                })
+                .collect();
+            // A block is its body between a 9-byte header and a 4-byte checksum.
+            let bodies: usize = blocks.iter().map(|b| b.len().saturating_sub(13)).sum();
+            assert_eq!(staged, bodies as u64);
+            blocks
+        };
+
+        let mut cfg = small_cfg(1);
+        let scorer = MmerScorer::new(cfg.m, ScoreFunction::Hash { seed: cfg.seed });
+        let mut spans = vec![Vec::new(); TASKS];
+        let mut scratch = SupermerScratch::new();
+        for read in reads.reads() {
+            for_each_supermer(
+                &read.seq,
+                cfg.k,
+                &scorer,
+                TASKS as u32,
+                &mut scratch,
+                |sm| {
+                    spans[sm.target as usize].push((read, sm.start, sm.len()));
+                },
+            );
+        }
+        let written: Vec<Vec<u8>> = (spans.iter().enumerate())
+            .map(|(t, spans)| {
+                let mut block = Vec::new();
+                let mut writer = SupermerBlockWriter::new(&mut block, t as u32, spans.len() as u32);
+                for &(read, start, len) in spans {
+                    writer.push(read.id, start, &read.seq, start as usize, len);
+                }
+                drop(writer);
+                block
+            })
+            .collect();
+
+        for with_extension in [true, false] {
+            cfg.with_extension = with_extension;
+            let mut staged: Vec<Vec<Vec<u8>>> = Vec::new();
+            for width in [1usize, 2, 3, 5] {
+                let pool = WorkerPool::new(width, 1);
+                let mut parser = Stage1Parser::<Kmer1>::new(&cfg, TASKS, &pool);
+                parser.parse(reads.reads(), &mut RankCounters::default());
+                staged.push(blocks_of(parser.finish(), &cfg));
+                for batch_records in [5usize, 1_024] {
+                    let opts = IngestOptions {
+                        batch_records,
+                        min_fragment: cfg.k,
+                        ..IngestOptions::default()
+                    };
+                    let fed = Cluster::new(1).run(|ctx| {
+                        let mut parser = Stage1Parser::<Kmer1>::new(&cfg, TASKS, &pool);
+                        let mut counters = RankCounters::default();
+                        ingest_shard(ctx, &files, &cfg, &opts, &mut parser, &mut counters).unwrap();
+                        parser.finish()
+                    });
+                    let fed = fed.results.into_iter().next().unwrap();
+                    staged.push(blocks_of(fed, &cfg));
+                }
+            }
+            assert!(staged.iter().all(|blocks| blocks == &staged[0]));
+            if with_extension {
+                assert_eq!(staged[0], written);
+                continue;
+            }
+            for (bare, tagged) in staged[0].iter().zip(&written) {
+                let (bare, tagged) = (read_blocks::<Kmer1>(bare), read_blocks::<Kmer1>(tagged));
+                for (bare, tagged) in bare.unwrap().iter().zip(&tagged.unwrap()) {
+                    assert_eq!(bare.task, tagged.task);
+                    let (PayloadView::Supermers(bare), PayloadView::Supermers(tagged)) =
+                        (&bare.payload, &tagged.payload)
+                    else {
+                        panic!("supermer tasks")
+                    };
+                    assert!(!bare.has_provenance() && tagged.has_provenance());
+                    assert_eq!(bare.len(), tagged.len());
+                    for (a, b) in bare.iter().zip(tagged.iter()) {
+                        assert_eq!(a.to_supermer(0).seq, b.to_supermer(0).seq);
+                    }
+                }
+            }
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -28,6 +28,15 @@
 //! one sequential serialization of the round would produce, and on a pool of one
 //! thread exactly that serialization, with nothing copied.
 //!
+//! **A fill that only copies is not a job.** Stage 1 stages supermers in wire form, so
+//! serializing a supermer task is block header + body + seal, yet as a job it would
+//! take a thread's share of the pool's budget from the count job beside it (a one-job
+//! list gives its job's nested bucket phase the whole budget). A round of such copies
+//! only ([`SendSerializer::is_copy`](crate::pipeline)) is written by the rank's own
+//! thread once the list has returned; serialize jobs are for rounds with encoding work
+//! — a heavy-hitter task to pre-count (§3.5), the records ablation. Bytes,
+//! `overlap-serialize` spans and the `serialize` fault site are the same either way.
+//!
 //! Rounds are **task-granular**: [`plan_rounds`] packs whole tasks into rounds from
 //! the globally-reduced task sizes, so every rank derives the identical task → round
 //! mapping without further communication, and a task's blocks are complete the moment
@@ -242,10 +251,12 @@ impl<K: KmerCode> JobLists<'_, K> {
     /// is written straight into `send` and the others into recycled buffers that are
     /// appended to it afterwards, which lays the round out exactly as one sequential
     /// serialization would — and *is* that serialization, uncopied, on a pool of one
-    /// thread. `counts` receives the bytes per destination.
+    /// thread. A round of copies only is one run, written on this thread once the list
+    /// has returned (module docs). `counts` receives the bytes per destination.
     ///
-    /// The list's wall time is booked to `wall` (see [`WallBuckets::add_job_list`]). A
-    /// failed job surfaces once every job of the list has returned.
+    /// The list's wall time is booked to `wall` (see [`WallBuckets::add_job_list`]), an
+    /// inline fill's to `serialize`. A failed job or fill surfaces once every job of the
+    /// list has returned.
     fn run(
         &mut self,
         step: usize,
@@ -256,6 +267,7 @@ impl<K: KmerCode> JobLists<'_, K> {
     ) -> Result<ListOutput<K>, HysortkError> {
         let mut jobs: Vec<Job<'_, K>> = Vec::new();
         let mut sizes: Vec<u64> = Vec::new();
+        let mut inline_fill = None;
         if send.is_some() {
             let tasks: Vec<(usize, usize)> = (self.plan.per_dest.iter().enumerate())
                 .flat_map(|(dest, rounds)| {
@@ -263,7 +275,10 @@ impl<K: KmerCode> JobLists<'_, K> {
                     tasks.map(move |&task| (task, dest))
                 })
                 .collect();
-            let max_runs = self.pool.total_threads().min(tasks.len()) as u64;
+            // A round of copies is one run, for this thread; else one per pool thread.
+            let inline = tasks.iter().all(|&(t, _)| self.ser.is_copy(t));
+            let width = if inline { 1 } else { self.pool.total_threads() };
+            let max_runs = width.min(tasks.len()) as u64;
             let total: u64 = tasks.iter().map(|&(t, _)| self.ser.local_size(t)).sum();
             let mut runs: Vec<(Vec<(usize, usize)>, u64)> = vec![(Vec::new(), 0)];
             let mut cut = 0;
@@ -282,8 +297,13 @@ impl<K: KmerCode> JobLists<'_, K> {
             }
             for (tasks, size) in runs.into_iter().filter(|(tasks, _)| !tasks.is_empty()) {
                 let out = send.take().or_else(|| self.spare.pop()).unwrap_or_default();
-                jobs.push(Job::Serialize { tasks, out });
-                sizes.push(size);
+                let job = Job::Serialize { tasks, out };
+                if inline {
+                    inline_fill = Some(job);
+                } else {
+                    jobs.push(job);
+                    sizes.push(size);
+                }
             }
         }
         let serialize_jobs = jobs.len();
@@ -315,7 +335,9 @@ impl<K: KmerCode> JobLists<'_, K> {
         };
         counts.clear();
         counts.resize(self.plan.per_dest.len(), 0);
-        for (result, _) in done {
+        let filled =
+            inline_fill.map(|fill| timed(&mut wall.serialize, || self.run_job(fill, step)));
+        for result in done.into_iter().map(|(result, _)| result).chain(filled) {
             match result? {
                 Done::Serialized {
                     out: mut bytes,
@@ -455,7 +477,8 @@ pub(crate) fn exchange_and_count<K: KmerCode>(
                 // Index the drained round's segments: header walk and checksums.
                 let index = match drain {
                     Some(round) => timed(&mut wall.count, || {
-                        let mut builder = BlockIndexBuilder::<K>::new();
+                        let mut builder = BlockIndexBuilder::<K>::new()
+                            .requiring_provenance(params.with_extension);
                         for src in 0..p {
                             builder
                                 .add_segment(previous.from_rank(src), k)
@@ -577,13 +600,12 @@ mod tests {
     use hysortk_dna::kmer::Kmer1;
     use hysortk_dna::readset::{Read, ReadSet};
     use hysortk_perfmodel::SortAlgorithm;
-    use hysortk_supermer::mmer::{MmerScorer, ScoreFunction};
     use hysortk_task::{detect_heavy_tasks, HeavyHitterPolicy};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     use crate::config::HySortKConfig;
-    use crate::pipeline::{parse_supermers_parallel, stage1_record_read, Stage1};
+    use crate::pipeline::{RankCounters, Stage1, Stage1Parser};
     use crate::wire::WireError;
 
     const K: usize = 17;
@@ -607,27 +629,11 @@ mod tests {
         ReadSet::from_ascii_reads(&seqs)
     }
 
-    fn stage1(my_reads: &[&Read], cfg: &HySortKConfig) -> Stage1<Kmer1> {
-        if cfg.use_supermers {
-            let scorer = MmerScorer::new(cfg.m, ScoreFunction::Hash { seed: cfg.seed });
-            Stage1::Supermers(parse_supermers_parallel(
-                my_reads,
-                0,
-                K,
-                &scorer,
-                TASKS,
-                &WorkerPool::new(1, 1),
-                &ScratchBank::new(),
-            ))
-        } else {
-            let mut tasks = (0..TASKS)
-                .map(|_| (Vec::new(), Vec::new()))
-                .collect::<Vec<_>>();
-            for read in my_reads {
-                stage1_record_read(read, K, cfg.seed, TASKS, &mut tasks);
-            }
-            Stage1::Records(tasks)
-        }
+    fn stage1(my_reads: &[Read], cfg: &HySortKConfig) -> Stage1<Kmer1> {
+        let pool = WorkerPool::new(1, 1);
+        let mut parser = Stage1Parser::new(cfg, TASKS, &pool);
+        parser.parse(my_reads, &mut RankCounters::default());
+        parser.finish()
     }
 
     /// Index a sent round as its receiver would: one segment per destination.
@@ -668,8 +674,8 @@ mod tests {
     fn job_lists_lay_rounds_out_and_count_them_exactly_as_the_sequential_path() {
         for (shape, satellite, cfg) in shapes() {
             let reads = reads(satellite);
-            let my_reads: Vec<&Read> = reads.reads().iter().collect();
-            let sizes = stage1(&my_reads, &cfg).local_sizes(TASKS, K);
+            let my_reads = reads.reads();
+            let sizes = stage1(my_reads, &cfg).local_sizes();
             let heavy = if cfg.use_supermers && !cfg.with_extension {
                 detect_heavy_tasks(
                     &sizes,
@@ -699,20 +705,9 @@ mod tests {
                     let what = format!("{shape}, budget {budget}, width {width}");
                     // Record tasks are taken when serialized, so the reference path
                     // gets a serializer of its own.
-                    let reference = SendSerializer::new(
-                        stage1(&my_reads, &cfg),
-                        &my_reads,
-                        &sizes,
-                        &heavy,
-                        &cfg,
-                    );
-                    let ser = SendSerializer::new(
-                        stage1(&my_reads, &cfg),
-                        &my_reads,
-                        &sizes,
-                        &heavy,
-                        &cfg,
-                    );
+                    let reference =
+                        SendSerializer::new(stage1(my_reads, &cfg), &sizes, &heavy, &cfg);
+                    let ser = SendSerializer::new(stage1(my_reads, &cfg), &sizes, &heavy, &cfg);
                     let pool = WorkerPool::new(width, 1);
                     let mut lists = JobLists {
                         rank: 0,
@@ -807,15 +802,15 @@ mod tests {
     ) {
         let cfg = HySortKConfig::small(K, 8, 1);
         let reads = reads(false);
-        let my_reads: Vec<&Read> = reads.reads().iter().collect();
-        let sizes = stage1(&my_reads, &cfg).local_sizes(TASKS, K);
+        let my_reads = reads.reads();
+        let sizes = stage1(my_reads, &cfg).local_sizes();
         let tasks_of: Vec<Vec<usize>> = (0..DESTS)
             .map(|d| (0..TASKS).filter(|t| t % DESTS == d).collect())
             .collect();
         let plan = plan_rounds(&tasks_of, &sizes, 1);
         assert_eq!(plan.local_rounds, TASKS / DESTS);
         let params = CountParams::for_kmer::<Kmer1>(K, SortAlgorithm::Raduls, 1, 50, false);
-        let ser = SendSerializer::new(stage1(&my_reads, &cfg), &my_reads, &sizes, &[], &cfg);
+        let ser = SendSerializer::new(stage1(my_reads, &cfg), &sizes, &[], &cfg);
         f(&mut JobLists {
             rank: 0,
             k: K,

@@ -5,11 +5,16 @@
 //!
 //! 1. **Parse** — every rank reads its share of the input, finds minimizers with the
 //!    monotone-deque sliding window and groups consecutive k-mers into supermers
-//!    addressed to one of `s` tasks (`s ≫ p` when the task layer is on).
+//!    addressed to one of `s` tasks (`s ≫ p` when the task layer is on). Each supermer
+//!    is encoded once, where it is found: in wire form, into its task's **body**
+//!    ([`Stage1Parser`], [`parse_supermers_parallel`]). A rank leaves stage 1 holding
+//!    one body per task ([`RunReport::staged_bytes`]) and nothing of the reads.
 //! 2. **Exchange** — task sizes are reduced across ranks, tasks are assigned to ranks
-//!    with the greedy Partition heuristic, heavy-hitter tasks are converted to
-//!    pre-counted kmerlists, and the per-destination byte streams are exchanged in
-//!    task-batched rounds over the non-blocking round engine ([`crate::overlap`]).
+//!    with the greedy Partition heuristic, and the per-destination byte streams are
+//!    exchanged in task-batched rounds over the non-blocking round engine
+//!    ([`crate::overlap`]). Serialising a task ([`SendSerializer`]) is block header +
+//!    body + checksum and frees the body; only a heavy-hitter task has work to do — it
+//!    decodes its own body and ships a pre-counted kmerlist.
 //! 3. **Sort & count** — one cheap header pass builds a per-task block index over each
 //!    completed round, then the worker pool decodes each task straight from the borrowed
 //!    wire bytes into an exactly preallocated record array, radix-sorts it (choosing
@@ -49,7 +54,10 @@ use crate::config::HySortKConfig;
 use crate::error::HysortkError;
 use crate::result::{CountResult, KmerHistogram, RunReport, StageWallTimes};
 use crate::stage3::{self, CountParams, TaskCounts, TaskExtensions};
-use crate::wire::{write_block, write_records_uncompressed, SupermerBlockWriter, TaskPayload};
+use crate::wire::{
+    push_supermer, write_block, write_records_uncompressed, write_supermer_block, SupermersView,
+    TaskPayload,
+};
 
 /// Measured wall-clock seconds of one rank, bucketed by pipeline stage. The
 /// buckets are accumulated with plain `Instant` deltas at a handful of sites
@@ -140,7 +148,6 @@ pub(crate) fn timed<T>(bucket: &mut f64, f: impl FnOnce() -> T) -> T {
 pub(crate) struct RankCounters {
     pub(crate) bases_parsed: u64,
     pub(crate) kmers_parsed: u64,
-    pub(crate) supermers_built: u64,
     heavy_local_sorted: u64,
     received_elements: u64,
     precounted_elements: u64,
@@ -157,6 +164,8 @@ pub(crate) struct RankCounters {
     pub(crate) io_retries: u64,
     /// Checkpoint epochs this rank committed (zero without a checkpoint directory).
     epochs_committed: u64,
+    /// Bytes of stage-1 staging this rank held when stage 1 ended.
+    staged_bytes: u64,
     /// Measured wall-clock seconds of this rank, bucketed by stage.
     pub(crate) wall: WallBuckets,
 }
@@ -199,7 +208,6 @@ impl Wire for RankCounters {
     fn encode(&self, out: &mut Vec<u8>) {
         self.bases_parsed.encode(out);
         self.kmers_parsed.encode(out);
-        self.supermers_built.encode(out);
         self.heavy_local_sorted.encode(out);
         self.received_elements.encode(out);
         self.precounted_elements.encode(out);
@@ -211,6 +219,7 @@ impl Wire for RankCounters {
         self.overlap_exposed_bytes.encode(out);
         self.io_retries.encode(out);
         self.epochs_committed.encode(out);
+        self.staged_bytes.encode(out);
         self.wall.encode(out);
     }
 
@@ -218,7 +227,6 @@ impl Wire for RankCounters {
         Some(RankCounters {
             bases_parsed: u64::decode(input)?,
             kmers_parsed: u64::decode(input)?,
-            supermers_built: u64::decode(input)?,
             heavy_local_sorted: u64::decode(input)?,
             received_elements: u64::decode(input)?,
             precounted_elements: u64::decode(input)?,
@@ -230,6 +238,7 @@ impl Wire for RankCounters {
             overlap_exposed_bytes: u64::decode(input)?,
             io_retries: u64::decode(input)?,
             epochs_committed: u64::decode(input)?,
+            staged_bytes: u64::decode(input)?,
             wall: WallBuckets::decode(input)?,
         })
     }
@@ -318,113 +327,87 @@ impl<K: KmerCode> Wire for RankOutput<K> {
     }
 }
 
-/// Compact send-side reference to one supermer: the read it was cut from (an index
-/// into the rank's read slice), its base offset and its length. The bases themselves
-/// stay in the packed read until serialisation copies them word-at-a-time straight
-/// into the flat send buffer — no intermediate `Supermer { DnaSeq }` is materialised
-/// on the send side.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SmRef {
-    /// Index of the source read within this rank's read slice.
-    read: u32,
-    /// First base of the supermer within the read.
-    start: u32,
-    /// Length in bases (always ≥ k).
-    len: u32,
-}
-
-impl SmRef {
-    fn num_kmers(&self, k: usize) -> u64 {
-        (self.len as usize - k + 1) as u64
-    }
-}
-
-/// Per-task supermer references staged by one chunk of the rank's reads, plus the
-/// chunk's work counters. Chunks are contiguous read ranges in read order, so
-/// concatenating chunk stagings per task reproduces the sequential supermer order.
-pub(crate) struct ParsedChunk {
-    per_task: Vec<Vec<SmRef>>,
-    pub(crate) bases: u64,
-    pub(crate) kmers: u64,
+/// One task's supermers as stage 1 staged them: in wire form ([`push_supermer`]), in
+/// read order, with the two totals the block header and the task-size reduction need.
+#[derive(Debug, Default)]
+pub(crate) struct TaskBody {
+    pub(crate) bytes: Vec<u8>,
     pub(crate) supermers: u64,
+    pub(crate) kmers: u64,
 }
 
-/// What a rank accumulates locally before the exchange.
+/// What a rank accumulates locally before the exchange, one entry per task.
 pub(crate) enum Stage1<K: KmerCode> {
-    /// Supermer mode: per-chunk, per-task supermer references (parallel streaming parse).
-    Supermers(Vec<ParsedChunk>),
-    /// Ablation mode: per-task individual k-mer records.
+    /// Supermer mode: the task's supermer-block body, ready to be sent.
+    Supermers(Vec<TaskBody>),
+    /// Ablation mode: the task's individual k-mer records.
     Records(Vec<(Vec<K>, Vec<Extension>)>),
 }
 
 impl<K: KmerCode> Stage1<K> {
     /// K-mers this rank staged for each task.
-    pub(crate) fn local_sizes(&self, num_tasks: usize, k: usize) -> Vec<u64> {
+    pub(crate) fn local_sizes(&self) -> Vec<u64> {
         match self {
-            Stage1::Supermers(chunks) => (0..num_tasks)
-                .map(|t| {
-                    chunks
-                        .iter()
-                        .flat_map(|c| &c.per_task[t])
-                        .map(|r| r.num_kmers(k))
-                        .sum()
-                })
-                .collect(),
+            Stage1::Supermers(bodies) => bodies.iter().map(|b| b.kmers).collect(),
             Stage1::Records(tasks) => tasks.iter().map(|(kmers, _)| kmers.len() as u64).collect(),
         }
+    }
+
+    /// Bytes the staging holds: the bodies, or the record vectors.
+    pub(crate) fn staged_bytes(&self) -> u64 {
+        let bytes: usize = match self {
+            Stage1::Supermers(bodies) => bodies.iter().map(|b| b.bytes.len()).sum(),
+            Stage1::Records(tasks) => (tasks.iter())
+                .map(|(kmers, exts)| {
+                    std::mem::size_of_val(&kmers[..]) + std::mem::size_of_val(&exts[..])
+                })
+                .sum(),
+        };
+        bytes as u64
     }
 }
 
 /// The send-side serializer: it owns the stage-1 staging and writes **one task's** wire
 /// blocks into a buffer on demand, so a task's bytes do not depend on the round it is
-/// packed into (which is what makes outputs byte-identical across round plans).
-/// Supermer tasks stream word-level packed ranges straight out of the source reads;
-/// heavy-hitter tasks pre-count into a kmerlist at serialisation time (§3.5); record
-/// tasks take their staged vectors. Serialising takes `&self`, so the round loop's serialize
-/// jobs of one round run side by side on the worker pool; each task must be
-/// serialised at most once.
+/// packed into (which is what makes outputs byte-identical across round plans). A
+/// supermer task is *block header + staged body + seal* — a copy; a heavy-hitter task
+/// decodes its staged body and pre-counts it into a kmerlist (§3.5); a record task
+/// encodes its staged vectors. Serialising takes `&self`, so the serialize jobs of one
+/// round run side by side on the worker pool, and it takes the task's staging with it:
+/// each task must be serialised at most once, and its memory is free afterwards.
 pub(crate) struct SendSerializer<'a, K: KmerCode> {
     staged: Staged<K>,
-    my_reads: &'a [&'a Read],
     local_sizes: &'a [u64],
     heavy: &'a [usize],
-    with_extension: bool,
-    compress_extension: bool,
-    k: usize,
-    first_radix_level: usize,
+    cfg: &'a HySortKConfig,
 }
 
-/// [`Stage1`] as the serializer holds it: record tasks sit in one cell each, so a
-/// serialize job can take its task's vectors through a shared reference.
+/// [`Stage1`] as the serializer holds it: every task sits in a cell of its own, so a
+/// serialize job can take its task's staging through a shared reference.
 enum Staged<K: KmerCode> {
-    Supermers(Vec<ParsedChunk>),
+    Supermers(Vec<Mutex<TaskBody>>),
     Records(Vec<Mutex<(Vec<K>, Vec<Extension>)>>),
 }
 
 impl<'a, K: KmerCode> SendSerializer<'a, K> {
     pub(crate) fn new(
         stage1: Stage1<K>,
-        my_reads: &'a [&'a Read],
         local_sizes: &'a [u64],
         heavy: &'a [usize],
-        cfg: &HySortKConfig,
+        cfg: &'a HySortKConfig,
     ) -> Self {
         SendSerializer {
             staged: match stage1 {
-                Stage1::Supermers(chunks) => Staged::Supermers(chunks),
+                Stage1::Supermers(bodies) => {
+                    Staged::Supermers(bodies.into_iter().map(Mutex::new).collect())
+                }
                 Stage1::Records(tasks) => {
                     Staged::Records(tasks.into_iter().map(Mutex::new).collect())
                 }
             },
-            my_reads,
             local_sizes,
             heavy,
-            with_extension: cfg.with_extension,
-            compress_extension: cfg.compress_extension,
-            k: cfg.k,
-            // Leading key bytes above the meaningful 2k bits are constant zero; tell
-            // the MSD sorter to skip straight past them.
-            first_radix_level: K::WORDS * 8 - K::num_bytes(cfg.k),
+            cfg,
         }
     }
 
@@ -433,56 +416,47 @@ impl<'a, K: KmerCode> SendSerializer<'a, K> {
         self.local_sizes[t]
     }
 
+    /// Whether serialising task `t` only copies its staged body — true of every
+    /// supermer task that is not a heavy hitter. A round of such tasks is filled on the
+    /// rank's own thread ([`crate::overlap`]): a copy is not worth a pool job.
+    pub(crate) fn is_copy(&self, t: usize) -> bool {
+        matches!(self.staged, Staged::Supermers(_)) && self.heavy.binary_search(&t).is_err()
+    }
+
     /// Append task `t`'s wire blocks to `out` (nothing is written for an empty task).
     /// Returns the k-mers pre-counted locally when `t` is a heavy-hitter task, zero
     /// otherwise.
     pub(crate) fn serialize_task(&self, t: usize, out: &mut Vec<u8>) -> u64 {
-        let k = self.k;
         match &self.staged {
-            Staged::Supermers(chunks) => {
-                let count: usize = chunks.iter().map(|c| c.per_task[t].len()).sum();
-                if count == 0 {
+            Staged::Supermers(bodies) => {
+                let body = std::mem::take(&mut *bodies[t].lock().expect("body cell poisoned"));
+                if body.supermers == 0 {
                     return 0;
                 }
-                if self.heavy.binary_search(&t).is_ok() {
-                    // Heavy-hitter path: pre-count locally, ship a kmerlist (§3.5).
-                    // Canonical k-mers decode straight from the packed source reads,
-                    // rolling both strands (O(1) canonical per position).
-                    let mut kmers: Vec<K> = Vec::with_capacity(self.local_sizes[t] as usize);
-                    for chunk in chunks.iter() {
-                        for r in &chunk.per_task[t] {
-                            let seq = &self.my_reads[r.read as usize].seq;
-                            let mut fwd = K::zero();
-                            let mut rc = K::zero();
-                            for i in 0..r.len as usize {
-                                // SAFETY: spans satisfy `start + len <= seq.len()`.
-                                let code = unsafe { seq.get_code_unchecked(r.start as usize + i) };
-                                fwd = fwd.push_base(k, code);
-                                rc = rc.push_base_rc(k, code);
-                                if i + 1 >= k {
-                                    kmers.push(if rc < fwd { rc } else { fwd });
-                                }
-                            }
-                        }
-                    }
-                    paradis_sort_from(&mut kmers, self.first_radix_level);
-                    let list = count_sorted_runs(&kmers, |km| *km);
-                    write_block(out, t as u32, &TaskPayload::<K>::KmerList(list));
-                    return kmers.len() as u64;
+                if self.is_copy(t) {
+                    let count = u32::try_from(body.supermers)
+                        .expect("a rank stages fewer than 2^32 supermers per task");
+                    let provenance = self.cfg.with_extension;
+                    write_supermer_block(out, t as u32, provenance, count, &body.bytes);
+                    return 0;
                 }
-                let mut writer = SupermerBlockWriter::new(out, t as u32, count as u32);
-                for chunk in chunks.iter() {
-                    for r in &chunk.per_task[t] {
-                        let read = self.my_reads[r.read as usize];
-                        writer.push(
-                            read.id,
-                            r.start,
-                            &read.seq,
-                            r.start as usize,
-                            r.len as usize,
-                        );
-                    }
+                // Heavy-hitter path: pre-count locally, ship a kmerlist (§3.5). Heavy
+                // tasks exist only without extensions, so the body is bare. The few
+                // distinct keys of a satellite pile into a handful of MSD buckets, far
+                // out of cache, so this is one in-place sort of the whole task and not
+                // stage 3's bucketed pass (measured: 67–73 ms against 77–123 ms).
+                let view = SupermersView::staged(body.supermers as usize, &body.bytes, false);
+                let mut kmers: Vec<K> = Vec::with_capacity(body.kmers as usize);
+                for sm in view.iter() {
+                    sm.for_each_canonical_kmer::<K>(self.cfg.k, |km, _| kmers.push(km));
                 }
+                drop(body);
+                // Leading key bytes above the meaningful 2k bits are constant zero; tell
+                // the MSD sorter to skip straight past them.
+                paradis_sort_from(&mut kmers, K::WORDS * 8 - K::num_bytes(self.cfg.k));
+                let list = count_sorted_runs(&kmers, |km| *km);
+                write_block(out, t as u32, &TaskPayload::<K>::KmerList(list));
+                kmers.len() as u64
             }
             Staged::Records(tasks) => {
                 let (kmers, exts) =
@@ -490,8 +464,8 @@ impl<'a, K: KmerCode> SendSerializer<'a, K> {
                 if kmers.is_empty() {
                     return 0;
                 }
-                if self.with_extension {
-                    if self.compress_extension {
+                if self.cfg.with_extension {
+                    if self.cfg.compress_extension {
                         write_block(out, t as u32, &TaskPayload::Records(kmers, Some(exts)));
                     } else {
                         write_records_uncompressed(out, t as u32, &kmers, &exts);
@@ -499,68 +473,83 @@ impl<'a, K: KmerCode> SendSerializer<'a, K> {
                 } else {
                     write_block(out, t as u32, &TaskPayload::Records(kmers, None));
                 }
+                0
             }
         }
-        0
     }
 }
 
-/// Stage 1 in supermer mode: stream a slice of the rank's reads through the fused
-/// extractor ([`for_each_supermer`]) in parallel on the cached worker pool. Reads are
-/// split into contiguous chunks (a few per thread, for balance against uneven read
-/// lengths); worker threads check one [`SupermerScratch`] each out of `bank`, so
-/// repeated calls (the streaming feed path parses one ingested batch at a time)
-/// reuse the scratches instead of re-allocating them per batch. Staged [`SmRef`]s
-/// index reads as `base_index + position within the slice` — the in-memory path
-/// passes `0`, the feed path passes the number of reads ingested before this batch.
+/// Largest capacity a worker's body keeps from one parse call to the next. Batches of
+/// short reads stay far below it and reuse their buffers; a body that outgrew it (long
+/// reads, or a whole read set parsed in one call) is given back as soon as it is folded.
+const BODY_RETAIN_BYTES: usize = 16 << 10;
+
+/// What one worker of the parallel parse keeps between calls: the extractor's segment
+/// buffers, and one body per task for the supermers of the chunk it is parsing.
+#[derive(Default)]
+pub(crate) struct ParseScratch {
+    supermer: SupermerScratch,
+    bodies: Vec<TaskBody>,
+}
+
+/// Stage 1 in supermer mode: stream `reads` through the fused extractor
+/// ([`for_each_supermer`]) on the cached worker pool and append every supermer, in wire
+/// form, to its task's entry of `bodies` — written where it is found, while the read is
+/// in cache; nothing of `reads` is referenced afterwards. With `provenance` the
+/// supermers carry `(read id, start)` ([`push_supermer`]).
+///
+/// The reads are cut into one contiguous chunk per pool thread; each worker writes its
+/// chunk into the bodies of a [`ParseScratch`] checked out of `bank`, and the chunks
+/// are then folded into `bodies` in read order. A task's bytes are therefore the ones a
+/// sequential parse writes, whatever the pool width and however the reads are batched
+/// over repeated calls (the streaming feed parses one ingested batch at a time,
+/// reusing the scratches).
 pub(crate) fn parse_supermers_parallel(
-    my_reads: &[&Read],
-    base_index: u32,
+    reads: &[Read],
     k: usize,
     scorer: &MmerScorer,
-    num_tasks: usize,
+    provenance: bool,
     pool: &WorkerPool,
-    bank: &ScratchBank<SupermerScratch>,
-) -> Vec<ParsedChunk> {
-    let chunk_count = (pool.total_threads() * 4).clamp(1, my_reads.len().max(1));
-    let mut chunks: Vec<(u32, &[&Read])> = Vec::with_capacity(chunk_count);
-    let base = my_reads.len() / chunk_count;
-    let extra = my_reads.len() % chunk_count;
-    let mut start = 0usize;
-    for c in 0..chunk_count {
-        let len = base + usize::from(c < extra);
-        chunks.push((base_index + start as u32, &my_reads[start..start + len]));
-        start += len;
-    }
-    pool.execute_with_bank(
-        chunks,
-        bank,
-        SupermerScratch::new,
-        |scratch, (first_read, slice)| {
-            let mut chunk = ParsedChunk {
-                per_task: vec![Vec::new(); num_tasks],
-                bases: 0,
-                kmers: 0,
-                supermers: 0,
-            };
-            for (offset, read) in slice.iter().enumerate() {
-                chunk.bases += read.len() as u64;
-                chunk.kmers += read.seq.num_kmers(k) as u64;
-                let read_index = first_read + offset as u32;
-                let per_task = &mut chunk.per_task;
-                let supermers = &mut chunk.supermers;
-                for_each_supermer(&read.seq, k, scorer, num_tasks as u32, scratch, |span| {
-                    *supermers += 1;
-                    per_task[span.target as usize].push(SmRef {
-                        read: read_index,
-                        start: span.start,
-                        len: span.end - span.start,
-                    });
-                });
+    bank: &ScratchBank<ParseScratch>,
+    bodies: &mut [TaskBody],
+) {
+    let num_tasks = bodies.len();
+    let per_thread = reads.len().div_ceil(pool.total_threads()).max(1);
+    let parsed = pool.execute(reads.chunks(per_thread).collect(), |chunk| {
+        let mut scratch = bank.checkout(ParseScratch::default);
+        let ParseScratch { supermer, bodies } = &mut *scratch;
+        bodies.resize_with(num_tasks, TaskBody::default);
+        for read in chunk {
+            for_each_supermer(&read.seq, k, scorer, num_tasks as u32, supermer, |span| {
+                let body = &mut bodies[span.target as usize];
+                let from = provenance.then_some((read.id, span.start));
+                push_supermer(
+                    &mut body.bytes,
+                    from,
+                    &read.seq,
+                    span.start as usize,
+                    span.len(),
+                );
+                body.supermers += 1;
+                body.kmers += span.num_kmers(k) as u64;
+            });
+        }
+        scratch
+    });
+    // The checkouts go back to the bank, emptied, as they drop.
+    for mut scratch in parsed {
+        for (body, chunk) in bodies.iter_mut().zip(&mut scratch.bodies) {
+            if body.bytes.is_empty() {
+                std::mem::swap(&mut body.bytes, &mut chunk.bytes);
+            } else {
+                body.bytes.extend_from_slice(&chunk.bytes);
+                chunk.bytes.clear();
+                chunk.bytes.shrink_to(BODY_RETAIN_BYTES);
             }
-            chunk
-        },
-    )
+            body.supermers += std::mem::take(&mut chunk.supermers);
+            body.kmers += std::mem::take(&mut chunk.kmers);
+        }
+    }
 }
 
 /// Count the canonical k-mers of `reads` with the full HySortK pipeline.
@@ -580,24 +569,8 @@ pub fn count_kmers<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) -> CountRe
     let ranges = reads.partition_by_bases(p);
     let model = PerfModel::new(cfg.machine.clone(), cfg.execution());
 
-    // Decide the local sorter the way HySortK does: look at the (projected) payload and
-    // the node memory. The decision is deterministic and identical on every rank. Since
-    // stage 3 sorts bucket by bucket it only picks the in-bucket kernel — RADULS costs
-    // one more cache-sized buffer per thread than PARADIS, not a copy of the data.
-    let projected_kmers = (reads.total_kmers(cfg.k) as f64 / cfg.data_scale) as u64;
-    let bytes_per_record = record_bytes::<K>(cfg);
-    let projected_input_per_node =
-        (reads.total_bases() as f64 / 4.0 / cfg.data_scale) as u64 / cfg.nodes.max(1) as u64;
-    let raduls_ok = model.memory().raduls_fits(
-        projected_kmers / cfg.nodes.max(1) as u64,
-        bytes_per_record,
-        projected_input_per_node,
-    );
-    let sorter = if raduls_ok {
-        SortAlgorithm::Raduls
-    } else {
-        SortAlgorithm::Paradis
-    };
+    let (kmers, bases) = (reads.total_kmers(cfg.k), reads.total_bases());
+    let sorter = select_sorter::<K>(cfg, &model, kmers as u64, bases as u64);
 
     let cluster = Cluster::new(p).with_backend(cfg.backend);
     let run =
@@ -618,9 +591,33 @@ pub fn count_kmers<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) -> CountRe
     merge_outputs(outputs, run.comm, cfg, &model, sorter, 0, joined)
 }
 
+/// Decide the local sorter the way HySortK does: look at the payload — `kmers` and
+/// `bases` of input, projected to full scale — and the node memory. Deterministic, so
+/// identical on every rank. Since stage 3 sorts bucket by bucket it only picks the
+/// in-bucket kernel — RADULS costs one more cache-sized buffer per thread than PARADIS,
+/// not a copy of the data.
+pub(crate) fn select_sorter<K: KmerCode>(
+    cfg: &HySortKConfig,
+    model: &PerfModel,
+    kmers: u64,
+    bases: u64,
+) -> SortAlgorithm {
+    let nodes = cfg.nodes.max(1) as u64;
+    let raduls_ok = model.memory().raduls_fits(
+        (kmers as f64 / cfg.data_scale) as u64 / nodes,
+        record_bytes::<K>(cfg),
+        (bases as f64 / 4.0 / cfg.data_scale) as u64 / nodes,
+    );
+    if raduls_ok {
+        SortAlgorithm::Raduls
+    } else {
+        SortAlgorithm::Paradis
+    }
+}
+
 /// Wire size of one k-mer record in the receive buffer (used for the memory projection
 /// and the sort-cost byte width).
-pub(crate) fn record_bytes<K: KmerCode>(cfg: &HySortKConfig) -> usize {
+fn record_bytes<K: KmerCode>(cfg: &HySortKConfig) -> usize {
     K::WORDS * 8
         + if cfg.with_extension {
             Extension::WIRE_BYTES
@@ -639,16 +636,10 @@ fn rank_pipeline<K: KmerCode>(
 ) -> Result<RankOutput<K>, HysortkError> {
     let rank_start = Instant::now();
     let rank = ctx.rank();
-    let k = cfg.k;
     let mut counters = RankCounters::default();
-    let scorer = MmerScorer::new(cfg.m, ScoreFunction::Hash { seed: cfg.seed });
 
     // ---------------- stage 1: parse ------------------------------------------------
-    // Supermer mode streams every read through the fused scoring→minimizer→supermer
-    // extractor, rank-parallel over the cached worker pool; only compact references
-    // into the packed reads are staged. The records ablation path keeps the simple
-    // sequential per-read loop.
-    let my_reads: Vec<&Read> = reads.reads()[ranges[rank].clone()].iter().collect();
+    let my_reads = &reads.reads()[ranges[rank].clone()];
     let pool = WorkerPool::new(cfg.workers_per_process(), cfg.threads_per_worker).for_rank(rank);
 
     let parse_start = Instant::now();
@@ -658,49 +649,89 @@ fn rank_pipeline<K: KmerCode>(
         rank as u32,
         &[("reads", my_reads.len() as u64)],
     );
-    let stage1: Stage1<K> = if cfg.use_supermers {
-        let bank = ScratchBank::new();
-        let chunks = parse_supermers_parallel(&my_reads, 0, k, &scorer, num_tasks, &pool, &bank);
-        for chunk in &chunks {
-            counters.bases_parsed += chunk.bases;
-            counters.kmers_parsed += chunk.kmers;
-            counters.supermers_built += chunk.supermers;
-        }
-        Stage1::Supermers(chunks)
-    } else {
-        let mut tasks: Vec<(Vec<K>, Vec<Extension>)> =
-            (0..num_tasks).map(|_| (Vec::new(), Vec::new())).collect();
-        for read in &my_reads {
-            counters.bases_parsed += read.len() as u64;
-            counters.kmers_parsed += read.seq.num_kmers(k) as u64;
-            stage1_record_read(read, k, cfg.seed, num_tasks, &mut tasks);
-        }
-        Stage1::Records(tasks)
-    };
-    drop(parse_span);
+    let mut parser = Stage1Parser::<K>::new(cfg, num_tasks, &pool);
+    parser.parse(my_reads, &mut counters);
+    let stage1 = parser.finish();
+    parse_span.end_with(&[("staged_bytes", stage1.staged_bytes())]);
     counters.wall.parse += parse_start.elapsed().as_secs_f64();
 
-    let mut out = stages_2_and_3(
-        ctx, &my_reads, stage1, counters, cfg, num_tasks, sorter, &pool,
-    )?;
+    let mut out = stages_2_and_3(ctx, stage1, counters, cfg, num_tasks, sorter, &pool)?;
     out.counters.wall.total = rank_start.elapsed().as_secs_f64();
     Ok(out)
 }
 
+/// A rank's stage 1: reads go in, batch by batch, and the per-task staging comes out.
+/// Supermer mode streams every read through the fused scoring→minimizer→supermer
+/// extractor, rank-parallel over the worker pool, and writes each supermer in wire form
+/// into its task's body ([`parse_supermers_parallel`]); the records ablation keeps the
+/// simple sequential per-read loop. Shared by the in-memory and file-fed entry points,
+/// so the two cannot diverge on what they stage.
+pub(crate) struct Stage1Parser<'a, K: KmerCode> {
+    staged: Stage1<K>,
+    bank: ScratchBank<ParseScratch>,
+    scorer: MmerScorer,
+    cfg: &'a HySortKConfig,
+    pool: &'a WorkerPool,
+}
+
+impl<'a, K: KmerCode> Stage1Parser<'a, K> {
+    pub(crate) fn new(cfg: &'a HySortKConfig, num_tasks: usize, pool: &'a WorkerPool) -> Self {
+        Stage1Parser {
+            staged: if cfg.use_supermers {
+                Stage1::Supermers((0..num_tasks).map(|_| TaskBody::default()).collect())
+            } else {
+                Stage1::Records((0..num_tasks).map(|_| (Vec::new(), Vec::new())).collect())
+            },
+            bank: ScratchBank::new(),
+            scorer: MmerScorer::new(cfg.m, ScoreFunction::Hash { seed: cfg.seed }),
+            cfg,
+            pool,
+        }
+    }
+
+    /// Stage the k-mers of `reads`, whose ids are final, and count what was parsed into
+    /// `counters`. Nothing of `reads` is referenced once this returns.
+    pub(crate) fn parse(&mut self, reads: &[Read], counters: &mut RankCounters) {
+        let (k, cfg) = (self.cfg.k, self.cfg);
+        for read in reads {
+            counters.bases_parsed += read.len() as u64;
+            counters.kmers_parsed += read.seq.num_kmers(k) as u64;
+        }
+        match &mut self.staged {
+            Stage1::Supermers(bodies) => parse_supermers_parallel(
+                reads,
+                k,
+                &self.scorer,
+                cfg.with_extension,
+                self.pool,
+                &self.bank,
+                bodies,
+            ),
+            Stage1::Records(tasks) => {
+                for read in reads {
+                    stage1_record_read(read, k, cfg.seed, tasks);
+                }
+            }
+        }
+    }
+
+    /// The staging; the workers' parse scratches are freed.
+    pub(crate) fn finish(self) -> Stage1<K> {
+        self.staged
+    }
+}
+
 /// Stage 1 in records (naive-exchange ablation) mode for one read: canonicalise every
-/// k-mer and stage it, with its provenance, on the task its hash addresses. Shared by
-/// the in-memory and file-fed entry points so the two can never diverge on the task
-/// mapping.
-pub(crate) fn stage1_record_read<K: KmerCode>(
+/// k-mer and stage it, with its provenance, on the task its hash addresses.
+fn stage1_record_read<K: KmerCode>(
     read: &Read,
     k: usize,
     seed: u32,
-    num_tasks: usize,
     tasks: &mut [(Vec<K>, Vec<Extension>)],
 ) {
     for (pos, km) in read.seq.kmers::<K>(k).enumerate() {
         let canon = km.canonical(k);
-        let task = (hash_kmer(&canon, seed) % num_tasks as u64) as usize;
+        let task = (hash_kmer(&canon, seed) % tasks.len() as u64) as usize;
         let (kmers, exts) = &mut tasks[task];
         kmers.push(canon);
         exts.push(Extension::new(read.id, pos as u32));
@@ -716,10 +747,8 @@ pub(crate) fn stage1_record_read<K: KmerCode>(
 /// Fails with a typed [`HysortkError`] when a collective aborts (a peer failed, a
 /// fault fired) or a received segment fails its wire checks; every local failure is
 /// published cluster-wide before returning, so no peer is left blocked.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn stages_2_and_3<K: KmerCode>(
     ctx: &mut RankCtx,
-    my_reads: &[&Read],
     stage1: Stage1<K>,
     mut counters: RankCounters,
     cfg: &HySortKConfig,
@@ -732,7 +761,8 @@ pub(crate) fn stages_2_and_3<K: KmerCode>(
     let workers = cfg.workers_per_process();
 
     // ---------------- task sizing, assignment, heavy hitters -------------------------
-    let local_sizes = stage1.local_sizes(num_tasks, k);
+    let local_sizes = stage1.local_sizes();
+    counters.staged_bytes = stage1.staged_bytes();
     // The "root retrieves data about the size of each task" step, realised as a
     // butterfly sum all-reduce so every rank computes the same assignment
     // deterministically at O(log p) vector transfers per rank.
@@ -799,7 +829,7 @@ pub(crate) fn stages_2_and_3<K: KmerCode>(
     // overlap fraction would be pure projection instead of measurement. `false` is the
     // bulk-synchronous ablation: no budget, so the plan is one round and the loop's
     // three steps — serialise and post everything, wait, count — are each a barrier.
-    let ser = SendSerializer::new(stage1, my_reads, &local_sizes, &heavy, cfg);
+    let ser = SendSerializer::new(stage1, &local_sizes, &heavy, cfg);
     let params =
         CountParams::for_kmer::<K>(k, sorter, cfg.min_count, cfg.max_count, cfg.with_extension);
     let round_budget = if cfg.overlap {
@@ -924,6 +954,7 @@ pub(crate) fn merge_outputs<K: KmerCode>(
         .map(|c| c.assignment_imbalance)
         .unwrap_or(1.0);
     let io_retries: u64 = counters.iter().map(|c| c.io_retries).sum();
+    let staged_bytes = counters.iter().map(|c| c.staged_bytes).max().unwrap_or(0);
     // Ranks commit in lockstep but a failure can interrupt some mid-epoch; the
     // most-advanced rank is the honest "how far did the run durably get" figure.
     let epochs_committed = counters
@@ -1071,6 +1102,7 @@ pub(crate) fn merge_outputs<K: KmerCode>(
         io_retries,
         recoveries,
         epochs_committed,
+        staged_bytes,
         simd: hysortk_dna::simd::path_name(),
         gather_s: joined.elapsed().as_secs_f64(),
     };
@@ -1510,6 +1542,30 @@ mod tests {
     fn rank_output_codec_survives_a_seeded_fuzz_loop_on_both_kmer_widths() {
         rank_output_codec_round_trips_and_rejects_damage::<Kmer1>(31);
         rank_output_codec_round_trips_and_rejects_damage::<Kmer2>(32);
+    }
+
+    #[test]
+    fn the_report_carries_the_fullest_ranks_staged_bytes() {
+        let reads = overlapping_reads(14);
+        for ranks in [1usize, 3] {
+            let cfg = small_cfg(21, 9, ranks);
+            let pool = WorkerPool::new(1, 1);
+            let fullest = (reads.partition_by_bases(ranks).into_iter())
+                .map(|range| {
+                    let mut parser = Stage1Parser::<Kmer1>::new(&cfg, cfg.num_tasks(), &pool);
+                    parser.parse(&reads.reads()[range], &mut RankCounters::default());
+                    match parser.finish() {
+                        Stage1::Supermers(bodies) => {
+                            bodies.iter().map(|b| b.bytes.len() as u64).sum::<u64>()
+                        }
+                        Stage1::Records(_) => unreachable!("supermer mode"),
+                    }
+                })
+                .max();
+            let report = count_kmers::<Kmer1>(&reads, &cfg).report;
+            assert!(report.staged_bytes > 0);
+            assert_eq!(Some(report.staged_bytes), fullest, "{ranks} rank(s)");
+        }
     }
 
     #[test]

@@ -230,6 +230,10 @@ pub struct RunReport {
     /// Checkpoint epochs committed by the most-advanced rank. Zero when no
     /// checkpoint directory is configured.
     pub epochs_committed: usize,
+    /// Measured: the most stage-1 staging any rank held when its stage 1 ended — the
+    /// sum of its tasks' supermer-block bodies (of its record vectors in the records
+    /// ablation). A serialize job frees its task's share. Zero for the baselines.
+    pub staged_bytes: u64,
     /// Which SIMD hot-path variant the run used (`"avx2"`, `"sse2"`, or `"scalar"`),
     /// as chosen by runtime CPU detection (overridable with `HYSORTK_NO_SIMD=1`).
     pub simd: &'static str,

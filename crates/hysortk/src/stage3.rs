@@ -185,6 +185,7 @@ pub fn verify_decoded_totals(
 #[derive(Debug)]
 pub struct BlockIndexBuilder<'a, K: KmerCode> {
     by_task: BTreeMap<u32, TaskSlot<'a, K>>,
+    provenance_required: bool,
 }
 
 impl<K: KmerCode> Default for BlockIndexBuilder<'_, K> {
@@ -198,7 +199,16 @@ impl<'a, K: KmerCode> BlockIndexBuilder<'a, K> {
     pub fn new() -> Self {
         BlockIndexBuilder {
             by_task: BTreeMap::new(),
+            provenance_required: false,
         }
+    }
+
+    /// Index for a run that produces extension lists (`required`): a supermer block
+    /// without provenance headers then fails [`add_segment`](Self::add_segment) with
+    /// [`WireError::MissingProvenance`] instead of decoding to extensions of zeros.
+    pub fn requiring_provenance(mut self, required: bool) -> Self {
+        self.provenance_required = required;
+        self
     }
 
     /// Add one source segment: validate its stream structure and checksums, group its
@@ -207,6 +217,11 @@ impl<'a, K: KmerCode> BlockIndexBuilder<'a, K> {
     /// discarded).
     pub fn add_segment(&mut self, segment: &'a [u8], k: usize) -> Result<(), WireError> {
         for block in read_blocks::<K>(segment)? {
+            if let PayloadView::Supermers(view) = &block.payload {
+                if self.provenance_required && !view.has_provenance() {
+                    return Err(WireError::MissingProvenance { task: block.task });
+                }
+            }
             let slot = self.by_task.entry(block.task).or_insert_with(|| TaskSlot {
                 task: block.task,
                 records: 0,
@@ -868,9 +883,9 @@ where
     Ok((merge_task_counts(out, params), task_sizes))
 }
 
-/// The original sequential stage 3, kept verbatim as the correctness reference: decode
-/// every block into per-task `BTreeMap` entries (with `entry().push` growth and the
-/// old O(k)-per-k-mer canonical rebuild), sort and scan each task into a
+/// The original sequential stage 3, kept as the correctness reference: decode
+/// every block into per-task `BTreeMap` entries (with `entry().extend` growth and an
+/// O(k)-per-k-mer canonical rebuild), sort and scan each task into a
 /// `(k-mer, count, Vec<Extension>)` vector, merge the kmerlist contributions through
 /// intermediate vectors, and merge the rank output through an index permutation. Slow
 /// by design — the property tests assert the parallel path is byte-identical to this.
@@ -891,18 +906,11 @@ where
                 PayloadView::Supermers(view) => {
                     let entry = task_records.entry(block.task).or_default();
                     for sm in view.iter() {
-                        let read_id = sm.read_id;
-                        // The pre-optimisation decode, kept verbatim: one forward
-                        // rolling window plus an O(k) reverse-complement rebuild per
-                        // position (`canonical`), instead of rolling both strands.
-                        let mut km = K::zero();
-                        for i in 0..sm.len {
-                            km = km.push_base(k, sm.code_at(i));
-                            if i + 1 >= k {
-                                let pos = sm.start + (i + 1 - k) as u32;
-                                entry.push((km.canonical(k), Extension::new(read_id, pos)));
-                            }
-                        }
+                        // The naive decode: the supermer materialised base by base,
+                        // its k-mers canonicalised with an O(k) reverse complement each.
+                        let kmers = sm.to_supermer(block.task).canonical_kmers_with_pos(k);
+                        let with_read = |(km, pos)| (km, Extension::new(sm.read_id, pos));
+                        entry.extend(kmers.into_iter().map(with_read));
                     }
                 }
                 PayloadView::KmerList(view) => {
@@ -1238,6 +1246,25 @@ mod tests {
         assert!(build_block_index::<Kmer1, _>(bad.iter().copied(), 15).is_err());
         let p = params(false);
         assert!(count_blocks_reference::<Kmer1, _>(bad.iter().copied(), 15, &p).is_err());
+    }
+
+    #[test]
+    fn a_bare_supermer_block_in_an_extension_run_is_a_typed_error_naming_the_task() {
+        // One supermer of 20 bases, by hand: the length byte, then five bytes of bases.
+        let body = [20u8, 0x1b, 0xe4, 0x39, 0x93, 0x6c];
+        let mut segment = Vec::new();
+        crate::wire::write_supermer_block(&mut segment, 7, false, 1, &body);
+
+        let mut plain = BlockIndexBuilder::<Kmer1>::new().requiring_provenance(false);
+        plain.add_segment(&segment, 15).unwrap();
+        let slot = &plain.finish().slots[0];
+        assert_eq!((slot.task, slot.records), (7, 6));
+
+        let mut with_extension = BlockIndexBuilder::<Kmer1>::new().requiring_provenance(true);
+        assert_eq!(
+            with_extension.add_segment(&segment, 15),
+            Err(WireError::MissingProvenance { task: 7 })
+        );
     }
 
     #[test]

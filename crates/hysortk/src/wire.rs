@@ -3,10 +3,15 @@
 //! Each destination rank receives a byte stream made of *task blocks*. A block carries
 //! the task id, the payload kind and the payload itself:
 //!
-//! * **Supermer blocks** — the normal path: supermer headers (read id, start offset,
-//!   base length) followed by 2-bit packed bases. The receiver re-extracts the k-mers;
-//!   provenance (extension information) is implied by the header, which is one of the
-//!   reasons the supermer path needs no separate extension exchange.
+//! * **Supermer blocks** — the normal path: per supermer a header and its 2-bit packed
+//!   bases, from which the receiver re-extracts the k-mers; stage 1 writes them, into
+//!   the task's staged body ([`push_supermer`]). Without extensions the block is *bare*:
+//!   the header is **one length byte**, 255 announcing a `u32` length (a supermer is a
+//!   run of k-mers with one target *task*, so on long reads 255 bases and more occur).
+//!   An extension run writes `(read id, start offset, base length)` as three `u32`s,
+//!   which imply every k-mer's provenance — one of the reasons the supermer path needs
+//!   no separate extension exchange — and its index pass rejects a bare block, which
+//!   would decode to read 0, offset 0 ([`WireError::MissingProvenance`]).
 //! * **Kmerlist blocks** — the heavy-hitter path (§3.5): pre-aggregated
 //!   `(k-mer, count)` tuples.
 //! * **Record blocks** — the non-supermer ablation path: individual k-mers, optionally
@@ -26,7 +31,7 @@ use hysortk_dna::kmer::KmerCode;
 use hysortk_dna::sequence::DnaSeq;
 use hysortk_supermer::codec::{decode_extensions_slice, encode_extensions};
 use hysortk_supermer::simd::pair_reverse;
-use hysortk_supermer::supermer::Supermer;
+use hysortk_supermer::supermer::{supermer_wire_len, Supermer, LONG_SUPERMER};
 
 use std::fmt;
 use std::marker::PhantomData;
@@ -80,6 +85,12 @@ pub enum WireError {
         /// The total actually decoded.
         got: u64,
     },
+    /// A supermer block without provenance headers reached a run that produces
+    /// extension lists — its k-mers would all claim read 0, offset 0.
+    MissingProvenance {
+        /// Task id of the bare block.
+        task: u32,
+    },
 }
 
 impl fmt::Display for WireError {
@@ -112,6 +123,13 @@ impl fmt::Display for WireError {
                     f,
                     "task {task} decoded to {got} where {expected} were announced \
                      — wire data lost or duplicated"
+                )
+            }
+            WireError::MissingProvenance { task } => {
+                write!(
+                    f,
+                    "supermer block for task {task} carries no provenance, \
+                     which an extension run needs"
                 )
             }
         }
@@ -159,6 +177,10 @@ impl hysortk_dmem::Wire for WireError {
                 expected.encode(out);
                 got.encode(out);
             }
+            WireError::MissingProvenance { task } => {
+                6u8.encode(out);
+                task.encode(out);
+            }
         }
     }
 
@@ -185,6 +207,9 @@ impl hysortk_dmem::Wire for WireError {
                 task: u32::decode(input)?,
                 expected: u64::decode(input)?,
                 got: u64::decode(input)?,
+            },
+            6 => WireError::MissingProvenance {
+                task: u32::decode(input)?,
             },
             _ => return None,
         })
@@ -243,6 +268,7 @@ pub struct TaskBlock<K: KmerCode> {
 const KIND_SUPERMERS: u8 = 0;
 const KIND_KMERLIST: u8 = 1;
 const KIND_RECORDS: u8 = 2;
+const KIND_BARE_SUPERMERS: u8 = 3;
 
 const EXT_NONE: u8 = 0;
 const EXT_RAW: u8 = 1;
@@ -298,11 +324,7 @@ pub fn write_block<K: KmerCode>(out: &mut Vec<u8>, task: u32, payload: &TaskPayl
             out.push(KIND_SUPERMERS);
             push_u32(out, supermers.len() as u32);
             for s in supermers {
-                push_u32(out, s.read_id);
-                push_u32(out, s.start);
-                push_u32(out, s.seq.len() as u32);
-                // 2-bit packed bases, 4 per byte — word-level copy, 32 bases at a time.
-                s.seq.append_packed_range(0, s.seq.len(), out);
+                push_supermer(out, Some((s.read_id, s.start)), &s.seq, 0, s.seq.len());
             }
         }
         TaskPayload::KmerList(list) => {
@@ -365,16 +387,66 @@ pub fn write_records_uncompressed<K: KmerCode>(
     seal_block(out, block_start);
 }
 
-/// Streamed writer of one supermer block: the parallel parse stage serialises its
-/// supermer *references* destination-major straight into the flat send buffer through
-/// this writer, so no intermediate [`Supermer`] (with its owned
-/// [`DnaSeq`]) is ever materialised on the send side. The base bytes are copied out of
-/// the source read with the word-level
-/// [`DnaSeq::append_packed_range`] — 32 bases per shift/OR.
+/// Append one supermer in wire form to `body`: its header — `(read id, start)` and the
+/// length with `provenance`, the length alone without — and the packed bases
+/// `offset..offset + len` of `seq` (the *source read*; no [`Supermer`] with an owned
+/// [`DnaSeq`] is materialised), copied 32 bases per shift/OR
+/// ([`DnaSeq::append_packed_range`]).
+pub fn push_supermer(
+    body: &mut Vec<u8>,
+    provenance: Option<(u32, u32)>,
+    seq: &DnaSeq,
+    offset: usize,
+    len: usize,
+) {
+    let before = body.len();
+    match provenance {
+        Some((read_id, start)) => {
+            push_u32(body, read_id);
+            push_u32(body, start);
+            push_u32(body, len as u32);
+        }
+        None if len < usize::from(LONG_SUPERMER) => body.push(len as u8),
+        None => {
+            body.push(LONG_SUPERMER);
+            push_u32(body, len as u32);
+        }
+    }
+    seq.append_packed_range(offset, len, body);
+    debug_assert_eq!(
+        body.len() - before,
+        supermer_wire_len(len, provenance.is_some())
+    );
+}
+
+/// Serialise one supermer block from a staged body: `count` supermers that
+/// [`push_supermer`] wrote with or without `provenance`.
+pub fn write_supermer_block(
+    out: &mut Vec<u8>,
+    task: u32,
+    provenance: bool,
+    count: u32,
+    body: &[u8],
+) {
+    let block_start = out.len();
+    push_u32(out, task);
+    out.push(if provenance {
+        KIND_SUPERMERS
+    } else {
+        KIND_BARE_SUPERMERS
+    });
+    push_u32(out, count);
+    out.extend_from_slice(body);
+    seal_block(out, block_start);
+}
+
+/// Streamed writer of one supermer block **with provenance**, supermer by supermer
+/// straight into a send buffer — what [`push_supermer`] into a body followed by
+/// [`write_supermer_block`] writes, without the body.
 ///
-/// The caller declares the supermer count up front (it is known from the staging
-/// buffers) and must then [`push`](SupermerBlockWriter::push) exactly that many
-/// supermers for the stream to parse back.
+/// The caller declares the supermer count up front and must then
+/// [`push`](SupermerBlockWriter::push) exactly that many supermers for the stream to
+/// parse back.
 #[derive(Debug)]
 pub struct SupermerBlockWriter<'a> {
     out: &'a mut Vec<u8>,
@@ -402,10 +474,7 @@ impl<'a> SupermerBlockWriter<'a> {
     /// of `seq` (the *source read*, not a materialised supermer sequence).
     pub fn push(&mut self, read_id: u32, start: u32, seq: &DnaSeq, offset: usize, len: usize) {
         debug_assert!(self.written < self.declared, "more supermers than declared");
-        push_u32(self.out, read_id);
-        push_u32(self.out, start);
-        push_u32(self.out, len as u32);
-        seq.append_packed_range(offset, len, self.out);
+        push_supermer(self.out, Some((read_id, start)), seq, offset, len);
         self.written += 1;
     }
 }
@@ -454,9 +523,25 @@ pub enum PayloadView<'a, K: KmerCode> {
 pub struct SupermersView<'a> {
     count: usize,
     bytes: &'a [u8],
+    provenance: bool,
 }
 
 impl<'a> SupermersView<'a> {
+    /// View a body of `count` supermers whose lengths are known to fit: one this process
+    /// staged itself ([`push_supermer`]), or one [`read_blocks`] has walked.
+    pub(crate) fn staged(count: usize, bytes: &'a [u8], provenance: bool) -> Self {
+        SupermersView {
+            count,
+            bytes,
+            provenance,
+        }
+    }
+
+    /// Whether the supermers carry their read id and offset; without, both decode as 0.
+    pub fn has_provenance(&self) -> bool {
+        self.provenance
+    }
+
     /// Number of supermers in the block.
     pub fn len(&self) -> usize {
         self.count
@@ -472,6 +557,7 @@ impl<'a> SupermersView<'a> {
         SupermerIter {
             remaining: self.count,
             bytes: self.bytes,
+            provenance: self.provenance,
         }
     }
 
@@ -489,6 +575,27 @@ impl<'a> SupermersView<'a> {
 pub struct SupermerIter<'a> {
     remaining: usize,
     bytes: &'a [u8],
+    provenance: bool,
+}
+
+/// Decode the supermer header at `pos` into `(read id, start, bases)` — zeros for the
+/// provenance a bare header does not carry. `None`, with `pos` at the field that does
+/// not fit, when the header runs past `buf`.
+fn read_supermer_header(
+    buf: &[u8],
+    pos: &mut usize,
+    provenance: bool,
+) -> Option<(u32, u32, usize)> {
+    if provenance {
+        let (read_id, start) = (read_u32(buf, pos)?, read_u32(buf, pos)?);
+        return Some((read_id, start, read_u32(buf, pos)? as usize));
+    }
+    let short = *buf.get(*pos)?;
+    *pos += 1;
+    if short == LONG_SUPERMER {
+        return Some((0, 0, read_u32(buf, pos)? as usize));
+    }
+    Some((0, 0, usize::from(short)))
 }
 
 impl<'a> Iterator for SupermerIter<'a> {
@@ -500,10 +607,9 @@ impl<'a> Iterator for SupermerIter<'a> {
         }
         self.remaining -= 1;
         let mut pos = 0usize;
-        // Lengths were validated by `read_blocks`; the expects document that contract.
-        let read_id = read_u32(self.bytes, &mut pos).expect("validated by read_blocks");
-        let start = read_u32(self.bytes, &mut pos).expect("validated by read_blocks");
-        let len = read_u32(self.bytes, &mut pos).expect("validated by read_blocks") as usize;
+        // Lengths were validated by `read_blocks`; the expect documents that contract.
+        let (read_id, start, len) = read_supermer_header(self.bytes, &mut pos, self.provenance)
+            .expect("validated by read_blocks");
         let nbytes = len.div_ceil(4);
         let packed = &self.bytes[pos..pos + nbytes];
         self.bytes = &self.bytes[pos + nbytes..];
@@ -523,9 +629,9 @@ impl<'a> Iterator for SupermerIter<'a> {
 /// One supermer, borrowing its 2-bit packed bases from the receive buffer.
 #[derive(Debug, Clone, Copy)]
 pub struct SupermerView<'a> {
-    /// Id of the read the supermer was cut from.
+    /// Id of the read the supermer was cut from (0 in a block without provenance).
     pub read_id: u32,
-    /// Offset of the first base within the read.
+    /// Offset of the first base within the read (0 in a block without provenance).
     pub start: u32,
     /// Number of bases.
     pub len: usize,
@@ -807,29 +913,23 @@ pub fn read_blocks<K: KmerCode>(buf: &[u8]) -> Result<Vec<TaskBlockView<'_, K>>,
         let kind_at = pos;
         pos += 1;
         let payload = match kind {
-            KIND_SUPERMERS => {
+            KIND_SUPERMERS | KIND_BARE_SUPERMERS => {
+                let provenance = kind == KIND_SUPERMERS;
                 let n =
                     read_u32(buf, &mut pos).ok_or(WireError::Truncated { offset: pos })? as usize;
                 let body_start = pos;
                 for _ in 0..n {
-                    // read_id, start
-                    read_u32(buf, &mut pos).ok_or(WireError::Truncated { offset: pos })?;
-                    read_u32(buf, &mut pos).ok_or(WireError::Truncated { offset: pos })?;
-                    let len_at = pos;
-                    let len = read_u32(buf, &mut pos).ok_or(WireError::Truncated { offset: pos })?
-                        as usize;
-                    let nbytes = len.div_ceil(4);
+                    let header_at = pos;
+                    let (_, _, len) = read_supermer_header(buf, &mut pos, provenance)
+                        .ok_or(WireError::Truncated { offset: pos })?;
                     let end = pos
-                        .checked_add(nbytes)
-                        .ok_or(WireError::Oversized { offset: len_at })?;
+                        .checked_add(len.div_ceil(4))
+                        .ok_or(WireError::Oversized { offset: header_at })?;
                     buf.get(pos..end)
                         .ok_or(WireError::Truncated { offset: pos })?;
                     pos = end;
                 }
-                PayloadView::Supermers(SupermersView {
-                    count: n,
-                    bytes: &buf[body_start..pos],
-                })
+                PayloadView::Supermers(SupermersView::staged(n, &buf[body_start..pos], provenance))
             }
             KIND_KMERLIST => {
                 let len_at = pos;
@@ -1100,6 +1200,84 @@ mod tests {
         assert_eq!(streamed, owned);
     }
 
+    /// `bases` pseudo-random bases.
+    fn random_seq(bases: usize, mut rng: u64) -> DnaSeq {
+        let mut seq = DnaSeq::with_capacity(bases);
+        for _ in 0..bases {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            seq.push_code((rng & 3) as u8);
+        }
+        seq
+    }
+
+    #[test]
+    fn bare_supermers_round_trip_on_both_sides_of_the_length_escape() {
+        fn check<K: KmerCode>(k: usize) {
+            let seq = random_seq(70_100, 0x9e37_79b9 + k as u64);
+            // Around the one-byte limit, and far beyond it; each at an unaligned offset.
+            let spans = [
+                (3usize, 254usize),
+                (70, 255),
+                (11, 256),
+                (97, 70_000),
+                (5, k),
+            ];
+            let (mut bare, mut tagged) = (Vec::new(), Vec::new());
+            for &(offset, len) in &spans {
+                let before = bare.len();
+                push_supermer(&mut bare, None, &seq, offset, len);
+                assert_eq!(bare.len() - before, supermer_wire_len(len, false));
+                assert_eq!(
+                    supermer_wire_len(len, false),
+                    len.div_ceil(4) + if len < 255 { 1 } else { 5 }
+                );
+                push_supermer(&mut tagged, Some((9, offset as u32)), &seq, offset, len);
+            }
+            assert_eq!(
+                tagged.len(),
+                spans.iter().map(|s| supermer_wire_len(s.1, true)).sum()
+            );
+            let mut buf = Vec::new();
+            write_supermer_block(&mut buf, 4, false, spans.len() as u32, &bare);
+            write_supermer_block(&mut buf, 4, true, spans.len() as u32, &tagged);
+            let blocks = read_blocks::<K>(&buf).unwrap();
+            let views: Vec<SupermersView<'_>> = (blocks.iter())
+                .map(|b| match b.payload {
+                    PayloadView::Supermers(view) => view,
+                    _ => panic!("wrong payload"),
+                })
+                .collect();
+            assert_eq!(blocks.len(), 2);
+            assert!(!views[0].has_provenance() && views[1].has_provenance());
+            let kmers: usize = spans.iter().map(|&(_, len)| len + 1 - k).sum();
+            for view in &views {
+                assert_eq!((view.len(), view.total_kmers(k)), (spans.len(), kmers));
+            }
+            // Same bases either way, hence the same k-mers — the word-level decode
+            // against the rolling oracle — at positions counted from the header's start.
+            for ((sm, with), &(offset, len)) in views[0].iter().zip(views[1].iter()).zip(&spans) {
+                assert_eq!((sm.read_id, sm.start, sm.len), (0, 0, len));
+                assert_eq!(
+                    (with.read_id, with.start, with.len),
+                    (9, offset as u32, len)
+                );
+                assert_eq!(sm.packed, with.packed);
+                let mut decoded: Vec<(K, u32)> = Vec::new();
+                sm.for_each_canonical_kmer::<K>(k, |km, pos| decoded.push((km, pos)));
+                assert_eq!(decoded, rolling_canonical_kmers::<K>(&sm, k), "len {len}");
+                let shifted: Vec<(K, u32)> = (rolling_canonical_kmers::<K>(&with, k).iter())
+                    .map(|&(km, pos)| (km, pos - offset as u32))
+                    .collect();
+                assert_eq!(decoded, shifted, "len {len}");
+            }
+        }
+        check::<Kmer1>(31);
+        check::<Kmer2>(31);
+        check::<Kmer2>(55);
+    }
+
     #[test]
     fn total_kmers_matches_decoded_kmer_count() {
         let read = Read::from_ascii(
@@ -1261,6 +1439,7 @@ mod tests {
         );
         let scorer = MmerScorer::new(7, ScoreFunction::Hash { seed: 9 });
         let supermers = build_supermers(&read, 15, &scorer, 8);
+        let bare = supermers.clone();
         let kmers: Vec<Kmer1> = (0..40u32)
             .map(|i| {
                 let s: Vec<u8> = (0..21)
@@ -1283,8 +1462,25 @@ mod tests {
         boundaries.push(buf.len());
         write_block(&mut buf, 2, &TaskPayload::Records(kmers, Some(exts)));
         boundaries.push(buf.len());
+        // A bare supermer block: short supermers and one behind the length escape.
+        let long = random_seq(300, 77);
+        let mut body = Vec::new();
+        push_supermer(&mut body, None, &long, 0, 300);
+        for s in &bare {
+            push_supermer(&mut body, None, &s.seq, 0, s.seq.len());
+        }
+        write_supermer_block(&mut buf, 3, false, 1 + bare.len() as u32, &body);
+        boundaries.push(buf.len());
         let full = read_blocks_owned::<Kmer1>(&buf).unwrap();
-        assert_eq!(full.len(), 3);
+        assert_eq!(full.len(), 4);
+        match &full[3].payload {
+            TaskPayload::Supermers(parsed) => {
+                assert_eq!(parsed.len(), 1 + bare.len());
+                assert_eq!(parsed[0].seq, long);
+                assert!(parsed[1..].iter().zip(&bare).all(|(a, b)| a.seq == b.seq));
+            }
+            other => panic!("wrong payload {other:?}"),
+        }
 
         // Every prefix: parses to exactly its boundary blocks, or errors — no panics,
         // no invented records.
@@ -1313,6 +1509,28 @@ mod tests {
                 read_blocks_owned::<Kmer1>(&flipped).is_err(),
                 "bit flip at {bit} went undetected"
             );
+        }
+
+        // Lengths a bare block claims are walked, never allocated from: a supermer
+        // count, an escaped length and a short length beyond the buffer are all
+        // truncations, whatever follows.
+        let bare_block = |count: u32, body: &[u8]| {
+            let mut block = Vec::new();
+            write_supermer_block(&mut block, 0, false, count, body);
+            block
+        };
+        let mut hostile_long = vec![LONG_SUPERMER];
+        hostile_long.extend_from_slice(&u32::MAX.to_le_bytes());
+        for block in [
+            bare_block(u32::MAX, &body),
+            bare_block(1, &hostile_long),
+            bare_block(1, &[254, 0, 0]),
+            bare_block(1, &[LONG_SUPERMER, 1]),
+        ] {
+            assert!(matches!(
+                read_blocks::<Kmer1>(&block),
+                Err(WireError::Truncated { .. })
+            ));
         }
     }
 }

@@ -31,4 +31,6 @@ pub use codec::{decode_extensions, encode_extensions, EncodedExtensions};
 pub use minimizer::{minimizers_deque, minimizers_naive, MinimizerRun};
 pub use mmer::{canonical_mmers, MmerScorer, ScoreFunction};
 pub use streaming::{for_each_supermer, SupermerScratch, SupermerSpan};
-pub use supermer::{build_supermers, partition_stats, PartitionStats, Supermer};
+pub use supermer::{
+    build_supermers, partition_stats, supermer_wire_len, PartitionStats, Supermer, LONG_SUPERMER,
+};

@@ -13,6 +13,24 @@ use hysortk_dna::kmer::KmerCode;
 use hysortk_dna::readset::Read;
 use hysortk_dna::sequence::DnaSeq;
 
+/// Length byte that announces a four-byte length: a supermer of this many bases or more
+/// does not fit the one-byte header.
+pub const LONG_SUPERMER: u8 = u8::MAX;
+
+/// Bytes a supermer of `len` bases occupies in an exchange block — the one definition
+/// the encoder, the decoder's tests and the modeled figures share. With `provenance`
+/// (extension runs) the header is `(read id, start, length)` as three `u32`s; without,
+/// it is one length byte, followed by a `u32` length when that byte is
+/// [`LONG_SUPERMER`]. The bases follow, four per byte.
+pub fn supermer_wire_len(len: usize, provenance: bool) -> usize {
+    let header = match (provenance, len < usize::from(LONG_SUPERMER)) {
+        (true, _) => 12,
+        (false, true) => 1,
+        (false, false) => 5,
+    };
+    header + len.div_ceil(4)
+}
+
 /// A supermer: a contiguous run of bases of one read whose k-mers all share a target.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Supermer {
@@ -32,10 +50,10 @@ impl Supermer {
         self.seq.num_kmers(k)
     }
 
-    /// Bytes this supermer occupies on the wire: packed bases plus a fixed header
-    /// (read id, start, length, target — 4 × u32, mirroring the paper's encoding).
-    pub fn wire_bytes(&self) -> usize {
-        self.seq.len().div_ceil(4) + 16
+    /// Bytes this supermer occupies on the wire, with or without its provenance
+    /// header ([`supermer_wire_len`]).
+    pub fn wire_bytes(&self, provenance: bool) -> usize {
+        supermer_wire_len(self.seq.len(), provenance)
     }
 
     /// Extract the canonical k-mers (with their absolute positions in the read).
@@ -215,7 +233,7 @@ mod tests {
         let read = random_read(1, 20_000, 5);
         let k = 31;
         let supermers = build_supermers(&read, k, &scorer(13), 256);
-        let supermer_bytes: usize = supermers.iter().map(|s| s.wire_bytes()).sum();
+        let supermer_bytes: usize = supermers.iter().map(|s| s.wire_bytes(false)).sum();
         let naive_bytes = read.seq.num_kmers(k) * 8; // one packed word per k-mer
         let saving = 1.0 - supermer_bytes as f64 / naive_bytes as f64;
         assert!(saving > 0.6, "supermer saving only {saving:.2}");

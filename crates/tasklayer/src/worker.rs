@@ -207,36 +207,6 @@ impl WorkerPool {
         (results, scratches)
     }
 
-    /// Like [`execute_with_scratch`](WorkerPool::execute_with_scratch), but each worker
-    /// thread's scratch is checked out of `bank` for the call and returned when it ends,
-    /// so the expensive state (segment buffers, staging) persists across calls — the
-    /// streaming parse stage hands the pool one ingested batch at a time. `init` only
-    /// runs when the bank has no free scratch for a worker.
-    ///
-    /// Results are returned in task order.
-    pub fn execute_with_bank<T, S, R, I, F>(
-        &self,
-        tasks: Vec<T>,
-        bank: &ScratchBank<S>,
-        init: I,
-        f: F,
-    ) -> Vec<R>
-    where
-        T: Send,
-        S: Send,
-        R: Send,
-        I: Fn() -> S + Sync + Send,
-        F: Fn(&mut S, T) -> R + Sync + Send,
-    {
-        // The checkouts returned beside the results go back to the bank as they drop.
-        self.execute_with_scratch(
-            tasks,
-            || bank.checkout(&init),
-            |scratch, task| f(scratch, task),
-        )
-        .0
-    }
-
     /// Run a list of **heterogeneous jobs** as one call: `sizes[i]` estimates job
     /// `i`'s work, the jobs are placed onto the pool's threads with [`schedule_lpt`],
     /// and every thread runs its jobs in list order. The overlapped pipeline hands the
@@ -301,10 +271,12 @@ impl WorkerPool {
 /// back when the call returns — the right shape when a stage runs once. The overlapped
 /// pipeline instead hands the pool one job list per exchange round, and the expensive
 /// scratch state (decode buffers, sort ping-pong buffers, histograms) must persist
-/// across all of them. A `ScratchBank` is that persistence: a job (or a worker, under
-/// [`WorkerPool::execute_with_bank`]) takes a [`Checkout`] and the scratch returns when
-/// the checkout drops, so a bank never holds more scratches than were ever in use at
-/// once, and [`ScratchBank::into_scratches`] drains them for the final merge.
+/// across all of them — as must the parse scratches of the streaming feed, which hands
+/// the pool one ingested batch at a time. A `ScratchBank` is that persistence: a job
+/// takes a [`Checkout`] and the scratch returns when the checkout drops (a job may hand
+/// its checkout back as its result, for the caller to read before it does), so a bank
+/// never holds more scratches than were ever in use at once, and
+/// [`ScratchBank::into_scratches`] drains them for the final merge.
 #[derive(Debug)]
 pub struct ScratchBank<S> {
     /// The checked-in scratches, and how many are checked out.
@@ -523,15 +495,10 @@ mod tests {
             Vec::new()
         };
         for round in 0..6u64 {
-            let results = pool.execute_with_bank(
-                (0..40u64).collect(),
-                &bank,
-                init,
-                |seen: &mut Vec<u64>, x| {
-                    seen.push(round * 1000 + x);
-                    x + round
-                },
-            );
+            let results = pool.execute((0..40u64).collect(), |x| {
+                bank.checkout(init).push(round * 1000 + x);
+                x + round
+            });
             assert_eq!(results.len(), 40);
             assert!(bank.all_checked_in(), "round {round}");
         }

@@ -245,19 +245,32 @@ pub struct SpanGuard {
     active: bool,
 }
 
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        if self.active {
+impl SpanGuard {
+    /// Close the span now, with up to two arguments only known at its end (a byte
+    /// total the spanned work produced); they ride on the end event, which trace
+    /// viewers merge into the slice's arguments.
+    pub fn end_with(mut self, args: &[(&'static str, u64)]) {
+        self.end(args);
+    }
+
+    fn end(&mut self, args: &[(&'static str, u64)]) {
+        if std::mem::take(&mut self.active) {
             record(Event {
                 label: self.label,
                 kind: EventKind::End,
                 ts_ns: now_ns(),
                 rank: self.rank,
                 tid: 0,
-                args: [("", 0); 2],
-                nargs: 0,
+                args: pack_args(args),
+                nargs: args.len().min(2) as u8,
             });
         }
+    }
+}
+
+impl Drop for SpanGuard {
+    fn drop(&mut self) {
+        self.end(&[]);
     }
 }
 
