@@ -127,6 +127,8 @@ pub fn kmc3_count<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) -> Baseline
         epochs_committed: 0,
         simd: hysortk_dna::simd::path_name(),
         gather_s: 0.0,
+        result_runs: 0,
+        result_bytes: 0,
         staged_bytes: 0,
     };
 

@@ -242,6 +242,8 @@ pub fn kmerind_count<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) -> Kmeri
         epochs_committed: 0,
         simd: hysortk_dna::simd::path_name(),
         gather_s: 0.0,
+        result_runs: 0,
+        result_bytes: 0,
         staged_bytes: 0,
     };
 

@@ -17,7 +17,7 @@
 //! when a rank dies, its peers' mesh sockets hit EOF because *nobody else*
 //! holds the write end open.
 //!
-//! Peer frames are length-prefixed: `[kind u8][tag u64 LE][len u32 LE][payload]`
+//! Peer frames are length-prefixed: `[kind u8][tag u64 LE][len u64 LE][payload]`
 //! with kinds `DATA`, `ABORT` (tag = origin rank, payload = detail) and `FIN`
 //! (clean goodbye). The tag spaces of collectives, round exchanges and barrier
 //! phases are disjoint (high bits 63/62/61); within each space the SPMD calling
@@ -100,6 +100,41 @@ const CTL_STATS: u8 = 2;
 const CTL_FAULTS: u8 = 3;
 const CTL_TRACE: u8 = 4;
 
+/// A payload is read in steps of at least this many bytes (see [`read_payload`]).
+const READ_CHUNK: usize = 1 << 20;
+
+/// The 64-bit length field of a frame header. A rank's result frame passes 4 GiB at
+/// 180 M retained two-word entries, so the field is as wide as a length can be; one
+/// that still does not fit fails the write instead of desynchronising the stream.
+fn frame_len(payload: &[u8]) -> std::io::Result<[u8; 8]> {
+    let len = u64::try_from(payload.len()).map_err(|_| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "frame payload length does not fit the 64-bit length field",
+        )
+    })?;
+    Ok(len.to_le_bytes())
+}
+
+/// Read the `len` payload bytes a frame header announced, appending to `payload`.
+/// The length came off a socket, so it sizes nothing by itself: every step makes room
+/// for as many bytes again as have arrived (at least [`READ_CHUNK`], never more than
+/// are still announced) and then has to receive them. An honest frame ends with its
+/// exact capacity after `log2` steps; a forged or truncated one costs at most twice
+/// what its sender really wrote, and ends in `UnexpectedEof`.
+fn read_payload(stream: &mut impl Read, len: u64, payload: &mut Vec<u8>) -> std::io::Result<()> {
+    let mut left = len;
+    while left > 0 {
+        let step = left.min(payload.len().max(READ_CHUNK) as u64);
+        payload.reserve_exact(step as usize);
+        if stream.by_ref().take(step).read_to_end(payload)? as u64 != step {
+            return Err(std::io::ErrorKind::UnexpectedEof.into());
+        }
+        left -= step;
+    }
+    Ok(())
+}
+
 // Disjoint tag spaces; see the module docs.
 const TAG_COLL: u64 = 1 << 63;
 const TAG_ROUND: u64 = 1 << 62;
@@ -137,15 +172,15 @@ impl Mailbox {
 fn reader_loop(src: usize, mut stream: UnixStream, mailbox: Arc<Mailbox>, abort: Arc<AbortState>) {
     let mut fin = false;
     loop {
-        let mut hdr = [0u8; 13];
+        let mut hdr = [0u8; 17];
         if stream.read_exact(&mut hdr).is_err() {
             break;
         }
         let kind = hdr[0];
         let tag = u64::from_le_bytes(hdr[1..9].try_into().unwrap());
-        let len = u32::from_le_bytes(hdr[9..13].try_into().unwrap()) as usize;
-        let mut payload = vec![0u8; len];
-        if stream.read_exact(&mut payload).is_err() {
+        let len = u64::from_le_bytes(hdr[9..17].try_into().unwrap());
+        let mut payload = Vec::new();
+        if read_payload(&mut stream, len, &mut payload).is_err() {
             break;
         }
         match kind {
@@ -222,10 +257,10 @@ impl ProcessTransport {
     }
 
     fn send_frame(&self, dst: usize, kind: u8, tag: u64, payload: &[u8]) -> std::io::Result<()> {
-        let mut hdr = [0u8; 13];
+        let mut hdr = [0u8; 17];
         hdr[0] = kind;
         hdr[1..9].copy_from_slice(&tag.to_le_bytes());
-        hdr[9..13].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        hdr[9..17].copy_from_slice(&frame_len(payload)?);
         let writer = self.writers[dst].as_ref().expect("no socket to self");
         let mut stream = writer.lock().unwrap_or_else(|e| e.into_inner());
         stream.write_all(&hdr)?;
@@ -583,9 +618,9 @@ pub(crate) struct ProcessOutcome<T, E> {
 }
 
 fn send_ctl(stream: &mut UnixStream, kind: u8, payload: &[u8]) -> std::io::Result<()> {
-    let mut hdr = [0u8; 5];
+    let mut hdr = [0u8; 9];
     hdr[0] = kind;
-    hdr[1..5].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    hdr[1..9].copy_from_slice(&frame_len(payload)?);
     stream.write_all(&hdr)?;
     stream.write_all(payload)
 }
@@ -603,13 +638,13 @@ struct ChildReport {
 fn read_ctl_to_eof(mut ctl: UnixStream) -> ChildReport {
     let mut report = ChildReport::default();
     loop {
-        let mut hdr = [0u8; 5];
+        let mut hdr = [0u8; 9];
         if ctl.read_exact(&mut hdr).is_err() {
             break;
         }
-        let len = u32::from_le_bytes(hdr[1..5].try_into().unwrap()) as usize;
-        let mut payload = vec![0u8; len];
-        if ctl.read_exact(&mut payload).is_err() {
+        let len = u64::from_le_bytes(hdr[1..9].try_into().unwrap());
+        let mut payload = Vec::new();
+        if read_payload(&mut ctl, len, &mut payload).is_err() {
             break;
         }
         match hdr[0] {
@@ -873,6 +908,116 @@ pub fn ran_in_own_process(test: &str) -> bool {
 mod tests {
     use super::*;
     use crate::{Backend, Cluster, FlatReceived};
+
+    /// A reader thread on one end of a fresh socket pair; the other end is the peer.
+    #[allow(clippy::type_complexity)]
+    fn peer_with_reader(
+        src: usize,
+    ) -> (
+        UnixStream,
+        Arc<Mailbox>,
+        Arc<AbortState>,
+        std::thread::JoinHandle<()>,
+    ) {
+        let (peer, ours) = UnixStream::pair().unwrap();
+        let (mailbox, abort) = (Arc::new(Mailbox::default()), Arc::new(AbortState::new()));
+        let (mb, ab) = (Arc::clone(&mailbox), Arc::clone(&abort));
+        let reader = std::thread::spawn(move || reader_loop(src, ours, mb, ab));
+        (peer, mailbox, abort, reader)
+    }
+
+    #[test]
+    fn forged_frame_lengths_end_in_the_dead_peer_path_without_the_allocation() {
+        const FORGED: u64 = 1 << 40;
+        // The read itself: a header announcing 2^40 bytes over three chunks and a bit
+        // that were really sent makes room for at most twice what arrived.
+        let sent = vec![7u8; 3 * READ_CHUNK + 5];
+        let mut payload = Vec::new();
+        let err = read_payload(&mut &sent[..], FORGED, &mut payload).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        assert_eq!(payload, sent);
+        assert!(
+            payload.capacity() <= 2 * sent.len(),
+            "{}",
+            payload.capacity()
+        );
+
+        // Data socket: the reader gives up on the frame, and a stream that ends without
+        // `FIN` is a dead peer — the abort every blocked wait polls.
+        let (mut peer, mailbox, abort, reader) = peer_with_reader(1);
+        let mut hdr = [0u8; 17];
+        hdr[0] = FRAME_DATA;
+        hdr[1..9].copy_from_slice(&round_tag(0, 0).to_le_bytes());
+        hdr[9..17].copy_from_slice(&FORGED.to_le_bytes());
+        peer.write_all(&hdr).unwrap();
+        peer.write_all(b"not a terabyte").unwrap();
+        drop(peer);
+        reader.join().unwrap();
+        assert!(matches!(
+            abort.peer_failure(0),
+            Some(DmemError::PeerFailed { rank: 1, .. })
+        ));
+        assert!(mailbox.queues.lock().unwrap().is_empty());
+
+        // Control socket: what arrived whole is kept, the forged result frame is not a
+        // result — the parent synthesizes `PeerFailed` for a child without one.
+        let (mut child, parent) = UnixStream::pair().unwrap();
+        send_ctl(&mut child, CTL_STATS, b"stats").unwrap();
+        let mut hdr = [0u8; 9];
+        hdr[0] = CTL_RESULT;
+        hdr[1..9].copy_from_slice(&FORGED.to_le_bytes());
+        child.write_all(&hdr).unwrap();
+        child.write_all(b"not a terabyte").unwrap();
+        drop(child);
+        let report = read_ctl_to_eof(parent);
+        assert_eq!(report.stats.as_deref(), Some(&b"stats"[..]));
+        assert!(report.result.is_none() && report.panic.is_none());
+    }
+
+    #[test]
+    fn ordinary_frames_round_trip_byte_identical() {
+        let payloads: Vec<Vec<u8>> = [0, 1, READ_CHUNK - 1, READ_CHUNK, 2 * READ_CHUNK + 17]
+            .iter()
+            .map(|&len| (0..len).map(|i| (i * 31 + len) as u8).collect())
+            .collect();
+
+        // Data frames, through the transport's own writer into a peer's reader.
+        let (peer, mailbox, abort, reader) = peer_with_reader(0);
+        let transport = ProcessTransport::new(0, vec![None, Some(peer)]);
+        for (i, payload) in payloads.iter().enumerate() {
+            transport
+                .send_frame(1, FRAME_DATA, round_tag(3, i), payload)
+                .unwrap();
+        }
+        transport.send_fin_all();
+        reader.join().unwrap();
+        assert!(abort.peer_failure(0).is_none());
+        let mut queues = mailbox.queues.lock().unwrap();
+        for (i, payload) in payloads.iter().enumerate() {
+            let got = queues.remove(&(0, round_tag(3, i))).expect("delivered");
+            assert_eq!(got, std::slice::from_ref(payload), "data frame {i}");
+            assert_eq!(got[0].capacity(), payload.len(), "data frame {i}");
+        }
+        assert!(queues.is_empty());
+
+        // Control frames: the writer runs beside the reader, as a child does.
+        let (mut child, parent) = UnixStream::pair().unwrap();
+        let report = std::thread::scope(|scope| {
+            let reader = scope.spawn(move || read_ctl_to_eof(parent));
+            for (kind, payload) in [CTL_RESULT, CTL_STATS, CTL_FAULTS, CTL_TRACE]
+                .into_iter()
+                .zip(&payloads[1..])
+            {
+                send_ctl(&mut child, kind, payload).unwrap();
+            }
+            drop(child);
+            reader.join().unwrap()
+        });
+        assert_eq!(report.result.as_ref(), Some(&payloads[1]));
+        assert_eq!(report.stats.as_ref(), Some(&payloads[2]));
+        assert_eq!(report.faults.as_ref(), Some(&payloads[3]));
+        assert_eq!(report.trace.as_ref(), Some(&payloads[4]));
+    }
 
     #[test]
     fn process_backend_collectives_agree_with_the_thread_backend() {

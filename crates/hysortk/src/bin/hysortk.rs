@@ -13,15 +13,18 @@
 //!
 //! The k-mer multiplicity histogram is written as TSV (`multiplicity\tdistinct`) to
 //! `--out` (or stdout), and a run summary — distinct/retained k-mers, traffic,
-//! modeled stage times — goes to stderr.
+//! modeled stage times — goes to stderr. `--kmers <path>` also writes the retained
+//! k-mers themselves as TSV (`k-mer\tcount`, ascending by k-mer): the run's result is
+//! the sorted runs its count jobs emitted, and the writer merges them lazily as it
+//! formats — the table is never built a second time.
 
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 
 use hysortk_core::ingest::{count_kmers_from_files_faulted, count_kmers_from_files_with};
-use hysortk_core::{CountResult, HySortKConfig, HysortkError};
+use hysortk_core::{CountResult, HySortKConfig, HysortkError, KmerRuns};
 use hysortk_dmem::{Backend, FaultPlan};
 use hysortk_dna::io::IngestOptions;
 use hysortk_dna::kmer::{Kmer1, Kmer2, KmerCode};
@@ -51,6 +54,10 @@ options:
                      `process` (one forked OS process per rank, exchanges over
                      UNIX sockets — identical output, real transfer cost)
   --out <path>       write the multiplicity histogram TSV here (default stdout)
+  --kmers <path>     also write the retained k-mers (multiplicity within
+                     [--min-count, --max-count]) as TSV `k-mer<TAB>count`, ascending
+                     by k-mer (A < C < G < T); merged from the result's sorted runs
+                     while writing
   -h, --help         this help
 
 observability:
@@ -111,6 +118,7 @@ struct CliArgs {
     overlap: bool,
     backend: Backend,
     out: Option<PathBuf>,
+    kmers: Option<PathBuf>,
     checkpoint: Option<PathBuf>,
     checkpoint_every: usize,
     resume: Option<PathBuf>,
@@ -147,6 +155,7 @@ fn parse_args(mut args: std::env::Args) -> Result<Option<CliArgs>, String> {
         overlap: true,
         backend: Backend::Thread,
         out: None,
+        kmers: None,
         checkpoint: None,
         checkpoint_every: 1,
         resume: None,
@@ -183,6 +192,7 @@ fn parse_args(mut args: std::env::Args) -> Result<Option<CliArgs>, String> {
                     .ok_or_else(|| format!("unknown backend `{name}` (try thread or process)"))?;
             }
             "--out" => cli.out = Some(PathBuf::from(value("--out")?)),
+            "--kmers" => cli.kmers = Some(PathBuf::from(value("--kmers")?)),
             "--checkpoint" => cli.checkpoint = Some(PathBuf::from(value("--checkpoint")?)),
             "--checkpoint-every" => {
                 cli.checkpoint_every =
@@ -309,6 +319,10 @@ fn run<K: KmerCode>(cli: &CliArgs, cfg: &HySortKConfig) -> Result<(), HysortkErr
             .write_all(tsv.as_bytes())
             .map_err(|e| write_err("<stdout>".to_string(), e))?,
     }
+    if let Some(path) = &cli.kmers {
+        write_kmers(&result.counts, cfg.k, path)
+            .map_err(|e| write_err(path.display().to_string(), e))?;
+    }
 
     let report = &result.report;
     if cli.verbosity == Verbosity::Quiet {
@@ -325,12 +339,20 @@ fn run<K: KmerCode>(cli: &CliArgs, cfg: &HySortKConfig) -> Result<(), HysortkErr
         cfg.backend,
     );
     eprintln!(
-        "[hysortk] {} k-mer instances, {} distinct, {} retained in [{}, {}]",
+        "[hysortk] {} k-mer instances, {} distinct, {} retained in [{}, {}]: \
+         {} sorted run(s), {:.2} MB, {}",
         report.total_kmers,
         report.distinct_kmers,
         report.retained_kmers,
         cfg.min_count,
         cfg.max_count,
+        report.result_runs,
+        report.result_bytes as f64 / 1e6,
+        if cli.kmers.is_some() {
+            "merged for --kmers"
+        } else {
+            "not merged"
+        },
     );
     eprintln!(
         "[hysortk] exchange: {} wire bytes over {} round(s) ({} bytes staged on the fullest \
@@ -378,7 +400,20 @@ fn run<K: KmerCode>(cli: &CliArgs, cfg: &HySortKConfig) -> Result<(), HysortkErr
     if let Some(path) = &cli.out {
         eprintln!("[hysortk] histogram written to {}", path.display());
     }
+    if let Some(path) = &cli.kmers {
+        eprintln!("[hysortk] retained k-mers written to {}", path.display());
+    }
     Ok(())
+}
+
+/// Write the retained k-mers as `k-mer\tcount` lines in ascending k-mer order: the
+/// lazy merge of the result's sorted runs, formatted as it is produced.
+fn write_kmers<K: KmerCode>(counts: &KmerRuns<K>, k: usize, path: &Path) -> std::io::Result<()> {
+    let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
+    for (kmer, count) in counts.sorted() {
+        writeln!(out, "{}\t{count}", kmer.to_dna_string(k))?;
+    }
+    out.flush()
 }
 
 fn main() -> ExitCode {

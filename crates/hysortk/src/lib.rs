@@ -8,6 +8,10 @@
 //! radix-sort and linearly scan — and returns both the exact canonical k-mer counts and
 //! a [`RunReport`] containing measured traffic and modeled per-stage times.
 //!
+//! The counts come back as [`KmerRuns`]: the sorted runs the count jobs emitted, held
+//! once and not merged. Look k-mers up and fold over the pairs for free; ask for key
+//! order ([`KmerRuns::sorted`], [`KmerRuns::sorted_vec`]) when it is needed.
+//!
 //! ```
 //! use hysortk_core::{count_kmers, HySortKConfig};
 //! use hysortk_dna::{Kmer1, ReadSet};
@@ -19,7 +23,13 @@
 //! let mut cfg = HySortKConfig::small(21, 9, 2);
 //! cfg.min_count = 1;
 //! let result = count_kmers::<Kmer1>(&reads, &cfg);
-//! assert!(result.counts.iter().all(|(_, c)| *c >= 1));
+//! // Every pair once, run by run — no order across runs, nothing merged.
+//! assert!(result.counts.iter().all(|(_, count)| *count >= 2));
+//! // Key order, merged lazily; `sorted_vec()` builds the array.
+//! let kmers: Vec<&Kmer1> = result.counts.sorted().map(|(kmer, _)| kmer).collect();
+//! assert!(kmers.windows(2).all(|w| w[0] < w[1]));
+//! assert_eq!(result.counts, result.counts.sorted_vec());
+//! assert_eq!(result.count_of(kmers[0]), Some(2));
 //! ```
 //!
 //! The other modules are the pieces the pipeline is assembled from and are public so
@@ -43,5 +53,5 @@ pub use ingest::{
 };
 pub use pipeline::count_kmers;
 pub use reference::{reference_counts, reference_counts_bounded, reference_extensions};
-pub use result::{CountResult, KmerHistogram, RunReport, StageWall, StageWallTimes};
+pub use result::{CountResult, KmerHistogram, KmerRuns, RunReport, StageWall, StageWallTimes};
 pub use wire::WireError;

@@ -367,9 +367,9 @@ impl<K: KmerCode> JobLists<'_, K> {
 /// Run stages 2 and 3: plan task-granular rounds of at most `round_budget` global
 /// records (the plan — and hence the round count — is identical on every rank by
 /// construction; `u64::MAX` plans the one round of a bulk-synchronous run), then pipeline
-/// serialize → post → count over the non-blocking round engine, double-buffering both
-/// the send side (recycled engine buffers) and the receive side (two alternating
-/// [`FlatReceived`]s). Every step hands the serialize jobs of the round it fills and
+/// serialize → post → count over the non-blocking round engine, reusing the buffers of
+/// the send side (recycled engine buffers) and the one [`FlatReceived`] of the receive
+/// side. Every step hands the serialize jobs of the round it fills and
 /// the count jobs of the round it drains to the worker pool as **one job list** (see
 /// the module docs); the first step has only serialize jobs, the last only count jobs,
 /// and a pool of one thread runs each list front to back.
@@ -447,12 +447,11 @@ pub(crate) fn exchange_and_count<K: KmerCode>(
         const OPEN: &str = "the engine is open until its last round has completed";
         let mut engine = Some(ctx.round_exchange(rounds - start, "exchange"));
 
-        // `current` receives the round being completed; `previous` holds the last
-        // completed round while its tasks are counted. Two byte buffers circulate on
-        // each side (sends recycle through the engine), so the steady-state loop
-        // reuses its buffers instead of allocating them per round.
-        let mut current = FlatReceived::empty();
-        let mut previous = FlatReceived::empty();
+        // The last completed round, while its tasks are counted. One buffer: a step's
+        // job list — the only reader — has returned, and its block index is dropped,
+        // before the same thread completes the next round into it, so the
+        // steady-state loop reuses it (sends recycle through the engine).
+        let mut received = FlatReceived::empty();
         let mut counts: Vec<usize> = Vec::with_capacity(p);
 
         let driven = (|| -> Result<(), HysortkError> {
@@ -465,7 +464,7 @@ pub(crate) fn exchange_and_count<K: KmerCode>(
                 let fill = step < rounds;
                 let in_flight = (step > start && step <= rounds).then(|| step - 1);
                 let drain = (step >= start + 2).then(|| step - 2);
-                let drained_bytes = drain.map_or(0, |_| previous.data.len());
+                let drained_bytes = drain.map_or(0, |_| received.data.len());
                 let _span = trace::span!(
                     "overlap-step",
                     trace::Detail::Round,
@@ -481,7 +480,7 @@ pub(crate) fn exchange_and_count<K: KmerCode>(
                             .requiring_provenance(params.with_extension);
                         for src in 0..p {
                             builder
-                                .add_segment(previous.from_rank(src), k)
+                                .add_segment(received.from_rank(src), k)
                                 .map_err(|source| HysortkError::Wire {
                                     rank,
                                     round,
@@ -532,9 +531,8 @@ pub(crate) fn exchange_and_count<K: KmerCode>(
                 if let Some(round) = in_flight {
                     let open = engine.as_mut().expect(OPEN);
                     timed(&mut wall.exchange_wait, || {
-                        open.wait_round(round - start, &mut current)
+                        open.wait_round(round - start, &mut received)
                     })?;
-                    std::mem::swap(&mut current, &mut previous);
                     // Every round is posted and completed now: record the traffic and
                     // release the send buffers and the transport's exchange state
                     // before the last step, which only counts.

@@ -22,10 +22,13 @@
 //!    with a streaming run merge, filtered to the `[min_count, max_count]` band (see
 //!    [`crate::stage3`]).
 //!
-//! A rank returns its tasks' sorted runs as the count jobs emitted them; once every rank
-//! has joined, the root assembles the result in **one** parallel pass over all of them
-//! ([`merge_outputs`], [`stage3::assemble_tasks`]) on a pool as wide as the whole run's
-//! thread budget.
+//! A rank returns its tasks' sorted runs as the count jobs emitted them, and once every
+//! rank has joined the root moves them into the result as they are
+//! ([`merge_outputs`], [`KmerRuns`]): the table is held once, and key order is merged
+//! only for a caller that asks ([`KmerRuns::sorted`], [`KmerRuns::sorted_vec`]). Only an
+//! extension run assembles at the root — **one** parallel pass over all the runs
+//! ([`stage3::assemble_tasks`]) on a pool as wide as the whole run's thread budget —
+//! because its extension lists are parallel to one table.
 //!
 //! All data movement happens through the simulated cluster, so the traffic and work
 //! counters in the returned [`RunReport`] are measurements, not estimates; only the
@@ -52,7 +55,7 @@ use hysortk_trace as trace;
 use crate::checkpoint::{run_fingerprint, sizes_hash, RoundCheckpointer};
 use crate::config::HySortKConfig;
 use crate::error::HysortkError;
-use crate::result::{CountResult, KmerHistogram, RunReport, StageWallTimes};
+use crate::result::{CountResult, KmerHistogram, KmerRuns, RunReport, StageWallTimes};
 use crate::stage3::{self, CountParams, TaskCounts, TaskExtensions};
 use crate::wire::{
     push_supermer, write_block, write_records_uncompressed, write_supermer_block, SupermersView,
@@ -80,8 +83,8 @@ pub(crate) struct WallBuckets {
 impl WallBuckets {
     /// Stage names, in pipeline order, parallel to [`WallBuckets::to_stage_vec`].
     /// `merge` is always zero — ranks ship their task runs unmerged and the root
-    /// assembles them ([`RunReport::gather_s`]) — and stays so that readers of
-    /// `stage_wall` keep finding the name.
+    /// takes them as the result ([`RunReport::gather_s`]) — and stays so that readers
+    /// of `stage_wall` keep finding the name.
     pub(crate) const NAMES: [&'static str; 8] = [
         "ingest",
         "parse",
@@ -858,8 +861,8 @@ pub(crate) fn stages_2_and_3<K: KmerCode>(
     counters.received_elements = run.out.received_records;
     counters.precounted_elements = run.out.precounted_records;
 
-    // The tasks' sorted runs go home as they are: the root merges the runs of every
-    // rank in one pass (`merge_outputs`), so a rank has nothing to merge.
+    // The tasks' sorted runs go home as they are: together with the other ranks' they
+    // are the result (`merge_outputs`), so a rank has nothing to merge.
     Ok(RankOutput {
         tasks: run.out.tasks,
         histogram: run.out.histogram,
@@ -896,11 +899,14 @@ pub(crate) fn merge_outputs<K: KmerCode>(
 ) -> CountResult<K> {
     let scale = 1.0 / cfg.data_scale;
 
-    // ---- assemble the result -----------------------------------------------------------
+    // ---- collect the result ------------------------------------------------------------
     // Every task of every rank is a sorted run and a k-mer belongs to exactly one of
-    // them, so the result is one multiway merge over all the runs — cut at the top-bits
-    // digit, merged piece by piece in cache, straight into the result table — on a pool
-    // as wide as the thread budget the ranks (all joined by now) had between them.
+    // them, so the runs *are* the table: they move into the result as the count jobs
+    // emitted them, and key order is merged only for a caller that asks
+    // (`KmerRuns::sorted`, `KmerRuns::sorted_vec`). Extension lists are parallel to one
+    // table, so an extension run assembles it here — one multiway merge over all the
+    // runs, on a pool as wide as the thread budget the ranks (all joined by now) had
+    // between them — and holds it as a single run.
     let mut histogram = KmerHistogram::new(cfg.max_count as usize + 2);
     let mut counters: Vec<RankCounters> = Vec::with_capacity(outputs.len());
     let mut tasks: Vec<TaskCounts<K>> = Vec::new();
@@ -909,7 +915,7 @@ pub(crate) fn merge_outputs<K: KmerCode>(
         counters.push(out.counters);
         tasks.extend(out.tasks);
     }
-    let (counts, extensions) = {
+    let (counts, extensions) = if cfg.with_extension {
         let _span = trace::span!(
             "assemble-result",
             trace::Detail::Stage,
@@ -917,14 +923,18 @@ pub(crate) fn merge_outputs<K: KmerCode>(
             runs = tasks.len(),
             entries = tasks.iter().map(|t| t.counts.len()).sum::<usize>(),
         );
-        WorkerPool::new(cfg.total_ranks() * cfg.threads_per_process, 1)
-            .execute(vec![()], |()| {
-                stage3::assemble_tasks(&tasks, cfg.with_extension)
-            })
+        let (table, extensions) = WorkerPool::new(cfg.total_ranks() * cfg.threads_per_process, 1)
+            .execute(vec![()], |()| stage3::assemble_tasks(&tasks, true))
             .pop()
-            .expect("one job, one result")
+            .expect("one job, one result");
+        drop(tasks);
+        (KmerRuns::from_sorted(table), extensions)
+    } else {
+        (
+            KmerRuns::from_runs(tasks.into_iter().map(|t| t.counts)),
+            None,
+        )
     };
-    drop(tasks);
 
     // ---- projected work counters -----------------------------------------------------
     let max_bases = counters.iter().map(|c| c.bases_parsed).max().unwrap_or(0) as f64 * scale;
@@ -1104,6 +1114,8 @@ pub(crate) fn merge_outputs<K: KmerCode>(
         epochs_committed,
         staged_bytes,
         simd: hysortk_dna::simd::path_name(),
+        result_runs: counts.runs().len(),
+        result_bytes: retained * std::mem::size_of::<(K, u64)>() as u64,
         gather_s: joined.elapsed().as_secs_f64(),
     };
 
@@ -1192,8 +1204,11 @@ mod tests {
         let expected = reference_extensions::<Kmer1>(&reads, 19, 2, 60);
         assert_eq!(result.counts.len(), expected.len());
         let exts = result.extensions.as_ref().unwrap();
+        let [table] = result.counts.runs() else {
+            panic!("an extension run holds one table, parallel to `extensions`");
+        };
         for (i, (km, expected_exts)) in expected.iter().enumerate() {
-            assert_eq!(&result.counts[i].0, km);
+            assert_eq!(&table[i].0, km);
             assert_eq!(&exts[i], expected_exts, "extensions of kmer {i}");
         }
     }
@@ -1300,9 +1315,12 @@ mod tests {
         let expected = reference_extensions::<Kmer1>(&reads, 15, 1, 1_000_000);
         assert_eq!(result.counts.len(), expected.len());
         let exts = result.extensions.as_ref().unwrap();
+        let [table] = result.counts.runs() else {
+            panic!("an extension run holds one table, parallel to `extensions`");
+        };
         for (i, (km, expected_exts)) in expected.iter().enumerate() {
-            assert_eq!(&result.counts[i].0, km);
-            assert_eq!(&result.counts[i].1, &(expected_exts.len() as u64));
+            assert_eq!(&table[i].0, km);
+            assert_eq!(&table[i].1, &(expected_exts.len() as u64));
             assert_eq!(&exts[i], expected_exts, "extensions of kmer {i}");
         }
     }
@@ -1416,6 +1434,56 @@ mod tests {
                     "threads {threads} ranks {ranks}: {rank_wall} + {} > {wall}",
                     report.gather_s
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn the_result_holds_the_vectors_the_count_jobs_emitted_and_one_table_with_extensions() {
+        let reads = overlapping_reads(14);
+        for (ranks, with_extension) in [(1usize, false), (3, false), (3, true)] {
+            let mut cfg = small_cfg(21, 9, ranks);
+            cfg.min_count = 2;
+            cfg.with_extension = with_extension;
+            let ranges = reads.partition_by_bases(ranks);
+            let sorter = SortAlgorithm::Raduls;
+            let run = Cluster::new(ranks).run_wire(|ctx| {
+                rank_pipeline::<Kmer1>(ctx, &reads, &ranges, &cfg, cfg.num_tasks(), sorter)
+            });
+            let outputs: Vec<RankOutput<Kmer1>> =
+                (run.results.into_iter().map(|r| r.expect("healthy run"))).collect();
+            let mut emitted: Vec<*const (Kmer1, u64)> = (outputs.iter())
+                .flat_map(|out| &out.tasks)
+                .filter(|task| !task.counts.is_empty())
+                .map(|task| task.counts.as_ptr())
+                .collect();
+            assert!(emitted.len() > ranks, "several non-empty tasks per rank");
+
+            let model = PerfModel::new(cfg.machine.clone(), cfg.execution());
+            let result = merge_outputs(outputs, run.comm, &cfg, &model, sorter, 0, Instant::now());
+            let runs = result.counts.runs();
+            let report = &result.report;
+            assert_eq!(report.result_runs, runs.len());
+            assert_eq!(report.result_bytes, result.counts.len() as u64 * 16);
+            assert_eq!(report.retained_kmers, result.counts.len() as u64);
+            assert_eq!(
+                result.counts,
+                reference_counts_bounded::<Kmer1>(&reads, 21, 2, 1_000_000)
+            );
+            if with_extension {
+                // One table, and `extensions` is parallel to it.
+                assert_eq!(runs.len(), 1);
+                let lists = result.extensions.as_ref().expect("extension run");
+                assert_eq!(lists.len(), runs[0].len());
+                assert!((runs[0].iter().zip(lists)).all(|(&(_, c), list)| c == list.len() as u64));
+            } else {
+                // As many runs as non-empty tasks — the very allocations the count jobs
+                // pushed into: nothing was copied, merged or sorted on the way.
+                let mut held: Vec<*const (Kmer1, u64)> = runs.iter().map(|r| r.as_ptr()).collect();
+                held.sort_unstable();
+                emitted.sort_unstable();
+                assert_eq!(held, emitted, "{ranks} rank(s)");
+                assert!(result.extensions.is_none());
             }
         }
     }

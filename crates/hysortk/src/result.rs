@@ -1,9 +1,13 @@
 //! Results and run reports.
 
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
+
 use hysortk_dmem::{CommStats, Wire};
 use hysortk_dna::extension::Extension;
 use hysortk_dna::kmer::KmerCode;
 use hysortk_perfmodel::{SortAlgorithm, StageTimes};
+use hysortk_sort::multiway_merge;
 
 /// The histogram of k-mer multiplicities: `histogram[c]` is the number of distinct
 /// canonical k-mers observed exactly `c` times (index 0 unused). Counts above the cap
@@ -238,11 +242,18 @@ pub struct RunReport {
     /// as chosen by runtime CPU detection (overridable with `HYSORTK_NO_SIMD=1`).
     pub simd: &'static str,
     /// Measured root-side seconds from the last rank joining to the result being
-    /// returned: assembling every rank's sorted task runs into `counts` (and
-    /// `extensions`), in parallel over the run's whole thread budget, and building
-    /// this report. Together with the straggler's rank wall it accounts for the wall
-    /// time of the run the caller measures. Zero for the baselines.
+    /// returned: collecting the ranks' sorted task runs into `counts` — moved, not
+    /// merged, so close to zero — and building this report; in an extension run also
+    /// the one parallel assembly of the runs into a single table and `extensions`.
+    /// Together with the straggler's rank wall it accounts for the wall time of the
+    /// run the caller measures. Zero for the baselines.
     pub gather_s: f64,
+    /// Measured: how many sorted runs [`CountResult::counts`] holds — the non-empty
+    /// task runs of every rank, or one in an extension run. Zero for the baselines.
+    pub result_runs: usize,
+    /// Measured: the bytes of the pairs those runs hold, `retained_kmers ×
+    /// size_of::<(K, u64)>()` — the memory the result keeps. Zero for the baselines.
+    pub result_bytes: u64,
 }
 
 impl RunReport {
@@ -252,16 +263,130 @@ impl RunReport {
     }
 }
 
+/// The retained `(k-mer, count)` table of a run, held the way the run produced it: the
+/// sorted runs its count jobs emitted, **not** merged.
+///
+/// Every run is ascending by k-mer and the runs' key sets are pairwise disjoint (a
+/// k-mer belongs to exactly one task), so membership, size and anything that folds over
+/// the pairs need no merge. Key order across runs costs a merge, and only a caller that
+/// asks pays for one: [`KmerRuns::sorted`] merges lazily, [`KmerRuns::sorted_vec`]
+/// builds the array. Equality — against another table, or against a `Vec` sorted by
+/// k-mer — is defined on that key order, so two tables are equal when they hold the
+/// same pairs, however the pairs are split into runs.
+///
+/// An extension run ([`HySortKConfig::with_extension`](crate::HySortKConfig)) and
+/// [`KmerRuns::from_sorted`] hold the whole table as **one** run.
+#[derive(Debug, Clone)]
+pub struct KmerRuns<K: KmerCode> {
+    runs: Vec<Vec<(K, u64)>>,
+}
+
+impl<K: KmerCode> KmerRuns<K> {
+    /// Take ownership of sorted runs with pairwise disjoint key sets. Nothing is
+    /// copied; empty runs are dropped.
+    pub fn from_runs(runs: impl IntoIterator<Item = Vec<(K, u64)>>) -> Self {
+        let runs: Vec<_> = runs.into_iter().filter(|run| !run.is_empty()).collect();
+        debug_assert!(runs
+            .iter()
+            .all(|run| run.windows(2).all(|w| w[0].0 < w[1].0)));
+        KmerRuns { runs }
+    }
+
+    /// A table that is already in key order, held as one run.
+    pub fn from_sorted(table: Vec<(K, u64)>) -> Self {
+        Self::from_runs([table])
+    }
+
+    /// The runs as they are held: each ascending and none empty, in no order among
+    /// themselves.
+    pub fn runs(&self) -> &[Vec<(K, u64)>] {
+        &self.runs
+    }
+
+    /// Number of retained distinct k-mers.
+    pub fn len(&self) -> usize {
+        self.runs.iter().map(Vec::len).sum()
+    }
+
+    /// True if nothing was retained.
+    pub fn is_empty(&self) -> bool {
+        self.runs.is_empty()
+    }
+
+    /// The count of `kmer`: one binary search per run.
+    pub fn get(&self, kmer: &K) -> Option<u64> {
+        self.runs.iter().find_map(|run| {
+            let at = run.binary_search_by(|(k, _)| k.cmp(kmer)).ok()?;
+            Some(run[at].1)
+        })
+    }
+
+    /// Every pair exactly once, **run by run**: ascending within a run, in no order
+    /// across runs. What a fold, a histogram or a checksum needs — nothing is merged.
+    pub fn iter(&self) -> impl Iterator<Item = &(K, u64)> + '_ {
+        self.runs.iter().flatten()
+    }
+
+    /// Every pair exactly once in ascending k-mer order: a lazy merge over the run
+    /// heads (`O(log runs)` per pair, no table-sized allocation). What a writer needs.
+    pub fn sorted(&self) -> impl Iterator<Item = &(K, u64)> + '_ {
+        let mut next = vec![0usize; self.runs.len()];
+        let mut heads: BinaryHeap<Reverse<(K, usize)>> = (self.runs.iter().enumerate())
+            .map(|(r, run)| Reverse((run[0].0, r)))
+            .collect();
+        std::iter::from_fn(move || {
+            let mut head = heads.peek_mut()?;
+            let Reverse((_, r)) = *head;
+            let pair = &self.runs[r][next[r]];
+            next[r] += 1;
+            match self.runs[r].get(next[r]) {
+                Some(&(kmer, _)) => *head = Reverse((kmer, r)),
+                None => drop(PeekMut::pop(head)),
+            }
+            Some(pair)
+        })
+    }
+
+    /// The table as one array in ascending k-mer order: the parallel digit-cut merge of
+    /// the runs ([`hysortk_sort::multiway_merge`], under the caller's rayon budget).
+    /// This allocates the whole table a second time; prefer [`KmerRuns::iter`] or
+    /// [`KmerRuns::sorted`] unless the array itself is what is wanted.
+    pub fn sorted_vec(&self) -> Vec<(K, u64)> {
+        let runs: Vec<&[(K, u64)]> = self.runs.iter().map(Vec::as_slice).collect();
+        multiway_merge(&runs)
+    }
+}
+
+impl<K: KmerCode> PartialEq for KmerRuns<K> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.sorted().eq(other.sorted())
+    }
+}
+
+impl<K: KmerCode> PartialEq<Vec<(K, u64)>> for KmerRuns<K> {
+    fn eq(&self, sorted: &Vec<(K, u64)>) -> bool {
+        self.len() == sorted.len() && self.sorted().eq(sorted.iter())
+    }
+}
+
+impl<K: KmerCode> PartialEq<KmerRuns<K>> for Vec<(K, u64)> {
+    fn eq(&self, runs: &KmerRuns<K>) -> bool {
+        runs == self
+    }
+}
+
 /// The output of a counting run.
 #[derive(Debug, Clone)]
 pub struct CountResult<K: KmerCode> {
-    /// `(canonical k-mer, count)` pairs within `[min_count, max_count]`, sorted by
-    /// k-mer. Globally merged across ranks (each canonical k-mer appears exactly once).
-    pub counts: Vec<(K, u64)>,
+    /// `(canonical k-mer, count)` pairs within `[min_count, max_count]`, each canonical
+    /// k-mer exactly once across all ranks — as the sorted runs the count jobs emitted
+    /// ([`RunReport::result_runs`] of them), or as one run when `extensions` is `Some`.
+    pub counts: KmerRuns<K>,
     /// Histogram over *all* distinct k-mers (not only the retained band).
     pub histogram: KmerHistogram,
-    /// Extension (provenance) lists for the retained k-mers, parallel to `counts`, when
-    /// the run was configured with `with_extension`.
+    /// Extension (provenance) lists for the retained k-mers, when the run was
+    /// configured with `with_extension`. `counts` is then a single run, and
+    /// `extensions[i]` belongs to its `i`-th pair (`counts.runs()[0][i]`).
     pub extensions: Option<Vec<Vec<Extension>>>,
     /// Measured and modeled run report.
     pub report: RunReport,
@@ -270,10 +395,7 @@ pub struct CountResult<K: KmerCode> {
 impl<K: KmerCode> CountResult<K> {
     /// Look up the count of a canonical k-mer (None if it was filtered out or absent).
     pub fn count_of(&self, kmer: &K) -> Option<u64> {
-        self.counts
-            .binary_search_by(|(k, _)| k.cmp(kmer))
-            .ok()
-            .map(|i| self.counts[i].1)
+        self.counts.get(kmer)
     }
 
     /// Number of retained distinct k-mers.
@@ -290,6 +412,90 @@ impl<K: KmerCode> CountResult<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hysortk_dna::kmer::{Kmer1, Kmer2};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// `entries` random distinct keys dealt onto `runs` sorted runs, some left empty.
+    fn random_runs<K: KmerCode>(
+        rng: &mut StdRng,
+        runs: usize,
+        entries: usize,
+    ) -> Vec<Vec<(K, u64)>> {
+        let mut keys: Vec<K> = (0..entries)
+            .map(|_| {
+                // Few distinct top bits, so runs interleave inside a merge piece too.
+                let words: Vec<u64> = (0..K::WORDS).map(|_| rng.gen::<u64>() >> 3).collect();
+                K::from_word_slice(&words)
+            })
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let mut dealt = vec![Vec::new(); runs];
+        let live = runs - runs / 3;
+        for key in keys {
+            dealt[rng.gen_range(0..live)].push((key, rng.gen_range(1..1_000u64)));
+        }
+        dealt
+    }
+
+    fn kmer_runs_hold_one_table_however_it_is_split<K: KmerCode>(seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for (runs, entries) in [(0, 0), (1, 300), (6, 0), (6, 2_000), (48, 5_000)] {
+            let dealt = random_runs::<K>(&mut rng, runs, entries);
+            let mut expected: Vec<(K, u64)> = dealt.concat();
+            expected.sort_by_key(|&(kmer, _)| kmer);
+            let table = KmerRuns::from_runs(dealt.clone());
+            let what = format!("{runs} runs, {entries} entries");
+
+            assert_eq!(table.len(), expected.len(), "{what}");
+            assert_eq!(table.is_empty(), expected.is_empty(), "{what}");
+            assert_eq!(
+                table.runs().len(),
+                dealt.iter().filter(|run| !run.is_empty()).count()
+            );
+            assert_eq!(table.sorted_vec(), expected, "{what}");
+            assert!(table.sorted().eq(expected.iter()), "{what}");
+            let mut run_major: Vec<(K, u64)> = table.iter().copied().collect();
+            assert_eq!(run_major, dealt.concat(), "{what}: iter() is run-major");
+            run_major.sort_by_key(|&(kmer, _)| kmer);
+            assert_eq!(run_major, expected, "{what}");
+
+            for &(kmer, count) in &expected {
+                assert_eq!(table.get(&kmer), Some(count), "{what}");
+            }
+            for _ in 0..50 {
+                let words: Vec<u64> = (0..K::WORDS).map(|_| rng.gen::<u64>() | 1 << 63).collect();
+                assert_eq!(table.get(&K::from_word_slice(&words)), None, "{what}");
+            }
+
+            // Equality is the table's, not the split's: against the sorted array (both
+            // ways round), against one run, and against another deal of the same pairs.
+            assert_eq!(table, expected, "{what}");
+            assert_eq!(expected, table, "{what}");
+            assert_eq!(table, KmerRuns::from_sorted(expected.clone()), "{what}");
+            let mut redealt = vec![Vec::new(); 5];
+            for &pair in &expected {
+                redealt[rng.gen_range(0..5)].push(pair);
+            }
+            assert_eq!(table, KmerRuns::from_runs(redealt), "{what}");
+            if let Some(at) = (!expected.is_empty()).then(|| rng.gen_range(0..expected.len())) {
+                let mut changed = expected.clone();
+                changed[at].1 += 1;
+                assert_ne!(table, changed, "{what}: one changed count");
+                assert_ne!(table, KmerRuns::from_sorted(changed), "{what}");
+                let mut shorter = expected.clone();
+                shorter.remove(at);
+                assert_ne!(table, shorter, "{what}: one pair missing");
+            }
+        }
+    }
+
+    #[test]
+    fn kmer_runs_hold_one_table_however_it_is_split_on_both_kmer_widths() {
+        kmer_runs_hold_one_table_however_it_is_split::<Kmer1>(5);
+        kmer_runs_hold_one_table_however_it_is_split::<Kmer2>(6);
+    }
 
     #[test]
     fn histogram_records_and_caps() {

@@ -43,12 +43,15 @@
 //!    the runs are merged: [`hysortk_sort::multiway_merge`] cuts every run at the
 //!    boundaries of the top-bits digit — the range-disjoint cut — and merges each piece
 //!    in cache, straight into its slice of the result, in parallel under the caller's
-//!    thread budget. The pipeline does this **once, at the root, over the task runs of
-//!    every rank** (ranks ship their runs unmerged); [`merge_task_counts`] is the same
-//!    call over one rank's tasks. With extensions on, `(k-mer, count, task, index)`
-//!    items go through the same merge and the extension lists are materialised from
-//!    the tasks' sorted record arrays in one pass. Histograms and work counters merge
-//!    once per worker scratch, not once per task.
+//!    thread budget. The pipeline does **not** do this for a run without extensions:
+//!    ranks ship their runs unmerged and the runs themselves are the result
+//!    ([`crate::KmerRuns`], whose `sorted_vec()` is this merge for a caller that wants
+//!    the array). Only an extension run is assembled — once, at the root, over the task
+//!    runs of every rank: `(k-mer, count, task, index)` items go through the same
+//!    merge and the extension lists, parallel to the merged table, are materialised
+//!    from the tasks' sorted record arrays in one pass. [`merge_task_counts`] is the
+//!    same call over one rank's tasks. Histograms and work counters merge once per
+//!    worker scratch, not once per task.
 //!
 //! [`count_blocks_reference`] keeps the original sequential implementation
 //! (`BTreeMap` decode, whole-task sort, per-k-mer extension vectors) as the

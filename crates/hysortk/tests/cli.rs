@@ -330,3 +330,66 @@ fn transient_io_faults_are_retried_to_a_successful_identical_run() {
         stderr_of(&retried)
     );
 }
+
+/// `--kmers` writes the retained table in key order — the lazy merge of the result's
+/// runs — and it is the oracle's table, rendered the same way, on every layout.
+#[test]
+fn the_kmers_flag_writes_the_oracles_table_in_key_order_on_every_layout() {
+    use hysortk_core::reference_counts_bounded;
+    use hysortk_dna::kmer::{Kmer1, Kmer2, KmerCode};
+    use hysortk_dna::{fasta, ReadSet};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    fn rendered<K: KmerCode>(reads: &ReadSet, k: usize) -> String {
+        (reference_counts_bounded::<K>(reads, k, 2, 50).iter())
+            .map(|(kmer, count)| format!("{}\t{count}\n", kmer.to_dna_string(k)))
+            .collect()
+    }
+
+    let mut rng = StdRng::seed_from_u64(23);
+    let genome: Vec<u8> = (0..4_000).map(|_| b"ACGT"[rng.gen_range(0..4)]).collect();
+    let reads: Vec<Vec<u8>> = (0..100)
+        .map(|_| {
+            let start = rng.gen_range(0..genome.len() - 300);
+            genome[start..start + 300].to_vec()
+        })
+        .collect();
+    let reads = ReadSet::from_ascii_reads(&reads);
+    let tmp = |name: &str| {
+        std::env::temp_dir().join(format!("hysortk_cli_{}_kmers.{name}", std::process::id()))
+    };
+    let (fa, table) = (tmp("fa"), tmp("tsv"));
+    fasta::write_fasta_file(&fa, &reads, 80).unwrap();
+
+    for (k, expected) in [
+        ("31", rendered::<Kmer1>(&reads, 31)),
+        ("55", rendered::<Kmer2>(&reads, 55)),
+    ] {
+        let lines: Vec<&str> = expected.lines().collect();
+        assert!(lines.len() > 1_000, "k={k}: {} retained", lines.len());
+        assert!(lines.windows(2).all(|w| w[0] < w[1]), "k={k}: ascending");
+        for backend in ["thread", "process"] {
+            for ranks in ["1", "2", "3"] {
+                let out = hysortk()
+                    .args(["count", "-k", k, "--ranks", ranks, "--backend", backend])
+                    .args(["--batch-size", "512", "--kmers"])
+                    .args([&table, &fa])
+                    .output()
+                    .unwrap();
+                let what = format!("k={k} {backend} backend, {ranks} rank(s)");
+                assert_eq!(out.status.code(), Some(0), "{what}: {}", stderr_of(&out));
+                let written = std::fs::read_to_string(&table).unwrap();
+                assert!(
+                    written == expected,
+                    "{what}: --kmers differs from the oracle"
+                );
+                let err = stderr_of(&out);
+                assert!(err.contains("sorted run(s)"), "{what}: {err}");
+                assert!(err.contains("merged for --kmers"), "{what}: {err}");
+            }
+        }
+    }
+    std::fs::remove_file(&fa).ok();
+    std::fs::remove_file(&table).ok();
+}

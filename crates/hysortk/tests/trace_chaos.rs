@@ -85,6 +85,34 @@ fn tracing_is_a_pure_observer_across_the_chaos_matrix() {
                 tr.with_label("stage1-ingest").next().is_some(),
                 "{tag}: no ingest span in the trace"
             );
+            // A histogram-only run assembles nothing: its result is the task runs.
+            assert!(
+                tr.with_label("assemble-result").next().is_none(),
+                "{tag}: a run without extensions assembled its result"
+            );
+            assert_eq!(traced.report.result_runs, traced.counts.runs().len());
+            assert!(traced.counts.runs().len() > 1, "{tag}: one run per task");
+
+            // An extension run assembles exactly once, into one table that
+            // `extensions` is parallel to.
+            let mut ext_cfg = cfg.clone();
+            ext_cfg.with_extension = true;
+            trace::enable(trace::Detail::Task);
+            let with_ext = count_kmers_from_files::<Kmer1, _>(&[&path], &ext_cfg).unwrap();
+            trace::disable();
+            let tr = trace::collect();
+            let assembled = (tr.with_label("assemble-result"))
+                .filter(|e| e.kind == trace::EventKind::Begin)
+                .count();
+            assert_eq!(assembled, 1, "{tag}: extension run");
+            assert_eq!(with_ext.counts, healthy.counts, "{tag}: extension run");
+            let [table] = with_ext.counts.runs() else {
+                panic!("{tag}: an extension run holds one table");
+            };
+            assert_eq!(
+                with_ext.extensions.map(|lists| lists.len()),
+                Some(table.len())
+            );
 
             // Chaos: a rank failure mid-exchange (recovered by respawning the
             // generation) plus one transient ingest I/O error (absorbed by the

@@ -66,7 +66,7 @@ fn main() {
     );
 
     // Show a few of the most frequent retained k-mers.
-    let mut top: Vec<_> = result.counts.iter().collect();
+    let mut top: Vec<_> = result.counts.sorted().collect();
     top.sort_by_key(|(_, c)| std::cmp::Reverse(*c));
     println!("\nmost frequent retained k-mers:");
     for (km, c) in top.iter().take(5) {

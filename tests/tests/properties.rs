@@ -424,10 +424,15 @@ fn assert_overlap_matches_bulk(
         "round payloads must conserve the bulk payload: {context}"
     );
     let (min, max) = (cfg.min_count, cfg.max_count);
+    let oracle = hysortk_core::reference_counts_bounded::<Kmer1>(reads, cfg.k, min, max);
     assert_eq!(
-        overlapped.counts,
-        hysortk_core::reference_counts_bounded::<Kmer1>(reads, cfg.k, min, max),
+        overlapped.counts, oracle,
         "counts against the oracle: {context}"
+    );
+    assert_eq!(
+        overlapped.counts.sorted_vec(),
+        oracle,
+        "the merged array against the oracle: {context}"
     );
     if cfg.with_extension {
         let (kmers, lists): (Vec<Kmer1>, Vec<Vec<Extension>>) =
