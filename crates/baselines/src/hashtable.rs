@@ -286,6 +286,8 @@ pub fn two_pass_hash_count<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) ->
         result_runs: 0,
         result_bytes: 0,
         staged_bytes: 0,
+        sections: 0,
+        count_buffer_bytes: 0,
     };
 
     BaselineResult {

@@ -130,6 +130,8 @@ pub fn kmc3_count<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) -> Baseline
         result_runs: 0,
         result_bytes: 0,
         staged_bytes: 0,
+        sections: 0,
+        count_buffer_bytes: 0,
     };
 
     BaselineResult {

@@ -245,6 +245,8 @@ pub fn kmerind_count<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) -> Kmeri
         result_runs: 0,
         result_bytes: 0,
         staged_bytes: 0,
+        sections: 0,
+        count_buffer_bytes: 0,
     };
 
     KmerindOutcome::Completed(Box::new(BaselineResult {

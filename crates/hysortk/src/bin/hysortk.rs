@@ -356,10 +356,13 @@ fn run<K: KmerCode>(cli: &CliArgs, cfg: &HySortKConfig) -> Result<(), HysortkErr
     );
     eprintln!(
         "[hysortk] exchange: {} wire bytes over {} round(s) ({} bytes staged on the fullest \
-         rank), sorter {:?}, {} heavy task(s)",
+         rank, {} section(s) per task, {} bytes of count buffers), sorter {:?}, {} heavy \
+         task(s)",
         report.total_wire_bytes,
         report.exchange_rounds,
         report.staged_bytes,
+        report.sections,
+        report.count_buffer_bytes,
         report.sorter,
         report.heavy_tasks,
     );

@@ -4,13 +4,14 @@
 //! [`count_kmers`](crate::count_kmers). Instead of requiring a complete in-memory
 //! [`ReadSet`](hysortk_dna::ReadSet) up front, every simulated rank opens its own
 //! byte shard of the input (see [`hysortk_dna::io::ShardReader`]) and streams it in
-//! fixed-size blocks, running stage 1 **per ingested batch** on the rank's worker
-//! pool — the parse scratches persist across batches
-//! ([`Stage1Parser`](crate::pipeline)). Nothing of a batch outlives its parse: every
-//! supermer is written in wire form into its task's body while its read is hot, the
-//! batch's packed reads are dropped when the parse returns, and the ASCII text is never
-//! held beyond one block per rank. What a rank holds when stage 1 ends is its tasks'
-//! bodies ([`RunReport::staged_bytes`](crate::RunReport::staged_bytes)).
+//! fixed-size blocks, running stage 1 **as the batches come in** on the rank's worker
+//! pool — once the ingested batches hold about a mebibase (`PARSE_CALL_BASES`), so a
+//! parse call has the same size however small the batches are; the parse scratches
+//! persist across calls ([`Stage1Parser`](crate::pipeline)). Nothing of a batch outlives
+//! its parse: every supermer is written in wire form into its task's body while its read
+//! is hot, the batch's packed reads are dropped when the parse returns, and the ASCII
+//! text is never held beyond one block per rank. What a rank holds when stage 1 ends is
+//! its tasks' bodies ([`RunReport::staged_bytes`](crate::RunReport::staged_bytes)).
 //!
 //! The two entry points produce **identical counts and histograms** on clean
 //! (`ACGT`-only) inputs — stage 2 and stage 3 are literally the same code — which the
@@ -65,7 +66,8 @@ use hysortk_trace as trace;
 use crate::config::HySortKConfig;
 use crate::error::HysortkError;
 use crate::pipeline::{
-    merge_outputs, select_sorter, stages_2_and_3, RankCounters, RankOutput, Stage1Parser,
+    merge_outputs, sections_for, select_sorter, stages_2_and_3, RankCounters, RankOutput,
+    Stage1Parser, PARSE_CALL_BASES,
 };
 use crate::result::CountResult;
 
@@ -145,10 +147,12 @@ fn count_kmers_from_files_inner<K: KmerCode, P: AsRef<Path>>(
     let num_tasks = cfg.num_tasks();
     let model = PerfModel::new(cfg.machine.clone(), cfg.execution());
 
-    // The sorter is selected as in `count_kmers`, from the on-disk payload: ASCII
-    // bytes ≈ bases ≈ k-mers for FASTA; a mild overestimate for FASTQ, which only
-    // makes the memory-aware choice more conservative.
+    // The sorter and the sections are derived as in `count_kmers`, from the on-disk
+    // payload: ASCII bytes ≈ bases ≈ k-mers for FASTA; a mild overestimate for FASTQ,
+    // which only makes the memory-aware choice more conservative and the sections
+    // smaller.
     let sorter = select_sorter::<K>(cfg, &model, total_bytes, total_bytes);
+    let sections = sections_for::<K>(cfg, total_bytes);
 
     let mut cluster = Cluster::new(p).with_backend(cfg.backend);
     if let Some(plan) = plan {
@@ -169,7 +173,7 @@ fn count_kmers_from_files_inner<K: KmerCode, P: AsRef<Path>>(
         _ => false,
     };
     let run = cluster.run_recovering_wire(&policy, recoverable, |ctx| {
-        rank_pipeline_from_files::<K>(ctx, &files, cfg, num_tasks, sorter, &opts)
+        rank_pipeline_from_files::<K>(ctx, &files, cfg, num_tasks, sorter, sections, &opts)
     });
     let joined = Instant::now();
     let mut outputs = Vec::with_capacity(run.results.len());
@@ -273,9 +277,11 @@ fn next_batch_with_retry(
     }
 }
 
-/// Stage 1 of one file-fed rank: stream its shard batch by batch — read ids assigned,
-/// parsed into `parser`'s staging, dropped. Returns the error that stopped the ingest,
-/// if one did; what was parsed until then is staged.
+/// Stage 1 of one file-fed rank: stream its shard batch by batch, read ids assigned,
+/// and parse the reads into `parser`'s staging — once their batches hold about
+/// [`PARSE_CALL_BASES`], so that however small the batches, a parse call stages that
+/// many — then drop them. Returns the error that stopped the ingest, if one did; what was
+/// ingested until then is staged.
 fn ingest_shard<K: KmerCode>(
     ctx: &RankCtx,
     files: &[InputFile],
@@ -291,17 +297,34 @@ fn ingest_shard<K: KmerCode>(
         source,
     };
     let mut shard = ShardReader::open(files, rank, p, opts.clone()).map_err(io_error)?;
-    // Reads ingested so far: the next batch's first local index.
+    let mut parse = |reads: &mut Vec<Read>, counters: &mut RankCounters| {
+        let parse_start = Instant::now();
+        let _parse_span = trace::span!(
+            "parse-batch",
+            trace::Detail::Round,
+            rank,
+            reads = reads.len(),
+        );
+        parser.parse(reads, counters);
+        // Nothing of a batch outlives its parse; freeing it is part of the parse bucket.
+        reads.clear();
+        counters.wall.parse += parse_start.elapsed().as_secs_f64();
+    };
+    // Reads ingested so far: the next batch's first local index. Of them, the ones not
+    // parsed yet, and their bases.
     let mut base = 0u64;
-    loop {
+    let (mut pending, mut pending_bases) = (Vec::new(), 0usize);
+    let ingested = loop {
         let read_start = Instant::now();
         let next = {
             let _span = trace::span!("shard-read", trace::Detail::Round, rank);
             next_batch_with_retry(ctx, &mut shard, rank, cfg, counters)
         };
         counters.wall.ingest += read_start.elapsed().as_secs_f64();
-        let Some(mut batch) = next.map_err(io_error)? else {
-            return Ok(());
+        let mut batch = match next {
+            Ok(Some(batch)) => batch,
+            Ok(None) => break Ok(()),
+            Err(e) => break Err(io_error(e)),
         };
         if batch.is_empty() {
             continue;
@@ -311,7 +334,7 @@ fn ingest_shard<K: KmerCode>(
         // wrapping into colliding provenance ids.
         let max_id = (base + batch.len() as u64 - 1) * p as u64 + rank as u64;
         if max_id > u64::from(u32::MAX) {
-            return Err(io_error(io::Error::new(
+            break Err(io_error(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!(
                     "shard exceeds {} reads, the striped u32 read-id space",
@@ -319,22 +342,21 @@ fn ingest_shard<K: KmerCode>(
                 ),
             )));
         }
-        let parse_start = Instant::now();
-        let _parse_span = trace::span!(
-            "parse-batch",
-            trace::Detail::Round,
-            rank,
-            reads = batch.len(),
-        );
         for (i, read) in batch.iter_mut().enumerate() {
             read.id = ((base + i as u64) * p as u64 + rank as u64) as u32;
         }
         base += batch.len() as u64;
-        parser.parse(&batch, counters);
-        // Nothing of a batch outlives its parse; freeing it is part of the parse bucket.
-        drop(batch);
-        counters.wall.parse += parse_start.elapsed().as_secs_f64();
+        pending_bases += batch.iter().map(Read::len).sum::<usize>();
+        pending.append(&mut batch);
+        if pending_bases >= PARSE_CALL_BASES {
+            parse(&mut pending, counters);
+            pending_bases = 0;
+        }
+    };
+    if !pending.is_empty() {
+        parse(&mut pending, counters);
     }
+    ingested
 }
 
 /// One rank of the file-fed pipeline: stage 1 over its shard ([`ingest_shard`]), then
@@ -352,6 +374,7 @@ fn rank_pipeline_from_files<K: KmerCode>(
     cfg: &HySortKConfig,
     num_tasks: usize,
     sorter: SortAlgorithm,
+    sections: u32,
     opts: &IngestOptions,
 ) -> Result<RankOutput<K>, HysortkError> {
     let rank_start = Instant::now();
@@ -360,10 +383,13 @@ fn rank_pipeline_from_files<K: KmerCode>(
     let pool = WorkerPool::new(cfg.workers_per_process(), cfg.threads_per_worker).for_rank(rank);
 
     let ingest_span = trace::span!("stage1-ingest", trace::Detail::Stage, rank);
-    let mut parser = Stage1Parser::<K>::new(cfg, num_tasks, &pool);
+    let mut parser = Stage1Parser::<K>::new(cfg, num_tasks, sections, &pool);
     let ingested = ingest_shard(ctx, files, cfg, opts, &mut parser, &mut counters);
     let stage1 = parser.finish();
-    ingest_span.end_with(&[("staged_bytes", stage1.staged_bytes())]);
+    ingest_span.end_with(&[
+        ("staged_bytes", stage1.staged_bytes()),
+        ("sections", u64::from(sections)),
+    ]);
 
     let output =
         stages_2_and_3(ctx, stage1, counters, cfg, num_tasks, sorter, &pool).map(|mut out| {
@@ -505,7 +531,7 @@ mod tests {
             let mut staged: Vec<Vec<Vec<u8>>> = Vec::new();
             for width in [1usize, 2, 3, 5] {
                 let pool = WorkerPool::new(width, 1);
-                let mut parser = Stage1Parser::<Kmer1>::new(&cfg, TASKS, &pool);
+                let mut parser = Stage1Parser::<Kmer1>::new(&cfg, TASKS, 1, &pool);
                 parser.parse(reads.reads(), &mut RankCounters::default());
                 staged.push(blocks_of(parser.finish(), &cfg));
                 for batch_records in [5usize, 1_024] {
@@ -515,7 +541,7 @@ mod tests {
                         ..IngestOptions::default()
                     };
                     let fed = Cluster::new(1).run(|ctx| {
-                        let mut parser = Stage1Parser::<Kmer1>::new(&cfg, TASKS, &pool);
+                        let mut parser = Stage1Parser::<Kmer1>::new(&cfg, TASKS, 1, &pool);
                         let mut counters = RankCounters::default();
                         ingest_shard(ctx, &files, &cfg, &opts, &mut parser, &mut counters).unwrap();
                         parser.finish()

@@ -31,7 +31,7 @@
 //! **A fill that only copies is not a job.** Stage 1 stages supermers in wire form, so
 //! serializing a supermer task is block header + body + seal, yet as a job it would
 //! take a thread's share of the pool's budget from the count job beside it (a one-job
-//! list gives its job's nested bucket phase the whole budget). A round of such copies
+//! list gives its job's nested section phase the whole budget). A round of such copies
 //! only ([`SendSerializer::is_copy`](crate::pipeline)) is written by the rank's own
 //! thread once the list has returned; serialize jobs are for rounds with encoding work
 //! — a heavy-hitter task to pre-count (§3.5), the records ablation. Bytes,
@@ -153,7 +153,7 @@ enum Job<'s, K: KmerCode> {
         tasks: Vec<(usize, usize)>,
         out: Vec<u8>,
     },
-    /// Decode, sort and count one task slot of a completed round.
+    /// Decode, sort and count one task slot of a completed round, section by section.
     Count(&'s TaskSlot<'s, K>),
 }
 
@@ -165,14 +165,15 @@ enum Done<K: KmerCode> {
         sent: Vec<(usize, usize)>,
         heavy_local_sorted: u64,
     },
-    Counted(TaskCounts<K>),
+    /// The sorted runs of the task's sections.
+    Counted(Vec<TaskCounts<K>>),
 }
 
 /// What one step's job list produced.
 struct ListOutput<K: KmerCode> {
     /// The filled round, laid out destination-major (`None` when the step fills none).
     send: Option<Vec<u8>>,
-    /// The drained round's counted tasks, in slot order.
+    /// The drained round's sorted runs, in slot and section order.
     counted: Vec<TaskCounts<K>>,
     /// K-mers the list's heavy-hitter serialize jobs pre-counted locally.
     heavy_local_sorted: u64,
@@ -357,7 +358,7 @@ impl<K: KmerCode> JobLists<'_, K> {
                         }),
                     }
                 }
-                Done::Counted(task) => out.counted.push(task),
+                Done::Counted(runs) => out.counted.extend(runs),
             }
         }
         Ok(out)
@@ -629,7 +630,7 @@ mod tests {
 
     fn stage1(my_reads: &[Read], cfg: &HySortKConfig) -> Stage1<Kmer1> {
         let pool = WorkerPool::new(1, 1);
-        let mut parser = Stage1Parser::new(cfg, TASKS, &pool);
+        let mut parser = Stage1Parser::new(cfg, TASKS, 1, &pool);
         parser.parse(my_reads, &mut RankCounters::default());
         parser.finish()
     }
@@ -759,8 +760,11 @@ mod tests {
                         let mut scratch = CountScratch::new(params.max_count);
                         let sequential: Vec<TaskCounts<Kmer1>> = (index.slots.iter())
                             .map(|slot| stage3::count_task(slot, K, &params, 0, &mut scratch))
-                            .collect::<Result<_, _>>()
-                            .expect(&what);
+                            .collect::<Result<Vec<_>, _>>()
+                            .expect(&what)
+                            .into_iter()
+                            .flatten()
+                            .collect();
                         assert_eq!(list.counted.len(), sequential.len(), "{what}");
                         for (got, want) in list.counted.iter().zip(&sequential) {
                             assert_eq!(got.counts, want.counts, "{what}, step {step}");

@@ -5,24 +5,32 @@
 //!
 //! 1. **Parse** — every rank reads its share of the input, finds minimizers with the
 //!    monotone-deque sliding window and groups consecutive k-mers into supermers
-//!    addressed to one of `s` tasks (`s ≫ p` when the task layer is on). Each supermer
-//!    is encoded once, where it is found: in wire form, into its task's **body**
-//!    ([`Stage1Parser`], [`parse_supermers_parallel`]). A rank leaves stage 1 holding
-//!    one body per task ([`RunReport::staged_bytes`]) and nothing of the reads.
+//!    addressed to one of `s × S` minimizer targets: `s` tasks (`s ≫ p` when the task
+//!    layer is on), each cut into `S` **sections** — the target's task is
+//!    `target mod s`, exactly the task of an unsectioned run, and its section
+//!    `target / s`. `S` is derived from the input size (`derive_sections`): 1 on
+//!    small inputs, up to 256 on large ones, so that an average section fits stage 3's
+//!    cache. Each supermer is encoded once, where it is found, in wire form; a parse call
+//!    of about a mebibase appends it, with the call's other supermers of its section,
+//!    to its task's **body** ([`Stage1Parser`], [`parse_supermers_parallel`]). A rank
+//!    leaves stage 1 holding one body per task ([`RunReport::staged_bytes`]) and nothing
+//!    of the reads.
 //! 2. **Exchange** — task sizes are reduced across ranks, tasks are assigned to ranks
 //!    with the greedy Partition heuristic, and the per-destination byte streams are
 //!    exchanged in task-batched rounds over the non-blocking round engine
 //!    ([`crate::overlap`]). Serialising a task ([`SendSerializer`]) is block header +
-//!    body + checksum and frees the body; only a heavy-hitter task has work to do — it
-//!    decodes its own body and ships a pre-counted kmerlist.
-//! 3. **Sort & count** — one cheap header pass builds a per-task block index over each
-//!    completed round, then the worker pool decodes each task straight from the borrowed
-//!    wire bytes into an exactly preallocated record array, radix-sorts it (choosing
-//!    the in-place or out-of-place sorter by modeled memory pressure) and counts it
-//!    with a streaming run merge, filtered to the `[min_count, max_count]` band (see
-//!    [`crate::stage3`]).
+//!    section directory + the body's sections + checksum and frees the body; only a
+//!    heavy-hitter task has work to do — it decodes its own body and ships a pre-counted
+//!    kmerlist.
+//! 3. **Sort & count** — one cheap header pass builds a per-task, per-section block
+//!    index over each completed round, then the worker pool counts each task one
+//!    section at a time: it decodes the section straight from the borrowed wire bytes
+//!    into a reused buffer, radix-sorts it there (choosing the in-place or out-of-place
+//!    sorter by modeled memory pressure) and counts it with a streaming run merge,
+//!    filtered to the `[min_count, max_count]` band, into one sorted run per section
+//!    (see [`crate::stage3`]).
 //!
-//! A rank returns its tasks' sorted runs as the count jobs emitted them, and once every
+//! A rank returns its sections' sorted runs as the count jobs emitted them, and once every
 //! rank has joined the root moves them into the result as they are
 //! ([`merge_outputs`], [`KmerRuns`]): the table is held once, and key order is merged
 //! only for a caller that asks ([`KmerRuns::sorted`], [`KmerRuns::sorted_vec`]). Only an
@@ -44,7 +52,7 @@ use hysortk_dna::readset::{Read, ReadSet};
 use hysortk_hash::hash_kmer;
 use hysortk_perfmodel::network::ExchangeProfile;
 use hysortk_perfmodel::{PerfModel, SortAlgorithm, StageTimes};
-use hysortk_sort::{count_sorted_runs, paradis_sort_from};
+use hysortk_sort::{count_sorted_runs, paradis_sort_from, IN_CACHE_BYTES};
 use hysortk_supermer::mmer::{MmerScorer, ScoreFunction};
 use hysortk_supermer::streaming::{for_each_supermer, SupermerScratch};
 use hysortk_task::{
@@ -59,7 +67,7 @@ use crate::result::{CountResult, KmerHistogram, KmerRuns, RunReport, StageWallTi
 use crate::stage3::{self, CountParams, TaskCounts, TaskExtensions};
 use crate::wire::{
     push_supermer, write_block, write_records_uncompressed, write_supermer_block, SupermersView,
-    TaskPayload,
+    TaskPayload, MAX_SECTIONS,
 };
 
 /// Measured wall-clock seconds of one rank, bucketed by pipeline stage. The
@@ -81,18 +89,16 @@ pub(crate) struct WallBuckets {
 }
 
 impl WallBuckets {
-    /// Stage names, in pipeline order, parallel to [`WallBuckets::to_stage_vec`].
-    /// `merge` is always zero — ranks ship their task runs unmerged and the root
-    /// takes them as the result ([`RunReport::gather_s`]) — and stays so that readers
-    /// of `stage_wall` keep finding the name.
-    pub(crate) const NAMES: [&'static str; 8] = [
+    /// Stage names, in pipeline order, parallel to [`WallBuckets::to_stage_vec`]. A
+    /// rank merges nothing — it ships its runs as they are, and the root's share is
+    /// [`RunReport::gather_s`].
+    pub(crate) const NAMES: [&'static str; 7] = [
         "ingest",
         "parse",
         "serialize",
         "exchange-wait",
         "count",
         "checkpoint",
-        "merge",
         "other",
     ];
 
@@ -112,7 +118,6 @@ impl WallBuckets {
             self.exchange_wait,
             self.count,
             self.checkpoint,
-            0.0,
             (self.total - named).max(0.0),
         ]
     }
@@ -169,6 +174,10 @@ pub(crate) struct RankCounters {
     epochs_committed: u64,
     /// Bytes of stage-1 staging this rank held when stage 1 ended.
     staged_bytes: u64,
+    /// Sections stage 1 cut every task into.
+    sections: u32,
+    /// High-water bytes of this rank's count buffers.
+    count_buffer_bytes: u64,
     /// Measured wall-clock seconds of this rank, bucketed by stage.
     pub(crate) wall: WallBuckets,
 }
@@ -190,11 +199,11 @@ impl Wire for WallBuckets {
     }
 
     fn decode(input: &mut &[u8]) -> Option<Self> {
-        let mut stages = [0f64; 8];
+        let mut stages = [0f64; WallBuckets::NAMES.len()];
         for slot in &mut stages {
             *slot = f64::decode(input)?;
         }
-        let [ingest, parse, serialize, exchange_wait, count, checkpoint, _merge, _other] = stages;
+        let [ingest, parse, serialize, exchange_wait, count, checkpoint, _other] = stages;
         Some(WallBuckets {
             ingest,
             parse,
@@ -223,6 +232,8 @@ impl Wire for RankCounters {
         self.io_retries.encode(out);
         self.epochs_committed.encode(out);
         self.staged_bytes.encode(out);
+        self.sections.encode(out);
+        self.count_buffer_bytes.encode(out);
         self.wall.encode(out);
     }
 
@@ -242,6 +253,8 @@ impl Wire for RankCounters {
             io_retries: u64::decode(input)?,
             epochs_committed: u64::decode(input)?,
             staged_bytes: u64::decode(input)?,
+            sections: u32::decode(input)?,
+            count_buffer_bytes: u64::decode(input)?,
             wall: WallBuckets::decode(input)?,
         })
     }
@@ -330,19 +343,56 @@ impl<K: KmerCode> Wire for RankOutput<K> {
     }
 }
 
-/// One task's supermers as stage 1 staged them: in wire form ([`push_supermer`]), in
-/// read order, with the two totals the block header and the task-size reduction need.
+/// One task as stage 1 staged it: its supermers in wire form ([`push_supermer`]), in
+/// **one** buffer — what a serialize job frees in one piece — parse call after parse
+/// call, each call's share section after section. With the bytes every section got from
+/// each call that staged any, the supermers every section got in all, and the two
+/// totals the task-size reduction and the block header need.
 #[derive(Debug, Default)]
 pub(crate) struct TaskBody {
     pub(crate) bytes: Vec<u8>,
+    /// Call `c`'s bytes of section `s` at `c × S + s`.
+    call_bytes: Vec<u32>,
+    /// Per section.
+    section_supermers: Vec<u64>,
     pub(crate) supermers: u64,
     pub(crate) kmers: u64,
 }
 
+impl TaskBody {
+    /// The staged bytes as `(section, supermers, bytes)` parts for
+    /// [`write_supermer_block`]: section by section, within a section call by call (the
+    /// section's supermers counted on its first part).
+    fn parts(&self) -> Vec<(u32, u64, &[u8])> {
+        let sections = self.section_supermers.len().max(1);
+        let mut at: Vec<usize> = (self.call_bytes.chunks_exact(sections))
+            .scan(0, |start, call| {
+                let here = *start;
+                *start += call.iter().map(|&bytes| bytes as usize).sum::<usize>();
+                Some(here)
+            })
+            .collect();
+        let mut parts = Vec::new();
+        for (section, &supermers) in self.section_supermers.iter().enumerate() {
+            let mut supermers = supermers;
+            for (call, at) in at.iter_mut().enumerate() {
+                let bytes = self.call_bytes[call * sections + section] as usize;
+                if bytes > 0 {
+                    let part = &self.bytes[*at..][..bytes];
+                    parts.push((section as u32, std::mem::take(&mut supermers), part));
+                    *at += bytes;
+                }
+            }
+        }
+        parts
+    }
+}
+
 /// What a rank accumulates locally before the exchange, one entry per task.
 pub(crate) enum Stage1<K: KmerCode> {
-    /// Supermer mode: the task's supermer-block body, ready to be sent.
-    Supermers(Vec<TaskBody>),
+    /// Supermer mode: the task's staged supermers, ready to be sent, and the number of
+    /// sections every task is cut into.
+    Supermers(Vec<TaskBody>, u32),
     /// Ablation mode: the task's individual k-mer records.
     Records(Vec<(Vec<K>, Vec<Extension>)>),
 }
@@ -351,15 +401,23 @@ impl<K: KmerCode> Stage1<K> {
     /// K-mers this rank staged for each task.
     pub(crate) fn local_sizes(&self) -> Vec<u64> {
         match self {
-            Stage1::Supermers(bodies) => bodies.iter().map(|b| b.kmers).collect(),
+            Stage1::Supermers(bodies, _) => bodies.iter().map(|b| b.kmers).collect(),
             Stage1::Records(tasks) => tasks.iter().map(|(kmers, _)| kmers.len() as u64).collect(),
+        }
+    }
+
+    /// Sections every task is cut into: 1 in the records ablation.
+    pub(crate) fn sections(&self) -> u32 {
+        match self {
+            Stage1::Supermers(_, sections) => *sections,
+            Stage1::Records(_) => 1,
         }
     }
 
     /// Bytes the staging holds: the bodies, or the record vectors.
     pub(crate) fn staged_bytes(&self) -> u64 {
         let bytes: usize = match self {
-            Stage1::Supermers(bodies) => bodies.iter().map(|b| b.bytes.len()).sum(),
+            Stage1::Supermers(bodies, _) => bodies.iter().map(|b| b.bytes.len()).sum(),
             Stage1::Records(tasks) => (tasks.iter())
                 .map(|(kmers, exts)| {
                     std::mem::size_of_val(&kmers[..]) + std::mem::size_of_val(&exts[..])
@@ -373,11 +431,12 @@ impl<K: KmerCode> Stage1<K> {
 /// The send-side serializer: it owns the stage-1 staging and writes **one task's** wire
 /// blocks into a buffer on demand, so a task's bytes do not depend on the round it is
 /// packed into (which is what makes outputs byte-identical across round plans). A
-/// supermer task is *block header + staged body + seal* — a copy; a heavy-hitter task
-/// decodes its staged body and pre-counts it into a kmerlist (§3.5); a record task
-/// encodes its staged vectors. Serialising takes `&self`, so the serialize jobs of one
-/// round run side by side on the worker pool, and it takes the task's staging with it:
-/// each task must be serialised at most once, and its memory is free afterwards.
+/// supermer task is *block header, section directory, staged body section by section,
+/// seal* — a copy; a heavy-hitter task decodes its staged body and pre-counts it into a
+/// kmerlist (§3.5); a record task encodes its staged vectors. Serialising takes `&self`,
+/// so the serialize jobs of one round run side by side on the worker pool, and it takes
+/// the task's staging with it: each task must be serialised at most once, and its
+/// memory is free afterwards.
 pub(crate) struct SendSerializer<'a, K: KmerCode> {
     staged: Staged<K>,
     local_sizes: &'a [u64],
@@ -388,7 +447,7 @@ pub(crate) struct SendSerializer<'a, K: KmerCode> {
 /// [`Stage1`] as the serializer holds it: every task sits in a cell of its own, so a
 /// serialize job can take its task's staging through a shared reference.
 enum Staged<K: KmerCode> {
-    Supermers(Vec<Mutex<TaskBody>>),
+    Supermers(Vec<Mutex<TaskBody>>, u32),
     Records(Vec<Mutex<(Vec<K>, Vec<Extension>)>>),
 }
 
@@ -401,8 +460,8 @@ impl<'a, K: KmerCode> SendSerializer<'a, K> {
     ) -> Self {
         SendSerializer {
             staged: match stage1 {
-                Stage1::Supermers(bodies) => {
-                    Staged::Supermers(bodies.into_iter().map(Mutex::new).collect())
+                Stage1::Supermers(bodies, sections) => {
+                    Staged::Supermers(bodies.into_iter().map(Mutex::new).collect(), sections)
                 }
                 Stage1::Records(tasks) => {
                     Staged::Records(tasks.into_iter().map(Mutex::new).collect())
@@ -423,7 +482,7 @@ impl<'a, K: KmerCode> SendSerializer<'a, K> {
     /// supermer task that is not a heavy hitter. A round of such tasks is filled on the
     /// rank's own thread ([`crate::overlap`]): a copy is not worth a pool job.
     pub(crate) fn is_copy(&self, t: usize) -> bool {
-        matches!(self.staged, Staged::Supermers(_)) && self.heavy.binary_search(&t).is_err()
+        matches!(self.staged, Staged::Supermers(..)) && self.heavy.binary_search(&t).is_err()
     }
 
     /// Append task `t`'s wire blocks to `out` (nothing is written for an empty task).
@@ -431,23 +490,21 @@ impl<'a, K: KmerCode> SendSerializer<'a, K> {
     /// otherwise.
     pub(crate) fn serialize_task(&self, t: usize, out: &mut Vec<u8>) -> u64 {
         match &self.staged {
-            Staged::Supermers(bodies) => {
+            Staged::Supermers(bodies, sections) => {
                 let body = std::mem::take(&mut *bodies[t].lock().expect("body cell poisoned"));
                 if body.supermers == 0 {
                     return 0;
                 }
                 if self.is_copy(t) {
-                    let count = u32::try_from(body.supermers)
-                        .expect("a rank stages fewer than 2^32 supermers per task");
                     let provenance = self.cfg.with_extension;
-                    write_supermer_block(out, t as u32, provenance, count, &body.bytes);
+                    write_supermer_block(out, t as u32, provenance, *sections, &body.parts());
                     return 0;
                 }
                 // Heavy-hitter path: pre-count locally, ship a kmerlist (§3.5). Heavy
-                // tasks exist only without extensions, so the body is bare. The few
-                // distinct keys of a satellite pile into a handful of MSD buckets, far
-                // out of cache, so this is one in-place sort of the whole task and not
-                // stage 3's bucketed pass (measured: 67–73 ms against 77–123 ms).
+                // tasks exist only without extensions, so the body is bare supermers back
+                // to back, whatever their sections. The few distinct keys of a satellite
+                // pile into a few sections, far out of cache, so this is one in-place sort
+                // of the whole task and not stage 3's section by section pass.
                 let view = SupermersView::staged(body.supermers as usize, &body.bytes, false);
                 let mut kmers: Vec<K> = Vec::with_capacity(body.kmers as usize);
                 for sm in view.iter() {
@@ -482,31 +539,41 @@ impl<'a, K: KmerCode> SendSerializer<'a, K> {
     }
 }
 
-/// Largest capacity a worker's body keeps from one parse call to the next. Batches of
-/// short reads stay far below it and reuse their buffers; a body that outgrew it (long
-/// reads, or a whole read set parsed in one call) is given back as soon as it is folded.
-const BODY_RETAIN_BYTES: usize = 16 << 10;
+/// Bases one parse call stages: [`Stage1Parser::parse`] cuts longer inputs into calls of
+/// about this many, and the file feed gathers ingested batches until they hold as many.
+/// A call's supermers wait in the workers' scratches until they are folded into the
+/// task bodies, and every call adds one entry per section to each task it staged for,
+/// so this bounds the one from above and the other from below.
+pub(crate) const PARSE_CALL_BASES: usize = 1 << 20;
 
 /// What one worker of the parallel parse keeps between calls: the extractor's segment
-/// buffers, and one body per task for the supermers of the chunk it is parsing.
+/// buffers, and the supermers of the chunk it is parsing — in wire form, in read order,
+/// with each one's minimizer target and wire length, and the k-mers per task — until
+/// they are folded into the task bodies.
 #[derive(Default)]
 pub(crate) struct ParseScratch {
     supermer: SupermerScratch,
-    bodies: Vec<TaskBody>,
+    bytes: Vec<u8>,
+    staged: Vec<(u32, u32)>,
+    kmers: Vec<u64>,
 }
 
 /// Stage 1 in supermer mode: stream `reads` through the fused extractor
-/// ([`for_each_supermer`]) on the cached worker pool and append every supermer, in wire
-/// form, to its task's entry of `bodies` — written where it is found, while the read is
-/// in cache; nothing of `reads` is referenced afterwards. With `provenance` the
-/// supermers carry `(read id, start)` ([`push_supermer`]).
+/// ([`for_each_supermer`]) on the cached worker pool at `tasks × sections` minimizer
+/// targets (`tasks` the length of `bodies`) and stage every supermer, in wire form, in
+/// its target's section — task `target mod tasks`, section `target / tasks` — written
+/// where it is found, while the read is in cache; nothing of `reads` is referenced
+/// afterwards. With `provenance` the supermers carry `(read id, start)`
+/// ([`push_supermer`]).
 ///
 /// The reads are cut into one contiguous chunk per pool thread; each worker writes its
-/// chunk into the bodies of a [`ParseScratch`] checked out of `bank`, and the chunks
-/// are then folded into `bodies` in read order. A task's bytes are therefore the ones a
-/// sequential parse writes, whatever the pool width and however the reads are batched
-/// over repeated calls (the streaming feed parses one ingested batch at a time,
-/// reusing the scratches).
+/// chunk, in read order, into a [`ParseScratch`] checked out of `bank`. The call is then
+/// appended to every task it staged for as one region, its sections in order, each
+/// holding the chunks' supermers of that section in read order. A section's bytes, call
+/// after call, are therefore the ones a sequential parse writes, whatever the pool width
+/// and however the reads are cut into calls ([`Stage1Parser::parse`], reusing the
+/// scratches).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn parse_supermers_parallel(
     reads: &[Read],
     k: usize,
@@ -515,43 +582,75 @@ pub(crate) fn parse_supermers_parallel(
     pool: &WorkerPool,
     bank: &ScratchBank<ParseScratch>,
     bodies: &mut [TaskBody],
+    sections: u32,
 ) {
-    let num_tasks = bodies.len();
+    let (tasks, sections) = (bodies.len(), sections as usize);
+    let targets = tasks * sections;
     let per_thread = reads.len().div_ceil(pool.total_threads()).max(1);
     let parsed = pool.execute(reads.chunks(per_thread).collect(), |chunk| {
         let mut scratch = bank.checkout(ParseScratch::default);
-        let ParseScratch { supermer, bodies } = &mut *scratch;
-        bodies.resize_with(num_tasks, TaskBody::default);
+        let ParseScratch {
+            supermer,
+            bytes,
+            staged,
+            kmers,
+        } = &mut *scratch;
+        kmers.resize(tasks, 0);
         for read in chunk {
-            for_each_supermer(&read.seq, k, scorer, num_tasks as u32, supermer, |span| {
-                let body = &mut bodies[span.target as usize];
+            for_each_supermer(&read.seq, k, scorer, targets as u32, supermer, |span| {
+                let before = bytes.len();
                 let from = provenance.then_some((read.id, span.start));
-                push_supermer(
-                    &mut body.bytes,
-                    from,
-                    &read.seq,
-                    span.start as usize,
-                    span.len(),
-                );
-                body.supermers += 1;
-                body.kmers += span.num_kmers(k) as u64;
+                push_supermer(bytes, from, &read.seq, span.start as usize, span.len());
+                staged.push((span.target, (bytes.len() - before) as u32));
+                kmers[span.target as usize % tasks] += span.num_kmers(k) as u64;
             });
         }
         scratch
     });
-    // The checkouts go back to the bank, emptied, as they drop.
-    for mut scratch in parsed {
-        for (body, chunk) in bodies.iter_mut().zip(&mut scratch.bodies) {
-            if body.bytes.is_empty() {
-                std::mem::swap(&mut body.bytes, &mut chunk.bytes);
-            } else {
-                body.bytes.extend_from_slice(&chunk.bytes);
-                chunk.bytes.clear();
-                chunk.bytes.shrink_to(BODY_RETAIN_BYTES);
-            }
-            body.supermers += std::mem::take(&mut chunk.supermers);
-            body.kmers += std::mem::take(&mut chunk.kmers);
+
+    // The call's bytes and supermers per target, and each task's region laid out at the
+    // end of its body: a cursor per target.
+    let mut counts = vec![(0u32, 0u32); targets];
+    for &(target, len) in parsed.iter().flat_map(|scratch| &scratch.staged) {
+        let (bytes, supermers) = &mut counts[target as usize];
+        *bytes = (bytes.checked_add(len)).expect("a call stages under 4 GiB per section");
+        *supermers += 1;
+    }
+    let mut cursor = vec![0usize; targets];
+    for (task, body) in bodies.iter_mut().enumerate() {
+        let of = |section: usize| counts[task + tasks * section];
+        if (0..sections).all(|section| of(section).1 == 0) {
+            continue;
         }
+        body.section_supermers.resize(sections, 0);
+        let mut at = body.bytes.len();
+        for section in 0..sections {
+            let (bytes, supermers) = of(section);
+            cursor[task + tasks * section] = at;
+            at += bytes as usize;
+            body.call_bytes.push(bytes);
+            body.section_supermers[section] += u64::from(supermers);
+            body.supermers += u64::from(supermers);
+        }
+        body.bytes.resize(at, 0);
+    }
+    // The chunks in read order, each supermer to its target's cursor. The checkouts go
+    // back to the bank, emptied (capacity kept), as they drop.
+    for mut scratch in parsed {
+        let mut from = 0;
+        for &(target, len) in &scratch.staged {
+            let (target, len) = (target as usize, len as usize);
+            let at = cursor[target];
+            bodies[target % tasks].bytes[at..at + len]
+                .copy_from_slice(&scratch.bytes[from..from + len]);
+            cursor[target] += len;
+            from += len;
+        }
+        for (body, kmers) in bodies.iter_mut().zip(&mut scratch.kmers) {
+            body.kmers += std::mem::take(kmers);
+        }
+        scratch.bytes.clear();
+        scratch.staged.clear();
     }
 }
 
@@ -574,10 +673,11 @@ pub fn count_kmers<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) -> CountRe
 
     let (kmers, bases) = (reads.total_kmers(cfg.k), reads.total_bases());
     let sorter = select_sorter::<K>(cfg, &model, kmers as u64, bases as u64);
+    let sections = sections_for::<K>(cfg, kmers as u64);
 
     let cluster = Cluster::new(p).with_backend(cfg.backend);
-    let run =
-        cluster.run_wire(|ctx| rank_pipeline::<K>(ctx, reads, &ranges, cfg, num_tasks, sorter));
+    let run = cluster
+        .run_wire(|ctx| rank_pipeline::<K>(ctx, reads, &ranges, cfg, num_tasks, sorter, sections));
     let joined = Instant::now();
 
     // The in-memory path attaches no fault plan and writes its own wire bytes, so
@@ -596,9 +696,9 @@ pub fn count_kmers<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) -> CountRe
 
 /// Decide the local sorter the way HySortK does: look at the payload — `kmers` and
 /// `bases` of input, projected to full scale — and the node memory. Deterministic, so
-/// identical on every rank. Since stage 3 sorts bucket by bucket it only picks the
-/// in-bucket kernel — RADULS costs one more cache-sized buffer per thread than PARADIS,
-/// not a copy of the data.
+/// identical on every rank. Since stage 3 sorts section by section it only picks the
+/// in-section kernel — RADULS costs one more section-sized buffer per thread than
+/// PARADIS, not a copy of the data.
 pub(crate) fn select_sorter<K: KmerCode>(
     cfg: &HySortKConfig,
     model: &PerfModel,
@@ -618,8 +718,8 @@ pub(crate) fn select_sorter<K: KmerCode>(
     }
 }
 
-/// Wire size of one k-mer record in the receive buffer (used for the memory projection
-/// and the sort-cost byte width).
+/// Wire size of one k-mer record in the receive buffer (used for the memory projection,
+/// the sort-cost byte width and the section size).
 fn record_bytes<K: KmerCode>(cfg: &HySortKConfig) -> usize {
     K::WORDS * 8
         + if cfg.with_extension {
@@ -629,6 +729,37 @@ fn record_bytes<K: KmerCode>(cfg: &HySortKConfig) -> usize {
         }
 }
 
+/// What an average section of a task should hold at most: half the range RADULS sorts
+/// in cache, so that a section and the kernel's second buffer fit it together.
+const SECTION_BYTES: u64 = IN_CACHE_BYTES as u64 / 2;
+
+/// How many sections stage 1 cuts each of `tasks` tasks into, for `records` records of
+/// `record_bytes` each in all: the smallest power of two that brings an average
+/// section to at most [`SECTION_BYTES`], within `1..=MAX_SECTIONS` and such that the
+/// `tasks × S` minimizer targets are `u32`s. A function of the input size and the
+/// configuration only, so every rank derives the same `S`, and never set.
+fn derive_sections(records: u64, record_bytes: usize, tasks: usize) -> u32 {
+    let task_bytes = records
+        .div_ceil(tasks.max(1) as u64)
+        .saturating_mul(record_bytes as u64);
+    let mut sections = (task_bytes.div_ceil(SECTION_BYTES).next_power_of_two())
+        .min(u64::from(MAX_SECTIONS)) as u32;
+    while sections > 1 && u32::try_from(tasks).map_or(true, |t| t.checked_mul(sections).is_none()) {
+        sections /= 2;
+    }
+    sections
+}
+
+/// The sections of a run over about `records` k-mer instances ([`derive_sections`]);
+/// the records ablation ships unsectioned record blocks.
+pub(crate) fn sections_for<K: KmerCode>(cfg: &HySortKConfig, records: u64) -> u32 {
+    if cfg.use_supermers {
+        derive_sections(records, record_bytes::<K>(cfg), cfg.num_tasks())
+    } else {
+        1
+    }
+}
+
 fn rank_pipeline<K: KmerCode>(
     ctx: &mut RankCtx,
     reads: &ReadSet,
@@ -636,6 +767,7 @@ fn rank_pipeline<K: KmerCode>(
     cfg: &HySortKConfig,
     num_tasks: usize,
     sorter: SortAlgorithm,
+    sections: u32,
 ) -> Result<RankOutput<K>, HysortkError> {
     let rank_start = Instant::now();
     let rank = ctx.rank();
@@ -652,10 +784,13 @@ fn rank_pipeline<K: KmerCode>(
         rank as u32,
         &[("reads", my_reads.len() as u64)],
     );
-    let mut parser = Stage1Parser::<K>::new(cfg, num_tasks, &pool);
+    let mut parser = Stage1Parser::<K>::new(cfg, num_tasks, sections, &pool);
     parser.parse(my_reads, &mut counters);
     let stage1 = parser.finish();
-    parse_span.end_with(&[("staged_bytes", stage1.staged_bytes())]);
+    parse_span.end_with(&[
+        ("staged_bytes", stage1.staged_bytes()),
+        ("sections", u64::from(sections)),
+    ]);
     counters.wall.parse += parse_start.elapsed().as_secs_f64();
 
     let mut out = stages_2_and_3(ctx, stage1, counters, cfg, num_tasks, sorter, &pool)?;
@@ -666,9 +801,9 @@ fn rank_pipeline<K: KmerCode>(
 /// A rank's stage 1: reads go in, batch by batch, and the per-task staging comes out.
 /// Supermer mode streams every read through the fused scoring→minimizer→supermer
 /// extractor, rank-parallel over the worker pool, and writes each supermer in wire form
-/// into its task's body ([`parse_supermers_parallel`]); the records ablation keeps the
-/// simple sequential per-read loop. Shared by the in-memory and file-fed entry points,
-/// so the two cannot diverge on what they stage.
+/// into its section's body ([`parse_supermers_parallel`]); the records ablation keeps
+/// the simple sequential per-read loop. Shared by the in-memory and file-fed entry
+/// points, so the two cannot diverge on what they stage.
 pub(crate) struct Stage1Parser<'a, K: KmerCode> {
     staged: Stage1<K>,
     bank: ScratchBank<ParseScratch>,
@@ -678,10 +813,18 @@ pub(crate) struct Stage1Parser<'a, K: KmerCode> {
 }
 
 impl<'a, K: KmerCode> Stage1Parser<'a, K> {
-    pub(crate) fn new(cfg: &'a HySortKConfig, num_tasks: usize, pool: &'a WorkerPool) -> Self {
+    /// A parser staging `num_tasks` tasks of `sections` sections each (the records
+    /// ablation ignores `sections`).
+    pub(crate) fn new(
+        cfg: &'a HySortKConfig,
+        num_tasks: usize,
+        sections: u32,
+        pool: &'a WorkerPool,
+    ) -> Self {
         Stage1Parser {
             staged: if cfg.use_supermers {
-                Stage1::Supermers((0..num_tasks).map(|_| TaskBody::default()).collect())
+                let bodies = (0..num_tasks).map(|_| TaskBody::default()).collect();
+                Stage1::Supermers(bodies, sections)
             } else {
                 Stage1::Records((0..num_tasks).map(|_| (Vec::new(), Vec::new())).collect())
             },
@@ -701,15 +844,30 @@ impl<'a, K: KmerCode> Stage1Parser<'a, K> {
             counters.kmers_parsed += read.seq.num_kmers(k) as u64;
         }
         match &mut self.staged {
-            Stage1::Supermers(bodies) => parse_supermers_parallel(
-                reads,
-                k,
-                &self.scorer,
-                cfg.with_extension,
-                self.pool,
-                &self.bank,
-                bodies,
-            ),
+            Stage1::Supermers(bodies, sections) => {
+                let mut rest = reads;
+                while !rest.is_empty() {
+                    let mut bases = 0;
+                    let call = (rest.iter())
+                        .position(|read| {
+                            bases += read.len();
+                            bases >= PARSE_CALL_BASES
+                        })
+                        .map_or(rest.len(), |last| last + 1);
+                    let (call, tail) = rest.split_at(call);
+                    parse_supermers_parallel(
+                        call,
+                        k,
+                        &self.scorer,
+                        cfg.with_extension,
+                        self.pool,
+                        &self.bank,
+                        bodies,
+                        *sections,
+                    );
+                    rest = tail;
+                }
+            }
             Stage1::Records(tasks) => {
                 for read in reads {
                     stage1_record_read(read, k, cfg.seed, tasks);
@@ -766,6 +924,7 @@ pub(crate) fn stages_2_and_3<K: KmerCode>(
     // ---------------- task sizing, assignment, heavy hitters -------------------------
     let local_sizes = stage1.local_sizes();
     counters.staged_bytes = stage1.staged_bytes();
+    counters.sections = stage1.sections();
     // The "root retrieves data about the size of each task" step, realised as a
     // butterfly sum all-reduce so every rank computes the same assignment
     // deterministically at O(log p) vector transfers per rank.
@@ -860,9 +1019,10 @@ pub(crate) fn stages_2_and_3<K: KmerCode>(
     counters.worker_makespan = schedule_lpt(&run.task_sizes, workers).makespan();
     counters.received_elements = run.out.received_records;
     counters.precounted_elements = run.out.precounted_records;
+    counters.count_buffer_bytes = run.out.buffer_bytes;
 
-    // The tasks' sorted runs go home as they are: together with the other ranks' they
-    // are the result (`merge_outputs`), so a rank has nothing to merge.
+    // The sections' sorted runs go home as they are: together with the other ranks'
+    // they are the result (`merge_outputs`), so a rank has nothing to merge.
     Ok(RankOutput {
         tasks: run.out.tasks,
         histogram: run.out.histogram,
@@ -965,6 +1125,11 @@ pub(crate) fn merge_outputs<K: KmerCode>(
         .unwrap_or(1.0);
     let io_retries: u64 = counters.iter().map(|c| c.io_retries).sum();
     let staged_bytes = counters.iter().map(|c| c.staged_bytes).max().unwrap_or(0);
+    let sections = counters.first().map_or(1, |c| c.sections);
+    let count_buffer_bytes = (counters.iter())
+        .map(|c| c.count_buffer_bytes)
+        .max()
+        .unwrap_or(0);
     // Ranks commit in lockstep but a failure can interrupt some mid-epoch; the
     // most-advanced rank is the honest "how far did the run durably get" figure.
     let epochs_committed = counters
@@ -1113,6 +1278,8 @@ pub(crate) fn merge_outputs<K: KmerCode>(
         recoveries,
         epochs_committed,
         staged_bytes,
+        sections,
+        count_buffer_bytes,
         simd: hysortk_dna::simd::path_name(),
         result_runs: counts.runs().len(),
         result_bytes: retained * std::mem::size_of::<(K, u64)>() as u64,
@@ -1388,11 +1555,15 @@ mod tests {
                         &cfg,
                         cfg.num_tasks(),
                         SortAlgorithm::Raduls,
+                        1,
                     )
                 });
                 for out in run.results {
                     let wall = out.expect("healthy run").counters.wall;
                     let stages = wall.to_stage_vec();
+                    // One value per name, and no stage that only ever reads zero.
+                    assert_eq!(stages.len(), WallBuckets::NAMES.len());
+                    assert!(!WallBuckets::NAMES.contains(&"merge"));
                     let other = *stages.last().unwrap();
                     let sum: f64 = stages.iter().sum();
                     // `other` is a clamped residue: the sum can only miss `total` when
@@ -1420,7 +1591,7 @@ mod tests {
                 let wall = start.elapsed().as_secs_f64();
                 let report = &result.report;
                 assert!(!result.counts.is_empty() && report.gather_s > 0.0);
-                assert_eq!(report.stage_wall.get("merge").map(|s| s.max), Some(0.0));
+                assert!(report.stage_wall.get("merge").is_none());
                 // The gather starts when the slowest rank has joined. One rank is its
                 // own straggler; over several, the per-stage maxima may come from
                 // different ranks and add up to more than any of them took, so only
@@ -1448,7 +1619,7 @@ mod tests {
             let ranges = reads.partition_by_bases(ranks);
             let sorter = SortAlgorithm::Raduls;
             let run = Cluster::new(ranks).run_wire(|ctx| {
-                rank_pipeline::<Kmer1>(ctx, &reads, &ranges, &cfg, cfg.num_tasks(), sorter)
+                rank_pipeline::<Kmer1>(ctx, &reads, &ranges, &cfg, cfg.num_tasks(), sorter, 1)
             });
             let outputs: Vec<RankOutput<Kmer1>> =
                 (run.results.into_iter().map(|r| r.expect("healthy run"))).collect();
@@ -1620,10 +1791,10 @@ mod tests {
             let pool = WorkerPool::new(1, 1);
             let fullest = (reads.partition_by_bases(ranks).into_iter())
                 .map(|range| {
-                    let mut parser = Stage1Parser::<Kmer1>::new(&cfg, cfg.num_tasks(), &pool);
+                    let mut parser = Stage1Parser::<Kmer1>::new(&cfg, cfg.num_tasks(), 1, &pool);
                     parser.parse(&reads.reads()[range], &mut RankCounters::default());
                     match parser.finish() {
-                        Stage1::Supermers(bodies) => {
+                        Stage1::Supermers(bodies, _) => {
                             bodies.iter().map(|b| b.bytes.len() as u64).sum::<u64>()
                         }
                         Stage1::Records(_) => unreachable!("supermer mode"),
@@ -1634,6 +1805,52 @@ mod tests {
             assert!(report.staged_bytes > 0);
             assert_eq!(Some(report.staged_bytes), fullest, "{ranks} rank(s)");
         }
+    }
+
+    /// `S` is the smallest power of two that brings an average section to at most
+    /// `SECTION_BYTES`: 1 up to that size, doubling with every doubling past it, never
+    /// more than `MAX_SECTIONS`, and never so many that `tasks × S` leaves `u32`.
+    #[test]
+    fn sections_are_derived_from_the_input_size_alone() {
+        // Six tasks of `bytes` each, in 8-byte records.
+        let six_tasks_of = |bytes: u64| derive_sections(bytes / 8 * 6, 8, 6);
+        assert_eq!(six_tasks_of(0), 1);
+        assert_eq!(six_tasks_of(SECTION_BYTES), 1);
+        assert_eq!(six_tasks_of(SECTION_BYTES + 8), 2);
+        assert_eq!(six_tasks_of(2 * SECTION_BYTES), 2);
+        assert_eq!(six_tasks_of(2 * SECTION_BYTES + 8), 4);
+        assert_eq!(six_tasks_of(128 * SECTION_BYTES), 128);
+        assert_eq!(six_tasks_of(256 * SECTION_BYTES), 256);
+        assert_eq!(six_tasks_of(1 << 50), 256);
+        assert_eq!(derive_sections(u64::MAX, 16, 1), 256);
+        // Records are counted per task, rounded up, at their width.
+        assert_eq!(derive_sections(SECTION_BYTES / 16 * 6, 16, 6), 1);
+        assert_eq!(derive_sections(SECTION_BYTES / 16 * 6 + 1, 16, 6), 2);
+        assert_eq!(derive_sections(SECTION_BYTES / 8 * 6, 16, 6), 2);
+        // The `tasks × S` minimizer targets stay `u32`s.
+        assert_eq!(derive_sections(u64::MAX, 8, 1 << 23), 256);
+        assert_eq!(derive_sections(u64::MAX, 8, 1 << 24), 128);
+        assert_eq!(derive_sections(u64::MAX, 8, 1 << 25), 64);
+        assert_eq!(derive_sections(u64::MAX, 8, u32::MAX as usize), 1);
+        assert_eq!(derive_sections(u64::MAX, 8, usize::MAX), 1);
+        assert_eq!(derive_sections(1_000, 8, 0), 1);
+
+        // The bundled smoke input is one section on every layout the CLI smoke runs,
+        // down to one rank of one thread, for one- and two-word k-mers.
+        let smoke = include_bytes!("../../../tests/data/smoke.fa").len() as u64;
+        for k in [21, 55] {
+            let cfg = HySortKConfig::small_with_threads(k, 11, 1, 1);
+            assert_eq!(
+                (cfg.num_tasks(), sections_for::<Kmer2>(&cfg, smoke)),
+                (3, 1)
+            );
+        }
+        // The records ablation is never sectioned.
+        let mut records = HySortKConfig::small_with_threads(21, 11, 1, 1);
+        records.use_supermers = false;
+        assert_eq!(sections_for::<Kmer1>(&records, u64::MAX), 1);
+        records.use_supermers = true;
+        assert_eq!(sections_for::<Kmer1>(&records, u64::MAX), 256);
     }
 
     #[test]

@@ -238,6 +238,13 @@ pub struct RunReport {
     /// sum of its tasks' supermer-block bodies (of its record vectors in the records
     /// ablation). A serialize job frees its task's share. Zero for the baselines.
     pub staged_bytes: u64,
+    /// How many sections stage 1 cut every task into — the `S` the run derived from its
+    /// input size: 1 on small inputs and in the records ablation. Zero for the baselines.
+    pub sections: u32,
+    /// Measured: the largest high-water capacity of any rank's stage-3 count buffers —
+    /// the section lanes (decode buffer, RADULS buffer, emitted-run staging) and the
+    /// kmerlist staging, summed over the rank's count scratches. Zero for the baselines.
+    pub count_buffer_bytes: u64,
     /// Which SIMD hot-path variant the run used (`"avx2"`, `"sse2"`, or `"scalar"`),
     /// as chosen by runtime CPU detection (overridable with `HYSORTK_NO_SIMD=1`).
     pub simd: &'static str,
@@ -248,8 +255,9 @@ pub struct RunReport {
     /// Together with the straggler's rank wall it accounts for the wall time of the
     /// run the caller measures. Zero for the baselines.
     pub gather_s: f64,
-    /// Measured: how many sorted runs [`CountResult::counts`] holds — the non-empty
-    /// task runs of every rank, or one in an extension run. Zero for the baselines.
+    /// Measured: how many sorted runs [`CountResult::counts`] holds — one per section of
+    /// every rank's tasks that retained a k-mer, or one in an extension run. Zero for
+    /// the baselines.
     pub result_runs: usize,
     /// Measured: the bytes of the pairs those runs hold, `retained_kmers ×
     /// size_of::<(K, u64)>()` — the memory the result keeps. Zero for the baselines.

@@ -1,45 +1,46 @@
-//! Stage 3: sort & count, one pass per task, straight from the receive buffer.
+//! Stage 3: sort & count, one section at a time, straight from the receive buffer.
 //!
 //! The receive side of the exchange hands this module one borrowed byte segment per
 //! source rank. Counting proceeds in three steps:
 //!
 //! 1. **Block index** ([`build_block_index`]) — one cheap pass over the validated
-//!    block structure groups every payload view by task and sums the *exact* record
-//!    totals from the block headers alone (supermer headers are walked, their packed
-//!    bases are not decoded). No payload byte is touched.
-//! 2. **Decode → partition → sort → count, per task** ([`count_task`], driven in
-//!    parallel by [`count_blocks_parallel`]). A task never exists as one sorted array:
-//!    * *decode-scatter* — the word-level wire decode
-//!      ([`crate::wire::SupermerView::for_each_canonical_kmer`]) pushes every record
-//!      into the worker's [`hysortk_sort::BucketStore`]: 256 chunked buckets on the top
-//!      eight bits of the `2k`-bit key, fed through an L1 staging buffer, carved from
-//!      one pool of `records + records / 16` entries that the worker reuses for all its
-//!      tasks. The digit is known from `k`, so there is no varying-bits read and no
-//!      histogram read. Heavy-hitter kmerlist entries go to a small side list, sorted
-//!      once. One stream per task — tasks are the parallel unit of this phase.
-//!    * *bucket-sort-count* — buckets ascend with the key, so in bucket order each one
-//!      is gathered into a reused buffer of about [`IN_CACHE_BYTES`], sorted there by
-//!      the kernel `params.sorter` names (RADULS with an equally small auxiliary
-//!      buffer, or PARADIS in place — the only place the choice is consulted; a skewed
-//!      bucket larger than the cache goes through the kernel's own out-of-cache
-//!      recursion), and scanned while still in L2 by the streaming run merge
-//!      ([`hysortk_sort::merge_runs_with_counts`]) against the bucket's slice of the
-//!      kmerlist entries, which emits straight into the task's output and the
-//!      histogram. With extensions on, the sorted bucket is appended to the task's
-//!      record array and each retained k-mer keeps a *range* into it. Under a thread
-//!      budget above one (`threads_per_worker`), consecutive buckets are cut into one
-//!      run of about equal record count per thread, each with its own buffers, and the
-//!      runs' outputs are concatenated in bucket order.
+//!    block structure groups every payload view by task and, within a task, by
+//!    **section** — stage 1 cut every task into `S` sections by minimizer, and a
+//!    block carries them behind a section directory (`crate::wire`) — and sums the
+//!    *exact* record totals of every section from the block headers alone (supermer
+//!    headers are walked, their packed bases are not decoded). No payload byte is
+//!    touched. All blocks of a task must agree on `S`
+//!    ([`WireError::SectionMismatch`]); kmerlist and record blocks are unsectioned, so
+//!    a task that has any is one section.
+//! 2. **Decode → sort → count, per section** ([`count_task`], driven in parallel by
+//!    [`count_blocks_parallel`]). A task never exists as one array: its sections hold
+//!    disjoint k-mer sets (a canonical k-mer's minimizer fixes its section), so each
+//!    section is counted on its own, in cache, into a sorted run of its own. For every
+//!    section of the task:
+//!    * the word-level wire decode
+//!      ([`crate::wire::SupermerView::for_each_canonical_kmer`]) writes the section's
+//!      records, from every source block, into a reused lane buffer;
+//!    * the kernel `params.sorter` names sorts them there (RADULS with a reused
+//!      auxiliary buffer, or PARADIS in place — the only place the choice is
+//!      consulted). An average section holds about `SECTION_BYTES` (half of
+//!      [`hysortk_sort::IN_CACHE_BYTES`]) of records, so the sort runs in L2;
+//!    * the streaming run merge ([`hysortk_sort::merge_runs_with_counts`]) scans the
+//!      sorted records while they are still in cache — at section 0 of an
+//!      unsectioned task against the task's heavy-hitter kmerlist entries, sorted once
+//!      — and emits into the histogram and into the section's run, copied out exactly
+//!      sized. With extensions on, the sorted records are kept with the run and each
+//!      retained k-mer holds a *range* into them.
 //!
-//!    Every task takes this one path, whatever its size (chunks shrink with the task,
-//!    down to 16 records). A record is written once and read once, and nothing of a
-//!    task's size exists beside the pool. The totals the block index read from the
-//!    headers size the pool, so they are hard-checked: every pool write is
-//!    bounds-checked, and the decoded total and the kmerlist total are compared with
-//!    the slot's — a mismatch is a [`WireError::CountMismatch`] naming the task instead
-//!    of a short count — as is, by `assert!`, the total the chunk lists hold.
-//! 3. **Assemble** ([`assemble_tasks`]) — every task's output is a sorted run, and tasks
-//!    hold disjoint k-mer *sets* (a task is a hash of the minimizer), not key ranges, so
+//!    Sections are the parallel unit: under a thread budget above one
+//!    (`threads_per_worker`), consecutive sections are cut into one run of about
+//!    equal record count per thread, each with its own lane. Every task takes this one
+//!    path, and an unsectioned task — every task of a small input — is one section, so
+//!    the only buffers sized by records are the lanes, at the largest section seen. A
+//!    section with nothing retained emits no run. The decoded total and the kmerlist
+//!    total are compared with the slot's header-derived ones — a mismatch is a
+//!    [`WireError::CountMismatch`] naming the task instead of a short count.
+//! 3. **Assemble** ([`assemble_tasks`]) — every section's output is a sorted run, and
+//!    runs hold disjoint k-mer *sets* (a task is a hash of the minimizer), not key ranges, so
 //!    the runs are merged: [`hysortk_sort::multiway_merge`] cuts every run at the
 //!    boundaries of the top-bits digit — the range-disjoint cut — and merges each piece
 //!    in cache, straight into its slice of the result, in parallel under the caller's
@@ -64,13 +65,13 @@ use hysortk_dna::kmer::KmerCode;
 use hysortk_perfmodel::SortAlgorithm;
 use hysortk_sort::{
     map_balanced_runs, merge_runs_with_counts, multiway_merge, paradis_sort_from, raduls_sort,
-    raduls_sort_with_aux, BucketDigit, BucketStore, RadixKey, IN_CACHE_BYTES,
+    raduls_sort_with_aux, BucketDigit, RadixKey,
 };
 use hysortk_task::WorkerPool;
 use hysortk_trace as trace;
 
 use crate::result::KmerHistogram;
-use crate::wire::{read_blocks, PayloadView, WireError};
+use crate::wire::{read_blocks, PayloadView, SupermersView, WireError};
 
 /// Everything [`count_task`] needs to know about the run.
 #[derive(Debug, Clone, Copy)]
@@ -107,8 +108,8 @@ impl CountParams {
     }
 }
 
-/// One task's entry in the block index: its payload views (in source order) plus the
-/// exact record totals read from the block headers.
+/// One task's entry in the block index: its payload views (in source order), the same
+/// supermers split by section, and the exact record totals read from the block headers.
 #[derive(Debug, Clone)]
 pub struct TaskSlot<'a, K: KmerCode> {
     /// Task id.
@@ -120,6 +121,19 @@ pub struct TaskSlot<'a, K: KmerCode> {
     pub precounted: usize,
     /// The task's payload views, borrowing the receive buffer.
     pub blocks: Vec<PayloadView<'a, K>>,
+    /// The task's sections, in order: one for an unsectioned task.
+    pub sections: Vec<SectionSlot<'a>>,
+}
+
+/// One section of a task slot: its byte range of every supermer block of the task, and
+/// the records they decode to.
+#[derive(Debug, Clone, Default)]
+pub struct SectionSlot<'a> {
+    /// Exact number of records the section decodes to — at section 0 of an unsectioned
+    /// task including its record blocks.
+    pub records: usize,
+    /// The section's part of each supermer block, in source order.
+    pub supermers: Vec<SupermersView<'a>>,
 }
 
 /// The per-task block index over one rank's receive segments.
@@ -215,26 +229,49 @@ impl<'a, K: KmerCode> BlockIndexBuilder<'a, K> {
     }
 
     /// Add one source segment: validate its stream structure and checksums, group its
-    /// payload views by task and extend the header-derived record totals. Returns the
-    /// [`WireError`] naming the defect on a malformed stream (the builder must then be
-    /// discarded).
+    /// payload views by task and section and extend the header-derived record totals.
+    /// Returns the [`WireError`] naming the defect on a malformed stream, or on a block
+    /// cut into another number of sections than the task's earlier blocks (the builder
+    /// must then be discarded).
     pub fn add_segment(&mut self, segment: &'a [u8], k: usize) -> Result<(), WireError> {
         for block in read_blocks::<K>(segment)? {
-            if let PayloadView::Supermers(view) = &block.payload {
-                if self.provenance_required && !view.has_provenance() {
-                    return Err(WireError::MissingProvenance { task: block.task });
+            let sections = match &block.payload {
+                PayloadView::Supermers(view) => {
+                    if self.provenance_required && !view.has_provenance() {
+                        return Err(WireError::MissingProvenance { task: block.task });
+                    }
+                    view.section_count()
                 }
-            }
+                PayloadView::KmerList(_) | PayloadView::Records(_) => 1,
+            };
             let slot = self.by_task.entry(block.task).or_insert_with(|| TaskSlot {
                 task: block.task,
                 records: 0,
                 precounted: 0,
                 blocks: Vec::new(),
+                sections: vec![SectionSlot::default(); sections],
             });
+            if slot.sections.len() != sections {
+                return Err(WireError::SectionMismatch {
+                    task: block.task,
+                    expected: slot.sections.len() as u32,
+                    got: sections as u32,
+                });
+            }
             match &block.payload {
-                PayloadView::Supermers(view) => slot.records += view.total_kmers(k),
+                PayloadView::Supermers(view) => {
+                    for (section, part) in slot.sections.iter_mut().zip(view.sections()) {
+                        let records = part.total_kmers(k);
+                        section.records += records;
+                        slot.records += records;
+                        section.supermers.push(part);
+                    }
+                }
                 PayloadView::KmerList(view) => slot.precounted += view.len(),
-                PayloadView::Records(view) => slot.records += view.len(),
+                PayloadView::Records(view) => {
+                    slot.sections[0].records += view.len();
+                    slot.records += view.len();
+                }
             }
             slot.blocks.push(block.payload);
         }
@@ -264,18 +301,18 @@ where
     Ok(builder.finish())
 }
 
-/// Per-worker reusable state: the bucket pool and the per-thread bucket buffers (one
-/// set per record type — only the one the run uses ever allocates), the kmerlist
-/// staging buffer, the histogram and the work counters. One scratch lives per worker
-/// thread for the whole stage, so a worker maps its buffers once and then counts every
-/// one of its tasks without allocating beyond the retained output — and histograms
-/// merge once per worker, not once per task.
+/// Per-worker reusable state: one lane per thread of the section phase (one set per
+/// record type — only the one the run uses ever allocates), the kmerlist staging
+/// buffer, the histogram and the work counters. One scratch lives per worker thread for
+/// the whole stage, so a worker grows its buffers to the largest section it meets and
+/// then counts every one of its tasks without allocating beyond the retained output —
+/// and histograms merge once per worker, not once per task.
 #[derive(Debug)]
 pub struct CountScratch<K: KmerCode> {
-    /// Buffers of the no-extension path (bare keys).
-    keys: TaskBuffers<K>,
-    /// Buffers of the provenance path.
-    tagged: TaskBuffers<(K, Extension)>,
+    /// Lanes of the no-extension path (bare keys).
+    keys: Vec<Lane<K, K>>,
+    /// Lanes of the provenance path.
+    tagged: Vec<Lane<K, (K, Extension)>>,
     /// Reusable staging for the task's pre-counted kmerlist entries.
     pre: Vec<(K, u64)>,
     /// Multiplicity histogram over every distinct k-mer this worker counted.
@@ -291,51 +328,55 @@ impl<K: KmerCode> CountScratch<K> {
     /// sequential reference uses).
     pub fn new(max_count: u64) -> Self {
         CountScratch {
-            keys: TaskBuffers::default(),
-            tagged: TaskBuffers::default(),
+            keys: Vec::new(),
+            tagged: Vec::new(),
             pre: Vec::new(),
             histogram: KmerHistogram::new(max_count as usize + 2),
             received_records: 0,
             precounted_records: 0,
         }
     }
-}
 
-/// What counting tasks of record type `T` reuses: the task-sized pool, and one
-/// [`Lane`] per thread of the bucket phase.
-#[derive(Debug)]
-struct TaskBuffers<T> {
-    store: BucketStore<T>,
-    lanes: Vec<Lane<T>>,
-}
-
-impl<T: RadixKey + Default> Default for TaskBuffers<T> {
-    fn default() -> Self {
-        TaskBuffers {
-            store: BucketStore::new(),
-            lanes: Vec::new(),
-        }
+    /// Bytes the scratch's count buffers hold — lanes and kmerlist staging. None of them
+    /// ever shrinks, so this is their high-water mark.
+    pub(crate) fn buffer_bytes(&self) -> u64 {
+        let lanes = self.keys.iter().map(Lane::bytes).sum::<usize>()
+            + self.tagged.iter().map(Lane::bytes).sum::<usize>();
+        (lanes + self.pre.capacity() * std::mem::size_of::<(K, u64)>()) as u64
     }
 }
 
-/// One thread's cache-resident working set: the bucket being sorted and counted, the
-/// RADULS ping-pong buffer of the same size, and the histogram of what it emitted
-/// (folded into the scratch's when the task ends).
+/// One thread's working set of the section phase: the section's records, decoded and
+/// then sorted in place; the RADULS ping-pong buffer; what the count scan emits, before
+/// it is copied out exactly sized; and the histogram of what it emitted (folded into
+/// the scratch's when the task ends). The buffers grow to the largest section the lane
+/// meets and stay there.
 #[derive(Debug)]
-struct Lane<T> {
-    bucket: Vec<T>,
+struct Lane<K, T> {
+    records: Vec<T>,
     aux: Vec<T>,
+    counts: Vec<(K, u64)>,
+    ranges: Vec<(u32, u32)>,
     histogram: KmerHistogram,
 }
 
-impl<T> Lane<T> {
+impl<K, T> Lane<K, T> {
     /// An empty lane whose histogram has the bucket layout of `like`.
     fn new(like: &KmerHistogram) -> Self {
         Lane {
-            bucket: Vec::new(),
+            records: Vec::new(),
             aux: Vec::new(),
+            counts: Vec::new(),
+            ranges: Vec::new(),
             histogram: KmerHistogram::new(like.buckets().len()),
         }
+    }
+
+    /// Bytes the lane's buffers hold.
+    fn bytes(&self) -> usize {
+        (self.records.capacity() + self.aux.capacity()) * std::mem::size_of::<T>()
+            + self.counts.capacity() * std::mem::size_of::<(K, u64)>()
+            + self.ranges.capacity() * std::mem::size_of::<(u32, u32)>()
     }
 }
 
@@ -349,11 +390,11 @@ trait Record<K: KmerCode>: RadixKey + Default {
     fn kmer(&self) -> K;
     /// Order one run of equal k-mers by extension (no-op without extensions).
     fn sort_run(run: &mut [Self]);
-    /// This record type's buffers in the scratch.
-    fn buffers<'s>(
-        keys: &'s mut TaskBuffers<K>,
-        tagged: &'s mut TaskBuffers<(K, Extension)>,
-    ) -> &'s mut TaskBuffers<Self>;
+    /// This record type's lanes in the scratch.
+    fn lanes<'s>(
+        keys: &'s mut Vec<Lane<K, K>>,
+        tagged: &'s mut Vec<Lane<K, (K, Extension)>>,
+    ) -> &'s mut Vec<Lane<K, Self>>;
 }
 
 impl<K: KmerCode> Record<K> for K {
@@ -367,10 +408,10 @@ impl<K: KmerCode> Record<K> for K {
         *self
     }
     fn sort_run(_: &mut [Self]) {}
-    fn buffers<'s>(
-        keys: &'s mut TaskBuffers<K>,
-        _: &'s mut TaskBuffers<(K, Extension)>,
-    ) -> &'s mut TaskBuffers<Self> {
+    fn lanes<'s>(
+        keys: &'s mut Vec<Lane<K, K>>,
+        _: &'s mut Vec<Lane<K, (K, Extension)>>,
+    ) -> &'s mut Vec<Lane<K, Self>> {
         keys
     }
 }
@@ -388,15 +429,15 @@ impl<K: KmerCode> Record<K> for (K, Extension) {
     fn sort_run(run: &mut [Self]) {
         run.sort_unstable_by_key(|&(_, ext)| ext);
     }
-    fn buffers<'s>(
-        _: &'s mut TaskBuffers<K>,
-        tagged: &'s mut TaskBuffers<(K, Extension)>,
-    ) -> &'s mut TaskBuffers<Self> {
+    fn lanes<'s>(
+        _: &'s mut Vec<Lane<K, K>>,
+        tagged: &'s mut Vec<Lane<K, (K, Extension)>>,
+    ) -> &'s mut Vec<Lane<K, Self>> {
         tagged
     }
 }
 
-/// Extension output of one task: provenance as ranges into the task's sorted record
+/// Extension output of one run: provenance as ranges into the run's sorted record
 /// array instead of one vector per k-mer.
 #[derive(Debug, Clone)]
 pub struct TaskExtensions<K: KmerCode> {
@@ -414,7 +455,7 @@ impl<K: KmerCode> TaskExtensions<K> {
     }
 }
 
-/// Output of counting one task.
+/// Output of counting one section of a task: one sorted run.
 #[derive(Debug, Clone)]
 pub struct TaskCounts<K: KmerCode> {
     /// Retained `(k-mer, count)` pairs in ascending k-mer order.
@@ -423,10 +464,11 @@ pub struct TaskCounts<K: KmerCode> {
     pub ext: Option<TaskExtensions<K>>,
 }
 
-/// Decode, partition, sort and count one task — see the module docs. `rank` labels the
-/// `decode-scatter` and `bucket-sort-count` spans (children of the caller's
-/// `count-task` span). With `with_extension` off the records are bare k-mer keys —
-/// half the bytes through the scatter and every sort pass.
+/// Decode, sort and count one task, section by section — see the module docs. Returns
+/// one run per section that retained a k-mer, in section order. `rank` labels the
+/// `count-section` spans (children of the caller's `count-task` span). With
+/// `with_extension` off the records are bare k-mer keys — half the bytes through the
+/// decode and every sort pass.
 ///
 /// Fails with [`WireError::CountMismatch`], naming the task, when the slot's
 /// header-derived totals are not what its blocks decode to; the scratch stays usable.
@@ -436,27 +478,30 @@ pub fn count_task<K: KmerCode>(
     params: &CountParams,
     rank: u32,
     scratch: &mut CountScratch<K>,
-) -> Result<TaskCounts<K>, WireError> {
+) -> Result<Vec<TaskCounts<K>>, WireError> {
     Ok(if params.with_extension {
-        let out = count_records::<K, (K, Extension)>(slot, k, params, rank, scratch)?;
-        TaskCounts {
-            counts: out.counts,
-            ext: Some(TaskExtensions {
-                records: out.records,
-                ranges: out.ranges,
-            }),
-        }
+        let runs = count_records::<K, (K, Extension)>(slot, k, params, rank, scratch)?;
+        (runs.into_iter())
+            .map(|run| TaskCounts {
+                counts: run.counts,
+                ext: Some(TaskExtensions {
+                    records: run.records,
+                    ranges: run.ranges,
+                }),
+            })
+            .collect()
     } else {
-        let out = count_records::<K, K>(slot, k, params, rank, scratch)?;
-        TaskCounts {
-            counts: out.counts,
-            ext: None,
-        }
+        let runs = count_records::<K, K>(slot, k, params, rank, scratch)?;
+        (runs.into_iter())
+            .map(|run| TaskCounts {
+                counts: run.counts,
+                ext: None,
+            })
+            .collect()
     })
 }
 
-/// What one run of buckets emitted; runs concatenate in bucket order.
-#[derive(Default)]
+/// What one section emitted.
 struct RunOutput<K, T> {
     counts: Vec<(K, u64)>,
     /// The sorted records ([`Record::TAGGED`] only) and, parallel to `counts`, each
@@ -465,65 +510,41 @@ struct RunOutput<K, T> {
     ranges: Vec<(u32, u32)>,
 }
 
-/// One bucket's worth of work for the bucket phase.
-struct BucketJob {
-    /// The store's bucket to gather.
-    bucket: usize,
-    records: usize,
-    /// The bucket's slice of the sorted kmerlist entries.
-    pre: std::ops::Range<usize>,
-}
-
-/// Feed the task's records to `push` and its kmerlist entries to `pre`; returns how many
-/// records the blocks decode to. No more than `limit` of them are pushed — the caller
-/// sized its buffer from that total — and a longer decode is counted to its end.
-fn decode_blocks<K: KmerCode, T: Record<K>>(
+/// Write section `section`'s records into `out`: its part of every supermer block and,
+/// at section 0, the task's record blocks (only an unsectioned task has any).
+fn decode_section<K: KmerCode, T: Record<K>>(
     slot: &TaskSlot<'_, K>,
+    section: usize,
     k: usize,
-    pre: &mut Vec<(K, u64)>,
-    limit: usize,
-    mut push: impl FnMut(T),
-) -> usize {
-    let mut decoded = 0usize;
-    let mut sink = |record: T| {
-        if decoded < limit {
-            push(record);
+    out: &mut Vec<T>,
+) {
+    for view in &slot.sections[section].supermers {
+        for sm in view.iter() {
+            let read_id = sm.read_id;
+            sm.for_each_canonical_kmer::<K>(k, |km, pos| {
+                out.push(T::new(km, Extension::new(read_id, pos)));
+            });
         }
-        decoded += 1;
-    };
+    }
+    if section > 0 {
+        return;
+    }
     for block in &slot.blocks {
-        match block {
-            PayloadView::Supermers(view) => {
-                for sm in view.iter() {
-                    let read_id = sm.read_id;
-                    sm.for_each_canonical_kmer::<K>(k, |km, pos| {
-                        sink(T::new(km, Extension::new(read_id, pos)));
-                    });
-                }
-            }
-            PayloadView::KmerList(view) => pre.extend(view.iter()),
-            PayloadView::Records(view) => {
-                // Malformed streams cannot reach here: structure and checksum were
-                // verified when `read_blocks` built the index.
-                let exts = if T::TAGGED {
-                    view.decode_extensions()
-                        .expect("validated by read_blocks checksum")
-                } else {
-                    None
-                };
-                match exts {
-                    Some(exts) => view
-                        .kmers()
-                        .zip(exts)
-                        .for_each(|(km, ext)| sink(T::new(km, ext))),
-                    None => view
-                        .kmers()
-                        .for_each(|km| sink(T::new(km, Extension::default()))),
-                }
+        if let PayloadView::Records(view) = block {
+            // Malformed streams cannot reach here: structure and checksum were verified
+            // when `read_blocks` built the index.
+            let exts = if T::TAGGED {
+                view.decode_extensions()
+                    .expect("validated by read_blocks checksum")
+            } else {
+                None
+            };
+            match exts {
+                Some(exts) => out.extend(view.kmers().zip(exts).map(|(km, e)| T::new(km, e))),
+                None => out.extend(view.kmers().map(|km| T::new(km, Extension::default()))),
             }
         }
     }
-    decoded
 }
 
 /// The driver behind [`count_task`], generic over the record type.
@@ -533,7 +554,7 @@ fn count_records<K: KmerCode, T: Record<K>>(
     params: &CountParams,
     rank: u32,
     scratch: &mut CountScratch<K>,
-) -> Result<RunOutput<K, T>, WireError> {
+) -> Result<Vec<RunOutput<K, T>>, WireError> {
     let CountScratch {
         keys,
         tagged,
@@ -542,189 +563,159 @@ fn count_records<K: KmerCode, T: Record<K>>(
         received_records,
         precounted_records,
     } = scratch;
-    let TaskBuffers { store, lanes } = T::buffers(keys, tagged);
+    let lanes = T::lanes(keys, tagged);
     let task = slot.task;
-    let records = slot.records;
-    // Extension ranges are u32 offsets into the task's record array; make the limit
-    // explicit rather than silently wrapping on absurdly large tasks.
-    assert!(
-        !T::TAGGED || u32::try_from(records).is_ok(),
-        "task {task} with {records} records exceeds the u32 extension-range limit"
-    );
     let digit = BucketDigit::top_bits::<T>(2 * k as u32);
 
-    // ---- decode-scatter ---------------------------------------------------------------
+    // ---- the kmerlist entries: arrive per source, sorted so the run merge can sum
+    //      duplicates streamed ---------------------------------------------------------
     pre.clear();
     pre.reserve(slot.precounted);
-    let decoded = {
-        let _span = trace::span!(
-            "decode-scatter",
-            trace::Detail::Task,
-            rank,
-            task = task,
-            records = records,
-        );
-        store.begin(records, 2 * k as u32);
-        let decoded = decode_blocks(slot, k, pre, records, |record| store.push(record));
-        store.finish();
-        decoded
-    };
-    // What the block headers announce against what the blocks decode to: records, then
-    // kmerlist entries.
-    for (expected, got) in [(records, decoded), (slot.precounted, pre.len())] {
-        if expected != got {
-            return Err(WireError::CountMismatch {
-                task,
-                expected: expected as u64,
-                got: got as u64,
-            });
+    for block in &slot.blocks {
+        if let PayloadView::KmerList(view) = block {
+            pre.extend(view.iter());
         }
     }
-    assert_eq!(
-        (store.pushed(), store.len()),
-        (records, records),
-        "task {task}: records pushed to the bucket store, and held by its chunk lists"
-    );
-    *received_records += records as u64;
-    *precounted_records += pre.len() as u64;
-    // Kmerlists arrive per source; sort so the run merge can sum duplicates streamed.
+    if pre.len() != slot.precounted {
+        return Err(WireError::CountMismatch {
+            task,
+            expected: slot.precounted as u64,
+            got: pre.len() as u64,
+        });
+    }
     pre.sort_unstable();
     assert!(
         pre.last().is_none_or(|(km, _)| digit.holds(km)),
         "task {task}: a kmerlist k-mer is wider than 2k bits"
     );
+    let pre = &pre[..];
 
-    // ---- plan: the non-empty buckets ---------------------------------------------------
-    let mut pre_end = 0;
-    let jobs: Vec<BucketJob> = (0..digit.buckets())
-        .filter_map(|bucket| {
-            let pre_start = pre_end;
-            pre_end += pre[pre_start..]
-                .iter()
-                .take_while(|(km, _)| usize::from(digit.of(km)) == bucket)
-                .count();
-            let records = store.bucket_len(bucket);
-            (records + pre_end - pre_start > 0).then_some(BucketJob {
-                bucket,
-                records,
-                pre: pre_start..pre_end,
-            })
-        })
+    // ---- the sections with work, one run of them per thread; at a budget of one, a loop
+    // Only an unsectioned task carries kmerlist entries; they belong to its section 0.
+    let pre_of = |section: usize| if section == 0 { pre } else { &[] };
+    let jobs: Vec<usize> = (0..slot.sections.len())
+        .filter(|&s| slot.sections[s].records + pre_of(s).len() > 0)
         .collect();
-    // `pre` is sorted and buckets ascend with the key, so the walk consumed all of it.
-    assert_eq!(
-        jobs.iter().map(|job| job.pre.len()).sum::<usize>(),
-        pre.len(),
-        "task {task}: kmerlist entries left over after the last bucket"
-    );
-    let _span = trace::span!(
-        "bucket-sort-count",
-        trace::Detail::Task,
-        rank,
-        task = task,
-        records = records,
-        buckets = jobs.len(),
-        max_bucket = jobs.iter().map(|job| job.records).max().unwrap_or(0),
-    );
-
-    // ---- bucket-sort-count: one run of buckets per thread; at a budget of one, a loop ---
-    let (store, pre, like) = (&*store, &pre[..], &*histogram);
-    let outputs: Vec<RunOutput<K, T>> = map_balanced_runs(
+    let like = &*histogram;
+    let outputs: Vec<(Vec<RunOutput<K, T>>, usize)> = map_balanced_runs(
         jobs,
-        |job| job.records + job.pre.len(),
+        |&s| slot.sections[s].records + pre_of(s).len(),
         0,
         lanes,
         || Lane::new(like),
         |run, lane| {
-            let mut out = RunOutput::default();
-            if T::TAGGED {
-                out.records
-                    .reserve_exact(run.iter().map(|job| job.records).sum());
-            }
-            for job in run {
-                store.gather(job.bucket, &mut lane.bucket);
-                assert_eq!(
-                    lane.bucket.len(),
-                    job.records,
-                    "task {task}: records gathered for a bucket vs held by its chunk list"
+            let mut out = Vec::with_capacity(run.len());
+            let mut decoded = 0;
+            for section in run {
+                let records = slot.sections[section].records;
+                let _span = trace::span!(
+                    "count-section",
+                    trace::Detail::Task,
+                    rank,
+                    task = task,
+                    section = section,
+                    records = records,
                 );
+                // Extension ranges are u32 offsets into the section's records; make the
+                // limit explicit rather than silently wrapping.
+                assert!(
+                    !T::TAGGED || u32::try_from(records).is_ok(),
+                    "task {task}: section {section} of {records} records exceeds the \
+                     u32 extension-range limit"
+                );
+                lane.records.clear();
+                lane.records.reserve_exact(records);
+                decode_section(slot, section, k, &mut lane.records);
+                decoded += lane.records.len();
                 match params.sorter {
-                    SortAlgorithm::Raduls => raduls_sort_with_aux(&mut lane.bucket, &mut lane.aux),
-                    _ => paradis_sort_from(&mut lane.bucket, params.first_radix_level),
+                    SortAlgorithm::Raduls => {
+                        let grow = lane.records.len().saturating_sub(lane.aux.len());
+                        lane.aux.reserve_exact(grow);
+                        raduls_sort_with_aux(&mut lane.records, &mut lane.aux);
+                    }
+                    _ => paradis_sort_from(&mut lane.records, params.first_radix_level),
                 }
                 assert!(
-                    lane.bucket.last().is_none_or(|record| digit.holds(record)),
+                    lane.records.last().is_none_or(|record| digit.holds(record)),
                     "task {task}: a decoded k-mer is wider than 2k bits"
                 );
-                count_sorted_bucket(
-                    &mut lane.bucket,
-                    &pre[job.pre],
-                    params,
-                    &mut lane.histogram,
-                    &mut out,
-                );
+                out.extend(count_section(lane, pre_of(section), params));
             }
-            out
+            (out, decoded)
         },
     );
+    // What the block headers announce against what the blocks decode to.
+    let decoded: usize = outputs.iter().map(|(_, decoded)| decoded).sum();
+    let consistent = decoded == slot.records;
     for lane in lanes.iter_mut() {
-        histogram.merge(&lane.histogram);
+        if consistent {
+            histogram.merge(&lane.histogram);
+        }
         lane.histogram.clear();
-        // A skewed bucket grew the buffers past the cache; do not keep that.
-        let cache_len = IN_CACHE_BYTES / std::mem::size_of::<T>();
-        lane.bucket.clear();
-        lane.bucket.shrink_to(cache_len);
-        lane.aux.truncate(cache_len);
-        lane.aux.shrink_to(cache_len);
     }
-
-    let mut outputs = outputs.into_iter();
-    let mut out = outputs.next().unwrap_or_default();
-    for next in outputs {
-        let base = out.records.len() as u32;
-        out.counts.extend(next.counts);
-        out.ranges
-            .extend(next.ranges.iter().map(|&(start, len)| (base + start, len)));
-        out.records.extend(next.records);
+    if !consistent {
+        return Err(WireError::CountMismatch {
+            task,
+            expected: slot.records as u64,
+            got: decoded as u64,
+        });
     }
-    Ok(out)
+    *received_records += decoded as u64;
+    *precounted_records += pre.len() as u64;
+    Ok(outputs.into_iter().flat_map(|(runs, _)| runs).collect())
 }
 
-/// Scan one sorted bucket against its slice of the kmerlist entries: every distinct
-/// k-mer goes to the histogram, the retained ones to `out`. With extensions, each
-/// retained run is ordered by extension (keys are equal within a run, so the bucket
-/// stays sorted by k-mer) and the bucket is appended to the output records.
-fn count_sorted_bucket<K: KmerCode, T: Record<K>>(
-    bucket: &mut [T],
+/// Scan one sorted section against its kmerlist entries: every distinct k-mer goes to
+/// the lane's histogram, the retained ones to the section's run — `None` when nothing
+/// is retained. With extensions, each retained run of records is ordered by extension
+/// (keys are equal within a run, so the section stays sorted by k-mer) and the records
+/// are kept with the run.
+fn count_section<K: KmerCode, T: Record<K>>(
+    lane: &mut Lane<K, T>,
     pre: &[(K, u64)],
     params: &CountParams,
-    histogram: &mut KmerHistogram,
-    out: &mut RunOutput<K, T>,
-) {
-    let base = out.records.len();
-    let first_range = out.ranges.len();
-    merge_runs_with_counts(bucket, T::kmer, pre, |km, total, range| {
+) -> Option<RunOutput<K, T>> {
+    let Lane {
+        records,
+        counts,
+        ranges,
+        histogram,
+        ..
+    } = lane;
+    counts.clear();
+    ranges.clear();
+    merge_runs_with_counts(records, T::kmer, pre, |km, total, range| {
         histogram.record(total);
         if total >= params.min_count && total <= params.max_count {
-            out.counts.push((km, total));
+            counts.push((km, total));
             if T::TAGGED {
-                out.ranges
-                    .push(((base + range.start) as u32, range.len() as u32));
+                ranges.push((range.start as u32, range.len() as u32));
             }
         }
     });
-    if T::TAGGED {
-        for &(start, len) in &out.ranges[first_range..] {
-            T::sort_run(&mut bucket[start as usize - base..][..len as usize]);
-        }
-        out.records.extend_from_slice(bucket);
+    if counts.is_empty() {
+        return None;
     }
+    if T::TAGGED {
+        for &(start, len) in ranges.iter() {
+            T::sort_run(&mut records[start as usize..][..len as usize]);
+        }
+    }
+    Some(RunOutput {
+        counts: counts.to_vec(),
+        records: if T::TAGGED {
+            records.to_vec()
+        } else {
+            Vec::new()
+        },
+        ranges: ranges.to_vec(),
+    })
 }
 
 /// The counted tasks of one rank, before the per-rank merge.
 #[derive(Debug)]
 pub struct Stage3Output<K: KmerCode> {
-    /// Per-task outputs, in slot order.
+    /// The sorted runs the tasks' sections emitted, in slot and section order.
     pub tasks: Vec<TaskCounts<K>>,
     /// Merged multiplicity histogram.
     pub histogram: KmerHistogram,
@@ -732,10 +723,13 @@ pub struct Stage3Output<K: KmerCode> {
     pub received_records: u64,
     /// Total kmerlist entries decoded.
     pub precounted_records: u64,
+    /// High-water bytes of the count buffers — lanes and kmerlist staging — of the
+    /// scratches that counted them, summed.
+    pub buffer_bytes: u64,
 }
 
 impl<K: KmerCode> Stage3Output<K> {
-    /// Assemble the stage output from per-task results and the worker scratches that
+    /// Assemble the stage output from the counted runs and the worker scratches that
     /// produced them: histograms and work counters merge once per scratch, not once
     /// per task. The pipeline's round loop accumulates `tasks` round by round and
     /// drains its [`hysortk_task::ScratchBank`] once at the end;
@@ -748,24 +742,27 @@ impl<K: KmerCode> Stage3Output<K> {
         let mut histogram = KmerHistogram::new(max_count as usize + 2);
         let mut received_records = 0u64;
         let mut precounted_records = 0u64;
+        let mut buffer_bytes = 0u64;
         for scratch in scratches {
             histogram.merge(&scratch.histogram);
             received_records += scratch.received_records;
             precounted_records += scratch.precounted_records;
+            buffer_bytes += scratch.buffer_bytes();
         }
         Stage3Output {
             tasks,
             histogram,
             received_records,
             precounted_records,
+            buffer_bytes,
         }
     }
 }
 
 /// Count every task of the block index on the worker pool: tasks are independent work
 /// items, so decode of one task overlaps sort+count of another, and each worker thread
-/// reuses one [`CountScratch`] (bucket pool, bucket buffers, kmerlist staging,
-/// histogram) across all its tasks.
+/// reuses one [`CountScratch`] (lanes, kmerlist staging, histogram) across all its
+/// tasks.
 ///
 /// Not a product path: the pipeline's round loop (`crate::overlap`) runs [`count_task`]
 /// in its own job lists and returns a slot whose header-derived totals are not what
@@ -781,7 +778,7 @@ pub fn count_blocks_parallel<K: KmerCode>(
 ) -> Stage3Output<K> {
     let work: Vec<&TaskSlot<'_, K>> = index.slots.iter().collect();
     let rank = pool.rank();
-    let (tasks, scratches) = pool.execute_with_scratch(
+    let (runs, scratches) = pool.execute_with_scratch(
         work,
         || CountScratch::new(params.max_count),
         |scratch, slot| {
@@ -795,7 +792,11 @@ pub fn count_blocks_parallel<K: KmerCode>(
             count_task(slot, k, params, rank, scratch).unwrap_or_else(|e| panic!("{e}"))
         },
     );
-    Stage3Output::assemble(tasks, scratches, params.max_count)
+    Stage3Output::assemble(
+        runs.into_iter().flatten().collect(),
+        scratches,
+        params.max_count,
+    )
 }
 
 /// One rank's merged stage-3 result.
@@ -1078,11 +1079,13 @@ fn reference_count_one_task<K: KmerCode>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{write_block, SupermerBlockWriter, TaskPayload};
+    use crate::wire::{
+        push_supermer, write_block, write_supermer_block, SupermerBlockWriter, TaskPayload,
+    };
     use hysortk_dna::kmer::{Kmer1, Kmer2};
     use hysortk_dna::readset::Read;
     use hysortk_dna::sequence::DnaSeq;
-    use hysortk_sort::count_sorted_runs;
+    use hysortk_sort::{count_sorted_runs, IN_CACHE_BYTES};
     use hysortk_supermer::mmer::{MmerScorer, ScoreFunction};
     use hysortk_supermer::supermer::build_supermers;
     use rand::rngs::StdRng;
@@ -1099,10 +1102,10 @@ mod tests {
         params: &CountParams,
     ) -> Stage3Output<K> {
         let mut scratch = CountScratch::new(params.max_count);
-        let tasks = (index.slots.iter())
-            .map(|slot| count_task(slot, k, params, 0, &mut scratch).expect("consistent slot"))
+        let runs = (index.slots.iter())
+            .flat_map(|slot| count_task(slot, k, params, 0, &mut scratch).expect("consistent slot"))
             .collect();
-        Stage3Output::assemble(tasks, vec![scratch], params.max_count)
+        Stage3Output::assemble(runs, vec![scratch], params.max_count)
     }
 
     /// Two source segments with supermer blocks partitioned by minimizer target, one
@@ -1160,6 +1163,8 @@ mod tests {
         assert!(!index.slots.is_empty());
         let p = params(false);
         for slot in &index.slots {
+            assert_eq!(slot.sections.len(), 1, "unsectioned blocks");
+            assert_eq!(slot.sections[0].records, slot.records);
             let mut scratch = CountScratch::new(p.max_count);
             let before = (scratch.received_records, scratch.precounted_records);
             count_task(slot, 15, &p, 0, &mut scratch).unwrap();
@@ -1256,7 +1261,7 @@ mod tests {
         // One supermer of 20 bases, by hand: the length byte, then five bytes of bases.
         let body = [20u8, 0x1b, 0xe4, 0x39, 0x93, 0x6c];
         let mut segment = Vec::new();
-        crate::wire::write_supermer_block(&mut segment, 7, false, 1, &body);
+        write_supermer_block(&mut segment, 7, false, 1, &[(0, 1, &body)]);
 
         let mut plain = BlockIndexBuilder::<Kmer1>::new().requiring_provenance(false);
         plain.add_segment(&segment, 15).unwrap();
@@ -1268,6 +1273,54 @@ mod tests {
             with_extension.add_segment(&segment, 15),
             Err(WireError::MissingProvenance { task: 7 })
         );
+    }
+
+    /// All blocks of a task are cut into the same number of sections — a sectioned
+    /// block beside an unsectioned one (a kmerlist, a record block, a one-section
+    /// supermer block) or beside one of another `S` is a typed error from the index
+    /// pass, whichever arrives first.
+    #[test]
+    fn blocks_of_one_task_that_disagree_on_sections_are_a_typed_error() {
+        let body = [20u8, 0x1b, 0xe4, 0x39, 0x93, 0x6c];
+        let sectioned = |sections: u32| {
+            let mut block = Vec::new();
+            write_supermer_block(&mut block, 3, false, sections, &[(1, 1, &body)]);
+            block
+        };
+        let unsectioned = |kind: usize| {
+            let mut block = Vec::new();
+            let kmer = Kmer1::from_ascii(b"ACGTACGTACGTACG");
+            match kind {
+                0 => write_supermer_block(&mut block, 3, false, 1, &[(0, 1, &body)]),
+                1 => write_block(&mut block, 3, &TaskPayload::KmerList(vec![(kmer, 2)])),
+                _ => write_block(&mut block, 3, &TaskPayload::Records(vec![kmer], None)),
+            }
+            block
+        };
+        for kind in 0..3 {
+            for (first, then, expected, got) in [
+                (unsectioned(kind), sectioned(4), 1, 4),
+                (sectioned(4), unsectioned(kind), 4, 1),
+                (sectioned(4), sectioned(8), 4, 8),
+            ] {
+                let mut builder = BlockIndexBuilder::<Kmer1>::new();
+                builder.add_segment(&first, 15).unwrap();
+                assert_eq!(
+                    builder.add_segment(&then, 15),
+                    Err(WireError::SectionMismatch {
+                        task: 3,
+                        expected,
+                        got
+                    })
+                );
+            }
+        }
+        // Blocks that agree index section by section.
+        let (a, b) = (sectioned(4), sectioned(4));
+        let index = build_block_index::<Kmer1, _>([&a[..], &b[..]], 15).unwrap();
+        let records: Vec<usize> = index.slots[0].sections.iter().map(|s| s.records).collect();
+        assert_eq!(records, [0, 12, 0, 0]);
+        assert_eq!(index.slots[0].records, 12);
     }
 
     #[test]
@@ -1311,7 +1364,7 @@ mod tests {
 
     /// Appends blocks of one task to a segment. Keys come out of real supermers (so
     /// they are canonical k-mers of width `k`), out of records blocks and out of
-    /// kmerlists; `hot` steers records into one bucket or one key.
+    /// kmerlists; `fixed_bases` steers records into one top-bits range or one key.
     struct TaskBuilder<'a> {
         rng: &'a mut StdRng,
         k: usize,
@@ -1339,6 +1392,28 @@ mod tests {
             for (i, seq) in seqs.iter().enumerate() {
                 writer.push(i as u32, 5 * i as u32, seq, 0, seq.len());
             }
+        }
+
+        /// A supermer block cut into `kmers.len()` sections, section `s` holding exactly
+        /// `kmers[s]` k-mers in supermers of mixed length.
+        fn sections(&mut self, out: &mut Vec<u8>, task: u32, kmers: &[usize]) {
+            let bodies: Vec<(u32, Vec<u8>)> = (kmers.iter())
+                .map(|&n| {
+                    let (mut body, mut count, mut have) = (Vec::new(), 0u32, 0);
+                    while have < n {
+                        let len = self.k + self.rng.gen_range(0..400).min(n - have - 1);
+                        have += len + 1 - self.k;
+                        let seq = self.random_seq(len);
+                        push_supermer(&mut body, Some((count, 5 * count)), &seq, 0, len);
+                        count += 1;
+                    }
+                    (count, body)
+                })
+                .collect();
+            let parts: Vec<(u32, u64, &[u8])> = (bodies.iter().enumerate())
+                .map(|(s, (n, body))| (s as u32, u64::from(*n), &body[..]))
+                .collect();
+            write_supermer_block(out, task, true, kmers.len() as u32, &parts);
         }
 
         /// `n` canonical k-mers drawn from a pool of `distinct`, all sharing the top
@@ -1383,8 +1458,8 @@ mod tests {
     }
 
     /// Tasks of every shape the driver distinguishes, in an order that makes one
-    /// scratch's pool and buffers grow and shrink. `unit` is a record count just above
-    /// what fits `IN_CACHE_BYTES` for bare keys of width `K`.
+    /// scratch's lanes meet small tasks after large ones. `unit` is a record count just
+    /// above what fits `IN_CACHE_BYTES` for bare keys of width `K`.
     fn shaped_segments<K: KmerCode>(seed: u64, k: usize) -> Vec<Vec<u8>> {
         let unit = IN_CACHE_BYTES / std::mem::size_of::<K>() + 1000;
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1412,15 +1487,15 @@ mod tests {
         b.records(s0, 2, poly_a);
         // 3: structurally empty.
         let _ = SupermerBlockWriter::new(s1, 3, 0);
-        // 4: twice the size: one bucket alone is out of cache, the rest is spread.
+        // 4: twice the size: one top-bits range alone is out of cache, the rest spread.
         let one_bucket = b.kmers::<K>(unit, unit / 20, 16.min(k));
         b.records(s0, 4, one_bucket);
         b.supermers(s1, 4, unit);
         // 5: kmerlist only.
         let only = b.kmers::<K>(2_000, 500, 0);
         b.kmerlist(s0, 5, only);
-        // 6: out of cache, records confined to the lowest buckets, kmerlist keys spread
-        //    over all of them — most fall into buckets that hold no record.
+        // 6: out of cache, records confined to the lowest key range, kmerlist keys spread
+        //    over all of them — most fall where no record is.
         let low = b.kmers::<K>(unit, 5_000, 3.min(k));
         b.records(s1, 6, low);
         let spread = b.kmers::<K>(1_000, 1_000, 0);
@@ -1448,8 +1523,8 @@ mod tests {
             assert!(k < 10 || (1_000..distinct as usize).contains(&retained));
             for sorter in [SortAlgorithm::Raduls, SortAlgorithm::Paradis] {
                 let p = CountParams::for_kmer::<K>(k, sorter, 2, max_count, with_ext);
-                // One slot list, run on one thread under budgets of 1 and 3 threads:
-                // the bucket phase is a plain loop, or three runs of buckets.
+                // One slot list, run on one thread under budgets of 1 and 3 threads
+                // (each task here is one section, so the budget must change nothing).
                 for budget in [1usize, 3] {
                     let pool = WorkerPool::new(1, budget);
                     let counted = (pool.execute(vec![()], |()| {
@@ -1475,45 +1550,157 @@ mod tests {
     #[test]
     fn one_pass_counting_matches_the_reference_on_two_word_kmers() {
         one_pass_matches_the_reference::<Kmer2>(43, 55);
-        // 2k = 68: the bucket digit straddles the two key words.
+        // 2k = 68: the key's top bits straddle the two key words.
         one_pass_matches_the_reference::<Kmer2>(44, 34);
     }
 
+    /// Two sources' blocks as a run writes them: reads cut into supermers at
+    /// `tasks × sections` minimizer targets, each going to task `target % tasks`,
+    /// section `target / tasks`, with provenance. One section is written by the
+    /// streamed [`SupermerBlockWriter`] — the harness replay's blocks — more by
+    /// [`write_supermer_block`] behind a directory.
+    fn minimizer_segments(seed: u64, k: usize, tasks: u32, sections: u32) -> Vec<Vec<u8>> {
+        use hysortk_supermer::streaming::{for_each_supermer, SupermerScratch};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let genome: Vec<u8> = (0..20_000).map(|_| b"ACGT"[rng.gen_range(0..4)]).collect();
+        let m = if k > 32 { 23 } else { k / 2 };
+        let scorer = MmerScorer::new(m, ScoreFunction::Hash { seed: 5 });
+        let mut scratch = SupermerScratch::new();
+        let targets = tasks * sections;
+        let mut segments = Vec::new();
+        for src in 0..2u32 {
+            let reads: Vec<Read> = (0..40)
+                .map(|i| {
+                    let start = rng.gen_range(0..genome.len() - 1_000);
+                    Read::from_ascii(40 * src + i, "r", &genome[start..start + 1_000])
+                })
+                .collect();
+            let mut spans = vec![Vec::new(); targets as usize];
+            for read in &reads {
+                for_each_supermer(&read.seq, k, &scorer, targets, &mut scratch, |span| {
+                    spans[span.target as usize].push((read, span.start, span.len()));
+                });
+            }
+            let mut segment = Vec::new();
+            for task in 0..tasks {
+                let of_section = |s: u32| &spans[(task + tasks * s) as usize];
+                if sections == 1 {
+                    let mut writer =
+                        SupermerBlockWriter::new(&mut segment, task, of_section(0).len() as u32);
+                    for &(read, start, len) in of_section(0) {
+                        writer.push(read.id, start, &read.seq, start as usize, len);
+                    }
+                    continue;
+                }
+                let bodies: Vec<Vec<u8>> = (0..sections)
+                    .map(|s| {
+                        let mut body = Vec::new();
+                        for &(read, start, len) in of_section(s) {
+                            let from = Some((read.id, start));
+                            push_supermer(&mut body, from, &read.seq, start as usize, len);
+                        }
+                        body
+                    })
+                    .collect();
+                let parts: Vec<(u32, u64, &[u8])> = (0..sections)
+                    .map(|s| (s, of_section(s).len() as u64, &bodies[s as usize][..]))
+                    .collect();
+                write_supermer_block(&mut segment, task, true, sections, &parts);
+            }
+            segments.push(segment);
+        }
+        segments
+    }
+
+    /// A sectioned task counts to what the reference counts from the same supermers,
+    /// and so does the same input in unsectioned blocks through
+    /// [`count_blocks_parallel`] — the harness replay's call; sections are counted on
+    /// one thread and split over two, with and without extensions.
     #[test]
-    fn scratch_holds_one_pool_and_cache_sized_buffers_only() {
+    fn sectioned_and_replay_blocks_count_like_the_reference() {
+        fn check<K: KmerCode>(seed: u64, k: usize) {
+            let tasks = 3u32;
+            for sections in [1u32, 4, 16] {
+                let segments = minimizer_segments(seed, k, tasks, sections);
+                let segments = || segments.iter().map(Vec::as_slice);
+                let index = build_block_index::<K, _>(segments(), k).unwrap();
+                assert_eq!(index.slots.len(), tasks as usize);
+                for slot in &index.slots {
+                    assert_eq!(slot.sections.len(), sections as usize);
+                    let records = slot.sections.iter().map(|s| s.records).sum::<usize>();
+                    assert_eq!(records, slot.records);
+                }
+                for with_ext in [false, true] {
+                    let p =
+                        CountParams::for_kmer::<K>(k, SortAlgorithm::Raduls, 2, 1_000, with_ext);
+                    let reference = count_blocks_reference::<K, _>(segments(), k, &p).unwrap();
+                    assert!(reference.counts.len() > 1_000, "k = {k}");
+                    for threads_per_worker in [1usize, 2] {
+                        let pool = WorkerPool::new(2, threads_per_worker);
+                        let counted = count_blocks_parallel(&index, k, &p, &pool);
+                        // One run per section that retained a k-mer.
+                        assert!(counted.tasks.len() <= (tasks * sections) as usize);
+                        assert!(counted.tasks.iter().all(|run| !run.counts.is_empty()));
+                        assert!(
+                            merge_task_counts(counted, &p) == reference,
+                            "k = {k}, {sections} sections, extensions {with_ext}, \
+                             {threads_per_worker} thread(s) per worker"
+                        );
+                    }
+                }
+            }
+        }
+        check::<Kmer1>(47, 31);
+        check::<Kmer1>(48, 15);
+        check::<Kmer2>(49, 55);
+    }
+
+    /// No buffer of a task's size, whatever the task looks like: a scratch's lane holds
+    /// the largest section it has counted — decode buffer and RADULS buffer alike — and
+    /// the record type the run does not use allocates nothing.
+    #[test]
+    fn scratch_holds_lanes_sized_by_the_largest_section_only() {
         let k = 31;
         let mut rng = StdRng::seed_from_u64(45);
         let mut b = TaskBuilder { rng: &mut rng, k };
-        let n = 300_000;
         let mut segment = Vec::new();
-        b.supermers(&mut segment, 0, n);
-        // A second task that is one key: its single bucket outgrows the cache.
-        let poly_a = b.kmers::<Kmer1>(n, 1, k);
-        b.records(&mut segment, 1, poly_a);
-        b.supermers(&mut segment, 2, 1_000);
+        // 170 000 records in four sections, one of them empty; then an unsectioned task
+        // and a one-key task, both larger than the first section and smaller than the
+        // largest.
+        b.sections(&mut segment, 0, &[40_000, 10_000, 0, 120_000]);
+        b.supermers(&mut segment, 1, 60_000);
+        let poly_a = b.kmers::<Kmer1>(50_000, 1, k);
+        b.records(&mut segment, 2, poly_a);
         let index = build_block_index::<Kmer1, _>([&segment[..]], k).unwrap();
+        let sections: Vec<Vec<usize>> = (index.slots.iter())
+            .map(|slot| slot.sections.iter().map(|s| s.records).collect())
+            .collect();
+        assert_eq!(
+            sections,
+            [vec![40_000, 10_000, 0, 120_000], vec![60_000], vec![50_000]]
+        );
         let p = CountParams::for_kmer::<Kmer1>(k, SortAlgorithm::Raduls, 1, 50, false);
-        let mut scratch = CountScratch::new(p.max_count);
-        let cache_len = IN_CACHE_BYTES / std::mem::size_of::<Kmer1>();
-        for slot in &index.slots {
-            count_task(slot, k, &p, 0, &mut scratch).unwrap();
-            // No second task-sized array, whatever the task looked like: the pool is the
-            // records plus a sixteenth, the per-thread buffers are cache-sized, and the
-            // record type the run does not use allocated nothing.
-            let pool = scratch.keys.store.pool_capacity();
-            assert!(
-                (n..=n + n / 16 + 16 * 257).contains(&pool),
-                "pool of {pool}"
-            );
-            assert!(!scratch.keys.lanes.is_empty());
-            for lane in &scratch.keys.lanes {
-                assert!(lane.bucket.capacity() <= cache_len, "task {}", slot.task);
-                assert!(lane.aux.capacity() <= cache_len, "task {}", slot.task);
+        // One thread of budget: one lane.
+        let scratch = (WorkerPool::new(1, 1).execute(vec![()], |()| {
+            let mut scratch = CountScratch::new(p.max_count);
+            for slot in &index.slots {
+                count_task(slot, k, &p, 0, &mut scratch).unwrap();
+                let [lane] = &scratch.keys[..] else {
+                    panic!("one lane at a budget of one thread")
+                };
+                assert_eq!(lane.records.capacity(), 120_000, "task {}", slot.task);
+                assert_eq!(lane.aux.capacity(), 120_000, "task {}", slot.task);
+                assert!(scratch.tagged.is_empty());
             }
-            assert_eq!(scratch.tagged.store.pool_capacity(), 0);
-            assert!(scratch.tagged.lanes.is_empty());
-        }
-        assert_eq!(scratch.received_records, 2 * n as u64 + 1_000);
+            scratch
+        }))
+        .pop()
+        .unwrap();
+        assert_eq!(scratch.received_records, 170_000 + 60_000 + 50_000);
+        // The lane's two record buffers, its staging of what a section retains, and no
+        // kmerlist staging.
+        let bytes = scratch.buffer_bytes();
+        assert!((2 * 120_000 * 8..=2 * 120_000 * 8 + 3 * 120_000 * 16).contains(&bytes));
     }
 
     const MISMATCH_K: usize = 21;
@@ -1536,15 +1723,15 @@ mod tests {
     /// The four ways a slot's header-derived totals can be at odds with its blocks:
     /// (records announced, kmerlist entries announced, records held).
     const MISMATCHES: [(usize, usize, usize); 4] = [
-        (70_000, 10, 100_000),  // the pool is sized too small
+        (70_000, 10, 100_000),  // the headers announce too few
         (100_001, 10, 100_000), // the decode comes up short
         (999, 10, 1_000),       // a small task decodes long
         (1_000, 11, 1_000),     // the kmerlist total
     ];
 
     /// A slot whose header-derived totals are not what its blocks hold must not count
-    /// short or write past the pool: counting it is a `CountMismatch` naming the task and
-    /// both totals, and the scratch it was counted in still counts the honest slot.
+    /// short: counting it is a `CountMismatch` naming the task and both totals, and the
+    /// scratch it was counted in still counts the honest slot.
     #[test]
     fn header_totals_that_disagree_with_the_decode_are_a_count_mismatch() {
         let k = MISMATCH_K;
@@ -1574,9 +1761,14 @@ mod tests {
                     got,
                 })
             );
-            let counted = count_task(&honest, k, &p, 0, &mut scratch).unwrap();
-            let fresh = count_task(&honest, k, &p, 0, &mut CountScratch::new(p.max_count));
-            assert_eq!(counted.counts, fresh.unwrap().counts);
+            let runs = |scratch: &mut CountScratch<Kmer1>| -> Vec<Vec<(Kmer1, u64)>> {
+                let runs = count_task(&honest, k, &p, 0, scratch).unwrap();
+                runs.into_iter().map(|run| run.counts).collect()
+            };
+            assert_eq!(
+                runs(&mut scratch),
+                runs(&mut CountScratch::new(p.max_count))
+            );
         }
     }
 

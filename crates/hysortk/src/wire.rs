@@ -7,11 +7,26 @@
 //!   bases, from which the receiver re-extracts the k-mers; stage 1 writes them, into
 //!   the task's staged body ([`push_supermer`]). Without extensions the block is *bare*:
 //!   the header is **one length byte**, 255 announcing a `u32` length (a supermer is a
-//!   run of k-mers with one target *task*, so on long reads 255 bases and more occur).
-//!   An extension run writes `(read id, start offset, base length)` as three `u32`s,
-//!   which imply every k-mer's provenance — one of the reasons the supermer path needs
-//!   no separate extension exchange — and its index pass rejects a bare block, which
-//!   would decode to read 0, offset 0 ([`WireError::MissingProvenance`]).
+//!   run of k-mers with one minimizer target, so on long reads 255 bases and more
+//!   occur). An extension run writes `(read id, start offset, base length)` as three
+//!   `u32`s, which imply every k-mer's provenance — one of the reasons the supermer path
+//!   needs no separate extension exchange — and its index pass rejects a bare block,
+//!   which would decode to read 0, offset 0 ([`WireError::MissingProvenance`]).
+//!
+//!   A run on a large input cuts every task into `S` **sections** (a power of two, at
+//!   most [`MAX_SECTIONS`]): a supermer's section is its minimizer target divided by the
+//!   task count, so a canonical k-mer lies in exactly one section, and the receiver
+//!   counts a task one cache-sized section at a time. Such a block carries its bodies
+//!   section after section behind a **section directory**:
+//!
+//!   ```text
+//!   task u32 · kind u8 · supermers u32 · S u32 · S × (supermers u32, bytes u32) · bodies · checksum u32
+//!   ```
+//!
+//!   An unsectioned block (`S = 1`: every small input, and the harness's replay) has no
+//!   directory — `task · kind · supermers · body · checksum` — and is read as one
+//!   section. [`read_blocks`] walks every section's supermers against its directory
+//!   entry; all blocks of one task must agree on `S` ([`WireError::SectionMismatch`]).
 //! * **Kmerlist blocks** — the heavy-hitter path (§3.5): pre-aggregated
 //!   `(k-mer, count)` tuples.
 //! * **Record blocks** — the non-supermer ablation path: individual k-mers, optionally
@@ -91,6 +106,22 @@ pub enum WireError {
         /// Task id of the bare block.
         task: u32,
     },
+    /// A section directory is malformed: a section count outside `2..=MAX_SECTIONS`,
+    /// section supermer counts that do not sum to the block's, or a section whose
+    /// supermers do not end where its byte length says.
+    BadDirectory {
+        /// Byte offset of the offending directory field.
+        offset: usize,
+    },
+    /// Two blocks of one task were cut into different numbers of sections.
+    SectionMismatch {
+        /// Task id whose blocks disagree.
+        task: u32,
+        /// Sections of the task's first block.
+        expected: u32,
+        /// Sections of the block that disagrees.
+        got: u32,
+    },
 }
 
 impl fmt::Display for WireError {
@@ -130,6 +161,19 @@ impl fmt::Display for WireError {
                     f,
                     "supermer block for task {task} carries no provenance, \
                      which an extension run needs"
+                )
+            }
+            WireError::BadDirectory { offset } => {
+                write!(f, "malformed section directory at byte {offset}")
+            }
+            WireError::SectionMismatch {
+                task,
+                expected,
+                got,
+            } => {
+                write!(
+                    f,
+                    "task {task} arrived in blocks of {expected} and of {got} sections"
                 )
             }
         }
@@ -181,6 +225,20 @@ impl hysortk_dmem::Wire for WireError {
                 6u8.encode(out);
                 task.encode(out);
             }
+            WireError::BadDirectory { offset } => {
+                7u8.encode(out);
+                offset.encode(out);
+            }
+            WireError::SectionMismatch {
+                task,
+                expected,
+                got,
+            } => {
+                8u8.encode(out);
+                task.encode(out);
+                expected.encode(out);
+                got.encode(out);
+            }
         }
     }
 
@@ -210,6 +268,14 @@ impl hysortk_dmem::Wire for WireError {
             },
             6 => WireError::MissingProvenance {
                 task: u32::decode(input)?,
+            },
+            7 => WireError::BadDirectory {
+                offset: usize::decode(input)?,
+            },
+            8 => WireError::SectionMismatch {
+                task: u32::decode(input)?,
+                expected: u32::decode(input)?,
+                got: u32::decode(input)?,
             },
             _ => return None,
         })
@@ -269,6 +335,13 @@ const KIND_SUPERMERS: u8 = 0;
 const KIND_KMERLIST: u8 = 1;
 const KIND_RECORDS: u8 = 2;
 const KIND_BARE_SUPERMERS: u8 = 3;
+const KIND_SECTIONED_SUPERMERS: u8 = 4;
+const KIND_SECTIONED_BARE_SUPERMERS: u8 = 5;
+
+/// Most sections a task is cut into (the module docs' `S`).
+pub const MAX_SECTIONS: u32 = 256;
+/// Bytes of one section directory entry: supermers, then body bytes, as `u32`s.
+const DIRECTORY_ENTRY: usize = 8;
 
 const EXT_NONE: u8 = 0;
 const EXT_RAW: u8 = 1;
@@ -419,24 +492,65 @@ pub fn push_supermer(
     );
 }
 
-/// Serialise one supermer block from a staged body: `count` supermers that
-/// [`push_supermer`] wrote with or without `provenance`.
+/// Serialise one supermer block of a task cut into `sections` sections from staged
+/// bodies. `parts` are `(section, supermers, body)`, each body holding `supermers`
+/// supermers that [`push_supermer`] wrote with or without `provenance`: in section
+/// order, a section's parts in the order they were staged, any number of them per
+/// section — none for an empty one. One section is an unsectioned block; more (at most
+/// [`MAX_SECTIONS`]) go behind a section directory (module docs).
 pub fn write_supermer_block(
     out: &mut Vec<u8>,
     task: u32,
     provenance: bool,
-    count: u32,
-    body: &[u8],
+    sections: u32,
+    parts: &[(u32, u64, &[u8])],
 ) {
+    assert!(
+        (1..=MAX_SECTIONS).contains(&sections),
+        "{sections} sections, not 1..={MAX_SECTIONS}"
+    );
+    let supermers = |n: u64| u32::try_from(n).expect("a block holds fewer than 2^32 supermers");
+    let count = supermers(parts.iter().map(|&(_, n, _)| n).sum());
+    let bodies: usize = parts.iter().map(|(_, _, body)| body.len()).sum();
     let block_start = out.len();
+    out.reserve(17 + DIRECTORY_ENTRY * sections as usize + bodies);
     push_u32(out, task);
-    out.push(if provenance {
-        KIND_SUPERMERS
-    } else {
-        KIND_BARE_SUPERMERS
-    });
+    let kind = match (sections, provenance) {
+        (1, true) => KIND_SUPERMERS,
+        (1, false) => KIND_BARE_SUPERMERS,
+        (_, true) => KIND_SECTIONED_SUPERMERS,
+        (_, false) => KIND_SECTIONED_BARE_SUPERMERS,
+    };
+    out.push(kind);
     push_u32(out, count);
-    out.extend_from_slice(body);
+    if sections > 1 {
+        push_u32(out, sections);
+        let mut next = parts.iter().peekable();
+        for section in 0..sections {
+            let (mut n, mut bytes) = (0u64, 0usize);
+            while let Some((_, count, body)) = next.next_if(|part| part.0 == section) {
+                n += count;
+                bytes += body.len();
+            }
+            push_u32(out, supermers(n));
+            push_u32(
+                out,
+                u32::try_from(bytes).expect("a section body is smaller than 4 GiB"),
+            );
+        }
+        assert!(
+            next.next().is_none(),
+            "parts come in section order, each below {sections}"
+        );
+    } else {
+        assert!(
+            parts.iter().all(|part| part.0 == 0),
+            "one section: section 0"
+        );
+    }
+    for (_, _, body) in parts {
+        out.extend_from_slice(body);
+    }
     seal_block(out, block_start);
 }
 
@@ -518,28 +632,53 @@ pub enum PayloadView<'a, K: KmerCode> {
     Records(RecordsView<'a, K>),
 }
 
-/// Borrowed view of a supermer block body.
+/// Borrowed view of a supermer block body: its sections' bodies, back to back.
 #[derive(Debug, Clone, Copy)]
 pub struct SupermersView<'a> {
     count: usize,
     bytes: &'a [u8],
     provenance: bool,
+    /// The section directory; empty for an unsectioned block (one section).
+    directory: &'a [u8],
 }
 
 impl<'a> SupermersView<'a> {
-    /// View a body of `count` supermers whose lengths are known to fit: one this process
-    /// staged itself ([`push_supermer`]), or one [`read_blocks`] has walked.
+    /// View an unsectioned body of `count` supermers whose lengths are known to fit: one
+    /// this process staged itself ([`push_supermer`]), or one [`read_blocks`] has walked.
     pub(crate) fn staged(count: usize, bytes: &'a [u8], provenance: bool) -> Self {
         SupermersView {
             count,
             bytes,
             provenance,
+            directory: &[],
         }
     }
 
     /// Whether the supermers carry their read id and offset; without, both decode as 0.
     pub fn has_provenance(&self) -> bool {
         self.provenance
+    }
+
+    /// How many sections the block's task was cut into: 1 for an unsectioned block.
+    pub fn section_count(&self) -> usize {
+        (self.directory.len() / DIRECTORY_ENTRY).max(1)
+    }
+
+    /// The block's sections in order, each an unsectioned view of its own supermers —
+    /// the whole block when it has no directory.
+    pub fn sections(&self) -> impl Iterator<Item = SupermersView<'a>> + 'a {
+        let whole = self.directory.is_empty().then_some(*self);
+        let (provenance, mut rest) = (self.provenance, self.bytes);
+        let parts = self
+            .directory
+            .chunks_exact(DIRECTORY_ENTRY)
+            .map(move |entry| {
+                let (count, bytes) = directory_entry(entry);
+                let (part, tail) = rest.split_at(bytes);
+                rest = tail;
+                SupermersView::staged(count, part, provenance)
+            });
+        whole.into_iter().chain(parts)
     }
 
     /// Number of supermers in the block.
@@ -563,8 +702,8 @@ impl<'a> SupermersView<'a> {
 
     /// Exact number of k-mers this block will decode to, computed from the supermer
     /// headers alone (the packed bases are skipped, not decoded). The sort & count
-    /// stage uses this to build its per-task block index and preallocate the record
-    /// array to exactly the right size before decoding.
+    /// stage sums this per section into its block index and sizes the buffer it decodes
+    /// a section into from it.
     pub fn total_kmers(&self, k: usize) -> usize {
         self.iter().map(|sm| sm.num_kmers(k)).sum()
     }
@@ -576,6 +715,35 @@ pub struct SupermerIter<'a> {
     remaining: usize,
     bytes: &'a [u8],
     provenance: bool,
+}
+
+/// A section directory entry: `(supermers, body bytes)`.
+fn directory_entry(entry: &[u8]) -> (usize, usize) {
+    let word = |at: usize| u32::from_le_bytes(entry[at..at + 4].try_into().expect("4 bytes"));
+    (word(0) as usize, word(4) as usize)
+}
+
+/// Walk `count` supermer headers and bodies from `pos`, which must all lie within
+/// `buf`; returns where the last one ends. Every header consumes at least one byte, so
+/// a claimed count costs at most one step per byte of `buf`.
+fn walk_supermers(
+    buf: &[u8],
+    mut pos: usize,
+    count: usize,
+    provenance: bool,
+) -> Result<usize, WireError> {
+    for _ in 0..count {
+        let header_at = pos;
+        let (_, _, len) = read_supermer_header(buf, &mut pos, provenance)
+            .ok_or(WireError::Truncated { offset: pos })?;
+        let end = pos
+            .checked_add(len.div_ceil(4))
+            .ok_or(WireError::Oversized { offset: header_at })?;
+        buf.get(pos..end)
+            .ok_or(WireError::Truncated { offset: pos })?;
+        pos = end;
+    }
+    Ok(pos)
 }
 
 /// Decode the supermer header at `pos` into `(read id, start, bases)` — zeros for the
@@ -913,23 +1081,62 @@ pub fn read_blocks<K: KmerCode>(buf: &[u8]) -> Result<Vec<TaskBlockView<'_, K>>,
         let kind_at = pos;
         pos += 1;
         let payload = match kind {
-            KIND_SUPERMERS | KIND_BARE_SUPERMERS => {
-                let provenance = kind == KIND_SUPERMERS;
+            KIND_SUPERMERS
+            | KIND_BARE_SUPERMERS
+            | KIND_SECTIONED_SUPERMERS
+            | KIND_SECTIONED_BARE_SUPERMERS => {
+                let provenance = matches!(kind, KIND_SUPERMERS | KIND_SECTIONED_SUPERMERS);
                 let n =
                     read_u32(buf, &mut pos).ok_or(WireError::Truncated { offset: pos })? as usize;
-                let body_start = pos;
-                for _ in 0..n {
-                    let header_at = pos;
-                    let (_, _, len) = read_supermer_header(buf, &mut pos, provenance)
-                        .ok_or(WireError::Truncated { offset: pos })?;
-                    let end = pos
-                        .checked_add(len.div_ceil(4))
-                        .ok_or(WireError::Oversized { offset: header_at })?;
-                    buf.get(pos..end)
+                let mut directory: &[u8] = &[];
+                if matches!(
+                    kind,
+                    KIND_SECTIONED_SUPERMERS | KIND_SECTIONED_BARE_SUPERMERS
+                ) {
+                    let count_at = pos;
+                    let sections =
+                        read_u32(buf, &mut pos).ok_or(WireError::Truncated { offset: pos })?;
+                    if !(2..=MAX_SECTIONS).contains(&sections) {
+                        return Err(WireError::BadDirectory { offset: count_at });
+                    }
+                    let end = pos + DIRECTORY_ENTRY * sections as usize;
+                    directory = buf
+                        .get(pos..end)
                         .ok_or(WireError::Truncated { offset: pos })?;
                     pos = end;
                 }
-                PayloadView::Supermers(SupermersView::staged(n, &buf[body_start..pos], provenance))
+                let body_start = pos;
+                if directory.is_empty() {
+                    pos = walk_supermers(buf, pos, n, provenance)?;
+                } else {
+                    // Each section's supermers must end exactly where its byte length
+                    // says, and the sections must hold the block's supermers.
+                    let mut supermers = 0usize;
+                    for (i, entry) in directory.chunks_exact(DIRECTORY_ENTRY).enumerate() {
+                        let entry_at = body_start - directory.len() + i * DIRECTORY_ENTRY;
+                        let (count, bytes) = directory_entry(entry);
+                        let end = pos
+                            .checked_add(bytes)
+                            .ok_or(WireError::Oversized { offset: entry_at })?;
+                        let section = buf.get(..end).ok_or(WireError::Truncated { offset: pos })?;
+                        if walk_supermers(section, pos, count, provenance)? != end {
+                            return Err(WireError::BadDirectory { offset: entry_at });
+                        }
+                        supermers += count;
+                        pos = end;
+                    }
+                    if supermers != n {
+                        return Err(WireError::BadDirectory {
+                            offset: body_start - directory.len() - 4,
+                        });
+                    }
+                }
+                PayloadView::Supermers(SupermersView {
+                    count: n,
+                    bytes: &buf[body_start..pos],
+                    provenance,
+                    directory,
+                })
             }
             KIND_KMERLIST => {
                 let len_at = pos;
@@ -1240,8 +1447,8 @@ mod tests {
                 spans.iter().map(|s| supermer_wire_len(s.1, true)).sum()
             );
             let mut buf = Vec::new();
-            write_supermer_block(&mut buf, 4, false, spans.len() as u32, &bare);
-            write_supermer_block(&mut buf, 4, true, spans.len() as u32, &tagged);
+            write_supermer_block(&mut buf, 4, false, 1, &[(0, spans.len() as u64, &bare)]);
+            write_supermer_block(&mut buf, 4, true, 1, &[(0, spans.len() as u64, &tagged)]);
             let blocks = read_blocks::<K>(&buf).unwrap();
             let views: Vec<SupermersView<'_>> = (blocks.iter())
                 .map(|b| match b.payload {
@@ -1469,10 +1676,30 @@ mod tests {
         for s in &bare {
             push_supermer(&mut body, None, &s.seq, 0, s.seq.len());
         }
-        write_supermer_block(&mut buf, 3, false, 1 + bare.len() as u32, &body);
+        write_supermer_block(&mut buf, 3, false, 1, &[(0, 1 + bare.len() as u64, &body)]);
         boundaries.push(buf.len());
+        // Sectioned blocks, bare and with provenance: the supermers dealt over four
+        // sections, the third left empty, each section staged in two parts (the second
+        // one empty where a section holds one supermer).
+        let dealt = |i: usize| [0, 1, 3][i % 3];
+        for (task, provenance) in [(4u32, false), (5, true)] {
+            let mut staged = vec![[(0u64, Vec::new()), (0, Vec::new())]; 4];
+            for (i, s) in bare.iter().enumerate() {
+                let (n, body) = &mut staged[dealt(i)][usize::from(i >= bare.len() / 2)];
+                let from = provenance.then_some((s.read_id, s.start));
+                push_supermer(body, from, &s.seq, 0, s.seq.len());
+                *n += 1;
+            }
+            let parts: Vec<(u32, u64, &[u8])> = (staged.iter().enumerate())
+                .flat_map(|(section, parts)| {
+                    (parts.iter()).map(move |(n, body)| (section as u32, *n, &body[..]))
+                })
+                .collect();
+            write_supermer_block(&mut buf, task, provenance, 4, &parts);
+            boundaries.push(buf.len());
+        }
         let full = read_blocks_owned::<Kmer1>(&buf).unwrap();
-        assert_eq!(full.len(), 4);
+        assert_eq!(full.len(), 6);
         match &full[3].payload {
             TaskPayload::Supermers(parsed) => {
                 assert_eq!(parsed.len(), 1 + bare.len());
@@ -1480,6 +1707,42 @@ mod tests {
                 assert!(parsed[1..].iter().zip(&bare).all(|(a, b)| a.seq == b.seq));
             }
             other => panic!("wrong payload {other:?}"),
+        }
+        for (block, provenance) in read_blocks::<Kmer1>(&buf).unwrap()[4..]
+            .iter()
+            .zip([false, true])
+        {
+            let PayloadView::Supermers(view) = &block.payload else {
+                panic!("wrong payload")
+            };
+            assert_eq!((view.len(), view.section_count()), (bare.len(), 4));
+            assert_eq!(view.has_provenance(), provenance);
+            // Section by section, each holds exactly what was dealt to it, in order.
+            for (section, part) in view.sections().enumerate() {
+                assert_eq!(part.section_count(), 1);
+                let expected: Vec<&Supermer> = (bare.iter().enumerate())
+                    .filter(|&(i, _)| dealt(i) == section)
+                    .map(|(_, s)| s)
+                    .collect();
+                assert_eq!(part.len(), expected.len(), "section {section}");
+                for (got, want) in part.iter().zip(expected) {
+                    assert_eq!(got.to_supermer(0).seq, want.seq);
+                    let from = if provenance {
+                        (want.read_id, want.start)
+                    } else {
+                        (0, 0)
+                    };
+                    assert_eq!((got.read_id, got.start), from);
+                }
+            }
+            // The whole block reads as the sections back to back.
+            assert_eq!(view.iter().count(), bare.len());
+            assert_eq!(
+                view.total_kmers(15),
+                view.sections()
+                    .map(|part| part.total_kmers(15))
+                    .sum::<usize>()
+            );
         }
 
         // Every prefix: parses to exactly its boundary blocks, or errors — no panics,
@@ -1516,7 +1779,7 @@ mod tests {
         // truncations, whatever follows.
         let bare_block = |count: u32, body: &[u8]| {
             let mut block = Vec::new();
-            write_supermer_block(&mut block, 0, false, count, body);
+            write_supermer_block(&mut block, 0, false, 1, &[(0, u64::from(count), body)]);
             block
         };
         let mut hostile_long = vec![LONG_SUPERMER];
@@ -1532,5 +1795,105 @@ mod tests {
                 Err(WireError::Truncated { .. })
             ));
         }
+
+        // So are the section count and the entries of a directory: a count beyond
+        // `MAX_SECTIONS` is refused before anything is read, entries are checked against
+        // the supermers they hold and against the buffer, and a checksum that matches
+        // does not make a hostile directory acceptable.
+        let mut two = Vec::new();
+        push_supermer(&mut two, None, &long, 0, 20);
+        push_supermer(&mut two, None, &long, 7, 20);
+        assert_eq!(two.len(), 12);
+        let sectioned = |sections: u32, entries: &[(u32, u32)], count: u32, body: &[u8]| {
+            let mut block = Vec::new();
+            push_u32(&mut block, 0);
+            block.push(KIND_SECTIONED_BARE_SUPERMERS);
+            push_u32(&mut block, count);
+            push_u32(&mut block, sections);
+            for &(n, bytes) in entries {
+                push_u32(&mut block, n);
+                push_u32(&mut block, bytes);
+            }
+            block.extend_from_slice(body);
+            seal_block(&mut block, 0);
+            block
+        };
+        // The honest block parses; the section count sits at byte 9, the entries at 13.
+        let honest = sectioned(2, &[(1, 6), (1, 6)], 2, &two);
+        assert_eq!(read_blocks::<Kmer1>(&honest).unwrap().len(), 1);
+        for (block, error) in [
+            (
+                sectioned(u32::MAX, &[], 2, &two),
+                WireError::BadDirectory { offset: 9 },
+            ),
+            (
+                sectioned(0, &[], 0, &[]),
+                WireError::BadDirectory { offset: 9 },
+            ),
+            (
+                sectioned(1, &[(2, 12)], 2, &two),
+                WireError::BadDirectory { offset: 9 },
+            ),
+            (
+                sectioned(MAX_SECTIONS + 1, &[(2, 12)], 2, &two),
+                WireError::BadDirectory { offset: 9 },
+            ),
+            // Counts that do not sum to the block's.
+            (
+                sectioned(2, &[(1, 6), (1, 6)], 3, &two),
+                WireError::BadDirectory { offset: 9 },
+            ),
+            // A section whose supermers end before or after its byte range does.
+            (
+                sectioned(2, &[(0, 6), (2, 6)], 2, &two),
+                WireError::BadDirectory { offset: 13 },
+            ),
+            (
+                sectioned(2, &[(1, 6), (1, 7)], 2, &two),
+                WireError::BadDirectory { offset: 21 },
+            ),
+            // Byte ranges past the end of the stream, and a directory longer than it.
+            (
+                sectioned(2, &[(1, 6), (1, u32::MAX)], 2, &two),
+                WireError::Truncated { offset: 35 },
+            ),
+            (
+                sectioned(2, &[(1, 6), (u32::MAX, 6)], 2, &two),
+                WireError::Truncated { offset: 41 },
+            ),
+            (
+                sectioned(MAX_SECTIONS, &[(1, 6), (1, 6)], 2, &two),
+                WireError::Truncated { offset: 13 },
+            ),
+        ] {
+            assert_eq!(read_blocks::<Kmer1>(&block).unwrap_err(), error);
+        }
+    }
+
+    /// Blocks of one section are the unsectioned format, byte for byte: what the
+    /// streamed writer puts on the wire.
+    #[test]
+    fn a_one_section_block_is_the_unsectioned_block() {
+        let seq = random_seq(400, 11);
+        let mut body = Vec::new();
+        let spans = [(0usize, 40usize), (33, 300), (390, 10)];
+        for &(offset, len) in &spans {
+            push_supermer(&mut body, Some((2, offset as u32)), &seq, offset, len);
+        }
+        let mut staged = Vec::new();
+        write_supermer_block(&mut staged, 9, true, 1, &[(0, spans.len() as u64, &body)]);
+        let mut streamed = Vec::new();
+        let mut writer = SupermerBlockWriter::new(&mut streamed, 9, spans.len() as u32);
+        for &(offset, len) in &spans {
+            writer.push(2, offset as u32, &seq, offset, len);
+        }
+        drop(writer);
+        assert_eq!(staged, streamed);
+        let blocks = read_blocks::<Kmer1>(&staged).unwrap();
+        let PayloadView::Supermers(view) = &blocks[0].payload else {
+            panic!("wrong payload")
+        };
+        assert_eq!(view.section_count(), 1);
+        assert_eq!(view.sections().count(), 1);
     }
 }

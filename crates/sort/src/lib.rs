@@ -2,8 +2,7 @@
 //!
 //! HySortK replaces the distributed hash table with "sort the receive buffer, then scan
 //! it linearly" (paper §3.1). Two radix sorts are provided, mirroring the two the paper
-//! uses, plus the bucket store that feeds them one cache-resident bucket at a time and
-//! the multiway merge that assembles the sorted outputs into one table:
+//! uses, plus the multiway merge that assembles the sorted outputs into one table:
 //!
 //! * [`paradis::paradis_sort_by`] — an **in-place MSD** radix sort modelled on PARADIS
 //!   (Cho et al., VLDB 2015): speculative parallel permutation into bucket stripes, a
@@ -17,24 +16,19 @@
 //!   a 4 Mi-key k = 31 task (byte-wise LSD: 8, all out of cache) and 2 for a 2 Mi-key
 //!   k = 55 task (LSD: 14). [`raduls::raduls_sort_by`] is the byte-wise LSD closure
 //!   path the KMC3 baseline uses, and the kernel's test oracle.
-//! * [`buckets::BucketStore`] — the kernel's out-of-cache partition pass, run while the
-//!   keys are produced: a producer that knows the key width (`2k` bits) scatters each
-//!   record, through an L1 staging buffer, into one of 256 chunked buckets on the top
-//!   eight key bits — no varying-bits read, no histogram read, no finished array. The
-//!   consumer then gathers bucket after bucket into one reused buffer of at most about
-//!   [`IN_CACHE_BYTES`], sorts it there with either kernel and scans it while it is
-//!   still in L2, so a record is written once and read once. This is how HySortK's
-//!   stage 3 counts a task (`hysortk_core::stage3`); the pool holds the task's records
-//!   plus at most a sixteenth of chunk slack, and the sorter choice only picks the
-//!   in-bucket kernel.
-//! * [`multiway::multiway_merge`] — the other end of the same idea: the sorted runs
-//!   the tasks emit hold disjoint key *sets*, not ranges, so the result table is a
-//!   merge of all of them; the runs are cut at the boundaries of the same top-bits
-//!   digit (the one thing that is range-disjoint across every run), each piece gets
-//!   its slice of the destination, and threads merge pieces in cache — a pairwise
-//!   cascade of two-ended two-way merges — straight into those slices. One parallel
-//!   pass from the task runs of every rank to the final `Vec`, first-touched by the
-//!   threads that fill it.
+//!
+//!   HySortK's stage 3 (`hysortk_core::stage3`) never hands either kernel a task: stage 1
+//!   cut every task into minimizer *sections* of about half of [`IN_CACHE_BYTES`] on
+//!   average, so stage 3 decodes one section into a reused buffer, sorts it there with
+//!   either kernel and scans it while it is still in L2, section after section — the
+//!   sorter choice only picks the in-section kernel.
+//! * [`multiway::multiway_merge`] — the sorted runs the sections emit hold disjoint key
+//!   *sets*, not ranges, so the result table is a merge of all of them; the runs are
+//!   cut at the boundaries of the top-bits digit ([`BucketDigit`], the one thing that
+//!   is range-disjoint across every run), each piece gets its slice of the destination,
+//!   and threads merge pieces in cache — a pairwise cascade of two-ended two-way merges
+//!   — straight into those slices. One parallel pass from the runs of every rank to the
+//!   final `Vec`, first-touched by the threads that fill it.
 //!
 //! Two kinds of entry points are provided:
 //!
@@ -51,8 +45,8 @@
 //! [`runs::count_sorted_runs`] is the linear counting scan applied after sorting, and
 //! [`runs::merge_runs_with_counts`] the same scan with pre-counted entries merged in.
 //! The paper's memory-aware choice between the two radix sorts is made by the pipeline
-//! (`hysortk_perfmodel::MemoryModel::raduls_fits`); since stage 3 sorts bucket by
-//! bucket it only picks the in-bucket kernel.
+//! (`hysortk_perfmodel::MemoryModel::raduls_fits`); since stage 3 sorts section by
+//! section it only picks the in-section kernel.
 
 pub mod buckets;
 pub mod multiway;
@@ -60,7 +54,7 @@ pub mod paradis;
 pub mod raduls;
 pub mod runs;
 
-pub use buckets::{map_balanced_runs, BucketDigit, BucketStore};
+pub use buckets::{map_balanced_runs, BucketDigit};
 pub use multiway::multiway_merge;
 pub use paradis::{paradis_sort, paradis_sort_by, paradis_sort_from};
 pub use raduls::{raduls_sort, raduls_sort_by, raduls_sort_with_aux, IN_CACHE_BYTES};

@@ -34,11 +34,11 @@
 //! measured too (5 passes at k = 31, 10 at k = 55) and lose to this on every
 //! workload of the benchmark; see CHANGES.md, PR 13.
 //!
-//! A caller that produces its keys one by one and knows their width can take step 2 out
-//! of the kernel's hands — partition while producing ([`crate::buckets`]) and hand the
-//! kernel one cache-sized bucket at a time; HySortK's stage 3 does. The out-of-cache
-//! path here then only runs for a bucket that skew made larger than the cache, and for
-//! callers with a finished array.
+//! A caller that can cut its keys into cache-sized pieces before sorting takes step 2
+//! out of the kernel's hands; HySortK's stage 3 does — stage 1 cut every task into
+//! minimizer sections, and stage 3 hands the kernel one section at a time. The
+//! out-of-cache path here then only runs for a section that skew made larger than the
+//! cache, and for callers with a finished array.
 //!
 //! # The closure path: [`raduls_sort_by`]
 //!
@@ -252,7 +252,9 @@ where
 /// A range of at most this many bytes of keys is partitioned "in cache": its two
 /// buffers together fit a 1 MiB L2. Measured at 128 KiB to 4 MiB on the benchmark host
 /// (4 MiB L2): 512 KiB and up tie, smaller loses on two-word keys. Not configurable.
-/// Public because stage 3 shrinks its per-bucket buffers back to it after a skewed task.
+/// Public because HySortK sizes the minimizer sections stage 3 sorts one at a time from
+/// it (an average section holds half of it, so the section and its RADULS buffer fit it
+/// together), and its performance model charges it.
 pub const IN_CACHE_BYTES: usize = 512 * 1024;
 /// Ranges of at most this many keys are insertion-sorted.
 const INSERTION_MAX: usize = 32;

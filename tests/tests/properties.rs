@@ -763,6 +763,116 @@ fn a_large_retained_table_of_two_word_kmers_assembles_identically_on_both_backen
     }
 }
 
+// ---------------- sectioned tasks: stage 1 cuts, stage 3 counts section by section ---
+
+/// One grid point of the sectioned property: a run over `reads` on one worker per rank
+/// of `threads` threads and one task per worker — few tasks, so each is cut into
+/// several sections, which the worker's threads split — against the oracle: counts,
+/// the merged array, the histogram and, with extensions, the lists.
+fn assert_sectioned_run_matches_the_oracle<K: hysortk_dna::KmerCode>(
+    reads: &ReadSet,
+    k: usize,
+    oracle: &(Vec<(K, u64)>, hysortk_core::KmerHistogram),
+    extensions: Option<&Vec<(K, Vec<Extension>)>>,
+    layout: (hysortk_dmem::Backend, usize, usize, bool),
+) {
+    let (backend, ranks, threads, overlap) = layout;
+    let mut cfg = hysortk_core::HySortKConfig::small_with_threads(k, k.min(46) / 2, ranks, threads);
+    cfg.threads_per_worker = threads;
+    cfg.tasks_per_worker = 1;
+    cfg.min_count = 2;
+    cfg.max_count = 1_000;
+    cfg.backend = backend;
+    cfg.overlap = overlap;
+    cfg.with_extension = extensions.is_some();
+    let context = format!(
+        "k={k} {backend:?} ranks={ranks} threads={threads} overlap={overlap} ext={}",
+        cfg.with_extension
+    );
+    let result = hysortk_core::count_kmers::<K>(reads, &cfg);
+    assert!(
+        result.report.sections > 1,
+        "{context}: {} section(s)",
+        result.report.sections
+    );
+    assert!(result.report.count_buffer_bytes > 0, "{context}");
+    let (counts, histogram) = oracle;
+    assert!(result.counts == *counts, "counts: {context}");
+    assert!(
+        result.counts.sorted_vec() == *counts,
+        "the merged array: {context}"
+    );
+    assert_eq!(&result.histogram, histogram, "histogram: {context}");
+    if let Some(expected) = extensions {
+        let [table] = result.counts.runs() else {
+            panic!("{context}: an extension run holds one table")
+        };
+        let lists = result.extensions.as_ref().expect("an extension run");
+        assert_eq!(table.len(), expected.len(), "{context}");
+        for ((pair, list), (kmer, want)) in table.iter().zip(lists).zip(expected) {
+            assert_eq!((&pair.0, list), (kmer, want), "extensions: {context}");
+        }
+    } else {
+        // No assembly: one run per section that retained a k-mer.
+        assert!(result.report.result_runs > ranks, "{context}");
+    }
+}
+
+/// An input big enough that every layout of the grid cuts its tasks into sections —
+/// asserted through `RunReport::sections` — counted on both backends × ranks {1, 2, 3}
+/// × threads {1, 2} × k ∈ {31, 55} × overlap on/off × extensions off/on,
+/// byte-identical to the oracle.
+#[test]
+fn sectioned_runs_match_the_oracle_across_the_grid() {
+    if hysortk_dmem::ran_in_own_process("sectioned_runs_match_the_oracle_across_the_grid") {
+        return;
+    }
+    let mut rng = StdRng::seed_from_u64(240);
+    let genome = dna_exact(&mut rng, 60_000);
+    let seqs: Vec<Vec<u8>> = (0..500)
+        .map(|_| {
+            let start = rng.gen_range(0..genome.len() - 1_000);
+            genome[start..start + 1_000].to_vec()
+        })
+        .collect();
+    let reads = ReadSet::from_ascii_reads(&seqs);
+    fn oracle<K: hysortk_dna::KmerCode>(
+        reads: &ReadSet,
+        k: usize,
+    ) -> (Vec<(K, u64)>, hysortk_core::KmerHistogram) {
+        let mut histogram = hysortk_core::KmerHistogram::new(1_002);
+        let all = hysortk_core::reference_counts_bounded::<K>(reads, k, 1, u64::MAX);
+        all.iter().for_each(|&(_, count)| histogram.record(count));
+        let retained = all.into_iter().filter(|&(_, c)| (2..=1_000).contains(&c));
+        (retained.collect(), histogram)
+    }
+    let (one_word, two_words) = (oracle::<Kmer1>(&reads, 31), oracle::<Kmer2>(&reads, 55));
+    let extensions = (
+        hysortk_core::reference_extensions::<Kmer1>(&reads, 31, 2, 1_000),
+        hysortk_core::reference_extensions::<Kmer2>(&reads, 55, 2, 1_000),
+    );
+    for backend in [
+        hysortk_dmem::Backend::Thread,
+        hysortk_dmem::Backend::Process,
+    ] {
+        for ranks in [1usize, 2, 3] {
+            for threads in [1usize, 2] {
+                for overlap in [true, false] {
+                    let layout = (backend, ranks, threads, overlap);
+                    for with_extension in [false, true] {
+                        let k31 = with_extension.then_some(&extensions.0);
+                        let k55 = with_extension.then_some(&extensions.1);
+                        assert_sectioned_run_matches_the_oracle(&reads, 31, &one_word, k31, layout);
+                        assert_sectioned_run_matches_the_oracle(
+                            &reads, 55, &two_words, k55, layout,
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 // ---------------- stage 3: parallel decode + count vs sequential reference -----------
 
 /// Build one rank's receive segments from random reads: supermer blocks partitioned by
