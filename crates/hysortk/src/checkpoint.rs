@@ -46,31 +46,12 @@ use crate::config::HySortKConfig;
 use crate::error::HysortkError;
 use crate::result::KmerHistogram;
 use crate::stage3::{CountScratch, TaskCounts};
+use crate::wire::{checksum32, fold64};
 
 /// Leading magic of every manifest.
 const MAGIC: &[u8; 4] = b"HSKC";
 /// Format version; bumped on any layout change.
 const VERSION: u32 = 1;
-
-/// The multiply–rotate fold shared with the wire layer, kept at 64 bits: not
-/// cryptographic, but any single bit flip, truncation or length change moves it.
-fn fold64(bytes: &[u8]) -> u64 {
-    let mut h = 0x9e37_79b9_7f4a_7c15u64;
-    for chunk in bytes.chunks(8) {
-        let mut w = [0u8; 8];
-        w[..chunk.len()].copy_from_slice(chunk);
-        h = (h ^ u64::from_le_bytes(w))
-            .wrapping_mul(0x0100_0000_01b3)
-            .rotate_left(23);
-    }
-    h ^ bytes.len() as u64
-}
-
-/// Trailer checksum over a manifest body.
-fn manifest_checksum(bytes: &[u8]) -> u32 {
-    let h = fold64(bytes);
-    (h ^ (h >> 32)) as u32
-}
 
 /// Hash of the all-reduced global task sizes: a changed input (different files,
 /// different shard contents) changes some task size and is rejected at restore time.
@@ -205,7 +186,7 @@ fn encode_manifest<K: KmerCode>(
             out.extend_from_slice(&count.to_le_bytes());
         }
     }
-    let checksum = manifest_checksum(&out);
+    let checksum = checksum32(&out);
     out.extend_from_slice(&checksum.to_le_bytes());
     out
 }
@@ -240,13 +221,16 @@ impl<'a> Reader<'a> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    /// A length prefix, sanity-bounded so a corrupt count cannot drive a huge
-    /// allocation before the element reads fail.
-    fn len(&mut self) -> Result<usize, String> {
+    /// A count of elements `width` bytes wide on disk, bounded by how many the bytes left
+    /// can hold, so a corrupt count — or a forged one under a recomputed checksum — cannot
+    /// drive an allocation larger than the manifest before the element reads fail.
+    fn len(&mut self, width: usize) -> Result<usize, String> {
         let n = self.u32()? as usize;
-        let remaining = self.bytes.len() - self.pos;
-        if n > remaining {
-            return Err(format!("manifest length field {n} exceeds remaining bytes"));
+        let fits = (self.bytes.len() - self.pos) / width;
+        if n > fits {
+            return Err(format!(
+                "manifest length field {n} exceeds the {fits} {width}-byte elements left"
+            ));
         }
         Ok(n)
     }
@@ -258,7 +242,7 @@ fn decode_manifest<K: KmerCode>(bytes: &[u8]) -> Result<Manifest<K>, String> {
     }
     let (body, trailer) = bytes.split_at(bytes.len() - 4);
     let stored = u32::from_le_bytes(trailer.try_into().unwrap());
-    if manifest_checksum(body) != stored {
+    if checksum32(body) != stored {
         return Err("manifest checksum mismatch (torn write or bit corruption)".into());
     }
     let mut r = Reader {
@@ -289,20 +273,21 @@ fn decode_manifest<K: KmerCode>(bytes: &[u8]) -> Result<Manifest<K>, String> {
     }
     let received_records = r.u64()?;
     let precounted_records = r.u64()?;
-    let histogram: Vec<u64> = (0..r.len()?).map(|_| r.u64()).collect::<Result<_, _>>()?;
-    let ndecoded = r.len()?;
+    let histogram: Vec<u64> = (0..r.len(8)?).map(|_| r.u64()).collect::<Result<_, _>>()?;
+    let ndecoded = r.len(12)?;
     let mut decoded = Vec::with_capacity(ndecoded);
     for _ in 0..ndecoded {
         let task = r.u32()?;
         let instances = r.u64()?;
         decoded.push((task, instances));
     }
-    let task_sizes: Vec<u64> = (0..r.len()?).map(|_| r.u64()).collect::<Result<_, _>>()?;
-    let ntasks = r.len()?;
+    let task_sizes: Vec<u64> = (0..r.len(8)?).map(|_| r.u64()).collect::<Result<_, _>>()?;
+    // A task is at least its entry count.
+    let ntasks = r.len(4)?;
     let mut tasks = Vec::with_capacity(ntasks);
     let mut words_buf = vec![0u64; K::WORDS];
     for _ in 0..ntasks {
-        let entries = r.len()?;
+        let entries = r.len((K::WORDS + 1) * 8)?;
         let mut counts = Vec::with_capacity(entries);
         for _ in 0..entries {
             for w in words_buf.iter_mut() {
@@ -731,7 +716,7 @@ impl<K: KmerCode> RoundCheckpointer<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hysortk_dna::kmer::Kmer1;
+    use hysortk_dna::kmer::{Kmer1, Kmer2};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -861,6 +846,90 @@ mod tests {
         for cut in [1, 4, bytes.len() / 2, bytes.len() - 2] {
             assert!(decode_manifest::<Kmer1>(&bytes[..cut]).is_err());
         }
+    }
+
+    /// Prefixes, re-sealed bit flips and hostile counts: a manifest decodes to a value
+    /// or a typed error, never a panic, and a count is bounded by the elements the bytes
+    /// left can hold. A re-sealed manifest is what a forger who knows the checksum writes.
+    fn manifest_decoding_survives_a_seeded_fuzz_loop<K: KmerCode>(seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let histogram: Vec<u64> = (0..5).map(|_| rng.gen()).collect();
+        let decoded: BTreeMap<u32, u64> = (0..4).map(|task| (task, rng.gen())).collect();
+        // Every task holds an entry, so no count field is the manifest's last bytes.
+        let tasks: Vec<TaskCounts<K>> = (1..4)
+            .map(|entries| TaskCounts {
+                counts: (0..entries)
+                    .map(|_| (K::from_word_slice(&[rng.gen(); 2][..K::WORDS]), rng.gen()))
+                    .collect(),
+                ext: None,
+            })
+            .collect();
+        let bytes = encode_manifest::<K>(
+            11,
+            1,
+            3,
+            4,
+            Some(2),
+            9,
+            22,
+            33,
+            44,
+            &histogram,
+            &decoded,
+            &[7, 8],
+            &tasks,
+        );
+        decode_manifest::<K>(&bytes).expect("the encoder's bytes decode");
+        let body = bytes.len() - 4;
+        let resealed = |mut bytes: Vec<u8>| {
+            let at = bytes.len() - 4;
+            let sum = checksum32(&bytes[..at]);
+            bytes[at..].copy_from_slice(&sum.to_le_bytes());
+            decode_manifest::<K>(&bytes)
+        };
+
+        for cut in 0..bytes.len() {
+            assert!(decode_manifest::<K>(&bytes[..cut]).is_err(), "prefix {cut}");
+            // Sealed as a manifest of its own, every cut but the whole body is short of
+            // a field or carries trailer bytes as trailing garbage.
+            let sealed = resealed([&bytes[..cut], &[0; 4]].concat());
+            assert!(cut == body || sealed.is_err(), "re-sealed prefix {cut}");
+        }
+        for _ in 0..600 {
+            let mut flipped = bytes.clone();
+            let bit = rng.gen_range(0..body * 8);
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let _ = resealed(flipped);
+        }
+        // The count fields and their elements' widths, walked past the 68-byte header:
+        // histogram, decoded totals, task sizes, tasks, and each task's entries. The task
+        // count is followed by the tasks, not by elements of its own.
+        let count = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+        let entry = (K::WORDS + 1) * 8;
+        let (mut fields, mut at) = (Vec::new(), 68);
+        for width in [8, 12, 8, 4].into_iter().chain(vec![entry; tasks.len()]) {
+            fields.push((at, width));
+            at += 4 + if width == 4 { 0 } else { count(at) * width };
+        }
+        assert_eq!(at, body, "the walk ends at the trailer");
+        for (at, width) in fields {
+            let left = body - (at + 4);
+            for value in [u32::MAX as usize, left, left / width + 1] {
+                let mut forged = bytes.clone();
+                forged[at..at + 4].copy_from_slice(&(value as u32).to_le_bytes());
+                let forged = resealed(forged);
+                assert!(
+                    forged.is_err(),
+                    "count {value} at byte {at} (width {width})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn manifest_decoding_survives_a_seeded_fuzz_loop_on_both_kmer_widths() {
+        manifest_decoding_survives_a_seeded_fuzz_loop::<Kmer1>(41);
+        manifest_decoding_survives_a_seeded_fuzz_loop::<Kmer2>(42);
     }
 
     /// Write a small two-epoch chain for `ranks` ranks: epoch 0 (one task) and

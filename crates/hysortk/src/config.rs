@@ -26,8 +26,8 @@ pub struct HySortKConfig {
     /// `hysortk count --threads`). Together with `threads_per_worker` this is the
     /// width of the rank's worker pool — `(threads_per_process / threads_per_worker)`
     /// workers × `threads_per_worker` threads — which parses the rank's reads in
-    /// parallel and runs each exchange round's job list (serialize jobs of the round
-    /// being filled beside count jobs of the round being drained). It also sets the
+    /// parallel, runs each exchange round's job list (the count jobs of the round being
+    /// drained) and lends its budget to the fill of the next round. It also sets the
     /// task count: `ranks × workers × tasks_per_worker`.
     pub threads_per_process: usize,
     /// Threads per worker in the task abstraction layer (paper default 4). Tasks are

@@ -1,8 +1,9 @@
 //! Streaming file ingestion: run the pipeline on real FASTA/FASTQ files.
 //!
-//! [`count_kmers_from_files`] is the file-fed twin of
-//! [`count_kmers`](crate::count_kmers). Instead of requiring a complete in-memory
-//! [`ReadSet`](hysortk_dna::ReadSet) up front, every simulated rank opens its own
+//! [`count_kmers_from_files`] runs the one pipeline driver of
+//! [`count_kmers`](crate::count_kmers) on a file source: the only difference is how
+//! stage 1 is fed. Instead of slicing a complete in-memory
+//! [`ReadSet`](hysortk_dna::ReadSet), every simulated rank opens its own
 //! byte shard of the input (see [`hysortk_dna::io::ShardReader`]) and streams it in
 //! fixed-size blocks, running stage 1 **as the batches come in** on the rank's worker
 //! pool — once the ingested batches hold about a mebibase (`PARSE_CALL_BASES`), so a
@@ -13,8 +14,8 @@
 //! text is never held beyond one block per rank. What a rank holds when stage 1 ends is
 //! its tasks' bodies ([`RunReport::staged_bytes`](crate::RunReport::staged_bytes)).
 //!
-//! The two entry points produce **identical counts and histograms** on clean
-//! (`ACGT`-only) inputs — stage 2 and stage 3 are literally the same code — which the
+//! The two sources produce **identical counts and histograms** on clean
+//! (`ACGT`-only) inputs — everything past stage 1's feed is the same code — which the
 //! cross-crate property suite pins across rank counts and overlap modes. On real
 //! inputs the readers additionally split reads at ambiguous-base runs (`N`, IUPAC
 //! codes), so no fabricated k-mer ever enters the pipeline; the in-memory
@@ -55,20 +56,15 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hysortk_dmem::{Cluster, FaultPlan, RankCtx, RecoveryPolicy};
+use hysortk_dmem::{FaultPlan, RankCtx};
 use hysortk_dna::io::{is_transient_io_error, list_inputs, IngestOptions, InputFile, ShardReader};
 use hysortk_dna::kmer::KmerCode;
 use hysortk_dna::readset::Read;
-use hysortk_perfmodel::{PerfModel, SortAlgorithm};
-use hysortk_task::WorkerPool;
 use hysortk_trace as trace;
 
 use crate::config::HySortKConfig;
 use crate::error::HysortkError;
-use crate::pipeline::{
-    merge_outputs, sections_for, select_sorter, stages_2_and_3, RankCounters, RankOutput,
-    Stage1Parser, PARSE_CALL_BASES,
-};
+use crate::pipeline::{run, Input, RankCounters, Stage1Parser, PARSE_CALL_BASES};
 use crate::result::CountResult;
 
 /// Count the canonical k-mers of one or more FASTA/FASTQ files with the full HySortK
@@ -94,7 +90,7 @@ pub fn count_kmers_from_files_with<K: KmerCode, P: AsRef<Path>>(
     cfg: &HySortKConfig,
     opts: IngestOptions,
 ) -> Result<CountResult<K>, HysortkError> {
-    count_kmers_from_files_inner(paths, cfg, opts, None)
+    run(Input::Files(&list_files(paths)?, opts), cfg, None)
 }
 
 /// [`count_kmers_from_files_with`] with a [`FaultPlan`] attached to the simulated
@@ -112,28 +108,16 @@ pub fn count_kmers_from_files_faulted<K: KmerCode, P: AsRef<Path>>(
     opts: IngestOptions,
     plan: Arc<FaultPlan>,
 ) -> Result<CountResult<K>, HysortkError> {
-    count_kmers_from_files_inner(paths, cfg, opts, Some(plan))
+    run(Input::Files(&list_files(paths)?, opts), cfg, Some(plan))
 }
 
-fn count_kmers_from_files_inner<K: KmerCode, P: AsRef<Path>>(
-    paths: &[P],
-    cfg: &HySortKConfig,
-    mut opts: IngestOptions,
-    plan: Option<Arc<FaultPlan>>,
-) -> Result<CountResult<K>, HysortkError> {
-    cfg.validate().map_err(HysortkError::Config)?;
-    assert!(
-        cfg.k <= K::max_k(),
-        "k = {} exceeds the chosen k-mer width",
-        cfg.k
-    );
+/// The input files behind `paths`, stat-ed one at a time so an unreadable file is
+/// reported by name.
+fn list_files<P: AsRef<Path>>(paths: &[P]) -> Result<Vec<InputFile>, HysortkError> {
     if paths.is_empty() {
         return Err(HysortkError::Config("no input files given".into()));
     }
-    opts.min_fragment = opts.min_fragment.max(cfg.k);
-
-    // Stat the inputs one at a time so an unreadable file is reported by name.
-    let mut files: Vec<InputFile> = Vec::with_capacity(paths.len());
+    let mut files = Vec::with_capacity(paths.len());
     for p in paths {
         let listed = list_inputs(std::slice::from_ref(p)).map_err(|source| HysortkError::Io {
             path: p.as_ref().display().to_string(),
@@ -142,70 +126,7 @@ fn count_kmers_from_files_inner<K: KmerCode, P: AsRef<Path>>(
         })?;
         files.extend(listed);
     }
-    let total_bytes: u64 = files.iter().map(|f| f.bytes).sum();
-    let p = cfg.total_ranks();
-    let num_tasks = cfg.num_tasks();
-    let model = PerfModel::new(cfg.machine.clone(), cfg.execution());
-
-    // The sorter and the sections are derived as in `count_kmers`, from the on-disk
-    // payload: ASCII bytes ≈ bases ≈ k-mers for FASTA; a mild overestimate for FASTQ,
-    // which only makes the memory-aware choice more conservative and the sections
-    // smaller.
-    let sorter = select_sorter::<K>(cfg, &model, total_bytes, total_bytes);
-    let sections = sections_for::<K>(cfg, total_bytes);
-
-    let mut cluster = Cluster::new(p).with_backend(cfg.backend);
-    if let Some(plan) = plan {
-        cluster = cluster.with_fault_plan(plan);
-    }
-    // Rank failures (an injected crash and the peer echoes it leaves behind) are the
-    // recoverable class: every affected rank unwound through the abort board, so the
-    // cluster can respawn the whole generation. A respawn restores from the last
-    // committed checkpoint epoch when one is configured, and recounts from scratch
-    // when not — both reproduce the fault-free counts exactly. Concrete local defects
-    // (wire corruption, I/O exhaustion, config rejection) stay immediate typed aborts.
-    let policy = RecoveryPolicy {
-        max_attempts: cfg.recovery_attempts,
-        backoff: Duration::from_millis(cfg.recovery_backoff_ms),
-    };
-    let recoverable = |e: &HysortkError| match e {
-        HysortkError::Comm(d) => d.is_rank_failure(),
-        _ => false,
-    };
-    let run = cluster.run_recovering_wire(&policy, recoverable, |ctx| {
-        rank_pipeline_from_files::<K>(ctx, &files, cfg, num_tasks, sorter, sections, &opts)
-    });
-    let joined = Instant::now();
-    let mut outputs = Vec::with_capacity(run.results.len());
-    let mut first_error: Option<HysortkError> = None;
-    for result in run.results {
-        match result {
-            Ok(output) => outputs.push(output),
-            Err(e) => {
-                // Keep the root cause: a peer-failure echo never displaces a concrete
-                // local error, and a concrete error always displaces an echo.
-                let replace = match &first_error {
-                    None => true,
-                    Some(current) => current.is_peer_echo() && !e.is_peer_echo(),
-                };
-                if replace {
-                    first_error = Some(e);
-                }
-            }
-        }
-    }
-    if let Some(e) = first_error {
-        return Err(e);
-    }
-    Ok(merge_outputs(
-        outputs,
-        run.comm,
-        cfg,
-        &model,
-        sorter,
-        run.recoveries,
-        joined,
-    ))
+    Ok(files)
 }
 
 /// A short label for "the input" in shard-level errors whose underlying message
@@ -281,8 +202,9 @@ fn next_batch_with_retry(
 /// and parse the reads into `parser`'s staging — once their batches hold about
 /// [`PARSE_CALL_BASES`], so that however small the batches, a parse call stages that
 /// many — then drop them. Returns the error that stopped the ingest, if one did; what was
-/// ingested until then is staged.
-fn ingest_shard<K: KmerCode>(
+/// ingested until then is staged. `opts.min_fragment` is raised to `cfg.k`: a fragment
+/// shorter than k holds no k-mer.
+pub(crate) fn ingest_shard<K: KmerCode>(
     ctx: &RankCtx,
     files: &[InputFile],
     cfg: &HySortKConfig,
@@ -296,7 +218,11 @@ fn ingest_shard<K: KmerCode>(
         rank,
         source,
     };
-    let mut shard = ShardReader::open(files, rank, p, opts.clone()).map_err(io_error)?;
+    let opts = IngestOptions {
+        min_fragment: opts.min_fragment.max(cfg.k),
+        ..opts.clone()
+    };
+    let mut shard = ShardReader::open(files, rank, p, opts).map_err(io_error)?;
     let mut parse = |reads: &mut Vec<Read>, counters: &mut RankCounters| {
         let parse_start = Instant::now();
         let _parse_span = trace::span!(
@@ -359,53 +285,14 @@ fn ingest_shard<K: KmerCode>(
     ingested
 }
 
-/// One rank of the file-fed pipeline: stage 1 over its shard ([`ingest_shard`]), then
-/// the staged supermers/records go to the shared stages 2 + 3.
-///
-/// An I/O error (unreadable file, malformed FASTQ record, …) must **not** make the
-/// rank bail out early: the pipeline is SPMD, so a rank that skips the collectives
-/// deadlocks every other rank inside the task-size allreduce or the exchange. The
-/// rank instead stops ingesting, runs the remaining stages with whatever it parsed,
-/// and reports the ingest error once the collectives are over — it takes precedence
-/// over any later stage error, which can only be downstream fallout.
-fn rank_pipeline_from_files<K: KmerCode>(
-    ctx: &mut RankCtx,
-    files: &[InputFile],
-    cfg: &HySortKConfig,
-    num_tasks: usize,
-    sorter: SortAlgorithm,
-    sections: u32,
-    opts: &IngestOptions,
-) -> Result<RankOutput<K>, HysortkError> {
-    let rank_start = Instant::now();
-    let rank = ctx.rank();
-    let mut counters = RankCounters::default();
-    let pool = WorkerPool::new(cfg.workers_per_process(), cfg.threads_per_worker).for_rank(rank);
-
-    let ingest_span = trace::span!("stage1-ingest", trace::Detail::Stage, rank);
-    let mut parser = Stage1Parser::<K>::new(cfg, num_tasks, sections, &pool);
-    let ingested = ingest_shard(ctx, files, cfg, opts, &mut parser, &mut counters);
-    let stage1 = parser.finish();
-    ingest_span.end_with(&[
-        ("staged_bytes", stage1.staged_bytes()),
-        ("sections", u64::from(sections)),
-    ]);
-
-    let output =
-        stages_2_and_3(ctx, stage1, counters, cfg, num_tasks, sorter, &pool).map(|mut out| {
-            out.counters.wall.total = rank_start.elapsed().as_secs_f64();
-            out
-        });
-    ingested.and(output)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::count_kmers;
-    use hysortk_dmem::FaultKind;
+    use hysortk_dmem::{Cluster, FaultKind};
     use hysortk_dna::kmer::Kmer1;
     use hysortk_dna::{fasta, ReadSet};
+    use hysortk_task::WorkerPool;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::path::PathBuf;
@@ -483,8 +370,8 @@ mod tests {
 
         // Every task's block as the serializer writes it, and the bytes staged.
         let blocks_of = |stage1: Stage1<Kmer1>, cfg: &HySortKConfig| {
-            let (sizes, staged) = (stage1.local_sizes(), stage1.staged_bytes());
-            let ser = SendSerializer::new(stage1, &sizes, &[], cfg);
+            let staged = stage1.staged_bytes();
+            let mut ser = SendSerializer::new(stage1, &[], cfg);
             let blocks: Vec<Vec<u8>> = (0..TASKS)
                 .map(|t| {
                     let mut block = Vec::new();

@@ -7,35 +7,23 @@
 //! three rounds:
 //!
 //! ```text
-//!                 ┌───────────── one job list on the worker pool ─────────────┐
-//!   thread 0      │ serialize task a of round s │ count task x of round s−2 │ │
-//!   thread 1      │ count task y of round s−2   │ serialize task b of round s │ … then, on the
-//!   …             └───────────────────────────────────────────────────────────┘  rank's thread:
-//!   round engine    round s−1 posted, in flight while the list runs              post s · commit s−2 · wait s−1
+//!                 ┌──── one job list on the worker pool ────┐
+//!   thread 0      │ count task x of round s−2 │ …           │  then, on the rank's thread:
+//!   thread 1      │ count task y of round s−2 │ …           │  fill s · post s · commit s−2 · wait s−1
+//!   …             └─────────────────────────────────────────┘
+//!   round engine    round s−1 posted, in flight while the list runs and round s is filled
 //! ```
 //!
-//! The step's **job list** holds the serialize jobs of round `s` — its tasks in wire
-//! order (all destinations), cut into at most as many contiguous runs of near-equal
-//! record counts as the pool has threads — and one count job per task slot of round
-//! `s−2`; it is handed to the rank's [`WorkerPool`] as a single
-//! [`WorkerPool::execute_balanced`] call, which places the jobs onto the pool's threads
-//! by their record counts. A rank with more than one thread therefore serializes and
-//! counts side by side while round `s−1` moves; a rank with one thread runs the same
-//! list front to back — serialize, then count — and the driver has no other schedule.
-//! The first step's list has only serialize jobs (fill), the last one's only count
-//! jobs (drain). The first serialize job writes into the recycled engine buffer itself
-//! and the others into buffers that are appended to it, destination-major — the bytes
-//! one sequential serialization of the round would produce, and on a pool of one
-//! thread exactly that serialization, with nothing copied.
-//!
-//! **A fill that only copies is not a job.** Stage 1 stages supermers in wire form, so
-//! serializing a supermer task is block header + body + seal, yet as a job it would
-//! take a thread's share of the pool's budget from the count job beside it (a one-job
-//! list gives its job's nested section phase the whole budget). A round of such copies
-//! only ([`SendSerializer::is_copy`](crate::pipeline)) is written by the rank's own
-//! thread once the list has returned; serialize jobs are for rounds with encoding work
-//! — a heavy-hitter task to pre-count (§3.5), the records ablation. Bytes,
-//! `overlap-serialize` spans and the `serialize` fault site are the same either way.
+//! The step's **job list** holds one count job per task slot of round `s−2`; it is
+//! handed to the rank's [`WorkerPool`] as a single [`WorkerPool::execute_balanced`]
+//! call, which places the jobs onto the pool's threads by their record counts. Once the
+//! list has returned, the rank's own thread **fills** round `s`: it writes the round's
+//! tasks straight into the recycled engine buffer in wire order (destination-major),
+//! under the pool's thread budget. Stage 1 stages supermers in wire form, so most of a
+//! fill is block header + body + seal; a heavy-hitter task (§3.5) is pre-counted there,
+//! its sort parallel under that budget, and the records ablation encodes its records
+//! there. The first step only fills, the last only drains, and a rank of any width
+//! runs the same schedule.
 //!
 //! Rounds are **task-granular**: [`plan_rounds`] packs whole tasks into rounds from
 //! the globally-reduced task sizes, so every rank derives the identical task → round
@@ -67,7 +55,6 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 use hysortk_dmem::{FaultPlan, FlatReceived, RankCtx};
 use hysortk_dna::kmer::KmerCode;
@@ -145,66 +132,78 @@ pub(crate) struct OverlapRun<K: KmerCode> {
     pub heavy_local_sorted: u64,
 }
 
-/// One job of a step's job list.
-enum Job<'s, K: KmerCode> {
-    /// Serialize a run of the filled round's tasks — `(task, destination)` in wire
-    /// order — one after the other into `out`.
-    Serialize {
-        tasks: Vec<(usize, usize)>,
-        out: Vec<u8>,
-    },
-    /// Decode, sort and count one task slot of a completed round, section by section.
-    Count(&'s TaskSlot<'s, K>),
-}
-
-/// What a [`Job`] hands back.
-enum Done<K: KmerCode> {
-    Serialized {
-        /// The run's bytes, and how many of them go to each `(destination, bytes)`.
-        out: Vec<u8>,
-        sent: Vec<(usize, usize)>,
-        heavy_local_sorted: u64,
-    },
-    /// The sorted runs of the task's sections.
-    Counted(Vec<TaskCounts<K>>),
-}
-
-/// What one step's job list produced.
+/// What one step produced.
 struct ListOutput<K: KmerCode> {
     /// The filled round, laid out destination-major (`None` when the step fills none).
     send: Option<Vec<u8>>,
     /// The drained round's sorted runs, in slot and section order.
     counted: Vec<TaskCounts<K>>,
-    /// K-mers the list's heavy-hitter serialize jobs pre-counted locally.
+    /// K-mers the fill pre-counted locally for heavy-hitter tasks.
     heavy_local_sorted: u64,
 }
 
-/// Everything a rank's job lists share: what the jobs read, the bank count jobs check
-/// their scratch out of (so decode/sort buffers and histograms persist across rounds),
-/// and the buffers serialize jobs past a list's first write, recycled from list to list.
+/// Everything a rank's steps share: what the count jobs read, the bank they check their
+/// scratch out of (so decode/sort buffers and histograms persist across rounds), and the
+/// serializer the fills take the staged tasks from.
 struct JobLists<'a, K: KmerCode> {
     rank: usize,
     k: usize,
     params: &'a CountParams,
     pool: &'a WorkerPool,
-    ser: &'a SendSerializer<'a, K>,
+    ser: SendSerializer<'a, K>,
     plan: &'a RoundPlan,
     fault: Option<Arc<FaultPlan>>,
     bank: ScratchBank<CountScratch<K>>,
-    spare: Vec<Vec<u8>>,
 }
 
 impl<K: KmerCode> JobLists<'_, K> {
-    fn run_job(&self, job: Job<'_, K>, step: usize) -> Result<Done<K>, HysortkError> {
+    /// Decode, sort and count one task slot of the round drained at `step`, section by
+    /// section.
+    fn count(
+        &self,
+        slot: &TaskSlot<'_, K>,
+        step: usize,
+    ) -> Result<Vec<TaskCounts<K>>, HysortkError> {
         let rank = self.rank;
-        match job {
-            Job::Serialize { tasks, mut out } => {
-                if let Some(plan) = &self.fault {
-                    plan.fire_control(rank, "serialize", step)?;
-                }
-                let mut heavy_local_sorted = 0;
-                let mut sent = Vec::with_capacity(tasks.len());
-                for (task, dest) in tasks {
+        let _span = trace::span!(
+            "count-task",
+            trace::Detail::Task,
+            rank,
+            task = slot.task,
+            round = step - 2,
+        );
+        let mut scratch = self
+            .bank
+            .checkout(|| CountScratch::new(self.params.max_count));
+        stage3::count_task(slot, self.k, self.params, rank as u32, &mut scratch).map_err(|source| {
+            HysortkError::Wire {
+                rank,
+                round: step - 2,
+                source,
+            }
+        })
+    }
+
+    /// Fill round `step` into `out`: its tasks one after the other, destination-major —
+    /// the wire order — with the bytes per destination in `counts`. Runs on this thread
+    /// under the pool's thread budget (a one-job `execute` runs its job on the caller's
+    /// thread with the budget installed), so a heavy-hitter pre-count sorts in parallel.
+    /// Returns the k-mers pre-counted.
+    fn fill(
+        &mut self,
+        step: usize,
+        out: &mut Vec<u8>,
+        counts: &mut [usize],
+    ) -> Result<u64, HysortkError> {
+        if let Some(plan) = &self.fault {
+            plan.fire_control(self.rank, "serialize", step)?;
+        }
+        let (rank, plan) = (self.rank, self.plan);
+        let job = (&mut self.ser, out, counts);
+        let filled = self.pool.execute(vec![job], |(ser, out, counts)| {
+            let mut heavy_local_sorted = 0;
+            for (dest, rounds) in plan.per_dest.iter().enumerate() {
+                for &task in rounds.get(step).into_iter().flatten() {
                     let _span = trace::span!(
                         "overlap-serialize",
                         trace::Detail::Task,
@@ -213,51 +212,21 @@ impl<K: KmerCode> JobLists<'_, K> {
                         round = step,
                     );
                     let before = out.len();
-                    heavy_local_sorted += self.ser.serialize_task(task, &mut out);
-                    sent.push((dest, out.len() - before));
+                    heavy_local_sorted += ser.serialize_task(task, out);
+                    counts[dest] += out.len() - before;
                 }
-                Ok(Done::Serialized {
-                    out,
-                    sent,
-                    heavy_local_sorted,
-                })
             }
-            Job::Count(slot) => {
-                let _span = trace::span!(
-                    "count-task",
-                    trace::Detail::Task,
-                    rank,
-                    task = slot.task,
-                    round = step - 2,
-                );
-                let mut scratch = self
-                    .bank
-                    .checkout(|| CountScratch::new(self.params.max_count));
-                stage3::count_task(slot, self.k, self.params, rank as u32, &mut scratch)
-                    .map(Done::Counted)
-                    .map_err(|source| HysortkError::Wire {
-                        rank,
-                        round: step - 2,
-                        source,
-                    })
-            }
-        }
+            heavy_local_sorted
+        });
+        Ok(filled.into_iter().sum())
     }
 
-    /// Run step `step`'s job list on the pool. When `send` brings the buffer to fill,
-    /// round `step`'s tasks — destination-major, the wire order — are cut into at most
-    /// as many contiguous runs of near-equal record counts as the pool has threads,
-    /// one serialize job each; then comes one count job per slot of `slots`, the index
-    /// of the drained round `step − 2` (empty when the step drains none). The first run
-    /// is written straight into `send` and the others into recycled buffers that are
-    /// appended to it afterwards, which lays the round out exactly as one sequential
-    /// serialization would — and *is* that serialization, uncopied, on a pool of one
-    /// thread. A round of copies only is one run, written on this thread once the list
-    /// has returned (module docs). `counts` receives the bytes per destination.
-    ///
-    /// The list's wall time is booked to `wall` (see [`WallBuckets::add_job_list`]), an
-    /// inline fill's to `serialize`. A failed job or fill surfaces once every job of the
-    /// list has returned.
+    /// Step `step`: run one count job per slot of `slots` — the index of the drained
+    /// round `step − 2`, empty when the step drains none — as one job list on the pool,
+    /// then, when `send` brings the buffer, fill round `step` into it ([`Self::fill`]);
+    /// `counts` receives the bytes per destination. The list's wall time is booked to
+    /// `count` and the fill's to `serialize`. A failed count job or fill surfaces once
+    /// the list and the fill have returned.
     fn run(
         &mut self,
         step: usize,
@@ -266,102 +235,26 @@ impl<K: KmerCode> JobLists<'_, K> {
         counts: &mut Vec<usize>,
         wall: &mut WallBuckets,
     ) -> Result<ListOutput<K>, HysortkError> {
-        let mut jobs: Vec<Job<'_, K>> = Vec::new();
-        let mut sizes: Vec<u64> = Vec::new();
-        let mut inline_fill = None;
-        if send.is_some() {
-            let tasks: Vec<(usize, usize)> = (self.plan.per_dest.iter().enumerate())
-                .flat_map(|(dest, rounds)| {
-                    let tasks = rounds.get(step).into_iter().flatten();
-                    tasks.map(move |&task| (task, dest))
-                })
-                .collect();
-            // A round of copies is one run, for this thread; else one per pool thread.
-            let inline = tasks.iter().all(|&(t, _)| self.ser.is_copy(t));
-            let width = if inline { 1 } else { self.pool.total_threads() };
-            let max_runs = width.min(tasks.len()) as u64;
-            let total: u64 = tasks.iter().map(|&(t, _)| self.ser.local_size(t)).sum();
-            let mut runs: Vec<(Vec<(usize, usize)>, u64)> = vec![(Vec::new(), 0)];
-            let mut cut = 0;
-            for (task, dest) in tasks {
-                let size = self.ser.local_size(task);
-                let run = runs.last_mut().expect("starts with one run");
-                run.0.push((task, dest));
-                run.1 += size;
-                cut += size;
-                // Close the run once the round's records up to here fill the runs so
-                // far; the last run takes whatever is left.
-                let closed = runs.len() as u64;
-                if closed < max_runs && cut * max_runs >= total * closed {
-                    runs.push((Vec::new(), 0));
-                }
-            }
-            for (tasks, size) in runs.into_iter().filter(|(tasks, _)| !tasks.is_empty()) {
-                let out = send.take().or_else(|| self.spare.pop()).unwrap_or_default();
-                let job = Job::Serialize { tasks, out };
-                if inline {
-                    inline_fill = Some(job);
-                } else {
-                    jobs.push(job);
-                    sizes.push(size);
-                }
-            }
-        }
-        let serialize_jobs = jobs.len();
-        for slot in slots {
-            jobs.push(Job::Count(slot));
-            sizes.push((slot.records + slot.precounted) as u64);
-        }
-        let list_start = Instant::now();
-        let done = self.pool.execute_balanced(jobs, &sizes, |job| {
-            let job_start = Instant::now();
-            let result = self.run_job(job, step);
-            (result, job_start.elapsed().as_secs_f64())
+        let sizes: Vec<u64> = (slots.iter())
+            .map(|slot| (slot.records + slot.precounted) as u64)
+            .collect();
+        let counted = timed(&mut wall.count, || {
+            (self.pool).execute_balanced(slots.iter().collect(), &sizes, |slot| {
+                self.count(slot, step)
+            })
         });
-        wall.add_job_list(
-            list_start.elapsed().as_secs_f64(),
-            (done.iter().enumerate()).map(|(job, (_, job_s))| {
-                if job < serialize_jobs {
-                    (*job_s, 0.0)
-                } else {
-                    (0.0, *job_s)
-                }
-            }),
-        );
-
-        let mut out = ListOutput {
-            send,
-            counted: Vec::with_capacity(slots.len()),
-            heavy_local_sorted: 0,
-        };
         counts.clear();
         counts.resize(self.plan.per_dest.len(), 0);
-        let filled =
-            inline_fill.map(|fill| timed(&mut wall.serialize, || self.run_job(fill, step)));
-        for result in done.into_iter().map(|(result, _)| result).chain(filled) {
-            match result? {
-                Done::Serialized {
-                    out: mut bytes,
-                    sent,
-                    heavy_local_sorted,
-                } => {
-                    out.heavy_local_sorted += heavy_local_sorted;
-                    for (dest, len) in sent {
-                        counts[dest] += len;
-                    }
-                    match &mut out.send {
-                        None => out.send = Some(bytes),
-                        Some(send) => timed(&mut wall.serialize, || {
-                            send.extend_from_slice(&bytes);
-                            bytes.clear();
-                            self.spare.push(bytes);
-                        }),
-                    }
-                }
-                Done::Counted(runs) => out.counted.extend(runs),
-            }
-        }
-        Ok(out)
+        let filled = match &mut send {
+            Some(out) => timed(&mut wall.serialize, || self.fill(step, out, counts)),
+            None => Ok(0),
+        };
+        let counted: Vec<Vec<TaskCounts<K>>> = counted.into_iter().collect::<Result<_, _>>()?;
+        Ok(ListOutput {
+            send,
+            counted: counted.into_iter().flatten().collect(),
+            heavy_local_sorted: filled?,
+        })
     }
 }
 
@@ -370,17 +263,16 @@ impl<K: KmerCode> JobLists<'_, K> {
 /// construction; `u64::MAX` plans the one round of a bulk-synchronous run), then pipeline
 /// serialize → post → count over the non-blocking round engine, reusing the buffers of
 /// the send side (recycled engine buffers) and the one [`FlatReceived`] of the receive
-/// side. Every step hands the serialize jobs of the round it fills and
-/// the count jobs of the round it drains to the worker pool as **one job list** (see
-/// the module docs); the first step has only serialize jobs, the last only count jobs,
-/// and a pool of one thread runs each list front to back.
+/// side. Every step hands the count jobs of the round it drains to the worker pool as
+/// **one job list** and then fills the next round on the rank's own thread (see the
+/// module docs); the first step only fills, the last only counts.
 ///
 /// On any failure — a peer abort surfacing through the engine, a received segment
 /// failing its wire checks (in the index pass, or a count job finding a slot's header
-/// totals at odds with its decode), a fault injected into a serialize job, or a
-/// checkpoint commit failing — the error is published as a cluster-wide abort (so no peer stays
-/// blocked) and returned; the unfinished engine is simply dropped. A failing job
-/// surfaces only after the whole list returned, so no sibling job outlives the call.
+/// totals at odds with its decode), a fault injected into a fill, or a checkpoint commit
+/// failing — the error is published as a cluster-wide abort (so no peer stays blocked)
+/// and returned; the unfinished engine is simply dropped. A failing count job surfaces
+/// only after the whole list returned, so no sibling job outlives the call.
 /// Peer-failure echoes are *not* re-published: the failing rank's own root cause is
 /// already on the abort board, and keeping it intact is what lets the recovery layer
 /// decide whether the failure class is recoverable.
@@ -392,7 +284,7 @@ impl<K: KmerCode> JobLists<'_, K> {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn exchange_and_count<K: KmerCode>(
     ctx: &mut RankCtx,
-    ser: &SendSerializer<'_, K>,
+    ser: SendSerializer<'_, K>,
     tasks_of: &[Vec<usize>],
     global_sizes: &[u64],
     round_budget: u64,
@@ -437,7 +329,6 @@ pub(crate) fn exchange_and_count<K: KmerCode>(
         plan: &plan,
         fault: ctx.fault_plan_arc(),
         bank: ScratchBank::new(),
-        spare: Vec::new(),
     };
     let mut hidden_bytes = 0u64;
     let mut exposed_bytes = 0u64;
@@ -599,7 +490,6 @@ mod tests {
     use hysortk_dna::kmer::Kmer1;
     use hysortk_dna::readset::{Read, ReadSet};
     use hysortk_perfmodel::SortAlgorithm;
-    use hysortk_task::{detect_heavy_tasks, HeavyHitterPolicy};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -611,20 +501,16 @@ mod tests {
     const TASKS: usize = 12;
     const DESTS: usize = 3;
 
-    /// Random reads over a small genome (so multiplicities exceed 1), optionally with a
-    /// satellite repeat that makes one task a heavy hitter.
-    fn reads(satellite: bool) -> ReadSet {
+    /// Random reads over a small genome, so multiplicities exceed 1.
+    fn reads() -> ReadSet {
         let mut rng = StdRng::seed_from_u64(5);
         let genome: Vec<u8> = (0..1_500).map(|_| b"ACGT"[rng.gen_range(0..4)]).collect();
-        let mut seqs: Vec<Vec<u8>> = (0..50)
+        let seqs: Vec<Vec<u8>> = (0..50)
             .map(|_| {
                 let start = rng.gen_range(0..genome.len() - 200);
                 genome[start..start + 200].to_vec()
             })
             .collect();
-        if satellite {
-            seqs.extend((0..30).map(|_| b"AATGG".repeat(50)));
-        }
         ReadSet::from_ascii_reads(&seqs)
     }
 
@@ -645,157 +531,7 @@ mod tests {
         stage3::build_block_index(segments, K).expect("the serializer wrote it")
     }
 
-    /// The four send-side shapes: plain supermers, a heavy-hitter kmerlist among them,
-    /// supermers with extensions, and the records ablation (raw and compressed
-    /// extensions).
-    fn shapes() -> Vec<(&'static str, bool, HySortKConfig)> {
-        let base = HySortKConfig::small(K, 8, 1);
-        let mut with_ext = base.clone();
-        with_ext.with_extension = true;
-        let mut records = with_ext.clone();
-        records.use_supermers = false;
-        let mut records_raw = records.clone();
-        records_raw.compress_extension = false;
-        vec![
-            ("supermers", false, base.clone()),
-            ("heavy", true, base),
-            ("extensions", false, with_ext),
-            ("records", false, records),
-            ("records-raw", false, records_raw),
-        ]
-    }
-
-    /// Every round of every plan, at every pool width, is laid out byte for byte as one
-    /// sequential destination-major serialization — each task's wire bytes, their
-    /// order and the per-destination counts — and the count jobs sharing the list
-    /// produce what a sequential count of the same blocks does.
-    #[test]
-    fn job_lists_lay_rounds_out_and_count_them_exactly_as_the_sequential_path() {
-        for (shape, satellite, cfg) in shapes() {
-            let reads = reads(satellite);
-            let my_reads = reads.reads();
-            let sizes = stage1(my_reads, &cfg).local_sizes();
-            let heavy = if cfg.use_supermers && !cfg.with_extension {
-                detect_heavy_tasks(
-                    &sizes,
-                    &HeavyHitterPolicy {
-                        factor: 2.0,
-                        enabled: true,
-                    },
-                )
-            } else {
-                Vec::new()
-            };
-            assert_eq!(!heavy.is_empty(), satellite, "{shape}");
-            let tasks_of: Vec<Vec<usize>> = (0..DESTS)
-                .map(|d| (0..TASKS).filter(|t| t % DESTS == d).collect())
-                .collect();
-            let params = CountParams::for_kmer::<Kmer1>(
-                K,
-                SortAlgorithm::Raduls,
-                1,
-                1_000_000,
-                cfg.with_extension,
-            );
-            let mid = sizes.iter().sum::<u64>() / 4;
-            for budget in [1, mid, u64::MAX] {
-                let plan = plan_rounds(&tasks_of, &sizes, budget);
-                for width in [1usize, 2, 3, 5] {
-                    let what = format!("{shape}, budget {budget}, width {width}");
-                    // Record tasks are taken when serialized, so the reference path
-                    // gets a serializer of its own.
-                    let reference =
-                        SendSerializer::new(stage1(my_reads, &cfg), &sizes, &heavy, &cfg);
-                    let ser = SendSerializer::new(stage1(my_reads, &cfg), &sizes, &heavy, &cfg);
-                    let pool = WorkerPool::new(width, 1);
-                    let mut lists = JobLists {
-                        rank: 0,
-                        k: K,
-                        params: &params,
-                        pool: &pool,
-                        ser: &ser,
-                        plan: &plan,
-                        fault: None,
-                        bank: ScratchBank::new(),
-                        spare: Vec::new(),
-                    };
-                    let mut wall = WallBuckets::default();
-                    let mut counts = Vec::new();
-                    let mut sent: Vec<(Vec<u8>, Vec<usize>)> = Vec::new();
-                    let mut heavy_sorted = (0u64, 0u64);
-                    // Steps past the last round only drain, as in the driver.
-                    for step in 0..plan.local_rounds + 2 {
-                        let fill = step < plan.local_rounds;
-                        let mut expected = Vec::new();
-                        let mut expected_counts = vec![0usize; DESTS];
-                        if fill {
-                            for (dest, rounds) in plan.per_dest.iter().enumerate() {
-                                for &t in rounds.get(step).into_iter().flatten() {
-                                    let before = expected.len();
-                                    heavy_sorted.0 += reference.serialize_task(t, &mut expected);
-                                    expected_counts[dest] += expected.len() - before;
-                                }
-                            }
-                        }
-                        // The round filled two steps ago comes back as this step's
-                        // drained round, one segment per destination.
-                        let drained = step.checked_sub(2).map(|round| &sent[round]);
-                        let index = match drained {
-                            Some((bytes, per_dest)) => index_of(bytes, per_dest),
-                            None => BlockIndexBuilder::new().finish(),
-                        };
-                        let list = lists
-                            .run(
-                                step,
-                                fill.then(Vec::new),
-                                &index.slots,
-                                &mut counts,
-                                &mut wall,
-                            )
-                            .expect(&what);
-                        heavy_sorted.1 += list.heavy_local_sorted;
-                        assert!(lists.bank.all_checked_in(), "{what}");
-
-                        // The same slots counted one after another through one scratch.
-                        let mut scratch = CountScratch::new(params.max_count);
-                        let sequential: Vec<TaskCounts<Kmer1>> = (index.slots.iter())
-                            .map(|slot| stage3::count_task(slot, K, &params, 0, &mut scratch))
-                            .collect::<Result<Vec<_>, _>>()
-                            .expect(&what)
-                            .into_iter()
-                            .flatten()
-                            .collect();
-                        assert_eq!(list.counted.len(), sequential.len(), "{what}");
-                        for (got, want) in list.counted.iter().zip(&sequential) {
-                            assert_eq!(got.counts, want.counts, "{what}, step {step}");
-                            let ext = |t: &TaskCounts<Kmer1>| {
-                                t.ext
-                                    .as_ref()
-                                    .map(|e| (e.records.clone(), e.ranges.clone()))
-                            };
-                            assert_eq!(ext(got), ext(want), "{what}, step {step}");
-                        }
-                        if fill {
-                            assert_eq!(
-                                list.send.as_deref(),
-                                Some(&expected[..]),
-                                "{what}, step {step}"
-                            );
-                            assert_eq!(counts, expected_counts, "{what}, step {step}");
-                            sent.push((expected, expected_counts));
-                        } else {
-                            assert!(list.send.is_none(), "{what}");
-                        }
-                    }
-                    assert_eq!(heavy_sorted.0, heavy_sorted.1, "{what}");
-                    // Every wall second of the lists landed in the two job buckets.
-                    assert!(wall.serialize > 0.0 && wall.count > 0.0, "{what}");
-                }
-            }
-        }
-    }
-
-    /// Run `f` on one rank's job lists over `reads(false)`, planned at one task per
+    /// Run `f` on one rank's job lists over `reads()`, planned at one task per
     /// destination per round, on a pool `width` threads wide.
     fn with_job_lists(
         width: usize,
@@ -803,7 +539,7 @@ mod tests {
         f: impl FnOnce(&mut JobLists<'_, Kmer1>),
     ) {
         let cfg = HySortKConfig::small(K, 8, 1);
-        let reads = reads(false);
+        let reads = reads();
         let my_reads = reads.reads();
         let sizes = stage1(my_reads, &cfg).local_sizes();
         let tasks_of: Vec<Vec<usize>> = (0..DESTS)
@@ -812,17 +548,15 @@ mod tests {
         let plan = plan_rounds(&tasks_of, &sizes, 1);
         assert_eq!(plan.local_rounds, TASKS / DESTS);
         let params = CountParams::for_kmer::<Kmer1>(K, SortAlgorithm::Raduls, 1, 50, false);
-        let ser = SendSerializer::new(stage1(my_reads, &cfg), &sizes, &[], &cfg);
         f(&mut JobLists {
             rank: 0,
             k: K,
             params: &params,
             pool: &WorkerPool::new(width, 1),
-            ser: &ser,
+            ser: SendSerializer::new(stage1(my_reads, &cfg), &[], &cfg),
             plan: &plan,
             fault,
             bank: ScratchBank::new(),
-            spare: Vec::new(),
         });
     }
 

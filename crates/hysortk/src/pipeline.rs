@@ -1,7 +1,10 @@
 //! The HySortK counting pipeline.
 //!
-//! One call to [`count_kmers`] runs the full three-stage algorithm of the paper on a
-//! simulated cluster:
+//! One call to [`count_kmers`] — or to a file entry point of [`crate::ingest`] — runs
+//! the full three-stage algorithm of the paper on a simulated cluster. Both are the one
+//! run driver ([`run`]) and the one rank driver over an [`Input`], which holds all that
+//! depends on the source: the size estimate and how stage 1 is fed.
+//!
 //!
 //! 1. **Parse** — every rank reads its share of the input, finds minimizers with the
 //!    monotone-deque sliding window and groups consecutive k-mers into supermers
@@ -42,11 +45,13 @@
 //! counters in the returned [`RunReport`] are measurements, not estimates; only the
 //! conversion to seconds goes through the performance model.
 
-use std::sync::Mutex;
-use std::time::Instant;
+use std::ops::Range;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use hysortk_dmem::{Cluster, CommStats, RankCtx, Wire};
+use hysortk_dmem::{Cluster, CommStats, FaultPlan, RankCtx, RecoveryPolicy, Wire};
 use hysortk_dna::extension::Extension;
+use hysortk_dna::io::{IngestOptions, InputFile};
 use hysortk_dna::kmer::KmerCode;
 use hysortk_dna::readset::{Read, ReadSet};
 use hysortk_hash::hash_kmer;
@@ -63,6 +68,7 @@ use hysortk_trace as trace;
 use crate::checkpoint::{run_fingerprint, sizes_hash, RoundCheckpointer};
 use crate::config::HySortKConfig;
 use crate::error::HysortkError;
+use crate::ingest::ingest_shard;
 use crate::result::{CountResult, KmerHistogram, KmerRuns, RunReport, StageWallTimes};
 use crate::stage3::{self, CountParams, TaskCounts, TaskExtensions};
 use crate::wire::{
@@ -120,26 +126,6 @@ impl WallBuckets {
             self.checkpoint,
             (self.total - named).max(0.0),
         ]
-    }
-
-    /// Book the wall time of one job list of the overlapped round loop, in which
-    /// serialize and count jobs ran side by side on the worker pool. `job_seconds`
-    /// yields each job's own `(serialize, count)` seconds; `wall` is split between the
-    /// `serialize` and `count` buckets in proportion to their sums, so the buckets keep
-    /// partitioning the rank's wall time.
-    pub(crate) fn add_job_list(
-        &mut self,
-        wall: f64,
-        job_seconds: impl Iterator<Item = (f64, f64)>,
-    ) {
-        let (serialize_s, count_s) =
-            job_seconds.fold((0.0, 0.0), |(s, c), (js, jc)| (s + js, c + jc));
-        let busy = serialize_s + count_s;
-        if busy > 0.0 {
-            let serialize = wall * (serialize_s / busy);
-            self.serialize += serialize;
-            self.count += wall - serialize;
-        }
     }
 }
 
@@ -344,7 +330,7 @@ impl<K: KmerCode> Wire for RankOutput<K> {
 }
 
 /// One task as stage 1 staged it: its supermers in wire form ([`push_supermer`]), in
-/// **one** buffer — what a serialize job frees in one piece — parse call after parse
+/// **one** buffer — what its fill frees in one piece — parse call after parse
 /// call, each call's share section after section. With the bytes every section got from
 /// each call that staged any, the supermers every section got in all, and the two
 /// totals the task-size reduction and the block header need.
@@ -433,69 +419,31 @@ impl<K: KmerCode> Stage1<K> {
 /// packed into (which is what makes outputs byte-identical across round plans). A
 /// supermer task is *block header, section directory, staged body section by section,
 /// seal* — a copy; a heavy-hitter task decodes its staged body and pre-counts it into a
-/// kmerlist (§3.5); a record task encodes its staged vectors. Serialising takes `&self`,
-/// so the serialize jobs of one round run side by side on the worker pool, and it takes
-/// the task's staging with it: each task must be serialised at most once, and its
-/// memory is free afterwards.
+/// kmerlist (§3.5); a record task encodes its staged vectors. Serialising a task takes
+/// its staging with it: each task must be serialised at most once, and its memory is
+/// free afterwards.
 pub(crate) struct SendSerializer<'a, K: KmerCode> {
-    staged: Staged<K>,
-    local_sizes: &'a [u64],
+    staged: Stage1<K>,
     heavy: &'a [usize],
     cfg: &'a HySortKConfig,
 }
 
-/// [`Stage1`] as the serializer holds it: every task sits in a cell of its own, so a
-/// serialize job can take its task's staging through a shared reference.
-enum Staged<K: KmerCode> {
-    Supermers(Vec<Mutex<TaskBody>>, u32),
-    Records(Vec<Mutex<(Vec<K>, Vec<Extension>)>>),
-}
-
 impl<'a, K: KmerCode> SendSerializer<'a, K> {
-    pub(crate) fn new(
-        stage1: Stage1<K>,
-        local_sizes: &'a [u64],
-        heavy: &'a [usize],
-        cfg: &'a HySortKConfig,
-    ) -> Self {
-        SendSerializer {
-            staged: match stage1 {
-                Stage1::Supermers(bodies, sections) => {
-                    Staged::Supermers(bodies.into_iter().map(Mutex::new).collect(), sections)
-                }
-                Stage1::Records(tasks) => {
-                    Staged::Records(tasks.into_iter().map(Mutex::new).collect())
-                }
-            },
-            local_sizes,
-            heavy,
-            cfg,
-        }
-    }
-
-    /// K-mers this rank staged for task `t` — the serialize job's size.
-    pub(crate) fn local_size(&self, t: usize) -> u64 {
-        self.local_sizes[t]
-    }
-
-    /// Whether serialising task `t` only copies its staged body — true of every
-    /// supermer task that is not a heavy hitter. A round of such tasks is filled on the
-    /// rank's own thread ([`crate::overlap`]): a copy is not worth a pool job.
-    pub(crate) fn is_copy(&self, t: usize) -> bool {
-        matches!(self.staged, Staged::Supermers(..)) && self.heavy.binary_search(&t).is_err()
+    pub(crate) fn new(staged: Stage1<K>, heavy: &'a [usize], cfg: &'a HySortKConfig) -> Self {
+        SendSerializer { staged, heavy, cfg }
     }
 
     /// Append task `t`'s wire blocks to `out` (nothing is written for an empty task).
     /// Returns the k-mers pre-counted locally when `t` is a heavy-hitter task, zero
     /// otherwise.
-    pub(crate) fn serialize_task(&self, t: usize, out: &mut Vec<u8>) -> u64 {
-        match &self.staged {
-            Staged::Supermers(bodies, sections) => {
-                let body = std::mem::take(&mut *bodies[t].lock().expect("body cell poisoned"));
+    pub(crate) fn serialize_task(&mut self, t: usize, out: &mut Vec<u8>) -> u64 {
+        match &mut self.staged {
+            Stage1::Supermers(bodies, sections) => {
+                let body = std::mem::take(&mut bodies[t]);
                 if body.supermers == 0 {
                     return 0;
                 }
-                if self.is_copy(t) {
+                if self.heavy.binary_search(&t).is_err() {
                     let provenance = self.cfg.with_extension;
                     write_supermer_block(out, t as u32, provenance, *sections, &body.parts());
                     return 0;
@@ -518,9 +466,8 @@ impl<'a, K: KmerCode> SendSerializer<'a, K> {
                 write_block(out, t as u32, &TaskPayload::<K>::KmerList(list));
                 kmers.len() as u64
             }
-            Staged::Records(tasks) => {
-                let (kmers, exts) =
-                    std::mem::take(&mut *tasks[t].lock().expect("record cell poisoned"));
+            Stage1::Records(tasks) => {
+                let (kmers, exts) = std::mem::take(&mut tasks[t]);
                 if kmers.is_empty() {
                     return 0;
                 }
@@ -659,39 +606,116 @@ pub(crate) fn parse_supermers_parallel(
 /// The k-mer width `K` must satisfy `cfg.k <= K::max_k()`; use
 /// [`hysortk_dna::Kmer1`] for k ≤ 32 and [`hysortk_dna::Kmer2`] for k ≤ 64.
 pub fn count_kmers<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) -> CountResult<K> {
-    cfg.validate().expect("invalid HySortK configuration");
+    // Without a fault plan or foreign wire bytes, an invalid configuration and an
+    // unwritable checkpoint directory are the failures left: caller errors here.
+    let input = Input::Reads(reads, reads.partition_by_bases(cfg.total_ranks()));
+    run(input, cfg, None).unwrap_or_else(|e| panic!("in-memory pipeline failed: {e}"))
+}
+
+/// Where a run's reads come from — the only part of a run that depends on its source.
+pub(crate) enum Input<'a> {
+    /// Reads in memory, and each rank's share of them by bases.
+    Reads(&'a ReadSet, Vec<Range<usize>>),
+    /// Files, each rank streaming its byte shard of them ([`crate::ingest`]).
+    Files(&'a [InputFile], IngestOptions),
+}
+
+impl Input<'_> {
+    /// About how many `(k-mers, bases)` the input holds, from which the sorter and the
+    /// sections are derived. Files count their on-disk bytes for both: ASCII bytes ≈
+    /// bases ≈ k-mers for FASTA; a mild overestimate for FASTQ, which only makes the
+    /// memory-aware choice more conservative and the sections smaller.
+    fn size(&self, k: usize) -> (u64, u64) {
+        match self {
+            Input::Reads(reads, _) => (reads.total_kmers(k) as u64, reads.total_bases() as u64),
+            Input::Files(files, _) => {
+                let bytes = files.iter().map(|f| f.bytes).sum();
+                (bytes, bytes)
+            }
+        }
+    }
+
+    /// Stage 1 of one rank: feed its reads to `parser`. Returns the error that stopped
+    /// a file feed, if one did; what was read until then is staged.
+    fn stage1<K: KmerCode>(
+        &self,
+        ctx: &RankCtx,
+        cfg: &HySortKConfig,
+        parser: &mut Stage1Parser<'_, K>,
+        counters: &mut RankCounters,
+    ) -> Result<(), HysortkError> {
+        match self {
+            Input::Reads(reads, ranges) => {
+                let start = Instant::now();
+                parser.parse(&reads.reads()[ranges[ctx.rank()].clone()], counters);
+                counters.wall.parse += start.elapsed().as_secs_f64();
+                Ok(())
+            }
+            Input::Files(files, opts) => ingest_shard(ctx, files, cfg, opts, parser, counters),
+        }
+    }
+}
+
+/// Run the pipeline on `input` over a cluster of `cfg.total_ranks()` ranks, with `plan`'s
+/// faults injected when one is given: validate, derive the sorter and the sections, run
+/// every rank ([`rank_pipeline`]), and combine their outputs ([`merge_outputs`]).
+///
+/// Rank failures (an injected crash and the peer echoes it leaves behind) are the
+/// recoverable class: every affected rank unwound through the abort board, so the
+/// cluster can respawn the whole generation. A respawn restores from the last committed
+/// checkpoint epoch when one is configured, and recounts from scratch when not — both
+/// reproduce the fault-free counts exactly. Concrete local defects (wire corruption, I/O
+/// exhaustion, config rejection) stay immediate typed aborts, and the error returned is
+/// the root cause: a peer-failure echo never displaces a concrete error.
+pub(crate) fn run<K: KmerCode>(
+    input: Input<'_>,
+    cfg: &HySortKConfig,
+    plan: Option<Arc<FaultPlan>>,
+) -> Result<CountResult<K>, HysortkError> {
+    cfg.validate().map_err(HysortkError::Config)?;
     assert!(
         cfg.k <= K::max_k(),
         "k = {} exceeds the chosen k-mer width",
         cfg.k
     );
-
-    let p = cfg.total_ranks();
     let num_tasks = cfg.num_tasks();
-    let ranges = reads.partition_by_bases(p);
     let model = PerfModel::new(cfg.machine.clone(), cfg.execution());
+    let (kmers, bases) = input.size(cfg.k);
+    let sorter = select_sorter::<K>(cfg, &model, kmers, bases);
+    let sections = sections_for::<K>(cfg, kmers);
 
-    let (kmers, bases) = (reads.total_kmers(cfg.k), reads.total_bases());
-    let sorter = select_sorter::<K>(cfg, &model, kmers as u64, bases as u64);
-    let sections = sections_for::<K>(cfg, kmers as u64);
-
-    let cluster = Cluster::new(p).with_backend(cfg.backend);
-    let run = cluster
-        .run_wire(|ctx| rank_pipeline::<K>(ctx, reads, &ranges, cfg, num_tasks, sorter, sections));
+    let mut cluster = Cluster::new(cfg.total_ranks()).with_backend(cfg.backend);
+    if let Some(plan) = plan {
+        cluster = cluster.with_fault_plan(plan);
+    }
+    let policy = RecoveryPolicy {
+        max_attempts: cfg.recovery_attempts,
+        backoff: Duration::from_millis(cfg.recovery_backoff_ms),
+    };
+    let recoverable = |e: &HysortkError| match e {
+        HysortkError::Comm(d) => d.is_rank_failure(),
+        _ => false,
+    };
+    let run = cluster.run_recovering_wire(&policy, recoverable, |ctx| {
+        rank_pipeline::<K>(ctx, &input, cfg, num_tasks, sorter, sections)
+    });
     let joined = Instant::now();
-
-    // The in-memory path attaches no fault plan and writes its own wire bytes, so
-    // injected faults, checksum-corrupted segments and peer aborts cannot arise;
-    // checkpoint I/O against an unwritable directory is the one failure left, and the
-    // in-memory API keeps its infallible signature by treating that as a caller error.
-    let outputs = run
-        .results
-        .into_iter()
-        .map(|r| {
-            r.expect("in-memory pipeline cannot fail unless its checkpoint directory is unwritable")
-        })
-        .collect();
-    merge_outputs(outputs, run.comm, cfg, &model, sorter, 0, joined)
+    let (outputs, errors): (Vec<_>, Vec<_>) = run.results.into_iter().partition(Result::is_ok);
+    // Keep the root cause: a peer-failure echo never displaces a concrete local error.
+    let errors = errors.into_iter().filter_map(Result::err);
+    if let Some(e) = errors.min_by_key(HysortkError::is_peer_echo) {
+        return Err(e);
+    }
+    let outputs = outputs.into_iter().filter_map(Result::ok).collect();
+    Ok(merge_outputs(
+        outputs,
+        run.comm,
+        cfg,
+        &model,
+        sorter,
+        run.recoveries,
+        joined,
+    ))
 }
 
 /// Decide the local sorter the way HySortK does: look at the payload — `kmers` and
@@ -760,10 +784,18 @@ pub(crate) fn sections_for<K: KmerCode>(cfg: &HySortKConfig, records: u64) -> u3
     }
 }
 
+/// One rank of the pipeline: stage 1 over its share of the input ([`Input::stage1`]),
+/// then the staged supermers/records go to stages 2 + 3.
+///
+/// An input error (unreadable file, malformed FASTQ record, …) must **not** make the
+/// rank bail out early: the pipeline is SPMD, so a rank that skips the collectives
+/// deadlocks every other rank inside the task-size allreduce or the exchange. The
+/// rank instead stops reading, runs the remaining stages with whatever it parsed,
+/// and reports the input error once the collectives are over — it takes precedence
+/// over any later stage error, which can only be downstream fallout.
 fn rank_pipeline<K: KmerCode>(
     ctx: &mut RankCtx,
-    reads: &ReadSet,
-    ranges: &[std::ops::Range<usize>],
+    input: &Input<'_>,
     cfg: &HySortKConfig,
     num_tasks: usize,
     sorter: SortAlgorithm,
@@ -772,38 +804,31 @@ fn rank_pipeline<K: KmerCode>(
     let rank_start = Instant::now();
     let rank = ctx.rank();
     let mut counters = RankCounters::default();
-
-    // ---------------- stage 1: parse ------------------------------------------------
-    let my_reads = &reads.reads()[ranges[rank].clone()];
     let pool = WorkerPool::new(cfg.workers_per_process(), cfg.threads_per_worker).for_rank(rank);
 
-    let parse_start = Instant::now();
-    let parse_span = trace::span_with(
-        "stage1-parse",
-        trace::Detail::Stage,
-        rank as u32,
-        &[("reads", my_reads.len() as u64)],
-    );
+    let ingest_span = trace::span!("stage1-ingest", trace::Detail::Stage, rank);
     let mut parser = Stage1Parser::<K>::new(cfg, num_tasks, sections, &pool);
-    parser.parse(my_reads, &mut counters);
+    let ingested = input.stage1(ctx, cfg, &mut parser, &mut counters);
     let stage1 = parser.finish();
-    parse_span.end_with(&[
+    ingest_span.end_with(&[
         ("staged_bytes", stage1.staged_bytes()),
         ("sections", u64::from(sections)),
     ]);
-    counters.wall.parse += parse_start.elapsed().as_secs_f64();
 
-    let mut out = stages_2_and_3(ctx, stage1, counters, cfg, num_tasks, sorter, &pool)?;
-    out.counters.wall.total = rank_start.elapsed().as_secs_f64();
-    Ok(out)
+    let output =
+        stages_2_and_3(ctx, stage1, counters, cfg, num_tasks, sorter, &pool).map(|mut out| {
+            out.counters.wall.total = rank_start.elapsed().as_secs_f64();
+            out
+        });
+    ingested.and(output)
 }
 
 /// A rank's stage 1: reads go in, batch by batch, and the per-task staging comes out.
 /// Supermer mode streams every read through the fused scoring→minimizer→supermer
 /// extractor, rank-parallel over the worker pool, and writes each supermer in wire form
 /// into its section's body ([`parse_supermers_parallel`]); the records ablation keeps
-/// the simple sequential per-read loop. Shared by the in-memory and file-fed entry
-/// points, so the two cannot diverge on what they stage.
+/// the simple sequential per-read loop. Every [`Input`] feeds the same parser, so the
+/// sources cannot diverge on what they stage.
 pub(crate) struct Stage1Parser<'a, K: KmerCode> {
     staged: Stage1<K>,
     bank: ScratchBank<ParseScratch>,
@@ -900,10 +925,9 @@ fn stage1_record_read<K: KmerCode>(
 }
 
 /// Stages 2 and 3 of the rank pipeline — task sizing, assignment, heavy-hitter
-/// conversion, serialisation, exchange, sort & count. Shared
-/// verbatim by the in-memory entry point ([`count_kmers`]) and the streaming file
-/// feed ([`crate::ingest::count_kmers_from_files`]), which is what makes their
-/// outputs identical by construction once stage 1 has staged the same reads.
+/// conversion, serialisation, exchange, sort & count — the same for every [`Input`],
+/// which is what makes the outputs of the sources identical by construction once stage
+/// 1 has staged the same reads.
 ///
 /// Fails with a typed [`HysortkError`] when a collective aborts (a peer failed, a
 /// fault fired) or a received segment fails its wire checks; every local failure is
@@ -991,7 +1015,7 @@ pub(crate) fn stages_2_and_3<K: KmerCode>(
     // overlap fraction would be pure projection instead of measurement. `false` is the
     // bulk-synchronous ablation: no budget, so the plan is one round and the loop's
     // three steps — serialise and post everything, wait, count — are each a barrier.
-    let ser = SendSerializer::new(stage1, &local_sizes, &heavy, cfg);
+    let ser = SendSerializer::new(stage1, &heavy, cfg);
     let params =
         CountParams::for_kmer::<K>(k, sorter, cfg.min_count, cfg.max_count, cfg.with_extension);
     let round_budget = if cfg.overlap {
@@ -1001,7 +1025,7 @@ pub(crate) fn stages_2_and_3<K: KmerCode>(
     };
     let run = crate::overlap::exchange_and_count::<K>(
         ctx,
-        &ser,
+        ser,
         &assignment.tasks_of,
         &global_sizes,
         round_budget,
@@ -1524,42 +1548,46 @@ mod tests {
     }
 
     #[test]
-    fn a_job_list_wall_is_split_by_job_seconds_and_nothing_else_is_booked() {
-        let mut wall = WallBuckets::default();
-        // 3 s of serialize jobs beside 1 s of count jobs in a list that took 2 s.
-        wall.add_job_list(2.0, [(1.0, 0.0), (0.0, 1.0), (2.0, 0.0)].into_iter());
-        assert!((wall.serialize - 1.5).abs() < 1e-12, "{wall:?}");
-        assert!((wall.count - 0.5).abs() < 1e-12, "{wall:?}");
-        // One kind only: the whole wall goes to it. An empty list books nothing.
-        wall.add_job_list(0.25, [(0.0, 4.0)].into_iter());
-        wall.add_job_list(7.0, std::iter::empty());
-        assert!((wall.serialize - 1.5).abs() < 1e-12, "{wall:?}");
-        assert!((wall.count - 0.75).abs() < 1e-12, "{wall:?}");
-    }
-
-    #[test]
     fn stage_buckets_partition_every_ranks_wall_at_one_and_two_threads() {
-        let reads = overlapping_reads(12);
-        for (threads, overlap) in [(1usize, true), (2, true), (1, false), (2, false)] {
+        // Two shapes: plain reads, and random reads plus a satellite repeat, which makes
+        // one task a heavy hitter that its fill pre-counts.
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut seqs: Vec<Vec<u8>> = (0..40)
+            .map(|_| (0..300).map(|_| b"ACGT"[rng.gen_range(0..4)]).collect())
+            .collect();
+        seqs.extend((0..40).map(|_| b"AATGG".repeat(60)));
+        let shapes = [
+            (overlapping_reads(12), false),
+            (ReadSet::from_ascii_reads(&seqs), true),
+        ];
+        for ((reads, heavy), (threads, overlap)) in (shapes.iter()).flat_map(|shape| {
+            [(1usize, true), (2, true), (1, false), (2, false)].map(|t| (shape, t))
+        }) {
             for ranks in [1usize, 3] {
+                let tag =
+                    format!("heavy {heavy} threads {threads} overlap {overlap} ranks {ranks}");
                 let mut cfg = small_cfg(21, 9, ranks);
                 cfg.threads_per_process = threads;
                 cfg.batch_size = 64;
                 cfg.overlap = overlap;
-                let ranges = reads.partition_by_bases(ranks);
+                cfg.heavy_hitter.factor = 2.0;
+                let input = Input::Reads(reads, reads.partition_by_bases(ranks));
                 let run = Cluster::new(ranks).run_wire(|ctx| {
                     rank_pipeline::<Kmer1>(
                         ctx,
-                        &reads,
-                        &ranges,
+                        &input,
                         &cfg,
                         cfg.num_tasks(),
                         SortAlgorithm::Raduls,
                         1,
                     )
                 });
+                let mut precounted = 0;
                 for out in run.results {
-                    let wall = out.expect("healthy run").counters.wall;
+                    let counters = out.expect("healthy run").counters;
+                    assert_eq!(counters.heavy_tasks > 0, *heavy, "{tag}");
+                    precounted += counters.heavy_local_sorted;
+                    let wall = counters.wall;
                     let stages = wall.to_stage_vec();
                     // One value per name, and no stage that only ever reads zero.
                     assert_eq!(stages.len(), WallBuckets::NAMES.len());
@@ -1569,12 +1597,17 @@ mod tests {
                     // `other` is a clamped residue: the sum can only miss `total` when
                     // the named buckets overshoot it, i.e. when some wall was booked
                     // twice.
+                    assert!((sum - wall.total).abs() <= 1e-9, "{tag}: {wall:?}");
                     assert!(
-                        (sum - wall.total).abs() <= 1e-9,
-                        "threads {threads} overlap {overlap} ranks {ranks}: {wall:?}"
+                        other >= 0.0 && wall.serialize > 0.0 && wall.count > 0.0,
+                        "{tag}: {wall:?}"
                     );
-                    assert!(other >= 0.0 && wall.serialize > 0.0 && wall.count > 0.0);
                 }
+                assert_eq!(
+                    precounted > 0,
+                    *heavy,
+                    "{tag}: k-mers the fills pre-counted"
+                );
             }
         }
     }
@@ -1616,10 +1649,10 @@ mod tests {
             let mut cfg = small_cfg(21, 9, ranks);
             cfg.min_count = 2;
             cfg.with_extension = with_extension;
-            let ranges = reads.partition_by_bases(ranks);
+            let input = Input::Reads(&reads, reads.partition_by_bases(ranks));
             let sorter = SortAlgorithm::Raduls;
             let run = Cluster::new(ranks).run_wire(|ctx| {
-                rank_pipeline::<Kmer1>(ctx, &reads, &ranges, &cfg, cfg.num_tasks(), sorter, 1)
+                rank_pipeline::<Kmer1>(ctx, &input, &cfg, cfg.num_tasks(), sorter, 1)
             });
             let outputs: Vec<RankOutput<Kmer1>> =
                 (run.results.into_iter().map(|r| r.expect("healthy run"))).collect();

@@ -236,7 +236,7 @@ pub struct RunReport {
     pub epochs_committed: usize,
     /// Measured: the most stage-1 staging any rank held when its stage 1 ended — the
     /// sum of its tasks' supermer-block bodies (of its record vectors in the records
-    /// ablation). A serialize job frees its task's share. Zero for the baselines.
+    /// ablation). Filling a task into its round frees its share. Zero for the baselines.
     pub staged_bytes: u64,
     /// How many sections stage 1 cut every task into — the `S` the run derived from its
     /// input size: 1 on small inputs and in the records ablation. Zero for the baselines.

@@ -282,32 +282,40 @@ impl hysortk_dmem::Wire for WireError {
     }
 }
 
-/// Checksum guarding each task block: a multiply–rotate hash folded to 32 bits,
-/// appended after the payload by every writer and verified by [`read_blocks`]. Not
-/// cryptographic — it exists so a bit flipped in flight surfaces as
-/// [`WireError::Checksum`] instead of a silently wrong histogram.
-fn wire_checksum(bytes: &[u8]) -> u32 {
+/// The multiply–rotate fold behind every checksum and fingerprint of this crate: eight
+/// little-endian bytes at a time, the tail zero-padded, then the length folded in. Not
+/// cryptographic, but any single bit flip, truncation or length change moves it.
+pub(crate) fn fold64(bytes: &[u8]) -> u64 {
+    let step = |h: u64, w: u64| (h ^ w).wrapping_mul(0x0100_0000_01b3).rotate_left(23);
     let mut h: u64 = 0x9e37_79b9_7f4a_7c15;
     let mut chunks = bytes.chunks_exact(8);
     for chunk in &mut chunks {
-        let w = u64::from_le_bytes(chunk.try_into().expect("chunk is 8 bytes"));
-        h = (h ^ w).wrapping_mul(0x0100_0000_01b3).rotate_left(23);
+        h = step(
+            h,
+            u64::from_le_bytes(chunk.try_into().expect("chunk is 8 bytes")),
+        );
     }
     let rem = chunks.remainder();
     if !rem.is_empty() {
         let mut w = [0u8; 8];
         w[..rem.len()].copy_from_slice(rem);
-        h = (h ^ u64::from_le_bytes(w))
-            .wrapping_mul(0x0100_0000_01b3)
-            .rotate_left(23);
+        h = step(h, u64::from_le_bytes(w));
     }
-    h ^= bytes.len() as u64;
+    h ^ bytes.len() as u64
+}
+
+/// [`fold64`] folded to 32 bits: the seal appended after every task block's payload by
+/// every writer and verified by [`read_blocks`] — so a bit flipped in flight surfaces as
+/// [`WireError::Checksum`] instead of a silently wrong histogram — and the trailer of
+/// every checkpoint manifest.
+pub(crate) fn checksum32(bytes: &[u8]) -> u32 {
+    let h = fold64(bytes);
     (h ^ (h >> 32)) as u32
 }
 
 /// Append the checksum of `out[block_start..]` — call once per finished block.
 fn seal_block(out: &mut Vec<u8>, block_start: usize) {
-    let sum = wire_checksum(&out[block_start..]);
+    let sum = checksum32(&out[block_start..]);
     push_u32(out, sum);
 }
 
@@ -1218,7 +1226,7 @@ pub fn read_blocks<K: KmerCode>(buf: &[u8]) -> Result<Vec<TaskBlockView<'_, K>>,
         };
         let body_end = pos;
         let declared = read_u32(buf, &mut pos).ok_or(WireError::Truncated { offset: pos })?;
-        if wire_checksum(&buf[block_start..body_end]) != declared {
+        if checksum32(&buf[block_start..body_end]) != declared {
             return Err(WireError::Checksum {
                 task,
                 offset: block_start,

@@ -3,13 +3,17 @@
 //! The recorder must be a pure observer: turning it on must not change any count,
 //! and the events it captures during an injected failure must tell the story — the
 //! fault firing, the cluster respawning a recovery generation, and every span
-//! properly nested on its thread. The whole matrix lives in ONE test because the
+//! properly nested on its thread. It also shows where work ran: every round's fill sits
+//! on the thread of its rank's stage 1. The whole matrix lives in ONE test because the
 //! recorder is process-global: parallel tests flipping `enable`/`disable` would
 //! race each other's collections.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use hysortk_core::{count_kmers_from_files, count_kmers_from_files_faulted, HySortKConfig};
+use hysortk_core::{
+    count_kmers_from_files, count_kmers_from_files_faulted, reference_counts_bounded, HySortKConfig,
+};
 use hysortk_dmem::{FaultKind, FaultPlan};
 use hysortk_dna::io::IngestOptions;
 use hysortk_dna::kmer::Kmer1;
@@ -163,5 +167,55 @@ fn tracing_is_a_pure_observer_across_the_chaos_matrix() {
             );
         }
     }
+
+    // Every fill is written on the rank's own thread — the one that opened
+    // `stage1-ingest` — at every pool width: a heavy-hitter task's pre-count and the
+    // records ablation's encoding included, with several tasks in one round.
+    let mut rng = StdRng::seed_from_u64(78);
+    let mut seqs: Vec<Vec<u8>> = (0..40)
+        .map(|_| (0..300).map(|_| b"ACGT"[rng.gen_range(0..4)]).collect())
+        .collect();
+    seqs.extend((0..40).map(|_| b"AATGG".repeat(60)));
+    let satellite = ReadSet::from_ascii_reads(&seqs);
+    let satellite_path = path.with_extension("satellite.fa");
+    fasta::write_fasta_file(&satellite_path, &satellite, 70).unwrap();
+    for threads in [1usize, 2, 3] {
+        let mut heavy = small_cfg(2, true);
+        heavy.threads_per_process = threads;
+        heavy.heavy_hitter.factor = 2.0;
+        // At 4 096 records per destination a round holds several of these tasks.
+        let mut records = heavy.clone();
+        records.use_supermers = false;
+        records.batch_size = 4_096;
+        for (shape, input, reads, cfg) in [
+            ("heavy", &satellite_path, &satellite, heavy),
+            ("records", &path, &reads, records),
+        ] {
+            let tag = format!("{shape} threads={threads}");
+            trace::enable(trace::Detail::Task);
+            let got = count_kmers_from_files::<Kmer1, _>(&[input], &cfg).unwrap();
+            trace::disable();
+            let tr = trace::collect();
+            let oracle = reference_counts_bounded::<Kmer1>(reads, cfg.k, 1, 1_000_000);
+            assert_eq!(got.counts, oracle, "{tag}: counts");
+            assert_eq!(got.report.heavy_tasks > 0, shape == "heavy", "{tag}");
+            let begun =
+                |label| (tr.with_label(label)).filter(|e| e.kind == trace::EventKind::Begin);
+            let own: HashMap<u32, u32> = begun("stage1-ingest").map(|e| (e.rank, e.tid)).collect();
+            assert_eq!(own.len(), 2, "{tag}: one stage-1 thread per rank");
+            let fills: Vec<_> = begun("overlap-serialize").collect();
+            assert!(!fills.is_empty(), "{tag}: no fill spans");
+            for fill in fills {
+                assert_eq!(
+                    Some(&fill.tid),
+                    own.get(&fill.rank),
+                    "{tag}: rank {} filled task {:?} off its own thread",
+                    fill.rank,
+                    fill.arg("task")
+                );
+            }
+        }
+    }
+    std::fs::remove_file(&satellite_path).ok();
     std::fs::remove_file(&path).ok();
 }

@@ -9,7 +9,7 @@
 //! stage once per pipeline invocation. [`schedule_lpt`] computes the static
 //! longest-processing-time assignment whose makespan the performance model uses, and
 //! which [`WorkerPool::execute_balanced`] uses to place a list of unequal jobs — the
-//! overlapped exchange's serialize and count jobs — onto the pool's threads.
+//! overlapped exchange's count jobs — onto the pool's threads.
 
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -134,7 +134,8 @@ impl WorkerPool {
     /// with equal value never span two tasks, so no cross-task coordination is needed).
     ///
     /// Results are returned in task order. Reuses the cached rayon pool — no thread
-    /// pool is constructed per call.
+    /// pool is constructed per call. A single task runs on the calling thread with the
+    /// pool's whole thread budget for the parallel work nested inside it.
     pub fn execute<T, R, F>(&self, tasks: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
@@ -207,14 +208,13 @@ impl WorkerPool {
         (results, scratches)
     }
 
-    /// Run a list of **heterogeneous jobs** as one call: `sizes[i]` estimates job
-    /// `i`'s work, the jobs are placed onto the pool's threads with [`schedule_lpt`],
-    /// and every thread runs its jobs in list order. The overlapped pipeline hands the
-    /// pool the serialize jobs of round *r+1* and the count jobs of round *r−1* this
-    /// way, so a rank with more than one thread works on both while round *r* is in
-    /// flight. The placement is static — a thread's whole share is known before it
-    /// starts — which is what balances a short list of unequal jobs regardless of how
-    /// the backing pool splits work; a pool of one thread runs the list front to back.
+    /// Run a list of **unequal jobs** as one call: `sizes[i]` estimates job `i`'s work,
+    /// the jobs are placed onto the pool's threads with [`schedule_lpt`], and every
+    /// thread runs its jobs in list order. The overlapped pipeline hands the pool the
+    /// count jobs of round *r−1* this way while round *r* is in flight. The placement
+    /// is static — a thread's whole share is known before it starts — which is what
+    /// balances a short list of unequal jobs regardless of how the backing pool splits
+    /// work; a pool of one thread runs the list front to back.
     ///
     /// Jobs that need per-worker state check it out of a [`ScratchBank`] themselves
     /// ([`ScratchBank::checkout`]), so a list of jobs of which only some need a

@@ -51,7 +51,8 @@ fn chaos_cfg(ranks: usize, overlap: bool) -> HySortKConfig {
 }
 
 /// [`chaos_cfg`] with `threads` threads per rank: the overlapped round loop runs each
-/// step's serialize and count jobs side by side at 2, front to back at 1.
+/// step's count jobs side by side at 2, front to back at 1, and fills the next round
+/// on the rank's own thread either way.
 fn chaos_cfg_with_threads(ranks: usize, overlap: bool, threads: usize) -> HySortKConfig {
     let mut cfg = HySortKConfig::small_with_threads(21, 9, ranks, threads);
     cfg.min_count = 1;
@@ -217,10 +218,11 @@ fn rank_failure_mid_exchange_unblocks_all_peers_when_recovery_is_off() {
     std::fs::remove_file(&path).ok();
 }
 
-/// A rank dying *inside a serialize job* of the round loop's job list — the site no
-/// exchange-stage fault reaches — is the same typed, attributed abort with recovery
-/// off and the same byte-identical recovery with it on, whether the list's jobs run
-/// side by side (2 threads) or front to back (1 thread).
+/// A rank dying *inside a fill* of the round loop — the site no exchange-stage fault
+/// reaches, on the rank's own thread once the step's count jobs have returned — is the
+/// same typed, attributed abort with recovery off and the same byte-identical recovery
+/// with it on, whether the count jobs run side by side (2 threads) or front to back
+/// (1 thread).
 #[test]
 fn a_rank_dying_inside_a_serialize_job_aborts_cleanly_or_recovers() {
     let reads = overlapping_reads(85);

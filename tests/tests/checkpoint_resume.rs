@@ -165,12 +165,12 @@ fn a_killed_run_resumes_to_the_identical_result_in_both_modes() {
     std::fs::remove_file(&path).ok();
 }
 
-/// The round loop hands each step's serialize and count jobs to the rank's worker pool
-/// as one list and commits the drained round's epoch only after the list returned.
-/// Whatever the pool width, a rank dying in each window around that list — inside a
-/// serialize job, between the list and the post of the filled round, and in the middle
-/// of the epoch commit that follows — leaves a consistent epoch chain behind, and the
-/// resumed run lands on the golden result.
+/// The round loop hands each step's count jobs to the rank's worker pool as one list,
+/// fills the next round on the rank's own thread, and commits the drained round's epoch
+/// only after both returned. Whatever the pool width, a rank dying in each window
+/// around that list — inside a fill, between the fill and the post of the filled
+/// round, and in the middle of the epoch commit that follows — leaves a consistent
+/// epoch chain behind, and the resumed run lands on the golden result.
 #[test]
 fn kills_around_the_job_list_resume_to_the_golden_result_at_every_pool_width() {
     let reads = overlapping_reads(96);

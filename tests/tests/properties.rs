@@ -555,9 +555,9 @@ fn overlapped_records_ablation_matches_bulk_with_and_without_compression() {
 
 // ---------------- pool width: the round loop's job lists -----------------------------
 
-/// The four send-side shapes the job lists serialize: plain supermers, a heavy-hitter
-/// kmerlist among them (satellite input), supermers with extensions, and the records
-/// ablation.
+/// The four send-side shapes the round loop's fills write: plain supermers, a
+/// heavy-hitter kmerlist among them (satellite input), supermers with extensions, and
+/// the records ablation.
 fn job_list_shapes() -> Vec<(&'static str, ReadSet, hysortk_core::HySortKConfig)> {
     let mut rng = StdRng::seed_from_u64(220);
     let genome: Vec<u8> = (0..1_200).map(|_| b"ACGT"[rng.gen_range(0..4)]).collect();
