@@ -1,18 +1,20 @@
 //! Rank context and collective operations.
 //!
 //! The collectives follow MPI semantics in SPMD style: every rank must call the same
-//! sequence of collectives with compatible types, and each call is a synchronisation
-//! point. Data moves through the rank's [`Transport`] — byte segments between
-//! rank-private buffers — so a rank can only observe another rank's data by receiving
-//! it through a collective, mirroring real distributed memory. Payloads of the
-//! matrix collectives are encoded with the [`Wire`](crate::wire::Wire) codec; the
-//! hot flat exchanges reinterpret [`Pod`] element buffers as bytes directly.
+//! sequence of collectives with compatible types, and a rank cannot leave a collective
+//! before every rank has posted to it. Data moves through the rank's [`Transport`] —
+//! byte segments between rank-private buffers — so a rank can only observe another
+//! rank's data by receiving it through a collective, mirroring real distributed memory.
+//! There is one data path: every collective is an exchange on the transport's round
+//! board, one round per step, with each row encoded by the [`Wire`](crate::wire::Wire)
+//! codec; the round engine ([`RankCtx::round_exchange`]) posts flat byte segments on
+//! the same board.
 //!
 //! Every collective returns `Result<_, DmemError>`: when any rank fails (panics, hits
 //! an injected fault, or publishes a local error via [`RankCtx::abort`]), a
-//! cluster-wide abort flag is raised and every peer blocked in a barrier or a round
-//! wait unblocks promptly with [`DmemError::PeerFailed`] naming the failing rank —
-//! a failing rank can no longer hang its peers.
+//! cluster-wide abort flag is raised and every peer blocked in a round wait unblocks
+//! promptly with [`DmemError::PeerFailed`] naming the failing rank — a failing rank
+//! can no longer hang its peers.
 
 use std::sync::Arc;
 
@@ -21,7 +23,7 @@ use crate::fault::FaultPlan;
 use crate::nonblocking::RoundExchange;
 use crate::stats::CommStats;
 use crate::transport::Transport;
-use crate::wire::{self, Pod, Wire};
+use crate::wire::{self, Wire};
 
 /// The per-rank handle passed to the closure given to [`crate::Cluster::run`].
 pub struct RankCtx {
@@ -31,8 +33,9 @@ pub struct RankCtx {
     /// The active fault-injection plan, if any; `None` costs one branch per collective.
     fault: Option<Arc<FaultPlan>>,
     stats: CommStats,
-    /// Sequence number of the next non-blocking round exchange this rank opens; the
-    /// SPMD discipline makes the N-th exchange of every rank resolve to one board.
+    /// Sequence number of the next exchange this rank opens, a round exchange or a
+    /// collective's; the SPMD discipline makes the N-th exchange of every rank resolve
+    /// to one board.
     nb_seq: u64,
     /// Recovery generation: 0 on a first run, `n` on the n-th respawn after a
     /// recoverable rank failure (see [`crate::Cluster::run_recovering`]).
@@ -79,6 +82,75 @@ impl<T> FlatReceived<T> {
     /// Elements received from `src`.
     pub fn count_from(&self, src: usize) -> usize {
         self.displs[src + 1] - self.displs[src]
+    }
+}
+
+/// The exchange of one collective call on the transport's round board, closed on drop.
+/// Each round posts one [`Wire`]-encoded row per destination and waits for one row per
+/// source. It drives the transport directly, so it emits no trace spans, applies no
+/// segment faults and records no traffic: the collective records what it sent.
+struct MatrixExchange<'a> {
+    ctx: &'a RankCtx,
+    seq: u64,
+    label: &'a str,
+}
+
+impl MatrixExchange<'_> {
+    /// Post `send[dst]` to every rank `dst` as round `round` and return the row every
+    /// rank posted to this one, indexed by source. The round doubles as the fault-site
+    /// round. Any failure publishes a cluster-wide abort before returning, so no peer
+    /// is left waiting.
+    fn round<T: Wire>(&self, round: usize, send: &[Vec<T>]) -> Result<Vec<Vec<T>>, DmemError> {
+        let result = self.round_inner(round, send);
+        if let Err(e) = &result {
+            self.ctx.publish_local_failure(e);
+        }
+        result
+    }
+
+    fn round_inner<T: Wire>(
+        &self,
+        round: usize,
+        send: &[Vec<T>],
+    ) -> Result<Vec<Vec<T>>, DmemError> {
+        let (ctx, label) = (self.ctx, self.label);
+        if let Some(e) = ctx.transport.peer_failure(round) {
+            return Err(e);
+        }
+        if let Some(plan) = &ctx.fault {
+            plan.apply_control(ctx.rank, label, round)?;
+        }
+        assert_eq!(
+            send.len(),
+            ctx.size,
+            "send matrix must have one row per destination"
+        );
+        let mut data = Vec::new();
+        let mut displs = vec![0];
+        for row in send {
+            row.encode(&mut data);
+            displs.push(data.len());
+        }
+        ctx.transport.round_post(self.seq, round, data, &displs)?;
+        let (mut data, mut displs) = (Vec::new(), Vec::new());
+        ctx.transport
+            .round_wait(self.seq, round, label, &mut data, &mut displs)?;
+        (0..ctx.size)
+            .map(|src| {
+                wire::from_bytes(&data[displs[src]..displs[src + 1]]).ok_or_else(|| {
+                    DmemError::Protocol(format!(
+                        "collective mismatch in '{label}': rank {src} posted an \
+                         inconsistent element type"
+                    ))
+                })
+            })
+            .collect()
+    }
+}
+
+impl Drop for MatrixExchange<'_> {
+    fn drop(&mut self) {
+        self.ctx.transport.round_close(self.seq);
     }
 }
 
@@ -161,16 +233,6 @@ impl RankCtx {
         self.transport.publish_abort(self.rank, detail);
     }
 
-    /// Synchronise all ranks. Fails with [`DmemError::PeerFailed`] when a rank
-    /// aborts instead of arriving.
-    pub fn barrier(&self) -> Result<(), DmemError> {
-        let result = self.transport.barrier("barrier", 0);
-        if let Err(e) = &result {
-            self.publish_local_failure(e);
-        }
-        result
-    }
-
     /// Publish a cluster-wide abort for an error that originated on this rank.
     /// A [`DmemError::PeerFailed`] is an *observation* of someone else's abort,
     /// not a new failure — re-publishing it would re-announce the abort under
@@ -182,149 +244,23 @@ impl RankCtx {
         }
     }
 
-    /// Core primitive: every rank posts one vector of items per destination and receives
-    /// one vector per source. Returns `received[src]`. Does not record statistics —
-    /// the public collectives wrap this and do their own accounting. Any failure
-    /// publishes a cluster-wide abort before returning, so no peer is left waiting.
-    fn exchange_matrix<T: Wire + Clone + Send + 'static>(
-        &self,
-        send: Vec<Vec<T>>,
-        label: &str,
-        round: usize,
-    ) -> Result<Vec<Vec<T>>, DmemError> {
-        let result = self.exchange_matrix_inner(send, label, round);
-        if let Err(e) = &result {
-            self.publish_local_failure(e);
-        }
-        result
+    /// Open the next exchange of `rounds` rounds on the transport and return its
+    /// sequence number.
+    fn open_exchange(&mut self, rounds: usize) -> u64 {
+        let seq = self.nb_seq;
+        self.nb_seq += 1;
+        self.transport.round_open(seq, rounds);
+        seq
     }
 
-    fn exchange_matrix_inner<T: Wire + Clone + Send + 'static>(
-        &self,
-        send: Vec<Vec<T>>,
-        label: &str,
-        round: usize,
-    ) -> Result<Vec<Vec<T>>, DmemError> {
-        if let Some(e) = self.transport.peer_failure(round) {
-            return Err(e);
+    /// The exchange of one collective call: `rounds` rounds under `label`.
+    fn matrix_exchange<'a>(&'a mut self, rounds: usize, label: &'a str) -> MatrixExchange<'a> {
+        let seq = self.open_exchange(rounds);
+        MatrixExchange {
+            ctx: self,
+            seq,
+            label,
         }
-        if let Some(plan) = &self.fault {
-            plan.apply_control(self.rank, label, round)?;
-        }
-        assert_eq!(
-            send.len(),
-            self.size(),
-            "send matrix must have one row per destination"
-        );
-        let segments: Vec<Vec<u8>> = send.iter().map(wire::to_bytes).collect();
-        let received = self.transport.exchange(label, round, segments)?;
-        received
-            .iter()
-            .enumerate()
-            .map(|(src, seg)| {
-                wire::from_bytes::<Vec<T>>(seg).ok_or_else(|| {
-                    DmemError::Protocol(format!(
-                        "collective mismatch in '{label}': rank {src} posted an \
-                         inconsistent element type"
-                    ))
-                })
-            })
-            .collect()
-    }
-
-    /// Flat-buffer core primitive: every rank posts one contiguous buffer plus
-    /// per-destination counts; rank `dst`'s segment is
-    /// `send[displs[dst]..displs[dst + 1]]`. Each receiver copies exactly one segment
-    /// per source into its flat receive buffer — no nested per-destination vectors, no
-    /// per-element encoding ([`Pod`] buffers go on the wire as raw bytes). Does not
-    /// record statistics.
-    fn exchange_flat<T: Pod>(
-        &self,
-        send: Vec<T>,
-        counts: &[usize],
-        label: &str,
-        round: usize,
-    ) -> Result<FlatReceived<T>, DmemError> {
-        let result = self.exchange_flat_inner(send, counts, label, round);
-        if let Err(e) = &result {
-            self.publish_local_failure(e);
-        }
-        result
-    }
-
-    fn exchange_flat_inner<T: Pod>(
-        &self,
-        mut send: Vec<T>,
-        counts: &[usize],
-        label: &str,
-        round: usize,
-    ) -> Result<FlatReceived<T>, DmemError> {
-        if let Some(e) = self.transport.peer_failure(round) {
-            return Err(e);
-        }
-        assert_eq!(
-            counts.len(),
-            self.size(),
-            "one count per destination required"
-        );
-        let mut counts_owned;
-        let counts: &[usize] = if let Some(plan) = &self.fault {
-            counts_owned = counts.to_vec();
-            plan.apply_to_segments(self.rank, label, round, &mut send, &mut counts_owned)?;
-            &counts_owned
-        } else {
-            counts
-        };
-        let mut displs = Vec::with_capacity(self.size() + 1);
-        let mut acc = 0usize;
-        displs.push(0);
-        for &c in counts {
-            acc += c;
-            displs.push(acc);
-        }
-        assert_eq!(acc, send.len(), "counts must sum to the send buffer length");
-        let segments: Vec<Vec<u8>> = (0..self.size())
-            .map(|dst| wire::pod_bytes(&send[displs[dst]..displs[dst + 1]]).to_vec())
-            .collect();
-        let received = self.transport.exchange(label, round, segments)?;
-        let mut recv_displs = Vec::with_capacity(self.size() + 1);
-        recv_displs.push(0);
-        let mut data: Vec<T> = Vec::new();
-        for (src, seg) in received.iter().enumerate() {
-            wire::extend_from_pod_bytes(&mut data, seg).ok_or_else(|| {
-                DmemError::Protocol(format!(
-                    "collective mismatch in '{label}': rank {src} posted an \
-                     inconsistent element type"
-                ))
-            })?;
-            recv_displs.push(data.len());
-        }
-        Ok(FlatReceived {
-            data,
-            displs: recv_displs,
-        })
-    }
-
-    /// Irregular all-to-all (`MPI_Alltoallv`): `send[dst]` goes to rank `dst`; returns
-    /// `received[src]`. Traffic is recorded under `label`.
-    pub fn alltoallv<T: Wire + Clone + Send + 'static>(
-        &mut self,
-        send: Vec<Vec<T>>,
-        label: &str,
-    ) -> Result<Vec<Vec<T>>, DmemError> {
-        let elem = std::mem::size_of::<T>() as u64;
-        let per_dest: Vec<u64> = send.iter().map(|v| v.len() as u64 * elem).collect();
-        let max_pair = per_dest
-            .iter()
-            .enumerate()
-            .filter(|(d, _)| *d != self.rank)
-            .map(|(_, &b)| b)
-            .max()
-            .unwrap_or(0);
-        let received = self.exchange_matrix(send, label, 0)?;
-        self.stats
-            .record(label, &per_dest, 0, 1, self.rank, max_pair);
-        Ok(received)
     }
 
     /// Sizing/accounting of the round-limited padded exchange
@@ -371,9 +307,10 @@ impl RankCtx {
     /// each round every rank sends exactly `batch` items to every destination, padding
     /// short messages; the number of rounds is the global maximum `⌈len/batch⌉`.
     ///
-    /// The returned data is identical to [`RankCtx::alltoallv`]; what differs is the
-    /// recorded traffic (padding) and round count, which the performance model uses.
-    pub fn alltoall_rounds<T: Wire + Clone + Send + 'static>(
+    /// `send[dst]` goes to rank `dst`, and `received[src]` is what rank `src` sent
+    /// here. The data moves in one exchange; the recorded traffic is that of the
+    /// padded rounds (padding and round count), which the performance model uses.
+    pub fn alltoall_rounds<T: Wire>(
         &mut self,
         send: Vec<Vec<T>>,
         batch: usize,
@@ -383,35 +320,10 @@ impl RankCtx {
         let element_counts: Vec<usize> = send.iter().map(Vec::len).collect();
         let (per_dest, rounds, padding, max_pair) =
             self.rounds_accounting(&element_counts, elem, batch)?;
-        let received = self.exchange_matrix(send, label, 0)?;
+        let received = self.matrix_exchange(1, label).round(0, &send)?;
         self.stats
             .record(label, &per_dest, padding, rounds, self.rank, max_pair);
         Ok(RoundedExchange { received, rounds })
-    }
-
-    /// Flat-buffer irregular all-to-all (`MPI_Alltoallv` with counts/displacements):
-    /// one contiguous send buffer whose segment `dst` holds `counts[dst]` elements.
-    /// Moves exactly one segment per rank pair and returns a flat receive buffer.
-    /// Traffic is recorded under `label`, byte-identically to [`RankCtx::alltoallv`].
-    pub fn alltoallv_flat<T: Pod>(
-        &mut self,
-        send: Vec<T>,
-        counts: &[usize],
-        label: &str,
-    ) -> Result<FlatReceived<T>, DmemError> {
-        let elem = std::mem::size_of::<T>() as u64;
-        let per_dest: Vec<u64> = counts.iter().map(|&c| c as u64 * elem).collect();
-        let max_pair = per_dest
-            .iter()
-            .enumerate()
-            .filter(|(d, _)| *d != self.rank)
-            .map(|(_, &b)| b)
-            .max()
-            .unwrap_or(0);
-        let received = self.exchange_flat(send, counts, label, 0)?;
-        self.stats
-            .record(label, &per_dest, 0, 1, self.rank, max_pair);
-        Ok(received)
     }
 
     /// Open a non-blocking round exchange of `rounds` rounds (see
@@ -426,9 +338,7 @@ impl RankCtx {
     /// [`RoundExchange::finish`] to record the traffic under `label`.
     pub fn round_exchange(&mut self, rounds: usize, label: &str) -> RoundExchange {
         assert!(rounds > 0, "a round exchange needs at least one round");
-        let seq = self.nb_seq;
-        self.nb_seq += 1;
-        self.transport.round_open(seq, rounds);
+        let seq = self.open_exchange(rounds);
         RoundExchange::new(
             Arc::clone(&self.transport),
             seq,
@@ -440,7 +350,7 @@ impl RankCtx {
     }
 
     /// All-gather a single value from every rank (indexed by rank).
-    pub fn allgather<T: Wire + Clone + Send + 'static>(
+    pub fn allgather<T: Wire + Clone>(
         &mut self,
         value: T,
         label: &str,
@@ -448,7 +358,7 @@ impl RankCtx {
         let elem = std::mem::size_of::<T>() as u64;
         let send: Vec<Vec<T>> = (0..self.size()).map(|_| vec![value.clone()]).collect();
         let per_dest: Vec<u64> = vec![elem; self.size()];
-        let received = self.exchange_matrix(send, label, 0)?;
+        let received = self.matrix_exchange(1, label).round(0, &send)?;
         self.stats.record(label, &per_dest, 0, 1, self.rank, elem);
         received
             .into_iter()
@@ -468,7 +378,7 @@ impl RankCtx {
     /// the same result (MPI requires the same determinism from its reduction ops).
     pub fn allreduce<T, F>(&mut self, value: T, label: &str, combine: F) -> Result<T, DmemError>
     where
-        T: Wire + Clone + Send + 'static,
+        T: Wire + Clone,
         F: Fn(T, T) -> T,
     {
         let mut gathered = self.allgather(value, label)?.into_iter();
@@ -495,47 +405,13 @@ impl RankCtx {
     /// Per rank this moves `O(log p)` vector-sized messages — the task-size collective
     /// the pipeline uses it for would otherwise cost `O(p)` vector copies per rank
     /// (`O(p²·tasks)` total) through a naive all-to-all. The recorded traffic is what
-    /// the butterfly actually sent, phase by phase.
+    /// the butterfly actually sent, phase by phase. The phases are the rounds of one
+    /// exchange, so phase `k` is fault-site round `k`; one rank has no phase at all.
     pub fn allreduce_sum_u64(&mut self, local: &[u64], label: &str) -> Result<Vec<u64>, DmemError> {
         let p = self.size();
         let rank = self.rank;
         let n = local.len();
         let vec_bytes = (n * 8) as u64;
-        let mut acc = local.to_vec();
-        let mut per_dest = vec![0u64; p];
-        let mut phases = 0usize;
-
-        // One butterfly phase: everyone synchronises; ranks with a `send_to` partner
-        // post their vector there; ranks with a `recv_from` partner read it back. The
-        // phase index doubles as the fault-site round.
-        let phase = |acc: &mut Vec<u64>,
-                     per_dest: &mut Vec<u64>,
-                     phases: &mut usize,
-                     send_to: Option<usize>,
-                     recv_from: Option<usize>,
-                     combine: bool|
-         -> Result<(), DmemError> {
-            let mut send: Vec<Vec<u64>> = (0..p).map(|_| Vec::new()).collect();
-            if let Some(dst) = send_to {
-                send[dst] = acc.clone();
-                per_dest[dst] += vec_bytes;
-            }
-            let received = self.exchange_matrix(send, label, *phases)?;
-            if let Some(src) = recv_from {
-                let other = &received[src];
-                debug_assert_eq!(other.len(), n, "allreduce_sum_u64 length mismatch");
-                if combine {
-                    for (a, b) in acc.iter_mut().zip(other) {
-                        *a += b;
-                    }
-                } else {
-                    acc.copy_from_slice(other);
-                }
-            }
-            *phases += 1;
-            Ok(())
-        };
-
         let pof2 = if p.is_power_of_two() {
             p
         } else {
@@ -543,69 +419,74 @@ impl RankCtx {
         };
         let rem = p - pof2;
 
-        // Fold the ranks beyond the power of two into their odd partners.
+        // The phases as `(send_to, recv_from, combine)`: in each one, ranks with a
+        // `send_to` partner post their vector there and ranks with a `recv_from`
+        // partner read it back. First the ranks beyond the power of two fold into
+        // their odd partners.
+        let mut phases: Vec<(Option<usize>, Option<usize>, bool)> = Vec::new();
         if rem > 0 {
-            let (send_to, recv_from) = if rank < 2 * rem {
-                if rank.is_multiple_of(2) {
-                    (Some(rank + 1), None)
-                } else {
-                    (None, Some(rank - 1))
-                }
+            phases.push(if rank >= 2 * rem {
+                (None, None, true)
+            } else if rank.is_multiple_of(2) {
+                (Some(rank + 1), None, true)
             } else {
-                (None, None)
-            };
-            phase(
-                &mut acc,
-                &mut per_dest,
-                &mut phases,
-                send_to,
-                recv_from,
-                true,
-            )?;
+                (None, Some(rank - 1), true)
+            });
         }
-
         // Recursive doubling over the surviving hypercube of `pof2` ranks.
-        let newrank = if rank < 2 * rem {
-            if rank.is_multiple_of(2) {
-                None
-            } else {
-                Some(rank / 2)
-            }
-        } else {
+        let newrank = if rank >= 2 * rem {
             Some(rank - rem)
+        } else if rank.is_multiple_of(2) {
+            None
+        } else {
+            Some(rank / 2)
         };
         let to_real = |q: usize| if q < rem { 2 * q + 1 } else { q + rem };
         let mut mask = 1usize;
         while mask < pof2 {
             let partner = newrank.map(|q| to_real(q ^ mask));
-            phase(&mut acc, &mut per_dest, &mut phases, partner, partner, true)?;
+            phases.push((partner, partner, true));
             mask <<= 1;
         }
-
         // Hand the result back to the folded even ranks.
         if rem > 0 {
-            let (send_to, recv_from) = if rank < 2 * rem {
-                if rank % 2 == 1 {
-                    (Some(rank - 1), None)
-                } else {
-                    (None, Some(rank + 1))
-                }
+            phases.push(if rank >= 2 * rem {
+                (None, None, false)
+            } else if rank % 2 == 1 {
+                (Some(rank - 1), None, false)
             } else {
-                (None, None)
-            };
-            phase(
-                &mut acc,
-                &mut per_dest,
-                &mut phases,
-                send_to,
-                recv_from,
-                false,
-            )?;
+                (None, Some(rank + 1), false)
+            });
         }
 
-        let max_pair = if phases > 0 && p > 1 { vec_bytes } else { 0 };
+        let mut acc = local.to_vec();
+        let mut per_dest = vec![0u64; p];
+        if !phases.is_empty() {
+            let exchange = self.matrix_exchange(phases.len(), label);
+            for (round, &(send_to, recv_from, combine)) in phases.iter().enumerate() {
+                let mut send: Vec<Vec<u64>> = vec![Vec::new(); p];
+                if let Some(dst) = send_to {
+                    send[dst] = acc.clone();
+                    per_dest[dst] += vec_bytes;
+                }
+                let received = exchange.round(round, &send)?;
+                if let Some(src) = recv_from {
+                    let other = &received[src];
+                    debug_assert_eq!(other.len(), n, "allreduce_sum_u64 length mismatch");
+                    if combine {
+                        for (a, b) in acc.iter_mut().zip(other) {
+                            *a += b;
+                        }
+                    } else {
+                        acc.copy_from_slice(other);
+                    }
+                }
+            }
+        }
+
+        let max_pair = if phases.is_empty() { 0 } else { vec_bytes };
         self.stats
-            .record(label, &per_dest, 0, phases.max(1), rank, max_pair);
+            .record(label, &per_dest, 0, phases.len().max(1), rank, max_pair);
         Ok(acc)
     }
 }
@@ -613,18 +494,34 @@ impl RankCtx {
 #[cfg(test)]
 mod tests {
     use crate::fault::{FaultKind, FaultPlan};
-    use crate::{Cluster, DmemError};
+    use crate::{Cluster, CommStats, DmemError, FlatReceived, RankCtx};
     use std::sync::Arc;
 
+    /// A one-round [`RankCtx::round_exchange`]: segment `dst` of `send` holds
+    /// `counts[dst]` bytes.
+    fn one_round(
+        ctx: &mut RankCtx,
+        send: Vec<u8>,
+        counts: &[usize],
+        label: &str,
+    ) -> Result<FlatReceived<u8>, DmemError> {
+        let mut engine = ctx.round_exchange(1, label);
+        let mut recv = FlatReceived::empty();
+        engine.post_round(0, send, counts)?;
+        engine.wait_round(0, &mut recv)?;
+        engine.finish(ctx);
+        Ok(recv)
+    }
+
     #[test]
-    fn alltoallv_routes_data_to_the_right_ranks() {
+    fn alltoall_rounds_routes_data_to_the_right_ranks() {
         let p = 6;
         let run = Cluster::new(p).run(|ctx| {
             // Rank r sends the value 100*r + dst to each destination dst, repeated r+1 times.
             let send: Vec<Vec<u32>> = (0..ctx.size())
                 .map(|dst| vec![(100 * ctx.rank() + dst) as u32; ctx.rank() + 1])
                 .collect();
-            ctx.alltoallv(send, "test").unwrap()
+            ctx.alltoall_rounds(send, 2, "test").unwrap().received
         });
         for (dst, received) in run.results.iter().enumerate() {
             for (src, items) in received.iter().enumerate() {
@@ -635,15 +532,15 @@ mod tests {
     }
 
     #[test]
-    fn alltoallv_conserves_total_items() {
+    fn alltoall_rounds_conserves_total_items() {
         let p = 5;
         let run = Cluster::new(p).run(|ctx| {
             let send: Vec<Vec<u8>> = (0..ctx.size())
                 .map(|dst| vec![0u8; (ctx.rank() * 7 + dst * 3) % 11])
                 .collect();
             let sent: usize = send.iter().map(|v| v.len()).sum();
-            let recv = ctx.alltoallv(send, "conserve").unwrap();
-            let received: usize = recv.iter().map(|v| v.len()).sum();
+            let recv = ctx.alltoall_rounds(send, 4, "conserve").unwrap();
+            let received: usize = recv.received.iter().map(|v| v.len()).sum();
             (sent, received)
         });
         let total_sent: usize = run.results.iter().map(|(s, _)| s).sum();
@@ -671,49 +568,15 @@ mod tests {
     }
 
     #[test]
-    fn flat_exchange_matches_nested_alltoallv() {
-        // The flat path must deliver byte-identical data and byte-identical traffic
-        // accounting to the nested-vector path it replaces.
-        let p = 5;
-        let run = Cluster::new(p).run(|ctx| {
-            let nested: Vec<Vec<u8>> = (0..ctx.size())
-                .map(|dst| {
-                    (0..(ctx.rank() * 7 + dst * 3) % 11)
-                        .map(|i| (ctx.rank() * 100 + dst * 10 + i) as u8)
-                        .collect()
-                })
-                .collect();
-            let counts: Vec<usize> = nested.iter().map(|v| v.len()).collect();
-            let flat: Vec<u8> = nested.iter().flatten().copied().collect();
-
-            let from_nested = ctx.alltoallv(nested, "nested").unwrap();
-            let nested_stats = ctx.comm_stats().stage("nested").unwrap().clone();
-            let from_flat = ctx.alltoallv_flat(flat, &counts, "flat").unwrap();
-            let flat_stats = ctx.comm_stats().stage("flat").unwrap().clone();
-
-            let equal =
-                (0..ctx.size()).all(|src| from_nested[src].as_slice() == from_flat.from_rank(src));
-            (
-                equal,
-                nested_stats.payload_bytes == flat_stats.payload_bytes,
-            )
-        });
-        for (data_equal, stats_equal) in run.results {
-            assert!(data_equal, "flat exchange delivered different bytes");
-            assert!(stats_equal, "flat exchange recorded different traffic");
-        }
-    }
-
-    #[test]
     fn flat_exchange_handles_empty_segments() {
         let run = Cluster::new(3).run(|ctx| {
             // Only rank 1 sends anything, and only to rank 2.
             let (flat, counts) = if ctx.rank() == 1 {
-                (vec![9u32, 8, 7], vec![0usize, 0, 3])
+                (vec![9u8, 8, 7], vec![0usize, 0, 3])
             } else {
                 (Vec::new(), vec![0usize; 3])
             };
-            let recv = ctx.alltoallv_flat(flat, &counts, "sparse").unwrap();
+            let recv = one_round(ctx, flat, &counts, "sparse").unwrap();
             (0..ctx.size())
                 .map(|src| recv.count_from(src))
                 .collect::<Vec<_>>()
@@ -721,6 +584,94 @@ mod tests {
         assert_eq!(run.results[0], vec![0, 0, 0]);
         assert_eq!(run.results[1], vec![0, 0, 0]);
         assert_eq!(run.results[2], vec![0, 3, 0]);
+    }
+
+    /// Per-rank traffic of one collective at `p` ranks: `(p, rounds, payload_bytes by
+    /// rank, padding_bytes by rank, sent_to summed over ranks)`.
+    type Traffic = (usize, usize, &'static [u64], &'static [u64], &'static [u64]);
+
+    fn assert_traffic(name: &str, collectives: usize, pins: &[Traffic], f: fn(&mut RankCtx)) {
+        for &(p, rounds, payload, padding, sent_to) in pins {
+            let comm = Cluster::new(p).run(f).comm;
+            for (rank, s) in comm.iter().enumerate() {
+                assert_eq!(
+                    (s.collectives, s.rounds, s.payload_bytes, s.padding_bytes),
+                    (collectives, rounds, payload[rank], padding[rank]),
+                    "{name} p={p} rank={rank}"
+                );
+            }
+            assert_eq!(CommStats::aggregate(&comm).sent_to, sent_to, "{name} p={p}");
+        }
+    }
+
+    /// The exact traffic the matrix collectives record, whatever moves their bytes.
+    #[test]
+    fn collective_traffic_is_pinned() {
+        assert_traffic(
+            "allreduce_sum_u64",
+            1,
+            &[
+                (1, 1, &[0], &[0], &[0]),
+                (2, 1, &[24, 24], &[0; 2], &[24, 24]),
+                (3, 3, &[24, 48, 24], &[0; 3], &[24, 48, 24]),
+                (
+                    6,
+                    4,
+                    &[24, 72, 24, 72, 48, 48],
+                    &[0; 6],
+                    &[24, 72, 24, 72, 48, 48],
+                ),
+                (8, 3, &[72; 8], &[0; 8], &[72; 8]),
+            ],
+            |ctx| {
+                ctx.allreduce_sum_u64(&[ctx.rank() as u64; 3], "sum")
+                    .unwrap();
+            },
+        );
+        assert_traffic(
+            "allgather",
+            1,
+            &[
+                (1, 1, &[0], &[0], &[4]),
+                (2, 1, &[4; 2], &[0; 2], &[8; 2]),
+                (3, 1, &[8; 3], &[0; 3], &[12; 3]),
+                (6, 1, &[20; 6], &[0; 6], &[24; 6]),
+                (8, 1, &[28; 8], &[0; 8], &[32; 8]),
+            ],
+            |ctx| {
+                ctx.allgather(ctx.rank() as u32, "gather").unwrap();
+            },
+        );
+        // Two collectives per call: the sizing allreduce and the data step.
+        assert_traffic(
+            "alltoall_rounds",
+            2,
+            &[
+                (1, 2, &[0], &[0], &[8]),
+                (2, 4, &[20, 36], &[36, 20], &[44, 68]),
+                (3, 4, &[52; 3], &[60; 3], &[64, 100, 92]),
+                (
+                    6,
+                    4,
+                    &[132, 128, 124, 120, 160, 112],
+                    &[148, 152, 156, 160, 120, 168],
+                    &[160, 188, 172, 156, 140, 168],
+                ),
+                (
+                    8,
+                    4,
+                    &[216, 180, 188, 196, 204, 168, 220, 184],
+                    &[176, 212, 204, 196, 188, 224, 172, 208],
+                    &[232, 240, 204, 212, 220, 228, 236, 244],
+                ),
+            ],
+            |ctx| {
+                let send: Vec<Vec<u32>> = (0..ctx.size())
+                    .map(|dst| vec![7; (ctx.rank() * 7 + dst * 3) % 11])
+                    .collect();
+                ctx.alltoall_rounds(send, 4, "rounds").unwrap();
+            },
+        );
     }
 
     #[test]
@@ -781,6 +732,25 @@ mod tests {
     }
 
     #[test]
+    fn a_butterfly_failure_names_its_phase_as_the_round() {
+        // p = 6 has four phases: fold, two hypercube steps, hand-back. Rank 3 dies at
+        // phase 1, after phase 0 completed everywhere, so every peer sees round 1.
+        let plan = Arc::new(FaultPlan::new().with_fault(3, "sizes", 1, FaultKind::FailRank));
+        let run = Cluster::new(6)
+            .with_fault_plan(Arc::clone(&plan))
+            .run(|ctx| ctx.allreduce_sum_u64(&[1, 2], "sizes").unwrap_err());
+        assert_eq!(plan.fired_count(), 1);
+        for (rank, err) in run.results.iter().enumerate() {
+            let ok = match err {
+                DmemError::InjectedFault { rank: 3, round, .. } => rank == 3 && *round == 1,
+                DmemError::PeerFailed { rank: 3, round, .. } => rank != 3 && *round == 1,
+                _ => false,
+            };
+            assert!(ok, "rank {rank} got {err:?}");
+        }
+    }
+
+    #[test]
     fn allreduce_and_allgather_agree_across_ranks() {
         let run = Cluster::new(7).run(|ctx| {
             let sum = ctx
@@ -802,8 +772,7 @@ mod tests {
     #[test]
     fn stats_track_payload_per_destination() {
         let run = Cluster::new(3).run(|ctx| {
-            let send: Vec<Vec<u32>> = vec![vec![1], vec![2, 2], vec![3, 3, 3]];
-            ctx.alltoallv(send, "stage-a").unwrap();
+            one_round(ctx, vec![1; 24], &[4, 8, 12], "stage-a").unwrap();
             ctx.comm_stats().clone()
         });
         let s0 = &run.comm[0];
@@ -822,8 +791,8 @@ mod tests {
                 let send: Vec<Vec<u64>> = (0..ctx.size())
                     .map(|_| vec![round + ctx.rank() as u64])
                     .collect();
-                let recv = ctx.alltoallv(send, "loop").unwrap();
-                acc += recv.iter().map(|v| v[0]).sum::<u64>();
+                let recv = ctx.alltoall_rounds(send, 1, "loop").unwrap();
+                acc += recv.received.iter().map(|v| v[0]).sum::<u64>();
             }
             acc
         });
@@ -832,16 +801,15 @@ mod tests {
 
     #[test]
     fn injected_rank_failure_unblocks_all_peers_with_peer_failed() {
-        // The ISSUE's regression pin: rank 2 dies at the exchange; every other rank
-        // must come back promptly with PeerFailed naming rank 2 — no hang, no panic.
+        // Rank 2 dies at the exchange; every other rank must come back promptly with
+        // PeerFailed naming rank 2 — no hang, no panic.
         let p = 4;
         let plan = Arc::new(FaultPlan::new().with_fault(2, "exchange", 0, FaultKind::FailRank));
         let run = Cluster::new(p)
             .with_fault_plan(Arc::clone(&plan))
             .run(|ctx| {
-                let send = vec![ctx.rank() as u8; ctx.size()];
-                let counts = vec![1usize; ctx.size()];
-                ctx.alltoallv_flat(send, &counts, "exchange").err()
+                let send = vec![vec![ctx.rank() as u8]; ctx.size()];
+                ctx.alltoall_rounds(send, 1, "exchange").err()
             });
         assert_eq!(plan.fired_count(), 1);
         for (rank, err) in run.results.iter().enumerate() {
@@ -867,7 +835,7 @@ mod tests {
             let send: Vec<Vec<u32>> = (0..ctx.size())
                 .map(|dst| vec![(ctx.rank() * 10 + dst) as u32])
                 .collect();
-            ctx.alltoallv(send, "exchange").unwrap()
+            ctx.alltoall_rounds(send, 1, "exchange").unwrap().received
         };
         let clean = Cluster::new(p).run(payload);
         let plan = Arc::new(FaultPlan::new().with_fault(
@@ -886,7 +854,7 @@ mod tests {
     #[test]
     fn abort_poisons_every_later_collective() {
         // After a rank calls ctx.abort, every collective on every rank fails fast with
-        // PeerFailed instead of waiting on barriers that can never complete.
+        // PeerFailed instead of waiting on posts that can never come.
         let p = 3;
         let run = Cluster::new(p).run(|ctx| {
             if ctx.rank() == 1 {
@@ -924,7 +892,7 @@ mod tests {
         let run = Cluster::new(p).with_fault_plan(plan).run(|ctx| {
             let send = vec![ctx.rank() as u8 + 1; 4 * ctx.size()];
             let counts = vec![4usize; ctx.size()];
-            let recv = ctx.alltoallv_flat(send, &counts, "exchange").unwrap();
+            let recv = one_round(ctx, send, &counts, "exchange").unwrap();
             (0..ctx.size())
                 .map(|src| recv.count_from(src))
                 .collect::<Vec<_>>()

@@ -22,10 +22,9 @@
 //! * [`FaultKind::TransientIo`] — make a rank's next N ingest reads fail with a
 //!   retryable I/O error; bounded retry must absorb them.
 //!
-//! Segment faults fire on the flat byte exchanges (the wire path); delay and rank
-//! failure fire on any collective whose stage label and round match.
+//! Segment faults fire on the round engine's posts (the wire path); delay and rank
+//! failure fire on any collective or round whose stage label and round match.
 
-use std::any::TypeId;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::time::Duration;
 
@@ -52,15 +51,15 @@ pub enum FaultKind {
         /// Milliseconds to sleep.
         millis: u64,
     },
-    /// Truncate the wire segment addressed to `dest` down to `keep` elements.
+    /// Truncate the wire segment addressed to `dest` down to `keep` bytes.
     TruncateSegment {
         /// Destination rank whose segment is cut short.
         dest: usize,
-        /// Elements to keep (no-op if the segment is already this short).
+        /// Bytes to keep (no-op if the segment is already this short).
         keep: usize,
     },
-    /// Flip one bit of the wire segment addressed to `dest`. Only fires on byte
-    /// (`u8`) exchanges — the wire path — and is a no-op on an empty segment.
+    /// Flip one bit of the wire segment addressed to `dest`; a no-op on an empty
+    /// segment.
     CorruptSegment {
         /// Destination rank whose segment is corrupted.
         dest: usize,
@@ -380,7 +379,7 @@ impl FaultPlan {
     }
 
     /// Fire the control-flow faults (delay, rank failure) matching a site. Called from
-    /// every collective; segment exchanges additionally call
+    /// every collective round; the round engine calls it through
     /// [`FaultPlan::apply_to_segments`].
     pub(crate) fn apply_control(
         &self,
@@ -426,15 +425,13 @@ impl FaultPlan {
 
     /// Fire the segment faults (truncate, corrupt) plus the control-flow faults on a
     /// flat send buffer about to be posted. `counts` is mutated alongside `send` so
-    /// the exchange stays self-consistent. Corruption only applies to byte buffers
-    /// (checked via `TypeId`), because flipping bits of an arbitrary `Copy` type could
-    /// manufacture invalid values; truncation is type-agnostic.
-    pub(crate) fn apply_to_segments<T: Copy + 'static>(
+    /// the exchange stays self-consistent.
+    pub(crate) fn apply_to_segments(
         &self,
         rank: usize,
         stage: &str,
         round: usize,
-        send: &mut Vec<T>,
+        send: &mut Vec<u8>,
         counts: &mut [usize],
     ) -> Result<(), DmemError> {
         for fault in self.matching(rank, stage, round) {
@@ -465,17 +462,9 @@ impl FaultPlan {
                 {
                     let start: usize = counts[..*dest].iter().sum();
                     let len = counts[*dest];
-                    if len > 0 && TypeId::of::<T>() == TypeId::of::<u8>() {
-                        // SAFETY: the TypeId check proves T is u8, so the buffer
-                        // really is bytes and any bit pattern is a valid value.
-                        let bytes: &mut [u8] = unsafe {
-                            std::slice::from_raw_parts_mut(
-                                send.as_mut_ptr().cast::<u8>(),
-                                send.len(),
-                            )
-                        };
+                    if len > 0 {
                         let byte = start + (*bit / 8) as usize % len;
-                        bytes[byte] ^= 1 << (*bit % 8) as u8;
+                        send[byte] ^= 1 << (*bit % 8) as u8;
                         trace::instant(
                             "fault:corrupt-segment",
                             trace::Detail::Stage,

@@ -1,84 +1,23 @@
 //! The in-process backend: ranks are OS threads, bytes move through a shared board.
 //!
-//! This is the original simulator substrate, now living behind the
-//! [`Transport`] trait. Data still moves through a shared *exchange board* — one
-//! posting slot per rank plus a reusable abortable barrier — so a rank can only
-//! observe another rank's bytes by receiving them through a collective, mirroring
-//! real distributed memory. The non-blocking round engine's shared state (the
-//! *round board*: `rounds × ranks` slots plus posted counters waiters sleep on)
-//! also lives here; [`RoundExchange`](crate::nonblocking::RoundExchange) drives it
-//! through the `round_*` trait entry points.
+//! This is the original simulator substrate, behind the [`Transport`] trait. Data
+//! moves through shared *round boards* — per exchange, `rounds × ranks` slots plus
+//! the posted counters waiters sleep on — so a rank can only observe another rank's
+//! bytes by receiving them through an exchange, mirroring real distributed memory.
+//! The round engine ([`RoundExchange`](crate::nonblocking::RoundExchange)) and every
+//! collective drive the boards through the `round_*` trait entry points.
 //!
-//! Every blocking wait observes the cluster-wide abort flag, so a failing rank
-//! unblocks its peers with [`DmemError::PeerFailed`] instead of hanging them, with
-//! a wall-clock deadline as the backstop — semantics identical to the
-//! pre-`Transport` implementation, down to the error strings.
+//! Every wait observes the cluster-wide abort flag, so a failing rank unblocks its
+//! peers with [`DmemError::PeerFailed`] instead of hanging them, with a wall-clock
+//! deadline as the backstop.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use crate::error::DmemError;
 use crate::transport::{AbortState, Backend, Transport, ABORT_TICK, WAIT_DEADLINE};
-
-/// A reusable barrier whose waiters poll the cluster abort flag: when a peer fails
-/// and never arrives, every waiter returns [`DmemError::PeerFailed`] instead of
-/// parking forever (with [`DmemError::Timeout`] as the backstop).
-pub(crate) struct AbortableBarrier {
-    size: usize,
-    /// `(waiting count, generation)`; a generation bump releases the current cohort.
-    state: Mutex<(usize, u64)>,
-    cv: Condvar,
-}
-
-impl AbortableBarrier {
-    fn new(size: usize) -> Self {
-        AbortableBarrier {
-            size,
-            state: Mutex::new((0, 0)),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn wait(&self, abort: &AbortState, label: &str, round: usize) -> Result<(), DmemError> {
-        if let Some(e) = abort.peer_failure(round) {
-            return Err(e);
-        }
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.0 += 1;
-        if state.0 == self.size {
-            state.0 = 0;
-            state.1 = state.1.wrapping_add(1);
-            self.cv.notify_all();
-            return Ok(());
-        }
-        let generation = state.1;
-        let start = Instant::now();
-        loop {
-            let (guard, _) = self
-                .cv
-                .wait_timeout(state, ABORT_TICK)
-                .unwrap_or_else(|e| e.into_inner());
-            state = guard;
-            if state.1 != generation {
-                return Ok(());
-            }
-            if let Some(e) = abort.peer_failure(round) {
-                state.0 -= 1;
-                return Err(e);
-            }
-            if start.elapsed() >= WAIT_DEADLINE {
-                state.0 -= 1;
-                return Err(DmemError::Timeout {
-                    label: label.to_string(),
-                    round,
-                    waited_ms: start.elapsed().as_millis() as u64,
-                });
-            }
-        }
-    }
-}
 
 /// One rank's posted buffer for one round.
 struct Posted {
@@ -165,11 +104,7 @@ impl BoardRegistry {
 /// State shared by every rank of one in-process cluster generation.
 pub(crate) struct InProcShared {
     size: usize,
-    barrier: AbortableBarrier,
-    /// The exchange board: one posting slot per rank, holding one byte segment per
-    /// destination.
-    slots: Vec<Mutex<Option<Vec<Vec<u8>>>>>,
-    /// Round boards of in-flight non-blocking exchanges.
+    /// Round boards of in-flight exchanges.
     round_boards: BoardRegistry,
     /// Cluster-wide abort flag, shared with every round exchange.
     abort: Arc<AbortState>,
@@ -179,8 +114,6 @@ impl InProcShared {
     pub(crate) fn new(size: usize) -> Self {
         InProcShared {
             size,
-            barrier: AbortableBarrier::new(size),
-            slots: (0..size).map(|_| Mutex::new(None)).collect(),
             round_boards: BoardRegistry::default(),
             abort: Arc::new(AbortState::new()),
         }
@@ -202,14 +135,6 @@ impl InProcessTransport {
             shared,
             open: Mutex::new(HashMap::new()),
         }
-    }
-
-    fn slot(&self, rank: usize) -> MutexGuard<'_, Option<Vec<Vec<u8>>>> {
-        // A poisoned slot just means some rank panicked mid-collective; the data is a
-        // plain posting and the abort machinery handles the failure, so recover it.
-        self.shared.slots[rank]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
     }
 
     fn board(&self, seq: u64) -> Arc<RoundBoard> {
@@ -276,41 +201,6 @@ impl Transport for InProcessTransport {
         Backend::Thread
     }
 
-    fn exchange(
-        &self,
-        label: &str,
-        round: usize,
-        segments: Vec<Vec<u8>>,
-    ) -> Result<Vec<Vec<u8>>, DmemError> {
-        debug_assert_eq!(segments.len(), self.shared.size);
-        // Post.
-        *self.slot(self.rank) = Some(segments);
-        if let Err(e) = self.shared.barrier.wait(&self.shared.abort, label, round) {
-            *self.slot(self.rank) = None;
-            return Err(e);
-        }
-        // Take own segment from every source's posting. Each receiver takes a
-        // different index, so moving (not cloning) is safe.
-        let mut received: Vec<Vec<u8>> = Vec::with_capacity(self.shared.size);
-        for src in 0..self.shared.size {
-            let mut slot = self.slot(src);
-            let posted = slot.as_mut().ok_or_else(|| {
-                DmemError::Protocol(format!(
-                    "collective mismatch in '{label}': rank {src} posted nothing"
-                ))
-            })?;
-            received.push(std::mem::take(&mut posted[self.rank]));
-        }
-        // Wait until everyone has read before clearing our slot for the next collective.
-        self.shared.barrier.wait(&self.shared.abort, label, round)?;
-        *self.slot(self.rank) = None;
-        Ok(received)
-    }
-
-    fn barrier(&self, label: &str, round: usize) -> Result<(), DmemError> {
-        self.shared.barrier.wait(&self.shared.abort, label, round)
-    }
-
     fn round_open(&self, seq: u64, rounds: usize) {
         let board = self
             .shared
@@ -345,27 +235,6 @@ impl Transport for InProcessTransport {
         posted[round] += 1;
         board.cv.notify_all();
         Ok(())
-    }
-
-    fn round_try(
-        &self,
-        seq: u64,
-        round: usize,
-        data: &mut Vec<u8>,
-        displs: &mut Vec<usize>,
-    ) -> Result<bool, DmemError> {
-        let board = self.board(seq);
-        {
-            let posted = board.posted.lock().unwrap_or_else(|e| e.into_inner());
-            if posted[round] < board.ranks {
-                return match self.shared.abort.peer_failure(round) {
-                    Some(e) => Err(e),
-                    None => Ok(false),
-                };
-            }
-        }
-        self.read_round(&board, round, data, displs);
-        Ok(true)
     }
 
     fn round_wait(

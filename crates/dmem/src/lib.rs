@@ -2,16 +2,17 @@
 //!
 //! The paper runs HySortK with MPI across up to 64 Perlmutter nodes. This crate
 //! substitutes a self-contained distributed-memory runtime: every rank has its own
-//! private data, and the MPI collectives the pipelines need (`Alltoallv`, padded
-//! `Alltoall` in rounds, `Allreduce`, `Allgather`, `Barrier`) move real bytes between
-//! rank-private buffers through a [`transport::Transport`].
+//! private data, and the MPI collectives the pipelines need (padded `Alltoall` in
+//! rounds, `Allreduce`, `Allgather`, and the non-blocking `Ialltoallv`-style round
+//! exchange) move real bytes between rank-private buffers through a
+//! [`transport::Transport`], whose one data path is the *round board*.
 //! No data is shared behind the ranks' backs — a rank can only obtain another rank's
 //! data through a collective, exactly as in MPI — so algorithmic behaviour (who sends
 //! what to whom, how many rounds, how much padding) is preserved. Two backends exist
 //! (select one with [`Cluster::with_backend`]):
 //!
 //! * [`Backend::Thread`] — every rank is an OS thread in this process, bytes move
-//!   through a shared exchange board (the original simulator; supports arbitrary
+//!   through shared round boards (the original simulator; supports arbitrary
 //!   result types via [`Cluster::run`]).
 //! * [`Backend::Process`] — every rank is a `fork()`ed OS process and bytes move
 //!   over UNIX domain sockets, so transfer time is *real*; results cross the
@@ -21,7 +22,7 @@
 //! both backends, and the `hysortk-perfmodel` crate converts those measurements into
 //! modeled seconds for the scaling experiments.
 //!
-//! Besides the blocking collectives there is the **non-blocking round engine**
+//! Besides the collectives there is the **non-blocking round engine**
 //! ([`nonblocking::RoundExchange`], opened via
 //! [`collectives::RankCtx::round_exchange`]): an `MPI_Ialltoallv`-style handle that
 //! posts one round's flat send segments and immediately regains control, completing
@@ -33,7 +34,7 @@
 //! Collectives return `Result<_, `[`DmemError`]`>`. When a rank fails — it panics, an
 //! injected fault from a [`fault::FaultPlan`] fires, or pipeline code publishes a
 //! local error via [`collectives::RankCtx::abort`] — a cluster-wide abort is raised
-//! and every peer blocked in a barrier or a round wait returns
+//! and every peer blocked in a collective or a round wait returns
 //! [`DmemError::PeerFailed`] naming the failing rank. On the process backend the
 //! abort fans out over the sockets, and a rank that dies outright (its process exits
 //! mid-run) is detected by its closed connections — a dead peer surfaces as
@@ -46,29 +47,32 @@
 //! ```
 //! use hysortk_dmem::Cluster;
 //!
-//! // Each rank r sends r copies of its id to every other rank.
+//! // Each rank r sends r copies of its id to every other rank, in batches of 2.
 //! let outcome = Cluster::new(4).run(|ctx| {
 //!     let send: Vec<Vec<u64>> =
 //!         (0..ctx.size()).map(|_| vec![ctx.rank() as u64; ctx.rank()]).collect();
-//!     let recv = ctx.alltoallv(send, "demo").unwrap();
-//!     recv.iter().map(|v| v.len()).sum::<usize>()
+//!     let recv = ctx.alltoall_rounds(send, 2, "demo").unwrap();
+//!     recv.received.iter().map(|v| v.len()).sum::<usize>()
 //! });
 //! // Every rank receives 0 + 1 + 2 + 3 = 6 items.
 //! assert_eq!(outcome.results, vec![6, 6, 6, 6]);
 //! ```
 //!
-//! The hot exchange path uses the **flat-buffer** collectives instead: one contiguous
-//! send buffer plus per-destination counts (MPI `Alltoallv` counts/displacements
+//! The hot exchange path posts **flat byte buffers** instead: one contiguous send
+//! buffer per round plus per-destination counts (MPI `Alltoallv` counts/displacements
 //! style), so the wire stage allocates no nested per-destination vectors:
 //!
 //! ```
-//! use hysortk_dmem::Cluster;
+//! use hysortk_dmem::{Cluster, FlatReceived};
 //!
 //! let outcome = Cluster::new(3).run(|ctx| {
 //!     // Segment for every destination: two bytes tagged with the sender's rank.
 //!     let send: Vec<u8> = (0..ctx.size() * 2).map(|_| ctx.rank() as u8).collect();
-//!     let counts = vec![2usize; ctx.size()];
-//!     let recv = ctx.alltoallv_flat(send, &counts, "demo-flat").unwrap();
+//!     let mut exchange = ctx.round_exchange(1, "demo-flat");
+//!     let mut recv = FlatReceived::empty();
+//!     exchange.post_round(0, send, &vec![2; ctx.size()]).unwrap();
+//!     exchange.wait_round(0, &mut recv).unwrap();
+//!     exchange.finish(ctx);
 //!     (0..ctx.size()).map(|src| recv.from_rank(src).to_vec()).collect::<Vec<_>>()
 //! });
 //! // Rank 0 received [0, 0] from rank 0, [1, 1] from rank 1, [2, 2] from rank 2.
@@ -92,7 +96,7 @@ pub use nonblocking::RoundExchange;
 pub use process::ran_in_own_process;
 pub use stats::{CommStats, StageTraffic};
 pub use transport::Backend;
-pub use wire::{Pod, Wire};
+pub use wire::Wire;
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -249,7 +253,7 @@ impl Cluster {
 
     /// Run `f` like [`Cluster::run`], but when ranks fail with errors the `recoverable`
     /// predicate accepts, respawn the whole generation — fresh abort state, fresh
-    /// exchange boards, same (already partially fired) fault plan — after a doubling
+    /// round boards, same (already partially fired) fault plan — after a doubling
     /// backoff, up to `policy.max_attempts` times.
     ///
     /// This is in-run rank recovery: the join at the end of a generation is the
@@ -450,8 +454,10 @@ mod tests {
     #[test]
     fn single_rank_cluster_works() {
         let run = Cluster::new(1).run(|ctx| {
-            let recv = ctx.alltoallv(vec![vec![1u32, 2, 3]], "self").unwrap();
-            recv[0].len()
+            let recv = ctx
+                .alltoall_rounds(vec![vec![1u32, 2, 3]], 2, "self")
+                .unwrap();
+            recv.received[0].len()
         });
         assert_eq!(run.results, vec![3]);
     }

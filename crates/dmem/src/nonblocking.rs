@@ -9,18 +9,15 @@
 //! * [`RoundExchange::post_round`] hands one round's flat send segments to the
 //!   transport and **returns immediately** — no barrier, no waiting for the
 //!   other ranks. A rank may have any number of rounds posted but not yet completed.
-//! * [`RoundExchange::try_complete`] polls one round: if every rank's segments are
-//!   available, they are copied out and the round completes; otherwise the call
-//!   returns `Ok(false)` without blocking.
 //! * [`RoundExchange::wait_round`] blocks (on a condvar or a socket, never a spin)
-//!   until the round can complete, then completes it.
+//!   until every rank's segments of the round are available, then completes it.
 //!
 //! Completion is **per-round and per-rank**: rank 0 can complete round 0 while rank 1
 //! is still serializing round 2. The engine therefore has no synchronisation points at
 //! all between `begin` and the last `wait_round` — the only ordering it enforces is
 //! the data dependency itself (a round completes once all of its segments exist).
 //!
-//! Every blocking or polling entry point observes the cluster-wide abort flag: when a
+//! Every blocking entry point observes the cluster-wide abort flag: when a
 //! peer fails (panics, injects a fault, or publishes an error via
 //! [`RankCtx::abort`](crate::collectives::RankCtx::abort)), waiters return
 //! [`DmemError::PeerFailed`] naming the failing rank instead of parking forever on a
@@ -31,13 +28,11 @@
 //! and receives land in a caller-owned [`FlatReceived`] that is cleared and refilled
 //! per round. In steady state a double-buffered caller allocates nothing per round.
 //!
-//! Traffic accounting matches the blocking collectives: payload bytes per destination
-//! sum over rounds to exactly what one bulk [`RankCtx::alltoallv_flat`] of the same
-//! data records (asserted by a unit test below), padding regularises every round to
-//! equal-size per-destination messages, and the *max in-flight bytes* statistic
-//! records the largest volume a rank ever had posted-but-not-completed at once.
-//!
-//! [`RankCtx::alltoallv_flat`]: crate::collectives::RankCtx::alltoallv_flat
+//! Traffic accounting: payload bytes per destination sum over rounds to exactly what
+//! one round holding all of the same data records (asserted by a unit test below),
+//! padding regularises every round to equal-size per-destination messages, and the
+//! *max in-flight bytes* statistic records the largest volume a rank ever had
+//! posted-but-not-completed at once.
 
 use std::sync::Arc;
 
@@ -221,49 +216,6 @@ impl RoundExchange {
         (self.seq << 32) ^ ((poster as u64) << 20) ^ round as u64
     }
 
-    /// Bookkeeping after the transport completed `round`: close the flow arrows,
-    /// release the in-flight volume, and mark the round done.
-    fn note_completed(&mut self, round: usize) {
-        for src in 0..self.ranks {
-            trace::flow(
-                "round-flight",
-                trace::Detail::Round,
-                self.rank as u32,
-                self.flow_id(src, round),
-                false,
-            );
-        }
-        self.inflight -= self.round_wire[round];
-        self.completed[round] = true;
-        trace::counter(
-            "inflight-bytes",
-            trace::Detail::Round,
-            self.rank as u32,
-            self.inflight,
-        );
-    }
-
-    /// Complete `round` if every rank's segments are available, filling `into`
-    /// (cleared first) with the received segments in source-rank order. Returns
-    /// `Ok(false)` — without blocking — when some segment has not arrived yet, and
-    /// [`DmemError::PeerFailed`] once a peer has aborted.
-    pub fn try_complete(
-        &mut self,
-        round: usize,
-        into: &mut FlatReceived<u8>,
-    ) -> Result<bool, DmemError> {
-        assert!(round < self.rounds, "round {round} out of range");
-        assert!(!self.completed[round], "round {round} completed twice");
-        if !self
-            .transport
-            .round_try(self.seq, round, &mut into.data, &mut into.displs)?
-        {
-            return Ok(false);
-        }
-        self.note_completed(round);
-        Ok(true)
-    }
-
     /// Block until `round` can complete, then complete it into `into` (cleared first).
     ///
     /// This is the wait that used to park forever when a poster died. It now sleeps in
@@ -286,7 +238,24 @@ impl RoundExchange {
             &mut into.data,
             &mut into.displs,
         )?;
-        self.note_completed(round);
+        // Close the flow arrows and release the round's in-flight volume.
+        for src in 0..self.ranks {
+            trace::flow(
+                "round-flight",
+                trace::Detail::Round,
+                self.rank as u32,
+                self.flow_id(src, round),
+                false,
+            );
+        }
+        self.inflight -= self.round_wire[round];
+        self.completed[round] = true;
+        trace::counter(
+            "inflight-bytes",
+            trace::Detail::Round,
+            self.rank as u32,
+            self.inflight,
+        );
         Ok(())
     }
 
@@ -404,45 +373,10 @@ mod tests {
     }
 
     #[test]
-    fn try_complete_does_not_block_and_eventually_succeeds() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-
-        // Rank 1 withholds its round-0 post until rank 0 has already polled the round
-        // once, so rank 0 provably observes an incomplete round without blocking, then
-        // completes it on a later poll.
-        let p = 2;
-        let rank0_polled = AtomicBool::new(false);
-        let run = Cluster::new(p).run(|ctx| {
-            let mut engine = ctx.round_exchange(1, "engine");
-            let mut recv = FlatReceived::empty();
-            let (buf, counts) = round_send(p, ctx.rank(), 0);
-            if ctx.rank() == 0 {
-                engine.post_round(0, buf, &counts).unwrap();
-                let first_poll = engine.try_complete(0, &mut recv).unwrap();
-                rank0_polled.store(true, Ordering::Release);
-                while !engine.try_complete(0, &mut recv).unwrap() {
-                    std::thread::yield_now();
-                }
-                engine.finish(ctx);
-                first_poll
-            } else {
-                while !rank0_polled.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-                engine.post_round(0, buf, &counts).unwrap();
-                engine.wait_round(0, &mut recv).unwrap();
-                engine.finish(ctx);
-                false
-            }
-        });
-        assert!(!run.results[0], "first poll must see an incomplete round");
-    }
-
-    #[test]
     fn payload_conserved_against_bulk_and_padding_regularises_rounds() {
-        // The summed per-round payload must equal the payload of one bulk
-        // alltoallv_flat of the concatenated data — the conservation law the
-        // round engine's accounting promises.
+        // The summed per-round payload must equal the payload of one round carrying
+        // all of the same data — the conservation law the round engine's accounting
+        // promises.
         let p = 4;
         let rounds = 3;
         let run = Cluster::new(p).run(|ctx| {
@@ -455,7 +389,7 @@ mod tests {
             }
             engine.finish(ctx);
 
-            // The same data in one bulk flat exchange.
+            // The same data in one round.
             let mut bulk = Vec::new();
             let mut counts = vec![0usize; ctx.size()];
             for (dst, count) in counts.iter_mut().enumerate() {
@@ -465,7 +399,10 @@ mod tests {
                     bulk.extend_from_slice(&seg);
                 }
             }
-            let _ = ctx.alltoallv_flat(bulk, &counts, "bulk").unwrap();
+            let mut once = ctx.round_exchange(1, "bulk");
+            once.post_round(0, bulk, &counts).unwrap();
+            once.wait_round(0, &mut recv).unwrap();
+            once.finish(ctx);
 
             let engine_stats = ctx.comm_stats().stage("engine").unwrap().clone();
             let bulk_stats = ctx.comm_stats().stage("bulk").unwrap().clone();
@@ -611,42 +548,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn try_complete_surfaces_peer_failure() {
-        // A poller (overlap pipelines poll between work items) must also see the abort
-        // instead of polling false forever.
-        let p = 2;
-        let plan = Arc::new(FaultPlan::new().with_fault(0, "engine", 0, FaultKind::FailRank));
-        let run = Cluster::new(p)
-            .with_fault_plan(plan)
-            .run(|ctx| -> Result<bool, DmemError> {
-                let mut engine = ctx.round_exchange(1, "engine");
-                let mut recv = FlatReceived::empty();
-                let (buf, counts) = round_send(ctx.size(), ctx.rank(), 0);
-                engine.post_round(0, buf, &counts)?;
-                loop {
-                    match engine.try_complete(0, &mut recv) {
-                        Ok(true) => return Ok(true),
-                        Ok(false) => std::thread::yield_now(),
-                        Err(e) => return Err(e),
-                    }
-                }
-            });
-        assert!(
-            matches!(
-                run.results[0],
-                Err(DmemError::InjectedFault { rank: 0, .. })
-            ),
-            "rank 0 got {:?}",
-            run.results[0]
-        );
-        assert!(
-            matches!(run.results[1], Err(DmemError::PeerFailed { rank: 0, .. })),
-            "rank 1 got {:?}",
-            run.results[1]
-        );
     }
 
     #[test]

@@ -19,10 +19,10 @@
 //!
 //! Peer frames are length-prefixed: `[kind u8][tag u64 LE][len u64 LE][payload]`
 //! with kinds `DATA`, `ABORT` (tag = origin rank, payload = detail) and `FIN`
-//! (clean goodbye). The tag spaces of collectives, round exchanges and barrier
-//! phases are disjoint (high bits 63/62/61); within each space the SPMD calling
-//! discipline makes per-rank sequence counters agree across ranks, so frames
-//! match up without any negotiation. A per-peer reader thread drains every
+//! (clean goodbye). A `DATA` tag names one round of one exchange — collectives and
+//! round exchanges alike — and the SPMD calling discipline makes the per-rank
+//! exchange sequence numbers agree across ranks, so frames match up without any
+//! negotiation. A per-peer reader thread drains every
 //! frame into a tag-keyed mailbox the moment it arrives — receivers never
 //! leave bytes sitting in a kernel socket buffer, which is what rules out
 //! buffer-full deadlocks in the all-to-all.
@@ -59,7 +59,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -135,17 +135,9 @@ fn read_payload(stream: &mut impl Read, len: u64, payload: &mut Vec<u8>) -> std:
     Ok(())
 }
 
-// Disjoint tag spaces; see the module docs.
-const TAG_COLL: u64 = 1 << 63;
-const TAG_ROUND: u64 = 1 << 62;
-const TAG_BARRIER: u64 = 1 << 61;
-
+/// The `DATA` tag of round `round` of exchange `seq`; see the module docs.
 fn round_tag(seq: u64, round: usize) -> u64 {
-    TAG_ROUND | (seq << 24) | round as u64
-}
-
-fn barrier_tag(bseq: u64, phase: usize) -> u64 {
-    TAG_BARRIER | (bseq << 8) | phase as u64
+    (seq << 24) | round as u64
 }
 
 /// Tag-keyed inbox of received `DATA` payloads, filled by the reader threads.
@@ -224,8 +216,6 @@ pub(crate) struct ProcessTransport {
     abort: Arc<AbortState>,
     /// Ensures the `ABORT` fan-out happens once per rank, whoever publishes.
     abort_sent: AtomicBool,
-    coll_seq: AtomicU64,
-    barrier_seq: AtomicU64,
     rounds: Mutex<HashMap<u64, ProcRound>>,
 }
 
@@ -250,8 +240,6 @@ impl ProcessTransport {
             mailbox,
             abort,
             abort_sent: AtomicBool::new(false),
-            coll_seq: AtomicU64::new(0),
-            barrier_seq: AtomicU64::new(0),
             rounds: Mutex::new(HashMap::new()),
         }
     }
@@ -306,53 +294,6 @@ impl ProcessTransport {
             if dst != self.rank {
                 let _ = self.send_frame(dst, FRAME_FIN, 0, &[]);
             }
-        }
-    }
-
-    /// Pop the next payload for `(src, tag)`, sleeping abort-aware until it
-    /// arrives. Drains already-delivered frames even after an abort (data that
-    /// made it through is still good); the deadline publishes, so peers follow.
-    fn recv_blocking(
-        &self,
-        src: usize,
-        tag: u64,
-        label: &str,
-        round: usize,
-    ) -> Result<Vec<u8>, DmemError> {
-        let start = Instant::now();
-        let mut queues = self
-            .mailbox
-            .queues
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(q) = queues.get_mut(&(src, tag)) {
-                if let Some(payload) = q.pop_front() {
-                    if q.is_empty() {
-                        queues.remove(&(src, tag));
-                    }
-                    return Ok(payload);
-                }
-            }
-            if let Some(e) = self.abort.peer_failure(round) {
-                return Err(e);
-            }
-            if start.elapsed() >= WAIT_DEADLINE {
-                let e = DmemError::Timeout {
-                    label: label.to_string(),
-                    round,
-                    waited_ms: start.elapsed().as_millis() as u64,
-                };
-                drop(queues);
-                self.publish_abort(self.rank, &e.to_string());
-                return Err(e);
-            }
-            let (guard, _) = self
-                .mailbox
-                .cv
-                .wait_timeout(queues, ABORT_TICK)
-                .unwrap_or_else(|e| e.into_inner());
-            queues = guard;
         }
     }
 
@@ -438,55 +379,6 @@ impl Transport for ProcessTransport {
         Backend::Process
     }
 
-    fn exchange(
-        &self,
-        label: &str,
-        round: usize,
-        mut segments: Vec<Vec<u8>>,
-    ) -> Result<Vec<Vec<u8>>, DmemError> {
-        debug_assert_eq!(segments.len(), self.size);
-        // The SPMD discipline keeps this counter aligned across ranks: every
-        // rank calls the same collectives in the same order.
-        let tag = TAG_COLL | self.coll_seq.fetch_add(1, Ordering::Relaxed);
-        for (dst, segment) in segments.iter().enumerate() {
-            if dst != self.rank {
-                self.send_data(dst, tag, segment, round)?;
-            }
-        }
-        let mut received = Vec::with_capacity(self.size);
-        for src in 0..self.size {
-            if src == self.rank {
-                received.push(std::mem::take(&mut segments[self.rank]));
-            } else {
-                received.push(self.recv_blocking(src, tag, label, round)?);
-            }
-        }
-        Ok(received)
-    }
-
-    /// Dissemination barrier: `ceil(log2 p)` phases, phase `k` sends a token
-    /// `2^k` ranks ahead and receives one from `2^k` behind. O(p log p) empty
-    /// frames total, no coordinator, and every phase is an abort-aware receive.
-    fn barrier(&self, label: &str, round: usize) -> Result<(), DmemError> {
-        if let Some(e) = self.abort.peer_failure(round) {
-            return Err(e);
-        }
-        if self.size == 1 {
-            return Ok(());
-        }
-        let bseq = self.barrier_seq.fetch_add(1, Ordering::Relaxed);
-        let phases = self.size.next_power_of_two().trailing_zeros() as usize;
-        for k in 0..phases {
-            let dist = 1usize << k;
-            let to = (self.rank + dist) % self.size;
-            let from = (self.rank + self.size - dist) % self.size;
-            let tag = barrier_tag(bseq, k);
-            self.send_data(to, tag, &[], round)?;
-            self.recv_blocking(from, tag, label, round)?;
-        }
-        Ok(())
-    }
-
     fn round_open(&self, seq: u64, rounds: usize) {
         self.rounds
             .lock()
@@ -526,16 +418,6 @@ impl Transport for ProcessTransport {
         buf.clear();
         pr.spent.push(buf);
         Ok(())
-    }
-
-    fn round_try(
-        &self,
-        seq: u64,
-        round: usize,
-        data: &mut Vec<u8>,
-        displs: &mut Vec<usize>,
-    ) -> Result<bool, DmemError> {
-        self.try_collect_round(seq, round, data, displs)
     }
 
     fn round_wait(
@@ -1030,7 +912,6 @@ mod tests {
             let sum = ctx.allreduce_sum_u64(&[ctx.rank() as u64, 7], "sizes")?;
             let all = ctx.allgather(ctx.rank() as u32, "gather")?;
             let max = ctx.allreduce_u64(ctx.rank() as u64 * 3, "max", u64::max)?;
-            ctx.barrier()?;
             Ok((sum, all, max))
         };
         for p in [1usize, 2, 5] {
@@ -1061,8 +942,11 @@ mod tests {
         let run = Cluster::new(p).with_backend(Backend::Process).run_wire(
             |ctx| -> Result<Vec<Vec<u8>>, DmemError> {
                 let send: Vec<u8> = (0..ctx.size() * 3).map(|_| ctx.rank() as u8).collect();
-                let counts = vec![3usize; ctx.size()];
-                let recv = ctx.alltoallv_flat(send, &counts, "exchange")?;
+                let mut engine = ctx.round_exchange(1, "exchange");
+                let mut recv = FlatReceived::empty();
+                engine.post_round(0, send, &vec![3; ctx.size()])?;
+                engine.wait_round(0, &mut recv)?;
+                engine.finish(ctx);
                 Ok((0..ctx.size())
                     .map(|src| recv.from_rank(src).to_vec())
                     .collect())
@@ -1198,9 +1082,8 @@ mod tests {
             .with_backend(Backend::Process)
             .with_fault_plan(Arc::clone(&plan))
             .run_wire(|ctx| -> Result<u32, DmemError> {
-                let send = vec![ctx.rank() as u8; ctx.size()];
-                let counts = vec![1usize; ctx.size()];
-                ctx.alltoallv_flat(send, &counts, "exchange")?;
+                let send = vec![vec![ctx.rank() as u8]; ctx.size()];
+                ctx.alltoall_rounds(send, 1, "exchange")?;
                 Ok(0)
             });
         // The child fired the fault; its state came home over the control

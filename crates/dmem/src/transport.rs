@@ -2,21 +2,22 @@
 //!
 //! Everything above this trait — the typed collectives, their traffic accounting,
 //! fault injection, and the non-blocking round engine — is transport-agnostic. A
-//! [`Transport`] moves flat byte segments between ranks and answers the two
-//! cluster-wide control questions (has anyone aborted? can everyone synchronise?).
-//! Two implementations exist:
+//! [`Transport`] has one data path, the *round board*: an exchange of numbered rounds
+//! in which every rank posts one flat byte segment per destination and completes a
+//! round once every rank's segment for it is in. It also answers the one cluster-wide
+//! control question: has anyone aborted? Two implementations exist:
 //!
 //! * [`InProcessTransport`](crate::inprocess::InProcessTransport) — every rank is a
-//!   thread in one address space, data moves through a shared exchange board. This
-//!   is the original simulator, behavior-identical down to its error strings.
+//!   thread in one address space, and the round board is shared memory. This is the
+//!   original simulator.
 //! * [`ProcessTransport`](crate::process::ProcessTransport) — every rank is a
 //!   `fork()`ed OS process and segments move as real bytes over UNIX domain
 //!   sockets, so overlap wins are *measured* transfer time, not modeled.
 //!
 //! One `Transport` instance exists per rank; the instance knows its own rank and
-//! the cluster size. Exchange and barrier calls follow MPI's SPMD discipline —
-//! every rank issues the same sequence of calls — which is what lets the process
-//! backend match frames by per-call sequence numbers without any negotiation.
+//! the cluster size. Exchanges follow MPI's SPMD discipline — every rank opens the
+//! same sequence of exchanges — which is what lets the process backend match frames
+//! by per-exchange sequence numbers without any negotiation.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -113,30 +114,16 @@ impl AbortState {
 
 /// Byte-level rank-to-rank substrate. One instance per rank; see the module docs.
 ///
-/// The round-engine entry points (`round_*`) operate on an exchange identified by
-/// `seq`, the per-rank SPMD sequence number assigned by
-/// [`RankCtx::round_exchange`](crate::collectives::RankCtx::round_exchange); every
-/// rank opens its exchanges in the same order, so equal sequence numbers on
-/// different ranks name the same exchange.
+/// The round-board entry points (`round_*`) operate on an exchange identified by
+/// `seq`, the per-rank SPMD sequence number [`RankCtx`](crate::collectives::RankCtx)
+/// assigns to every round exchange and every collective call; every rank opens its
+/// exchanges in the same order, so equal sequence numbers on different ranks name
+/// the same exchange.
 pub(crate) trait Transport: Send + Sync {
     /// Number of ranks in the cluster.
     fn size(&self) -> usize;
     /// Which backend this transport implements.
     fn backend(&self) -> Backend;
-
-    /// Blocking all-to-all of one byte segment per destination (`segments.len() ==
-    /// size`, self included); returns one segment per source in rank order. `label`
-    /// and `round` name the collective for errors and timeouts.
-    fn exchange(
-        &self,
-        label: &str,
-        round: usize,
-        segments: Vec<Vec<u8>>,
-    ) -> Result<Vec<Vec<u8>>, DmemError>;
-
-    /// Synchronise all ranks; fails with [`DmemError::PeerFailed`] when a rank
-    /// aborts instead of arriving.
-    fn barrier(&self, label: &str, round: usize) -> Result<(), DmemError>;
 
     /// Open round exchange `seq` with `rounds` rounds. Must be called before any
     /// other `round_*` entry point for that `seq`.
@@ -152,21 +139,12 @@ pub(crate) trait Transport: Send + Sync {
         displs: &[usize],
     ) -> Result<(), DmemError>;
 
-    /// Complete `round` if every rank's segment is available, filling `data` /
-    /// `displs` (both cleared first; `displs` gets `size + 1` entries). Returns
-    /// `Ok(false)` without blocking when segments are still missing, and the typed
-    /// abort error once a peer has failed.
-    fn round_try(
-        &self,
-        seq: u64,
-        round: usize,
-        data: &mut Vec<u8>,
-        displs: &mut Vec<usize>,
-    ) -> Result<bool, DmemError>;
-
-    /// Block until `round` can complete, then complete it as in
-    /// [`Transport::round_try`]. A rank that observes neither completion nor an
-    /// abort within the deadline publishes and returns [`DmemError::Timeout`].
+    /// Block until every rank's segment of `round` is available, then fill `data` /
+    /// `displs` (both cleared first; `displs` gets `size + 1` entries) with the
+    /// segments in source-rank order. Fails with the typed abort error once a peer
+    /// has failed; a rank that observes neither completion nor an abort within the
+    /// deadline publishes and returns [`DmemError::Timeout`]. `label` names the
+    /// exchange in that error.
     fn round_wait(
         &self,
         seq: u64,

@@ -7,12 +7,8 @@
 //! process, needs an explicit encoding. [`Wire`] is that encoding: a minimal,
 //! dependency-free, little-endian format with just enough structure (length
 //! prefixes, variant tags) for the receiving side to reject malformed input with
-//! `None` instead of misinterpreting it.
-//!
-//! The hot flat exchanges do **not** pay for this codec: element types that are
-//! plain bit patterns implement [`Pod`] and are reinterpreted as bytes directly
-//! (see [`pod_bytes`] / [`extend_from_pod_bytes`]), exactly like an MPI datatype
-//! over a contiguous buffer.
+//! `None` instead of misinterpreting it. The round engine's flat byte segments need
+//! no codec: they are bytes already.
 
 use crate::error::DmemError;
 use crate::stats::{CommStats, StageTraffic};
@@ -326,63 +322,6 @@ impl Wire for CommStats {
     }
 }
 
-/// A plain-bit-pattern element type: every byte sequence of the right length is a
-/// valid value and the type carries no pointers or padding. Flat exchanges
-/// reinterpret `Vec<Pod>` buffers as bytes with no per-element encoding, exactly
-/// like an MPI datatype over a contiguous buffer.
-///
-/// # Safety
-///
-/// Implementors must guarantee the type has no padding bytes, no interior
-/// pointers/references, and that any bit pattern of `size_of::<Self>()` bytes is a
-/// valid value.
-pub unsafe trait Pod: Copy + Send + 'static {}
-
-unsafe impl Pod for u8 {}
-unsafe impl Pod for u16 {}
-unsafe impl Pod for u32 {}
-unsafe impl Pod for u64 {}
-unsafe impl Pod for u128 {}
-unsafe impl Pod for usize {}
-unsafe impl Pod for i8 {}
-unsafe impl Pod for i16 {}
-unsafe impl Pod for i32 {}
-unsafe impl Pod for i64 {}
-unsafe impl Pod for isize {}
-unsafe impl Pod for f32 {}
-unsafe impl Pod for f64 {}
-
-/// View a `Pod` slice as raw bytes (native byte order — both backends run every
-/// rank on the same machine, so no swapping is needed).
-pub fn pod_bytes<T: Pod>(items: &[T]) -> &[u8] {
-    // SAFETY: Pod guarantees no padding and no pointers; any T is valid bytes.
-    unsafe { std::slice::from_raw_parts(items.as_ptr().cast::<u8>(), std::mem::size_of_val(items)) }
-}
-
-/// Append the `Pod` values encoded in `bytes` to `dst`. Returns `None` when
-/// `bytes` is not a whole number of elements. The copy goes through an unaligned
-/// read so arbitrarily-offset wire buffers are fine.
-pub fn extend_from_pod_bytes<T: Pod>(dst: &mut Vec<T>, bytes: &[u8]) -> Option<()> {
-    let elem = std::mem::size_of::<T>();
-    if elem == 0 || !bytes.len().is_multiple_of(elem) {
-        return None;
-    }
-    let n = bytes.len() / elem;
-    dst.reserve(n);
-    // SAFETY: the destination has `n` elements of reserved capacity, the source
-    // holds exactly `n * size_of::<T>()` bytes, and Pod makes any bit pattern a
-    // valid T. `copy_nonoverlapping` handles the unaligned source.
-    unsafe {
-        std::ptr::copy_nonoverlapping(
-            bytes.as_ptr(),
-            dst.as_mut_ptr().add(dst.len()).cast::<u8>(),
-            bytes.len(),
-        );
-        dst.set_len(dst.len() + n);
-    }
-    Some(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -465,18 +404,99 @@ mod tests {
         assert_eq!(from_bytes::<CommStats>(&to_bytes(&stats)), Some(stats));
     }
 
+    /// A seeded fuzz loop over the types that cross the process boundary. Every strict
+    /// prefix of a valid encoding decodes to `None`; every single-bit flip decodes to
+    /// `None` or to a value that re-encodes to exactly the flipped bytes; and so does an
+    /// 8-byte `u64::MAX`, 2^40 or one-past-the-end length written at every offset.
+    fn fuzz<T: Wire + PartialEq + std::fmt::Debug>(value: &T, state: &mut u64) {
+        let bytes = to_bytes(value);
+        assert_eq!(from_bytes::<T>(&bytes).as_ref(), Some(value));
+        for len in 0..bytes.len() {
+            assert_eq!(
+                from_bytes::<T>(&bytes[..len]),
+                None,
+                "{value:?}: prefix {len}"
+            );
+        }
+        let value_or_none = |input: &[u8]| {
+            if let Some(v) = from_bytes::<T>(input) {
+                assert_eq!(to_bytes(&v), input, "{value:?} misparsed as {v:?}");
+            }
+        };
+        for _ in 0..600 {
+            *state ^= *state << 13;
+            *state ^= *state >> 7;
+            *state ^= *state << 17;
+            let bit = *state as usize % (bytes.len() * 8);
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            value_or_none(&flipped);
+        }
+        for at in 0..bytes.len().saturating_sub(7) {
+            let past_end = (bytes.len() - at - 7) as u64;
+            for len in [u64::MAX, 1 << 40, past_end] {
+                let mut hostile = bytes.clone();
+                hostile[at..at + 8].copy_from_slice(&len.to_le_bytes());
+                value_or_none(&hostile);
+            }
+        }
+    }
+
     #[test]
-    fn pod_bytes_round_trip_handles_unaligned_sources() {
-        let items = vec![1u64, u64::MAX, 0x0102_0304_0506_0708];
-        let bytes = pod_bytes(&items);
-        assert_eq!(bytes.len(), 24);
-        // Prepend one byte so the decode source is misaligned for u64.
-        let mut shifted = vec![0u8];
-        shifted.extend_from_slice(bytes);
-        let mut out: Vec<u64> = Vec::new();
-        extend_from_pod_bytes(&mut out, &shifted[1..]).unwrap();
-        assert_eq!(out, items);
-        // A ragged length is rejected.
-        assert!(extend_from_pod_bytes(&mut out, &shifted[1..10]).is_none());
+    fn seeded_fuzz_loop_decodes_every_boundary_type_to_a_value_or_none() {
+        let mut stats = CommStats::new(3);
+        stats.record("task-sizes", &[0, 24, 24], 0, 2, 0, 24);
+        stats.record_with_inflight("exchange", &[5, 0, 9], 3, 4, 1, 9, 18);
+        let errors = [
+            DmemError::PeerFailed {
+                rank: 1,
+                round: 2,
+                detail: "rank 1 exited before completing the run".to_string(),
+            },
+            DmemError::Timeout {
+                label: "exchange".to_string(),
+                round: 7,
+                waited_ms: 30_000,
+            },
+            DmemError::InjectedFault {
+                rank: 0,
+                stage: "task-sizes".to_string(),
+                round: 0,
+                kind: "fail-rank".to_string(),
+            },
+            DmemError::Protocol("collective mismatch".to_string()),
+        ];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        fuzz(&stats, &mut state);
+        for e in &errors {
+            fuzz(e, &mut state);
+            fuzz(&Err::<Vec<u64>, _>(e.clone()), &mut state);
+        }
+        fuzz(&Ok::<_, DmemError>(vec![1u64, u64::MAX, 0]), &mut state);
+        fuzz(&vec![vec![], vec![1u32, 2], vec![u32::MAX]], &mut state);
+        fuzz(
+            &vec![String::new(), "a".to_string(), "ünï".to_string()],
+            &mut state,
+        );
+
+        // The length prefixes themselves: a length the input cannot back is `None`. A
+        // reservation sized by the prefix instead of the remaining input would panic on
+        // capacity overflow or abort on a failed allocation here.
+        let tail = to_bytes(&7u32);
+        for len in [u64::MAX, 1 << 40, tail.len() as u64 + 1] {
+            let prefixed = |head: &[u8]| [head, &len.to_le_bytes(), &tail].concat();
+            assert_eq!(from_bytes::<Vec<Vec<u32>>>(&prefixed(&[])), None);
+            assert_eq!(
+                from_bytes::<Vec<Vec<u32>>>(&prefixed(&to_bytes(&1u64))),
+                None
+            );
+            assert_eq!(from_bytes::<Vec<String>>(&prefixed(&to_bytes(&1u64))), None);
+            assert_eq!(
+                from_bytes::<Result<Vec<u64>, DmemError>>(&prefixed(&[0])),
+                None
+            );
+            assert_eq!(from_bytes::<DmemError>(&prefixed(&[3])), None);
+            assert_eq!(from_bytes::<CommStats>(&prefixed(&[0; 32])), None);
+        }
     }
 }

@@ -239,31 +239,59 @@ fn raduls_kernel_matches_oracles_on_two_word_kmers() {
 
 #[test]
 fn flat_exchange_round_trips_against_the_nested_path() {
-    // Random irregular send matrices: the flat-buffer exchange must deliver exactly
-    // the bytes the nested-vector path delivers, rank for rank.
-    use hysortk_dmem::Cluster;
-    for seed in 0..6u64 {
-        let p = 2 + (seed as usize % 4);
-        let run = Cluster::new(p).run(|ctx| {
-            let mut rng = StdRng::seed_from_u64(seed * 100 + ctx.rank() as u64);
-            let nested: Vec<Vec<u8>> = (0..ctx.size())
-                .map(|_| {
-                    let len = rng.gen_range(0..200usize);
-                    (0..len).map(|_| rng.gen()).collect()
-                })
-                .collect();
-            let counts: Vec<usize> = nested.iter().map(Vec::len).collect();
-            let flat: Vec<u8> = nested.iter().flatten().copied().collect();
-            let from_nested = ctx.alltoallv(nested, "nested").expect("no faults injected");
-            let from_flat = ctx
-                .alltoallv_flat(flat, &counts, "flat")
-                .expect("no faults injected");
-            (0..ctx.size()).all(|src| from_nested[src].as_slice() == from_flat.from_rank(src))
-        });
-        assert!(
-            run.results.into_iter().all(|ok| ok),
-            "mismatch for seed {seed}"
-        );
+    // Random irregular byte matrices through both exchange shapes: the nested
+    // `alltoall_rounds` and a one-round flat `round_exchange` must each deliver what
+    // every rank sent, rank for rank, and record the same payload, on both backends.
+    use hysortk_dmem::{Backend, Cluster, DmemError, FlatReceived};
+    if hysortk_dmem::ran_in_own_process("flat_exchange_round_trips_against_the_nested_path") {
+        return;
+    }
+    let matrix = |seed: u64, src: usize, p: usize| -> Vec<Vec<u8>> {
+        let mut rng = StdRng::seed_from_u64(seed * 100 + src as u64);
+        (0..p)
+            .map(|_| {
+                let len = rng.gen_range(0..200usize);
+                (0..len).map(|_| rng.gen()).collect()
+            })
+            .collect()
+    };
+    for backend in [Backend::Thread, Backend::Process] {
+        for p in 1..=5usize {
+            let seed = p as u64;
+            let run =
+                Cluster::new(p)
+                    .with_backend(backend)
+                    .run_wire(|ctx| -> Result<_, DmemError> {
+                        let nested = matrix(seed, ctx.rank(), ctx.size());
+                        let counts: Vec<usize> = nested.iter().map(Vec::len).collect();
+                        let flat = nested.concat();
+                        let from_nested = ctx.alltoall_rounds(nested, 16, "nested")?.received;
+                        let mut exchange = ctx.round_exchange(1, "flat");
+                        let mut recv = FlatReceived::empty();
+                        exchange.post_round(0, flat, &counts)?;
+                        exchange.wait_round(0, &mut recv)?;
+                        exchange.finish(ctx);
+                        let from_flat: Vec<Vec<u8>> = (0..ctx.size())
+                            .map(|src| recv.from_rank(src).to_vec())
+                            .collect();
+                        let payload =
+                            |label: &str| ctx.comm_stats().stage(label).unwrap().payload_bytes;
+                        Ok((
+                            (from_nested, payload("nested")),
+                            (from_flat, payload("flat")),
+                        ))
+                    });
+            for (dst, res) in run.results.into_iter().enumerate() {
+                let ((nested, nested_payload), (flat, flat_payload)) =
+                    res.expect("no faults injected");
+                let sent: Vec<Vec<u8>> = (0..p)
+                    .map(|src| matrix(seed, src, p).swap_remove(dst))
+                    .collect();
+                assert_eq!(nested, sent, "{backend} p={p} rank {dst}: nested path");
+                assert_eq!(flat, sent, "{backend} p={p} rank {dst}: flat path");
+                assert_eq!(nested_payload, flat_payload, "{backend} p={p} rank {dst}");
+            }
+        }
     }
 }
 
