@@ -644,8 +644,9 @@ impl ShardReader {
         self.scan_past_end
     }
 
-    /// Largest internal block-buffer capacity seen so far — bounded by
-    /// `block_bytes + longest input line`, independent of file size.
+    /// Largest internal block-buffer capacity seen so far — bounded by twice
+    /// `block_bytes + longest input line` (the carry grows by doubling), independent of
+    /// file size.
     pub fn peak_buffer_bytes(&self) -> usize {
         let current = self
             .current

@@ -83,10 +83,8 @@ pub(crate) fn run_fingerprint<K: KmerCode>(cfg: &HySortKConfig, num_tasks: usize
     push(cfg.batch_size as u64);
     push(cfg.min_count);
     push(cfg.max_count);
-    push(u64::from(cfg.use_supermers));
     push(u64::from(cfg.use_task_layer));
     push(u64::from(cfg.overlap));
-    push(u64::from(cfg.compress_extension));
     push(u64::from(cfg.heavy_hitter.enabled));
     push(cfg.heavy_hitter.factor.to_bits());
     push(cfg.data_scale.to_bits());
@@ -373,7 +371,7 @@ pub(crate) struct RestoredState<K: KmerCode> {
     pub decoded: BTreeMap<u32, u64>,
     /// Cumulative multiplicity histogram at the restored epoch.
     pub histogram: KmerHistogram,
-    /// Cumulative records decoded from supermer/record blocks.
+    /// Cumulative records decoded from supermer blocks.
     pub received_records: u64,
     /// Cumulative kmerlist entries decoded.
     pub precounted_records: u64,

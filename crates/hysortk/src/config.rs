@@ -8,7 +8,7 @@ use hysortk_task::HeavyHitterPolicy;
 ///
 /// The defaults mirror the paper's recommended settings: 16 processes per node,
 /// 4 threads per worker, 3 tasks per worker, a batch size of 80 000 records per round,
-/// valid counts in `[2, 50]`, supermers on, heavy-hitter handling on, overlap on.
+/// valid counts in `[2, 50]`, heavy-hitter handling on, overlap on.
 #[derive(Debug, Clone)]
 pub struct HySortKConfig {
     /// k-mer length.
@@ -49,18 +49,13 @@ pub struct HySortKConfig {
     pub min_count: u64,
     /// Highest k-mer frequency kept in the output (the paper uses 50).
     pub max_count: u64,
-    /// Record and return extension information (read id, position). When set, the
-    /// heavy-hitter kmerlist conversion (§3.5) is bypassed regardless of
+    /// Record and return extension information (read id, position). Every supermer then
+    /// travels with a `(read id, start)` header, which implies the provenance of each of
+    /// its k-mers: there is no separate extension exchange and no extension codec on the
+    /// wire. When set, the heavy-hitter kmerlist conversion (§3.5) is bypassed regardless of
     /// [`HySortKConfig::heavy_hitter`]: kmerlists carry no provenance, so converting
     /// would silently drop the extension lists of every k-mer in a heavy task.
     pub with_extension: bool,
-    /// Compress extension information with the delta codec (§3.3.2); only relevant when
-    /// `with_extension` is set and `use_supermers` is off (supermers already carry the
-    /// provenance in their header).
-    pub compress_extension: bool,
-    /// Group k-mers into supermers before the exchange (§2.4/§3.2). Disabling this is
-    /// the "naive exchange" ablation.
-    pub use_supermers: bool,
     /// Use the task abstraction layer (`s ≫ p` tasks, workers, greedy assignment).
     /// Disabling it reverts to one task per rank (§4.1.1 baseline).
     pub use_task_layer: bool,
@@ -136,8 +131,6 @@ impl Default for HySortKConfig {
             min_count: 2,
             max_count: 50,
             with_extension: false,
-            compress_extension: true,
-            use_supermers: true,
             use_task_layer: true,
             heavy_hitter: HeavyHitterPolicy::default(),
             overlap: true,
@@ -242,6 +235,9 @@ impl HySortKConfig {
         }
         if self.threads_per_process == 0 {
             return Err("threads_per_process must be positive".to_string());
+        }
+        if self.threads_per_worker == 0 {
+            return Err("threads_per_worker must be positive".to_string());
         }
         // `Default::default()` derives `threads_per_process` from a 16-ppn layout; a
         // struct-update that only changes `processes_per_node` would silently
@@ -408,5 +404,15 @@ mod tests {
         let mut cfg = HySortKConfig::default();
         cfg.threads_per_process = 0;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn zero_threads_per_worker_is_rejected_before_the_worker_count_divides_by_it() {
+        let mut cfg = HySortKConfig::small(21, 9, 2);
+        cfg.threads_per_worker = 0;
+        assert_eq!(
+            cfg.validate().unwrap_err(),
+            "threads_per_worker must be positive"
+        );
     }
 }

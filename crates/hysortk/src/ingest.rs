@@ -204,12 +204,12 @@ fn next_batch_with_retry(
 /// many — then drop them. Returns the error that stopped the ingest, if one did; what was
 /// ingested until then is staged. `opts.min_fragment` is raised to `cfg.k`: a fragment
 /// shorter than k holds no k-mer.
-pub(crate) fn ingest_shard<K: KmerCode>(
+pub(crate) fn ingest_shard(
     ctx: &RankCtx,
     files: &[InputFile],
     cfg: &HySortKConfig,
     opts: &IngestOptions,
-    parser: &mut Stage1Parser<'_, K>,
+    parser: &mut Stage1Parser<'_>,
     counters: &mut RankCounters,
 ) -> Result<(), HysortkError> {
     let (rank, p) = (ctx.rank(), ctx.size());
@@ -369,9 +369,9 @@ mod tests {
         let files = list_inputs(&[&path]).unwrap();
 
         // Every task's block as the serializer writes it, and the bytes staged.
-        let blocks_of = |stage1: Stage1<Kmer1>, cfg: &HySortKConfig| {
+        let blocks_of = |stage1: Stage1, cfg: &HySortKConfig| {
             let staged = stage1.staged_bytes();
-            let mut ser = SendSerializer::new(stage1, &[], cfg);
+            let mut ser = SendSerializer::<Kmer1>::new(stage1, &[], cfg);
             let blocks: Vec<Vec<u8>> = (0..TASKS)
                 .map(|t| {
                     let mut block = Vec::new();
@@ -418,7 +418,7 @@ mod tests {
             let mut staged: Vec<Vec<Vec<u8>>> = Vec::new();
             for width in [1usize, 2, 3, 5] {
                 let pool = WorkerPool::new(width, 1);
-                let mut parser = Stage1Parser::<Kmer1>::new(&cfg, TASKS, 1, &pool);
+                let mut parser = Stage1Parser::new(&cfg, TASKS, 1, &pool);
                 parser.parse(reads.reads(), &mut RankCounters::default());
                 staged.push(blocks_of(parser.finish(), &cfg));
                 for batch_records in [5usize, 1_024] {
@@ -428,7 +428,7 @@ mod tests {
                         ..IngestOptions::default()
                     };
                     let fed = Cluster::new(1).run(|ctx| {
-                        let mut parser = Stage1Parser::<Kmer1>::new(&cfg, TASKS, 1, &pool);
+                        let mut parser = Stage1Parser::new(&cfg, TASKS, 1, &pool);
                         let mut counters = RankCounters::default();
                         ingest_shard(ctx, &files, &cfg, &opts, &mut parser, &mut counters).unwrap();
                         parser.finish()
@@ -460,19 +460,6 @@ mod tests {
             }
         }
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn records_ablation_mode_ingests_identically() {
-        let reads = overlapping_reads(33);
-        let path = tmp_path("records.fa");
-        fasta::write_fasta_file(&path, &reads, 70).unwrap();
-        let mut cfg = small_cfg(3);
-        cfg.use_supermers = false;
-        let expected = count_kmers::<Kmer1>(&reads, &cfg);
-        let got = count_kmers_from_files::<Kmer1, _>(&[&path], &cfg).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(got.counts, expected.counts);
     }
 
     #[test]
@@ -508,6 +495,19 @@ mod tests {
         let none: [&std::path::Path; 0] = [];
         let err = count_kmers_from_files::<Kmer1, _>(&none, &cfg).unwrap_err();
         assert_eq!(err.exit_code(), 2);
+    }
+
+    #[test]
+    fn zero_threads_per_worker_is_a_config_error_not_a_panic() {
+        let path = tmp_path("tpw0.fa");
+        fasta::write_fasta_file(&path, &overlapping_reads(37), 70).unwrap();
+        let mut cfg = small_cfg(2);
+        cfg.threads_per_worker = 0;
+        let err = count_kmers_from_files::<Kmer1, _>(&[&path], &cfg).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert!(matches!(err, HysortkError::Config(_)), "{err}");
+        assert_eq!(err.exit_code(), 2);
+        assert!(err.to_string().contains("threads_per_worker"), "{err}");
     }
 
     #[test]

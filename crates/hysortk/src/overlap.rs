@@ -21,9 +21,8 @@
 //! tasks straight into the recycled engine buffer in wire order (destination-major),
 //! under the pool's thread budget. Stage 1 stages supermers in wire form, so most of a
 //! fill is block header + body + seal; a heavy-hitter task (§3.5) is pre-counted there,
-//! its sort parallel under that budget, and the records ablation encodes its records
-//! there. The first step only fills, the last only drains, and a rank of any width
-//! runs the same schedule.
+//! its sort parallel under that budget. The first step only fills, the last only
+//! drains, and a rank of any width runs the same schedule.
 //!
 //! Rounds are **task-granular**: [`plan_rounds`] packs whole tasks into rounds from
 //! the globally-reduced task sizes, so every rank derives the identical task → round
@@ -514,7 +513,7 @@ mod tests {
         ReadSet::from_ascii_reads(&seqs)
     }
 
-    fn stage1(my_reads: &[Read], cfg: &HySortKConfig) -> Stage1<Kmer1> {
+    fn stage1(my_reads: &[Read], cfg: &HySortKConfig) -> Stage1 {
         let pool = WorkerPool::new(1, 1);
         let mut parser = Stage1Parser::new(cfg, TASKS, 1, &pool);
         parser.parse(my_reads, &mut RankCounters::default());

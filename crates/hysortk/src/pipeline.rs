@@ -45,6 +45,7 @@
 //! counters in the returned [`RunReport`] are measurements, not estimates; only the
 //! conversion to seconds goes through the performance model.
 
+use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -54,7 +55,6 @@ use hysortk_dna::extension::Extension;
 use hysortk_dna::io::{IngestOptions, InputFile};
 use hysortk_dna::kmer::KmerCode;
 use hysortk_dna::readset::{Read, ReadSet};
-use hysortk_hash::hash_kmer;
 use hysortk_perfmodel::network::ExchangeProfile;
 use hysortk_perfmodel::{PerfModel, SortAlgorithm, StageTimes};
 use hysortk_sort::{count_sorted_runs, paradis_sort_from, IN_CACHE_BYTES};
@@ -72,8 +72,7 @@ use crate::ingest::ingest_shard;
 use crate::result::{CountResult, KmerHistogram, KmerRuns, RunReport, StageWallTimes};
 use crate::stage3::{self, CountParams, TaskCounts, TaskExtensions};
 use crate::wire::{
-    push_supermer, write_block, write_records_uncompressed, write_supermer_block, SupermersView,
-    TaskPayload, MAX_SECTIONS,
+    push_supermer, write_block, write_supermer_block, SupermersView, TaskPayload, MAX_SECTIONS,
 };
 
 /// Measured wall-clock seconds of one rank, bucketed by pipeline stage. The
@@ -374,43 +373,22 @@ impl TaskBody {
     }
 }
 
-/// What a rank accumulates locally before the exchange, one entry per task.
-pub(crate) enum Stage1<K: KmerCode> {
-    /// Supermer mode: the task's staged supermers, ready to be sent, and the number of
-    /// sections every task is cut into.
-    Supermers(Vec<TaskBody>, u32),
-    /// Ablation mode: the task's individual k-mer records.
-    Records(Vec<(Vec<K>, Vec<Extension>)>),
+/// What a rank stages locally before the exchange: one supermer body per task, ready to
+/// be sent, and the number of sections every task is cut into.
+pub(crate) struct Stage1 {
+    pub(crate) bodies: Vec<TaskBody>,
+    pub(crate) sections: u32,
 }
 
-impl<K: KmerCode> Stage1<K> {
+impl Stage1 {
     /// K-mers this rank staged for each task.
     pub(crate) fn local_sizes(&self) -> Vec<u64> {
-        match self {
-            Stage1::Supermers(bodies, _) => bodies.iter().map(|b| b.kmers).collect(),
-            Stage1::Records(tasks) => tasks.iter().map(|(kmers, _)| kmers.len() as u64).collect(),
-        }
+        self.bodies.iter().map(|b| b.kmers).collect()
     }
 
-    /// Sections every task is cut into: 1 in the records ablation.
-    pub(crate) fn sections(&self) -> u32 {
-        match self {
-            Stage1::Supermers(_, sections) => *sections,
-            Stage1::Records(_) => 1,
-        }
-    }
-
-    /// Bytes the staging holds: the bodies, or the record vectors.
+    /// Bytes the staging holds: the task bodies.
     pub(crate) fn staged_bytes(&self) -> u64 {
-        let bytes: usize = match self {
-            Stage1::Supermers(bodies, _) => bodies.iter().map(|b| b.bytes.len()).sum(),
-            Stage1::Records(tasks) => (tasks.iter())
-                .map(|(kmers, exts)| {
-                    std::mem::size_of_val(&kmers[..]) + std::mem::size_of_val(&exts[..])
-                })
-                .sum(),
-        };
-        bytes as u64
+        self.bodies.iter().map(|b| b.bytes.len() as u64).sum()
     }
 }
 
@@ -419,70 +397,55 @@ impl<K: KmerCode> Stage1<K> {
 /// packed into (which is what makes outputs byte-identical across round plans). A
 /// supermer task is *block header, section directory, staged body section by section,
 /// seal* — a copy; a heavy-hitter task decodes its staged body and pre-counts it into a
-/// kmerlist (§3.5); a record task encodes its staged vectors. Serialising a task takes
-/// its staging with it: each task must be serialised at most once, and its memory is
-/// free afterwards.
+/// kmerlist of `K`s (§3.5). Serialising a task takes its staging with it: each task must
+/// be serialised at most once, and its memory is free afterwards.
 pub(crate) struct SendSerializer<'a, K: KmerCode> {
-    staged: Stage1<K>,
+    staged: Stage1,
     heavy: &'a [usize],
     cfg: &'a HySortKConfig,
+    _kmer: PhantomData<K>,
 }
 
 impl<'a, K: KmerCode> SendSerializer<'a, K> {
-    pub(crate) fn new(staged: Stage1<K>, heavy: &'a [usize], cfg: &'a HySortKConfig) -> Self {
-        SendSerializer { staged, heavy, cfg }
+    pub(crate) fn new(staged: Stage1, heavy: &'a [usize], cfg: &'a HySortKConfig) -> Self {
+        SendSerializer {
+            staged,
+            heavy,
+            cfg,
+            _kmer: PhantomData,
+        }
     }
 
     /// Append task `t`'s wire blocks to `out` (nothing is written for an empty task).
     /// Returns the k-mers pre-counted locally when `t` is a heavy-hitter task, zero
     /// otherwise.
     pub(crate) fn serialize_task(&mut self, t: usize, out: &mut Vec<u8>) -> u64 {
-        match &mut self.staged {
-            Stage1::Supermers(bodies, sections) => {
-                let body = std::mem::take(&mut bodies[t]);
-                if body.supermers == 0 {
-                    return 0;
-                }
-                if self.heavy.binary_search(&t).is_err() {
-                    let provenance = self.cfg.with_extension;
-                    write_supermer_block(out, t as u32, provenance, *sections, &body.parts());
-                    return 0;
-                }
-                // Heavy-hitter path: pre-count locally, ship a kmerlist (§3.5). Heavy
-                // tasks exist only without extensions, so the body is bare supermers back
-                // to back, whatever their sections. The few distinct keys of a satellite
-                // pile into a few sections, far out of cache, so this is one in-place sort
-                // of the whole task and not stage 3's section by section pass.
-                let view = SupermersView::staged(body.supermers as usize, &body.bytes, false);
-                let mut kmers: Vec<K> = Vec::with_capacity(body.kmers as usize);
-                for sm in view.iter() {
-                    sm.for_each_canonical_kmer::<K>(self.cfg.k, |km, _| kmers.push(km));
-                }
-                drop(body);
-                // Leading key bytes above the meaningful 2k bits are constant zero; tell
-                // the MSD sorter to skip straight past them.
-                paradis_sort_from(&mut kmers, K::WORDS * 8 - K::num_bytes(self.cfg.k));
-                let list = count_sorted_runs(&kmers, |km| *km);
-                write_block(out, t as u32, &TaskPayload::<K>::KmerList(list));
-                kmers.len() as u64
-            }
-            Stage1::Records(tasks) => {
-                let (kmers, exts) = std::mem::take(&mut tasks[t]);
-                if kmers.is_empty() {
-                    return 0;
-                }
-                if self.cfg.with_extension {
-                    if self.cfg.compress_extension {
-                        write_block(out, t as u32, &TaskPayload::Records(kmers, Some(exts)));
-                    } else {
-                        write_records_uncompressed(out, t as u32, &kmers, &exts);
-                    }
-                } else {
-                    write_block(out, t as u32, &TaskPayload::Records(kmers, None));
-                }
-                0
-            }
+        let body = std::mem::take(&mut self.staged.bodies[t]);
+        if body.supermers == 0 {
+            return 0;
         }
+        if self.heavy.binary_search(&t).is_err() {
+            let (provenance, sections) = (self.cfg.with_extension, self.staged.sections);
+            write_supermer_block(out, t as u32, provenance, sections, &body.parts());
+            return 0;
+        }
+        // Heavy-hitter path: pre-count locally, ship a kmerlist (§3.5). Heavy tasks exist
+        // only without extensions, so the body is bare supermers back to back, whatever
+        // their sections. The few distinct keys of a satellite pile into a few sections,
+        // far out of cache, so this is one in-place sort of the whole task and not stage
+        // 3's section by section pass.
+        let view = SupermersView::staged(body.supermers as usize, &body.bytes, false);
+        let mut kmers: Vec<K> = Vec::with_capacity(body.kmers as usize);
+        for sm in view.iter() {
+            sm.for_each_canonical_kmer::<K>(self.cfg.k, |km, _| kmers.push(km));
+        }
+        drop(body);
+        // Leading key bytes above the meaningful 2k bits are constant zero; tell the MSD
+        // sorter to skip straight past them.
+        paradis_sort_from(&mut kmers, K::WORDS * 8 - K::num_bytes(self.cfg.k));
+        let list = count_sorted_runs(&kmers, |km| *km);
+        write_block(out, t as u32, &TaskPayload::<K>::KmerList(list));
+        kmers.len() as u64
     }
 }
 
@@ -637,11 +600,11 @@ impl Input<'_> {
 
     /// Stage 1 of one rank: feed its reads to `parser`. Returns the error that stopped
     /// a file feed, if one did; what was read until then is staged.
-    fn stage1<K: KmerCode>(
+    fn stage1(
         &self,
         ctx: &RankCtx,
         cfg: &HySortKConfig,
-        parser: &mut Stage1Parser<'_, K>,
+        parser: &mut Stage1Parser<'_>,
         counters: &mut RankCounters,
     ) -> Result<(), HysortkError> {
         match self {
@@ -682,7 +645,7 @@ pub(crate) fn run<K: KmerCode>(
     let model = PerfModel::new(cfg.machine.clone(), cfg.execution());
     let (kmers, bases) = input.size(cfg.k);
     let sorter = select_sorter::<K>(cfg, &model, kmers, bases);
-    let sections = sections_for::<K>(cfg, kmers);
+    let sections = derive_sections(kmers, record_bytes::<K>(cfg), num_tasks);
 
     let mut cluster = Cluster::new(cfg.total_ranks()).with_backend(cfg.backend);
     if let Some(plan) = plan {
@@ -774,18 +737,8 @@ fn derive_sections(records: u64, record_bytes: usize, tasks: usize) -> u32 {
     sections
 }
 
-/// The sections of a run over about `records` k-mer instances ([`derive_sections`]);
-/// the records ablation ships unsectioned record blocks.
-pub(crate) fn sections_for<K: KmerCode>(cfg: &HySortKConfig, records: u64) -> u32 {
-    if cfg.use_supermers {
-        derive_sections(records, record_bytes::<K>(cfg), cfg.num_tasks())
-    } else {
-        1
-    }
-}
-
 /// One rank of the pipeline: stage 1 over its share of the input ([`Input::stage1`]),
-/// then the staged supermers/records go to stages 2 + 3.
+/// then the staged supermers go to stages 2 + 3.
 ///
 /// An input error (unreadable file, malformed FASTQ record, …) must **not** make the
 /// rank bail out early: the pipeline is SPMD, so a rank that skips the collectives
@@ -807,7 +760,7 @@ fn rank_pipeline<K: KmerCode>(
     let pool = WorkerPool::new(cfg.workers_per_process(), cfg.threads_per_worker).for_rank(rank);
 
     let ingest_span = trace::span!("stage1-ingest", trace::Detail::Stage, rank);
-    let mut parser = Stage1Parser::<K>::new(cfg, num_tasks, sections, &pool);
+    let mut parser = Stage1Parser::new(cfg, num_tasks, sections, &pool);
     let ingested = input.stage1(ctx, cfg, &mut parser, &mut counters);
     let stage1 = parser.finish();
     ingest_span.end_with(&[
@@ -824,22 +777,20 @@ fn rank_pipeline<K: KmerCode>(
 }
 
 /// A rank's stage 1: reads go in, batch by batch, and the per-task staging comes out.
-/// Supermer mode streams every read through the fused scoring→minimizer→supermer
-/// extractor, rank-parallel over the worker pool, and writes each supermer in wire form
-/// into its section's body ([`parse_supermers_parallel`]); the records ablation keeps
-/// the simple sequential per-read loop. Every [`Input`] feeds the same parser, so the
-/// sources cannot diverge on what they stage.
-pub(crate) struct Stage1Parser<'a, K: KmerCode> {
-    staged: Stage1<K>,
+/// Every read streams through the fused scoring→minimizer→supermer extractor,
+/// rank-parallel over the worker pool, and each supermer is written in wire form into its
+/// section's body ([`parse_supermers_parallel`]). Every [`Input`] feeds the same parser,
+/// so the sources cannot diverge on what they stage.
+pub(crate) struct Stage1Parser<'a> {
+    staged: Stage1,
     bank: ScratchBank<ParseScratch>,
     scorer: MmerScorer,
     cfg: &'a HySortKConfig,
     pool: &'a WorkerPool,
 }
 
-impl<'a, K: KmerCode> Stage1Parser<'a, K> {
-    /// A parser staging `num_tasks` tasks of `sections` sections each (the records
-    /// ablation ignores `sections`).
+impl<'a> Stage1Parser<'a> {
+    /// A parser staging `num_tasks` tasks of `sections` sections each.
     pub(crate) fn new(
         cfg: &'a HySortKConfig,
         num_tasks: usize,
@@ -847,11 +798,9 @@ impl<'a, K: KmerCode> Stage1Parser<'a, K> {
         pool: &'a WorkerPool,
     ) -> Self {
         Stage1Parser {
-            staged: if cfg.use_supermers {
-                let bodies = (0..num_tasks).map(|_| TaskBody::default()).collect();
-                Stage1::Supermers(bodies, sections)
-            } else {
-                Stage1::Records((0..num_tasks).map(|_| (Vec::new(), Vec::new())).collect())
+            staged: Stage1 {
+                bodies: (0..num_tasks).map(|_| TaskBody::default()).collect(),
+                sections,
             },
             bank: ScratchBank::new(),
             scorer: MmerScorer::new(cfg.m, ScoreFunction::Hash { seed: cfg.seed }),
@@ -868,59 +817,33 @@ impl<'a, K: KmerCode> Stage1Parser<'a, K> {
             counters.bases_parsed += read.len() as u64;
             counters.kmers_parsed += read.seq.num_kmers(k) as u64;
         }
-        match &mut self.staged {
-            Stage1::Supermers(bodies, sections) => {
-                let mut rest = reads;
-                while !rest.is_empty() {
-                    let mut bases = 0;
-                    let call = (rest.iter())
-                        .position(|read| {
-                            bases += read.len();
-                            bases >= PARSE_CALL_BASES
-                        })
-                        .map_or(rest.len(), |last| last + 1);
-                    let (call, tail) = rest.split_at(call);
-                    parse_supermers_parallel(
-                        call,
-                        k,
-                        &self.scorer,
-                        cfg.with_extension,
-                        self.pool,
-                        &self.bank,
-                        bodies,
-                        *sections,
-                    );
-                    rest = tail;
-                }
-            }
-            Stage1::Records(tasks) => {
-                for read in reads {
-                    stage1_record_read(read, k, cfg.seed, tasks);
-                }
-            }
+        let mut rest = reads;
+        while !rest.is_empty() {
+            let mut bases = 0;
+            let call = (rest.iter())
+                .position(|read| {
+                    bases += read.len();
+                    bases >= PARSE_CALL_BASES
+                })
+                .map_or(rest.len(), |last| last + 1);
+            let (call, tail) = rest.split_at(call);
+            parse_supermers_parallel(
+                call,
+                k,
+                &self.scorer,
+                cfg.with_extension,
+                self.pool,
+                &self.bank,
+                &mut self.staged.bodies,
+                self.staged.sections,
+            );
+            rest = tail;
         }
     }
 
     /// The staging; the workers' parse scratches are freed.
-    pub(crate) fn finish(self) -> Stage1<K> {
+    pub(crate) fn finish(self) -> Stage1 {
         self.staged
-    }
-}
-
-/// Stage 1 in records (naive-exchange ablation) mode for one read: canonicalise every
-/// k-mer and stage it, with its provenance, on the task its hash addresses.
-fn stage1_record_read<K: KmerCode>(
-    read: &Read,
-    k: usize,
-    seed: u32,
-    tasks: &mut [(Vec<K>, Vec<Extension>)],
-) {
-    for (pos, km) in read.seq.kmers::<K>(k).enumerate() {
-        let canon = km.canonical(k);
-        let task = (hash_kmer(&canon, seed) % tasks.len() as u64) as usize;
-        let (kmers, exts) = &mut tasks[task];
-        kmers.push(canon);
-        exts.push(Extension::new(read.id, pos as u32));
     }
 }
 
@@ -934,7 +857,7 @@ fn stage1_record_read<K: KmerCode>(
 /// published cluster-wide before returning, so no peer is left blocked.
 pub(crate) fn stages_2_and_3<K: KmerCode>(
     ctx: &mut RankCtx,
-    stage1: Stage1<K>,
+    stage1: Stage1,
     mut counters: RankCounters,
     cfg: &HySortKConfig,
     num_tasks: usize,
@@ -948,7 +871,7 @@ pub(crate) fn stages_2_and_3<K: KmerCode>(
     // ---------------- task sizing, assignment, heavy hitters -------------------------
     let local_sizes = stage1.local_sizes();
     counters.staged_bytes = stage1.staged_bytes();
-    counters.sections = stage1.sections();
+    counters.sections = stage1.sections;
     // The "root retrieves data about the size of each task" step, realised as a
     // butterfly sum all-reduce so every rank computes the same assignment
     // deterministically at O(log p) vector transfers per rank.
@@ -968,7 +891,7 @@ pub(crate) fn stages_2_and_3<K: KmerCode>(
     // converting with extensions requested would silently drop the extension lists of
     // every k-mer in a heavy task. The pipeline therefore bypasses the conversion
     // whenever `with_extension` is set (pinned by a regression test below).
-    let heavy: Vec<usize> = if cfg.use_supermers && !cfg.with_extension {
+    let heavy: Vec<usize> = if !cfg.with_extension {
         detect_heavy_tasks(&global_sizes, &cfg.heavy_hitter)
     } else {
         Vec::new()
@@ -1417,20 +1340,14 @@ mod tests {
                 c.use_task_layer = false;
                 c
             }),
-            ("no-supermers", {
-                let mut c = base.clone();
-                c.use_supermers = false;
-                c
-            }),
             ("no-heavy-hitters", {
                 let mut c = base.clone();
                 c.heavy_hitter = hysortk_task::HeavyHitterPolicy::disabled();
                 c
             }),
-            ("no-overlap-no-compress", {
+            ("no-overlap", {
                 let mut c = base.clone();
                 c.overlap = false;
-                c.compress_extension = false;
                 c
             }),
             ("single-rank", {
@@ -1824,14 +1741,10 @@ mod tests {
             let pool = WorkerPool::new(1, 1);
             let fullest = (reads.partition_by_bases(ranks).into_iter())
                 .map(|range| {
-                    let mut parser = Stage1Parser::<Kmer1>::new(&cfg, cfg.num_tasks(), 1, &pool);
+                    let mut parser = Stage1Parser::new(&cfg, cfg.num_tasks(), 1, &pool);
                     parser.parse(&reads.reads()[range], &mut RankCounters::default());
-                    match parser.finish() {
-                        Stage1::Supermers(bodies, _) => {
-                            bodies.iter().map(|b| b.bytes.len() as u64).sum::<u64>()
-                        }
-                        Stage1::Records(_) => unreachable!("supermer mode"),
-                    }
+                    let bodies = parser.finish().bodies;
+                    bodies.iter().map(|b| b.bytes.len() as u64).sum::<u64>()
                 })
                 .max();
             let report = count_kmers::<Kmer1>(&reads, &cfg).report;
@@ -1873,17 +1786,9 @@ mod tests {
         let smoke = include_bytes!("../../../tests/data/smoke.fa").len() as u64;
         for k in [21, 55] {
             let cfg = HySortKConfig::small_with_threads(k, 11, 1, 1);
-            assert_eq!(
-                (cfg.num_tasks(), sections_for::<Kmer2>(&cfg, smoke)),
-                (3, 1)
-            );
+            let sections = derive_sections(smoke, record_bytes::<Kmer2>(&cfg), cfg.num_tasks());
+            assert_eq!((cfg.num_tasks(), sections), (3, 1));
         }
-        // The records ablation is never sectioned.
-        let mut records = HySortKConfig::small_with_threads(21, 11, 1, 1);
-        records.use_supermers = false;
-        assert_eq!(sections_for::<Kmer1>(&records, u64::MAX), 1);
-        records.use_supermers = true;
-        assert_eq!(sections_for::<Kmer1>(&records, u64::MAX), 256);
     }
 
     #[test]

@@ -235,11 +235,11 @@ pub struct RunReport {
     /// checkpoint directory is configured.
     pub epochs_committed: usize,
     /// Measured: the most stage-1 staging any rank held when its stage 1 ended — the
-    /// sum of its tasks' supermer-block bodies (of its record vectors in the records
-    /// ablation). Filling a task into its round frees its share. Zero for the baselines.
+    /// sum of its tasks' supermer-block bodies. Filling a task into its round frees its
+    /// share. Zero for the baselines.
     pub staged_bytes: u64,
     /// How many sections stage 1 cut every task into — the `S` the run derived from its
-    /// input size: 1 on small inputs and in the records ablation. Zero for the baselines.
+    /// input size: 1 on small inputs. Zero for the baselines.
     pub sections: u32,
     /// Measured: the largest high-water capacity of any rank's stage-3 count buffers —
     /// the section lanes (decode buffer, RADULS buffer, emitted-run staging) and the

@@ -10,8 +10,8 @@
 //!    *exact* record totals of every section from the block headers alone (supermer
 //!    headers are walked, their packed bases are not decoded). No payload byte is
 //!    touched. All blocks of a task must agree on `S`
-//!    ([`WireError::SectionMismatch`]); kmerlist and record blocks are unsectioned, so
-//!    a task that has any is one section.
+//!    ([`WireError::SectionMismatch`]); kmerlist blocks are unsectioned, so a task
+//!    that has any is one section.
 //! 2. **Decode → sort → count, per section** ([`count_task`], driven in parallel by
 //!    [`count_blocks_parallel`]). A task never exists as one array: its sections hold
 //!    disjoint k-mer sets (a canonical k-mer's minimizer fixes its section), so each
@@ -71,7 +71,7 @@ use hysortk_task::WorkerPool;
 use hysortk_trace as trace;
 
 use crate::result::KmerHistogram;
-use crate::wire::{read_blocks, PayloadView, SupermersView, WireError};
+use crate::wire::{read_blocks, KmerListView, PayloadView, SupermersView, WireError};
 
 /// Everything [`count_task`] needs to know about the run.
 #[derive(Debug, Clone, Copy)]
@@ -108,19 +108,18 @@ impl CountParams {
     }
 }
 
-/// One task's entry in the block index: its payload views (in source order), the same
-/// supermers split by section, and the exact record totals read from the block headers.
+/// One task's entry in the block index: its supermers split by section, its kmerlists,
+/// and the exact record totals read from the block headers.
 #[derive(Debug, Clone)]
 pub struct TaskSlot<'a, K: KmerCode> {
     /// Task id.
     pub task: u32,
-    /// Exact number of `(k-mer, extension)` records the supermer and record blocks
-    /// will decode to.
+    /// Exact number of `(k-mer, extension)` records the supermer blocks will decode to.
     pub records: usize,
     /// Exact number of pre-counted kmerlist entries (heavy-hitter blocks).
     pub precounted: usize,
-    /// The task's payload views, borrowing the receive buffer.
-    pub blocks: Vec<PayloadView<'a, K>>,
+    /// The task's kmerlist views (in source order), borrowing the receive buffer.
+    pub kmerlists: Vec<KmerListView<'a, K>>,
     /// The task's sections, in order: one for an unsectioned task.
     pub sections: Vec<SectionSlot<'a>>,
 }
@@ -129,8 +128,7 @@ pub struct TaskSlot<'a, K: KmerCode> {
 /// the records they decode to.
 #[derive(Debug, Clone, Default)]
 pub struct SectionSlot<'a> {
-    /// Exact number of records the section decodes to — at section 0 of an unsectioned
-    /// task including its record blocks.
+    /// Exact number of records the section decodes to.
     pub records: usize,
     /// The section's part of each supermer block, in source order.
     pub supermers: Vec<SupermersView<'a>>,
@@ -158,13 +156,10 @@ impl<K: KmerCode> BlockIndex<'_, K> {
     /// [`verify_decoded_totals`] once the exchange is over.
     pub fn accumulate_instances(&self, totals: &mut BTreeMap<u32, u64>) {
         for slot in &self.slots {
-            let mut n = slot.records as u64;
-            for block in &slot.blocks {
-                if let PayloadView::KmerList(view) = block {
-                    n += view.iter().map(|(_, count)| count).sum::<u64>();
-                }
-            }
-            *totals.entry(slot.task).or_insert(0) += n;
+            let precounted = (slot.kmerlists.iter())
+                .flat_map(|view| view.iter().map(|(_, count)| count))
+                .sum::<u64>();
+            *totals.entry(slot.task).or_insert(0) += slot.records as u64 + precounted;
         }
     }
 }
@@ -242,13 +237,13 @@ impl<'a, K: KmerCode> BlockIndexBuilder<'a, K> {
                     }
                     view.section_count()
                 }
-                PayloadView::KmerList(_) | PayloadView::Records(_) => 1,
+                PayloadView::KmerList(_) => 1,
             };
             let slot = self.by_task.entry(block.task).or_insert_with(|| TaskSlot {
                 task: block.task,
                 records: 0,
                 precounted: 0,
-                blocks: Vec::new(),
+                kmerlists: Vec::new(),
                 sections: vec![SectionSlot::default(); sections],
             });
             if slot.sections.len() != sections {
@@ -267,13 +262,11 @@ impl<'a, K: KmerCode> BlockIndexBuilder<'a, K> {
                         section.supermers.push(part);
                     }
                 }
-                PayloadView::KmerList(view) => slot.precounted += view.len(),
-                PayloadView::Records(view) => {
-                    slot.sections[0].records += view.len();
-                    slot.records += view.len();
+                PayloadView::KmerList(view) => {
+                    slot.precounted += view.len();
+                    slot.kmerlists.push(*view);
                 }
             }
-            slot.blocks.push(block.payload);
         }
         Ok(())
     }
@@ -317,7 +310,7 @@ pub struct CountScratch<K: KmerCode> {
     pre: Vec<(K, u64)>,
     /// Multiplicity histogram over every distinct k-mer this worker counted.
     pub histogram: KmerHistogram,
-    /// Records decoded from supermer/record blocks.
+    /// Records decoded from supermer blocks.
     pub received_records: u64,
     /// Kmerlist entries decoded from heavy-hitter blocks.
     pub precounted_records: u64,
@@ -510,8 +503,7 @@ struct RunOutput<K, T> {
     ranges: Vec<(u32, u32)>,
 }
 
-/// Write section `section`'s records into `out`: its part of every supermer block and,
-/// at section 0, the task's record blocks (only an unsectioned task has any).
+/// Write section `section`'s records into `out`: its part of every supermer block.
 fn decode_section<K: KmerCode, T: Record<K>>(
     slot: &TaskSlot<'_, K>,
     section: usize,
@@ -524,25 +516,6 @@ fn decode_section<K: KmerCode, T: Record<K>>(
             sm.for_each_canonical_kmer::<K>(k, |km, pos| {
                 out.push(T::new(km, Extension::new(read_id, pos)));
             });
-        }
-    }
-    if section > 0 {
-        return;
-    }
-    for block in &slot.blocks {
-        if let PayloadView::Records(view) = block {
-            // Malformed streams cannot reach here: structure and checksum were verified
-            // when `read_blocks` built the index.
-            let exts = if T::TAGGED {
-                view.decode_extensions()
-                    .expect("validated by read_blocks checksum")
-            } else {
-                None
-            };
-            match exts {
-                Some(exts) => out.extend(view.kmers().zip(exts).map(|(km, e)| T::new(km, e))),
-                None => out.extend(view.kmers().map(|km| T::new(km, Extension::default()))),
-            }
         }
     }
 }
@@ -571,10 +544,8 @@ fn count_records<K: KmerCode, T: Record<K>>(
     //      duplicates streamed ---------------------------------------------------------
     pre.clear();
     pre.reserve(slot.precounted);
-    for block in &slot.blocks {
-        if let PayloadView::KmerList(view) = block {
-            pre.extend(view.iter());
-        }
+    for view in &slot.kmerlists {
+        pre.extend(view.iter());
     }
     if pre.len() != slot.precounted {
         return Err(WireError::CountMismatch {
@@ -719,7 +690,7 @@ pub struct Stage3Output<K: KmerCode> {
     pub tasks: Vec<TaskCounts<K>>,
     /// Merged multiplicity histogram.
     pub histogram: KmerHistogram,
-    /// Total records decoded from supermer/record blocks.
+    /// Total records decoded from supermer blocks.
     pub received_records: u64,
     /// Total kmerlist entries decoded.
     pub precounted_records: u64,
@@ -808,7 +779,7 @@ pub struct RankCounts<K: KmerCode> {
     pub extensions: Option<Vec<Vec<Extension>>>,
     /// Multiplicity histogram over all distinct k-mers.
     pub histogram: KmerHistogram,
-    /// Records decoded from supermer/record blocks.
+    /// Records decoded from supermer blocks.
     pub received_records: u64,
     /// Kmerlist entries decoded.
     pub precounted_records: u64,
@@ -922,13 +893,6 @@ where
                         .entry(block.task)
                         .or_default()
                         .extend(view.iter());
-                }
-                PayloadView::Records(view) => {
-                    let entry = task_records.entry(block.task).or_default();
-                    match view.decode_extensions()? {
-                        Some(exts) => entry.extend(view.kmers().zip(exts)),
-                        None => entry.extend(view.kmers().map(|km| (km, Extension::default()))),
-                    }
                 }
             }
         }
@@ -1276,9 +1240,9 @@ mod tests {
     }
 
     /// All blocks of a task are cut into the same number of sections — a sectioned
-    /// block beside an unsectioned one (a kmerlist, a record block, a one-section
-    /// supermer block) or beside one of another `S` is a typed error from the index
-    /// pass, whichever arrives first.
+    /// block beside an unsectioned one (a kmerlist, a one-section supermer block) or
+    /// beside one of another `S` is a typed error from the index pass, whichever arrives
+    /// first.
     #[test]
     fn blocks_of_one_task_that_disagree_on_sections_are_a_typed_error() {
         let body = [20u8, 0x1b, 0xe4, 0x39, 0x93, 0x6c];
@@ -1292,12 +1256,11 @@ mod tests {
             let kmer = Kmer1::from_ascii(b"ACGTACGTACGTACG");
             match kind {
                 0 => write_supermer_block(&mut block, 3, false, 1, &[(0, 1, &body)]),
-                1 => write_block(&mut block, 3, &TaskPayload::KmerList(vec![(kmer, 2)])),
-                _ => write_block(&mut block, 3, &TaskPayload::Records(vec![kmer], None)),
+                _ => write_block(&mut block, 3, &TaskPayload::KmerList(vec![(kmer, 2)])),
             }
             block
         };
-        for kind in 0..3 {
+        for kind in 0..2 {
             for (first, then, expected, got) in [
                 (unsectioned(kind), sectioned(4), 1, 4),
                 (sectioned(4), unsectioned(kind), 4, 1),
@@ -1337,17 +1300,12 @@ mod tests {
 
     #[test]
     fn count_filter_band_is_applied() {
-        // One task, one record block with a k-mer appearing 3 times and one appearing
-        // once; min_count = 2 must retain only the former, while the histogram sees
-        // both.
+        // One task, one block with a k-mer appearing 3 times and one appearing once;
+        // min_count = 2 must retain only the former, while the histogram sees both.
         let km3 = Kmer1::from_ascii(b"ACGTACGTACGTACG");
-        let km1 = Kmer1::from_ascii(b"TTTTGGGGCCCCAAA");
+        let km1 = Kmer1::from_ascii(b"TTTGGGGCCCCAAAA");
         let mut seg = Vec::new();
-        write_block(
-            &mut seg,
-            0,
-            &TaskPayload::Records(vec![km3, km1, km3, km3], None),
-        );
+        kmer_block(&mut seg, 0, 15, &[km3, km1, km3, km3], None);
         let mut p = params(false);
         p.min_count = 2;
         p.max_count = 50;
@@ -1360,11 +1318,35 @@ mod tests {
         assert_eq!(merged.histogram.get(3), 1);
     }
 
+    /// A supermer block in which every k-mer of `kmers` (canonical, of width `k`) is a
+    /// supermer of its own — a block of any key multiset. With `from`, supermer `i`
+    /// carries the provenance `from[i]`; without, the block is bare and its k-mers decode
+    /// to read 0, offset 0.
+    fn kmer_block<K: KmerCode>(
+        out: &mut Vec<u8>,
+        task: u32,
+        k: usize,
+        kmers: &[K],
+        from: Option<&[(u32, u32)]>,
+    ) {
+        let mut seq = DnaSeq::with_capacity(kmers.len() * k);
+        for km in kmers {
+            (0..k).for_each(|i| seq.push_code(km.base_at(k, i)));
+        }
+        let mut body = Vec::new();
+        for i in 0..kmers.len() {
+            push_supermer(&mut body, from.map(|from| from[i]), &seq, i * k, k);
+        }
+        let parts = [(0, kmers.len() as u64, &body[..])];
+        write_supermer_block(out, task, from.is_some(), 1, &parts);
+    }
+
     // ---- the one-pass driver against the reference ------------------------------------
 
     /// Appends blocks of one task to a segment. Keys come out of real supermers (so
-    /// they are canonical k-mers of width `k`), out of records blocks and out of
-    /// kmerlists; `fixed_bases` steers records into one top-bits range or one key.
+    /// they are canonical k-mers of width `k`), out of one-k-mer supermers
+    /// ([`kmer_block`]) and out of kmerlists; `fixed_bases` steers records into one
+    /// top-bits range or one key.
     struct TaskBuilder<'a> {
         rng: &'a mut StdRng,
         k: usize,
@@ -1441,12 +1423,12 @@ mod tests {
         }
 
         fn records<K: KmerCode>(&mut self, out: &mut Vec<u8>, task: u32, kmers: Vec<K>) {
-            let exts = (0..kmers.len() as u32)
-                .map(|i| Extension::new(self.rng.gen_range(0..50), i / 3))
+            let from: Vec<(u32, u32)> = (0..kmers.len() as u32)
+                .map(|i| (self.rng.gen_range(0..50), i / 3))
                 .collect();
-            // Every other block ships without extensions (they default).
-            let exts = self.rng.gen_bool(0.5).then_some(exts);
-            write_block(out, task, &TaskPayload::Records(kmers, exts));
+            // Every other block ships bare.
+            let from = self.rng.gen_bool(0.5).then_some(&from[..]);
+            kmer_block(out, task, self.k, &kmers, from);
         }
 
         fn kmerlist<K: KmerCode>(&mut self, out: &mut Vec<u8>, task: u32, kmers: Vec<K>) {
@@ -1705,8 +1687,8 @@ mod tests {
 
     const MISMATCH_K: usize = 21;
 
-    /// One segment holding task 7: a records block of `actual` k-mers and a kmerlist of
-    /// ten entries.
+    /// One segment holding task 7: a block of `actual` one-k-mer supermers and a
+    /// kmerlist of ten entries.
     fn task_seven(actual: usize) -> Vec<u8> {
         let mut rng = StdRng::seed_from_u64(46);
         let mut b = TaskBuilder {
@@ -1715,7 +1697,7 @@ mod tests {
         };
         let mut segment = Vec::new();
         let kmers = b.kmers::<Kmer1>(actual, actual / 10, 0);
-        write_block(&mut segment, 7, &TaskPayload::Records(kmers.clone(), None));
+        kmer_block(&mut segment, 7, MISMATCH_K, &kmers, None);
         b.kmerlist(&mut segment, 7, kmers[..10].to_vec());
         segment
     }

@@ -29,8 +29,11 @@
 //!   entry; all blocks of one task must agree on `S` ([`WireError::SectionMismatch`]).
 //! * **Kmerlist blocks** — the heavy-hitter path (§3.5): pre-aggregated
 //!   `(k-mer, count)` tuples.
-//! * **Record blocks** — the non-supermer ablation path: individual k-mers, optionally
-//!   followed by raw or delta-compressed extension records (§3.3.2).
+//!
+//! Those are the only payloads: every k-mer crosses the wire inside a supermer or as a
+//! kmerlist entry, and extensions never travel apart from the supermer headers, so the
+//! wire carries no extension codec. Kind byte 2 is retired: a block that claims it fails
+//! with [`WireError::BadKind`].
 //!
 //! Serialising to real bytes (rather than exchanging Rust structs) keeps the traffic
 //! accounting of the simulated cluster byte-accurate.
@@ -41,10 +44,8 @@
 //! intermediate buffer. The owned [`TaskPayload`] remains the write-side input (and is
 //! available from a view via [`TaskBlockView::to_owned_block`] for tests and tooling).
 
-use hysortk_dna::extension::Extension;
 use hysortk_dna::kmer::KmerCode;
 use hysortk_dna::sequence::DnaSeq;
-use hysortk_supermer::codec::{decode_extensions_slice, encode_extensions};
 use hysortk_supermer::simd::pair_reverse;
 use hysortk_supermer::supermer::{supermer_wire_len, Supermer, LONG_SUPERMER};
 
@@ -66,12 +67,6 @@ pub enum WireError {
         /// The unknown kind byte.
         kind: u8,
         /// Byte offset of the kind byte.
-        offset: usize,
-    },
-    /// A records block declared an unknown extension encoding, or its compressed
-    /// extension stream failed to decode.
-    BadExtension {
-        /// Byte offset of the extension section.
         offset: usize,
     },
     /// A length field implies a payload larger than addressable memory.
@@ -132,9 +127,6 @@ impl fmt::Display for WireError {
             }
             WireError::BadKind { kind, offset } => {
                 write!(f, "unknown block kind {kind} at byte {offset}")
-            }
-            WireError::BadExtension { offset } => {
-                write!(f, "malformed extension section at byte {offset}")
             }
             WireError::Oversized { offset } => {
                 write!(f, "oversized length field at byte {offset}")
@@ -198,10 +190,6 @@ impl hysortk_dmem::Wire for WireError {
                 kind.encode(out);
                 offset.encode(out);
             }
-            WireError::BadExtension { offset } => {
-                2u8.encode(out);
-                offset.encode(out);
-            }
             WireError::Oversized { offset } => {
                 3u8.encode(out);
                 offset.encode(out);
@@ -249,9 +237,6 @@ impl hysortk_dmem::Wire for WireError {
             },
             1 => WireError::BadKind {
                 kind: u8::decode(input)?,
-                offset: usize::decode(input)?,
-            },
-            2 => WireError::BadExtension {
                 offset: usize::decode(input)?,
             },
             3 => WireError::Oversized {
@@ -326,8 +311,6 @@ pub enum TaskPayload<K: KmerCode> {
     Supermers(Vec<Supermer>),
     /// Pre-aggregated `(canonical k-mer, count)` tuples (heavy-hitter tasks).
     KmerList(Vec<(K, u64)>),
-    /// Individual canonical k-mers with optional extension records (ablation path).
-    Records(Vec<K>, Option<Vec<Extension>>),
 }
 
 /// An owned task block (materialised from a [`TaskBlockView`]).
@@ -341,7 +324,6 @@ pub struct TaskBlock<K: KmerCode> {
 
 const KIND_SUPERMERS: u8 = 0;
 const KIND_KMERLIST: u8 = 1;
-const KIND_RECORDS: u8 = 2;
 const KIND_BARE_SUPERMERS: u8 = 3;
 const KIND_SECTIONED_SUPERMERS: u8 = 4;
 const KIND_SECTIONED_BARE_SUPERMERS: u8 = 5;
@@ -350,10 +332,6 @@ const KIND_SECTIONED_BARE_SUPERMERS: u8 = 5;
 pub const MAX_SECTIONS: u32 = 256;
 /// Bytes of one section directory entry: supermers, then body bytes, as `u32`s.
 const DIRECTORY_ENTRY: usize = 8;
-
-const EXT_NONE: u8 = 0;
-const EXT_RAW: u8 = 1;
-const EXT_COMPRESSED: u8 = 2;
 
 fn push_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -416,54 +394,6 @@ pub fn write_block<K: KmerCode>(out: &mut Vec<u8>, task: u32, payload: &TaskPayl
                 push_u64(out, *count);
             }
         }
-        TaskPayload::Records(kmers, exts) => {
-            out.push(KIND_RECORDS);
-            push_u32(out, kmers.len() as u32);
-            for kmer in kmers {
-                push_kmer(out, kmer);
-            }
-            match exts {
-                None => out.push(EXT_NONE),
-                Some(exts) => {
-                    assert_eq!(exts.len(), kmers.len(), "one extension per k-mer");
-                    // The caller decides raw vs compressed by pre-encoding; we always
-                    // write the compressed stream here if it is smaller.
-                    let encoded = encode_extensions(exts);
-                    if encoded.wire_bytes() < encoded.uncompressed_bytes() {
-                        out.push(EXT_COMPRESSED);
-                        push_u32(out, encoded.bytes.len() as u32);
-                        out.extend_from_slice(&encoded.bytes);
-                    } else {
-                        out.push(EXT_RAW);
-                        for e in exts {
-                            out.extend_from_slice(&e.to_bytes());
-                        }
-                    }
-                }
-            }
-        }
-    }
-    seal_block(out, block_start);
-}
-
-/// Serialise k-mer records *without* compression (the §3.3.2 "before" case, used by the
-/// communication-optimisation experiment to measure what the codec saves).
-pub fn write_records_uncompressed<K: KmerCode>(
-    out: &mut Vec<u8>,
-    task: u32,
-    kmers: &[K],
-    exts: &[Extension],
-) {
-    let block_start = out.len();
-    push_u32(out, task);
-    out.push(KIND_RECORDS);
-    push_u32(out, kmers.len() as u32);
-    for kmer in kmers {
-        push_kmer(out, kmer);
-    }
-    out.push(EXT_RAW);
-    for e in exts {
-        out.extend_from_slice(&e.to_bytes());
     }
     seal_block(out, block_start);
 }
@@ -636,8 +566,6 @@ pub enum PayloadView<'a, K: KmerCode> {
     Supermers(SupermersView<'a>),
     /// Pre-aggregated `(canonical k-mer, count)` tuples (heavy-hitter tasks).
     KmerList(KmerListView<'a, K>),
-    /// Individual canonical k-mers with optional extension records (ablation path).
-    Records(RecordsView<'a, K>),
 }
 
 /// Borrowed view of a supermer block body: its sections' bodies, back to back.
@@ -985,90 +913,20 @@ impl<'a, K: KmerCode> KmerListView<'a, K> {
     }
 }
 
-/// Borrowed view of a records block body.
-#[derive(Debug, Clone, Copy)]
-pub struct RecordsView<'a, K: KmerCode> {
-    count: usize,
-    kmer_bytes: &'a [u8],
-    extensions: ExtensionsView<'a>,
-    /// Absolute byte offset of the extension section, for error reporting.
-    ext_offset: usize,
-    _kmer: PhantomData<K>,
-}
-
-/// Borrowed extension section of a records block.
-#[derive(Debug, Clone, Copy)]
-pub enum ExtensionsView<'a> {
-    /// No extension information on the wire.
-    None,
-    /// Fixed-width records.
-    Raw(&'a [u8]),
-    /// Delta-compressed stream (§3.3.2).
-    Compressed(&'a [u8]),
-}
-
-impl<'a, K: KmerCode> RecordsView<'a, K> {
-    /// Number of k-mer records.
-    pub fn len(&self) -> usize {
-        self.count
-    }
-
-    /// True when the block holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Decode the k-mers on the fly.
-    pub fn kmers(&self) -> impl ExactSizeIterator<Item = K> + 'a {
-        let bytes = self.kmer_bytes;
-        let stride = kmer_wire_bytes::<K>();
-        (0..self.count).map(move |i| {
-            let mut pos = i * stride;
-            read_kmer::<K>(bytes, &mut pos).expect("validated by read_blocks")
-        })
-    }
-
-    /// Decode the extension records, if the block carries any.
-    ///
-    /// Returns [`WireError::BadExtension`] when the compressed stream is malformed
-    /// (structure was length-checked by [`read_blocks`], but delta decoding can still
-    /// fail), otherwise `None` for extension-free blocks or `Some(records)`.
-    pub fn decode_extensions(&self) -> Result<Option<Vec<Extension>>, WireError> {
-        match self.extensions {
-            ExtensionsView::None => Ok(None),
-            ExtensionsView::Raw(bytes) => {
-                let exts = bytes
-                    .chunks_exact(Extension::WIRE_BYTES)
-                    .map(|raw| Extension::from_bytes(raw.try_into().expect("chunk is 8 bytes")))
-                    .collect();
-                Ok(Some(exts))
-            }
-            ExtensionsView::Compressed(bytes) => decode_extensions_slice(bytes, self.count)
-                .map(Some)
-                .ok_or(WireError::BadExtension {
-                    offset: self.ext_offset,
-                }),
-        }
-    }
-}
-
 impl<'a, K: KmerCode> TaskBlockView<'a, K> {
     /// Materialise an owned [`TaskBlock`] (compat path for tests and tooling; the
     /// pipeline consumes the views directly).
-    pub fn to_owned_block(&self) -> Result<TaskBlock<K>, WireError> {
+    pub fn to_owned_block(&self) -> TaskBlock<K> {
         let payload = match &self.payload {
             PayloadView::Supermers(view) => {
                 TaskPayload::Supermers(view.iter().map(|s| s.to_supermer(self.task)).collect())
             }
             PayloadView::KmerList(view) => TaskPayload::KmerList(view.iter().collect()),
-            PayloadView::Records(view) => {
-                TaskPayload::Records(view.kmers().collect(), view.decode_extensions()?)
-            }
         };
-        Ok(TaskBlock {
+        TaskBlock {
             task: self.task,
             payload,
-        })
+        }
     }
 }
 
@@ -1164,59 +1022,6 @@ pub fn read_blocks<K: KmerCode>(buf: &[u8]) -> Result<Vec<TaskBlockView<'_, K>>,
                     _kmer: PhantomData,
                 })
             }
-            KIND_RECORDS => {
-                let len_at = pos;
-                let n =
-                    read_u32(buf, &mut pos).ok_or(WireError::Truncated { offset: pos })? as usize;
-                let kmer_end = n
-                    .checked_mul(kmer_wire_bytes::<K>())
-                    .and_then(|b| pos.checked_add(b))
-                    .ok_or(WireError::Oversized { offset: len_at })?;
-                let kmer_bytes = buf
-                    .get(pos..kmer_end)
-                    .ok_or(WireError::Truncated { offset: pos })?;
-                pos = kmer_end;
-                let ext_offset = pos;
-                let ext_kind = *buf.get(pos).ok_or(WireError::Truncated { offset: pos })?;
-                pos += 1;
-                let extensions = match ext_kind {
-                    EXT_NONE => ExtensionsView::None,
-                    EXT_RAW => {
-                        let body = n
-                            .checked_mul(Extension::WIRE_BYTES)
-                            .and_then(|b| pos.checked_add(b))
-                            .ok_or(WireError::Oversized { offset: len_at })?;
-                        let bytes = buf
-                            .get(pos..body)
-                            .ok_or(WireError::Truncated { offset: pos })?;
-                        pos = body;
-                        ExtensionsView::Raw(bytes)
-                    }
-                    EXT_COMPRESSED => {
-                        let blen = read_u32(buf, &mut pos)
-                            .ok_or(WireError::Truncated { offset: pos })?
-                            as usize;
-                        let end = pos
-                            .checked_add(blen)
-                            .ok_or(WireError::Oversized { offset: ext_offset })?;
-                        let bytes = buf
-                            .get(pos..end)
-                            .ok_or(WireError::Truncated { offset: pos })?;
-                        pos = end;
-                        ExtensionsView::Compressed(bytes)
-                    }
-                    _ => {
-                        return Err(WireError::BadExtension { offset: ext_offset });
-                    }
-                };
-                PayloadView::Records(RecordsView {
-                    count: n,
-                    kmer_bytes,
-                    extensions,
-                    ext_offset,
-                    _kmer: PhantomData,
-                })
-            }
             _ => {
                 return Err(WireError::BadKind {
                     kind,
@@ -1240,10 +1045,10 @@ pub fn read_blocks<K: KmerCode>(buf: &[u8]) -> Result<Vec<TaskBlockView<'_, K>>,
 /// Parse a byte stream into owned task blocks (tests and tooling; the pipeline uses
 /// [`read_blocks`] views directly). Returns a [`WireError`] on malformed input.
 pub fn read_blocks_owned<K: KmerCode>(buf: &[u8]) -> Result<Vec<TaskBlock<K>>, WireError> {
-    read_blocks::<K>(buf)?
+    Ok(read_blocks::<K>(buf)?
         .iter()
         .map(TaskBlockView::to_owned_block)
-        .collect()
+        .collect())
 }
 
 #[cfg(test)]
@@ -1536,43 +1341,20 @@ mod tests {
         assert_eq!(blocks2[0].payload, TaskPayload::KmerList(list2));
     }
 
+    /// Kind byte 2 announced a block of individual k-mer records, a format the wire
+    /// no longer has: such a block is an unknown kind even when its seal is valid.
     #[test]
-    fn record_blocks_round_trip_with_and_without_extensions() {
-        let kmers: Vec<Kmer1> = (0..100u32)
-            .map(|i| {
-                let s: Vec<u8> = (0..21)
-                    .map(|j| b"ACGT"[((i + j as u32) % 4) as usize])
-                    .collect();
-                Kmer1::from_ascii(&s)
-            })
-            .collect();
-        let exts: Vec<Extension> = (0..100u32).map(|i| Extension::new(5, i * 3)).collect();
-
-        let mut plain = Vec::new();
-        write_block(&mut plain, 2, &TaskPayload::Records(kmers.clone(), None));
-        let blocks = read_blocks_owned::<Kmer1>(&plain).unwrap();
-        assert_eq!(blocks[0].payload, TaskPayload::Records(kmers.clone(), None));
-
-        let mut with_ext = Vec::new();
-        write_block(
-            &mut with_ext,
-            2,
-            &TaskPayload::Records(kmers.clone(), Some(exts.clone())),
-        );
-        let blocks = read_blocks_owned::<Kmer1>(&with_ext).unwrap();
+    fn a_sealed_block_of_the_retired_record_kind_is_an_unknown_kind() {
+        let mut block = Vec::new();
+        push_u32(&mut block, 6);
+        block.push(2);
+        push_u32(&mut block, 1);
+        push_kmer(&mut block, &Kmer1::from_ascii(b"ACGTACGTACGTACGTACGTA"));
+        block.push(0);
+        seal_block(&mut block, 0);
         assert_eq!(
-            blocks[0].payload,
-            TaskPayload::Records(kmers.clone(), Some(exts.clone()))
-        );
-
-        // Compression must actually shrink the stream relative to the raw encoding.
-        let mut raw = Vec::new();
-        write_records_uncompressed(&mut raw, 2, &kmers, &exts);
-        assert!(with_ext.len() < raw.len());
-        let raw_blocks = read_blocks_owned::<Kmer1>(&raw).unwrap();
-        assert_eq!(
-            raw_blocks[0].payload,
-            TaskPayload::Records(kmers, Some(exts))
+            read_blocks::<Kmer1>(&block).unwrap_err(),
+            WireError::BadKind { kind: 2, offset: 4 }
         );
     }
 
@@ -1581,11 +1363,9 @@ mod tests {
         let mut buf = Vec::new();
         let list: Vec<(Kmer1, u64)> = vec![(Kmer1::from_ascii(b"ACGTT"), 1)];
         write_block(&mut buf, 1, &TaskPayload::KmerList(list.clone()));
-        write_block(
-            &mut buf,
-            2,
-            &TaskPayload::Records(vec![Kmer1::from_ascii(b"GGGAA")], None),
-        );
+        let mut body = Vec::new();
+        push_supermer(&mut body, None, &DnaSeq::from_ascii(b"GGGAA"), 0, 5);
+        write_supermer_block(&mut buf, 2, false, 1, &[(0, 1, &body)]);
         let blocks = read_blocks::<Kmer1>(&buf).unwrap();
         assert_eq!(blocks.len(), 2);
         assert_eq!(blocks[0].task, 1);
@@ -1655,15 +1435,6 @@ mod tests {
         let scorer = MmerScorer::new(7, ScoreFunction::Hash { seed: 9 });
         let supermers = build_supermers(&read, 15, &scorer, 8);
         let bare = supermers.clone();
-        let kmers: Vec<Kmer1> = (0..40u32)
-            .map(|i| {
-                let s: Vec<u8> = (0..21)
-                    .map(|j| b"ACGT"[((i * 7 + j as u32) % 4) as usize])
-                    .collect();
-                Kmer1::from_ascii(&s)
-            })
-            .collect();
-        let exts: Vec<Extension> = (0..40u32).map(|i| Extension::new(3, i)).collect();
 
         let mut buf = Vec::new();
         let mut boundaries = vec![0usize];
@@ -1675,7 +1446,18 @@ mod tests {
             &TaskPayload::KmerList(vec![(Kmer1::from_ascii(b"ACGTACGTACGTACG"), 5)]),
         );
         boundaries.push(buf.len());
-        write_block(&mut buf, 2, &TaskPayload::Records(kmers, Some(exts)));
+        // A staged supermer block with provenance, in two parts.
+        let mut tagged = [Vec::new(), Vec::new()];
+        for (i, s) in bare.iter().enumerate() {
+            let from = Some((s.read_id, s.start));
+            push_supermer(&mut tagged[i % 2], from, &s.seq, 0, s.seq.len());
+        }
+        let halves = [bare.len().div_ceil(2), bare.len() / 2].map(|n| n as u64);
+        let parts = [
+            (0, halves[0], &tagged[0][..]),
+            (0, halves[1], &tagged[1][..]),
+        ];
+        write_supermer_block(&mut buf, 2, true, 1, &parts);
         boundaries.push(buf.len());
         // A bare supermer block: short supermers and one behind the length escape.
         let long = random_seq(300, 77);

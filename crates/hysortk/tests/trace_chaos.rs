@@ -169,8 +169,8 @@ fn tracing_is_a_pure_observer_across_the_chaos_matrix() {
     }
 
     // Every fill is written on the rank's own thread — the one that opened
-    // `stage1-ingest` — at every pool width: a heavy-hitter task's pre-count and the
-    // records ablation's encoding included, with several tasks in one round.
+    // `stage1-ingest` — at every pool width: a heavy-hitter task's pre-count included,
+    // and provenance supermers with several tasks in one round.
     let mut rng = StdRng::seed_from_u64(78);
     let mut seqs: Vec<Vec<u8>> = (0..40)
         .map(|_| (0..300).map(|_| b"ACGT"[rng.gen_range(0..4)]).collect())
@@ -184,12 +184,12 @@ fn tracing_is_a_pure_observer_across_the_chaos_matrix() {
         heavy.threads_per_process = threads;
         heavy.heavy_hitter.factor = 2.0;
         // At 4 096 records per destination a round holds several of these tasks.
-        let mut records = heavy.clone();
-        records.use_supermers = false;
-        records.batch_size = 4_096;
+        let mut extensions = heavy.clone();
+        extensions.with_extension = true;
+        extensions.batch_size = 4_096;
         for (shape, input, reads, cfg) in [
             ("heavy", &satellite_path, &satellite, heavy),
-            ("records", &path, &reads, records),
+            ("extensions", &path, &reads, extensions),
         ] {
             let tag = format!("{shape} threads={threads}");
             trace::enable(trace::Detail::Task);

@@ -183,3 +183,157 @@ fn bundled_smoke_fasta_reproduces_the_checked_in_golden_histogram() {
     assert_eq!(result.histogram.to_tsv(), golden);
     assert!(result.report.distinct_kmers > 0);
 }
+
+/// What one shard-reader case ends in: every shard's reads (name and bases, in order),
+/// or the first typed error — and the largest block buffer any shard held.
+type ShardOutcome = (Result<Vec<(String, Vec<u8>)>, std::io::ErrorKind>, usize);
+
+/// Read `bytes`, written as `name`, through `shards` shard readers one after another.
+/// Each shard runs on a thread of its own under a deadline, so a hang fails the case
+/// instead of the suite; a shard may take at most one batch per input byte.
+fn read_in_shards(name: &str, bytes: &[u8], shards: usize, block_bytes: usize) -> ShardOutcome {
+    use hysortk_dna::io::{list_inputs, ShardReader};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    let path = tmp_path(name);
+    std::fs::write(&path, bytes).unwrap();
+    let files = list_inputs(&[&path]).unwrap();
+    let (mut reads, mut peak) = (Vec::new(), 0);
+    let mut outcome = Ok(());
+    for rank in 0..shards {
+        let (files, limit) = (files.clone(), bytes.len() + 2);
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let opts = IngestOptions {
+                block_bytes,
+                batch_records: 5,
+                min_fragment: 1,
+            };
+            let mut shard = ShardReader::open(&files, rank, shards, opts).unwrap();
+            let mut reads = Vec::new();
+            let mut result = Ok(());
+            for _ in 0..limit {
+                match shard.next_batch() {
+                    Ok(Some(batch)) => reads.extend(batch),
+                    Ok(None) => break,
+                    Err(e) => {
+                        result = Err(e.kind());
+                        break;
+                    }
+                }
+            }
+            tx.send((result, reads, shard.peak_buffer_bytes())).unwrap();
+        });
+        let (result, shard_reads, shard_peak) = rx
+            .recv_timeout(Duration::from_secs(30))
+            .unwrap_or_else(|e| panic!("{name}: shard {rank} of {shards} hung or panicked: {e}"));
+        peak = peak.max(shard_peak);
+        reads.extend(shard_reads.into_iter().map(|r| (r.name, r.seq.to_ascii())));
+        outcome = outcome.and(result);
+    }
+    std::fs::remove_file(&path).ok();
+    (outcome.map(|()| reads), peak)
+}
+
+/// The ingest trust boundary under a seeded, structure-aware fuzz loop. The inputs are
+/// the bundled smoke FASTA and its reads as FASTQ, read on 1–4 shards; the mutations
+/// are truncation at every record boundary, bit flips, stray `>`/`@`/`+` lines, CRLF
+/// line ends, a 1 MiB line with no newline, and FASTQ quality lines of the wrong
+/// length. Every case ends in reads or a typed `io::Error` — no panic, no hang — and
+/// no shard's block buffer grows past twice a block plus the input's longest line. Valid
+/// inputs (the truncations, CRLF) read to the same records on every shard count.
+#[test]
+fn shard_readers_survive_a_seeded_fuzz_loop_over_mutated_fasta_and_fastq() {
+    use hysortk_dna::io::{read_paths, to_fastq_string};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    const BLOCK: usize = 4_096;
+    let smoke = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("data/smoke.fa");
+    let fasta_text = std::fs::read(&smoke).unwrap();
+    let records = read_paths(&[&smoke], IngestOptions::default()).unwrap();
+    let fastq_text = to_fastq_string(&records).into_bytes();
+    let mut rng = StdRng::seed_from_u64(0x10a);
+
+    let longest_line = |bytes: &[u8]| bytes.split(|&b| b == b'\n').map(<[u8]>::len).max();
+    let check = |name: &str, bytes: &[u8], shards: usize| {
+        let (outcome, peak) = read_in_shards(name, bytes, shards, BLOCK);
+        // The carry grows a block at a time, by doubling: twice a block past the line.
+        let bound = 2 * (BLOCK + longest_line(bytes).unwrap_or(0));
+        assert!(
+            peak <= bound,
+            "{name} on {shards} shards: buffer {peak} > {bound}"
+        );
+        outcome
+    };
+
+    for (ext, text, lines_per_record) in [("fa", &fasta_text, 3), ("fq", &fastq_text, 4)] {
+        let lines: Vec<&[u8]> = text.split_inclusive(|&b| b == b'\n').collect();
+        let whole = check(&format!("fuzz.{ext}"), text, 1).expect("the clean input reads");
+        assert_eq!(whole.len(), records.len());
+
+        // Truncation at every record boundary: a shorter valid file, on every shard count.
+        for (cut, record) in (0..=lines.len()).step_by(lines_per_record).zip(0..) {
+            let prefix = lines[..cut].concat();
+            for shards in 1..=4 {
+                let name = format!("fuzz-cut{cut}.{ext}");
+                let got = check(&name, &prefix, shards).expect("a record-boundary prefix reads");
+                assert_eq!(got, whole[..record], "{name} on {shards} shards");
+            }
+        }
+
+        // CRLF line ends read to the same records.
+        let crlf: Vec<u8> = lines
+            .iter()
+            .flat_map(|l| l.strip_suffix(b"\n").unwrap_or(l).iter().chain(b"\r\n"))
+            .copied()
+            .collect();
+        for shards in 1..=4 {
+            assert_eq!(
+                check(&format!("fuzz-crlf.{ext}"), &crlf, shards),
+                Ok(whole.clone())
+            );
+        }
+
+        // A 1 MiB line with no newline at the end of the input.
+        let mut long = text.clone();
+        long.extend_from_slice(if ext == "fa" { b">long\n" } else { b"@long\n" });
+        long.extend((0..1 << 20).map(|i| b"ACGT"[i % 4]));
+        for shards in 1..=4 {
+            let _ = check(&format!("fuzz-long.{ext}"), &long, shards);
+        }
+
+        for case in 0..60 {
+            let shards = 1 + case % 4;
+            // Bit flips.
+            let mut flipped = text.clone();
+            for _ in 0..rng.gen_range(1..=8) {
+                let bit = rng.gen_range(0..flipped.len() * 8);
+                flipped[bit / 8] ^= 1 << (bit % 8);
+            }
+            let _ = check(&format!("fuzz-flip{case}.{ext}"), &flipped, shards);
+
+            // A stray header or separator line between two lines.
+            let strays: [&[u8]; 6] = [b">\n", b"@\n", b"+\n", b">x\n", b"@x\n", b"+x\n"];
+            let stray = strays[rng.gen_range(0..strays.len())];
+            let at = rng.gen_range(0..=lines.len());
+            let strayed = [&lines[..at].concat()[..], stray, &lines[at..].concat()].concat();
+            let _ = check(&format!("fuzz-stray{case}.{ext}"), &strayed, shards);
+
+            // A quality line one base short or long: the record is malformed.
+            if ext == "fq" {
+                let record = rng.gen_range(0..records.len());
+                let mut broken: Vec<Vec<u8>> = lines.iter().map(|l| l.to_vec()).collect();
+                let quality = &mut broken[4 * record + 3];
+                if rng.gen_bool(0.5) {
+                    quality.remove(0);
+                } else {
+                    quality.insert(0, b'I');
+                }
+                let err = check(&format!("fuzz-qual{case}.fq"), &broken.concat(), shards);
+                assert_eq!(err, Err(std::io::ErrorKind::InvalidData), "case {case}");
+            }
+        }
+    }
+}

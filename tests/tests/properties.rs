@@ -562,30 +562,10 @@ fn overlapped_pipeline_matches_bulk_on_heavy_hitter_workloads() {
     }
 }
 
-#[test]
-fn overlapped_records_ablation_matches_bulk_with_and_without_compression() {
-    // The non-supermer (records) ablation path through the round engine, both
-    // extension codecs.
-    let mut rng = StdRng::seed_from_u64(202);
-    let seqs: Vec<Vec<u8>> = (0..25).map(|_| dna_exact(&mut rng, 150)).collect();
-    let reads = ReadSet::from_ascii_reads(&seqs);
-    for compress in [false, true] {
-        let mut cfg = hysortk_core::HySortKConfig::small(17, 8, 3);
-        cfg.min_count = 1;
-        cfg.max_count = 1_000_000;
-        cfg.use_supermers = false;
-        cfg.with_extension = true;
-        cfg.compress_extension = compress;
-        cfg.batch_size = 64;
-        assert_overlap_matches_bulk(&reads, &cfg, &format!("records compress={compress}"));
-    }
-}
-
 // ---------------- pool width: the round loop's job lists -----------------------------
 
-/// The four send-side shapes the round loop's fills write: plain supermers, a
-/// heavy-hitter kmerlist among them (satellite input), supermers with extensions, and
-/// the records ablation.
+/// The three send-side shapes the round loop's fills write: plain supermers, a
+/// heavy-hitter kmerlist among them (satellite input), and supermers with extensions.
 fn job_list_shapes() -> Vec<(&'static str, ReadSet, hysortk_core::HySortKConfig)> {
     let mut rng = StdRng::seed_from_u64(220);
     let genome: Vec<u8> = (0..1_200).map(|_| b"ACGT"[rng.gen_range(0..4)]).collect();
@@ -610,18 +590,15 @@ fn job_list_shapes() -> Vec<(&'static str, ReadSet, hysortk_core::HySortKConfig)
     };
     let mut extensions = base.clone();
     extensions.with_extension = true;
-    let mut records = extensions.clone();
-    records.use_supermers = false;
     vec![
         ("supermers", ReadSet::from_ascii_reads(&plain), base),
         ("heavy", ReadSet::from_ascii_reads(&satellite), heavy),
         ("extensions", ReadSet::from_ascii_reads(&plain), extensions),
-        ("records", ReadSet::from_ascii_reads(&plain), records),
     ]
 }
 
 /// Threads per rank {1, 2, 3, 5} × ranks {1, 2, 3} × batch sizes {1 record, the
-/// small-config default, larger than the input} × the four shapes: every overlapped
+/// small-config default, larger than the input} × the three shapes: every overlapped
 /// run is byte-identical — counts, extensions, histogram — to the bulk-synchronous run
 /// and to the overlapped run at one thread, and moves exactly the same exchange
 /// traffic as the latter (same rounds, same bytes to every destination). The task
