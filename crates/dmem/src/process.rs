@@ -508,7 +508,7 @@ fn send_ctl(stream: &mut UnixStream, kind: u8, payload: &[u8]) -> std::io::Resul
 }
 
 /// Everything a child reported over its control socket before exiting.
-#[derive(Default)]
+#[derive(Debug, Default, PartialEq)]
 struct ChildReport {
     result: Option<Vec<u8>>,
     panic: Option<String>,
@@ -808,14 +808,99 @@ mod tests {
         (peer, mailbox, abort, reader)
     }
 
+    /// xorshift64: the seeded source of the frame fuzz loop.
+    fn next(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// One frame of a fuzzed stream: kind byte, tag (data streams only) and payload.
+    type Frame = (u8, u64, Vec<u8>);
+
+    /// Up to four seeded frames, most of a kind in `kinds` and some of a random kind
+    /// byte; payloads mostly short, now and then longer than one read step.
+    fn random_frames(state: &mut u64, kinds: &[u8]) -> Vec<Frame> {
+        (0..next(state) % 5)
+            .map(|_| {
+                let r = next(state);
+                let kind = match r % 8 {
+                    0 => (r >> 8) as u8,
+                    _ => kinds[(r >> 8) as usize % kinds.len()],
+                };
+                let len = (r >> 20) as usize % 64 + if r % 16 == 1 { READ_CHUNK } else { 0 };
+                let tag = round_tag(next(state) % 2, (r >> 32) as usize % 3);
+                (
+                    kind,
+                    tag,
+                    (0..len).map(|i| (r as usize + i) as u8).collect(),
+                )
+            })
+            .collect()
+    }
+
+    /// How a fuzzed stream ends after its frames: at a frame boundary, inside one more
+    /// frame (after `Cut` of its bytes), or after one more frame whose header announces
+    /// `Forged` bytes where 10 follow.
+    #[derive(Clone, Copy, Debug)]
+    enum End {
+        Eof,
+        Cut(usize),
+        Forged(u64),
+    }
+
+    /// The bytes of `frames` and then `end`, framed with a tag on a data stream
+    /// (17-byte header) and without on a control stream (9 bytes).
+    fn stream_bytes(frames: &[Frame], end: End, data: bool) -> Vec<u8> {
+        let header = |kind: u8, tag: u64, len: u64| {
+            let tag = if data {
+                tag.to_le_bytes().to_vec()
+            } else {
+                Vec::new()
+            };
+            [&[kind][..], &tag, &len.to_le_bytes()].concat()
+        };
+        let mut out = Vec::new();
+        for (kind, tag, payload) in frames {
+            out.extend(header(*kind, *tag, payload.len() as u64));
+            out.extend(payload);
+        }
+        let last = |len| [header(0, round_tag(0, 0), len), vec![9; 10]].concat();
+        match end {
+            End::Eof => {}
+            End::Cut(at) => out.extend(&last(10)[..at]),
+            End::Forged(len) => out.extend(last(len)),
+        }
+        out
+    }
+
+    /// Join `reader`, failing the test if it is still running after 10 s.
+    fn join_within<T>(reader: std::thread::JoinHandle<T>, what: &str) -> T {
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        while !reader.is_finished() {
+            assert!(
+                Instant::now() < deadline,
+                "{what}: the reader did not return"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        reader.join().unwrap()
+    }
+
+    /// Seeded frame headers on both stream kinds — random kind bytes, tags and
+    /// lengths, every stream cut at every offset of a last frame's header and payload,
+    /// and lengths forged past what follows. Each reader returns in time and keeps
+    /// exactly the whole frames before the first one that ends the stream, byte for
+    /// byte; a data stream that ends without `FIN` is a dead peer (`PeerFailed`); and
+    /// no payload buffer grows past twice the bytes that arrived.
     #[test]
     fn forged_frame_lengths_end_in_the_dead_peer_path_without_the_allocation() {
-        const FORGED: u64 = 1 << 40;
         // The read itself: a header announcing 2^40 bytes over three chunks and a bit
         // that were really sent makes room for at most twice what arrived.
         let sent = vec![7u8; 3 * READ_CHUNK + 5];
         let mut payload = Vec::new();
-        let err = read_payload(&mut &sent[..], FORGED, &mut payload).unwrap_err();
+        let err = read_payload(&mut &sent[..], 1 << 40, &mut payload).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
         assert_eq!(payload, sent);
         assert!(
@@ -824,36 +909,79 @@ mod tests {
             payload.capacity()
         );
 
-        // Data socket: the reader gives up on the frame, and a stream that ends without
-        // `FIN` is a dead peer — the abort every blocked wait polls.
-        let (mut peer, mailbox, abort, reader) = peer_with_reader(1);
-        let mut hdr = [0u8; 17];
-        hdr[0] = FRAME_DATA;
-        hdr[1..9].copy_from_slice(&round_tag(0, 0).to_le_bytes());
-        hdr[9..17].copy_from_slice(&FORGED.to_le_bytes());
-        peer.write_all(&hdr).unwrap();
-        peer.write_all(b"not a terabyte").unwrap();
-        drop(peer);
-        reader.join().unwrap();
-        assert!(matches!(
-            abort.peer_failure(0),
-            Some(DmemError::PeerFailed { rank: 1, .. })
-        ));
-        assert!(mailbox.queues.lock().unwrap().is_empty());
-
-        // Control socket: what arrived whole is kept, the forged result frame is not a
-        // result — the parent synthesizes `PeerFailed` for a child without one.
-        let (mut child, parent) = UnixStream::pair().unwrap();
-        send_ctl(&mut child, CTL_STATS, b"stats").unwrap();
-        let mut hdr = [0u8; 9];
-        hdr[0] = CTL_RESULT;
-        hdr[1..9].copy_from_slice(&FORGED.to_le_bytes());
-        child.write_all(&hdr).unwrap();
-        child.write_all(b"not a terabyte").unwrap();
-        drop(child);
-        let report = read_ctl_to_eof(parent);
-        assert_eq!(report.stats.as_deref(), Some(&b"stats"[..]));
-        assert!(report.result.is_none() && report.panic.is_none());
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for data in [true, false] {
+            let header = if data { 17 } else { 9 };
+            let forged = [
+                End::Eof,
+                End::Forged(11),
+                End::Forged(1 << 40),
+                End::Forged(u64::MAX),
+            ];
+            let ends = forged.into_iter().chain((0..header + 10).map(End::Cut));
+            for (case, end) in ends.flat_map(|end| [end; 3]).enumerate() {
+                let what = format!("data={data} case {case}, end {end:?}");
+                if data {
+                    let frames = random_frames(&mut state, &[0, 0, FRAME_ABORT, FRAME_FIN]);
+                    let (mut peer, mailbox, abort, reader) = peer_with_reader(1);
+                    // The reader may stop at a `FIN` or a bad kind and close its end.
+                    let _ = peer.write_all(&stream_bytes(&frames, end, true));
+                    drop(peer);
+                    join_within(reader, &what);
+                    let (mut want, mut fin, mut aborted) = (TagQueues::new(), false, false);
+                    for (kind, tag, payload) in &frames {
+                        match *kind {
+                            FRAME_DATA => want
+                                .entry((1, *tag))
+                                .or_default()
+                                .push_back(payload.clone()),
+                            FRAME_ABORT => aborted = true,
+                            FRAME_FIN => {
+                                fin = true;
+                                break;
+                            }
+                            _ => break,
+                        }
+                    }
+                    let got = std::mem::take(&mut *mailbox.queues.lock().unwrap());
+                    assert_eq!(got, want, "{what}");
+                    assert!(got.values().flatten().all(|p| p.capacity() <= 2 * p.len()));
+                    match abort.peer_failure(0) {
+                        None => assert!(fin && !aborted, "{what}"),
+                        Some(DmemError::PeerFailed { rank, .. }) => {
+                            assert!(aborted || (!fin && rank == 1), "{what}")
+                        }
+                        Some(other) => panic!("{what}: {other}"),
+                    }
+                } else {
+                    let kinds = [CTL_RESULT, CTL_PANIC, CTL_STATS, CTL_FAULTS, CTL_TRACE];
+                    let frames = random_frames(&mut state, &kinds);
+                    let (mut child, parent) = UnixStream::pair().unwrap();
+                    let reader = std::thread::spawn(move || read_ctl_to_eof(parent));
+                    let _ = child.write_all(&stream_bytes(&frames, end, false));
+                    drop(child);
+                    let got = join_within(reader, &what);
+                    let mut want = ChildReport::default();
+                    for (kind, _, payload) in &frames {
+                        let keep = Some(payload.clone());
+                        match *kind {
+                            CTL_RESULT => want.result = keep,
+                            CTL_PANIC => want.panic = Some(String::from_utf8_lossy(payload).into()),
+                            CTL_STATS => want.stats = keep,
+                            CTL_FAULTS => want.faults = keep,
+                            CTL_TRACE => want.trace = keep,
+                            _ => break,
+                        }
+                    }
+                    assert_eq!(got, want, "{what}");
+                    let kept = [&got.result, &got.stats, &got.faults, &got.trace];
+                    assert!(kept
+                        .iter()
+                        .flat_map(|p| p.iter())
+                        .all(|p| p.capacity() <= 2 * p.len()));
+                }
+            }
+        }
     }
 
     #[test]

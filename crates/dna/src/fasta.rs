@@ -8,7 +8,7 @@
 //! instead of mapping them.
 
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
 use crate::readset::{Read, ReadSet};
@@ -19,21 +19,6 @@ use crate::readset::{Read, ReadSet};
 /// lines. Blank lines are ignored. Characters other than `ACGTacgt` are mapped to `A`,
 /// matching the policy documented in [`crate::base::encode_base`].
 pub fn parse_fasta_str(text: &str) -> ReadSet {
-    parse_fasta_lines(text.lines().map(|l| Ok::<_, io::Error>(l.to_string())))
-        .expect("string parsing cannot fail")
-}
-
-/// Parse a FASTA file from disk.
-pub fn read_fasta_file(path: impl AsRef<Path>) -> io::Result<ReadSet> {
-    let file = File::open(path)?;
-    let reader = BufReader::new(file);
-    parse_fasta_lines(reader.lines())
-}
-
-fn parse_fasta_lines<I>(lines: I) -> io::Result<ReadSet>
-where
-    I: Iterator<Item = io::Result<String>>,
-{
     let mut rs = ReadSet::new();
     let mut name: Option<String> = None;
     let mut seq: Vec<u8> = Vec::new();
@@ -49,8 +34,7 @@ where
         seq.clear();
     };
 
-    for line in lines {
-        let line = line?;
+    for line in text.lines() {
         let trimmed = line.trim();
         if trimmed.is_empty() {
             continue;
@@ -68,7 +52,7 @@ where
         }
     }
     flush(&mut name, &mut seq, &mut rs);
-    Ok(rs)
+    rs
 }
 
 /// Serialise a [`ReadSet`] as FASTA text with the given line width.
@@ -134,18 +118,6 @@ mod tests {
         for (a, b) in parsed.iter().zip(rs.iter()) {
             assert_eq!(a.seq, b.seq);
         }
-    }
-
-    #[test]
-    fn round_trips_through_a_file() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("hysortk_fasta_test_{}.fa", std::process::id()));
-        let rs = ReadSet::from_ascii_reads(&[b"ACGTACGTGGCCTTAA".as_slice()]);
-        write_fasta_file(&path, &rs, 80).unwrap();
-        let parsed = read_fasta_file(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed.reads()[0].seq, rs.reads()[0].seq);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Read collections and the greedy distribution of reads across ranks.
 
-use crate::kmer::KmerCode;
 use crate::sequence::DnaSeq;
 
 /// A single sequencing read: an identifier, an optional FASTA header, and the packed
@@ -114,16 +113,6 @@ impl ReadSet {
         self.total_bases() + self.reads.iter().map(|r| r.name.len() + 3).sum::<usize>()
     }
 
-    /// Collect every canonical k-mer in the read set (reference counting path used by
-    /// tests to validate the real counters).
-    pub fn all_canonical_kmers<K: KmerCode>(&self, k: usize) -> Vec<K> {
-        let mut out = Vec::with_capacity(self.total_kmers(k));
-        for r in &self.reads {
-            out.extend(r.seq.canonical_kmers::<K>(k));
-        }
-        out
-    }
-
     /// Greedy contiguous partition of the reads into `parts` chunks balanced by base
     /// count — the "sequences from the input file are divided evenly between the
     /// processes using a greedy algorithm" step of the paper's Figure 1.
@@ -190,7 +179,6 @@ impl FromIterator<Read> for ReadSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kmer::Kmer1;
 
     fn sample() -> ReadSet {
         ReadSet::from_ascii_reads(&[
@@ -215,7 +203,6 @@ mod tests {
         assert_eq!(rs.total_bases(), 16 + 12 + 24 + 3);
         let k = 5;
         assert_eq!(rs.total_kmers(k), (12 + 8 + 20));
-        assert_eq!(rs.all_canonical_kmers::<Kmer1>(k).len(), rs.total_kmers(k));
     }
 
     #[test]

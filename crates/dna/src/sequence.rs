@@ -227,11 +227,6 @@ impl DnaSeq {
     pub fn canonical_kmers<K: KmerCode>(&self, k: usize) -> impl Iterator<Item = K> + '_ {
         self.kmers::<K>(k).map(move |km| km.canonical(k))
     }
-
-    /// Approximate heap memory used by the packed representation, in bytes.
-    pub fn packed_bytes(&self) -> usize {
-        self.words.len() * 8
-    }
 }
 
 /// Rolling k-mer iterator produced by [`DnaSeq::kmers`].
@@ -335,12 +330,6 @@ mod tests {
         a.sort();
         b.sort();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn packed_memory_is_quarter_of_ascii() {
-        let seq = DnaSeq::from_ascii(&vec![b'A'; 1024]);
-        assert_eq!(seq.packed_bytes(), 1024 / 4);
     }
 
     fn patterned(len: usize) -> DnaSeq {

@@ -4,31 +4,42 @@
 //! The round loop's `wait_round` boundary is a natural epoch: the round plan
 //! ([`crate::overlap::plan_rounds`]) derives from globally identical inputs, so every
 //! rank agrees — without communication — on which tasks round *r* completed. After a
-//! committed round, each rank persists an **epoch manifest** holding the counted task
-//! partials of the rounds since the previous manifest (a delta, linked by
-//! `prev_epoch`) plus a cumulative snapshot of its worker-scratch state (histogram,
-//! decode counters, per-task decoded totals). A run without overlap has one round and
-//! therefore writes one manifest, epoch 0, covering its whole exchange.
+//! committed round, each rank persists an **epoch manifest**: a [`CountedState`] whose
+//! runs (extension lists included) and per-task record totals are the delta since the
+//! previous manifest (linked by `prev_epoch`), and whose scratch counters (histogram,
+//! decode counters, per-task decoded totals) are cumulative. A run without overlap has
+//! one round and therefore writes one manifest, epoch 0, covering its whole exchange.
 //!
-//! # Durability
+//! # Format and durability
 //!
-//! Manifests are written torn-write-safe: the bytes go to a `.tmp` sibling, are
+//! A manifest is the magic `HSKC`, the format version ([`VERSION`], 2), a fixed header
+//! (run fingerprint, rank, ranks, epoch), a [`Wire`] body (the chain link, the plan's
+//! round count, the input's size hash and the state — runs in [`TaskCounts`]' codec, the
+//! one the process backend ships them home in) and a [`checksum32`] trailer over all of
+//! it. Manifests are written torn-write-safe: the bytes go to a `.tmp` sibling, are
 //! fsynced, and only then renamed onto the final `ckpt-e{epoch}-r{rank}.bin` name — a
 //! crash mid-write leaves either the previous manifest set or a dangling `.tmp` that
-//! restore ignores. Every manifest ends in a checksum over its whole body, so a
-//! bit-flipped or truncated file is detected at parse time.
+//! restore ignores.
 //!
 //! # Restore
 //!
 //! Recovery (an in-run generation respawn, or `hysortk count --resume`) scans the
 //! directory for the **newest globally-consistent epoch**: the highest epoch whose
-//! manifest — and every manifest on its `prev_epoch` chain — parses, checksums and
-//! fingerprint-matches on *all* ranks. A corrupt or missing link invalidates
-//! everything after it, falling back to the epoch before; the scan is pure local file
-//! I/O over deterministic inputs, so every rank picks the same epoch without a
-//! collective. The run fingerprint (k, m, seed, layout, mode flags, k-mer width …)
-//! rejects manifests written by a different configuration loudly, and the stored hash
-//! of the all-reduced task sizes rejects a changed input.
+//! manifest — and every manifest on its `prev_epoch` chain — is intact and belongs to
+//! this run on *all* ranks, and folds this rank's chain into one [`CountedState`]. Every
+//! rank picks the same epoch without a collective: the scan is pure local file I/O over
+//! deterministic inputs. What is wrong with a manifest decides what restore does:
+//!
+//! * **damaged** — a bad checksum, a torn or short file, a missing link: restore falls
+//!   back to the epoch before;
+//! * **foreign** — intact, but written in another format version or by another run
+//!   configuration (the fingerprint covers k, m, seed, layout, mode flags and the k-mer
+//!   width): restore refuses, loudly, rather than recount in a directory meant for
+//!   something else.
+//!
+//! The header is checked before the body is decoded, so a manifest of another k-mer
+//! width is foreign, not damaged. The stored hash of the all-reduced task sizes rejects
+//! a changed input.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -36,8 +47,8 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use hysortk_dmem::FaultPlan;
-use hysortk_dmem::RankCtx;
+use hysortk_dmem::wire::from_bytes;
+use hysortk_dmem::{FaultPlan, RankCtx, Wire};
 use hysortk_dna::kmer::KmerCode;
 use hysortk_task::ScratchBank;
 use hysortk_trace as trace;
@@ -51,7 +62,7 @@ use crate::wire::{checksum32, fold64};
 /// Leading magic of every manifest.
 const MAGIC: &[u8; 4] = b"HSKC";
 /// Format version; bumped on any layout change.
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// Hash of the all-reduced global task sizes: a changed input (different files,
 /// different shard contents) changes some task size and is rejected at restore time.
@@ -112,211 +123,133 @@ fn parse_manifest_name(name: &str) -> Option<(usize, usize)> {
     Some((epoch.parse().ok()?, rank.parse().ok()?))
 }
 
-/// One decoded manifest.
-struct Manifest<K: KmerCode> {
-    rank: usize,
-    ranks: usize,
-    fingerprint: u64,
-    epoch: usize,
-    prev_epoch: Option<usize>,
-    rounds_total: usize,
-    sizes_hash: u64,
-    // Cumulative scratch snapshot at this epoch.
-    received_records: u64,
-    precounted_records: u64,
-    histogram: Vec<u64>,
-    decoded: Vec<(u32, u64)>,
-    // Delta since `prev_epoch`.
-    task_sizes: Vec<u64>,
-    tasks: Vec<TaskCounts<K>>,
+/// A rank's counted state at a round boundary: the sorted runs and per-task record
+/// totals of the rounds counted so far, and what their count jobs left in the worker
+/// scratches. A manifest holds one whose runs and totals are the delta since its
+/// previous epoch; restore folds a chain into one; the round loop starts from one —
+/// [`Default`] on a fresh start — extends its runs, totals and decoded counts round by
+/// round, and keeps in `histogram` and the record counters only what it did not count
+/// itself (its own scratches fold in at the end).
+#[derive(Default)]
+pub(crate) struct CountedState<K: KmerCode> {
+    /// First round not counted yet.
+    pub next_round: usize,
+    /// Counted runs, in commit order.
+    pub tasks: Vec<TaskCounts<K>>,
+    /// Per-task record totals, in commit order.
+    pub task_sizes: Vec<u64>,
+    /// Decoded k-mer instances per task.
+    pub decoded: BTreeMap<u32, u64>,
+    /// Multiplicity histogram.
+    pub histogram: KmerHistogram,
+    /// Records decoded from supermer blocks.
+    pub received_records: u64,
+    /// Kmerlist entries decoded.
+    pub precounted_records: u64,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn encode_manifest<K: KmerCode>(
-    fingerprint: u64,
-    rank: usize,
-    ranks: usize,
-    epoch: usize,
-    prev_epoch: Option<usize>,
-    rounds_total: usize,
-    sizes_hash: u64,
-    received_records: u64,
-    precounted_records: u64,
-    histogram: &[u64],
-    decoded: &BTreeMap<u32, u64>,
-    delta_sizes: &[u64],
-    delta_tasks: &[TaskCounts<K>],
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(256 + delta_tasks.len() * 64);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&fingerprint.to_le_bytes());
-    out.extend_from_slice(&(rank as u32).to_le_bytes());
-    out.extend_from_slice(&(ranks as u32).to_le_bytes());
-    out.extend_from_slice(&(epoch as u32).to_le_bytes());
-    let prev: i64 = prev_epoch.map_or(-1, |e| e as i64);
-    out.extend_from_slice(&prev.to_le_bytes());
-    out.extend_from_slice(&(rounds_total as u32).to_le_bytes());
-    out.extend_from_slice(&sizes_hash.to_le_bytes());
-    out.extend_from_slice(&(K::WORDS as u32).to_le_bytes());
-    out.extend_from_slice(&received_records.to_le_bytes());
-    out.extend_from_slice(&precounted_records.to_le_bytes());
-    out.extend_from_slice(&(histogram.len() as u32).to_le_bytes());
-    for &b in histogram {
-        out.extend_from_slice(&b.to_le_bytes());
-    }
-    out.extend_from_slice(&(decoded.len() as u32).to_le_bytes());
-    for (&task, &instances) in decoded {
-        out.extend_from_slice(&task.to_le_bytes());
-        out.extend_from_slice(&instances.to_le_bytes());
-    }
-    out.extend_from_slice(&(delta_sizes.len() as u32).to_le_bytes());
-    for &s in delta_sizes {
-        out.extend_from_slice(&s.to_le_bytes());
-    }
-    out.extend_from_slice(&(delta_tasks.len() as u32).to_le_bytes());
-    for task in delta_tasks {
-        out.extend_from_slice(&(task.counts.len() as u32).to_le_bytes());
-        for (km, count) in &task.counts {
-            for &w in km.word_slice() {
-                out.extend_from_slice(&w.to_le_bytes());
-            }
-            out.extend_from_slice(&count.to_le_bytes());
+/// Every pre-allocation of `decode` is bounded by the bytes left: at most 16 bytes (a
+/// decoded-count pair) per byte.
+impl<K: KmerCode> Wire for CountedState<K> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.next_round.encode(out);
+        self.tasks.encode(out);
+        self.task_sizes.encode(out);
+        self.decoded.len().encode(out);
+        for (&task, &instances) in &self.decoded {
+            (task, instances).encode(out);
         }
+        self.histogram.encode(out);
+        self.received_records.encode(out);
+        self.precounted_records.encode(out);
     }
-    let checksum = checksum32(&out);
-    out.extend_from_slice(&checksum.to_le_bytes());
-    out
+
+    fn decode(input: &mut &[u8]) -> Option<Self> {
+        Some(CountedState {
+            next_round: usize::decode(input)?,
+            tasks: TaskCounts::decode_runs(input)?,
+            task_sizes: Vec::decode(input)?,
+            decoded: Vec::<(u32, u64)>::decode(input)?.into_iter().collect(),
+            histogram: KmerHistogram::decode(input)?,
+            received_records: u64::decode(input)?,
+            precounted_records: u64::decode(input)?,
+        })
+    }
 }
 
-/// Little-endian field reader over a manifest body.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// One epoch manifest: the fixed header restore checks first, the chain link, what
+/// the run's inputs were, and the counted state of the epoch.
+struct Manifest<K: KmerCode> {
+    fingerprint: u64,
+    rank: usize,
+    ranks: usize,
+    epoch: usize,
+    prev_epoch: Option<usize>,
+    rounds_total: usize,
+    sizes_hash: u64,
+    state: CountedState<K>,
 }
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| format!("manifest truncated at byte {}", self.pos))?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
+/// What is wrong with a manifest chain, which decides what restore does about it.
+enum Defect {
+    /// A bad checksum, a torn or short file, a missing link: fall back an epoch.
+    Damaged(String),
+    /// Intact, but of another format version or run configuration: refuse.
+    Foreign(String),
+}
+
+impl<K: KmerCode> Manifest<K> {
+    /// The file's bytes: magic, version, header, body, checksum.
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        (VERSION, self.fingerprint).encode(&mut out);
+        (self.rank, self.ranks, self.epoch).encode(&mut out);
+        (self.prev_epoch, self.rounds_total, self.sizes_hash).encode(&mut out);
+        self.state.encode(&mut out);
+        checksum32(&out).encode(&mut out);
+        out
     }
 
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> Result<i64, String> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// A count of elements `width` bytes wide on disk, bounded by how many the bytes left
-    /// can hold, so a corrupt count — or a forged one under a recomputed checksum — cannot
-    /// drive an allocation larger than the manifest before the element reads fail.
-    fn len(&mut self, width: usize) -> Result<usize, String> {
-        let n = self.u32()? as usize;
-        let fits = (self.bytes.len() - self.pos) / width;
-        if n > fits {
-            return Err(format!(
-                "manifest length field {n} exceeds the {fits} {width}-byte elements left"
+    /// Decode a manifest of the run fingerprinted `fingerprint`: the checksum first,
+    /// then the version and the fingerprint — so a manifest of another run is foreign
+    /// whatever its body holds — then the rest of the header and the body, which must
+    /// be consumed exactly.
+    fn parse(bytes: &[u8], fingerprint: u64) -> Result<Self, Defect> {
+        let damaged = |what: &str| Defect::Damaged(format!("manifest {what}"));
+        let (sealed, sum) = (bytes.split_last_chunk::<4>()).ok_or_else(|| damaged("too short"))?;
+        if checksum32(sealed) != u32::from_le_bytes(*sum) {
+            return Err(damaged("checksum mismatch (torn write or bit corruption)"));
+        }
+        let mut input = sealed
+            .strip_prefix(MAGIC)
+            .ok_or_else(|| damaged("bad magic"))?;
+        let truncated = || damaged("header truncated");
+        let (version, stored) = <(u32, u64)>::decode(&mut input).ok_or_else(truncated)?;
+        if version != VERSION {
+            return Err(Defect::Foreign(format!(
+                "manifest format version {version}, this build reads version {VERSION}"
+            )));
+        }
+        if stored != fingerprint {
+            return Err(Defect::Foreign(
+                "written by a different run configuration".into(),
             ));
         }
-        Ok(n)
+        let (rank, ranks, epoch) =
+            <(usize, usize, usize)>::decode(&mut input).ok_or_else(truncated)?;
+        let ((prev_epoch, rounds_total, sizes_hash), state) =
+            from_bytes(input).ok_or_else(|| damaged("body does not decode"))?;
+        Ok(Manifest {
+            fingerprint,
+            rank,
+            ranks,
+            epoch,
+            prev_epoch,
+            rounds_total,
+            sizes_hash,
+            state,
+        })
     }
-}
-
-fn decode_manifest<K: KmerCode>(bytes: &[u8]) -> Result<Manifest<K>, String> {
-    if bytes.len() < MAGIC.len() + 8 {
-        return Err("manifest shorter than its magic and checksum".into());
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - 4);
-    let stored = u32::from_le_bytes(trailer.try_into().unwrap());
-    if checksum32(body) != stored {
-        return Err("manifest checksum mismatch (torn write or bit corruption)".into());
-    }
-    let mut r = Reader {
-        bytes: body,
-        pos: 0,
-    };
-    if r.take(4)? != MAGIC {
-        return Err("not a checkpoint manifest (bad magic)".into());
-    }
-    let version = r.u32()?;
-    if version != VERSION {
-        return Err(format!("unsupported manifest version {version}"));
-    }
-    let fingerprint = r.u64()?;
-    let rank = r.u32()? as usize;
-    let ranks = r.u32()? as usize;
-    let epoch = r.u32()? as usize;
-    let prev = r.i64()?;
-    let prev_epoch = if prev < 0 { None } else { Some(prev as usize) };
-    let rounds_total = r.u32()? as usize;
-    let sizes_hash = r.u64()?;
-    let words = r.u32()? as usize;
-    if words != K::WORDS {
-        return Err(format!(
-            "manifest stores {words}-word k-mers, the run uses {}",
-            K::WORDS
-        ));
-    }
-    let received_records = r.u64()?;
-    let precounted_records = r.u64()?;
-    let histogram: Vec<u64> = (0..r.len(8)?).map(|_| r.u64()).collect::<Result<_, _>>()?;
-    let ndecoded = r.len(12)?;
-    let mut decoded = Vec::with_capacity(ndecoded);
-    for _ in 0..ndecoded {
-        let task = r.u32()?;
-        let instances = r.u64()?;
-        decoded.push((task, instances));
-    }
-    let task_sizes: Vec<u64> = (0..r.len(8)?).map(|_| r.u64()).collect::<Result<_, _>>()?;
-    // A task is at least its entry count.
-    let ntasks = r.len(4)?;
-    let mut tasks = Vec::with_capacity(ntasks);
-    let mut words_buf = vec![0u64; K::WORDS];
-    for _ in 0..ntasks {
-        let entries = r.len((K::WORDS + 1) * 8)?;
-        let mut counts = Vec::with_capacity(entries);
-        for _ in 0..entries {
-            for w in words_buf.iter_mut() {
-                *w = r.u64()?;
-            }
-            let count = r.u64()?;
-            counts.push((K::from_word_slice(&words_buf), count));
-        }
-        tasks.push(TaskCounts { counts, ext: None });
-    }
-    if r.pos != body.len() {
-        return Err(format!(
-            "manifest has {} trailing bytes after its last field",
-            body.len() - r.pos
-        ));
-    }
-    Ok(Manifest {
-        rank,
-        ranks,
-        fingerprint,
-        epoch,
-        prev_epoch,
-        rounds_total,
-        sizes_hash,
-        received_records,
-        precounted_records,
-        histogram,
-        decoded,
-        task_sizes,
-        tasks,
-    })
 }
 
 /// Write one manifest torn-write-safe: temp file → fsync → rename. The configured
@@ -350,62 +283,30 @@ fn atomic_write(
     fs::rename(&tmp_path, &final_path).map_err(|e| io_err(&final_path, e))
 }
 
-/// Accumulators handed back to a round driver: counted task partials, per-task
-/// record totals, decoded per-task instance totals, and the resume round cursor.
-pub(crate) type SeedParts<K> = (Vec<TaskCounts<K>>, Vec<u64>, BTreeMap<u32, u64>, usize);
-
-/// Everything restore hands the pipeline: the accumulators of the committed rounds
-/// plus the cursor to resume the round loop from.
-pub(crate) struct RestoredState<K: KmerCode> {
-    /// First round the resumed loop must execute (`last committed epoch + 1`).
-    pub next_round: usize,
-    /// Round count of the original plan, to cross-check the resumed plan.
-    pub rounds_total: usize,
-    /// Hash of the all-reduced task sizes at write time.
-    pub sizes_hash: u64,
-    /// Counted tasks of the committed rounds, in commit order.
-    pub tasks: Vec<TaskCounts<K>>,
-    /// Per-task record totals of the committed rounds, in commit order.
-    pub task_sizes: Vec<u64>,
-    /// Decoded k-mer instances per task over the committed rounds.
-    pub decoded: BTreeMap<u32, u64>,
-    /// Cumulative multiplicity histogram at the restored epoch.
-    pub histogram: KmerHistogram,
-    /// Cumulative records decoded from supermer blocks.
-    pub received_records: u64,
-    /// Cumulative kmerlist entries decoded.
-    pub precounted_records: u64,
-}
-
-/// Load and fully validate the manifest chain of `rank` headed at `head`, returning
-/// the manifests oldest-first. Any parse failure, identity mismatch or broken link is
-/// an error naming the defect.
+/// Load and validate the manifest chain of `rank` headed at `head`, returning the
+/// manifests oldest-first, or the defect that breaks it.
 fn load_chain<K: KmerCode>(
     dir: &Path,
     head: usize,
     rank: usize,
     ranks: usize,
     fingerprint: u64,
-) -> Result<Vec<Manifest<K>>, String> {
+) -> Result<Vec<Manifest<K>>, Defect> {
     let mut chain: Vec<Manifest<K>> = Vec::new();
     let mut next = Some(head);
     while let Some(epoch) = next {
         let path = manifest_path(dir, epoch, rank);
-        let bytes = fs::read(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let m = decode_manifest::<K>(&bytes).map_err(|e| format!("{}: {e}", path.display()))?;
-        if m.fingerprint != fingerprint {
-            return Err(format!(
-                "{}: written by a different run configuration",
-                path.display()
-            ));
+        let at = |what: String| format!("{}: {what}", path.display());
+        let bytes = fs::read(&path).map_err(|e| Defect::Damaged(at(e.to_string())))?;
+        let m = Manifest::<K>::parse(&bytes, fingerprint).map_err(|defect| match defect {
+            Defect::Damaged(e) => Defect::Damaged(at(e)),
+            Defect::Foreign(e) => Defect::Foreign(at(e)),
+        })?;
+        if (m.rank, m.ranks, m.epoch, m.state.next_round) != (rank, ranks, epoch, epoch + 1) {
+            return Err(Defect::Damaged(at("identity fields disagree".into())));
         }
-        if m.rank != rank || m.ranks != ranks || m.epoch != epoch {
-            return Err(format!("{}: identity fields disagree", path.display()));
-        }
-        if let Some(prev) = m.prev_epoch {
-            if prev >= epoch {
-                return Err(format!("{}: non-monotonic epoch chain", path.display()));
-            }
+        if m.prev_epoch.is_some_and(|prev| prev >= epoch) {
+            return Err(Defect::Damaged(at("non-monotonic epoch chain".into())));
         }
         next = m.prev_epoch;
         chain.push(m);
@@ -415,82 +316,51 @@ fn load_chain<K: KmerCode>(
 }
 
 /// Find the newest globally-consistent epoch in `dir` and restore this rank's state
-/// from it. `Ok(None)` means a clean start (no directory, no usable manifests);
-/// `Err` is reserved for manifests that parse but belong to a different run — silent
+/// from it: its chain folded into the newest manifest, whose state then holds every
+/// epoch's runs and record totals, oldest first. `Ok(None)` means a clean start (no
+/// directory, no intact chain); `Err` is a foreign manifest met on the way — silent
 /// fallback there would quietly recount the wrong thing.
-pub(crate) fn restore<K: KmerCode>(
+fn restore<K: KmerCode>(
     dir: &Path,
     rank: usize,
     ranks: usize,
     fingerprint: u64,
-) -> Result<Option<RestoredState<K>>, String> {
-    let entries = match fs::read_dir(dir) {
-        Ok(entries) => entries,
-        Err(_) => return Ok(None),
+) -> Result<Option<Manifest<K>>, String> {
+    let Ok(entries) = fs::read_dir(dir) else {
+        return Ok(None);
     };
-    let mut epochs: Vec<usize> = Vec::new();
-    for entry in entries.flatten() {
-        if let Some((epoch, _)) = entry.file_name().to_str().and_then(parse_manifest_name) {
-            epochs.push(epoch);
-        }
-    }
+    let mut epochs: Vec<usize> = (entries.flatten())
+        .filter_map(|entry| entry.file_name().to_str().and_then(parse_manifest_name))
+        .map(|(epoch, _)| epoch)
+        .collect();
     epochs.sort_unstable();
     epochs.dedup();
 
-    let mut mismatch: Option<String> = None;
-    for &candidate in epochs.iter().rev() {
-        let mut all_valid = true;
+    'candidates: for &candidate in epochs.iter().rev() {
+        let mut mine = Vec::new();
         for r in 0..ranks {
-            if let Err(e) = load_chain::<K>(dir, candidate, r, ranks, fingerprint) {
-                if e.contains("different run configuration") {
-                    mismatch.get_or_insert(e);
-                }
-                all_valid = false;
-                break;
+            match load_chain::<K>(dir, candidate, r, ranks, fingerprint) {
+                Ok(chain) if r == rank => mine = chain,
+                Ok(_) => {}
+                Err(Defect::Damaged(_)) => continue 'candidates,
+                Err(Defect::Foreign(e)) => return Err(e),
             }
         }
-        if !all_valid {
-            continue;
-        }
-        let chain = load_chain::<K>(dir, candidate, rank, ranks, fingerprint)?;
-        let newest = chain.last().expect("validated chain is never empty");
-        let next_round = newest.epoch + 1;
-        let rounds_total = newest.rounds_total;
-        let sizes_hash = newest.sizes_hash;
-        let histogram = KmerHistogram::from_buckets(newest.histogram.clone());
-        let received_records = newest.received_records;
-        let precounted_records = newest.precounted_records;
-        let decoded: BTreeMap<u32, u64> = newest.decoded.iter().copied().collect();
-        let mut tasks = Vec::new();
-        let mut task_sizes = Vec::new();
-        for m in chain {
-            tasks.extend(m.tasks);
-            task_sizes.extend(m.task_sizes);
-        }
-        return Ok(Some(RestoredState {
-            next_round,
-            rounds_total,
-            sizes_hash,
-            tasks,
-            task_sizes,
-            decoded,
-            histogram,
-            received_records,
-            precounted_records,
-        }));
+        let folded = mine.into_iter().reduce(|mut older, mut newer| {
+            older.state.tasks.append(&mut newer.state.tasks);
+            older.state.task_sizes.append(&mut newer.state.task_sizes);
+            newer.state.tasks = older.state.tasks;
+            newer.state.task_sizes = older.state.task_sizes;
+            newer
+        });
+        return Ok(folded);
     }
-    match mismatch {
-        // No usable epoch, and at least one manifest belongs to another run: refuse
-        // rather than silently starting over in a directory that was clearly meant
-        // for something else.
-        Some(e) => Err(e),
-        None => Ok(None),
-    }
+    Ok(None)
 }
 
-/// The per-rank checkpoint driver: owns the directory, the commit cadence, the
-/// restored seed and the delta marks, and writes one manifest per committed epoch.
-pub(crate) struct RoundCheckpointer<K: KmerCode> {
+/// The per-rank checkpoint driver: owns the directory, the commit cadence and the
+/// delta marks, and writes one manifest per committed epoch.
+pub(crate) struct RoundCheckpointer {
     dir: PathBuf,
     every: usize,
     rank: usize,
@@ -501,40 +371,27 @@ pub(crate) struct RoundCheckpointer<K: KmerCode> {
     rounds_total: Option<usize>,
     restored_rounds_total: Option<usize>,
     prev_epoch: Option<usize>,
-    /// How many entries of the accumulated `tasks` / `task_sizes` earlier epochs
+    /// How many entries of the round loop's `tasks` / `task_sizes` earlier epochs
     /// already cover (restored or committed) — the next manifest's delta starts here.
     tasks_mark: usize,
     sizes_mark: usize,
-    /// Cumulative scratch state of the committed epochs this generation did not
-    /// recount: the restored histogram and decode counters.
-    base_histogram: KmerHistogram,
-    base_received: u64,
-    base_precounted: u64,
-    seed: Option<RestoredSeed<K>>,
     /// Manifests committed by this generation (restored epochs not included).
     pub(crate) epochs_committed: usize,
 }
 
-/// The restored accumulators, handed to the round driver exactly once.
-struct RestoredSeed<K: KmerCode> {
-    tasks: Vec<TaskCounts<K>>,
-    task_sizes: Vec<u64>,
-    decoded: BTreeMap<u32, u64>,
-    next_round: usize,
-}
-
-impl<K: KmerCode> RoundCheckpointer<K> {
+impl RoundCheckpointer {
     /// Open the checkpoint directory for this rank: create it, and — when the run is
     /// resuming (`--resume`) or this is a recovery respawn (`generation > 0`) —
     /// restore the newest globally-consistent epoch and verify it matches this run's
-    /// input (`sizes_hash`).
-    pub(crate) fn open(
+    /// input (`sizes_hash`). Returns the checkpointer and the state the round loop
+    /// starts from.
+    pub(crate) fn open<K: KmerCode>(
         dir: &Path,
         cfg: &HySortKConfig,
         ctx: &RankCtx,
         fingerprint: u64,
         sizes_hash: u64,
-    ) -> Result<Self, HysortkError> {
+    ) -> Result<(Self, CountedState<K>), HysortkError> {
         let rank = ctx.rank();
         let ranks = ctx.size();
         fs::create_dir_all(dir).map_err(|source| HysortkError::Io {
@@ -555,54 +412,44 @@ impl<K: KmerCode> RoundCheckpointer<K> {
             prev_epoch: None,
             tasks_mark: 0,
             sizes_mark: 0,
-            base_histogram: KmerHistogram::new(cfg.max_count as usize + 2),
-            base_received: 0,
-            base_precounted: 0,
-            seed: None,
             epochs_committed: 0,
         };
-        if cfg.resume || ctx.generation() > 0 {
-            let restored = restore::<K>(dir, rank, ranks, fingerprint)
-                .map_err(|e| HysortkError::Config(format!("cannot resume: {e}")))?;
-            if let Some(state) = restored {
-                if state.sizes_hash != sizes_hash {
-                    return Err(HysortkError::Config(
-                        "cannot resume: the checkpointed task sizes do not match this \
-                         input (the files changed since the checkpoint was written)"
-                            .into(),
-                    ));
-                }
-                ckpt.restored_rounds_total = Some(state.rounds_total);
-                ckpt.prev_epoch = Some(state.next_round - 1);
-                ckpt.tasks_mark = state.tasks.len();
-                ckpt.sizes_mark = state.task_sizes.len();
-                ckpt.base_histogram = state.histogram;
-                ckpt.base_received = state.received_records;
-                ckpt.base_precounted = state.precounted_records;
-                trace::instant(
-                    "checkpoint-restored",
-                    trace::Detail::Stage,
-                    rank as u32,
-                    &[
-                        ("next_round", state.next_round as u64),
-                        ("rounds_total", state.rounds_total as u64),
-                    ],
-                );
-                trace::vlog!(
-                    rank,
-                    "checkpoint restored: resuming at round {} of {}",
-                    state.next_round,
-                    state.rounds_total
-                );
-                ckpt.seed = Some(RestoredSeed {
-                    tasks: state.tasks,
-                    task_sizes: state.task_sizes,
-                    decoded: state.decoded,
-                    next_round: state.next_round,
-                });
-            }
+        let restored = if cfg.resume || ctx.generation() > 0 {
+            restore::<K>(dir, rank, ranks, fingerprint)
+                .map_err(|e| HysortkError::Config(format!("cannot resume: {e}")))?
+        } else {
+            None
+        };
+        let Some(m) = restored else {
+            return Ok((ckpt, CountedState::default()));
+        };
+        if m.sizes_hash != sizes_hash {
+            return Err(HysortkError::Config(
+                "cannot resume: the checkpointed task sizes do not match this \
+                 input (the files changed since the checkpoint was written)"
+                    .into(),
+            ));
         }
-        Ok(ckpt)
+        ckpt.restored_rounds_total = Some(m.rounds_total);
+        ckpt.prev_epoch = Some(m.epoch);
+        ckpt.tasks_mark = m.state.tasks.len();
+        ckpt.sizes_mark = m.state.task_sizes.len();
+        trace::instant(
+            "checkpoint-restored",
+            trace::Detail::Stage,
+            rank as u32,
+            &[
+                ("next_round", m.state.next_round as u64),
+                ("rounds_total", m.rounds_total as u64),
+            ],
+        );
+        trace::vlog!(
+            rank,
+            "checkpoint restored: resuming at round {} of {}",
+            m.state.next_round,
+            m.rounds_total
+        );
+        Ok((ckpt, m.state))
     }
 
     /// Record the agreed round count of this exchange, cross-checking a restored
@@ -621,15 +468,6 @@ impl<K: KmerCode> RoundCheckpointer<K> {
         Ok(())
     }
 
-    /// Hand the restored accumulators (tasks, sizes, decoded totals) and the resume
-    /// cursor to the round driver. Empty state and round 0 on a fresh start.
-    pub(crate) fn take_seed(&mut self) -> SeedParts<K> {
-        match self.seed.take() {
-            Some(seed) => (seed.tasks, seed.task_sizes, seed.decoded, seed.next_round),
-            None => (Vec::new(), Vec::new(), BTreeMap::new(), 0),
-        }
-    }
-
     /// Whether round `round` is a commit boundary: every `checkpoint_every`-th round,
     /// and always the last round (so a completed run is completely durable).
     pub(crate) fn should_commit(&self, round: usize) -> bool {
@@ -639,63 +477,58 @@ impl<K: KmerCode> RoundCheckpointer<K> {
         (round + 1).is_multiple_of(self.every) || round + 1 == rounds
     }
 
-    /// Restored cumulative scratch state this generation did not recount; the driver
-    /// merges it into the assembled stage output.
-    pub(crate) fn restored_base(&self) -> (&KmerHistogram, u64, u64) {
-        (
-            &self.base_histogram,
-            self.base_received,
-            self.base_precounted,
-        )
-    }
-
-    /// Commit epoch `round` from the round loop's accumulators: snapshot the
-    /// cumulative scratch state out of the (idle) bank, write the delta since the
-    /// previous epoch, and advance the marks. Must run between job lists: a scratch a
+    /// Commit epoch `round` from the round loop's state: the runs and record totals
+    /// since the previous epoch, and the cumulative scratch state — the state's own
+    /// plus a snapshot of the (idle) bank's. Must run between job lists: a scratch a
     /// count job still holds would be missing from the snapshot.
-    pub(crate) fn commit(
+    pub(crate) fn commit<K: KmerCode>(
         &mut self,
         round: usize,
-        tasks: &[TaskCounts<K>],
-        task_sizes: &[u64],
-        decoded: &BTreeMap<u32, u64>,
+        state: &mut CountedState<K>,
         bank: &ScratchBank<CountScratch<K>>,
     ) -> Result<(), HysortkError> {
-        let mut histogram = self.base_histogram.clone();
-        let mut received = self.base_received;
-        let mut precounted = self.base_precounted;
         debug_assert!(
             bank.all_checked_in(),
             "epoch {round} committed while a count job still holds its scratch"
         );
+        // The delta moves into the manifest for the encode and back out after it.
+        let mut epoch = CountedState {
+            next_round: round + 1,
+            tasks: state.tasks.split_off(self.tasks_mark),
+            task_sizes: state.task_sizes.split_off(self.sizes_mark),
+            decoded: std::mem::take(&mut state.decoded),
+            histogram: state.histogram.clone(),
+            received_records: state.received_records,
+            precounted_records: state.precounted_records,
+        };
         bank.for_each(|scratch| {
-            histogram.merge(&scratch.histogram);
-            received += scratch.received_records;
-            precounted += scratch.precounted_records;
+            epoch.histogram.merge(&scratch.histogram);
+            epoch.received_records += scratch.received_records;
+            epoch.precounted_records += scratch.precounted_records;
         });
-        let rounds = self
-            .rounds_total
-            .expect("set_rounds_total precedes commits");
-        let bytes = encode_manifest::<K>(
-            self.fingerprint,
-            self.rank,
-            self.ranks,
-            round,
-            self.prev_epoch,
-            rounds,
-            self.sizes_hash,
-            received,
-            precounted,
-            histogram.buckets(),
-            decoded,
-            &task_sizes[self.sizes_mark..],
-            &tasks[self.tasks_mark..],
-        );
+        let manifest = Manifest {
+            fingerprint: self.fingerprint,
+            rank: self.rank,
+            ranks: self.ranks,
+            epoch: round,
+            prev_epoch: self.prev_epoch,
+            rounds_total: self
+                .rounds_total
+                .expect("set_rounds_total precedes commits"),
+            sizes_hash: self.sizes_hash,
+            state: epoch,
+        };
+        let bytes = manifest.to_bytes();
+        let mut epoch = manifest.state;
+        state.tasks.append(&mut epoch.tasks);
+        state.task_sizes.append(&mut epoch.task_sizes);
+        state.decoded = epoch.decoded;
+
         let manifest_bytes = bytes.len() as u64;
         atomic_write(&self.dir, round, self.rank, self.fault.as_deref(), &bytes)?;
         self.prev_epoch = Some(round);
-        self.tasks_mark = tasks.len();
-        self.sizes_mark = task_sizes.len();
+        self.tasks_mark = state.tasks.len();
+        self.sizes_mark = state.task_sizes.len();
         self.epochs_committed += 1;
         trace::instant(
             "checkpoint-epoch",
@@ -714,6 +547,8 @@ impl<K: KmerCode> RoundCheckpointer<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::tests::random_rank_output;
+    use hysortk_dna::extension::Extension;
     use hysortk_dna::kmer::{Kmer1, Kmer2};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -725,255 +560,222 @@ mod tests {
         dir
     }
 
-    type ManifestFields = (
-        Vec<u64>,
-        BTreeMap<u32, u64>,
-        Vec<u64>,
-        Vec<TaskCounts<Kmer1>>,
-    );
-
-    fn random_manifest_fields(rng: &mut StdRng) -> ManifestFields {
-        let histogram: Vec<u64> = (0..rng.gen_range(2..20)).map(|_| rng.gen()).collect();
-        let decoded: BTreeMap<u32, u64> = (0..rng.gen_range(0..10))
-            .map(|_| (rng.gen_range(0..100u32), rng.gen()))
-            .collect();
-        let sizes: Vec<u64> = (0..rng.gen_range(0..8)).map(|_| rng.gen()).collect();
-        let tasks: Vec<TaskCounts<Kmer1>> = (0..rng.gen_range(0..6))
-            .map(|_| {
-                let counts = (0..rng.gen_range(0..12))
-                    .map(|_| {
-                        let mut km = Kmer1::zero();
-                        for _ in 0..21 {
-                            km = km.push_base(21, rng.gen_range(0..4));
-                        }
-                        (km, rng.gen())
-                    })
-                    .collect();
-                TaskCounts { counts, ext: None }
-            })
-            .collect();
-        (histogram, decoded, sizes, tasks)
+    /// A random manifest whose delta is a random rank output's runs (with extension
+    /// lists on most runs when `with_ext`) and histogram.
+    fn random_manifest<K: KmerCode>(rng: &mut StdRng, with_ext: bool) -> Manifest<K> {
+        let out = random_rank_output::<K>(rng, with_ext);
+        let rank = rng.gen_range(0..16);
+        let epoch = rng.gen_range(0..1000);
+        Manifest {
+            fingerprint: rng.gen(),
+            rank,
+            ranks: rng.gen_range(rank + 1..20),
+            epoch,
+            prev_epoch: (epoch > 0 && rng.gen_bool(0.7)).then(|| rng.gen_range(0..epoch)),
+            rounds_total: epoch + 1,
+            sizes_hash: rng.gen(),
+            state: CountedState {
+                next_round: epoch + 1,
+                tasks: out.tasks,
+                task_sizes: (0..rng.gen_range(0..8)).map(|_| rng.gen()).collect(),
+                decoded: (0..rng.gen_range(0..10))
+                    .map(|_| (rng.gen_range(0..100u32), rng.gen()))
+                    .collect(),
+                histogram: out.histogram,
+                received_records: rng.gen(),
+                precounted_records: rng.gen(),
+            },
+        }
     }
 
     #[test]
     fn manifest_round_trips_across_ranks_and_epochs() {
-        // Property-style: many random manifests across ranks/epochs/link shapes must
-        // decode back to exactly what was encoded.
-        let mut rng = StdRng::seed_from_u64(0xC0FFEE);
-        for case in 0..40 {
-            let (histogram, decoded, sizes, tasks) = random_manifest_fields(&mut rng);
-            let rank = rng.gen_range(0..16);
-            let ranks = rng.gen_range(rank + 1..20);
-            let epoch = rng.gen_range(0..1000);
-            let prev = if epoch > 0 && rng.gen_bool(0.7) {
-                Some(rng.gen_range(0..epoch))
-            } else {
-                None
-            };
-            let fingerprint = rng.gen();
-            let sizes_hash = rng.gen();
-            let received = rng.gen();
-            let precounted = rng.gen();
-            let bytes = encode_manifest::<Kmer1>(
-                fingerprint,
-                rank,
-                ranks,
-                epoch,
-                prev,
-                epoch + 1,
-                sizes_hash,
-                received,
-                precounted,
-                &histogram,
-                &decoded,
-                &sizes,
-                &tasks,
-            );
-            let m = decode_manifest::<Kmer1>(&bytes).unwrap_or_else(|e| panic!("case {case}: {e}"));
-            assert_eq!(m.rank, rank);
-            assert_eq!(m.ranks, ranks);
-            assert_eq!(m.epoch, epoch);
-            assert_eq!(m.prev_epoch, prev);
-            assert_eq!(m.fingerprint, fingerprint);
-            assert_eq!(m.sizes_hash, sizes_hash);
-            assert_eq!(m.received_records, received);
-            assert_eq!(m.precounted_records, precounted);
-            assert_eq!(m.histogram, histogram);
-            assert_eq!(
-                m.decoded,
-                decoded.iter().map(|(&t, &i)| (t, i)).collect::<Vec<_>>()
-            );
-            assert_eq!(m.task_sizes, sizes);
-            assert_eq!(m.tasks.len(), tasks.len());
-            for (got, want) in m.tasks.iter().zip(&tasks) {
-                assert_eq!(got.counts, want.counts);
+        // Property-style: many random manifests across ranks/epochs/link shapes, on
+        // both k-mer widths and with extension runs, decode back to what was encoded.
+        fn round_trips<K: KmerCode>(seed: u64) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            for case in 0..40 {
+                let m = random_manifest::<K>(&mut rng, case % 2 == 1);
+                let bytes = m.to_bytes();
+                let back = Manifest::<K>::parse(&bytes, m.fingerprint)
+                    .unwrap_or_else(|_| panic!("case {case}"));
+                assert_eq!(
+                    (back.rank, back.ranks, back.epoch, back.prev_epoch),
+                    (m.rank, m.ranks, m.epoch, m.prev_epoch)
+                );
+                assert_eq!(back.state.decoded, m.state.decoded);
+                assert_eq!(back.state.histogram, m.state.histogram);
+                assert_eq!(back.to_bytes(), bytes, "case {case}: re-encoding");
             }
         }
+        round_trips::<Kmer1>(0xC0FFEE);
+        round_trips::<Kmer2>(0xC0FFEF);
     }
 
     #[test]
     fn every_single_bit_flip_is_detected() {
         let mut rng = StdRng::seed_from_u64(7);
-        let (histogram, decoded, sizes, tasks) = random_manifest_fields(&mut rng);
-        let bytes = encode_manifest::<Kmer1>(
-            11,
-            0,
-            2,
-            3,
-            Some(1),
-            5,
-            22,
-            33,
-            44,
-            &histogram,
-            &decoded,
-            &sizes,
-            &tasks,
-        );
-        decode_manifest::<Kmer1>(&bytes).unwrap();
+        let m = random_manifest::<Kmer1>(&mut rng, true);
+        let bytes = m.to_bytes();
+        let parse = |bytes: &[u8]| Manifest::<Kmer1>::parse(bytes, m.fingerprint);
+        assert!(parse(&bytes).is_ok());
         // Flip one bit in a spread of positions, including the checksum itself.
         for pos in (0..bytes.len()).step_by(7).chain([bytes.len() - 1]) {
             let mut corrupt = bytes.clone();
             corrupt[pos] ^= 0x10;
             assert!(
-                decode_manifest::<Kmer1>(&corrupt).is_err(),
+                matches!(parse(&corrupt), Err(Defect::Damaged(_))),
                 "flip at byte {pos} went undetected"
             );
         }
         // Truncation, including into the checksum trailer.
         for cut in [1, 4, bytes.len() / 2, bytes.len() - 2] {
-            assert!(decode_manifest::<Kmer1>(&bytes[..cut]).is_err());
+            assert!(matches!(parse(&bytes[..cut]), Err(Defect::Damaged(_))));
         }
     }
 
-    /// Prefixes, re-sealed bit flips and hostile counts: a manifest decodes to a value
-    /// or a typed error, never a panic, and a count is bounded by the elements the bytes
-    /// left can hold. A re-sealed manifest is what a forger who knows the checksum writes.
-    fn manifest_decoding_survives_a_seeded_fuzz_loop<K: KmerCode>(seed: u64) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let histogram: Vec<u64> = (0..5).map(|_| rng.gen()).collect();
-        let decoded: BTreeMap<u32, u64> = (0..4).map(|task| (task, rng.gen())).collect();
-        // Every task holds an entry, so no count field is the manifest's last bytes.
-        let tasks: Vec<TaskCounts<K>> = (1..4)
-            .map(|entries| TaskCounts {
-                counts: (0..entries)
-                    .map(|_| (K::from_word_slice(&[rng.gen(); 2][..K::WORDS]), rng.gen()))
-                    .collect(),
-                ext: None,
+    /// Heap bytes a decoded state holds.
+    fn heap_bytes<K: KmerCode>(state: &CountedState<K>) -> usize {
+        use std::mem::size_of;
+        let runs: usize = (state.tasks.iter())
+            .map(|task| {
+                task.counts.capacity() * size_of::<(K, u64)>()
+                    + task.ext.as_ref().map_or(0, |ext| {
+                        ext.records.capacity() * size_of::<(K, Extension)>()
+                            + ext.ranges.capacity() * size_of::<(u32, u32)>()
+                    })
             })
-            .collect();
-        let bytes = encode_manifest::<K>(
-            11,
-            1,
-            3,
-            4,
-            Some(2),
-            9,
-            22,
-            33,
-            44,
-            &histogram,
-            &decoded,
-            &[7, 8],
-            &tasks,
-        );
-        decode_manifest::<K>(&bytes).expect("the encoder's bytes decode");
-        let body = bytes.len() - 4;
-        let resealed = |mut bytes: Vec<u8>| {
-            let at = bytes.len() - 4;
-            let sum = checksum32(&bytes[..at]);
-            bytes[at..].copy_from_slice(&sum.to_le_bytes());
-            decode_manifest::<K>(&bytes)
-        };
+            .sum();
+        runs + state.tasks.capacity() * size_of::<TaskCounts<K>>()
+            + state.task_sizes.capacity() * 8
+            + state.decoded.len() * 16
+            + state.histogram.buckets().len() * 8
+    }
 
-        for cut in 0..bytes.len() {
-            assert!(decode_manifest::<K>(&bytes[..cut]).is_err(), "prefix {cut}");
-            // Sealed as a manifest of its own, every cut but the whole body is short of
-            // a field or carries trailer bytes as trailing garbage.
-            let sealed = resealed([&bytes[..cut], &[0; 4]].concat());
-            assert!(cut == body || sealed.is_err(), "re-sealed prefix {cut}");
-        }
-        for _ in 0..600 {
-            let mut flipped = bytes.clone();
-            let bit = rng.gen_range(0..body * 8);
-            flipped[bit / 8] ^= 1 << (bit % 8);
-            let _ = resealed(flipped);
-        }
-        // The count fields and their elements' widths, walked past the 68-byte header:
-        // histogram, decoded totals, task sizes, tasks, and each task's entries. The task
-        // count is followed by the tasks, not by elements of its own.
-        let count = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
-        let entry = (K::WORDS + 1) * 8;
-        let (mut fields, mut at) = (Vec::new(), 68);
-        for width in [8, 12, 8, 4].into_iter().chain(vec![entry; tasks.len()]) {
-            fields.push((at, width));
-            at += 4 + if width == 4 { 0 } else { count(at) * width };
-        }
-        assert_eq!(at, body, "the walk ends at the trailer");
-        for (at, width) in fields {
-            let left = body - (at + 4);
-            for value in [u32::MAX as usize, left, left / width + 1] {
-                let mut forged = bytes.clone();
-                forged[at..at + 4].copy_from_slice(&(value as u32).to_le_bytes());
-                let forged = resealed(forged);
+    /// Prefixes, re-sealed prefixes, bit flips and forged lengths: a manifest decodes to
+    /// a value or a typed error, never a panic, and what it decodes to holds at most 16
+    /// heap bytes per manifest byte (the bound every pre-allocation of the decode keeps
+    /// against the bytes left). A re-sealed manifest is what a forger who knows the
+    /// checksum writes. Returns how many extension-list lengths it forged.
+    fn manifest_decoding_survives_a_seeded_fuzz_loop<K: KmerCode>(seed: u64) -> usize {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut forged_lists = 0;
+        for case in 0..8 {
+            let m = random_manifest::<K>(&mut rng, case % 2 == 1);
+            let bytes = m.to_bytes();
+            let parse = |bytes: &[u8]| Manifest::<K>::parse(bytes, m.fingerprint);
+            parse(&bytes).unwrap_or_else(|_| panic!("case {case}: the encoder's bytes decode"));
+            let body = bytes.len() - 4;
+            let resealed = |mut bytes: Vec<u8>| {
+                let at = bytes.len() - 4;
+                let sum = checksum32(&bytes[..at]);
+                bytes[at..].copy_from_slice(&sum.to_le_bytes());
+                parse(&bytes)
+            };
+
+            for cut in 0..bytes.len() {
+                assert!(parse(&bytes[..cut]).is_err(), "case {case}: prefix {cut}");
+                // Sealed as a manifest of its own, every cut but the whole body is short
+                // of a field or carries trailer bytes as trailing garbage.
+                let sealed = resealed([&bytes[..cut], &[0; 4]].concat());
                 assert!(
-                    forged.is_err(),
-                    "count {value} at byte {at} (width {width})"
+                    cut == body || sealed.is_err(),
+                    "case {case}: re-sealed prefix {cut}"
                 );
             }
+            for _ in 0..300 {
+                let mut flipped = bytes.clone();
+                let bit = rng.gen_range(0..body * 8);
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                if let Ok(decoded) = resealed(flipped) {
+                    assert!(
+                        heap_bytes(&decoded.state) <= 16 * bytes.len(),
+                        "case {case}"
+                    );
+                }
+            }
+
+            // The length fields of the state, walked from its start: the run count, each
+            // run's entry count and (with extensions) each retained k-mer's list length
+            // — a `u32` of 8-byte extensions — then the task sizes, the decoded totals
+            // and the histogram. `(offset, element width, u32 field)`.
+            let state = &m.state;
+            let entry = (K::WORDS + 1) * 8;
+            let mut at = body - hysortk_dmem::wire::to_bytes(state).len() + 8;
+            let mut fields = vec![(at, 9, false)];
+            at += 8;
+            for task in &state.tasks {
+                fields.push((at, entry, false));
+                at += 8 + task.counts.len() * entry + 1;
+                for &(_, len) in task.ext.iter().flat_map(|ext| &ext.ranges) {
+                    fields.push((at, Extension::WIRE_BYTES, true));
+                    at += 4 + len as usize * Extension::WIRE_BYTES;
+                }
+            }
+            for (len, width) in [
+                (state.task_sizes.len(), 8),
+                (state.decoded.len(), 12),
+                (state.histogram.buckets().len(), 8),
+            ] {
+                fields.push((at, width, false));
+                at += 8 + len * width;
+            }
+            assert_eq!(
+                at + 16,
+                body,
+                "case {case}: the walk ends at the record counters"
+            );
+            for (at, width, narrow) in fields {
+                let size = if narrow { 4 } else { 8 };
+                let left = body - (at + size);
+                forged_lists += usize::from(narrow);
+                for value in [u64::MAX, left as u64, (left / width + 1) as u64] {
+                    let mut forged = bytes.clone();
+                    forged[at..at + size].copy_from_slice(&value.to_le_bytes()[..size]);
+                    assert!(
+                        resealed(forged).is_err(),
+                        "case {case}: length {value} at byte {at} (width {width})"
+                    );
+                }
+            }
         }
+        forged_lists
     }
 
     #[test]
     fn manifest_decoding_survives_a_seeded_fuzz_loop_on_both_kmer_widths() {
-        manifest_decoding_survives_a_seeded_fuzz_loop::<Kmer1>(41);
-        manifest_decoding_survives_a_seeded_fuzz_loop::<Kmer2>(42);
+        let lists = manifest_decoding_survives_a_seeded_fuzz_loop::<Kmer1>(41)
+            + manifest_decoding_survives_a_seeded_fuzz_loop::<Kmer2>(42);
+        assert!(lists > 0, "no extension list length was forged");
     }
 
     /// Write a small two-epoch chain for `ranks` ranks: epoch 0 (one task) and
     /// epoch `head` linking back to it.
     fn write_chain(dir: &Path, ranks: usize, fingerprint: u64, head: usize) {
         for rank in 0..ranks {
-            let task = TaskCounts::<Kmer1> {
-                counts: vec![(Kmer1::zero(), 5 + rank as u64)],
-                ext: None,
-            };
-            let bytes = encode_manifest::<Kmer1>(
-                fingerprint,
-                rank,
-                ranks,
-                0,
-                None,
-                head + 1,
-                99,
-                10,
-                0,
-                &[0, 1],
-                &BTreeMap::from([(0u32, 1u64)]),
-                &[1],
-                std::slice::from_ref(&task),
-            );
-            atomic_write(dir, 0, rank, None, &bytes).unwrap();
-            let task2 = TaskCounts::<Kmer1> {
-                counts: vec![(Kmer1::zero(), 100 + rank as u64)],
-                ext: None,
-            };
-            let bytes = encode_manifest::<Kmer1>(
-                fingerprint,
-                rank,
-                ranks,
-                head,
-                Some(0),
-                head + 1,
-                99,
-                20,
-                0,
-                &[0, 2],
-                &BTreeMap::from([(0u32, 2u64)]),
-                &[2],
-                std::slice::from_ref(&task2),
-            );
-            atomic_write(dir, head, rank, None, &bytes).unwrap();
+            for (epoch, prev_epoch, count, size) in [(0, None, 5, 1), (head, Some(0), 100, 2)] {
+                let m = Manifest::<Kmer1> {
+                    fingerprint,
+                    rank,
+                    ranks,
+                    epoch,
+                    prev_epoch,
+                    rounds_total: head + 1,
+                    sizes_hash: 99,
+                    state: CountedState {
+                        next_round: epoch + 1,
+                        tasks: vec![TaskCounts {
+                            counts: vec![(Kmer1::zero(), count + rank as u64)],
+                            ext: None,
+                        }],
+                        task_sizes: vec![size],
+                        decoded: BTreeMap::from([(0, size)]),
+                        received_records: 10 * size,
+                        ..CountedState::default()
+                    },
+                };
+                atomic_write(dir, epoch, rank, None, &m.to_bytes()).unwrap();
+            }
         }
     }
 
@@ -981,17 +783,17 @@ mod tests {
     fn restore_picks_the_newest_consistent_epoch_and_concatenates_deltas() {
         let dir = tmp_dir("restore");
         write_chain(&dir, 2, 42, 3);
-        let state = restore::<Kmer1>(&dir, 1, 2, 42).unwrap().unwrap();
-        assert_eq!(state.next_round, 4);
-        assert_eq!(state.rounds_total, 4);
-        assert_eq!(state.sizes_hash, 99);
+        let m = restore::<Kmer1>(&dir, 1, 2, 42).unwrap().unwrap();
+        assert_eq!(m.state.next_round, 4);
+        assert_eq!(m.rounds_total, 4);
+        assert_eq!(m.sizes_hash, 99);
         // Deltas concatenate oldest-first; cumulative fields come from the head.
-        assert_eq!(state.task_sizes, vec![1, 2]);
-        assert_eq!(state.tasks.len(), 2);
-        assert_eq!(state.tasks[0].counts[0].1, 6);
-        assert_eq!(state.tasks[1].counts[0].1, 101);
-        assert_eq!(state.received_records, 20);
-        assert_eq!(state.decoded, BTreeMap::from([(0u32, 2u64)]));
+        assert_eq!(m.state.task_sizes, vec![1, 2]);
+        assert_eq!(m.state.tasks.len(), 2);
+        assert_eq!(m.state.tasks[0].counts[0].1, 6);
+        assert_eq!(m.state.tasks[1].counts[0].1, 101);
+        assert_eq!(m.state.received_records, 20);
+        assert_eq!(m.state.decoded, BTreeMap::from([(0u32, 2u64)]));
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1005,8 +807,11 @@ mod tests {
             b"half a manifest",
         )
         .unwrap();
-        let state = restore::<Kmer1>(&dir, 0, 2, 42).unwrap().unwrap();
-        assert_eq!(state.next_round, 2, "the torn epoch 2 must not be restored");
+        let m = restore::<Kmer1>(&dir, 0, 2, 42).unwrap().unwrap();
+        assert_eq!(
+            m.state.next_round, 2,
+            "the torn epoch 2 must not be restored"
+        );
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1023,10 +828,13 @@ mod tests {
 
         // Every rank (not only the corrupted one) must agree on the fallback epoch.
         for rank in 0..3 {
-            let state = restore::<Kmer1>(&dir, rank, 3, 42).unwrap().unwrap();
-            assert_eq!(state.next_round, 1, "rank {rank} must fall back to epoch 0");
-            assert_eq!(state.received_records, 10);
-            assert_eq!(state.tasks.len(), 1);
+            let m = restore::<Kmer1>(&dir, rank, 3, 42).unwrap().unwrap();
+            assert_eq!(
+                m.state.next_round, 1,
+                "rank {rank} must fall back to epoch 0"
+            );
+            assert_eq!(m.state.received_records, 10);
+            assert_eq!(m.state.tasks.len(), 1);
         }
         fs::remove_dir_all(&dir).ok();
     }
@@ -1045,18 +853,58 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
+    /// A complete, checksummed manifest of format version 1 as that format laid it out
+    /// — a 68-byte header, then `u32`-counted fields — for epoch 0, holding nothing.
+    fn version_1_manifest(fingerprint: u64, rank: u32, ranks: u32) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        (1u32, fingerprint).encode(&mut out);
+        (rank, ranks, 0u32).encode(&mut out);
+        // prev_epoch (none), rounds_total, sizes_hash, k-mer words, record counters.
+        (-1i64, 1u32, 99u64).encode(&mut out);
+        (1u32, 0u64, 0u64).encode(&mut out);
+        // Two empty histogram buckets; no decoded totals, task sizes or tasks.
+        (2u32, 0u64, 0u64).encode(&mut out);
+        (0u32, 0u32, 0u32).encode(&mut out);
+        checksum32(&out).encode(&mut out);
+        out
+    }
+
+    /// An intact manifest of another run is refused whatever its body holds: another
+    /// fingerprint, another k-mer width (its fingerprint folds in `K::WORDS`, and its
+    /// body would not decode at this width), or another format version.
     #[test]
     fn foreign_fingerprints_are_loud_not_silent() {
+        fn refusal<K: KmerCode>(dir: &Path, fingerprint: u64) -> String {
+            match restore::<K>(dir, 0, 2, fingerprint) {
+                Err(e) => e,
+                Ok(_) => panic!("a foreign manifest must not restore"),
+            }
+        }
         let dir = tmp_dir("fingerprint");
         write_chain(&dir, 2, 42, 1);
-        let err = match restore::<Kmer1>(&dir, 0, 2, 43) {
-            Err(e) => e,
-            Ok(_) => panic!("a foreign fingerprint must not restore"),
-        };
+        let err = refusal::<Kmer1>(&dir, 43);
         assert!(
-            err.contains("different run configuration"),
-            "unexpected error: {err}"
+            err.ends_with("written by a different run configuration"),
+            "{err}"
         );
+
+        let cfg = HySortKConfig::small(21, 9, 2);
+        let narrow = run_fingerprint::<Kmer1>(&cfg, cfg.num_tasks());
+        let dir = tmp_dir("fingerprint");
+        write_chain(&dir, 2, narrow, 1);
+        let err = refusal::<Kmer2>(&dir, run_fingerprint::<Kmer2>(&cfg, cfg.num_tasks()));
+        assert!(
+            err.ends_with("written by a different run configuration"),
+            "{err}"
+        );
+
+        let dir = tmp_dir("fingerprint");
+        for rank in 0..2u32 {
+            let path = manifest_path(&dir, 0, rank as usize);
+            fs::write(path, version_1_manifest(42, rank, 2)).unwrap();
+        }
+        let err = refusal::<Kmer1>(&dir, 42);
+        assert!(err.contains("format version 1"), "{err}");
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -82,8 +82,7 @@ pub struct HySortKConfig {
     pub data_scale: f64,
     /// Directory that receives the per-rank, epoch-numbered checkpoint manifests of
     /// the file-fed pipeline (`hysortk count --checkpoint <dir>`). `None` disables
-    /// checkpointing. Requires `with_extension` to be off: extension provenance is
-    /// not part of the manifest format.
+    /// checkpointing.
     pub checkpoint_dir: Option<std::path::PathBuf>,
     /// Write a manifest every N committed exchange rounds (the final round always
     /// commits, so the run ends durable regardless). Default 1: every round.
@@ -268,13 +267,6 @@ impl HySortKConfig {
         if self.resume && self.checkpoint_dir.is_none() {
             return Err("resume requires a checkpoint directory".to_string());
         }
-        if self.checkpoint_dir.is_some() && self.with_extension {
-            return Err(
-                "checkpointing does not cover extension provenance; disable with_extension \
-                 or run without --checkpoint"
-                    .to_string(),
-            );
-        }
         if self.io_retries == 0 {
             return Err(
                 "io_retries must be at least 1 (the first read attempt counts)".to_string(),
@@ -359,9 +351,6 @@ mod tests {
 
         let mut cfg = HySortKConfig::default();
         cfg.checkpoint_dir = Some("ckpt".into());
-        cfg.with_extension = true;
-        assert!(cfg.validate().unwrap_err().contains("extension"));
-        cfg.with_extension = false;
         cfg.resume = true;
         cfg.validate().unwrap();
 

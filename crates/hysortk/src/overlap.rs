@@ -52,7 +52,6 @@
 //! per-exchange state — is closed as soon as its last round has completed, inside the
 //! loop, not after the final drain step that only counts.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use hysortk_dmem::{FaultPlan, FlatReceived, RankCtx};
@@ -60,7 +59,7 @@ use hysortk_dna::kmer::KmerCode;
 use hysortk_task::{ScratchBank, WorkerPool};
 use hysortk_trace as trace;
 
-use crate::checkpoint::RoundCheckpointer;
+use crate::checkpoint::{CountedState, RoundCheckpointer};
 use crate::error::HysortkError;
 use crate::pipeline::{timed, SendSerializer, WallBuckets};
 use crate::stage3::{
@@ -276,10 +275,12 @@ impl<K: KmerCode> JobLists<'_, K> {
 /// already on the abort board, and keeping it intact is what lets the recovery layer
 /// decide whether the failure class is recoverable.
 ///
-/// With a checkpointer attached, the driver resumes from its restored round cursor
+/// The loop starts from `state` — what earlier generations (or runs) counted, restored
+/// from a checkpoint, or [`Default`] on a fresh start: it resumes at its round cursor
 /// (skipping committed rounds entirely — the round engine is sized to the remaining
-/// window) and commits an epoch manifest after each boundary round completes counting
-/// — after the job list returned, when every [`CountScratch`] is back in the bank.
+/// window) and folds its counters into the output. With a checkpointer attached, it
+/// commits an epoch manifest after each boundary round completes counting — after the
+/// job list returned, when every [`CountScratch`] is back in the bank.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn exchange_and_count<K: KmerCode>(
     ctx: &mut RankCtx,
@@ -290,7 +291,8 @@ pub(crate) fn exchange_and_count<K: KmerCode>(
     k: usize,
     params: &CountParams,
     pool: &WorkerPool,
-    mut ckpt: Option<&mut RoundCheckpointer<K>>,
+    mut state: CountedState<K>,
+    mut ckpt: Option<&mut RoundCheckpointer>,
     wall: &mut WallBuckets,
 ) -> Result<OverlapRun<K>, HysortkError> {
     let _stage_span = trace::span!("stage23-overlap", trace::Detail::Stage, ctx.rank());
@@ -304,20 +306,15 @@ pub(crate) fn exchange_and_count<K: KmerCode>(
     let rounds = plan.local_rounds.max(1);
     let rank = ctx.rank();
 
-    // Restored accumulators and the resume cursor: the rounds before `start` were
-    // committed by an earlier generation (or run) and are not re-exchanged. Restore
-    // is deterministic over the shared directory, so every rank derives the same
-    // cursor — the resumed round window stays SPMD-uniform.
-    let (mut all_tasks, mut task_sizes, mut decoded, start) = match ckpt.as_deref_mut() {
-        Some(c) => {
-            if let Err(e) = c.set_rounds_total(rounds) {
-                ctx.abort(&e.to_string());
-                return Err(e);
-            }
-            c.take_seed()
-        }
-        None => (Vec::new(), Vec::new(), BTreeMap::new(), 0),
-    };
+    // The resume cursor: the rounds before `start` were committed by an earlier
+    // generation (or run) and are not re-exchanged. Restore is deterministic over the
+    // shared directory, so every rank derives the same cursor — the resumed round
+    // window stays SPMD-uniform.
+    if let Some(Err(e)) = ckpt.as_deref_mut().map(|c| c.set_rounds_total(rounds)) {
+        ctx.abort(&e.to_string());
+        return Err(e);
+    }
+    let start = state.next_round;
 
     let mut lists = JobLists {
         rank,
@@ -382,13 +379,13 @@ pub(crate) fn exchange_and_count<K: KmerCode>(
                     })?,
                     None => BlockIndexBuilder::new().finish(),
                 };
-                task_sizes.extend(index.task_sizes());
-                index.accumulate_instances(&mut decoded);
+                state.task_sizes.extend(index.task_sizes());
+                index.accumulate_instances(&mut state.decoded);
 
                 let send = fill.then(|| engine.as_ref().expect(OPEN).take_send_buffer());
                 let list = lists.run(step, send, &index.slots, &mut counts, wall)?;
                 drop(index);
-                all_tasks.extend(list.counted);
+                state.tasks.extend(list.counted);
                 heavy_local_sorted += list.heavy_local_sorted;
                 let moved = (list.send.as_ref().map_or(0, Vec::len) + drained_bytes) as u64;
                 if in_flight.is_some() {
@@ -413,7 +410,7 @@ pub(crate) fn exchange_and_count<K: KmerCode>(
                                 rank,
                                 round = round,
                             );
-                            c.commit(round, &all_tasks, &task_sizes, &decoded, &lists.bank)
+                            c.commit(round, &mut state, &lists.bank)
                         })?;
                     }
                 }
@@ -450,7 +447,9 @@ pub(crate) fn exchange_and_count<K: KmerCode>(
     // end-of-exchange reconciliation against the allreduced sizes can. It covers
     // restored rounds too (their decoded totals rode along in the manifests), so a
     // fully-restored run that skipped the engine is still reconciled.
-    if let Err(source) = stage3::verify_decoded_totals(&decoded, &tasks_of[rank], global_sizes) {
+    if let Err(source) =
+        stage3::verify_decoded_totals(&state.decoded, &tasks_of[rank], global_sizes)
+    {
         let e = HysortkError::Wire {
             rank,
             round: rounds - 1,
@@ -460,17 +459,22 @@ pub(crate) fn exchange_and_count<K: KmerCode>(
         return Err(e);
     }
 
+    // The scratches only saw the rounds this generation counted; the state's counters
+    // hold the rest.
+    let CountedState {
+        tasks,
+        task_sizes,
+        histogram,
+        received_records,
+        precounted_records,
+        ..
+    } = state;
     let mut out = timed(&mut wall.count, || {
-        Stage3Output::assemble(all_tasks, lists.bank.into_scratches(), params.max_count)
+        Stage3Output::assemble(tasks, lists.bank.into_scratches(), params.max_count)
     });
-    if let Some(c) = ckpt {
-        // The scratches only saw the rounds this generation recounted; fold the
-        // restored cumulative histogram and decode counters back in.
-        let (histogram, received, precounted) = c.restored_base();
-        out.histogram.merge(histogram);
-        out.received_records += received;
-        out.precounted_records += precounted;
-    }
+    out.histogram.merge(&histogram);
+    out.received_records += received_records;
+    out.precounted_records += precounted_records;
     Ok(OverlapRun {
         out,
         task_sizes,

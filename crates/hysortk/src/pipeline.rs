@@ -65,12 +65,12 @@ use hysortk_task::{
 };
 use hysortk_trace as trace;
 
-use crate::checkpoint::{run_fingerprint, sizes_hash, RoundCheckpointer};
+use crate::checkpoint::{run_fingerprint, sizes_hash, CountedState, RoundCheckpointer};
 use crate::config::HySortKConfig;
 use crate::error::HysortkError;
 use crate::ingest::ingest_shard;
 use crate::result::{CountResult, KmerHistogram, KmerRuns, RunReport, StageWallTimes};
-use crate::stage3::{self, CountParams, TaskCounts, TaskExtensions};
+use crate::stage3::{self, CountParams, TaskCounts};
 use crate::wire::{
     push_supermer, write_block, write_supermer_block, SupermersView, TaskPayload, MAX_SECTIONS,
 };
@@ -170,8 +170,8 @@ pub(crate) struct RankCounters {
 /// Per-rank result of the pipeline: the rank's counted tasks — each a sorted run of
 /// retained k-mers, as its count job emitted it — for the root to assemble.
 pub(crate) struct RankOutput<K: KmerCode> {
-    tasks: Vec<TaskCounts<K>>,
-    histogram: KmerHistogram,
+    pub(crate) tasks: Vec<TaskCounts<K>>,
+    pub(crate) histogram: KmerHistogram,
     pub(crate) counters: RankCounters,
 }
 
@@ -245,83 +245,18 @@ impl Wire for RankCounters {
     }
 }
 
-/// Codec carrying a rank's entire output home from a forked rank process: run by run,
-/// a length and the `(k-mer, count)` entries, then — when the run carries extensions —
-/// every retained k-mer's extension list (of a task's sorted record array only those
-/// travel). K-mer codes go as their packed words (`K::WORDS` per code), extensions as
-/// their fixed 8-byte encoding — the same representations the exchange wire format
-/// uses, so the process backend adds no new byte-level invariants.
-///
-/// `decode` trusts no length it reads: every allocation is bounded by the bytes still
-/// in the input, and a run's extension ranges are rebuilt from the list lengths, so
-/// they always lie within its records.
+/// Codec carrying a rank's entire output home from a forked rank process: its runs
+/// ([`TaskCounts`]' codec, extensions included), its histogram and its counters.
 impl<K: KmerCode> Wire for RankOutput<K> {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.tasks.len().encode(out);
-        for task in &self.tasks {
-            task.counts.len().encode(out);
-            for (code, count) in &task.counts {
-                for &w in code.word_slice() {
-                    w.encode(out);
-                }
-                count.encode(out);
-            }
-            match &task.ext {
-                None => false.encode(out),
-                Some(ext) => {
-                    true.encode(out);
-                    for (i, (_, len)) in ext.ranges.iter().enumerate() {
-                        len.encode(out);
-                        for (_, e) in ext.records_of(i) {
-                            out.extend_from_slice(&e.to_bytes());
-                        }
-                    }
-                }
-            }
-        }
+        self.tasks.encode(out);
         self.histogram.encode(out);
         self.counters.encode(out);
     }
 
     fn decode(input: &mut &[u8]) -> Option<Self> {
-        let entry_bytes = (K::WORDS + 1) * 8;
-        // A run is at least its length and its extension flag.
-        let runs = usize::decode(input)?;
-        let mut tasks = Vec::with_capacity(runs.min(input.len() / 9));
-        let mut words = vec![0u64; K::WORDS];
-        for _ in 0..runs {
-            let entries = usize::decode(input)?;
-            let mut counts = Vec::with_capacity(entries.min(input.len() / entry_bytes));
-            for _ in 0..entries {
-                for w in &mut words {
-                    *w = u64::decode(input)?;
-                }
-                counts.push((K::from_word_slice(&words), u64::decode(input)?));
-            }
-            let ext = if bool::decode(input)? {
-                let mut records = Vec::new();
-                let mut ranges = Vec::with_capacity(counts.len());
-                for &(km, _) in &counts {
-                    let len = u32::decode(input)?;
-                    let start = u32::try_from(records.len()).ok()?;
-                    start.checked_add(len)?;
-                    let bytes = (len as usize).checked_mul(Extension::WIRE_BYTES)?;
-                    let (list, rest) = input.split_at_checked(bytes)?;
-                    *input = rest;
-                    records.extend(list.chunks_exact(Extension::WIRE_BYTES).map(|e| {
-                        let e = e.try_into().expect("chunks of the wire size");
-                        (km, Extension::from_bytes(e))
-                    }));
-                    ranges.push((start, len));
-                }
-                Some(TaskExtensions { records, ranges })
-            } else {
-                None
-            };
-            tasks.push(TaskCounts { counts, ext });
-        }
         Some(RankOutput {
-            tasks,
+            tasks: TaskCounts::decode_runs(input)?,
             histogram: KmerHistogram::decode(input)?,
             counters: RankCounters::decode(input)?,
         })
@@ -908,11 +843,11 @@ pub(crate) fn stages_2_and_3<K: KmerCode>(
         .checkpoint_dir
         .is_some()
         .then(|| trace::span("checkpoint-open", trace::Detail::Stage, ctx.rank() as u32));
-    let mut ckpt: Option<RoundCheckpointer<K>> = match &cfg.checkpoint_dir {
+    let (mut ckpt, state) = match &cfg.checkpoint_dir {
         Some(dir) => {
             let fingerprint = run_fingerprint::<K>(cfg, num_tasks);
             match RoundCheckpointer::open(dir, cfg, ctx, fingerprint, sizes_hash(&global_sizes)) {
-                Ok(c) => Some(c),
+                Ok((c, state)) => (Some(c), state),
                 Err(e) => {
                     // Opening is local-only work before any further collective;
                     // publish so peers already heading into the exchange unblock.
@@ -921,7 +856,7 @@ pub(crate) fn stages_2_and_3<K: KmerCode>(
                 }
             }
         }
-        None => None,
+        None => (None, CountedState::default()),
     };
     drop(open_span);
     if cfg.checkpoint_dir.is_some() {
@@ -955,6 +890,7 @@ pub(crate) fn stages_2_and_3<K: KmerCode>(
         k,
         &params,
         pool,
+        state,
         ckpt.as_mut(),
         &mut counters.wall,
     )?;
@@ -1242,9 +1178,10 @@ pub(crate) fn merge_outputs<K: KmerCode>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::reference::{reference_counts_bounded, reference_extensions};
+    use crate::stage3::TaskExtensions;
     use hysortk_dna::kmer::{Kmer1, Kmer2};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1612,7 +1549,10 @@ mod tests {
     /// A rank output of random sorted runs; with `with_ext`, most runs carry a record
     /// array in which retained k-mers' extension lists (some empty) sit between records
     /// of k-mers that were not retained.
-    fn random_rank_output<K: KmerCode>(rng: &mut StdRng, with_ext: bool) -> RankOutput<K> {
+    pub(crate) fn random_rank_output<K: KmerCode>(
+        rng: &mut StdRng,
+        with_ext: bool,
+    ) -> RankOutput<K> {
         let tasks = (0..rng.gen_range(0..5))
             .map(|_| {
                 let mut kmers: Vec<K> = (0..rng.gen_range(0..40))

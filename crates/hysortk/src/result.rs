@@ -27,15 +27,6 @@ impl KmerHistogram {
         }
     }
 
-    /// Rebuild a histogram from raw buckets (a checkpoint manifest's cumulative
-    /// snapshot). Padded to the two-bucket minimum so `record` stays in bounds.
-    pub fn from_buckets(mut buckets: Vec<u64>) -> Self {
-        if buckets.len() < 2 {
-            buckets.resize(2, 0);
-        }
-        KmerHistogram { buckets }
-    }
-
     /// Record one distinct k-mer with multiplicity `count`.
     pub fn record(&mut self, count: u64) {
         let idx = (count as usize).min(self.buckets.len() - 1);
@@ -71,6 +62,13 @@ impl KmerHistogram {
     /// The raw buckets.
     pub fn buckets(&self) -> &[u64] {
         &self.buckets
+    }
+}
+
+/// Two empty buckets: the histogram of nothing counted.
+impl Default for KmerHistogram {
+    fn default() -> Self {
+        KmerHistogram::new(2)
     }
 }
 

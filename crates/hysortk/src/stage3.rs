@@ -60,6 +60,7 @@
 
 use std::collections::BTreeMap;
 
+use hysortk_dmem::Wire;
 use hysortk_dna::extension::Extension;
 use hysortk_dna::kmer::KmerCode;
 use hysortk_perfmodel::SortAlgorithm;
@@ -455,6 +456,87 @@ pub struct TaskCounts<K: KmerCode> {
     pub counts: Vec<(K, u64)>,
     /// Extension ranges, when the run was configured with extensions.
     pub ext: Option<TaskExtensions<K>>,
+}
+
+/// The one codec of a counted run, for every run that leaves a rank's memory: home from
+/// a forked rank, and into a checkpoint manifest. A length and the `(k-mer, count)`
+/// entries, then — when the run carries extensions — every retained k-mer's extension
+/// list (of the sorted record array only those travel). K-mer codes go as their packed
+/// words (`K::WORDS` per code), extensions as their fixed 8-byte encoding — the same
+/// representations the exchange wire format uses.
+///
+/// `decode` trusts no length it reads: every pre-allocation is bounded by the bytes
+/// still in the input, and the extension ranges are rebuilt from the list lengths, so
+/// they always lie within the records.
+impl<K: KmerCode> Wire for TaskCounts<K> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.counts.len().encode(out);
+        for (code, count) in &self.counts {
+            for &w in code.word_slice() {
+                w.encode(out);
+            }
+            count.encode(out);
+        }
+        match &self.ext {
+            None => false.encode(out),
+            Some(ext) => {
+                true.encode(out);
+                for (i, (_, len)) in ext.ranges.iter().enumerate() {
+                    len.encode(out);
+                    for (_, e) in ext.records_of(i) {
+                        out.extend_from_slice(&e.to_bytes());
+                    }
+                }
+            }
+        }
+    }
+
+    fn decode(input: &mut &[u8]) -> Option<Self> {
+        let entries = usize::decode(input)?;
+        let mut counts = Vec::with_capacity(entries.min(input.len() / ((K::WORDS + 1) * 8)));
+        let mut words = vec![0u64; K::WORDS];
+        for _ in 0..entries {
+            for w in &mut words {
+                *w = u64::decode(input)?;
+            }
+            counts.push((K::from_word_slice(&words), u64::decode(input)?));
+        }
+        let ext = if bool::decode(input)? {
+            let mut records = Vec::new();
+            let mut ranges = Vec::with_capacity(counts.len());
+            for &(km, _) in &counts {
+                let len = u32::decode(input)?;
+                let start = u32::try_from(records.len()).ok()?;
+                start.checked_add(len)?;
+                let bytes = (len as usize).checked_mul(Extension::WIRE_BYTES)?;
+                let (list, rest) = input.split_at_checked(bytes)?;
+                *input = rest;
+                records.extend(list.chunks_exact(Extension::WIRE_BYTES).map(|e| {
+                    let e = e.try_into().expect("chunks of the wire size");
+                    (km, Extension::from_bytes(e))
+                }));
+                ranges.push((start, len));
+            }
+            Some(TaskExtensions { records, ranges })
+        } else {
+            None
+        };
+        Some(TaskCounts { counts, ext })
+    }
+}
+
+impl<K: KmerCode> TaskCounts<K> {
+    /// Decode a `Vec` of runs as [`Wire`] encodes it — a length, then the runs — with
+    /// its pre-allocation bounded by the 9 bytes (a length and the extension flag) every
+    /// run takes, so a forged length cannot size it beyond 8 bytes per byte left.
+    pub(crate) fn decode_runs(input: &mut &[u8]) -> Option<Vec<Self>> {
+        let runs = usize::decode(input)?;
+        let mut tasks = Vec::with_capacity(runs.min(input.len() / 9));
+        for _ in 0..runs {
+            tasks.push(Self::decode(input)?);
+        }
+        Some(tasks)
+    }
 }
 
 /// Decode, sort and count one task, section by section — see the module docs. Returns

@@ -119,11 +119,6 @@ impl MachineConfig {
     pub fn cores_per_ccx(&self) -> usize {
         (self.cores_per_node / self.ccx_per_node).max(1)
     }
-
-    /// Cores per NUMA domain.
-    pub fn cores_per_numa(&self) -> usize {
-        (self.cores_per_node / self.numa_domains).max(1)
-    }
 }
 
 /// How the job is laid out on the machine: nodes × processes-per-node × threads.
@@ -196,7 +191,6 @@ mod tests {
         assert_eq!(m.ccx_per_node, 16);
         assert_eq!(m.mem_per_node_bytes, 512 * (1 << 30));
         assert_eq!(m.cores_per_ccx(), 8);
-        assert_eq!(m.cores_per_numa(), 16);
     }
 
     #[test]

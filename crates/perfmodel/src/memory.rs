@@ -25,17 +25,6 @@ impl<'a> MemoryModel<'a> {
         MemoryModel { machine, exec }
     }
 
-    /// DRAM available to one rank after the OS and input share are accounted for.
-    pub fn bytes_per_rank(&self, input_bytes_per_node: u64) -> u64 {
-        let reserve = 16 * (1u64 << 30); // OS + runtime headroom
-        let usable = self
-            .machine
-            .mem_per_node_bytes
-            .saturating_sub(reserve)
-            .saturating_sub(input_bytes_per_node);
-        usable / self.exec.processes_per_node.max(1) as u64
-    }
-
     /// Peak bytes per node for the sorting-based counter: the k-mer records (modeled,
     /// as in the paper, as one receive buffer of `bytes_per_elem` per element —
     /// wherever they live: wire bytes until a task is counted, its bucket pool while it
@@ -137,12 +126,6 @@ impl PeakTracker {
     pub fn peak(&self) -> u64 {
         self.peak
     }
-
-    /// Merge another tracker as if its allocations happened concurrently.
-    pub fn merge_concurrent(&mut self, other: &PeakTracker) {
-        self.current += other.current;
-        self.peak += other.peak;
-    }
 }
 
 #[cfg(test)]
@@ -200,15 +183,6 @@ mod tests {
     }
 
     #[test]
-    fn bytes_per_rank_divides_usable_memory() {
-        let (m, e) = model();
-        let mm = MemoryModel::new(&m, &e);
-        let per_rank = mm.bytes_per_rank(32 * (1 << 30));
-        assert!(per_rank > 20 * (1 << 30));
-        assert!(per_rank < 40 * (1 << 30));
-    }
-
-    #[test]
     fn peak_tracker_records_high_water_mark() {
         let mut t = PeakTracker::new();
         t.alloc(100);
@@ -217,9 +191,5 @@ mod tests {
         t.alloc(10);
         assert_eq!(t.current(), 40);
         assert_eq!(t.peak(), 150);
-        let mut other = PeakTracker::new();
-        other.alloc(30);
-        t.merge_concurrent(&other);
-        assert_eq!(t.peak(), 180);
     }
 }

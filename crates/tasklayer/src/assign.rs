@@ -25,11 +25,6 @@ impl Assignment {
         self.load_of.iter().copied().max().unwrap_or(0)
     }
 
-    /// The lightest rank load.
-    pub fn min_load(&self) -> u64 {
-        self.load_of.iter().copied().min().unwrap_or(0)
-    }
-
     /// Imbalance factor: max load divided by the mean load (1.0 is perfect).
     pub fn imbalance(&self) -> f64 {
         let total: u64 = self.load_of.iter().sum();

@@ -28,7 +28,7 @@
 //! completion on the receiving side.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -122,9 +122,8 @@ impl Event {
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static DETAIL: AtomicU8 = AtomicU8::new(Detail::Stage as u8);
 static NEXT_TID: AtomicU32 = AtomicU32::new(0);
-static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_CAPACITY);
 
-/// Default per-thread ring capacity (events). At 40 bytes per event this is
+/// Per-thread ring capacity (events). At 40 bytes per event this is
 /// ~2.6 MiB per recording thread — sized so a smoke-scale run never wraps.
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
 
@@ -187,7 +186,7 @@ fn local_buf() -> &'static Mutex<ThreadBuf> {
         *cell.get_or_init(|| {
             let buf = Box::leak(Box::new(Mutex::new(ThreadBuf {
                 tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
-                events: Vec::with_capacity(CAPACITY.load(Ordering::Relaxed).max(16)),
+                events: Vec::with_capacity(DEFAULT_CAPACITY),
                 write: 0,
                 dropped: 0,
             })));
@@ -223,12 +222,6 @@ pub fn disable() {
 #[inline(always)]
 pub fn enabled(detail: Detail) -> bool {
     ENABLED.load(Ordering::Relaxed) && detail as u8 <= DETAIL.load(Ordering::Relaxed)
-}
-
-/// Set the per-thread ring capacity (events) applied to threads that register
-/// *after* this call. Call before [`enable`].
-pub fn set_thread_capacity(events: usize) {
-    CAPACITY.store(events.max(16), Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------------

@@ -125,26 +125,31 @@ fn manifests_of(dir: &Path, rank: usize) -> Vec<(u32, PathBuf)> {
 }
 
 /// The core contract, in both execution modes: kill → resume reproduces the healthy
-/// histogram exactly. With overlap the resume restores committed epochs and skips their
-/// rounds; without it the one round's only epoch is either not reached (a kill in the
-/// exchange) or torn on the dying rank (a kill mid-commit, which the other ranks
-/// survive with epoch 0 on disk — not globally consistent, so not restored), and the
-/// resume recounts from scratch — all must land on identical bytes.
+/// histogram exactly — and, in an extension run, the healthy extension lists. With
+/// overlap the resume restores committed epochs and skips their rounds; without it the
+/// one round's only epoch is either not reached (a kill in the exchange) or torn on the
+/// dying rank (a kill mid-commit, which the other ranks survive with epoch 0 on disk —
+/// not globally consistent, so not restored), and the resume recounts from scratch —
+/// all must land on identical bytes.
 #[test]
 fn a_killed_run_resumes_to_the_identical_result_in_both_modes() {
     let reads = overlapping_reads(90);
     let path = tmp_path("kill.fa");
     fasta::write_fasta_file(&path, &reads, 70).unwrap();
-    for (overlap, stage) in [
-        (false, "exchange"),
-        (false, "checkpoint"),
-        (true, "exchange"),
+    for (overlap, stage, with_extension) in [
+        (false, "exchange", false),
+        (false, "checkpoint", false),
+        (true, "exchange", false),
+        (false, "exchange", true),
+        (true, "exchange", true),
     ] {
-        let what = format!("overlap={overlap} kill at {stage}");
-        let dir = tmp_path(&format!("kill.dir.{overlap}.{stage}"));
+        let what = format!("overlap={overlap} extension={with_extension} kill at {stage}");
+        let dir = tmp_path(&format!("kill.dir.{overlap}.{stage}.{with_extension}"));
         std::fs::remove_dir_all(&dir).ok();
-        let cfg = resume_cfg(3, overlap);
+        let mut cfg = resume_cfg(3, overlap);
+        cfg.with_extension = with_extension;
         let baseline = healthy(&path, &cfg);
+        assert_eq!(baseline.extensions.is_some(), with_extension, "{what}");
         kill_checkpointed_run_at(&path, &cfg, &dir, stage, kill_round(overlap));
         if overlap {
             assert!(
@@ -160,6 +165,7 @@ fn a_killed_run_resumes_to_the_identical_result_in_both_modes() {
         let resumed = resume(&path, &cfg, &dir).unwrap_or_else(|e| panic!("{what}: {e}"));
         assert_eq!(resumed.counts, baseline.counts, "{what}");
         assert_eq!(resumed.histogram, baseline.histogram, "{what}");
+        assert_eq!(resumed.extensions, baseline.extensions, "{what}");
         std::fs::remove_dir_all(&dir).ok();
     }
     std::fs::remove_file(&path).ok();
