@@ -17,37 +17,15 @@ use std::collections::BTreeMap;
 
 use hysortk_core::result::KmerHistogram;
 use hysortk_core::{HySortKConfig, RunReport};
-use hysortk_dmem::{Cluster, CommStats, Wire};
+use hysortk_dmem::{Cluster, CommStats};
 use hysortk_dna::kmer::KmerCode;
 use hysortk_dna::readset::ReadSet;
-use hysortk_hash::{hash_kmer, BloomFilter, HyperLogLog};
 use hysortk_perfmodel::network::ExchangeProfile;
 use hysortk_perfmodel::{PerfModel, SortAlgorithm, StageTimes};
 
-use crate::BaselineResult;
-
-/// Newtype giving [`HyperLogLog`] a wire codec (the sketch lives in the hash
-/// crate, the codec trait in dmem — neither is ours to implement on the other).
-#[derive(Clone)]
-struct WireHll(HyperLogLog);
-
-impl Wire for WireHll {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.precision().encode(out);
-        out.extend_from_slice(self.0.registers());
-    }
-
-    fn decode(input: &mut &[u8]) -> Option<Self> {
-        let precision = u8::decode(input)?;
-        let len = 1usize.checked_shl(u32::from(precision))?;
-        if input.len() < len {
-            return None;
-        }
-        let registers = input[..len].to_vec();
-        *input = &input[len..];
-        HyperLogLog::from_parts(precision, registers).map(WireHll)
-    }
-}
+use crate::bloom::BloomFilter;
+use crate::hyperloglog::HyperLogLog;
+use crate::{hash_kmer, BaselineResult};
 
 /// Count canonical k-mers with the two-pass hash-table pipeline.
 ///
@@ -87,12 +65,11 @@ pub fn two_pass_hash_count<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) ->
             }
         }
         let merged = ctx
-            .allreduce(WireHll(hll), "hll-merge", |mut a, b| {
-                a.0.merge(&b.0);
+            .allreduce(hll, "hll-merge", |mut a, b| {
+                a.merge(&b);
                 a
             })
-            .expect("baseline cluster runs without fault injection")
-            .0;
+            .expect("baseline cluster runs without fault injection");
         let estimated_distinct = merged.estimate().max(64.0) as usize;
         let per_rank_estimate = estimated_distinct / ctx.size() + 1;
 

@@ -5,13 +5,16 @@
 //! sketch locally, the sketches are merged with an all-reduce (register-wise max), and
 //! the merged estimate sizes the Bloom filter used in the first exchange pass. HySortK
 //! does not need this stage — that is part of its advantage — but the hash-table
-//! baseline reproduces it faithfully, including the (tiny, k-independent) merge traffic.
+//! baseline ([`crate::hashtable`]) reproduces it faithfully, including the (tiny,
+//! k-independent) merge traffic: the sketch's [`Wire`] encoding is its precision and
+//! its registers.
 
-use crate::murmur3::fmix64;
+use hysortk_dmem::Wire;
+use hysortk_supermer::mmer::fmix64;
 
 /// HyperLogLog sketch with `2^precision` one-byte registers.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HyperLogLog {
+pub(crate) struct HyperLogLog {
     precision: u8,
     registers: Vec<u8>,
 }
@@ -19,7 +22,7 @@ pub struct HyperLogLog {
 impl HyperLogLog {
     /// Create a sketch. `precision` must be in `4..=16`; the register array has
     /// `2^precision` bytes (the paper's implementations use 12, ~4 KiB).
-    pub fn new(precision: u8) -> Self {
+    pub(crate) fn new(precision: u8) -> Self {
         assert!((4..=16).contains(&precision), "precision out of range");
         HyperLogLog {
             precision,
@@ -27,44 +30,11 @@ impl HyperLogLog {
         }
     }
 
-    /// Number of registers.
-    pub fn num_registers(&self) -> usize {
-        self.registers.len()
-    }
-
-    /// The precision this sketch was built with.
-    pub fn precision(&self) -> u8 {
-        self.precision
-    }
-
-    /// The raw register array, for serialising the sketch across a transport.
-    pub fn registers(&self) -> &[u8] {
-        &self.registers
-    }
-
-    /// Rebuild a sketch from its serialised parts. Returns `None` when the
-    /// register count does not match `2^precision` or the precision is out of
-    /// range — a malformed wire payload, not a programming error.
-    pub fn from_parts(precision: u8, registers: Vec<u8>) -> Option<Self> {
-        if !(4..=16).contains(&precision) || registers.len() != 1usize << precision {
-            return None;
-        }
-        Some(HyperLogLog {
-            precision,
-            registers,
-        })
-    }
-
-    /// Serialised size in bytes (what an MPI all-reduce of the sketch would move).
-    pub fn wire_bytes(&self) -> usize {
-        self.registers.len()
-    }
-
     /// Insert a pre-hashed 64-bit item. Callers hash k-mers with
     /// [`crate::hash_kmer`] first; an extra `fmix64` decorrelates the register index
     /// from the rank bits.
     #[inline]
-    pub fn insert_hash(&mut self, hash: u64) {
+    pub(crate) fn insert_hash(&mut self, hash: u64) {
         let h = fmix64(hash);
         let p = u32::from(self.precision);
         let idx = (h >> (64 - p)) as usize;
@@ -80,14 +50,9 @@ impl HyperLogLog {
         }
     }
 
-    /// Insert raw bytes (hashes them first).
-    pub fn insert_bytes(&mut self, bytes: &[u8]) {
-        self.insert_hash(crate::murmur3::murmur3_x64_128(bytes, 0x5eed).0);
-    }
-
     /// Merge another sketch into this one (register-wise max). Panics if precisions
     /// differ. This is exactly the reduction operator of the distributed merge.
-    pub fn merge(&mut self, other: &HyperLogLog) {
+    pub(crate) fn merge(&mut self, other: &HyperLogLog) {
         assert_eq!(
             self.precision, other.precision,
             "cannot merge sketches of different precision"
@@ -101,7 +66,7 @@ impl HyperLogLog {
 
     /// Cardinality estimate with the standard bias corrections (linear counting for
     /// small ranges, the HLL large-range correction above 2^32/30).
-    pub fn estimate(&self) -> f64 {
+    pub(crate) fn estimate(&self) -> f64 {
         let m = self.registers.len() as f64;
         let alpha = match self.registers.len() {
             16 => 0.673,
@@ -130,21 +95,49 @@ impl HyperLogLog {
             -two32 * (1.0 - raw / two32).ln()
         }
     }
+}
 
-    /// Relative standard error expected for this precision (`1.04 / sqrt(m)`).
-    pub fn expected_error(&self) -> f64 {
-        1.04 / (self.registers.len() as f64).sqrt()
+impl Wire for HyperLogLog {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.precision.encode(out);
+        out.extend_from_slice(&self.registers);
+    }
+
+    /// `None` unless the precision is in `4..=16` and `2^precision` register bytes
+    /// follow; nothing is allocated before they are known to be there.
+    fn decode(input: &mut &[u8]) -> Option<Self> {
+        let precision = u8::decode(input)?;
+        if !(4..=16).contains(&precision) {
+            return None;
+        }
+        let len = 1usize << precision;
+        if input.len() < len {
+            return None;
+        }
+        let (registers, rest) = input.split_at(len);
+        *input = rest;
+        Some(HyperLogLog {
+            precision,
+            registers: registers.to_vec(),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hysortk_dmem::wire::{from_bytes, to_bytes};
+    use hysortk_supermer::mmer::murmur3_x64_128;
+
+    /// The pre-hashed item `i`.
+    fn item(i: u64) -> u64 {
+        murmur3_x64_128(&i.to_le_bytes(), 0x5eed).0
+    }
 
     fn estimate_of_n_distinct(n: u64, precision: u8) -> f64 {
         let mut hll = HyperLogLog::new(precision);
         for i in 0..n {
-            hll.insert_bytes(&i.to_le_bytes());
+            hll.insert_hash(item(i));
         }
         hll.estimate()
     }
@@ -159,7 +152,7 @@ mod tests {
     }
 
     #[test]
-    fn large_cardinalities_within_expected_error() {
+    fn large_cardinalities_within_four_standard_errors() {
         let n = 200_000u64;
         let est = estimate_of_n_distinct(n, 12);
         let err = (est - n as f64).abs() / n as f64;
@@ -172,7 +165,7 @@ mod tests {
         let mut hll = HyperLogLog::new(10);
         for i in 0..1000u64 {
             for _ in 0..50 {
-                hll.insert_bytes(&i.to_le_bytes());
+                hll.insert_hash(item(i));
             }
         }
         let est = hll.estimate();
@@ -185,12 +178,12 @@ mod tests {
         let mut b = HyperLogLog::new(11);
         let mut union = HyperLogLog::new(11);
         for i in 0..5_000u64 {
-            a.insert_bytes(&i.to_le_bytes());
-            union.insert_bytes(&i.to_le_bytes());
+            a.insert_hash(item(i));
+            union.insert_hash(item(i));
         }
         for i in 2_500..7_500u64 {
-            b.insert_bytes(&i.to_le_bytes());
-            union.insert_bytes(&i.to_le_bytes());
+            b.insert_hash(item(i));
+            union.insert_hash(item(i));
         }
         a.merge(&b);
         assert_eq!(a, union);
@@ -207,10 +200,38 @@ mod tests {
     #[test]
     fn wire_size_is_independent_of_inserted_volume() {
         let mut hll = HyperLogLog::new(12);
-        let before = hll.wire_bytes();
+        let before = to_bytes(&hll).len();
         for i in 0..100_000u64 {
-            hll.insert_bytes(&i.to_le_bytes());
+            hll.insert_hash(item(i));
         }
-        assert_eq!(hll.wire_bytes(), before);
+        assert_eq!(to_bytes(&hll).len(), before);
+    }
+
+    #[test]
+    fn wire_decode_round_trips_and_rejects_malformed_sketches() {
+        let mut hll = HyperLogLog::new(4);
+        for i in 0..100u64 {
+            hll.insert_hash(item(i));
+        }
+        let bytes = to_bytes(&hll);
+        assert_eq!(from_bytes::<HyperLogLog>(&bytes), Some(hll));
+        // Every truncation: a missing precision or a short register array.
+        for len in 0..bytes.len() {
+            assert_eq!(
+                from_bytes::<HyperLogLog>(&bytes[..len]),
+                None,
+                "prefix {len}"
+            );
+        }
+        // Precisions outside 4..=16, including ones whose register count overflows.
+        for precision in [0u8, 3, 17, 64, 255] {
+            let mut forged = bytes.clone();
+            forged[0] = precision;
+            assert_eq!(
+                from_bytes::<HyperLogLog>(&forged),
+                None,
+                "precision {precision}"
+            );
+        }
     }
 }

@@ -13,12 +13,11 @@ use hysortk_core::{HySortKConfig, RunReport};
 use hysortk_dmem::{Cluster, CommStats};
 use hysortk_dna::kmer::KmerCode;
 use hysortk_dna::readset::ReadSet;
-use hysortk_hash::hash_kmer;
 use hysortk_perfmodel::network::ExchangeProfile;
 use hysortk_perfmodel::{PerfModel, SortAlgorithm, StageTimes};
 
 use crate::robinhood::RobinHoodTable;
-use crate::BaselineResult;
+use crate::{hash_kmer, BaselineResult};
 
 /// Outcome of a kmerind run: either a result or an out-of-memory verdict (the missing
 /// bar of Figure 7).

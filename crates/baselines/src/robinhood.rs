@@ -7,7 +7,8 @@
 //! distances short and predictable.
 
 use hysortk_dna::kmer::KmerCode;
-use hysortk_hash::hash_kmer;
+
+use crate::hash_kmer;
 
 #[derive(Debug, Clone, Copy)]
 struct Slot<K> {

@@ -14,13 +14,12 @@
 //! expected to hold are the *shapes*: who wins, by roughly what factor, where the
 //! crossovers and knees fall.
 
-use hysortk_baselines::{kmc3_count, kmerind_count, mhm2_count, KmerindOutcome};
+use hysortk_baselines::{hash_kmer, kmc3_count, kmerind_count, mhm2_count, KmerindOutcome};
 use hysortk_core::{count_kmers, CountResult, HySortKConfig};
 use hysortk_datasets::{DatasetPreset, GeneratedDataset};
 use hysortk_dna::extension::Extension;
 use hysortk_dna::{Kmer1, Kmer2, ReadSet};
 use hysortk_elba::{run_elba, CounterChoice, ElbaConfig};
-use hysortk_hash::hash_kmer;
 use hysortk_supermer::codec::encode_extensions;
 use hysortk_supermer::mmer::{MmerScorer, ScoreFunction};
 use hysortk_supermer::supermer::{build_supermers, partition_stats};

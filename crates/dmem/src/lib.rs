@@ -251,25 +251,8 @@ impl Cluster {
         }
     }
 
-    /// Run `f` like [`Cluster::run`], but when ranks fail with errors the `recoverable`
-    /// predicate accepts, respawn the whole generation — fresh abort state, fresh
-    /// round boards, same (already partially fired) fault plan — after a doubling
-    /// backoff, up to `policy.max_attempts` times.
-    ///
-    /// This is in-run rank recovery: the join at the end of a generation is the
-    /// recovery barrier every survivor reaches once the abort has unwound it, and
-    /// re-invoking `f` with [`RankCtx::generation`] incremented is the respawn.
-    /// Pipelines that checkpoint observe the bumped generation and restore from their
-    /// last committed epoch instead of recounting from scratch.
-    ///
-    /// A generation is retried only when at least one rank failed **and every failed
-    /// rank's error is recoverable** — a concrete local defect (wire corruption, an
-    /// I/O error) degrades to today's typed abort immediately. Panics are never
-    /// recovered: they re-raise on the calling thread exactly as under [`Cluster::run`].
-    ///
-    /// Always runs on the thread backend, like [`Cluster::run`]; the
-    /// backend-dispatching form is [`Cluster::run_recovering_wire`].
-    pub fn run_recovering<T, E, F, P>(
+    /// [`Cluster::run_recovering_wire`] on the thread backend, for any `T` and `E`.
+    fn run_recovering<T, E, F, P>(
         &self,
         policy: &RecoveryPolicy,
         recoverable: P,
@@ -286,8 +269,24 @@ impl Cluster {
         })
     }
 
-    /// [`Cluster::run_recovering`] on the selected [`Backend`]. On
-    /// [`Backend::Process`] a respawned generation forks a fresh set of rank
+    /// Run `f` like [`Cluster::run_wire`], but when ranks fail with errors the
+    /// `recoverable` predicate accepts, respawn the whole generation — fresh abort
+    /// state, fresh round boards, same (already partially fired) fault plan — after a
+    /// doubling backoff, up to `policy.max_attempts` times.
+    ///
+    /// This is in-run rank recovery: the join at the end of a generation is the
+    /// recovery barrier every survivor reaches once the abort has unwound it, and
+    /// re-invoking `f` with [`RankCtx::generation`] incremented is the respawn.
+    /// Pipelines that checkpoint observe the bumped generation and restore from their
+    /// last committed epoch instead of recounting from scratch.
+    ///
+    /// A generation is retried only when at least one rank failed **and every failed
+    /// rank's error is recoverable** — a concrete local defect (wire corruption, an
+    /// I/O error) degrades to today's typed abort immediately. Panics are never
+    /// recovered: they re-raise on the calling thread exactly as under
+    /// [`Cluster::run_wire`].
+    ///
+    /// On [`Backend::Process`] a respawned generation forks a fresh set of rank
     /// processes; fault-plan state (which faults already fired) carries across
     /// generations, so a fail-once fault does not re-fire on the respawn.
     pub fn run_recovering_wire<T, E, F, P>(

@@ -355,6 +355,10 @@ impl ProcessTransport {
                 .expect("self segment consumed twice")
         };
         data.clear();
+        // Size the round once: growing the buffer segment by segment would copy what it
+        // already holds, with the old and the new buffer resident together.
+        let total = self_seg.len() + payloads.iter().flatten().map(Vec::len).sum::<usize>();
+        data.reserve(total);
         displs.clear();
         displs.push(0);
         for (src, payload) in payloads.iter().enumerate() {
@@ -609,7 +613,7 @@ where
                 );
             }
             if tracing {
-                let _ = send_ctl(&mut control, CTL_TRACE, &trace::collect().to_wire_bytes());
+                let _ = send_ctl(&mut control, CTL_TRACE, &wire::to_bytes(&trace::collect()));
             }
             unsafe { ffi::_exit(0) }
         }
@@ -746,7 +750,7 @@ where
             }
         }
         if let Some(bytes) = report.trace {
-            if let Some(child_trace) = trace::Trace::from_wire_bytes(&bytes) {
+            if let Some(child_trace) = wire::from_bytes::<trace::Trace>(&bytes) {
                 trace::note_rank_pid(rank as u32, pids[rank] as u32);
                 trace::absorb(child_trace);
             }

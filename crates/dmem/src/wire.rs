@@ -8,7 +8,10 @@
 //! dependency-free, little-endian format with just enough structure (length
 //! prefixes, variant tags) for the receiving side to reject malformed input with
 //! `None` instead of misinterpreting it. The round engine's flat byte segments need
-//! no codec: they are bytes already.
+//! no codec: they are bytes already. A forked rank's flight-recorder [`Trace`] crosses
+//! its control socket in this codec too.
+
+use hysortk_trace::{Event, EventKind, Trace};
 
 use crate::error::DmemError;
 use crate::stats::{CommStats, StageTraffic};
@@ -322,6 +325,69 @@ impl Wire for CommStats {
     }
 }
 
+/// Encodes a `&str` exactly as [`String`]'s codec does.
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    s.len().encode(out);
+    out.extend_from_slice(s.as_bytes());
+}
+
+impl Wire for EventKind {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(*self as u8);
+    }
+    fn decode(input: &mut &[u8]) -> Option<Self> {
+        Some(match u8::decode(input)? {
+            0 => EventKind::Begin,
+            1 => EventKind::End,
+            2 => EventKind::Instant,
+            3 => EventKind::Counter,
+            4 => EventKind::FlowStart,
+            5 => EventKind::FlowEnd,
+            _ => return None,
+        })
+    }
+}
+
+/// Labels and argument names travel as strings (the argument list as a
+/// `Vec<(String, u64)>`) and are re-interned on decode.
+impl Wire for Event {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_str(out, self.label);
+        self.kind.encode(out);
+        self.ts_ns.encode(out);
+        self.rank.encode(out);
+        self.tid.encode(out);
+        self.args().len().encode(out);
+        for &(name, value) in self.args() {
+            put_str(out, name);
+            value.encode(out);
+        }
+    }
+    fn decode(input: &mut &[u8]) -> Option<Self> {
+        let label = String::decode(input)?;
+        let kind = EventKind::decode(input)?;
+        let ts_ns = u64::decode(input)?;
+        let rank = u32::decode(input)?;
+        let tid = u32::decode(input)?;
+        let args = Vec::<(String, u64)>::decode(input)?;
+        let args: Vec<(&str, u64)> = args.iter().map(|(n, v)| (n.as_str(), *v)).collect();
+        Event::new(&label, kind, ts_ns, rank, tid, &args)
+    }
+}
+
+impl Wire for Trace {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.dropped.encode(out);
+        self.events.encode(out);
+    }
+    fn decode(input: &mut &[u8]) -> Option<Self> {
+        Some(Trace {
+            dropped: u64::decode(input)?,
+            events: Vec::decode(input)?,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,6 +544,24 @@ mod tests {
             &vec![String::new(), "a".to_string(), "ünï".to_string()],
             &mut state,
         );
+        // A forked rank's trace: events of 0, 1 and 2 arguments, a non-ASCII label.
+        let event = |label, kind, args: &[(&str, u64)]| {
+            Event::new(label, kind, 1_234, 1, 7, args).expect("at most two arguments")
+        };
+        let child_trace = Trace {
+            events: vec![
+                event("exchange", EventKind::Begin, &[]),
+                event("rückgabe-µs", EventKind::Instant, &[("round", 3)]),
+                event(
+                    "exchange",
+                    EventKind::End,
+                    &[("bytes", u64::MAX), ("round", 0)],
+                ),
+            ],
+            dropped: 5,
+        };
+        fuzz(&child_trace, &mut state);
+        fuzz(&Trace::default(), &mut state);
 
         // The length prefixes themselves: a length the input cannot back is `None`. A
         // reservation sized by the prefix instead of the remaining input would panic on
@@ -497,6 +581,15 @@ mod tests {
             );
             assert_eq!(from_bytes::<DmemError>(&prefixed(&[3])), None);
             assert_eq!(from_bytes::<CommStats>(&prefixed(&[0; 32])), None);
+            assert_eq!(from_bytes::<Trace>(&prefixed(&[0; 8])), None);
         }
+        // A third argument is malformed, not truncated to two.
+        let mut three = to_bytes(&event("x", EventKind::Counter, &[("a", 1), ("b", 2)]));
+        let at = three.len() - 2 * (8 + 1 + 8) - 8;
+        three[at..at + 8].copy_from_slice(&3u64.to_le_bytes());
+        put_str(&mut three, "c");
+        3u64.encode(&mut three);
+        assert_eq!(from_bytes::<Event>(&three), None);
+        assert!(Event::new("x", EventKind::Counter, 0, 0, 0, &[("a", 1); 3]).is_none());
     }
 }

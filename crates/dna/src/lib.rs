@@ -35,8 +35,3 @@ pub use kmer::{Kmer, Kmer1, Kmer2, KmerCode};
 pub use readset::{Read, ReadSet};
 pub use sequence::DnaSeq;
 pub use simd::SimdLevel;
-
-/// Maximum k supported with a single 64-bit word (2 bits per base).
-pub const MAX_K_ONE_WORD: usize = 32;
-/// Maximum k supported by the two-word k-mer used for long k (e.g. k = 55).
-pub const MAX_K_TWO_WORDS: usize = 64;

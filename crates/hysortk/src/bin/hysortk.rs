@@ -39,7 +39,8 @@ unknown extensions by first byte); FASTA and FASTQ may be mixed freely.
 
 options:
   -k <n>             k-mer length, 1..=64 (default 31)
-  -m <n>             minimizer length (default: the paper's rule, k/2 capped at 23)
+  -m <n>             minimizer length (default: the paper's rule, k/2 for k <= 34,
+                     at least 3 and at most k; 23 for larger k)
   --ranks <n>        simulated ranks sharding the input (default 4)
   --threads <n>      threads per rank (default 2): the width of the rank's worker
                      pool, which parses in parallel and runs each exchange round's
@@ -66,7 +67,7 @@ observability:
                         chrome://tracing; pid = rank, tid = worker thread)
   --trace-detail <lvl>  trace granularity: stage (per-stage spans), round (adds
                         per-round exchange lanes + flow arrows; default), task
-                        (adds per-task count spans and worker queue times)
+                        (adds per-task serialize, count and section spans)
   -v, --verbose         rank-tagged progress on stderr: faults fired, I/O
                         retries, recovery respawns, checkpoint commits
   --quiet               suppress the run summary (errors still print)

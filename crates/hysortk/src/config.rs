@@ -176,10 +176,11 @@ impl HySortKConfig {
         }
     }
 
-    /// The paper's rule of thumb for m (§4.1.4): `k/2` for small k, 23 for large k.
+    /// The paper's rule of thumb for m (§4.1.4): `k/2` for small k (at least 3, and
+    /// never more than k), 23 for large k.
     pub fn recommended_m(k: usize) -> usize {
         if k <= 34 {
-            (k / 2).max(3)
+            (k / 2).max(3).min(k)
         } else {
             23
         }
@@ -294,6 +295,8 @@ mod tests {
 
     #[test]
     fn recommended_m_follows_the_paper_rule() {
+        assert_eq!(HySortKConfig::recommended_m(1), 1);
+        assert_eq!(HySortKConfig::recommended_m(2), 2);
         assert_eq!(HySortKConfig::recommended_m(17), 8);
         assert_eq!(HySortKConfig::recommended_m(31), 15);
         assert_eq!(HySortKConfig::recommended_m(55), 23);

@@ -404,7 +404,7 @@ pub(crate) struct ParseScratch {
 }
 
 /// Stage 1 in supermer mode: stream `reads` through the fused extractor
-/// ([`for_each_supermer`]) on the cached worker pool at `tasks × sections` minimizer
+/// ([`for_each_supermer`]) on the rank's worker pool at `tasks × sections` minimizer
 /// targets (`tasks` the length of `bodies`) and stage every supermer, in wire form, in
 /// its target's section — task `target mod tasks`, section `target / tasks` — written
 /// where it is found, while the read is in cache; nothing of `reads` is referenced

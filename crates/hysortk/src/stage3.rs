@@ -68,7 +68,7 @@ use hysortk_sort::{
     map_balanced_runs, merge_runs_with_counts, multiway_merge, paradis_sort_from, raduls_sort,
     raduls_sort_with_aux, BucketDigit, RadixKey,
 };
-use hysortk_task::WorkerPool;
+use hysortk_task::{ScratchBank, WorkerPool};
 use hysortk_trace as trace;
 
 use crate::result::KmerHistogram;
@@ -785,8 +785,8 @@ impl<K: KmerCode> Stage3Output<K> {
     /// Assemble the stage output from the counted runs and the worker scratches that
     /// produced them: histograms and work counters merge once per scratch, not once
     /// per task. The pipeline's round loop accumulates `tasks` round by round and
-    /// drains its [`hysortk_task::ScratchBank`] once at the end;
-    /// [`count_blocks_parallel`] assembles from its one pool call.
+    /// drains its [`ScratchBank`] once at the end; [`count_blocks_parallel`] drains its
+    /// own after its one pool call.
     pub fn assemble(
         tasks: Vec<TaskCounts<K>>,
         scratches: Vec<CountScratch<K>>,
@@ -813,9 +813,9 @@ impl<K: KmerCode> Stage3Output<K> {
 }
 
 /// Count every task of the block index on the worker pool: tasks are independent work
-/// items, so decode of one task overlaps sort+count of another, and each worker thread
-/// reuses one [`CountScratch`] (lanes, kmerlist staging, histogram) across all its
-/// tasks.
+/// items, so decode of one task overlaps sort+count of another, and each task checks a
+/// [`CountScratch`] (lanes, kmerlist staging, histogram) out of one [`ScratchBank`], so
+/// a bank holds no more scratches than tasks ran at once.
 ///
 /// Not a product path: the pipeline's round loop (`crate::overlap`) runs [`count_task`]
 /// in its own job lists and returns a slot whose header-derived totals are not what
@@ -829,25 +829,22 @@ pub fn count_blocks_parallel<K: KmerCode>(
     params: &CountParams,
     pool: &WorkerPool,
 ) -> Stage3Output<K> {
-    let work: Vec<&TaskSlot<'_, K>> = index.slots.iter().collect();
     let rank = pool.rank();
-    let (runs, scratches) = pool.execute_with_scratch(
-        work,
-        || CountScratch::new(params.max_count),
-        |scratch, slot| {
-            let _span = trace::span!(
-                "count-task",
-                trace::Detail::Task,
-                rank,
-                task = slot.task,
-                records = slot.records,
-            );
-            count_task(slot, k, params, rank, scratch).unwrap_or_else(|e| panic!("{e}"))
-        },
-    );
+    let bank = ScratchBank::new();
+    let runs = pool.execute(index.slots.iter().collect(), |slot: &TaskSlot<'_, K>| {
+        let _span = trace::span!(
+            "count-task",
+            trace::Detail::Task,
+            rank,
+            task = slot.task,
+            records = slot.records,
+        );
+        let mut scratch = bank.checkout(|| CountScratch::new(params.max_count));
+        count_task(slot, k, params, rank, &mut scratch).unwrap_or_else(|e| panic!("{e}"))
+    });
     Stage3Output::assemble(
         runs.into_iter().flatten().collect(),
-        scratches,
+        bank.into_scratches(),
         params.max_count,
     )
 }

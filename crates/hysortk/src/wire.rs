@@ -41,8 +41,7 @@
 //! Parsing is **zero-copy**: [`read_blocks`] validates the stream structure in one walk
 //! and returns [`TaskBlockView`]s whose payloads borrow the receive buffer. Items are
 //! decoded on demand by the view iterators — no payload byte is ever copied into an
-//! intermediate buffer. The owned [`TaskPayload`] remains the write-side input (and is
-//! available from a view via [`TaskBlockView::to_owned_block`] for tests and tooling).
+//! intermediate buffer. The owned [`TaskPayload`] remains the write-side input.
 
 use hysortk_dna::kmer::KmerCode;
 use hysortk_dna::sequence::DnaSeq;
@@ -311,15 +310,6 @@ pub enum TaskPayload<K: KmerCode> {
     Supermers(Vec<Supermer>),
     /// Pre-aggregated `(canonical k-mer, count)` tuples (heavy-hitter tasks).
     KmerList(Vec<(K, u64)>),
-}
-
-/// An owned task block (materialised from a [`TaskBlockView`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TaskBlock<K: KmerCode> {
-    /// Task this block belongs to.
-    pub task: u32,
-    /// The payload.
-    pub payload: TaskPayload<K>,
 }
 
 const KIND_SUPERMERS: u8 = 0;
@@ -913,23 +903,6 @@ impl<'a, K: KmerCode> KmerListView<'a, K> {
     }
 }
 
-impl<'a, K: KmerCode> TaskBlockView<'a, K> {
-    /// Materialise an owned [`TaskBlock`] (compat path for tests and tooling; the
-    /// pipeline consumes the views directly).
-    pub fn to_owned_block(&self) -> TaskBlock<K> {
-        let payload = match &self.payload {
-            PayloadView::Supermers(view) => {
-                TaskPayload::Supermers(view.iter().map(|s| s.to_supermer(self.task)).collect())
-            }
-            PayloadView::KmerList(view) => TaskPayload::KmerList(view.iter().collect()),
-        };
-        TaskBlock {
-            task: self.task,
-            payload,
-        }
-    }
-}
-
 /// Parse a byte stream into task block views. Returns a [`WireError`] naming the
 /// defect and its byte offset on malformed input — never panics, whatever the bytes.
 ///
@@ -1042,15 +1015,6 @@ pub fn read_blocks<K: KmerCode>(buf: &[u8]) -> Result<Vec<TaskBlockView<'_, K>>,
     Ok(out)
 }
 
-/// Parse a byte stream into owned task blocks (tests and tooling; the pipeline uses
-/// [`read_blocks`] views directly). Returns a [`WireError`] on malformed input.
-pub fn read_blocks_owned<K: KmerCode>(buf: &[u8]) -> Result<Vec<TaskBlock<K>>, WireError> {
-    Ok(read_blocks::<K>(buf)?
-        .iter()
-        .map(TaskBlockView::to_owned_block)
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1058,6 +1022,35 @@ mod tests {
     use hysortk_dna::readset::Read;
     use hysortk_supermer::mmer::{MmerScorer, ScoreFunction};
     use hysortk_supermer::supermer::build_supermers;
+
+    /// An owned task block, read back from a [`TaskBlockView`] for comparison.
+    #[derive(Debug, Clone, PartialEq)]
+    struct TaskBlock<K: KmerCode> {
+        task: u32,
+        payload: TaskPayload<K>,
+    }
+
+    impl<K: KmerCode> TaskBlockView<'_, K> {
+        fn to_owned_block(&self) -> TaskBlock<K> {
+            let payload = match &self.payload {
+                PayloadView::Supermers(view) => {
+                    TaskPayload::Supermers(view.iter().map(|s| s.to_supermer(self.task)).collect())
+                }
+                PayloadView::KmerList(view) => TaskPayload::KmerList(view.iter().collect()),
+            };
+            TaskBlock {
+                task: self.task,
+                payload,
+            }
+        }
+    }
+
+    fn read_blocks_owned<K: KmerCode>(buf: &[u8]) -> Result<Vec<TaskBlock<K>>, WireError> {
+        Ok(read_blocks::<K>(buf)?
+            .iter()
+            .map(TaskBlockView::to_owned_block)
+            .collect())
+    }
 
     #[test]
     fn supermer_blocks_round_trip() {

@@ -119,6 +119,38 @@ fn the_threads_flag_sets_the_pool_width_and_never_changes_the_histogram() {
 }
 
 #[test]
+fn k_below_three_runs_with_the_default_minimizer_length() {
+    let fa = tmp_fasta("small-k");
+    let run = |extra: &[&str]| {
+        hysortk()
+            .args([
+                "count",
+                fa.to_str().unwrap(),
+                "--ranks",
+                "2",
+                "--min-count",
+                "1",
+            ])
+            .args(extra)
+            .output()
+            .unwrap()
+    };
+    for k in ["1", "2"] {
+        let default_m = run(&["-k", k]);
+        assert_eq!(
+            default_m.status.code(),
+            Some(0),
+            "{}",
+            stderr_of(&default_m)
+        );
+        assert!(!default_m.stdout.is_empty());
+        // The default is m = k, so naming it changes nothing.
+        assert_eq!(default_m.stdout, run(&["-k", k, "-m", k]).stdout, "k = {k}");
+    }
+    let _ = std::fs::remove_file(fa);
+}
+
+#[test]
 fn missing_inputs_exit_3_and_name_the_file() {
     let out = hysortk()
         .args(["count", "/nonexistent/definitely_missing.fa"])

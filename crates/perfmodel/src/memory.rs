@@ -3,8 +3,7 @@
 //! Figures 7 and 8 of the paper compare HySortK's peak RAM against kmerind's and report
 //! 25–70 % lower usage; §3.1 explains why (no hash-table load-factor overhead, no Bloom
 //! filter, in-place sorting when memory is tight). The helpers here compute the modeled
-//! per-node footprint of each strategy from the element counts measured by a run, and a
-//! small [`PeakTracker`] is used by the pipelines to track simulated allocation peaks.
+//! per-node footprint of each strategy from the element counts measured by a run.
 
 use crate::machine::{ExecutionConfig, MachineConfig};
 
@@ -93,41 +92,6 @@ impl<'a> MemoryModel<'a> {
     }
 }
 
-/// Tracks a simulated allocation high-water mark.
-#[derive(Debug, Clone, Default)]
-pub struct PeakTracker {
-    current: u64,
-    peak: u64,
-}
-
-impl PeakTracker {
-    /// New tracker with nothing allocated.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record an allocation of `bytes`.
-    pub fn alloc(&mut self, bytes: u64) {
-        self.current += bytes;
-        self.peak = self.peak.max(self.current);
-    }
-
-    /// Record a release of `bytes` (saturating).
-    pub fn free(&mut self, bytes: u64) {
-        self.current = self.current.saturating_sub(bytes);
-    }
-
-    /// Currently "allocated" bytes.
-    pub fn current(&self) -> u64 {
-        self.current
-    }
-
-    /// High-water mark.
-    pub fn peak(&self) -> u64 {
-        self.peak
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,16 +144,5 @@ mod tests {
         let fitting = have / 8 * 16 / 17 - (1 << 25);
         assert!(mm.raduls_fits(fitting, 8, 0));
         assert!(!mm.raduls_fits(fitting + (1 << 26), 8, 0));
-    }
-
-    #[test]
-    fn peak_tracker_records_high_water_mark() {
-        let mut t = PeakTracker::new();
-        t.alloc(100);
-        t.alloc(50);
-        t.free(120);
-        t.alloc(10);
-        assert_eq!(t.current(), 40);
-        assert_eq!(t.peak(), 150);
     }
 }

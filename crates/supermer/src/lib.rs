@@ -3,7 +3,9 @@
 //!
 //! * [`mmer`] — rolling extraction and canonical packing of m-mers, and the
 //!   MurmurHash3-based score function HySortK uses (with a lexicographic score kept for
-//!   the load-balance comparison of §3.2).
+//!   the load-balance comparison of §3.2). It re-exports the MurmurHash3_x64_128
+//!   implementation ([`mmer::murmur3_x64_128`], [`mmer::fmix64`]), which the hash-table
+//!   baselines also hash with.
 //! * [`minimizer`] — the improved sliding-window minimum with a monotone deque, which
 //!   finds the minimizer of every k-mer of a read in O(n) regardless of k, plus a naive
 //!   reference implementation used by the tests.
@@ -23,6 +25,7 @@
 pub mod codec;
 pub mod minimizer;
 pub mod mmer;
+mod murmur3;
 pub mod simd;
 pub mod streaming;
 pub mod supermer;

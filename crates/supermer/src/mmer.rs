@@ -9,7 +9,8 @@
 //! correct across ranks.
 
 use hysortk_dna::sequence::DnaSeq;
-use hysortk_hash::hash_mmer;
+
+pub use crate::murmur3::{fmix64, hash_mmer, murmur3_x64_128};
 
 /// The m-mer score function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,9 +1,7 @@
-//! MurmurHash3 implementation (x86_32 and x64_128 variants).
+//! MurmurHash3_x64_128, the m-mer score function of HySortK §3.2.
 //!
-//! HySortK uses MurmurHash3 as both the minimizer score function and the destination
-//! mapping (§3.2); DEDUKT and the hash-table baselines use it for k-mer hashing. The
-//! implementation follows Austin Appleby's reference (public domain) and is verified
-//! against its published test vectors in the unit tests below.
+//! The implementation follows Austin Appleby's reference (public domain). The
+//! lane-wise AVX2 scorer in [`crate::simd`] replicates [`hash_mmer`] bit for bit.
 
 /// 64-bit finaliser (fmix64) of MurmurHash3. Useful on its own as a cheap high-quality
 /// mixer for already-packed integers.
@@ -15,55 +13,6 @@ pub fn fmix64(mut k: u64) -> u64 {
     k = k.wrapping_mul(0xc4ceb9fe1a85ec53);
     k ^= k >> 33;
     k
-}
-
-/// 32-bit finaliser (fmix32) of MurmurHash3.
-#[inline]
-fn fmix32(mut h: u32) -> u32 {
-    h ^= h >> 16;
-    h = h.wrapping_mul(0x85ebca6b);
-    h ^= h >> 13;
-    h = h.wrapping_mul(0xc2b2ae35);
-    h ^= h >> 16;
-    h
-}
-
-/// MurmurHash3_x86_32: the classic 32-bit variant.
-pub fn murmur3_x86_32(data: &[u8], seed: u32) -> u32 {
-    const C1: u32 = 0xcc9e2d51;
-    const C2: u32 = 0x1b873593;
-
-    let nblocks = data.len() / 4;
-    let mut h1 = seed;
-
-    for i in 0..nblocks {
-        let mut k1 = u32::from_le_bytes(data[4 * i..4 * i + 4].try_into().unwrap());
-        k1 = k1.wrapping_mul(C1);
-        k1 = k1.rotate_left(15);
-        k1 = k1.wrapping_mul(C2);
-        h1 ^= k1;
-        h1 = h1.rotate_left(13);
-        h1 = h1.wrapping_mul(5).wrapping_add(0xe6546b64);
-    }
-
-    let tail = &data[4 * nblocks..];
-    let mut k1: u32 = 0;
-    if tail.len() >= 3 {
-        k1 ^= u32::from(tail[2]) << 16;
-    }
-    if tail.len() >= 2 {
-        k1 ^= u32::from(tail[1]) << 8;
-    }
-    if !tail.is_empty() {
-        k1 ^= u32::from(tail[0]);
-        k1 = k1.wrapping_mul(C1);
-        k1 = k1.rotate_left(15);
-        k1 = k1.wrapping_mul(C2);
-        h1 ^= k1;
-    }
-
-    h1 ^= data.len() as u32;
-    fmix32(h1)
 }
 
 /// MurmurHash3_x64_128: returns the 128-bit hash as a `(low, high)` pair of 64-bit words.
@@ -131,66 +80,16 @@ pub fn murmur3_x64_128(data: &[u8], seed: u32) -> (u64, u64) {
     (h1, h2)
 }
 
-/// A `std::hash::Hasher` adaptor around MurmurHash3_x64_128, so Murmur can be used as
-/// the hasher of standard hash tables (the kmerind-style baseline does this).
-#[derive(Debug, Clone, Default)]
-pub struct MurmurHasher {
-    buf: Vec<u8>,
-    seed: u32,
-}
-
-impl MurmurHasher {
-    /// Create a hasher with an explicit seed.
-    pub fn with_seed(seed: u32) -> Self {
-        MurmurHasher {
-            buf: Vec::new(),
-            seed,
-        }
-    }
-}
-
-impl std::hash::Hasher for MurmurHasher {
-    fn finish(&self) -> u64 {
-        murmur3_x64_128(&self.buf, self.seed).0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-}
-
-/// A `BuildHasher` producing [`MurmurHasher`]s with a fixed seed.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MurmurBuildHasher {
-    /// Seed passed to every hasher produced.
-    pub seed: u32,
-}
-
-impl std::hash::BuildHasher for MurmurBuildHasher {
-    type Hasher = MurmurHasher;
-
-    fn build_hasher(&self) -> MurmurHasher {
-        MurmurHasher::with_seed(self.seed)
-    }
+/// Hash a packed m-mer (m ≤ 32, stored in a single `u64`) with MurmurHash3. This is the
+/// minimizer *score function* of HySortK §3.2.
+#[inline]
+pub fn hash_mmer(packed: u64, seed: u32) -> u64 {
+    murmur3_x64_128(&packed.to_le_bytes(), seed).0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // Reference vectors computed with Austin Appleby's C++ reference implementation.
-    #[test]
-    fn x86_32_reference_vectors() {
-        assert_eq!(murmur3_x86_32(b"", 0), 0);
-        assert_eq!(murmur3_x86_32(b"", 1), 0x514E28B7);
-        assert_eq!(murmur3_x86_32(b"", 0xffffffff), 0x81F16F39);
-        assert_eq!(murmur3_x86_32(b"test", 0x9747b28c), 0x704b81dc);
-        assert_eq!(murmur3_x86_32(b"Hello, world!", 0x9747b28c), 0x24884CBA);
-        assert_eq!(
-            murmur3_x86_32(b"The quick brown fox jumps over the lazy dog", 0x9747b28c),
-            0x2FA826CD
-        );
-    }
 
     #[test]
     fn x64_128_empty_input_is_zero_with_zero_seed() {
@@ -241,10 +140,12 @@ mod tests {
     }
 
     #[test]
-    fn hasher_adaptor_matches_direct_call() {
-        use std::hash::Hasher;
-        let mut h = MurmurHasher::with_seed(7);
-        h.write(b"ACGTACGT");
-        assert_eq!(h.finish(), murmur3_x64_128(b"ACGTACGT", 7).0);
+    fn mmer_hash_differs_from_identity() {
+        // The whole point of a hash score function is to decorrelate the score from the
+        // lexicographic value (paper §3.2): adjacent m-mers should not get adjacent
+        // scores.
+        let h0 = hash_mmer(0, 0);
+        let h1 = hash_mmer(1, 0);
+        assert_ne!(h1.wrapping_sub(h0), 1);
     }
 }

@@ -19,7 +19,7 @@
 //! The MurmurHash3_x64_128 of an 8-byte input reduces to a short fixed sequence of
 //! 64-bit multiplies, rotates and xors (no block loop), replicated here lane-wise with
 //! the classic three-`mul_epu32` 64-bit multiply decomposition — bit-identical to
-//! [`hysortk_hash::hash_mmer`], which the property tests pin.
+//! [`hash_mmer`](crate::mmer::hash_mmer), which the property tests pin.
 //!
 //! Dispatch follows [`hysortk_dna::simd::level`] (one detection for the whole
 //! workspace, `HYSORTK_NO_SIMD=1` honoured); the scalar path is the reference.
@@ -118,7 +118,7 @@ mod x86 {
         _mm256_xor_si256(k, _mm256_srli_epi64::<33>(k))
     }
 
-    /// Lane-wise [`hysortk_hash::hash_mmer`]: the low word of MurmurHash3_x64_128 over
+    /// Lane-wise [`hash_mmer`](crate::mmer::hash_mmer): the low word of MurmurHash3_x64_128 over
     /// the 8 little-endian bytes of each lane — the 8-byte specialisation has no block
     /// loop, only the `k1` tail fold and the finalisation.
     #[inline]

@@ -19,7 +19,7 @@ pub mod worker;
 
 pub use assign::{assign_greedy, assign_modulo, max_rank_load, Assignment};
 pub use heavy::{detect_heavy_tasks, HeavyHitterPolicy};
-pub use worker::{schedule_lpt, Checkout, PoolCache, ScratchBank, WorkerPool, WorkerSchedule};
+pub use worker::{schedule_lpt, Checkout, ScratchBank, WorkerPool, WorkerSchedule};
 
 /// Identifier of a task (a batch of k-mers that always stays together).
 pub type TaskId = usize;

@@ -2,108 +2,43 @@
 //!
 //! Instead of throwing all of a process's threads at one big sort (which scales poorly
 //! beyond 16 threads), HySortK splits them into *workers* of a fixed small width
-//! (default 4 threads) and gives each worker a queue of tasks. [`WorkerPool`] executes
-//! tasks on a rayon pool sized `workers × threads_per_worker` that is built **once**
-//! and cached process-wide by thread count ([`PoolCache`]) — constructing a thread
-//! pool per `execute` call was a large constant cost when every rank runs the sort
-//! stage once per pipeline invocation. [`schedule_lpt`] computes the static
-//! longest-processing-time assignment whose makespan the performance model uses, and
-//! which [`WorkerPool::execute_balanced`] uses to place a list of unequal jobs — the
-//! overlapped exchange's count jobs — onto the pool's threads.
+//! (default 4 threads) and gives each worker a queue of tasks. A [`WorkerPool`] is a
+//! rank's thread budget, `workers × threads_per_worker`: its calls run rayon adapters
+//! with that budget installed, and the adapters scope their threads to the call.
+//! [`schedule_lpt`] computes the static longest-processing-time assignment whose
+//! makespan the performance model uses, and which [`WorkerPool::execute_balanced`] uses
+//! to place a list of unequal jobs — the overlapped exchange's count jobs — onto the
+//! pool's threads.
 
-use std::collections::{BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
+use std::collections::BinaryHeap;
+use std::sync::Mutex;
 
 use hysortk_trace as trace;
 use rayon::prelude::*;
 
 use crate::TaskId;
 
-/// A cache of rayon pools keyed by total thread count, with a count of how many it had
-/// to build. [`WorkerPool::new`] resolves pools from [`PoolCache::process`], so ranks of
-/// a simulated cluster share a pool of a given width instead of each building (and
-/// tearing down) their own, which also stops the simulator from oversubscribing the
-/// host with `ranks × threads` OS threads. A test that asserts on the build count
-/// makes its own cache and uses [`WorkerPool::new_in`].
-#[derive(Default)]
-pub struct PoolCache {
-    pools: Mutex<HashMap<usize, Arc<rayon::ThreadPool>>>,
-    builds: AtomicUsize,
-}
-
-impl PoolCache {
-    /// The cache every [`WorkerPool::new`] in this process shares.
-    pub fn process() -> &'static PoolCache {
-        static PROCESS: OnceLock<PoolCache> = OnceLock::new();
-        PROCESS.get_or_init(PoolCache::default)
-    }
-
-    /// Rayon pools this cache has constructed so far (monotone; a hit adds nothing) —
-    /// observable so a regression back to pool-per-call construction fails loudly.
-    pub fn builds(&self) -> usize {
-        self.builds.load(Ordering::Relaxed)
-    }
-
-    fn pool(&self, total_threads: usize) -> Arc<rayon::ThreadPool> {
-        let mut pools = self.pools.lock().expect("worker pool cache poisoned");
-        Arc::clone(pools.entry(total_threads).or_insert_with(|| {
-            self.builds.fetch_add(1, Ordering::Relaxed);
-            Arc::new(
-                rayon::ThreadPoolBuilder::new()
-                    .num_threads(total_threads)
-                    .build()
-                    .expect("failed to build worker thread pool"),
-            )
-        }))
-    }
-}
-
-/// A pool of workers inside one simulated rank.
-#[derive(Clone)]
+/// A pool of workers inside one simulated rank: the rank's thread budget.
+#[derive(Debug)]
 pub struct WorkerPool {
-    workers: usize,
-    threads_per_worker: usize,
-    pool: Arc<rayon::ThreadPool>,
-    /// Rank attributed to trace events this pool emits. The backing rayon pool
-    /// is cached process-wide and *shared across simulated ranks*, so rank can
-    /// never be inferred from the worker thread — it is carried explicitly by
-    /// the pool handle, which is per-rank.
+    pool: rayon::ThreadPool,
+    /// Rank attributed to trace events this pool emits: a worker thread serves
+    /// whichever rank's call spawned it, so the rank travels with the handle.
     rank: u32,
 }
 
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("workers", &self.workers)
-            .field("threads_per_worker", &self.threads_per_worker)
-            .finish()
-    }
-}
-
 impl WorkerPool {
-    /// Create a pool of `workers`, each `threads_per_worker` threads wide. The backing
-    /// rayon pool is resolved from the process-wide cache; only the first pool of a
-    /// given total width ever constructs one.
+    /// Create a pool of `workers`, each `threads_per_worker` threads wide (both clamped
+    /// to at least one).
     pub fn new(workers: usize, threads_per_worker: usize) -> Self {
-        Self::new_in(PoolCache::process(), workers, threads_per_worker)
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(workers.max(1) * threads_per_worker.max(1))
+            .build()
+            .expect("failed to build worker thread pool");
+        WorkerPool { pool, rank: 0 }
     }
 
-    /// [`WorkerPool::new`] resolving the backing rayon pool from `cache`.
-    pub fn new_in(cache: &PoolCache, workers: usize, threads_per_worker: usize) -> Self {
-        let workers = workers.max(1);
-        let threads_per_worker = threads_per_worker.max(1);
-        WorkerPool {
-            workers,
-            threads_per_worker,
-            pool: cache.pool(workers * threads_per_worker),
-            rank: 0,
-        }
-    }
-
-    /// Attribute this pool handle's trace events to `rank` (see the `rank`
-    /// field: worker threads are shared, the handle is not).
+    /// Attribute this pool handle's trace events to `rank` (see the `rank` field).
     pub fn for_rank(mut self, rank: usize) -> Self {
         self.rank = rank as u32;
         self
@@ -114,28 +49,17 @@ impl WorkerPool {
         self.rank
     }
 
-    /// Number of workers.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Threads per worker.
-    pub fn threads_per_worker(&self) -> usize {
-        self.threads_per_worker
-    }
-
     /// Total threads the pool may use.
     pub fn total_threads(&self) -> usize {
-        self.workers * self.threads_per_worker
+        self.pool.current_num_threads()
     }
 
     /// Execute `f` over every task, with the pool's total thread budget. Tasks are
     /// processed independently (the defining property of the task abstraction: k-mers
     /// with equal value never span two tasks, so no cross-task coordination is needed).
     ///
-    /// Results are returned in task order. Reuses the cached rayon pool — no thread
-    /// pool is constructed per call. A single task runs on the calling thread with the
-    /// pool's whole thread budget for the parallel work nested inside it.
+    /// Results are returned in task order. A single task runs on the calling thread with
+    /// the pool's whole thread budget for the parallel work nested inside it.
     pub fn execute<T, R, F>(&self, tasks: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
@@ -143,69 +67,6 @@ impl WorkerPool {
         F: Fn(T) -> R + Sync + Send,
     {
         self.pool.install(|| tasks.into_par_iter().map(f).collect())
-    }
-
-    /// Like [`execute`](WorkerPool::execute), but each worker thread gets a reusable
-    /// scratch value built once by `init` and threaded through every task it runs, and
-    /// the per-thread scratch values are handed back to the caller after the run. The
-    /// sort & count stage uses this to accumulate per-worker histograms and work
-    /// counters inside the scratch and merge the handful of scratches once at the end,
-    /// instead of allocating and merging one histogram per task.
-    ///
-    /// Results are returned in task order; the scratch order is unspecified (one entry
-    /// per rayon fold segment), so merging scratches must be commutative.
-    pub fn execute_with_scratch<T, S, R, I, F>(
-        &self,
-        tasks: Vec<T>,
-        init: I,
-        f: F,
-    ) -> (Vec<R>, Vec<S>)
-    where
-        T: Send,
-        S: Send,
-        R: Send,
-        I: Fn() -> S + Sync + Send,
-        F: Fn(&mut S, T) -> R + Sync + Send,
-    {
-        let _span = trace::span!(
-            "pool-execute",
-            trace::Detail::Task,
-            self.rank,
-            tasks = tasks.len(),
-        );
-        // Queue time: from handing the tasks to the shared rayon pool until a
-        // worker segment actually starts running them.
-        let submit = trace::enabled(trace::Detail::Task).then(Instant::now);
-        let rank = self.rank;
-        let per_thread: Vec<(S, Vec<R>)> = self.pool.install(|| {
-            tasks
-                .into_par_iter()
-                .fold(
-                    || {
-                        if let Some(at) = submit {
-                            trace::instant(
-                                "worker-dequeue",
-                                trace::Detail::Task,
-                                rank,
-                                &[("queue_us", at.elapsed().as_micros() as u64)],
-                            );
-                        }
-                        (init(), Vec::new())
-                    },
-                    |(mut scratch, mut out), task| {
-                        out.push(f(&mut scratch, task));
-                        (scratch, out)
-                    },
-                )
-                .collect()
-        });
-        let mut results = Vec::with_capacity(per_thread.iter().map(|(_, r)| r.len()).sum());
-        let mut scratches = Vec::with_capacity(per_thread.len());
-        for (scratch, group) in per_thread {
-            results.extend(group);
-            scratches.push(scratch);
-        }
-        (results, scratches)
     }
 
     /// Run a list of **unequal jobs** as one call: `sizes[i]` estimates job `i`'s work,
@@ -267,10 +128,8 @@ impl WorkerPool {
 
 /// A pool of reusable per-worker scratch values that survives *across* pool calls.
 ///
-/// [`WorkerPool::execute_with_scratch`] builds fresh scratches per call and hands them
-/// back when the call returns — the right shape when a stage runs once. The overlapped
-/// pipeline instead hands the pool one job list per exchange round, and the expensive
-/// scratch state (decode buffers, sort ping-pong buffers, histograms) must persist
+/// The overlapped pipeline hands the pool one job list per exchange round, and the
+/// expensive scratch state (decode buffers, sort ping-pong buffers, histograms) must persist
 /// across all of them — as must the parse scratches of the streaming feed, which hands
 /// the pool one ingested batch at a time. A `ScratchBank` is that persistence: a job
 /// takes a [`Checkout`] and the scratch returns when the checkout drops (a job may hand
@@ -359,8 +218,8 @@ impl<S> ScratchBank<S> {
         self.len() == 0
     }
 
-    /// Drain every scratch for the caller's final merge (commutative, as with
-    /// [`WorkerPool::execute_with_scratch`]).
+    /// Drain every scratch for the caller's final merge (in no particular order, so the
+    /// merge must be commutative).
     pub fn into_scratches(self) -> Vec<S> {
         self.state.into_inner().expect("scratch bank poisoned").0
     }
@@ -438,49 +297,6 @@ mod tests {
         let pool = WorkerPool::new(2, 2);
         let results = pool.execute((0..100u64).collect(), |x| x * 2);
         assert_eq!(results, (0..100u64).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn execute_with_threads_scratch_and_preserves_order() {
-        let pool = WorkerPool::new(2, 2);
-        // Scratch is a per-thread counter; results must still come back in task order
-        // and every task must see a scratch that was initialised by `init`.
-        let (results, _) = pool.execute_with_scratch(
-            (0..100u64).collect(),
-            || 1_000u64,
-            |scratch, x| {
-                *scratch += 1;
-                (x, *scratch > 1_000)
-            },
-        );
-        assert_eq!(results.len(), 100);
-        for (i, (x, seen_init)) in results.iter().enumerate() {
-            assert_eq!(*x, i as u64);
-            assert!(seen_init);
-        }
-    }
-
-    #[test]
-    fn execute_with_on_empty_input_returns_nothing() {
-        let pool = WorkerPool::new(2, 2);
-        let (results, _) = pool.execute_with_scratch(Vec::<u32>::new(), || 0u8, |_, x| x);
-        assert!(results.is_empty());
-    }
-
-    #[test]
-    fn execute_with_scratch_returns_scratches_covering_every_task() {
-        let pool = WorkerPool::new(2, 2);
-        // Each scratch accumulates the tasks it saw; the union over returned scratches
-        // must be exactly the input set, and results must stay in task order.
-        let (results, scratches) =
-            pool.execute_with_scratch((0..200u64).collect(), Vec::new, |seen: &mut Vec<u64>, x| {
-                seen.push(x);
-                x * 3
-            });
-        assert_eq!(results, (0..200u64).map(|x| x * 3).collect::<Vec<_>>());
-        let mut union: Vec<u64> = scratches.into_iter().flatten().collect();
-        union.sort_unstable();
-        assert_eq!(union, (0..200u64).collect::<Vec<_>>());
     }
 
     #[test]
@@ -685,28 +501,9 @@ mod tests {
 
     #[test]
     fn pool_dimensions_are_reported() {
-        let pool = WorkerPool::new(3, 4);
-        assert_eq!(pool.workers(), 3);
-        assert_eq!(pool.threads_per_worker(), 4);
-        assert_eq!(pool.total_threads(), 12);
+        assert_eq!(WorkerPool::new(3, 4).total_threads(), 12);
         // Degenerate values clamp to one.
         assert_eq!(WorkerPool::new(0, 0).total_threads(), 1);
-    }
-
-    #[test]
-    fn repeated_pools_and_executes_do_not_rebuild_thread_pools() {
-        // A private cache: sibling tests building pools of other widths cannot move
-        // its counter.
-        let cache = PoolCache::default();
-        for _ in 0..20 {
-            let pool = WorkerPool::new_in(&cache, 7, 1);
-            let results = pool.execute((0..50u64).collect(), |x| x + 1);
-            assert_eq!(results.len(), 50);
-        }
-        assert_eq!(cache.builds(), 1);
-        let _ = WorkerPool::new_in(&cache, 3, 4);
-        let _ = WorkerPool::new_in(&cache, 1, 7);
-        assert_eq!(cache.builds(), 2, "one build per distinct total width");
     }
 
     #[test]

@@ -14,11 +14,11 @@
 //!    structs pushed into a pre-sized ring. When a ring is full the oldest
 //!    event is overwritten and a drop counter ticks — a flight recorder keeps
 //!    the most recent history, it never blocks the plane.
-//! 3. **Rank is explicit, never ambient.** Worker pools are cached
-//!    process-wide and shared across simulated ranks, so a thread-local
-//!    "current rank" would mis-attribute events the moment two ranks share a
-//!    pool. Every event carries the rank its caller passed in; the thread id
-//!    is assigned by the registry.
+//! 3. **Rank is explicit, never ambient.** Simulated ranks are threads of
+//!    one process, and a worker-pool call spawns fresh worker threads, so a
+//!    thread-local "current rank" would be missing on every one of them.
+//!    Every event carries the rank its caller passed in; the thread id is
+//!    assigned by the registry.
 //!
 //! Spans are recorded as separate begin/end events (Chrome `B`/`E` phases) so
 //! per-thread well-nestedness is checkable, and exported with
@@ -42,7 +42,8 @@ pub enum Detail {
     /// Plus per-round lanes: serialize / post / wait / count, checkpoints,
     /// shard-read batches, flow arrows.
     Round = 1,
-    /// Plus per-task count spans, per-chunk parse spans, worker queue time.
+    /// Plus per-task serialize and count spans, per-section count spans and
+    /// worker-pool calls.
     Task = 2,
 }
 
@@ -89,7 +90,7 @@ pub enum EventKind {
 /// One compact recorded event. `Copy`, no heap data: labels and argument
 /// names are interned `&'static str`, values are `u64`, and the timestamp is
 /// nanoseconds since the process-wide recorder epoch.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Event {
     pub label: &'static str,
     pub kind: EventKind,
@@ -101,6 +102,35 @@ pub struct Event {
 }
 
 impl Event {
+    /// An event whose label and argument names are runtime strings — one decoded from
+    /// another process's trace. The strings are interned; `None` when there are more
+    /// than two arguments.
+    pub fn new(
+        label: &str,
+        kind: EventKind,
+        ts_ns: u64,
+        rank: u32,
+        tid: u32,
+        args: &[(&str, u64)],
+    ) -> Option<Event> {
+        if args.len() > 2 {
+            return None;
+        }
+        let mut packed = [("", 0u64); 2];
+        for (slot, &(name, value)) in packed.iter_mut().zip(args) {
+            *slot = (intern(name), value);
+        }
+        Some(Event {
+            label: intern(label),
+            kind,
+            ts_ns,
+            rank,
+            tid,
+            args: packed,
+            nargs: args.len() as u8,
+        })
+    }
+
     /// The event's arguments (at most two name/value pairs).
     pub fn args(&self) -> &[(&'static str, u64)] {
         &self.args[..self.nargs as usize]
@@ -394,7 +424,7 @@ macro_rules! span {
 
 /// Everything the recorder held at collection time: events from all threads
 /// merged in timestamp order, plus the number of events lost to ring wraps.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub struct Trace {
     pub events: Vec<Event>,
     pub dropped: u64,
@@ -487,98 +517,6 @@ pub fn clear() {
 }
 
 impl Trace {
-    /// Serialize for shipping across a process boundary (the process backend's
-    /// control socket). Labels and argument names travel as strings and are
-    /// re-interned on decode.
-    pub fn to_wire_bytes(&self) -> Vec<u8> {
-        fn put_str(out: &mut Vec<u8>, s: &str) {
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
-        let mut out = Vec::with_capacity(self.events.len() * 48 + 16);
-        out.extend_from_slice(&self.dropped.to_le_bytes());
-        out.extend_from_slice(&(self.events.len() as u64).to_le_bytes());
-        for ev in &self.events {
-            put_str(&mut out, ev.label);
-            out.push(ev.kind as u8);
-            out.extend_from_slice(&ev.ts_ns.to_le_bytes());
-            out.extend_from_slice(&ev.rank.to_le_bytes());
-            out.extend_from_slice(&ev.tid.to_le_bytes());
-            out.push(ev.nargs);
-            for (name, value) in ev.args() {
-                put_str(&mut out, name);
-                out.extend_from_slice(&value.to_le_bytes());
-            }
-        }
-        out
-    }
-
-    /// Decode a [`Trace::to_wire_bytes`] payload. Returns `None` on any
-    /// malformed input instead of panicking — a truncated control frame must
-    /// not take the parent down.
-    pub fn from_wire_bytes(mut input: &[u8]) -> Option<Trace> {
-        fn take<'a>(input: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
-            if input.len() < n {
-                return None;
-            }
-            let (head, rest) = input.split_at(n);
-            *input = rest;
-            Some(head)
-        }
-        fn get_u32(input: &mut &[u8]) -> Option<u32> {
-            take(input, 4).map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-        }
-        fn get_u64(input: &mut &[u8]) -> Option<u64> {
-            take(input, 8).map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-        }
-        fn get_str(input: &mut &[u8]) -> Option<&'static str> {
-            let len = get_u32(input)? as usize;
-            let bytes = take(input, len)?;
-            Some(intern(std::str::from_utf8(bytes).ok()?))
-        }
-        let dropped = get_u64(&mut input)?;
-        let count = get_u64(&mut input)? as usize;
-        let mut events = Vec::with_capacity(count.min(input.len() / 20 + 1));
-        for _ in 0..count {
-            let label = get_str(&mut input)?;
-            let kind = match take(&mut input, 1)?[0] {
-                0 => EventKind::Begin,
-                1 => EventKind::End,
-                2 => EventKind::Instant,
-                3 => EventKind::Counter,
-                4 => EventKind::FlowStart,
-                5 => EventKind::FlowEnd,
-                _ => return None,
-            };
-            let ts_ns = get_u64(&mut input)?;
-            let rank = get_u32(&mut input)?;
-            let tid = get_u32(&mut input)?;
-            let nargs = take(&mut input, 1)?[0];
-            if nargs > 2 {
-                return None;
-            }
-            let mut args = [("", 0u64); 2];
-            for slot in args.iter_mut().take(nargs as usize) {
-                let name = get_str(&mut input)?;
-                let value = get_u64(&mut input)?;
-                *slot = (name, value);
-            }
-            events.push(Event {
-                label,
-                kind,
-                ts_ns,
-                rank,
-                tid,
-                args,
-                nargs,
-            });
-        }
-        if !input.is_empty() {
-            return None;
-        }
-        Some(Trace { events, dropped })
-    }
-
     /// Events with the given label.
     pub fn with_label<'a>(&'a self, label: &'a str) -> impl Iterator<Item = &'a Event> + 'a {
         self.events.iter().filter(move |e| e.label == label)
