@@ -11,7 +11,7 @@ import os
 import re
 import sys
 
-CEILING = 32
+CEILING = 31
 
 pattern = re.compile(r"\bunsafe\b")
 hits = []

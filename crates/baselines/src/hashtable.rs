@@ -92,9 +92,13 @@ pub fn two_pass_hash_count<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) ->
 
         let mut bloom = BloomFilter::with_rate(per_rank_estimate.max(1024), 0.01);
         let mut seen_twice: std::collections::HashSet<Vec<u64>> = std::collections::HashSet::new();
+        // The Bloom filter hashes a k-mer's words as their in-memory bytes.
+        let mut bytes = Vec::with_capacity(8 * K::WORDS);
         for row in &pass1.received {
             for chunk in row.chunks_exact(K::WORDS) {
-                if bloom.insert(bytemuck_words(chunk)) {
+                bytes.clear();
+                bytes.extend(chunk.iter().flat_map(|w| w.to_ne_bytes()));
+                if bloom.insert(&bytes) {
                     seen_twice.insert(chunk.to_vec());
                 }
             }
@@ -115,7 +119,7 @@ pub fn two_pass_hash_count<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) ->
             }
         }
 
-        let mut histogram = KmerHistogram::new(max_count as usize + 2);
+        let mut histogram = KmerHistogram::for_max_count(max_count);
         // Singletons were filtered by the Bloom filter; record what the table holds.
         let mut counts: Vec<(K, u64)> = Vec::new();
         for (words, count) in &table {
@@ -144,7 +148,7 @@ pub fn two_pass_hash_count<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) ->
     let network = model.network();
 
     let mut counts: Vec<(K, u64)> = Vec::new();
-    let mut histogram = KmerHistogram::new(max_count as usize + 2);
+    let mut histogram = KmerHistogram::for_max_count(max_count);
     for out in &run.results {
         counts.extend(out.counts.iter().cloned());
         histogram.merge(&out.histogram);
@@ -272,11 +276,6 @@ pub fn two_pass_hash_count<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) ->
         histogram,
         report,
     }
-}
-
-fn bytemuck_words(words: &[u64]) -> &[u8] {
-    // Safe reinterpretation of &[u64] as &[u8] for hashing into the Bloom filter.
-    unsafe { std::slice::from_raw_parts(words.as_ptr().cast::<u8>(), words.len() * 8) }
 }
 
 /// Rebuild a packed k-mer from its wire words (shared with the kmerind baseline).

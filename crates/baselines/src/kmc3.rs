@@ -51,7 +51,7 @@ pub fn kmc3_count<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) -> Baseline
         .map(|mut bin| {
             raduls_sort_by(&mut bin, levels, |km, l| km.byte_msb(k, l));
             let runs = count_sorted_runs(&bin, |km| *km);
-            let mut histogram = KmerHistogram::new(cfg.max_count as usize + 2);
+            let mut histogram = KmerHistogram::for_max_count(cfg.max_count);
             let mut counts = Vec::new();
             for (km, c) in runs {
                 histogram.record(c);
@@ -64,7 +64,7 @@ pub fn kmc3_count<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) -> Baseline
         .collect();
 
     let mut counts: Vec<(K, u64)> = Vec::new();
-    let mut histogram = KmerHistogram::new(cfg.max_count as usize + 2);
+    let mut histogram = KmerHistogram::for_max_count(cfg.max_count);
     let mut total_instances = 0u64;
     for (c, h) in &bin_outputs {
         counts.extend(c.iter().cloned());

@@ -116,7 +116,7 @@ pub fn kmerind_count<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) -> Kmeri
         let table_bytes = table.memory_bytes() as u64;
         let distinct = table.len() as u64;
 
-        let mut histogram = KmerHistogram::new(cfg.max_count as usize + 2);
+        let mut histogram = KmerHistogram::for_max_count(cfg.max_count);
         let mut counts = Vec::new();
         for (km, c) in table.into_sorted_counts() {
             histogram.record(c);
@@ -136,7 +136,7 @@ pub fn kmerind_count<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) -> Kmeri
 
     // ---- merge -------------------------------------------------------------------------
     let mut counts: Vec<(K, u64)> = Vec::new();
-    let mut histogram = KmerHistogram::new(cfg.max_count as usize + 2);
+    let mut histogram = KmerHistogram::for_max_count(cfg.max_count);
     for out in &run.results {
         counts.extend(out.counts.iter().cloned());
         histogram.merge(&out.histogram);

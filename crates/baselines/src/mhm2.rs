@@ -81,7 +81,7 @@ pub fn mhm2_count<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) -> Baseline
             }
         }
 
-        let mut histogram = KmerHistogram::new(cfg.max_count as usize + 2);
+        let mut histogram = KmerHistogram::for_max_count(cfg.max_count);
         let mut counts = Vec::new();
         for (km, c) in table {
             histogram.record(c);
@@ -99,7 +99,7 @@ pub fn mhm2_count<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) -> Baseline
 
     // ---- merge and model -----------------------------------------------------------------
     let mut counts: Vec<(K, u64)> = Vec::new();
-    let mut histogram = KmerHistogram::new(cfg.max_count as usize + 2);
+    let mut histogram = KmerHistogram::for_max_count(cfg.max_count);
     for out in &run.results {
         counts.extend(out.counts.iter().cloned());
         histogram.merge(&out.histogram);

@@ -44,6 +44,7 @@ pub mod pipeline;
 pub mod reference;
 pub mod result;
 pub mod stage3;
+mod table;
 pub mod wire;
 
 pub use config::HySortKConfig;

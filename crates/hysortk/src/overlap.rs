@@ -21,8 +21,9 @@
 //! tasks straight into the recycled engine buffer in wire order (destination-major),
 //! under the pool's thread budget. Stage 1 stages supermers in wire form, so most of a
 //! fill is block header + body + seal; a heavy-hitter task (§3.5) is pre-counted there,
-//! its sort parallel under that budget. The first step only fills, the last only
-//! drains, and a rank of any width runs the same schedule.
+//! in one in-cache table on this thread (only a body whose distinct keys outgrow the
+//! table is sorted, in parallel under that budget). The first step only fills, the last
+//! only drains, and a rank of any width runs the same schedule.
 //!
 //! Rounds are **task-granular**: [`plan_rounds`] packs whole tasks into rounds from
 //! the globally-reduced task sizes, so every rank derives the identical task → round
@@ -185,8 +186,8 @@ impl<K: KmerCode> JobLists<'_, K> {
     /// Fill round `step` into `out`: its tasks one after the other, destination-major —
     /// the wire order — with the bytes per destination in `counts`. Runs on this thread
     /// under the pool's thread budget (a one-job `execute` runs its job on the caller's
-    /// thread with the budget installed), so a heavy-hitter pre-count sorts in parallel.
-    /// Returns the k-mers pre-counted.
+    /// thread with the budget installed), so a heavy-hitter pre-count that outgrows its
+    /// table sorts in parallel. Returns the k-mers pre-counted.
     fn fill(
         &mut self,
         step: usize,

@@ -23,15 +23,16 @@
 //!    exchanged in task-batched rounds over the non-blocking round engine
 //!    ([`crate::overlap`]). Serialising a task ([`SendSerializer`]) is block header +
 //!    section directory + the body's sections + checksum and frees the body; only a
-//!    heavy-hitter task has work to do — it decodes its own body and ships a pre-counted
-//!    kmerlist.
+//!    heavy-hitter task has work to do — it decodes its own body into an in-cache
+//!    `(k-mer, count)` table and ships the distinct pairs as a pre-counted kmerlist.
 //! 3. **Sort & count** — one cheap header pass builds a per-task, per-section block
 //!    index over each completed round, then the worker pool counts each task one
 //!    section at a time: it decodes the section straight from the borrowed wire bytes
-//!    into a reused buffer, radix-sorts it there (choosing the in-place or out-of-place
-//!    sorter by modeled memory pressure) and counts it with a streaming run merge,
-//!    filtered to the `[min_count, max_count]` band, into one sorted run per section
-//!    (see [`crate::stage3`]).
+//!    into a reused buffer — or, once the lane has seen the input duplicated, into a
+//!    small table that keeps only the distinct keys — radix-sorts that buffer
+//!    (choosing the in-place or out-of-place sorter by modeled memory pressure) and
+//!    counts it with a streaming run merge, filtered to the `[min_count, max_count]`
+//!    band, into one sorted run per section (see [`crate::stage3`]).
 //!
 //! A rank returns its sections' sorted runs as the count jobs emitted them, and once every
 //! rank has joined the root moves them into the result as they are
@@ -57,7 +58,7 @@ use hysortk_dna::kmer::KmerCode;
 use hysortk_dna::readset::{Read, ReadSet};
 use hysortk_perfmodel::network::ExchangeProfile;
 use hysortk_perfmodel::{PerfModel, SortAlgorithm, StageTimes};
-use hysortk_sort::{count_sorted_runs, paradis_sort_from, IN_CACHE_BYTES};
+use hysortk_sort::IN_CACHE_BYTES;
 use hysortk_supermer::mmer::{MmerScorer, ScoreFunction};
 use hysortk_supermer::streaming::{for_each_supermer, SupermerScratch};
 use hysortk_task::{
@@ -71,6 +72,7 @@ use crate::error::HysortkError;
 use crate::ingest::ingest_shard;
 use crate::result::{CountResult, KmerHistogram, KmerRuns, RunReport, StageWallTimes};
 use crate::stage3::{self, CountParams, TaskCounts};
+use crate::table;
 use crate::wire::{
     push_supermer, write_block, write_supermer_block, SupermersView, TaskPayload, MAX_SECTIONS,
 };
@@ -331,9 +333,10 @@ impl Stage1 {
 /// blocks into a buffer on demand, so a task's bytes do not depend on the round it is
 /// packed into (which is what makes outputs byte-identical across round plans). A
 /// supermer task is *block header, section directory, staged body section by section,
-/// seal* — a copy; a heavy-hitter task decodes its staged body and pre-counts it into a
-/// kmerlist of `K`s (§3.5). Serialising a task takes its staging with it: each task must
-/// be serialised at most once, and its memory is free afterwards.
+/// seal* — a copy; a heavy-hitter task decodes its staged body into a `(k-mer, count)`
+/// table and ships its distinct pairs, sorted, as a kmerlist of `K`s (§3.5; a body that
+/// outgrows the table is sorted and scanned). Serialising a task takes its staging with
+/// it: each task must be serialised at most once, and its memory is free afterwards.
 pub(crate) struct SendSerializer<'a, K: KmerCode> {
     staged: Stage1,
     heavy: &'a [usize],
@@ -367,20 +370,11 @@ impl<'a, K: KmerCode> SendSerializer<'a, K> {
         // Heavy-hitter path: pre-count locally, ship a kmerlist (§3.5). Heavy tasks exist
         // only without extensions, so the body is bare supermers back to back, whatever
         // their sections. The few distinct keys of a satellite pile into a few sections,
-        // far out of cache, so this is one in-place sort of the whole task and not stage
-        // 3's section by section pass.
+        // so the whole body is counted in one table, not section by section.
         let view = SupermersView::staged(body.supermers as usize, &body.bytes, false);
-        let mut kmers: Vec<K> = Vec::with_capacity(body.kmers as usize);
-        for sm in view.iter() {
-            sm.for_each_canonical_kmer::<K>(self.cfg.k, |km, _| kmers.push(km));
-        }
-        drop(body);
-        // Leading key bytes above the meaningful 2k bits are constant zero; tell the MSD
-        // sorter to skip straight past them.
-        paradis_sort_from(&mut kmers, K::WORDS * 8 - K::num_bytes(self.cfg.k));
-        let list = count_sorted_runs(&kmers, |km| *km);
+        let list = table::precount::<K>(&view, self.cfg.k, body.kmers as usize);
         write_block(out, t as u32, &TaskPayload::<K>::KmerList(list));
-        kmers.len() as u64
+        body.kmers
     }
 }
 
@@ -950,7 +944,7 @@ pub(crate) fn merge_outputs<K: KmerCode>(
     // table, so an extension run assembles it here — one multiway merge over all the
     // runs, on a pool as wide as the thread budget the ranks (all joined by now) had
     // between them — and holds it as a single run.
-    let mut histogram = KmerHistogram::new(cfg.max_count as usize + 2);
+    let mut histogram = KmerHistogram::for_max_count(cfg.max_count);
     let mut counters: Vec<RankCounters> = Vec::with_capacity(outputs.len());
     let mut tasks: Vec<TaskCounts<K>> = Vec::new();
     for out in outputs {

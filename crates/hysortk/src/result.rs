@@ -27,6 +27,13 @@ impl KmerHistogram {
         }
     }
 
+    /// The histogram a run of multiplicity band `[_, max_count]` records into: one bucket
+    /// per multiplicity up to `max_count`, and the overflow bucket above it — clamped as
+    /// [`Self::new`] clamps, whatever `max_count` is (`u64::MAX` included).
+    pub fn for_max_count(max_count: u64) -> Self {
+        KmerHistogram::new(usize::try_from(max_count).map_or(usize::MAX, |m| m.saturating_add(2)))
+    }
+
     /// Record one distinct k-mer with multiplicity `count`.
     pub fn record(&mut self, count: u64) {
         let idx = (count as usize).min(self.buckets.len() - 1);
@@ -240,8 +247,9 @@ pub struct RunReport {
     /// input size: 1 on small inputs. Zero for the baselines.
     pub sections: u32,
     /// Measured: the largest high-water capacity of any rank's stage-3 count buffers —
-    /// the section lanes (decode buffer, RADULS buffer, emitted-run staging) and the
-    /// kmerlist staging, summed over the rank's count scratches. Zero for the baselines.
+    /// the section lanes (decode buffer, RADULS buffer, table, emitted-run staging) and
+    /// the kmerlist staging, summed over the rank's count scratches. Zero for the
+    /// baselines.
     pub count_buffer_bytes: u64,
     /// Which SIMD hot-path variant the run used (`"avx2"`, `"sse2"`, or `"scalar"`),
     /// as chosen by runtime CPU detection (overridable with `HYSORTK_NO_SIMD=1`).

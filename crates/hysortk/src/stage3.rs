@@ -19,17 +19,22 @@
 //!    section of the task:
 //!    * the word-level wire decode
 //!      ([`crate::wire::SupermerView::for_each_canonical_kmer`]) writes the section's
-//!      records, from every source block, into a reused lane buffer;
-//!    * the kernel `params.sorter` names sorts them there (RADULS with a reused
-//!      auxiliary buffer, or PARADIS in place — the only place the choice is
+//!      records, from every source block, into a reused lane buffer — or, on a
+//!      bare-key lane that has seen the input duplicated, collapses them into the
+//!      lane's in-cache `(k-mer, count)` table (`crate::table`) and writes only the
+//!      distinct keys; a section past the table's fill bound is decoded again, record
+//!      by record;
+//!    * the kernel `params.sorter` names sorts the lane buffer there (RADULS with a
+//!      reused auxiliary buffer, or PARADIS in place — the only place the choice is
 //!      consulted). An average section holds about `SECTION_BYTES` (half of
 //!      [`hysortk_sort::IN_CACHE_BYTES`]) of records, so the sort runs in L2;
 //!    * the streaming run merge ([`hysortk_sort::merge_runs_with_counts`]) scans the
-//!      sorted records while they are still in cache — at section 0 of an
-//!      unsectioned task against the task's heavy-hitter kmerlist entries, sorted once
-//!      — and emits into the histogram and into the section's run, copied out exactly
-//!      sized. With extensions on, the sorted records are kept with the run and each
-//!      retained k-mer holds a *range* into them.
+//!      sorted keys while they are still in cache — a hashed key's count read from the
+//!      table, a record's from its run length; at section 0 of an unsectioned task
+//!      against the task's heavy-hitter kmerlist entries, sorted once — and emits into
+//!      the histogram and into the section's run, copied out exactly sized. With
+//!      extensions on, the sorted records are kept with the run and each retained k-mer
+//!      holds a *range* into them.
 //!
 //!    Sections are the parallel unit: under a thread budget above one
 //!    (`threads_per_worker`), consecutive sections are cut into one run of about
@@ -72,6 +77,7 @@ use hysortk_task::{ScratchBank, WorkerPool};
 use hysortk_trace as trace;
 
 use crate::result::KmerHistogram;
+use crate::table::{CountTable, Duplication};
 use crate::wire::{read_blocks, KmerListView, PayloadView, SupermersView, WireError};
 
 /// Everything [`count_task`] needs to know about the run.
@@ -325,7 +331,7 @@ impl<K: KmerCode> CountScratch<K> {
             keys: Vec::new(),
             tagged: Vec::new(),
             pre: Vec::new(),
-            histogram: KmerHistogram::new(max_count as usize + 2),
+            histogram: KmerHistogram::for_max_count(max_count),
             received_records: 0,
             precounted_records: 0,
         }
@@ -340,26 +346,31 @@ impl<K: KmerCode> CountScratch<K> {
     }
 }
 
-/// One thread's working set of the section phase: the section's records, decoded and
-/// then sorted in place; the RADULS ping-pong buffer; what the count scan emits, before
-/// it is copied out exactly sized; and the histogram of what it emitted (folded into
-/// the scratch's when the task ends). The buffers grow to the largest section the lane
-/// meets and stay there.
+/// One thread's working set of the section phase: the section's records — every
+/// instance, or the distinct keys its table collapsed them to — sorted in place; the
+/// RADULS ping-pong buffer; the table and what the lane has seen of the input's
+/// duplication; what the count scan emits, before it is copied out exactly sized; and
+/// the histogram of what it emitted (folded into the scratch's when the task ends). The
+/// buffers grow to the largest section the lane meets and stay there.
 #[derive(Debug)]
 struct Lane<K, T> {
     records: Vec<T>,
     aux: Vec<T>,
+    table: CountTable<K>,
+    dup: Duplication,
     counts: Vec<(K, u64)>,
     ranges: Vec<(u32, u32)>,
     histogram: KmerHistogram,
 }
 
-impl<K, T> Lane<K, T> {
+impl<K: KmerCode, T: Record<K>> Lane<K, T> {
     /// An empty lane whose histogram has the bucket layout of `like`.
     fn new(like: &KmerHistogram) -> Self {
         Lane {
             records: Vec::new(),
             aux: Vec::new(),
+            table: CountTable::default(),
+            dup: Duplication::default(),
             counts: Vec::new(),
             ranges: Vec::new(),
             histogram: KmerHistogram::new(like.buckets().len()),
@@ -369,6 +380,7 @@ impl<K, T> Lane<K, T> {
     /// Bytes the lane's buffers hold.
     fn bytes(&self) -> usize {
         (self.records.capacity() + self.aux.capacity()) * std::mem::size_of::<T>()
+            + self.table.bytes()
             + self.counts.capacity() * std::mem::size_of::<(K, u64)>()
             + self.ranges.capacity() * std::mem::size_of::<(u32, u32)>()
     }
@@ -661,7 +673,7 @@ fn count_records<K: KmerCode, T: Record<K>>(
             let mut decoded = 0;
             for section in run {
                 let records = slot.sections[section].records;
-                let _span = trace::span!(
+                let span = trace::span!(
                     "count-section",
                     trace::Detail::Task,
                     rank,
@@ -669,30 +681,18 @@ fn count_records<K: KmerCode, T: Record<K>>(
                     section = section,
                     records = records,
                 );
-                // Extension ranges are u32 offsets into the section's records; make the
-                // limit explicit rather than silently wrapping.
-                assert!(
-                    !T::TAGGED || u32::try_from(records).is_ok(),
-                    "task {task}: section {section} of {records} records exceeds the \
-                     u32 extension-range limit"
-                );
-                lane.records.clear();
-                lane.records.reserve_exact(records);
-                decode_section(slot, section, k, &mut lane.records);
-                decoded += lane.records.len();
-                match params.sorter {
-                    SortAlgorithm::Raduls => {
-                        let grow = lane.records.len().saturating_sub(lane.aux.len());
-                        lane.aux.reserve_exact(grow);
-                        raduls_sort_with_aux(&mut lane.records, &mut lane.aux);
-                    }
-                    _ => paradis_sort_from(&mut lane.records, params.first_radix_level),
-                }
-                assert!(
-                    lane.records.last().is_none_or(|record| digit.holds(record)),
-                    "task {task}: a decoded k-mer is wider than 2k bits"
-                );
-                out.extend(count_section(lane, pre_of(section), params));
+                // An extension lane needs every record.
+                let slots = (!T::TAGGED)
+                    .then(|| lane.dup.table_slots::<K>(records))
+                    .flatten();
+                let counted =
+                    count_one_section(lane, slot, section, pre_of(section), k, params, slots);
+                span.end_with(&[
+                    ("distinct", counted.distinct as u64),
+                    ("hashed", u64::from(counted.hashed)),
+                ]);
+                decoded += counted.instances;
+                out.extend(counted.run);
             }
             (out, decoded)
         },
@@ -718,18 +718,96 @@ fn count_records<K: KmerCode, T: Record<K>>(
     Ok(outputs.into_iter().flat_map(|(runs, _)| runs).collect())
 }
 
+/// How one section was counted: its run (`None` when it retained nothing), the records
+/// decoded, the distinct keys among them, and whether they were counted in the table.
+struct SectionCount<K, T> {
+    run: Option<RunOutput<K, T>>,
+    instances: usize,
+    distinct: usize,
+    hashed: bool,
+}
+
+/// Count section `section` of `slot`, with its kmerlist entries `pre`, into one sorted
+/// run. With `table_slots` its records are decoded into the lane's table of that many
+/// slots and only the distinct keys are sorted; a section whose distinct keys pass the
+/// table's fill bound — and every section without `table_slots` — is decoded record by
+/// record and sorted whole. Either way the sorted keys go through one scan
+/// ([`count_section`]), and the lane's duplication gate learns from what it saw.
+fn count_one_section<K: KmerCode, T: Record<K>>(
+    lane: &mut Lane<K, T>,
+    slot: &TaskSlot<'_, K>,
+    section: usize,
+    pre: &[(K, u64)],
+    k: usize,
+    params: &CountParams,
+    table_slots: Option<usize>,
+) -> SectionCount<K, T> {
+    let (task, records) = (slot.task, slot.sections[section].records);
+    // Extension ranges are u32 offsets into the section's records; make the limit
+    // explicit rather than silently wrapping.
+    assert!(
+        !T::TAGGED || u32::try_from(records).is_ok(),
+        "task {task}: section {section} of {records} records exceeds the u32 extension-range \
+         limit"
+    );
+    lane.records.clear();
+    let hashed = table_slots.and_then(|slots| {
+        lane.table.reset(slots);
+        let instances = lane
+            .table
+            .add_supermers(&slot.sections[section].supermers, k)?;
+        lane.records.reserve_exact(lane.table.len());
+        (lane.records).extend(
+            lane.table
+                .pairs()
+                .map(|(km, _)| T::new(km, Extension::new(0, 0))),
+        );
+        Some(instances)
+    });
+    let instances = hashed.unwrap_or_else(|| {
+        lane.records.reserve_exact(records);
+        decode_section(slot, section, k, &mut lane.records);
+        lane.records.len()
+    });
+    match params.sorter {
+        SortAlgorithm::Raduls => {
+            let grow = lane.records.len().saturating_sub(lane.aux.len());
+            lane.aux.reserve_exact(grow);
+            raduls_sort_with_aux(&mut lane.records, &mut lane.aux);
+        }
+        _ => paradis_sort_from(&mut lane.records, params.first_radix_level),
+    }
+    let digit = BucketDigit::top_bits::<T>(2 * k as u32);
+    assert!(
+        lane.records.last().is_none_or(|record| digit.holds(record)),
+        "task {task}: a decoded k-mer is wider than 2k bits"
+    );
+    let (run, distinct) = count_section(lane, pre, hashed.is_some(), params);
+    lane.table.clear();
+    lane.dup.observe(instances, distinct);
+    SectionCount {
+        run,
+        instances,
+        distinct,
+        hashed: hashed.is_some(),
+    }
+}
+
 /// Scan one sorted section against its kmerlist entries: every distinct k-mer goes to
 /// the lane's histogram, the retained ones to the section's run — `None` when nothing
-/// is retained. With extensions, each retained run of records is ordered by extension
+/// is retained. A `hashed` section's records are its distinct keys, each counted in the
+/// lane's table. With extensions, each retained run of records is ordered by extension
 /// (keys are equal within a run, so the section stays sorted by k-mer) and the records
-/// are kept with the run.
+/// are kept with the run. Also returns the distinct keys among the records.
 fn count_section<K: KmerCode, T: Record<K>>(
     lane: &mut Lane<K, T>,
     pre: &[(K, u64)],
+    hashed: bool,
     params: &CountParams,
-) -> Option<RunOutput<K, T>> {
+) -> (Option<RunOutput<K, T>>, usize) {
     let Lane {
         records,
+        table,
         counts,
         ranges,
         histogram,
@@ -737,7 +815,15 @@ fn count_section<K: KmerCode, T: Record<K>>(
     } = lane;
     counts.clear();
     ranges.clear();
+    let mut distinct = 0;
     merge_runs_with_counts(records, T::kmer, pre, |km, total, range| {
+        let mut total = total;
+        if !range.is_empty() {
+            distinct += 1;
+            if hashed {
+                total += table.count(&km) - 1;
+            }
+        }
         histogram.record(total);
         if total >= params.min_count && total <= params.max_count {
             counts.push((km, total));
@@ -747,14 +833,14 @@ fn count_section<K: KmerCode, T: Record<K>>(
         }
     });
     if counts.is_empty() {
-        return None;
+        return (None, distinct);
     }
     if T::TAGGED {
         for &(start, len) in ranges.iter() {
             T::sort_run(&mut records[start as usize..][..len as usize]);
         }
     }
-    Some(RunOutput {
+    let run = RunOutput {
         counts: counts.to_vec(),
         records: if T::TAGGED {
             records.to_vec()
@@ -762,7 +848,8 @@ fn count_section<K: KmerCode, T: Record<K>>(
             Vec::new()
         },
         ranges: ranges.to_vec(),
-    })
+    };
+    (Some(run), distinct)
 }
 
 /// The counted tasks of one rank, before the per-rank merge.
@@ -792,7 +879,7 @@ impl<K: KmerCode> Stage3Output<K> {
         scratches: Vec<CountScratch<K>>,
         max_count: u64,
     ) -> Self {
-        let mut histogram = KmerHistogram::new(max_count as usize + 2);
+        let mut histogram = KmerHistogram::for_max_count(max_count);
         let mut received_records = 0u64;
         let mut precounted_records = 0u64;
         let mut buffer_bytes = 0u64;
@@ -987,7 +1074,7 @@ where
 
     let mut received_records = 0u64;
     let mut precounted_records = 0u64;
-    let mut histogram = KmerHistogram::new(params.max_count as usize + 2);
+    let mut histogram = KmerHistogram::for_max_count(params.max_count);
     let mut counts: Vec<(K, u64)> = Vec::new();
     let mut extensions: Option<Vec<Vec<Extension>>> = if params.with_extension {
         Some(Vec::new())
@@ -1098,7 +1185,7 @@ fn reference_count_one_task<K: KmerCode>(
         counted = result;
     }
 
-    let mut histogram = KmerHistogram::new(params.max_count as usize + 2);
+    let mut histogram = KmerHistogram::for_max_count(params.max_count);
     let mut counts = Vec::new();
     let mut extensions = if params.with_extension {
         Some(Vec::new())
@@ -1408,6 +1495,12 @@ mod tests {
         kmers: &[K],
         from: Option<&[(u32, u32)]>,
     ) {
+        let parts = [(0, kmers.len() as u64, &kmer_body(k, kmers, from)[..])];
+        write_supermer_block(out, task, from.is_some(), 1, &parts);
+    }
+
+    /// The supermer bytes of [`kmer_block`].
+    fn kmer_body<K: KmerCode>(k: usize, kmers: &[K], from: Option<&[(u32, u32)]>) -> Vec<u8> {
         let mut seq = DnaSeq::with_capacity(kmers.len() * k);
         for km in kmers {
             (0..k).for_each(|i| seq.push_code(km.base_at(k, i)));
@@ -1416,8 +1509,7 @@ mod tests {
         for i in 0..kmers.len() {
             push_supermer(&mut body, from.map(|from| from[i]), &seq, i * k, k);
         }
-        let parts = [(0, kmers.len() as u64, &body[..])];
-        write_supermer_block(out, task, from.is_some(), 1, &parts);
+        body
     }
 
     // ---- the one-pass driver against the reference ------------------------------------
@@ -1762,6 +1854,213 @@ mod tests {
         // kmerlist staging.
         let bytes = scratch.buffer_bytes();
         assert!((2 * 120_000 * 8..=2 * 120_000 * 8 + 3 * 120_000 * 16).contains(&bytes));
+    }
+
+    // ---- the table path against the sort path and the reference ----------------------
+
+    /// [`kmer_block`] cut into sections, section `s` holding `sections[s]`, bare.
+    fn kmer_sections<K: KmerCode>(out: &mut Vec<u8>, task: u32, k: usize, sections: &[Vec<K>]) {
+        let bodies: Vec<Vec<u8>> = (sections.iter())
+            .map(|kmers| kmer_body(k, kmers, None))
+            .collect();
+        let parts: Vec<(u32, u64, &[u8])> = (sections.iter().zip(&bodies).enumerate())
+            .map(|(s, (kmers, body))| (s as u32, kmers.len() as u64, &body[..]))
+            .collect();
+        write_supermer_block(out, task, false, sections.len() as u32, &parts);
+    }
+
+    /// `n` canonical k-mers drawn from a pool of at most `distinct` (fewer when `k` has
+    /// fewer canonical k-mers).
+    fn random_kmers<K: KmerCode>(rng: &mut StdRng, k: usize, n: usize, distinct: usize) -> Vec<K> {
+        let pool: Vec<K> = (0..distinct)
+            .map(|_| {
+                let codes: Vec<u8> = (0..k).map(|_| rng.gen_range(0..4)).collect();
+                K::from_codes(&codes).canonical(k)
+            })
+            .collect();
+        (0..n).map(|_| pool[rng.gen_range(0..pool.len())]).collect()
+    }
+
+    /// What [`crate::reference`] counts from `kmers` (each its own read), plus the
+    /// kmerlist entries `pre`: the retained run of `params`' band and the histogram.
+    fn reference_run<K: KmerCode>(
+        kmers: &[K],
+        pre: &[(K, u64)],
+        k: usize,
+        params: &CountParams,
+    ) -> (Vec<(K, u64)>, KmerHistogram) {
+        let reads: Vec<String> = kmers.iter().map(|km| km.to_dna_string(k)).collect();
+        let reads = hysortk_dna::readset::ReadSet::from_ascii_reads(&reads);
+        let mut all: BTreeMap<K, u64> = crate::reference::reference_counts::<K>(&reads, k)
+            .into_iter()
+            .collect();
+        for &(km, count) in pre {
+            *all.entry(km).or_insert(0) += count;
+        }
+        let mut histogram = KmerHistogram::for_max_count(params.max_count);
+        all.values().for_each(|&count| histogram.record(count));
+        let band = params.min_count..=params.max_count;
+        (
+            all.into_iter().filter(|(_, c)| band.contains(c)).collect(),
+            histogram,
+        )
+    }
+
+    /// Every section counted both ways — in a table of ample size, in a table too small
+    /// for it (which must fall back to sorting), and by sorting — emits the same run,
+    /// and the task's runs are what the reference counts: all-distinct, all-equal,
+    /// duplicated and empty sections, a section-0 kmerlist merge, and bands whose bounds
+    /// fall on counts that occur, down to a band of one count.
+    #[test]
+    fn table_and_sort_paths_count_every_section_like_the_reference() {
+        fn check<K: KmerCode>(seed: u64, k: usize) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let sectioned: Vec<Vec<K>> = vec![
+                random_kmers(&mut rng, k, 3_000, 3_000),
+                random_kmers(&mut rng, k, 2_000, 1),
+                Vec::new(),
+                random_kmers(&mut rng, k, 5_000, 400),
+                random_kmers(&mut rng, k, 10, 3),
+            ];
+            let unsectioned = random_kmers::<K>(&mut rng, k, 4_000, 300);
+            let mut pre: Vec<(K, u64)> = (random_kmers::<K>(&mut rng, k, 60, 60).into_iter())
+                .chain(unsectioned[..60].iter().copied())
+                .map(|km| (km, rng.gen_range(1..30)))
+                .collect();
+            let mut segment = Vec::new();
+            kmer_sections(&mut segment, 0, k, &sectioned);
+            kmer_sections(&mut segment, 1, k, std::slice::from_ref(&unsectioned));
+            write_block(&mut segment, 1, &TaskPayload::KmerList(pre.clone()));
+            pre.sort_unstable();
+            let index = build_block_index::<K, _>([&segment[..]], k).unwrap();
+
+            for (min_count, max_count) in [(1, u64::MAX), (2, 12), (5, 5), (13, 13)] {
+                let p = CountParams::for_kmer::<K>(
+                    k,
+                    SortAlgorithm::Raduls,
+                    min_count,
+                    max_count,
+                    false,
+                );
+                let like = KmerHistogram::for_max_count(max_count);
+                let tag = format!("k = {k}, band [{min_count}, {max_count}]");
+                let (mut runs, mut histogram) =
+                    (Vec::new(), KmerHistogram::for_max_count(max_count));
+                for (slot, kmers) in index
+                    .slots
+                    .iter()
+                    .zip([&sectioned[..], std::slice::from_ref(&unsectioned)])
+                {
+                    for (section, kmers) in kmers.iter().enumerate() {
+                        let pre = if slot.task == 1 { &pre[..] } else { &[] };
+                        let (expected, expected_histogram) = reference_run(kmers, pre, k, &p);
+                        let distinct = kmers
+                            .iter()
+                            .collect::<std::collections::BTreeSet<_>>()
+                            .len();
+                        let ample = (4 * distinct).next_power_of_two().max(64);
+                        for (slots, hashed) in [
+                            (None, false),
+                            (Some(ample), true),
+                            (Some(64), distinct < 48),
+                        ] {
+                            let mut lane: Lane<K, K> = Lane::new(&like);
+                            let counted =
+                                count_one_section(&mut lane, slot, section, pre, k, &p, slots);
+                            let tag = format!(
+                                "{tag}, task {}, section {section}, {slots:?} slots",
+                                slot.task
+                            );
+                            assert_eq!(counted.hashed, hashed, "{tag}");
+                            assert_eq!(
+                                (counted.instances, counted.distinct),
+                                (kmers.len(), distinct),
+                                "{tag}"
+                            );
+                            let run = counted.run.map(|run| run.counts).unwrap_or_default();
+                            assert_eq!(run, expected, "{tag}");
+                            assert_eq!(lane.histogram, expected_histogram, "{tag}");
+                        }
+                        runs.extend(expected);
+                        histogram.merge(&expected_histogram);
+                    }
+                }
+                // Both tasks through `count_task` on one scratch, whose lane learns the
+                // duplication section by section.
+                let counted = count_blocks_sequential(&index, k, &p);
+                let mut counted = merge_task_counts(counted, &p);
+                // Sections of one task here may share keys (a run's never do), so the
+                // merged table may hold a key more than once.
+                counted.counts.sort_unstable();
+                runs.sort_unstable();
+                assert_eq!(counted.counts, runs, "{tag}");
+                assert_eq!(counted.histogram, histogram, "{tag}");
+                // Header totals that lie are a count mismatch on the table path too.
+                let mut scratch = CountScratch::new(max_count);
+                count_task(&index.slots[1], k, &p, 0, &mut scratch).unwrap();
+                let mut lying = index.slots[1].clone();
+                lying.records += 1;
+                let gate = scratch.keys[0].dup;
+                assert!(gate.table_slots::<K>(lying.records).is_some(), "{tag}");
+                assert_eq!(
+                    count_task(&lying, k, &p, 0, &mut scratch).err(),
+                    Some(WireError::CountMismatch {
+                        task: 1,
+                        expected: 4_001,
+                        got: 4_000
+                    }),
+                    "{tag}"
+                );
+            }
+        }
+        for k in [1, 21, 31, 32] {
+            check::<Kmer1>(50 + k as u64, k);
+        }
+        for k in [1, 21, 31, 32, 33, 55, 64] {
+            check::<Kmer2>(150 + k as u64, k);
+        }
+    }
+
+    /// The gate follows the input inside one task: a lane that has seen duplicated
+    /// sections hashes, sorts once sections of distinct keys arrive, and hashes again
+    /// when the duplication comes back — and the task counts as the reference does.
+    #[test]
+    fn a_lane_switches_between_table_and_sort_inside_one_task() {
+        let k = 31;
+        let mut rng = StdRng::seed_from_u64(60);
+        let sections: Vec<Vec<Kmer1>> = [100, 100, 4_000, 4_000, 100, 100, 100, 100]
+            .into_iter()
+            .map(|distinct| random_kmers(&mut rng, k, 4_000, distinct))
+            .collect();
+        let mut segment = Vec::new();
+        kmer_sections(&mut segment, 0, k, &sections);
+        let index = build_block_index::<Kmer1, _>([&segment[..]], k).unwrap();
+        let p = CountParams::for_kmer::<Kmer1>(k, SortAlgorithm::Raduls, 2, 50, false);
+
+        let mut lane: Lane<Kmer1, Kmer1> = Lane::new(&KmerHistogram::for_max_count(50));
+        let mut runs = Vec::new();
+        let hashed: Vec<bool> = (0..sections.len())
+            .map(|section| {
+                let records = index.slots[0].sections[section].records;
+                let slots = lane.dup.table_slots::<Kmer1>(records);
+                let counted =
+                    count_one_section(&mut lane, &index.slots[0], section, &[], k, &p, slots);
+                runs.extend(counted.run.map(|run| run.counts));
+                counted.hashed
+            })
+            .collect();
+        assert_eq!(hashed, [false, true, false, false, false, true, true, true]);
+
+        let mut scratch = CountScratch::new(p.max_count);
+        let counted = count_task(&index.slots[0], k, &p, 0, &mut scratch).unwrap();
+        let counted: Vec<Vec<(Kmer1, u64)>> = counted.into_iter().map(|run| run.counts).collect();
+        assert_eq!(counted, runs);
+        let all: Vec<Kmer1> = sections.concat();
+        let expected = reference_run(&all, &[], k, &p);
+        let mut merged: Vec<(Kmer1, u64)> = runs.concat();
+        merged.sort_unstable();
+        assert_eq!(merged, expected.0);
+        assert_eq!(lane.histogram, expected.1);
     }
 
     const MISMATCH_K: usize = 21;

@@ -184,6 +184,22 @@ fn bundled_smoke_fasta_reproduces_the_checked_in_golden_histogram() {
     assert!(result.report.distinct_kmers > 0);
 }
 
+/// A band open to `u64::MAX` keeps the histogram's full bucket layout: the run records
+/// what a band of 100 000 records (both clamp to the same buckets), not one bucket.
+#[test]
+fn a_max_count_of_u64_max_records_the_full_histogram() {
+    let smoke = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("data/smoke.fa");
+    let histogram = |max_count| {
+        let mut cfg = HySortKConfig::small(21, HySortKConfig::recommended_m(21), 2);
+        cfg.max_count = max_count;
+        let result = count_kmers_from_files::<Kmer1, _>(&[&smoke], &cfg).unwrap();
+        result.histogram.to_tsv()
+    };
+    let open = histogram(u64::MAX);
+    assert_eq!(open, histogram(100_000));
+    assert!(open.lines().count() > 1, "{open}");
+}
+
 /// What one shard-reader case ends in: every shard's reads (name and bases, in order),
 /// or the first typed error — and the largest block buffer any shard held.
 type ShardOutcome = (Result<Vec<(String, Vec<u8>)>, std::io::ErrorKind>, usize);
