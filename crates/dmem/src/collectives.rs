@@ -118,7 +118,7 @@ impl MatrixExchange<'_> {
             return Err(e);
         }
         if let Some(plan) = &ctx.fault {
-            plan.apply_control(ctx.rank, label, round)?;
+            plan.fire_control(ctx.rank, label, round)?;
         }
         assert_eq!(
             send.len(),
@@ -134,7 +134,7 @@ impl MatrixExchange<'_> {
         ctx.transport.round_post(self.seq, round, data, &displs)?;
         let (mut data, mut displs) = (Vec::new(), Vec::new());
         ctx.transport
-            .round_wait(self.seq, round, label, &mut data, &mut displs)?;
+            .round_wait(self.seq, round, &mut data, &mut displs)?;
         (0..ctx.size)
             .map(|src| {
                 wire::from_bytes(&data[displs[src]..displs[src + 1]]).ok_or_else(|| {
@@ -779,7 +779,7 @@ mod tests {
         assert_eq!(s0.sent_to, vec![4, 8, 12]);
         assert_eq!(s0.payload_bytes, 20); // self-send (4 bytes) excluded
         assert_eq!(s0.stage("stage-a").unwrap().payload_bytes, 20);
-        let total = run.total_comm();
+        let total = CommStats::aggregate(&run.comm);
         assert_eq!(total.collectives, 3);
     }
 

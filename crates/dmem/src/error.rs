@@ -1,22 +1,18 @@
-//! Typed errors for the simulated distributed-memory runtime.
-//!
-//! Before this module existed, every failure inside a collective — a peer panicking
-//! mid-round, a malformed posting, a poisoned lock — either hung the cluster forever
-//! (a waiter parked on a condvar nobody would ever signal) or crashed it with an
-//! opaque panic. Every blocking wait in the runtime now observes a cluster-wide abort
-//! flag and resolves to one of these variants instead, so a single failing rank
-//! unblocks all of its peers promptly with the failing rank identified.
+//! Typed errors for the simulated distributed-memory runtime. Every blocking wait
+//! ends on a post, an abort or a peer's exit, and a failure resolves to one of these
+//! variants, so a failing or departed rank unblocks its peers with that rank named.
 
 use std::fmt;
 
 /// Errors surfaced by the blocking collectives and the non-blocking round engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DmemError {
-    /// Another rank failed — it panicked, hit an injected fault, or published a local
-    /// error via [`RankCtx::abort`](crate::collectives::RankCtx::abort) — while this
-    /// rank was inside a collective or waiting on a round. `rank` identifies the
-    /// failing peer and `detail` carries its failure message; `round` is the round (or
-    /// collective phase) this rank was blocked on when it observed the abort.
+    /// Another rank failed — it panicked, hit an injected fault, published a local
+    /// error via [`RankCtx::abort`](crate::collectives::RankCtx::abort), or exited
+    /// without posting a round this rank waits on — while this rank was inside a
+    /// collective or waiting on a round. `rank` identifies the failing peer and
+    /// `detail` carries its failure message; `round` is the round (or collective
+    /// phase) this rank was blocked on when it observed the abort.
     PeerFailed {
         /// The rank that failed.
         rank: usize,
@@ -24,16 +20,6 @@ pub enum DmemError {
         round: usize,
         /// The failing rank's own error message.
         detail: String,
-    },
-    /// A blocking wait exceeded its deadline without observing either completion or an
-    /// abort — the backstop that turns a lost rank into an error instead of a hang.
-    Timeout {
-        /// Label of the collective or exchange that timed out.
-        label: String,
-        /// The round the rank was waiting on.
-        round: usize,
-        /// How long the rank waited before giving up.
-        waited_ms: u64,
     },
     /// A fault from the active [`FaultPlan`](crate::fault::FaultPlan) fired on this
     /// rank at the named site.
@@ -59,8 +45,8 @@ impl DmemError {
     ///
     /// Rank failures are the class [`Cluster::run_recovering`](crate::Cluster::run_recovering)
     /// can heal by respawning the generation: the data needed to redo the work still
-    /// exists, only the rank executing it was lost. Timeouts and protocol violations
-    /// indicate a runtime bug and are deliberately excluded.
+    /// exists, only the rank executing it was lost. Protocol violations indicate a
+    /// runtime bug and are deliberately excluded.
     pub fn is_rank_failure(&self) -> bool {
         matches!(
             self,
@@ -80,16 +66,6 @@ impl fmt::Display for DmemError {
                 write!(
                     f,
                     "peer rank {rank} failed (observed at round {round}): {detail}"
-                )
-            }
-            DmemError::Timeout {
-                label,
-                round,
-                waited_ms,
-            } => {
-                write!(
-                    f,
-                    "timed out after {waited_ms} ms waiting for round {round} of '{label}'"
                 )
             }
             DmemError::InjectedFault {

@@ -369,24 +369,15 @@ impl FaultPlan {
             .filter(move |f| f.site.rank == rank && f.site.stage == stage && f.site.round == round)
     }
 
-    /// Public control-fault hook for pipeline-level sites the runtime itself never
-    /// visits — e.g. the checkpoint writer fires `fail:R:checkpoint:EPOCH` faults
-    /// through this to simulate a rank crashing mid-manifest-write. Delays sleep in
-    /// place; a matching `fail` fault returns [`DmemError::InjectedFault`], which the
-    /// caller must treat as its own death (publish an abort and unwind).
+    /// Fire the control-flow faults (delay, rank failure) matching a site. Every
+    /// collective round calls this, the round engine through
+    /// `FaultPlan::apply_to_segments`, and so do pipeline-level sites the runtime
+    /// itself never visits — e.g. the checkpoint writer fires
+    /// `fail:R:checkpoint:EPOCH` faults through this to simulate a rank crashing
+    /// mid-manifest-write. Delays sleep in place; a matching `fail` fault returns
+    /// [`DmemError::InjectedFault`], which the caller must treat as its own death
+    /// (publish an abort and unwind).
     pub fn fire_control(&self, rank: usize, stage: &str, round: usize) -> Result<(), DmemError> {
-        self.apply_control(rank, stage, round)
-    }
-
-    /// Fire the control-flow faults (delay, rank failure) matching a site. Called from
-    /// every collective round; the round engine calls it through
-    /// [`FaultPlan::apply_to_segments`].
-    pub(crate) fn apply_control(
-        &self,
-        rank: usize,
-        stage: &str,
-        round: usize,
-    ) -> Result<(), DmemError> {
         for fault in self.matching(rank, stage, round) {
             match &fault.kind {
                 FaultKind::DelayPost { millis } if fault.take_once() => {
@@ -481,7 +472,7 @@ impl FaultPlan {
                 _ => {}
             }
         }
-        self.apply_control(rank, stage, round)
+        self.fire_control(rank, stage, round)
     }
 
     /// Consume one transient-I/O failure for `rank` if any remains; the ingest layer
@@ -588,10 +579,10 @@ mod tests {
     #[test]
     fn fail_rank_fires_exactly_once_at_its_site() {
         let plan = FaultPlan::new().with_fault(1, "exchange", 2, FaultKind::FailRank);
-        assert!(plan.apply_control(1, "exchange", 0).is_ok());
-        assert!(plan.apply_control(0, "exchange", 2).is_ok());
-        let err = plan.apply_control(1, "exchange", 2).unwrap_err();
+        assert!(plan.fire_control(1, "exchange", 0).is_ok());
+        assert!(plan.fire_control(0, "exchange", 2).is_ok());
+        let err = plan.fire_control(1, "exchange", 2).unwrap_err();
         assert!(matches!(err, DmemError::InjectedFault { rank: 1, .. }));
-        assert!(plan.apply_control(1, "exchange", 2).is_ok(), "one-shot");
+        assert!(plan.fire_control(1, "exchange", 2).is_ok(), "one-shot");
     }
 }

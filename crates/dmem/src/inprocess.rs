@@ -2,22 +2,21 @@
 //!
 //! This is the original simulator substrate, behind the [`Transport`] trait. Data
 //! moves through shared *round boards* — per exchange, `rounds × ranks` slots plus
-//! the posted counters waiters sleep on — so a rank can only observe another rank's
-//! bytes by receiving them through an exchange, mirroring real distributed memory.
+//! their readers-left counters — so a rank can only observe another rank's bytes by
+//! receiving them through an exchange, mirroring real distributed memory.
 //! The round engine ([`RoundExchange`](crate::nonblocking::RoundExchange)) and every
 //! collective drive the boards through the `round_*` trait entry points.
 //!
-//! Every wait observes the cluster-wide abort flag, so a failing rank unblocks its
-//! peers with [`DmemError::PeerFailed`] instead of hanging them, with a wall-clock
-//! deadline as the backstop.
+//! Every wait blocks on the cluster's [`Liveness`], which a post, a published abort
+//! and a rank's return all notify: a failing or departed rank unblocks its peers with
+//! [`DmemError::PeerFailed`] instead of hanging them, and a slow one is waited for.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::sync::{Arc, Mutex};
 
 use crate::error::DmemError;
-use crate::transport::{AbortState, Backend, Transport, ABORT_TICK, WAIT_DEADLINE};
+use crate::transport::{Backend, Liveness, Transport};
 
 /// One rank's posted buffer for one round.
 struct Posted {
@@ -27,21 +26,17 @@ struct Posted {
 
 /// One (round, source) cell of the round board.
 struct RoundSlot {
+    /// `Some` from the post until the last reader takes the buffer back, so a rank
+    /// that has not read the round yet sees `Some` exactly when the source posted.
     data: Mutex<Option<Posted>>,
     /// Ranks that still have to read this slot; the last reader recycles the buffer.
     readers_left: AtomicUsize,
 }
 
-/// The shared state of one in-flight round exchange: `rounds × ranks` slots plus the
-/// posted counters the waiters sleep on.
-pub(crate) struct RoundBoard {
+/// The shared state of one in-flight round exchange: `rounds × ranks` slots.
+struct RoundBoard {
     ranks: usize,
     rounds: usize,
-    /// How many ranks have posted each round; guarded by one mutex so waiters can
-    /// sleep on `cv` instead of spinning. `pub(crate)` so the poisoned-lock
-    /// regression test can poison it the way a dying rank would.
-    pub(crate) posted: Mutex<Vec<usize>>,
-    cv: Condvar,
     slots: Vec<Vec<RoundSlot>>,
     /// Fully-consumed send buffers, returned to their poster for reuse.
     spent: Vec<Mutex<Vec<Vec<u8>>>>,
@@ -52,8 +47,6 @@ impl RoundBoard {
         RoundBoard {
             ranks,
             rounds,
-            posted: Mutex::new(vec![0; rounds]),
-            cv: Condvar::new(),
             slots: (0..rounds)
                 .map(|_| {
                     (0..ranks)
@@ -106,8 +99,9 @@ pub(crate) struct InProcShared {
     size: usize,
     /// Round boards of in-flight exchanges.
     round_boards: BoardRegistry,
-    /// Cluster-wide abort flag, shared with every round exchange.
-    abort: Arc<AbortState>,
+    /// The cluster's abort record and departed ranks; every wait blocks on it.
+    /// `pub(crate)` so the cluster can mark a rank as left when its closure returns.
+    pub(crate) live: Liveness,
 }
 
 impl InProcShared {
@@ -115,7 +109,7 @@ impl InProcShared {
         InProcShared {
             size,
             round_boards: BoardRegistry::default(),
-            abort: Arc::new(AbortState::new()),
+            live: Liveness::new(size),
         }
     }
 }
@@ -145,14 +139,6 @@ impl InProcessTransport {
                 .get(&seq)
                 .expect("round exchange used before round_open"),
         )
-    }
-
-    /// Test hook: the board of an open exchange, for constructing failure
-    /// scenarios (e.g. poisoning its lock) that chaos schedules only hit
-    /// incidentally.
-    #[cfg(test)]
-    pub(crate) fn board_for_test(&self, seq: u64) -> Arc<RoundBoard> {
-        self.board(seq)
     }
 
     /// Copy this rank's segments of `round` out of every poster's buffer. Caller
@@ -231,9 +217,7 @@ impl Transport for InProcessTransport {
                 displs: displs.to_vec(),
             });
         }
-        let mut posted = board.posted.lock().unwrap_or_else(|e| e.into_inner());
-        posted[round] += 1;
-        board.cv.notify_all();
+        self.shared.live.notify();
         Ok(())
     }
 
@@ -241,34 +225,14 @@ impl Transport for InProcessTransport {
         &self,
         seq: u64,
         round: usize,
-        label: &str,
         data: &mut Vec<u8>,
         displs: &mut Vec<usize>,
     ) -> Result<(), DmemError> {
         let board = self.board(seq);
-        let start = Instant::now();
-        {
-            let mut posted = board.posted.lock().unwrap_or_else(|e| e.into_inner());
-            while posted[round] < board.ranks {
-                if let Some(e) = self.shared.abort.peer_failure(round) {
-                    return Err(e);
-                }
-                if start.elapsed() >= WAIT_DEADLINE {
-                    let e = DmemError::Timeout {
-                        label: label.to_string(),
-                        round,
-                        waited_ms: start.elapsed().as_millis() as u64,
-                    };
-                    self.shared.abort.publish(self.rank, &e.to_string());
-                    return Err(e);
-                }
-                let (guard, _) = board
-                    .cv
-                    .wait_timeout(posted, ABORT_TICK)
-                    .unwrap_or_else(|e| e.into_inner());
-                posted = guard;
-            }
-        }
+        self.shared.live.wait_for_posts(round, |src| {
+            let slot = board.slots[round][src].data.lock();
+            slot.unwrap_or_else(|e| e.into_inner()).is_some()
+        })?;
         self.read_round(&board, round, data, displs);
         Ok(())
     }
@@ -295,10 +259,10 @@ impl Transport for InProcessTransport {
     }
 
     fn publish_abort(&self, rank: usize, detail: &str) {
-        self.shared.abort.publish(rank, detail);
+        self.shared.live.publish(rank, detail);
     }
 
     fn peer_failure(&self, round: usize) -> Option<DmemError> {
-        self.shared.abort.peer_failure(round)
+        self.shared.live.peer_failure(round)
     }
 }

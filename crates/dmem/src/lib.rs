@@ -38,7 +38,11 @@
 //! [`DmemError::PeerFailed`] naming the failing rank. On the process backend the
 //! abort fans out over the sockets, and a rank that dies outright (its process exits
 //! mid-run) is detected by its closed connections — a dead peer surfaces as
-//! `PeerFailed`, never a hang. Deterministic fault schedules for chaos testing are
+//! `PeerFailed`, never a hang. So does a rank that returns from its closure without
+//! posting a round its peers wait on. No wait has a deadline: every wait ends on a
+//! post, an abort or a peer's exit (see [`transport`]), so a rank that is only slow —
+//! a bigger shard, a slower disk — is waited for, however long it takes.
+//! Deterministic fault schedules for chaos testing are
 //! attached with [`Cluster::with_fault_plan`]; a cluster without a plan pays one
 //! `Option` check per collective.
 //!
@@ -100,7 +104,6 @@ pub use wire::Wire;
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Duration;
 
 use inprocess::{InProcShared, InProcessTransport};
 use transport::Transport;
@@ -122,35 +125,6 @@ pub struct ClusterRun<R> {
     pub results: Vec<R>,
     /// Per-rank communication statistics, indexed by rank.
     pub comm: Vec<CommStats>,
-}
-
-impl<R> ClusterRun<R> {
-    /// Aggregate the per-rank statistics (sums volumes, maxes the per-pair maxima).
-    pub fn total_comm(&self) -> CommStats {
-        CommStats::aggregate(&self.comm)
-    }
-}
-
-/// How [`Cluster::run_recovering`] reacts to a recoverable generation failure:
-/// how many times the ranks may be respawned, and how long to back off before
-/// each respawn (the backoff doubles per attempt).
-#[derive(Debug, Clone)]
-pub struct RecoveryPolicy {
-    /// Maximum number of respawn attempts after the initial run. `0` disables
-    /// recovery entirely and degrades to [`Cluster::run`] semantics.
-    pub max_attempts: usize,
-    /// Base backoff slept before the first respawn; doubled on every further attempt.
-    pub backoff: Duration,
-}
-
-impl RecoveryPolicy {
-    /// A policy that never retries: failures surface exactly as under [`Cluster::run`].
-    pub fn disabled() -> Self {
-        RecoveryPolicy {
-            max_attempts: 0,
-            backoff: Duration::ZERO,
-        }
-    }
 }
 
 /// The result of [`Cluster::run_recovering`]: the final generation's per-rank results
@@ -254,7 +228,7 @@ impl Cluster {
     /// [`Cluster::run_recovering_wire`] on the thread backend, for any `T` and `E`.
     fn run_recovering<T, E, F, P>(
         &self,
-        policy: &RecoveryPolicy,
+        max_attempts: usize,
         recoverable: P,
         f: F,
     ) -> RecoveringRun<T, E>
@@ -264,19 +238,23 @@ impl Cluster {
         F: Fn(&mut RankCtx) -> Result<T, E> + Sync,
         P: Fn(&E) -> bool,
     {
-        self.recover_loop(policy, recoverable, |generation| {
+        self.recover_loop(max_attempts, recoverable, |generation| {
             self.run_generation(&f, generation)
         })
     }
 
     /// Run `f` like [`Cluster::run_wire`], but when ranks fail with errors the
     /// `recoverable` predicate accepts, respawn the whole generation — fresh abort
-    /// state, fresh round boards, same (already partially fired) fault plan — after a
-    /// doubling backoff, up to `policy.max_attempts` times.
+    /// state, fresh round boards, same (already partially fired) fault plan — up to
+    /// `max_attempts` times (`0` never retries: failures surface exactly as under
+    /// [`Cluster::run_wire`]).
     ///
     /// This is in-run rank recovery: the join at the end of a generation is the
     /// recovery barrier every survivor reaches once the abort has unwound it, and
-    /// re-invoking `f` with [`RankCtx::generation`] incremented is the respawn.
+    /// re-invoking `f` with [`RankCtx::generation`] incremented is the respawn. The
+    /// respawn follows the join at once: every rank of the failed generation has been
+    /// joined (thread backend) or reaped (process backend) by then, so there is
+    /// nothing left to wait for.
     /// Pipelines that checkpoint observe the bumped generation and restore from their
     /// last committed epoch instead of recounting from scratch.
     ///
@@ -291,7 +269,7 @@ impl Cluster {
     /// generations, so a fail-once fault does not re-fire on the respawn.
     pub fn run_recovering_wire<T, E, F, P>(
         &self,
-        policy: &RecoveryPolicy,
+        max_attempts: usize,
         recoverable: P,
         f: F,
     ) -> RecoveringRun<T, E>
@@ -302,8 +280,8 @@ impl Cluster {
         P: Fn(&E) -> bool,
     {
         match self.backend {
-            Backend::Thread => self.run_recovering(policy, recoverable, f),
-            Backend::Process => self.recover_loop(policy, recoverable, |generation| {
+            Backend::Thread => self.run_recovering(max_attempts, recoverable, f),
+            Backend::Process => self.recover_loop(max_attempts, recoverable, |generation| {
                 self.run_process_generation(&f, generation)
             }),
         }
@@ -313,7 +291,7 @@ impl Cluster {
     /// retry while every failure is recoverable and attempts remain.
     fn recover_loop<T, E, P>(
         &self,
-        policy: &RecoveryPolicy,
+        max_attempts: usize,
         recoverable: P,
         runner: impl Fn(usize) -> ClusterRun<Result<T, E>>,
     ) -> RecoveringRun<T, E>
@@ -329,7 +307,7 @@ impl Cluster {
                 .iter()
                 .filter_map(|r| r.as_ref().err())
                 .all(&recoverable);
-            if failed > 0 && all_recoverable && recoveries < policy.max_attempts {
+            if failed > 0 && all_recoverable && recoveries < max_attempts {
                 hysortk_trace::log_at(
                     hysortk_trace::Verbosity::Verbose,
                     0,
@@ -338,12 +316,6 @@ impl Cluster {
                         recoveries + 1
                     ),
                 );
-                let backoff = policy
-                    .backoff
-                    .saturating_mul(1u32 << recoveries.min(16) as u32);
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                }
                 recoveries += 1;
                 continue;
             }
@@ -391,7 +363,7 @@ impl Cluster {
                 let fault = self.fault.clone();
                 handles.push(scope.spawn(move || {
                     let transport: Arc<dyn Transport> =
-                        Arc::new(InProcessTransport::new(shared, rank));
+                        Arc::new(InProcessTransport::new(Arc::clone(&shared), rank));
                     let mut ctx = RankCtx::new(rank, Arc::clone(&transport), fault, generation);
                     if generation > 0 {
                         hysortk_trace::instant(
@@ -401,7 +373,7 @@ impl Cluster {
                             &[("generation", generation as u64)],
                         );
                     }
-                    match catch_unwind(AssertUnwindSafe(|| f(&mut ctx))) {
+                    let panicked = match catch_unwind(AssertUnwindSafe(|| f(&mut ctx))) {
                         Ok(out) => {
                             *res_slot = Some(out);
                             *comm_slot = Some(ctx.into_stats());
@@ -411,7 +383,11 @@ impl Cluster {
                             transport.publish_abort(rank, &panic_detail(&*payload));
                             Some(payload)
                         }
-                    }
+                    };
+                    // The rank posts nothing more: a peer still waiting for its post
+                    // fails now instead of waiting for good.
+                    shared.live.leave(rank);
+                    panicked
                 }));
             }
             let mut first_panic = None;
@@ -442,7 +418,118 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{Read, Write};
+    use std::os::unix::net::UnixStream;
+    use std::sync::mpsc::{self, RecvTimeoutError};
     use std::sync::Mutex;
+    use std::time::Duration;
+
+    /// Run `f` on its own thread and fail the test if it has not returned within
+    /// 10 s: no dmem wait has a timeout, so a wait that misses its event parks for
+    /// good. A panic in `f` is re-raised.
+    pub(crate) fn within_10s<T: Send + 'static>(
+        what: &str,
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> T {
+        let (tx, rx) = mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        match rx.recv_timeout(Duration::from_secs(10)) {
+            Ok(value) => value,
+            Err(RecvTimeoutError::Disconnected) => resume_unwind(worker.join().unwrap_err()),
+            Err(RecvTimeoutError::Timeout) => panic!("{what}: still waiting after 10 s"),
+        }
+    }
+
+    /// A rank that returns from its closure without posting round 1 of an exchange,
+    /// and without an abort, fails every peer waiting for that post with `PeerFailed`
+    /// naming it, on both backends — the exit is the event that ends their wait.
+    #[test]
+    fn a_rank_that_leaves_without_posting_fails_its_waiting_peers() {
+        if ran_in_own_process("tests::a_rank_that_leaves_without_posting_fails_its_waiting_peers") {
+            return;
+        }
+        for backend in [Backend::Thread, Backend::Process] {
+            let cluster = Cluster::new(3).with_backend(backend);
+            let run = within_10s(backend.name(), move || {
+                cluster.run_wire(|ctx| -> Result<u32, DmemError> {
+                    let mut engine = ctx.round_exchange(2, "engine");
+                    let mut recv = FlatReceived::empty();
+                    engine.post_round(0, vec![ctx.rank() as u8; 3], &[1, 1, 1])?;
+                    engine.wait_round(0, &mut recv)?;
+                    if ctx.rank() == 1 {
+                        return Ok(1);
+                    }
+                    engine.post_round(1, vec![ctx.rank() as u8; 3], &[1, 1, 1])?;
+                    engine.wait_round(1, &mut recv)?;
+                    engine.finish(ctx);
+                    Ok(0)
+                })
+            });
+            for (rank, res) in run.results.iter().enumerate() {
+                if rank == 1 {
+                    assert_eq!(res, &Ok(1), "{backend}");
+                } else {
+                    assert!(
+                        matches!(
+                            res,
+                            Err(DmemError::PeerFailed {
+                                rank: 1,
+                                round: 1,
+                                ..
+                            })
+                        ),
+                        "{backend}: rank {rank} got {res:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Rank 0 waits on a round rank 1 never posts; rank 1 publishes an abort and stays
+    /// in the run until rank 0 has returned, so only the abort can end the wait. The
+    /// waiter returns `PeerFailed` with rank 1's rank and message, on both backends.
+    #[test]
+    fn an_abort_wakes_a_blocked_waiter() {
+        if ran_in_own_process("tests::an_abort_wakes_a_blocked_waiter") {
+            return;
+        }
+        for backend in [Backend::Thread, Backend::Process] {
+            // Rank 0 writes one byte once it has posted and one once its wait has
+            // returned; rank 1 reads them. A socket pair crosses `fork` as well.
+            let (said, heard) = UnixStream::pair().unwrap();
+            let cluster = Cluster::new(2).with_backend(backend);
+            let run = within_10s(backend.name(), move || {
+                cluster.run_wire(|ctx| -> Result<u32, DmemError> {
+                    if ctx.rank() == 1 {
+                        (&heard).read_exact(&mut [0]).unwrap();
+                        // Give rank 0 time to fall asleep in its wait.
+                        std::thread::sleep(Duration::from_millis(20));
+                        ctx.abort("rank 1 gave up");
+                        (&heard).read_exact(&mut [0]).unwrap();
+                        return Ok(1);
+                    }
+                    let mut engine = ctx.round_exchange(1, "engine");
+                    engine.post_round(0, vec![0, 0], &[1, 1])?;
+                    (&said).write_all(&[1]).unwrap();
+                    let waited = engine.wait_round(0, &mut FlatReceived::empty());
+                    (&said).write_all(&[1]).unwrap();
+                    waited.map(|()| 0)
+                })
+            });
+            assert_eq!(run.results[1], Ok(1), "{backend}");
+            assert_eq!(
+                run.results[0],
+                Err(DmemError::PeerFailed {
+                    rank: 1,
+                    round: 0,
+                    detail: "rank 1 gave up".to_string()
+                }),
+                "{backend}"
+            );
+        }
+    }
 
     #[test]
     fn every_rank_runs_exactly_once() {
@@ -469,12 +556,8 @@ mod tests {
 
     #[test]
     fn run_recovering_respawns_failed_generations_until_success() {
-        let policy = RecoveryPolicy {
-            max_attempts: 3,
-            backoff: Duration::from_millis(1),
-        };
         let run = Cluster::new(4).run_recovering(
-            &policy,
+            3,
             |e: &String| e.starts_with("lost"),
             |ctx| {
                 // Rank 2 dies in generations 0 and 1; the third respawn heals. Peers
@@ -496,12 +579,8 @@ mod tests {
 
     #[test]
     fn run_recovering_degrades_to_the_error_when_attempts_run_out() {
-        let policy = RecoveryPolicy {
-            max_attempts: 1,
-            backoff: Duration::ZERO,
-        };
         let run = Cluster::new(2).run_recovering(
-            &policy,
+            1,
             |_: &String| true,
             |ctx| {
                 if ctx.rank() == 0 {
@@ -518,12 +597,8 @@ mod tests {
 
     #[test]
     fn run_recovering_never_retries_unrecoverable_failures() {
-        let policy = RecoveryPolicy {
-            max_attempts: 5,
-            backoff: Duration::ZERO,
-        };
         let run = Cluster::new(2).run_recovering(
-            &policy,
+            5,
             |e: &String| e != "hard",
             |ctx| {
                 if ctx.rank() == 1 {

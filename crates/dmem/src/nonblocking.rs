@@ -17,11 +17,12 @@
 //! all between `begin` and the last `wait_round` — the only ordering it enforces is
 //! the data dependency itself (a round completes once all of its segments exist).
 //!
-//! Every blocking entry point observes the cluster-wide abort flag: when a
-//! peer fails (panics, injects a fault, or publishes an error via
-//! [`RankCtx::abort`](crate::collectives::RankCtx::abort)), waiters return
-//! [`DmemError::PeerFailed`] naming the failing rank instead of parking forever on a
-//! post that will never arrive, with a wall-clock deadline as the backstop.
+//! Every wait ends on a post, an abort or a peer's exit, and on nothing else (see
+//! [`crate::transport`]): when a peer fails (panics, injects a fault, or publishes an
+//! error via [`RankCtx::abort`](crate::collectives::RankCtx::abort)) or leaves without
+//! posting, waiters return [`DmemError::PeerFailed`] naming it instead of parking
+//! forever on a post that will never arrive, and a peer that is merely slow is waited
+//! for, however long it takes.
 //!
 //! Buffers are recycled in both directions: a posted send buffer is handed back to its
 //! poster once the transport is done with it ([`RoundExchange::take_send_buffer`]),
@@ -41,7 +42,6 @@ use hysortk_trace as trace;
 use crate::collectives::FlatReceived;
 use crate::error::DmemError;
 use crate::fault::FaultPlan;
-use crate::stats::CommStats;
 use crate::transport::Transport;
 
 /// A handle on one in-flight round exchange; created by
@@ -218,11 +218,9 @@ impl RoundExchange {
 
     /// Block until `round` can complete, then complete it into `into` (cleared first).
     ///
-    /// This is the wait that used to park forever when a poster died. It now sleeps in
-    /// short abort-checked intervals: a published abort resolves the wait with
-    /// [`DmemError::PeerFailed`] naming the failing rank, and a rank that observes
-    /// neither completion nor an abort within the deadline gives up with
-    /// [`DmemError::Timeout`] (publishing an abort of its own so its peers follow).
+    /// The wait has no deadline. Besides the round's last post, two events end it, both
+    /// as [`DmemError::PeerFailed`]: a published abort, naming the failing rank, and
+    /// the exit of a rank that has not posted the round, naming that rank.
     pub fn wait_round(
         &mut self,
         round: usize,
@@ -231,13 +229,8 @@ impl RoundExchange {
         let _span = trace::span!("round-wait", trace::Detail::Round, self.rank, round = round);
         assert!(round < self.rounds, "round {round} out of range");
         assert!(!self.completed[round], "round {round} completed twice");
-        self.transport.round_wait(
-            self.seq,
-            round,
-            &self.label,
-            &mut into.data,
-            &mut into.displs,
-        )?;
+        self.transport
+            .round_wait(self.seq, round, &mut into.data, &mut into.displs)?;
         // Close the flow arrows and release the round's in-flight volume.
         for src in 0..self.ranks {
             trace::flow(
@@ -263,15 +256,11 @@ impl RoundExchange {
     /// exchange's label: the summed per-destination payload, the padding, the round
     /// count, the largest padded pair message and the in-flight peak.
     pub fn finish(self, ctx: &mut crate::collectives::RankCtx) {
-        self.finish_into(ctx.stats_mut());
-    }
-
-    fn finish_into(self, stats: &mut CommStats) {
         assert!(
             self.posted.iter().all(|&p| p) && self.completed.iter().all(|&c| c),
             "round exchange finished with unposted or uncompleted rounds"
         );
-        stats.record_with_inflight(
+        ctx.stats_mut().record_with_inflight(
             &self.label,
             &self.per_dest,
             self.padding,
@@ -560,15 +549,16 @@ mod tests {
         });
     }
 
-    /// Pins the poisoned-condvar fix in the in-process `round_wait`: a rank that dies
-    /// while holding the board's `posted` lock poisons the mutex, and every subsequent
-    /// `Condvar::wait_timeout` on it returns a `PoisonError`. The wait loop must
-    /// recover the guard (`unwrap_or_else(|e| e.into_inner())`) and keep waiting —
-    /// before the fix it panicked, which cascaded a single rank death into a poisoned
-    /// panic on every survivor instead of a typed abort. Chaos schedules only hit this
-    /// path incidentally; this test constructs it directly. (The process backend has
-    /// its own variant of this scenario: a peer killed mid-round, pinned in
-    /// `process.rs`.)
+    /// Pins the poisoned-lock fix in the in-process `round_wait`: a rank that dies
+    /// while holding the lock the board's waiters block on poisons it, and every
+    /// subsequent `Condvar::wait` on it returns a `PoisonError`. The wait must recover
+    /// the guard (`unwrap_or_else(|e| e.into_inner())`) and keep waiting — before the
+    /// fix it panicked, which cascaded a single rank death into a poisoned panic on
+    /// every survivor instead of a typed abort — and the peer's post must still wake
+    /// it: the wait has no timeout, so a lost wakeup would park it for good, and the
+    /// watchdog fails the test instead. Chaos schedules only hit this path
+    /// incidentally; this test constructs it directly. (The process backend has its
+    /// own variant of this scenario: a peer killed mid-round, pinned in `process.rs`.)
     #[test]
     fn wait_round_survives_a_poisoned_board_lock() {
         use super::RoundExchange;
@@ -580,36 +570,35 @@ mod tests {
         let t1 = Arc::new(InProcessTransport::new(Arc::clone(&shared), 1));
         t0.round_open(0, 1);
         t1.round_open(0, 1);
-        let board = t0.board_for_test(0);
         let mut e0 = RoundExchange::new(t0, 0, 1, 0, "poison", None);
         let mut e1 = RoundExchange::new(t1, 0, 1, 1, "poison", None);
 
-        // Poison the posted mutex — and with it every condvar wait on the board — the
-        // way a panicking rank would: by dying while holding the lock.
-        let poisoner = Arc::clone(&board);
+        // Poison the lock — and with it every condvar wait on the board — the way a
+        // panicking rank would: by dying while holding it.
+        let poisoner = Arc::clone(&shared);
         let _ = std::thread::spawn(move || {
-            let _guard = poisoner.posted.lock().unwrap();
+            let _guard = poisoner.live.state.lock().unwrap();
             panic!("simulated rank death while holding the board lock");
         })
         .join();
         assert!(
-            board.posted.is_poisoned(),
+            shared.live.state.is_poisoned(),
             "the lock must actually be poisoned"
         );
 
         // Rank 0 posts and then waits while the round is still incomplete, so the wait
-        // loop spins through the poisoned `wait_timeout` before rank 1's post arrives.
-        let waiter = std::thread::spawn(move || {
+        // blocks on the poisoned lock before rank 1's post arrives.
+        let poster = std::thread::spawn(move || {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            e1.post_round(0, vec![9, 9], &[1, 1]).unwrap();
+        });
+        let (from0, from1) = crate::tests::within_10s("a wait on a poisoned lock", move || {
             e0.post_round(0, vec![7, 7], &[1, 1]).unwrap();
             let mut recv = FlatReceived::empty();
             e0.wait_round(0, &mut recv).unwrap();
             (recv.from_rank(0).to_vec(), recv.from_rank(1).to_vec())
         });
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        e1.post_round(0, vec![9, 9], &[1, 1]).unwrap();
-        let (from0, from1) = waiter
-            .join()
-            .expect("wait_round must recover the poisoned lock, not panic");
+        poster.join().unwrap();
         assert_eq!(from0, vec![7]);
         assert_eq!(from1, vec![9]);
     }

@@ -19,23 +19,28 @@
 //!
 //! Peer frames are length-prefixed: `[kind u8][tag u64 LE][len u64 LE][payload]`
 //! with kinds `DATA`, `ABORT` (tag = origin rank, payload = detail) and `FIN`
-//! (clean goodbye). A `DATA` tag names one round of one exchange — collectives and
-//! round exchanges alike — and the SPMD calling discipline makes the per-rank
-//! exchange sequence numbers agree across ranks, so frames match up without any
-//! negotiation. A per-peer reader thread drains every
+//! (goodbye: tag 0 when its sender saw no abort, else 1 + the origin rank of the
+//! abort it saw, with its detail as the payload). A `DATA` tag names one round of
+//! one exchange — collectives and round exchanges alike — and the SPMD calling
+//! discipline makes the per-rank exchange sequence numbers agree across ranks, so
+//! frames match up without any negotiation. A per-peer reader thread drains every
 //! frame into a tag-keyed mailbox the moment it arrives — receivers never
 //! leave bytes sitting in a kernel socket buffer, which is what rules out
 //! buffer-full deadlocks in the all-to-all.
 //!
 //! # Failure semantics
 //!
-//! The cluster-wide abort contract is identical to the thread backend: the
-//! first failure fans out as `ABORT` frames, every blocked wait polls the local
-//! abort flag, and a rank that dies without a word (killed, `_exit`) surfaces
-//! as [`DmemError::PeerFailed`] through EOF-without-`FIN` on its sockets —
-//! never a hang. Rust's startup sets `SIGPIPE` to ignore (inherited across
-//! `fork`), so writes to a dead peer fail with `EPIPE` instead of killing the
-//! writer; the writer publishes the abort and returns the typed error.
+//! The cluster-wide abort contract is identical to the thread backend, and so is
+//! the liveness argument (see [`crate::transport`]): every wait blocks on the rank's
+//! [`Liveness`], which the reader threads notify on every frame and on the end of
+//! every socket. The first failure fans out as `ABORT` frames; a peer that says
+//! `FIN` has left, so a wait that still lacks its post fails naming it; and a rank
+//! that dies without a word (killed, `_exit`) surfaces as
+//! [`DmemError::PeerFailed`] through EOF-without-`FIN` on its sockets — never a
+//! hang, and no clock involved. Rust's startup sets `SIGPIPE` to ignore (inherited
+//! across `fork`), so writes to a dead peer fail with `EPIPE` instead of killing
+//! the writer, which then blames by evidence: it waits for that peer's reader to
+//! end and reports what the peer's stream said (see `send_data`).
 //!
 //! Child environment (`HYSORTK_NO_SIMD`, `HYSORTK_FAULT`, verbosity) propagates
 //! by `fork` inheritance — children are clones of the configured parent, no
@@ -59,9 +64,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::sync::{Arc, Mutex};
 
 use hysortk_trace as trace;
 
@@ -69,7 +72,7 @@ use crate::collectives::RankCtx;
 use crate::error::DmemError;
 use crate::fault::FaultPlan;
 use crate::stats::CommStats;
-use crate::transport::{AbortState, Backend, Transport, ABORT_TICK, WAIT_DEADLINE};
+use crate::transport::{gone, Backend, Liveness, Transport};
 use crate::wire::{self, Wire};
 
 mod ffi {
@@ -81,12 +84,6 @@ mod ffi {
 }
 
 const EINTR: i32 = 4;
-
-/// How long a failed write waits for someone else's abort to arrive before
-/// blaming the write target. A dead peer's EOF or a third rank's ABORT frame
-/// crosses a local socket in microseconds; this only elapses in full when the
-/// peer exited cleanly with no cluster abort at all.
-const PEER_BLAME_GRACE: std::time::Duration = std::time::Duration::from_millis(250);
 
 // Peer-socket frame kinds.
 const FRAME_DATA: u8 = 0;
@@ -142,26 +139,13 @@ fn round_tag(seq: u64, round: usize) -> u64 {
 
 /// Tag-keyed inbox of received `DATA` payloads, filled by the reader threads.
 type TagQueues = HashMap<(usize, u64), VecDeque<Vec<u8>>>;
-
-#[derive(Default)]
-struct Mailbox {
-    queues: Mutex<TagQueues>,
-    cv: Condvar,
-}
-
-impl Mailbox {
-    fn push(&self, src: usize, tag: u64, payload: Vec<u8>) {
-        let mut queues = self.queues.lock().unwrap_or_else(|e| e.into_inner());
-        queues.entry((src, tag)).or_default().push_back(payload);
-        drop(queues);
-        self.cv.notify_all();
-    }
-}
+type Mailbox = Mutex<TagQueues>;
 
 /// Per-peer reader: drains every incoming frame into the mailbox until the peer
-/// says goodbye (`FIN`) or its socket dies. EOF without `FIN` *is* the
-/// dead-peer detector — it publishes the abort that unblocks every local wait.
-fn reader_loop(src: usize, mut stream: UnixStream, mailbox: Arc<Mailbox>, abort: Arc<AbortState>) {
+/// says goodbye (`FIN`) or its socket dies, then marks the peer as left. EOF
+/// without `FIN` *is* the dead-peer detector — it publishes the abort that
+/// unblocks every local wait.
+fn reader_loop(src: usize, mut stream: UnixStream, mailbox: Arc<Mailbox>, live: Arc<Liveness>) {
     let mut fin = false;
     loop {
         let mut hdr = [0u8; 17];
@@ -175,14 +159,21 @@ fn reader_loop(src: usize, mut stream: UnixStream, mailbox: Arc<Mailbox>, abort:
         if read_payload(&mut stream, len, &mut payload).is_err() {
             break;
         }
+        let detail = || String::from_utf8_lossy(&payload).into_owned();
         match kind {
-            FRAME_DATA => mailbox.push(src, tag, payload),
+            FRAME_DATA => {
+                let mut queues = mailbox.lock().unwrap_or_else(|e| e.into_inner());
+                queues.entry((src, tag)).or_default().push_back(payload);
+                drop(queues);
+                live.notify();
+            }
             FRAME_ABORT => {
-                let detail = String::from_utf8_lossy(&payload).into_owned();
-                abort.publish(tag as usize, &detail);
-                mailbox.cv.notify_all();
+                live.publish(tag as usize, &detail());
             }
             FRAME_FIN => {
+                if tag > 0 {
+                    live.publish(tag as usize - 1, &detail());
+                }
                 fin = true;
                 break;
             }
@@ -190,14 +181,13 @@ fn reader_loop(src: usize, mut stream: UnixStream, mailbox: Arc<Mailbox>, abort:
         }
     }
     if !fin {
-        abort.publish(src, &format!("rank {src} exited before completing the run"));
-        mailbox.cv.notify_all();
+        live.publish(src, &gone(src));
     }
+    live.leave(src);
 }
 
 /// Per-round state of one open round exchange on this rank.
 struct ProcRound {
-    posted_self: Vec<bool>,
     /// This rank's own segment of each round (never crosses a socket).
     self_seg: Vec<Option<Vec<u8>>>,
     /// Recycled send buffers: handed back the moment the socket writes return,
@@ -213,9 +203,7 @@ pub(crate) struct ProcessTransport {
     /// side of each socket lives on its reader thread via `try_clone`.
     writers: Vec<Option<Mutex<UnixStream>>>,
     mailbox: Arc<Mailbox>,
-    abort: Arc<AbortState>,
-    /// Ensures the `ABORT` fan-out happens once per rank, whoever publishes.
-    abort_sent: AtomicBool,
+    live: Arc<Liveness>,
     rounds: Mutex<HashMap<u64, ProcRound>>,
 }
 
@@ -224,13 +212,13 @@ impl ProcessTransport {
         let size = peers.len();
         debug_assert!(peers[rank].is_none(), "a rank has no socket to itself");
         let mailbox = Arc::new(Mailbox::default());
-        let abort = Arc::new(AbortState::new());
+        let live = Arc::new(Liveness::new(size));
         for (src, stream) in peers.iter().enumerate() {
             if let Some(s) = stream {
                 let reader = s.try_clone().expect("clone peer socket for reading");
                 let mb = Arc::clone(&mailbox);
-                let ab = Arc::clone(&abort);
-                std::thread::spawn(move || reader_loop(src, reader, mb, ab));
+                let lv = Arc::clone(&live);
+                std::thread::spawn(move || reader_loop(src, reader, mb, lv));
             }
         }
         ProcessTransport {
@@ -238,8 +226,7 @@ impl ProcessTransport {
             size,
             writers: peers.into_iter().map(|s| s.map(Mutex::new)).collect(),
             mailbox,
-            abort,
-            abort_sent: AtomicBool::new(false),
+            live,
             rounds: Mutex::new(HashMap::new()),
         }
     }
@@ -255,12 +242,12 @@ impl ProcessTransport {
         stream.write_all(payload)
     }
 
-    /// Send one `DATA` frame; a write failure means the peer is gone (`EPIPE`
-    /// thanks to ignored `SIGPIPE`). Before blaming `dst`, give the reader
-    /// threads a short grace to deliver the *real* story — the peer may have
-    /// exited because some third rank aborted, and that ABORT frame (or the
-    /// dead peer's own EOF) is usually already in flight. First published
-    /// abort wins, exactly like the shared abort flag on the thread backend.
+    /// Send one `DATA` frame. A write fails only once `dst` has closed its end
+    /// (`EPIPE`, thanks to ignored `SIGPIPE`), and then the rest of `dst`'s stream
+    /// is the evidence of why: wait for its reader to end, and blame the abort it
+    /// named — in an `ABORT` or in its `FIN` — or else `dst` itself. Whichever abort
+    /// this rank recorded first wins, exactly like the shared record on the thread
+    /// backend.
     fn send_data(
         &self,
         dst: usize,
@@ -269,108 +256,25 @@ impl ProcessTransport {
         round: usize,
     ) -> Result<(), DmemError> {
         if self.send_frame(dst, FRAME_DATA, tag, payload).is_err() {
-            let start = Instant::now();
-            loop {
-                if let Some(e) = self.abort.peer_failure(round) {
-                    return Err(e);
-                }
-                if start.elapsed() >= PEER_BLAME_GRACE {
-                    break;
-                }
-                std::thread::sleep(ABORT_TICK);
-            }
-            self.publish_abort(dst, &format!("rank {dst} exited before completing the run"));
-            return Err(self
-                .abort
-                .peer_failure(round)
-                .expect("abort was just published"));
+            self.live.await_exit(dst);
+            self.publish_abort(dst, &gone(dst));
+            return Err(self.peer_failure(round).expect("an abort is recorded"));
         }
         Ok(())
     }
 
-    /// Clean goodbye to every peer, so their readers stop without an abort.
+    /// Goodbye to every peer, so their readers stop and mark this rank as left,
+    /// naming the abort this rank saw, if any.
     fn send_fin_all(&self) {
+        let (tag, detail) = match self.live.peer_failure(0) {
+            Some(DmemError::PeerFailed { rank, detail, .. }) => (rank as u64 + 1, detail),
+            _ => (0, String::new()),
+        };
         for dst in 0..self.size {
             if dst != self.rank {
-                let _ = self.send_frame(dst, FRAME_FIN, 0, &[]);
+                let _ = self.send_frame(dst, FRAME_FIN, tag, detail.as_bytes());
             }
         }
-    }
-
-    /// All-or-nothing completion of one round: under a single mailbox lock,
-    /// check that every peer's segment is in and pop them all, so a false poll
-    /// consumes nothing.
-    fn try_collect_round(
-        &self,
-        seq: u64,
-        round: usize,
-        data: &mut Vec<u8>,
-        displs: &mut Vec<usize>,
-    ) -> Result<bool, DmemError> {
-        {
-            let rounds = self.rounds.lock().unwrap_or_else(|e| e.into_inner());
-            let pr = rounds
-                .get(&seq)
-                .expect("round exchange used before round_open");
-            assert!(
-                pr.posted_self[round],
-                "round {round} completed before this rank posted it"
-            );
-        }
-        let tag = round_tag(seq, round);
-        let mut payloads: Vec<Option<Vec<u8>>> = (0..self.size).map(|_| None).collect();
-        {
-            let mut queues = self
-                .mailbox
-                .queues
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            let ready = (0..self.size)
-                .filter(|&s| s != self.rank)
-                .all(|s| queues.get(&(s, tag)).is_some_and(|q| !q.is_empty()));
-            if !ready {
-                return match self.abort.peer_failure(round) {
-                    Some(e) => Err(e),
-                    None => Ok(false),
-                };
-            }
-            for (src, slot) in payloads.iter_mut().enumerate() {
-                if src == self.rank {
-                    continue;
-                }
-                let q = queues.get_mut(&(src, tag)).expect("checked above");
-                *slot = q.pop_front();
-                if q.is_empty() {
-                    queues.remove(&(src, tag));
-                }
-            }
-        }
-        let self_seg = {
-            let mut rounds = self.rounds.lock().unwrap_or_else(|e| e.into_inner());
-            rounds
-                .get_mut(&seq)
-                .expect("round exchange used before round_open")
-                .self_seg[round]
-                .take()
-                .expect("self segment consumed twice")
-        };
-        data.clear();
-        // Size the round once: growing the buffer segment by segment would copy what it
-        // already holds, with the old and the new buffer resident together.
-        let total = self_seg.len() + payloads.iter().flatten().map(Vec::len).sum::<usize>();
-        data.reserve(total);
-        displs.clear();
-        displs.push(0);
-        for (src, payload) in payloads.iter().enumerate() {
-            let seg: &[u8] = if src == self.rank {
-                &self_seg
-            } else {
-                payload.as_deref().expect("checked above")
-            };
-            data.extend_from_slice(seg);
-            displs.push(data.len());
-        }
-        Ok(true)
     }
 }
 
@@ -390,7 +294,6 @@ impl Transport for ProcessTransport {
             .insert(
                 seq,
                 ProcRound {
-                    posted_self: vec![false; rounds],
                     self_seg: (0..rounds).map(|_| None).collect(),
                     spent: Vec::new(),
                 },
@@ -415,7 +318,6 @@ impl Transport for ProcessTransport {
             .get_mut(&seq)
             .expect("round exchange used before round_open");
         pr.self_seg[round] = Some(data[displs[self.rank]..displs[self.rank + 1]].to_vec());
-        pr.posted_self[round] = true;
         // The kernel owns copies of every peer segment now; the send buffer is
         // immediately reusable.
         let mut buf = data;
@@ -428,35 +330,49 @@ impl Transport for ProcessTransport {
         &self,
         seq: u64,
         round: usize,
-        label: &str,
         data: &mut Vec<u8>,
         displs: &mut Vec<usize>,
     ) -> Result<(), DmemError> {
-        let start = Instant::now();
-        loop {
-            if self.try_collect_round(seq, round, data, displs)? {
-                return Ok(());
-            }
-            if start.elapsed() >= WAIT_DEADLINE {
-                let e = DmemError::Timeout {
-                    label: label.to_string(),
-                    round,
-                    waited_ms: start.elapsed().as_millis() as u64,
-                };
-                self.publish_abort(self.rank, &e.to_string());
-                return Err(e);
-            }
-            let queues = self
-                .mailbox
-                .queues
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            let _ = self
-                .mailbox
-                .cv
-                .wait_timeout(queues, ABORT_TICK)
-                .unwrap_or_else(|e| e.into_inner());
+        let tag = round_tag(seq, round);
+        let inbox = || self.mailbox.lock().unwrap_or_else(|e| e.into_inner());
+        self.live.wait_for_posts(round, |src| {
+            src == self.rank || inbox().get(&(src, tag)).is_some_and(|q| !q.is_empty())
+        })?;
+        let mut own = self
+            .rounds
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .get_mut(&seq)
+            .expect("round exchange used before round_open")
+            .self_seg[round]
+            .take()
+            .expect("round completed before this rank posted it");
+        let mut queues = inbox();
+        let segments: Vec<Vec<u8>> = (0..self.size)
+            .map(|src| {
+                if src == self.rank {
+                    return std::mem::take(&mut own);
+                }
+                let queue = queues.get_mut(&(src, tag)).expect("every segment is in");
+                let segment = queue.pop_front().expect("every segment is in");
+                if queue.is_empty() {
+                    queues.remove(&(src, tag));
+                }
+                segment
+            })
+            .collect();
+        drop(queues);
+        // Size the round once: growing the buffer segment by segment would copy what it
+        // already holds, with the old and the new buffer resident together.
+        data.clear();
+        data.reserve(segments.iter().map(Vec::len).sum());
+        displs.clear();
+        displs.push(0);
+        for segment in &segments {
+            data.extend_from_slice(segment);
+            displs.push(data.len());
         }
+        Ok(())
     }
 
     fn round_take_buffer(&self, seq: u64) -> Vec<u8> {
@@ -478,8 +394,9 @@ impl Transport for ProcessTransport {
     }
 
     fn publish_abort(&self, rank: usize, detail: &str) {
-        self.abort.publish(rank, detail);
-        if self.abort_sent.swap(true, Ordering::AcqRel) {
+        if !self.live.publish(rank, detail) {
+            // Not the first abort this rank saw: the peers hear of that one from its
+            // origin or from this rank's `FIN`.
             return;
         }
         for dst in 0..self.size {
@@ -491,7 +408,7 @@ impl Transport for ProcessTransport {
     }
 
     fn peer_failure(&self, round: usize) -> Option<DmemError> {
-        self.abort.peer_failure(round)
+        self.live.peer_failure(round)
     }
 }
 
@@ -802,14 +719,14 @@ mod tests {
     ) -> (
         UnixStream,
         Arc<Mailbox>,
-        Arc<AbortState>,
+        Arc<Liveness>,
         std::thread::JoinHandle<()>,
     ) {
         let (peer, ours) = UnixStream::pair().unwrap();
-        let (mailbox, abort) = (Arc::new(Mailbox::default()), Arc::new(AbortState::new()));
-        let (mb, ab) = (Arc::clone(&mailbox), Arc::clone(&abort));
-        let reader = std::thread::spawn(move || reader_loop(src, ours, mb, ab));
-        (peer, mailbox, abort, reader)
+        let (mailbox, live) = (Arc::new(Mailbox::default()), Arc::new(Liveness::new(2)));
+        let (mb, lv) = (Arc::clone(&mailbox), Arc::clone(&live));
+        let reader = std::thread::spawn(move || reader_loop(src, ours, mb, lv));
+        (peer, mailbox, live, reader)
     }
 
     /// xorshift64: the seeded source of the frame fuzz loop.
@@ -879,25 +796,13 @@ mod tests {
         out
     }
 
-    /// Join `reader`, failing the test if it is still running after 10 s.
-    fn join_within<T>(reader: std::thread::JoinHandle<T>, what: &str) -> T {
-        let deadline = Instant::now() + std::time::Duration::from_secs(10);
-        while !reader.is_finished() {
-            assert!(
-                Instant::now() < deadline,
-                "{what}: the reader did not return"
-            );
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        reader.join().unwrap()
-    }
-
     /// Seeded frame headers on both stream kinds — random kind bytes, tags and
     /// lengths, every stream cut at every offset of a last frame's header and payload,
     /// and lengths forged past what follows. Each reader returns in time and keeps
     /// exactly the whole frames before the first one that ends the stream, byte for
-    /// byte; a data stream that ends without `FIN` is a dead peer (`PeerFailed`); and
-    /// no payload buffer grows past twice the bytes that arrived.
+    /// byte; a data stream that ends without `FIN` is a dead peer (`PeerFailed`), one
+    /// whose `FIN` names an abort publishes that abort, and the peer has left either
+    /// way; and no payload buffer grows past twice the bytes that arrived.
     #[test]
     fn forged_frame_lengths_end_in_the_dead_peer_path_without_the_allocation() {
         // The read itself: a header announcing 2^40 bytes over three chunks and a bit
@@ -927,11 +832,11 @@ mod tests {
                 let what = format!("data={data} case {case}, end {end:?}");
                 if data {
                     let frames = random_frames(&mut state, &[0, 0, FRAME_ABORT, FRAME_FIN]);
-                    let (mut peer, mailbox, abort, reader) = peer_with_reader(1);
+                    let (mut peer, mailbox, live, reader) = peer_with_reader(1);
                     // The reader may stop at a `FIN` or a bad kind and close its end.
                     let _ = peer.write_all(&stream_bytes(&frames, end, true));
                     drop(peer);
-                    join_within(reader, &what);
+                    crate::tests::within_10s(&what, || reader.join().unwrap());
                     let (mut want, mut fin, mut aborted) = (TagQueues::new(), false, false);
                     for (kind, tag, payload) in &frames {
                         match *kind {
@@ -942,21 +847,23 @@ mod tests {
                             FRAME_ABORT => aborted = true,
                             FRAME_FIN => {
                                 fin = true;
+                                aborted |= *tag > 0;
                                 break;
                             }
                             _ => break,
                         }
                     }
-                    let got = std::mem::take(&mut *mailbox.queues.lock().unwrap());
+                    let got = std::mem::take(&mut *mailbox.lock().unwrap());
                     assert_eq!(got, want, "{what}");
                     assert!(got.values().flatten().all(|p| p.capacity() <= 2 * p.len()));
-                    match abort.peer_failure(0) {
+                    match live.peer_failure(0) {
                         None => assert!(fin && !aborted, "{what}"),
                         Some(DmemError::PeerFailed { rank, .. }) => {
                             assert!(aborted || (!fin && rank == 1), "{what}")
                         }
                         Some(other) => panic!("{what}: {other}"),
                     }
+                    assert!(live.state.lock().unwrap().left[1], "{what}: left");
                 } else {
                     let kinds = [CTL_RESULT, CTL_PANIC, CTL_STATS, CTL_FAULTS, CTL_TRACE];
                     let frames = random_frames(&mut state, &kinds);
@@ -964,7 +871,7 @@ mod tests {
                     let reader = std::thread::spawn(move || read_ctl_to_eof(parent));
                     let _ = child.write_all(&stream_bytes(&frames, end, false));
                     drop(child);
-                    let got = join_within(reader, &what);
+                    let got = crate::tests::within_10s(&what, || reader.join().unwrap());
                     let mut want = ChildReport::default();
                     for (kind, _, payload) in &frames {
                         let keep = Some(payload.clone());
@@ -996,7 +903,7 @@ mod tests {
             .collect();
 
         // Data frames, through the transport's own writer into a peer's reader.
-        let (peer, mailbox, abort, reader) = peer_with_reader(0);
+        let (peer, mailbox, live, reader) = peer_with_reader(0);
         let transport = ProcessTransport::new(0, vec![None, Some(peer)]);
         for (i, payload) in payloads.iter().enumerate() {
             transport
@@ -1005,8 +912,8 @@ mod tests {
         }
         transport.send_fin_all();
         reader.join().unwrap();
-        assert!(abort.peer_failure(0).is_none());
-        let mut queues = mailbox.queues.lock().unwrap();
+        assert!(live.peer_failure(0).is_none());
+        let mut queues = mailbox.lock().unwrap();
         for (i, payload) in payloads.iter().enumerate() {
             let got = queues.remove(&(0, round_tag(3, i))).expect("delivered");
             assert_eq!(got, std::slice::from_ref(payload), "data frame {i}");
@@ -1135,6 +1042,35 @@ mod tests {
         }
     }
 
+    /// Rank 1 saw rank 2's abort, said `FIN` naming it, and left; rank 2's own `ABORT`
+    /// never reached this rank. The write to rank 1 fails, and the error names rank 2,
+    /// the root cause — from what rank 1's stream said, not from a race against a clock.
+    #[test]
+    fn a_failed_send_blames_the_abort_the_departed_peer_saw() {
+        let err = crate::tests::within_10s("send to a departed peer", || {
+            let (mut peer1, ours1) = UnixStream::pair().unwrap();
+            let (_silent_peer2, ours2) = UnixStream::pair().unwrap();
+            let transport = ProcessTransport::new(0, vec![None, Some(ours1), Some(ours2)]);
+            let fin = (FRAME_FIN, 1 + 2, b"rank 2 hit a wall".to_vec());
+            peer1
+                .write_all(&stream_bytes(&[fin], End::Eof, true))
+                .unwrap();
+            drop(peer1);
+            transport.round_open(0, 1);
+            transport
+                .round_post(0, 0, vec![0, 1, 2], &[0, 1, 2, 3])
+                .unwrap_err()
+        });
+        assert_eq!(
+            err,
+            DmemError::PeerFailed {
+                rank: 2,
+                round: 0,
+                detail: "rank 2 hit a wall".to_string()
+            }
+        );
+    }
+
     /// Per-destination round payload: 5 bytes stamped (src, round) per rank.
     fn round_buf(src: usize, ranks: usize, round: usize) -> Vec<u8> {
         let seg: Vec<u8> = (0..5).map(|i| (src * 40 + round * 8 + i) as u8).collect();
@@ -1242,15 +1178,10 @@ mod tests {
         if ran_in_own_process("process::tests::run_recovering_wire_respawns_process_generations") {
             return;
         }
-        use crate::RecoveryPolicy;
-        let policy = RecoveryPolicy {
-            max_attempts: 2,
-            backoff: std::time::Duration::from_millis(1),
-        };
         let run = Cluster::new(3)
             .with_backend(Backend::Process)
             .run_recovering_wire(
-                &policy,
+                2,
                 |e: &DmemError| e.is_rank_failure(),
                 |ctx| -> Result<u64, DmemError> {
                     let sum = ctx.allreduce_u64(ctx.rank() as u64, "probe", |a, b| a + b)?;

@@ -18,19 +18,29 @@
 //! the cluster size. Exchanges follow MPI's SPMD discipline — every rank opens the
 //! same sequence of exchanges — which is what lets the process backend match frames
 //! by per-exchange sequence numbers without any negotiation.
+//!
+//! # Liveness
+//!
+//! No wait has a timeout, and none needs one: like MPI's waits and ULFM's failure
+//! notification, every wait ends on an event. A round wait ends when
+//!
+//! * every rank has posted the round — the data path;
+//! * an abort is published — a rank panicked, hit an injected fault or called
+//!   [`RankCtx::abort`](crate::collectives::RankCtx::abort), and its peers hear of it
+//!   through the shared `Liveness` (thread backend) or an `ABORT` frame (process
+//!   backend); or
+//! * a rank whose post is missing has left the run — its closure returned (thread
+//!   backend) or its socket said `FIN` or hit EOF (process backend) — so the post will
+//!   never come.
+//!
+//! Each of these is visible to the waiter's check before its notifier takes the
+//! `Liveness` lock the waiter checks under and blocks on, so no wakeup is lost. A
+//! wait that none of them has ended is waiting for a rank that is still working: a
+//! slow rank is never mistaken for a dead one.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
-use std::time::Duration;
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 use crate::error::DmemError;
-
-/// Poll interval of abortable waits: how quickly a blocked rank notices an abort.
-pub(crate) const ABORT_TICK: Duration = Duration::from_millis(2);
-
-/// Backstop deadline of abortable waits: a rank that observes neither completion nor
-/// an abort for this long gives up with [`DmemError::Timeout`] instead of hanging.
-pub(crate) const WAIT_DEADLINE: Duration = Duration::from_secs(30);
 
 /// Which rank substrate a [`Cluster`](crate::Cluster) runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -67,48 +77,126 @@ impl std::fmt::Display for Backend {
     }
 }
 
-/// Cluster-wide abort flag: the first failure wins and is broadcast to every blocked
-/// rank. `publish` is idempotent — later failures keep the first (root-cause) record.
-pub(crate) struct AbortState {
-    flag: AtomicBool,
-    info: Mutex<Option<(usize, String)>>,
+/// The detail of the abort recorded when a rank is found gone: it left without
+/// posting a round a peer waits on, or it closed its sockets without a goodbye.
+pub(crate) fn gone(rank: usize) -> String {
+    format!("rank {rank} exited before completing the run")
 }
 
-impl AbortState {
-    pub(crate) fn new() -> Self {
-        AbortState {
-            flag: AtomicBool::new(false),
-            info: Mutex::new(None),
+/// What, besides the data itself, ends a wait: the first published abort and the
+/// ranks that have left the run, behind the one lock and condvar every wait blocks on
+/// (see the module docs). One per cluster generation on the thread backend, one per
+/// rank process on the process backend.
+pub(crate) struct Liveness {
+    /// `pub(crate)` so the poisoned-lock regression test can poison it the way a
+    /// dying rank would.
+    pub(crate) state: Mutex<LiveState>,
+    cv: Condvar,
+}
+
+pub(crate) struct LiveState {
+    /// The first published abort: the failing rank and its message. First wins, so a
+    /// re-published `PeerFailed` never overwrites the root cause.
+    abort: Option<(usize, String)>,
+    /// Ranks that will post nothing more: on the thread backend their closure
+    /// returned, on the process backend their socket said `FIN` or hit EOF.
+    pub(crate) left: Vec<bool>,
+}
+
+impl LiveState {
+    fn failure(&self, round: usize) -> Option<DmemError> {
+        self.abort
+            .as_ref()
+            .map(|(rank, detail)| DmemError::PeerFailed {
+                rank: *rank,
+                round,
+                detail: detail.clone(),
+            })
+    }
+}
+
+impl Liveness {
+    pub(crate) fn new(ranks: usize) -> Self {
+        Liveness {
+            state: Mutex::new(LiveState {
+                abort: None,
+                left: vec![false; ranks],
+            }),
+            cv: Condvar::new(),
         }
     }
 
-    /// Record that `rank` failed with `detail` and raise the abort flag. First-wins:
-    /// if an abort is already published this is a no-op, so re-publishing an observed
-    /// `PeerFailed` never overwrites the root cause.
-    pub(crate) fn publish(&self, rank: usize, detail: &str) {
-        {
-            let mut info = self.info.lock().unwrap_or_else(|e| e.into_inner());
-            if info.is_none() {
-                *info = Some((rank, detail.to_string()));
-            }
-        }
-        self.flag.store(true, Ordering::Release);
+    /// The state lock. A rank that panicked while holding it left the state whole
+    /// (every critical section is a few field writes), so a poisoned lock is taken.
+    fn lock(&self) -> MutexGuard<'_, LiveState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The abort as seen by a peer blocked at `round`, if one has been published.
+    /// Wake every waiter: data it may be waiting for has arrived. Taking the lock once
+    /// puts this notify after the check of any waiter that missed the data: such a
+    /// waiter held the lock from its check until it blocked.
+    pub(crate) fn notify(&self) {
+        drop(self.lock());
+        self.cv.notify_all();
+    }
+
+    /// Record that `rank` failed with `detail`, unless an abort is already recorded,
+    /// and wake every waiter. Returns whether this call recorded it.
+    pub(crate) fn publish(&self, rank: usize, detail: &str) -> bool {
+        let mut state = self.lock();
+        let first = state.abort.is_none();
+        if first {
+            state.abort = Some((rank, detail.to_string()));
+        }
+        drop(state);
+        self.cv.notify_all();
+        first
+    }
+
+    /// Record that `rank` will post nothing more and wake every waiter.
+    pub(crate) fn leave(&self, rank: usize) {
+        self.lock().left[rank] = true;
+        self.cv.notify_all();
+    }
+
+    /// The recorded abort as seen by a rank blocked at `round`, if any.
     pub(crate) fn peer_failure(&self, round: usize) -> Option<DmemError> {
-        if !self.flag.load(Ordering::Acquire) {
-            return None;
+        self.lock().failure(round)
+    }
+
+    /// Block until `posted(src)` holds for every rank `src`. The wait ends early, with
+    /// the recorded abort as `PeerFailed`, once an abort is published or a rank whose
+    /// post is missing has left — which records that rank as gone unless an abort is
+    /// already recorded. `posted` runs under the state lock; a poster makes its post
+    /// visible to `posted` and then calls [`Liveness::notify`].
+    pub(crate) fn wait_for_posts(
+        &self,
+        round: usize,
+        mut posted: impl FnMut(usize) -> bool,
+    ) -> Result<(), DmemError> {
+        let mut state = self.lock();
+        loop {
+            let mut missing = (0..state.left.len()).filter(|&src| !posted(src)).peekable();
+            if missing.peek().is_none() {
+                return Ok(());
+            }
+            if let Some(src) = missing.find(|&src| state.left[src]) {
+                state.abort.get_or_insert_with(|| (src, gone(src)));
+                self.cv.notify_all();
+            }
+            if let Some(e) = state.failure(round) {
+                return Err(e);
+            }
+            state = self.cv.wait(state).unwrap_or_else(|e| e.into_inner());
         }
-        let info = self.info.lock().unwrap_or_else(|e| e.into_inner());
-        let (rank, detail) = info
-            .clone()
-            .unwrap_or((usize::MAX, "unidentified rank failure".to_string()));
-        Some(DmemError::PeerFailed {
-            rank,
-            round,
-            detail,
-        })
+    }
+
+    /// Block until `rank` has left or an abort is recorded.
+    pub(crate) fn await_exit(&self, rank: usize) {
+        let mut state = self.lock();
+        while state.abort.is_none() && !state.left[rank] {
+            state = self.cv.wait(state).unwrap_or_else(|e| e.into_inner());
+        }
     }
 }
 
@@ -141,15 +229,13 @@ pub(crate) trait Transport: Send + Sync {
 
     /// Block until every rank's segment of `round` is available, then fill `data` /
     /// `displs` (both cleared first; `displs` gets `size + 1` entries) with the
-    /// segments in source-rank order. Fails with the typed abort error once a peer
-    /// has failed; a rank that observes neither completion nor an abort within the
-    /// deadline publishes and returns [`DmemError::Timeout`]. `label` names the
-    /// exchange in that error.
+    /// segments in source-rank order. The wait has no deadline: it ends on the last
+    /// post, on a published abort, or on the exit of a rank whose post is missing —
+    /// the last two as [`DmemError::PeerFailed`] (see [`Liveness::wait_for_posts`]).
     fn round_wait(
         &self,
         seq: u64,
         round: usize,
-        label: &str,
         data: &mut Vec<u8>,
         displs: &mut Vec<usize>,
     ) -> Result<(), DmemError>;

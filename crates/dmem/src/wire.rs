@@ -229,30 +229,20 @@ impl Wire for DmemError {
                 round.encode(out);
                 detail.encode(out);
             }
-            DmemError::Timeout {
-                label,
-                round,
-                waited_ms,
-            } => {
-                out.push(1);
-                label.encode(out);
-                round.encode(out);
-                waited_ms.encode(out);
-            }
             DmemError::InjectedFault {
                 rank,
                 stage,
                 round,
                 kind,
             } => {
-                out.push(2);
+                out.push(1);
                 rank.encode(out);
                 stage.encode(out);
                 round.encode(out);
                 kind.encode(out);
             }
             DmemError::Protocol(msg) => {
-                out.push(3);
+                out.push(2);
                 msg.encode(out);
             }
         }
@@ -264,18 +254,13 @@ impl Wire for DmemError {
                 round: usize::decode(input)?,
                 detail: String::decode(input)?,
             },
-            1 => DmemError::Timeout {
-                label: String::decode(input)?,
-                round: usize::decode(input)?,
-                waited_ms: u64::decode(input)?,
-            },
-            2 => DmemError::InjectedFault {
+            1 => DmemError::InjectedFault {
                 rank: usize::decode(input)?,
                 stage: String::decode(input)?,
                 round: usize::decode(input)?,
                 kind: String::decode(input)?,
             },
-            3 => DmemError::Protocol(String::decode(input)?),
+            2 => DmemError::Protocol(String::decode(input)?),
             _ => return None,
         })
     }
@@ -447,11 +432,6 @@ mod tests {
                 round: 1,
                 detail: "died".to_string(),
             },
-            DmemError::Timeout {
-                label: "exchange".to_string(),
-                round: 2,
-                waited_ms: 30_000,
-            },
             DmemError::InjectedFault {
                 rank: 0,
                 stage: "exchange".to_string(),
@@ -518,11 +498,6 @@ mod tests {
                 rank: 1,
                 round: 2,
                 detail: "rank 1 exited before completing the run".to_string(),
-            },
-            DmemError::Timeout {
-                label: "exchange".to_string(),
-                round: 7,
-                waited_ms: 30_000,
             },
             DmemError::InjectedFault {
                 rank: 0,

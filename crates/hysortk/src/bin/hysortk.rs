@@ -81,8 +81,6 @@ checkpointing & recovery:
   --recovery-attempts <n>   respawn the simulated ranks up to n times after an
                             in-run rank failure before aborting (default 2; 0 turns
                             in-run recovery off and restores fail-fast aborts)
-  --recovery-backoff-ms <n> base backoff before a respawn, doubled per attempt
-                            (default 10)
   --io-retries <n>          attempts per shard read before a transient I/O error
                             surfaces (default 3: first try + 2 retries)
   --io-backoff-ms <n>       base of the jittered exponential retry backoff (default 2)
@@ -124,7 +122,6 @@ struct CliArgs {
     checkpoint_every: usize,
     resume: Option<PathBuf>,
     recovery_attempts: Option<usize>,
-    recovery_backoff_ms: Option<u64>,
     io_retries: Option<u32>,
     io_backoff_ms: Option<u64>,
     fault: Option<String>,
@@ -161,7 +158,6 @@ fn parse_args(mut args: std::env::Args) -> Result<Option<CliArgs>, String> {
         checkpoint_every: 1,
         resume: None,
         recovery_attempts: None,
-        recovery_backoff_ms: None,
         io_retries: None,
         io_backoff_ms: None,
         fault: None,
@@ -204,12 +200,6 @@ fn parse_args(mut args: std::env::Args) -> Result<Option<CliArgs>, String> {
                 cli.recovery_attempts = Some(parse_num(
                     &value("--recovery-attempts")?,
                     "--recovery-attempts",
-                )?)
-            }
-            "--recovery-backoff-ms" => {
-                cli.recovery_backoff_ms = Some(parse_num(
-                    &value("--recovery-backoff-ms")?,
-                    "--recovery-backoff-ms",
                 )?)
             }
             "--io-retries" => {
@@ -263,9 +253,6 @@ fn config_for(cli: &CliArgs) -> HySortKConfig {
     cfg.resume = cli.resume.is_some();
     if let Some(n) = cli.recovery_attempts {
         cfg.recovery_attempts = n;
-    }
-    if let Some(ms) = cli.recovery_backoff_ms {
-        cfg.recovery_backoff_ms = ms;
     }
     if let Some(n) = cli.io_retries {
         cfg.io_retries = n;

@@ -97,9 +97,6 @@ pub struct HySortKConfig {
     /// degrading to the typed abort. `0` disables recovery. Local data defects — wire
     /// corruption, I/O errors — are never retried.
     pub recovery_attempts: usize,
-    /// Base backoff in milliseconds slept before a recovery respawn; doubles on every
-    /// further attempt.
-    pub recovery_backoff_ms: u64,
     /// Total attempts (first try included) the streaming reader makes on a transient
     /// I/O error before surfacing it. Must be at least 1.
     pub io_retries: u32,
@@ -139,7 +136,6 @@ impl Default for HySortKConfig {
             checkpoint_every: 1,
             resume: false,
             recovery_attempts: 2,
-            recovery_backoff_ms: 10,
             io_retries: 3,
             io_backoff_ms: 2,
             backend: Backend::Thread,

@@ -42,8 +42,8 @@ pub enum HysortkError {
         /// The parse defect, with its byte offset.
         source: WireError,
     },
-    /// The distributed runtime aborted: a peer failed, a collective timed out, or an
-    /// injected fault fired (exit code 4).
+    /// The distributed runtime aborted: a peer failed or left the run mid-exchange,
+    /// or an injected fault fired (exit code 4).
     Comm(DmemError),
 }
 

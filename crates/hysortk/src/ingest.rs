@@ -45,9 +45,8 @@
 //! [`PeerFailed`](hysortk_dmem::DmemError::PeerFailed) echoes they
 //! leave on the peers — are the *recoverable* class: the cluster respawns all ranks
 //! up to [`HySortKConfig::recovery_attempts`](crate::HySortKConfig::recovery_attempts)
-//! times (exponential backoff from `recovery_backoff_ms`) and the respawned
-//! generation restores from the last committed checkpoint epoch when
-//! `checkpoint_dir` is set, or recounts from scratch when it is not. Either way the
+//! times, and the respawned generation restores from the last committed checkpoint
+//! epoch when `checkpoint_dir` is set, or recounts from scratch when it is not. Either way the
 //! counts are byte-identical to a fault-free run; `RunReport::recoveries` records how
 //! many respawns it took.
 

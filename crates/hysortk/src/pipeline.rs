@@ -49,9 +49,9 @@
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use hysortk_dmem::{Cluster, CommStats, FaultPlan, RankCtx, RecoveryPolicy, Wire};
+use hysortk_dmem::{Cluster, CommStats, FaultPlan, RankCtx, Wire};
 use hysortk_dna::extension::Extension;
 use hysortk_dna::io::{IngestOptions, InputFile};
 use hysortk_dna::kmer::KmerCode;
@@ -580,15 +580,11 @@ pub(crate) fn run<K: KmerCode>(
     if let Some(plan) = plan {
         cluster = cluster.with_fault_plan(plan);
     }
-    let policy = RecoveryPolicy {
-        max_attempts: cfg.recovery_attempts,
-        backoff: Duration::from_millis(cfg.recovery_backoff_ms),
-    };
     let recoverable = |e: &HysortkError| match e {
         HysortkError::Comm(d) => d.is_rank_failure(),
         _ => false,
     };
-    let run = cluster.run_recovering_wire(&policy, recoverable, |ctx| {
+    let run = cluster.run_recovering_wire(cfg.recovery_attempts, recoverable, |ctx| {
         rank_pipeline::<K>(ctx, &input, cfg, num_tasks, sorter, sections)
     });
     let joined = Instant::now();

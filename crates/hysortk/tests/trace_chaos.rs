@@ -40,7 +40,6 @@ fn small_cfg(ranks: usize, overlap: bool) -> HySortKConfig {
     cfg.max_count = 1_000_000;
     cfg.overlap = overlap;
     cfg.recovery_attempts = 3;
-    cfg.recovery_backoff_ms = 1;
     cfg
 }
 
