@@ -25,6 +25,8 @@
 //! All baselines produce exact counts (verified against the reference counter); what
 //! differs is the measured traffic and the modeled time/memory in their reports.
 
+#![forbid(unsafe_code)]
+
 mod bloom;
 pub mod hashtable;
 mod hyperloglog;

@@ -8,6 +8,8 @@
 //! cargo run -p hysortk-bench --release --bin repro -- all
 //! ```
 
+#![forbid(unsafe_code)]
+
 use hysortk_bench::{render, EXPERIMENTS};
 
 fn main() {

@@ -14,6 +14,8 @@
 //! expected to hold are the *shapes*: who wins, by roughly what factor, where the
 //! crossovers and knees fall.
 
+#![forbid(unsafe_code)]
+
 use hysortk_baselines::{hash_kmer, kmc3_count, kmerind_count, mhm2_count, KmerindOutcome};
 use hysortk_core::{count_kmers, CountResult, HySortKConfig};
 use hysortk_datasets::{DatasetPreset, GeneratedDataset};

@@ -8,6 +8,8 @@
 //! [`presets`] module names one preset per paper dataset and generates a scaled-down
 //! version whose scale factor is then fed to the performance model as `data_scale`.
 
+#![forbid(unsafe_code)]
+
 pub mod genome;
 pub mod presets;
 pub mod reads;

@@ -83,6 +83,8 @@
 //! assert_eq!(outcome.results[0], vec![vec![0, 0], vec![1, 1], vec![2, 2]]);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod collectives;
 pub mod error;
 pub mod fault;

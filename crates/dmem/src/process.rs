@@ -464,9 +464,13 @@ fn read_ctl_to_eof(mut ctl: UnixStream) -> ChildReport {
 
 /// Block until `pid` is reaped (retrying `EINTR`), so no generation ever
 /// leaves a zombie behind.
+#[allow(unsafe_code)]
 fn reap(pid: i32) {
     let mut status = 0i32;
     loop {
+        // SAFETY: `status` is a live local, the only memory `waitpid` writes. `pid` is
+        // a child `run_process_generation` forked and reaps only here, once, so the
+        // call takes that child's exit and no other.
         let r = unsafe { ffi::waitpid(pid, &mut status, 0) };
         if r == pid {
             return;
@@ -481,9 +485,9 @@ fn reap(pid: i32) {
     }
 }
 
-/// The rank process body; never returns. Everything the parent needs back
-/// travels over the control socket — `_exit` skips atexit/stdio teardown so a
-/// forked test binary's harness state is never touched.
+/// The rank process body: run `f` as `rank` and report home over `control`. Returns
+/// the child's exit code, 0 after a result and 101 after a panic of `f`; everything
+/// the parent needs back travels over the control socket.
 fn child_main<T, E, F>(
     rank: usize,
     peers: Vec<Option<UnixStream>>,
@@ -491,7 +495,7 @@ fn child_main<T, E, F>(
     fault: Option<Arc<FaultPlan>>,
     generation: usize,
     f: &F,
-) -> !
+) -> i32
 where
     T: Wire + Send,
     E: Wire + Send + From<DmemError>,
@@ -532,7 +536,7 @@ where
             if tracing {
                 let _ = send_ctl(&mut control, CTL_TRACE, &wire::to_bytes(&trace::collect()));
             }
-            unsafe { ffi::_exit(0) }
+            0
         }
         Err(payload) => {
             // Peers first (they may be blocked), then the parent. The abort
@@ -554,7 +558,7 @@ where
                     &wire::to_bytes(&plan.snapshot_state()),
                 );
             }
-            unsafe { ffi::_exit(101) }
+            101
         }
     }
 }
@@ -564,6 +568,7 @@ where
 /// before this returns. A child that died without reporting a result is
 /// synthesized as `Err(PeerFailed)` so recovery policies can treat a killed
 /// process exactly like an in-run rank failure.
+#[allow(unsafe_code)]
 pub(crate) fn run_process_generation<T, E, F>(
     ranks: usize,
     fault: Option<Arc<FaultPlan>>,
@@ -600,6 +605,13 @@ where
 
     let mut pids = Vec::with_capacity(ranks);
     for rank in 0..ranks {
+        // SAFETY: `fork` takes no argument; the assert catches a failure. The child
+        // (pid 0) is a copy of this process with only the calling thread: it takes its
+        // own sockets (present: only this child takes them), drops the rest, runs the
+        // rank under `catch_unwind` and `_exit`s, so it never unwinds or returns into
+        // the parent's frames. The rank allocates, spawns threads and takes locks,
+        // which POSIX allows in a forked child only if no other thread ran at the fork:
+        // the caller's duty (module docs), not checked here.
         let pid = unsafe { ffi::fork() };
         assert!(pid >= 0, "fork failed: {}", std::io::Error::last_os_error());
         if pid == 0 {
@@ -608,7 +620,15 @@ where
             drop(conns);
             drop(child_ctl);
             drop(parent_ctl);
-            child_main::<T, E, F>(rank, peers, control, fault.clone(), generation, f);
+            let code = catch_unwind(AssertUnwindSafe(|| {
+                child_main(rank, peers, control, fault.clone(), generation, f)
+            }))
+            .unwrap_or(101);
+            // SAFETY: `_exit` takes no pointer and does not return. It ends the child
+            // without unwinding, atexit handlers or a stdio flush, so no destructor or
+            // test-harness state of the parent's image runs in it; whatever the rank
+            // reported went through the unbuffered control socket.
+            unsafe { ffi::_exit(code) }
         }
         pids.push(pid);
     }
@@ -1083,6 +1103,7 @@ mod tests {
     /// `wait_round`, not as a hang. Companion to the poisoned-board unit test
     /// in `nonblocking.rs`, which pins the same contract on the thread backend.
     #[test]
+    #[allow(unsafe_code)]
     fn peer_killed_mid_round_surfaces_peer_failed() {
         if ran_in_own_process("process::tests::peer_killed_mid_round_surfaces_peer_failed") {
             return;
@@ -1095,6 +1116,8 @@ mod tests {
             engine.wait_round(0, &mut recv)?;
             if ctx.rank() == 1 {
                 // Die without a word between rounds 0 and 1.
+                // SAFETY: rank 1 is a forked child of this test; `_exit` takes no
+                // pointer and ends it at once, with no unwinding and no frame sent.
                 unsafe { ffi::_exit(9) }
             }
             engine.post_round(1, vec![ctx.rank() as u8; 3], &counts)?;

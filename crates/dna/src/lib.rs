@@ -19,6 +19,8 @@
 //! `Copy` values, sequences are packed, and iteration over k-mers is rolling (O(1) per
 //! k-mer, not O(k)).
 
+#![deny(unsafe_code)]
+
 pub mod base;
 pub mod extension;
 pub mod fasta;
@@ -34,4 +36,3 @@ pub use io::{IngestOptions, InputFile, SeqFormat, ShardReader};
 pub use kmer::{Kmer, Kmer1, Kmer2, KmerCode};
 pub use readset::{Read, ReadSet};
 pub use sequence::DnaSeq;
-pub use simd::SimdLevel;

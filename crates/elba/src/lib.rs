@@ -9,6 +9,8 @@
 //! process × thread configuration, using either the original-style two-pass hash-table
 //! counter or HySortK as the seeding stage.
 
+#![forbid(unsafe_code)]
+
 pub mod graph;
 pub mod overlap;
 pub mod pipeline;

@@ -18,6 +18,8 @@
 //! the sorted runs its count jobs emitted, and the writer merges them lazily as it
 //! formats — the table is never built a second time.
 
+#![forbid(unsafe_code)]
+
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;

@@ -78,7 +78,7 @@ pub struct HySortKConfig {
     /// Fraction of the full-size dataset that is actually being processed. Measured
     /// work and traffic counters are divided by this factor before being fed into the
     /// performance model, so a run on a 1/10 000-scale synthetic dataset still projects
-    /// the full-size experiment (see DESIGN.md, substitutions).
+    /// the full-size experiment.
     pub data_scale: f64,
     /// Directory that receives the per-rank, epoch-numbered checkpoint manifests of
     /// the file-fed pipeline (`hysortk count --checkpoint <dir>`). `None` disables

@@ -35,6 +35,8 @@
 //! The other modules are the pieces the pipeline is assembled from and are public so
 //! that the baselines, the ELBA integration and the benchmark harness can reuse them.
 
+#![forbid(unsafe_code)]
+
 pub mod checkpoint;
 pub mod config;
 pub mod error;

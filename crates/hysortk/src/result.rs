@@ -251,7 +251,7 @@ pub struct RunReport {
     /// the kmerlist staging, summed over the rank's count scratches. Zero for the
     /// baselines.
     pub count_buffer_bytes: u64,
-    /// Which SIMD hot-path variant the run used (`"avx2"`, `"sse2"`, or `"scalar"`),
+    /// Which SIMD hot-path variant the run used (`"avx2"` or `"scalar"`),
     /// as chosen by runtime CPU detection (overridable with `HYSORTK_NO_SIMD=1`).
     pub simd: &'static str,
     /// Measured root-side seconds from the last rank joining to the result being

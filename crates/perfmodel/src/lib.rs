@@ -25,6 +25,8 @@
 //! list` names the experiments built on it and `tests/data/repro_all.golden.txt` is
 //! their committed output.
 
+#![forbid(unsafe_code)]
+
 pub mod compute;
 pub mod machine;
 pub mod memory;

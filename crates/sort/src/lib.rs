@@ -48,6 +48,8 @@
 //! (`hysortk_perfmodel::MemoryModel::raduls_fits`); since stage 3 sorts section by
 //! section it only picks the in-section kernel.
 
+#![deny(unsafe_code)]
+
 pub mod buckets;
 pub mod multiway;
 pub mod paradis;

@@ -48,6 +48,7 @@ use crate::RadixKey;
 
 /// Merge sorted `runs` into one sorted vector: the stable sort, by key, of their
 /// concatenation. Parallel under the caller's rayon budget; see the module docs.
+#[allow(unsafe_code)]
 pub fn multiway_merge<T: RadixKey>(runs: &[&[T]]) -> Vec<T> {
     let total: usize = runs.iter().map(|run| run.len()).sum();
     let mut out: Vec<T> = Vec::with_capacity(total);

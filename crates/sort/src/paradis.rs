@@ -235,6 +235,7 @@ fn comparison_sort_keyed<T: RadixKey>(data: &mut [T]) {
 /// Prefetch the cache line holding `data[idx]` (no-op off x86_64, and on
 /// out-of-bounds indices, which the chase can produce on its final hop).
 #[inline(always)]
+#[allow(unsafe_code)]
 fn prefetch_slot<T>(data: &[T], idx: usize) {
     #[cfg(target_arch = "x86_64")]
     {

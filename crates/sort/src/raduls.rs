@@ -463,6 +463,7 @@ fn partition_in_cache<T: RadixKey>(src: &[T], dst: &mut [T], digit: Digit, curso
 /// thread, at a budget of one): per-chunk histograms, then `dst` is carved bucket-major,
 /// chunk-minor into one slice per (chunk, bucket), so every chunk scatters, in order,
 /// into slices it alone owns.
+#[allow(unsafe_code)]
 fn partition_out_of_cache<T: RadixKey>(src: &[T], dst: &mut [T], digit: Digit) -> Vec<usize> {
     let chunk_len = src.len().div_ceil(rayon::current_num_threads());
     let chunks: Vec<&[T]> = src.chunks(chunk_len).collect();

@@ -22,6 +22,8 @@
 //! * [`codec`] — the domain-specific delta compression of `(read_id, pos_in_read)`
 //!   extension records.
 
+#![deny(unsafe_code)]
+
 pub mod codec;
 pub mod minimizer;
 pub mod mmer;

@@ -21,13 +21,12 @@
 //! the classic three-`mul_epu32` 64-bit multiply decomposition — bit-identical to
 //! [`hash_mmer`](crate::mmer::hash_mmer), which the property tests pin.
 //!
-//! Dispatch follows [`hysortk_dna::simd::level`] (one detection for the whole
-//! workspace, `HYSORTK_NO_SIMD=1` honoured); the scalar path is the reference.
+//! The AVX2 kernels are safe `#[target_feature]` functions over slices; [`fill_scores`]
+//! is the one place they are entered. It follows [`hysortk_dna::simd::avx2`] (one
+//! detection for the whole workspace, `HYSORTK_NO_SIMD=1` honoured); the scalar path
+//! is the reference.
 
 use crate::mmer::ScoreFunction;
-
-/// Scores are computed in blocks of this many m-mers (a stack buffer in the extractor).
-pub const SCORE_BLOCK: usize = 64;
 
 /// Reverse the 32 2-bit groups of a word (group `j` ↔ group `31 - j`).
 #[inline]
@@ -54,7 +53,7 @@ fn window(words: &[u64], s: usize) -> u64 {
 /// Scalar reference: fill `out[..count]` with the scores of the `count` m-mers starting
 /// at `s0` (m-mer `s` covers bases `s..s+m`). Rolls the forward/reverse words exactly
 /// like the original streaming loop after seeding them from the first window.
-pub fn fill_scores_scalar(
+fn fill_scores_scalar(
     words: &[u64],
     s0: usize,
     count: usize,
@@ -89,11 +88,21 @@ mod x86 {
     use super::ScoreFunction;
     use core::arch::x86_64::*;
 
+    /// The packed words as the little-endian byte stream they hold (`x86_64` is
+    /// little-endian), so a group of windows can start at any byte.
+    #[allow(unsafe_code)]
+    fn as_bytes(words: &[u64]) -> &[u8] {
+        // SAFETY: the view covers exactly the `size_of_val(words)` initialised bytes of
+        // `words` and borrows them for as long as `words`; `u8` has alignment 1 and
+        // no invalid bit pattern, and shared bytes cannot be written through the view.
+        unsafe { std::slice::from_raw_parts(words.as_ptr().cast(), std::mem::size_of_val(words)) }
+    }
+
     /// Lane-wise 64-bit `wrapping_mul` by a broadcast constant `c` (with `c_hi` its
     /// lanes shifted right 32), via three 32×32→64 multiplies.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn mul64(x: __m256i, c: __m256i, c_hi: __m256i) -> __m256i {
+    fn mul64(x: __m256i, c: __m256i, c_hi: __m256i) -> __m256i {
         let cross = _mm256_add_epi64(
             _mm256_mul_epu32(x, c_hi),
             _mm256_mul_epu32(_mm256_srli_epi64::<32>(x), c),
@@ -104,7 +113,7 @@ mod x86 {
     /// Lane-wise `fmix64` (the MurmurHash3 finaliser).
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn fmix64x4(mut k: __m256i) -> __m256i {
+    fn fmix64x4(mut k: __m256i) -> __m256i {
         const M1: i64 = 0xff51afd7ed558ccdu64 as i64;
         const M2: i64 = 0xc4ceb9fe1a85ec53u64 as i64;
         let m1 = _mm256_set1_epi64x(M1);
@@ -123,7 +132,7 @@ mod x86 {
     /// loop, only the `k1` tail fold and the finalisation.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn hash_mmer_x4(packed: __m256i, seed: u32) -> __m256i {
+    fn hash_mmer_x4(packed: __m256i, seed: u32) -> __m256i {
         const C1: i64 = 0x87c37b91114253d5u64 as i64;
         const C2: i64 = 0x4cf5ad432745937fu64 as i64;
         let c1 = _mm256_set1_epi64x(C1);
@@ -148,7 +157,7 @@ mod x86 {
     /// Reverse the 2-bit groups of each 64-bit lane.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn pair_reverse_x4(x: __m256i) -> __m256i {
+    fn pair_reverse_x4(x: __m256i) -> __m256i {
         let bswap = _mm256_setr_epi8(
             7, 6, 5, 4, 3, 2, 1, 0, 15, 14, 13, 12, 11, 10, 9, 8, //
             7, 6, 5, 4, 3, 2, 1, 0, 15, 14, 13, 12, 11, 10, 9, 8,
@@ -166,17 +175,25 @@ mod x86 {
         )
     }
 
-    /// AVX2 block scorer: groups of four consecutive m-mer windows are carved out of
-    /// one unaligned 128-bit load of the packed byte stream (broadcast, then per-lane
-    /// variable shifts — the shift vector is loop-invariant because the group stride is
-    /// 4 bases = 1 byte), canonicalised and hashed lane-wise; the in-bounds tail falls
-    /// back to the scalar reference (identical values).
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be available.
+    /// Write the four lanes of `v` to `out` (one unaligned store).
+    #[inline]
     #[target_feature(enable = "avx2")]
-    pub unsafe fn fill_scores_avx2(
+    fn store4(v: __m256i, out: &mut [u64]) {
+        out.copy_from_slice(&[
+            _mm256_extract_epi64::<0>(v) as u64,
+            _mm256_extract_epi64::<1>(v) as u64,
+            _mm256_extract_epi64::<2>(v) as u64,
+            _mm256_extract_epi64::<3>(v) as u64,
+        ]);
+    }
+
+    /// AVX2 block scorer: groups of four consecutive m-mer windows are carved out of
+    /// 16 bytes of the packed byte stream (two broadcast words, then per-lane variable
+    /// shifts — the shift vector is loop-invariant because the group stride is 4 bases
+    /// = 1 byte), canonicalised and hashed lane-wise; the in-bounds tail falls back to
+    /// the scalar reference (identical values).
+    #[target_feature(enable = "avx2")]
+    pub(super) fn fill_scores_avx2(
         words: &[u64],
         s0: usize,
         count: usize,
@@ -184,12 +201,11 @@ mod x86 {
         score_fn: ScoreFunction,
         out: &mut [u64],
     ) {
-        let bytes_len = words.len() * 8;
-        let bytes = words.as_ptr() as *const u8;
+        let bytes = as_bytes(words);
         // Each group reads 16 bytes starting at byte `s / 4`, so the last SIMD-safe
-        // group-leading m-mer index satisfies `s / 4 + 16 <= bytes_len`.
-        let simd_last = if bytes_len >= 16 {
-            (bytes_len - 16) * 4 + 3
+        // group-leading m-mer index satisfies `s / 4 + 16 <= bytes.len()`.
+        let simd_last = if bytes.len() >= 16 {
+            (bytes.len() - 16) * 4 + 3
         } else {
             0
         };
@@ -207,17 +223,10 @@ mod x86 {
         let lsh = _mm256_sub_epi64(_mm256_set1_epi64x(64), rsh);
 
         // Canonical m-mers of the four windows starting at the group's base byte `p`.
-        #[inline(always)]
-        unsafe fn canon4(
-            p: *const u8,
-            rsh: __m256i,
-            lsh: __m256i,
-            mask_v: __m256i,
-            top: __m256i,
-            fwd_shift: __m128i,
-        ) -> __m256i {
-            let lo = _mm256_set1_epi64x((p as *const i64).read_unaligned());
-            let hi = _mm256_set1_epi64x((p.add(8) as *const i64).read_unaligned());
+        let canon4 = |p: usize| -> __m256i {
+            let word = |at: usize| i64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+            let lo = _mm256_set1_epi64x(word(p));
+            let hi = _mm256_set1_epi64x(word(p + 8));
             // `sllv` with a count of 64 (bit offset 0) yields zero, the right carry.
             let carry = _mm256_sllv_epi64(hi, lsh);
             let w = _mm256_and_si256(_mm256_or_si256(_mm256_srlv_epi64(lo, rsh), carry), mask_v);
@@ -226,31 +235,30 @@ mod x86 {
             // Unsigned 64-bit min via the sign-flip compare.
             let gt = _mm256_cmpgt_epi64(_mm256_xor_si256(fwd, top), _mm256_xor_si256(rev, top));
             _mm256_blendv_epi8(fwd, rev, gt)
-        }
+        };
 
         let mut j = 0usize;
         // Two independent groups per iteration: the emulated 64-bit multiply chain of
         // the hash is latency-bound, so interleaving two chains roughly doubles the
         // hash throughput.
-        while j + 8 <= count && (bytes_len >= 16 && s0 + j + 7 <= simd_last) {
-            let p = bytes.add((s0 + j) / 4);
-            let a = canon4(p, rsh, lsh, mask_v, top, fwd_shift);
-            let b = canon4(p.add(1), rsh, lsh, mask_v, top, fwd_shift);
+        while j + 8 <= count && (bytes.len() >= 16 && s0 + j + 7 <= simd_last) {
+            let p = (s0 + j) / 4;
+            let (a, b) = (canon4(p), canon4(p + 1));
             let (sa, sb) = match score_fn {
                 ScoreFunction::Hash { seed } => (hash_mmer_x4(a, seed), hash_mmer_x4(b, seed)),
                 ScoreFunction::Lexicographic => (a, b),
             };
-            _mm256_storeu_si256(out.as_mut_ptr().add(j) as *mut __m256i, sa);
-            _mm256_storeu_si256(out.as_mut_ptr().add(j + 4) as *mut __m256i, sb);
+            store4(sa, &mut out[j..j + 4]);
+            store4(sb, &mut out[j + 4..j + 8]);
             j += 8;
         }
-        while j + 4 <= count && (bytes_len >= 16 && s0 + j + 3 <= simd_last) {
-            let canonical = canon4(bytes.add((s0 + j) / 4), rsh, lsh, mask_v, top, fwd_shift);
+        while j + 4 <= count && (bytes.len() >= 16 && s0 + j + 3 <= simd_last) {
+            let canonical = canon4((s0 + j) / 4);
             let score = match score_fn {
                 ScoreFunction::Hash { seed } => hash_mmer_x4(canonical, seed),
                 ScoreFunction::Lexicographic => canonical,
             };
-            _mm256_storeu_si256(out.as_mut_ptr().add(j) as *mut __m256i, score);
+            store4(score, &mut out[j..j + 4]);
             j += 4;
         }
         super::fill_scores_scalar(words, s0 + j, count - j, m, score_fn, &mut out[j..]);
@@ -258,8 +266,10 @@ mod x86 {
 }
 
 /// Fill `out[..count]` with the scores of the `count` m-mers starting at `s0`, via the
-/// active SIMD path. Byte-identical to [`fill_scores_scalar`] (property-tested).
+/// active SIMD path. Byte-identical to the scalar reference (property-tested).
+/// Panics if `out` is shorter than `count`.
 #[inline]
+#[allow(unsafe_code)]
 pub fn fill_scores(
     words: &[u64],
     s0: usize,
@@ -268,11 +278,11 @@ pub fn fill_scores(
     score_fn: ScoreFunction,
     out: &mut [u64],
 ) {
+    let out = &mut out[..count];
     #[cfg(target_arch = "x86_64")]
-    if hysortk_dna::simd::level() == hysortk_dna::simd::SimdLevel::Avx2 {
-        // SAFETY: AVX2 verified by `level()`.
-        unsafe { x86::fill_scores_avx2(words, s0, count, m, score_fn, out) };
-        return;
+    if hysortk_dna::simd::avx2() {
+        // SAFETY: `avx2()` is true only after `is_x86_feature_detected!("avx2")` held.
+        return unsafe { x86::fill_scores_avx2(words, s0, count, m, score_fn, out) };
     }
     fill_scores_scalar(words, s0, count, m, score_fn, out)
 }
@@ -364,6 +374,15 @@ mod tests {
         }
     }
 
+    #[test]
+    #[should_panic]
+    fn an_out_buffer_shorter_than_count_panics() {
+        let seq = random_seq(200, 5);
+        let mut out = vec![0u64; 100];
+        let sf = ScoreFunction::Lexicographic;
+        fill_scores(seq.words(), 0, 150, 13, sf, &mut out);
+    }
+
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn avx2_hash_lanes_match_hash_mmer() {
@@ -377,7 +396,7 @@ mod tests {
         let mut want = vec![0u64; total];
         for seed in [0u32, 31, 0xFFFF_FFFF] {
             let sf = ScoreFunction::Hash { seed };
-            unsafe { x86::fill_scores_avx2(seq.words(), 0, total, 13, sf, &mut got) };
+            fill_scores(seq.words(), 0, total, 13, sf, &mut got);
             fill_scores_scalar(seq.words(), 0, total, 13, sf, &mut want);
             assert_eq!(got, want, "seed={seed}");
         }

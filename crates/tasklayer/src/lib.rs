@@ -13,6 +13,8 @@
 //!   independently; longest-processing-time scheduling of tasks onto workers and the
 //!   resulting makespan, which is what the task layer improves over monolithic sorting.
 
+#![forbid(unsafe_code)]
+
 pub mod assign;
 pub mod heavy;
 pub mod worker;

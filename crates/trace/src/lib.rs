@@ -27,6 +27,8 @@
 //! thread id, flow arrows (`s`/`f`) connect a posted exchange round to its
 //! completion on the receiving side.
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};

@@ -474,6 +474,9 @@ fn process_backend_absorbs_kills_and_transient_io_without_orphans() {
     // Every fork must already be reaped: 0 would mean a still-running orphaned
     // child, a positive pid an unreaped zombie; -1 (ECHILD) says no children remain.
     let mut status = 0i32;
+    // SAFETY: `status` is a live local, the only memory `waitpid` writes. Pid -1 with
+    // `WNOHANG` takes at most one exited child of this process and never blocks; under
+    // `ran_in_own_process` this process is the parent of no child but this test's ranks.
     let rc = unsafe { ffi::waitpid(-1, &mut status, WNOHANG) };
     assert_eq!(rc, -1, "unreaped child process (waitpid returned {rc})");
 
