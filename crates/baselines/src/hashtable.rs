@@ -259,7 +259,6 @@ pub fn two_pass_hash_count<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) ->
         exchange_rounds: rounds_projected,
         assignment_imbalance: 1.0,
         overlap_fraction: 0.0,
-        io_retries: 0,
         recoveries: 0,
         epochs_committed: 0,
         simd: hysortk_dna::simd::path_name(),

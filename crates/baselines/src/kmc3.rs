@@ -122,7 +122,6 @@ pub fn kmc3_count<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) -> Baseline
         exchange_rounds: 0,
         assignment_imbalance: 1.0,
         overlap_fraction: 0.0,
-        io_retries: 0,
         recoveries: 0,
         epochs_committed: 0,
         simd: hysortk_dna::simd::path_name(),

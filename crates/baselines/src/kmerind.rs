@@ -236,7 +236,6 @@ pub fn kmerind_count<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) -> Kmeri
         exchange_rounds: rounds_projected,
         assignment_imbalance: 1.0,
         overlap_fraction: 1.0,
-        io_retries: 0,
         recoveries: 0,
         epochs_committed: 0,
         simd: hysortk_dna::simd::path_name(),

@@ -209,15 +209,9 @@ impl RankCtx {
         &self.stats
     }
 
-    /// The cluster's active fault-injection plan, if one was attached with
-    /// [`Cluster::with_fault_plan`](crate::Cluster::with_fault_plan). The ingest layer
-    /// uses this to route transient-I/O faults through the real retry path.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault.as_deref()
-    }
-
-    /// Owned handle on the active fault plan, for components (like a checkpoint
-    /// writer) that outlive a single borrow of the context.
+    /// Owned handle on the fault-injection plan attached with
+    /// [`Cluster::with_fault_plan`](crate::Cluster::with_fault_plan), if any, for
+    /// components (like a checkpoint writer) that outlive a single borrow of the context.
     pub fn fault_plan_arc(&self) -> Option<Arc<FaultPlan>> {
         self.fault.clone()
     }

@@ -8,7 +8,7 @@
 //! [`Cluster::with_fault_plan`](crate::Cluster::with_fault_plan); a cluster without a
 //! plan carries `None` and the hot paths skip injection entirely.
 //!
-//! Five fault kinds cover the failure classes the pipeline must survive:
+//! Four fault kinds cover the failure classes the pipeline must survive:
 //!
 //! * [`FaultKind::DelayPost`] — sleep before posting, perturbing interleavings without
 //!   changing any bytes; the run must still produce identical counts.
@@ -19,13 +19,11 @@
 //! * [`FaultKind::FailRank`] — kill one rank at its site with
 //!   [`DmemError::InjectedFault`]; every peer must unblock with
 //!   [`DmemError::PeerFailed`], never hang.
-//! * [`FaultKind::TransientIo`] — make a rank's next N ingest reads fail with a
-//!   retryable I/O error; bounded retry must absorb them.
 //!
 //! Segment faults fire on the round engine's posts (the wire path); delay and rank
 //! failure fire on any collective or round whose stage label and round match.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use hysortk_trace as trace;
@@ -68,12 +66,6 @@ pub enum FaultKind {
     },
     /// Fail this rank with [`DmemError::InjectedFault`] at the site.
     FailRank,
-    /// Fail the rank's next `failures` ingest reads with a transient
-    /// (retryable) I/O error.
-    TransientIo {
-        /// Number of consecutive reads that fail before reads succeed again.
-        failures: u32,
-    },
 }
 
 impl FaultKind {
@@ -84,7 +76,6 @@ impl FaultKind {
             FaultKind::TruncateSegment { .. } => "truncate-segment",
             FaultKind::CorruptSegment { .. } => "corrupt-segment",
             FaultKind::FailRank => "fail-rank",
-            FaultKind::TransientIo { .. } => "transient-io",
         }
     }
 }
@@ -94,23 +85,16 @@ impl FaultKind {
 struct Fault {
     site: FaultSite,
     kind: FaultKind,
-    /// One-shot faults flip this on their first (only) firing.
+    /// Every fault is one-shot: this flips on its first (only) firing.
     fired: AtomicBool,
-    /// Remaining budget for [`FaultKind::TransientIo`]; unused otherwise.
-    remaining: AtomicU32,
 }
 
 impl Fault {
     fn new(site: FaultSite, kind: FaultKind) -> Self {
-        let remaining = match &kind {
-            FaultKind::TransientIo { failures } => *failures,
-            _ => 0,
-        };
         Fault {
             site,
             kind,
             fired: AtomicBool::new(false),
-            remaining: AtomicU32::new(remaining),
         }
     }
 
@@ -155,7 +139,7 @@ impl FaultPlan {
 
     /// Derive one pseudo-random fault from `seed` for a cluster of `ranks` ranks whose
     /// exchange stage runs up to `rounds` rounds. Deterministic: the same arguments
-    /// always produce the same plan. Segment faults target the `"exchange"` stage (the
+    /// always produce the same plan. Every fault targets the `"exchange"` stage (the
     /// wire path); a fault aimed at a round the run never reaches simply stays inert.
     pub fn seeded(seed: u64, ranks: usize, rounds: usize) -> Self {
         let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
@@ -168,7 +152,7 @@ impl FaultPlan {
         let rank = next() as usize % ranks;
         let round = next() as usize % rounds.max(1);
         let dest = next() as usize % ranks;
-        let kind = match next() % 5 {
+        let kind = match next() % 4 {
             0 => FaultKind::DelayPost {
                 millis: 1 + next() % 40,
             },
@@ -177,16 +161,9 @@ impl FaultPlan {
                 keep: next() as usize % 8,
             },
             2 => FaultKind::CorruptSegment { dest, bit: next() },
-            3 => FaultKind::FailRank,
-            _ => FaultKind::TransientIo {
-                failures: 1 + (next() % 3) as u32,
-            },
+            _ => FaultKind::FailRank,
         };
-        let stage = match kind {
-            FaultKind::TransientIo { .. } => "ingest",
-            _ => "exchange",
-        };
-        let mut plan = FaultPlan::new().with_fault(rank, stage, round, kind);
+        let mut plan = FaultPlan::new().with_fault(rank, "exchange", round, kind);
         plan.seed = Some(seed);
         plan
     }
@@ -198,7 +175,6 @@ impl FaultPlan {
     /// truncate:RANK:STAGE:ROUND:DEST:KEEP
     /// corrupt:RANK:STAGE:ROUND:DEST:BIT
     /// fail:RANK:STAGE:ROUND
-    /// io:RANK:FAILURES
     /// ```
     ///
     /// This is the format the `HYSORTK_FAULT` environment variable accepts.
@@ -256,18 +232,10 @@ impl FaultPlan {
                     let (r, s, rd) = site(&fields)?;
                     (r, s, rd, FaultKind::FailRank)
                 }
-                "io" if fields.len() == 3 => (
-                    num(fields[1])?,
-                    "ingest".to_string(),
-                    0,
-                    FaultKind::TransientIo {
-                        failures: num(fields[2])? as u32,
-                    },
-                ),
                 other => {
                     return Err(format!(
                         "unknown or malformed fault '{other}' in spec '{part}' \
-                         (expected delay/truncate/corrupt/fail/io)"
+                         (expected delay/truncate/corrupt/fail)"
                     ))
                 }
             };
@@ -295,7 +263,7 @@ impl FaultPlan {
         self.faults.iter().map(|f| (&f.site, &f.kind))
     }
 
-    /// How many faults have fired at least once so far.
+    /// How many faults have fired so far.
     pub fn fired_count(&self) -> usize {
         self.faults
             .iter()
@@ -303,37 +271,31 @@ impl FaultPlan {
             .count()
     }
 
-    /// Snapshot the per-fault firing state (`fired`, `remaining`), in plan order.
+    /// Snapshot which faults have fired, in plan order.
     ///
     /// The process backend uses this to carry fault state across the process
     /// boundary: children report their snapshot home over the control socket and
     /// the parent folds it into its copy of the plan with
     /// [`FaultPlan::absorb_state`], so a fail-once fault does not re-fire when a
     /// recovery generation forks fresh rank processes.
-    pub fn snapshot_state(&self) -> Vec<(bool, u32)> {
+    pub fn snapshot_state(&self) -> Vec<bool> {
         self.faults
             .iter()
-            .map(|f| {
-                (
-                    f.fired.load(Ordering::Acquire),
-                    f.remaining.load(Ordering::Acquire),
-                )
-            })
+            .map(|f| f.fired.load(Ordering::Acquire))
             .collect()
     }
 
     /// Fold a child's [`FaultPlan::snapshot_state`] into this plan: a fault is fired
-    /// if any process fired it, and the transient budget is the minimum remaining
-    /// anywhere. Ignores snapshots of the wrong length (a mismatched plan).
-    pub fn absorb_state(&self, state: &[(bool, u32)]) {
+    /// if any process fired it. Ignores snapshots of the wrong length (a mismatched
+    /// plan).
+    pub fn absorb_state(&self, state: &[bool]) {
         if state.len() != self.faults.len() {
             return;
         }
-        for (fault, &(fired, remaining)) in self.faults.iter().zip(state) {
+        for (fault, &fired) in self.faults.iter().zip(state) {
             if fired {
                 fault.fired.store(true, Ordering::Release);
             }
-            fault.remaining.fetch_min(remaining, Ordering::AcqRel);
         }
     }
 
@@ -474,29 +436,6 @@ impl FaultPlan {
         }
         self.fire_control(rank, stage, round)
     }
-
-    /// Consume one transient-I/O failure for `rank` if any remains; the ingest layer
-    /// calls this before each read and turns `true` into a retryable I/O error.
-    pub fn should_fail_io(&self, rank: usize) -> bool {
-        for fault in &self.faults {
-            if fault.site.rank != rank {
-                continue;
-            }
-            if let FaultKind::TransientIo { .. } = fault.kind {
-                if fault
-                    .remaining
-                    .fetch_update(Ordering::AcqRel, Ordering::Acquire, |r| r.checked_sub(1))
-                    .is_ok()
-                {
-                    fault.fired.store(true, Ordering::Release);
-                    trace::instant("fault:transient-io", trace::Detail::Stage, rank as u32, &[]);
-                    trace::vlog!(rank, "fault transient-io fired on ingest read");
-                    return true;
-                }
-            }
-        }
-        false
-    }
 }
 
 #[cfg(test)]
@@ -519,7 +458,7 @@ mod tests {
     fn spec_round_trips_each_kind() {
         let plan = FaultPlan::from_spec(
             "delay:1:exchange:0:25;truncate:0:exchange:2:3:4;corrupt:2:exchange:1:0:77;\
-             fail:1:task-sizes:0;io:3:2",
+             fail:1:task-sizes:0",
         )
         .expect("valid spec");
         let kinds: Vec<&str> = plan.iter().map(|(_, k)| k.name()).collect();
@@ -530,22 +469,11 @@ mod tests {
                 "truncate-segment",
                 "corrupt-segment",
                 "fail-rank",
-                "transient-io"
             ]
         );
         assert!(FaultPlan::from_spec("bogus:1:2").is_err());
+        assert!(FaultPlan::from_spec("io:0:2").is_err());
         assert!(FaultPlan::from_spec("").is_err());
-    }
-
-    #[test]
-    fn transient_io_budget_is_consumed_once_per_call() {
-        let plan =
-            FaultPlan::new().with_fault(2, "ingest", 0, FaultKind::TransientIo { failures: 2 });
-        assert!(!plan.should_fail_io(0), "wrong rank must not fire");
-        assert!(plan.should_fail_io(2));
-        assert!(plan.should_fail_io(2));
-        assert!(!plan.should_fail_io(2), "budget exhausted");
-        assert_eq!(plan.fired_count(), 1);
     }
 
     #[test]

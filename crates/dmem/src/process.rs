@@ -682,7 +682,7 @@ where
                 .unwrap_or_else(|| CommStats::new(ranks)),
         );
         if let (Some(plan), Some(bytes)) = (&fault, report.faults.as_deref()) {
-            if let Some(state) = wire::from_bytes::<Vec<(bool, u32)>>(bytes) {
+            if let Some(state) = wire::from_bytes::<Vec<bool>>(bytes) {
                 plan.absorb_state(&state);
             }
         }

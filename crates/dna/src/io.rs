@@ -127,17 +127,6 @@ pub fn list_inputs<P: AsRef<Path>>(paths: &[P]) -> io::Result<Vec<InputFile>> {
     Ok(out)
 }
 
-/// True for I/O errors that are worth retrying: the kernel or filesystem hiccuped
-/// (`Interrupted`, `TimedOut`, `WouldBlock`) rather than the input being wrong.
-/// Malformed-record errors (`InvalidData`) and missing files are *not* transient —
-/// retrying them can only reproduce the same failure.
-pub fn is_transient_io_error(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::Interrupted | io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
-    )
-}
-
 /// Split `total` bytes into `ranks` contiguous half-open ranges of near-equal size.
 /// Records are owned by the range containing their first byte, so equal *byte* shares
 /// translate into near-equal record shares for any realistic record-length mix.
@@ -220,22 +209,30 @@ impl<R: io::Read> BlockLines<R> {
                 }
                 return Ok(None);
             }
-            // Compact the unconsumed carry to the front and refill one block.
+            // Compact the unconsumed carry to the front and refill one block. An
+            // interrupted read is retried in place, as `Read::read_exact` does.
             self.buf.drain(..self.start);
             self.start = 0;
             let old = self.buf.len();
             self.buf.resize(old + self.block, 0);
             let mut filled = 0usize;
-            while filled < self.block {
-                match self.src.read(&mut self.buf[old + filled..])? {
-                    0 => {
-                        self.eof = true;
-                        break;
-                    }
-                    n => filled += n,
+            let refill = loop {
+                if filled == self.block {
+                    break Ok(());
                 }
-            }
+                match self.src.read(&mut self.buf[old + filled..]) {
+                    Ok(0) => {
+                        self.eof = true;
+                        break Ok(());
+                    }
+                    Ok(n) => filled += n,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(e) => break Err(e),
+                }
+            };
+            // Only the bytes actually read stay: a failed read leaves no zeros behind.
             self.buf.truncate(old + filled);
+            refill?;
         }
     }
 }
@@ -609,6 +606,10 @@ impl ShardReader {
     /// once the shard is exhausted. A batch holds at most
     /// [`IngestOptions::batch_records`] reads, plus however many extra fragments the
     /// final record splits into at its ambiguous-base runs.
+    ///
+    /// An error ends the shard: the reads of the unfinished batch are gone, so the
+    /// caller reports the error and asks for no further batch. An interrupted read
+    /// (`EINTR`) is no error; the block reader retries it in place.
     pub fn next_batch(&mut self) -> io::Result<Option<Vec<Read>>> {
         let mut batch = Vec::new();
         let limit = self.opts.batch_records.max(1);
@@ -1038,6 +1039,78 @@ mod tests {
             ]
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A source that hands out at most 5 bytes a call and fails every third call with
+    /// `kind`, consuming nothing on a failed call.
+    struct Flaky<'a> {
+        data: &'a [u8],
+        kind: io::ErrorKind,
+        calls: usize,
+    }
+
+    impl<'a> Flaky<'a> {
+        fn new(data: &'a [u8], kind: io::ErrorKind) -> Self {
+            Flaky {
+                data,
+                kind,
+                calls: 0,
+            }
+        }
+    }
+
+    impl io::Read for Flaky<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(3) {
+                return Err(io::Error::new(self.kind, "flaky source"));
+            }
+            let n = buf.len().min(5).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    /// Every line a 16-byte [`BlockLines`] over `src` yields, asking again after each
+    /// error, and the kinds of those errors.
+    fn lines_of(src: impl io::Read) -> (Vec<Vec<u8>>, Vec<io::ErrorKind>) {
+        let mut lines = BlockLines::new(src, 16, 0);
+        let (mut out, mut errors, mut line) = (Vec::new(), Vec::new(), Vec::new());
+        loop {
+            match lines.read_line_into(&mut line) {
+                Ok(Some(_)) => out.push(line.clone()),
+                Ok(None) => return (out, errors),
+                Err(e) => errors.push(e.kind()),
+            }
+        }
+    }
+
+    const FLAKY_TEXT: &[u8] =
+        b">one\nACGTACGTACGTACGTACGTACGTACGTACGT\nGGCC\n>two\nTTTTGGGGCCCCAAAA\n";
+
+    #[test]
+    fn an_interrupted_read_is_retried_in_place() {
+        let clean: Vec<Vec<u8>> = FLAKY_TEXT
+            .split(|&b| b == b'\n')
+            .filter(|l| !l.is_empty())
+            .map(<[u8]>::to_vec)
+            .collect();
+        assert_eq!(lines_of(FLAKY_TEXT), (clean.clone(), vec![]));
+        // Every third read is interrupted, most of them in the middle of a refill.
+        let flaky = Flaky::new(FLAKY_TEXT, io::ErrorKind::Interrupted);
+        assert_eq!(lines_of(flaky), (clean, vec![]));
+    }
+
+    #[test]
+    fn a_failed_read_returns_its_error_and_leaves_no_zeros_behind() {
+        let (clean, _) = lines_of(FLAKY_TEXT);
+        let (lines, errors) = lines_of(Flaky::new(FLAKY_TEXT, io::ErrorKind::Other));
+        assert!(!errors.is_empty());
+        assert!(errors.iter().all(|&kind| kind == io::ErrorKind::Other));
+        assert!(lines.iter().all(|line| !line.contains(&0)), "{lines:?}");
+        // The buffer holds exactly the bytes read, so asking again loses none.
+        assert_eq!(lines, clean);
     }
 
     #[test]

@@ -70,8 +70,8 @@ observability:
   --trace-detail <lvl>  trace granularity: stage (per-stage spans), round (adds
                         per-round exchange lanes + flow arrows; default), task
                         (adds per-task serialize, count and section spans)
-  -v, --verbose         rank-tagged progress on stderr: faults fired, I/O
-                        retries, recovery respawns, checkpoint commits
+  -v, --verbose         rank-tagged progress on stderr: faults fired, recovery
+                        respawns, checkpoint commits
   --quiet               suppress the run summary (errors still print)
 
 checkpointing & recovery:
@@ -83,17 +83,14 @@ checkpointing & recovery:
   --recovery-attempts <n>   respawn the simulated ranks up to n times after an
                             in-run rank failure before aborting (default 2; 0 turns
                             in-run recovery off and restores fail-fast aborts)
-  --io-retries <n>          attempts per shard read before a transient I/O error
-                            surfaces (default 3: first try + 2 retries)
-  --io-backoff-ms <n>       base of the jittered exponential retry backoff (default 2)
   --fault <spec>            fault-injection spec for chaos testing (wins over the
                             HYSORTK_FAULT environment variable)
 
 environment:
   HYSORTK_FAULT      `;`-separated fault-injection spec for chaos testing. Grammar:
                      `delay:R:STAGE:ROUND:MS`, `truncate:R:STAGE:ROUND:DEST:KEEP`,
-                     `corrupt:R:STAGE:ROUND:DEST:BIT`, `fail:R:STAGE:ROUND`,
-                     `io:R:FAILURES` — e.g. `delay:0:exchange:1:5;fail:2:exchange:0`
+                     `corrupt:R:STAGE:ROUND:DEST:BIT`, `fail:R:STAGE:ROUND` —
+                     e.g. `delay:0:exchange:1:5;fail:2:exchange:0`
                      (see FaultPlan::from_spec). STAGE names a collective
                      (`task-sizes`, `exchange`) or a pipeline site: `serialize` (inside
                      a serialize job of that round) or `checkpoint` (mid-commit)
@@ -101,7 +98,7 @@ environment:
 exit codes:
   0 success — including runs that hit injected/real rank failures but completed
     through in-run recovery (the summary then reports the recovery count),
-  2 usage or configuration error, 3 input I/O error,
+  2 usage or configuration error, 3 input I/O error or malformed record,
   4 internal error (malformed wire data or a distributed-runtime abort that
     exhausted or bypassed recovery)
 ";
@@ -124,8 +121,6 @@ struct CliArgs {
     checkpoint_every: usize,
     resume: Option<PathBuf>,
     recovery_attempts: Option<usize>,
-    io_retries: Option<u32>,
-    io_backoff_ms: Option<u64>,
     fault: Option<String>,
     trace: Option<PathBuf>,
     trace_detail: Detail,
@@ -160,8 +155,6 @@ fn parse_args(mut args: std::env::Args) -> Result<Option<CliArgs>, String> {
         checkpoint_every: 1,
         resume: None,
         recovery_attempts: None,
-        io_retries: None,
-        io_backoff_ms: None,
         fault: None,
         trace: None,
         trace_detail: Detail::Round,
@@ -203,12 +196,6 @@ fn parse_args(mut args: std::env::Args) -> Result<Option<CliArgs>, String> {
                     &value("--recovery-attempts")?,
                     "--recovery-attempts",
                 )?)
-            }
-            "--io-retries" => {
-                cli.io_retries = Some(parse_num(&value("--io-retries")?, "--io-retries")?)
-            }
-            "--io-backoff-ms" => {
-                cli.io_backoff_ms = Some(parse_num(&value("--io-backoff-ms")?, "--io-backoff-ms")?)
             }
             "--fault" => cli.fault = Some(value("--fault")?),
             "--trace" => cli.trace = Some(PathBuf::from(value("--trace")?)),
@@ -255,12 +242,6 @@ fn config_for(cli: &CliArgs) -> HySortKConfig {
     cfg.resume = cli.resume.is_some();
     if let Some(n) = cli.recovery_attempts {
         cfg.recovery_attempts = n;
-    }
-    if let Some(n) = cli.io_retries {
-        cfg.io_retries = n;
-    }
-    if let Some(ms) = cli.io_backoff_ms {
-        cfg.io_backoff_ms = ms;
     }
     cfg
 }
@@ -344,12 +325,13 @@ fn run<K: KmerCode>(cli: &CliArgs, cfg: &HySortKConfig) -> Result<(), HysortkErr
             "not merged"
         },
     );
+    let exchange = report.comm.stage("exchange");
     eprintln!(
-        "[hysortk] exchange: {} wire bytes over {} round(s) ({} bytes staged on the fullest \
-         rank, {} section(s) per task, {} bytes of count buffers), sorter {:?}, {} heavy \
-         task(s)",
-        report.total_wire_bytes,
-        report.exchange_rounds,
+        "[hysortk] exchange: {} payload bytes over {} round(s) ({} bytes staged on the \
+         fullest rank, {} section(s) per task, {} bytes of count buffers), sorter {:?}, {} \
+         heavy task(s)",
+        exchange.map_or(0, |s| s.payload_bytes),
+        exchange.map_or(0, |s| s.rounds),
         report.staged_bytes,
         report.sections,
         report.count_buffer_bytes,
@@ -357,12 +339,6 @@ fn run<K: KmerCode>(cli: &CliArgs, cfg: &HySortKConfig) -> Result<(), HysortkErr
         report.heavy_tasks,
     );
     eprintln!("[hysortk] simd hot paths: {}", report.simd);
-    if report.io_retries > 0 {
-        eprintln!(
-            "[hysortk] {} transient read failure(s) retried successfully",
-            report.io_retries,
-        );
-    }
     if report.recoveries > 0 {
         eprintln!(
             "[hysortk] {} in-run rank recovery(ies): failed ranks were respawned and \
@@ -377,7 +353,10 @@ fn run<K: KmerCode>(cli: &CliArgs, cfg: &HySortKConfig) -> Result<(), HysortkErr
         );
     }
     eprintln!(
-        "[hysortk] modeled time {:.4}s ({}), wall {:.2}s",
+        "[hysortk] modeled: padded Alltoall of {} wire bytes over {} round(s), time {:.4}s \
+         ({}); measured wall {:.2}s",
+        report.total_wire_bytes,
+        report.exchange_rounds,
         report.total_time(),
         report.stage_times.summary(),
         wall,

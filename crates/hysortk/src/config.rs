@@ -97,12 +97,6 @@ pub struct HySortKConfig {
     /// degrading to the typed abort. `0` disables recovery. Local data defects — wire
     /// corruption, I/O errors — are never retried.
     pub recovery_attempts: usize,
-    /// Total attempts (first try included) the streaming reader makes on a transient
-    /// I/O error before surfacing it. Must be at least 1.
-    pub io_retries: u32,
-    /// Base backoff in milliseconds of the transient-I/O retry; grows exponentially
-    /// per attempt with a deterministic jitter (see `hysortk_core::ingest`).
-    pub io_backoff_ms: u64,
     /// How ranks are realised: [`Backend::Thread`] simulates them as threads in this
     /// process (fast, zero-copy boards), [`Backend::Process`] forks one OS process
     /// per rank and moves every exchanged byte over UNIX domain sockets (real
@@ -136,8 +130,6 @@ impl Default for HySortKConfig {
             checkpoint_every: 1,
             resume: false,
             recovery_attempts: 2,
-            io_retries: 3,
-            io_backoff_ms: 2,
             backend: Backend::Thread,
         }
     }
@@ -264,11 +256,6 @@ impl HySortKConfig {
         if self.resume && self.checkpoint_dir.is_none() {
             return Err("resume requires a checkpoint directory".to_string());
         }
-        if self.io_retries == 0 {
-            return Err(
-                "io_retries must be at least 1 (the first read attempt counts)".to_string(),
-            );
-        }
         Ok(())
     }
 }
@@ -352,10 +339,6 @@ mod tests {
         cfg.checkpoint_dir = Some("ckpt".into());
         cfg.resume = true;
         cfg.validate().unwrap();
-
-        let mut cfg = HySortKConfig::default();
-        cfg.io_retries = 0;
-        assert!(cfg.validate().unwrap_err().contains("io_retries"));
     }
 
     #[test]

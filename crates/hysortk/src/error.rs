@@ -24,7 +24,8 @@ use crate::wire::WireError;
 pub enum HysortkError {
     /// Unusable configuration or CLI arguments (exit code 2).
     Config(String),
-    /// Reading an input file failed after retries (exit code 3).
+    /// Reading an input file failed, or it holds a malformed record (exit code 3). The
+    /// error ends the reading rank's shard.
     Io {
         /// Path of the file that failed.
         path: String,

@@ -29,17 +29,14 @@
 //! # Failure behavior
 //!
 //! Every entry point returns [`HysortkError`] with the offending file, rank and round
-//! attached. Transient read failures (`Interrupted`, `TimedOut`, `WouldBlock` — see
-//! [`is_transient_io_error`]) are retried up to
-//! [`HySortKConfig::io_retries`](crate::HySortKConfig::io_retries) times with jittered
-//! exponential backoff (base [`HySortKConfig::io_backoff_ms`]) before they surface;
-//! successful retries are tallied in
-//! [`RunReport::io_retries`](crate::RunReport::io_retries). Unrecoverable ingest
-//! errors do **not** make a rank bail out of the SPMD collectives (that would
-//! deadlock its peers): the rank finishes the run with whatever it parsed and the
-//! error is surfaced afterwards. [`count_kmers_from_files_faulted`] additionally
-//! wires a [`FaultPlan`] into the simulated cluster so chaos tests can inject
-//! delays, wire corruption, rank failures and transient I/O errors deterministically.
+//! attached. A read error fails where it happens: an interrupted read (`EINTR`) is
+//! retried in place by the block reader, and any other error — or a malformed record —
+//! ends the rank's shard and surfaces as [`HysortkError::Io`]. Ingest errors do **not**
+//! make a rank bail out of the SPMD collectives (that would deadlock its peers): the
+//! rank finishes the run with whatever it parsed and the error is surfaced afterwards.
+//! [`count_kmers_from_files_faulted`] additionally wires a [`FaultPlan`] into the
+//! simulated cluster so chaos tests can inject delays, wire corruption and rank
+//! failures deterministically.
 //!
 //! Rank failures — injected crashes and the
 //! [`PeerFailed`](hysortk_dmem::DmemError::PeerFailed) echoes they
@@ -53,10 +50,10 @@
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use hysortk_dmem::{FaultPlan, RankCtx};
-use hysortk_dna::io::{is_transient_io_error, list_inputs, IngestOptions, InputFile, ShardReader};
+use hysortk_dna::io::{list_inputs, IngestOptions, InputFile, ShardReader};
 use hysortk_dna::kmer::KmerCode;
 use hysortk_dna::readset::Read;
 use hysortk_trace as trace;
@@ -96,11 +93,9 @@ pub fn count_kmers_from_files_with<K: KmerCode, P: AsRef<Path>>(
 /// cluster — the chaos-testing entry point.
 ///
 /// The plan's faults fire deterministically at their configured rank × stage × round
-/// sites: post delays and wire corruption inside the collectives, injected rank
-/// failures as [`DmemError::FailRank`-style](hysortk_dmem::DmemError) aborts, and
-/// transient I/O errors consumed by the ingest retry loop (see
-/// [`FaultPlan::should_fail_io`]). With an empty plan this is byte-for-byte
-/// [`count_kmers_from_files_with`].
+/// sites: post delays and wire corruption inside the collectives, and injected rank
+/// failures as [`DmemError::FailRank`-style](hysortk_dmem::DmemError) aborts. With an
+/// empty plan this is byte-for-byte [`count_kmers_from_files_with`].
 pub fn count_kmers_from_files_faulted<K: KmerCode, P: AsRef<Path>>(
     paths: &[P],
     cfg: &HySortKConfig,
@@ -135,65 +130,6 @@ fn input_label(files: &[InputFile]) -> String {
         [] => "<no input>".to_string(),
         [only] => only.path.display().to_string(),
         [first, rest @ ..] => format!("{} (+{} more)", first.path.display(), rest.len()),
-    }
-}
-
-/// Deterministic per-(rank, attempt) jitter in `0..=exp/2`: spreads retry storms
-/// without wall-clock randomness, so a replayed run backs off identically.
-fn retry_jitter_ms(rank: usize, attempt: u32, exp: u64) -> u64 {
-    let mut h = 0x9e37_79b9_7f4a_7c15u64 ^ (rank as u64) << 32 ^ u64::from(attempt);
-    h = (h ^ (h >> 27))
-        .wrapping_mul(0x0100_0000_01b3)
-        .rotate_left(23);
-    h % (exp / 2 + 1)
-}
-
-/// Fetch the next batch from the shard, absorbing transient failures (real or
-/// injected via the cluster's [`FaultPlan`]) up to the configured attempt budget
-/// (`cfg.io_retries` attempts in total) with jittered exponential backoff from
-/// `cfg.io_backoff_ms`. Each absorbed failure increments `counters.io_retries`.
-fn next_batch_with_retry(
-    ctx: &RankCtx,
-    shard: &mut ShardReader,
-    rank: usize,
-    cfg: &HySortKConfig,
-    counters: &mut RankCounters,
-) -> io::Result<Option<Vec<Read>>> {
-    let attempts = cfg.io_retries;
-    let mut attempt = 0u32;
-    loop {
-        let injected = ctx.fault_plan().is_some_and(|p| p.should_fail_io(rank));
-        let result = if injected {
-            Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "injected transient I/O fault",
-            ))
-        } else {
-            shard.next_batch()
-        };
-        match result {
-            Err(e) if is_transient_io_error(&e) && attempt + 1 < attempts => {
-                attempt += 1;
-                counters.io_retries += 1;
-                trace::instant(
-                    "io-retry",
-                    trace::Detail::Stage,
-                    rank as u32,
-                    &[("attempt", u64::from(attempt))],
-                );
-                trace::vlog!(
-                    rank,
-                    "transient read failure (attempt {attempt}): {e}; retrying"
-                );
-                // Exponential base doubling per attempt (shift capped so a huge
-                // configured budget cannot overflow), plus deterministic jitter so
-                // simultaneous retries across ranks decorrelate.
-                let exp = cfg.io_backoff_ms.saturating_mul(1 << (attempt - 1).min(10));
-                let sleep_ms = exp + retry_jitter_ms(rank, attempt, exp);
-                std::thread::sleep(Duration::from_millis(sleep_ms));
-            }
-            other => return other,
-        }
     }
 }
 
@@ -243,7 +179,7 @@ pub(crate) fn ingest_shard(
         let read_start = Instant::now();
         let next = {
             let _span = trace::span!("shard-read", trace::Detail::Round, rank);
-            next_batch_with_retry(ctx, &mut shard, rank, cfg, counters)
+            shard.next_batch()
         };
         counters.wall.ingest += read_start.elapsed().as_secs_f64();
         let mut batch = match next {
@@ -288,7 +224,7 @@ pub(crate) fn ingest_shard(
 mod tests {
     use super::*;
     use crate::count_kmers;
-    use hysortk_dmem::{Cluster, FaultKind};
+    use hysortk_dmem::Cluster;
     use hysortk_dna::kmer::Kmer1;
     use hysortk_dna::{fasta, ReadSet};
     use hysortk_task::WorkerPool;
@@ -507,56 +443,5 @@ mod tests {
         assert!(matches!(err, HysortkError::Config(_)), "{err}");
         assert_eq!(err.exit_code(), 2);
         assert!(err.to_string().contains("threads_per_worker"), "{err}");
-    }
-
-    #[test]
-    fn transient_io_failures_are_retried_to_identical_counts() {
-        // A reader whose first calls fail transiently must end with byte-identical
-        // counts and the retries visible in the run report (satellite: bounded
-        // transient-I/O retry).
-        let reads = overlapping_reads(34);
-        let path = tmp_path("transient.fa");
-        fasta::write_fasta_file(&path, &reads, 70).unwrap();
-        let cfg = small_cfg(2);
-        let healthy = count_kmers_from_files::<Kmer1, _>(&[&path], &cfg).unwrap();
-        assert_eq!(healthy.report.io_retries, 0);
-
-        let mut plan = FaultPlan::new();
-        plan = plan.with_fault(0, "ingest", 0, FaultKind::TransientIo { failures: 2 });
-        let got = count_kmers_from_files_faulted::<Kmer1, _>(
-            &[&path],
-            &cfg,
-            IngestOptions::default(),
-            Arc::new(plan),
-        )
-        .unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(got.counts, healthy.counts);
-        assert_eq!(got.histogram, healthy.histogram);
-        assert_eq!(got.report.io_retries, 2);
-    }
-
-    #[test]
-    fn transient_failures_beyond_the_retry_budget_surface_as_io_errors() {
-        let reads = overlapping_reads(35);
-        let path = tmp_path("exhausted.fa");
-        fasta::write_fasta_file(&path, &reads, 70).unwrap();
-        let cfg = small_cfg(2);
-        // Far more injected failures than one retry loop absorbs.
-        let mut plan = FaultPlan::new();
-        plan = plan.with_fault(0, "ingest", 0, FaultKind::TransientIo { failures: 1_000 });
-        let err = count_kmers_from_files_faulted::<Kmer1, _>(
-            &[&path],
-            &cfg,
-            IngestOptions::default(),
-            Arc::new(plan),
-        )
-        .unwrap_err();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(err.exit_code(), 3);
-        assert!(
-            err.to_string().contains("injected transient I/O fault"),
-            "unexpected error: {err}"
-        );
     }
 }

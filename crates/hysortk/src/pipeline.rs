@@ -155,8 +155,6 @@ pub(crate) struct RankCounters {
     /// Bytes of the pipeline's fill and drain (round 0 serialize, last round count)
     /// that nothing could hide — with one unbounded round, all of them.
     overlap_exposed_bytes: u64,
-    /// Transient input-read failures this rank retried through (file feed only).
-    pub(crate) io_retries: u64,
     /// Checkpoint epochs this rank committed (zero without a checkpoint directory).
     epochs_committed: u64,
     /// Bytes of stage-1 staging this rank held when stage 1 ended.
@@ -216,7 +214,6 @@ impl Wire for RankCounters {
         self.heavy_tasks.encode(out);
         self.overlap_hidden_bytes.encode(out);
         self.overlap_exposed_bytes.encode(out);
-        self.io_retries.encode(out);
         self.epochs_committed.encode(out);
         self.staged_bytes.encode(out);
         self.sections.encode(out);
@@ -237,7 +234,6 @@ impl Wire for RankCounters {
             heavy_tasks: usize::decode(input)?,
             overlap_hidden_bytes: u64::decode(input)?,
             overlap_exposed_bytes: u64::decode(input)?,
-            io_retries: u64::decode(input)?,
             epochs_committed: u64::decode(input)?,
             staged_bytes: u64::decode(input)?,
             sections: u32::decode(input)?,
@@ -996,7 +992,6 @@ pub(crate) fn merge_outputs<K: KmerCode>(
         .first()
         .map(|c| c.assignment_imbalance)
         .unwrap_or(1.0);
-    let io_retries: u64 = counters.iter().map(|c| c.io_retries).sum();
     let staged_bytes = counters.iter().map(|c| c.staged_bytes).max().unwrap_or(0);
     let sections = counters.first().map_or(1, |c| c.sections);
     let count_buffer_bytes = (counters.iter())
@@ -1147,7 +1142,6 @@ pub(crate) fn merge_outputs<K: KmerCode>(
         exchange_rounds: rounds_projected,
         assignment_imbalance,
         overlap_fraction,
-        io_retries,
         recoveries,
         epochs_committed,
         staged_bytes,

@@ -230,9 +230,6 @@ pub struct RunReport {
     /// runs one unbounded round, nothing is in flight while it serializes or counts,
     /// and every byte is exposed.
     pub overlap_fraction: f64,
-    /// Transient input-read failures that were retried successfully, summed over all
-    /// ranks. Zero for in-memory runs and healthy file feeds.
-    pub io_retries: u64,
     /// In-run rank recoveries: how many times the cluster respawned failed ranks and
     /// re-entered the pipeline instead of aborting. Zero for a healthy run.
     pub recoveries: usize,

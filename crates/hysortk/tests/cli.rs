@@ -49,6 +49,16 @@ fn usage_errors_exit_2_with_the_usage_text() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
+
+    // A read error fails the run where it happens: there is no retry to tune.
+    for flag in ["--io-retries", "--io-backoff-ms"] {
+        let out = hysortk()
+            .args(["count", "x.fa", flag, "3"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        assert!(stderr_of(&out).contains("unknown option"), "{flag}");
+    }
 }
 
 #[test]
@@ -164,22 +174,26 @@ fn missing_inputs_exit_3_and_name_the_file() {
     );
 }
 
+/// There is no transient-read fault kind: `io:R:FAILURES` is refused like any other
+/// unknown kind.
 #[test]
 fn malformed_fault_specs_exit_2() {
     let fa = tmp_fasta("badspec");
-    let out = hysortk()
-        .arg("count")
-        .arg(&fa)
-        .env("HYSORTK_FAULT", "explode:0")
-        .output()
-        .unwrap();
+    for spec in ["explode:0", "io:0:2"] {
+        let out = hysortk()
+            .arg("count")
+            .arg(&fa)
+            .env("HYSORTK_FAULT", spec)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{spec}");
+        assert!(
+            stderr_of(&out).contains("HYSORTK_FAULT"),
+            "{spec}: {}",
+            stderr_of(&out)
+        );
+    }
     std::fs::remove_file(&fa).ok();
-    assert_eq!(out.status.code(), Some(2));
-    assert!(
-        stderr_of(&out).contains("HYSORTK_FAULT"),
-        "{}",
-        stderr_of(&out)
-    );
 }
 
 #[test]
@@ -333,33 +347,6 @@ fn a_killed_checkpointed_run_resumes_to_the_identical_histogram() {
         stderr_of(&resumed).contains("checkpoint epoch(s) committed"),
         "{}",
         stderr_of(&resumed)
-    );
-}
-
-#[test]
-fn transient_io_faults_are_retried_to_a_successful_identical_run() {
-    let fa = tmp_fasta("retry");
-    let healthy = hysortk()
-        .args(["count", "--min-count", "1"])
-        .arg(&fa)
-        .output()
-        .unwrap();
-    assert_eq!(healthy.status.code(), Some(0), "{}", stderr_of(&healthy));
-
-    let retried = hysortk()
-        .args(["count", "--min-count", "1"])
-        .arg(&fa)
-        .env("HYSORTK_FAULT", "io:0:2")
-        .output()
-        .unwrap();
-    std::fs::remove_file(&fa).ok();
-    assert_eq!(retried.status.code(), Some(0), "{}", stderr_of(&retried));
-    // Identical histogram on stdout, and the retries reported on stderr.
-    assert_eq!(healthy.stdout, retried.stdout);
-    assert!(
-        stderr_of(&retried).contains("transient read failure(s) retried"),
-        "{}",
-        stderr_of(&retried)
     );
 }
 

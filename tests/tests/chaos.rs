@@ -7,8 +7,8 @@
 //! Each run must satisfy the trichotomy:
 //!
 //! 1. **byte-identical counts** to the healthy baseline (the fault was absorbed:
-//!    a delay, a no-op corruption, a retried transient read — or a killed rank that
-//!    in-run recovery respawned), or
+//!    a delay, a no-op corruption — or a killed rank that in-run recovery
+//!    respawned), or
 //! 2. a **typed error** naming the injected fault or the wire defect it caused, or
 //! 3. a **clean abort** where every peer unblocks with a `PeerFailed`-rooted error —
 //!    never a hang, never a silently wrong histogram.
@@ -16,6 +16,7 @@
 //! A wall-clock watchdog turns any deadlock into a test failure instead of a stuck
 //! CI job.
 
+use std::collections::BTreeSet;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
@@ -112,7 +113,8 @@ fn run_faulted(path: &Path, cfg: &HySortKConfig, plan: &Arc<FaultPlan>) -> Chaos
 
 /// The tentpole: ≥ 50 seeded fault schedules across rank counts and execution modes,
 /// each checked against the trichotomy. `FaultPlan::seeded` draws uniformly from all
-/// five fault kinds (delays, truncations, corruptions, rank failures, transient I/O).
+/// four fault kinds (delays, truncations, corruptions, rank failures), and each of them
+/// fires in some schedule.
 #[test]
 fn seeded_fault_schedules_never_hang_and_never_corrupt_counts() {
     let reads = overlapping_reads(77);
@@ -122,6 +124,7 @@ fn seeded_fault_schedules_never_hang_and_never_corrupt_counts() {
     let mut schedules = 0usize;
     let mut absorbed = 0usize;
     let mut errored = 0usize;
+    let mut fired_kinds = BTreeSet::new();
     for ranks in [1usize, 2, 7] {
         for (overlap, threads) in [(false, 2), (true, 1), (true, 2)] {
             let cfg = chaos_cfg_with_threads(ranks, overlap, threads);
@@ -132,9 +135,11 @@ fn seeded_fault_schedules_never_hang_and_never_corrupt_counts() {
                 schedules += 1;
                 let plan = Arc::new(FaultPlan::seeded(seed, ranks, 4));
                 let (_, kind) = plan.iter().next().expect("seeded plan holds one fault");
-                let is_transient_io = matches!(kind, FaultKind::TransientIo { .. });
                 let outcome = run_faulted(&path, &cfg, &plan);
                 let fired = plan.fired_count() > 0;
+                if fired {
+                    fired_kinds.insert(kind.name());
+                }
                 let ctx = format!(
                     "seed={seed} ranks={ranks} overlap={overlap} threads={threads} fault={} \
                      fired={fired}",
@@ -148,12 +153,6 @@ fn seeded_fault_schedules_never_hang_and_never_corrupt_counts() {
                         // forbidden outcome.
                         assert_eq!(result.counts, baseline.counts, "{ctx}");
                         assert_eq!(result.histogram, baseline.histogram, "{ctx}");
-                        if fired && is_transient_io {
-                            assert!(
-                                result.report.io_retries >= 1,
-                                "{ctx}: retried reads must show up in the report"
-                            );
-                        }
                         if fired && matches!(kind, FaultKind::FailRank) {
                             // A killed rank can only land in the absorbed arm via
                             // in-run recovery, and the report must say so.
@@ -188,7 +187,12 @@ fn seeded_fault_schedules_never_hang_and_never_corrupt_counts() {
     }
     std::fs::remove_file(&path).ok();
     assert!(schedules >= 50, "only {schedules} schedules ran");
-    // The seeded generator draws all five kinds, so both arms of the trichotomy must
+    assert_eq!(
+        fired_kinds.len(),
+        4,
+        "only {fired_kinds:?} fired: the schedules miss a fault kind"
+    );
+    // The seeded generator draws all four kinds, so both arms of the trichotomy must
     // be populated — otherwise the harness is vacuous.
     assert!(absorbed > 0, "no schedule was absorbed cleanly");
     assert!(errored > 0, "no schedule surfaced a typed error");
@@ -392,16 +396,17 @@ fn truncation_to_a_clean_block_boundary_is_caught_by_reconciliation() {
 }
 
 /// The chaos matrix on the **process backend**: forked rank processes under (a) an
-/// injected rank kill healed by respawning a whole process generation and (b) a
-/// transient ingest failure absorbed by bounded retry inside the child — each
-/// byte-identical to the healthy baseline, in both execution modes. A final
-/// `waitpid(-1)` sweep asserts the parent reaped every forked child: no orphaned
-/// processes, no zombies. (Only this test forks, so sweeping pid -1 cannot steal
-/// another test's children.)
+/// injected rank kill healed by respawning a whole process generation —
+/// byte-identical to the healthy baseline — and (b) a malformed record in one child's
+/// shard, which that child reports as a typed input error naming the file while its
+/// peers run to the end, in both execution modes. A final `waitpid(-1)` sweep asserts
+/// the parent reaped every forked child: no orphaned processes, no zombies. (The test
+/// runs in a process of its own, so sweeping pid -1 cannot steal another test's
+/// children.)
 #[test]
-fn process_backend_absorbs_kills_and_transient_io_without_orphans() {
+fn process_backend_absorbs_kills_and_surfaces_input_errors_without_orphans() {
     if hysortk_dmem::ran_in_own_process(
-        "process_backend_absorbs_kills_and_transient_io_without_orphans",
+        "process_backend_absorbs_kills_and_surfaces_input_errors_without_orphans",
     ) {
         return;
     }
@@ -415,6 +420,16 @@ fn process_backend_absorbs_kills_and_transient_io_without_orphans() {
     let reads = overlapping_reads(84);
     let path = tmp_path("procchaos.fa");
     fasta::write_fasta_file(&path, &reads, 70).unwrap();
+    // The same reads as FASTQ, but the middle record — in rank 1's third of the bytes
+    // — has a quality line three characters long.
+    let malformed = tmp_path("procchaos.fq");
+    let mut text = String::new();
+    for (i, read) in reads.iter().enumerate() {
+        let seq = String::from_utf8(read.seq.to_ascii()).unwrap();
+        let quality = if i == reads.len() / 2 { 3 } else { seq.len() };
+        text.push_str(&format!("@r{i}\n{seq}\n+\n{}\n", "I".repeat(quality)));
+    }
+    std::fs::write(&malformed, text).unwrap();
 
     for overlap in [false, true] {
         let mut cfg = chaos_cfg(3, overlap);
@@ -447,27 +462,31 @@ fn process_backend_absorbs_kills_and_transient_io_without_orphans() {
             "overlap={overlap}: recovery not reported"
         );
 
-        // (b) Transient ingest failures retried inside the child; the io_retries
-        // counter must survive the wire trip back to the parent.
-        let plan = Arc::new(FaultPlan::new().with_fault(
-            2,
-            "ingest",
-            0,
-            FaultKind::TransientIo { failures: 2 },
-        ));
-        let result = run_faulted(&path, &cfg, &plan)
-            .unwrap_or_else(|e| panic!("overlap={overlap} transient-io: {e}"));
+        // (b) Rank 1 stops reading at the malformed record and takes part in every
+        // collective to the end, so ranks 0 and 2 unblock; its error comes home typed,
+        // with its rank and the file, over the control socket.
+        let (malformed_path, run_cfg) = (malformed.clone(), cfg.clone());
+        let err = with_deadline(
+            format!("overlap={overlap} malformed record"),
+            Duration::from_secs(120),
+            move || {
+                count_kmers_from_files_with::<Kmer1, _>(
+                    &[&malformed_path],
+                    &run_cfg,
+                    IngestOptions::default(),
+                )
+            },
+        )
+        .expect_err("a malformed record must fail the run");
         assert!(
-            plan.fired_count() > 0,
-            "overlap={overlap}: the transient fault never fired"
+            matches!(err, HysortkError::Io { rank: 1, .. }),
+            "overlap={overlap}: {err:?}"
         );
-        assert_eq!(
-            result.counts, baseline.counts,
-            "overlap={overlap} transient-io"
-        );
+        assert_eq!(err.exit_code(), 3, "overlap={overlap}");
+        let msg = err.to_string();
         assert!(
-            result.report.io_retries >= 1,
-            "overlap={overlap}: retried reads must survive the wire trip"
+            msg.contains("procchaos.fq") && msg.contains("quality length 3"),
+            "overlap={overlap}: {msg}"
         );
     }
 
@@ -481,6 +500,7 @@ fn process_backend_absorbs_kills_and_transient_io_without_orphans() {
     assert_eq!(rc, -1, "unreaped child process (waitpid returned {rc})");
 
     std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&malformed).ok();
 }
 
 /// Corrupted wire bytes must be rejected by the per-block checksum with the rank and
