@@ -14,7 +14,7 @@ import os
 import re
 import sys
 
-CEILING = 15
+CEILING = 14
 ROOTS = ("crates", "tests", "examples")
 
 pattern = re.compile(r"\bunsafe\b")

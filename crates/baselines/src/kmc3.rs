@@ -13,7 +13,7 @@ use hysortk_dmem::CommStats;
 use hysortk_dna::kmer::KmerCode;
 use hysortk_dna::readset::ReadSet;
 use hysortk_perfmodel::{ExecutionConfig, PerfModel, SortAlgorithm, StageTimes};
-use hysortk_sort::{count_sorted_runs, raduls_sort_by};
+use hysortk_sort::{count_sorted_runs, raduls_sort};
 use hysortk_supermer::mmer::{MmerScorer, ScoreFunction};
 use hysortk_supermer::supermer::build_supermers;
 use rayon::prelude::*;
@@ -45,11 +45,10 @@ pub fn kmc3_count<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) -> Baseline
     }
 
     // ---- sort and scan every bin with one flat thread pool -----------------------------
-    let levels = K::num_bytes(k);
     let bin_outputs: Vec<(Vec<(K, u64)>, KmerHistogram)> = bins
         .into_par_iter()
         .map(|mut bin| {
-            raduls_sort_by(&mut bin, levels, |km, l| km.byte_msb(k, l));
+            raduls_sort(&mut bin);
             let runs = count_sorted_runs(&bin, |km| *km);
             let mut histogram = KmerHistogram::for_max_count(cfg.max_count);
             let mut counts = Vec::new();
@@ -145,18 +144,25 @@ mod tests {
     use super::*;
     use hysortk_core::reference::reference_counts_bounded;
     use hysortk_datasets::DatasetPreset;
-    use hysortk_dna::Kmer1;
+    use hysortk_dna::{Kmer1, Kmer2};
 
     #[test]
     fn matches_reference_counts() {
-        let data = DatasetPreset::ABaumannii.generate(1e-4, 31);
-        let mut cfg = HySortKConfig::small(17, 8, 1);
-        cfg.min_count = 1;
-        cfg.max_count = 1_000_000;
-        cfg.data_scale = data.data_scale;
-        let result = kmc3_count::<Kmer1>(&data.reads, &cfg);
-        let expected = reference_counts_bounded::<Kmer1>(&data.reads, 17, 1, 1_000_000);
-        assert_eq!(result.counts, expected);
+        // One-word keys at k = 17 and two-word keys at k = 55: the bins sort through
+        // both widths of the RADULS kernel.
+        fn check<K: KmerCode>(k: usize, m: usize) {
+            let data = DatasetPreset::ABaumannii.generate(1e-4, 31);
+            let mut cfg = HySortKConfig::small(k, m, 1);
+            cfg.min_count = 1;
+            cfg.max_count = 1_000_000;
+            cfg.data_scale = data.data_scale;
+            let result = kmc3_count::<K>(&data.reads, &cfg);
+            let expected = reference_counts_bounded::<K>(&data.reads, k, 1, 1_000_000);
+            assert!(!expected.is_empty(), "k = {k}");
+            assert_eq!(result.counts, expected, "k = {k}");
+        }
+        check::<Kmer1>(17, 8);
+        check::<Kmer2>(55, 23);
     }
 
     #[test]

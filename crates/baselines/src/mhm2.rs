@@ -11,6 +11,7 @@
 use std::collections::BTreeMap;
 
 use hysortk_core::result::KmerHistogram;
+use hysortk_core::wire::{push_supermer, write_supermer_block};
 use hysortk_core::{HySortKConfig, RunReport};
 use hysortk_dmem::{Cluster, CommStats};
 use hysortk_dna::kmer::KmerCode;
@@ -47,17 +48,22 @@ pub fn mhm2_count<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) -> Baseline
         let my_reads = &reads.reads()[ranges[rank].clone()];
 
         // Supermer construction (CPU side), one target per rank (MHM2 has no task layer).
+        // Each supermer ships as its own block, with provenance.
         let mut send: Vec<Vec<u8>> = vec![Vec::new(); ctx.size()];
-        let mut bases = 0u64;
+        let (mut bases, mut body) = (0u64, Vec::new());
         for read in my_reads {
             bases += read.len() as u64;
             for sm in build_supermers(read, k, &scorer, ctx.size() as u32) {
-                let dest = sm.target as usize;
-                hysortk_core::wire::write_block::<K>(
-                    &mut send[dest],
-                    sm.target,
-                    &hysortk_core::wire::TaskPayload::Supermers(vec![sm]),
+                body.clear();
+                push_supermer(
+                    &mut body,
+                    Some((sm.read_id, sm.start)),
+                    &sm.seq,
+                    0,
+                    sm.seq.len(),
                 );
+                let dest = &mut send[sm.target as usize];
+                write_supermer_block(dest, sm.target, true, 1, &[(0, 1, &body)]);
             }
         }
         let exchange = ctx

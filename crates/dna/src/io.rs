@@ -270,7 +270,6 @@ struct PieceParser {
     /// FASTA: header of the record currently being parsed.
     fasta_header: Option<String>,
     done: bool,
-    path: PathBuf,
 }
 
 impl PieceParser {
@@ -291,7 +290,6 @@ impl PieceParser {
             line: Vec::new(),
             fasta_header: None,
             done: false,
-            path: piece.path.clone(),
         };
         if piece.start > 0 {
             // Discard the partial line the seek landed in (empty when `start - 1`
@@ -381,13 +379,6 @@ impl PieceParser {
         }
     }
 
-    fn malformed(&self, what: &str, offset: u64) -> io::Error {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("{}: {} at byte {}", self.path.display(), what, offset),
-        )
-    }
-
     /// Parse the next record into `out` (0 or more fragments after ambiguous-base
     /// splitting). Returns `false` once the piece is exhausted.
     fn next_record(&mut self, out: &mut Vec<Read>, min_fragment: usize) -> io::Result<bool> {
@@ -439,26 +430,26 @@ impl PieceParser {
             return Ok(false);
         }
         if self.line.first() != Some(&b'@') {
-            return Err(self.malformed("expected '@' record header", off));
+            return Err(malformed("expected '@' record header", off));
         }
         let name = header_name(&self.line);
         let seq_off = self
             .next_line()?
-            .ok_or_else(|| self.malformed("truncated record: missing sequence", off))?;
+            .ok_or_else(|| malformed("truncated record: missing sequence", off))?;
         let mut splitter = FragmentSplitter::new(&name, min_fragment);
         splitter.push_ascii(&self.line);
         let seq_len: usize = splitter.pushed_bases;
         let plus_off = self
             .next_line()?
-            .ok_or_else(|| self.malformed("truncated record: missing '+' separator", seq_off))?;
+            .ok_or_else(|| malformed("truncated record: missing '+' separator", seq_off))?;
         if self.line.first() != Some(&b'+') {
-            return Err(self.malformed("expected '+' separator", plus_off));
+            return Err(malformed("expected '+' separator", plus_off));
         }
         let qual_off = self
             .next_line()?
-            .ok_or_else(|| self.malformed("truncated record: missing quality line", plus_off))?;
+            .ok_or_else(|| malformed("truncated record: missing quality line", plus_off))?;
         if self.line.len() != seq_len {
-            return Err(self.malformed(
+            return Err(malformed(
                 &format!(
                     "quality length {} does not match sequence length {}",
                     self.line.len(),
@@ -470,6 +461,15 @@ impl PieceParser {
         splitter.finish(out);
         Ok(true)
     }
+}
+
+/// A malformed record at byte `offset` of the piece's file. The message does not name
+/// the file: [`ShardReader::path`] does.
+fn malformed(what: &str, offset: u64) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("{what} at byte {offset}"),
+    )
 }
 
 /// Extract the record name from a `>`/`@` header line.
@@ -637,6 +637,14 @@ impl ShardReader {
         Ok(Some(batch))
     }
 
+    /// The file of the piece being read — after an error from
+    /// [`next_batch`](Self::next_batch), the file that failed. `None` before the first
+    /// piece is opened.
+    pub fn path(&self) -> Option<&Path> {
+        let piece = self.pieces.get(self.next_piece.checked_sub(1)?)?;
+        Some(&piece.path)
+    }
+
     /// Furthest any completed piece read past its assigned byte range. Bounded by the
     /// piece's final owned record (which may legitimately extend past the boundary)
     /// plus one line of realignment look-ahead — never by the file tail: alignment
@@ -659,17 +667,22 @@ impl ShardReader {
 }
 
 /// Read entire files through the streaming readers into a [`ReadSet`] (single shard).
-/// Read ids are dense in input order.
+/// Read ids are dense in input order. A read error names the file that failed.
 pub fn read_paths<P: AsRef<Path>>(paths: &[P], opts: IngestOptions) -> io::Result<ReadSet> {
     let files = list_inputs(paths)?;
     let mut shard = ShardReader::open(&files, 0, 1, opts)?;
     let mut rs = ReadSet::new();
-    while let Some(batch) = shard.next_batch()? {
-        for read in batch {
-            rs.push(read);
+    loop {
+        match shard.next_batch() {
+            Ok(Some(batch)) => batch.into_iter().for_each(|read| rs.push(read)),
+            Ok(None) => return Ok(rs),
+            Err(e) => {
+                let path = shard.path().map(Path::display);
+                let what = format!("{}: {e}", path.expect("an error comes from a piece"));
+                return Err(io::Error::new(e.kind(), what));
+            }
         }
     }
-    Ok(rs)
 }
 
 // ---------------------------------------------------------------------------------------

@@ -175,30 +175,6 @@ impl<const W: usize> Kmer<W> {
         }
     }
 
-    /// The `idx`-th byte of the logical `2k`-bit value, most significant first.
-    /// `idx` ranges over `0..Self::bytes_for(k)`.
-    #[inline]
-    pub fn byte_msb(&self, k: usize, idx: usize) -> u8 {
-        let nbytes = Self::bytes_for(k);
-        debug_assert!(idx < nbytes);
-        // Byte `idx` covers logical bits [(nbytes-1-idx)*8, (nbytes-idx)*8).
-        let bit = (nbytes - 1 - idx) * 8;
-        let word = W - 1 - bit / 64;
-        let shift = bit % 64;
-        if shift <= 56 {
-            ((self.words[word] >> shift) & 0xFF) as u8
-        } else {
-            // The byte straddles two words.
-            let low = self.words[word] >> shift;
-            let high = if word == 0 {
-                0
-            } else {
-                self.words[word - 1] << (64 - shift)
-            };
-            ((low | high) & 0xFF) as u8
-        }
-    }
-
     /// Number of meaningful bytes for a given k (`⌈2k / 8⌉`).
     #[inline]
     pub const fn bytes_for(k: usize) -> usize {
@@ -266,8 +242,6 @@ pub trait KmerCode:
     fn canonical(&self, k: usize) -> Self;
     /// Packed words, most significant first.
     fn word_slice(&self) -> &[u64];
-    /// Most-significant-first byte extraction over the 2k-bit value.
-    fn byte_msb(&self, k: usize, idx: usize) -> u8;
     /// Number of radix bytes for a given k.
     fn num_bytes(k: usize) -> usize;
     /// ASCII rendering.
@@ -323,10 +297,6 @@ impl<const W: usize> KmerCode for Kmer<W> {
     #[inline]
     fn word_slice(&self) -> &[u64] {
         &self.words
-    }
-    #[inline]
-    fn byte_msb(&self, k: usize, idx: usize) -> u8 {
-        Kmer::byte_msb(self, k, idx)
     }
     #[inline]
     fn num_bytes(k: usize) -> usize {
@@ -442,60 +412,38 @@ mod tests {
     }
 
     #[test]
-    fn byte_msb_covers_value_msb_first() {
-        let k = 31; // 62 bits -> 8 bytes
-        assert_eq!(Kmer1::bytes_for(k), 8);
-        let km = Kmer1::from_ascii(b"TGCATGCATGCATGCATGCATGCATGCATGC");
-        let mut reconstructed: u64 = 0;
-        for idx in 0..8 {
-            reconstructed = (reconstructed << 8) | u64::from(km.byte_msb(k, idx));
-        }
-        assert_eq!(reconstructed, km.words()[0]);
-    }
-
-    #[test]
-    fn byte_msb_two_words_straddle() {
-        let k = 55; // 110 bits -> 14 bytes
-        assert_eq!(Kmer2::bytes_for(k), 14);
-        let seq: Vec<u8> = (0..55).map(|i| b"TGCA"[i % 4]).collect();
-        let km = Kmer2::from_ascii(&seq);
-        let mut reconstructed: u128 = 0;
-        for idx in 0..14 {
-            reconstructed = (reconstructed << 8) | u128::from(km.byte_msb(k, idx));
-        }
-        let expected = (u128::from(km.words()[0]) << 64) | u128::from(km.words()[1]);
-        assert_eq!(reconstructed, expected);
-    }
-
-    #[test]
     fn byte_ordering_matches_kmer_ordering() {
-        // Sorting by MSB-first bytes must agree with Ord — the radix sorts depend on it.
-        let k = 13;
-        let seqs = [
-            "ACGTACGTACGTA",
-            "TTTTTTTTTTTTT",
-            "AAAAAAAAAAAAA",
-            "GGGGGCCCCCAAA",
-            "ACGTTTTTTTTTT",
-        ];
-        let kmers: Vec<Kmer1> = seqs
-            .iter()
+        // Sorting by the radix digits, most significant byte first, must agree with
+        // Ord: the radix sorts depend on it, on both widths and across the word seam.
+        fn check<K: KmerCode>(kmers: Vec<K>) {
+            let mut by_ord = kmers.clone();
+            by_ord.sort();
+            let mut by_bytes = kmers;
+            by_bytes.sort_by(|a, b| {
+                (0..K::KEY_LEVELS)
+                    .map(|l| hysortk_sort::radix_digit(a, l))
+                    .cmp((0..K::KEY_LEVELS).map(|l| hysortk_sort::radix_digit(b, l)))
+            });
+            assert_eq!(by_ord, by_bytes);
+        }
+        check(
+            [
+                "ACGTACGTACGTA",
+                "TTTTTTTTTTTTT",
+                "AAAAAAAAAAAAA",
+                "GGGGGCCCCCAAA",
+            ]
             .map(|s| Kmer1::from_ascii(s.as_bytes()))
-            .collect();
-        let mut by_ord = kmers.clone();
-        by_ord.sort();
-        let mut by_bytes = kmers.clone();
-        by_bytes.sort_by(|a, b| {
-            let na = Kmer1::bytes_for(k);
-            for i in 0..na {
-                match a.byte_msb(k, i).cmp(&b.byte_msb(k, i)) {
-                    std::cmp::Ordering::Equal => continue,
-                    other => return other,
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        assert_eq!(by_ord, by_bytes);
+            .to_vec(),
+        );
+        check(
+            ["TGCA", "TGCC", "ATTT", "GGGA", "CATG"]
+                .map(|unit| {
+                    let seq: Vec<u8> = unit.bytes().cycle().take(55).collect();
+                    Kmer2::from_ascii(&seq)
+                })
+                .to_vec(),
+        );
     }
 
     #[test]

@@ -123,16 +123,6 @@ fn list_files<P: AsRef<Path>>(paths: &[P]) -> Result<Vec<InputFile>, HysortkErro
     Ok(files)
 }
 
-/// A short label for "the input" in shard-level errors whose underlying message
-/// already names the precise file (the piece parsers embed the path).
-fn input_label(files: &[InputFile]) -> String {
-    match files {
-        [] => "<no input>".to_string(),
-        [only] => only.path.display().to_string(),
-        [first, rest @ ..] => format!("{} (+{} more)", first.path.display(), rest.len()),
-    }
-}
-
 /// Stage 1 of one file-fed rank: stream its shard batch by batch, read ids assigned,
 /// and parse the reads into `parser`'s staging — once their batches hold about
 /// [`PARSE_CALL_BASES`], so that however small the batches, a parse call stages that
@@ -148,8 +138,10 @@ pub(crate) fn ingest_shard(
     counters: &mut RankCounters,
 ) -> Result<(), HysortkError> {
     let (rank, p) = (ctx.rank(), ctx.size());
-    let io_error = |source: io::Error| HysortkError::Io {
-        path: input_label(files),
+    // Named by the file the shard was reading: opening a shard reads nothing, and every
+    // read error comes from a piece of one file.
+    let io_error = |path: Option<&Path>, source: io::Error| HysortkError::Io {
+        path: path.map(|p| p.display().to_string()).unwrap_or_default(),
         rank,
         source,
     };
@@ -157,7 +149,7 @@ pub(crate) fn ingest_shard(
         min_fragment: opts.min_fragment.max(cfg.k),
         ..opts.clone()
     };
-    let mut shard = ShardReader::open(files, rank, p, opts).map_err(io_error)?;
+    let mut shard = ShardReader::open(files, rank, p, opts).map_err(|e| io_error(None, e))?;
     let mut parse = |reads: &mut Vec<Read>, counters: &mut RankCounters| {
         let parse_start = Instant::now();
         let _parse_span = trace::span!(
@@ -185,7 +177,7 @@ pub(crate) fn ingest_shard(
         let mut batch = match next {
             Ok(Some(batch)) => batch,
             Ok(None) => break Ok(()),
-            Err(e) => break Err(io_error(e)),
+            Err(e) => break Err(io_error(shard.path(), e)),
         };
         if batch.is_empty() {
             continue;
@@ -195,13 +187,16 @@ pub(crate) fn ingest_shard(
         // wrapping into colliding provenance ids.
         let max_id = (base + batch.len() as u64 - 1) * p as u64 + rank as u64;
         if max_id > u64::from(u32::MAX) {
-            break Err(io_error(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "shard exceeds {} reads, the striped u32 read-id space",
-                    u32::MAX / p as u32
+            break Err(io_error(
+                shard.path(),
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "shard exceeds {} reads, the striped u32 read-id space",
+                        u32::MAX / p as u32
+                    ),
                 ),
-            )));
+            ));
         }
         for (i, read) in batch.iter_mut().enumerate() {
             read.id = ((base + i as u64) * p as u64 + rank as u64) as u32;

@@ -74,7 +74,7 @@ use crate::result::{CountResult, KmerHistogram, KmerRuns, RunReport, StageWallTi
 use crate::stage3::{self, CountParams, TaskCounts};
 use crate::table;
 use crate::wire::{
-    push_supermer, write_block, write_supermer_block, SupermersView, TaskPayload, MAX_SECTIONS,
+    push_supermer, write_kmerlist_block, write_supermer_block, SupermersView, MAX_SECTIONS,
 };
 
 /// Measured wall-clock seconds of one rank, bucketed by pipeline stage. The
@@ -369,7 +369,7 @@ impl<'a, K: KmerCode> SendSerializer<'a, K> {
         // so the whole body is counted in one table, not section by section.
         let view = SupermersView::staged(body.supermers as usize, &body.bytes, false);
         let list = table::precount::<K>(&view, self.cfg.k, body.kmers as usize);
-        write_block(out, t as u32, &TaskPayload::<K>::KmerList(list));
+        write_kmerlist_block(out, t as u32, &list);
         body.kmers
     }
 }

@@ -200,7 +200,7 @@ pub fn verify_decoded_totals(
 /// per-task slots, and [`BlockIndexBuilder::finish`] closes the index. The pipeline's
 /// round loop uses this to index batch *r−1*'s received segments while round *r* is in
 /// flight; [`build_block_index`] is the one-shot wrapper over it, for whole receive
-/// buffers (the benchmark replay, [`count_received_parallel`], tests).
+/// buffers (the benchmark replay, tests).
 #[derive(Debug)]
 pub struct BlockIndexBuilder<'a, K: KmerCode> {
     by_task: BTreeMap<u32, TaskSlot<'a, K>>,
@@ -907,9 +907,8 @@ impl<K: KmerCode> Stage3Output<K> {
 /// Not a product path: the pipeline's round loop (`crate::overlap`) runs [`count_task`]
 /// in its own job lists and returns a slot whose header-derived totals are not what
 /// its blocks decode to as [`WireError::CountMismatch`]. This wrapper serves the frozen
-/// benchmark harness's layer replay (which pins its signature),
-/// [`count_received_parallel`] and the tests, and **panics**, naming the task, on such
-/// a slot.
+/// benchmark harness's layer replay (which pins its signature) and the tests, and
+/// **panics**, naming the task, on such a slot.
 pub fn count_blocks_parallel<K: KmerCode>(
     index: &BlockIndex<'_, K>,
     k: usize,
@@ -1004,24 +1003,6 @@ pub fn merge_task_counts<K: KmerCode>(out: Stage3Output<K>, params: &CountParams
         received_records: out.received_records,
         precounted_records: out.precounted_records,
     }
-}
-
-/// Run the full parallel stage 3 on one rank's receive segments: index, fused
-/// parallel decode+sort+count, merge.
-pub fn count_received_parallel<'a, K, I>(
-    segments: I,
-    k: usize,
-    params: &CountParams,
-    pool: &WorkerPool,
-) -> Result<(RankCounts<K>, Vec<u64>), WireError>
-where
-    K: KmerCode,
-    I: IntoIterator<Item = &'a [u8]>,
-{
-    let index = build_block_index::<K, _>(segments, k)?;
-    let task_sizes = index.task_sizes();
-    let out = count_blocks_parallel(&index, k, params, pool);
-    Ok((merge_task_counts(out, params), task_sizes))
 }
 
 /// The original sequential stage 3, kept as the correctness reference: decode
@@ -1210,7 +1191,7 @@ fn reference_count_one_task<K: KmerCode>(
 mod tests {
     use super::*;
     use crate::wire::{
-        push_supermer, write_block, write_supermer_block, SupermerBlockWriter, TaskPayload,
+        push_supermer, write_kmerlist_block, write_supermer_block, SupermerBlockWriter,
     };
     use hysortk_dna::kmer::{Kmer1, Kmer2};
     use hysortk_dna::readset::Read;
@@ -1256,11 +1237,11 @@ mod tests {
             }
             for (t, sms) in per_task.into_iter().enumerate() {
                 if !sms.is_empty() {
-                    write_block::<Kmer1>(
-                        &mut segments[src],
-                        t as u32,
-                        &TaskPayload::Supermers(sms),
-                    );
+                    let segment = &mut segments[src];
+                    let mut block = SupermerBlockWriter::new(segment, t as u32, sms.len() as u32);
+                    for s in &sms {
+                        block.push(s.read_id, s.start, &s.seq, 0, s.seq.len());
+                    }
                 }
             }
         }
@@ -1275,12 +1256,8 @@ mod tests {
             .collect();
         heavy.sort_unstable();
         let list = count_sorted_runs(&heavy, |km| *km);
-        write_block(
-            &mut segments[0],
-            tasks,
-            &TaskPayload::KmerList(list.clone()),
-        );
-        write_block(&mut segments[1], tasks, &TaskPayload::KmerList(list));
+        write_kmerlist_block(&mut segments[0], tasks, &list);
+        write_kmerlist_block(&mut segments[1], tasks, &list);
         // A structurally empty supermer block (zero supermers) on another task.
         let _ = SupermerBlockWriter::new(&mut segments[1], tasks + 1, 0);
         segments
@@ -1360,19 +1337,12 @@ mod tests {
                 build_block_index::<Kmer1, _>(segments.iter().map(Vec::as_slice), k).unwrap();
             let sequential = merge_task_counts(count_blocks_sequential(&index, k, &p), &p);
             let pool = WorkerPool::new(2, 1);
-            let (parallel, sizes) = count_received_parallel::<Kmer1, _>(
-                segments.iter().map(Vec::as_slice),
-                k,
-                &p,
-                &pool,
-            )
-            .unwrap();
+            let parallel = merge_task_counts(count_blocks_parallel(&index, k, &p, &pool), &p);
             assert_eq!(
                 sequential, reference,
                 "sequential vs reference, ext={with_ext}"
             );
             assert_eq!(parallel, reference, "parallel vs reference, ext={with_ext}");
-            assert_eq!(sizes.len(), index.slots.len());
             assert!(reference.received_records > 0);
             assert!(reference.precounted_records > 0);
         }
@@ -1422,7 +1392,7 @@ mod tests {
             let kmer = Kmer1::from_ascii(b"ACGTACGTACGTACG");
             match kind {
                 0 => write_supermer_block(&mut block, 3, false, 1, &[(0, 1, &body)]),
-                _ => write_block(&mut block, 3, &TaskPayload::KmerList(vec![(kmer, 2)])),
+                _ => write_kmerlist_block(&mut block, 3, &[(kmer, 2)]),
             }
             block
         };
@@ -1603,10 +1573,10 @@ mod tests {
         }
 
         fn kmerlist<K: KmerCode>(&mut self, out: &mut Vec<u8>, task: u32, kmers: Vec<K>) {
-            let list = (kmers.into_iter())
+            let list: Vec<(K, u64)> = (kmers.into_iter())
                 .map(|km| (km, self.rng.gen_range(1..9u64)))
                 .collect();
-            write_block(out, task, &TaskPayload::KmerList(list));
+            write_kmerlist_block(out, task, &list);
         }
     }
 
@@ -1930,7 +1900,7 @@ mod tests {
             let mut segment = Vec::new();
             kmer_sections(&mut segment, 0, k, &sectioned);
             kmer_sections(&mut segment, 1, k, std::slice::from_ref(&unsectioned));
-            write_block(&mut segment, 1, &TaskPayload::KmerList(pre.clone()));
+            write_kmerlist_block(&mut segment, 1, &pre);
             pre.sort_unstable();
             let index = build_block_index::<K, _>([&segment[..]], k).unwrap();
 

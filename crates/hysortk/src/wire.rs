@@ -41,7 +41,11 @@
 //! Parsing is **zero-copy**: [`read_blocks`] validates the stream structure in one walk
 //! and returns [`TaskBlockView`]s whose payloads borrow the receive buffer. Items are
 //! decoded on demand by the view iterators — no payload byte is ever copied into an
-//! intermediate buffer. The owned [`TaskPayload`] remains the write-side input.
+//! intermediate buffer.
+//!
+//! One writer per payload: [`push_supermer`] stages supermers into a body and
+//! [`write_supermer_block`] seals bodies into a block; [`write_kmerlist_block`] writes
+//! a kmerlist block.
 
 use hysortk_dna::kmer::KmerCode;
 use hysortk_dna::sequence::DnaSeq;
@@ -303,15 +307,6 @@ fn seal_block(out: &mut Vec<u8>, block_start: usize) {
     push_u32(out, sum);
 }
 
-/// Payload of one task block (owned form, used by the writers).
-#[derive(Debug, Clone, PartialEq)]
-pub enum TaskPayload<K: KmerCode> {
-    /// Supermers (normal tasks).
-    Supermers(Vec<Supermer>),
-    /// Pre-aggregated `(canonical k-mer, count)` tuples (heavy-hitter tasks).
-    KmerList(Vec<(K, u64)>),
-}
-
 const KIND_SUPERMERS: u8 = 0;
 const KIND_KMERLIST: u8 = 1;
 const KIND_BARE_SUPERMERS: u8 = 3;
@@ -364,26 +359,16 @@ fn kmer_wire_bytes<K: KmerCode>() -> usize {
     K::WORDS * 8
 }
 
-/// Serialise one task block into `out`, sealed with a trailing checksum.
-pub fn write_block<K: KmerCode>(out: &mut Vec<u8>, task: u32, payload: &TaskPayload<K>) {
+/// Serialise one kmerlist block of `task` into `out` — the `(canonical k-mer, count)`
+/// tuples a heavy-hitter task ships pre-counted — sealed with a trailing checksum.
+pub fn write_kmerlist_block<K: KmerCode>(out: &mut Vec<u8>, task: u32, list: &[(K, u64)]) {
     let block_start = out.len();
     push_u32(out, task);
-    match payload {
-        TaskPayload::Supermers(supermers) => {
-            out.push(KIND_SUPERMERS);
-            push_u32(out, supermers.len() as u32);
-            for s in supermers {
-                push_supermer(out, Some((s.read_id, s.start)), &s.seq, 0, s.seq.len());
-            }
-        }
-        TaskPayload::KmerList(list) => {
-            out.push(KIND_KMERLIST);
-            push_u32(out, list.len() as u32);
-            for (kmer, count) in list {
-                push_kmer(out, kmer);
-                push_u64(out, *count);
-            }
-        }
+    out.push(KIND_KMERLIST);
+    push_u32(out, list.len() as u32);
+    for (kmer, count) in list {
+        push_kmer(out, kmer);
+        push_u64(out, *count);
     }
     seal_block(out, block_start);
 }
@@ -1027,22 +1012,45 @@ mod tests {
     #[derive(Debug, Clone, PartialEq)]
     struct TaskBlock<K: KmerCode> {
         task: u32,
-        payload: TaskPayload<K>,
+        payload: Payload<K>,
+    }
+
+    #[derive(Debug, Clone, PartialEq)]
+    enum Payload<K: KmerCode> {
+        Supermers(Vec<Supermer>),
+        KmerList(Vec<(K, u64)>),
     }
 
     impl<K: KmerCode> TaskBlockView<'_, K> {
         fn to_owned_block(&self) -> TaskBlock<K> {
             let payload = match &self.payload {
                 PayloadView::Supermers(view) => {
-                    TaskPayload::Supermers(view.iter().map(|s| s.to_supermer(self.task)).collect())
+                    Payload::Supermers(view.iter().map(|s| s.to_supermer(self.task)).collect())
                 }
-                PayloadView::KmerList(view) => TaskPayload::KmerList(view.iter().collect()),
+                PayloadView::KmerList(view) => Payload::KmerList(view.iter().collect()),
             };
             TaskBlock {
                 task: self.task,
                 payload,
             }
         }
+    }
+
+    /// One unsectioned supermer block with provenance holding `supermers`, written the
+    /// way stage 1 writes one: staged by [`push_supermer`], sealed by
+    /// [`write_supermer_block`].
+    fn write_supermers(out: &mut Vec<u8>, task: u32, supermers: &[Supermer]) {
+        let mut body = Vec::new();
+        for s in supermers {
+            push_supermer(
+                &mut body,
+                Some((s.read_id, s.start)),
+                &s.seq,
+                0,
+                s.seq.len(),
+            );
+        }
+        write_supermer_block(out, task, true, 1, &[(0, supermers.len() as u64, &body)]);
     }
 
     fn read_blocks_owned<K: KmerCode>(buf: &[u8]) -> Result<Vec<TaskBlock<K>>, WireError> {
@@ -1063,12 +1071,12 @@ mod tests {
         let supermers = build_supermers(&read, 15, &scorer, 8);
         assert!(!supermers.is_empty());
         let mut buf = Vec::new();
-        write_block::<Kmer1>(&mut buf, 3, &TaskPayload::Supermers(supermers.clone()));
+        write_supermers(&mut buf, 3, &supermers);
         let blocks = read_blocks_owned::<Kmer1>(&buf).unwrap();
         assert_eq!(blocks.len(), 1);
         assert_eq!(blocks[0].task, 3);
         match &blocks[0].payload {
-            TaskPayload::Supermers(parsed) => {
+            Payload::Supermers(parsed) => {
                 assert_eq!(parsed.len(), supermers.len());
                 for (a, b) in parsed.iter().zip(&supermers) {
                     assert_eq!(a.read_id, b.read_id);
@@ -1087,7 +1095,7 @@ mod tests {
         let scorer = MmerScorer::new(7, ScoreFunction::Hash { seed: 5 });
         let supermers = build_supermers(&read, k, &scorer, 4);
         let mut buf = Vec::new();
-        write_block::<Kmer1>(&mut buf, 0, &TaskPayload::Supermers(supermers.clone()));
+        write_supermers(&mut buf, 0, &supermers);
 
         let blocks = read_blocks::<Kmer1>(&buf).unwrap();
         let PayloadView::Supermers(view) = &blocks[0].payload else {
@@ -1186,9 +1194,10 @@ mod tests {
     }
 
     #[test]
-    fn streamed_writer_is_byte_identical_to_owned_write_block() {
-        // The direct send path (references into the read + word-level range copy) must
-        // put exactly the same bytes on the wire as materialising `Supermer`s first.
+    fn streamed_writer_is_byte_identical_to_staged_write() {
+        // The streamed writer (references into the read + word-level range copy) must
+        // put exactly the same bytes on the wire as staging each supermer into a body
+        // and sealing the body, as stage 1 does.
         let read = Read::from_ascii(
             9,
             "r9",
@@ -1199,18 +1208,18 @@ mod tests {
         let supermers = build_supermers(&read, k, &scorer, 4);
         assert!(!supermers.is_empty());
 
-        let mut owned = Vec::new();
-        write_block::<Kmer1>(&mut owned, 5, &TaskPayload::Supermers(supermers.clone()));
+        let mut staged = Vec::new();
+        write_supermers(&mut staged, 5, &supermers);
 
         let mut streamed = Vec::new();
         let mut writer = SupermerBlockWriter::new(&mut streamed, 5, supermers.len() as u32);
         for s in &supermers {
-            // The direct path copies straight out of the source read at the supermer's
-            // offset instead of out of a materialised supermer sequence.
+            // The streamed path copies straight out of the source read at the
+            // supermer's offset instead of out of a materialised supermer sequence.
             writer.push(s.read_id, s.start, &read.seq, s.start as usize, s.seq.len());
         }
         drop(writer);
-        assert_eq!(streamed, owned);
+        assert_eq!(streamed, staged);
     }
 
     /// `bases` pseudo-random bases.
@@ -1302,7 +1311,7 @@ mod tests {
         let scorer = MmerScorer::new(5, ScoreFunction::Hash { seed: 2 });
         let supermers = build_supermers(&read, k, &scorer, 4);
         let mut buf = Vec::new();
-        write_block::<Kmer1>(&mut buf, 0, &TaskPayload::Supermers(supermers));
+        write_supermers(&mut buf, 0, &supermers);
         let blocks = read_blocks::<Kmer1>(&buf).unwrap();
         let PayloadView::Supermers(view) = &blocks[0].payload else {
             panic!("wrong payload")
@@ -1322,16 +1331,16 @@ mod tests {
             (Kmer1::from_ascii(b"ACGTACGTACGTACG"), 42),
             (Kmer1::from_ascii(b"TTTTTTTTTTTTTTT"), 7),
         ];
-        write_block(&mut buf, 11, &TaskPayload::KmerList(list1.clone()));
+        write_kmerlist_block(&mut buf, 11, &list1);
         let blocks = read_blocks_owned::<Kmer1>(&buf).unwrap();
-        assert_eq!(blocks[0].payload, TaskPayload::KmerList(list1));
+        assert_eq!(blocks[0].payload, Payload::KmerList(list1));
 
         let mut buf2 = Vec::new();
         let long: Vec<u8> = (0..55).map(|i| b"ACGT"[i % 4]).collect();
         let list2: Vec<(Kmer2, u64)> = vec![(Kmer2::from_ascii(&long), 3)];
-        write_block(&mut buf2, 0, &TaskPayload::KmerList(list2.clone()));
+        write_kmerlist_block(&mut buf2, 0, &list2);
         let blocks2 = read_blocks_owned::<Kmer2>(&buf2).unwrap();
-        assert_eq!(blocks2[0].payload, TaskPayload::KmerList(list2));
+        assert_eq!(blocks2[0].payload, Payload::KmerList(list2));
     }
 
     /// Kind byte 2 announced a block of individual k-mer records, a format the wire
@@ -1355,7 +1364,7 @@ mod tests {
     fn multiple_blocks_in_one_stream() {
         let mut buf = Vec::new();
         let list: Vec<(Kmer1, u64)> = vec![(Kmer1::from_ascii(b"ACGTT"), 1)];
-        write_block(&mut buf, 1, &TaskPayload::KmerList(list.clone()));
+        write_kmerlist_block(&mut buf, 1, &list);
         let mut body = Vec::new();
         push_supermer(&mut body, None, &DnaSeq::from_ascii(b"GGGAA"), 0, 5);
         write_supermer_block(&mut buf, 2, false, 1, &[(0, 1, &body)]);
@@ -1368,11 +1377,7 @@ mod tests {
     #[test]
     fn malformed_streams_are_rejected_with_typed_errors() {
         let mut buf = Vec::new();
-        write_block(
-            &mut buf,
-            1,
-            &TaskPayload::KmerList(vec![(Kmer1::from_ascii(b"ACGTT"), 1)]),
-        );
+        write_kmerlist_block(&mut buf, 1, &[(Kmer1::from_ascii(b"ACGTT"), 1)]);
         buf.pop();
         assert!(matches!(
             read_blocks::<Kmer1>(&buf),
@@ -1395,11 +1400,7 @@ mod tests {
     #[test]
     fn corrupted_payload_fails_the_checksum() {
         let mut buf = Vec::new();
-        write_block(
-            &mut buf,
-            7,
-            &TaskPayload::KmerList(vec![(Kmer1::from_ascii(b"ACGTACGTACGTACG"), 42)]),
-        );
+        write_kmerlist_block(&mut buf, 7, &[(Kmer1::from_ascii(b"ACGTACGTACGTACG"), 42)]);
         // Flip one payload bit, well past the header so the structure still parses.
         buf[12] ^= 0x10;
         assert_eq!(
@@ -1431,13 +1432,9 @@ mod tests {
 
         let mut buf = Vec::new();
         let mut boundaries = vec![0usize];
-        write_block::<Kmer1>(&mut buf, 0, &TaskPayload::Supermers(supermers));
+        write_supermers(&mut buf, 0, &supermers);
         boundaries.push(buf.len());
-        write_block(
-            &mut buf,
-            1,
-            &TaskPayload::KmerList(vec![(Kmer1::from_ascii(b"ACGTACGTACGTACG"), 5)]),
-        );
+        write_kmerlist_block(&mut buf, 1, &[(Kmer1::from_ascii(b"ACGTACGTACGTACG"), 5)]);
         boundaries.push(buf.len());
         // A staged supermer block with provenance, in two parts.
         let mut tagged = [Vec::new(), Vec::new()];
@@ -1484,7 +1481,7 @@ mod tests {
         let full = read_blocks_owned::<Kmer1>(&buf).unwrap();
         assert_eq!(full.len(), 6);
         match &full[3].payload {
-            TaskPayload::Supermers(parsed) => {
+            Payload::Supermers(parsed) => {
                 assert_eq!(parsed.len(), 1 + bare.len());
                 assert_eq!(parsed[0].seq, long);
                 assert!(parsed[1..].iter().zip(&bare).all(|(a, b)| a.seq == b.seq));

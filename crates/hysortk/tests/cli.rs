@@ -174,6 +174,23 @@ fn missing_inputs_exit_3_and_name_the_file() {
     );
 }
 
+/// A read error in a multi-file run names the file that failed, not the run's first
+/// file. A directory passes the stat of the input listing and fails at its first read.
+#[test]
+fn a_read_error_names_the_file_that_failed() {
+    let fa = tmp_fasta("readerr");
+    let dir = std::env::temp_dir().join(format!("hysortk_cli_{}_dir.fa", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // An entry, so that the directory's size is not 0 on any file system.
+    std::fs::write(dir.join("entry"), "x").unwrap();
+    let out = hysortk().arg("count").arg(&fa).arg(&dir).output().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(&fa).ok();
+    assert_eq!(out.status.code(), Some(3));
+    let err = stderr_of(&out);
+    assert!(err.contains("dir.fa") && !err.contains("readerr"), "{err}");
+}
+
 /// There is no transient-read fault kind: `io:R:FAILURES` is refused like any other
 /// unknown kind.
 #[test]

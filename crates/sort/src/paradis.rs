@@ -3,27 +3,19 @@
 //! PARADIS (Cho et al., VLDB 2015) sorts in place by partitioning the array into the
 //! 256 destination buckets of the current digit with a *speculative* parallel
 //! permutation — each thread owns one stripe of every bucket and permutes only within
-//! its own stripes — followed by a *repair* pass that fixes the elements the speculation
-//! could not place, and finally recurses into the buckets in parallel.
+//! its own stripes — followed by a *repair* pass that places what the speculation could
+//! not, and finally recurses into the buckets in parallel.
 //!
-//! This implementation follows that structure (stripe-parallel speculation, serial
-//! repair, parallel recursion) without PARADIS's adaptive stripe rebalancing; the
-//! speculative phase is written entirely with safe disjoint sub-slices obtained by
-//! repeated `split_at_mut`.
-//!
-//! The monomorphized [`RadixKey`] kernel ([`paradis_sort`]) additionally replaces the
-//! two-pass repair (collect misplaced positions, then cycle-follow) with a **single
-//! serial finalisation pass**: an American-flag-style cycle chase that visits every slot
-//! exactly once, skip-advances bucket heads past elements already home, and issues a
-//! software prefetch for the next destination slot before chasing into it (the scatter
-//! is a random walk over the whole slice, so nearly every hop is a cache miss without
-//! it). Because the pass touches each element exactly once anyway, it also bins the
-//! element's *next* radix digit on the fly, handing each child bucket its histogram for
-//! free — the recursion skips an entire counting pass per level.
+//! This kernel follows that structure without PARADIS's adaptive stripe rebalancing.
+//! The speculation is safe code over disjoint sub-slices from repeated `split_at_mut`.
+//! The repair is one serial American-flag cycle chase that visits every slot once,
+//! prefetches the next destination slot before chasing into it (the scatter is a random
+//! walk over the whole slice), and bins each element's *next* digit on the way, so the
+//! recursion into a bucket needs no counting pass of its own.
 
 use rayon::prelude::*;
 
-use crate::{radix_digit, ClosureDigits, DigitSource, KeyDigits, RadixKey};
+use crate::{radix_digit, RadixKey};
 
 const RADIX: usize = 256;
 /// Below this length a comparison sort on the remaining digits is faster than another
@@ -31,21 +23,6 @@ const RADIX: usize = 256;
 const SMALL_SORT_THRESHOLD: usize = 128;
 /// Work below this size is not worth another layer of rayon tasks.
 const PARALLEL_THRESHOLD: usize = 8 * 1024;
-
-/// Sort `data` in place by the radix digits supplied by `digit`.
-///
-/// * `levels` — number of radix digits; `digit(item, 0)` is the most significant.
-/// * The sort is not stable (neither is PARADIS); k-mer counting only needs grouping.
-pub fn paradis_sort_by<T, F>(data: &mut [T], levels: usize, digit: F)
-where
-    T: Copy + Send + Sync,
-    F: Fn(&T, usize) -> u8 + Sync,
-{
-    if levels == 0 || data.len() <= 1 {
-        return;
-    }
-    sort_level(data, 0, levels, &ClosureDigits(digit));
-}
 
 /// Monomorphized in-place MSD radix sort for [`RadixKey`] types: the digit loop is a
 /// compile-time shift/mask on the raw key words instead of a callback, the permutation
@@ -64,85 +41,21 @@ pub fn paradis_sort_from<T: RadixKey>(data: &mut [T], first_level: usize) {
     if data.len() <= 1 || first_level >= levels {
         return;
     }
-    sort_level_keyed(data, first_level, levels, None);
+    sort_level(data, first_level, levels, None);
 }
 
-fn sort_level<T, D>(data: &mut [T], level: usize, levels: usize, digits: &D)
-where
-    T: Copy + Send + Sync,
-    D: DigitSource<T>,
-{
-    if data.len() <= 1 || level >= levels {
-        return;
-    }
-    if data.len() <= SMALL_SORT_THRESHOLD {
-        comparison_sort_remaining(data, level, levels, digits);
-        return;
-    }
-
-    // ---- Histogram of the current digit --------------------------------------------
-    let histogram = parallel_histogram(data, level, digits);
-
-    // If every element falls into one bucket this level is a no-op; recurse directly.
-    if histogram.contains(&data.len()) {
-        sort_level(data, level + 1, levels, digits);
-        return;
-    }
-
-    // ---- Bucket boundaries ----------------------------------------------------------
-    let mut bucket_start = [0usize; RADIX + 1];
-    for b in 0..RADIX {
-        bucket_start[b + 1] = bucket_start[b] + histogram[b];
-    }
-
-    // ---- Speculative parallel permutation + repair -----------------------------------
-    permute_in_place(data, &bucket_start, level, digits);
-
-    // ---- Parallel recursion into buckets ---------------------------------------------
-    if level + 1 < levels {
-        let mut buckets: Vec<&mut [T]> = Vec::with_capacity(RADIX);
-        let mut rest = data;
-        let mut prev = 0usize;
-        for b in 0..RADIX {
-            let len = bucket_start[b + 1] - prev;
-            prev = bucket_start[b + 1];
-            let (head, tail) = rest.split_at_mut(len);
-            buckets.push(head);
-            rest = tail;
-        }
-        let total: usize = buckets.iter().map(|b| b.len()).sum();
-        if total >= PARALLEL_THRESHOLD {
-            buckets
-                .into_par_iter()
-                .for_each(|bucket| sort_level(bucket, level + 1, levels, digits));
-        } else {
-            for bucket in buckets {
-                sort_level(bucket, level + 1, levels, digits);
-            }
-        }
-    }
-}
-
-/// The [`RadixKey`]-specialised level sorter. Structurally the same MSD recursion as
-/// [`sort_level`], with three kernel-level differences:
+/// Sort `data` on digits `level..levels`, MSD first.
 ///
-/// * `hint` carries the bucket histogram computed by the **parent** level's scatter, so
-///   only the root level ever pays a standalone counting pass;
-/// * the permutation is [`finalize_keyed`] — a prefetched single-pass cycle chase —
-///   instead of speculation plus a two-pass repair;
-/// * the small-slice cutoff compares whole keys word-by-word (valid because every
+/// * `hint` carries the bucket histogram the **parent** level's scatter computed, so
+///   only the root level pays a standalone counting pass;
+/// * the small-slice cutoff compares whole keys word by word (valid because every
 ///   element in the slice agrees on all digits above `level`).
-fn sort_level_keyed<T: RadixKey>(
-    data: &mut [T],
-    level: usize,
-    levels: usize,
-    hint: Option<&[usize]>,
-) {
+fn sort_level<T: RadixKey>(data: &mut [T], level: usize, levels: usize, hint: Option<&[usize]>) {
     if data.len() <= 1 || level >= levels {
         return;
     }
     if data.len() <= SMALL_SORT_THRESHOLD {
-        comparison_sort_keyed(data);
+        comparison_sort(data);
         return;
     }
 
@@ -150,12 +63,12 @@ fn sort_level_keyed<T: RadixKey>(
     let histogram: &[usize] = match hint {
         Some(h) => h,
         None => {
-            owned = parallel_histogram(data, level, &KeyDigits);
+            owned = parallel_histogram(data, level);
             &owned
         }
     };
     if histogram.contains(&data.len()) {
-        sort_level_keyed(data, level + 1, levels, None);
+        sort_level(data, level + 1, levels, None);
         return;
     }
 
@@ -171,7 +84,7 @@ fn sort_level_keyed<T: RadixKey>(
         1
     };
     if threads > 1 {
-        speculate_stripes(data, &bucket_start, level, &KeyDigits, threads);
+        speculate_stripes(data, &bucket_start, level, threads);
     }
 
     // Fused child histograms pay off when the children are big enough to need one; for
@@ -183,9 +96,9 @@ fn sort_level_keyed<T: RadixKey>(
         Vec::new()
     };
     if fuse {
-        finalize_keyed::<T, true>(data, &bucket_start, level, &mut child_hist);
+        finalize::<T, true>(data, &bucket_start, level, &mut child_hist);
     } else {
-        finalize_keyed::<T, false>(data, &bucket_start, level, &mut child_hist);
+        finalize::<T, false>(data, &bucket_start, level, &mut child_hist);
     }
 
     if level + 1 < levels {
@@ -207,20 +120,20 @@ fn sort_level_keyed<T: RadixKey>(
         if n >= PARALLEL_THRESHOLD {
             buckets
                 .into_par_iter()
-                .for_each(|(bucket, hint)| sort_level_keyed(bucket, level + 1, levels, hint));
+                .for_each(|(bucket, hint)| sort_level(bucket, level + 1, levels, hint));
         } else {
             for (bucket, hint) in buckets {
-                sort_level_keyed(bucket, level + 1, levels, hint);
+                sort_level(bucket, level + 1, levels, hint);
             }
         }
     }
 }
 
-/// Comparison cutoff for the keyed kernel: elements in one recursion slice agree on all
-/// digits above `level`, so comparing the full concatenated key words lexicographically
+/// Comparison cutoff: elements in one recursion slice agree on all digits above
+/// `level`, so comparing the full concatenated key words lexicographically
 /// orders exactly by the remaining digits — one branchy `u64` compare per word instead
 /// of up to eight digit extractions.
-fn comparison_sort_keyed<T: RadixKey>(data: &mut [T]) {
+fn comparison_sort<T: RadixKey>(data: &mut [T]) {
     data.sort_unstable_by(|a, b| {
         for w in 0..T::KEY_WORDS {
             match a.key_word(w).cmp(&b.key_word(w)) {
@@ -256,9 +169,8 @@ fn prefetch_slot<T>(data: &[T], idx: usize) {
     }
 }
 
-/// Single-pass in-place bucket permutation for the keyed kernel (replaces the two-pass
-/// collect-then-repair of the generic path): an American-flag cycle chase over bucket
-/// heads.
+/// Single-pass in-place bucket permutation, and the repair of the speculation: an
+/// American-flag cycle chase over bucket heads.
 ///
 /// Buckets are completed in ascending order, so while bucket `b` is being processed
 /// every element with digit `< b` is already home; any foreign element found in `b`
@@ -267,7 +179,7 @@ fn prefetch_slot<T>(data: &[T], idx: usize) {
 /// is `O(n)` swaps total, each preceded by a prefetch of the next destination. When
 /// `BIN` is set, every finalised element's next-level digit is counted into
 /// `child_hist[bucket * RADIX + digit]`, which becomes the recursion's histogram hint.
-fn finalize_keyed<T: RadixKey, const BIN: bool>(
+fn finalize<T: RadixKey, const BIN: bool>(
     data: &mut [T],
     bucket_start: &[usize; RADIX + 1],
     level: usize,
@@ -322,31 +234,11 @@ fn finalize_keyed<T: RadixKey, const BIN: bool>(
     }
 }
 
-fn comparison_sort_remaining<T, D>(data: &mut [T], level: usize, levels: usize, digits: &D)
-where
-    T: Copy,
-    D: DigitSource<T>,
-{
-    data.sort_unstable_by(|a, b| {
-        for l in level..levels {
-            match digits.digit(a, l).cmp(&digits.digit(b, l)) {
-                std::cmp::Ordering::Equal => continue,
-                other => return other,
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
-}
-
-fn parallel_histogram<T, D>(data: &[T], level: usize, digits: &D) -> Vec<usize>
-where
-    T: Copy + Send + Sync,
-    D: DigitSource<T>,
-{
+fn parallel_histogram<T: RadixKey>(data: &[T], level: usize) -> Vec<usize> {
     if data.len() < PARALLEL_THRESHOLD {
         let mut hist = vec![0usize; RADIX];
         for item in data {
-            hist[digits.digit(item, level) as usize] += 1;
+            hist[radix_digit(item, level) as usize] += 1;
         }
         return hist;
     }
@@ -354,7 +246,7 @@ where
         .map(|chunk| {
             let mut hist = vec![0usize; RADIX];
             for item in chunk {
-                hist[digits.digit(item, level) as usize] += 1;
+                hist[radix_digit(item, level) as usize] += 1;
             }
             hist
         })
@@ -369,76 +261,15 @@ where
         )
 }
 
-/// Partition `data` so that bucket `b` occupies `bucket_start[b]..bucket_start[b+1]`.
-///
-/// Phase 1 splits every bucket region into one stripe per rayon thread and lets each
-/// thread permute within the stripes it owns (safe: the stripes are disjoint sub-slices).
-/// Phase 2 serially repairs whatever the speculation could not place — the repair
-/// workload is the sum of stripe imbalances, normally a small fraction of `n`.
-fn permute_in_place<T, D>(
+/// The speculative parallel phase: each rayon thread owns one stripe of every bucket
+/// region and permutes only within its own stripes (safe: the stripes are disjoint
+/// sub-slices). Whatever the speculation cannot place is fixed by [`finalize`].
+fn speculate_stripes<T: RadixKey>(
     data: &mut [T],
     bucket_start: &[usize; RADIX + 1],
     level: usize,
-    digits: &D,
-) where
-    T: Copy + Send + Sync,
-    D: DigitSource<T>,
-{
-    let n = data.len();
-    let threads = if n >= PARALLEL_THRESHOLD {
-        rayon::current_num_threads().max(1)
-    } else {
-        1
-    };
-
-    if threads > 1 {
-        speculate_stripes(data, bucket_start, level, digits, threads);
-    }
-
-    // --- repair phase (also the whole permutation when running single stripe) --------
-    // Collect, per bucket, the positions still holding a foreign element, then fix them
-    // with cycle-following swaps. Each swap finalises at least one position.
-    let mut misplaced: Vec<Vec<usize>> = vec![Vec::new(); RADIX];
-    for b in 0..RADIX {
-        let range = bucket_start[b]..bucket_start[b + 1];
-        for (off, item) in data[range.clone()].iter().enumerate() {
-            if digits.digit(item, level) as usize != b {
-                misplaced[b].push(range.start + off);
-            }
-        }
-    }
-    let mut cursor = [0usize; RADIX];
-    for b in 0..RADIX {
-        for idx in 0..misplaced[b].len() {
-            let pos = misplaced[b][idx];
-            loop {
-                let d = digits.digit(&data[pos], level) as usize;
-                if d == b {
-                    break;
-                }
-                // Find the next slot in bucket d that still holds a foreign element.
-                let dest = misplaced[d][cursor[d]];
-                cursor[d] += 1;
-                data.swap(pos, dest);
-            }
-        }
-    }
-}
-
-/// The speculative parallel phase shared by the closure and keyed permutations: each
-/// rayon thread owns one stripe of every bucket region and permutes only within its own
-/// stripes (safe: the stripes are disjoint sub-slices). Whatever the speculation cannot
-/// place is fixed by the caller's serial pass.
-fn speculate_stripes<T, D>(
-    data: &mut [T],
-    bucket_start: &[usize; RADIX + 1],
-    level: usize,
-    digits: &D,
     threads: usize,
-) where
-    T: Copy + Send + Sync,
-    D: DigitSource<T>,
-{
+) {
     let n = data.len();
     {
         // --- carve the slice into (thread, bucket) stripes --------------------------
@@ -507,7 +338,7 @@ fn speculate_stripes<T, D>(
                         break;
                     }
                     let e = stripes[b].as_ref().unwrap()[i];
-                    let d = digits.digit(&e, level) as usize;
+                    let d = radix_digit(&e, level) as usize;
                     if d == b {
                         i += 1;
                         continue;
@@ -516,7 +347,7 @@ fn speculate_stripes<T, D>(
                     let len_d = stripes[d].as_ref().map_or(0, |s| s.len());
                     while heads[d] < len_d {
                         let v = stripes[d].as_ref().unwrap()[heads[d]];
-                        if digits.digit(&v, level) as usize == d {
+                        if radix_digit(&v, level) as usize == d {
                             heads[d] += 1;
                         } else {
                             break;
@@ -549,7 +380,7 @@ mod tests {
     fn check_sorts_u64(v: &mut Vec<u64>) {
         let mut expected = v.clone();
         expected.sort_unstable();
-        paradis_sort_by(v, 8, |x, l| (x >> (8 * (7 - l))) as u8);
+        paradis_sort(v);
         assert_eq!(*v, expected);
     }
 
@@ -563,9 +394,12 @@ mod tests {
 
     #[test]
     fn sorts_small_random() {
+        // Below the comparison cutoff, and between it and the parallel threshold.
         let mut rng = StdRng::seed_from_u64(1);
-        let mut v: Vec<u64> = (0..100).map(|_| rng.gen()).collect();
-        check_sorts_u64(&mut v);
+        for n in [100, 5_000] {
+            let mut v: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
+            check_sorts_u64(&mut v);
+        }
     }
 
     #[test]
@@ -605,19 +439,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let mut v: Vec<u64> = (0..30_000).map(|_| rng.gen::<u64>() & 0xFF_FFFF).collect();
         check_sorts_u64(&mut v);
-    }
-
-    #[test]
-    fn keyed_kernel_matches_closure_path() {
-        let mut rng = StdRng::seed_from_u64(6);
-        for n in [0usize, 1, 100, 5_000, 150_000] {
-            let original: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
-            let mut a = original.clone();
-            let mut b = original;
-            paradis_sort(&mut a);
-            paradis_sort_by(&mut b, 8, |x, l| (x >> (8 * (7 - l))) as u8);
-            assert_eq!(a, b, "n = {n}");
-        }
     }
 
     #[test]
@@ -693,10 +514,14 @@ mod tests {
 
     #[test]
     fn sorts_pairs_by_key_only() {
-        // Items carry a payload; sorting must group by key while ignoring the payload.
+        // Two-word keys with a payload, few distinct keys spread over both words: the
+        // sort groups by key and ignores the payload.
         let mut rng = StdRng::seed_from_u64(5);
-        let mut v: Vec<(u32, u32)> = (0..50_000).map(|i| (rng.gen::<u32>() % 1000, i)).collect();
-        paradis_sort_by(&mut v, 4, |x, l| (x.0 >> (8 * (3 - l))) as u8);
+        let keys: Vec<u128> = (0..1000).map(|_| rng.gen()).collect();
+        let mut v: Vec<(u128, u32)> = (0..50_000)
+            .map(|i| (keys[rng.gen_range(0..keys.len())], i))
+            .collect();
+        paradis_sort(&mut v);
         for w in v.windows(2) {
             assert!(w[0].0 <= w[1].0);
         }

@@ -1,7 +1,5 @@
-//! Out-of-place stable radix sorts (RADULS-like): an auxiliary buffer the size of the
+//! Out-of-place stable radix sort (RADULS-like): an auxiliary buffer the size of the
 //! input buys stable counting passes that need no in-place permutation.
-//!
-//! # The `RadixKey` kernel: [`raduls_sort`] / [`raduls_sort_with_aux`]
 //!
 //! RADULS (Kokot, Deorowicz, Długosz, BDAS 2017 — the sorter of KMC3) is MSD-first:
 //! partition once out of cache, then finish buckets that fit in cache. The kernel
@@ -38,216 +36,12 @@
 //! out of the kernel's hands; HySortK's stage 3 does — stage 1 cut every task into
 //! minimizer sections, and stage 3 hands the kernel one section at a time. The
 //! out-of-cache path here then only runs for a section that skew made larger than the
-//! cache, and for callers with a finished array.
-//!
-//! # The closure path: [`raduls_sort_by`]
-//!
-//! A plain byte-wise LSD sort over a `digit(item, level)` closure — the KMC3
-//! baseline's sorter, and the oracle the kernel is differentially tested against:
-//! one pass computes the histograms of all levels, levels with a single occupied
-//! bucket are skipped, and each remaining level is a stable parallel scatter between
-//! the ping-pong buffers with (chunk × bucket) destinations carved into disjoint
-//! sub-slices (no `unsafe`).
+//! cache, and for callers with a finished array (the KMC3 baseline's bins).
 
 use rayon::prelude::*;
 
 use crate::buckets::cut_into_runs;
 use crate::RadixKey;
-
-const RADIX: usize = 256;
-const PARALLEL_THRESHOLD: usize = 8 * 1024;
-const CHUNK: usize = 64 * 1024;
-
-/// Sort `data` by the radix digits supplied by `digit`, using an auxiliary buffer of the
-/// same length. `digit(item, 0)` is the most significant digit; the sort is stable.
-pub fn raduls_sort_by<T, F>(data: &mut [T], levels: usize, digit: F)
-where
-    T: Copy + Send + Sync + Default,
-    F: Fn(&T, usize) -> u8 + Sync,
-{
-    let n = data.len();
-    if n <= 1 || levels == 0 {
-        return;
-    }
-
-    // ---- Pass 0: histograms of every level in one sweep ------------------------------
-    let histograms = all_level_histograms(data, levels, &digit);
-
-    // Levels where all items share one digit value contribute nothing to the order.
-    let active_levels: Vec<usize> = (0..levels)
-        .filter(|&l| !histograms[l].contains(&n))
-        .collect();
-    if active_levels.is_empty() {
-        return;
-    }
-
-    let mut aux: Vec<T> = vec![T::default(); n];
-    let mut src_is_data = true;
-
-    // LSD: least significant active level first.
-    for &level in active_levels.iter().rev() {
-        {
-            let (src, dst): (&[T], &mut [T]) = if src_is_data {
-                (&*data, &mut aux[..])
-            } else {
-                (&aux[..], &mut *data)
-            };
-            scatter_level(src, dst, level, &digit);
-        }
-        src_is_data = !src_is_data;
-    }
-
-    // Make sure the result ends up in `data`.
-    if !src_is_data {
-        data.copy_from_slice(&aux);
-    }
-}
-
-fn all_level_histograms<T, F>(data: &[T], levels: usize, digit: &F) -> Vec<Vec<usize>>
-where
-    T: Copy + Send + Sync,
-    F: Fn(&T, usize) -> u8 + Sync,
-{
-    // Level-outer per chunk: each level's inner loop runs over the whole chunk with a
-    // single 256-entry histogram hot in cache, instead of touching all `levels`
-    // histograms per item.
-    let fold = |mut hists: Vec<Vec<usize>>, chunk: &[T]| {
-        for (l, hist) in hists.iter_mut().enumerate() {
-            for item in chunk {
-                hist[digit(item, l) as usize] += 1;
-            }
-        }
-        hists
-    };
-    let identity = || vec![vec![0usize; RADIX]; levels];
-    if data.len() < PARALLEL_THRESHOLD {
-        return fold(identity(), data);
-    }
-    data.par_chunks(CHUNK)
-        .fold(identity, fold)
-        .reduce(identity, |mut a, b| {
-            for (ha, hb) in a.iter_mut().zip(b) {
-                for (x, y) in ha.iter_mut().zip(hb) {
-                    *x += y;
-                }
-            }
-            a
-        })
-}
-
-/// One stable counting-sort pass from `src` to `dst` on `level`.
-fn scatter_level<T, F>(src: &[T], dst: &mut [T], level: usize, digit: &F)
-where
-    T: Copy + Send + Sync,
-    F: Fn(&T, usize) -> u8 + Sync,
-{
-    let n = src.len();
-    if n < PARALLEL_THRESHOLD {
-        // Serial stable counting sort.
-        let mut hist = [0usize; RADIX];
-        for item in src {
-            hist[digit(item, level) as usize] += 1;
-        }
-        let mut offsets = [0usize; RADIX];
-        let mut acc = 0;
-        for b in 0..RADIX {
-            offsets[b] = acc;
-            acc += hist[b];
-        }
-        for item in src {
-            let b = digit(item, level) as usize;
-            dst[offsets[b]] = *item;
-            offsets[b] += 1;
-        }
-        return;
-    }
-
-    // ---- per-chunk histograms --------------------------------------------------------
-    let chunks: Vec<&[T]> = src.chunks(CHUNK).collect();
-    let chunk_hists: Vec<[usize; RADIX]> = chunks
-        .par_iter()
-        .map(|chunk| {
-            let mut hist = [0usize; RADIX];
-            for item in *chunk {
-                hist[digit(item, level) as usize] += 1;
-            }
-            hist
-        })
-        .collect();
-
-    // ---- destination offset for every (bucket, chunk) pair ---------------------------
-    // Stable order: bucket-major, then chunk index, then original order inside the chunk.
-    let num_chunks = chunks.len();
-    let mut offsets = vec![0usize; num_chunks * RADIX]; // [chunk][bucket]
-    let mut acc = 0usize;
-    for b in 0..RADIX {
-        for (c, hist) in chunk_hists.iter().enumerate() {
-            offsets[c * RADIX + b] = acc;
-            acc += hist[b];
-        }
-    }
-    debug_assert_eq!(acc, n);
-
-    // ---- carve dst into disjoint (chunk, bucket) destination sub-slices --------------
-    struct Dest {
-        chunk: usize,
-        bucket: usize,
-        start: usize,
-        len: usize,
-    }
-    let mut dests: Vec<Dest> = Vec::with_capacity(num_chunks * RADIX);
-    for c in 0..num_chunks {
-        for b in 0..RADIX {
-            let len = chunk_hists[c][b];
-            if len > 0 {
-                dests.push(Dest {
-                    chunk: c,
-                    bucket: b,
-                    start: offsets[c * RADIX + b],
-                    len,
-                });
-            }
-        }
-    }
-    dests.sort_by_key(|d| d.start);
-
-    let mut per_chunk_slices: Vec<Vec<(usize, &mut [T])>> =
-        (0..num_chunks).map(|_| Vec::new()).collect();
-    {
-        let mut rest: &mut [T] = dst;
-        let mut consumed = 0usize;
-        for d in &dests {
-            debug_assert_eq!(d.start, consumed);
-            let (head, tail) = rest.split_at_mut(d.len);
-            per_chunk_slices[d.chunk].push((d.bucket, head));
-            rest = tail;
-            consumed += d.len;
-        }
-        debug_assert_eq!(consumed, n);
-    }
-
-    // ---- parallel scatter: each chunk writes only into its own sub-slices ------------
-    chunks
-        .into_par_iter()
-        .zip(per_chunk_slices.into_par_iter())
-        .for_each(|(chunk, mut slices)| {
-            // Index the chunk's destination slices by bucket.
-            let mut by_bucket: [Option<(usize, &mut [T])>; RADIX] = std::array::from_fn(|_| None);
-            for (bucket, slice) in slices.drain(..) {
-                by_bucket[bucket] = Some((0, slice));
-            }
-            for item in chunk {
-                let b = digit(item, level) as usize;
-                let entry = by_bucket[b].as_mut().expect("histogram covers every digit");
-                entry.1[entry.0] = *item;
-                entry.0 += 1;
-            }
-        });
-}
-
-// =======================================================================================
-// Monomorphized RadixKey kernel
-// =======================================================================================
 
 /// A range of at most this many bytes of keys is partitioned "in cache": its two
 /// buffers together fit a 1 MiB L2. Measured at 128 KiB to 4 MiB on the benchmark host
@@ -267,9 +61,8 @@ const MSD_BITS: u32 = 8;
 const IN_CACHE_MIN_BITS: u32 = 4;
 const IN_CACHE_MAX_BITS: u32 = 11;
 
-/// Stable MSD radix sort for [`RadixKey`] types — the pipeline's hot path. See the
-/// module docs for the design. Allocates the auxiliary buffer per call;
-/// [`raduls_sort_with_aux`] reuses one.
+/// Stable MSD radix sort for [`RadixKey`] types. See the module docs for the design.
+/// Allocates the auxiliary buffer per call; [`raduls_sort_with_aux`] reuses one.
 pub fn raduls_sort<T: RadixKey + Default>(data: &mut [T]) {
     let mut aux = Vec::new();
     raduls_sort_with_aux(data, &mut aux);
@@ -543,7 +336,7 @@ mod tests {
     fn check_sorts_u64(v: &mut Vec<u64>) {
         let mut expected = v.clone();
         expected.sort();
-        raduls_sort_by(v, 8, |x, l| (x >> (8 * (7 - l))) as u8);
+        raduls_sort(v);
         assert_eq!(*v, expected);
     }
 
@@ -586,7 +379,7 @@ mod tests {
         let mut v: Vec<(u16, u32)> = (0..50_000u32)
             .map(|i| (rng.gen_range(0..32u16), i))
             .collect();
-        raduls_sort_by(&mut v, 2, |x, l| (x.0 >> (8 * (1 - l))) as u8);
+        raduls_sort(&mut v);
         for w in v.windows(2) {
             assert!(w[0].0 < w[1].0 || (w[0].0 == w[1].0 && w[0].1 < w[1].1));
         }
@@ -598,19 +391,17 @@ mod tests {
         let original: Vec<u64> = (0..80_000).map(|_| rng.gen()).collect();
         let mut a = original.clone();
         let mut b = original;
-        raduls_sort_by(&mut a, 8, |x, l| (x >> (8 * (7 - l))) as u8);
-        crate::paradis_sort_by(&mut b, 8, |x, l| (x >> (8 * (7 - l))) as u8);
+        raduls_sort(&mut a);
+        crate::paradis_sort(&mut b);
         assert_eq!(a, b);
     }
 
     // ---- the RadixKey kernel ----------------------------------------------------------
 
-    use crate::radix_digit;
     use std::fmt::Debug;
 
-    /// The kernel against its two oracles: std's stable sort by key and the closure LSD
-    /// path. Whole records are compared, so payload order inside equal keys (stability)
-    /// is pinned too.
+    /// The kernel against std's stable sort by key. Whole records are compared, so
+    /// payload order inside equal keys (stability) is pinned too.
     fn check_kernel<T>(input: &[T], aux: &mut Vec<T>, context: &str)
     where
         T: RadixKey + Default + PartialEq + Debug,
@@ -622,14 +413,11 @@ mod tests {
                 .map(|w| a.key_word(w))
                 .cmp((0..T::KEY_WORDS).map(|w| b.key_word(w)))
         });
-        let mut by_closure = input.to_vec();
-        raduls_sort_by(&mut by_closure, T::KEY_LEVELS, |x, l| radix_digit(x, l));
-        assert!(by_closure == expected, "{context}: closure oracle vs std");
         let mut by_kernel = input.to_vec();
         raduls_sort_with_aux(&mut by_kernel, aux);
         if let Some(i) = (0..input.len()).find(|&i| by_kernel[i] != expected[i]) {
             panic!(
-                "{context}: kernel differs from the oracles at {i}: key {:x?}, expected {:x?}",
+                "{context}: kernel differs from std at {i}: key {:x?}, expected {:x?}",
                 key(&by_kernel[i]),
                 key(&expected[i])
             );
@@ -658,6 +446,14 @@ mod tests {
                 (0..n).map(|_| pool[rng.gen_range(0..pool.len())]).collect(),
             ),
             ("lowest bit only", random.iter().map(|x| x & 1).collect()),
+            (
+                "lowest byte only",
+                random.iter().map(|x| x & 0xFF).collect(),
+            ),
+            (
+                "few distinct leading bytes",
+                random.iter().map(|x| x & 0xFF_FFFF).collect(),
+            ),
             (
                 "highest bit only",
                 random.iter().map(|x| (x & 1) << top).collect(),
@@ -735,19 +531,19 @@ mod tests {
     }
 
     #[test]
-    fn kernel_matches_both_oracles_on_u64() {
+    fn kernel_matches_std_on_u64() {
         check_all(16, 64, |key, _| key as u64);
     }
 
     #[test]
-    fn kernel_matches_both_oracles_on_u128() {
+    fn kernel_matches_std_on_u128() {
         check_all(17, 128, |key, _| key);
     }
 
     #[test]
     fn kernel_is_stable_on_tagged_records() {
         // The payload is the input position: equal keys must keep it ascending, which
-        // the whole-record comparison against the stable oracles checks.
+        // the whole-record comparison against std's stable sort checks.
         check_all(18, 64, |key, i| (key as u64, i as u32));
         check_all(19, 128, |key, i| (key, i as u32));
     }

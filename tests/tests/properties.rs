@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use hysortk_dna::{DnaSeq, Extension, Kmer1, Kmer2, ReadSet};
-use hysortk_sort::{paradis_sort, paradis_sort_by, raduls_sort, raduls_sort_by};
+use hysortk_sort::{paradis_sort, raduls_sort};
 use hysortk_supermer::codec::{decode_extensions, encode_extensions};
 use hysortk_supermer::minimizer::{minimizers_deque, minimizers_naive};
 use hysortk_supermer::mmer::{MmerScorer, ScoreFunction};
@@ -89,64 +89,75 @@ fn dnaseq_round_trips_and_counts_kmers() {
 
 // ---------------- sorting ------------------------------------------------------------
 
+/// `n` keys of one of the shapes a radix sort must survive, chosen by `shape`: random,
+/// sorted, reversed, skewed onto one hot key, few distinct keys, or keys that share
+/// their leading bytes.
+fn radix_shape(rng: &mut StdRng, n: usize, shape: usize) -> Vec<u64> {
+    let mut v: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
+    match shape % 6 {
+        0 => {}
+        1 => v.sort_unstable(),
+        2 => v.sort_unstable_by(|a, b| b.cmp(a)),
+        3 => (v.iter_mut().enumerate())
+            .filter(|(i, _)| i % 4 != 3)
+            .for_each(|(_, x)| *x = 0xDEAD_BEEF),
+        4 => v.iter_mut().for_each(|x| *x %= 97),
+        _ => v.iter_mut().for_each(|x| *x &= 0xFF_FFFF),
+    }
+    v
+}
+
 #[test]
 fn radix_sorts_agree_with_std_sort() {
     let mut rng = StdRng::seed_from_u64(106);
-    for _ in 0..32 {
-        let n = rng.gen_range(0..3000usize);
-        let v: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
+    for case in 0..36 {
+        let n = match case {
+            0 => 0,
+            1 => 1,
+            _ => rng.gen_range(0..3000usize),
+        };
+        let v = radix_shape(&mut rng, n, case);
         let mut expected = v.clone();
         expected.sort_unstable();
         let mut a = v.clone();
-        paradis_sort_by(&mut a, 8, |x, l| (x >> (8 * (7 - l))) as u8);
-        assert_eq!(a, expected);
+        paradis_sort(&mut a);
+        assert_eq!(a, expected, "paradis, case {case}");
         let mut b = v;
-        raduls_sort_by(&mut b, 8, |x, l| (x >> (8 * (7 - l))) as u8);
-        assert_eq!(b, expected);
+        raduls_sort(&mut b);
+        assert_eq!(b, expected, "raduls, case {case}");
     }
 }
 
 #[test]
 fn monomorphized_kernels_match_closure_paths_on_u64_records() {
-    // The RadixKey kernels must produce exactly the ordering of the closure-based
-    // paths they replace — including stability for the RADULS pair (payloads of equal
-    // keys keep their relative order).
+    // Against std's stable sort by key: the RADULS kernel must match it record for
+    // record (payloads of equal keys keep their input order), the unstable PARADIS
+    // kernel key for key, with the same records in each key's group.
     let mut rng = StdRng::seed_from_u64(107);
     for round in 0..24 {
         let n = rng.gen_range(0..40_000usize);
-        let few_keys = round % 2 == 0;
-        let v: Vec<(u64, u32)> = (0..n as u32)
-            .map(|i| {
-                let key = if few_keys {
-                    rng.gen_range(0..97u64)
-                } else {
-                    rng.gen()
-                };
-                (key, i)
-            })
+        let v: Vec<(u64, u32)> = (radix_shape(&mut rng, n, round).into_iter())
+            .zip(0..)
             .collect();
+        let mut expected = v.clone();
+        expected.sort_by_key(|r| r.0);
 
         let mut kernel = v.clone();
         raduls_sort(&mut kernel);
-        let mut closure = v.clone();
-        raduls_sort_by(&mut closure, 8, |x, l| (x.0 >> (8 * (7 - l))) as u8);
-        assert_eq!(kernel, closure, "raduls kernel diverged (n = {n})");
+        assert_eq!(kernel, expected, "raduls kernel diverged (n = {n})");
 
-        let mut kernel = v.clone();
+        let mut kernel = v;
         paradis_sort(&mut kernel);
-        let mut closure = v.clone();
-        paradis_sort_by(&mut closure, 8, |x, l| (x.0 >> (8 * (7 - l))) as u8);
-        // PARADIS is not stable; compare the grouping, not the payload order.
+        assert!(kernel.iter().map(|r| r.0).eq(expected.iter().map(|r| r.0)));
         kernel.sort_unstable();
-        closure.sort_unstable();
-        assert_eq!(kernel, closure, "paradis kernel diverged (n = {n})");
+        expected.sort_unstable();
+        assert_eq!(kernel, expected, "paradis kernel diverged (n = {n})");
     }
 }
 
 #[test]
 fn monomorphized_kernels_match_closure_paths_on_u128_records() {
     let mut rng = StdRng::seed_from_u64(108);
-    let digit = |x: &(u128, u32), l: usize| (x.0 >> (8 * (15 - l))) as u8;
     for _ in 0..12 {
         let n = rng.gen_range(0..30_000usize);
         // Mask some keys down so whole levels go trivial across the word boundary.
@@ -158,26 +169,25 @@ fn monomorphized_kernels_match_closure_paths_on_u128_records() {
         let v: Vec<(u128, u32)> = (0..n as u32)
             .map(|i| (rng.gen::<u128>() & mask, i))
             .collect();
+        let mut expected = v.clone();
+        expected.sort_by_key(|r| r.0);
 
         let mut kernel = v.clone();
         raduls_sort(&mut kernel);
-        let mut closure = v.clone();
-        raduls_sort_by(&mut closure, 16, digit);
-        assert_eq!(kernel, closure, "raduls kernel diverged (n = {n})");
+        assert_eq!(kernel, expected, "raduls kernel diverged (n = {n})");
 
-        let mut kernel = v.clone();
+        let mut kernel = v;
         paradis_sort(&mut kernel);
-        let mut expected = v.clone();
-        expected.sort_unstable();
         kernel.sort_unstable();
+        expected.sort_unstable();
         assert_eq!(kernel, expected, "paradis kernel diverged (n = {n})");
     }
 }
 
 /// The RADULS kernel on real k-mer keys, bare and as `(K, Extension)` records, against
-/// `sort_unstable` (k-mers order as their packed words) and the stable closure LSD path.
+/// std's sorts (k-mers order as their packed words): `sort_unstable` for the keys,
+/// the stable `sort_by_key` for the records.
 fn raduls_kernel_matches_oracles_on_kmers<K: hysortk_dna::KmerCode>(seed: u64, k: usize) {
-    use hysortk_sort::radix_digit;
     let mut rng = StdRng::seed_from_u64(seed);
     // 48x coverage of a genome with a satellite repeat: ~20 copies per k-mer, one hot
     // run of identical k-mers, and 150 Ki keys — out of cache for one- and two-word keys.
@@ -198,9 +208,6 @@ fn raduls_kernel_matches_oracles_on_kmers<K: hysortk_dna::KmerCode>(seed: u64, k
         }
         let mut expected = keys.clone();
         expected.sort_unstable();
-        let mut by_closure = keys.clone();
-        raduls_sort_by(&mut by_closure, K::KEY_LEVELS, |x, l| radix_digit(x, l));
-        assert_eq!(by_closure, expected, "closure oracle: k = {k}, n = {n}");
         let mut by_kernel = keys.clone();
         hysortk_sort::raduls_sort_with_aux(&mut by_kernel, &mut aux);
         assert_eq!(by_kernel, expected, "kernel: k = {k}, n = {n}");
@@ -210,14 +217,11 @@ fn raduls_kernel_matches_oracles_on_kmers<K: hysortk_dna::KmerCode>(seed: u64, k
             .enumerate()
             .map(|(i, &km)| (km, Extension::new(7, i as u32)))
             .collect();
-        let mut by_closure = records.clone();
-        raduls_sort_by(&mut by_closure, K::KEY_LEVELS, |x, l| radix_digit(&x.0, l));
+        let mut expected = records.clone();
+        expected.sort_by_key(|r| r.0);
         let mut by_kernel = records;
         raduls_sort(&mut by_kernel);
-        assert_eq!(
-            by_kernel, by_closure,
-            "records (stability): k = {k}, n = {n}"
-        );
+        assert_eq!(by_kernel, expected, "records (stability): k = {k}, n = {n}");
     }
 }
 
@@ -891,7 +895,7 @@ fn stage3_segments(
     k: usize,
     tie_heavy: bool,
 ) -> Vec<Vec<u8>> {
-    use hysortk_core::wire::{write_block, SupermerBlockWriter, TaskPayload};
+    use hysortk_core::wire::{write_kmerlist_block, SupermerBlockWriter};
     use hysortk_sort::count_sorted_runs;
 
     let scorer = MmerScorer::new((k / 2).max(3), ScoreFunction::Hash { seed: 9 });
@@ -931,9 +935,12 @@ fn stage3_segments(
                     }
                     kmers.sort_unstable();
                     let list = count_sorted_runs(&kmers, |km| *km);
-                    write_block(segment, t as u32, &TaskPayload::KmerList(list));
+                    write_kmerlist_block(segment, t as u32, &list);
                 } else {
-                    write_block::<Kmer1>(segment, t as u32, &TaskPayload::Supermers(sms));
+                    let mut block = SupermerBlockWriter::new(segment, t as u32, sms.len() as u32);
+                    for s in &sms {
+                        block.push(s.read_id, s.start, &s.seq, 0, s.seq.len());
+                    }
                 }
             }
         }
@@ -943,9 +950,22 @@ fn stage3_segments(
     segments
 }
 
+/// Stage 3 on one rank's receive segments on `pool`, as the pieces the pipeline runs:
+/// index the blocks, count the tasks in parallel, merge the task runs.
+fn count_segments_parallel<'a>(
+    segments: impl IntoIterator<Item = &'a [u8]>,
+    k: usize,
+    params: &hysortk_core::stage3::CountParams,
+    pool: &hysortk_task::WorkerPool,
+) -> hysortk_core::stage3::RankCounts<Kmer1> {
+    use hysortk_core::stage3::{build_block_index, count_blocks_parallel, merge_task_counts};
+    let index = build_block_index::<Kmer1, _>(segments, k).expect("well-formed stream");
+    merge_task_counts(count_blocks_parallel(&index, k, params, pool), params)
+}
+
 #[test]
 fn stage3_parallel_is_byte_identical_to_sequential_reference() {
-    use hysortk_core::stage3::{count_blocks_reference, count_received_parallel, CountParams};
+    use hysortk_core::stage3::{count_blocks_reference, CountParams};
     use hysortk_task::WorkerPool;
 
     let mut rng = StdRng::seed_from_u64(114);
@@ -972,13 +992,8 @@ fn stage3_parallel_is_byte_identical_to_sequential_reference() {
                     .expect("well-formed stream");
             for workers in [1usize, 2, 7] {
                 let pool = WorkerPool::new(workers, 1);
-                let (parallel, _sizes) = count_received_parallel::<Kmer1, _>(
-                    segments.iter().map(Vec::as_slice),
-                    k,
-                    &params,
-                    &pool,
-                )
-                .expect("well-formed stream");
+                let parallel =
+                    count_segments_parallel(segments.iter().map(Vec::as_slice), k, &params, &pool);
                 assert_eq!(
                     parallel, reference,
                     "case {case}, workers {workers}, ext {with_extension}"
@@ -990,8 +1005,8 @@ fn stage3_parallel_is_byte_identical_to_sequential_reference() {
 
 #[test]
 fn stage3_handles_kmerlist_only_and_empty_inputs() {
-    use hysortk_core::stage3::{count_blocks_reference, count_received_parallel, CountParams};
-    use hysortk_core::wire::{write_block, TaskPayload};
+    use hysortk_core::stage3::{count_blocks_reference, CountParams};
+    use hysortk_core::wire::write_kmerlist_block;
     use hysortk_task::WorkerPool;
 
     let params = CountParams::for_kmer::<Kmer1>(
@@ -1005,9 +1020,8 @@ fn stage3_handles_kmerlist_only_and_empty_inputs() {
     // Entirely empty receive segments.
     let empty: Vec<&[u8]> = vec![&[], &[], &[]];
     let pool = WorkerPool::new(2, 1);
-    let (merged, sizes) =
-        count_received_parallel::<Kmer1, _>(empty.iter().copied(), 15, &params, &pool).unwrap();
-    assert!(merged.counts.is_empty() && sizes.is_empty());
+    let merged = count_segments_parallel(empty.iter().copied(), 15, &params, &pool);
+    assert!(merged.counts.is_empty());
 
     // Kmerlist-only tasks: duplicates across sources must sum (k-mers stay disjoint
     // across tasks, as the minimizer partition guarantees in the real pipeline).
@@ -1016,25 +1030,15 @@ fn stage3_handles_kmerlist_only_and_empty_inputs() {
     let km_c = Kmer1::from_ascii(b"AAACCCGGGTTTACG").canonical(15);
     let mut seg0 = Vec::new();
     let mut seg1 = Vec::new();
-    write_block(
-        &mut seg0,
-        4,
-        &TaskPayload::KmerList(vec![(km_a, 3), (km_b, 1)]),
-    );
-    write_block(
-        &mut seg1,
-        4,
-        &TaskPayload::KmerList(vec![(km_a, 2), (km_b, 7)]),
-    );
-    write_block(&mut seg1, 9, &TaskPayload::KmerList(vec![(km_c, 4)]));
+    write_kmerlist_block(&mut seg0, 4, &[(km_a, 3), (km_b, 1)]);
+    write_kmerlist_block(&mut seg1, 4, &[(km_a, 2), (km_b, 7)]);
+    write_kmerlist_block(&mut seg1, 9, &[(km_c, 4)]);
     let segments: Vec<&[u8]> = vec![&seg0, &seg1];
     let reference =
         count_blocks_reference::<Kmer1, _>(segments.iter().copied(), 15, &params).unwrap();
     for workers in [1usize, 2, 7] {
         let pool = WorkerPool::new(workers, 1);
-        let (parallel, _) =
-            count_received_parallel::<Kmer1, _>(segments.iter().copied(), 15, &params, &pool)
-                .unwrap();
+        let parallel = count_segments_parallel(segments.iter().copied(), 15, &params, &pool);
         assert_eq!(parallel, reference, "workers {workers}");
     }
     let mut expected = vec![(km_a, 5u64), (km_b, 8u64), (km_c, 4u64)];
