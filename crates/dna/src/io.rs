@@ -10,13 +10,15 @@
 //!   Memory is bounded by one block plus the longest input line, not by the file size.
 //! * **FASTA and FASTQ** — multi-line FASTA records and 4-line FASTQ records (the
 //!   overwhelmingly common single-line-sequence form) both parse into packed
-//!   [`Read`]s; the format is detected per file from the extension, falling back to
-//!   the first byte.
-//! * **Rank sharding** — [`ShardReader`] gives each simulated rank a byte range of the
+//!   fragments ([`Fragments`], or [`Read`]s with names); the format is detected per
+//!   file from the extension, falling back to the first byte.
+//! * **Byte ranges** — a [`RangeReader`] reads the records of one byte range of the
 //!   input (over the concatenation of all files), realigned forward to the next record
-//!   start, so `p` ranks each stream ~`1/p` of the bytes and every record is parsed by
-//!   exactly one rank. A record whose first byte falls in a shard belongs to that
-//!   shard even when its bases extend past the boundary.
+//!   start: a record whose first byte falls in the range belongs to it even when its
+//!   bases extend past the boundary. [`ShardReader`] gives each simulated rank its
+//!   range ([`shard_byte_ranges`]), so `p` ranks each stream ~`1/p` of the bytes and
+//!   every record is parsed by exactly one rank; the pipeline cuts a rank's range
+//!   further, into one piece per thread and window.
 //! * **Ambiguous bases split reads** — runs of non-`ACGT` characters (`N`, IUPAC
 //!   codes, …) cut the read into fragments instead of being silently mapped to `A`:
 //!   no k-mer spanning an ambiguous base is ever fabricated, matching what real
@@ -26,6 +28,7 @@
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, Read as _, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use crate::readset::{Read, ReadSet};
@@ -65,9 +68,11 @@ impl SeqFormat {
 /// Tunables of the streaming readers.
 #[derive(Debug, Clone)]
 pub struct IngestOptions {
-    /// Bytes read from disk per refill of the reusable block buffer.
+    /// Bytes read from disk per refill of the reusable block buffer — in the pipeline,
+    /// the bytes one thread reads per window (a window is `threads × block_bytes`, and
+    /// at least a mebibyte).
     pub block_bytes: usize,
-    /// Reads per batch yielded by [`ShardReader::next_batch`].
+    /// Reads per batch yielded by [`ShardReader::next_batch`]; nothing else reads it.
     pub batch_records: usize,
     /// Fragments (after splitting at ambiguous-base runs) shorter than this are
     /// dropped. The pipeline sets it to `k`; shorter fragments contain no k-mer.
@@ -141,6 +146,11 @@ pub fn shard_byte_ranges(total: u64, ranks: usize) -> Vec<(u64, u64)> {
 // Chunked line scanning
 // ---------------------------------------------------------------------------------------
 
+/// Bytes a refill reads once the scanner is past the end of its range: enough for the
+/// record that straddles the end and the realignment look-ahead on most inputs, so a
+/// range's reader does not read a whole block past it.
+const TAIL_BYTES: u64 = 8 << 10;
+
 /// A line scanner that reads its source in fixed-size blocks into one reusable buffer.
 ///
 /// The buffer holds at most one block plus the carry of a line spanning a block edge,
@@ -153,6 +163,9 @@ struct BlockLines<R> {
     eof: bool,
     /// Byte offset (within the file) of `buf[start]`.
     pos: u64,
+    /// Byte offset (within the file) of the end of the scanner's range: refills stop
+    /// there, and past it read at most [`TAIL_BYTES`].
+    stop: u64,
     /// Bytes past `start` already scanned and known to hold no `\n` — the newline
     /// search resumes here after a refill, so a line spanning many blocks costs
     /// O(length) total instead of rescanning the growing carry per block
@@ -161,6 +174,7 @@ struct BlockLines<R> {
 }
 
 impl<R: io::Read> BlockLines<R> {
+    /// A scanner over `src`, whose first byte is at offset `pos`.
     fn new(src: R, block: usize, pos: u64) -> Self {
         BlockLines {
             src,
@@ -169,8 +183,18 @@ impl<R: io::Read> BlockLines<R> {
             block: block.max(16),
             eof: false,
             pos,
+            stop: u64::MAX,
             searched: 0,
         }
+    }
+
+    /// This scanner with its range ending at offset `stop`, reading into `buf` (emptied
+    /// first; its allocation is reused).
+    fn ending_at(mut self, stop: u64, mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        self.buf = buf;
+        self.stop = stop;
+        self
     }
 
     /// Current capacity of the internal buffer (test hook for the memory bound).
@@ -182,10 +206,7 @@ impl<R: io::Read> BlockLines<R> {
     /// Returns the byte offset of the line start, or `None` at end of input.
     fn read_line_into(&mut self, out: &mut Vec<u8>) -> io::Result<Option<u64>> {
         loop {
-            if let Some(i) = self.buf[self.start + self.searched..]
-                .iter()
-                .position(|&b| b == b'\n')
-            {
+            if let Some(i) = find_newline(&self.buf[self.start + self.searched..]) {
                 let i = self.searched + i;
                 let line = &self.buf[self.start..self.start + i];
                 let off = self.pos;
@@ -209,15 +230,18 @@ impl<R: io::Read> BlockLines<R> {
                 }
                 return Ok(None);
             }
-            // Compact the unconsumed carry to the front and refill one block. An
-            // interrupted read is retried in place, as `Read::read_exact` does.
+            // Compact the unconsumed carry to the front and refill one block — up to
+            // the range's end, a short tail past it. An interrupted read is retried in
+            // place, as `Read::read_exact` does.
             self.buf.drain(..self.start);
             self.start = 0;
             let old = self.buf.len();
-            self.buf.resize(old + self.block, 0);
+            let to_stop = self.stop.saturating_sub(self.pos + old as u64);
+            let want = (self.block as u64).min(to_stop.max(TAIL_BYTES)) as usize;
+            self.buf.resize(old + want, 0);
             let mut filled = 0usize;
             let refill = loop {
-                if filled == self.block {
+                if filled == want {
                     break Ok(());
                 }
                 match self.src.read(&mut self.buf[old + filled..]) {
@@ -237,6 +261,26 @@ impl<R: io::Read> BlockLines<R> {
     }
 }
 
+/// The index of the first `\n` in `bytes`, eight bytes per step: a word's bytes that
+/// equal `\n` are the zero bytes of `word ^ 0x0a…0a`, and the lowest one is where the
+/// word's first borrow lands.
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
+    const NEWLINES: u64 = u64::from_ne_bytes([b'\n'; 8]);
+    let mut words = bytes.chunks_exact(8);
+    for (i, word) in words.by_ref().enumerate() {
+        let x = u64::from_le_bytes(word.try_into().expect("8-byte chunk")) ^ NEWLINES;
+        let zeros = x.wrapping_sub(ONES) & !x & HIGHS;
+        if zeros != 0 {
+            return Some(8 * i + zeros.trailing_zeros() as usize / 8);
+        }
+    }
+    let tail = words.remainder();
+    let at = tail.iter().position(|&b| b == b'\n')?;
+    Some(bytes.len() - tail.len() + at)
+}
+
 fn trim_cr(line: &[u8]) -> &[u8] {
     match line.last() {
         Some(b'\r') => &line[..line.len() - 1],
@@ -245,17 +289,44 @@ fn trim_cr(line: &[u8]) -> &[u8] {
 }
 
 // ---------------------------------------------------------------------------------------
-// Per-file shard piece parsing
+// Per-file piece parsing
 // ---------------------------------------------------------------------------------------
 
-/// One file's slice of a shard: records starting in `[start, end)` of `file` belong to
-/// this piece (the last record may extend past `end`).
+/// One file's slice of a byte range: records starting in `[start, end)` of `file` belong
+/// to this piece (the last record may extend past `end`). `base` is the file's offset in
+/// the concatenated input.
 #[derive(Debug, Clone)]
 struct Piece {
     path: PathBuf,
     format: SeqFormat,
+    base: u64,
     start: u64,
     end: u64,
+}
+
+/// The pieces of the concatenated input's byte range `range`: one per file it touches,
+/// in input order. Records never span files, and a record belongs to the piece that
+/// holds its first byte.
+fn pieces_of(files: &[InputFile], range: Range<u64>) -> Vec<Piece> {
+    let mut pieces = Vec::new();
+    let mut offset = 0u64;
+    for f in files {
+        let (file_start, file_end) = (offset, offset + f.bytes);
+        offset = file_end;
+        let lo = range.start.max(file_start);
+        let hi = range.end.min(file_end);
+        if lo >= hi {
+            continue;
+        }
+        pieces.push(Piece {
+            path: f.path.clone(),
+            format: f.format,
+            base: file_start,
+            start: lo - file_start,
+            end: hi - file_start,
+        });
+    }
+    pieces
 }
 
 /// Streaming parser over one [`Piece`].
@@ -267,15 +338,22 @@ struct PieceParser {
     pending: VecDeque<(u64, Vec<u8>)>,
     /// Reusable line buffer.
     line: Vec<u8>,
-    /// FASTA: header of the record currently being parsed.
-    fasta_header: Option<String>,
+    /// The header line of the record parsed last.
+    header: Vec<u8>,
+    /// FASTA: the header line of the next record, read at the end of the previous one,
+    /// while `has_next` says there is one.
+    next_header: Vec<u8>,
+    has_next: bool,
+    /// Where the parser stopped: the offset of the first line at or past `end` that it
+    /// looked at, or the end of the file.
+    reached: u64,
     done: bool,
 }
 
 impl PieceParser {
-    fn open(piece: &Piece, block: usize) -> io::Result<Self> {
+    fn open(piece: &Piece, block: usize, buf: Vec<u8>) -> io::Result<Self> {
         let mut file = File::open(&piece.path)?;
-        // Realign to a line boundary: seek one byte *before* the shard start so a
+        // Realign to a line boundary: seek one byte *before* the piece start so a
         // record beginning exactly at `start` is still seen as a line start (its
         // preceding byte is the `\n` the skipped partial line ends with).
         let seek = piece.start.saturating_sub(1);
@@ -283,12 +361,15 @@ impl PieceParser {
             file.seek(SeekFrom::Start(seek))?;
         }
         let mut parser = PieceParser {
-            lines: BlockLines::new(file, block, seek),
+            lines: BlockLines::new(file, block, seek).ending_at(piece.end, buf),
             format: piece.format,
             end: piece.end,
             pending: VecDeque::new(),
             line: Vec::new(),
-            fasta_header: None,
+            header: Vec::new(),
+            next_header: Vec::new(),
+            has_next: false,
+            reached: piece.end,
             done: false,
         };
         if piece.start > 0 {
@@ -296,7 +377,7 @@ impl PieceParser {
             // held the newline).
             let mut skip = Vec::new();
             if parser.lines.read_line_into(&mut skip)?.is_none() {
-                parser.done = true;
+                parser.stop_at_eof();
                 return Ok(parser);
             }
         }
@@ -305,6 +386,18 @@ impl PieceParser {
             SeqFormat::Fastq => parser.align_fastq()?,
         }
         Ok(parser)
+    }
+
+    /// The parser stops at a line that starts at `off`, at or past its end.
+    fn stop_at(&mut self, off: u64) {
+        self.done = true;
+        self.reached = self.reached.max(off);
+    }
+
+    /// The parser stops at the end of the file.
+    fn stop_at_eof(&mut self) {
+        let eof = self.lines.pos;
+        self.stop_at(eof);
     }
 
     fn next_line(&mut self) -> io::Result<Option<u64>> {
@@ -321,28 +414,23 @@ impl PieceParser {
     /// Scan forward to the first FASTA header owned by this piece.
     fn align_fasta(&mut self) -> io::Result<()> {
         loop {
-            match self.next_line()? {
-                None => {
-                    self.done = true;
-                    return Ok(());
-                }
-                Some(off) => {
-                    // Offsets only grow, so once a line starts at or past the piece
-                    // end no owned record can follow — stop instead of streaming the
-                    // rest of the file (a piece inside one huge record would
-                    // otherwise scan to EOF).
-                    if off >= self.end {
-                        self.done = true;
-                        return Ok(());
-                    }
-                    if self.line.first() == Some(&b'>') {
-                        self.fasta_header = Some(header_name(&self.line));
-                        return Ok(());
-                    }
-                    // Sequence (or blank) line of a record started in the previous
-                    // shard — skip.
-                }
+            let Some(off) = self.next_line()? else {
+                self.stop_at_eof();
+                return Ok(());
+            };
+            // Offsets only grow, so once a line starts at or past the piece end no
+            // owned record can follow — stop instead of streaming the rest of the file
+            // (a piece inside one huge record would otherwise scan to EOF).
+            if off >= self.end {
+                self.stop_at(off);
+                return Ok(());
             }
+            if self.line.first() == Some(&b'>') {
+                self.next_header.clone_from(&self.line);
+                self.has_next = true;
+                return Ok(());
+            }
+            // Sequence (or blank) line of a record started before the piece — skip.
         }
     }
 
@@ -356,7 +444,7 @@ impl PieceParser {
             while window.len() < 3 {
                 match self.next_line()? {
                     None => {
-                        self.done = true;
+                        self.stop_at_eof();
                         return Ok(());
                     }
                     Some(off) => window.push_back((off, self.line.clone())),
@@ -365,7 +453,7 @@ impl PieceParser {
             // Same early exit as the FASTA alignment: a candidate at or past the
             // piece end cannot be owned, and offsets only grow.
             if window[0].0 >= self.end {
-                self.done = true;
+                self.stop_at(window[0].0);
                 return Ok(());
             }
             let is_record_start =
@@ -379,9 +467,9 @@ impl PieceParser {
         }
     }
 
-    /// Parse the next record into `out` (0 or more fragments after ambiguous-base
-    /// splitting). Returns `false` once the piece is exhausted.
-    fn next_record(&mut self, out: &mut Vec<Read>, min_fragment: usize) -> io::Result<bool> {
+    /// Parse the next record's fragments (0 or more after ambiguous-base splitting)
+    /// into `out`. Returns `false` once the piece is exhausted.
+    fn next_record(&mut self, out: &mut Fragments, min_fragment: usize) -> io::Result<bool> {
         if self.done {
             return Ok(false);
         }
@@ -391,52 +479,51 @@ impl PieceParser {
         }
     }
 
-    fn next_fasta_record(&mut self, out: &mut Vec<Read>, min_fragment: usize) -> io::Result<bool> {
-        let Some(name) = self.fasta_header.take() else {
+    fn next_fasta_record(&mut self, out: &mut Fragments, min_fragment: usize) -> io::Result<bool> {
+        if !self.has_next {
             self.done = true;
             return Ok(false);
-        };
-        let mut splitter = FragmentSplitter::new(&name, min_fragment);
-        loop {
-            match self.next_line()? {
-                None => {
-                    self.done = true;
-                    break;
-                }
-                Some(off) => {
-                    if self.line.first() == Some(&b'>') {
-                        if off >= self.end {
-                            self.done = true;
-                        } else {
-                            self.fasta_header = Some(header_name(&self.line));
-                        }
-                        break;
-                    }
-                    splitter.push_ascii(&self.line);
-                }
-            }
         }
-        splitter.finish(out);
+        std::mem::swap(&mut self.header, &mut self.next_header);
+        self.has_next = false;
+        let mut splitter = FragmentSplitter::new(out, min_fragment);
+        loop {
+            let Some(off) = self.next_line()? else {
+                self.stop_at_eof();
+                break;
+            };
+            if self.line.first() == Some(&b'>') {
+                if off >= self.end {
+                    self.stop_at(off);
+                } else {
+                    self.next_header.clone_from(&self.line);
+                    self.has_next = true;
+                }
+                break;
+            }
+            splitter.push_ascii(&self.line);
+        }
+        splitter.finish();
         Ok(true)
     }
 
-    fn next_fastq_record(&mut self, out: &mut Vec<Read>, min_fragment: usize) -> io::Result<bool> {
+    fn next_fastq_record(&mut self, out: &mut Fragments, min_fragment: usize) -> io::Result<bool> {
         let Some(off) = self.next_line()? else {
-            self.done = true;
+            self.stop_at_eof();
             return Ok(false);
         };
         if off >= self.end {
-            self.done = true;
+            self.stop_at(off);
             return Ok(false);
         }
         if self.line.first() != Some(&b'@') {
             return Err(malformed("expected '@' record header", off));
         }
-        let name = header_name(&self.line);
+        self.header.clone_from(&self.line);
         let seq_off = self
             .next_line()?
             .ok_or_else(|| malformed("truncated record: missing sequence", off))?;
-        let mut splitter = FragmentSplitter::new(&name, min_fragment);
+        let mut splitter = FragmentSplitter::new(out, min_fragment);
         splitter.push_ascii(&self.line);
         let seq_len: usize = splitter.pushed_bases;
         let plus_off = self
@@ -458,13 +545,13 @@ impl PieceParser {
                 qual_off,
             ));
         }
-        splitter.finish(out);
+        splitter.finish();
         Ok(true)
     }
 }
 
 /// A malformed record at byte `offset` of the piece's file. The message does not name
-/// the file: [`ShardReader::path`] does.
+/// the file: [`RangeReader::path`] does.
 fn malformed(what: &str, offset: u64) -> io::Error {
     io::Error::new(
         io::ErrorKind::InvalidData,
@@ -477,25 +564,77 @@ fn header_name(line: &[u8]) -> String {
     String::from_utf8_lossy(&line[1..]).trim().to_string()
 }
 
-/// Accumulates sequence characters, cutting a new fragment at every run of
-/// non-`ACGT` characters.
+/// Packed fragments, appended record after record, in one reusable list: clearing it
+/// keeps every fragment's allocation for the next fill.
+#[derive(Debug, Default)]
+pub struct Fragments {
+    /// `seqs[..len]` are the fragments; `seqs[len]`, when it exists, is the one being
+    /// filled.
+    seqs: Vec<DnaSeq>,
+    len: usize,
+}
+
+impl Fragments {
+    /// Drop every fragment, keeping the allocations.
+    pub fn clear(&mut self) {
+        self.len = 0;
+        if let Some(open) = self.seqs.first_mut() {
+            open.clear();
+        }
+    }
+
+    /// The fragments, in input order.
+    pub fn as_slice(&self) -> &[DnaSeq] {
+        &self.seqs[..self.len]
+    }
+
+    /// Number of fragments.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the list holds no fragment.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The fragment being filled.
+    fn open(&mut self) -> &mut DnaSeq {
+        if self.seqs.len() == self.len {
+            self.seqs.push(DnaSeq::new());
+        }
+        &mut self.seqs[self.len]
+    }
+
+    /// End the fragment being filled: keep it when it holds at least `min` bases.
+    fn cut(&mut self, min: usize) {
+        let open = self.open();
+        if open.len() >= min {
+            self.len += 1;
+            if let Some(next) = self.seqs.get_mut(self.len) {
+                next.clear();
+            }
+        } else {
+            open.clear();
+        }
+    }
+}
+
+/// Accumulates one record's sequence characters into a [`Fragments`] list, cutting a new
+/// fragment at every run of non-`ACGT` characters.
 struct FragmentSplitter<'a> {
-    name: &'a str,
+    out: &'a mut Fragments,
     min_fragment: usize,
-    current: DnaSeq,
-    fragments: Vec<DnaSeq>,
     /// Total ASCII bases pushed (including ambiguous ones) — the FASTQ parser checks
     /// the quality line against this.
     pushed_bases: usize,
 }
 
 impl<'a> FragmentSplitter<'a> {
-    fn new(name: &'a str, min_fragment: usize) -> Self {
+    fn new(out: &'a mut Fragments, min_fragment: usize) -> Self {
         FragmentSplitter {
-            name,
+            out,
             min_fragment: min_fragment.max(1),
-            current: DnaSeq::new(),
-            fragments: Vec::new(),
             pushed_bases: 0,
         }
     }
@@ -510,57 +649,141 @@ impl<'a> FragmentSplitter<'a> {
         loop {
             let clean = crate::simd::first_non_acgt(rest);
             if clean > 0 {
-                self.current.extend_from_ascii(&rest[..clean]);
+                self.out.open().extend_from_ascii(&rest[..clean]);
             }
             if clean == rest.len() {
                 break;
             }
-            self.cut();
+            self.out.cut(self.min_fragment);
             rest = &rest[clean + 1..];
         }
     }
 
-    fn cut(&mut self) {
-        if self.current.len() >= self.min_fragment {
-            self.fragments.push(std::mem::take(&mut self.current));
-        } else if !self.current.is_empty() {
-            self.current = DnaSeq::new();
-        }
-    }
-
-    fn finish(mut self, out: &mut Vec<Read>) {
-        self.cut();
-        for seq in self.fragments {
-            out.push(Read {
-                id: 0, // assigned by the consumer
-                name: self.name.to_string(),
-                seq,
-            });
-        }
+    fn finish(self) {
+        self.out.cut(self.min_fragment);
     }
 }
 
 // ---------------------------------------------------------------------------------------
-// The rank-sharded reader
+// Range and shard readers
 // ---------------------------------------------------------------------------------------
 
-/// Streams one rank's shard of a multi-file input as batches of packed [`Read`]s.
+/// Reads the records whose first byte lies in one byte range of a multi-file input (the
+/// concatenation of the files, in order), record by record, as packed fragments.
 ///
-/// The shard is the rank's byte range of the concatenated input (see
-/// [`shard_byte_ranges`]), realigned to record starts per file; records never span
-/// files. `next_batch` yields at most [`IngestOptions::batch_records`] reads at a
-/// time (plus the final record's extra fragments, if it split at ambiguous bases),
-/// so peak ingestion memory is one block buffer plus one batch of packed reads.
-pub struct ShardReader {
+/// Files are opened one at a time, as the range reaches them, and read in blocks of
+/// [`IngestOptions::block_bytes`] through one buffer, which the caller may hand in and
+/// take back to reuse across ranges. A record that starts in the range is read to its
+/// end, past the range if it must; records that start before it are skipped by the same
+/// realignment that splits an input across ranks.
+pub struct RangeReader {
     pieces: Vec<Piece>,
     next_piece: usize,
     current: Option<PieceParser>,
-    opts: IngestOptions,
+    block_bytes: usize,
+    min_fragment: usize,
+    /// The block buffer while no piece is open.
+    buf: Vec<u8>,
+    /// Furthest offset of the input the finished pieces stopped at.
+    reached: u64,
     /// Largest block-buffer capacity observed across pieces (test/diagnostic hook).
     peak_buffer: usize,
     /// Furthest any piece scanned past its byte range (test/diagnostic hook) —
     /// bounded by the piece's final owned record, not by the file tail.
     scan_past_end: u64,
+}
+
+impl RangeReader {
+    /// A reader of the records of `files` that start in `range`, reading through `buf`
+    /// (its contents are discarded; its allocation is reused).
+    pub fn new(files: &[InputFile], range: Range<u64>, opts: &IngestOptions, buf: Vec<u8>) -> Self {
+        RangeReader {
+            reached: range.end,
+            pieces: pieces_of(files, range),
+            next_piece: 0,
+            current: None,
+            block_bytes: opts.block_bytes,
+            min_fragment: opts.min_fragment,
+            buf,
+            peak_buffer: 0,
+            scan_past_end: 0,
+        }
+    }
+
+    /// Append the next record's fragments to `out` — none when the record is shorter
+    /// than [`IngestOptions::min_fragment`] between its ambiguous bases. Returns `false`
+    /// once the range is exhausted.
+    ///
+    /// An error ends the range: the caller reports it ([`RangeReader::path`] names the
+    /// file) and asks for no further record. An interrupted read (`EINTR`) is no error;
+    /// the block reader retries it in place.
+    pub fn next_record(&mut self, out: &mut Fragments) -> io::Result<bool> {
+        loop {
+            if self.current.is_none() {
+                let Some(piece) = self.pieces.get(self.next_piece) else {
+                    return Ok(false);
+                };
+                self.next_piece += 1;
+                let buf = std::mem::take(&mut self.buf);
+                self.current = Some(PieceParser::open(piece, self.block_bytes, buf)?);
+            }
+            let parser = self.current.as_mut().expect("parser just installed");
+            if parser.next_record(out, self.min_fragment)? {
+                return Ok(true);
+            }
+            let parser = self.current.take().expect("parser just used");
+            let base = self.pieces[self.next_piece - 1].base;
+            self.reached = self.reached.max(base + parser.reached);
+            self.peak_buffer = self.peak_buffer.max(parser.lines.buffer_capacity());
+            self.scan_past_end = self
+                .scan_past_end
+                .max(parser.lines.pos.saturating_sub(parser.end));
+            self.buf = parser.lines.buf;
+        }
+    }
+
+    /// The file of the piece being read — after an error from
+    /// [`next_record`](Self::next_record), the file that failed. `None` before the
+    /// first piece is opened.
+    pub fn path(&self) -> Option<&Path> {
+        let piece = self.pieces.get(self.next_piece.checked_sub(1)?)?;
+        Some(&piece.path)
+    }
+
+    /// Once [`next_record`](Self::next_record) has returned `false`: the offset of the
+    /// input where reading stopped, at or past the range's end — the end of the last
+    /// record read, or further when the range ends inside a record that started before
+    /// it. No record starts between the range's end and this offset.
+    pub fn reached(&self) -> u64 {
+        self.reached
+    }
+
+    /// The block buffer, for the next reader to reuse.
+    pub fn into_buffer(self) -> Vec<u8> {
+        match self.current {
+            Some(parser) => parser.lines.buf,
+            None => self.buf,
+        }
+    }
+
+    /// The name of the record read last.
+    fn record_name(&self) -> String {
+        let parser = self.current.as_ref().expect("a record was just read");
+        header_name(&parser.header)
+    }
+}
+
+/// Streams one rank's shard of a multi-file input as batches of packed [`Read`]s.
+///
+/// The shard is the rank's byte range of the concatenated input (see
+/// [`shard_byte_ranges`]), read by a [`RangeReader`]. `next_batch` yields at most
+/// [`IngestOptions::batch_records`] reads at a time (plus the final record's extra
+/// fragments, if it split at ambiguous bases), so peak ingestion memory is one block
+/// buffer plus one batch of packed reads.
+pub struct ShardReader {
+    reader: RangeReader,
+    batch_records: usize,
+    fragments: Fragments,
 }
 
 impl ShardReader {
@@ -574,31 +797,10 @@ impl ShardReader {
         assert!(rank < ranks, "rank {rank} out of range for {ranks} ranks");
         let total: u64 = files.iter().map(|f| f.bytes).sum();
         let (start, end) = shard_byte_ranges(total, ranks)[rank];
-        let mut pieces = Vec::new();
-        let mut offset = 0u64;
-        for f in files {
-            let file_start = offset;
-            let file_end = offset + f.bytes;
-            offset = file_end;
-            let lo = start.max(file_start);
-            let hi = end.min(file_end);
-            if lo >= hi {
-                continue;
-            }
-            pieces.push(Piece {
-                path: f.path.clone(),
-                format: f.format,
-                start: lo - file_start,
-                end: hi - file_start,
-            });
-        }
         Ok(ShardReader {
-            pieces,
-            next_piece: 0,
-            current: None,
-            opts,
-            peak_buffer: 0,
-            scan_past_end: 0,
+            reader: RangeReader::new(files, start..end, &opts, Vec::new()),
+            batch_records: opts.batch_records,
+            fragments: Fragments::default(),
         })
     }
 
@@ -612,26 +814,23 @@ impl ShardReader {
     /// (`EINTR`) is no error; the block reader retries it in place.
     pub fn next_batch(&mut self) -> io::Result<Option<Vec<Read>>> {
         let mut batch = Vec::new();
-        let limit = self.opts.batch_records.max(1);
+        let limit = self.batch_records.max(1);
+        let mut exhausted = false;
         while batch.len() < limit {
-            if self.current.is_none() {
-                if self.next_piece >= self.pieces.len() {
-                    break;
-                }
-                let piece = self.pieces[self.next_piece].clone();
-                self.next_piece += 1;
-                self.current = Some(PieceParser::open(&piece, self.opts.block_bytes)?);
+            self.fragments.clear();
+            if !self.reader.next_record(&mut self.fragments)? {
+                exhausted = true;
+                break;
             }
-            let parser = self.current.as_mut().expect("parser just installed");
-            if !parser.next_record(&mut batch, self.opts.min_fragment)? {
-                self.peak_buffer = self.peak_buffer.max(parser.lines.buffer_capacity());
-                self.scan_past_end = self
-                    .scan_past_end
-                    .max(parser.lines.pos.saturating_sub(parser.end));
-                self.current = None;
-            }
+            let name = self.reader.record_name();
+            let fragments = &mut self.fragments.seqs[..self.fragments.len];
+            batch.extend(fragments.iter_mut().map(|seq| Read {
+                id: 0, // assigned by the consumer
+                name: name.clone(),
+                seq: std::mem::take(seq),
+            }));
         }
-        if batch.is_empty() && self.current.is_none() && self.next_piece >= self.pieces.len() {
+        if batch.is_empty() && exhausted {
             return Ok(None);
         }
         Ok(Some(batch))
@@ -641,8 +840,7 @@ impl ShardReader {
     /// [`next_batch`](Self::next_batch), the file that failed. `None` before the first
     /// piece is opened.
     pub fn path(&self) -> Option<&Path> {
-        let piece = self.pieces.get(self.next_piece.checked_sub(1)?)?;
-        Some(&piece.path)
+        self.reader.path()
     }
 
     /// Furthest any completed piece read past its assigned byte range. Bounded by the
@@ -650,19 +848,16 @@ impl ShardReader {
     /// plus one line of realignment look-ahead — never by the file tail: alignment
     /// stops as soon as line offsets reach the range end.
     pub fn max_scan_past_end(&self) -> u64 {
-        self.scan_past_end
+        self.reader.scan_past_end
     }
 
     /// Largest internal block-buffer capacity seen so far — bounded by twice
     /// `block_bytes + longest input line` (the carry grows by doubling), independent of
     /// file size.
     pub fn peak_buffer_bytes(&self) -> usize {
-        let current = self
-            .current
-            .as_ref()
-            .map(|p| p.lines.buffer_capacity())
-            .unwrap_or(0);
-        self.peak_buffer.max(current)
+        let current = (self.reader.current.as_ref())
+            .map_or(self.reader.buf.capacity(), |p| p.lines.buffer_capacity());
+        self.reader.peak_buffer.max(current)
     }
 }
 
@@ -1124,6 +1319,28 @@ mod tests {
         assert!(lines.iter().all(|line| !line.contains(&0)), "{lines:?}");
         // The buffer holds exactly the bytes read, so asking again loses none.
         assert_eq!(lines, clean);
+    }
+
+    /// The word-at-a-time newline search finds what a byte loop finds, at every
+    /// position and next to bytes one bit away from `\n`.
+    #[test]
+    fn the_newline_search_matches_a_byte_loop() {
+        for len in 0..40usize {
+            for at in 0..=len {
+                for filler in [b'A', b'\n' ^ 0x80, b'\n' ^ 0x01, 0xff, 0x0b] {
+                    let mut bytes = vec![filler; len];
+                    if at < len {
+                        bytes[at] = b'\n';
+                    }
+                    let want = bytes.iter().position(|&b| b == b'\n');
+                    assert_eq!(
+                        find_newline(&bytes),
+                        want,
+                        "len {len} at {at} filler {filler}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Packed DNA sequences (reads) and rolling k-mer extraction.
 
-use crate::base::{complement_code, decode_base, encode_base};
+use crate::base::{complement_code, decode_base};
 use crate::kmer::KmerCode;
 
 /// A DNA sequence packed 2 bits per base.
@@ -47,14 +47,15 @@ impl DnaSeq {
     fn from_ascii_scalar(seq: &[u8]) -> Self {
         let mut s = Self::with_capacity(seq.len());
         for &c in seq {
-            s.push_code(encode_base(c));
+            s.push_code(crate::base::encode_base(c));
         }
         s
     }
 
-    /// Append ASCII bases (unknown characters become `A`), 32 at a time: each full
-    /// chunk is packed to one word by the active SIMD kernel and spliced in with two
-    /// shifts, so appending is O(len/32) word operations at any alignment.
+    /// Append ASCII bases (unknown characters become `A`), 32 at a time: each chunk is
+    /// packed to one word by the active SIMD kernel — the last one padded with `A`s,
+    /// whose code is 0 — and spliced in with two shifts, so appending is O(len/32) word
+    /// operations at any alignment.
     pub fn extend_from_ascii(&mut self, seq: &[u8]) {
         self.words.reserve((self.len % 32 + seq.len()).div_ceil(32));
         let mut chunks = seq.chunks_exact(32);
@@ -62,8 +63,11 @@ impl DnaSeq {
             let block: &[u8; 32] = chunk.try_into().expect("exact 32-byte chunk");
             self.append_codes_word(crate::simd::pack_block32(block), 32);
         }
-        for &c in chunks.remainder() {
-            self.push_code(encode_base(c));
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut block = [b'A'; 32];
+            block[..rest.len()].copy_from_slice(rest);
+            self.append_codes_word(crate::simd::pack_block32(&block), rest.len());
         }
     }
 
@@ -95,6 +99,12 @@ impl DnaSeq {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Remove every base, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.words.clear();
+        self.len = 0;
     }
 
     /// Append one 2-bit base code.
@@ -143,40 +153,49 @@ impl DnaSeq {
         DnaSeq { words, len }
     }
 
-    /// Append the wire encoding of bases `start..start + len` to `out`: 4 bases per
-    /// byte, base `j` of the range at bits `2*(j % 4)` of byte `j / 4` — the layout the
-    /// exchange stage ships. Bytes are produced 8 at a time (32 bases per shift/OR);
-    /// stray high bits of the final byte are zeroed.
+    /// Append the wire encoding of bases `start..start + len` to `out`
+    /// ([`DnaSeq::write_packed_range`]).
     pub fn append_packed_range(&self, start: usize, len: usize, out: &mut Vec<u8>) {
+        let at = out.len();
+        out.resize(at + len.div_ceil(4), 0);
+        self.write_packed_range(start, len, &mut out[at..]);
+    }
+
+    /// Write the wire encoding of bases `start..start + len` to the first
+    /// `len.div_ceil(4)` bytes of `out`: 4 bases per byte, base `j` of the range at bits
+    /// `2*(j % 4)` of byte `j / 4` — the layout the exchange stage ships. Each output
+    /// word of 32 bases is two shifted source words; a long range goes 16 words at a
+    /// time through the SIMD word shifter ([`crate::simd::shift_word_stream`]). Stray
+    /// high bits of the final byte are zeroed.
+    #[inline]
+    pub fn write_packed_range(&self, start: usize, len: usize, out: &mut [u8]) {
         assert!(start + len <= self.len, "subrange out of bounds");
-        if len == 0 {
-            return;
-        }
         let nbytes = len.div_ceil(4);
-        out.reserve(nbytes);
         let shift = (2 * (start % 32)) as u32;
         let words = &self.words[start / 32..];
-        let nwords = nbytes.div_ceil(8);
-        // Batch the shifted word stream through a stack buffer: AVX2 produces four
-        // words (128 bases) per iteration inside `shift_word_stream`.
-        let mut buf = [0u64; 16];
-        let mut produced = 0usize;
-        let mut w0 = 0usize;
-        while w0 < nwords {
-            let take = (nwords - w0).min(buf.len());
-            crate::simd::shift_word_stream(&words[w0..], shift, &mut buf[..take]);
-            for word in &buf[..take] {
-                let bytes = word.to_le_bytes();
-                let emit = (nbytes - produced).min(8);
-                out.extend_from_slice(&bytes[..emit]);
-                produced += emit;
+        let (mut rest, mut w) = (&mut out[..nbytes], 0);
+        const BATCH: usize = 16;
+        while rest.len() >= 8 * BATCH {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(8 * BATCH);
+            let mut batch = [0u64; BATCH];
+            crate::simd::shift_word_stream(&words[w..], shift, &mut batch);
+            for (bytes, word) in head.chunks_exact_mut(8).zip(batch) {
+                bytes.copy_from_slice(&word.to_le_bytes());
             }
-            w0 += take;
+            rest = tail;
+            w += BATCH;
+        }
+        for bytes in rest.chunks_mut(8) {
+            let word = match words.get(w + 1) {
+                Some(high) if shift > 0 => (words[w] >> shift) | (high << (64 - shift)),
+                _ => words[w] >> shift,
+            };
+            bytes.copy_from_slice(&word.to_le_bytes()[..bytes.len()]);
+            w += 1;
         }
         let stray = len % 4;
         if stray != 0 {
-            let last = out.last_mut().expect("len > 0 implies a byte");
-            *last &= (1u8 << (2 * stray)) - 1;
+            out[nbytes - 1] &= (1u8 << (2 * stray)) - 1;
         }
     }
 
@@ -266,6 +285,7 @@ impl<K: KmerCode> Iterator for KmerIter<'_, K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::base::encode_base;
     use crate::kmer::Kmer1;
 
     #[test]
@@ -350,6 +370,29 @@ mod tests {
                 for i in start..start + len {
                     slow.push_code(seq.get_code(i));
                 }
+                assert_eq!(fast, slow, "start={start} len={len}");
+            }
+        }
+    }
+
+    /// Ranges long enough for the batched word shifter, at every start alignment, and
+    /// the slice writer leaves the bytes past the range alone.
+    #[test]
+    fn write_packed_range_matches_per_base_packing_on_long_ranges() {
+        let seq = patterned(2_000);
+        for start in [0, 1, 2, 31, 32, 33, 100] {
+            for len in [511usize, 512, 513, 640, 1_025, 1_899] {
+                let mut fast = vec![0xAAu8; len.div_ceil(4) + 3];
+                seq.write_packed_range(start, len, &mut fast);
+                let mut slow: Vec<u8> = (0..len.div_ceil(4))
+                    .map(|byte| {
+                        (0..4)
+                            .filter(|j| 4 * byte + j < len)
+                            .map(|j| seq.get_code(start + 4 * byte + j) << (2 * j))
+                            .sum()
+                    })
+                    .collect();
+                slow.extend([0xAA; 3]);
                 assert_eq!(fast, slow, "start={start} len={len}");
             }
         }

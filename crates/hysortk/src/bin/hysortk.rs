@@ -50,7 +50,7 @@ options:
   --min-count <n>    lowest multiplicity kept in the output (default 2)
   --max-count <n>    highest multiplicity kept in the output (default 50)
   --batch-size <n>   records per destination per exchange round (default 80000)
-  --block-bytes <n>  ingestion block size in bytes (default 1 MiB)
+  --block-bytes <n>  bytes per thread per ingestion window (default 1 MiB)
   --no-overlap       bulk-synchronous ablation: the same round loop on one
                      unbounded round (serialize all, exchange, then count)
   --backend <b>      how ranks run: `thread` (in-process simulation, default) or

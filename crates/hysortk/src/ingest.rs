@@ -4,15 +4,16 @@
 //! [`count_kmers`](crate::count_kmers) on a file source: the only difference is how
 //! stage 1 is fed. Instead of slicing a complete in-memory
 //! [`ReadSet`](hysortk_dna::ReadSet), every simulated rank opens its own
-//! byte shard of the input (see [`hysortk_dna::io::ShardReader`]) and streams it in
-//! fixed-size blocks, running stage 1 **as the batches come in** on the rank's worker
-//! pool — once the ingested batches hold about a mebibase (`PARSE_CALL_BASES`), so a
-//! parse call has the same size however small the batches are; the parse scratches
-//! persist across calls ([`Stage1Parser`](crate::pipeline)). Nothing of a batch outlives
-//! its parse: every supermer is written in wire form into its task's body while its read
-//! is hot, the batch's packed reads are dropped when the parse returns, and the ASCII
-//! text is never held beyond one block per rank. What a rank holds when stage 1 ends is
-//! its tasks' bodies ([`RunReport::staged_bytes`](crate::RunReport::staged_bytes)).
+//! byte shard of the input ([`shard_byte_ranges`]) and walks it in **windows** of
+//! `threads ×` [`IngestOptions::block_bytes`] bytes, at least a mebibyte. Each window is cut into one piece
+//! per pool thread by the rule that splits the input across ranks — a record belongs to
+//! the piece that holds its first byte — and every thread reads its piece through its
+//! own block buffer ([`RangeReader`](hysortk_dna::io::RangeReader)), packs each fragment
+//! into its own reused scratch and extracts its supermers while the read is hot; the
+//! window's supermers are then written once, in wire form, straight into the tasks'
+//! bodies ([`Stage1Parser`](crate::pipeline)). No read outlives its window, and the ASCII
+//! text is never held beyond one block per thread. What a rank holds when stage 1 ends
+//! is its tasks' bodies ([`RunReport::staged_bytes`](crate::RunReport::staged_bytes)).
 //!
 //! The two sources produce **identical counts and histograms** on clean
 //! (`ACGT`-only) inputs — everything past stage 1's feed is the same code — which the
@@ -22,9 +23,10 @@
 //! [`fasta`](hysortk_dna::fasta) reference parser keeps its historical map-to-`A`
 //! policy instead.
 //!
-//! Extension (provenance) read ids are rank-striped (`local_index × ranks + rank`)
-//! rather than globally dense: dense ids would need a prefix scan over all shards
-//! before any rank could start parsing. Counts are unaffected.
+//! Extension (provenance) read ids are rank-striped (`local_index × ranks + rank`, the
+//! local index counting the rank's fragments in input order) rather than globally
+//! dense: dense ids would need a prefix scan over all shards before any rank could start
+//! parsing. Counts are unaffected.
 //!
 //! # Failure behavior
 //!
@@ -47,20 +49,16 @@
 //! counts are byte-identical to a fault-free run; `RunReport::recoveries` records how
 //! many respawns it took.
 
-use std::io;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
 
 use hysortk_dmem::{FaultPlan, RankCtx};
-use hysortk_dna::io::{list_inputs, IngestOptions, InputFile, ShardReader};
+use hysortk_dna::io::{list_inputs, shard_byte_ranges, IngestOptions, InputFile};
 use hysortk_dna::kmer::KmerCode;
-use hysortk_dna::readset::Read;
-use hysortk_trace as trace;
 
 use crate::config::HySortKConfig;
 use crate::error::HysortkError;
-use crate::pipeline::{run, Input, RankCounters, Stage1Parser, PARSE_CALL_BASES};
+use crate::pipeline::{run, Input, Piece, RankCounters, Stage1Parser, PARSE_CALL_BASES};
 use crate::result::CountResult;
 
 /// Count the canonical k-mers of one or more FASTA/FASTQ files with the full HySortK
@@ -68,7 +66,7 @@ use crate::result::CountResult;
 ///
 /// Formats are detected per file (extension, falling back to the first byte), so FASTA
 /// and FASTQ files can be mixed freely in one run. See [`count_kmers_from_files_with`]
-/// to tune the ingestion block and batch sizes.
+/// to tune the ingestion block size.
 pub fn count_kmers_from_files<K: KmerCode, P: AsRef<Path>>(
     paths: &[P],
     cfg: &HySortKConfig,
@@ -79,8 +77,9 @@ pub fn count_kmers_from_files<K: KmerCode, P: AsRef<Path>>(
 /// [`count_kmers_from_files`] with explicit [`IngestOptions`].
 ///
 /// `opts.min_fragment` is raised to `cfg.k`: a fragment shorter than k contains no
-/// k-mer, so dropping it cannot change the counts and keeps the batches lean on
-/// `N`-rich inputs.
+/// k-mer, so dropping it cannot change the counts and keeps the windows lean on
+/// `N`-rich inputs. `opts.batch_records` shapes only the batches of
+/// [`ShardReader`](hysortk_dna::io::ShardReader), which this path does not read.
 pub fn count_kmers_from_files_with<K: KmerCode, P: AsRef<Path>>(
     paths: &[P],
     cfg: &HySortKConfig,
@@ -123,102 +122,59 @@ fn list_files<P: AsRef<Path>>(paths: &[P]) -> Result<Vec<InputFile>, HysortkErro
     Ok(files)
 }
 
-/// Stage 1 of one file-fed rank: stream its shard batch by batch, read ids assigned,
-/// and parse the reads into `parser`'s staging — once their batches hold about
-/// [`PARSE_CALL_BASES`], so that however small the batches, a parse call stages that
-/// many — then drop them. Returns the error that stopped the ingest, if one did; what was
-/// ingested until then is staged. `opts.min_fragment` is raised to `cfg.k`: a fragment
-/// shorter than k holds no k-mer.
+/// Bytes of a rank's shard one stage-1 window covers on a pool of `threads`: a block
+/// per thread, and at least [`PARSE_CALL_BASES`] — what an in-memory window holds —
+/// because a window costs two pool calls and a layout whatever its size, and adds an
+/// entry per section to every task body it stages for. A block smaller than that
+/// shortens the readers' refills, not the windows.
+pub(crate) fn window_bytes(threads: usize, block_bytes: usize) -> u64 {
+    threads.saturating_mul(block_bytes).max(PARSE_CALL_BASES) as u64
+}
+
+/// Stage 1 of one file-fed rank: walk its shard (its byte range of the concatenated
+/// input, [`shard_byte_ranges`]) in windows of `window` bytes ([`window_bytes`]), each
+/// cut into one [`Piece`] per pool thread, and stage them ([`Stage1Parser::window`]). A
+/// window that ends inside a record ends where its reader stopped, so the next one
+/// starts past the record instead of re-reading it. Returns the error that stopped the
+/// ingest, if one did; the windows before it are staged. `opts.min_fragment` is raised
+/// to `cfg.k`: a fragment shorter than k holds no k-mer.
 pub(crate) fn ingest_shard(
     ctx: &RankCtx,
     files: &[InputFile],
     cfg: &HySortKConfig,
     opts: &IngestOptions,
+    window: u64,
     parser: &mut Stage1Parser<'_>,
     counters: &mut RankCounters,
 ) -> Result<(), HysortkError> {
-    let (rank, p) = (ctx.rank(), ctx.size());
-    // Named by the file the shard was reading: opening a shard reads nothing, and every
-    // read error comes from a piece of one file.
-    let io_error = |path: Option<&Path>, source: io::Error| HysortkError::Io {
-        path: path.map(|p| p.display().to_string()).unwrap_or_default(),
-        rank,
-        source,
-    };
     let opts = IngestOptions {
         min_fragment: opts.min_fragment.max(cfg.k),
         ..opts.clone()
     };
-    let mut shard = ShardReader::open(files, rank, p, opts).map_err(|e| io_error(None, e))?;
-    let mut parse = |reads: &mut Vec<Read>, counters: &mut RankCounters| {
-        let parse_start = Instant::now();
-        let _parse_span = trace::span!(
-            "parse-batch",
-            trace::Detail::Round,
-            rank,
-            reads = reads.len(),
-        );
-        parser.parse(reads, counters);
-        // Nothing of a batch outlives its parse; freeing it is part of the parse bucket.
-        reads.clear();
-        counters.wall.parse += parse_start.elapsed().as_secs_f64();
-    };
-    // Reads ingested so far: the next batch's first local index. Of them, the ones not
-    // parsed yet, and their bases.
-    let mut base = 0u64;
-    let (mut pending, mut pending_bases) = (Vec::new(), 0usize);
-    let ingested = loop {
-        let read_start = Instant::now();
-        let next = {
-            let _span = trace::span!("shard-read", trace::Detail::Round, rank);
-            shard.next_batch()
-        };
-        counters.wall.ingest += read_start.elapsed().as_secs_f64();
-        let mut batch = match next {
-            Ok(Some(batch)) => batch,
-            Ok(None) => break Ok(()),
-            Err(e) => break Err(io_error(shard.path(), e)),
-        };
-        if batch.is_empty() {
-            continue;
-        }
-        // Striping multiplies by the rank count, so the u32 id space exhausts at
-        // `u32::MAX / p` reads per shard — fail loudly instead of silently
-        // wrapping into colliding provenance ids.
-        let max_id = (base + batch.len() as u64 - 1) * p as u64 + rank as u64;
-        if max_id > u64::from(u32::MAX) {
-            break Err(io_error(
-                shard.path(),
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "shard exceeds {} reads, the striped u32 read-id space",
-                        u32::MAX / p as u32
-                    ),
-                ),
-            ));
-        }
-        for (i, read) in batch.iter_mut().enumerate() {
-            read.id = ((base + i as u64) * p as u64 + rank as u64) as u32;
-        }
-        base += batch.len() as u64;
-        pending_bases += batch.iter().map(Read::len).sum::<usize>();
-        pending.append(&mut batch);
-        if pending_bases >= PARSE_CALL_BASES {
-            parse(&mut pending, counters);
-            pending_bases = 0;
-        }
-    };
-    if !pending.is_empty() {
-        parse(&mut pending, counters);
+    let total: u64 = files.iter().map(|f| f.bytes).sum();
+    let (mut at, end) = shard_byte_ranges(total, ctx.size())[ctx.rank()];
+    let threads = parser.threads();
+    let window = window.max(1);
+    while at < end {
+        let stop = end.min(at + window);
+        let pieces = (shard_byte_ranges(stop - at, threads).into_iter())
+            .filter(|(lo, hi)| lo < hi)
+            .map(|(lo, hi)| Piece::File {
+                files,
+                opts: &opts,
+                range: at + lo..at + hi,
+            })
+            .collect();
+        at = parser.window(pieces, counters)?.max(stop);
     }
-    ingested
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::count_kmers;
+    use crate::pipeline::{SendSerializer, Stage1};
     use hysortk_dmem::Cluster;
     use hysortk_dna::kmer::Kmer1;
     use hysortk_dna::{fasta, ReadSet};
@@ -280,14 +236,56 @@ mod tests {
         assert_eq!(got.counts, expected.counts);
     }
 
+    /// Every task's block as the serializer writes it, after checking that the bytes
+    /// staged are the blocks' bodies.
+    fn blocks_of(stage1: Stage1, tasks: usize, cfg: &HySortKConfig) -> Vec<Vec<u8>> {
+        let staged = stage1.staged_bytes();
+        let mut ser = SendSerializer::<Kmer1>::new(stage1, &[], cfg);
+        let blocks: Vec<Vec<u8>> = (0..tasks)
+            .map(|t| {
+                let mut block = Vec::new();
+                ser.serialize_task(t, &mut block);
+                block
+            })
+            .collect();
+        // A block is its body between a 9-byte header and a 4-byte checksum.
+        let bodies: usize = blocks.iter().map(|b| b.len().saturating_sub(13)).sum();
+        assert_eq!(staged, bodies as u64);
+        blocks
+    }
+
+    /// What one rank stages from `files` on a pool `width` threads wide, reading
+    /// `block_bytes` per thread and window — below [`window_bytes`]' floor, so that a
+    /// small file crosses many window edges.
+    fn file_fed_blocks(
+        files: &[InputFile],
+        cfg: &HySortKConfig,
+        tasks: usize,
+        width: usize,
+        block_bytes: usize,
+    ) -> Vec<Vec<u8>> {
+        let opts = IngestOptions {
+            block_bytes,
+            ..IngestOptions::default()
+        };
+        let pool = WorkerPool::new(width, 1);
+        let fed = Cluster::new(1).run(|ctx| {
+            let mut parser = Stage1Parser::new(cfg, tasks, 1, &pool);
+            let mut counters = RankCounters::default();
+            let window = (width * block_bytes) as u64;
+            ingest_shard(ctx, files, cfg, &opts, window, &mut parser, &mut counters).unwrap();
+            parser.finish()
+        });
+        blocks_of(fed.results.into_iter().next().unwrap(), tasks, cfg)
+    }
+
     /// What stage 1 stages is a function of the reads alone: byte for byte the same at
-    /// every pool width, however the feed batches the reads, from a file or from
-    /// memory — and, block by block, what a sequential parse hands
+    /// every pool width, however the feed cuts the input into windows, from a file or
+    /// from memory — and, block by block, what a sequential parse hands
     /// [`SupermerBlockWriter`] (with extensions; without, the same bases behind
     /// one-byte headers).
     #[test]
     fn staged_bodies_do_not_depend_on_pool_width_batching_or_feed() {
-        use crate::pipeline::{SendSerializer, Stage1};
         use crate::wire::{read_blocks, PayloadView, SupermerBlockWriter};
         use hysortk_supermer::mmer::{MmerScorer, ScoreFunction};
         use hysortk_supermer::streaming::{for_each_supermer, SupermerScratch};
@@ -297,23 +295,6 @@ mod tests {
         let path = tmp_path("staged.fa");
         fasta::write_fasta_file(&path, &reads, 70).unwrap();
         let files = list_inputs(&[&path]).unwrap();
-
-        // Every task's block as the serializer writes it, and the bytes staged.
-        let blocks_of = |stage1: Stage1, cfg: &HySortKConfig| {
-            let staged = stage1.staged_bytes();
-            let mut ser = SendSerializer::<Kmer1>::new(stage1, &[], cfg);
-            let blocks: Vec<Vec<u8>> = (0..TASKS)
-                .map(|t| {
-                    let mut block = Vec::new();
-                    ser.serialize_task(t, &mut block);
-                    block
-                })
-                .collect();
-            // A block is its body between a 9-byte header and a 4-byte checksum.
-            let bodies: usize = blocks.iter().map(|b| b.len().saturating_sub(13)).sum();
-            assert_eq!(staged, bodies as u64);
-            blocks
-        };
 
         let mut cfg = small_cfg(1);
         let scorer = MmerScorer::new(cfg.m, ScoreFunction::Hash { seed: cfg.seed });
@@ -350,21 +331,9 @@ mod tests {
                 let pool = WorkerPool::new(width, 1);
                 let mut parser = Stage1Parser::new(&cfg, TASKS, 1, &pool);
                 parser.parse(reads.reads(), &mut RankCounters::default());
-                staged.push(blocks_of(parser.finish(), &cfg));
-                for batch_records in [5usize, 1_024] {
-                    let opts = IngestOptions {
-                        batch_records,
-                        min_fragment: cfg.k,
-                        ..IngestOptions::default()
-                    };
-                    let fed = Cluster::new(1).run(|ctx| {
-                        let mut parser = Stage1Parser::new(&cfg, TASKS, 1, &pool);
-                        let mut counters = RankCounters::default();
-                        ingest_shard(ctx, &files, &cfg, &opts, &mut parser, &mut counters).unwrap();
-                        parser.finish()
-                    });
-                    let fed = fed.results.into_iter().next().unwrap();
-                    staged.push(blocks_of(fed, &cfg));
+                staged.push(blocks_of(parser.finish(), TASKS, &cfg));
+                for block_bytes in [200usize, 1 << 20] {
+                    staged.push(file_fed_blocks(&files, &cfg, TASKS, width, block_bytes));
                 }
             }
             assert!(staged.iter().all(|blocks| blocks == &staged[0]));
@@ -387,6 +356,161 @@ mod tests {
                         assert_eq!(a.to_supermer(0).seq, b.to_supermer(0).seq);
                     }
                 }
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A FASTQ file whose every quality line starts with `@` — so every piece start
+    /// that lands on one must not take it for a header — and a wrapped FASTA file, both
+    /// with `N` runs that split reads into fragments, some shorter than k.
+    fn window_edge_files(seed: u64) -> [PathBuf; 2] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let genome: Vec<u8> = (0..1_200).map(|_| b"ACGT"[rng.gen_range(0..4)]).collect();
+        let read = |rng: &mut StdRng| {
+            let len = rng.gen_range(20..140);
+            let start = rng.gen_range(0..genome.len() - len);
+            let mut seq = genome[start..start + len].to_vec();
+            if rng.gen_bool(0.3) {
+                let at = rng.gen_range(0..len);
+                let run = rng.gen_range(1..4).min(len - at);
+                seq[at..at + run].fill(b'N');
+            }
+            String::from_utf8(seq).unwrap()
+        };
+        let mut fastq = String::new();
+        for i in 0..60 {
+            let seq = read(&mut rng);
+            let quality = format!("@{}", "I".repeat(seq.len() - 1));
+            fastq.push_str(&format!("@q{i} x\n{seq}\n+\n{quality}\n"));
+        }
+        let mut fasta = String::new();
+        for i in 0..40 {
+            fasta.push_str(&format!(">f{i}\n"));
+            for line in read(&mut rng).as_bytes().chunks(13) {
+                fasta.push_str(std::str::from_utf8(line).unwrap());
+                fasta.push('\n');
+            }
+        }
+        let paths = [
+            tmp_path(&format!("edges{seed}.fq")),
+            tmp_path(&format!("edges{seed}.fa")),
+        ];
+        std::fs::write(&paths[0], fastq).unwrap();
+        std::fs::write(&paths[1], fasta).unwrap();
+        paths
+    }
+
+    /// Window and piece edges move nothing. At blocks of 64 and 97 bytes, records
+    /// straddle every kind of edge; at 1 MiB one window spans both files. At every pool
+    /// width the staged blocks equal the in-memory parse of what `read_paths` reads —
+    /// the fragments in input order, with dense ids, which extension runs carry — and the
+    /// counts at 1 and 3 ranks equal the oracle's over those fragments.
+    #[test]
+    fn window_and_piece_edges_change_no_staged_byte_and_no_count() {
+        use hysortk_dna::io::read_paths;
+
+        const TASKS: usize = 6;
+        let paths = window_edge_files(41);
+        let files = list_inputs(&paths).unwrap();
+        let mut cfg = HySortKConfig::small(15, 7, 1);
+        cfg.min_count = 1;
+        cfg.max_count = 1_000_000;
+        let opts = IngestOptions {
+            min_fragment: cfg.k,
+            ..IngestOptions::default()
+        };
+        let fragments = read_paths(&paths, opts).unwrap();
+        assert!(fragments.len() > 100, "{} fragments", fragments.len());
+        let expected = crate::reference_counts_bounded::<Kmer1>(&fragments, cfg.k, 1, 1_000_000);
+        for with_extension in [false, true] {
+            cfg.with_extension = with_extension;
+            let pool = WorkerPool::new(1, 1);
+            let mut parser = Stage1Parser::new(&cfg, TASKS, 1, &pool);
+            parser.parse(fragments.reads(), &mut RankCounters::default());
+            let in_memory = blocks_of(parser.finish(), TASKS, &cfg);
+            for block_bytes in [64usize, 97, 1 << 20] {
+                for width in [1usize, 2, 3] {
+                    let got = file_fed_blocks(&files, &cfg, TASKS, width, block_bytes);
+                    let context = format!("ext={with_extension} block={block_bytes} width={width}");
+                    assert!(got == in_memory, "{context}");
+                    for ranks in [1usize, 3] {
+                        let mut cfg = HySortKConfig::small_with_threads(15, 7, ranks, width);
+                        cfg.min_count = 1;
+                        cfg.max_count = 1_000_000;
+                        cfg.with_extension = with_extension;
+                        let opts = IngestOptions {
+                            block_bytes,
+                            ..IngestOptions::default()
+                        };
+                        let got = count_kmers_from_files_with::<Kmer1, _>(&paths, &cfg, opts);
+                        assert_eq!(got.unwrap().counts, expected, "{context} ranks={ranks}");
+                    }
+                }
+            }
+        }
+        paths.iter().for_each(|p| drop(std::fs::remove_file(p)));
+    }
+
+    /// A malformed record in the second piece of a window ends the run with exit 3 and
+    /// the file's name, on one rank and on four, at pool widths 2 and 3 — and no rank
+    /// waits for another forever.
+    #[test]
+    fn a_malformed_record_in_a_windows_second_piece_fails_by_name_without_deadlock() {
+        use hysortk_dna::io::shard_byte_ranges;
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let mut clean = String::new();
+        for i in 0..40 {
+            clean.push_str(&format!(
+                "@r{i}\n{}\n+\n{}\n",
+                "ACGTTGCA".repeat(4),
+                "I".repeat(32)
+            ));
+        }
+        let path = tmp_path("second_piece.fq");
+        for ranks in [1usize, 4] {
+            // The record in the middle of the last shard gets a quality line one short.
+            let (lo, hi) = *shard_byte_ranges(clean.len() as u64, ranks).last().unwrap();
+            let (bad, _) = (clean.match_indices('@'))
+                .find(|&(at, _)| at as u64 >= (lo + hi) / 2)
+                .unwrap();
+            let mut text = clean.clone();
+            text.replace_range(
+                bad..,
+                &clean[bad..].replacen(&"I".repeat(32), &"I".repeat(31), 1),
+            );
+            std::fs::write(&path, &text).unwrap();
+            // The rank's first window starts at its shard: find a block size that puts
+            // the record in the window's second piece.
+            for width in [2usize, 3] {
+                let block_bytes = (1..=hi - lo).find(|&block| {
+                    let window = (hi - lo).min(window_bytes(width, block as usize));
+                    let (start, end) = shard_byte_ranges(window, width)[1];
+                    (lo + start..lo + end).contains(&(bad as u64))
+                });
+                let block_bytes = block_bytes.unwrap() as usize;
+                let (tx, rx) = mpsc::channel();
+                let path = path.clone();
+                std::thread::spawn(move || {
+                    let mut cfg = HySortKConfig::small_with_threads(21, 9, ranks, width);
+                    cfg.min_count = 1;
+                    let opts = IngestOptions {
+                        block_bytes,
+                        ..IngestOptions::default()
+                    };
+                    let got = count_kmers_from_files_with::<Kmer1, _>(&[&path], &cfg, opts);
+                    tx.send(got.map(|_| ())).unwrap();
+                });
+                let context = format!("ranks={ranks} width={width}");
+                let err = (rx.recv_timeout(Duration::from_secs(60)))
+                    .unwrap_or_else(|e| panic!("{context}: hung or panicked: {e}"))
+                    .unwrap_err();
+                assert_eq!(err.exit_code(), 3, "{context}");
+                let message = err.to_string();
+                assert!(message.contains("second_piece.fq"), "{context}: {message}");
+                assert!(message.contains("quality length"), "{context}: {message}");
             }
         }
         std::fs::remove_file(&path).ok();

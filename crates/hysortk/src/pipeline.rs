@@ -13,11 +13,12 @@
 //!    `target mod s`, exactly the task of an unsectioned run, and its section
 //!    `target / s`. `S` is derived from the input size (`derive_sections`): 1 on
 //!    small inputs, up to 256 on large ones, so that an average section fits stage 3's
-//!    cache. Each supermer is encoded once, where it is found, in wire form; a parse call
-//!    of about a mebibase appends it, with the call's other supermers of its section,
-//!    to its task's **body** ([`Stage1Parser`], [`parse_supermers_parallel`]). A rank
-//!    leaves stage 1 holding one body per task ([`RunReport::staged_bytes`]) and nothing
-//!    of the reads.
+//!    cache. A rank stages its input window by window, each window cut into one piece
+//!    per pool thread ([`Stage1Parser`]): every thread reads, packs and extracts its own
+//!    piece (pass 1), the rank's thread lays the window out at the end of each task's
+//!    **body**, and every thread encodes its supermers once, in wire form, straight into
+//!    their final place (pass 2). A rank leaves stage 1 holding one body per task
+//!    ([`RunReport::staged_bytes`]) and nothing of the reads.
 //! 2. **Exchange** — task sizes are reduced across ranks, tasks are assigned to ranks
 //!    with the greedy Partition heuristic, and the per-destination byte streams are
 //!    exchanged in task-batched rounds over the non-blocking round engine
@@ -46,21 +47,25 @@
 //! counters in the returned [`RunReport`] are measurements, not estimates; only the
 //! conversion to seconds goes through the performance model.
 
+use std::io;
 use std::marker::PhantomData;
 use std::ops::Range;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
 use hysortk_dmem::{Cluster, CommStats, FaultPlan, RankCtx, Wire};
 use hysortk_dna::extension::Extension;
-use hysortk_dna::io::{IngestOptions, InputFile};
+use hysortk_dna::io::{Fragments, IngestOptions, InputFile, RangeReader};
 use hysortk_dna::kmer::KmerCode;
 use hysortk_dna::readset::{Read, ReadSet};
+use hysortk_dna::sequence::DnaSeq;
 use hysortk_perfmodel::network::ExchangeProfile;
 use hysortk_perfmodel::{PerfModel, SortAlgorithm, StageTimes};
 use hysortk_sort::IN_CACHE_BYTES;
 use hysortk_supermer::mmer::{MmerScorer, ScoreFunction};
 use hysortk_supermer::streaming::{for_each_supermer, SupermerScratch};
+use hysortk_supermer::supermer::supermer_wire_len;
 use hysortk_task::{
     assign_greedy, detect_heavy_tasks, schedule_lpt, Assignment, ScratchBank, WorkerPool,
 };
@@ -69,12 +74,12 @@ use hysortk_trace as trace;
 use crate::checkpoint::{run_fingerprint, sizes_hash, CountedState, RoundCheckpointer};
 use crate::config::HySortKConfig;
 use crate::error::HysortkError;
-use crate::ingest::ingest_shard;
+use crate::ingest::{ingest_shard, window_bytes};
 use crate::result::{CountResult, KmerHistogram, KmerRuns, RunReport, StageWallTimes};
 use crate::stage3::{self, CountParams, TaskCounts};
 use crate::table;
 use crate::wire::{
-    push_supermer, write_kmerlist_block, write_supermer_block, SupermersView, MAX_SECTIONS,
+    write_kmerlist_block, write_supermer, write_supermer_block, SupermersView, MAX_SECTIONS,
 };
 
 /// Measured wall-clock seconds of one rank, bucketed by pipeline stage. The
@@ -84,6 +89,11 @@ use crate::wire::{
 /// [`StageWallTimes`] by [`merge_outputs`]. `total` spans the whole rank
 /// closure; the un-bucketed residue becomes the `other` stage, so the stages
 /// always sum to the rank's wall time.
+///
+/// Stage 1 is `ingest + parse`: `parse` is the two pool calls of every window (pass 1
+/// reads, packs and extracts, pass 2 encodes; [`Stage1Parser`]), and `ingest` the rest
+/// of stage 1, on the rank's thread — cutting the windows and laying them out, which
+/// grows the task bodies.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct WallBuckets {
     pub(crate) ingest: f64,
@@ -261,16 +271,16 @@ impl<K: KmerCode> Wire for RankOutput<K> {
     }
 }
 
-/// One task as stage 1 staged it: its supermers in wire form ([`push_supermer`]), in
-/// **one** buffer — what its fill frees in one piece — parse call after parse
-/// call, each call's share section after section. With the bytes every section got from
-/// each call that staged any, the supermers every section got in all, and the two
-/// totals the task-size reduction and the block header need.
+/// One task as stage 1 staged it: its supermers in wire form ([`write_supermer`]), in
+/// **one** buffer — what its fill frees in one piece — window after window, each
+/// window's share section after section. With the bytes every section got from each
+/// window that staged any, the supermers every section got in all, and the two totals
+/// the task-size reduction and the block header need.
 #[derive(Debug, Default)]
 pub(crate) struct TaskBody {
     pub(crate) bytes: Vec<u8>,
-    /// Call `c`'s bytes of section `s` at `c × S + s`.
-    call_bytes: Vec<u32>,
+    /// Window `w`'s bytes of section `s` at `w × S + s`.
+    window_bytes: Vec<u32>,
     /// Per section.
     section_supermers: Vec<u64>,
     pub(crate) supermers: u64,
@@ -279,22 +289,22 @@ pub(crate) struct TaskBody {
 
 impl TaskBody {
     /// The staged bytes as `(section, supermers, bytes)` parts for
-    /// [`write_supermer_block`]: section by section, within a section call by call (the
-    /// section's supermers counted on its first part).
+    /// [`write_supermer_block`]: section by section, within a section window by window
+    /// (the section's supermers counted on its first part).
     fn parts(&self) -> Vec<(u32, u64, &[u8])> {
         let sections = self.section_supermers.len().max(1);
-        let mut at: Vec<usize> = (self.call_bytes.chunks_exact(sections))
-            .scan(0, |start, call| {
+        let mut at: Vec<usize> = (self.window_bytes.chunks_exact(sections))
+            .scan(0, |start, window| {
                 let here = *start;
-                *start += call.iter().map(|&bytes| bytes as usize).sum::<usize>();
+                *start += window.iter().map(|&bytes| bytes as usize).sum::<usize>();
                 Some(here)
             })
             .collect();
         let mut parts = Vec::new();
         for (section, &supermers) in self.section_supermers.iter().enumerate() {
             let mut supermers = supermers;
-            for (call, at) in at.iter_mut().enumerate() {
-                let bytes = self.call_bytes[call * sections + section] as usize;
+            for (window, at) in at.iter_mut().enumerate() {
+                let bytes = self.window_bytes[window * sections + section] as usize;
                 if bytes > 0 {
                     let part = &self.bytes[*at..][..bytes];
                     parts.push((section as u32, std::mem::take(&mut supermers), part));
@@ -374,118 +384,215 @@ impl<'a, K: KmerCode> SendSerializer<'a, K> {
     }
 }
 
-/// Bases one parse call stages: [`Stage1Parser::parse`] cuts longer inputs into calls of
-/// about this many, and the file feed gathers ingested batches until they hold as many.
-/// A call's supermers wait in the workers' scratches until they are folded into the
-/// task bodies, and every call adds one entry per section to each task it staged for,
-/// so this bounds the one from above and the other from below.
+/// Bases a window of in-memory reads holds: [`Stage1Parser::parse`] cuts a rank's reads
+/// into windows of about this many. (A file window is `threads ×`
+/// [`IngestOptions::block_bytes`] bytes of the rank's shard, and at least this many,
+/// [`crate::ingest::window_bytes`].) Every window adds one entry per section to each
+/// task it staged for, and its spans wait in the workers' scratches until pass 2, so
+/// this bounds the one from below and the other from above.
 pub(crate) const PARSE_CALL_BASES: usize = 1 << 20;
 
-/// What one worker of the parallel parse keeps between calls: the extractor's segment
-/// buffers, and the supermers of the chunk it is parsing — in wire form, in read order,
-/// with each one's minimizer target and wire length, and the k-mers per task — until
-/// they are folded into the task bodies.
+/// One pool thread's share of a stage-1 window.
+pub(crate) enum Piece<'a> {
+    /// In-memory reads, whose ids are final.
+    Reads(&'a [Read]),
+    /// The records of `files` that start in the byte range `range` of their
+    /// concatenation, read through a [`RangeReader`]. Their fragments are numbered in
+    /// input order, as one dense sequence per rank ([`Stage1Parser::window`]).
+    File {
+        files: &'a [InputFile],
+        opts: &'a IngestOptions,
+        range: Range<u64>,
+    },
+}
+
+/// One supermer of a piece, as pass 1 finds it and pass 2 writes it: the fragment it
+/// lies in (its index in the piece), its bases there, and its minimizer target.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    fragment: u32,
+    start: u32,
+    len: u32,
+    target: u32,
+}
+
+/// What the supermers of one target add up to in a piece, or in a window.
+#[derive(Debug, Default, Clone, Copy)]
+struct Tally {
+    bytes: u32,
+    supermers: u32,
+    kmers: u64,
+}
+
+impl Tally {
+    fn add(self, other: Tally) -> Tally {
+        Tally {
+            bytes: (self.bytes.checked_add(other.bytes))
+                .expect("a window stages under 4 GiB per section"),
+            supermers: self.supermers + other.supermers,
+            kmers: self.kmers + other.kmers,
+        }
+    }
+}
+
+/// What one pool thread keeps of its piece between the two passes of a window, reused
+/// window after window: the extractor's segment buffers; for a file piece, the block
+/// buffer and the piece's packed fragments; the piece's supermers as [`Span`]s in input
+/// order; and what they add up to — a [`Tally`] per target, fragments and bases.
 #[derive(Default)]
 pub(crate) struct ParseScratch {
     supermer: SupermerScratch,
-    bytes: Vec<u8>,
-    staged: Vec<(u32, u32)>,
-    kmers: Vec<u64>,
+    block: Vec<u8>,
+    fragments: Fragments,
+    spans: Vec<Span>,
+    targets: Vec<Tally>,
+    fragment_count: u64,
+    bases: u64,
 }
 
-/// Stage 1 in supermer mode: stream `reads` through the fused extractor
-/// ([`for_each_supermer`]) on the rank's worker pool at `tasks × sections` minimizer
-/// targets (`tasks` the length of `bodies`) and stage every supermer, in wire form, in
-/// its target's section — task `target mod tasks`, section `target / tasks` — written
-/// where it is found, while the read is in cache; nothing of `reads` is referenced
-/// afterwards. With `provenance` the supermers carry `(read id, start)`
-/// ([`push_supermer`]).
-///
-/// The reads are cut into one contiguous chunk per pool thread; each worker writes its
-/// chunk, in read order, into a [`ParseScratch`] checked out of `bank`. The call is then
-/// appended to every task it staged for as one region, its sections in order, each
-/// holding the chunks' supermers of that section in read order. A section's bytes, call
-/// after call, are therefore the ones a sequential parse writes, whatever the pool width
-/// and however the reads are cut into calls ([`Stage1Parser::parse`], reusing the
-/// scratches).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn parse_supermers_parallel(
-    reads: &[Read],
+/// The shape every piece of a rank's stage 1 is extracted at.
+struct Extract<'a> {
     k: usize,
-    scorer: &MmerScorer,
+    scorer: &'a MmerScorer,
+    targets: u32,
     provenance: bool,
-    pool: &WorkerPool,
-    bank: &ScratchBank<ParseScratch>,
-    bodies: &mut [TaskBody],
-    sections: u32,
-) {
-    let (tasks, sections) = (bodies.len(), sections as usize);
-    let targets = tasks * sections;
-    let per_thread = reads.len().div_ceil(pool.total_threads()).max(1);
-    let parsed = pool.execute(reads.chunks(per_thread).collect(), |chunk| {
-        let mut scratch = bank.checkout(ParseScratch::default);
+}
+
+impl ParseScratch {
+    /// Pass 1 of `piece` (the `index`-th of its window): read it, extract its supermers
+    /// and tally them. Returns where a file piece stopped reading
+    /// ([`RangeReader::reached`]) and the last file it read, or the error that stopped
+    /// it, which ends the rank's input.
+    fn pass1(
+        &mut self,
+        piece: &Piece<'_>,
+        index: usize,
+        ex: &Extract<'_>,
+        rank: u32,
+    ) -> Result<(u64, Option<PathBuf>), HysortkError> {
+        let span = trace::span!(
+            "stage1-piece",
+            trace::Detail::Task,
+            rank,
+            pass = 1,
+            piece = index
+        );
         let ParseScratch {
             supermer,
-            bytes,
-            staged,
-            kmers,
-        } = &mut *scratch;
-        kmers.resize(tasks, 0);
-        for read in chunk {
-            for_each_supermer(&read.seq, k, scorer, targets as u32, supermer, |span| {
-                let before = bytes.len();
-                let from = provenance.then_some((read.id, span.start));
-                push_supermer(bytes, from, &read.seq, span.start as usize, span.len());
-                staged.push((span.target, (bytes.len() - before) as u32));
-                kmers[span.target as usize % tasks] += span.num_kmers(k) as u64;
+            block,
+            fragments,
+            spans,
+            targets,
+            fragment_count,
+            bases,
+        } = self;
+        spans.clear();
+        targets.clear();
+        targets.resize(ex.targets as usize, Tally::default());
+        fragments.clear();
+        *bases = 0;
+        let mut extract = |fragment: usize, seq: &DnaSeq| {
+            *bases += seq.len() as u64;
+            for_each_supermer(seq, ex.k, ex.scorer, ex.targets, supermer, |sm| {
+                let len = sm.len();
+                let tally = &mut targets[sm.target as usize];
+                *tally = tally.add(Tally {
+                    bytes: supermer_wire_len(len, ex.provenance) as u32,
+                    supermers: 1,
+                    kmers: sm.num_kmers(ex.k) as u64,
+                });
+                spans.push(Span {
+                    fragment: fragment as u32,
+                    start: sm.start,
+                    len: len as u32,
+                    target: sm.target,
+                });
             });
-        }
-        scratch
-    });
+        };
+        let read = match piece {
+            Piece::Reads(reads) => {
+                reads
+                    .iter()
+                    .enumerate()
+                    .for_each(|(i, read)| extract(i, &read.seq));
+                *fragment_count = reads.len() as u64;
+                Ok((0, None))
+            }
+            Piece::File { files, opts, range } => {
+                let mut reader =
+                    RangeReader::new(files, range.clone(), opts, std::mem::take(block));
+                let read = loop {
+                    let before = fragments.len();
+                    match reader.next_record(fragments) {
+                        Ok(true) => {
+                            let new = &fragments.as_slice()[before..];
+                            (new.iter().enumerate()).for_each(|(i, seq)| extract(before + i, seq));
+                        }
+                        Ok(false) => {
+                            break Ok((reader.reached(), reader.path().map(Path::to_owned)))
+                        }
+                        Err(source) => {
+                            break Err(HysortkError::Io {
+                                path: reader
+                                    .path()
+                                    .map(|p| p.display().to_string())
+                                    .unwrap_or_default(),
+                                rank: rank as usize,
+                                source,
+                            })
+                        }
+                    }
+                };
+                *fragment_count = fragments.len() as u64;
+                *block = reader.into_buffer();
+                read
+            }
+        };
+        span.end_with(&[
+            ("fragments", *fragment_count),
+            ("supermers", spans.len() as u64),
+        ]);
+        read
+    }
 
-    // The call's bytes and supermers per target, and each task's region laid out at the
-    // end of its body: a cursor per target.
-    let mut counts = vec![(0u32, 0u32); targets];
-    for &(target, len) in parsed.iter().flat_map(|scratch| &scratch.staged) {
-        let (bytes, supermers) = &mut counts[target as usize];
-        *bytes = (bytes.checked_add(len)).expect("a call stages under 4 GiB per section");
-        *supermers += 1;
-    }
-    let mut cursor = vec![0usize; targets];
-    for (task, body) in bodies.iter_mut().enumerate() {
-        let of = |section: usize| counts[task + tasks * section];
-        if (0..sections).all(|section| of(section).1 == 0) {
-            continue;
+    /// Pass 2 of `piece` (the `index`-th of its window): write every supermer pass 1
+    /// found, in input order, to the front of its target's slot, and move the slot past
+    /// it. A file piece's fragments are numbered from `first`: read id `(first + i) ×
+    /// ranks + rank`.
+    #[allow(clippy::too_many_arguments)]
+    fn pass2(
+        &self,
+        piece: &Piece<'_>,
+        index: usize,
+        slots: &mut [&mut [u8]],
+        first: u64,
+        ranks: u64,
+        rank: u32,
+        provenance: bool,
+    ) {
+        let _span = trace::span!(
+            "stage1-piece",
+            trace::Detail::Task,
+            rank,
+            pass = 2,
+            piece = index
+        );
+        match piece {
+            Piece::Reads(reads) => write_spans(&self.spans, slots, provenance, |fragment| {
+                (&reads[fragment].seq, reads[fragment].id)
+            }),
+            Piece::File { .. } => {
+                let fragments = self.fragments.as_slice();
+                write_spans(&self.spans, slots, provenance, |fragment| {
+                    let id = (first + fragment as u64) * ranks + u64::from(rank);
+                    (&fragments[fragment], id as u32)
+                })
+            }
         }
-        body.section_supermers.resize(sections, 0);
-        let mut at = body.bytes.len();
-        for section in 0..sections {
-            let (bytes, supermers) = of(section);
-            cursor[task + tasks * section] = at;
-            at += bytes as usize;
-            body.call_bytes.push(bytes);
-            body.section_supermers[section] += u64::from(supermers);
-            body.supermers += u64::from(supermers);
-        }
-        body.bytes.resize(at, 0);
-    }
-    // The chunks in read order, each supermer to its target's cursor. The checkouts go
-    // back to the bank, emptied (capacity kept), as they drop.
-    for mut scratch in parsed {
-        let mut from = 0;
-        for &(target, len) in &scratch.staged {
-            let (target, len) = (target as usize, len as usize);
-            let at = cursor[target];
-            bodies[target % tasks].bytes[at..at + len]
-                .copy_from_slice(&scratch.bytes[from..from + len]);
-            cursor[target] += len;
-            from += len;
-        }
-        for (body, kmers) in bodies.iter_mut().zip(&mut scratch.kmers) {
-            body.kmers += std::mem::take(kmers);
-        }
-        scratch.bytes.clear();
-        scratch.staged.clear();
+        debug_assert!(
+            slots.iter().all(|slot| slot.is_empty()),
+            "pass 1 sized every slot"
+        );
     }
 }
 
@@ -511,8 +618,10 @@ pub(crate) enum Input<'a> {
 impl Input<'_> {
     /// About how many `(k-mers, bases)` the input holds, from which the sorter and the
     /// sections are derived. Files count their on-disk bytes for both: ASCII bytes ≈
-    /// bases ≈ k-mers for FASTA; a mild overestimate for FASTQ, which only makes the
-    /// memory-aware choice more conservative and the sections smaller.
+    /// bases ≈ k-mers for FASTA. FASTQ's quality lines about double the bytes — the
+    /// benchmark's 150-bp short-read file holds 2.08 bytes per base — which makes the
+    /// memory-aware choice more conservative and may cut twice the sections the k-mers
+    /// need (ROADMAP item 4(c) measures whether that costs).
     fn size(&self, k: usize) -> (u64, u64) {
         match self {
             Input::Reads(reads, _) => (reads.total_kmers(k) as u64, reads.total_bases() as u64),
@@ -532,15 +641,21 @@ impl Input<'_> {
         parser: &mut Stage1Parser<'_>,
         counters: &mut RankCounters,
     ) -> Result<(), HysortkError> {
-        match self {
+        let (start, parse_before) = (Instant::now(), counters.wall.parse);
+        let fed = match self {
             Input::Reads(reads, ranges) => {
-                let start = Instant::now();
                 parser.parse(&reads.reads()[ranges[ctx.rank()].clone()], counters);
-                counters.wall.parse += start.elapsed().as_secs_f64();
                 Ok(())
             }
-            Input::Files(files, opts) => ingest_shard(ctx, files, cfg, opts, parser, counters),
-        }
+            Input::Files(files, opts) => {
+                let window = window_bytes(parser.threads(), opts.block_bytes);
+                ingest_shard(ctx, files, cfg, opts, window, parser, counters)
+            }
+        };
+        // The windows' pool calls are booked to parse; the rest ran on the rank's thread.
+        let parse = counters.wall.parse - parse_before;
+        counters.wall.ingest += (start.elapsed().as_secs_f64() - parse).max(0.0);
+        fed
     }
 }
 
@@ -697,21 +812,56 @@ fn rank_pipeline<K: KmerCode>(
     ingested.and(output)
 }
 
-/// A rank's stage 1: reads go in, batch by batch, and the per-task staging comes out.
-/// Every read streams through the fused scoring→minimizer→supermer extractor,
-/// rank-parallel over the worker pool, and each supermer is written in wire form into its
-/// section's body ([`parse_supermers_parallel`]). Every [`Input`] feeds the same parser,
-/// so the sources cannot diverge on what they stage.
+/// Write `spans`, in order, each to the front of its target's slot, and move the slot
+/// past it; `source` gives a span's fragment and read id.
+fn write_spans<'s>(
+    spans: &[Span],
+    slots: &mut [&mut [u8]],
+    provenance: bool,
+    source: impl Fn(usize) -> (&'s DnaSeq, u32),
+) {
+    for span in spans {
+        let (seq, id) = source(span.fragment as usize);
+        let slot = &mut slots[span.target as usize];
+        let from = provenance.then_some((id, span.start));
+        let written = write_supermer(slot, from, seq, span.start as usize, span.len as usize);
+        *slot = &mut std::mem::take(slot)[written..];
+    }
+}
+
+/// A rank's stage 1: reads go in, window by window, and the per-task staging comes out.
+///
+/// A window is cut into one [`Piece`] per pool thread and staged in three steps:
+/// 1. **pass 1**, on the pool: every thread reads its piece — a file piece packs each
+///    fragment into its scratch as it is read — runs the fused
+///    scoring→minimizer→supermer extractor ([`for_each_supermer`]) over it at `tasks ×
+///    sections` minimizer targets, keeps each supermer as a span and tallies the wire
+///    bytes and supermers per target ([`ParseScratch`]);
+/// 2. **layout**, on the rank's thread: prefix sums over the tallies give every (task,
+///    section, piece) its exact place. The window's region goes at the end of its
+///    task's one body, its sections in order, each holding the pieces' supermers of that
+///    section in input order — so a section's bytes, window after window, are the ones a
+///    sequential parse writes, at any pool width and however the input is cut into
+///    windows. The same sums number a file piece's fragments;
+/// 3. **pass 2**, on the pool: every thread writes its supermers, in wire form
+///    ([`write_supermer`]), straight into its own disjoint slices of the bodies.
+///
+/// A supermer is task `target mod tasks`, section `target / tasks`, and is written once.
+/// Every [`Input`] feeds the same parser, so the sources cannot diverge on what they
+/// stage.
 pub(crate) struct Stage1Parser<'a> {
     staged: Stage1,
     bank: ScratchBank<ParseScratch>,
     scorer: MmerScorer,
     cfg: &'a HySortKConfig,
     pool: &'a WorkerPool,
+    /// File fragments staged so far: the first one's number in the next window.
+    fragments: u64,
 }
 
 impl<'a> Stage1Parser<'a> {
-    /// A parser staging `num_tasks` tasks of `sections` sections each.
+    /// A parser staging `num_tasks` tasks of `sections` sections each, on `pool` — whose
+    /// rank numbers the file fragments, striped over `cfg`'s ranks.
     pub(crate) fn new(
         cfg: &'a HySortKConfig,
         num_tasks: usize,
@@ -727,39 +877,177 @@ impl<'a> Stage1Parser<'a> {
             scorer: MmerScorer::new(cfg.m, ScoreFunction::Hash { seed: cfg.seed }),
             cfg,
             pool,
+            fragments: 0,
         }
     }
 
-    /// Stage the k-mers of `reads`, whose ids are final, and count what was parsed into
-    /// `counters`. Nothing of `reads` is referenced once this returns.
+    /// Threads of the pool, one piece each per window.
+    pub(crate) fn threads(&self) -> usize {
+        self.pool.total_threads()
+    }
+
+    /// Stage the k-mers of `reads`, whose ids are final, in windows of about
+    /// [`PARSE_CALL_BASES`], and count what was parsed into `counters`. Nothing of
+    /// `reads` is referenced once this returns.
     pub(crate) fn parse(&mut self, reads: &[Read], counters: &mut RankCounters) {
-        let (k, cfg) = (self.cfg.k, self.cfg);
-        for read in reads {
-            counters.bases_parsed += read.len() as u64;
-            counters.kmers_parsed += read.seq.num_kmers(k) as u64;
-        }
         let mut rest = reads;
         while !rest.is_empty() {
             let mut bases = 0;
-            let call = (rest.iter())
+            let window = (rest.iter())
                 .position(|read| {
                     bases += read.len();
                     bases >= PARSE_CALL_BASES
                 })
                 .map_or(rest.len(), |last| last + 1);
-            let (call, tail) = rest.split_at(call);
-            parse_supermers_parallel(
-                call,
-                k,
-                &self.scorer,
-                cfg.with_extension,
-                self.pool,
-                &self.bank,
-                &mut self.staged.bodies,
-                self.staged.sections,
-            );
+            let (window, tail) = rest.split_at(window);
+            let per_thread = window.len().div_ceil(self.threads());
+            let pieces = window.chunks(per_thread).map(Piece::Reads).collect();
+            self.window(pieces, counters)
+                .expect("in-memory pieces read no file");
             rest = tail;
         }
+    }
+
+    /// Stage one window, cut into `pieces` in input order, and count what was parsed
+    /// into `counters`; the two pool calls are booked to `counters.wall.parse`. Returns
+    /// how far the file pieces read ([`RangeReader::reached`]; 0 without one), or the
+    /// error of the first piece that failed — or ran the rank out of `u32` read ids —
+    /// in which case nothing of the window is staged.
+    pub(crate) fn window(
+        &mut self,
+        pieces: Vec<Piece<'_>>,
+        counters: &mut RankCounters,
+    ) -> Result<u64, HysortkError> {
+        let (tasks, sections) = (self.staged.bodies.len(), self.staged.sections as usize);
+        let (ranks, rank) = (self.cfg.total_ranks() as u64, self.pool.rank());
+        let provenance = self.cfg.with_extension;
+        let ex = Extract {
+            k: self.cfg.k,
+            scorer: &self.scorer,
+            targets: (tasks * sections) as u32,
+            provenance,
+        };
+        let span = trace::span!(
+            "stage1-window",
+            trace::Detail::Round,
+            rank,
+            pieces = pieces.len()
+        );
+        let bank = &self.bank;
+        let read = timed(&mut counters.wall.parse, || {
+            self.pool.execute(
+                pieces.into_iter().enumerate().collect(),
+                |(index, piece)| {
+                    let mut scratch = bank.checkout(ParseScratch::default);
+                    let read = scratch.pass1(&piece, index, &ex, rank);
+                    (piece, scratch, read)
+                },
+            )
+        });
+
+        // The first failure in input order ends the rank's input; the checkouts go back
+        // to the bank as they drop.
+        let (mut reached, mut path, mut parsed) = (0, None, Vec::with_capacity(read.len()));
+        for (piece, scratch, read) in read {
+            let (piece_reached, piece_path) = read?;
+            reached = reached.max(piece_reached);
+            path = piece_path.or(path);
+            parsed.push((piece, scratch));
+        }
+        // Each piece's first fragment number. Striping multiplies by the rank count, so
+        // the u32 id space exhausts at `u32::MAX / ranks` fragments per shard — fail
+        // loudly instead of silently wrapping into colliding provenance ids.
+        let mut firsts = Vec::with_capacity(parsed.len());
+        for (_, scratch) in &parsed {
+            firsts.push(self.fragments);
+            self.fragments += scratch.fragment_count;
+        }
+        let files = parsed
+            .iter()
+            .any(|(piece, _)| matches!(piece, Piece::File { .. }));
+        if files
+            && self.fragments > 0
+            && (self.fragments - 1) * ranks + u64::from(rank) > u64::from(u32::MAX)
+        {
+            return Err(HysortkError::Io {
+                path: path.map(|p| p.display().to_string()).unwrap_or_default(),
+                rank: rank as usize,
+                source: io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "shard exceeds {} reads, the striped u32 read-id space",
+                        u32::MAX / ranks as u32
+                    ),
+                ),
+            });
+        }
+        let mut fragments = 0;
+        for (_, scratch) in &parsed {
+            fragments += scratch.fragment_count;
+            counters.bases_parsed += scratch.bases;
+            counters.kmers_parsed += scratch.targets.iter().map(|t| t.kmers).sum::<u64>();
+        }
+
+        // Layout: every task's region at the end of its body, cut into one slot per
+        // (section, piece) — piece `i`'s slot of a target at `slots[i][target]`.
+        let mut slots: Vec<Vec<&mut [u8]>> = (parsed.iter())
+            .map(|_| {
+                (0..tasks * sections)
+                    .map(|_| <&mut [u8]>::default())
+                    .collect()
+            })
+            .collect();
+        let mut staged = 0u64;
+        for (task, body) in self.staged.bodies.iter_mut().enumerate() {
+            // The window's tally of each section of the task, over its pieces.
+            let window: Vec<Tally> = (0..sections)
+                .map(|section| {
+                    (parsed.iter()).fold(Tally::default(), |sum, (_, scratch)| {
+                        sum.add(scratch.targets[task + tasks * section])
+                    })
+                })
+                .collect();
+            body.kmers += window.iter().map(|tally| tally.kmers).sum::<u64>();
+            if window.iter().all(|tally| tally.supermers == 0) {
+                continue;
+            }
+            body.section_supermers.resize(sections, 0);
+            let start = body.bytes.len();
+            let mut region = 0;
+            for (section, tally) in window.iter().enumerate() {
+                body.window_bytes.push(tally.bytes);
+                body.section_supermers[section] += u64::from(tally.supermers);
+                body.supermers += u64::from(tally.supermers);
+                region += tally.bytes as usize;
+            }
+            staged += region as u64;
+            body.bytes.resize(start + region, 0);
+            let mut region = &mut body.bytes[start..];
+            for section in 0..sections {
+                let target = task + tasks * section;
+                for (piece_slots, (_, scratch)) in slots.iter_mut().zip(&parsed) {
+                    let bytes = scratch.targets[target].bytes as usize;
+                    let (slot, rest) = std::mem::take(&mut region).split_at_mut(bytes);
+                    piece_slots[target] = slot;
+                    region = rest;
+                }
+            }
+        }
+
+        let jobs: Vec<_> = parsed
+            .into_iter()
+            .zip(firsts)
+            .zip(slots)
+            .enumerate()
+            .collect();
+        timed(&mut counters.wall.parse, || {
+            self.pool
+                .execute(jobs, |(index, (((piece, scratch), first), mut slots))| {
+                    scratch.pass2(&piece, index, &mut slots, first, ranks, rank, provenance);
+                })
+        });
+        span.end_with(&[("fragments", fragments), ("bytes", staged)]);
+        Ok(reached)
     }
 
     /// The staging; the workers' parse scratches are freed.

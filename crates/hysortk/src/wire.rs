@@ -43,9 +43,9 @@
 //! decoded on demand by the view iterators — no payload byte is ever copied into an
 //! intermediate buffer.
 //!
-//! One writer per payload: [`push_supermer`] stages supermers into a body and
-//! [`write_supermer_block`] seals bodies into a block; [`write_kmerlist_block`] writes
-//! a kmerlist block.
+//! One writer per payload: [`write_supermer`] stages supermers into a body
+//! ([`push_supermer`] onto its end), [`write_supermer_block`] seals bodies into a
+//! block, and [`write_kmerlist_block`] writes a kmerlist block.
 
 use hysortk_dna::kmer::KmerCode;
 use hysortk_dna::sequence::DnaSeq;
@@ -373,11 +373,7 @@ pub fn write_kmerlist_block<K: KmerCode>(out: &mut Vec<u8>, task: u32, list: &[(
     seal_block(out, block_start);
 }
 
-/// Append one supermer in wire form to `body`: its header — `(read id, start)` and the
-/// length with `provenance`, the length alone without — and the packed bases
-/// `offset..offset + len` of `seq` (the *source read*; no [`Supermer`] with an owned
-/// [`DnaSeq`] is materialised), copied 32 bases per shift/OR
-/// ([`DnaSeq::append_packed_range`]).
+/// Append one supermer in wire form to `body` ([`write_supermer`]).
 pub fn push_supermer(
     body: &mut Vec<u8>,
     provenance: Option<(u32, u32)>,
@@ -385,24 +381,45 @@ pub fn push_supermer(
     offset: usize,
     len: usize,
 ) {
-    let before = body.len();
-    match provenance {
+    let at = body.len();
+    body.resize(at + supermer_wire_len(len, provenance.is_some()), 0);
+    write_supermer(&mut body[at..], provenance, seq, offset, len);
+}
+
+/// Write one supermer in wire form to the front of `out` and return its length,
+/// [`supermer_wire_len`]: its header — `(read id, start)` and the length with
+/// `provenance`, the length alone without — and the packed bases `offset..offset + len`
+/// of `seq` (the *source read*; no [`Supermer`] with an owned [`DnaSeq`] is
+/// materialised), copied 32 bases per shift/OR ([`DnaSeq::write_packed_range`]).
+#[inline]
+pub fn write_supermer(
+    out: &mut [u8],
+    provenance: Option<(u32, u32)>,
+    seq: &DnaSeq,
+    offset: usize,
+    len: usize,
+) -> usize {
+    let header = match provenance {
         Some((read_id, start)) => {
-            push_u32(body, read_id);
-            push_u32(body, start);
-            push_u32(body, len as u32);
+            out[..4].copy_from_slice(&read_id.to_le_bytes());
+            out[4..8].copy_from_slice(&start.to_le_bytes());
+            out[8..12].copy_from_slice(&(len as u32).to_le_bytes());
+            12
         }
-        None if len < usize::from(LONG_SUPERMER) => body.push(len as u8),
+        None if len < usize::from(LONG_SUPERMER) => {
+            out[0] = len as u8;
+            1
+        }
         None => {
-            body.push(LONG_SUPERMER);
-            push_u32(body, len as u32);
+            out[0] = LONG_SUPERMER;
+            out[1..5].copy_from_slice(&(len as u32).to_le_bytes());
+            5
         }
-    }
-    seq.append_packed_range(offset, len, body);
-    debug_assert_eq!(
-        body.len() - before,
-        supermer_wire_len(len, provenance.is_some())
-    );
+    };
+    seq.write_packed_range(offset, len, &mut out[header..]);
+    let written = header + len.div_ceil(4);
+    debug_assert_eq!(written, supermer_wire_len(len, provenance.is_some()));
+    written
 }
 
 /// Serialise one supermer block of a task cut into `sections` sections from staged

@@ -191,6 +191,32 @@ fn a_read_error_names_the_file_that_failed() {
     assert!(err.contains("dir.fa") && !err.contains("readerr"), "{err}");
 }
 
+/// The same at explicit pool widths: a rank reads its shard one piece per thread, and
+/// the piece that failed names its file.
+#[test]
+fn a_read_error_names_the_file_that_failed_at_every_pool_width() {
+    let fa = tmp_fasta("readerr_width");
+    let dir = std::env::temp_dir().join(format!("hysortk_cli_{}_wdir.fa", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("entry"), "x").unwrap();
+    for layout in [
+        ["--ranks", "1", "--threads", "2"],
+        ["--ranks", "2", "--threads", "3"],
+    ] {
+        let out = (hysortk().arg("count").arg(&fa).arg(&dir).args(layout))
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(3), "{layout:?}");
+        let err = stderr_of(&out);
+        assert!(
+            err.contains("wdir.fa") && !err.contains("readerr_width"),
+            "{layout:?}: {err}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(&fa).ok();
+}
+
 /// There is no transient-read fault kind: `io:R:FAILURES` is refused like any other
 /// unknown kind.
 #[test]

@@ -42,10 +42,10 @@ pub enum Detail {
     /// Stage-level spans (parse, exchange, count), faults, recoveries.
     Stage = 0,
     /// Plus per-round lanes: serialize / post / wait / count, checkpoints,
-    /// shard-read batches, flow arrows.
+    /// stage-1 windows, flow arrows.
     Round = 1,
-    /// Plus per-task serialize and count spans, per-section count spans and
-    /// worker-pool calls.
+    /// Plus per-task serialize and count spans, per-section count spans, stage-1
+    /// pieces and worker-pool calls.
     Task = 2,
 }
 

@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Stream both files through the pipeline: each of the 4 simulated ranks owns a
     // byte range of the concatenated input (realigned to record starts) and reads it
-    // in 64 KiB blocks — the ASCII text is never fully resident.
+    // in windows of 64 KiB per thread — the ASCII text is never fully resident.
     let opts = IngestOptions {
         block_bytes: 64 << 10,
         ..IngestOptions::default()
