@@ -15,13 +15,14 @@
 
 use std::collections::BTreeMap;
 
+use hysortk_core::model::execution;
 use hysortk_core::result::KmerHistogram;
-use hysortk_core::{HySortKConfig, RunReport};
+use hysortk_core::HySortKConfig;
 use hysortk_dmem::{Cluster, CommStats};
 use hysortk_dna::kmer::KmerCode;
 use hysortk_dna::readset::ReadSet;
 use hysortk_perfmodel::network::ExchangeProfile;
-use hysortk_perfmodel::{PerfModel, SortAlgorithm, StageTimes};
+use hysortk_perfmodel::{MachineConfig, PerfModel, Projection, SortAlgorithm, StageTimes};
 
 use crate::bloom::BloomFilter;
 use crate::hyperloglog::HyperLogLog;
@@ -29,12 +30,18 @@ use crate::{hash_kmer, BaselineResult};
 
 /// Count canonical k-mers with the two-pass hash-table pipeline.
 ///
-/// Uses `cfg` for k, the cluster layout, the count band and the machine model; the
-/// supermer/task-layer/heavy-hitter options are ignored (this baseline has none of them).
+/// Uses `cfg` for k, the cluster layout and the count band, and models the layout on
+/// `machine`; the supermer/task-layer/heavy-hitter options are ignored (this baseline
+/// has none of them).
 /// Note that the two-pass design inherently drops singletons, so `cfg.min_count` must be
 /// at least 2 for the output to be meaningful; lower values are clamped to 2.
-pub fn two_pass_hash_count<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) -> BaselineResult<K> {
+pub fn two_pass_hash_count<K: KmerCode>(
+    reads: &ReadSet,
+    cfg: &HySortKConfig,
+    machine: &MachineConfig,
+) -> BaselineResult<K> {
     cfg.validate().expect("invalid configuration");
+    let exec = execution(cfg, machine).expect("the layout fits the node");
     let p = cfg.total_ranks();
     let k = cfg.k;
     let min_count = cfg.min_count.max(2);
@@ -143,7 +150,7 @@ pub fn two_pass_hash_count<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) ->
 
     // ---- merge and build the report -----------------------------------------------------
     let scale = 1.0 / cfg.data_scale;
-    let model = PerfModel::new(cfg.machine.clone(), cfg.execution());
+    let model = PerfModel::new(machine.clone(), exec);
     let compute = model.compute();
     let network = model.network();
 
@@ -243,37 +250,21 @@ pub fn two_pass_hash_count<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) ->
         Some(10.0),
     ) + (bloom_bytes as u64) * cfg.processes_per_node as u64;
 
-    let report = RunReport {
+    let modeled = Projection {
         stage_times: stages,
-        // Modeled baseline: nothing is measured per rank, so no wall attribution.
-        stage_wall: Default::default(),
-        comm: CommStats::aggregate(&run.comm),
         peak_memory_per_node: peak,
         sorter: SortAlgorithm::HashTable,
         total_kmers,
-        distinct_kmers: histogram.distinct(),
-        retained_kmers: counts.len() as u64,
-        heavy_tasks: 0,
         max_rank_wire_bytes: max_rank_wire as u64,
         total_wire_bytes: total_wire as u64,
-        exchange_rounds: rounds_projected,
-        assignment_imbalance: 1.0,
+        rounds: rounds_projected,
         overlap_fraction: 0.0,
-        recoveries: 0,
-        epochs_committed: 0,
-        simd: hysortk_dna::simd::path_name(),
-        gather_s: 0.0,
-        result_runs: 0,
-        result_bytes: 0,
-        staged_bytes: 0,
-        sections: 0,
-        count_buffer_bytes: 0,
     };
 
     BaselineResult {
         counts,
         histogram,
-        report,
+        modeled,
     }
 }
 
@@ -298,6 +289,11 @@ mod tests {
     use hysortk_datasets::DatasetPreset;
     use hysortk_dna::Kmer1;
 
+    /// The node the small four-rank layout is modeled on.
+    fn workstation() -> MachineConfig {
+        MachineConfig::workstation(8, 32)
+    }
+
     #[test]
     fn matches_reference_above_the_singleton_threshold() {
         let data = DatasetPreset::ABaumannii.generate(2e-4, 11);
@@ -305,10 +301,10 @@ mod tests {
         cfg.min_count = 2;
         cfg.max_count = 10_000;
         cfg.data_scale = data.data_scale;
-        let result = two_pass_hash_count::<Kmer1>(&data.reads, &cfg);
+        let result = two_pass_hash_count::<Kmer1>(&data.reads, &cfg, &workstation());
         let expected = reference_counts_bounded::<Kmer1>(&data.reads, 21, 2, 10_000);
         assert_eq!(result.counts, expected);
-        assert!(result.report.total_time() > 0.0);
+        assert!(result.modeled.total_time() > 0.0);
     }
 
     #[test]
@@ -318,17 +314,21 @@ mod tests {
         cfg.min_count = 2;
         cfg.max_count = 10_000;
         cfg.data_scale = data.data_scale;
-        let hash = two_pass_hash_count::<Kmer1>(&data.reads, &cfg);
+        let hash = two_pass_hash_count::<Kmer1>(&data.reads, &cfg, &workstation());
         let sort = hysortk_core::count_kmers::<Kmer1>(&data.reads, &cfg);
         assert_eq!(hash.counts, sort.counts);
+        let (hash, sort) = (
+            hash.modeled,
+            hysortk_core::model::project(&sort.report, &cfg, &workstation()).unwrap(),
+        );
         // §3.2/§3.3: supermers + one-pass exchange move far fewer bytes.
         assert!(
-            hash.report.total_wire_bytes > 2 * sort.report.total_wire_bytes,
+            hash.total_wire_bytes > 2 * sort.total_wire_bytes,
             "hash {} vs sort {}",
-            hash.report.total_wire_bytes,
-            sort.report.total_wire_bytes
+            hash.total_wire_bytes,
+            sort.total_wire_bytes
         );
         // And the hash-table pipeline needs more memory.
-        assert!(hash.report.peak_memory_per_node > sort.report.peak_memory_per_node);
+        assert!(hash.peak_memory_per_node > sort.peak_memory_per_node);
     }
 }

@@ -8,11 +8,12 @@
 //! which is exactly the NUMA/CCX behaviour the paper credits for HySortK's edge.
 
 use hysortk_core::result::KmerHistogram;
-use hysortk_core::{HySortKConfig, RunReport};
-use hysortk_dmem::CommStats;
+use hysortk_core::HySortKConfig;
 use hysortk_dna::kmer::KmerCode;
 use hysortk_dna::readset::ReadSet;
-use hysortk_perfmodel::{ExecutionConfig, PerfModel, SortAlgorithm, StageTimes};
+use hysortk_perfmodel::{
+    ExecutionConfig, MachineConfig, PerfModel, Projection, SortAlgorithm, StageTimes,
+};
 use hysortk_sort::{count_sorted_runs, raduls_sort};
 use hysortk_supermer::mmer::{MmerScorer, ScoreFunction};
 use hysortk_supermer::supermer::build_supermers;
@@ -24,9 +25,13 @@ use crate::BaselineResult;
 const BINS: usize = 512;
 
 /// Count canonical k-mers with the KMC3-like shared-memory strategy. The cluster layout
-/// in `cfg` is ignored (KMC3 is single-node, single-process); the machine model and the
-/// thread count of one node are used for the time projection.
-pub fn kmc3_count<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) -> BaselineResult<K> {
+/// in `cfg` is ignored (KMC3 is single-node, single-process); the time projection models
+/// one process spanning every core of a `machine` node.
+pub fn kmc3_count<K: KmerCode>(
+    reads: &ReadSet,
+    cfg: &HySortKConfig,
+    machine: &MachineConfig,
+) -> BaselineResult<K> {
     cfg.validate().expect("invalid configuration");
     let k = cfg.k;
     let scorer = MmerScorer::new(cfg.m, ScoreFunction::Hash { seed: cfg.seed });
@@ -74,9 +79,8 @@ pub fn kmc3_count<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) -> Baseline
 
     // ---- model: one process spanning the whole node ------------------------------------
     let scale = 1.0 / cfg.data_scale;
-    let machine = cfg.machine.clone();
     let exec = ExecutionConfig::new(1, 1, machine.cores_per_node, machine.cores_per_node);
-    let model = PerfModel::new(machine, exec);
+    let model = PerfModel::new(machine.clone(), exec);
     let compute = model.compute();
 
     let total_kmers = (reads.total_kmers(k) as f64 * scale) as u64;
@@ -105,37 +109,21 @@ pub fn kmc3_count<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) -> Baseline
         .sort_counter_peak(payload, K::WORDS * 8, true, 1.0)
         + payload * (K::WORDS * 8) as u64;
 
-    let report = RunReport {
+    let modeled = Projection {
         stage_times: stages,
-        // Modeled baseline: nothing is measured per rank, so no wall attribution.
-        stage_wall: Default::default(),
-        comm: CommStats::default(),
         peak_memory_per_node: peak,
         sorter: SortAlgorithm::Raduls,
         total_kmers,
-        distinct_kmers: histogram.distinct(),
-        retained_kmers: counts.len() as u64,
-        heavy_tasks: 0,
         max_rank_wire_bytes: 0,
         total_wire_bytes: 0,
-        exchange_rounds: 0,
-        assignment_imbalance: 1.0,
+        rounds: 0,
         overlap_fraction: 0.0,
-        recoveries: 0,
-        epochs_committed: 0,
-        simd: hysortk_dna::simd::path_name(),
-        gather_s: 0.0,
-        result_runs: 0,
-        result_bytes: 0,
-        staged_bytes: 0,
-        sections: 0,
-        count_buffer_bytes: 0,
     };
 
     BaselineResult {
         counts,
         histogram,
-        report,
+        modeled,
     }
 }
 
@@ -156,7 +144,7 @@ mod tests {
             cfg.min_count = 1;
             cfg.max_count = 1_000_000;
             cfg.data_scale = data.data_scale;
-            let result = kmc3_count::<K>(&data.reads, &cfg);
+            let result = kmc3_count::<K>(&data.reads, &cfg, &MachineConfig::workstation(8, 32));
             let expected = reference_counts_bounded::<K>(&data.reads, k, 1, 1_000_000);
             assert!(!expected.is_empty(), "k = {k}");
             assert_eq!(result.counts, expected, "k = {k}");
@@ -176,14 +164,16 @@ mod tests {
         cfg.data_scale = data.data_scale;
         cfg.min_count = 2;
         cfg.max_count = 50;
-        let kmc = kmc3_count::<Kmer1>(&data.reads, &cfg);
+        let perlmutter = MachineConfig::perlmutter_cpu();
+        let kmc = kmc3_count::<Kmer1>(&data.reads, &cfg, &perlmutter);
         let hysortk = hysortk_core::count_kmers::<Kmer1>(&data.reads, &cfg);
         assert_eq!(kmc.counts, hysortk.counts);
+        let hysortk = hysortk_core::model::project(&hysortk.report, &cfg, &perlmutter).unwrap();
         assert!(
-            hysortk.report.total_time() <= kmc.report.total_time() * 1.1,
+            hysortk.total_time() <= kmc.modeled.total_time() * 1.1,
             "hysortk {} vs kmc3 {}",
-            hysortk.report.total_time(),
-            kmc.report.total_time()
+            hysortk.total_time(),
+            kmc.modeled.total_time()
         );
     }
 }

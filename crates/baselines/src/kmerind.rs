@@ -8,13 +8,14 @@
 //! node counts, and the lack of a task layer, which makes it stop scaling at high node
 //! counts (per-rank message counts explode while per-message sizes shrink).
 
+use hysortk_core::model::{execution, padded_exchange};
 use hysortk_core::result::KmerHistogram;
-use hysortk_core::{HySortKConfig, RunReport};
-use hysortk_dmem::{Cluster, CommStats};
+use hysortk_core::HySortKConfig;
+use hysortk_dmem::Cluster;
 use hysortk_dna::kmer::KmerCode;
 use hysortk_dna::readset::ReadSet;
 use hysortk_perfmodel::network::ExchangeProfile;
-use hysortk_perfmodel::{PerfModel, SortAlgorithm, StageTimes};
+use hysortk_perfmodel::{MachineConfig, PerfModel, Projection, SortAlgorithm, StageTimes};
 
 use crate::robinhood::RobinHoodTable;
 use crate::{hash_kmer, BaselineResult};
@@ -44,13 +45,19 @@ impl<K: KmerCode> KmerindOutcome<K> {
     }
 }
 
-/// Count canonical k-mers with the kmerind-style strategy.
-pub fn kmerind_count<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) -> KmerindOutcome<K> {
+/// Count canonical k-mers with the kmerind-style strategy, the layout of `cfg` modeled on
+/// `machine`.
+pub fn kmerind_count<K: KmerCode>(
+    reads: &ReadSet,
+    cfg: &HySortKConfig,
+    machine: &MachineConfig,
+) -> KmerindOutcome<K> {
     cfg.validate().expect("invalid configuration");
     let p = cfg.total_ranks();
     let k = cfg.k;
     let ranges = reads.partition_by_bases(p);
-    let model = PerfModel::new(cfg.machine.clone(), cfg.execution());
+    let exec = execution(cfg, machine).expect("the layout fits the node");
+    let model = PerfModel::new(machine.clone(), exec);
     let scale = 1.0 / cfg.data_scale;
 
     // ---- memory feasibility check (before doing any work, as the real tool would) -----
@@ -66,10 +73,7 @@ pub fn kmerind_count<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) -> Kmeri
         0.7,
         None,
     );
-    let available = cfg
-        .machine
-        .mem_per_node_bytes
-        .saturating_sub(16 * (1 << 30));
+    let available = machine.mem_per_node_bytes.saturating_sub(16 * (1 << 30));
     if projected_peak > available {
         return KmerindOutcome::OutOfMemory {
             projected_peak,
@@ -150,49 +154,23 @@ pub fn kmerind_count<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) -> Kmeri
     let max_distinct = run.results.iter().map(|o| o.distinct).max().unwrap_or(0) as f64 * scale;
     let total_kmers = (reads.total_kmers(k) as f64 * scale) as u64;
 
-    let payload = |s: &CommStats| s.stage("exchange").map(|st| st.payload_bytes).unwrap_or(0);
-    let max_rank_payload = (run.comm.iter().map(&payload).max().unwrap_or(0) as f64 * scale) as u64;
-    let total_payload = (run.comm.iter().map(payload).sum::<u64>() as f64 * scale) as u64;
-    let max_pair_payload = run
-        .comm
-        .iter()
-        .enumerate()
-        .map(|(r, s)| {
-            s.sent_to
-                .iter()
-                .enumerate()
-                .filter(|(d, _)| *d != r)
-                .map(|(_, &b)| b)
-                .max()
-                .unwrap_or(0)
-        })
-        .max()
-        .unwrap_or(0) as f64
-        * scale;
     let batch_bytes = (cfg.batch_size * K::WORDS * 8) as u64;
-    let (max_rank_wire, rounds_projected) = hysortk_perfmodel::project_padded_exchange(
-        max_rank_payload,
-        max_pair_payload as u64,
+    let exchange = padded_exchange(
+        &run.comm,
+        "exchange",
+        scale,
         batch_bytes,
-        p.saturating_sub(1).max(1),
+        cfg.processes_per_node,
     );
-    let max_rank_wire = max_rank_wire as f64;
-    let total_wire = (total_payload + (max_rank_wire as u64 - max_rank_payload) * p as u64) as f64;
-    let off_node = run
-        .comm
-        .iter()
-        .enumerate()
-        .map(|(r, s)| s.off_node_fraction(r, cfg.processes_per_node))
-        .fold(0.0f64, f64::max);
 
     // kmerind overlaps communication with hash insertion.
     let insert_time = compute.hash_insert_time(max_received as u64);
     let mut stages = StageTimes::new();
     stages.add("parse", compute.parse_time(max_bases as u64));
     let profile = ExchangeProfile {
-        max_rank_wire_bytes: max_rank_wire as u64,
-        off_node_fraction: off_node,
-        rounds: rounds_projected,
+        max_rank_wire_bytes: exchange.max_rank_wire,
+        off_node_fraction: exchange.off_node,
+        rounds: exchange.rounds,
         overlappable_compute: insert_time,
         overlap_fraction: 1.0,
     };
@@ -200,9 +178,9 @@ pub fn kmerind_count<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) -> Kmeri
     // Lack of a task layer: the per-rank alltoall message count grows with the total
     // rank count, an overhead HySortK's task layer amortises. Model it as an extra
     // latency term per destination per round.
-    let message_overhead = rounds_projected as f64
+    let message_overhead = exchange.rounds as f64
         * (p as f64)
-        * cfg.machine.network_latency
+        * machine.network_latency
         * (cfg.nodes as f64).log2().max(1.0);
     stages.add("message-overhead", message_overhead);
 
@@ -220,37 +198,21 @@ pub fn kmerind_count<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) -> Kmeri
         )
         .max(table_measured * cfg.processes_per_node as u64);
 
-    let report = RunReport {
+    let modeled = Projection {
         stage_times: stages,
-        // Modeled baseline: nothing is measured per rank, so no wall attribution.
-        stage_wall: Default::default(),
-        comm: CommStats::aggregate(&run.comm),
         peak_memory_per_node: peak,
         sorter: SortAlgorithm::HashTable,
         total_kmers,
-        distinct_kmers: histogram.distinct(),
-        retained_kmers: counts.len() as u64,
-        heavy_tasks: 0,
-        max_rank_wire_bytes: max_rank_wire as u64,
-        total_wire_bytes: total_wire as u64,
-        exchange_rounds: rounds_projected,
-        assignment_imbalance: 1.0,
+        max_rank_wire_bytes: exchange.max_rank_wire,
+        total_wire_bytes: exchange.total_wire,
+        rounds: exchange.rounds,
         overlap_fraction: 1.0,
-        recoveries: 0,
-        epochs_committed: 0,
-        simd: hysortk_dna::simd::path_name(),
-        gather_s: 0.0,
-        result_runs: 0,
-        result_bytes: 0,
-        staged_bytes: 0,
-        sections: 0,
-        count_buffer_bytes: 0,
     };
 
     KmerindOutcome::Completed(Box::new(BaselineResult {
         counts,
         histogram,
-        report,
+        modeled,
     }))
 }
 
@@ -268,7 +230,7 @@ mod tests {
         cfg.min_count = 1;
         cfg.max_count = 1_000_000;
         cfg.data_scale = data.data_scale;
-        let outcome = kmerind_count::<Kmer1>(&data.reads, &cfg);
+        let outcome = kmerind_count::<Kmer1>(&data.reads, &cfg, &MachineConfig::workstation(8, 32));
         let result = outcome.result().expect("should fit in memory");
         let expected = reference_counts_bounded::<Kmer1>(&data.reads, 21, 1, 1_000_000);
         assert_eq!(result.counts, expected);
@@ -281,14 +243,15 @@ mod tests {
         let mut cfg = HySortKConfig::default();
         cfg.nodes = 1;
         cfg.data_scale = data.data_scale;
-        let outcome = kmerind_count::<Kmer1>(&data.reads, &cfg);
+        let perlmutter = MachineConfig::perlmutter_cpu();
+        let outcome = kmerind_count::<Kmer1>(&data.reads, &cfg, &perlmutter);
         assert!(
             outcome.result().is_none(),
             "expected an out-of-memory verdict"
         );
         // With 4 nodes it fits.
         cfg.nodes = 4;
-        let outcome = kmerind_count::<Kmer1>(&data.reads, &cfg);
+        let outcome = kmerind_count::<Kmer1>(&data.reads, &cfg, &perlmutter);
         assert!(outcome.result().is_some());
     }
 }

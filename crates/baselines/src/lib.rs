@@ -23,7 +23,8 @@
 //! the packed words.
 //!
 //! All baselines produce exact counts (verified against the reference counter); what
-//! differs is the measured traffic and the modeled time/memory in their reports.
+//! differs is the modeled time, memory and traffic each projects for itself — the same
+//! [`Projection`] HySortK's runs get from `hysortk_core::model::project`.
 
 #![forbid(unsafe_code)]
 
@@ -42,19 +43,20 @@ pub use mhm2::mhm2_count;
 pub use robinhood::RobinHoodTable;
 
 use hysortk_core::result::KmerHistogram;
-use hysortk_core::RunReport;
 use hysortk_dna::kmer::KmerCode;
+use hysortk_perfmodel::Projection;
 use hysortk_supermer::mmer::murmur3_x64_128;
 
-/// Result of a baseline counting run: exact counts plus the modeled report.
+/// Result of a baseline counting run: exact counts plus what the baseline's model
+/// projects for it at full scale.
 #[derive(Debug, Clone)]
 pub struct BaselineResult<K: KmerCode> {
     /// `(canonical k-mer, count)` pairs within the configured band, sorted by k-mer.
     pub counts: Vec<(K, u64)>,
     /// Histogram over all distinct k-mers.
     pub histogram: KmerHistogram,
-    /// Measured traffic and modeled time/memory.
-    pub report: RunReport,
+    /// Modeled time, memory and traffic at full scale.
+    pub modeled: Projection,
 }
 
 /// Hash a packed k-mer with MurmurHash3 (x64_128, low word): the destination of a k-mer

@@ -10,14 +10,17 @@
 
 use std::collections::BTreeMap;
 
+use hysortk_core::model::padded_exchange;
 use hysortk_core::result::KmerHistogram;
 use hysortk_core::wire::{push_supermer, write_supermer_block};
-use hysortk_core::{HySortKConfig, RunReport};
-use hysortk_dmem::{Cluster, CommStats};
+use hysortk_core::HySortKConfig;
+use hysortk_dmem::Cluster;
 use hysortk_dna::kmer::KmerCode;
 use hysortk_dna::readset::ReadSet;
 use hysortk_perfmodel::network::ExchangeProfile;
-use hysortk_perfmodel::{ExecutionConfig, MachineConfig, PerfModel, SortAlgorithm, StageTimes};
+use hysortk_perfmodel::{
+    ExecutionConfig, MachineConfig, PerfModel, Projection, SortAlgorithm, StageTimes,
+};
 use hysortk_supermer::mmer::{MmerScorer, ScoreFunction};
 use hysortk_supermer::supermer::build_supermers;
 
@@ -128,47 +131,15 @@ pub fn mhm2_count<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) -> Baseline
         * scale;
     let total_kmers = (reads.total_kmers(k) as f64 * scale) as u64;
 
-    let payload = |s: &CommStats| s.stage("exchange").map(|st| st.payload_bytes).unwrap_or(0);
-    let max_rank_payload = (run.comm.iter().map(&payload).max().unwrap_or(0) as f64 * scale) as u64;
-    let total_payload = (run.comm.iter().map(payload).sum::<u64>() as f64 * scale) as u64;
-    let max_pair_payload = run
-        .comm
-        .iter()
-        .enumerate()
-        .map(|(r, s)| {
-            s.sent_to
-                .iter()
-                .enumerate()
-                .filter(|(d, _)| *d != r)
-                .map(|(_, &b)| b)
-                .max()
-                .unwrap_or(0)
-        })
-        .max()
-        .unwrap_or(0) as f64
-        * scale;
     let batch_bytes = (cfg.batch_size * K::num_bytes(k)) as u64;
-    let (max_rank_wire, rounds_projected) = hysortk_perfmodel::project_padded_exchange(
-        max_rank_payload,
-        max_pair_payload as u64,
-        batch_bytes,
-        p.saturating_sub(1).max(1),
-    );
-    let max_rank_wire = max_rank_wire as f64;
-    let total_wire = (total_payload + (max_rank_wire as u64 - max_rank_payload) * p as u64) as f64;
-    let off_node = run
-        .comm
-        .iter()
-        .enumerate()
-        .map(|(r, s)| s.off_node_fraction(r, gpus))
-        .fold(0.0f64, f64::max);
+    let exchange = padded_exchange(&run.comm, "exchange", scale, batch_bytes, gpus);
 
     let mut stages = StageTimes::new();
     stages.add("parse", compute.parse_time(max_bases as u64));
     let profile = ExchangeProfile {
-        max_rank_wire_bytes: max_rank_wire as u64,
-        off_node_fraction: off_node,
-        rounds: rounds_projected,
+        max_rank_wire_bytes: exchange.max_rank_wire,
+        off_node_fraction: exchange.off_node,
+        rounds: exchange.rounds,
         overlappable_compute: 0.0,
         overlap_fraction: 0.0,
     };
@@ -177,7 +148,7 @@ pub fn mhm2_count<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) -> Baseline
     let elements_per_node = (max_received as u64) * gpus as u64;
     stages.add(
         "gpu-count",
-        compute.gpu_process_time(elements_per_node, K::WORDS * 8, rounds_projected),
+        compute.gpu_process_time(elements_per_node, K::WORDS * 8, exchange.rounds),
     );
 
     let peak = model.memory().hash_counter_peak(
@@ -188,37 +159,21 @@ pub fn mhm2_count<K: KmerCode>(reads: &ReadSet, cfg: &HySortKConfig) -> Baseline
         None,
     );
 
-    let report = RunReport {
+    let modeled = Projection {
         stage_times: stages,
-        // Modeled baseline: nothing is measured per rank, so no wall attribution.
-        stage_wall: Default::default(),
-        comm: CommStats::aggregate(&run.comm),
         peak_memory_per_node: peak,
         sorter: SortAlgorithm::HashTable,
         total_kmers,
-        distinct_kmers: histogram.distinct(),
-        retained_kmers: counts.len() as u64,
-        heavy_tasks: 0,
-        max_rank_wire_bytes: max_rank_wire as u64,
-        total_wire_bytes: total_wire as u64,
-        exchange_rounds: rounds_projected,
-        assignment_imbalance: 1.0,
+        max_rank_wire_bytes: exchange.max_rank_wire,
+        total_wire_bytes: exchange.total_wire,
+        rounds: exchange.rounds,
         overlap_fraction: 0.0,
-        recoveries: 0,
-        epochs_committed: 0,
-        simd: hysortk_dna::simd::path_name(),
-        gather_s: 0.0,
-        result_runs: 0,
-        result_bytes: 0,
-        staged_bytes: 0,
-        sections: 0,
-        count_buffer_bytes: 0,
     };
 
     BaselineResult {
         counts,
         histogram,
-        report,
+        modeled,
     }
 }
 
@@ -247,6 +202,7 @@ mod tests {
         // Figure 9: HySortK is several times faster; larger k (longer supermers, less
         // traffic) narrows the gap.
         let data = DatasetPreset::CElegans.generate(5e-5, 42);
+        let perlmutter = MachineConfig::perlmutter_cpu();
         let speedup_at = |k: usize, m: usize| {
             let mut cfg = HySortKConfig::default();
             cfg.k = k;
@@ -258,7 +214,8 @@ mod tests {
             let gpu = mhm2_count::<Kmer1>(&data.reads, &cfg);
             let cpu = hysortk_core::count_kmers::<Kmer1>(&data.reads, &cfg);
             assert_eq!(gpu.counts, cpu.counts, "k={k}");
-            gpu.report.total_time() / cpu.report.total_time()
+            let cpu = hysortk_core::model::project(&cpu.report, &cfg, &perlmutter).unwrap();
+            gpu.modeled.total_time() / cpu.total_time()
         };
         let s17 = speedup_at(17, 8);
         let s31 = speedup_at(31, 15);

@@ -2,7 +2,8 @@
 //!
 //! Each `table_*` / `figure_*` / `ablation_*` function runs the relevant pipelines on a
 //! scaled-down synthetic stand-in of the paper's dataset, projects the result to full
-//! scale through the performance model, and returns printable rows shaped like the
+//! scale on a Perlmutter CPU node through the performance model
+//! ([`hysortk_core::model::project`]), and returns printable rows shaped like the
 //! paper's tables/figure series. The `repro` binary prints them (`repro list` names
 //! them, [`EXPERIMENTS`] is the table); `tests/data/repro_all.golden.txt` is the
 //! committed output of `repro all`, which CI diffs exactly.
@@ -17,7 +18,8 @@
 #![forbid(unsafe_code)]
 
 use hysortk_baselines::{hash_kmer, kmc3_count, kmerind_count, mhm2_count, KmerindOutcome};
-use hysortk_core::{count_kmers, CountResult, HySortKConfig};
+use hysortk_core::model::{project, MachineConfig, Projection};
+use hysortk_core::{count_kmers, CountResult, HySortKConfig, RunReport};
 use hysortk_datasets::{DatasetPreset, GeneratedDataset};
 use hysortk_dna::extension::Extension;
 use hysortk_dna::{Kmer1, Kmer2, ReadSet};
@@ -107,13 +109,22 @@ pub fn paper_config(k: usize, nodes: usize, data_scale: f64) -> HySortKConfig {
     cfg
 }
 
-/// Run HySortK choosing the k-mer width from k.
-pub fn run_hysortk(reads: &ReadSet, cfg: &HySortKConfig) -> hysortk_core::RunReport {
-    if cfg.k <= 32 {
+/// What a run measured under `cfg` projects to on a Perlmutter CPU node.
+pub fn modeled(report: &RunReport, cfg: &HySortKConfig) -> Projection {
+    project(report, cfg, &MachineConfig::perlmutter_cpu())
+        .expect("the experiment's layout fits the node")
+}
+
+/// Run HySortK choosing the k-mer width from k: what the run measured, and what that
+/// projects to on a Perlmutter CPU node.
+pub fn run_hysortk(reads: &ReadSet, cfg: &HySortKConfig) -> (RunReport, Projection) {
+    let report = if cfg.k <= 32 {
         count_kmers::<Kmer1>(reads, cfg).report
     } else {
         count_kmers::<Kmer2>(reads, cfg).report
-    }
+    };
+    let projection = modeled(&report, cfg);
+    (report, projection)
 }
 
 /// Full result (counts included) for k ≤ 32.
@@ -147,9 +158,9 @@ pub fn ablation_task_layer() -> Vec<Row> {
     ]
     .into_iter()
     .map(|(label, cfg)| {
-        let report = run_hysortk(&data.reads, &cfg);
+        let (report, modeled) = run_hysortk(&data.reads, &cfg);
         Row::new(label)
-            .push("time_s", report.total_time())
+            .push("time_s", modeled.total_time())
             .push("imbalance", report.assignment_imbalance)
             .push("heavy_tasks", report.heavy_tasks as f64)
     })
@@ -164,8 +175,8 @@ pub fn ablation_tasks_per_worker() -> Vec<Row> {
         .map(|tpw| {
             let mut cfg = paper_config(31, 32, data.data_scale);
             cfg.tasks_per_worker = tpw;
-            let report = run_hysortk(&data.reads, &cfg);
-            Row::new(format!("tpw={tpw}")).push("time_s", report.total_time())
+            let (_, modeled) = run_hysortk(&data.reads, &cfg);
+            Row::new(format!("tpw={tpw}")).push("time_s", modeled.total_time())
         })
         .collect()
 }
@@ -188,10 +199,10 @@ pub fn table2_processes_per_node() -> Vec<Row> {
         for ppn in [4usize, 8, 16, 32, 64] {
             let mut cfg = paper_config(31, nodes, data.data_scale);
             cfg.processes_per_node = ppn;
-            cfg.threads_per_process = (cfg.machine.cores_per_node / ppn).max(1);
+            cfg.threads_per_process = (MachineConfig::perlmutter_cpu().cores_per_node / ppn).max(1);
             cfg.threads_per_worker = 4.min(cfg.threads_per_process);
-            let report = run_hysortk(&data.reads, &cfg);
-            row = row.push(&format!("ppn{ppn}"), report.total_time());
+            let (_, modeled) = run_hysortk(&data.reads, &cfg);
+            row = row.push(&format!("ppn{ppn}"), modeled.total_time());
         }
         rows.push(row);
     }
@@ -215,10 +226,10 @@ pub fn table3_batch_size() -> Vec<Row> {
         for batch in [10_000usize, 20_000, 40_000, 80_000, 160_000] {
             let mut cfg = paper_config(31, nodes, data.data_scale);
             cfg.batch_size = batch;
-            let report = run_hysortk(&data.reads, &cfg);
+            let (_, modeled) = run_hysortk(&data.reads, &cfg);
             row = row.push(
                 &format!("b{}k", batch / 1000),
-                report.stage_times.get("exchange"),
+                modeled.stage_times.get("exchange"),
             );
         }
         rows.push(row);
@@ -243,8 +254,8 @@ pub fn table4_m_length() -> Vec<Row> {
         for m in [7usize, 13, 17, 21, 27] {
             let mut cfg = paper_config(31, nodes, data.data_scale);
             cfg.m = m;
-            let report = run_hysortk(&data.reads, &cfg);
-            row = row.push(&format!("m{m}"), report.total_time());
+            let (_, modeled) = run_hysortk(&data.reads, &cfg);
+            row = row.push(&format!("m{m}"), modeled.total_time());
         }
         rows.push(row);
     }
@@ -262,8 +273,8 @@ pub fn figure4_strong_scaling() -> Vec<Row> {
     let mut baseline = None;
     for nodes in [1usize, 2, 4, 8, 16] {
         let cfg = paper_config(31, nodes, data.data_scale);
-        let report = run_hysortk(&data.reads, &cfg);
-        let t = report.total_time();
+        let (_, modeled) = run_hysortk(&data.reads, &cfg);
+        let t = modeled.total_time();
         let base = *baseline.get_or_insert(t);
         rows.push(
             Row::new(format!("{nodes} nodes"))
@@ -272,7 +283,7 @@ pub fn figure4_strong_scaling() -> Vec<Row> {
                 .push("efficiency", base / t / nodes as f64)
                 .push(
                     "raduls",
-                    matches!(report.sorter, hysortk_perfmodel::SortAlgorithm::Raduls) as u8 as f64,
+                    matches!(modeled.sorter, hysortk_perfmodel::SortAlgorithm::Raduls) as u8 as f64,
                 ),
         );
     }
@@ -294,18 +305,18 @@ pub fn figure5_weak_scaling() -> Vec<Row> {
         let data = DatasetPreset::HSapiensShortRead.generate(gen_scale, 7 + nodes as u64);
         let mut cfg = paper_config(31, nodes, 1.0);
         cfg.data_scale = (data.reads.total_bases() as f64 / (2e9 * nodes as f64)).clamp(1e-9, 1.0);
-        let report = run_hysortk(&data.reads, &cfg);
-        let t = report.total_time();
+        let (_, modeled) = run_hysortk(&data.reads, &cfg);
+        let t = modeled.total_time();
         let base = *baseline.get_or_insert(t);
         rows.push(
             Row::new(format!("{nodes} nodes"))
                 .push("time_s", t)
                 .push("weak_efficiency", base / t)
-                .push("parse_s", report.stage_times.get("parse"))
-                .push("exchange_s", report.stage_times.get("exchange"))
+                .push("parse_s", modeled.stage_times.get("parse"))
+                .push("exchange_s", modeled.stage_times.get("exchange"))
                 .push(
                     "sort_scan_s",
-                    report.stage_times.get("sort") + report.stage_times.get("scan"),
+                    modeled.stage_times.get("sort") + modeled.stage_times.get("scan"),
                 ),
         );
     }
@@ -322,11 +333,11 @@ pub fn figure6_vs_kmc3() -> Vec<Row> {
     let mut rows = Vec::new();
     for k in [17usize, 31, 55] {
         let cfg = paper_config(k, 1, data.data_scale);
-        let hysortk = run_hysortk(&data.reads, &cfg);
+        let (_, hysortk) = run_hysortk(&data.reads, &cfg);
         let kmc = if k <= 32 {
-            kmc3_count::<Kmer1>(&data.reads, &cfg).report
+            kmc3_count::<Kmer1>(&data.reads, &cfg, &MachineConfig::perlmutter_cpu()).modeled
         } else {
-            kmc3_count::<Kmer2>(&data.reads, &cfg).report
+            kmc3_count::<Kmer2>(&data.reads, &cfg, &MachineConfig::perlmutter_cpu()).modeled
         };
         rows.push(
             Row::new(format!("k={k}"))
@@ -348,22 +359,22 @@ fn vs_kmerind(preset: DatasetPreset, node_counts: &[usize], seed: u64) -> Vec<Ro
     let mut rows = Vec::new();
     for &nodes in node_counts {
         let cfg = paper_config(31, nodes, data.data_scale);
-        let hysortk = run_hysortk(&data.reads, &cfg);
+        let (_, hysortk) = run_hysortk(&data.reads, &cfg);
         let mut row = Row::new(format!("{nodes} nodes"))
             .push("hysortk_s", hysortk.total_time())
             .push("hysortk_mem_gb", hysortk.peak_memory_per_node as f64 / 1e9);
-        match kmerind_count::<Kmer1>(&data.reads, &cfg) {
+        match kmerind_count::<Kmer1>(&data.reads, &cfg, &MachineConfig::perlmutter_cpu()) {
             KmerindOutcome::Completed(res) => {
                 row = row
-                    .push("kmerind_s", res.report.total_time())
+                    .push("kmerind_s", res.modeled.total_time())
                     .push(
                         "kmerind_mem_gb",
-                        res.report.peak_memory_per_node as f64 / 1e9,
+                        res.modeled.peak_memory_per_node as f64 / 1e9,
                     )
                     .push(
                         "mem_saving",
                         1.0 - hysortk.peak_memory_per_node as f64
-                            / res.report.peak_memory_per_node as f64,
+                            / res.modeled.peak_memory_per_node as f64,
                     );
             }
             KmerindOutcome::OutOfMemory { projected_peak, .. } => {
@@ -396,16 +407,11 @@ pub fn figure9_vs_mhm2() -> Vec<Row> {
     for k in [17usize, 31, 55] {
         for nodes in [1usize, 2, 4, 8] {
             let cfg = paper_config(k, nodes, data.data_scale);
-            let (hysortk_t, mhm2_t) = if k <= 32 {
-                (
-                    count_kmers::<Kmer1>(&data.reads, &cfg).report.total_time(),
-                    mhm2_count::<Kmer1>(&data.reads, &cfg).report.total_time(),
-                )
+            let hysortk_t = run_hysortk(&data.reads, &cfg).1.total_time();
+            let mhm2_t = if k <= 32 {
+                mhm2_count::<Kmer1>(&data.reads, &cfg).modeled.total_time()
             } else {
-                (
-                    count_kmers::<Kmer2>(&data.reads, &cfg).report.total_time(),
-                    mhm2_count::<Kmer2>(&data.reads, &cfg).report.total_time(),
-                )
+                mhm2_count::<Kmer2>(&data.reads, &cfg).modeled.total_time()
             };
             rows.push(
                 Row::new(format!("k={k}, {nodes} nodes"))
@@ -511,10 +517,10 @@ pub fn communication_optimisations() -> Vec<Row> {
     let run = |label: &str, overlap: bool| {
         let mut cfg = cfg.clone();
         cfg.overlap = overlap;
-        let report = run_hysortk_counts(&data.reads, &cfg).report;
+        let modeled = modeled(&run_hysortk_counts(&data.reads, &cfg).report, &cfg);
         Row::new(label)
-            .push("exchange_s", report.stage_times.get("exchange"))
-            .push("wire_gb", report.total_wire_bytes as f64 / 1e9)
+            .push("exchange_s", modeled.stage_times.get("exchange"))
+            .push("wire_gb", modeled.total_wire_bytes as f64 / 1e9)
     };
 
     let no_overlap = run("no overlap", false);
@@ -574,7 +580,8 @@ fn overlap_end_to_end_128_ranks() -> Row {
     let data = dataset(DatasetPreset::HSapiens10x, 15);
     let mut overlapped_cfg = paper_config(31, 8, data.data_scale);
     overlapped_cfg.processes_per_node = 16;
-    overlapped_cfg.threads_per_process = (overlapped_cfg.machine.cores_per_node / 16).max(1);
+    overlapped_cfg.threads_per_process =
+        (MachineConfig::perlmutter_cpu().cores_per_node / 16).max(1);
     overlapped_cfg.with_extension = true;
     overlapped_cfg.overlap = true;
     let mut bulk_cfg = overlapped_cfg.clone();
@@ -587,13 +594,15 @@ fn overlap_end_to_end_128_ranks() -> Row {
         bulk.extensions, overlapped.extensions,
         "exchange modes disagree on extensions"
     );
-    let (bulk_s, overlapped_s) = (bulk.report.total_time(), overlapped.report.total_time());
+    let bulk_s = modeled(&bulk.report, &bulk_cfg).total_time();
+    let overlapped = modeled(&overlapped.report, &overlapped_cfg);
+    let overlapped_s = overlapped.total_time();
     Row::new("128 ranks, end to end")
         .push("modeled_bulk_s", bulk_s)
         .push("modeled_overlapped_s", overlapped_s)
         .push("modeled_speedup", bulk_s / overlapped_s)
-        .push("rounds_projected", overlapped.report.exchange_rounds as f64)
-        .push("overlap_fraction", overlapped.report.overlap_fraction)
+        .push("rounds_projected", overlapped.rounds as f64)
+        .push("overlap_fraction", overlapped.overlap_fraction)
 }
 
 /// One experiment: its `repro` name, its title, and the function producing its rows.

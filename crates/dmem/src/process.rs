@@ -20,7 +20,8 @@
 //! Peer frames are length-prefixed: `[kind u8][tag u64 LE][len u64 LE][payload]`
 //! with kinds `DATA`, `ABORT` (tag = origin rank, payload = detail) and `FIN`
 //! (goodbye: tag 0 when its sender saw no abort, else 1 + the origin rank of the
-//! abort it saw, with its detail as the payload). A `DATA` tag names one round of
+//! abort it saw, with its detail as the payload, and [`FIN_INFERRED`] set when that
+//! abort is a departure the sender inferred). A `DATA` tag names one round of
 //! one exchange — collectives and round exchanges alike — and the SPMD calling
 //! discipline makes the per-rank exchange sequence numbers agree across ranks, so
 //! frames match up without any negotiation. A per-peer reader thread drains every
@@ -37,10 +38,12 @@
 //! `FIN` has left, so a wait that still lacks its post fails naming it; and a rank
 //! that dies without a word (killed, `_exit`) surfaces as
 //! [`DmemError::PeerFailed`] through EOF-without-`FIN` on its sockets — never a
-//! hang, and no clock involved. Rust's startup sets `SIGPIPE` to ignore (inherited
-//! across `fork`), so writes to a dead peer fail with `EPIPE` instead of killing
-//! the writer, which then blames by evidence: it waits for that peer's reader to
-//! end and reports what the peer's stream said (see `send_data`).
+//! hang, and no clock involved. A rank sees a departure on its own socket, behind the
+//! departed rank's last posts, so a goodbye relays one only as whom to blame, never as
+//! an abort that could overtake those posts. Rust's startup sets `SIGPIPE` to ignore
+//! (inherited across `fork`), so writes to a dead peer fail with `EPIPE` instead of
+//! killing the writer, which then blames by evidence: it waits for that peer's reader
+//! to end and reports what the peer's stream said (see `send_data`).
 //!
 //! Child environment (`HYSORTK_NO_SIMD`, `HYSORTK_FAULT`, verbosity) propagates
 //! by `fork` inheritance — children are clones of the configured parent, no
@@ -72,7 +75,7 @@ use crate::collectives::RankCtx;
 use crate::error::DmemError;
 use crate::fault::FaultPlan;
 use crate::stats::CommStats;
-use crate::transport::{gone, Backend, Liveness, Transport};
+use crate::transport::{Backend, Liveness, Transport};
 use crate::wire::{self, Wire};
 
 mod ffi {
@@ -89,6 +92,10 @@ const EINTR: i32 = 4;
 const FRAME_DATA: u8 = 0;
 const FRAME_ABORT: u8 = 1;
 const FRAME_FIN: u8 = 2;
+
+/// Set in a `FIN` tag when the abort it names is a departure its sender inferred: the
+/// receiver blames that rank for the sender's departure and publishes nothing.
+const FIN_INFERRED: u64 = 1 << 63;
 
 // Control-socket (child → parent) frame kinds.
 const CTL_RESULT: u8 = 0;
@@ -143,7 +150,7 @@ type Mailbox = Mutex<TagQueues>;
 
 /// Per-peer reader: drains every incoming frame into the mailbox until the peer
 /// says goodbye (`FIN`) or its socket dies, then marks the peer as left. EOF
-/// without `FIN` *is* the dead-peer detector — it publishes the abort that
+/// without `FIN` *is* the dead-peer detector — it records the departure that
 /// unblocks every local wait.
 fn reader_loop(src: usize, mut stream: UnixStream, mailbox: Arc<Mailbox>, live: Arc<Liveness>) {
     let mut fin = false;
@@ -171,8 +178,11 @@ fn reader_loop(src: usize, mut stream: UnixStream, mailbox: Arc<Mailbox>, live: 
                 live.publish(tag as usize, &detail());
             }
             FRAME_FIN => {
-                if tag > 0 {
-                    live.publish(tag as usize - 1, &detail());
+                let origin = (tag & !FIN_INFERRED) as usize;
+                if tag & FIN_INFERRED != 0 {
+                    live.blame(src, origin.wrapping_sub(1));
+                } else if tag > 0 {
+                    live.publish(origin - 1, &detail());
                 }
                 fin = true;
                 break;
@@ -181,7 +191,7 @@ fn reader_loop(src: usize, mut stream: UnixStream, mailbox: Arc<Mailbox>, live: 
         }
     }
     if !fin {
-        live.publish(src, &gone(src));
+        live.infer_gone(src);
     }
     live.leave(src);
 }
@@ -245,9 +255,9 @@ impl ProcessTransport {
     /// Send one `DATA` frame. A write fails only once `dst` has closed its end
     /// (`EPIPE`, thanks to ignored `SIGPIPE`), and then the rest of `dst`'s stream
     /// is the evidence of why: wait for its reader to end, and blame the abort it
-    /// named — in an `ABORT` or in its `FIN` — or else `dst` itself. Whichever abort
-    /// this rank recorded first wins, exactly like the shared record on the thread
-    /// backend.
+    /// named — in an `ABORT` or in its `FIN` — or else the departure of `dst`, or of
+    /// the rank its `FIN` blamed. Whichever abort this rank recorded first wins, exactly
+    /// like the shared record on the thread backend.
     fn send_data(
         &self,
         dst: usize,
@@ -257,7 +267,7 @@ impl ProcessTransport {
     ) -> Result<(), DmemError> {
         if self.send_frame(dst, FRAME_DATA, tag, payload).is_err() {
             self.live.await_exit(dst);
-            self.publish_abort(dst, &gone(dst));
+            self.live.infer_gone(dst);
             return Err(self.peer_failure(round).expect("an abort is recorded"));
         }
         Ok(())
@@ -266,9 +276,10 @@ impl ProcessTransport {
     /// Goodbye to every peer, so their readers stop and mark this rank as left,
     /// naming the abort this rank saw, if any.
     fn send_fin_all(&self) {
-        let (tag, detail) = match self.live.peer_failure(0) {
-            Some(DmemError::PeerFailed { rank, detail, .. }) => (rank as u64 + 1, detail),
-            _ => (0, String::new()),
+        let (tag, detail) = match self.live.recorded_abort() {
+            Some((rank, detail, false)) => (rank as u64 + 1, detail),
+            Some((rank, detail, true)) => ((rank as u64 + 1) | FIN_INFERRED, detail),
+            None => (0, String::new()),
         };
         for dst in 0..self.size {
             if dst != self.rank {
@@ -1089,6 +1100,97 @@ mod tests {
                 detail: "rank 2 hit a wall".to_string()
             }
         );
+    }
+
+    /// Rank 1 posts round 0 and leaves; rank 0's round-1 post to it fails, and rank 0
+    /// says goodbye. Rank 2 hears rank 0's goodbye before rank 1's round-0 post — the
+    /// interleaving that, when the goodbye relayed the departure rank 0 had inferred as
+    /// an abort, failed rank 2's round 0. The goodbye only blames rank 1 for rank 0's
+    /// departure, so rank 2's round-0 wait completes, and its round-1 wait, which lacks
+    /// both posts, fails naming rank 1.
+    #[test]
+    fn a_departure_is_not_relayed_ahead_of_the_departed_ranks_posts() {
+        crate::tests::within_10s("an inferred departure", || {
+            let tag = |round| round_tag(0, round);
+            let post = |round| (FRAME_DATA, tag(round), vec![round as u8]);
+            let rank1_stream = stream_bytes(&[post(0), (FRAME_FIN, 0, vec![])], End::Eof, true);
+
+            // Rank 0 is a transport; the test plays ranks 1 and 2 at its sockets.
+            let (mut rank1, ours1) = UnixStream::pair().unwrap();
+            let (mut rank2, ours2) = UnixStream::pair().unwrap();
+            let rank0 = ProcessTransport::new(0, vec![None, Some(ours1), Some(ours2)]);
+            rank0.round_open(0, 2);
+            rank0.round_post(0, 0, vec![0; 3], &[0, 1, 2, 3]).unwrap();
+            rank1.write_all(&rank1_stream).unwrap();
+            drop(rank1);
+            rank2
+                .write_all(&stream_bytes(&[post(0), post(1)], End::Eof, true))
+                .unwrap();
+            let (mut data, mut displs) = (Vec::new(), Vec::new());
+            rank0.round_wait(0, 0, &mut data, &mut displs).unwrap();
+            let err = rank0.round_post(0, 1, vec![0; 3], &[0, 1, 2, 3]);
+            assert!(
+                matches!(
+                    err,
+                    Err(DmemError::PeerFailed {
+                        rank: 1,
+                        round: 1,
+                        ..
+                    })
+                ),
+                "{err:?}"
+            );
+            rank0.send_fin_all();
+            // What rank 0 sent rank 2, up to its goodbye.
+            let mut said = Vec::new();
+            loop {
+                let mut hdr = [0u8; 17];
+                rank2.read_exact(&mut hdr).unwrap();
+                let len = u64::from_le_bytes(hdr[9..17].try_into().unwrap());
+                said.extend(hdr);
+                read_payload(&mut rank2, len, &mut said).unwrap();
+                if hdr[0] == FRAME_FIN {
+                    break;
+                }
+            }
+
+            // Rank 2's view: its readers of ranks 0 and 1 share one mailbox and liveness.
+            let mailbox = Arc::new(Mailbox::default());
+            let live = Arc::new(Liveness::new(3));
+            let deliver = |src: usize, bytes: Vec<u8>| {
+                let (mut peer, ours) = UnixStream::pair().unwrap();
+                let (mb, lv) = (Arc::clone(&mailbox), Arc::clone(&live));
+                let reader = std::thread::spawn(move || reader_loop(src, ours, mb, lv));
+                peer.write_all(&bytes).unwrap();
+                reader
+            };
+            let inbox = Arc::clone(&mailbox);
+            let posted = move |round: usize| {
+                let (mailbox, tag) = (Arc::clone(&inbox), tag(round));
+                move |src: usize| {
+                    let queues = mailbox.lock().unwrap();
+                    src == 2 || queues.get(&(src, tag)).is_some_and(|q| !q.is_empty())
+                }
+            };
+            deliver(0, said).join().unwrap();
+            assert_eq!(live.peer_failure(0), None, "rank 0 relayed a departure");
+            let (waiting, round0_posted) = (Arc::clone(&live), posted(0));
+            let round0 = std::thread::spawn(move || waiting.wait_for_posts(0, round0_posted));
+            deliver(1, rank1_stream).join().unwrap();
+            assert_eq!(round0.join().unwrap(), Ok(()));
+            let err = live.wait_for_posts(1, posted(1));
+            assert!(
+                matches!(
+                    err,
+                    Err(DmemError::PeerFailed {
+                        rank: 1,
+                        round: 1,
+                        ..
+                    })
+                ),
+                "{err:?}"
+            );
+        });
     }
 
     /// Per-destination round payload: 5 bytes stamped (src, round) per rank.

@@ -98,12 +98,26 @@ pub(crate) struct LiveState {
     /// The first published abort: the failing rank and its message. First wins, so a
     /// re-published `PeerFailed` never overwrites the root cause.
     abort: Option<(usize, String)>,
+    /// Whether `abort` is a departure this rank inferred ([`Liveness::infer_gone`])
+    /// rather than an abort a rank published.
+    inferred: bool,
     /// Ranks that will post nothing more: on the thread backend their closure
     /// returned, on the process backend their socket said `FIN` or hit EOF.
     pub(crate) left: Vec<bool>,
+    /// Whom the departure of rank `r` is blamed on: `r` itself, unless its goodbye
+    /// said it left over the departure of another rank ([`Liveness::blame`]).
+    blame: Vec<usize>,
 }
 
 impl LiveState {
+    fn infer_gone(&mut self, rank: usize) {
+        if self.abort.is_none() {
+            let culprit = self.blame[rank];
+            self.abort = Some((culprit, gone(culprit)));
+            self.inferred = true;
+        }
+    }
+
     fn failure(&self, round: usize) -> Option<DmemError> {
         self.abort
             .as_ref()
@@ -120,7 +134,9 @@ impl Liveness {
         Liveness {
             state: Mutex::new(LiveState {
                 abort: None,
+                inferred: false,
                 left: vec![false; ranks],
+                blame: (0..ranks).collect(),
             }),
             cv: Condvar::new(),
         }
@@ -153,6 +169,26 @@ impl Liveness {
         first
     }
 
+    /// Record, unless an abort is already recorded, that `rank` is gone — as the
+    /// departure of the rank it is blamed on — and wake every waiter.
+    pub(crate) fn infer_gone(&self, rank: usize) {
+        self.lock().infer_gone(rank);
+        self.cv.notify_all();
+    }
+
+    /// Blame the departure of `rank` on `culprit`, whose departure `rank` inferred.
+    pub(crate) fn blame(&self, rank: usize, culprit: usize) {
+        self.lock().blame[rank] = culprit;
+    }
+
+    /// The recorded abort, and whether it is a departure this rank inferred: what a
+    /// goodbye passes on.
+    pub(crate) fn recorded_abort(&self) -> Option<(usize, String, bool)> {
+        let state = self.lock();
+        let (rank, detail) = state.abort.clone()?;
+        Some((rank, detail, state.inferred))
+    }
+
     /// Record that `rank` will post nothing more and wake every waiter.
     pub(crate) fn leave(&self, rank: usize) {
         self.lock().left[rank] = true;
@@ -166,9 +202,10 @@ impl Liveness {
 
     /// Block until `posted(src)` holds for every rank `src`. The wait ends early, with
     /// the recorded abort as `PeerFailed`, once an abort is published or a rank whose
-    /// post is missing has left — which records that rank as gone unless an abort is
-    /// already recorded. `posted` runs under the state lock; a poster makes its post
-    /// visible to `posted` and then calls [`Liveness::notify`].
+    /// post is missing has left — which records that rank as gone
+    /// ([`Liveness::infer_gone`]) unless an abort is already recorded. `posted` runs
+    /// under the state lock; a poster makes its post visible to `posted` and then calls
+    /// [`Liveness::notify`].
     pub(crate) fn wait_for_posts(
         &self,
         round: usize,
@@ -181,7 +218,7 @@ impl Liveness {
                 return Ok(());
             }
             if let Some(src) = missing.find(|&src| state.left[src]) {
-                state.abort.get_or_insert_with(|| (src, gone(src)));
+                state.infer_gone(src);
                 self.cv.notify_all();
             }
             if let Some(e) = state.failure(round) {

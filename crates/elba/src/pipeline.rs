@@ -104,7 +104,6 @@ pub fn run_elba<K: KmerCode>(reads: &ReadSet, cfg: &ElbaConfig) -> ElbaResult {
         min_count: cfg.min_count,
         max_count: cfg.max_count,
         with_extension: true,
-        machine: cfg.machine.clone(),
         data_scale: cfg.data_scale,
         ..HySortKConfig::default()
     };
@@ -126,7 +125,7 @@ pub fn run_elba<K: KmerCode>(reads: &ReadSet, cfg: &ElbaConfig) -> ElbaResult {
         }
         CounterChoice::Original => {
             // The two-pass counter runs for real to keep the counting result honest…
-            let _result = two_pass_hash_count::<K>(reads, &counter_cfg);
+            let _result = two_pass_hash_count::<K>(reads, &counter_cfg, &cfg.machine);
             // …but it does not return extension lists; regenerate them from the
             // reference extraction restricted to the retained k-mers (this mirrors
             // ELBA's behaviour of storing read/position pairs in its hash table).

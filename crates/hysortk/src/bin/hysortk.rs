@@ -12,8 +12,9 @@
 //! k-mer is ever counted.
 //!
 //! The k-mer multiplicity histogram is written as TSV (`multiplicity\tdistinct`) to
-//! `--out` (or stdout), and a run summary — distinct/retained k-mers, traffic,
-//! modeled stage times — goes to stderr. `--kmers <path>` also writes the retained
+//! `--out` (or stdout), and a run summary — distinct/retained k-mers, measured traffic
+//! and wall time, and the stage times the paper's model projects for a workstation as
+//! wide as the run's layout — goes to stderr. `--kmers <path>` also writes the retained
 //! k-mers themselves as TSV (`k-mer\tcount`, ascending by k-mer): the run's result is
 //! the sorted runs its count jobs emitted, and the writer merges them lazily as it
 //! formats — the table is never built a second time.
@@ -26,6 +27,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use hysortk_core::ingest::{count_kmers_from_files_faulted, count_kmers_from_files_with};
+use hysortk_core::model::{project, MachineConfig};
 use hysortk_core::{CountResult, HySortKConfig, HysortkError, KmerRuns};
 use hysortk_dmem::{Backend, FaultPlan};
 use hysortk_dna::io::IngestOptions;
@@ -352,13 +354,17 @@ fn run<K: KmerCode>(cli: &CliArgs, cfg: &HySortKConfig) -> Result<(), HysortkErr
             report.epochs_committed,
         );
     }
+    // The modeled node is a workstation with a core for every thread of the layout.
+    let cores = (cfg.processes_per_node * cfg.threads_per_process).max(8);
+    let modeled = project(report, cfg, &MachineConfig::workstation(cores, 32))
+        .map_err(HysortkError::Config)?;
     eprintln!(
         "[hysortk] modeled: padded Alltoall of {} wire bytes over {} round(s), time {:.4}s \
          ({}); measured wall {:.2}s",
-        report.total_wire_bytes,
-        report.exchange_rounds,
-        report.total_time(),
-        report.stage_times.summary(),
+        modeled.total_wire_bytes,
+        modeled.rounds,
+        modeled.total_time(),
+        modeled.stage_times.summary(),
         wall,
     );
     eprintln!(

@@ -1,7 +1,6 @@
 //! Configuration of a HySortK run.
 
 use hysortk_dmem::Backend;
-use hysortk_perfmodel::{ExecutionConfig, MachineConfig};
 use hysortk_task::HeavyHitterPolicy;
 
 /// All tunables of the HySortK pipeline.
@@ -22,7 +21,7 @@ pub struct HySortKConfig {
     pub nodes: usize,
     /// MPI ranks per node.
     pub processes_per_node: usize,
-    /// Threads per rank (defaults to filling the node: `cores_per_node / ppn`;
+    /// Threads per rank (defaults to filling a Perlmutter CPU node, 128 cores ÷ 16 ranks;
     /// `hysortk count --threads`). Together with `threads_per_worker` this is the
     /// width of the rank's worker pool — `(threads_per_process / threads_per_worker)`
     /// workers × `threads_per_worker` threads — which parses the rank's reads in
@@ -43,7 +42,7 @@ pub struct HySortKConfig {
     /// so a round holds between one task per destination and all of them, and an
     /// exchange has as many rounds as its busiest destination needs. With `overlap`
     /// off the round loop runs on no budget (one round), and `batch_size` only sizes
-    /// the *modeled* padded exchange of the report.
+    /// the *modeled* padded exchange of [`crate::model::project`].
     pub batch_size: usize,
     /// Lowest k-mer frequency kept in the output (2 filters singletons).
     pub min_count: u64,
@@ -70,15 +69,16 @@ pub struct HySortKConfig {
     /// so serialization of round *r+1* and counting of round *r−1* proceed while round
     /// *r* is in flight; `false` is the bulk-synchronous ablation, the same loop on one
     /// unbounded round — serialise and post everything, wait, count, each step a
-    /// barrier. Output is byte-identical for both values; the performance model
-    /// receives the overlap fraction the loop *measured* (zero without overlap).
+    /// barrier. Output is byte-identical for both values; the report carries the
+    /// overlap fraction the loop *measured* (zero without overlap).
     pub overlap: bool,
-    /// Machine model used for the time/memory projection.
-    pub machine: MachineConfig,
-    /// Fraction of the full-size dataset that is actually being processed. Measured
-    /// work and traffic counters are divided by this factor before being fed into the
-    /// performance model, so a run on a 1/10 000-scale synthetic dataset still projects
-    /// the full-size experiment.
+    /// Fraction of the full-size dataset that is actually being processed. It shapes
+    /// the run as a miniature of the full-size one: the overlapped round budget is
+    /// `batch_size × ranks × data_scale` records, so the miniature's round structure is
+    /// the full-size structure scaled down (a budget that `batch_size × ranks` cannot
+    /// express, since it is often not a multiple of `ranks`). [`crate::model::project`]
+    /// divides the measured work and traffic by it, so a run on a 1/10 000-scale
+    /// synthetic dataset still projects the full-size experiment.
     pub data_scale: f64,
     /// Directory that receives the per-rank, epoch-numbered checkpoint manifests of
     /// the file-fed pipeline (`hysortk count --checkpoint <dir>`). `None` disables
@@ -107,14 +107,14 @@ pub struct HySortKConfig {
 
 impl Default for HySortKConfig {
     fn default() -> Self {
-        let machine = MachineConfig::perlmutter_cpu();
         HySortKConfig {
             k: 31,
             m: 15,
             seed: 0x9747b28c,
             nodes: 1,
             processes_per_node: 16,
-            threads_per_process: machine.cores_per_node / 16,
+            // Perlmutter's 128 cores ÷ 16 ranks.
+            threads_per_process: 8,
             threads_per_worker: 4,
             tasks_per_worker: 3,
             batch_size: 80_000,
@@ -124,7 +124,6 @@ impl Default for HySortKConfig {
             use_task_layer: true,
             heavy_hitter: HeavyHitterPolicy::default(),
             overlap: true,
-            machine,
             data_scale: 1.0,
             checkpoint_dir: None,
             checkpoint_every: 1,
@@ -137,19 +136,16 @@ impl Default for HySortKConfig {
 
 impl HySortKConfig {
     /// A configuration for quick local experiments: a handful of ranks of 2 threads
-    /// each, small batches, workstation machine model, no scaling projection. See
+    /// each, small batches, no scaling projection. See
     /// [`HySortKConfig::small_with_threads`].
     pub fn small(k: usize, m: usize, ranks: usize) -> Self {
         Self::small_with_threads(k, m, ranks, 2)
     }
 
     /// [`HySortKConfig::small`] with `threads` threads per rank (what `hysortk count
-    /// --threads` builds). The workstation is sized to hold the requested layout
-    /// (`ranks × threads` cores, at least 8) so the configuration always passes the
-    /// oversubscription check in [`HySortKConfig::validate`]; zero threads is left for
-    /// `validate` to reject.
+    /// --threads` builds); zero threads is left for [`HySortKConfig::validate`] to
+    /// reject.
     pub fn small_with_threads(k: usize, m: usize, ranks: usize, threads: usize) -> Self {
-        let machine = MachineConfig::workstation((ranks * threads).max(8), 32);
         HySortKConfig {
             k,
             m,
@@ -159,7 +155,6 @@ impl HySortKConfig {
             threads_per_worker: 1,
             tasks_per_worker: 3,
             batch_size: 4_096,
-            machine,
             ..Default::default()
         }
     }
@@ -197,16 +192,6 @@ impl HySortKConfig {
         }
     }
 
-    /// The execution configuration handed to the performance model.
-    pub fn execution(&self) -> ExecutionConfig {
-        ExecutionConfig::new(
-            self.nodes,
-            self.processes_per_node,
-            self.threads_per_process,
-            self.threads_per_worker,
-        )
-    }
-
     /// Validate the configuration, returning a description of the first problem found.
     pub fn validate(&self) -> Result<(), String> {
         if self.k == 0 || self.k > 64 {
@@ -226,17 +211,6 @@ impl HySortKConfig {
         }
         if self.threads_per_worker == 0 {
             return Err("threads_per_worker must be positive".to_string());
-        }
-        // `Default::default()` derives `threads_per_process` from a 16-ppn layout; a
-        // struct-update that only changes `processes_per_node` would silently
-        // oversubscribe the node. Reject layouts that place more threads than cores.
-        let cores = self.machine.cores_per_node;
-        if self.processes_per_node * self.threads_per_process > cores {
-            return Err(format!(
-                "{} processes_per_node × {} threads_per_process oversubscribes the \
-                 node's {} cores; lower one of them or pick a bigger machine model",
-                self.processes_per_node, self.threads_per_process, cores
-            ));
         }
         if self.batch_size == 0 {
             return Err("batch_size must be positive".to_string());
@@ -344,37 +318,15 @@ mod tests {
     #[test]
     fn small_config_is_valid() {
         HySortKConfig::small(21, 9, 4).validate().unwrap();
-        // Larger simulated clusters must size the workstation model up instead of
-        // oversubscribing it.
         HySortKConfig::small(21, 9, 8).validate().unwrap();
         let wide = HySortKConfig::small_with_threads(21, 9, 3, 5);
         wide.validate().unwrap();
         assert_eq!(wide.threads_per_process, 5);
-        assert_eq!(wide.machine.cores_per_node, 15);
         assert_eq!(wide.num_tasks(), 3 * 5 * 3);
         let err = HySortKConfig::small_with_threads(21, 9, 3, 0)
             .validate()
             .unwrap_err();
         assert!(err.contains("threads_per_process"), "{err}");
-    }
-
-    #[test]
-    fn oversubscribed_layouts_are_rejected() {
-        // Struct-updating `processes_per_node` alone keeps the derived
-        // `threads_per_process` (cores/16) and used to oversubscribe silently.
-        let mut cfg = HySortKConfig::default();
-        cfg.processes_per_node = 32; // 32 × 8 threads = 256 > 128 cores
-        let err = cfg.validate().unwrap_err();
-        assert!(err.contains("oversubscribes"), "unexpected error: {err}");
-
-        // The same layout on a machine with enough cores is fine.
-        cfg.machine.cores_per_node = 256;
-        cfg.validate().unwrap();
-
-        // Zero threads is caught before the core math.
-        let mut cfg = HySortKConfig::default();
-        cfg.threads_per_process = 0;
-        assert!(cfg.validate().is_err());
     }
 
     #[test]

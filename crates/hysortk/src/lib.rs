@@ -6,7 +6,9 @@
 //! The crate exposes one main entry point, [`count_kmers`], which runs the full
 //! three-stage pipeline — parse into supermers, exchange across simulated ranks,
 //! radix-sort and linearly scan — and returns both the exact canonical k-mer counts and
-//! a [`RunReport`] containing measured traffic and modeled per-stage times.
+//! a [`RunReport`] of what the run measured: traffic, work and wall time per rank. The
+//! paper's modeled seconds and memory are a separate step after the run:
+//! [`model::project`] takes the report to full scale on a modeled machine.
 //!
 //! The counts come back as [`KmerRuns`]: the sorted runs the count jobs emitted, held
 //! once and not merged. Look k-mers up and fold over the pairs for free; ask for key
@@ -41,6 +43,7 @@ pub mod checkpoint;
 pub mod config;
 pub mod error;
 pub mod ingest;
+pub mod model;
 pub mod overlap;
 pub mod pipeline;
 pub mod reference;
@@ -56,5 +59,7 @@ pub use ingest::{
 };
 pub use pipeline::count_kmers;
 pub use reference::{reference_counts, reference_counts_bounded, reference_extensions};
-pub use result::{CountResult, KmerHistogram, KmerRuns, RunReport, StageWall, StageWallTimes};
+pub use result::{
+    CountResult, KmerHistogram, KmerRuns, RankWork, RunReport, StageWall, StageWallTimes,
+};
 pub use wire::WireError;

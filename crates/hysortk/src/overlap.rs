@@ -35,9 +35,10 @@
 //! flight (*hidden* bytes: every list that runs between the post of round `s−1` and
 //! its completion) versus the work at the pipeline's ends that nothing could hide —
 //! the first round's serialization and the last round's count (*exposed* bytes). The
-//! pipeline feeds that measured overlap fraction into the performance model; being a
+//! report carries the measured overlap fraction (`RunReport::overlap_fraction`); being a
 //! byte counter rather than a wall-clock sample, it is deterministic — independent of
-//! the pool width — and projects to full scale like the other traffic counters.
+//! the pool width — and `model::project` projects it to full scale like the other
+//! traffic counters.
 //!
 //! `overlap = false` — serialise everything, exchange, then count, each stage a
 //! barrier — is this loop with **one unbounded round**: without a budget

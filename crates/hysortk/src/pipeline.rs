@@ -30,10 +30,10 @@
 //!    index over each completed round, then the worker pool counts each task one
 //!    section at a time: it decodes the section straight from the borrowed wire bytes
 //!    into a reused buffer — or, once the lane has seen the input duplicated, into a
-//!    small table that keeps only the distinct keys — radix-sorts that buffer
-//!    (choosing the in-place or out-of-place sorter by modeled memory pressure) and
-//!    counts it with a streaming run merge, filtered to the `[min_count, max_count]`
-//!    band, into one sorted run per section (see [`crate::stage3`]).
+//!    small table that keeps only the distinct keys — radix-sorts that buffer with
+//!    RADULS (`SECTION_SORTER`) and counts it with a streaming run merge, filtered to
+//!    the `[min_count, max_count]` band, into one sorted run per section (see
+//!    [`crate::stage3`]).
 //!
 //! A rank returns its sections' sorted runs as the count jobs emitted them, and once every
 //! rank has joined the root moves them into the result as they are
@@ -44,8 +44,9 @@
 //! because its extension lists are parallel to one table.
 //!
 //! All data movement happens through the simulated cluster, so the traffic and work
-//! counters in the returned [`RunReport`] are measurements, not estimates; only the
-//! conversion to seconds goes through the performance model.
+//! counters in the returned [`RunReport`] are measurements, not estimates. The run models
+//! nothing: projecting them to the paper's full-scale seconds and memory is a separate
+//! step after it ([`crate::model::project`]).
 
 use std::io;
 use std::marker::PhantomData;
@@ -60,8 +61,7 @@ use hysortk_dna::io::{Fragments, IngestOptions, InputFile, RangeReader};
 use hysortk_dna::kmer::KmerCode;
 use hysortk_dna::readset::{Read, ReadSet};
 use hysortk_dna::sequence::DnaSeq;
-use hysortk_perfmodel::network::ExchangeProfile;
-use hysortk_perfmodel::{PerfModel, SortAlgorithm, StageTimes};
+use hysortk_perfmodel::SortAlgorithm;
 use hysortk_sort::IN_CACHE_BYTES;
 use hysortk_supermer::mmer::{MmerScorer, ScoreFunction};
 use hysortk_supermer::streaming::{for_each_supermer, SupermerScratch};
@@ -75,7 +75,7 @@ use crate::checkpoint::{run_fingerprint, sizes_hash, CountedState, RoundCheckpoi
 use crate::config::HySortKConfig;
 use crate::error::HysortkError;
 use crate::ingest::{ingest_shard, window_bytes};
-use crate::result::{CountResult, KmerHistogram, KmerRuns, RunReport, StageWallTimes};
+use crate::result::{CountResult, KmerHistogram, KmerRuns, RankWork, RunReport, StageWallTimes};
 use crate::stage3::{self, CountParams, TaskCounts};
 use crate::table;
 use crate::wire::{
@@ -151,20 +151,10 @@ pub(crate) fn timed<T>(bucket: &mut f64, f: impl FnOnce() -> T) -> T {
 /// Work counters measured by one rank.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RankCounters {
-    pub(crate) bases_parsed: u64,
-    pub(crate) kmers_parsed: u64,
-    heavy_local_sorted: u64,
-    received_elements: u64,
-    precounted_elements: u64,
-    worker_makespan: u64,
-    exchange_rounds: usize,
+    /// What the report keeps per rank.
+    pub(crate) work: RankWork,
     assignment_imbalance: f64,
     heavy_tasks: usize,
-    /// Bytes this rank serialized/counted while a round was in flight.
-    overlap_hidden_bytes: u64,
-    /// Bytes of the pipeline's fill and drain (round 0 serialize, last round count)
-    /// that nothing could hide — with one unbounded round, all of them.
-    overlap_exposed_bytes: u64,
     /// Checkpoint epochs this rank committed (zero without a checkpoint directory).
     epochs_committed: u64,
     /// Bytes of stage-1 staging this rank held when stage 1 ended.
@@ -211,19 +201,37 @@ impl Wire for WallBuckets {
     }
 }
 
-impl Wire for RankCounters {
+impl Wire for RankWork {
     fn encode(&self, out: &mut Vec<u8>) {
         self.bases_parsed.encode(out);
         self.kmers_parsed.encode(out);
         self.heavy_local_sorted.encode(out);
-        self.received_elements.encode(out);
-        self.precounted_elements.encode(out);
         self.worker_makespan.encode(out);
-        self.exchange_rounds.encode(out);
+        self.received_records.encode(out);
+        self.hidden_bytes.encode(out);
+        self.exposed_bytes.encode(out);
+        self.rounds.encode(out);
+    }
+
+    fn decode(input: &mut &[u8]) -> Option<Self> {
+        Some(RankWork {
+            bases_parsed: u64::decode(input)?,
+            kmers_parsed: u64::decode(input)?,
+            heavy_local_sorted: u64::decode(input)?,
+            worker_makespan: u64::decode(input)?,
+            received_records: u64::decode(input)?,
+            hidden_bytes: u64::decode(input)?,
+            exposed_bytes: u64::decode(input)?,
+            rounds: usize::decode(input)?,
+        })
+    }
+}
+
+impl Wire for RankCounters {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.work.encode(out);
         self.assignment_imbalance.encode(out);
         self.heavy_tasks.encode(out);
-        self.overlap_hidden_bytes.encode(out);
-        self.overlap_exposed_bytes.encode(out);
         self.epochs_committed.encode(out);
         self.staged_bytes.encode(out);
         self.sections.encode(out);
@@ -233,17 +241,9 @@ impl Wire for RankCounters {
 
     fn decode(input: &mut &[u8]) -> Option<Self> {
         Some(RankCounters {
-            bases_parsed: u64::decode(input)?,
-            kmers_parsed: u64::decode(input)?,
-            heavy_local_sorted: u64::decode(input)?,
-            received_elements: u64::decode(input)?,
-            precounted_elements: u64::decode(input)?,
-            worker_makespan: u64::decode(input)?,
-            exchange_rounds: usize::decode(input)?,
+            work: RankWork::decode(input)?,
             assignment_imbalance: f64::decode(input)?,
             heavy_tasks: usize::decode(input)?,
-            overlap_hidden_bytes: u64::decode(input)?,
-            overlap_exposed_bytes: u64::decode(input)?,
             epochs_committed: u64::decode(input)?,
             staged_bytes: u64::decode(input)?,
             sections: u32::decode(input)?,
@@ -616,12 +616,13 @@ pub(crate) enum Input<'a> {
 }
 
 impl Input<'_> {
-    /// About how many `(k-mers, bases)` the input holds, from which the sorter and the
-    /// sections are derived. Files count their on-disk bytes for both: ASCII bytes ≈
-    /// bases ≈ k-mers for FASTA. FASTQ's quality lines about double the bytes — the
-    /// benchmark's 150-bp short-read file holds 2.08 bytes per base — which makes the
-    /// memory-aware choice more conservative and may cut twice the sections the k-mers
-    /// need (ROADMAP item 4(c) measures whether that costs).
+    /// About how many `(k-mers, bases)` the input holds, from which the sections are
+    /// derived; the report keeps both ([`RunReport::input_kmers`]), and the projection's
+    /// modeled sorter reads them. Files count their on-disk bytes for both: ASCII bytes
+    /// ≈ bases ≈ k-mers for FASTA. FASTQ's quality lines about double the bytes — the
+    /// benchmark's 150-bp short-read file holds 2.08 bytes per base — which may cut
+    /// twice the sections the k-mers need (ROADMAP item 4(c) measures whether that
+    /// costs).
     fn size(&self, k: usize) -> (u64, u64) {
         match self {
             Input::Reads(reads, _) => (reads.total_kmers(k) as u64, reads.total_bases() as u64),
@@ -660,7 +661,7 @@ impl Input<'_> {
 }
 
 /// Run the pipeline on `input` over a cluster of `cfg.total_ranks()` ranks, with `plan`'s
-/// faults injected when one is given: validate, derive the sorter and the sections, run
+/// faults injected when one is given: validate, derive the sections, run
 /// every rank ([`rank_pipeline`]), and combine their outputs ([`merge_outputs`]).
 ///
 /// Rank failures (an injected crash and the peer echoes it leaves behind) are the
@@ -682,10 +683,12 @@ pub(crate) fn run<K: KmerCode>(
         cfg.k
     );
     let num_tasks = cfg.num_tasks();
-    let model = PerfModel::new(cfg.machine.clone(), cfg.execution());
-    let (kmers, bases) = input.size(cfg.k);
-    let sorter = select_sorter::<K>(cfg, &model, kmers, bases);
-    let sections = derive_sections(kmers, record_bytes::<K>(cfg), num_tasks);
+    let size = input.size(cfg.k);
+    let sections = derive_sections(
+        size.0,
+        record_bytes(K::WORDS, cfg.with_extension),
+        num_tasks,
+    );
 
     let mut cluster = Cluster::new(cfg.total_ranks()).with_backend(cfg.backend);
     if let Some(plan) = plan {
@@ -696,7 +699,7 @@ pub(crate) fn run<K: KmerCode>(
         _ => false,
     };
     let run = cluster.run_recovering_wire(cfg.recovery_attempts, recoverable, |ctx| {
-        rank_pipeline::<K>(ctx, &input, cfg, num_tasks, sorter, sections)
+        rank_pipeline::<K>(ctx, &input, cfg, num_tasks, sections)
     });
     let joined = Instant::now();
     let (outputs, errors): (Vec<_>, Vec<_>) = run.results.into_iter().partition(Result::is_ok);
@@ -710,42 +713,23 @@ pub(crate) fn run<K: KmerCode>(
         outputs,
         run.comm,
         cfg,
-        &model,
-        sorter,
+        size,
         run.recoveries,
         joined,
     ))
 }
 
-/// Decide the local sorter the way HySortK does: look at the payload — `kmers` and
-/// `bases` of input, projected to full scale — and the node memory. Deterministic, so
-/// identical on every rank. Since stage 3 sorts section by section it only picks the
-/// in-section kernel — RADULS costs one more section-sized buffer per thread than
-/// PARADIS, not a copy of the data.
-pub(crate) fn select_sorter<K: KmerCode>(
-    cfg: &HySortKConfig,
-    model: &PerfModel,
-    kmers: u64,
-    bases: u64,
-) -> SortAlgorithm {
-    let nodes = cfg.nodes.max(1) as u64;
-    let raduls_ok = model.memory().raduls_fits(
-        (kmers as f64 / cfg.data_scale) as u64 / nodes,
-        record_bytes::<K>(cfg),
-        (bases as f64 / 4.0 / cfg.data_scale) as u64 / nodes,
-    );
-    if raduls_ok {
-        SortAlgorithm::Raduls
-    } else {
-        SortAlgorithm::Paradis
-    }
-}
+/// The kernel stage 3 sorts every section with. Sections keep RADULS's second buffer
+/// at one section per thread, not a copy of the data, so there is nothing to choose by
+/// memory; PARADIS stays reachable through [`CountParams`].
+const SECTION_SORTER: SortAlgorithm = SortAlgorithm::Raduls;
 
-/// Wire size of one k-mer record in the receive buffer (used for the memory projection,
-/// the sort-cost byte width and the section size).
-fn record_bytes<K: KmerCode>(cfg: &HySortKConfig) -> usize {
-    K::WORDS * 8
-        + if cfg.with_extension {
+/// Size of one decoded k-mer record of `kmer_words` words, with its extension when the
+/// run carries them: what the section size is derived from, and the byte width the
+/// model prices sorts and memory at.
+pub(crate) fn record_bytes(kmer_words: usize, with_extension: bool) -> usize {
+    kmer_words * 8
+        + if with_extension {
             Extension::WIRE_BYTES
         } else {
             0
@@ -787,7 +771,6 @@ fn rank_pipeline<K: KmerCode>(
     input: &Input<'_>,
     cfg: &HySortKConfig,
     num_tasks: usize,
-    sorter: SortAlgorithm,
     sections: u32,
 ) -> Result<RankOutput<K>, HysortkError> {
     let rank_start = Instant::now();
@@ -804,11 +787,10 @@ fn rank_pipeline<K: KmerCode>(
         ("sections", u64::from(sections)),
     ]);
 
-    let output =
-        stages_2_and_3(ctx, stage1, counters, cfg, num_tasks, sorter, &pool).map(|mut out| {
-            out.counters.wall.total = rank_start.elapsed().as_secs_f64();
-            out
-        });
+    let output = stages_2_and_3(ctx, stage1, counters, cfg, num_tasks, &pool).map(|mut out| {
+        out.counters.wall.total = rank_start.elapsed().as_secs_f64();
+        out
+    });
     ingested.and(output)
 }
 
@@ -984,8 +966,8 @@ impl<'a> Stage1Parser<'a> {
         let mut fragments = 0;
         for (_, scratch) in &parsed {
             fragments += scratch.fragment_count;
-            counters.bases_parsed += scratch.bases;
-            counters.kmers_parsed += scratch.targets.iter().map(|t| t.kmers).sum::<u64>();
+            counters.work.bases_parsed += scratch.bases;
+            counters.work.kmers_parsed += scratch.targets.iter().map(|t| t.kmers).sum::<u64>();
         }
 
         // Layout: every task's region at the end of its body, cut into one slot per
@@ -1070,7 +1052,6 @@ pub(crate) fn stages_2_and_3<K: KmerCode>(
     mut counters: RankCounters,
     cfg: &HySortKConfig,
     num_tasks: usize,
-    sorter: SortAlgorithm,
     pool: &WorkerPool,
 ) -> Result<RankOutput<K>, HysortkError> {
     let p = ctx.size();
@@ -1148,8 +1129,13 @@ pub(crate) fn stages_2_and_3<K: KmerCode>(
     // bulk-synchronous ablation: no budget, so the plan is one round and the loop's
     // three steps — serialise and post everything, wait, count — are each a barrier.
     let ser = SendSerializer::new(stage1, &heavy, cfg);
-    let params =
-        CountParams::for_kmer::<K>(k, sorter, cfg.min_count, cfg.max_count, cfg.with_extension);
+    let params = CountParams::for_kmer::<K>(
+        k,
+        SECTION_SORTER,
+        cfg.min_count,
+        cfg.max_count,
+        cfg.with_extension,
+    );
     let round_budget = if cfg.overlap {
         ((cfg.batch_size as f64 * p as f64 * cfg.data_scale).ceil() as u64).max(1)
     } else {
@@ -1168,14 +1154,13 @@ pub(crate) fn stages_2_and_3<K: KmerCode>(
         ckpt.as_mut(),
         &mut counters.wall,
     )?;
-    counters.overlap_hidden_bytes = run.hidden_bytes;
-    counters.overlap_exposed_bytes = run.exposed_bytes;
-    counters.heavy_local_sorted = run.heavy_local_sorted;
-    counters.exchange_rounds = run.rounds;
+    counters.work.hidden_bytes = run.hidden_bytes;
+    counters.work.exposed_bytes = run.exposed_bytes;
+    counters.work.heavy_local_sorted = run.heavy_local_sorted;
+    counters.work.rounds = run.rounds;
+    counters.work.worker_makespan = schedule_lpt(&run.task_sizes, workers).makespan();
+    counters.work.received_records = run.out.received_records + run.out.precounted_records;
     counters.epochs_committed = ckpt.as_ref().map_or(0, |c| c.epochs_committed as u64);
-    counters.worker_makespan = schedule_lpt(&run.task_sizes, workers).makespan();
-    counters.received_elements = run.out.received_records;
-    counters.precounted_elements = run.out.precounted_records;
     counters.count_buffer_bytes = run.out.buffer_bytes;
 
     // The sections' sorted runs go home as they are: together with the other ranks'
@@ -1201,21 +1186,19 @@ fn identity_assignment(sizes: &[u64], ranks: usize) -> Assignment {
     }
 }
 
-/// Combine the per-rank outputs into the public result and build the report.
-/// `recoveries` is how many times the cluster respawned failed ranks on the way to
-/// these outputs (zero for a healthy or non-recovering run); `joined` is when the last
-/// rank joined, from which [`RunReport::gather_s`] is measured.
+/// Combine the per-rank outputs into the public result and its measured report.
+/// `comm` is every rank's traffic and `input` the input size the run derived its
+/// sections from; `recoveries` is how many times the cluster respawned failed ranks on
+/// the way to these outputs (zero for a healthy or non-recovering run); `joined` is when
+/// the last rank joined, from which [`RunReport::gather_s`] is measured.
 pub(crate) fn merge_outputs<K: KmerCode>(
     outputs: Vec<RankOutput<K>>,
     comm: Vec<CommStats>,
     cfg: &HySortKConfig,
-    model: &PerfModel,
-    sorter: SortAlgorithm,
+    (input_kmers, input_bases): (u64, u64),
     recoveries: usize,
     joined: Instant,
 ) -> CountResult<K> {
-    let scale = 1.0 / cfg.data_scale;
-
     // ---- collect the result ------------------------------------------------------------
     // Every task of every rank is a sorted run and a k-mer belongs to exactly one of
     // them, so the runs *are* the table: they move into the result as the count jobs
@@ -1253,28 +1236,8 @@ pub(crate) fn merge_outputs<K: KmerCode>(
         )
     };
 
-    // ---- projected work counters -----------------------------------------------------
-    let max_bases = counters.iter().map(|c| c.bases_parsed).max().unwrap_or(0) as f64 * scale;
-    let max_heavy_local = counters
-        .iter()
-        .map(|c| c.heavy_local_sorted)
-        .max()
-        .unwrap_or(0) as f64
-        * scale;
-    let max_makespan = counters
-        .iter()
-        .map(|c| c.worker_makespan)
-        .max()
-        .unwrap_or(0) as f64
-        * scale;
-    let max_received = counters
-        .iter()
-        .map(|c| c.received_elements + c.precounted_elements)
-        .max()
-        .unwrap_or(0) as f64
-        * scale;
-    let total_kmers: u64 =
-        (counters.iter().map(|c| c.kmers_parsed).sum::<u64>() as f64 * scale) as u64;
+    // ---- the measured rollup -----------------------------------------------------------
+    let rank_work: Vec<RankWork> = counters.iter().map(|c| c.work).collect();
     let heavy_tasks = counters.first().map(|c| c.heavy_tasks).unwrap_or(0);
     let assignment_imbalance = counters
         .first()
@@ -1293,141 +1256,32 @@ pub(crate) fn merge_outputs<K: KmerCode>(
         .map(|c| c.epochs_committed)
         .max()
         .unwrap_or(0) as usize;
-
-    // ---- exchange traffic --------------------------------------------------------------
-    // Project payloads to full scale first, then recompute rounds and padding from the
-    // projected figures (padding measured on scaled-down data is an artefact of the
-    // fixed batch size and must not be scaled up).
-    let p = cfg.total_ranks();
-    let batch_bytes = (cfg.batch_size * K::num_bytes(cfg.k)) as u64;
-    let exchange_payload =
-        |s: &CommStats| s.stage("exchange").map(|st| st.payload_bytes).unwrap_or(0);
-    let max_rank_payload =
-        (comm.iter().map(&exchange_payload).max().unwrap_or(0) as f64 * scale) as u64;
-    let total_payload = (comm.iter().map(exchange_payload).sum::<u64>() as f64 * scale) as u64;
-    let max_pair_payload = comm
-        .iter()
-        .enumerate()
-        .map(|(r, s)| {
-            s.sent_to
-                .iter()
-                .enumerate()
-                .filter(|(d, _)| *d != r)
-                .map(|(_, &b)| b)
-                .max()
-                .unwrap_or(0)
-        })
-        .max()
-        .unwrap_or(0);
-    let max_pair_projected = (max_pair_payload as f64 * scale) as u64;
-    let (max_rank_wire, rounds_projected) = hysortk_perfmodel::project_padded_exchange(
-        max_rank_payload,
-        max_pair_projected,
-        batch_bytes,
-        p.saturating_sub(1).max(1),
-    );
-    let total_wire = total_payload + (max_rank_wire - max_rank_payload) * p as u64;
-    let off_node = comm
-        .iter()
-        .enumerate()
-        .map(|(r, s)| s.off_node_fraction(r, cfg.processes_per_node))
-        .fold(0.0f64, f64::max);
-
-    // ---- modeled stage times -----------------------------------------------------------
-    let compute = model.compute();
-    let network = model.network();
-    let bytes_per_record = record_bytes::<K>(cfg);
-
-    let mut stages = StageTimes::new();
-    stages.add("parse", compute.parse_time(max_bases as u64));
-    if max_heavy_local > 0.0 {
-        stages.add(
-            "local-count",
-            compute.sort_time_makespan(
-                (max_heavy_local as u64).div_ceil(cfg.workers_per_process() as u64),
-                K::WORDS * 8,
-                sorter,
-            ),
-        );
-    }
-    // Encode/decode work that the non-blocking exchange can hide (§3.3.1): moving the
-    // wire bytes once more through memory on each side. The hidden share is measured
-    // by the round loop: bytes serialized/counted while a round was in flight vs the
-    // exposed fill-and-drain bytes at the pipeline's ends. Like padding, the exposed
-    // share measured on scaled-down data is an artefact of the fixed batch size (it
-    // shrinks as 1/rounds), so it is re-projected through the full-scale round count
-    // computed above — except without overlap: that run's one unbounded round is all
-    // exposed bytes at any scale, and projecting it would read as almost fully hidden.
-    let codec_rate = model.machine.mem_bandwidth_per_node / cfg.processes_per_node as f64 / 4.0;
-    let overlappable = max_rank_wire as f64 / codec_rate;
-    let hidden: u64 = counters.iter().map(|c| c.overlap_hidden_bytes).sum();
-    let exposed: u64 = counters.iter().map(|c| c.overlap_exposed_bytes).sum();
-    let overlap_fraction = if cfg.overlap && hidden + exposed > 0 {
-        let exposed_local = exposed as f64 / (hidden + exposed) as f64;
-        let rounds_local = counters
-            .iter()
-            .map(|c| c.exchange_rounds)
-            .max()
-            .unwrap_or(1)
-            .max(1);
-        let exposed_projected =
-            exposed_local * rounds_local as f64 / rounds_projected.max(1) as f64;
-        (1.0 - exposed_projected).clamp(0.0, 1.0)
-    } else {
-        0.0
+    let hidden: u64 = rank_work.iter().map(|w| w.hidden_bytes).sum();
+    let exposed: u64 = rank_work.iter().map(|w| w.exposed_bytes).sum();
+    let overlap_fraction = match hidden + exposed {
+        0 => 0.0,
+        moved => hidden as f64 / moved as f64,
     };
-    let profile = ExchangeProfile {
-        max_rank_wire_bytes: max_rank_wire,
-        off_node_fraction: off_node,
-        rounds: rounds_projected,
-        overlappable_compute: overlappable,
-        overlap_fraction,
-    };
-    stages.add("exchange", network.exchange_time(&profile));
-    stages.add(
-        "task-collectives",
-        network.small_collective_time((cfg.num_tasks() * 8) as u64),
-    );
-    stages.add(
-        "sort",
-        compute.sort_time_makespan(max_makespan as u64, bytes_per_record, sorter),
-    );
-    stages.add("scan", compute.scan_time(max_received as u64));
-
-    // ---- memory ------------------------------------------------------------------------
-    let elements_per_node = (max_received as u64) * cfg.processes_per_node as u64;
-    let concurrent_fraction = 1.0 / cfg.tasks_per_worker.max(1) as f64;
-    // Every base is parsed by exactly one rank, so the counter sum is the input size
-    // (the file feed has no `ReadSet` to ask).
-    let total_bases: u64 = counters.iter().map(|c| c.bases_parsed).sum();
-    let input_per_node = (total_bases as f64 / 4.0 * scale) as u64 / cfg.nodes.max(1) as u64;
-    let peak = model.memory().sort_counter_peak(
-        elements_per_node,
-        bytes_per_record,
-        sorter == SortAlgorithm::Raduls,
-        concurrent_fraction,
-    ) + input_per_node;
-
-    // ---- measured wall-clock rollup ----------------------------------------------------
-    // Unlike the modeled stage times above these are raw `Instant` deltas, never
-    // projected through `data_scale`: they report the run that actually happened.
     let wall_buckets: Vec<Vec<f64>> = counters.iter().map(|c| c.wall.to_stage_vec()).collect();
     let stage_wall = StageWallTimes::from_rank_buckets(&WallBuckets::NAMES, &wall_buckets);
+    let total_comm = CommStats::aggregate(&comm);
+    let total_wire_bytes = total_comm.stage("exchange").map_or(0, |s| s.payload_bytes);
 
     let retained = counts.len() as u64;
     let report = RunReport {
-        stage_times: stages,
         stage_wall,
-        comm: CommStats::aggregate(&comm),
-        peak_memory_per_node: peak,
-        sorter,
-        total_kmers,
+        comm: total_comm,
+        rank_comm: comm,
+        total_kmers: rank_work.iter().map(|w| w.kmers_parsed).sum(),
+        rank_work,
+        input_kmers,
+        input_bases,
+        kmer_words: K::WORDS,
+        sorter: SECTION_SORTER,
         distinct_kmers: histogram.distinct(),
         retained_kmers: retained,
         heavy_tasks,
-        max_rank_wire_bytes: max_rank_wire,
-        total_wire_bytes: total_wire,
-        exchange_rounds: rounds_projected,
+        total_wire_bytes,
         assignment_imbalance,
         overlap_fraction,
         recoveries,
@@ -1452,8 +1306,10 @@ pub(crate) fn merge_outputs<K: KmerCode>(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::model::{project, MachineConfig};
     use crate::reference::{reference_counts_bounded, reference_extensions};
     use crate::stage3::TaskExtensions;
+    use hysortk_dmem::Backend;
     use hysortk_dna::kmer::{Kmer1, Kmer2};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1467,7 +1323,7 @@ pub(crate) mod tests {
     }
 
     /// Reads with duplicated regions so that multiplicities above 1 actually occur.
-    fn overlapping_reads(seed: u64) -> ReadSet {
+    pub(crate) fn overlapping_reads(seed: u64) -> ReadSet {
         let mut rng = StdRng::seed_from_u64(seed);
         let genome: Vec<u8> = (0..3_000).map(|_| b"ACGT"[rng.gen_range(0..4)]).collect();
         let reads: Vec<Vec<u8>> = (0..120)
@@ -1698,21 +1554,13 @@ pub(crate) mod tests {
                 cfg.overlap = overlap;
                 cfg.heavy_hitter.factor = 2.0;
                 let input = Input::Reads(reads, reads.partition_by_bases(ranks));
-                let run = Cluster::new(ranks).run_wire(|ctx| {
-                    rank_pipeline::<Kmer1>(
-                        ctx,
-                        &input,
-                        &cfg,
-                        cfg.num_tasks(),
-                        SortAlgorithm::Raduls,
-                        1,
-                    )
-                });
+                let run = Cluster::new(ranks)
+                    .run_wire(|ctx| rank_pipeline::<Kmer1>(ctx, &input, &cfg, cfg.num_tasks(), 1));
                 let mut precounted = 0;
                 for out in run.results {
                     let counters = out.expect("healthy run").counters;
                     assert_eq!(counters.heavy_tasks > 0, *heavy, "{tag}");
-                    precounted += counters.heavy_local_sorted;
+                    precounted += counters.work.heavy_local_sorted;
                     let wall = counters.wall;
                     let stages = wall.to_stage_vec();
                     // One value per name, and no stage that only ever reads zero.
@@ -1776,10 +1624,8 @@ pub(crate) mod tests {
             cfg.min_count = 2;
             cfg.with_extension = with_extension;
             let input = Input::Reads(&reads, reads.partition_by_bases(ranks));
-            let sorter = SortAlgorithm::Raduls;
-            let run = Cluster::new(ranks).run_wire(|ctx| {
-                rank_pipeline::<Kmer1>(ctx, &input, &cfg, cfg.num_tasks(), sorter, 1)
-            });
+            let run = Cluster::new(ranks)
+                .run_wire(|ctx| rank_pipeline::<Kmer1>(ctx, &input, &cfg, cfg.num_tasks(), 1));
             let outputs: Vec<RankOutput<Kmer1>> =
                 (run.results.into_iter().map(|r| r.expect("healthy run"))).collect();
             let mut emitted: Vec<*const (Kmer1, u64)> = (outputs.iter())
@@ -1789,8 +1635,7 @@ pub(crate) mod tests {
                 .collect();
             assert!(emitted.len() > ranks, "several non-empty tasks per rank");
 
-            let model = PerfModel::new(cfg.machine.clone(), cfg.execution());
-            let result = merge_outputs(outputs, run.comm, &cfg, &model, sorter, 0, Instant::now());
+            let result = merge_outputs(outputs, run.comm, &cfg, (0, 0), 0, Instant::now());
             let runs = result.counts.runs();
             let report = &result.report;
             assert_eq!(report.result_runs, runs.len());
@@ -1861,7 +1706,16 @@ pub(crate) mod tests {
         let mut histogram = KmerHistogram::new(rng.gen_range(2..40));
         histogram.record(rng.gen_range(1..60));
         let mut counters = RankCounters::default();
-        counters.kmers_parsed = rng.gen();
+        counters.work = RankWork {
+            bases_parsed: rng.gen(),
+            kmers_parsed: rng.gen(),
+            heavy_local_sorted: rng.gen(),
+            worker_makespan: rng.gen(),
+            received_records: rng.gen(),
+            hidden_bytes: rng.gen(),
+            exposed_bytes: rng.gen(),
+            rounds: rng.gen_range(0..1 << 20),
+        };
         counters.wall.count = 0.25;
         counters.wall.total = 1.5;
         RankOutput {
@@ -1898,7 +1752,7 @@ pub(crate) mod tests {
             let back = from_bytes::<RankOutput<K>>(&bytes).expect("round trip");
             assert_eq!(runs_of(&back), runs_of(&out), "case {case}");
             assert_eq!(back.histogram, out.histogram);
-            assert_eq!(back.counters.kmers_parsed, out.counters.kmers_parsed);
+            assert_eq!(back.counters.work, out.counters.work);
             assert_eq!(to_bytes(&back), bytes, "case {case}: re-encoding");
 
             // Every truncation is rejected, and so is trailing garbage.
@@ -1998,33 +1852,79 @@ pub(crate) mod tests {
         let smoke = include_bytes!("../../../tests/data/smoke.fa").len() as u64;
         for k in [21, 55] {
             let cfg = HySortKConfig::small_with_threads(k, 11, 1, 1);
-            let sections = derive_sections(smoke, record_bytes::<Kmer2>(&cfg), cfg.num_tasks());
+            let record = record_bytes(Kmer2::WORDS, cfg.with_extension);
+            let sections = derive_sections(smoke, record, cfg.num_tasks());
             assert_eq!((cfg.num_tasks(), sections), (3, 1));
         }
     }
 
+    /// The report is what the run measured: its wire bytes are the exchange payload
+    /// the ranks sent, its overlap fraction the share of the round loop's bytes moved
+    /// while a round was in flight — on any layout and either backend.
     #[test]
     fn histogram_and_report_are_consistent() {
+        if hysortk_dmem::ran_in_own_process("pipeline::tests::histogram_and_report_are_consistent")
+        {
+            return;
+        }
         let reads = overlapping_reads(7);
-        let cfg = small_cfg(21, 9, 2);
-        let result = count_kmers::<Kmer1>(&reads, &cfg);
-        assert_eq!(result.report.distinct_kmers, result.histogram.distinct());
-        assert_eq!(result.report.retained_kmers, result.counts.len() as u64);
-        assert!(result.report.total_time() > 0.0);
-        assert!(result.report.total_wire_bytes > 0);
-        assert!(result.report.peak_memory_per_node > 0);
+        for (ranks, overlap, backend) in [1usize, 2, 3].into_iter().flat_map(|ranks| {
+            [true, false].into_iter().flat_map(move |overlap| {
+                [Backend::Thread, Backend::Process].map(|backend| (ranks, overlap, backend))
+            })
+        }) {
+            let what = format!("ranks {ranks} overlap {overlap} backend {backend}");
+            let mut cfg = small_cfg(21, 9, ranks);
+            cfg.batch_size = 64;
+            cfg.overlap = overlap;
+            cfg.backend = backend;
+            let result = count_kmers::<Kmer1>(&reads, &cfg);
+            let report = &result.report;
+            assert_eq!(report.distinct_kmers, result.histogram.distinct(), "{what}");
+            assert_eq!(report.retained_kmers, result.counts.len() as u64, "{what}");
+            assert_eq!(
+                (report.rank_work.len(), report.rank_comm.len()),
+                (ranks, ranks)
+            );
+            assert_eq!(
+                report.total_kmers,
+                reads.total_kmers(21) as u64,
+                "{what}: every k-mer parsed once, not projected"
+            );
+            let exchange = report.comm.stage("exchange").map_or(0, |s| s.payload_bytes);
+            assert_eq!(report.total_wire_bytes, exchange, "{what}");
+            assert_eq!(report.total_wire_bytes > 0, ranks > 1, "{what}");
+            let rounds = report.rank_work.iter().map(|w| w.rounds).max().unwrap();
+            if overlap && rounds >= 2 {
+                assert!(
+                    report.overlap_fraction > 0.0 && report.overlap_fraction <= 1.0,
+                    "{what}: {}",
+                    report.overlap_fraction
+                );
+            } else {
+                assert_eq!(report.overlap_fraction, 0.0, "{what}");
+            }
+            assert!(!overlap || rounds >= 2, "{what}: the batch cuts rounds");
+        }
     }
 
     #[test]
     fn data_scale_projects_counters_but_not_counts() {
         let reads = overlapping_reads(8);
         let mut cfg = small_cfg(21, 9, 2);
+        let machine = MachineConfig::workstation(8, 32);
         let unscaled = count_kmers::<Kmer1>(&reads, &cfg);
+        let full = project(&unscaled.report, &cfg, &machine).unwrap();
         cfg.data_scale = 0.01;
         let scaled = count_kmers::<Kmer1>(&reads, &cfg);
+        let projected = project(&scaled.report, &cfg, &machine).unwrap();
         assert_eq!(unscaled.counts, scaled.counts);
-        assert!(scaled.report.total_kmers > unscaled.report.total_kmers * 50);
-        assert!(scaled.report.total_time() > unscaled.report.total_time());
+        // The report is what the run measured, whatever it stands in for.
+        assert_eq!(scaled.report.total_kmers, unscaled.report.total_kmers);
+        assert_eq!(full.total_kmers, unscaled.report.total_kmers);
+        assert!(projected.total_kmers > full.total_kmers * 50);
+        assert!(projected.total_time() > full.total_time());
+        assert!(full.total_time() > 0.0 && full.peak_memory_per_node > 0);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use hysortk_dmem::{CommStats, Wire};
 use hysortk_dna::extension::Extension;
 use hysortk_dna::kmer::KmerCode;
-use hysortk_perfmodel::{SortAlgorithm, StageTimes};
+use hysortk_perfmodel::SortAlgorithm;
 use hysortk_sort::multiway_merge;
 
 /// The histogram of k-mer multiplicities: `histogram[c]` is the number of distinct
@@ -111,9 +111,8 @@ impl KmerHistogram {
     }
 }
 
-/// Measured wall-clock seconds of one pipeline stage, aggregated over ranks.
-/// Unlike the modeled [`StageTimes`], these are real `Instant` deltas from the
-/// run that just happened; min vs max exposes stragglers.
+/// Measured wall-clock seconds of one pipeline stage, aggregated over ranks: real
+/// `Instant` deltas from the run that just happened; min vs max exposes stragglers.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageWall {
     /// Stage name (`parse`, `serialize`, `exchange-wait`, `count`, …).
@@ -193,21 +192,55 @@ impl StageWallTimes {
     }
 }
 
-/// Everything measured and modeled about one counting run.
+/// What one rank measured of its work, at the scale the run ran: the per-rank counters
+/// [`crate::model::project`] takes its maxima and sums of.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct RankWork {
+    /// Bases stage 1 parsed on this rank.
+    pub bases_parsed: u64,
+    /// k-mer instances stage 1 parsed on this rank.
+    pub kmers_parsed: u64,
+    /// k-mer instances this rank's fills pre-counted for its heavy-hitter tasks.
+    pub heavy_local_sorted: u64,
+    /// The LPT makespan, in records, of this rank's received tasks over its workers.
+    pub worker_makespan: u64,
+    /// Records this rank counted: the k-mers of the supermers it received plus the
+    /// pre-counted kmerlist pairs.
+    pub received_records: u64,
+    /// Bytes this rank serialized or counted while a round was in flight.
+    pub hidden_bytes: u64,
+    /// Bytes of the round loop's fill and drain (round 0 serialize, last round count)
+    /// that nothing could hide — with one unbounded round, all of them.
+    pub exposed_bytes: u64,
+    /// Exchange rounds this rank ran.
+    pub rounds: usize,
+}
+
+/// What one counting run measured: every figure is of the run that happened, at the
+/// scale it ran, on the machine it ran on. What the paper's machine model projects from
+/// it to full scale is a separate step, [`crate::model::project`].
 #[derive(Debug, Clone)]
 pub struct RunReport {
-    /// Per-stage modeled seconds (parse / exchange / sort / scan …).
-    pub stage_times: StageTimes,
-    /// Per-stage *measured* wall-clock seconds with per-rank min/mean/max
-    /// (always collected; independent of the tracing flag).
+    /// Per-stage wall-clock seconds with per-rank min/mean/max (always collected;
+    /// independent of the tracing flag).
     pub stage_wall: StageWallTimes,
-    /// Aggregated communication statistics from the simulated cluster.
+    /// Communication statistics, summed over ranks.
     pub comm: CommStats,
-    /// Modeled peak memory per node, bytes.
-    pub peak_memory_per_node: u64,
-    /// Which local sorter the memory-aware selection picked.
+    /// Every rank's communication statistics, in rank order.
+    pub rank_comm: Vec<CommStats>,
+    /// Every rank's work counters, in rank order.
+    pub rank_work: Vec<RankWork>,
+    /// About how many k-mers and bases the input holds — what the run derived its
+    /// sections from (see `Input::size` in [`crate::pipeline`]).
+    pub input_kmers: u64,
+    /// See [`RunReport::input_kmers`].
+    pub input_bases: u64,
+    /// Width of the k-mer codes the run counted, in 64-bit words.
+    pub kmer_words: usize,
+    /// The kernel stage 3 sorted every section with: RADULS. Kept because the frozen
+    /// benchmark reads it; ROADMAP item 1b unpins it.
     pub sorter: SortAlgorithm,
-    /// Total k-mer instances processed (projected to full scale).
+    /// k-mer instances stage 1 parsed, summed over ranks.
     pub total_kmers: u64,
     /// Distinct canonical k-mers observed.
     pub distinct_kmers: u64,
@@ -215,20 +248,17 @@ pub struct RunReport {
     pub retained_kmers: u64,
     /// Number of tasks flagged as heavy hitters.
     pub heavy_tasks: usize,
-    /// Wire bytes of the exchange stage sent by the most loaded rank (projected).
-    pub max_rank_wire_bytes: u64,
-    /// Total wire bytes of the exchange stage across all ranks (projected).
+    /// Payload bytes of the exchange stage, summed over ranks — the `exchange` stage's
+    /// `payload_bytes` in [`RunReport::comm`]. Named for what the frozen benchmark
+    /// reads; ROADMAP item 1b unpins it.
     pub total_wire_bytes: u64,
-    /// Number of communication rounds of the main exchange.
-    pub exchange_rounds: usize,
     /// Imbalance (max/mean) of the task → rank assignment.
     pub assignment_imbalance: f64,
-    /// Measured fraction (0..=1) of the overlappable encode/decode work the run hid
-    /// behind the exchange: bytes serialized/counted while a round was in flight over
-    /// all bytes through the round loop, with the exposed fill-and-drain share
-    /// projected to the full-scale round count. Zero without overlap: the loop then
-    /// runs one unbounded round, nothing is in flight while it serializes or counts,
-    /// and every byte is exposed.
+    /// Share (0..=1) of the bytes through the round loop that were serialized or
+    /// counted while a round was in flight: Σ hidden ÷ (Σ hidden + Σ exposed) over
+    /// [`RunReport::rank_work`]. Zero without overlap — the loop then runs one unbounded
+    /// round and every byte is exposed — and on any run of one round. The frozen
+    /// benchmark reads it; ROADMAP item 1b unpins it.
     pub overlap_fraction: f64,
     /// In-run rank recoveries: how many times the cluster respawned failed ranks and
     /// re-entered the pipeline instead of aborting. Zero for a healthy run.
@@ -236,42 +266,32 @@ pub struct RunReport {
     /// Checkpoint epochs committed by the most-advanced rank. Zero when no
     /// checkpoint directory is configured.
     pub epochs_committed: usize,
-    /// Measured: the most stage-1 staging any rank held when its stage 1 ended — the
-    /// sum of its tasks' supermer-block bodies. Filling a task into its round frees its
-    /// share. Zero for the baselines.
+    /// The most stage-1 staging any rank held when its stage 1 ended — the sum of its
+    /// tasks' supermer-block bodies. Filling a task into its round frees its share.
     pub staged_bytes: u64,
     /// How many sections stage 1 cut every task into — the `S` the run derived from its
-    /// input size: 1 on small inputs. Zero for the baselines.
+    /// input size: 1 on small inputs.
     pub sections: u32,
-    /// Measured: the largest high-water capacity of any rank's stage-3 count buffers —
-    /// the section lanes (decode buffer, RADULS buffer, table, emitted-run staging) and
-    /// the kmerlist staging, summed over the rank's count scratches. Zero for the
-    /// baselines.
+    /// The largest high-water capacity of any rank's stage-3 count buffers — the section
+    /// lanes (decode buffer, RADULS buffer, table, emitted-run staging) and the kmerlist
+    /// staging, summed over the rank's count scratches.
     pub count_buffer_bytes: u64,
     /// Which SIMD hot-path variant the run used (`"avx2"` or `"scalar"`),
     /// as chosen by runtime CPU detection (overridable with `HYSORTK_NO_SIMD=1`).
     pub simd: &'static str,
-    /// Measured root-side seconds from the last rank joining to the result being
-    /// returned: collecting the ranks' sorted task runs into `counts` — moved, not
-    /// merged, so close to zero — and building this report; in an extension run also
-    /// the one parallel assembly of the runs into a single table and `extensions`.
-    /// Together with the straggler's rank wall it accounts for the wall time of the
-    /// run the caller measures. Zero for the baselines.
+    /// Root-side seconds from the last rank joining to the result being returned:
+    /// collecting the ranks' sorted task runs into `counts` — moved, not merged, so
+    /// close to zero — and building this report; in an extension run also the one
+    /// parallel assembly of the runs into a single table and `extensions`. Together
+    /// with the straggler's rank wall it accounts for the wall time of the run the
+    /// caller measures.
     pub gather_s: f64,
-    /// Measured: how many sorted runs [`CountResult::counts`] holds — one per section of
-    /// every rank's tasks that retained a k-mer, or one in an extension run. Zero for
-    /// the baselines.
+    /// How many sorted runs [`CountResult::counts`] holds — one per section of every
+    /// rank's tasks that retained a k-mer, or one in an extension run.
     pub result_runs: usize,
-    /// Measured: the bytes of the pairs those runs hold, `retained_kmers ×
-    /// size_of::<(K, u64)>()` — the memory the result keeps. Zero for the baselines.
+    /// The bytes of the pairs those runs hold, `retained_kmers × size_of::<(K, u64)>()`
+    /// — the memory the result keeps.
     pub result_bytes: u64,
-}
-
-impl RunReport {
-    /// Total modeled runtime in seconds.
-    pub fn total_time(&self) -> f64 {
-        self.stage_times.total()
-    }
 }
 
 /// The retained `(k-mer, count)` table of a run, held the way the run produced it: the
@@ -399,7 +419,7 @@ pub struct CountResult<K: KmerCode> {
     /// configured with `with_extension`. `counts` is then a single run, and
     /// `extensions[i]` belongs to its `i`-th pair (`counts.runs()[0][i]`).
     pub extensions: Option<Vec<Vec<Extension>>>,
-    /// Measured and modeled run report.
+    /// What the run measured.
     pub report: RunReport,
 }
 

@@ -18,7 +18,7 @@
 //! * [`memory`] — peak-memory accounting used for the HySortK-vs-kmerind memory
 //!   comparison (Figures 7 and 8).
 //! * [`timing::StageTimes`] — the per-stage breakdown every pipeline in the workspace
-//!   reports.
+//!   reports, inside the [`timing::Projection`] of a whole run.
 //!
 //! The model is deliberately simple — its purpose is to reproduce *shapes* (who wins,
 //! where the crossover happens, how efficiency decays), not absolute seconds; `repro
@@ -37,7 +37,7 @@ pub use compute::{ccx_penalty, thread_efficiency, ComputeModel, SortAlgorithm};
 pub use machine::{ExecutionConfig, GpuConfig, MachineConfig};
 pub use memory::MemoryModel;
 pub use network::{project_padded_exchange, NetworkModel};
-pub use timing::StageTimes;
+pub use timing::{Projection, StageTimes};
 
 /// A complete performance model: machine description plus execution configuration
 /// (nodes, processes per node, threads per process).

@@ -2,7 +2,10 @@
 //!
 //! Every pipeline in the workspace (HySortK, the baselines, the ELBA integration)
 //! reports its modeled runtime as a list of named stages, which is what the paper's
-//! stacked-bar figures (Figure 5, Figure 10) plot.
+//! stacked-bar figures (Figure 5, Figure 10) plot. A counter's whole modeled outcome —
+//! its stage times, memory and exchange — is one [`Projection`].
+
+use crate::compute::SortAlgorithm;
 
 /// An ordered collection of `(stage name, seconds)` entries.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -68,6 +71,36 @@ impl StageTimes {
             .map(|(s, t)| format!("{s} {t:.3}s"))
             .collect::<Vec<_>>()
             .join(" | ")
+    }
+}
+
+/// What the model projects a counting run to at full scale on a modeled machine: the
+/// figures the paper reports, none of them measured. HySortK's come from its measured
+/// run report (`hysortk_core::model::project`); a baseline counter models its own.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Projection {
+    /// Modeled seconds per stage (parse / exchange / sort / scan …).
+    pub stage_times: StageTimes,
+    /// Modeled peak memory per node, bytes.
+    pub peak_memory_per_node: u64,
+    /// The local sorter the modeled machine's memory allows (§3.1).
+    pub sorter: SortAlgorithm,
+    /// k-mer instances at full scale.
+    pub total_kmers: u64,
+    /// Padded wire bytes of the exchange sent by the most loaded rank, at full scale.
+    pub max_rank_wire_bytes: u64,
+    /// Padded wire bytes of the exchange across all ranks, at full scale.
+    pub total_wire_bytes: u64,
+    /// Rounds of the padded exchange at full scale.
+    pub rounds: usize,
+    /// Share (0..=1) of the overlappable codec work hidden behind the exchange.
+    pub overlap_fraction: f64,
+}
+
+impl Projection {
+    /// Total modeled runtime in seconds.
+    pub fn total_time(&self) -> f64 {
+        self.stage_times.total()
     }
 }
 

@@ -6,14 +6,15 @@
 //! so a digit is a shift and a mask on a key word:
 //!
 //! * [`paradis`] — **in place, unstable**, modelled on PARADIS (Cho et al., VLDB 2015).
-//!   It needs no auxiliary array, so it is the sorter HySortK falls back to when memory
-//!   is tight.
+//!   It needs no auxiliary array, so it is the sorter the paper's HySortK falls back to
+//!   when memory is tight.
 //! * [`raduls`] — **out of place, stable**, modelled on RADULS (Kokot et al., BDAS
 //!   2017): faster, but it needs a second buffer of the same size.
 //!
 //! Stage 3 (`hysortk_core::stage3`) sorts one cache-sized minimizer section at a time,
-//! so the sorter choice (`hysortk_perfmodel::MemoryModel::raduls_fits`) only picks the
-//! in-section kernel. [`multiway::multiway_merge`] assembles the sorted runs the
+//! so RADULS's second buffer is one section per thread: the pipeline always sorts with
+//! it, and only the performance model still picks PARADIS for a modeled node whose
+//! memory is tight. [`multiway::multiway_merge`] assembles the sorted runs the
 //! sections emit into one table, and [`runs`] holds the linear counting scans applied
 //! after sorting.
 

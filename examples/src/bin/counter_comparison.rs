@@ -8,6 +8,7 @@
 use hysortk_baselines::{
     kmc3_count, kmerind_count, mhm2_count, two_pass_hash_count, KmerindOutcome,
 };
+use hysortk_core::model::{project, MachineConfig, Projection};
 use hysortk_core::{count_kmers, HySortKConfig};
 use hysortk_datasets::DatasetPreset;
 use hysortk_dna::Kmer1;
@@ -37,31 +38,23 @@ fn main() {
         "counter", "time (s)", "exchange (GB)", "memory (GB)", "distinct"
     );
 
+    let perlmutter = MachineConfig::perlmutter_cpu();
     let hysortk = count_kmers::<Kmer1>(&data.reads, &cfg);
-    print_row(
-        "HySortK",
-        hysortk.report.total_time(),
-        hysortk.report.total_wire_bytes,
-        hysortk.report.peak_memory_per_node,
-        hysortk.report.distinct_kmers,
-    );
+    let modeled = project(&hysortk.report, &cfg, &perlmutter).expect("the layout fits the node");
+    print_row("HySortK", &modeled, hysortk.histogram.distinct());
 
-    let hash = two_pass_hash_count::<Kmer1>(&data.reads, &cfg);
+    let hash = two_pass_hash_count::<Kmer1>(&data.reads, &cfg, &perlmutter);
     print_row(
         "two-pass hash table",
-        hash.report.total_time(),
-        hash.report.total_wire_bytes,
-        hash.report.peak_memory_per_node,
-        hash.report.distinct_kmers,
+        &hash.modeled,
+        hash.histogram.distinct(),
     );
 
-    match kmerind_count::<Kmer1>(&data.reads, &cfg) {
+    match kmerind_count::<Kmer1>(&data.reads, &cfg, &perlmutter) {
         KmerindOutcome::Completed(res) => print_row(
             "kmerind (Robin Hood)",
-            res.report.total_time(),
-            res.report.total_wire_bytes,
-            res.report.peak_memory_per_node,
-            res.report.distinct_kmers,
+            &res.modeled,
+            res.histogram.distinct(),
         ),
         KmerindOutcome::OutOfMemory {
             projected_peak,
@@ -75,23 +68,11 @@ fn main() {
         ),
     }
 
-    let kmc = kmc3_count::<Kmer1>(&data.reads, &cfg);
-    print_row(
-        "KMC3 (1 node, SMP)",
-        kmc.report.total_time(),
-        kmc.report.total_wire_bytes,
-        kmc.report.peak_memory_per_node,
-        kmc.report.distinct_kmers,
-    );
+    let kmc = kmc3_count::<Kmer1>(&data.reads, &cfg, &perlmutter);
+    print_row("KMC3 (1 node, SMP)", &kmc.modeled, kmc.histogram.distinct());
 
     let gpu = mhm2_count::<Kmer1>(&data.reads, &cfg);
-    print_row(
-        "MetaHipMer2 (GPU)",
-        gpu.report.total_time(),
-        gpu.report.total_wire_bytes,
-        gpu.report.peak_memory_per_node,
-        gpu.report.distinct_kmers,
-    );
+    print_row("MetaHipMer2 (GPU)", &gpu.modeled, gpu.histogram.distinct());
 
     // All counters must agree on the actual counts.
     assert_eq!(hysortk.counts, hash.counts);
@@ -100,13 +81,13 @@ fn main() {
     println!("\nall counters produced identical k-mer counts ✔");
 }
 
-fn print_row(name: &str, time: f64, wire: u64, memory: u64, distinct: u64) {
+fn print_row(name: &str, modeled: &Projection, distinct: u64) {
     println!(
         "{:<22} {:>12.2} {:>14.2} {:>14.1} {:>12}",
         name,
-        time,
-        wire as f64 / 1e9,
-        memory as f64 / 1e9,
+        modeled.total_time(),
+        modeled.total_wire_bytes as f64 / 1e9,
+        modeled.peak_memory_per_node as f64 / 1e9,
         distinct
     );
 }

@@ -41,9 +41,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..IngestOptions::default()
     };
     let result = count_kmers_from_files_with::<Kmer1, _>(&[&fa, &fq], &cfg, opts)?;
+    let report = &result.report;
     println!(
         "file-fed:  {} distinct k-mers, {} retained in [2, 50], {} exchange round(s)",
-        result.report.distinct_kmers, result.report.retained_kmers, result.report.exchange_rounds
+        report.distinct_kmers,
+        report.retained_kmers,
+        report.comm.stage("exchange").map_or(0, |s| s.rounds)
     );
 
     // The in-memory entry point on one copy of the same reads (the files together

@@ -4,6 +4,7 @@
 //! cargo run -p hysortk-examples --release --bin quickstart
 //! ```
 
+use hysortk_core::model::{project, MachineConfig};
 use hysortk_core::{count_kmers, HySortKConfig};
 use hysortk_datasets::DatasetPreset;
 use hysortk_dna::Kmer1;
@@ -37,7 +38,6 @@ fn main() {
         result.report.retained_kmers
     );
     println!("heavy-hitter tasks        : {}", result.report.heavy_tasks);
-    println!("local sorter selected     : {:?}", result.report.sorter);
 
     println!("\nmultiplicity histogram (first 10 buckets):");
     for c in 1..=10 {
@@ -47,23 +47,24 @@ fn main() {
         );
     }
 
+    // Project the run to the full-size dataset on a Perlmutter CPU node.
+    let modeled = project(&result.report, &cfg, &MachineConfig::perlmutter_cpu())
+        .expect("4 ranks of 2 threads fit the node");
     println!("\n--- projected full-scale run (Perlmutter model) ----------------");
+    println!("local sorter modeled      : {:?}", modeled.sorter);
     println!(
         "exchange volume (max rank): {:.1} MB",
-        result.report.max_rank_wire_bytes as f64 / 1e6
+        modeled.max_rank_wire_bytes as f64 / 1e6
     );
     println!(
         "peak memory per node      : {:.1} GB",
-        result.report.peak_memory_per_node as f64 / 1e9
+        modeled.peak_memory_per_node as f64 / 1e9
     );
     println!(
         "stage breakdown           : {}",
-        result.report.stage_times.summary()
+        modeled.stage_times.summary()
     );
-    println!(
-        "total modeled time        : {:.2} s",
-        result.report.total_time()
-    );
+    println!("total modeled time        : {:.2} s", modeled.total_time());
 
     // Show a few of the most frequent retained k-mers.
     let mut top: Vec<_> = result.counts.sorted().collect();

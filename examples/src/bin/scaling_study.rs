@@ -5,6 +5,7 @@
 //! cargo run -p hysortk-examples --release --bin scaling_study
 //! ```
 
+use hysortk_core::model::{project, MachineConfig};
 use hysortk_core::{count_kmers, HySortKConfig};
 use hysortk_datasets::DatasetPreset;
 use hysortk_dna::Kmer1;
@@ -35,7 +36,9 @@ fn main() {
         cfg.batch_size = 8_192;
 
         let result = count_kmers::<Kmer1>(&data.reads, &cfg);
-        let time = result.report.total_time();
+        let modeled = project(&result.report, &cfg, &MachineConfig::perlmutter_cpu())
+            .expect("2 ranks of 8 threads fit the node");
+        let time = modeled.total_time();
         let base = *baseline.get_or_insert(time);
         let speedup = base / time;
         let efficiency = speedup / nodes as f64;
@@ -45,7 +48,7 @@ fn main() {
             time,
             speedup,
             efficiency * 100.0,
-            result.report.sorter
+            modeled.sorter
         );
     }
 }

@@ -4,6 +4,7 @@
 use hysortk_baselines::{
     kmc3_count, kmerind_count, mhm2_count, two_pass_hash_count, KmerindOutcome,
 };
+use hysortk_core::model::{project, MachineConfig};
 use hysortk_core::{count_kmers, reference_counts_bounded, HySortKConfig};
 use hysortk_datasets::{DatasetPreset, GeneratedDataset};
 use hysortk_dna::{fasta, Kmer1, Kmer2};
@@ -11,6 +12,11 @@ use hysortk_elba::{run_elba, CounterChoice, ElbaConfig};
 
 fn dataset() -> GeneratedDataset {
     DatasetPreset::ABaumannii.generate(1.5e-4, 1234)
+}
+
+/// The node the small layouts below are modeled on.
+fn workstation() -> MachineConfig {
+    MachineConfig::workstation(16, 32)
 }
 
 fn config(data: &GeneratedDataset, k: usize, ranks: usize) -> HySortKConfig {
@@ -30,16 +36,16 @@ fn every_counter_agrees_with_the_reference_and_each_other() {
     let hysortk = count_kmers::<Kmer1>(&data.reads, &cfg);
     assert_eq!(hysortk.counts, expected, "HySortK");
 
-    let hash = two_pass_hash_count::<Kmer1>(&data.reads, &cfg);
+    let hash = two_pass_hash_count::<Kmer1>(&data.reads, &cfg, &workstation());
     assert_eq!(hash.counts, expected, "two-pass hash table");
 
-    let kmc = kmc3_count::<Kmer1>(&data.reads, &cfg);
+    let kmc = kmc3_count::<Kmer1>(&data.reads, &cfg, &workstation());
     assert_eq!(kmc.counts, expected, "KMC3-style");
 
     let gpu = mhm2_count::<Kmer1>(&data.reads, &cfg);
     assert_eq!(gpu.counts, expected, "MHM2-style");
 
-    match kmerind_count::<Kmer1>(&data.reads, &cfg) {
+    match kmerind_count::<Kmer1>(&data.reads, &cfg, &workstation()) {
         KmerindOutcome::Completed(res) => assert_eq!(res.counts, expected, "kmerind-style"),
         KmerindOutcome::OutOfMemory { .. } => panic!("kmerind should fit on this tiny dataset"),
     }
@@ -90,12 +96,17 @@ fn reports_expose_consistent_projections() {
     assert_eq!(report.retained_kmers as usize, result.counts.len());
     assert_eq!(report.distinct_kmers, result.histogram.distinct());
     assert!(report.total_kmers >= report.distinct_kmers);
-    assert!(report.total_time() > 0.0);
-    assert!(report.stage_times.get("exchange") > 0.0);
-    assert!(report.stage_times.get("sort") > 0.0);
-    assert!(report.peak_memory_per_node > 0);
     // Traffic recorded by the simulated cluster must be non-trivial with 4 ranks.
     assert!(report.comm.payload_bytes > 0);
+    let modeled = project(report, &cfg, &workstation()).unwrap();
+    assert!(modeled.total_time() > 0.0);
+    assert!(modeled.stage_times.get("exchange") > 0.0);
+    assert!(modeled.stage_times.get("sort") > 0.0);
+    assert!(modeled.peak_memory_per_node > 0);
+    assert!(
+        modeled.total_kmers > report.total_kmers,
+        "projected to full scale"
+    );
 }
 
 #[test]

@@ -482,19 +482,10 @@ fn assert_overlap_matches_bulk(
     overlapped
 }
 
-/// A machine whose memory forces the in-place sorter (PARADIS) vs one with room for
-/// the out-of-place RADULS path — the knob the pipeline's sorter selection reads.
-fn machine_for_sorter(raduls: bool) -> hysortk_perfmodel::MachineConfig {
-    // The memory model reserves 16 GiB for OS + runtime; 8 GiB of DRAM therefore
-    // leaves nothing for the RADULS ping-pong buffer and selects PARADIS. 16 cores
-    // keep the grid's widest layout (7 ranks × 2 threads) within the node.
-    hysortk_perfmodel::MachineConfig::workstation(16, if raduls { 64 } else { 8 })
-}
-
 #[test]
 fn overlapped_pipeline_is_byte_identical_to_bulk_across_the_grid() {
     // Ranks × batch sizes {1 record, the small-config default, larger than the input}
-    // × both sorters × extensions on/off, on random reads with genuine multiplicities.
+    // × extensions on/off, on random reads with genuine multiplicities.
     let mut rng = StdRng::seed_from_u64(200);
     let genome: Vec<u8> = (0..2_000).map(|_| b"ACGT"[rng.gen_range(0..4)]).collect();
     let seqs: Vec<Vec<u8>> = (0..60)
@@ -507,25 +498,14 @@ fn overlapped_pipeline_is_byte_identical_to_bulk_across_the_grid() {
 
     for ranks in [1usize, 2, 7] {
         for batch_size in [1usize, 4_096, 1_000_000_000] {
-            for raduls in [true, false] {
-                for with_extension in [false, true] {
-                    let mut cfg = hysortk_core::HySortKConfig::small(21, 9, ranks);
-                    cfg.min_count = 1;
-                    cfg.max_count = 1_000_000;
-                    cfg.batch_size = batch_size;
-                    cfg.machine = machine_for_sorter(raduls);
-                    cfg.with_extension = with_extension;
-                    let context = format!(
-                        "ranks={ranks} batch={batch_size} raduls={raduls} ext={with_extension}"
-                    );
-                    let result = assert_overlap_matches_bulk(&reads, &cfg, &context);
-                    let expected_sorter = if raduls {
-                        hysortk_perfmodel::SortAlgorithm::Raduls
-                    } else {
-                        hysortk_perfmodel::SortAlgorithm::Paradis
-                    };
-                    assert_eq!(result.report.sorter, expected_sorter, "{context}");
-                }
+            for with_extension in [false, true] {
+                let mut cfg = hysortk_core::HySortKConfig::small(21, 9, ranks);
+                cfg.min_count = 1;
+                cfg.max_count = 1_000_000;
+                cfg.batch_size = batch_size;
+                cfg.with_extension = with_extension;
+                let context = format!("ranks={ranks} batch={batch_size} ext={with_extension}");
+                assert_overlap_matches_bulk(&reads, &cfg, &context);
             }
         }
     }
@@ -585,7 +565,6 @@ fn job_list_shapes() -> Vec<(&'static str, ReadSet, hysortk_core::HySortKConfig)
     let mut base = hysortk_core::HySortKConfig::small(17, 8, 1);
     base.min_count = 1;
     base.max_count = 1_000_000;
-    base.machine = machine_for_sorter(true);
     base.heavy_hitter = hysortk_task::HeavyHitterPolicy::disabled();
     let mut heavy = base.clone();
     heavy.heavy_hitter = hysortk_task::HeavyHitterPolicy {
@@ -689,8 +668,8 @@ fn process_backend_is_byte_identical_to_thread_backend_across_the_grid() {
     }
     // Forked rank processes moving every byte over UNIX domain sockets must reproduce
     // the in-process channel backend exactly — counts, extensions, histogram and
-    // exchanged payload bytes — across rank counts, both exchange modes and both
-    // sorters, on reads with genuine multiplicities.
+    // exchanged payload bytes — across rank counts and both exchange modes, on reads
+    // with genuine multiplicities.
     let mut rng = StdRng::seed_from_u64(210);
     let genome: Vec<u8> = (0..1_500).map(|_| b"ACGT"[rng.gen_range(0..4)]).collect();
     let seqs: Vec<Vec<u8>> = (0..40)
@@ -703,33 +682,30 @@ fn process_backend_is_byte_identical_to_thread_backend_across_the_grid() {
 
     for ranks in [1usize, 2, 7] {
         for overlap in [false, true] {
-            for raduls in [true, false] {
-                let mut cfg = hysortk_core::HySortKConfig::small(21, 9, ranks);
-                cfg.min_count = 1;
-                cfg.max_count = 1_000_000;
-                cfg.batch_size = 2_048;
-                cfg.machine = machine_for_sorter(raduls);
-                cfg.with_extension = true;
-                cfg.overlap = overlap;
-                let context = format!("ranks={ranks} overlap={overlap} raduls={raduls}");
+            let mut cfg = hysortk_core::HySortKConfig::small(21, 9, ranks);
+            cfg.min_count = 1;
+            cfg.max_count = 1_000_000;
+            cfg.batch_size = 2_048;
+            cfg.with_extension = true;
+            cfg.overlap = overlap;
+            let context = format!("ranks={ranks} overlap={overlap}");
 
-                cfg.backend = hysortk_dmem::Backend::Thread;
-                let thread = hysortk_core::count_kmers::<Kmer1>(&reads, &cfg);
-                cfg.backend = hysortk_dmem::Backend::Process;
-                let process = hysortk_core::count_kmers::<Kmer1>(&reads, &cfg);
+            cfg.backend = hysortk_dmem::Backend::Thread;
+            let thread = hysortk_core::count_kmers::<Kmer1>(&reads, &cfg);
+            cfg.backend = hysortk_dmem::Backend::Process;
+            let process = hysortk_core::count_kmers::<Kmer1>(&reads, &cfg);
 
-                assert_eq!(process.counts, thread.counts, "counts: {context}");
-                assert_eq!(
-                    process.extensions, thread.extensions,
-                    "extensions: {context}"
-                );
-                assert_eq!(process.histogram, thread.histogram, "histogram: {context}");
-                assert_eq!(
-                    process.report.comm.stage("exchange").unwrap().payload_bytes,
-                    thread.report.comm.stage("exchange").unwrap().payload_bytes,
-                    "exchange payload: {context}"
-                );
-            }
+            assert_eq!(process.counts, thread.counts, "counts: {context}");
+            assert_eq!(
+                process.extensions, thread.extensions,
+                "extensions: {context}"
+            );
+            assert_eq!(process.histogram, thread.histogram, "histogram: {context}");
+            assert_eq!(
+                process.report.comm.stage("exchange").unwrap().payload_bytes,
+                thread.report.comm.stage("exchange").unwrap().payload_bytes,
+                "exchange payload: {context}"
+            );
         }
     }
 }
