@@ -17,40 +17,45 @@
 //! per dispatcher ([`pack_block32`], [`first_non_acgt`], [`shift_word_stream`]), each
 //! the only place its kernel is entered.
 //!
-//! Dispatch hygiene: [`avx2`] is decided exactly once per process (a `OnceLock`),
+//! Dispatch hygiene: the tier is decided exactly once per process (a `OnceLock`),
 //! honouring the `HYSORTK_NO_SIMD=1` escape hatch that forces the scalar path;
-//! [`path_name`] is the label the pipeline surfaces in `RunReport`.
+//! [`avx2`] and [`avx512`] read it, and [`path_name`] is the label the pipeline
+//! surfaces in `RunReport`. The AVX-512 tier is only used by the supermer crate's
+//! lane kernel; the kernels here take their AVX2 path on it.
 
 use crate::base::encode_base;
 
 struct Dispatch {
     avx2: bool,
+    avx512: bool,
     name: &'static str,
 }
 
 static DISPATCH: std::sync::OnceLock<Dispatch> = std::sync::OnceLock::new();
 
+/// The tier of a process: `no_simd` is the value of `HYSORTK_NO_SIMD`, `avx2` and
+/// `avx512` what the CPU was detected to have (`avx512` meaning AVX-512 F and DQ).
+fn choose(no_simd: Option<std::ffi::OsString>, avx2: bool, avx512: bool) -> Dispatch {
+    let forced_off = no_simd.is_some_and(|v| !v.is_empty() && v != "0");
+    let (avx2, avx512, name) = match (forced_off, avx2, avx512) {
+        (true, ..) => (false, false, "scalar (HYSORTK_NO_SIMD)"),
+        (false, true, true) => (true, true, "avx512"),
+        (false, true, false) => (true, false, "avx2"),
+        (false, false, _) => (false, false, "scalar"),
+    };
+    Dispatch { avx2, avx512, name }
+}
+
 fn detect() -> Dispatch {
-    let forced_off = std::env::var_os("HYSORTK_NO_SIMD")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false);
-    if forced_off {
-        return Dispatch {
-            avx2: false,
-            name: "scalar (HYSORTK_NO_SIMD)",
-        };
-    }
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        return Dispatch {
-            avx2: true,
-            name: "avx2",
-        };
-    }
-    Dispatch {
-        avx2: false,
-        name: "scalar",
-    }
+    let (avx2, avx512) = (
+        std::arch::is_x86_feature_detected!("avx2"),
+        std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512dq"),
+    );
+    #[cfg(not(target_arch = "x86_64"))]
+    let (avx2, avx512) = (false, false);
+    choose(std::env::var_os("HYSORTK_NO_SIMD"), avx2, avx512)
 }
 
 /// Whether the dispatched kernels of the workspace take their AVX2 path: `true` only
@@ -62,7 +67,16 @@ pub fn avx2() -> bool {
     DISPATCH.get_or_init(detect).avx2
 }
 
-/// Human-readable name of the active path (`"avx2"`, `"scalar"`, or
+/// Whether the kernels that have an AVX-512 build take it: `true` only if AVX2,
+/// AVX-512 F and AVX-512 DQ were all detected for this process, decided once with
+/// [`avx2`] and cached. `HYSORTK_NO_SIMD=1` forces `false`. The supermer extractor
+/// picks its lane kernel's AVX-512 build by this.
+#[inline]
+pub fn avx512() -> bool {
+    DISPATCH.get_or_init(detect).avx512
+}
+
+/// Human-readable name of the active tier (`"avx512"`, `"avx2"`, `"scalar"`, or
 /// `"scalar (HYSORTK_NO_SIMD)"`) — reported in `RunReport`.
 #[inline]
 pub fn path_name() -> &'static str {
@@ -288,12 +302,31 @@ mod tests {
     #[test]
     fn detection_is_cached_and_consistent() {
         assert_eq!(avx2(), avx2());
+        assert_eq!(avx512(), avx512());
+        assert!(!avx512() || avx2(), "the AVX-512 tier implies the AVX2 one");
         let name = path_name();
-        if avx2() {
-            assert_eq!(name, "avx2");
-        } else {
-            assert!(name.starts_with("scalar"));
+        match (avx2(), avx512()) {
+            (true, true) => assert_eq!(name, "avx512"),
+            (true, false) => assert_eq!(name, "avx2"),
+            _ => assert!(name.starts_with("scalar")),
         }
+    }
+
+    #[test]
+    fn no_simd_wins_over_both_tiers() {
+        for (avx2, avx512) in [(true, true), (true, false), (false, false)] {
+            let off = choose(Some("1".into()), avx2, avx512);
+            assert!(!off.avx2 && !off.avx512);
+            assert_eq!(off.name, "scalar (HYSORTK_NO_SIMD)");
+            // An empty or `0` value leaves detection alone.
+            for value in [None, Some(""), Some("0")] {
+                let on = choose(value.map(Into::into), avx2, avx512);
+                assert_eq!((on.avx2, on.avx512), (avx2, avx512));
+            }
+        }
+        assert_eq!(choose(None, true, true).name, "avx512");
+        assert_eq!(choose(None, true, false).name, "avx2");
+        assert_eq!(choose(None, false, false).name, "scalar");
     }
 
     #[cfg(target_arch = "x86_64")]

@@ -276,7 +276,7 @@ pub struct RunReport {
     /// lanes (decode buffer, RADULS buffer, table, emitted-run staging) and the kmerlist
     /// staging, summed over the rank's count scratches.
     pub count_buffer_bytes: u64,
-    /// Which SIMD hot-path variant the run used (`"avx2"` or `"scalar"`),
+    /// Which SIMD tier the run's hot paths used (`"avx512"`, `"avx2"` or `"scalar"`),
     /// as chosen by runtime CPU detection (overridable with `HYSORTK_NO_SIMD=1`).
     pub simd: &'static str,
     /// Root-side seconds from the last rank joining to the result being returned:

@@ -13,12 +13,14 @@
 //!   supermers, the measurement of the communication saving, and the re-extraction of
 //!   k-mers on the receiving side.
 //! * [`streaming`] — the fused, allocation-free form of all of the above:
-//!   [`streaming::for_each_supermer`] rolls scoring, window minimisation (a branchless
-//!   blockwise two-scan) and run grouping in one pass and emits supermer spans through
-//!   a callback. This is the pipeline's hot parse path; the vec-based modules above are
+//!   [`streaming::for_each_supermer`] rolls scoring, window minimisation (the lane
+//!   kernel of [`simd`], or a branchless blockwise two-scan) and run grouping in one
+//!   pass and emits supermer spans through a callback. This is the pipeline's hot parse path; the vec-based modules above are
 //!   the property-test reference.
-//! * [`simd`] — block-wise canonical m-mer scoring (AVX2 with a scalar reference),
-//!   which feeds the streaming extractor's two-scan with precomputed scores.
+//! * [`simd`] — the lane kernel of the streaming extractor: canonical m-mer scores,
+//!   window minima and the k-mers where the minimum changes, eight lanes at a time,
+//!   built for AVX-512 and for AVX2; and the scalar scorer of the extractor's
+//!   reference path, which runs under `HYSORTK_NO_SIMD=1` and on other CPUs.
 //! * [`codec`] — the domain-specific delta compression of `(read_id, pos_in_read)`
 //!   extension records.
 

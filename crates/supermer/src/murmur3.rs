@@ -1,11 +1,12 @@
 //! MurmurHash3_x64_128, the m-mer score function of HySortK §3.2.
 //!
-//! The implementation follows Austin Appleby's reference (public domain). The
-//! lane-wise AVX2 scorer in [`crate::simd`] replicates [`hash_mmer`] bit for bit.
+//! The implementation follows Austin Appleby's reference (public domain).
+//! [`hash_mmer`] is its 8-byte case written out straight, so that the lane kernel in
+//! [`crate::simd`] can run it on eight m-mers at once.
 
 /// 64-bit finaliser (fmix64) of MurmurHash3. Useful on its own as a cheap high-quality
 /// mixer for already-packed integers.
-#[inline]
+#[inline(always)]
 pub fn fmix64(mut k: u64) -> u64 {
     k ^= k >> 33;
     k = k.wrapping_mul(0xff51afd7ed558ccd);
@@ -81,10 +82,18 @@ pub fn murmur3_x64_128(data: &[u8], seed: u32) -> (u64, u64) {
 }
 
 /// Hash a packed m-mer (m ≤ 32, stored in a single `u64`) with MurmurHash3. This is the
-/// minimizer *score function* of HySortK §3.2.
-#[inline]
+/// minimizer *score function* of HySortK §3.2: the low word of [`murmur3_x64_128`] over
+/// the 8 little-endian bytes of `packed`. An 8-byte input has no block loop, only the
+/// `k1` tail fold and the finalisation, which is all this computes.
+#[inline(always)]
 pub fn hash_mmer(packed: u64, seed: u32) -> u64 {
-    murmur3_x64_128(&packed.to_le_bytes(), seed).0
+    const C1: u64 = 0x87c37b91114253d5;
+    const C2: u64 = 0x4cf5ad432745937f;
+    let k1 = packed.wrapping_mul(C1).rotate_left(31).wrapping_mul(C2);
+    let h2 = u64::from(seed) ^ 8;
+    let h1 = (u64::from(seed) ^ k1 ^ 8).wrapping_add(h2);
+    let h2 = h2.wrapping_add(h1);
+    fmix64(h1).wrapping_add(fmix64(h2))
 }
 
 #[cfg(test)]
@@ -136,6 +145,26 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for i in 0..10_000u64 {
             assert!(seen.insert(fmix64(i.wrapping_mul(0x9E3779B97F4A7C15))));
+        }
+    }
+
+    #[test]
+    fn hash_mmer_is_the_8_byte_murmur() {
+        let mut x = 0x0123_4567_89AB_CDEFu64;
+        for seed in [0u32, 1, 31, 0xFFFF_FFFF] {
+            for v in [0, 1, u64::MAX, 1 << 63] {
+                assert_eq!(
+                    hash_mmer(v, seed),
+                    murmur3_x64_128(&v.to_le_bytes(), seed).0
+                );
+            }
+            for _ in 0..1_000 {
+                x = fmix64(x.wrapping_add(0x9E3779B97F4A7C15));
+                assert_eq!(
+                    hash_mmer(x, seed),
+                    murmur3_x64_128(&x.to_le_bytes(), seed).0
+                );
+            }
         }
     }
 

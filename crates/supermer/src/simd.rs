@@ -1,32 +1,39 @@
-//! Vectorised canonical m-mer scoring for the streaming supermer extractor.
+//! The lane kernel of the streaming supermer extractor, and the scalar scorer of its
+//! reference path.
 //!
-//! The rolling scan in [`streaming`](crate::streaming) consumed one base per iteration:
-//! roll the forward/reverse 2-bit windows, take the canonical minimum, MurmurHash it,
-//! feed the monotone deque. The deque update is inherently serial, but everything
-//! before it is not: this module computes the scores of a whole block of consecutive
-//! m-mers at once, four per AVX2 iteration, and the deque pass then consumes
-//! precomputed scores.
+//! [`for_each_supermer`](crate::streaming::for_each_supermer) needs, for every k-mer of
+//! a read, the minimum score over its `w = k - m + 1` canonical m-mers. Computed one
+//! m-mer after another, each step waits on the last (the rolling window, the window
+//! minimum). Following SimdMinimizers (Groot Koerkamp & Martayan, SEA 2025), the
+//! kernel here cuts a segment of `n` k-mers into [`LANES`] contiguous chunks of
+//! `⌈n / 8⌉` k-mers and walks all eight at once, one step per m-mer. Neighbouring
+//! chunks overlap by `w - 1` m-mers, which each lane scores before its first k-mer. At
+//! every step, a lane:
 //!
-//! The key identities that make the windows data-parallel (instead of a serial roll):
-//! with `W` the little-position-order 2-bit window of `m` bases starting at `s`
-//! (a plain shifted load from the packed words),
+//! * rolls its forward and reverse-complement m-mer words by one base and takes the
+//!   smaller, the canonical m-mer;
+//! * scores it: [`hash_mmer`](crate::mmer::hash_mmer), 64-bit MurmurHash3, or the
+//!   m-mer itself under the lexicographic score;
+//! * takes the window minimum with the van Herk–Gil-Werman scheme online: a ring of the
+//!   last `w` scores whose suffix minima are rebuilt once every `w` steps, and a running
+//!   prefix minimum of the scores since;
+//! * sets one bit when that minimum differs from the lane's previous one.
 //!
-//! * `rev = W ^ mask` — complementing a base is `code ^ 0b11`, so the rolled
-//!   reverse-complement word is just the bitwise NOT of the window, masked;
-//! * `fwd = pair_reverse(W) >> (64 - 2m)` — the rolled forward word stores the oldest
-//!   base in the highest 2-bit group, i.e. the window with its 2-bit groups reversed.
+//! The kernel writes the minima and the bits ([`LaneBuffers`]); the emitter in
+//! `streaming` walks the set bits and reduces only those minima to targets. Every
+//! score is the scalar path's, so the supermers are bit-identical.
 //!
-//! The MurmurHash3_x64_128 of an 8-byte input reduces to a short fixed sequence of
-//! 64-bit multiplies, rotates and xors (no block loop), replicated here lane-wise with
-//! the classic three-`mul_epu32` 64-bit multiply decomposition — bit-identical to
-//! [`hash_mmer`](crate::mmer::hash_mmer), which the property tests pin.
-//!
-//! The AVX2 kernels are safe `#[target_feature]` functions over slices; [`fill_scores`]
-//! is the one place they are entered. It follows [`hysortk_dna::simd::avx2`] (one
-//! detection for the whole workspace, `HYSORTK_NO_SIMD=1` honoured); the scalar path
-//! is the reference.
+//! The kernel is plain safe Rust over `[u64; 8]` arrays, which the compiler turns into
+//! vector code. [`lane_pass`] runs one of three builds of it, a [`Tier`]: under
+//! `#[target_feature(enable = "avx512f,avx512dq")]` (native 64-bit multiply and
+//! unsigned minimum), under `avx2`, and — in tests only — for the baseline target.
+//! The streaming extractor takes the tier from the workspace's one detection,
+//! [`hysortk_dna::simd`], for reads long enough to repay the lanes' overlap
+//! ([`Tier::pays_for`]). Everywhere else — short reads, `HYSORTK_NO_SIMD=1`, CPUs
+//! without AVX2 — it runs its scalar path, which scores with [`fill_scores_scalar`]
+//! and is the reference the tests pin every tier to.
 
-use crate::mmer::ScoreFunction;
+use crate::mmer::{hash_mmer, ScoreFunction};
 
 /// Reverse the 32 2-bit groups of a word (group `j` ↔ group `31 - j`).
 #[inline]
@@ -36,24 +43,32 @@ pub fn pair_reverse(x: u64) -> u64 {
     ((x >> 2) & 0x3333_3333_3333_3333) | ((x & 0x3333_3333_3333_3333) << 2)
 }
 
-/// The 64-bit window of packed bases starting at base `s` (bases `s..s+32`, clipped at
-/// the end of `words`; bits beyond the sequence read as zero).
+/// The 64-bit window of packed bases starting at base `s` (bases `s..s+32`; bits past
+/// the end of `words` read as zero).
 #[inline]
 fn window(words: &[u64], s: usize) -> u64 {
-    let shift = 2 * (s % 32);
-    let idx = s / 32;
-    let lo = words[idx] >> shift;
-    if shift > 0 && idx + 1 < words.len() {
-        lo | (words[idx + 1] << (64 - shift))
-    } else {
-        lo
+    let (idx, shift) = (s / 32, 2 * (s % 32));
+    let lo = words.get(idx).map_or(0, |w| w >> shift);
+    match words.get(idx + 1) {
+        Some(hi) if shift > 0 => lo | (hi << (64 - shift)),
+        _ => lo,
     }
 }
 
-/// Scalar reference: fill `out[..count]` with the scores of the `count` m-mers starting
-/// at `s0` (m-mer `s` covers bases `s..s+m`). Rolls the forward/reverse words exactly
-/// like the original streaming loop after seeding them from the first window.
-fn fill_scores_scalar(
+/// The mask of `m` bases' 2-bit codes (`0 ≤ m ≤ 32`).
+#[inline]
+fn base_mask(m: usize) -> u64 {
+    if m >= 32 {
+        u64::MAX
+    } else {
+        (1 << (2 * m)) - 1
+    }
+}
+
+/// Scalar scorer: fill `out[..count]` with the scores of the `count` m-mers starting
+/// at `s0` (m-mer `s` covers bases `s..s+m`), rolling the forward/reverse words from
+/// the first window one base at a time.
+pub(crate) fn fill_scores_scalar(
     words: &[u64],
     s0: usize,
     count: usize,
@@ -64,11 +79,7 @@ fn fill_scores_scalar(
     if count == 0 {
         return;
     }
-    let mask: u64 = if m == 32 {
-        u64::MAX
-    } else {
-        (1u64 << (2 * m)) - 1
-    };
+    let mask = base_mask(m);
     let rc_shift = 2 * (m - 1);
     let w0 = window(words, s0) & mask;
     let mut fwd = pair_reverse(w0) >> (64 - 2 * m);
@@ -83,208 +94,258 @@ fn fill_scores_scalar(
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    use super::ScoreFunction;
-    use core::arch::x86_64::*;
+/// Lanes of the kernel.
+pub(crate) const LANES: usize = 8;
 
-    /// The packed words as the little-endian byte stream they hold (`x86_64` is
-    /// little-endian), so a group of windows can start at any byte.
-    #[allow(unsafe_code)]
-    fn as_bytes(words: &[u64]) -> &[u8] {
-        // SAFETY: the view covers exactly the `size_of_val(words)` initialised bytes of
-        // `words` and borrows them for as long as `words`; `u8` has alignment 1 and
-        // no invalid bit pattern, and shared bytes cannot be written through the view.
-        unsafe { std::slice::from_raw_parts(words.as_ptr().cast(), std::mem::size_of_val(words)) }
-    }
+/// One value per lane.
+pub(crate) type Lanes = [u64; LANES];
 
-    /// Lane-wise 64-bit `wrapping_mul` by a broadcast constant `c` (with `c_hi` its
-    /// lanes shifted right 32), via three 32×32→64 multiplies.
+/// What [`lane_pass`] leaves for the emitter, and the kernel's ring; reused across
+/// calls. Lane `j`'s `t`-th k-mer is the segment's k-mer `j · len + t`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LaneBuffers {
+    /// `mins[t][j]`: the window minimum of lane `j`'s k-mer `t`.
+    pub(crate) mins: Vec<Lanes>,
+    /// `changed[t / 64][j]` bit `t % 64`: `mins[t][j] != mins[t - 1][j]`. Bit 0 of a
+    /// lane compares against an arbitrary value.
+    pub(crate) changed: Vec<Lanes>,
+    /// The last `w` scores of each lane (suffix minima after a block completes).
+    ring: Vec<Lanes>,
+}
+
+/// The build of the lane kernel a call runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Tier {
+    /// Compiled with AVX-512 F and DQ enabled.
+    Avx512,
+    /// Compiled with AVX2 enabled.
+    Avx2,
+    /// Compiled for the baseline target. It runs slower than the scalar path (no
+    /// baseline x86-64 or AArch64 vector unit has a 64-bit multiply), so it only
+    /// checks the kernel's logic apart from any target feature.
+    #[cfg(test)]
+    Baseline,
+}
+
+impl Tier {
+    /// Every tier, widest first.
+    #[cfg(test)]
+    pub(crate) const ALL: [Tier; 3] = [Tier::Avx512, Tier::Avx2, Tier::Baseline];
+
+    /// The tier [`hysortk_dna::simd`] chose for this process; `None` under
+    /// `HYSORTK_NO_SIMD=1` or on a CPU without AVX2, where the scalar path runs.
     #[inline]
-    #[target_feature(enable = "avx2")]
-    fn mul64(x: __m256i, c: __m256i, c_hi: __m256i) -> __m256i {
-        let cross = _mm256_add_epi64(
-            _mm256_mul_epu32(x, c_hi),
-            _mm256_mul_epu32(_mm256_srli_epi64::<32>(x), c),
-        );
-        _mm256_add_epi64(_mm256_mul_epu32(x, c), _mm256_slli_epi64::<32>(cross))
-    }
-
-    /// Lane-wise `fmix64` (the MurmurHash3 finaliser).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn fmix64x4(mut k: __m256i) -> __m256i {
-        const M1: i64 = 0xff51afd7ed558ccdu64 as i64;
-        const M2: i64 = 0xc4ceb9fe1a85ec53u64 as i64;
-        let m1 = _mm256_set1_epi64x(M1);
-        let m1h = _mm256_srli_epi64::<32>(m1);
-        let m2 = _mm256_set1_epi64x(M2);
-        let m2h = _mm256_srli_epi64::<32>(m2);
-        k = _mm256_xor_si256(k, _mm256_srli_epi64::<33>(k));
-        k = mul64(k, m1, m1h);
-        k = _mm256_xor_si256(k, _mm256_srli_epi64::<33>(k));
-        k = mul64(k, m2, m2h);
-        _mm256_xor_si256(k, _mm256_srli_epi64::<33>(k))
-    }
-
-    /// Lane-wise [`hash_mmer`](crate::mmer::hash_mmer): the low word of MurmurHash3_x64_128 over
-    /// the 8 little-endian bytes of each lane — the 8-byte specialisation has no block
-    /// loop, only the `k1` tail fold and the finalisation.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn hash_mmer_x4(packed: __m256i, seed: u32) -> __m256i {
-        const C1: i64 = 0x87c37b91114253d5u64 as i64;
-        const C2: i64 = 0x4cf5ad432745937fu64 as i64;
-        let c1 = _mm256_set1_epi64x(C1);
-        let c1h = _mm256_srli_epi64::<32>(c1);
-        let c2 = _mm256_set1_epi64x(C2);
-        let c2h = _mm256_srli_epi64::<32>(c2);
-
-        let mut k1 = mul64(packed, c1, c1h);
-        k1 = _mm256_or_si256(_mm256_slli_epi64::<31>(k1), _mm256_srli_epi64::<33>(k1));
-        k1 = mul64(k1, c2, c2h);
-
-        let mut h1 = _mm256_xor_si256(_mm256_set1_epi64x(i64::from(seed)), k1);
-        h1 = _mm256_xor_si256(h1, _mm256_set1_epi64x(8));
-        let mut h2 = _mm256_set1_epi64x((u64::from(seed) ^ 8) as i64);
-        h1 = _mm256_add_epi64(h1, h2);
-        h2 = _mm256_add_epi64(h2, h1);
-        h1 = fmix64x4(h1);
-        h2 = fmix64x4(h2);
-        _mm256_add_epi64(h1, h2)
-    }
-
-    /// Reverse the 2-bit groups of each 64-bit lane.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn pair_reverse_x4(x: __m256i) -> __m256i {
-        let bswap = _mm256_setr_epi8(
-            7, 6, 5, 4, 3, 2, 1, 0, 15, 14, 13, 12, 11, 10, 9, 8, //
-            7, 6, 5, 4, 3, 2, 1, 0, 15, 14, 13, 12, 11, 10, 9, 8,
-        );
-        let x = _mm256_shuffle_epi8(x, bswap);
-        let lo4 = _mm256_set1_epi8(0x0F);
-        let x = _mm256_or_si256(
-            _mm256_slli_epi64::<4>(_mm256_and_si256(x, lo4)),
-            _mm256_and_si256(_mm256_srli_epi64::<4>(x), lo4),
-        );
-        let m2 = _mm256_set1_epi8(0x33);
-        _mm256_or_si256(
-            _mm256_slli_epi64::<2>(_mm256_and_si256(x, m2)),
-            _mm256_and_si256(_mm256_srli_epi64::<2>(x), m2),
-        )
-    }
-
-    /// Write the four lanes of `v` to `out` (one unaligned store).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn store4(v: __m256i, out: &mut [u64]) {
-        out.copy_from_slice(&[
-            _mm256_extract_epi64::<0>(v) as u64,
-            _mm256_extract_epi64::<1>(v) as u64,
-            _mm256_extract_epi64::<2>(v) as u64,
-            _mm256_extract_epi64::<3>(v) as u64,
-        ]);
-    }
-
-    /// AVX2 block scorer: groups of four consecutive m-mer windows are carved out of
-    /// 16 bytes of the packed byte stream (two broadcast words, then per-lane variable
-    /// shifts — the shift vector is loop-invariant because the group stride is 4 bases
-    /// = 1 byte), canonicalised and hashed lane-wise; the in-bounds tail falls back to
-    /// the scalar reference (identical values).
-    #[target_feature(enable = "avx2")]
-    pub(super) fn fill_scores_avx2(
-        words: &[u64],
-        s0: usize,
-        count: usize,
-        m: usize,
-        score_fn: ScoreFunction,
-        out: &mut [u64],
-    ) {
-        let bytes = as_bytes(words);
-        // Each group reads 16 bytes starting at byte `s / 4`, so the last SIMD-safe
-        // group-leading m-mer index satisfies `s / 4 + 16 <= bytes.len()`.
-        let simd_last = if bytes.len() >= 16 {
-            (bytes.len() - 16) * 4 + 3
+    pub(crate) fn detected() -> Option<Tier> {
+        if hysortk_dna::simd::avx512() {
+            Some(Tier::Avx512)
+        } else if hysortk_dna::simd::avx2() {
+            Some(Tier::Avx2)
         } else {
-            0
-        };
-        let mask: u64 = if m == 32 {
-            u64::MAX
-        } else {
-            (1u64 << (2 * m)) - 1
-        };
-        let mask_v = _mm256_set1_epi64x(mask as i64);
-        let top = _mm256_set1_epi64x(i64::MIN);
-        let fwd_shift = _mm_cvtsi32_si128((64 - 2 * m) as i32);
-        // Lane j's window starts `2 * j` bits past the group's base bit offset.
-        let bit0 = (2 * (s0 % 4)) as i64;
-        let rsh = _mm256_set_epi64x(bit0 + 6, bit0 + 4, bit0 + 2, bit0);
-        let lsh = _mm256_sub_epi64(_mm256_set1_epi64x(64), rsh);
-
-        // Canonical m-mers of the four windows starting at the group's base byte `p`.
-        let canon4 = |p: usize| -> __m256i {
-            let word = |at: usize| i64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-            let lo = _mm256_set1_epi64x(word(p));
-            let hi = _mm256_set1_epi64x(word(p + 8));
-            // `sllv` with a count of 64 (bit offset 0) yields zero, the right carry.
-            let carry = _mm256_sllv_epi64(hi, lsh);
-            let w = _mm256_and_si256(_mm256_or_si256(_mm256_srlv_epi64(lo, rsh), carry), mask_v);
-            let rev = _mm256_xor_si256(w, mask_v);
-            let fwd = _mm256_srl_epi64(pair_reverse_x4(w), fwd_shift);
-            // Unsigned 64-bit min via the sign-flip compare.
-            let gt = _mm256_cmpgt_epi64(_mm256_xor_si256(fwd, top), _mm256_xor_si256(rev, top));
-            _mm256_blendv_epi8(fwd, rev, gt)
-        };
-
-        let mut j = 0usize;
-        // Two independent groups per iteration: the emulated 64-bit multiply chain of
-        // the hash is latency-bound, so interleaving two chains roughly doubles the
-        // hash throughput.
-        while j + 8 <= count && (bytes.len() >= 16 && s0 + j + 7 <= simd_last) {
-            let p = (s0 + j) / 4;
-            let (a, b) = (canon4(p), canon4(p + 1));
-            let (sa, sb) = match score_fn {
-                ScoreFunction::Hash { seed } => (hash_mmer_x4(a, seed), hash_mmer_x4(b, seed)),
-                ScoreFunction::Lexicographic => (a, b),
-            };
-            store4(sa, &mut out[j..j + 4]);
-            store4(sb, &mut out[j + 4..j + 8]);
-            j += 8;
+            None
         }
-        while j + 4 <= count && (bytes.len() >= 16 && s0 + j + 3 <= simd_last) {
-            let canonical = canon4((s0 + j) / 4);
-            let score = match score_fn {
-                ScoreFunction::Hash { seed } => hash_mmer_x4(canonical, seed),
-                ScoreFunction::Lexicographic => canonical,
-            };
-            store4(score, &mut out[j..j + 4]);
-            j += 4;
+    }
+
+    /// Whether a read of `kmers` k-mers, whose windows span `w` m-mers, is faster
+    /// in this tier's lanes than on the scalar path. Each lane scores `w - 1` m-mers
+    /// before its first k-mer, which a short read does not repay: on 150-bp reads
+    /// (k = 21, m = 10) and shorter, the lanes broke even at about 3 windows' worth of
+    /// k-mers under AVX-512 and about 10 under AVX2.
+    pub(crate) fn pays_for(self, kmers: usize, w: usize) -> bool {
+        let windows = match self {
+            Tier::Avx512 => 3,
+            Tier::Avx2 => 10,
+            #[cfg(test)]
+            Tier::Baseline => 0,
+        };
+        kmers >= windows * w
+    }
+
+    /// Whether this CPU can run the tier (whatever `HYSORTK_NO_SIMD` says).
+    pub(crate) fn runs_here(self) -> bool {
+        match self {
+            #[cfg(test)]
+            Tier::Baseline => true,
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx512 => {
+                std::arch::is_x86_feature_detected!("avx512f")
+                    && std::arch::is_x86_feature_detected!("avx512dq")
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
         }
-        super::fill_scores_scalar(words, s0 + j, count - j, m, score_fn, &mut out[j..]);
     }
 }
 
-/// Fill `out[..count]` with the scores of the `count` m-mers starting at `s0`, via the
-/// active SIMD path. Byte-identical to the scalar reference (property-tested).
-/// Panics if `out` is shorter than `count`.
-#[inline]
+/// What every lane pass over a read shares: m, the window `w = k - m + 1` and the
+/// score function.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LaneShape {
+    pub(crate) m: usize,
+    pub(crate) window: usize,
+    pub(crate) score_fn: ScoreFunction,
+}
+
+/// Run the `tier` build of the kernel over the `8 · len` k-mers from k-mer `first` of
+/// the read packed in `words`: lane `j` takes k-mers `first + j · len ..` `+ len`. Fills
+/// `out.mins[..len]` and `out.changed[..⌈len / 64⌉]`. A lane's k-mers past the read's
+/// end see bases of zero; the caller ignores them.
+///
+/// Panics if the CPU cannot run `tier` ([`Tier::runs_here`]).
 #[allow(unsafe_code)]
-pub fn fill_scores(
+pub(crate) fn lane_pass(
+    tier: Tier,
     words: &[u64],
-    s0: usize,
-    count: usize,
-    m: usize,
-    score_fn: ScoreFunction,
-    out: &mut [u64],
+    shape: LaneShape,
+    first: usize,
+    len: usize,
+    out: &mut LaneBuffers,
 ) {
-    let out = &mut out[..count];
-    #[cfg(target_arch = "x86_64")]
-    if hysortk_dna::simd::avx2() {
-        // SAFETY: `avx2()` is true only after `is_x86_feature_detected!("avx2")` held.
-        return unsafe { x86::fill_scores_avx2(words, s0, count, m, score_fn, out) };
+    assert!(tier.runs_here(), "{tier:?} lane kernel on a CPU without it");
+    assert!(len > 0 && (1..=32).contains(&shape.m) && shape.window > 0);
+    match tier {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `runs_here` above held, so this CPU has the features the tier's build
+        // is compiled with (AVX-512 F and DQ for `Avx512`, AVX2 for `Avx2`).
+        Tier::Avx512 | Tier::Avx2 => unsafe {
+            match tier {
+                Tier::Avx512 => x86::avx512(words, shape, first, len, out),
+                _ => x86::avx2(words, shape, first, len, out),
+            }
+        },
+        #[cfg(not(target_arch = "x86_64"))]
+        Tier::Avx512 | Tier::Avx2 => unreachable!("no x86 tier runs on this CPU"),
+        #[cfg(test)]
+        Tier::Baseline => lanes(words, shape, first, len, out),
     }
-    fill_scores_scalar(words, s0, count, m, score_fn, out)
+}
+
+/// The x86 builds of the kernel.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::{LaneBuffers, LaneShape};
+
+    #[target_feature(enable = "avx512f,avx512dq")]
+    pub(super) fn avx512(w: &[u64], s: LaneShape, first: usize, len: usize, out: &mut LaneBuffers) {
+        super::lanes(w, s, first, len, out)
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn avx2(w: &[u64], s: LaneShape, first: usize, len: usize, out: &mut LaneBuffers) {
+        super::lanes(w, s, first, len, out)
+    }
+}
+
+/// The kernel, once per score function; inlined into each tier's build.
+#[inline(always)]
+fn lanes(words: &[u64], shape: LaneShape, first: usize, len: usize, out: &mut LaneBuffers) {
+    match shape.score_fn {
+        ScoreFunction::Hash { seed } => {
+            lanes_scored(words, shape, first, len, out, |x| hash_mmer(x, seed))
+        }
+        ScoreFunction::Lexicographic => lanes_scored(words, shape, first, len, out, |x| x),
+    }
+}
+
+#[inline(always)]
+fn lanes_scored(
+    words: &[u64],
+    shape: LaneShape,
+    first: usize,
+    len: usize,
+    out: &mut LaneBuffers,
+    score: impl Fn(u64) -> u64,
+) {
+    let LaneShape { m, window: w, .. } = shape;
+    let mask = base_mask(m);
+    let head = base_mask(m - 1);
+    let rc_shift = 2 * (m - 1);
+    let start: [usize; LANES] = std::array::from_fn(|j| first + j * len);
+    // Each lane holds its m-mer's first m - 1 bases, so that step 0 adds the m-th:
+    // `fwd` with the oldest base in the highest group, `rev` the complement with the
+    // oldest base in the lowest.
+    let mut fwd: Lanes = [0; LANES];
+    let mut rev: Lanes = [0; LANES];
+    for j in 0..LANES {
+        let w0 = window(words, start[j]) & head;
+        fwd[j] = if m > 1 {
+            pair_reverse(w0) >> (66 - 2 * m)
+        } else {
+            0
+        };
+        rev[j] = (w0 ^ head) << 2;
+    }
+    let ring = &mut out.ring;
+    ring.clear();
+    ring.resize(w, [u64::MAX; LANES]);
+    if out.mins.len() < len {
+        out.mins.resize(len, [0; LANES]);
+    }
+    if out.changed.len() < len.div_ceil(64) {
+        out.changed.resize(len.div_ceil(64), [0; LANES]);
+    }
+    let mins = &mut out.mins[..len];
+    let changed = &mut out.changed[..len.div_ceil(64)];
+
+    let mut prefix: Lanes = [u64::MAX; LANES];
+    let mut prev: Lanes = [0; LANES];
+    let mut bits: Lanes = [0; LANES];
+    let mut slot = 0usize;
+    let steps = len + w - 1;
+    // 32 steps at a time, one word of bases per lane: first every step's score — the
+    // hashes of consecutive steps are independent, so their multiply chains overlap —
+    // then the window minima over them.
+    for chunk in (0..steps).step_by(32) {
+        // Step `s` adds base `start + m - 1 + s`.
+        let mut bases: Lanes = std::array::from_fn(|j| window(words, start[j] + m - 1 + chunk));
+        let mut scores = [[0u64; LANES]; 32];
+        for lanes in &mut scores[..(steps - chunk).min(32)] {
+            for j in 0..LANES {
+                let code = bases[j] & 0b11;
+                bases[j] >>= 2;
+                fwd[j] = ((fwd[j] << 2) | code) & mask;
+                rev[j] = (rev[j] >> 2) | ((code ^ 0b11) << rc_shift);
+                lanes[j] = score(fwd[j].min(rev[j]));
+            }
+        }
+        for (step, &scored) in (chunk..steps).zip(&scores) {
+            for j in 0..LANES {
+                prefix[j] = prefix[j].min(scored[j]);
+            }
+            ring[slot] = scored;
+            slot += 1;
+            // The window ending at this step: the block in progress (`prefix`) plus
+            // the tail of the last completed one (`ring[slot]`, its suffix minimum).
+            let min: Lanes = if slot == w {
+                let min = prefix;
+                let mut suffix = [u64::MAX; LANES];
+                for lanes in ring.iter_mut().rev() {
+                    for (s, x) in suffix.iter_mut().zip(lanes.iter_mut()) {
+                        *s = (*s).min(*x);
+                        *x = *s;
+                    }
+                }
+                prefix = [u64::MAX; LANES];
+                slot = 0;
+                min
+            } else {
+                std::array::from_fn(|j| ring[slot][j].min(prefix[j]))
+            };
+            if step + 1 >= w {
+                let t = step + 1 - w;
+                mins[t] = min;
+                for j in 0..LANES {
+                    bits[j] |= u64::from(min[j] != prev[j]) << (t % 64);
+                }
+                prev = min;
+                if t % 64 == 63 || t + 1 == len {
+                    changed[t / 64] = bits;
+                    bits = [0; LANES];
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -320,6 +381,15 @@ mod tests {
     }
 
     #[test]
+    fn base_mask_covers_m_bases() {
+        assert_eq!(base_mask(0), 0);
+        for m in 1..32 {
+            assert_eq!(base_mask(m), (1u64 << (2 * m)) - 1, "m={m}");
+        }
+        assert_eq!(base_mask(32), u64::MAX);
+    }
+
+    #[test]
     fn scalar_block_fill_matches_rolling_reference() {
         for (len, m) in [(100usize, 13usize), (64, 32), (40, 1), (333, 7), (70, 31)] {
             let seq = random_seq(len, (len * m) as u64);
@@ -345,29 +415,47 @@ mod tests {
         }
     }
 
+    /// The window minima of every k-mer of `seq`, from the reference scores.
+    fn reference_minima(seq: &DnaSeq, m: usize, w: usize, score_fn: ScoreFunction) -> Vec<u64> {
+        let scores = reference_scores(seq, m, score_fn);
+        scores
+            .windows(w)
+            .map(|win| *win.iter().min().unwrap())
+            .collect()
+    }
+
     #[test]
-    fn dispatched_fill_matches_scalar_across_lengths_offsets_and_tails() {
-        // Lengths spanning 0..=4× the lane width past the window, every block offset
-        // (unaligned starts), both score functions, m covering 1..=32.
-        for m in [1usize, 2, 7, 13, 16, 31, 32] {
-            for extra in [0usize, 1, 3, 15, 16, 63, 64, 200, 256] {
-                let len = m + extra;
-                let seq = random_seq(len, (m * 1000 + extra) as u64);
-                let total = len + 1 - m;
+    fn every_tier_computes_every_lanes_window_minima() {
+        for tier in Tier::ALL {
+            if !tier.runs_here() {
+                eprintln!("skipped: this CPU cannot run the {tier:?} lane kernel");
+                continue;
+            }
+            let mut out = LaneBuffers::default();
+            for (m, w) in [(1usize, 1usize), (13, 19), (32, 1), (7, 64), (10, 12)] {
                 for score_fn in [
-                    ScoreFunction::Hash { seed: 31 },
+                    ScoreFunction::Hash { seed: 7 },
                     ScoreFunction::Lexicographic,
                 ] {
-                    let mut want = vec![0u64; total];
-                    fill_scores_scalar(seq.words(), 0, total, m, score_fn, &mut want);
-                    for s0 in [0usize, 1, 2, 3, 5, 17] {
-                        if s0 >= total {
-                            continue;
+                    for (first, len) in [(0usize, 1usize), (3, 40), (0, 130), (33, 64)] {
+                        let n = first + 8 * len + w + m - 2;
+                        let seq = random_seq(n, (n * m + w) as u64);
+                        let want = reference_minima(&seq, m, w, score_fn);
+                        let shape = LaneShape {
+                            m,
+                            window: w,
+                            score_fn,
+                        };
+                        lane_pass(tier, seq.words(), shape, first, len, &mut out);
+                        for (j, t) in (0..LANES).flat_map(|j| (0..len).map(move |t| (j, t))) {
+                            let at = first + j * len + t;
+                            let what = format!("{tier:?} m={m} w={w} k-mer {at} {score_fn:?}");
+                            assert_eq!(out.mins[t][j], want[at], "{what}");
+                            if t > 0 {
+                                let bit = out.changed[t / 64][j] >> (t % 64) & 1;
+                                assert_eq!(bit == 1, want[at] != want[at - 1], "{what}");
+                            }
                         }
-                        let cnt = total - s0;
-                        let mut got = vec![0u64; cnt];
-                        fill_scores(seq.words(), s0, cnt, m, score_fn, &mut got);
-                        assert_eq!(got, want[s0..], "m={m} len={len} s0={s0} {score_fn:?}");
                     }
                 }
             }
@@ -375,30 +463,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn an_out_buffer_shorter_than_count_panics() {
-        let seq = random_seq(200, 5);
-        let mut out = vec![0u64; 100];
-        let sf = ScoreFunction::Lexicographic;
-        fill_scores(seq.words(), 0, 150, 13, sf, &mut out);
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn avx2_hash_lanes_match_hash_mmer() {
-        if !std::arch::is_x86_feature_detected!("avx2") {
-            return;
-        }
-        // The lane-wise murmur must agree with the scalar hash for adversarial values.
-        let seq = random_seq(4096 + 13, 0xC0FFEE);
-        let total = seq.len() + 1 - 13;
-        let mut got = vec![0u64; total];
-        let mut want = vec![0u64; total];
-        for seed in [0u32, 31, 0xFFFF_FFFF] {
-            let sf = ScoreFunction::Hash { seed };
-            fill_scores(seq.words(), 0, total, 13, sf, &mut got);
-            fill_scores_scalar(seq.words(), 0, total, 13, sf, &mut want);
-            assert_eq!(got, want, "seed={seed}");
+    fn a_lane_past_the_read_end_reads_zeros_and_does_not_panic() {
+        // 38 k-mers of 13 bases in lanes of 40: every lane but the first runs past the
+        // end, and the first's last two k-mers do.
+        let seq = random_seq(50, 3);
+        let score_fn = ScoreFunction::Hash { seed: 1 };
+        let want = reference_minima(&seq, 9, 5, score_fn);
+        let mut out = LaneBuffers::default();
+        let shape = LaneShape {
+            m: 9,
+            window: 5,
+            score_fn,
+        };
+        for tier in Tier::ALL.into_iter().filter(|t| t.runs_here()) {
+            lane_pass(tier, seq.words(), shape, 0, 40, &mut out);
+            let lane0: Vec<u64> = out.mins[..want.len()].iter().map(|l| l[0]).collect();
+            assert_eq!(lane0, want, "{tier:?}");
         }
     }
 }

@@ -5,27 +5,41 @@
 //! ([`score_sequence`](crate::mmer::MmerScorer::score_sequence)), every k-mer's
 //! minimizer ([`minimizers_deque`](crate::minimizer::minimizers_deque), via a heap
 //! `VecDeque`), and finally the supermer base copies. [`for_each_supermer`] fuses all
-//! three into **one** segmented pass: canonical m-mer scores are produced in bulk by
-//! the SIMD kernel in [`crate::simd`], the sliding-window minimum comes from a
-//! branchless van Herk–Gil-Werman two-scan (three `min`s per m-mer, no
-//! data-dependent deque traffic), and supermer spans are emitted through a callback
-//! the moment their destination run ends. The only state is a reusable
-//! [`SupermerScratch`] holding two cache-resident segment buffers, so a thread
-//! parsing millions of reads allocates them once.
+//! three into **one** segmented pass that emits supermer spans through a callback the
+//! moment their destination run ends. Its only state is a reusable [`SupermerScratch`]
+//! of cache-resident segment buffers, so a thread parsing millions of reads allocates
+//! them once.
+//!
+//! A segment's window minima come from one of two paths:
+//!
+//! * the lane kernel of [`crate::simd`], which scores, minimises and marks where the
+//!   minimum changes in eight lanes at once, built for AVX-512 or AVX2 — the tier
+//!   [`hysortk_dna::simd`] detected;
+//! * the scalar path, for reads too short to repay the lanes' overlap
+//!   ([`Tier::pays_for`]), under `HYSORTK_NO_SIMD=1` and on CPUs without AVX2:
+//!   canonical m-mer scores for the whole segment, then a branchless van
+//!   Herk–Gil-Werman two-scan (three `min`s per m-mer, no data-dependent deque
+//!   traffic).
+//!
+//! Either way a k-mer's target, `minimum % targets`, is only computed where its window
+//! minimum differs from the previous k-mer's; elsewhere the target cannot change.
 //!
 //! The vec-based pipeline is kept as the reference implementation; the property tests
-//! assert both produce byte-identical supermers.
+//! assert all paths produce byte-identical supermers.
 
 use crate::mmer::MmerScorer;
+use crate::simd::{LaneBuffers, LaneShape, Tier, LANES};
 use hysortk_dna::sequence::DnaSeq;
 
-/// Reusable per-thread scratch of the streaming extractor: the segment score buffer
-/// and its blockwise suffix minima (both a few KiB, cache-resident). Construct once,
-/// pass to every [`for_each_supermer`] call on the same thread.
+/// Reusable per-thread scratch of the streaming extractor: the scalar path's segment
+/// scores and their blockwise suffix minima, and the lane kernel's buffers (each a few
+/// tens of KiB at most, cache-resident). Construct once, pass to every
+/// [`for_each_supermer`] call on the same thread.
 #[derive(Debug, Clone, Default)]
 pub struct SupermerScratch {
     scores: Vec<u64>,
     suffix: Vec<u64>,
+    lanes: LaneBuffers,
 }
 
 impl SupermerScratch {
@@ -78,11 +92,27 @@ const SEGMENT_KMERS: usize = 4096;
 /// Equivalent to [`build_supermers`](crate::supermer::build_supermers) — same spans,
 /// same targets, same order — but scoring, window minimisation and run grouping happen
 /// in one segmented pass whose only buffers live in `scratch` (reused across calls).
-/// m-mer scores are computed in bulk per segment by the SIMD kernel in [`crate::simd`]
-/// (AVX2 when available, scalar otherwise — byte-identical either way), and the
-/// sliding-window minimum is a branchless blockwise suffix/prefix two-scan rather
-/// than a serial monotone deque. Reads shorter than k emit nothing.
+/// The window minima come from the lane kernel of [`crate::simd`] in the tier this CPU
+/// has (AVX-512 or AVX2), or from the scalar path — byte-identical either way. Reads
+/// shorter than k emit nothing.
 pub fn for_each_supermer(
+    seq: &DnaSeq,
+    k: usize,
+    scorer: &MmerScorer,
+    targets: u32,
+    scratch: &mut SupermerScratch,
+    emit: impl FnMut(SupermerSpan),
+) {
+    let kmers = (seq.len() + 1).saturating_sub(k);
+    let window = (k + 1).saturating_sub(scorer.m());
+    let tier = Tier::detected().filter(|tier| tier.pays_for(kmers, window));
+    extract(tier, seq, k, scorer, targets, scratch, emit)
+}
+
+/// [`for_each_supermer`] on a chosen path: the `tier` build of the lane kernel, or the
+/// scalar path for `None`.
+pub(crate) fn extract(
+    tier: Option<Tier>,
     seq: &DnaSeq,
     k: usize,
     scorer: &MmerScorer,
@@ -98,27 +128,145 @@ pub fn for_each_supermer(
         return;
     }
     debug_assert!(n <= u32::MAX as usize, "read longer than u32 indices");
-    let score_fn = scorer.score_fn();
-    let window = k - m + 1;
-
-    let words = seq.words();
     let num_kmers = n + 1 - k;
-    // Destination assignment is one modulo per k-mer; for the common power-of-two
-    // target counts it reduces to a mask (a 64-bit division costs tens of cycles).
-    let targets64 = u64::from(targets);
-    let target_mask = if targets.is_power_of_two() {
-        Some(targets64 - 1)
-    } else {
-        None
+    let targets = u64::from(targets);
+    let mut runs = Runs {
+        k: k as u32,
+        targets,
+        mask: targets.is_power_of_two().then_some(targets - 1),
+        open: None,
+        emit: &mut emit,
     };
+    match tier {
+        Some(tier) => lane_segments(
+            tier,
+            seq,
+            k,
+            scorer,
+            num_kmers,
+            &mut scratch.lanes,
+            &mut runs,
+        ),
+        None => scalar_segments(seq, k, scorer, num_kmers, scratch, &mut runs),
+    }
+    if let Some(run) = runs.open {
+        emit(SupermerSpan {
+            start: run.start,
+            end: n as u32,
+            target: run.target,
+        });
+    }
+}
+
+/// The run of k-mers with one target that is growing into a supermer.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    start: u32,
+    target: u32,
+}
+
+/// The run state of one read, fed in k-mer order with every k-mer whose window
+/// minimum may differ from its predecessor's (the first k-mer included).
+struct Runs<'e, E> {
+    k: u32,
+    targets: u64,
+    /// `targets - 1` when `targets` is a power of two: a mask in place of a 64-bit
+    /// division, which costs tens of cycles.
+    mask: Option<u64>,
+    open: Option<Run>,
+    emit: &'e mut E,
+}
+
+impl<E: FnMut(SupermerSpan)> Runs<'_, E> {
+    /// k-mer `kmer` has window minimum `min`: emit the open run if its target,
+    /// `min % targets`, differs.
+    #[inline]
+    fn at(&mut self, kmer: u32, min: u64) {
+        let target = match self.mask {
+            Some(mask) => (min & mask) as u32,
+            None => (min % self.targets) as u32,
+        };
+        if let Some(run) = self.open {
+            if run.target == target {
+                return;
+            }
+            (self.emit)(SupermerSpan {
+                start: run.start,
+                end: kmer - 1 + self.k,
+                target: run.target,
+            });
+        }
+        self.open = Some(Run {
+            start: kmer,
+            target,
+        });
+    }
+}
+
+/// The lane path: each segment's k-mers in [`LANES`] contiguous lanes through the
+/// `tier` build of the kernel, then its marked k-mers lane by lane, in read order.
+fn lane_segments<E: FnMut(SupermerSpan)>(
+    tier: Tier,
+    seq: &DnaSeq,
+    k: usize,
+    scorer: &MmerScorer,
+    num_kmers: usize,
+    lanes: &mut LaneBuffers,
+    runs: &mut Runs<'_, E>,
+) {
+    let shape = LaneShape {
+        m: scorer.m(),
+        window: k - scorer.m() + 1,
+        score_fn: scorer.score_fn(),
+    };
+    // Segments of equal size, so that no short tail segment pays the lanes' overlap.
+    let seg_cap = num_kmers.div_ceil(num_kmers.div_ceil(SEGMENT_KMERS));
+    let mut g = 0usize; // the segment's first k-mer
+    while g < num_kmers {
+        let seg_kmers = (num_kmers - g).min(seg_cap);
+        let len = seg_kmers.div_ceil(LANES);
+        crate::simd::lane_pass(tier, seq.words(), shape, g, len, lanes);
+        for j in 0..LANES {
+            let lane_first = j * len;
+            if lane_first >= seg_kmers {
+                break;
+            }
+            let lane_kmers = (seg_kmers - lane_first).min(len);
+            for (i, word) in lanes.changed[..lane_kmers.div_ceil(64)].iter().enumerate() {
+                // A lane's first k-mer has no predecessor in the lane: always look.
+                let mut bits = word[j] | u64::from(i == 0);
+                if lane_kmers - 64 * i < 64 {
+                    bits &= (1 << (lane_kmers - 64 * i)) - 1;
+                }
+                while bits != 0 {
+                    let t = 64 * i + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    runs.at((g + lane_first + t) as u32, lanes.mins[t][j]);
+                }
+            }
+        }
+        g += seg_kmers;
+    }
+}
+
+/// The scalar path: each segment's m-mer scores, then the window minima by a
+/// van Herk–Gil-Werman two-scan.
+fn scalar_segments<E: FnMut(SupermerSpan)>(
+    seq: &DnaSeq,
+    k: usize,
+    scorer: &MmerScorer,
+    num_kmers: usize,
+    scratch: &mut SupermerScratch,
+    runs: &mut Runs<'_, E>,
+) {
+    let (m, score_fn) = (scorer.m(), scorer.score_fn());
+    let window = k - m + 1;
     let seg_cap = SEGMENT_KMERS.min(num_kmers) + window - 1;
     if scratch.scores.len() < seg_cap {
         scratch.scores.resize(seg_cap, 0);
         scratch.suffix.resize(seg_cap, 0);
     }
-    let mut run_start = 0u32;
-    let mut run_target = 0u32;
-    let mut in_run = false;
+    let mut last_min = None;
 
     // The window minimum is computed with the van Herk–Gil-Werman two-scan scheme
     // instead of a monotone deque: split each segment's score buffer into blocks of
@@ -134,7 +282,7 @@ pub fn for_each_supermer(
         let seg_kmers = (num_kmers - g).min(SEGMENT_KMERS);
         let seg_len = seg_kmers + window - 1; // m-mer scores the segment needs
         let scores = &mut scratch.scores[..seg_len];
-        crate::simd::fill_scores(words, g, seg_len, m, score_fn, scores);
+        crate::simd::fill_scores_scalar(seq.words(), g, seg_len, m, score_fn, scores);
         let scores = &scratch.scores[..seg_len];
         let suffix = &mut scratch.suffix[..seg_len];
         let mut block_start = 0usize;
@@ -169,34 +317,13 @@ pub fn for_each_supermer(
                 until_reset = window;
             }
             prefix = prefix.min(lead);
-            let min_score = sfx.min(prefix);
-            let target = match target_mask {
-                Some(mask) => (min_score & mask) as u32,
-                None => (min_score % targets64) as u32,
-            };
-            let kmer_index = (g + t) as u32;
-            if !in_run {
-                in_run = true;
-                run_start = kmer_index;
-                run_target = target;
-            } else if target != run_target {
-                emit(SupermerSpan {
-                    start: run_start,
-                    end: kmer_index - 1 + k as u32,
-                    target: run_target,
-                });
-                run_start = kmer_index;
-                run_target = target;
+            let min = sfx.min(prefix);
+            if last_min != Some(min) {
+                last_min = Some(min);
+                runs.at((g + t) as u32, min);
             }
         }
         g += seg_kmers;
-    }
-    if in_run {
-        emit(SupermerSpan {
-            start: run_start,
-            end: n as u32,
-            target: run_target,
-        });
     }
 }
 
@@ -338,6 +465,129 @@ mod tests {
                 build_supermers(&read, k, &scorer, 32),
                 "k={k} m={m}"
             );
+        }
+    }
+}
+
+/// Every tier of the lane kernel this CPU can run, against the scalar path and the
+/// vec-based reference.
+#[cfg(test)]
+mod differential {
+    use super::*;
+    use crate::mmer::ScoreFunction;
+    use crate::supermer::build_supermers;
+    use hysortk_dna::readset::Read;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    fn spans(
+        tier: Option<Tier>,
+        read: &Read,
+        k: usize,
+        scorer: &MmerScorer,
+        targets: u32,
+    ) -> Vec<SupermerSpan> {
+        let mut out = Vec::new();
+        let mut scratch = SupermerScratch::new();
+        extract(tier, &read.seq, k, scorer, targets, &mut scratch, |s| {
+            out.push(s)
+        });
+        out
+    }
+
+    /// The tiers to check; each one this CPU lacks says it was skipped.
+    fn tiers() -> Vec<Tier> {
+        let (runs, skipped): (Vec<Tier>, Vec<Tier>) =
+            Tier::ALL.into_iter().partition(|t| t.runs_here());
+        for tier in skipped {
+            eprintln!("skipped: this CPU cannot run the {tier:?} lane kernel");
+        }
+        runs
+    }
+
+    /// The scalar path's spans, checked against [`build_supermers`], then every tier's
+    /// against them.
+    fn check(tiers: &[Tier], read: &Read, k: usize, scorer: &MmerScorer, targets: u32) {
+        let what = format!(
+            "len={} k={k} m={} targets={targets} {:?}",
+            read.len(),
+            scorer.m(),
+            scorer.score_fn()
+        );
+        let scalar = spans(None, read, k, scorer, targets);
+        let reference: Vec<SupermerSpan> = build_supermers(read, k, scorer, targets)
+            .into_iter()
+            .map(|s| SupermerSpan {
+                start: s.start,
+                end: s.start + s.seq.len() as u32,
+                target: s.target,
+            })
+            .collect();
+        assert_eq!(scalar, reference, "scalar path, {what}");
+        for &tier in tiers {
+            assert_eq!(
+                spans(Some(tier), read, k, scorer, targets),
+                scalar,
+                "{tier:?}, {what}"
+            );
+        }
+    }
+
+    fn read_of(bases: &[u8]) -> Read {
+        Read::from_ascii(0, "r", bases)
+    }
+
+    #[test]
+    fn every_tier_matches_the_scalar_path_at_every_edge() {
+        let tiers = tiers();
+        let mut rng = StdRng::seed_from_u64(44);
+        // (31, 15) and (21, 10) are the benchmark's shapes; (21, 21) has w = 1.
+        for (k, m) in [(31, 15), (21, 10), (21, 21), (55, 23), (17, 7)] {
+            let w = k - m + 1;
+            let lengths = [
+                k - 1,
+                k,
+                k + 1,
+                8 * w - 1,
+                8 * w + 1,
+                SEGMENT_KMERS - 1,
+                SEGMENT_KMERS + 1,
+                // A segment's worth of k-mers, one short and one over.
+                SEGMENT_KMERS + k - 2,
+                SEGMENT_KMERS + k,
+                2 * SEGMENT_KMERS + w,
+            ];
+            for len in lengths {
+                let bases: Vec<u8> = (0..len).map(|_| b"ACGT"[rng.gen_range(0..4)]).collect();
+                let read = read_of(&bases);
+                for targets in [1, 64, 768] {
+                    let scorer = MmerScorer::new(m, ScoreFunction::Hash { seed: 31 });
+                    check(&tiers, &read, k, &scorer, targets);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_tier_matches_the_scalar_path_on_tie_heavy_reads() {
+        // Lexicographic scores of tiny m-mers on AT-rich reads: windows full of ties.
+        let tiers = tiers();
+        let mut rng = StdRng::seed_from_u64(45);
+        for (k, m) in [(15, 2), (31, 1), (11, 3), (4, 4)] {
+            let w = k - m + 1;
+            for len in [8 * w - 1, 8 * w + 1, 300, SEGMENT_KMERS + w] {
+                let bases: Vec<u8> = (0..len)
+                    .map(|_| match rng.gen_range(0..5) {
+                        0 => b"ACGT"[rng.gen_range(0..4)],
+                        _ => b"AT"[rng.gen_range(0..2)],
+                    })
+                    .collect();
+                let read = read_of(&bases);
+                for targets in [1, 16, 768] {
+                    let scorer = MmerScorer::new(m, ScoreFunction::Lexicographic);
+                    check(&tiers, &read, k, &scorer, targets);
+                }
+            }
         }
     }
 }
