@@ -376,6 +376,7 @@ impl Wire for Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hysortk_trace::MAX_ARGS;
 
     #[test]
     fn primitives_round_trip() {
@@ -519,9 +520,10 @@ mod tests {
             &vec![String::new(), "a".to_string(), "ünï".to_string()],
             &mut state,
         );
-        // A forked rank's trace: events of 0, 1 and 2 arguments, a non-ASCII label.
+        // A forked rank's trace: events of 0, 1, 2 and `MAX_ARGS` arguments, a non-ASCII
+        // label.
         let event = |label, kind, args: &[(&str, u64)]| {
-            Event::new(label, kind, 1_234, 1, 7, args).expect("at most two arguments")
+            Event::new(label, kind, 1_234, 1, 7, args).expect("at most `MAX_ARGS` arguments")
         };
         let child_trace = Trace {
             events: vec![
@@ -531,6 +533,11 @@ mod tests {
                     "exchange",
                     EventKind::End,
                     &[("bytes", u64::MAX), ("round", 0)],
+                ),
+                event(
+                    "count-section",
+                    EventKind::End,
+                    &[("distinct", 7), ("hashed", 1), ("supermers", 9), ("d", 0)],
                 ),
             ],
             dropped: 5,
@@ -558,13 +565,16 @@ mod tests {
             assert_eq!(from_bytes::<CommStats>(&prefixed(&[0; 32])), None);
             assert_eq!(from_bytes::<Trace>(&prefixed(&[0; 8])), None);
         }
-        // A third argument is malformed, not truncated to two.
-        let mut three = to_bytes(&event("x", EventKind::Counter, &[("a", 1), ("b", 2)]));
-        let at = three.len() - 2 * (8 + 1 + 8) - 8;
-        three[at..at + 8].copy_from_slice(&3u64.to_le_bytes());
-        put_str(&mut three, "c");
-        3u64.encode(&mut three);
-        assert_eq!(from_bytes::<Event>(&three), None);
-        assert!(Event::new("x", EventKind::Counter, 0, 0, 0, &[("a", 1); 3]).is_none());
+        // An argument past `MAX_ARGS` is malformed, not truncated away.
+        let full = [("a", 1), ("b", 2), ("c", 3), ("d", 4)];
+        assert_eq!(full.len(), MAX_ARGS);
+        let mut over = to_bytes(&event("x", EventKind::Counter, &full));
+        let at = over.len() - MAX_ARGS * (8 + 1 + 8) - 8;
+        over[at..at + 8].copy_from_slice(&(MAX_ARGS as u64 + 1).to_le_bytes());
+        put_str(&mut over, "e");
+        5u64.encode(&mut over);
+        assert_eq!(from_bytes::<Event>(&over), None);
+        let too_many = [("a", 1); MAX_ARGS + 1];
+        assert!(Event::new("x", EventKind::Counter, 0, 0, 0, &too_many).is_none());
     }
 }

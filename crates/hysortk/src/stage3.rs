@@ -20,10 +20,13 @@
 //!    * the word-level wire decode
 //!      ([`crate::wire::SupermerView::for_each_canonical_kmer`]) writes the section's
 //!      records, from every source block, into a reused lane buffer — or, on a
-//!      bare-key lane that has seen the input duplicated, collapses them into the
-//!      lane's in-cache `(k-mer, count)` table (`crate::table`) and writes only the
-//!      distinct keys; a section past the table's fill bound is decoded again, record
-//!      by record;
+//!      bare-key lane that has seen the input duplicated, counts them in the lane's
+//!      in-cache `(k-mer, count)` table (`crate::table`) and writes only the distinct
+//!      keys. That lane first collapses the section's repeated supermers in a second,
+//!      supermer-keyed table and decodes each distinct supermer once, adding its k-mers
+//!      weighted by how often it arrived (`CountTable::add_supermers`); a supermer over
+//!      64 bases is added k-mer by k-mer. A section past the k-mer table's fill bound
+//!      is decoded again, record by record;
 //!    * the kernel `params.sorter` names sorts the lane buffer there (RADULS with a
 //!      reused auxiliary buffer, or PARADIS in place — the only place the choice is
 //!      consulted). An average section holds about `SECTION_BYTES` (half of
@@ -77,7 +80,7 @@ use hysortk_task::{ScratchBank, WorkerPool};
 use hysortk_trace as trace;
 
 use crate::result::KmerHistogram;
-use crate::table::{CountTable, Duplication};
+use crate::table::{CountTable, Duplication, SupermerTable};
 use crate::wire::{read_blocks, KmerListView, PayloadView, SupermersView, WireError};
 
 /// Everything [`count_task`] needs to know about the run.
@@ -348,7 +351,8 @@ impl<K: KmerCode> CountScratch<K> {
 
 /// One thread's working set of the section phase: the section's records — every
 /// instance, or the distinct keys its table collapsed them to — sorted in place; the
-/// RADULS ping-pong buffer; the table and what the lane has seen of the input's
+/// RADULS ping-pong buffer; the k-mer table, the table that collapses a section's
+/// repeated supermers before it, and what the lane has seen of the input's
 /// duplication; what the count scan emits, before it is copied out exactly sized; and
 /// the histogram of what it emitted (folded into the scratch's when the task ends). The
 /// buffers grow to the largest section the lane meets and stay there.
@@ -357,6 +361,7 @@ struct Lane<K, T> {
     records: Vec<T>,
     aux: Vec<T>,
     table: CountTable<K>,
+    supermers: SupermerTable,
     dup: Duplication,
     counts: Vec<(K, u64)>,
     ranges: Vec<(u32, u32)>,
@@ -370,6 +375,7 @@ impl<K: KmerCode, T: Record<K>> Lane<K, T> {
             records: Vec::new(),
             aux: Vec::new(),
             table: CountTable::default(),
+            supermers: SupermerTable::default(),
             dup: Duplication::default(),
             counts: Vec::new(),
             ranges: Vec::new(),
@@ -381,6 +387,7 @@ impl<K: KmerCode, T: Record<K>> Lane<K, T> {
     fn bytes(&self) -> usize {
         (self.records.capacity() + self.aux.capacity()) * std::mem::size_of::<T>()
             + self.table.bytes()
+            + self.supermers.bytes()
             + self.counts.capacity() * std::mem::size_of::<(K, u64)>()
             + self.ranges.capacity() * std::mem::size_of::<(u32, u32)>()
     }
@@ -690,6 +697,8 @@ fn count_records<K: KmerCode, T: Record<K>>(
                 span.end_with(&[
                     ("distinct", counted.distinct as u64),
                     ("hashed", u64::from(counted.hashed)),
+                    ("supermers", counted.supermers as u64),
+                    ("distinct_supermers", counted.distinct_supermers as u64),
                 ]);
                 decoded += counted.instances;
                 out.extend(counted.run);
@@ -719,20 +728,26 @@ fn count_records<K: KmerCode, T: Record<K>>(
 }
 
 /// How one section was counted: its run (`None` when it retained nothing), the records
-/// decoded, the distinct keys among them, and whether they were counted in the table.
+/// decoded, the distinct keys among them, whether they were counted in the table, the
+/// supermers that arrived and the supermers decoded — each distinct one once on the
+/// table path ([`CountTable::add_supermers`]), every one on the sort path.
 struct SectionCount<K, T> {
     run: Option<RunOutput<K, T>>,
     instances: usize,
     distinct: usize,
     hashed: bool,
+    supermers: usize,
+    distinct_supermers: usize,
 }
 
 /// Count section `section` of `slot`, with its kmerlist entries `pre`, into one sorted
-/// run. With `table_slots` its records are decoded into the lane's table of that many
-/// slots and only the distinct keys are sorted; a section whose distinct keys pass the
-/// table's fill bound — and every section without `table_slots` — is decoded record by
-/// record and sorted whole. Either way the sorted keys go through one scan
-/// ([`count_section`]), and the lane's duplication gate learns from what it saw.
+/// run. With `table_slots` its supermers are collapsed, and each distinct one's k-mers
+/// are counted in the lane's table of that many slots
+/// ([`CountTable::add_supermers`]); only the distinct keys are sorted. A section whose
+/// distinct keys pass the table's fill bound — and every section without
+/// `table_slots` — is decoded record by record and sorted whole. Either way the sorted
+/// keys go through one scan ([`count_section`]), and the lane's duplication gate learns
+/// from what it saw.
 fn count_one_section<K: KmerCode, T: Record<K>>(
     lane: &mut Lane<K, T>,
     slot: &TaskSlot<'_, K>,
@@ -743,6 +758,8 @@ fn count_one_section<K: KmerCode, T: Record<K>>(
     table_slots: Option<usize>,
 ) -> SectionCount<K, T> {
     let (task, records) = (slot.task, slot.sections[section].records);
+    let views = &slot.sections[section].supermers;
+    let supermers = views.iter().map(SupermersView::len).sum();
     // Extension ranges are u32 offsets into the section's records; make the limit
     // explicit rather than silently wrapping.
     assert!(
@@ -753,21 +770,19 @@ fn count_one_section<K: KmerCode, T: Record<K>>(
     lane.records.clear();
     let hashed = table_slots.and_then(|slots| {
         lane.table.reset(slots);
-        let instances = lane
-            .table
-            .add_supermers(&slot.sections[section].supermers, k)?;
+        let added = lane.table.add_supermers(&mut lane.supermers, views, k)?;
         lane.records.reserve_exact(lane.table.len());
         (lane.records).extend(
             lane.table
                 .pairs()
                 .map(|(km, _)| T::new(km, Extension::new(0, 0))),
         );
-        Some(instances)
+        Some(added)
     });
-    let instances = hashed.unwrap_or_else(|| {
+    let (instances, distinct_supermers) = hashed.unwrap_or_else(|| {
         lane.records.reserve_exact(records);
         decode_section(slot, section, k, &mut lane.records);
-        lane.records.len()
+        (lane.records.len(), supermers)
     });
     match params.sorter {
         SortAlgorithm::Raduls => {
@@ -790,6 +805,8 @@ fn count_one_section<K: KmerCode, T: Record<K>>(
         instances,
         distinct,
         hashed: hashed.is_some(),
+        supermers,
+        distinct_supermers,
     }
 }
 
@@ -1988,6 +2005,77 @@ mod tests {
         }
         for k in [1, 21, 31, 32, 33, 55, 64] {
             check::<Kmer2>(150 + k as u64, k);
+        }
+    }
+
+    /// Sections of repeated supermers, some over 64 bases and some shorter than k, count
+    /// on the table path — each distinct supermer decoded once — as they do on the sort
+    /// path. A section that passes the k-mer table's fill bound partway through falls
+    /// back to sorting, and the lane's next sections still count exactly.
+    #[test]
+    fn collapsed_supermers_count_like_the_sort_path_after_a_fallback_too() {
+        let k = 31;
+        let mut rng = StdRng::seed_from_u64(62);
+        let ascii: Vec<u8> = (0..20_000).map(|_| b"ACGT"[rng.gen_range(0..4)]).collect();
+        let genome = DnaSeq::from_ascii(&ascii);
+        // (distinct supermers, copies) per section.
+        let shapes = [(40, 3_000), (400, 3_000), (5, 50), (1, 1)];
+        let bodies: Vec<(u64, Vec<u8>)> = (shapes.iter())
+            .map(|&(distinct, copies)| {
+                let cuts: Vec<(usize, usize)> = (0..distinct)
+                    .map(|_| (rng.gen_range(0..19_000), rng.gen_range(20..=90)))
+                    .collect();
+                let mut body = Vec::new();
+                for _ in 0..copies {
+                    let (start, len) = cuts[rng.gen_range(0..cuts.len())];
+                    push_supermer(&mut body, None, &genome, start, len);
+                }
+                (copies, body)
+            })
+            .collect();
+        let parts: Vec<(u32, u64, &[u8])> = (bodies.iter().enumerate())
+            .map(|(s, (copies, body))| (s as u32, *copies, &body[..]))
+            .collect();
+        let mut segment = Vec::new();
+        write_supermer_block(&mut segment, 0, false, shapes.len() as u32, &parts);
+        let index = build_block_index::<Kmer1, _>([&segment[..]], k).unwrap();
+        let slot = &index.slots[0];
+        let p = CountParams::for_kmer::<Kmer1>(k, SortAlgorithm::Raduls, 2, 50, false);
+        let like = KmerHistogram::for_max_count(p.max_count);
+        let sorted: Vec<(Vec<(Kmer1, u64)>, KmerHistogram)> = (0..shapes.len())
+            .map(|section| {
+                let mut lane: Lane<Kmer1, Kmer1> = Lane::new(&like);
+                let counted = count_one_section(&mut lane, slot, section, &[], k, &p, None);
+                assert!(!counted.hashed);
+                let supermers = shapes[section].1 as usize;
+                assert_eq!(
+                    (counted.supermers, counted.distinct_supermers),
+                    (supermers, supermers)
+                );
+                let run = counted.run.map(|run| run.counts).unwrap_or_default();
+                (run, lane.histogram)
+            })
+            .collect();
+        // One lane: section 1 in a table too small for it, then every section in ample
+        // tables, section 1 again last.
+        let mut lane: Lane<Kmer1, Kmer1> = Lane::new(&like);
+        let mut histogram = KmerHistogram::for_max_count(p.max_count);
+        for (section, slots) in [(1, 64), (0, 1 << 16), (2, 1 << 16), (3, 64), (1, 1 << 16)] {
+            let counted = count_one_section(&mut lane, slot, section, &[], k, &p, Some(slots));
+            let records = slot.sections[section].records;
+            let tag = format!("section {section}, {slots} slots");
+            assert_eq!(counted.hashed, slots > 64 || records <= 48, "{tag}");
+            assert_eq!(counted.instances, records, "{tag}");
+            assert_eq!(counted.supermers, shapes[section].1 as usize, "{tag}");
+            // Copies over 64 bases are decoded each time they arrive.
+            assert!(counted.distinct_supermers <= counted.supermers, "{tag}");
+            if counted.hashed && section < 2 {
+                assert!(counted.distinct_supermers < counted.supermers, "{tag}");
+            }
+            let run = counted.run.map(|run| run.counts).unwrap_or_default();
+            assert_eq!(run, sorted[section].0, "{tag}");
+            histogram.merge(&sorted[section].1);
+            assert_eq!(lane.histogram, histogram, "{tag}");
         }
     }
 

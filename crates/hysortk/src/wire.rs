@@ -317,6 +317,9 @@ const KIND_SECTIONED_BARE_SUPERMERS: u8 = 5;
 pub const MAX_SECTIONS: u32 = 256;
 /// Bytes of one section directory entry: supermers, then body bytes, as `u32`s.
 const DIRECTORY_ENTRY: usize = 8;
+/// Most bases of a supermer whose packed bases fit two words
+/// ([`SupermerView::short_bases`]).
+pub(crate) const SHORT_SUPERMER: usize = 64;
 
 fn push_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -706,14 +709,13 @@ impl<'a> Iterator for SupermerIter<'a> {
         // Lengths were validated by `read_blocks`; the expect documents that contract.
         let (read_id, start, len) = read_supermer_header(self.bytes, &mut pos, self.provenance)
             .expect("validated by read_blocks");
-        let nbytes = len.div_ceil(4);
-        let packed = &self.bytes[pos..pos + nbytes];
-        self.bytes = &self.bytes[pos + nbytes..];
+        let bytes = &self.bytes[pos..];
+        self.bytes = &bytes[len.div_ceil(4)..];
         Some(SupermerView {
             read_id,
             start,
             len,
-            packed,
+            bytes,
         })
     }
 
@@ -731,14 +733,55 @@ pub struct SupermerView<'a> {
     pub start: u32,
     /// Number of bases.
     pub len: usize,
-    packed: &'a [u8],
+    /// The packed bases, then whatever follows them in the block body.
+    bytes: &'a [u8],
 }
 
-impl SupermerView<'_> {
+impl<'a> SupermerView<'a> {
+    /// A bare supermer of `len` ≤ [`SHORT_SUPERMER`] bases, packed in `bases` as
+    /// [`Self::short_bases`] returns them.
+    pub(crate) fn short(len: usize, bases: &'a [u8; 16]) -> Self {
+        debug_assert!(len <= SHORT_SUPERMER);
+        SupermerView {
+            read_id: 0,
+            start: 0,
+            len,
+            bytes: bases,
+        }
+    }
+
+    /// The packed bases: base `i` at bits `2i` of a little-endian byte stream.
+    fn packed(&self) -> &'a [u8] {
+        &self.bytes[..self.len.div_ceil(4)]
+    }
+
+    /// The bases of a supermer of at most [`SHORT_SUPERMER`] bases as one little-endian
+    /// `u128` (base `i` at bits `2i`) with every bit past base `len` zero, or `None` for
+    /// a longer one. The bytes are read straight from the body, and copied only when
+    /// fewer than 16 follow the first base. Bits past the last base are the ones no
+    /// decode reads, so two supermers of one length decode alike exactly when these
+    /// values are equal.
+    #[inline(always)]
+    pub(crate) fn short_bases(&self) -> Option<u128> {
+        if self.len > SHORT_SUPERMER {
+            return None;
+        }
+        let bases = match self.bytes.first_chunk::<16>() {
+            Some(bytes) => u128::from_le_bytes(*bytes),
+            None => {
+                let mut bytes = [0u8; 16];
+                bytes[..self.bytes.len()].copy_from_slice(self.bytes);
+                u128::from_le_bytes(bytes)
+            }
+        };
+        let mask = u128::MAX.checked_shr(128 - 2 * self.len as u32);
+        Some(bases & mask.unwrap_or(0))
+    }
+
     /// The 2-bit code of base `i`.
     #[inline]
     pub fn code_at(&self, i: usize) -> u8 {
-        (self.packed[i / 4] >> (2 * (i % 4))) & 0b11
+        (self.packed()[i / 4] >> (2 * (i % 4))) & 0b11
     }
 
     /// Number of k-mers this supermer contains for a given k.
@@ -792,7 +835,7 @@ impl SupermerView<'_> {
     /// Little-endian word `j` of the packed bases (32 bases), zero beyond the last byte.
     #[inline(always)]
     fn word(&self, j: usize) -> u64 {
-        let bytes = self.packed.get(8 * j..).unwrap_or(&[]);
+        let bytes = self.packed().get(8 * j..).unwrap_or(&[]);
         match bytes.first_chunk::<8>() {
             Some(word) => u64::from_le_bytes(*word),
             None => {
@@ -1185,7 +1228,7 @@ mod tests {
                     read_id: 3,
                     start,
                     len,
-                    packed: &packed,
+                    bytes: &packed,
                 };
                 for k in [1usize, 15, 21, 31, 32] {
                     check::<Kmer1>(&sm, k);
@@ -1205,7 +1248,7 @@ mod tests {
             read_id: 0,
             start: 0,
             len: 40,
-            packed: &[0u8; 10],
+            bytes: &[0u8; 10],
         };
         sm.for_each_canonical_kmer::<Kmer1>(33, |_, _| {});
     }
@@ -1302,7 +1345,7 @@ mod tests {
                     (with.read_id, with.start, with.len),
                     (9, offset as u32, len)
                 );
-                assert_eq!(sm.packed, with.packed);
+                assert_eq!(sm.packed(), with.packed());
                 let mut decoded: Vec<(K, u32)> = Vec::new();
                 sm.for_each_canonical_kmer::<K>(k, |km, pos| decoded.push((km, pos)));
                 assert_eq!(decoded, rolling_canonical_kmers::<K>(&sm, k), "len {len}");

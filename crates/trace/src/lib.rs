@@ -99,14 +99,14 @@ pub struct Event {
     pub ts_ns: u64,
     pub rank: u32,
     pub tid: u32,
-    args: [(&'static str, u64); 2],
+    args: [(&'static str, u64); MAX_ARGS],
     nargs: u8,
 }
 
 impl Event {
     /// An event whose label and argument names are runtime strings — one decoded from
     /// another process's trace. The strings are interned; `None` when there are more
-    /// than two arguments.
+    /// than [`MAX_ARGS`] arguments.
     pub fn new(
         label: &str,
         kind: EventKind,
@@ -115,10 +115,10 @@ impl Event {
         tid: u32,
         args: &[(&str, u64)],
     ) -> Option<Event> {
-        if args.len() > 2 {
+        if args.len() > MAX_ARGS {
             return None;
         }
-        let mut packed = [("", 0u64); 2];
+        let mut packed = [("", 0u64); MAX_ARGS];
         for (slot, &(name, value)) in packed.iter_mut().zip(args) {
             *slot = (intern(name), value);
         }
@@ -133,7 +133,7 @@ impl Event {
         })
     }
 
-    /// The event's arguments (at most two name/value pairs).
+    /// The event's arguments (at most [`MAX_ARGS`] name/value pairs).
     pub fn args(&self) -> &[(&'static str, u64)] {
         &self.args[..self.nargs as usize]
     }
@@ -155,9 +155,12 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 static DETAIL: AtomicU8 = AtomicU8::new(Detail::Stage as u8);
 static NEXT_TID: AtomicU32 = AtomicU32::new(0);
 
-/// Per-thread ring capacity (events). At 40 bytes per event this is
-/// ~2.6 MiB per recording thread — sized so a smoke-scale run never wraps.
+/// Per-thread ring capacity (events). At 136 bytes per event this is
+/// ~8.5 MiB per recording thread — sized so a smoke-scale run never wraps.
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
+
+/// Most `name = value` arguments one event carries.
+pub const MAX_ARGS: usize = 4;
 
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
@@ -271,7 +274,7 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    /// Close the span now, with up to two arguments only known at its end (a byte
+    /// Close the span now, with up to [`MAX_ARGS`] arguments only known at its end (a byte
     /// total the spanned work produced); they ride on the end event, which trace
     /// viewers merge into the slice's arguments.
     pub fn end_with(mut self, args: &[(&'static str, u64)]) {
@@ -287,7 +290,7 @@ impl SpanGuard {
                 rank: self.rank,
                 tid: 0,
                 args: pack_args(args),
-                nargs: args.len().min(2) as u8,
+                nargs: args.len().min(MAX_ARGS) as u8,
             });
         }
     }
@@ -305,7 +308,7 @@ pub fn span(label: &'static str, detail: Detail, rank: u32) -> SpanGuard {
     span_with(label, detail, rank, &[])
 }
 
-/// Open a span carrying up to two `u64` arguments (extra pairs are ignored).
+/// Open a span carrying up to [`MAX_ARGS`] `u64` arguments (extra pairs are ignored).
 #[inline]
 pub fn span_with(
     label: &'static str,
@@ -327,7 +330,7 @@ pub fn span_with(
         rank,
         tid: 0,
         args: pack_args(args),
-        nargs: args.len().min(2) as u8,
+        nargs: args.len().min(MAX_ARGS) as u8,
     });
     SpanGuard {
         label,
@@ -349,7 +352,7 @@ pub fn instant(label: &'static str, detail: Detail, rank: u32, args: &[(&'static
         rank,
         tid: 0,
         args: pack_args(args),
-        nargs: args.len().min(2) as u8,
+        nargs: args.len().min(MAX_ARGS) as u8,
     });
 }
 
@@ -365,7 +368,7 @@ pub fn counter(label: &'static str, detail: Detail, rank: u32, value: u64) {
         ts_ns: now_ns(),
         rank,
         tid: 0,
-        args: [("value", value), ("", 0)],
+        args: pack_args(&[("value", value)]),
         nargs: 1,
     });
 }
@@ -389,13 +392,13 @@ pub fn flow(label: &'static str, detail: Detail, rank: u32, id: u64, start: bool
         ts_ns: now_ns(),
         rank,
         tid: 0,
-        args: [("id", id), ("", 0)],
+        args: pack_args(&[("id", id)]),
         nargs: 1,
     });
 }
 
-fn pack_args(args: &[(&'static str, u64)]) -> [(&'static str, u64); 2] {
-    let mut packed = [("", 0u64); 2];
+fn pack_args(args: &[(&'static str, u64)]) -> [(&'static str, u64); MAX_ARGS] {
+    let mut packed = [("", 0u64); MAX_ARGS];
     for (slot, &arg) in packed.iter_mut().zip(args.iter()) {
         *slot = arg;
     }
@@ -832,7 +835,7 @@ mod tests {
                 ts_ns: i,
                 rank: 0,
                 tid: 0,
-                args: [("i", i), ("", 0)],
+                args: pack_args(&[("i", i)]),
                 nargs: 1,
             });
         }
@@ -879,7 +882,7 @@ mod tests {
                     ts_ns: 0,
                     rank: 0,
                     tid: 1,
-                    args: [("", 0); 2],
+                    args: [("", 0); MAX_ARGS],
                     nargs: 0,
                 },
                 Event {
@@ -888,7 +891,7 @@ mod tests {
                     ts_ns: 1,
                     rank: 0,
                     tid: 1,
-                    args: [("", 0); 2],
+                    args: [("", 0); MAX_ARGS],
                     nargs: 0,
                 },
             ],
