@@ -12,11 +12,12 @@
 //!    touched. All blocks of a task must agree on `S`
 //!    ([`WireError::SectionMismatch`]); kmerlist blocks are unsectioned, so a task
 //!    that has any is one section.
-//! 2. **Decode → sort → count, per section** ([`count_task`], driven in parallel by
-//!    [`count_blocks_parallel`]). A task never exists as one array: its sections hold
-//!    disjoint k-mer sets (a canonical k-mer's minimizer fixes its section), so each
-//!    section is counted on its own, in cache, into a sorted run of its own. For every
-//!    section of the task:
+//! 2. **Decode → sort → count, per section** ([`count_task`]; the pipeline's round loop
+//!    runs it in its count jobs, `crate::overlap`, and [`count_blocks_parallel`] is the
+//!    one-call wrapper the benchmark replay and the tests use). A task never exists as
+//!    one array: its sections hold disjoint k-mer sets (a canonical k-mer's minimizer
+//!    fixes its section), so each section is counted on its own, in cache, into a
+//!    sorted run of its own. For every section of the task:
 //!    * the word-level wire decode
 //!      ([`crate::wire::SupermerView::for_each_canonical_kmer`]) writes the section's
 //!      records, from every source block, into a reused lane buffer — or, on a
@@ -61,10 +62,6 @@
 //!    from the tasks' sorted record arrays in one pass. [`merge_task_counts`] is the
 //!    same call over one rank's tasks. Histograms and work counters merge once per
 //!    worker scratch, not once per task.
-//!
-//! [`count_blocks_reference`] keeps the original sequential implementation
-//! (`BTreeMap` decode, whole-task sort, per-k-mer extension vectors) as the
-//! property-test reference: both paths must produce byte-identical results.
 
 use std::collections::BTreeMap;
 
@@ -73,7 +70,7 @@ use hysortk_dna::extension::Extension;
 use hysortk_dna::kmer::KmerCode;
 use hysortk_perfmodel::SortAlgorithm;
 use hysortk_sort::{
-    map_balanced_runs, merge_runs_with_counts, multiway_merge, paradis_sort_from, raduls_sort,
+    map_balanced_runs, merge_runs_with_counts, multiway_merge, paradis_sort_from,
     raduls_sort_with_aux, BucketDigit, RadixKey,
 };
 use hysortk_task::{ScratchBank, WorkerPool};
@@ -327,8 +324,8 @@ pub struct CountScratch<K: KmerCode> {
 }
 
 impl<K: KmerCode> CountScratch<K> {
-    /// Create a scratch whose histogram caps at `max_count` (same bucket layout the
-    /// sequential reference uses).
+    /// Create a scratch whose histogram caps at `max_count`
+    /// ([`KmerHistogram::for_max_count`]'s bucket layout).
     pub fn new(max_count: u64) -> Self {
         CountScratch {
             keys: Vec::new(),
@@ -1022,188 +1019,6 @@ pub fn merge_task_counts<K: KmerCode>(out: Stage3Output<K>, params: &CountParams
     }
 }
 
-/// The original sequential stage 3, kept as the correctness reference: decode
-/// every block into per-task `BTreeMap` entries (with `entry().extend` growth and an
-/// O(k)-per-k-mer canonical rebuild), sort and scan each task into a
-/// `(k-mer, count, Vec<Extension>)` vector, merge the kmerlist contributions through
-/// intermediate vectors, and merge the rank output through an index permutation. Slow
-/// by design — the property tests assert the parallel path is byte-identical to this.
-pub fn count_blocks_reference<'a, K, I>(
-    segments: I,
-    k: usize,
-    params: &CountParams,
-) -> Result<RankCounts<K>, WireError>
-where
-    K: KmerCode,
-    I: IntoIterator<Item = &'a [u8]>,
-{
-    let mut task_records: BTreeMap<u32, Vec<(K, Extension)>> = BTreeMap::new();
-    let mut task_precounted: BTreeMap<u32, Vec<(K, u64)>> = BTreeMap::new();
-    for segment in segments {
-        for block in read_blocks::<K>(segment)? {
-            match block.payload {
-                PayloadView::Supermers(view) => {
-                    let entry = task_records.entry(block.task).or_default();
-                    for sm in view.iter() {
-                        // The naive decode: the supermer materialised base by base,
-                        // its k-mers canonicalised with an O(k) reverse complement each.
-                        let kmers = sm.to_supermer(block.task).canonical_kmers_with_pos(k);
-                        let with_read = |(km, pos)| (km, Extension::new(sm.read_id, pos));
-                        entry.extend(kmers.into_iter().map(with_read));
-                    }
-                }
-                PayloadView::KmerList(view) => {
-                    task_precounted
-                        .entry(block.task)
-                        .or_default()
-                        .extend(view.iter());
-                }
-            }
-        }
-    }
-
-    let mut task_ids: Vec<u32> = task_records
-        .keys()
-        .copied()
-        .chain(task_precounted.keys().copied())
-        .collect();
-    task_ids.sort_unstable();
-    task_ids.dedup();
-
-    let mut received_records = 0u64;
-    let mut precounted_records = 0u64;
-    let mut histogram = KmerHistogram::for_max_count(params.max_count);
-    let mut counts: Vec<(K, u64)> = Vec::new();
-    let mut extensions: Option<Vec<Vec<Extension>>> = if params.with_extension {
-        Some(Vec::new())
-    } else {
-        None
-    };
-    for t in &task_ids {
-        let records = task_records.remove(t).unwrap_or_default();
-        let pre = task_precounted.remove(t).unwrap_or_default();
-        received_records += records.len() as u64;
-        precounted_records += pre.len() as u64;
-        let (task_counts, task_exts, task_hist) = reference_count_one_task(records, pre, params);
-        counts.extend(task_counts);
-        if let (Some(all), Some(mine)) = (extensions.as_mut(), task_exts) {
-            all.extend(mine);
-        }
-        histogram.merge(&task_hist);
-    }
-
-    // Index-permutation merge, as the original pipeline did it.
-    let mut order: Vec<usize> = (0..counts.len()).collect();
-    order.sort_by(|&a, &b| counts[a].0.cmp(&counts[b].0));
-    let counts: Vec<(K, u64)> = order.iter().map(|&i| counts[i]).collect();
-    let extensions = extensions.map(|ext| order.iter().map(|&i| ext[i].clone()).collect());
-
-    Ok(RankCounts {
-        counts,
-        extensions,
-        histogram,
-        received_records,
-        precounted_records,
-    })
-}
-
-/// The original `count_one_task` body (sort, per-k-mer extension vectors, two-vector
-/// kmerlist merge), preserved for the reference path.
-#[allow(clippy::type_complexity)]
-fn reference_count_one_task<K: KmerCode>(
-    mut records: Vec<(K, Extension)>,
-    mut pre: Vec<(K, u64)>,
-    params: &CountParams,
-) -> (Vec<(K, u64)>, Option<Vec<Vec<Extension>>>, KmerHistogram) {
-    match params.sorter {
-        SortAlgorithm::Raduls => raduls_sort(&mut records),
-        _ => paradis_sort_from(&mut records, params.first_radix_level),
-    }
-    let mut counted: Vec<(K, u64, Vec<Extension>)> = Vec::new();
-    hysortk_sort::for_each_sorted_run(
-        &records,
-        |(km, _)| *km,
-        |range| {
-            let km = records[range.start].0;
-            let exts: Vec<Extension> = if params.with_extension {
-                records[range.clone()].iter().map(|(_, e)| *e).collect()
-            } else {
-                Vec::new()
-            };
-            counted.push((km, range.len() as u64, exts));
-        },
-    );
-
-    if !pre.is_empty() {
-        pre.sort_by_key(|a| a.0);
-        let mut merged_pre: Vec<(K, u64)> = Vec::with_capacity(pre.len());
-        for (km, c) in pre {
-            match merged_pre.last_mut() {
-                Some((last, lc)) if *last == km => *lc += c,
-                _ => merged_pre.push((km, c)),
-            }
-        }
-        let mut result: Vec<(K, u64, Vec<Extension>)> =
-            Vec::with_capacity(counted.len() + merged_pre.len());
-        let mut i = 0;
-        let mut j = 0;
-        while i < counted.len() || j < merged_pre.len() {
-            if j >= merged_pre.len() {
-                result.push(std::mem::replace(
-                    &mut counted[i],
-                    (K::zero(), 0, Vec::new()),
-                ));
-                i += 1;
-            } else if i >= counted.len() {
-                result.push((merged_pre[j].0, merged_pre[j].1, Vec::new()));
-                j += 1;
-            } else {
-                match counted[i].0.cmp(&merged_pre[j].0) {
-                    std::cmp::Ordering::Less => {
-                        result.push(std::mem::replace(
-                            &mut counted[i],
-                            (K::zero(), 0, Vec::new()),
-                        ));
-                        i += 1;
-                    }
-                    std::cmp::Ordering::Greater => {
-                        result.push((merged_pre[j].0, merged_pre[j].1, Vec::new()));
-                        j += 1;
-                    }
-                    std::cmp::Ordering::Equal => {
-                        let (km, c, exts) =
-                            std::mem::replace(&mut counted[i], (K::zero(), 0, Vec::new()));
-                        result.push((km, c + merged_pre[j].1, exts));
-                        i += 1;
-                        j += 1;
-                    }
-                }
-            }
-        }
-        counted = result;
-    }
-
-    let mut histogram = KmerHistogram::for_max_count(params.max_count);
-    let mut counts = Vec::new();
-    let mut extensions = if params.with_extension {
-        Some(Vec::new())
-    } else {
-        None
-    };
-    for (km, c, exts) in counted {
-        histogram.record(c);
-        if c >= params.min_count && c <= params.max_count {
-            counts.push((km, c));
-            if let Some(all) = extensions.as_mut() {
-                let mut exts = exts;
-                exts.sort();
-                all.push(exts);
-            }
-        }
-    }
-    (counts, extensions, histogram)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1211,13 +1026,14 @@ mod tests {
         push_supermer, write_kmerlist_block, write_supermer_block, SupermerBlockWriter,
     };
     use hysortk_dna::kmer::{Kmer1, Kmer2};
-    use hysortk_dna::readset::Read;
+    use hysortk_dna::readset::{Read, ReadSet};
     use hysortk_dna::sequence::DnaSeq;
     use hysortk_sort::{count_sorted_runs, IN_CACHE_BYTES};
     use hysortk_supermer::mmer::{MmerScorer, ScoreFunction};
-    use hysortk_supermer::supermer::build_supermers;
+    use hysortk_supermer::supermer::{build_supermers, Supermer};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
 
     fn params(with_extension: bool) -> CountParams {
         CountParams::for_kmer::<Kmer1>(15, SortAlgorithm::Raduls, 1, 1_000_000, with_extension)
@@ -1236,53 +1052,140 @@ mod tests {
         Stage3Output::assemble(runs, vec![scratch], params.max_count)
     }
 
-    /// Two source segments with supermer blocks partitioned by minimizer target, one
-    /// kmerlist-only task and one structurally empty supermer block.
-    fn sample_segments(tasks: u32) -> Vec<Vec<u8>> {
-        let k = 15;
-        let scorer = MmerScorer::new(7, ScoreFunction::Hash { seed: 3 });
-        let reads = [
-            Read::from_ascii(0, "a", b"ACGTTGCAACGTGGGTTTAAACCCTAGCATACGTACGGTACCATGG"),
-            Read::from_ascii(1, "b", b"TTACGATCGATCGAATTCCGGACGTTGCAACGTGGGTTTAAACCCT"),
-        ];
-        let mut segments = vec![Vec::new(), Vec::new()];
-        for (src, read) in reads.iter().enumerate() {
-            let mut per_task: Vec<Vec<hysortk_supermer::supermer::Supermer>> =
-                vec![Vec::new(); tasks as usize];
-            for sm in build_supermers(read, k, &scorer, tasks) {
-                per_task[sm.target as usize].push(sm);
+    /// One rank's receive segments from `sources` sources of random reads — or, with
+    /// `satellite`, of (AATGG)ₙ repeats: supermer blocks partitioned by minimizer target,
+    /// so equal k-mers land in one task, as in the pipeline. Targets 0, 3, 6, … ship
+    /// every k-mer pre-counted as a kmerlist (the heavy-hitter wire form), targets 1, 4,
+    /// 7, … do so for every other read — their tasks mix both kinds — and every source
+    /// ends with a structurally empty supermer block on task `tasks`. Read ids count
+    /// down, so a k-mer's provenance decodes out of order and stage 3 must sort it.
+    fn random_segments(
+        rng: &mut StdRng,
+        sources: usize,
+        tasks: u32,
+        k: usize,
+        satellite: bool,
+    ) -> Vec<Vec<u8>> {
+        let scorer = MmerScorer::new((k / 2).max(3), ScoreFunction::Hash { seed: 9 });
+        let mut segments = vec![Vec::new(); sources];
+        let mut read_id = 64u32;
+        for segment in &mut segments {
+            for _ in 0..rng.gen_range(1..6) {
+                let bases: Vec<u8> = if satellite {
+                    b"AATGG".repeat(rng.gen_range(10..40))
+                } else {
+                    let len = rng.gen_range(k..260);
+                    (0..len).map(|_| b"ACGT"[rng.gen_range(0..4)]).collect()
+                };
+                read_id -= 1;
+                let read = Read::from_ascii(read_id, "r", &bases);
+                let mut per_task: Vec<Vec<Supermer>> = vec![Vec::new(); tasks as usize];
+                for sm in build_supermers(&read, k, &scorer, tasks) {
+                    per_task[sm.target as usize].push(sm);
+                }
+                for (task, sms) in (0u32..).zip(per_task) {
+                    if sms.is_empty() {
+                        continue;
+                    }
+                    if task % 3 == 0 || (task % 3 == 1 && read.id % 2 == 1) {
+                        let mut kmers: Vec<Kmer1> = (sms.iter())
+                            .flat_map(|sm| sm.canonical_kmers_with_pos(k))
+                            .map(|(km, _)| km)
+                            .collect();
+                        kmers.sort_unstable();
+                        write_kmerlist_block(segment, task, &count_sorted_runs(&kmers, |km| *km));
+                    } else {
+                        let mut block = SupermerBlockWriter::new(segment, task, sms.len() as u32);
+                        for sm in &sms {
+                            block.push(sm.read_id, sm.start, &sm.seq, 0, sm.seq.len());
+                        }
+                    }
+                }
             }
-            for (t, sms) in per_task.into_iter().enumerate() {
-                if !sms.is_empty() {
-                    let segment = &mut segments[src];
-                    let mut block = SupermerBlockWriter::new(segment, t as u32, sms.len() as u32);
-                    for s in &sms {
-                        block.push(s.read_id, s.start, &s.seq, 0, s.seq.len());
+            let _ = SupermerBlockWriter::new(segment, tasks, 0);
+        }
+        segments
+    }
+
+    /// What stage 3 must count from `segments` in the band `[min_count, max_count]`, with
+    /// extension lists: every supermer rebuilt base by base and its canonical k-mers
+    /// taken one at a time, and every kmerlist entry, grouped by (k-mer, task) with
+    /// `std`'s sort — a k-mer that two tasks hold is two entries, as stage 3 counts it.
+    /// The result of a bare run is the same value with the lists dropped.
+    fn oracle<K: KmerCode>(
+        segments: &[Vec<u8>],
+        k: usize,
+        min_count: u64,
+        max_count: u64,
+    ) -> RankCounts<K> {
+        let mut entries: Vec<(K, u32, Option<Extension>, u64)> = Vec::new();
+        let (mut received_records, mut precounted_records) = (0, 0);
+        for segment in segments {
+            for block in read_blocks::<K>(segment).expect("well-formed stream") {
+                match block.payload {
+                    PayloadView::Supermers(view) => {
+                        for sm in view.iter() {
+                            let kmers = sm.to_supermer(block.task).canonical_kmers_with_pos(k);
+                            received_records += kmers.len() as u64;
+                            entries.extend(kmers.into_iter().map(|(km, pos)| {
+                                (km, block.task, Some(Extension::new(sm.read_id, pos)), 1)
+                            }));
+                        }
+                    }
+                    PayloadView::KmerList(view) => {
+                        precounted_records += view.len() as u64;
+                        entries.extend(view.iter().map(|(km, n)| (km, block.task, None, n)));
                     }
                 }
             }
         }
-        // A kmerlist-only task beyond the supermer targets, contributed by both sources.
-        let mut heavy: Vec<Kmer1> = (0..40u32)
-            .map(|i| {
-                let s: Vec<u8> = (0..15)
-                    .map(|j| b"ACGT"[((i / 4 + j) % 4) as usize])
-                    .collect();
-                Kmer1::from_ascii(&s).canonical(15)
-            })
-            .collect();
-        heavy.sort_unstable();
-        let list = count_sorted_runs(&heavy, |km| *km);
-        write_kmerlist_block(&mut segments[0], tasks, &list);
-        write_kmerlist_block(&mut segments[1], tasks, &list);
-        // A structurally empty supermer block (zero supermers) on another task.
-        let _ = SupermerBlockWriter::new(&mut segments[1], tasks + 1, 0);
-        segments
+        entries.sort_unstable();
+        let mut histogram = KmerHistogram::for_max_count(max_count);
+        let (mut counts, mut lists) = (Vec::new(), Vec::new());
+        for group in entries.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let count = group.iter().map(|entry| entry.3).sum();
+            histogram.record(count);
+            if (min_count..=max_count).contains(&count) {
+                counts.push((group[0].0, count));
+                lists.push(group.iter().filter_map(|entry| entry.2).collect());
+            }
+        }
+        RankCounts {
+            counts,
+            extensions: Some(lists),
+            histogram,
+            received_records,
+            precounted_records,
+        }
+    }
+
+    /// Hold what stage 3 counted under `params`, merged, against the [`oracle`]'s
+    /// result: the retained k-mers and their counts, the extension lists exactly when the
+    /// run made them, the histogram and both record totals.
+    fn assert_like_the_oracle<K: KmerCode>(
+        counted: Stage3Output<K>,
+        params: &CountParams,
+        oracle: &RankCounts<K>,
+        context: &str,
+    ) {
+        let counted = merge_task_counts(counted, params);
+        assert!(counted.counts == oracle.counts, "counts: {context}");
+        let lists = oracle.extensions.as_ref().filter(|_| params.with_extension);
+        assert!(
+            counted.extensions.as_ref() == lists,
+            "extensions: {context}"
+        );
+        assert_eq!(counted.histogram, oracle.histogram, "histogram: {context}");
+        assert_eq!(
+            (counted.received_records, counted.precounted_records),
+            (oracle.received_records, oracle.precounted_records),
+            "record totals: {context}"
+        );
     }
 
     #[test]
     fn block_index_totals_match_decoded_totals() {
-        let segments = sample_segments(4);
+        let segments = random_segments(&mut StdRng::seed_from_u64(3), 2, 4, 15, false);
         let index = build_block_index::<Kmer1, _>(segments.iter().map(Vec::as_slice), 15).unwrap();
         assert!(!index.slots.is_empty());
         let p = params(false);
@@ -1290,26 +1193,13 @@ mod tests {
             assert_eq!(slot.sections.len(), 1, "unsectioned blocks");
             assert_eq!(slot.sections[0].records, slot.records);
             let mut scratch = CountScratch::new(p.max_count);
-            let before = (scratch.received_records, scratch.precounted_records);
             count_task(slot, 15, &p, 0, &mut scratch).unwrap();
-            assert_eq!(
-                scratch.received_records - before.0,
-                slot.records as u64,
-                "task {}",
-                slot.task
-            );
-            assert_eq!(
-                scratch.precounted_records - before.1,
-                slot.precounted as u64,
-                "task {}",
-                slot.task
-            );
+            let decoded = (scratch.received_records, scratch.precounted_records);
+            let announced = (slot.records as u64, slot.precounted as u64);
+            assert_eq!(decoded, announced, "task {}", slot.task);
         }
         // The empty supermer block produced a slot with zero records.
-        assert!(index
-            .slots
-            .iter()
-            .any(|s| s.records == 0 && s.precounted == 0));
+        assert!((index.slots.iter()).any(|s| s.records == 0 && s.precounted == 0));
     }
 
     #[test]
@@ -1317,7 +1207,7 @@ mod tests {
         // Feeding the segments one at a time through the builder (as the overlapped
         // pipeline does round by round) must index and count exactly like the one-shot
         // build over all segments.
-        let segments = sample_segments(4);
+        let segments = random_segments(&mut StdRng::seed_from_u64(3), 2, 4, 15, false);
         let k = 15;
         let p = params(false);
 
@@ -1341,36 +1231,77 @@ mod tests {
         assert!(builder.add_segment(&[9, 9, 9], k).is_err());
     }
 
+    /// Receive segments of every shape a rank gets count like the [`oracle`] on this
+    /// thread and on pools of 1, 2 and 7 workers, with extensions off and on: 10 random
+    /// cases of 1–4 sources and 1–12 tasks, k ∈ {15, 21, 31}, satellite repeats,
+    /// kmerlist-only and mixed tasks and empty blocks, in the bands [1, 10⁶] and [2, 50],
+    /// on RADULS and PARADIS — and kmerlist-only tasks whose sums are known.
     #[test]
     fn parallel_and_sequential_match_the_reference() {
-        let segments = sample_segments(4);
-        let k = 15;
-        for with_ext in [false, true] {
-            let p = params(with_ext);
-            let reference =
-                count_blocks_reference::<Kmer1, _>(segments.iter().map(Vec::as_slice), k, &p)
-                    .unwrap();
+        /// Counts every way; tallies the tasks by shape: empty, supermers only,
+        /// kmerlists only and both.
+        fn check(
+            segments: &[Vec<u8>],
+            k: usize,
+            (band, sorter): ((u64, u64), SortAlgorithm),
+            shapes: &mut [usize; 4],
+        ) {
+            let oracle = oracle::<Kmer1>(segments, k, band.0, band.1);
             let index =
                 build_block_index::<Kmer1, _>(segments.iter().map(Vec::as_slice), k).unwrap();
-            let sequential = merge_task_counts(count_blocks_sequential(&index, k, &p), &p);
-            let pool = WorkerPool::new(2, 1);
-            let parallel = merge_task_counts(count_blocks_parallel(&index, k, &p, &pool), &p);
-            assert_eq!(
-                sequential, reference,
-                "sequential vs reference, ext={with_ext}"
-            );
-            assert_eq!(parallel, reference, "parallel vs reference, ext={with_ext}");
-            assert!(reference.received_records > 0);
-            assert!(reference.precounted_records > 0);
+            for slot in &index.slots {
+                shapes[usize::from(slot.records > 0) + 2 * usize::from(slot.precounted > 0)] += 1;
+            }
+            for with_ext in [false, true] {
+                let p = CountParams::for_kmer::<Kmer1>(k, sorter, band.0, band.1, with_ext);
+                let context = format!("k = {k}, {band:?}, {sorter:?}, extensions {with_ext}");
+                let counted = count_blocks_sequential(&index, k, &p);
+                assert_like_the_oracle(counted, &p, &oracle, &context);
+                for workers in [1usize, 2, 7] {
+                    let pool = WorkerPool::new(workers, 1);
+                    let counted = count_blocks_parallel(&index, k, &p, &pool);
+                    let context = format!("{context}, {workers} workers");
+                    assert_like_the_oracle(counted, &p, &oracle, &context);
+                }
+            }
         }
+        let wide = (1, 1_000_000);
+        let mut shapes = [0usize; 4];
+
+        // Kmerlist-only tasks: duplicates across sources sum.
+        let km_a = Kmer1::from_ascii(b"ACGTACGTACGTACG").canonical(15);
+        let km_b = Kmer1::from_ascii(b"TTTTGGGGCCCCAAA").canonical(15);
+        let km_c = Kmer1::from_ascii(b"AAACCCGGGTTTACG").canonical(15);
+        let mut segments = vec![Vec::new(), Vec::new()];
+        write_kmerlist_block(&mut segments[0], 4, &[(km_a, 3), (km_b, 1)]);
+        write_kmerlist_block(&mut segments[1], 4, &[(km_a, 2), (km_b, 7)]);
+        write_kmerlist_block(&mut segments[1], 9, &[(km_c, 4)]);
+        let mut expected = vec![(km_a, 5), (km_b, 8), (km_c, 4)];
+        expected.sort_unstable();
+        let known = oracle::<Kmer1>(&segments, 15, 1, 1_000_000);
+        assert_eq!((known.counts, known.precounted_records), (expected, 5));
+        check(&segments, 15, (wide, SortAlgorithm::Raduls), &mut shapes);
+
+        let mut rng = StdRng::seed_from_u64(114);
+        let bands = [
+            (wide, SortAlgorithm::Raduls),
+            ((2, 50), SortAlgorithm::Paradis),
+        ];
+        for case in 0..10 {
+            let k = [15, 21, 31][case % 3];
+            let sources = rng.gen_range(1..5);
+            let tasks = rng.gen_range(1..13);
+            let segments = random_segments(&mut rng, sources, tasks, k, case % 3 == 2);
+            check(&segments, k, bands[case % 2], &mut shapes);
+        }
+        // Empty, supermer-only, kmerlist-only and mixed tasks all occurred.
+        assert!(shapes.iter().all(|&tasks| tasks > 0), "{shapes:?}");
     }
 
     #[test]
     fn malformed_segments_are_rejected() {
         let bad: &[&[u8]] = &[&[9, 9, 9]];
         assert!(build_block_index::<Kmer1, _>(bad.iter().copied(), 15).is_err());
-        let p = params(false);
-        assert!(count_blocks_reference::<Kmer1, _>(bad.iter().copied(), 15, &p).is_err());
     }
 
     #[test]
@@ -1441,14 +1372,18 @@ mod tests {
 
     #[test]
     fn empty_segments_produce_empty_output() {
-        let segments: Vec<&[u8]> = vec![&[], &[]];
         let p = params(false);
-        let index = build_block_index::<Kmer1, _>(segments.iter().copied(), 15).unwrap();
+        let index = build_block_index::<Kmer1, _>([&[][..], &[], &[]], 15).unwrap();
         assert!(index.slots.is_empty());
-        let out = count_blocks_sequential(&index, 15, &p);
-        let merged = merge_task_counts(out, &p);
-        assert!(merged.counts.is_empty());
-        assert_eq!(merged.histogram.distinct(), 0);
+        let pool = WorkerPool::new(2, 1);
+        for out in [
+            count_blocks_sequential(&index, 15, &p),
+            count_blocks_parallel(&index, 15, &p, &pool),
+        ] {
+            let merged = merge_task_counts(out, &p);
+            assert!(merged.counts.is_empty());
+            assert_eq!(merged.histogram.distinct(), 0);
+        }
     }
 
     #[test]
@@ -1459,11 +1394,8 @@ mod tests {
         let km1 = Kmer1::from_ascii(b"TTTGGGGCCCCAAAA");
         let mut seg = Vec::new();
         kmer_block(&mut seg, 0, 15, &[km3, km1, km3, km3], None);
-        let mut p = params(false);
-        p.min_count = 2;
-        p.max_count = 50;
-        let segments: Vec<&[u8]> = vec![&seg];
-        let index = build_block_index::<Kmer1, _>(segments.iter().copied(), 15).unwrap();
+        let p = CountParams::for_kmer::<Kmer1>(15, SortAlgorithm::Raduls, 2, 50, false);
+        let index = build_block_index::<Kmer1, _>([&seg[..]], 15).unwrap();
         let merged = merge_task_counts(count_blocks_sequential(&index, 15, &p), &p);
         assert_eq!(merged.counts, vec![(km3, 3)]);
         assert_eq!(merged.histogram.distinct(), 2);
@@ -1563,15 +1495,8 @@ mod tests {
             let pool: Vec<K> = (0..distinct)
                 .map(|_| {
                     // A leading A-run keeps the forward strand the canonical one.
-                    let codes: Vec<u8> = (0..k)
-                        .map(|i| {
-                            if i < fixed_bases {
-                                0
-                            } else {
-                                self.rng.gen_range(0..4)
-                            }
-                        })
-                        .collect();
+                    let mut codes = vec![0; fixed_bases];
+                    codes.extend((fixed_bases..k).map(|_| self.rng.gen_range(0..4)));
                     K::from_codes(&codes).canonical(k)
                 })
                 .collect();
@@ -1647,35 +1572,26 @@ mod tests {
 
     fn one_pass_matches_the_reference<K: KmerCode>(seed: u64, k: usize) {
         let segments = shaped_segments::<K>(seed, k);
-        let segments = || segments.iter().map(Vec::as_slice);
-        let index = build_block_index::<K, _>(segments(), k).unwrap();
+        let index = build_block_index::<K, _>(segments.iter().map(Vec::as_slice), k).unwrap();
         assert_eq!(index.slots.len(), 8);
         // A band that drops the singletons and (k-mers long enough to be rare) the poly-A
         // run, so retained ranges are a strict subset of the runs.
         let max_count = if k > 10 { 5_000 } else { 1 << 40 };
+        let oracle = oracle::<K>(&segments, k, 2, max_count);
+        let (retained, distinct) = (oracle.counts.len(), oracle.histogram.distinct());
+        assert!(k < 10 || (1_000..distinct as usize).contains(&retained));
         for with_ext in [false, true] {
-            let reference = {
-                let p =
-                    CountParams::for_kmer::<K>(k, SortAlgorithm::Raduls, 2, max_count, with_ext);
-                count_blocks_reference::<K, _>(segments(), k, &p).unwrap()
-            };
-            let (retained, distinct) = (reference.counts.len(), reference.histogram.distinct());
-            assert!(k < 10 || (1_000..distinct as usize).contains(&retained));
             for sorter in [SortAlgorithm::Raduls, SortAlgorithm::Paradis] {
                 let p = CountParams::for_kmer::<K>(k, sorter, 2, max_count, with_ext);
                 // One slot list, run on one thread under budgets of 1 and 3 threads
                 // (each task here is one section, so the budget must change nothing).
                 for budget in [1usize, 3] {
-                    let pool = WorkerPool::new(1, budget);
-                    let counted = (pool.execute(vec![()], |()| {
-                        merge_task_counts(count_blocks_sequential(&index, k, &p), &p)
-                    }))
-                    .pop()
-                    .unwrap();
-                    assert!(
-                        counted == reference,
-                        "k = {k}, extensions {with_ext}, {sorter:?}, budget {budget}"
-                    );
+                    let count = |()| count_blocks_sequential(&index, k, &p);
+                    let counted = WorkerPool::new(1, budget)
+                        .execute(vec![()], count)
+                        .remove(0);
+                    let context = format!("k = {k}, {sorter:?}, budget {budget}");
+                    assert_like_the_oracle(counted, &p, &oracle, &context);
                 }
             }
         }
@@ -1694,29 +1610,34 @@ mod tests {
         one_pass_matches_the_reference::<Kmer2>(44, 34);
     }
 
-    /// Two sources' blocks as a run writes them: reads cut into supermers at
-    /// `tasks × sections` minimizer targets, each going to task `target % tasks`,
-    /// section `target / tasks`, with provenance. One section is written by the
-    /// streamed [`SupermerBlockWriter`] — the harness replay's blocks — more by
-    /// [`write_supermer_block`] behind a directory.
-    fn minimizer_segments(seed: u64, k: usize, tasks: u32, sections: u32) -> Vec<Vec<u8>> {
-        use hysortk_supermer::streaming::{for_each_supermer, SupermerScratch};
+    /// 80 reads of 1,000 bases sampled from one random 20-kbase genome.
+    fn minimizer_reads(seed: u64) -> ReadSet {
         let mut rng = StdRng::seed_from_u64(seed);
         let genome: Vec<u8> = (0..20_000).map(|_| b"ACGT"[rng.gen_range(0..4)]).collect();
+        let reads: Vec<&[u8]> = (0..80)
+            .map(|_| {
+                let start = rng.gen_range(0..genome.len() - 1_000);
+                &genome[start..start + 1_000]
+            })
+            .collect();
+        ReadSet::from_ascii_reads(&reads)
+    }
+
+    /// Two sources' blocks as a run writes them, 40 of `reads` each: reads cut into
+    /// supermers at `tasks × sections` minimizer targets, each going to task
+    /// `target % tasks`, section `target / tasks`, with provenance. One section is written
+    /// by the streamed [`SupermerBlockWriter`] — the harness replay's blocks — more by
+    /// [`write_supermer_block`] behind a directory.
+    fn minimizer_segments(reads: &ReadSet, k: usize, tasks: u32, sections: u32) -> Vec<Vec<u8>> {
+        use hysortk_supermer::streaming::{for_each_supermer, SupermerScratch};
         let m = if k > 32 { 23 } else { k / 2 };
         let scorer = MmerScorer::new(m, ScoreFunction::Hash { seed: 5 });
         let mut scratch = SupermerScratch::new();
         let targets = tasks * sections;
         let mut segments = Vec::new();
-        for src in 0..2u32 {
-            let reads: Vec<Read> = (0..40)
-                .map(|i| {
-                    let start = rng.gen_range(0..genome.len() - 1_000);
-                    Read::from_ascii(40 * src + i, "r", &genome[start..start + 1_000])
-                })
-                .collect();
+        for source in reads.reads().chunks(40) {
             let mut spans = vec![Vec::new(); targets as usize];
-            for read in &reads {
+            for read in source {
                 for_each_supermer(&read.seq, k, &scorer, targets, &mut scratch, |span| {
                     spans[span.target as usize].push((read, span.start, span.len()));
                 });
@@ -1752,18 +1673,32 @@ mod tests {
         segments
     }
 
-    /// A sectioned task counts to what the reference counts from the same supermers,
+    /// A sectioned task counts to what the [`oracle`] counts from the same supermers,
     /// and so does the same input in unsectioned blocks through
     /// [`count_blocks_parallel`] — the harness replay's call; sections are counted on
-    /// one thread and split over two, with and without extensions.
+    /// one thread and split over two, with and without extensions. The oracle in turn
+    /// is what [`crate::reference`] counts from the reads, lists included: a k-mer's
+    /// minimizer fixes its task, so no k-mer is held by two.
     #[test]
     fn sectioned_and_replay_blocks_count_like_the_reference() {
         fn check<K: KmerCode>(seed: u64, k: usize) {
             let tasks = 3u32;
+            let reads = minimizer_reads(seed);
+            let counts = crate::reference::reference_counts_bounded::<K>(&reads, k, 2, 1_000);
+            let lists: Vec<Vec<Extension>> =
+                (crate::reference::reference_extensions::<K>(&reads, k, 2, 1_000).into_iter())
+                    .map(|(_, list)| list)
+                    .collect();
+            assert!(counts.len() > 1_000, "k = {k}");
             for sections in [1u32, 4, 16] {
-                let segments = minimizer_segments(seed, k, tasks, sections);
-                let segments = || segments.iter().map(Vec::as_slice);
-                let index = build_block_index::<K, _>(segments(), k).unwrap();
+                let segments = minimizer_segments(&reads, k, tasks, sections);
+                let oracle = oracle::<K>(&segments, k, 2, 1_000);
+                assert!(
+                    oracle.counts == counts && oracle.extensions.as_ref() == Some(&lists),
+                    "k = {k}, {sections} sections: the oracle against the reads' reference"
+                );
+                let index =
+                    build_block_index::<K, _>(segments.iter().map(Vec::as_slice), k).unwrap();
                 assert_eq!(index.slots.len(), tasks as usize);
                 for slot in &index.slots {
                     assert_eq!(slot.sections.len(), sections as usize);
@@ -1773,19 +1708,14 @@ mod tests {
                 for with_ext in [false, true] {
                     let p =
                         CountParams::for_kmer::<K>(k, SortAlgorithm::Raduls, 2, 1_000, with_ext);
-                    let reference = count_blocks_reference::<K, _>(segments(), k, &p).unwrap();
-                    assert!(reference.counts.len() > 1_000, "k = {k}");
-                    for threads_per_worker in [1usize, 2] {
-                        let pool = WorkerPool::new(2, threads_per_worker);
+                    for threads in [1usize, 2] {
+                        let pool = WorkerPool::new(2, threads);
                         let counted = count_blocks_parallel(&index, k, &p, &pool);
                         // One run per section that retained a k-mer.
                         assert!(counted.tasks.len() <= (tasks * sections) as usize);
                         assert!(counted.tasks.iter().all(|run| !run.counts.is_empty()));
-                        assert!(
-                            merge_task_counts(counted, &p) == reference,
-                            "k = {k}, {sections} sections, extensions {with_ext}, \
-                             {threads_per_worker} thread(s) per worker"
-                        );
+                        let context = format!("k = {k}, {sections} sections, {threads} thread(s)");
+                        assert_like_the_oracle(counted, &p, &oracle, &context);
                     }
                 }
             }
@@ -1859,38 +1789,22 @@ mod tests {
     /// `n` canonical k-mers drawn from a pool of at most `distinct` (fewer when `k` has
     /// fewer canonical k-mers).
     fn random_kmers<K: KmerCode>(rng: &mut StdRng, k: usize, n: usize, distinct: usize) -> Vec<K> {
-        let pool: Vec<K> = (0..distinct)
-            .map(|_| {
-                let codes: Vec<u8> = (0..k).map(|_| rng.gen_range(0..4)).collect();
-                K::from_codes(&codes).canonical(k)
-            })
-            .collect();
-        (0..n).map(|_| pool[rng.gen_range(0..pool.len())]).collect()
+        TaskBuilder { rng, k }.kmers(n, distinct, 0)
     }
 
-    /// What [`crate::reference`] counts from `kmers` (each its own read), plus the
-    /// kmerlist entries `pre`: the retained run of `params`' band and the histogram.
-    fn reference_run<K: KmerCode>(
+    /// What the [`oracle`] counts from one section holding `kmers`, plus the kmerlist
+    /// entries `pre`: the retained run of `params`' band and the histogram.
+    fn section_oracle<K: KmerCode>(
         kmers: &[K],
         pre: &[(K, u64)],
         k: usize,
         params: &CountParams,
     ) -> (Vec<(K, u64)>, KmerHistogram) {
-        let reads: Vec<String> = kmers.iter().map(|km| km.to_dna_string(k)).collect();
-        let reads = hysortk_dna::readset::ReadSet::from_ascii_reads(&reads);
-        let mut all: BTreeMap<K, u64> = crate::reference::reference_counts::<K>(&reads, k)
-            .into_iter()
-            .collect();
-        for &(km, count) in pre {
-            *all.entry(km).or_insert(0) += count;
-        }
-        let mut histogram = KmerHistogram::for_max_count(params.max_count);
-        all.values().for_each(|&count| histogram.record(count));
-        let band = params.min_count..=params.max_count;
-        (
-            all.into_iter().filter(|(_, c)| band.contains(c)).collect(),
-            histogram,
-        )
+        let mut segment = Vec::new();
+        kmer_block(&mut segment, 0, k, kmers, None);
+        write_kmerlist_block(&mut segment, 0, pre);
+        let oracle = oracle::<K>(&[segment], k, params.min_count, params.max_count);
+        (oracle.counts, oracle.histogram)
     }
 
     /// Every section counted both ways — in a table of ample size, in a table too small
@@ -1914,37 +1828,24 @@ mod tests {
                 .chain(unsectioned[..60].iter().copied())
                 .map(|km| (km, rng.gen_range(1..30)))
                 .collect();
+            let tasks = [&sectioned[..], std::slice::from_ref(&unsectioned)];
             let mut segment = Vec::new();
-            kmer_sections(&mut segment, 0, k, &sectioned);
-            kmer_sections(&mut segment, 1, k, std::slice::from_ref(&unsectioned));
+            kmer_sections(&mut segment, 0, k, tasks[0]);
+            kmer_sections(&mut segment, 1, k, tasks[1]);
             write_kmerlist_block(&mut segment, 1, &pre);
             pre.sort_unstable();
             let index = build_block_index::<K, _>([&segment[..]], k).unwrap();
 
-            for (min_count, max_count) in [(1, u64::MAX), (2, 12), (5, 5), (13, 13)] {
-                let p = CountParams::for_kmer::<K>(
-                    k,
-                    SortAlgorithm::Raduls,
-                    min_count,
-                    max_count,
-                    false,
-                );
-                let like = KmerHistogram::for_max_count(max_count);
-                let tag = format!("k = {k}, band [{min_count}, {max_count}]");
-                let (mut runs, mut histogram) =
-                    (Vec::new(), KmerHistogram::for_max_count(max_count));
-                for (slot, kmers) in index
-                    .slots
-                    .iter()
-                    .zip([&sectioned[..], std::slice::from_ref(&unsectioned)])
-                {
+            for (min, max) in [(1, u64::MAX), (2, 12), (5, 5), (13, 13)] {
+                let p = CountParams::for_kmer::<K>(k, SortAlgorithm::Raduls, min, max, false);
+                let like = KmerHistogram::for_max_count(max);
+                let tag = format!("k = {k}, band [{min}, {max}]");
+                let (mut runs, mut histogram) = (Vec::new(), like.clone());
+                for (slot, kmers) in index.slots.iter().zip(tasks) {
                     for (section, kmers) in kmers.iter().enumerate() {
                         let pre = if slot.task == 1 { &pre[..] } else { &[] };
-                        let (expected, expected_histogram) = reference_run(kmers, pre, k, &p);
-                        let distinct = kmers
-                            .iter()
-                            .collect::<std::collections::BTreeSet<_>>()
-                            .len();
+                        let (expected, expected_histogram) = section_oracle(kmers, pre, k, &p);
+                        let distinct = kmers.iter().collect::<BTreeSet<_>>().len();
                         let ample = (4 * distinct).next_power_of_two().max(64);
                         for (slots, hashed) in [
                             (None, false),
@@ -1983,7 +1884,7 @@ mod tests {
                 assert_eq!(counted.counts, runs, "{tag}");
                 assert_eq!(counted.histogram, histogram, "{tag}");
                 // Header totals that lie are a count mismatch on the table path too.
-                let mut scratch = CountScratch::new(max_count);
+                let mut scratch = CountScratch::new(max);
                 count_task(&index.slots[1], k, &p, 0, &mut scratch).unwrap();
                 let mut lying = index.slots[1].clone();
                 lying.records += 1;
@@ -2114,7 +2015,7 @@ mod tests {
         let counted: Vec<Vec<(Kmer1, u64)>> = counted.into_iter().map(|run| run.counts).collect();
         assert_eq!(counted, runs);
         let all: Vec<Kmer1> = sections.concat();
-        let expected = reference_run(&all, &[], k, &p);
+        let expected = section_oracle(&all, &[], k, &p);
         let mut merged: Vec<(Kmer1, u64)> = runs.concat();
         merged.sort_unstable();
         assert_eq!(merged, expected.0);
@@ -2126,14 +2027,11 @@ mod tests {
     /// One segment holding task 7: a block of `actual` one-k-mer supermers and a
     /// kmerlist of ten entries.
     fn task_seven(actual: usize) -> Vec<u8> {
-        let mut rng = StdRng::seed_from_u64(46);
-        let mut b = TaskBuilder {
-            rng: &mut rng,
-            k: MISMATCH_K,
-        };
+        let (mut rng, k) = (StdRng::seed_from_u64(46), MISMATCH_K);
+        let mut b = TaskBuilder { rng: &mut rng, k };
         let mut segment = Vec::new();
         let kmers = b.kmers::<Kmer1>(actual, actual / 10, 0);
-        kmer_block(&mut segment, 7, MISMATCH_K, &kmers, None);
+        kmer_block(&mut segment, 7, k, &kmers, None);
         b.kmerlist(&mut segment, 7, kmers[..10].to_vec());
         segment
     }

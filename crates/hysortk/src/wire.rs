@@ -50,7 +50,7 @@
 use hysortk_dna::kmer::KmerCode;
 use hysortk_dna::sequence::DnaSeq;
 use hysortk_supermer::simd::pair_reverse;
-use hysortk_supermer::supermer::{supermer_wire_len, Supermer, LONG_SUPERMER};
+use hysortk_supermer::supermer::{supermer_wire_len, LONG_SUPERMER};
 
 use std::fmt;
 use std::marker::PhantomData;
@@ -392,7 +392,7 @@ pub fn push_supermer(
 /// Write one supermer in wire form to the front of `out` and return its length,
 /// [`supermer_wire_len`]: its header — `(read id, start)` and the length with
 /// `provenance`, the length alone without — and the packed bases `offset..offset + len`
-/// of `seq` (the *source read*; no [`Supermer`] with an owned [`DnaSeq`] is
+/// of `seq` (the *source read*; no `Supermer` with an owned [`DnaSeq`] is
 /// materialised), copied 32 bases per shift/OR ([`DnaSeq::write_packed_range`]).
 #[inline]
 pub fn write_supermer(
@@ -901,13 +901,14 @@ impl<'a> SupermerView<'a> {
         }
     }
 
-    /// Materialise an owned [`Supermer`] (compat path for tests and tooling).
-    pub fn to_supermer(&self, target: u32) -> Supermer {
+    /// Materialise an owned `Supermer`, base by base (the tests' plain decode).
+    #[cfg(test)]
+    pub fn to_supermer(&self, target: u32) -> hysortk_supermer::supermer::Supermer {
         let mut seq = DnaSeq::with_capacity(self.len);
         for i in 0..self.len {
             seq.push_code(self.code_at(i));
         }
-        Supermer {
+        hysortk_supermer::supermer::Supermer {
             read_id: self.read_id,
             start: self.start,
             seq,
@@ -1066,7 +1067,7 @@ mod tests {
     use hysortk_dna::kmer::{Kmer1, Kmer2};
     use hysortk_dna::readset::Read;
     use hysortk_supermer::mmer::{MmerScorer, ScoreFunction};
-    use hysortk_supermer::supermer::build_supermers;
+    use hysortk_supermer::supermer::{build_supermers, Supermer};
 
     /// An owned task block, read back from a [`TaskBlockView`] for comparison.
     #[derive(Debug, Clone, PartialEq)]

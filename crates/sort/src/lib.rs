@@ -30,7 +30,7 @@ pub use buckets::{map_balanced_runs, BucketDigit};
 pub use multiway::multiway_merge;
 pub use paradis::{paradis_sort, paradis_sort_from};
 pub use raduls::{raduls_sort, raduls_sort_with_aux, IN_CACHE_BYTES};
-pub use runs::{count_sorted_runs, for_each_sorted_run, merge_runs_with_counts};
+pub use runs::{count_sorted_runs, merge_runs_with_counts};
 
 /// Keys that can expose themselves as raw big-endian `u64` words, enabling the
 /// monomorphized radix kernels.

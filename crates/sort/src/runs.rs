@@ -6,7 +6,7 @@
 
 /// Call `f(key_index_range)` for every maximal run of equal keys in `data` (equality
 /// judged by the `key` projection). Runs are visited in order.
-pub fn for_each_sorted_run<T, K, F, G>(data: &[T], key: G, mut f: F)
+fn for_each_sorted_run<T, K, F, G>(data: &[T], key: G, mut f: F)
 where
     K: PartialEq,
     G: Fn(&T) -> K,

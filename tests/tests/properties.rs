@@ -857,168 +857,3 @@ fn sectioned_runs_match_the_oracle_across_the_grid() {
         }
     }
 }
-
-// ---------------- stage 3: parallel decode + count vs sequential reference -----------
-
-/// Build one rank's receive segments from random reads: supermer blocks partitioned by
-/// minimizer target (so identical k-mers always land in the same task, as in the real
-/// pipeline), with a chosen subset of targets shipped as pre-counted kmerlists instead
-/// (the heavy-hitter wire form), plus structurally empty blocks on an extra task.
-fn stage3_segments(
-    rng: &mut StdRng,
-    sources: usize,
-    tasks: u32,
-    k: usize,
-    tie_heavy: bool,
-) -> Vec<Vec<u8>> {
-    use hysortk_core::wire::{write_kmerlist_block, SupermerBlockWriter};
-    use hysortk_sort::count_sorted_runs;
-
-    let scorer = MmerScorer::new((k / 2).max(3), ScoreFunction::Hash { seed: 9 });
-    // Roughly a third of the targets ship as kmerlists, so some tasks are
-    // kmerlist-only and some mix supermer blocks with kmerlists across sources.
-    let heavy_targets: Vec<u32> = (0..tasks).filter(|t| t % 3 == 0).collect();
-    let mut segments = vec![Vec::new(); sources];
-    let mut read_id = 0u32;
-    for segment in &mut segments {
-        let num_reads = rng.gen_range(1..6usize);
-        for _ in 0..num_reads {
-            let bases = if tie_heavy {
-                // Satellite repeats: long runs of identical k-mers, worst case for the
-                // run scan and the kmerlist merge.
-                b"AATGG".repeat(rng.gen_range(10..40))
-            } else {
-                let len = rng.gen_range(k..260);
-                dna_exact(rng, len)
-            };
-            let read = hysortk_dna::Read::from_ascii(read_id, format!("r{read_id}"), &bases);
-            read_id += 1;
-            let mut per_task: Vec<Vec<Supermer>> = vec![Vec::new(); tasks as usize];
-            for sm in build_supermers(&read, k, &scorer, tasks) {
-                per_task[sm.target as usize].push(sm);
-            }
-            for (t, sms) in per_task.into_iter().enumerate() {
-                if sms.is_empty() {
-                    continue;
-                }
-                if heavy_targets.contains(&(t as u32)) {
-                    // Pre-count locally and ship a kmerlist, as the heavy path does.
-                    let mut kmers: Vec<Kmer1> = Vec::new();
-                    for sm in &sms {
-                        for (km, _) in sm.canonical_kmers_with_pos::<Kmer1>(k) {
-                            kmers.push(km);
-                        }
-                    }
-                    kmers.sort_unstable();
-                    let list = count_sorted_runs(&kmers, |km| *km);
-                    write_kmerlist_block(segment, t as u32, &list);
-                } else {
-                    let mut block = SupermerBlockWriter::new(segment, t as u32, sms.len() as u32);
-                    for s in &sms {
-                        block.push(s.read_id, s.start, &s.seq, 0, s.seq.len());
-                    }
-                }
-            }
-        }
-        // A structurally empty supermer block: a task that exists but holds nothing.
-        let _ = SupermerBlockWriter::new(segment, tasks, 0);
-    }
-    segments
-}
-
-/// Stage 3 on one rank's receive segments on `pool`, as the pieces the pipeline runs:
-/// index the blocks, count the tasks in parallel, merge the task runs.
-fn count_segments_parallel<'a>(
-    segments: impl IntoIterator<Item = &'a [u8]>,
-    k: usize,
-    params: &hysortk_core::stage3::CountParams,
-    pool: &hysortk_task::WorkerPool,
-) -> hysortk_core::stage3::RankCounts<Kmer1> {
-    use hysortk_core::stage3::{build_block_index, count_blocks_parallel, merge_task_counts};
-    let index = build_block_index::<Kmer1, _>(segments, k).expect("well-formed stream");
-    merge_task_counts(count_blocks_parallel(&index, k, params, pool), params)
-}
-
-#[test]
-fn stage3_parallel_is_byte_identical_to_sequential_reference() {
-    use hysortk_core::stage3::{count_blocks_reference, CountParams};
-    use hysortk_task::WorkerPool;
-
-    let mut rng = StdRng::seed_from_u64(114);
-    for case in 0..10 {
-        let tie_heavy = case % 3 == 2;
-        let k = [15usize, 21, 31][case % 3];
-        let sources = rng.gen_range(1..5usize);
-        let tasks = rng.gen_range(1..13u32);
-        let segments = stage3_segments(&mut rng, sources, tasks, k, tie_heavy);
-        for with_extension in [false, true] {
-            let (min_count, max_count) = if case % 2 == 0 {
-                (1, 1_000_000)
-            } else {
-                (2, 50)
-            };
-            let sorter = [
-                hysortk_perfmodel::SortAlgorithm::Raduls,
-                hysortk_perfmodel::SortAlgorithm::Paradis,
-            ][case % 2];
-            let params =
-                CountParams::for_kmer::<Kmer1>(k, sorter, min_count, max_count, with_extension);
-            let reference =
-                count_blocks_reference::<Kmer1, _>(segments.iter().map(Vec::as_slice), k, &params)
-                    .expect("well-formed stream");
-            for workers in [1usize, 2, 7] {
-                let pool = WorkerPool::new(workers, 1);
-                let parallel =
-                    count_segments_parallel(segments.iter().map(Vec::as_slice), k, &params, &pool);
-                assert_eq!(
-                    parallel, reference,
-                    "case {case}, workers {workers}, ext {with_extension}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn stage3_handles_kmerlist_only_and_empty_inputs() {
-    use hysortk_core::stage3::{count_blocks_reference, CountParams};
-    use hysortk_core::wire::write_kmerlist_block;
-    use hysortk_task::WorkerPool;
-
-    let params = CountParams::for_kmer::<Kmer1>(
-        15,
-        hysortk_perfmodel::SortAlgorithm::Raduls,
-        1,
-        1_000_000,
-        false,
-    );
-
-    // Entirely empty receive segments.
-    let empty: Vec<&[u8]> = vec![&[], &[], &[]];
-    let pool = WorkerPool::new(2, 1);
-    let merged = count_segments_parallel(empty.iter().copied(), 15, &params, &pool);
-    assert!(merged.counts.is_empty());
-
-    // Kmerlist-only tasks: duplicates across sources must sum (k-mers stay disjoint
-    // across tasks, as the minimizer partition guarantees in the real pipeline).
-    let km_a = Kmer1::from_ascii(b"ACGTACGTACGTACG").canonical(15);
-    let km_b = Kmer1::from_ascii(b"TTTTGGGGCCCCAAA").canonical(15);
-    let km_c = Kmer1::from_ascii(b"AAACCCGGGTTTACG").canonical(15);
-    let mut seg0 = Vec::new();
-    let mut seg1 = Vec::new();
-    write_kmerlist_block(&mut seg0, 4, &[(km_a, 3), (km_b, 1)]);
-    write_kmerlist_block(&mut seg1, 4, &[(km_a, 2), (km_b, 7)]);
-    write_kmerlist_block(&mut seg1, 9, &[(km_c, 4)]);
-    let segments: Vec<&[u8]> = vec![&seg0, &seg1];
-    let reference =
-        count_blocks_reference::<Kmer1, _>(segments.iter().copied(), 15, &params).unwrap();
-    for workers in [1usize, 2, 7] {
-        let pool = WorkerPool::new(workers, 1);
-        let parallel = count_segments_parallel(segments.iter().copied(), 15, &params, &pool);
-        assert_eq!(parallel, reference, "workers {workers}");
-    }
-    let mut expected = vec![(km_a, 5u64), (km_b, 8u64), (km_c, 4u64)];
-    expected.sort_unstable_by_key(|e| e.0);
-    assert_eq!(reference.counts, expected);
-    assert_eq!(reference.precounted_records, 5);
-}
