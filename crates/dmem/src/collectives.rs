@@ -80,6 +80,7 @@ impl<T> FlatReceived<T> {
     }
 
     /// Elements received from `src`.
+    #[cfg(test)]
     pub fn count_from(&self, src: usize) -> usize {
         self.displs[src + 1] - self.displs[src]
     }

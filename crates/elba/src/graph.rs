@@ -48,11 +48,13 @@ impl OverlapGraph {
     }
 
     /// Number of vertices (reads with at least one overlap).
+    #[cfg(test)]
     pub fn num_vertices(&self) -> usize {
         self.adjacency.len()
     }
 
     /// Number of undirected edges.
+    #[cfg(test)]
     pub fn num_edges(&self) -> usize {
         self.adjacency.values().map(|n| n.len()).sum::<usize>() / 2
     }

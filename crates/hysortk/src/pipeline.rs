@@ -621,8 +621,7 @@ impl Input<'_> {
     /// modeled sorter reads them. Files count their on-disk bytes for both: ASCII bytes
     /// ≈ bases ≈ k-mers for FASTA. FASTQ's quality lines about double the bytes — the
     /// benchmark's 150-bp short-read file holds 2.08 bytes per base — which may cut
-    /// twice the sections the k-mers need (ROADMAP item 4(c) measures whether that
-    /// costs).
+    /// twice the sections the k-mers need.
     fn size(&self, k: usize) -> (u64, u64) {
         match self {
             Input::Reads(reads, _) => (reads.total_kmers(k) as u64, reads.total_bases() as u64),

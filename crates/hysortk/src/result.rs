@@ -238,7 +238,7 @@ pub struct RunReport {
     /// Width of the k-mer codes the run counted, in 64-bit words.
     pub kmer_words: usize,
     /// The kernel stage 3 sorted every section with: RADULS. Kept because the frozen
-    /// benchmark reads it; ROADMAP item 1b unpins it.
+    /// benchmark reads it; ROADMAP item 1b-i unpins it.
     pub sorter: SortAlgorithm,
     /// k-mer instances stage 1 parsed, summed over ranks.
     pub total_kmers: u64,
@@ -250,7 +250,7 @@ pub struct RunReport {
     pub heavy_tasks: usize,
     /// Payload bytes of the exchange stage, summed over ranks — the `exchange` stage's
     /// `payload_bytes` in [`RunReport::comm`]. Named for what the frozen benchmark
-    /// reads; ROADMAP item 1b unpins it.
+    /// reads; ROADMAP item 1b-i unpins it.
     pub total_wire_bytes: u64,
     /// Imbalance (max/mean) of the task → rank assignment.
     pub assignment_imbalance: f64,
@@ -258,7 +258,7 @@ pub struct RunReport {
     /// counted while a round was in flight: Σ hidden ÷ (Σ hidden + Σ exposed) over
     /// [`RunReport::rank_work`]. Zero without overlap — the loop then runs one unbounded
     /// round and every byte is exposed — and on any run of one round. The frozen
-    /// benchmark reads it; ROADMAP item 1b unpins it.
+    /// benchmark reads it; ROADMAP item 1b-i unpins it.
     pub overlap_fraction: f64,
     /// In-run rank recoveries: how many times the cluster respawned failed ranks and
     /// re-entered the pipeline instead of aborting. Zero for a healthy run.

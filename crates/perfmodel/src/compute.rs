@@ -92,6 +92,7 @@ impl<'a> ComputeModel<'a> {
     /// Modeled time to sort `max_rank_elements` records of `bytes_per_elem` bytes on the
     /// most loaded rank. The byte width scales the cost linearly relative to an 8-byte
     /// record (radix sort is O(n · d)).
+    #[cfg(test)]
     pub fn sort_time(
         &self,
         max_rank_elements: u64,

@@ -1,5 +1,7 @@
-//! Cross-crate integration tests: every counter, the full HySortK pipeline in all modes,
-//! and the ELBA integration, validated end-to-end against the reference counter.
+//! Cross-crate integration tests: every counter against the reference counter, the
+//! in-memory FASTA round trip, the report's projection, the ELBA integration, and the
+//! pipeline grid's (`grid/mod.rs`) rows of a genome preset at several cluster sizes and
+//! at k = 55.
 
 use hysortk_baselines::{
     kmc3_count, kmerind_count, mhm2_count, two_pass_hash_count, KmerindOutcome,
@@ -7,8 +9,12 @@ use hysortk_baselines::{
 use hysortk_core::model::{project, MachineConfig};
 use hysortk_core::{count_kmers, reference_counts_bounded, HySortKConfig};
 use hysortk_datasets::{DatasetPreset, GeneratedDataset};
-use hysortk_dna::{fasta, Kmer1, Kmer2};
+use hysortk_dna::{fasta, Kmer1};
 use hysortk_elba::{run_elba, CounterChoice, ElbaConfig};
+
+#[macro_use]
+mod grid;
+use grid::Group;
 
 fn dataset() -> GeneratedDataset {
     DatasetPreset::ABaumannii.generate(1.5e-4, 1234)
@@ -51,14 +57,12 @@ fn every_counter_agrees_with_the_reference_and_each_other() {
     }
 }
 
-#[test]
-fn large_k_counting_uses_two_word_kmers_end_to_end() {
-    let data = dataset();
-    let mut cfg = config(&data, 55, 3);
-    cfg.m = 23;
-    let result = count_kmers::<Kmer2>(&data.reads, &cfg);
-    let expected = reference_counts_bounded::<Kmer2>(&data.reads, 55, 2, 10_000);
-    assert_eq!(result.counts, expected);
+// Rows of the pipeline grid, each run once against the oracle.
+grid_tests! {
+    /// The preset at k = 55: two-word k-mers end to end.
+    large_k_counting_uses_two_word_kmers_end_to_end => Group::LargeK;
+    /// The preset at ranks {1, 2, 5, 8} with 1–3 tasks per worker.
+    counting_is_deterministic_across_cluster_sizes_and_layouts => Group::ClusterSizes;
 }
 
 #[test]
@@ -71,20 +75,6 @@ fn fasta_round_trip_feeds_the_counter() {
     let from_original = count_kmers::<Kmer1>(&data.reads, &cfg);
     let from_fasta = count_kmers::<Kmer1>(&parsed, &cfg);
     assert_eq!(from_original.counts, from_fasta.counts);
-}
-
-#[test]
-fn counting_is_deterministic_across_cluster_sizes_and_layouts() {
-    let data = dataset();
-    let mut results = Vec::new();
-    for ranks in [1usize, 2, 5, 8] {
-        let mut cfg = config(&data, 21, ranks);
-        cfg.tasks_per_worker = 1 + ranks % 3;
-        results.push(count_kmers::<Kmer1>(&data.reads, &cfg).counts);
-    }
-    for pair in results.windows(2) {
-        assert_eq!(pair[0], pair[1]);
-    }
 }
 
 #[test]

@@ -1,6 +1,8 @@
 //! End-to-end ingestion tests: real FASTA/FASTQ files on disk, streamed through the
-//! chunked rank-sharded readers into the full pipeline, pinned byte-identical to the
-//! in-memory `ReadSet` entry point across rank counts and overlap modes.
+//! chunked rank-sharded readers into the full pipeline — several files, block sizes, the
+//! N policy, the bundled smoke golden and a fuzz loop over the readers — and the pipeline
+//! grid's (`grid/mod.rs`) rows of a genome preset from memory, FASTA and FASTQ against the
+//! oracle across ranks, overlap modes and both backends.
 
 use std::path::PathBuf;
 
@@ -9,6 +11,10 @@ use hysortk_core::{count_kmers, reference_counts_bounded, HySortKConfig};
 use hysortk_datasets::DatasetPreset;
 use hysortk_dna::io::{write_fastq_file, IngestOptions};
 use hysortk_dna::{fasta, Kmer1, ReadSet};
+
+#[macro_use]
+mod grid;
+use grid::Group;
 
 fn tmp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("hysortk_e2e_{}_{tag}", std::process::id()))
@@ -22,51 +28,10 @@ fn config(k: usize, ranks: usize, overlap: bool) -> HySortKConfig {
     cfg
 }
 
-/// The golden grid of the issue: a generated dataset written to FASTA **and** FASTQ,
-/// ingested on {1, 2, 7} ranks with overlap on and off, counts asserted identical to
-/// the in-memory pipeline (and the in-memory pipeline to the oracle).
-#[test]
-fn file_fed_counts_are_identical_to_in_memory_across_ranks_and_overlap_modes() {
-    let data = DatasetPreset::ABaumannii.generate(1.2e-4, 4242);
-    let fa = tmp_path("grid.fa");
-    let fq = tmp_path("grid.fq");
-    fasta::write_fasta_file(&fa, &data.reads, 61).unwrap();
-    write_fastq_file(&fq, &data.reads).unwrap();
-
-    let k = 21;
-    let expected = reference_counts_bounded::<Kmer1>(&data.reads, k, 1, 1_000_000);
-    for ranks in [1usize, 2, 7] {
-        for overlap in [false, true] {
-            let mut cfg = config(k, ranks, overlap);
-            cfg.data_scale = data.data_scale;
-            let context = format!("ranks={ranks} overlap={overlap}");
-
-            let in_memory = count_kmers::<Kmer1>(&data.reads, &cfg);
-            assert_eq!(in_memory.counts, expected, "in-memory vs oracle: {context}");
-
-            let from_fasta = count_kmers_from_files::<Kmer1, _>(&[&fa], &cfg).unwrap();
-            assert_eq!(
-                from_fasta.counts, in_memory.counts,
-                "FASTA-fed vs in-memory: {context}"
-            );
-            assert_eq!(
-                from_fasta.histogram, in_memory.histogram,
-                "FASTA-fed histogram: {context}"
-            );
-
-            let from_fastq = count_kmers_from_files::<Kmer1, _>(&[&fq], &cfg).unwrap();
-            assert_eq!(
-                from_fastq.counts, in_memory.counts,
-                "FASTQ-fed vs in-memory: {context}"
-            );
-            assert_eq!(
-                from_fastq.histogram, in_memory.histogram,
-                "FASTQ-fed histogram: {context}"
-            );
-        }
-    }
-    std::fs::remove_file(&fa).ok();
-    std::fs::remove_file(&fq).ok();
+// Rows of the pipeline grid: the preset from memory, FASTA and FASTQ × ranks {1, 2, 7}
+// × overlap on threads, and the file sources on forked ranks, each against the oracle.
+grid_tests! {
+    file_fed_counts_are_identical_to_in_memory_across_ranks_and_overlap_modes => Group::FileSources;
 }
 
 /// Multi-file input: the dataset split into three files (two FASTA, one FASTQ) must

@@ -7,7 +7,12 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use hysortk_dna::{DnaSeq, Extension, Kmer1, Kmer2, ReadSet};
+#[macro_use]
+mod grid;
+use grid::Group;
+use hysortk_dmem::Backend;
+
+use hysortk_dna::{DnaSeq, Extension, Kmer1, Kmer2};
 use hysortk_sort::{paradis_sort, raduls_sort};
 use hysortk_supermer::codec::{decode_extensions, encode_extensions};
 use hysortk_supermer::minimizer::{minimizers_deque, minimizers_naive};
@@ -400,460 +405,20 @@ fn extension_codec_round_trips() {
     }
 }
 
-// ---------------- counting invariants ------------------------------------------------
+// ---------------- the pipeline on every layout ---------------------------------------
 
-#[test]
-fn hysortk_counts_match_reference_on_arbitrary_reads() {
-    let mut rng = StdRng::seed_from_u64(113);
-    for _ in 0..16 {
-        let num_reads = rng.gen_range(1..12usize);
-        let seqs: Vec<Vec<u8>> = (0..num_reads).map(|_| dna(&mut rng, 200)).collect();
-        let k = rng.gen_range(5..24usize);
-        let ranks = rng.gen_range(1..5usize);
-        let reads = ReadSet::from_ascii_reads(&seqs);
-        let mut cfg = hysortk_core::HySortKConfig::small(k, (k / 2).max(3), ranks);
-        cfg.min_count = 1;
-        cfg.max_count = 1_000_000;
-        let result = hysortk_core::count_kmers::<Kmer1>(&reads, &cfg);
-        let expected = hysortk_core::reference_counts_bounded::<Kmer1>(&reads, k, 1, 1_000_000);
-        assert_eq!(result.counts, expected, "k = {k}, ranks = {ranks}");
-        assert_eq!(result.report.distinct_kmers, result.histogram.distinct());
-    }
-}
-
-// ---------------- overlapped round engine vs bulk-synchronous exchange --------------
-
-/// Compare the full pipeline under both round budgets on one configuration: batched
-/// rounds (`overlap = true`) must be byte-identical to one unbounded round
-/// (`overlap = false`) — counts, extensions and histogram. Both run the same round
-/// loop, so agreeing with each other is not enough: the result is also held against
-/// the naive oracle, which shares no code with the pipeline.
-fn assert_overlap_matches_bulk(
-    reads: &ReadSet,
-    cfg: &hysortk_core::HySortKConfig,
-    context: &str,
-) -> hysortk_core::CountResult<Kmer1> {
-    let mut bulk_cfg = cfg.clone();
-    bulk_cfg.overlap = false;
-    let bulk = hysortk_core::count_kmers::<Kmer1>(reads, &bulk_cfg);
-    let mut overlap_cfg = cfg.clone();
-    overlap_cfg.overlap = true;
-    let overlapped = hysortk_core::count_kmers::<Kmer1>(reads, &overlap_cfg);
-    assert_eq!(overlapped.counts, bulk.counts, "counts: {context}");
-    assert_eq!(
-        overlapped.extensions, bulk.extensions,
-        "extensions: {context}"
-    );
-    assert_eq!(overlapped.histogram, bulk.histogram, "histogram: {context}");
-    assert_eq!(
-        overlapped
-            .report
-            .comm
-            .stage("exchange")
-            .unwrap()
-            .payload_bytes,
-        bulk.report.comm.stage("exchange").unwrap().payload_bytes,
-        "round payloads must conserve the bulk payload: {context}"
-    );
-    let (min, max) = (cfg.min_count, cfg.max_count);
-    let oracle = hysortk_core::reference_counts_bounded::<Kmer1>(reads, cfg.k, min, max);
-    assert_eq!(
-        overlapped.counts, oracle,
-        "counts against the oracle: {context}"
-    );
-    assert_eq!(
-        overlapped.counts.sorted_vec(),
-        oracle,
-        "the merged array against the oracle: {context}"
-    );
-    if cfg.with_extension {
-        let (kmers, lists): (Vec<Kmer1>, Vec<Vec<Extension>>) =
-            hysortk_core::reference_extensions::<Kmer1>(reads, cfg.k, min, max)
-                .into_iter()
-                .unzip();
-        let counted: Vec<Kmer1> = overlapped.counts.iter().map(|&(km, _)| km).collect();
-        assert_eq!(counted, kmers, "extension k-mers: {context}");
-        assert_eq!(
-            overlapped.extensions,
-            Some(lists),
-            "extensions against the oracle: {context}"
-        );
-    }
-    overlapped
-}
-
-#[test]
-fn overlapped_pipeline_is_byte_identical_to_bulk_across_the_grid() {
-    // Ranks × batch sizes {1 record, the small-config default, larger than the input}
-    // × extensions on/off, on random reads with genuine multiplicities.
-    let mut rng = StdRng::seed_from_u64(200);
-    let genome: Vec<u8> = (0..2_000).map(|_| b"ACGT"[rng.gen_range(0..4)]).collect();
-    let seqs: Vec<Vec<u8>> = (0..60)
-        .map(|_| {
-            let start = rng.gen_range(0..genome.len() - 250);
-            genome[start..start + 250].to_vec()
-        })
-        .collect();
-    let reads = ReadSet::from_ascii_reads(&seqs);
-
-    for ranks in [1usize, 2, 7] {
-        for batch_size in [1usize, 4_096, 1_000_000_000] {
-            for with_extension in [false, true] {
-                let mut cfg = hysortk_core::HySortKConfig::small(21, 9, ranks);
-                cfg.min_count = 1;
-                cfg.max_count = 1_000_000;
-                cfg.batch_size = batch_size;
-                cfg.with_extension = with_extension;
-                let context = format!("ranks={ranks} batch={batch_size} ext={with_extension}");
-                assert_overlap_matches_bulk(&reads, &cfg, &context);
-            }
-        }
-    }
-}
-
-#[test]
-fn overlapped_pipeline_matches_bulk_on_heavy_hitter_workloads() {
-    // Satellite repeats trigger the heavy-hitter kmerlist conversion; the pre-counted
-    // wire form must flow through the round engine identically, at single-record
-    // batches (maximum round count) and the default batch.
-    let mut seqs: Vec<Vec<u8>> = Vec::new();
-    for _ in 0..40 {
-        seqs.push(b"AATGG".repeat(60));
-    }
-    let mut rng = StdRng::seed_from_u64(201);
-    for _ in 0..40 {
-        seqs.push((0..300).map(|_| b"ACGT"[rng.gen_range(0..4)]).collect());
-    }
-    let reads = ReadSet::from_ascii_reads(&seqs);
-
-    for ranks in [2usize, 7] {
-        for batch_size in [1usize, 4_096] {
-            let mut cfg = hysortk_core::HySortKConfig::small(15, 7, ranks);
-            cfg.min_count = 1;
-            cfg.max_count = 1_000_000;
-            cfg.batch_size = batch_size;
-            cfg.heavy_hitter = hysortk_task::HeavyHitterPolicy {
-                factor: 2.0,
-                enabled: true,
-            };
-            let context = format!("heavy ranks={ranks} batch={batch_size}");
-            let result = assert_overlap_matches_bulk(&reads, &cfg, &context);
-            assert!(
-                result.report.heavy_tasks > 0,
-                "{context}: workload not heavy"
-            );
-        }
-    }
-}
-
-// ---------------- pool width: the round loop's job lists -----------------------------
-
-/// The three send-side shapes the round loop's fills write: plain supermers, a
-/// heavy-hitter kmerlist among them (satellite input), and supermers with extensions.
-fn job_list_shapes() -> Vec<(&'static str, ReadSet, hysortk_core::HySortKConfig)> {
-    let mut rng = StdRng::seed_from_u64(220);
-    let genome: Vec<u8> = (0..1_200).map(|_| b"ACGT"[rng.gen_range(0..4)]).collect();
-    let plain: Vec<Vec<u8>> = (0..40)
-        .map(|_| {
-            let start = rng.gen_range(0..genome.len() - 180);
-            genome[start..start + 180].to_vec()
-        })
-        .collect();
-    let mut satellite = plain.clone();
-    satellite.extend((0..30).map(|_| b"AATGG".repeat(50)));
-
-    let mut base = hysortk_core::HySortKConfig::small(17, 8, 1);
-    base.min_count = 1;
-    base.max_count = 1_000_000;
-    base.heavy_hitter = hysortk_task::HeavyHitterPolicy::disabled();
-    let mut heavy = base.clone();
-    heavy.heavy_hitter = hysortk_task::HeavyHitterPolicy {
-        factor: 2.0,
-        enabled: true,
-    };
-    let mut extensions = base.clone();
-    extensions.with_extension = true;
-    vec![
-        ("supermers", ReadSet::from_ascii_reads(&plain), base),
-        ("heavy", ReadSet::from_ascii_reads(&satellite), heavy),
-        ("extensions", ReadSet::from_ascii_reads(&plain), extensions),
-    ]
-}
-
-/// Threads per rank {1, 2, 3, 5} × ranks {1, 2, 3} × batch sizes {1 record, the
-/// small-config default, larger than the input} × the three shapes: every overlapped
-/// run is byte-identical — counts, extensions, histogram — to the bulk-synchronous run
-/// and to the overlapped run at one thread, and moves exactly the same exchange
-/// traffic as the latter (same rounds, same bytes to every destination). The task
-/// count is held at `ranks × 30` across widths, so the runs serialize the same tasks.
-fn assert_pool_width_never_changes_the_output(backend: hysortk_dmem::Backend) {
-    for (shape, reads, shape_cfg) in job_list_shapes() {
-        for ranks in [1usize, 2, 3] {
-            for batch_size in [1usize, 4_096, 1_000_000_000] {
-                let cfg_at = |threads: usize, overlap: bool| {
-                    let mut cfg = shape_cfg.clone();
-                    cfg.processes_per_node = ranks;
-                    cfg.threads_per_process = threads;
-                    cfg.tasks_per_worker = 30 / threads;
-                    cfg.batch_size = batch_size;
-                    cfg.overlap = overlap;
-                    cfg.backend = backend;
-                    cfg
-                };
-                let bulk = hysortk_core::count_kmers::<Kmer1>(&reads, &cfg_at(1, false));
-                let one = hysortk_core::count_kmers::<Kmer1>(&reads, &cfg_at(1, true));
-                assert_eq!(
-                    one.report.heavy_tasks > 0,
-                    shape == "heavy",
-                    "{shape} ranks={ranks}"
-                );
-                for threads in [1usize, 2, 3, 5] {
-                    let context =
-                        format!("{shape} ranks={ranks} batch={batch_size} threads={threads}");
-                    let run = hysortk_core::count_kmers::<Kmer1>(&reads, &cfg_at(threads, true));
-                    for (name, other) in [("bulk", &bulk), ("one thread", &one)] {
-                        assert_eq!(run.counts, other.counts, "counts vs {name}: {context}");
-                        assert_eq!(
-                            run.extensions, other.extensions,
-                            "extensions vs {name}: {context}"
-                        );
-                        assert_eq!(
-                            run.histogram, other.histogram,
-                            "histogram vs {name}: {context}"
-                        );
-                    }
-                    assert_eq!(
-                        run.report.comm.stage("exchange"),
-                        one.report.comm.stage("exchange"),
-                        "exchange traffic: {context}"
-                    );
-                    assert_eq!(
-                        run.report.comm.sent_to, one.report.comm.sent_to,
-                        "bytes per destination: {context}"
-                    );
-                    assert_eq!(
-                        run.report.comm.stage("exchange").unwrap().payload_bytes,
-                        bulk.report.comm.stage("exchange").unwrap().payload_bytes,
-                        "round payloads must conserve the bulk payload: {context}"
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn pool_width_never_changes_the_output_on_the_thread_backend() {
-    assert_pool_width_never_changes_the_output(hysortk_dmem::Backend::Thread);
-}
-
-#[test]
-fn pool_width_never_changes_the_output_on_the_process_backend() {
-    if hysortk_dmem::ran_in_own_process(
-        "pool_width_never_changes_the_output_on_the_process_backend",
-    ) {
-        return;
-    }
-    assert_pool_width_never_changes_the_output(hysortk_dmem::Backend::Process);
-}
-
-// ---------------- process backend vs thread backend ----------------------------------
-
-#[test]
-fn process_backend_is_byte_identical_to_thread_backend_across_the_grid() {
-    if hysortk_dmem::ran_in_own_process(
-        "process_backend_is_byte_identical_to_thread_backend_across_the_grid",
-    ) {
-        return;
-    }
-    // Forked rank processes moving every byte over UNIX domain sockets must reproduce
-    // the in-process channel backend exactly — counts, extensions, histogram and
-    // exchanged payload bytes — across rank counts and both exchange modes, on reads
-    // with genuine multiplicities.
-    let mut rng = StdRng::seed_from_u64(210);
-    let genome: Vec<u8> = (0..1_500).map(|_| b"ACGT"[rng.gen_range(0..4)]).collect();
-    let seqs: Vec<Vec<u8>> = (0..40)
-        .map(|_| {
-            let start = rng.gen_range(0..genome.len() - 200);
-            genome[start..start + 200].to_vec()
-        })
-        .collect();
-    let reads = ReadSet::from_ascii_reads(&seqs);
-
-    for ranks in [1usize, 2, 7] {
-        for overlap in [false, true] {
-            let mut cfg = hysortk_core::HySortKConfig::small(21, 9, ranks);
-            cfg.min_count = 1;
-            cfg.max_count = 1_000_000;
-            cfg.batch_size = 2_048;
-            cfg.with_extension = true;
-            cfg.overlap = overlap;
-            let context = format!("ranks={ranks} overlap={overlap}");
-
-            cfg.backend = hysortk_dmem::Backend::Thread;
-            let thread = hysortk_core::count_kmers::<Kmer1>(&reads, &cfg);
-            cfg.backend = hysortk_dmem::Backend::Process;
-            let process = hysortk_core::count_kmers::<Kmer1>(&reads, &cfg);
-
-            assert_eq!(process.counts, thread.counts, "counts: {context}");
-            assert_eq!(
-                process.extensions, thread.extensions,
-                "extensions: {context}"
-            );
-            assert_eq!(process.histogram, thread.histogram, "histogram: {context}");
-            assert_eq!(
-                process.report.comm.stage("exchange").unwrap().payload_bytes,
-                thread.report.comm.stage("exchange").unwrap().payload_bytes,
-                "exchange payload: {context}"
-            );
-        }
-    }
-}
-
-/// Nearly every k-mer of random reads is distinct, so with `min_count = 1` the retained
-/// table is as large as the input: about 190 k two-word entries in `ranks × 3` sorted
-/// task runs cross the root's assembly — out of forked ranks, through the result codec —
-/// and must come out as the ascending reference table on both backends, the root
-/// merging on two threads (2 × 1 and 1 × 2 ranks × threads) and on six (3 × 2).
-#[test]
-fn a_large_retained_table_of_two_word_kmers_assembles_identically_on_both_backends() {
-    if hysortk_dmem::ran_in_own_process(
-        "a_large_retained_table_of_two_word_kmers_assembles_identically_on_both_backends",
-    ) {
-        return;
-    }
-    let mut rng = StdRng::seed_from_u64(230);
-    let seqs: Vec<Vec<u8>> = (0..400).map(|_| dna_exact(&mut rng, 520)).collect();
-    let reads = ReadSet::from_ascii_reads(&seqs);
-    let k = 41;
-    let expected = hysortk_core::reference_counts_bounded::<Kmer2>(&reads, k, 1, 1_000_000);
-    assert!(expected.len() > 180_000 && expected.is_sorted_by_key(|entry| entry.0));
-    for (ranks, threads) in [(2usize, 1usize), (1, 2), (3, 2)] {
-        for backend in [
-            hysortk_dmem::Backend::Thread,
-            hysortk_dmem::Backend::Process,
-        ] {
-            let mut cfg = hysortk_core::HySortKConfig::small(k, 17, ranks);
-            cfg.min_count = 1;
-            cfg.max_count = 1_000_000;
-            cfg.threads_per_process = threads;
-            cfg.backend = backend;
-            let result = hysortk_core::count_kmers::<Kmer2>(&reads, &cfg);
-            assert!(
-                result.counts == expected,
-                "ranks={ranks} threads={threads} {backend:?}"
-            );
-            assert_eq!(result.histogram.distinct(), expected.len() as u64);
-        }
-    }
-}
-
-// ---------------- sectioned tasks: stage 1 cuts, stage 3 counts section by section ---
-
-/// One grid point of the sectioned property: a run over `reads` on one worker per rank
-/// of `threads` threads and one task per worker — few tasks, so each is cut into
-/// several sections, which the worker's threads split — against the oracle: counts,
-/// the merged array, the histogram and, with extensions, the lists.
-fn assert_sectioned_run_matches_the_oracle<K: hysortk_dna::KmerCode>(
-    reads: &ReadSet,
-    k: usize,
-    oracle: &(Vec<(K, u64)>, hysortk_core::KmerHistogram),
-    extensions: Option<&Vec<(K, Vec<Extension>)>>,
-    layout: (hysortk_dmem::Backend, usize, usize, bool),
-) {
-    let (backend, ranks, threads, overlap) = layout;
-    let mut cfg = hysortk_core::HySortKConfig::small_with_threads(k, k.min(46) / 2, ranks, threads);
-    cfg.threads_per_worker = threads;
-    cfg.tasks_per_worker = 1;
-    cfg.min_count = 2;
-    cfg.max_count = 1_000;
-    cfg.backend = backend;
-    cfg.overlap = overlap;
-    cfg.with_extension = extensions.is_some();
-    let context = format!(
-        "k={k} {backend:?} ranks={ranks} threads={threads} overlap={overlap} ext={}",
-        cfg.with_extension
-    );
-    let result = hysortk_core::count_kmers::<K>(reads, &cfg);
-    assert!(
-        result.report.sections > 1,
-        "{context}: {} section(s)",
-        result.report.sections
-    );
-    assert!(result.report.count_buffer_bytes > 0, "{context}");
-    let (counts, histogram) = oracle;
-    assert!(result.counts == *counts, "counts: {context}");
-    assert!(
-        result.counts.sorted_vec() == *counts,
-        "the merged array: {context}"
-    );
-    assert_eq!(&result.histogram, histogram, "histogram: {context}");
-    if let Some(expected) = extensions {
-        let [table] = result.counts.runs() else {
-            panic!("{context}: an extension run holds one table")
-        };
-        let lists = result.extensions.as_ref().expect("an extension run");
-        assert_eq!(table.len(), expected.len(), "{context}");
-        for ((pair, list), (kmer, want)) in table.iter().zip(lists).zip(expected) {
-            assert_eq!((&pair.0, list), (kmer, want), "extensions: {context}");
-        }
-    } else {
-        // No assembly: one run per section that retained a k-mer.
-        assert!(result.report.result_runs > ranks, "{context}");
-    }
-}
-
-/// An input big enough that every layout of the grid cuts its tasks into sections —
-/// asserted through `RunReport::sections` — counted on both backends × ranks {1, 2, 3}
-/// × threads {1, 2} × k ∈ {31, 55} × overlap on/off × extensions off/on,
-/// byte-identical to the oracle.
-#[test]
-fn sectioned_runs_match_the_oracle_across_the_grid() {
-    if hysortk_dmem::ran_in_own_process("sectioned_runs_match_the_oracle_across_the_grid") {
-        return;
-    }
-    let mut rng = StdRng::seed_from_u64(240);
-    let genome = dna_exact(&mut rng, 60_000);
-    let seqs: Vec<Vec<u8>> = (0..500)
-        .map(|_| {
-            let start = rng.gen_range(0..genome.len() - 1_000);
-            genome[start..start + 1_000].to_vec()
-        })
-        .collect();
-    let reads = ReadSet::from_ascii_reads(&seqs);
-    fn oracle<K: hysortk_dna::KmerCode>(
-        reads: &ReadSet,
-        k: usize,
-    ) -> (Vec<(K, u64)>, hysortk_core::KmerHistogram) {
-        let mut histogram = hysortk_core::KmerHistogram::new(1_002);
-        let all = hysortk_core::reference_counts_bounded::<K>(reads, k, 1, u64::MAX);
-        all.iter().for_each(|&(_, count)| histogram.record(count));
-        let retained = all.into_iter().filter(|&(_, c)| (2..=1_000).contains(&c));
-        (retained.collect(), histogram)
-    }
-    let (one_word, two_words) = (oracle::<Kmer1>(&reads, 31), oracle::<Kmer2>(&reads, 55));
-    let extensions = (
-        hysortk_core::reference_extensions::<Kmer1>(&reads, 31, 2, 1_000),
-        hysortk_core::reference_extensions::<Kmer2>(&reads, 55, 2, 1_000),
-    );
-    for backend in [
-        hysortk_dmem::Backend::Thread,
-        hysortk_dmem::Backend::Process,
-    ] {
-        for ranks in [1usize, 2, 3] {
-            for threads in [1usize, 2] {
-                for overlap in [true, false] {
-                    let layout = (backend, ranks, threads, overlap);
-                    for with_extension in [false, true] {
-                        let k31 = with_extension.then_some(&extensions.0);
-                        let k55 = with_extension.then_some(&extensions.1);
-                        assert_sectioned_run_matches_the_oracle(&reads, 31, &one_word, k31, layout);
-                        assert_sectioned_run_matches_the_oracle(
-                            &reads, 55, &two_words, k55, layout,
-                        );
-                    }
-                }
-            }
-        }
-    }
+// Rows of the pipeline grid (`grid/mod.rs`), each run once against the oracle.
+grid_tests! {
+    /// Ranks × round budgets {1 record, the default, more than the input, bulk} ×
+    /// extensions; the payload is one figure whatever the budget.
+    overlapped_pipeline_is_byte_identical_to_bulk_across_the_grid => Group::Overlap;
+    /// The satellite repeat under a factor-2 heavy-hitter policy: ranks × round budgets.
+    overlapped_pipeline_matches_bulk_on_heavy_hitter_workloads => Group::Heavy;
+    /// Threads per rank {1, 2, 3, 5} × ranks × round budgets × three send-side shapes;
+    /// the width changes no byte of the exchange.
+    pool_width_never_changes_the_output_on_the_thread_backend => Group::PoolWidth(Backend::Thread);
+    pool_width_never_changes_the_output_on_the_process_backend => Group::PoolWidth(Backend::Process);
+    /// Both backends × ranks {1, 2, 7} × overlap, with extensions; the payload is one
+    /// figure on either backend.
+    process_backend_is_byte_identical_to_thread_backend_across_the_grid => Group::Backends;
 }
